@@ -24,12 +24,10 @@ import (
 
 	"saqp"
 	"saqp/internal/cluster"
-	"saqp/internal/histogram"
 	"saqp/internal/plan"
 	"saqp/internal/predict"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
-	"saqp/internal/sim"
 	"saqp/internal/trace"
 	"saqp/internal/workload"
 )
@@ -331,48 +329,6 @@ func BenchmarkAblationHCSQueues(b *testing.B) {
 
 func benchQueryName(i int) string {
 	return "q" + string(rune('0'+i/10%10)) + string(rune('0'+i%10))
-}
-
-// BenchmarkAblationHistogramType compares the paper's equi-width histograms
-// against equi-depth histograms (same bucket budget) for point-equality
-// selectivity on Zipf-skewed keys — quantifying the equi-width design
-// choice of Section 3.1.
-func BenchmarkAblationHistogramType(b *testing.B) {
-	const n, card = 200000, 10000
-	z := sim.NewZipf(sim.New(11), 1.4, 1, card)
-	vals := make([]float64, n)
-	counts := map[float64]int{}
-	for i := range vals {
-		vals[i] = float64(z.Uint64())
-		counts[vals[i]]++
-	}
-	probes := []float64{0, 1, 2, 5, 10, 50, 100, 500, 1000, 5000}
-	evalErr := func(sel func(float64) float64) float64 {
-		var sum float64
-		for _, x := range probes {
-			truth := float64(counts[x]) / n
-			sum += absF(sel(x) - truth)
-		}
-		return sum / float64(len(probes)) * 1e4 // basis points of row fraction
-	}
-	b.Run("equi-width", func(b *testing.B) {
-		var h *histogram.Histogram
-		for i := 0; i < b.N; i++ {
-			h = histogram.Build(vals, 0, card, 64)
-		}
-		b.ReportMetric(evalErr(h.SelectivityEQ), "eqErr(bp)")
-	})
-	b.Run("equi-depth", func(b *testing.B) {
-		var h *histogram.EquiDepth
-		for i := 0; i < b.N; i++ {
-			var err error
-			h, err = histogram.BuildEquiDepth(vals, 64)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(evalErr(h.SelectivityEQ), "eqErr(bp)")
-	})
 }
 
 // BenchmarkAblationPreemptiveReduce measures the effect of [30]-style

@@ -24,7 +24,7 @@ type (
 	ClusterRouteInfo = shardserve.RouteInfo
 	// ClusterPending is one accepted cluster submission awaiting
 	// completion.
-	ClusterPending = shardserve.Pending
+	ClusterPending = serve.Pending
 	// NetClusterClient is the redirect-following cluster wire client;
 	// see DialNetCluster.
 	NetClusterClient = net.ClusterClient
@@ -131,7 +131,7 @@ type ClusterServer struct {
 type clusterEngineBackend struct{ eng *serve.Engine }
 
 // Submit admits one query on the wrapped engine.
-func (b clusterEngineBackend) Submit(ctx context.Context, sql string, seed uint64) (shardserve.Pending, error) {
+func (b clusterEngineBackend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error) {
 	t, err := b.eng.Submit(ctx, sql, seed)
 	if err != nil {
 		return nil, err
@@ -156,7 +156,7 @@ type clusterNetBackend struct {
 }
 
 // Submit admits one query on the instance's shard via the coordinator.
-func (b clusterNetBackend) Submit(ctx context.Context, sql string, seed uint64) (net.Pending, error) {
+func (b clusterNetBackend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error) {
 	p, err := b.c.SubmitShard(ctx, b.shard, sql, seed)
 	if err != nil {
 		return nil, err

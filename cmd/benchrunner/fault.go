@@ -1,28 +1,25 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"text/tabwriter"
 	"time"
 
 	"saqp"
 )
 
-// faultConfig parameterizes the fault-injection replay benchmark.
-type faultConfig struct {
-	Seed          uint64  // fault-plan seed (expansion + failure hashes)
-	Rounds        int     // copies of the canonical TPC-H set replayed
-	GapSec        float64 // mean Poisson inter-arrival gap
-	MinCompletion float64 // CI gate: fail when completion rate < this; 0 disables
-	Scheduler     string  // scheduler for both replays
-	CorpusSeed    uint64  // experiment seed (cost models, arrivals)
-}
+// The fault replay's shape, fixed at the values every recorded run used:
+// three copies of the canonical TPC-H set, Poisson arrivals 20 s apart,
+// SWRD for both the clean and the faulted run.
+const (
+	faultRounds = 3
+	faultGapSec = 20
+)
 
 // faultReport is BENCH_fault.json: the faulted replay's recovery outcome
-// against its clean twin. Every field is deterministic in the two seeds.
+// against its clean twin. Every field except WallSeconds is deterministic
+// in the seed.
 type faultReport struct {
 	Experiment string  `json:"experiment"`
 	Scheduler  string  `json:"scheduler"`
@@ -56,21 +53,20 @@ type faultReport struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
-// faultBench replays the canonical TPC-H queries twice — clean, then
-// under the default fault plan seeded with fc.Seed — prints the recovery
-// summary, writes BENCH_fault.json, and enforces the completion gate.
-func faultBench(fc faultConfig, benchDir, csvDir string) error {
-	cfg := saqp.DefaultExperimentConfig()
-	cfg.Seed = fc.CorpusSeed
-	spec := saqp.DefaultFaultSpec(fc.Seed)
-	fmt.Printf("Fault replay: %d round(s) of the TPC-H set, gap %.0fs, plan seed %d (%d nodes, horizon %.0fs)\n",
-		fc.Rounds, fc.GapSec, fc.Seed, spec.Nodes, spec.HorizonSec)
+// faultReplay replays the canonical TPC-H queries twice — clean, then
+// under the default fault plan seeded with cfg.Seed — prints the recovery
+// summary and returns the BENCH_fault.json report. Whether recovery must
+// complete every query is TestFaultReplayDefaultPlanCompletes's to say.
+func faultReplay(cfg saqp.ExperimentConfig, csvDir string) (any, error) {
+	spec := saqp.DefaultFaultSpec(cfg.Seed)
+	fmt.Printf("Fault replay: %d round(s) of the TPC-H set, gap %ds, plan seed %d (%d nodes, horizon %.0fs)\n",
+		faultRounds, faultGapSec, cfg.Seed, spec.Nodes, spec.HorizonSec)
 
 	begin := time.Now()
 	r, err := saqp.ReproduceFaultReplay(nil, cfg, saqp.NewFaultPlan(spec),
-		fc.Scheduler, fc.Rounds, fc.GapSec)
+		saqp.SchedulerSWRD, faultRounds, faultGapSec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	wall := time.Since(begin).Seconds()
 
@@ -95,56 +91,39 @@ func faultBench(fc faultConfig, benchDir, csvDir string) error {
 			fmt.Sprint(r.Faults.TaskFailures), fmt.Sprint(r.Faults.TaskRetries),
 			fmt.Sprint(r.Faults.NodeCrashes), fmt.Sprint(r.Faults.NodesBlacklisted)},
 	}); err != nil {
-		return err
+		return nil, err
 	}
 
-	if benchDir != "" {
-		rep := faultReport{
-			Experiment: "fault",
-			Scheduler:  r.Scheduler,
-			Seed:       fc.CorpusSeed,
-			FaultSeed:  fc.Seed,
-			Rounds:     fc.Rounds,
-			GapSec:     fc.GapSec,
+	return faultReport{
+		Experiment: "fault",
+		Scheduler:  r.Scheduler,
+		Seed:       cfg.Seed,
+		FaultSeed:  cfg.Seed,
+		Rounds:     faultRounds,
+		GapSec:     faultGapSec,
 
-			Queries:        r.Queries,
-			Completed:      r.Completed,
-			Failed:         r.Failed,
-			CompletionRate: r.CompletionRate,
+		Queries:        r.Queries,
+		Completed:      r.Completed,
+		Failed:         r.Failed,
+		CompletionRate: r.CompletionRate,
 
-			CleanP50Sec:      r.CleanP50Sec,
-			CleanP99Sec:      r.CleanP99Sec,
-			FaultP50Sec:      r.FaultP50Sec,
-			FaultP99Sec:      r.FaultP99Sec,
-			P50Inflation:     r.P50Inflation,
-			P99Inflation:     r.P99Inflation,
-			CleanMakespanSec: r.CleanMakespanSec,
-			FaultMakespanSec: r.FaultMakespanSec,
+		CleanP50Sec:      r.CleanP50Sec,
+		CleanP99Sec:      r.CleanP99Sec,
+		FaultP50Sec:      r.FaultP50Sec,
+		FaultP99Sec:      r.FaultP99Sec,
+		P50Inflation:     r.P50Inflation,
+		P99Inflation:     r.P99Inflation,
+		CleanMakespanSec: r.CleanMakespanSec,
+		FaultMakespanSec: r.FaultMakespanSec,
 
-			TaskFailures:       r.Faults.TaskFailures,
-			TaskRetries:        r.Faults.TaskRetries,
-			NodeCrashes:        r.Faults.NodeCrashes,
-			NodeRecoveries:     r.Faults.NodeRecoveries,
-			NodesBlacklisted:   r.Faults.NodesBlacklisted,
-			SpeculativeCancels: r.Faults.SpeculativeCancels,
-			QueryFailures:      r.Faults.QueryFailures,
+		TaskFailures:       r.Faults.TaskFailures,
+		TaskRetries:        r.Faults.TaskRetries,
+		NodeCrashes:        r.Faults.NodeCrashes,
+		NodeRecoveries:     r.Faults.NodeRecoveries,
+		NodesBlacklisted:   r.Faults.NodesBlacklisted,
+		SpeculativeCancels: r.Faults.SpeculativeCancels,
+		QueryFailures:      r.Faults.QueryFailures,
 
-			WallSeconds: wall,
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(benchDir, "BENCH_fault.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nWrote %s\n", path)
-	}
-
-	if fc.MinCompletion > 0 && r.CompletionRate < fc.MinCompletion {
-		return fmt.Errorf("completion rate %.3f below gate %.3f (%d of %d queries failed)",
-			r.CompletionRate, fc.MinCompletion, r.Failed, r.Queries)
-	}
-	return nil
+		WallSeconds: wall,
+	}, nil
 }

@@ -1,12 +1,17 @@
 // Command benchrunner regenerates every table and figure of the paper's
 // evaluation (Section 5) from the reproduction's simulated substrate and
-// prints them in the paper's row/series layout.
+// prints them in the paper's row/series layout; the deterministic fault
+// and online-learning replays are two more rows of the same table. It
+// times nothing (go run ./bench does) and judges nothing (go test does);
+// see docs/MEASURING.md.
 //
 // Usage:
 //
 //	benchrunner -exp all
 //	benchrunner -exp table3 -queries 1000
 //	benchrunner -exp fig8 -gap 12
+//	benchrunner -exp learn -queries 120 -bench-out bench-out
+//	benchrunner -micro-in bench.txt -micro-baseline BENCH_micro.json
 package main
 
 import (
@@ -26,77 +31,31 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table2|table3|table4|table5|fig2|fig5|fig6|fig7|fig8|all")
-		queries  = flag.Int("queries", 240, "corpus size (paper: 1000)")
+		exp      = flag.String("exp", "all", "experiment: table2|table3|table4|table5|fig2|fig5|fig6|fig7|fig8|fault|learn|all")
+		queries  = flag.Int("queries", 240, "corpus size (paper: 1000); also the learn replay's stream length")
 		gap      = flag.Float64("gap", 12, "mean Poisson inter-arrival gap in seconds for fig8")
 		seed     = flag.Uint64("seed", 2018, "experiment seed")
 		csvDir   = flag.String("csv", "", "also write each experiment's data as CSV into this directory")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of the simulated runs (fig2/fig8) to this file")
+		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of the simulated runs (fig2/fig8/fault) to this file")
 		promOut  = flag.String("metrics", "", "write Prometheus text-format metrics to this file")
 		benchDir = flag.String("bench-out", "", "write machine-readable BENCH_<exp>.json results into this directory")
 
-		faultMode    = flag.Bool("faults", false, "run the fault-injection replay benchmark instead of the paper experiments")
-		faultSeed    = flag.Uint64("fault-seed", 2018, "faults: seed of the injected fault plan")
-		faultRounds  = flag.Int("fault-rounds", 3, "faults: copies of the canonical TPC-H set replayed")
-		faultGap     = flag.Float64("fault-gap", 20, "faults: mean Poisson inter-arrival gap in seconds")
-		faultMinComp = flag.Float64("fault-min-completion", 0, "faults: exit nonzero when the completion rate drops below this fraction (CI gate; 0 disables)")
-		faultSched   = flag.String("fault-sched", "SWRD", "faults: scheduler for both the clean and faulted replay")
-
-		learnMode       = flag.Bool("learn", false, "run the online-learning convergence benchmark instead of the paper experiments")
-		learnQueries    = flag.Int("learn-queries", 120, "learn: replayed corpus size")
-		learnWindow     = flag.Int("learn-window", 100, "learn: promotion error-window length")
-		learnMinSamples = flag.Int("learn-min-samples", 50, "learn: challenger warm-up before the first promotion")
-		learnMargin     = flag.Float64("learn-margin", 0.05, "learn: promotion margin (challenger must beat champion by this fraction)")
-		learnPointEvery = flag.Int("learn-point-every", 25, "learn: job-sample stride between convergence points")
-		learnGate       = flag.Float64("learn-gate", 1.10, "learn: exit nonzero when final challenger err exceeds batch err times this factor (CI gate; 0 disables)")
-
-		serveMode     = flag.Bool("serve", false, "run the concurrent serving benchmark instead of the paper experiments")
-		concurrency   = flag.Int("concurrency", 16, "serve: submitter goroutines")
-		qps           = flag.Float64("qps", 0, "serve: open-loop arrival rate in queries/sec (0 = closed-loop)")
-		serveQueries  = flag.Int("serve-queries", 1000, "serve: total submissions")
-		serveWorkers  = flag.Int("serve-workers", 4, "serve: simulator pool size")
-		serveCache    = flag.Int("serve-cache", 256, "serve: plan/estimate cache entries")
-		serveSched    = flag.String("serve-sched", "SWRD", "serve: pool scheduler (HCS|HFS|SWRD)")
-		serveTimeout  = flag.Duration("serve-timeout", 0, "serve: per-query wall-clock timeout (0 = none)")
-		serveAdmin    = flag.String("admin", "", "serve: host the live introspection endpoint (/metrics /spans /slo /debug/pprof) on this address for the benchmark's duration")
-		serveLinger   = flag.Duration("admin-linger", 0, "serve: keep the server and admin endpoint alive this long after the benchmark finishes (SIGINT/SIGTERM ends it early)")
-		serveSpans    = flag.String("spans", "", "serve: record request span trees and write them as JSON to this file")
-		serveBaseline = flag.String("baseline", "", "serve: print a delta of this run against a committed BENCH_serve.json baseline")
-
-		shardMode      = flag.Bool("shard", false, "run the sharded-serving benchmark (single engine vs fingerprint-routed shard cluster, plus exactly-once through a sentinel failover) instead of the paper experiments")
-		shardQueries   = flag.Int("shard-queries", 4000, "shard: submissions per throughput phase")
-		shardShards    = flag.Int("shard-shards", 4, "shard: primary/replica pairs in the sharded phase")
-		shardConc      = flag.Int("shard-concurrency", 16, "shard: closed-loop submitter goroutines")
-		shardCache     = flag.Int("shard-cache", 64, "shard: per-engine plan/estimate cache entries")
-		shardSched     = flag.String("shard-sched", "SWRD", "shard: pool scheduler (HCS|HFS|SWRD)")
-		shardBaseline  = flag.String("shard-baseline", "", "shard: print a delta of this run against a committed BENCH_shard.json baseline")
-		shardScaleGate = flag.Float64("shard-scale-gate", 2.5, "shard: fail when sharded/single throughput scaling falls below this factor derated by min(1, cores/shards) (0 disables)")
-
-		microMode     = flag.Bool("micro", false, "run the microbenchmark + sketch-accuracy gate instead of the paper experiments")
-		microIn       = flag.String("micro-in", "", "micro: parse this `go test -bench` text output (\"\" skips the benchmark gate)")
-		microBaseline = flag.String("micro-baseline", "", "micro: gate this run against a committed BENCH_micro.json baseline")
+		microIn       = flag.String("micro-in", "", "gate this `go test -bench -benchmem` text output instead of running experiments")
+		microBaseline = flag.String("micro-baseline", "", "micro: committed BENCH_micro.json whose allocs/op this run may not exceed")
 		microRebase   = flag.Bool("micro-rebase", false, "micro: rewrite -micro-baseline from this run instead of gating")
-		microTimeGate = flag.Float64("micro-time-gate", 4.0, "micro: fail when ns/op exceeds the baseline times this factor (0 disables; allocs/op always gates hard)")
-		microHLLGate  = flag.Float64("micro-hll-gate", 0.05, "micro: fail when an HLL distinct estimate misses exact by more than this relative error (0 disables)")
-		microSF       = flag.Float64("micro-sf", 0.01, "micro: TPC-H scale factor for the accuracy replay")
-
-		netMode     = flag.Bool("net", false, "run the network-frontend benchmark (real TCP sockets, RESP-style protocol) instead of the paper experiments")
-		netConns    = flag.Int("net-conns", 8, "net: client connections")
-		netQueries  = flag.Int("net-queries", 400, "net: total submissions across all connections")
-		netBaseline = flag.String("net-baseline", "", "net: gate this run against a committed BENCH_net.json baseline")
-		netP99Gate  = flag.Float64("net-p99-gate", 1.5, "net: fail when p99 exceeds the baseline's p99 times this factor (0 disables; needs -net-baseline)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"benchrunner regenerates the paper's evaluation artifacts (Tables 2-5,\n"+
-				"Figures 2 and 5-8) from the simulated substrate, and hosts the fault,\n"+
-				"online-learning and concurrent-serving benchmarks.\n\n"+
+				"Figures 2 and 5-8) and the deterministic fault and online-learning\n"+
+				"replays from the simulated substrate; with -micro-in it gates\n"+
+				"`go test -bench` allocations against a committed baseline instead.\n"+
+				"Timed measurement lives in `go run ./bench` (docs/MEASURING.md).\n\n"+
 				"usage: benchrunner [flags]\n\n"+
 				"examples:\n"+
 				"  benchrunner -exp all\n"+
 				"  benchrunner -exp table3 -queries 1000\n"+
-				"  benchrunner -serve -concurrency 32 -qps 50\n"+
-				"  benchrunner -net -net-conns 16 -net-queries 800\n\n")
+				"  benchrunner -exp learn -queries 120 -bench-out bench-out\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -109,111 +68,13 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *faultMode {
-		fc := faultConfig{
-			Seed:          *faultSeed,
-			Rounds:        *faultRounds,
-			GapSec:        *faultGap,
-			MinCompletion: *faultMinComp,
-			Scheduler:     *faultSched,
-			CorpusSeed:    *seed,
-		}
-		if err := faultBench(fc, *benchDir, *csvDir); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	if *microIn != "" {
+		err = runMicroBench(*microIn, *microBaseline, *microRebase, *benchDir)
+	} else {
+		err = run(*exp, *queries, *gap, *seed, *csvDir, *traceOut, *promOut, *benchDir)
 	}
-	if *learnMode {
-		lc := learnConfig{
-			Queries:    *learnQueries,
-			Window:     *learnWindow,
-			MinSamples: *learnMinSamples,
-			Margin:     *learnMargin,
-			PointEvery: *learnPointEvery,
-			Gate:       *learnGate,
-			Seed:       *seed,
-		}
-		if err := learnBench(lc, *benchDir, *csvDir); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shardMode {
-		sc := shardConfig{
-			Queries:     *shardQueries,
-			Concurrency: *shardConc,
-			Shards:      *shardShards,
-			CacheSize:   *shardCache,
-			Scheduler:   *shardSched,
-			Seed:        *seed,
-			FaultSeed:   *faultSeed,
-			Baseline:    *shardBaseline,
-			ScaleGate:   *shardScaleGate,
-		}
-		if err := shardBench(sc, *benchDir); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *microMode {
-		mc := microConfig{
-			Input:    *microIn,
-			Baseline: *microBaseline,
-			Rebase:   *microRebase,
-			TimeGate: *microTimeGate,
-			HLLGate:  *microHLLGate,
-			Seed:     *seed,
-			SF:       *microSF,
-		}
-		if err := runMicroBench(mc, *benchDir); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *netMode {
-		nc := netConfig{
-			Queries:   *netQueries,
-			Conns:     *netConns,
-			QPS:       *qps,
-			Workers:   *serveWorkers,
-			CacheSize: *serveCache,
-			Scheduler: *serveSched,
-			Seed:      *seed,
-			Baseline:  *netBaseline,
-			P99Gate:   *netP99Gate,
-		}
-		if err := netBench(nc, *benchDir); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serveMode {
-		sc := serveConfig{
-			Queries:     *serveQueries,
-			Concurrency: *concurrency,
-			QPS:         *qps,
-			Workers:     *serveWorkers,
-			CacheSize:   *serveCache,
-			Scheduler:   *serveSched,
-			Seed:        *seed,
-			Timeout:     *serveTimeout,
-			Admin:       *serveAdmin,
-			Linger:      *serveLinger,
-			SpansOut:    *serveSpans,
-			Baseline:    *serveBaseline,
-		}
-		if err := serveBench(sc, *benchDir); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*exp, *queries, *gap, *seed, *csvDir, *traceOut, *promOut, *benchDir); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
 		os.Exit(1)
 	}
@@ -231,16 +92,22 @@ type benchReport struct {
 	Metrics     saqp.RegistrySnapshot `json:"metrics"`
 }
 
-// writeBench writes one BENCH_<name>.json report; a no-op when dir is "".
-func writeBench(dir string, r benchReport) error {
+// writeBench writes report as <dir>/BENCH_<name>.json; a no-op when dir
+// is "".
+func writeBench(dir, name string, report any) error {
 	if dir == "" {
 		return nil
 	}
-	data, err := json.MarshalIndent(r, "", "  ")
+	return writeJSON(filepath.Join(dir, "BENCH_"+name+".json"), report)
+}
+
+// writeJSON writes v to path as indented JSON with a trailing newline.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_"+r.Experiment+".json"), append(data, '\n'), 0o644)
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // writeCSV writes rows (first row = header) to <dir>/<name>.csv; a no-op
@@ -298,34 +165,43 @@ func run(exp string, queries int, gap float64, seed uint64, csvDir, traceOut, pr
 		}
 	}
 
+	// Each row prints its table and writes its CSV. The replays return
+	// their own BENCH report (recovery outcome, convergence curve); a nil
+	// report gets the generic wall-time + metrics one.
 	type runner struct {
 		name string
-		fn   func() error
+		fn   func() (report any, err error)
 	}
 	runners := []runner{
-		{"table2", func() error { return table2(csvDir) }},
-		{"fig5", func() error { return fig5(csvDir) }},
-		{"table3", func() error { return table3(art, csvDir) }},
-		{"fig6", func() error { return fig6(art, csvDir) }},
-		{"table4", func() error { return table45(art, false, csvDir) }},
-		{"table5", func() error { return table45(art, true, csvDir) }},
-		{"fig7", func() error { return fig7(art, cfg, csvDir) }},
-		{"fig2", func() error { return fig2(art, cfg, csvDir) }},
-		{"fig8", func() error { return fig8(art, cfg, gap, csvDir) }},
+		{"table2", func() (any, error) { return nil, table2(csvDir) }},
+		{"fig5", func() (any, error) { return nil, fig5(csvDir) }},
+		{"table3", func() (any, error) { return nil, table3(art, csvDir) }},
+		{"fig6", func() (any, error) { return nil, fig6(art, csvDir) }},
+		{"table4", func() (any, error) { return nil, table45(art, false, csvDir) }},
+		{"table5", func() (any, error) { return nil, table45(art, true, csvDir) }},
+		{"fig7", func() (any, error) { return nil, fig7(art, cfg, csvDir) }},
+		{"fig2", func() (any, error) { return nil, fig2(art, cfg, csvDir) }},
+		{"fig8", func() (any, error) { return nil, fig8(art, cfg, gap, csvDir) }},
+		{"fault", func() (any, error) { return faultReplay(cfg, csvDir) }},
+		{"learn", func() (any, error) { return learnReplay(cfg, csvDir) }},
 	}
 	ran := false
 	for _, r := range runners {
 		if exp == "all" || exp == r.name {
 			begin := time.Now()
-			if err := r.fn(); err != nil {
+			report, err := r.fn()
+			if err != nil {
 				return fmt.Errorf("%s: %w", r.name, err)
 			}
-			report := benchReport{Experiment: r.name, Queries: queries, Seed: seed,
-				WallSeconds: time.Since(begin).Seconds()}
-			if cfg.Observer != nil {
-				report.Metrics = cfg.Observer.Metrics.Snapshot()
+			if report == nil {
+				generic := benchReport{Experiment: r.name, Queries: queries, Seed: seed,
+					WallSeconds: time.Since(begin).Seconds()}
+				if cfg.Observer != nil {
+					generic.Metrics = cfg.Observer.Metrics.Snapshot()
+				}
+				report = generic
 			}
-			if err := writeBench(benchDir, report); err != nil {
+			if err := writeBench(benchDir, r.name, report); err != nil {
 				return fmt.Errorf("%s: %w", r.name, err)
 			}
 			ran = true

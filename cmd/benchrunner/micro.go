@@ -3,33 +3,11 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-
-	"saqp"
-	"saqp/internal/catalog"
-	"saqp/internal/dataset"
-	"saqp/internal/mapreduce"
-	"saqp/internal/obs"
-	"saqp/internal/plan"
-	"saqp/internal/query"
-	"saqp/internal/selectivity"
 )
-
-// microConfig parameterizes the microbenchmark + sketch-accuracy gate.
-type microConfig struct {
-	Input    string  // `go test -bench` text output to parse ("" = skip benchmarks)
-	Baseline string  // committed BENCH_micro.json to gate against ("" = no gate)
-	Rebase   bool    // rewrite the baseline from this run instead of gating
-	TimeGate float64 // fail when ns/op exceeds baseline ns/op times this factor (0 disables)
-	HLLGate  float64 // fail when any column's HLL distinct estimate misses exact by more than this relative error
-	Seed     uint64  // dataset seed for the accuracy replay
-	SF       float64 // scale factor for the accuracy replay
-}
 
 // microBench is one parsed benchmark line.
 type microBench struct {
@@ -39,30 +17,12 @@ type microBench struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// microReport is BENCH_micro.json: benchstat-derived per-op costs plus
-// the sketch-accuracy replay (HLL vs exact distincts, exact-vs-sketch
-// estimator divergence, and the Bloom-pruned shuffle equivalence).
+// microReport is BENCH_micro.json: per-op costs parsed from one
+// `go test -bench -benchmem` run. ns/op is recorded for benchstat-style
+// reading and never gated — it does not transfer between machines.
 type microReport struct {
-	Experiment string  `json:"experiment"`
-	Seed       uint64  `json:"seed"`
-	SF         float64 `json:"sf"`
-
+	Experiment string       `json:"experiment"`
 	Benchmarks []microBench `json:"benchmarks"`
-
-	HLLColumns   int     `json:"hll_columns"`
-	HLLMaxRelErr float64 `json:"hll_max_rel_err"`
-
-	EstimatorJobs       int     `json:"estimator_jobs"`
-	EstimatorSketchCols int     `json:"estimator_sketch_cols"`
-	MaxISDiff           float64 `json:"estimator_max_is_diff"`
-	MaxFSDiff           float64 `json:"estimator_max_fs_diff"`
-	MaxOutRowsRelErr    float64 `json:"estimator_max_outrows_rel_err"`
-
-	BloomQueries    int     `json:"bloom_queries"`
-	BloomProbed     int64   `json:"bloom_probed"`
-	BloomPruned     int64   `json:"bloom_pruned"`
-	BloomPruneShare float64 `json:"bloom_prune_share"`
-	BloomMismatches int     `json:"bloom_mismatches"`
 }
 
 // parseBenchText extracts Benchmark* result lines from `go test -bench
@@ -74,13 +34,7 @@ func parseBenchText(data string) []microBench {
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		// Strip the -<GOMAXPROCS> suffix so baselines survive core-count
-		// changes between machines.
-		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			name = name[:i]
-		}
-		b := microBench{Name: name}
+		b := microBench{Name: stripProcs(fields[0])}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -101,177 +55,28 @@ func parseBenchText(data string) []microBench {
 	return out
 }
 
-// microHLLAccuracy collects exact statistics (which also build sketches)
-// over TPC-H and returns the worst relative error of the HLL distinct
-// estimates, with the column count inspected.
-func microHLLAccuracy(cat *catalog.Catalog) (int, float64) {
-	cols := 0
-	worst := 0.0
-	for _, t := range cat.Tables {
-		for _, cs := range t.Columns {
-			if cs.Sketch == nil || cs.Sketch.HLL == nil || cs.Distinct <= 0 {
-				continue
-			}
-			cols++
-			rel := math.Abs(cs.Sketch.HLL.Estimate()-float64(cs.Distinct)) / float64(cs.Distinct)
-			if rel > worst {
-				worst = rel
-			}
-		}
+// stripProcs drops the -<GOMAXPROCS> suffix `go test` appends to a
+// benchmark name, so baselines survive core-count changes between
+// machines. At GOMAXPROCS=1 there is no suffix, so only a trailing
+// -<digits> goes: a hyphen inside the name ("Sub/two-part") stays.
+func stripProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i <= 0 || i == len(name)-1 || strings.Trim(name[i+1:], "0123456789") != "" {
+		return name
 	}
-	return cols, worst
+	return name[:i]
 }
 
-// compileTPCH compiles every canonical TPC-H query.
-func compileTPCH() (map[string]*plan.DAG, error) {
-	dags := make(map[string]*plan.DAG)
-	for _, name := range saqp.TPCHNames() {
-		sql, err := saqp.TPCHSQL(name)
-		if err != nil {
-			return nil, err
-		}
-		q, err := query.Parse(sql)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		if err := query.Resolve(q, dataset.AllSchemas()); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		d, err := plan.Compile(q)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		dags[name] = d
-	}
-	return dags, nil
-}
-
-// microEstimatorDivergence prices every TPC-H plan under the exact and
-// sketch tiers of the same collected catalog and reports the worst
-// absolute IS/FS differences and the worst join/group output-cardinality
-// relative error.
-func microEstimatorDivergence(cat *catalog.Catalog, dags map[string]*plan.DAG, r *microReport) error {
-	exact := selectivity.NewEstimator(cat, selectivity.Config{})
-	sk := selectivity.NewEstimator(cat, selectivity.Config{Stats: selectivity.StatsSketch})
-	names := make([]string, 0, len(dags))
-	for n := range dags {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		qeE, err := exact.EstimateQuery(dags[name])
-		if err != nil {
-			return fmt.Errorf("%s exact: %w", name, err)
-		}
-		qeS, err := sk.EstimateQuery(dags[name])
-		if err != nil {
-			return fmt.Errorf("%s sketch: %w", name, err)
-		}
-		r.EstimatorSketchCols += qeS.SketchCols
-		for i, je := range qeS.Jobs {
-			ex := qeE.Jobs[i]
-			r.EstimatorJobs++
-			r.MaxISDiff = math.Max(r.MaxISDiff, math.Abs(je.IS-ex.IS))
-			r.MaxFSDiff = math.Max(r.MaxFSDiff, math.Abs(je.FS-ex.FS))
-			if ex.OutRows > 0 {
-				rel := math.Abs(je.OutRows-ex.OutRows) / ex.OutRows
-				r.MaxOutRowsRelErr = math.Max(r.MaxOutRowsRelErr, rel)
-			}
-		}
-	}
-	return nil
-}
-
-// microFrameEqual reports whether two result frames match exactly.
-func microFrameEqual(a, b *mapreduce.Frame) bool {
-	if len(a.Cols) != len(b.Cols) || len(a.Rows) != len(b.Rows) {
-		return false
-	}
-	for i := range a.Cols {
-		if a.Cols[i] != b.Cols[i] {
-			return false
-		}
-	}
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if !a.Rows[i][j].Equal(b.Rows[i][j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// microBloomReplay runs every TPC-H query through the engine with Bloom
-// semi-join pruning off and on. Any output divergence is a false
-// negative (a matching tuple the filter dropped) and counts as a
-// mismatch; probe/prune volumes aggregate into the report.
-func microBloomReplay(cfg microConfig, dags map[string]*plan.DAG, r *microReport) error {
-	reg := obs.NewRegistry()
-	base := mapreduce.New(mapreduce.Config{BlockSize: 64 << 10, NumReducers: 4})
-	pruned := mapreduce.New(mapreduce.Config{
-		BlockSize: 64 << 10, NumReducers: 4,
-		BloomPrune: true, Observer: &obs.Observer{Metrics: reg},
-	})
-	for _, s := range dataset.TPCH() {
-		rel := dataset.Generate(s, cfg.SF, cfg.Seed)
-		base.Register(rel)
-		pruned.Register(rel)
-	}
-	names := make([]string, 0, len(dags))
-	for n := range dags {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		want, err := base.RunQuery(dags[name])
-		if err != nil {
-			return fmt.Errorf("%s exact: %w", name, err)
-		}
-		got, err := pruned.RunQuery(dags[name])
-		if err != nil {
-			return fmt.Errorf("%s pruned: %w", name, err)
-		}
-		r.BloomQueries++
-		if !microFrameEqual(got.Final, want.Final) {
-			r.BloomMismatches++
-			fmt.Fprintf(os.Stderr, "micro: %s: pruned output diverged (false negative)\n", name)
-		}
-		for _, s := range got.Stats {
-			r.BloomProbed += s.BloomProbed
-			r.BloomPruned += s.BloomPruned
-		}
-	}
-	if r.BloomProbed > 0 {
-		r.BloomPruneShare = float64(r.BloomPruned) / float64(r.BloomProbed)
-	}
-	snap := reg.Snapshot()
-	if int64(snap.Counters[obs.MSketchBloomProbes]) != r.BloomProbed {
-		return fmt.Errorf("observer probe counter %v != engine stats %d",
-			snap.Counters[obs.MSketchBloomProbes], r.BloomProbed)
-	}
-	return nil
-}
-
-// microGate compares this run against the committed baseline: allocs/op
-// may never regress (hard), ns/op may drift up to TimeGate× (machine
-// variance), and every baseline benchmark must still exist.
-func microGate(cfg microConfig, r *microReport) error {
-	data, err := os.ReadFile(cfg.Baseline)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
-	}
-	var base microReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing baseline: %w", err)
-	}
-	cur := make(map[string]microBench, len(r.Benchmarks))
-	for _, b := range r.Benchmarks {
-		cur[b.Name] = b
+// microGate compares this run against the baseline: every baseline
+// benchmark must still exist and allocs/op may not regress.
+func microGate(base, cur []microBench) error {
+	byName := make(map[string]microBench, len(cur))
+	for _, b := range cur {
+		byName[b.Name] = b
 	}
 	var failures []string
-	for _, bb := range base.Benchmarks {
-		b, ok := cur[bb.Name]
+	for _, bb := range base {
+		b, ok := byName[bb.Name]
 		if !ok {
 			failures = append(failures, fmt.Sprintf("%s: present in baseline but not in this run", bb.Name))
 			continue
@@ -282,10 +87,6 @@ func microGate(cfg microConfig, r *microReport) error {
 			failures = append(failures, fmt.Sprintf("%s: %d allocs/op, baseline %d (allocation regression)",
 				b.Name, b.AllocsPerOp, bb.AllocsPerOp))
 		}
-		if cfg.TimeGate > 0 && bb.NsPerOp > 0 && b.NsPerOp > bb.NsPerOp*cfg.TimeGate {
-			failures = append(failures, fmt.Sprintf("%s: %.1f ns/op exceeds baseline %.1f x %.1f",
-				b.Name, b.NsPerOp, bb.NsPerOp, cfg.TimeGate))
-		}
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("baseline gate failed:\n  %s", strings.Join(failures, "\n  "))
@@ -293,81 +94,44 @@ func microGate(cfg microConfig, r *microReport) error {
 	return nil
 }
 
-// microBench runs the full micro gate: parse benchmark output, replay
-// the sketch-accuracy checks, write BENCH_micro.json, and enforce the
-// committed baseline (or rebase it).
-func runMicroBench(cfg microConfig, benchDir string) error {
-	r := &microReport{Experiment: "micro", Seed: cfg.Seed, SF: cfg.SF}
-	if cfg.Input != "" {
-		data, err := os.ReadFile(cfg.Input)
-		if err != nil {
-			return fmt.Errorf("reading bench output: %w", err)
-		}
-		r.Benchmarks = parseBenchText(string(data))
-		if len(r.Benchmarks) == 0 {
-			return fmt.Errorf("no Benchmark lines found in %s", cfg.Input)
-		}
-	}
-
-	cat := catalog.CollectAll(dataset.TPCH(), cfg.SF, cfg.Seed, catalog.DefaultBuckets)
-	r.HLLColumns, r.HLLMaxRelErr = microHLLAccuracy(cat)
-
-	dags, err := compileTPCH()
+// runMicroBench parses the benchmark text at input, writes
+// BENCH_micro.json into benchDir, and either gates the run against the
+// committed baseline or, with rebase, rewrites that baseline from it.
+func runMicroBench(input, baseline string, rebase bool, benchDir string) error {
+	data, err := os.ReadFile(input)
 	if err != nil {
+		return fmt.Errorf("reading bench output: %w", err)
+	}
+	r := microReport{Experiment: "micro", Benchmarks: parseBenchText(string(data))}
+	if len(r.Benchmarks) == 0 {
+		return fmt.Errorf("no Benchmark lines found in %s", input)
+	}
+	fmt.Printf("micro: %d benchmarks\n", len(r.Benchmarks))
+	if err := writeBench(benchDir, r.Experiment, r); err != nil {
 		return err
 	}
-	if err := microEstimatorDivergence(cat, dags, r); err != nil {
-		return err
-	}
-	if err := microBloomReplay(cfg, dags, r); err != nil {
-		return err
-	}
-
-	fmt.Printf("micro: %d benchmarks, HLL max rel err %.4f over %d columns\n",
-		len(r.Benchmarks), r.HLLMaxRelErr, r.HLLColumns)
-	fmt.Printf("micro: estimator divergence over %d jobs: |ΔIS| ≤ %.4f |ΔFS| ≤ %.4f, out-rows rel ≤ %.4f (%d sketch cols)\n",
-		r.EstimatorJobs, r.MaxISDiff, r.MaxFSDiff, r.MaxOutRowsRelErr, r.EstimatorSketchCols)
-	fmt.Printf("micro: bloom replay over %d queries: %d probed, %d pruned (%.1f%%), %d mismatches\n",
-		r.BloomQueries, r.BloomProbed, r.BloomPruned, 100*r.BloomPruneShare, r.BloomMismatches)
-
-	if benchDir != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(benchDir, "BENCH_micro.json"), append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-
-	// Accuracy gates are unconditional: they depend only on the seed and
-	// scale factor, not on machine speed.
-	if cfg.HLLGate > 0 && r.HLLMaxRelErr > cfg.HLLGate {
-		return fmt.Errorf("HLL distinct estimates drifted: max rel err %.4f > %.4f", r.HLLMaxRelErr, cfg.HLLGate)
-	}
-	if r.BloomMismatches > 0 {
-		return fmt.Errorf("bloom pruning produced %d false-negative result divergences", r.BloomMismatches)
-	}
-
-	if cfg.Rebase {
-		if cfg.Baseline == "" {
+	switch {
+	case rebase:
+		if baseline == "" {
 			return fmt.Errorf("-micro-rebase needs -micro-baseline")
 		}
-		data, err := json.MarshalIndent(r, "", "  ")
+		if err := writeJSON(baseline, r); err != nil {
+			return err
+		}
+		fmt.Printf("micro: baseline rebased to %s\n", baseline)
+	case baseline != "":
+		data, err := os.ReadFile(baseline)
 		if err != nil {
+			return fmt.Errorf("reading baseline: %w", err)
+		}
+		var base microReport
+		if err := json.Unmarshal(data, &base); err != nil {
+			return fmt.Errorf("parsing baseline: %w", err)
+		}
+		if err := microGate(base.Benchmarks, r.Benchmarks); err != nil {
 			return err
 		}
-		if err := os.WriteFile(cfg.Baseline, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("micro: baseline rebased to %s\n", cfg.Baseline)
-		return nil
-	}
-	if cfg.Baseline != "" {
-		if err := microGate(cfg, r); err != nil {
-			return err
-		}
-		fmt.Printf("micro: baseline gate passed (%s)\n", cfg.Baseline)
+		fmt.Printf("micro: baseline gate passed (%s)\n", baseline)
 	}
 	return nil
 }

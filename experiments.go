@@ -804,9 +804,9 @@ type LearnReplayResult struct {
 	Points      []LearnPoint `json:"points"`
 	// FinalChallengerErr scores the fully-fed challenger job model over
 	// the whole stream; BatchErr scores a batch FitJobModel over the
-	// same samples. The CI gate requires the former within 10% of the
-	// latter (RLS through the shared solve path makes them equal up to
-	// per-operator fallback differences).
+	// same samples. TestLearningReplayConverges requires the former
+	// within 10% of the latter (RLS through the shared solve path makes
+	// them equal up to per-operator fallback differences).
 	FinalChallengerErr float64 `json:"final_challenger_err"`
 	BatchErr           float64 `json:"batch_err"`
 	FinalVersion       int     `json:"final_version"`

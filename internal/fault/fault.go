@@ -86,7 +86,7 @@ func (s Spec) normalize() Spec {
 
 // DefaultSpec is the plan CI replays TPC-H under: a moderate mix of every
 // fault class, tuned so retries and blacklisting recover every query
-// (completion rate 100%, gated by `make bench-fault`).
+// (completion rate 100%, gated by TestFaultReplayDefaultPlanCompletes).
 func DefaultSpec(seed uint64) Spec {
 	return Spec{
 		Seed:         seed,

@@ -134,16 +134,3 @@ func TestYaoDistinctProperties(t *testing.T) {
 		prev = got
 	}
 }
-
-func TestEquiDepthUlpStep(t *testing.T) {
-	// Degenerate single-value data must still give an includable bound.
-	for _, v := range []float64{0, 0.5, -3, 1e12} {
-		h, err := BuildEquiDepth([]float64{v, v}, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := h.SelectivityEQ(v); math.Abs(got-1) > 1e-9 {
-			t.Fatalf("EQ(%v) on constant data = %v", v, got)
-		}
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"saqp/internal/dataset"
 	"saqp/internal/obs"
 	"saqp/internal/sketch"
+	"saqp/internal/workload"
 )
 
 // TestHashRowKeyMatchesKeyString is the invariant semi-join pruning
@@ -76,16 +77,27 @@ func frameEqual(a, b *Frame) bool {
 	return true
 }
 
-// TestBloomPruneEquivalence replays join queries with pruning on and
-// off and requires byte-identical results — the executable form of the
+// TestBloomPruneEquivalence replays the join shapes above and the seven
+// canonical TPC-H queries with pruning on and off and requires
+// byte-identical results — the executable form of the
 // zero-false-negatives acceptance gate (a dropped matching tuple would
 // change the output frame). It also checks the stats bookkeeping:
-// pruning can only shrink the shuffle, and never touches the output.
+// pruning can only shrink the shuffle, never touches the output, and
+// reports every probe to the observer.
 func TestBloomPruneEquivalence(t *testing.T) {
+	queries := append([]string(nil), pruneQueries...)
+	for _, name := range workload.TPCHNames() {
+		sql, err := workload.TPCHSQL(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, sql)
+	}
 	base := newPruneEngine(t, false, nil)
 	reg := obs.NewRegistry()
 	pruned := newPruneEngine(t, true, &obs.Observer{Metrics: reg})
-	for _, src := range pruneQueries {
+	var probed int64
+	for _, src := range queries {
 		want := run(t, base, src)
 		got := run(t, pruned, src)
 		if !frameEqual(got.Final, want.Final) {
@@ -94,6 +106,7 @@ func TestBloomPruneEquivalence(t *testing.T) {
 		}
 		for id, ws := range want.Stats {
 			gs := got.Stats[id]
+			probed += gs.BloomProbed
 			if gs.OutBytes != ws.OutBytes || gs.OutRows != ws.OutRows {
 				t.Errorf("%s job %s: output stats changed under pruning", src, id)
 			}
@@ -107,19 +120,11 @@ func TestBloomPruneEquivalence(t *testing.T) {
 			}
 		}
 	}
-	// The selective first query must actually prune (orders filtered hard,
-	// lineitem probed), and the counters must have reached the registry.
-	sel := run(t, pruned, pruneQueries[0])
-	var probed int64
-	for _, s := range sel.Stats {
-		probed += s.BloomProbed
-	}
 	if probed == 0 {
 		t.Fatal("no rows were probed on a shuffle join with pruning enabled")
 	}
-	snap := reg.Snapshot()
-	if snap.Counters[obs.MSketchBloomProbes] == 0 {
-		t.Fatalf("observer saw no bloom probes: %v", snap.Counters)
+	if got := int64(reg.Snapshot().Counters[obs.MSketchBloomProbes]); got != probed {
+		t.Fatalf("observer counted %d bloom probes, engine stats %d", got, probed)
 	}
 }
 

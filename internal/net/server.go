@@ -15,20 +15,11 @@ import (
 	"saqp/internal/serve"
 )
 
-// Pending is one accepted submission awaiting completion — the slice
-// of serve.Ticket the connection loop needs.
-type Pending interface {
-	// ID returns the engine-assigned submission id.
-	ID() string
-	// Wait blocks until the query completes or ctx is canceled.
-	Wait(ctx context.Context) (serve.Result, error)
-}
-
 // Backend is the serving engine the frontend submits into; saqp.Server
 // satisfies it through a thin adapter.
 type Backend interface {
 	// Submit admits one query for serving.
-	Submit(ctx context.Context, sql string, seed uint64) (Pending, error)
+	Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error)
 	// Stats snapshots the engine's counters.
 	Stats() serve.Stats
 }
@@ -273,7 +264,7 @@ func (s *Server) serveConn(c stdnet.Conn) {
 	br := bufio.NewReaderSize(c, s.cfg.Limits.MaxLine+2)
 	bw := bufio.NewWriter(c)
 	enc := proto.NewEncoder(bw)
-	pending := make(map[string]Pending)
+	pending := make(map[string]serve.Pending)
 	for {
 		if s.isDraining() {
 			return
@@ -347,7 +338,7 @@ func readRequest(br *bufio.Reader, lim proto.Limits) ([][]byte, error) {
 
 // dispatch executes one command and encodes its reply; true means the
 // client asked to QUIT.
-func (s *Server) dispatch(ctx context.Context, enc *proto.Encoder, pending map[string]Pending, args [][]byte) bool {
+func (s *Server) dispatch(ctx context.Context, enc *proto.Encoder, pending map[string]serve.Pending, args [][]byte) bool {
 	switch verb := strings.ToUpper(string(args[0])); verb {
 	case "PING":
 		enc.Simple("PONG")
@@ -375,7 +366,7 @@ func (s *Server) dispatch(ctx context.Context, enc *proto.Encoder, pending map[s
 
 // cmdSubmit admits one query, applying -BUSY backpressure ahead of and
 // behind the engine's admission queue.
-func (s *Server) cmdSubmit(ctx context.Context, enc *proto.Encoder, pending map[string]Pending, args [][]byte) {
+func (s *Server) cmdSubmit(ctx context.Context, enc *proto.Encoder, pending map[string]serve.Pending, args [][]byte) {
 	if len(args) < 2 || len(args) > 3 {
 		enc.Error("ERR", "SUBMIT requires a query and an optional seed")
 		return
@@ -418,7 +409,7 @@ func (s *Server) cmdSubmit(ctx context.Context, enc *proto.Encoder, pending map[
 }
 
 // cmdWait blocks on one pending ticket and encodes its result.
-func (s *Server) cmdWait(ctx context.Context, enc *proto.Encoder, pending map[string]Pending, args [][]byte) {
+func (s *Server) cmdWait(ctx context.Context, enc *proto.Encoder, pending map[string]serve.Pending, args [][]byte) {
 	if len(args) != 2 {
 		enc.Error("ERR", "WAIT requires a ticket id")
 		return

@@ -50,7 +50,7 @@ type fakeBackend struct {
 	pending    []*fakePending
 }
 
-func (b *fakeBackend) Submit(ctx context.Context, sql string, seed uint64) (Pending, error) {
+func (b *fakeBackend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.submitErr != nil {

@@ -22,7 +22,6 @@ type savedModel struct {
 // registry version counter the bundle was serving as, the number of
 // feedback samples absorbed up to that point, and the trailing window of
 // per-job relative errors that justified (or preceded) its retirement.
-// V1 bundles predate the lifecycle subsystem and load with nil metadata.
 type RegistryMeta struct {
 	ModelVersion int       `json:"model_version"`
 	Samples      int       `json:"samples"`
@@ -39,17 +38,15 @@ type savedBundle struct {
 	RedPooled   *savedModel            `json:"reduce_pooled"`
 	RedPerOp    map[string]*savedModel `json:"reduce_per_op"`
 	Description string                 `json:"description,omitempty"`
-	// Registry is the V2 addition; absent (nil) in V1 bundles.
+	// Registry is absent (nil) in bundles saved without lifecycle
+	// metadata.
 	Registry *RegistryMeta `json:"registry,omitempty"`
 }
 
-// Bundle layout versions. V1 is the original coefficient-only layout;
-// V2 adds the optional registry lifecycle metadata. Loading accepts
-// both; saving always writes the current version.
-const (
-	versionV1      = 1
-	currentVersion = 2
-)
+// currentVersion is the only bundle layout this build reads or writes:
+// coefficients plus the optional registry lifecycle metadata. (The
+// coefficient-only version 1 predates every writer in this repository.)
+const currentVersion = 2
 
 // ErrVersion is returned (wrapped, with the offending version number)
 // when a saved bundle declares a layout version this build does not
@@ -133,24 +130,17 @@ func LoadModels(data []byte) (*JobModel, *TaskModel, error) {
 	return jm, tm, err
 }
 
-// LoadBundle parses a saved bundle of either layout version: V1 bundles
-// (coefficients only) load with nil metadata — the V1→V2 migration is
-// exactly "no lifecycle history" — while V2 bundles also return their
-// RegistryMeta. Unknown versions fail with a wrapped ErrVersion.
+// LoadBundle parses a saved bundle and returns its models with their
+// RegistryMeta (nil when saved without one). Any layout version other
+// than the current one fails with a wrapped ErrVersion.
 func LoadBundle(data []byte) (*JobModel, *TaskModel, *RegistryMeta, error) {
 	var b savedBundle
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, nil, nil, fmt.Errorf("predict: parsing saved models: %w", err)
 	}
-	switch b.Version {
-	case versionV1:
-		// Pre-lifecycle layout: same coefficient fields, never any
-		// metadata (ignore a stray registry object rather than trusting it).
-		b.Registry = nil
-	case currentVersion:
-	default:
-		return nil, nil, nil, fmt.Errorf("%w: got %d, support %d through %d",
-			ErrVersion, b.Version, versionV1, currentVersion)
+	if b.Version != currentVersion {
+		return nil, nil, nil, fmt.Errorf("%w: got %d, support %d",
+			ErrVersion, b.Version, currentVersion)
 	}
 	jm := &JobModel{Pooled: fromSaved(b.JobPooled)}
 	if jm.Pooled == nil {

@@ -63,16 +63,17 @@ func TestLoadModelsErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "version") {
 		t.Fatalf("version mismatch not detected: %v", err)
 	}
-	if _, _, err := predict.LoadModels([]byte(`{"version": 1}`)); err == nil {
+	if _, _, err := predict.LoadModels([]byte(`{"version": 2}`)); err == nil {
 		t.Fatal("missing pooled job model should fail")
 	}
 	if _, _, err := predict.LoadModels([]byte(
-		`{"version":1,"job_pooled":{"theta":[1]},"map_pooled":{"theta":[1]},"reduce_pooled":{"theta":[1]},"job_per_op":{"Bogus":{"theta":[1]}}}`)); err == nil {
+		`{"version":2,"job_pooled":{"theta":[1]},"map_pooled":{"theta":[1]},"reduce_pooled":{"theta":[1]},"job_per_op":{"Bogus":{"theta":[1]}}}`)); err == nil {
 		t.Fatal("unknown operator should fail")
 	}
 }
 
-// validV1 is a minimal hand-written pre-lifecycle (V1) bundle.
+// validV1 is a minimal hand-written pre-lifecycle (V1) bundle: complete
+// but for its version, which no writer in this repository produces.
 const validV1 = `{"version":1,` +
 	`"job_pooled":{"theta":[1,2]},` +
 	`"map_pooled":{"theta":[3,4]},` +
@@ -86,10 +87,9 @@ func TestLoadBundleVersions(t *testing.T) {
 		wantFail bool
 		wantMeta bool
 	}{
-		{name: "v1 loads with nil metadata", data: validV1},
-		{name: "v1 ignores stray registry metadata",
-			data: strings.Replace(validV1, `{"version":1,`,
-				`{"version":1,"registry":{"model_version":7,"samples":9},`, 1)},
+		{name: "v1 rejected", data: validV1, wantErr: predict.ErrVersion, wantFail: true},
+		{name: "v2 without registry loads with nil metadata",
+			data: strings.Replace(validV1, `"version":1`, `"version":2`, 1)},
 		{name: "unknown future version rejected",
 			data:    strings.Replace(validV1, `"version":1`, `"version":99`, 1),
 			wantErr: predict.ErrVersion, wantFail: true},

@@ -7,7 +7,7 @@ import (
 
 // BenchmarkMicroServeCacheHit measures the steady-state path of every
 // repeated submission: a warm plan-cache lookup. It is part of the
-// bench-micro gate (cmd/benchrunner -micro), which holds allocs/op at
+// bench-micro gate (cmd/benchrunner -micro-in), which holds allocs/op at
 // the committed baseline — the hit path is //saqp:hotpath and must stay
 // allocation-free.
 func BenchmarkMicroServeCacheHit(b *testing.B) {

@@ -124,6 +124,17 @@ type Result struct {
 	ModelVersion int
 }
 
+// Pending is one accepted submission awaiting completion — the slice of
+// Ticket every layer above the engine (TCP frontend, shard coordinator)
+// consumes, so engine tickets pass through them unwrapped except for
+// shard-qualified ids.
+type Pending interface {
+	// ID returns the submission id.
+	ID() string
+	// Wait blocks until the query completes or ctx is canceled.
+	Wait(ctx context.Context) (Result, error)
+}
+
 // Ticket is a pending submission. Exactly one completion is delivered
 // per ticket; Wait may be called from any goroutine, any number of
 // times, and always agrees.

@@ -34,20 +34,10 @@ func (r Role) String() string {
 	return "primary"
 }
 
-// Pending is one accepted submission awaiting completion — the same
-// contract the TCP frontend consumes, so engine tickets pass through
-// the coordinator unwrapped except for shard-qualified ids.
-type Pending interface {
-	// ID returns the submission id.
-	ID() string
-	// Wait blocks until the query completes or ctx is canceled.
-	Wait(ctx context.Context) (serve.Result, error)
-}
-
 // Backend is one serving engine instance the coordinator routes into.
 type Backend interface {
 	// Submit admits one query for serving.
-	Submit(ctx context.Context, sql string, seed uint64) (Pending, error)
+	Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error)
 	// Stats snapshots the engine's counters.
 	Stats() serve.Stats
 	// Close stops admissions and drains the engine.
@@ -209,7 +199,7 @@ func (c *Cluster) SetAddr(shard int, role Role, addr string) {
 
 // Submit routes one query by its semantics-aware fingerprint and
 // admits it on the owning shard.
-func (c *Cluster) Submit(ctx context.Context, sql string, seed uint64) (Pending, error) {
+func (c *Cluster) Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error) {
 	ri, err := c.Route(sql)
 	if err != nil {
 		return nil, err
@@ -222,7 +212,7 @@ func (c *Cluster) Submit(ctx context.Context, sql string, seed uint64) (Pending,
 // the shard's promotion signal — a quorum failover releases it onto
 // the promoted replica, so a submission accepted by the coordinator is
 // never lost to a crash, only delayed by detection latency.
-func (c *Cluster) SubmitShard(ctx context.Context, shard int, sql string, seed uint64) (Pending, error) {
+func (c *Cluster) SubmitShard(ctx context.Context, shard int, sql string, seed uint64) (serve.Pending, error) {
 	if shard < 0 || shard >= len(c.shards) {
 		return nil, fmt.Errorf("shardserve: shard %d out of range [0,%d)", shard, len(c.shards))
 	}
@@ -266,7 +256,7 @@ func shardTicketID(shard int, id string) string {
 
 // shardPending wraps an engine ticket under its shard-qualified id.
 type shardPending struct {
-	p  Pending
+	p  serve.Pending
 	id string
 }
 

@@ -35,7 +35,7 @@ type fakeBackend struct {
 	closed bool
 }
 
-func (b *fakeBackend) Submit(ctx context.Context, sql string, seed uint64) (Pending, error) {
+func (b *fakeBackend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.seq++

@@ -7,9 +7,8 @@ import (
 
 // The BenchmarkMicro* family is the bench-micro surface: benchstat-
 // comparable names, gated in CI against testdata/bench_baseline/
-// BENCH_micro.json by cmd/benchrunner -micro. Allocations are a hard
-// gate (must stay at the baseline's zero); ns/op has generous headroom
-// for machine variance.
+// BENCH_micro.json by cmd/benchrunner -micro-in. Allocations are a hard
+// gate (must stay at the baseline's zero); ns/op is recorded, not gated.
 
 var (
 	benchSinkU64  uint64

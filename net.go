@@ -8,6 +8,7 @@ import (
 
 	"saqp/internal/net"
 	"saqp/internal/net/proto"
+	"saqp/internal/serve"
 )
 
 // Network-frontend re-exports, so callers stay on the facade.
@@ -46,7 +47,7 @@ type NetOptions struct {
 type netBackend struct{ s *Server }
 
 // Submit admits one query through the facade server.
-func (b netBackend) Submit(ctx context.Context, sql string, seed uint64) (net.Pending, error) {
+func (b netBackend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error) {
 	t, err := b.s.Submit(ctx, sql, seed)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package saqp_test
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -350,5 +351,33 @@ func TestFig8PerBinFairness(t *testing.T) {
 	if swrd.AvgByBin[5] > 3*hcs.AvgByBin[5] {
 		t.Fatalf("SWRD starves bin-5 queries: %v vs %v",
 			swrd.AvgByBin[5], hcs.AvgByBin[5])
+	}
+}
+
+// TestLearningReplayConverges is the online-learning convergence gate:
+// a cold registry fed the seeded 120-query corpus one completion at a
+// time must promote at least one challenger and end with a challenger
+// whose average relative error is within 10% of a batch fit over the
+// same samples — reproducibly, field for field.
+func TestLearningReplayConverges(t *testing.T) {
+	run := func() *saqp.LearnReplayResult {
+		r, err := saqp.ReproduceLearningReplay(saqp.LearnReplayConfig{Queries: 120, Seed: 2018})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r := run()
+	if r.JobSamples == 0 || r.BatchErr <= 0 {
+		t.Fatalf("replay fed nothing: %+v", r)
+	}
+	if r.FinalChallengerErr > 1.10*r.BatchErr {
+		t.Fatalf("final challenger err %.4f exceeds 1.10 x batch err %.4f", r.FinalChallengerErr, r.BatchErr)
+	}
+	if len(r.Promotions) == 0 || r.FinalVersion == 0 {
+		t.Fatalf("cold registry never promoted a challenger: %+v", r)
+	}
+	if r2 := run(); !reflect.DeepEqual(r2, r) {
+		t.Fatalf("learning replay not reproducible:\n%+v\n%+v", r, r2)
 	}
 }

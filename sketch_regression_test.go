@@ -16,9 +16,29 @@ import (
 // estimates priced from HLL/CMS sketches must track the exact collected
 // catalog within tight bounds — per-job IS and FS within 0.02 absolute,
 // per-job output cardinality within 10% relative — so switching the
-// estimator tier can never silently reshape a plan.
+// estimator tier can never silently reshape a plan. Underneath that sits
+// the sketch accuracy contract itself: every collected column's HLL
+// distinct estimate within 5% of the exact count.
 func TestSketchTierRegression(t *testing.T) {
 	cat := catalog.CollectAll(dataset.TPCH(), 0.01, 2018, catalog.DefaultBuckets)
+	hllCols := 0
+	for _, tbl := range cat.Tables {
+		for _, cs := range tbl.Columns {
+			if cs.Sketch == nil || cs.Sketch.HLL == nil || cs.Distinct <= 0 {
+				continue
+			}
+			hllCols++
+			exact := float64(cs.Distinct)
+			if rel := math.Abs(cs.Sketch.HLL.Estimate()-exact) / exact; rel > 0.05 {
+				t.Errorf("%s.%s: HLL distinct estimate off by %.2f%% (exact %d)",
+					tbl.Name, cs.Name, 100*rel, cs.Distinct)
+			}
+		}
+	}
+	if hllCols == 0 {
+		t.Fatal("collected catalog carries no HLL sketches to check")
+	}
+
 	exact := saqp.NewFrameworkFromCatalog(cat, saqp.Options{})
 	sk := saqp.NewFrameworkFromCatalog(cat, saqp.Options{
 		Sizing: selectivity.Config{Stats: selectivity.StatsSketch},
