@@ -126,8 +126,8 @@ type ClusterServer struct {
 	nets     []*NetServer // shard-major, primary then replica; nil entries when !Listen
 }
 
-// clusterEngineBackend adapts a serve.Engine to the coordinator's
-// Backend seam.
+// clusterEngineBackend adapts a serve.Engine to the serve.Backend seam
+// the coordinator routes into.
 type clusterEngineBackend struct{ eng *serve.Engine }
 
 // Submit admits one query on the wrapped engine.
@@ -146,9 +146,10 @@ func (b clusterEngineBackend) Stats() ServeStats { return b.eng.Stats() }
 func (b clusterEngineBackend) Close() error { return b.eng.Close() }
 
 // clusterNetBackend adapts one instance's view of the coordinator to
-// the TCP frontend's Backend seam: submissions route through the
-// coordinator (so a frontend whose instance just failed over parks and
-// completes on the promotion), stats are the instance's own engine.
+// the serve.Backend seam the TCP frontend submits into: submissions
+// route through the coordinator (so a frontend whose instance just
+// failed over parks and completes on the promotion), stats are the
+// instance's own engine.
 type clusterNetBackend struct {
 	c     *shardserve.Cluster
 	shard int
@@ -166,6 +167,10 @@ func (b clusterNetBackend) Submit(ctx context.Context, sql string, seed uint64) 
 
 // Stats snapshots the instance's engine counters.
 func (b clusterNetBackend) Stats() ServeStats { return b.c.InstanceStats(b.shard, b.role) }
+
+// Close does nothing: the coordinator owns the instance's engine and
+// drains it when the cluster closes.
+func (b clusterNetBackend) Close() error { return nil }
 
 // NewClusterServer builds and (optionally) exposes a sharded serving
 // cluster over the framework's estimator and trained models. Every

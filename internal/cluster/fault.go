@@ -9,7 +9,11 @@ package cluster
 // event kinds are never scheduled and every epoch stays zero, so a
 // fault-free run is byte-identical to the pre-fault simulator.
 
-import "fmt"
+import (
+	"fmt"
+
+	"saqp/internal/obs"
+)
 
 // TaskFailedError reports a query abandoned because one task exhausted its
 // attempt cap under fault injection. It is carried on Query.Err and
@@ -99,7 +103,7 @@ func (s *Sim) requeueTask(t *Task) {
 	}
 	j.Query.remainingWRD += t.PredSec
 	s.fstats.TaskRetries++
-	s.obs.TaskRetryScheduled()
+	s.obs.Count(obs.MTaskRetries)
 }
 
 // taskFail handles a transient attempt failure scheduled by the fault
@@ -120,8 +124,9 @@ func (s *Sim) taskFail(e *event) {
 	node := t.node
 	s.nodeFails[node]++
 	backoff := s.fplan.Backoff(t.failures)
-	s.obs.TaskFailed(s.now, t.StartTime, j.Query.ID, j.ID, j.Type.String(), t.Reduce,
-		t.Index, node, e.slot, t.Attempts, backoff)
+	failed := s.taskEvent(obs.TaskFailed, t, e.slot)
+	failed.Start = t.StartTime
+	s.obs.Emit(failed, obs.AttrInt("attempt", t.Attempts), obs.AttrFloat("backoff_sec", backoff))
 	if !s.blacklisted[node] && s.nodeFails[node] >= s.fplan.BlacklistAfter() &&
 		s.canBlacklist() {
 		s.blacklistNode(node)
@@ -173,7 +178,7 @@ func (s *Sim) blacklistNode(node int) {
 	s.blacklisted[node] = true
 	s.fstats.NodesBlacklisted++
 	s.dropNodeSlots(node)
-	s.obs.NodeBlacklisted(s.now, node, s.nodeFails[node])
+	s.obs.Emit(obs.Event{Kind: obs.NodeBlacklisted, At: s.now, Node: node}, obs.AttrInt("task_failures", s.nodeFails[node]))
 }
 
 // dropNodeSlots removes a node's free slots from both pools.
@@ -252,7 +257,7 @@ func (s *Sim) crashNode(node int) {
 			}
 		}
 	}
-	s.obs.NodeCrashed(s.now, node, killed)
+	s.obs.Emit(obs.Event{Kind: obs.NodeCrashed, At: s.now, Node: node}, obs.AttrInt("killed_attempts", killed))
 }
 
 // recoverNode brings a crashed node back. Every attempt it hosted was
@@ -264,7 +269,7 @@ func (s *Sim) recoverNode(node int) {
 	}
 	s.down[node] = false
 	s.fstats.NodeRecoveries++
-	s.obs.NodeRecovered(s.now, node)
+	s.obs.Emit(obs.Event{Kind: obs.NodeRecovered, At: s.now, Node: node})
 	if s.blacklisted[node] {
 		return
 	}
@@ -290,7 +295,8 @@ func (s *Sim) failQuery(q *Query, t *Task) {
 	q.remainingWRD = 0
 	s.fstats.QueryFailures++
 	s.terminal++
-	s.obs.QueryFailed(s.now, q.ArrivalTime, q.ID, q.Err.Error())
+	s.obs.Emit(obs.Event{Kind: obs.QueryFailed, At: s.now, Start: q.ArrivalTime, Query: q.ID},
+		obs.AttrStr("reason", q.Err.Error()))
 	for _, j := range q.Jobs {
 		for _, r := range j.hoarding {
 			s.busySec += s.now - r.StartTime

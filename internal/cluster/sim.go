@@ -249,12 +249,29 @@ func (s *Sim) SetObserver(o *obs.Observer) *Sim {
 	s.obs = o
 	if o != nil {
 		o.RunStarted(s.sched.Name())
-		o.ClusterInfo(s.cfg.Nodes, s.cfg.MapSlotsPerNode, s.cfg.ReduceSlotsPerNode)
-		if s.fplan != nil {
-			o.FaultDomain(s.cfg.Nodes)
-		}
+		o.ClusterInfo(s.cfg.Nodes, s.cfg.MapSlotsPerNode, s.cfg.ReduceSlotsPerNode, s.fplan != nil)
 	}
 	return s
+}
+
+// canceled reports the losing attempt of a speculative race, dispatched
+// on slot at start, being cancelled the moment the winner finishes.
+func (s *Sim) canceled(t *Task, slot int, start float64) {
+	e := s.taskEvent(obs.SpeculativeCanceled, t, slot)
+	e.Start = start
+	s.obs.Emit(e)
+}
+
+// jobEvent starts an event about job j at the current virtual time.
+func (s *Sim) jobEvent(kind obs.Kind, j *Job) obs.Event {
+	return obs.Event{Kind: kind, At: s.now, Query: j.Query.ID, Job: j.ID, JobType: j.Type.String()}
+}
+
+// taskEvent starts an event about an attempt of task t on slot.
+func (s *Sim) taskEvent(kind obs.Kind, t *Task, slot int) obs.Event {
+	e := s.jobEvent(kind, t.Job)
+	e.Reduce, e.Index, e.Node, e.Slot = t.Reduce, t.Index, s.nodeOf(slot, t.Reduce), slot
+	return e
 }
 
 // nodeOf maps a slot id back to its node index.
@@ -401,7 +418,8 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 
 // arrive submits a query's root jobs.
 func (s *Sim) arrive(q *Query) {
-	s.obs.QueryArrived(s.now, q.ID, len(q.Jobs), q.InputBytes)
+	s.obs.Emit(obs.Event{Kind: obs.QueryArrived, At: s.now, Query: q.ID},
+		obs.AttrInt("jobs", len(q.Jobs)), obs.AttrFloat("input_bytes", q.InputBytes))
 	for _, j := range q.Jobs {
 		if len(j.DepIDs) == 0 {
 			s.submitJob(j)
@@ -418,7 +436,8 @@ func (s *Sim) submitJob(j *Job) {
 		s.seq++
 		s.events.push(&event{time: j.ReadyTime, kind: evWake, seq: s.seq})
 	}
-	s.obs.JobSubmitted(s.now, j.ReadyTime, j.Query.ID, j.ID, j.Type.String(), len(j.Maps), len(j.Reds))
+	s.obs.Emit(s.jobEvent(obs.JobSubmitted, j), obs.AttrInt("maps", len(j.Maps)),
+		obs.AttrInt("reduces", len(j.Reds)), obs.AttrFloat("init_until_sec", j.ReadyTime))
 }
 
 // reduceLaunchAllowed reports whether job j may launch another reduce now.
@@ -493,7 +512,7 @@ func (s *Sim) finish(e *event) {
 			s.refund(t.origEnd)
 			s.releaseSlot(t.slot, t.Reduce)
 			s.fstats.SpeculativeCancels++
-			s.obs.SpeculativeCanceled(s.now, t.StartTime, j.Query.ID, j.ID, t.Reduce, t.Index, t.slot)
+			s.canceled(t, t.slot, t.StartTime)
 		}
 	} else {
 		t.epochO++
@@ -504,7 +523,7 @@ func (s *Sim) finish(e *event) {
 			s.refund(t.specEnd)
 			s.releaseSlot(t.specSlot, t.Reduce)
 			s.fstats.SpeculativeCancels++
-			s.obs.SpeculativeCanceled(s.now, t.specStart, j.Query.ID, j.ID, t.Reduce, t.Index, t.specSlot)
+			s.canceled(t, t.specSlot, t.specStart)
 		}
 	}
 	t.State = TaskDone
@@ -514,8 +533,9 @@ func (s *Sim) finish(e *event) {
 	if spec {
 		start = t.specStart
 	}
-	s.obs.TaskFinished(s.now, start, j.Query.ID, j.ID, j.Type.String(), t.Reduce,
-		t.Index, s.nodeOf(slot, t.Reduce), slot, t.PredSec, spec, t.faulted)
+	done := s.taskEvent(obs.TaskFinished, t, slot)
+	done.Start, done.Pred, done.Faulted = start, t.PredSec, t.faulted
+	s.obs.Emit(done, obs.AttrBool("speculated", spec))
 	s.releaseSlot(slot, t.Reduce)
 	if t.Reduce {
 		j.doneReds++
@@ -525,7 +545,7 @@ func (s *Sim) finish(e *event) {
 		// waiting for shuffle input) can now run to completion.
 		if j.MapsDone() {
 			if len(j.hoarding) > 0 {
-				s.obs.ShuffleReady(s.now, j.Query.ID, j.ID, j.Type.String(), len(j.hoarding))
+				s.obs.Emit(s.jobEvent(obs.ShuffleReady, j), obs.AttrInt("released_reduces", len(j.hoarding)))
 			}
 			for _, r := range j.hoarding {
 				// The slot was occupied (but idle) during the hoard window.
@@ -540,7 +560,9 @@ func (s *Sim) finish(e *event) {
 		return
 	}
 	j.DoneTime = s.now
-	s.obs.JobFinished(s.now, j.SubmitTime, j.Query.ID, j.ID, j.Type.String())
+	jobDone := s.jobEvent(obs.JobFinished, j)
+	jobDone.Start = j.SubmitTime
+	s.obs.Emit(jobDone)
 	// Remove from active set.
 	for i, a := range s.active {
 		if a == j {
@@ -572,7 +594,7 @@ func (s *Sim) finish(e *event) {
 	if q.Done() {
 		q.DoneTime = s.now
 		s.terminal++
-		s.obs.QueryFinished(s.now, q.ArrivalTime, q.ID)
+		s.obs.Emit(obs.Event{Kind: obs.QueryFinished, At: s.now, Start: q.ArrivalTime, Query: q.ID})
 	}
 }
 
@@ -587,7 +609,7 @@ func (s *Sim) scheduleFinish(t *Task) {
 	if s.fplan != nil && factor != s.factors[t.node] {
 		t.faulted = true
 		t.Job.Query.Faulted = true
-		s.obs.SlowdownDispatch()
+		s.obs.Count(obs.MSlowDispatches)
 	}
 	dur := t.ActualSec/factor + s.cfg.SchedulingOverheadSec
 	s.seq++
@@ -720,8 +742,7 @@ func (s *Sim) speculate(reduce bool, pool *[]int) {
 		s.seq++
 		s.events.push(&event{time: victim.specEnd, kind: evFinish, seq: s.seq,
 			task: victim, slot: slot, spec: true, epoch: victim.epochS})
-		s.obs.SpeculativeLaunched(s.now, victim.Job.Query.ID, victim.Job.ID,
-			reduce, victim.Index, victim.node, slot)
+		s.obs.Emit(s.taskEvent(obs.SpeculativeLaunched, victim, slot), obs.AttrInt("original_node", victim.node))
 	}
 }
 
@@ -793,8 +814,7 @@ func (s *Sim) preemptForRunnableReduce() bool {
 		}
 	}
 	// The hoard window occupied the slot; account for it, then requeue.
-	s.obs.ReducePreempted(s.now, owner.Query.ID, owner.ID, victim.Index,
-		victim.slot, s.now-victim.StartTime)
+	s.obs.Emit(s.taskEvent(obs.ReducePreempted, victim, victim.slot), obs.AttrFloat("hoarded_sec", s.now-victim.StartTime))
 	s.busySec += s.now - victim.StartTime
 	victim.State = TaskPending
 	victim.StartTime = 0
@@ -855,11 +875,9 @@ func (s *Sim) start(t *Task, pool *[]int) {
 	if j.Query.remainingWRD < 0 {
 		j.Query.remainingWRD = 0
 	}
-	hoarding := t.Reduce && !j.MapsDone()
-	s.obs.TaskStarted(s.now, j.Query.ID, j.ID, j.Type.String(), t.Reduce,
-		t.Index, t.node, slot, t.PredSec, hoarding)
-	if hoarding {
+	if t.Reduce && !j.MapsDone() {
 		// Shuffle cannot complete until the maps do: hold the slot.
+		s.obs.Emit(s.taskEvent(obs.ReduceHoarded, t, slot))
 		j.hoarding = append(j.hoarding, t)
 		s.hoarded++
 		return

@@ -164,7 +164,7 @@ func (r *Registry) ObserveTask(op plan.JobType, reduce bool, features []float64,
 		return
 	}
 	r.taskSamples++
-	r.cfg.Observer.LearnTaskSample()
+	r.cfg.Observer.Count(obs.MLearnTaskSamples)
 }
 
 // absorbJobLocked feeds a job sample into the pooled and per-operator

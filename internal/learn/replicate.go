@@ -82,7 +82,7 @@ func (r *Replica) Sync() int {
 	defer r.mu.Unlock()
 	if v != r.version {
 		r.version, r.jm, r.tm = v, jm, tm
-		r.observer.LearnReplicaSynced(v)
+		r.observer.Count(obs.MLearnReplicaSyncs)
 	}
 	return r.version
 }

@@ -15,15 +15,6 @@ import (
 	"saqp/internal/serve"
 )
 
-// Backend is the serving engine the frontend submits into; saqp.Server
-// satisfies it through a thin adapter.
-type Backend interface {
-	// Submit admits one query for serving.
-	Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error)
-	// Stats snapshots the engine's counters.
-	Stats() serve.Stats
-}
-
 // Default connection-lifecycle bounds; see Config.
 const (
 	DefaultMaxConns     = 64
@@ -38,8 +29,10 @@ type Config struct {
 	// Addr is the TCP listen address (host:port; ":0" picks a free
 	// port).
 	Addr string
-	// Backend is the serving engine commands dispatch into. Required.
-	Backend Backend
+	// Backend is the serving engine commands dispatch into; saqp.Server
+	// satisfies it through a thin adapter. Required. The frontend never
+	// closes it: the engine outlives Shutdown so in-flight queries drain.
+	Backend serve.Backend
 	// MaxConns bounds concurrently served connections; beyond it an
 	// accept earns `-BUSY connection limit reached` and an immediate
 	// close. Default DefaultMaxConns.
@@ -215,7 +208,7 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		if !s.register(c) {
-			s.ob.NetConnRejected()
+			s.ob.Count(obs.MNetConnsRejected)
 			s.refuse(c)
 			continue
 		}
@@ -278,7 +271,7 @@ func (s *Server) serveConn(c stdnet.Conn) {
 			if errors.As(err, &we) {
 				// Malformed frame: answer, then hang up — resync on a
 				// corrupt stream is guesswork.
-				s.ob.NetParseError()
+				s.ob.Count(obs.MNetParseErrors)
 				enc.Error("ERR", proto.Sanitize(we.Error()))
 				s.flush(c, enc)
 			}
@@ -287,7 +280,7 @@ func (s *Server) serveConn(c stdnet.Conn) {
 		if len(args) == 0 {
 			continue // blank inline line
 		}
-		s.ob.NetCommand()
+		s.ob.Count(obs.MNetCommands)
 		quit := s.dispatch(s.ctx, enc, pending, args)
 		if !s.flush(c, enc) || quit {
 			return
@@ -358,7 +351,7 @@ func (s *Server) dispatch(ctx context.Context, enc *proto.Encoder, pending map[s
 	case "CLUSTER":
 		s.cmdCluster(enc)
 	default:
-		s.ob.NetUnknownCommand()
+		s.ob.Count(obs.MNetUnknownCmds)
 		enc.Error("ERR", "unknown command '"+proto.Sanitize(verb)+"'")
 	}
 	return false
@@ -384,19 +377,19 @@ func (s *Server) cmdSubmit(ctx context.Context, enc *proto.Encoder, pending map[
 		return
 	}
 	if len(pending) >= s.cfg.MaxPending {
-		s.ob.NetBusy()
+		s.ob.Count(obs.MNetBusyRejections)
 		enc.Error("BUSY", "pending ticket limit reached; WAIT on earlier submissions first")
 		return
 	}
 	if d := s.cfg.BusyQueueDepth; d > 0 && s.cfg.Backend.Stats().QueueDepth >= d {
-		s.ob.NetBusy()
+		s.ob.Count(obs.MNetBusyRejections)
 		enc.Error("BUSY", "admission queue depth past configured limit")
 		return
 	}
 	p, err := s.cfg.Backend.Submit(ctx, string(args[1]), seed)
 	switch {
 	case errors.Is(err, serve.ErrQueueFull):
-		s.ob.NetBusy()
+		s.ob.Count(obs.MNetBusyRejections)
 		enc.Error("BUSY", "admission queue full")
 	case errors.Is(err, serve.ErrClosed):
 		enc.Error("ERR", "server closing")
@@ -487,7 +480,7 @@ func (s *Server) routeLocal(enc *proto.Encoder, sql string) bool {
 	if local {
 		return true
 	}
-	s.ob.ShardMoved()
+	s.ob.Count(obs.MShardMovedRedirects)
 	enc.Error("MOVED", strconv.Itoa(slot)+" "+addr)
 	return false
 }

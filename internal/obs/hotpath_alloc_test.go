@@ -8,17 +8,64 @@ import (
 
 var hotSinkAccepted bool
 
-// TestHotPathAllocs is the runtime half of the //saqp:hotpath contract
-// for the histogram observation path: recording a sample — with or
-// without an exemplar trace id — must not allocate, since it runs once
-// per served completion.
+// TestHotPathAllocs is the runtime half of the //saqp:hotpath contract.
+// Recording a histogram sample — with or without an exemplar trace id —
+// must not allocate, since it runs once per served completion. Emitting
+// any event kind on a nil observer must not either (pool simulators run
+// unobserved), nor may any report on a metrics-only observer: Count, the
+// typed metric methods and Emit's registry half are everything a serving
+// stack with metrics on pays per request.
 func TestHotPathAllocs(t *testing.T) {
 	h := obs.NewRegistry().Histogram("saqp_test_hotpath_seconds", nil)
 	id := obs.TraceID("select 1", "cat", 1)
-	if n := testing.AllocsPerRun(200, func() { hotSinkAccepted = h.Observe(3) }); n != 0 {
-		t.Errorf("Histogram.Observe allocates %.0f times per call; //saqp:hotpath functions must not allocate", n)
+	everyKind := func(o *obs.Observer) {
+		for k := obs.Kind(0); k <= obs.LearnPromotion; k++ {
+			for _, reduce := range []bool{false, true} {
+				o.Emit(obs.Event{Kind: k, At: 9, Start: 4, Query: "q", Job: "q/J1", JobType: "Join",
+					Reduce: reduce, Index: 3, Node: 1, Slot: 2, Pred: 5, Label: "SWRD"},
+					obs.AttrStr("reason", "r"), obs.AttrInt("maps", 1234), obs.AttrFloat("wrd", 0.37), obs.AttrBool("hit", true))
+			}
+		}
 	}
-	if n := testing.AllocsPerRun(200, func() { hotSinkAccepted = h.ObserveExemplar(3, id) }); n != 0 {
-		t.Errorf("Histogram.ObserveExemplar allocates %.0f times per call; //saqp:hotpath functions must not allocate", n)
+	metricsOnly := &obs.Observer{Metrics: obs.NewRegistry()}
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"Histogram.Observe", func() { hotSinkAccepted = h.Observe(3) }},
+		{"Histogram.ObserveExemplar", func() { hotSinkAccepted = h.ObserveExemplar(3, id) }},
+		{"nil Observer.Emit", func() { everyKind(nil) }},
+		{"nil Observer typed methods", func() {
+			var o *obs.Observer
+			o.Count(obs.MNetCommands)
+			o.SchedulerDecision(1, "SWRD", false, "q/J1", 1000, nil)
+			o.LearnPromotion(1000, 1000, 0.5, 0.25)
+			o.ServeCompleted(12.5, 1000, id)
+		}},
+		{"metrics-only Observer.Emit", func() { everyKind(metricsOnly) }},
+		{"metrics-only Observer.Count", func() { metricsOnly.Count(obs.MNetCommands) }},
+		{"metrics-only Observer typed methods", func() {
+			o := metricsOnly
+			o.ServeAdmitted(87.5, 1000)
+			o.ServeDequeued(1000, 1000)
+			o.ServeCompleted(12.5, 1000, id)
+			o.ServeCanceled(1000)
+			o.NetConnAccepted(1000)
+			o.NetConnClosed(1000)
+			o.ShardCrash(1000)
+			o.ShardRejoin(1000)
+			o.ShardFailover(1000)
+			o.ShardModelSync(1000, 1000)
+			o.BloomPruneOutcome(1000, 1000)
+			o.LearnJobSample(0.5, 0.25)
+			o.LearnIntervalWidth(3)
+			o.SLORecorded(obs.SLOState{FastBurn: 1.5, SlowBurn: 0.5, Firing: true, Transition: true})
+			o.SchedulerDecision(1, "SWRD", false, "", 1000, nil)
+		}},
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(200, c.fn); n != 0 {
+			t.Errorf("%s allocates %.0f times per call; the per-request reporting path must not allocate", c.name, n)
+		}
 	}
 }

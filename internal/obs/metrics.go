@@ -9,10 +9,6 @@ import (
 	"sync"
 )
 
-// Metric naming convention (enforced by validateName, documented in
-// DESIGN.md): saqp_<subsystem>_<name>_<unit>, e.g.
-// saqp_cluster_task_runtime_seconds. Counters end in _total.
-
 // Registry holds the process's counters, gauges and histograms. All
 // operations are safe for concurrent use; exposition orders metrics by
 // name so two identical runs serialise byte-identically.
@@ -21,7 +17,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	help     map[string]string
 }
 
 // NewRegistry returns an empty metrics registry.
@@ -30,15 +25,17 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		help:     map[string]string{},
 	}
 }
 
 // validateName panics on names outside the Prometheus grammar — metric
-// names are compile-time constants, so a bad one is a programming error.
+// names are fixed at build time, so a bad one is a programming error.
+// The grammar is all it checks: the saqp_<subsystem>_..., counters-end-
+// in-_total convention of the metric table is TestMetricTable's to
+// enforce, so ad-hoc registries (tests, tools) may name freely.
 func validateName(name string) {
 	if name == "" {
-		panic("obs: empty metric name")
+		panic(badMetricName(name))
 	}
 	for i := 0; i < len(name); i++ {
 		c := name[i]
@@ -46,10 +43,15 @@ func validateName(name string) {
 			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
 			(i > 0 && c >= '0' && c <= '9')
 		if !ok {
-			panic(fmt.Sprintf("obs: invalid metric name %q", name))
+			panic(badMetricName(name))
 		}
 	}
 }
+
+// badMetricName is validateName's panic value.
+type badMetricName string
+
+func (n badMetricName) Error() string { return "obs: invalid metric name " + strconv.Quote(string(n)) }
 
 // Counter is a monotonically non-decreasing value.
 type Counter struct {
@@ -89,13 +91,6 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.v = v
-}
-
-// Add shifts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.v += d
 }
 
 // Value returns the current value.
@@ -249,7 +244,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns (creating on first use) the named histogram; buckets
-// apply only at creation. Nil buckets default to DefTimeBuckets.
+// apply only at creation. Nil buckets default to the metric table's for
+// a declared name, else to DefTimeBuckets.
 func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -257,19 +253,15 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 		return h
 	}
 	validateName(name)
+	if spec := metricByName[name]; buckets == nil && spec != nil {
+		buckets = spec.Buckets
+	}
 	if buckets == nil {
 		buckets = DefTimeBuckets()
 	}
 	h := newHistogram(buckets)
 	r.hists[name] = h
 	return h
-}
-
-// Help attaches a HELP string to a metric name for exposition.
-func (r *Registry) Help(name, text string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.help[name] = text
 }
 
 // sortedKeys returns the map's keys in ascending order.
@@ -286,60 +278,44 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // WritePrometheus serialises the registry in the Prometheus text
-// exposition format (version 0.0.4), metrics sorted by name.
+// exposition format (version 0.0.4), metrics sorted by name; # HELP lines
+// come from the metric table.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	write := func(format string, args ...any) error {
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
+	var err error
+	write := func(format string, args ...any) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, format, args...)
+		}
+	}
+	head := func(name, kind string) {
+		if spec := metricByName[name]; spec != nil {
+			write("# HELP %s %s\n", name, spec.Help)
+		}
+		write("# TYPE %s %s\n", name, kind)
 	}
 	for _, name := range sortedKeys(r.counters) {
-		if h := r.help[name]; h != "" {
-			if err := write("# HELP %s %s\n", name, h); err != nil {
-				return err
-			}
-		}
-		if err := write("# TYPE %s counter\n%s %s\n", name, name, fnum(r.counters[name].Value())); err != nil {
-			return err
-		}
+		head(name, "counter")
+		write("%s %s\n", name, fnum(r.counters[name].Value()))
 	}
 	for _, name := range sortedKeys(r.gauges) {
-		if h := r.help[name]; h != "" {
-			if err := write("# HELP %s %s\n", name, h); err != nil {
-				return err
-			}
-		}
-		if err := write("# TYPE %s gauge\n%s %s\n", name, name, fnum(r.gauges[name].Value())); err != nil {
-			return err
-		}
+		head(name, "gauge")
+		write("%s %s\n", name, fnum(r.gauges[name].Value()))
 	}
 	for _, name := range sortedKeys(r.hists) {
-		if h := r.help[name]; h != "" {
-			if err := write("# HELP %s %s\n", name, h); err != nil {
-				return err
-			}
-		}
-		if err := write("# TYPE %s histogram\n", name); err != nil {
-			return err
-		}
+		head(name, "histogram")
 		s := r.hists[name].Snapshot()
 		var cum uint64
 		for i, ub := range s.Upper {
 			cum += s.Counts[i]
-			if err := write("%s_bucket{le=%q} %d\n", name, fnum(ub), cum); err != nil {
-				return err
-			}
+			write("%s_bucket{le=%q} %d\n", name, fnum(ub), cum)
 		}
 		cum += s.Counts[len(s.Counts)-1]
-		if err := write("%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
-			return err
-		}
-		if err := write("%s_sum %s\n%s_count %d\n", name, fnum(s.Sum), name, s.Count); err != nil {
-			return err
-		}
+		write("%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+		write("%s_sum %s\n%s_count %d\n", name, fnum(s.Sum), name, s.Count)
 	}
-	return nil
+	return err
 }
 
 // RegistrySnapshot is the JSON form of a registry.

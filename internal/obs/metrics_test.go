@@ -2,7 +2,11 @@ package obs_test
 
 import (
 	"bytes"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -75,11 +79,11 @@ func TestValidateName(t *testing.T) {
 func TestPrometheusFormat(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter("saqp_test_events_total").Add(3)
+	r.Counter(obs.MNetCommands).Inc() // a declared metric: its # HELP comes from the metric table
 	r.Gauge("saqp_test_depth").Set(-2.5)
 	h := r.Histogram("saqp_test_latency_seconds", []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(50)
-	r.Help("saqp_test_events_total", "events seen")
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -87,7 +91,7 @@ func TestPrometheusFormat(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# HELP saqp_test_events_total events seen\n",
+		"# HELP saqp_net_commands_total Wire commands dispatched.\n# TYPE saqp_net_commands_total counter\nsaqp_net_commands_total 1\n",
 		"# TYPE saqp_test_events_total counter\nsaqp_test_events_total 3\n",
 		"# TYPE saqp_test_depth gauge\nsaqp_test_depth -2.5\n",
 		"# TYPE saqp_test_latency_seconds histogram\n",
@@ -155,5 +159,90 @@ func TestCounterMonotone(t *testing.T) {
 	c.Add(math.NaN()) // ignored
 	if v := c.Value(); v != 2 {
 		t.Fatalf("counter = %v, want 2", v)
+	}
+}
+
+// TestMetricTable enforces what the metric table's comment promises:
+// unique names in saqp_<subsystem>_<name> form with a known subsystem,
+// counters (and only counters) ending in _total, help text on every
+// row, and no dead rows — each metric's M* variable is named by some
+// non-test code outside the table itself: the event-kind table, a typed
+// Observer method, or a Count call site.
+func TestMetricTable(t *testing.T) {
+	subsystem := regexp.MustCompile(`^saqp_(cluster|sched|framework|serve|net|shard|sketch|learn|slo)_[a-z0-9_]+$`)
+	decl := regexp.MustCompile(`(?m)^\t(M\w+)\s*= (?:counter|gauge|histogram)\("([^"]+)"`)
+	const tableFile = "metrictable.go"
+	src, err := os.ReadFile(tableFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ident := map[string]string{} // metric name → its M* variable
+	for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+		ident[m[2]] = m[1]
+	}
+
+	used := map[string]bool{} // M* identifiers in every non-test Go file of the module but the table
+	mIdent := regexp.MustCompile(`\bM[A-Z]\w*`)
+	err = filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
+			strings.HasSuffix(path, "_test.go") || filepath.Base(path) == tableFile {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		for _, id := range mIdent.FindAll(b, -1) {
+			used[string(id)] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	seen := map[string]bool{}
+	for _, m := range obs.MetricTable() {
+		if seen[m.Name] {
+			t.Errorf("%s declared twice", m.Name)
+		}
+		seen[m.Name] = true
+		if !subsystem.MatchString(m.Name) {
+			t.Errorf("%s is not saqp_<subsystem>_<name> with a known subsystem", m.Name)
+		}
+		if isCounter, total := m.Kind == "counter", strings.HasSuffix(m.Name, "_total"); isCounter != total {
+			t.Errorf("%s is a %s: counters, and only counters, end in _total", m.Name, m.Kind)
+		}
+		if m.Help == "" {
+			t.Errorf("%s has no help text", m.Name)
+		}
+		id := ident[m.Name]
+		if id == "" {
+			t.Errorf("%s has no M* variable in %s", m.Name, tableFile)
+		} else if !used[id] {
+			t.Errorf("%s (%s) is declared but nothing reports it", m.Name, id)
+		}
+	}
+	if len(seen) != len(ident) {
+		t.Errorf("%d metrics in MetricTable(), %d declarations in %s", len(seen), len(ident), tableFile)
+	}
+}
+
+// TestObservabilityDocAgrees keeps docs/OBSERVABILITY.md's metric list
+// equal to the metric table: same rows, same order, same type and help.
+func TestObservabilityDocAgrees(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := regexp.MustCompile("(?m)^\\| `(saqp_[a-z0-9_]+)` \\| (counter|gauge|histogram) \\| (.+) \\|$").
+		FindAllStringSubmatch(string(doc), -1)
+	table := obs.MetricTable()
+	if len(rows) != len(table) {
+		t.Fatalf("%d metric rows in docs/OBSERVABILITY.md, %d in the metric table", len(rows), len(table))
+	}
+	for i, m := range table {
+		if got := (obs.MetricSpec{Name: rows[i][1], Kind: rows[i][2], Help: rows[i][3]}); got.Name != m.Name ||
+			got.Kind != m.Kind || got.Help != m.Help {
+			t.Errorf("row %d: doc has %s | %s | %s, table has %s | %s | %s",
+				i, got.Name, got.Kind, got.Help, m.Name, m.Kind, m.Help)
+		}
 	}
 }

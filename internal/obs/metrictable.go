@@ -1,0 +1,137 @@
+package obs
+
+// MetricSpec declares one metric. The table below is the only place a
+// metric's name, type, buckets and help text are written down: call
+// sites name a metric by its M* variable, the registry reads buckets and
+// # HELP text from here, and docs/OBSERVABILITY.md is checked against it.
+type MetricSpec struct {
+	Name    string
+	Kind    string    // "counter", "gauge" or "histogram"
+	Buckets []float64 // histogram upper bounds; nil means DefTimeBuckets
+	Help    string
+}
+
+var (
+	metricTable  []MetricSpec
+	metricByName = map[string]*MetricSpec{}
+)
+
+func init() {
+	for i := range metricTable {
+		metricByName[metricTable[i].Name] = &metricTable[i]
+	}
+}
+
+// MetricTable returns every declared metric in declaration order.
+func MetricTable() []MetricSpec { return append([]MetricSpec(nil), metricTable...) }
+
+func declare(kind, name, help string) string {
+	metricTable = append(metricTable, MetricSpec{Name: name, Kind: kind, Help: help})
+	return name
+}
+
+func counter(name, help string) string   { return declare("counter", name, help) }
+func gauge(name, help string) string     { return declare("gauge", name, help) }
+func histogram(name, help string) string { return declare("histogram", name, help) }
+
+// The metric table. Names follow saqp_<subsystem>_<name>[_<unit>] with a
+// subsystem of cluster, sched, framework, serve, net, shard, sketch,
+// learn or slo; counters end in _total (TestMetricTable enforces both).
+// Every value is a count, a gauge or a simulated duration, so a seeded
+// replay exports identical numbers.
+var (
+	// Cluster simulator lifecycle, moved by Emit through the event-kind table.
+	MQueriesSubmitted    = counter("saqp_cluster_queries_submitted_total", "Queries submitted to a cluster simulator.")
+	MQueriesCompleted    = counter("saqp_cluster_queries_completed_total", "Queries whose every job finished.")
+	MQueryResponseSec    = histogram("saqp_cluster_query_response_seconds", "Simulated query response time, arrival to last job.")
+	MJobsSubmitted       = counter("saqp_cluster_jobs_submitted_total", "MapReduce jobs submitted.")
+	MJobsCompleted       = counter("saqp_cluster_jobs_completed_total", "MapReduce jobs finished.")
+	MJobRuntimeSec       = histogram("saqp_cluster_job_runtime_seconds", "Simulated job runtime, submission to last task.")
+	MMapTasksDone        = counter("saqp_cluster_map_tasks_completed_total", "Map task attempts that finished their task.")
+	MReduceTasksDone     = counter("saqp_cluster_reduce_tasks_completed_total", "Reduce task attempts that finished their task.")
+	MTaskRuntimeSec      = histogram("saqp_cluster_task_runtime_seconds", "Simulated slot occupancy of finished task attempts.")
+	MReduceHoards        = counter("saqp_cluster_reduce_slowstart_hoards_total", "Reduces launched by slowstart before their job's maps finished.")
+	MReducePreemptions   = counter("saqp_cluster_reduce_preemptions_total", "Hoarding reduces evicted for a shuffle-ready job.")
+	MSpeculativeLaunches = counter("saqp_cluster_speculative_launches_total", "Duplicate attempts launched for straggling tasks.")
+	MSpeculativeCancels  = counter("saqp_cluster_speculative_cancels_total", "Losing attempts of a speculative race cancelled.")
+	MTaskFailures        = counter("saqp_cluster_task_failures_total", "Transient task-attempt failures injected by the fault plan.")
+	MTaskRetries         = counter("saqp_cluster_task_retries_total", "Failed or crash-killed tasks re-queued.")
+	MNodeCrashes         = counter("saqp_cluster_node_crashes_total", "Node outages injected by the fault plan.")
+	MNodeRecoveries      = counter("saqp_cluster_node_recoveries_total", "Crashed nodes that rejoined.")
+	MNodeBlacklists      = counter("saqp_cluster_node_blacklists_total", "Nodes excluded after repeated task failures.")
+	MQueryFailures       = counter("saqp_cluster_query_failures_total", "Queries abandoned at the task attempt cap.")
+	MSlowDispatches      = counter("saqp_cluster_slowdown_dispatches_total", "Tasks dispatched onto a node inside a slowdown window.")
+	MSchedDecisions      = counter("saqp_sched_decisions_total", "PickJob calls on an instrumented scheduler.")
+	MSchedIdleDecisions  = counter("saqp_sched_idle_decisions_total", "PickJob calls that picked nothing.")
+
+	// Facade operations.
+	MCompiles    = counter("saqp_framework_compiles_total", "Framework.Compile calls.")
+	MEstimates   = counter("saqp_framework_estimates_total", "Framework.Estimate calls.")
+	MTrainings   = counter("saqp_framework_trainings_total", "Framework.Train calls.")
+	MSimulations = counter("saqp_framework_simulations_total", "Framework.SimulateQuery runs.")
+
+	// Serving engine. No shared timeline: each admitted query runs on its
+	// own pool simulator, so per-request causality lives in the span trees.
+	MServeSubmissions    = counter("saqp_serve_submissions_total", "Submissions entering the serving engine.")
+	MServeCompletions    = counter("saqp_serve_completions_total", "Queries served to completion.")
+	MServeCancellations  = counter("saqp_serve_cancellations_total", "Queries abandoned by context cancellation.")
+	MServeRejections     = counter("saqp_serve_rejections_total", "Submissions refused by a full admission queue.")
+	MServeErrors         = counter("saqp_serve_errors_total", "Submissions that failed parse, compile, estimation or their run.")
+	MServeRetries        = counter("saqp_serve_retries_total", "Fault-failed queries re-run on a re-salted fault plan.")
+	MServeFaultFailures  = counter("saqp_serve_fault_failures_total", "Queries still failed after the retry budget.")
+	MServeCacheHits      = counter("saqp_serve_cache_hits_total", "Plan-cache hits, including waiters on an in-flight compile.")
+	MServeCacheMisses    = counter("saqp_serve_cache_misses_total", "Plan-cache misses.")
+	MServeCacheEvictions = counter("saqp_serve_cache_evictions_total", "Plan-cache LRU evictions.")
+	MServeQueueDepth     = gauge("saqp_serve_queue_depth", "SWRD admission queue depth.")
+	MServeInflight       = gauge("saqp_serve_inflight_queries", "Queries running on pool simulators.")
+	MServeSimResponseSec = histogram("saqp_serve_sim_response_seconds", "Simulated response time of served queries; exemplars link to span trees.")
+	MServeAdmittedWRD    = histogram("saqp_serve_admitted_wrd_seconds", "Weighted Resource Demand of admitted queries.")
+
+	// TCP frontend.
+	MNetConnsAccepted  = counter("saqp_net_connections_accepted_total", "Connections accepted.")
+	MNetConnsRejected  = counter("saqp_net_connections_rejected_total", "Connections refused by the connection limit.")
+	MNetConnsClosed    = counter("saqp_net_connections_closed_total", "Connections ended.")
+	MNetConnsActive    = gauge("saqp_net_connections_active", "Connections being served.")
+	MNetCommands       = counter("saqp_net_commands_total", "Wire commands dispatched.")
+	MNetParseErrors    = counter("saqp_net_parse_errors_total", "Malformed wire frames.")
+	MNetBusyRejections = counter("saqp_net_busy_rejections_total", "Submissions refused with -BUSY.")
+	MNetUnknownCmds    = counter("saqp_net_unknown_commands_total", "Command verbs the server does not speak.")
+
+	// Shard coordinator and sentinel. Failover causality is the
+	// coordinator's event log; these only count.
+	MShardSubmissions     = counter("saqp_shard_submissions_total", "Submissions routed through the coordinator.")
+	MShardFailoverWaits   = counter("saqp_shard_failover_waits_total", "Submissions that blocked for a promotion.")
+	MShardMovedRedirects  = counter("saqp_shard_moved_redirects_total", "-MOVED redirects served.")
+	MShardCrashes         = counter("saqp_shard_crashes_total", "Instance crash actuations.")
+	MShardRejoins         = counter("saqp_shard_rejoins_total", "Crashed instances that rejoined as standby.")
+	MShardHeartbeatMisses = counter("saqp_shard_heartbeat_misses_total", "Sentinel heartbeats that found an instance unresponsive.")
+	MShardDownVotes       = counter("saqp_shard_down_votes_total", "Sentinel votes that a shard is down.")
+	MShardFailovers       = counter("saqp_shard_failovers_total", "Quorum failovers.")
+	MShardAlivePrimaries  = gauge("saqp_shard_alive_primaries", "Primaries currently alive.")
+	MShardEpoch           = gauge("saqp_shard_epoch", "Cluster epoch, bumped per failover.")
+	MShardLeaderVersion   = gauge("saqp_shard_model_leader_version", "Coordinator registry's champion version.")
+	MShardModelLagMax     = gauge("saqp_shard_model_lag_max", "Worst replica lag behind the leader, in versions.")
+
+	// Probabilistic statistics tier.
+	MSketchEstimates   = counter("saqp_sketch_estimates_total", "Query estimates priced from sketch statistics.")
+	MSketchBloomProbes = counter("saqp_sketch_bloom_probes_total", "Rows probed against a Bloom semi-join filter.")
+	MSketchBloomPruned = counter("saqp_sketch_bloom_pruned_total", "Rows the Bloom filter dropped before the shuffle.")
+
+	// Online learning.
+	MLearnJobSamples    = counter("saqp_learn_job_samples_total", "Job observations absorbed.")
+	MLearnTaskSamples   = counter("saqp_learn_task_samples_total", "Task observations absorbed.")
+	MLearnPromotions    = counter("saqp_learn_promotions_total", "Champion promotions.")
+	MLearnReplicaSyncs  = counter("saqp_learn_replica_syncs_total", "Replica pulls of a new champion version.")
+	MLearnModelVersion  = gauge("saqp_learn_model_version", "Serving champion version.")
+	MLearnChampionErr   = gauge("saqp_learn_champion_window_rel_error", "Champion's windowed mean relative error.")
+	MLearnChallengerErr = gauge("saqp_learn_challenger_window_rel_error", "Challenger's windowed mean relative error.")
+	MLearnIntervalSec   = histogram("saqp_learn_interval_width_seconds", "Half-width of the challenger's 95% band at the latest job.")
+
+	// Latency objective.
+	MSLOGoodTotal   = counter("saqp_slo_good_total", "Completions that met the objective.")
+	MSLOBadTotal    = counter("saqp_slo_bad_total", "Completions that failed or missed the objective.")
+	MSLOTransitions = counter("saqp_slo_transitions_total", "Alert fire and resolve transitions.")
+	MSLOFastBurn    = gauge("saqp_slo_fast_burn_rate", "Error-budget burn rate over the fast window.")
+	MSLOSlowBurn    = gauge("saqp_slo_slow_burn_rate", "Error-budget burn rate over the slow window.")
+	MSLOFiring      = gauge("saqp_slo_firing", "1 while the burn-rate alert fires.")
+)

@@ -6,8 +6,8 @@ import (
 )
 
 // Observer bundles the sinks behind the instrumentation seam the
-// simulator and scheduler call into. Any field may be nil to disable
-// that sink; a nil *Observer disables everything.
+// simulator, the schedulers and the serving layers call into. Any field
+// may be nil to disable that sink; a nil *Observer disables everything.
 type Observer struct {
 	Metrics *Registry
 	Trace   *TraceSink
@@ -26,9 +26,9 @@ type Observer struct {
 	jtids   map[string]int // job id (this run) → tid within its query's pid
 	jnext   map[int]int    // pid → next free job tid
 
-	// learnMeta latches the one-time emission of the model-lifecycle
-	// track metadata; only the learn registry writes it, under its own
-	// mutex (see learn.go).
+	// learnMeta latches the one-time naming of the model-lifecycle track.
+	// Only the learn registry emits promotions, under its own mutex, which
+	// is also what makes its writes to the unlocked TraceSink safe.
 	learnMeta bool
 }
 
@@ -51,27 +51,8 @@ func (o *Observer) Close() error {
 	return o.Trace.Close()
 }
 
-// Metric names, following saqp_<subsystem>_<name>_<unit>.
-const (
-	MQueriesSubmitted    = "saqp_cluster_queries_submitted_total"
-	MQueriesCompleted    = "saqp_cluster_queries_completed_total"
-	MQueryResponseSec    = "saqp_cluster_query_response_seconds"
-	MJobsSubmitted       = "saqp_cluster_jobs_submitted_total"
-	MJobsCompleted       = "saqp_cluster_jobs_completed_total"
-	MJobRuntimeSec       = "saqp_cluster_job_runtime_seconds"
-	MMapTasksDone        = "saqp_cluster_map_tasks_completed_total"
-	MReduceTasksDone     = "saqp_cluster_reduce_tasks_completed_total"
-	MTaskRuntimeSec      = "saqp_cluster_task_runtime_seconds"
-	MReduceHoards        = "saqp_cluster_reduce_slowstart_hoards_total"
-	MReducePreemptions   = "saqp_cluster_reduce_preemptions_total"
-	MSpeculativeLaunches = "saqp_cluster_speculative_launches_total"
-	MSchedDecisions      = "saqp_sched_decisions_total"
-	MSchedIdleDecisions  = "saqp_sched_idle_decisions_total"
-	MCompiles            = "saqp_framework_compiles_total"
-	MEstimates           = "saqp_framework_estimates_total"
-	MTrainings           = "saqp_framework_trainings_total"
-	MSimulations         = "saqp_framework_simulations_total"
-)
+// itoa is strconv.Itoa under a shorter name for the name builders.
+func itoa(v int) string { return strconv.Itoa(v) }
 
 // runKey namespaces an id under the current run label.
 func (o *Observer) runKey(id string) string { return o.run + "\x00" + id }
@@ -87,7 +68,7 @@ func (o *Observer) RunStarted(label string) {
 }
 
 // pidOf returns (allocating on first use) the trace process id of a
-// query, emitting its process_name metadata on allocation.
+// query, naming its process and lifecycle thread on allocation.
 func (o *Observer) pidOf(query string) int {
 	if o.qpids == nil {
 		o.qpids = map[string]int{}
@@ -103,249 +84,230 @@ func (o *Observer) pidOf(query string) int {
 	o.nextPid++
 	o.qpids[key] = pid
 	o.jnext[pid] = 1 // tid 0 is the query lifecycle track
-	if o.Trace != nil {
-		name := "query " + query
-		if o.run != "" {
-			name = o.run + " " + name
-		}
-		o.Trace.MetaProcessName(pid, name)
-		o.Trace.MetaThreadName(pid, 0, "query")
+	name := "query " + query
+	if o.run != "" {
+		name = o.run + " " + name
 	}
+	o.Trace.meta("process_name", pid, 0, name)
+	o.Trace.meta("thread_name", pid, 0, "query")
 	return pid
 }
 
-// tidOf returns (allocating on first use) the thread id of a job inside
-// its query's process, emitting thread_name metadata on allocation.
-func (o *Observer) tidOf(query, job, jobType string) (pid, tid int) {
-	pid = o.pidOf(query)
-	key := o.runKey(job)
-	if tid, ok := o.jtids[key]; ok {
+// track resolves an event's timeline row, naming per-query and per-job
+// rows the first time they are used.
+func (o *Observer) track(t track, e *Event) (pid, tid int) {
+	switch t {
+	case tQuery:
+		return o.pidOf(e.Query), 0
+	case tJob:
+		pid := o.pidOf(e.Query)
+		key := o.runKey(e.Job)
+		tid, ok := o.jtids[key]
+		if !ok {
+			tid = o.jnext[pid]
+			o.jnext[pid] = tid + 1
+			o.jtids[key] = tid
+			o.Trace.meta("thread_name", pid, tid, e.Job+" ("+e.JobType+")")
+		}
 		return pid, tid
+	case tSlot:
+		if e.Reduce {
+			return PidReduceSlots, e.Slot
+		}
+		return PidMapSlots, e.Slot
+	case tNode:
+		return PidFaults, e.Node
+	case tSched:
+		if e.Reduce {
+			return PidScheduler, 1
+		}
+		return PidScheduler, 0
 	}
-	tid = o.jnext[pid]
-	o.jnext[pid] = tid + 1
-	o.jtids[key] = tid
-	if o.Trace != nil {
-		o.Trace.MetaThreadName(pid, tid, job+" ("+jobType+")")
+	if !o.learnMeta {
+		o.learnMeta = true
+		o.Trace.meta("process_name", PidLearn, 0, "model lifecycle")
+		o.Trace.meta("thread_name", PidLearn, 0, "promotions")
 	}
-	return pid, tid
+	return PidLearn, 0
 }
 
-// ClusterInfo names the shared slot and scheduler tracks. The simulator
-// calls it once per run when an observer is attached.
-func (o *Observer) ClusterInfo(nodes, mapSlotsPerNode, redSlotsPerNode int) {
+// ClusterInfo names the shared slot and scheduler tracks and, when the
+// run has a fault plan, the per-node fault tracks. The simulator calls it
+// once per run when an observer is attached.
+func (o *Observer) ClusterInfo(nodes, mapSlotsPerNode, redSlotsPerNode int, faults bool) {
 	if o == nil || o.Trace == nil {
 		return
 	}
-	o.Trace.MetaProcessName(PidMapSlots, "cluster: map slots")
-	o.Trace.MetaProcessName(PidReduceSlots, "cluster: reduce slots")
-	o.Trace.MetaProcessName(PidScheduler, "scheduler")
-	o.Trace.MetaThreadName(PidScheduler, 0, "map decisions")
-	o.Trace.MetaThreadName(PidScheduler, 1, "reduce decisions")
+	t := o.Trace
+	t.meta("process_name", PidMapSlots, 0, "cluster: map slots")
+	t.meta("process_name", PidReduceSlots, 0, "cluster: reduce slots")
+	t.meta("process_name", PidScheduler, 0, "scheduler")
+	t.meta("thread_name", PidScheduler, 0, "map decisions")
+	t.meta("thread_name", PidScheduler, 1, "reduce decisions")
 	for n := 0; n < nodes; n++ {
 		for k := 0; k < mapSlotsPerNode; k++ {
-			slot := n*mapSlotsPerNode + k
-			o.Trace.MetaThreadName(PidMapSlots, slot, nodeSlotName(n, k))
+			t.meta("thread_name", PidMapSlots, n*mapSlotsPerNode+k, "node "+itoa(n)+" slot "+itoa(k))
 		}
 		for k := 0; k < redSlotsPerNode; k++ {
-			slot := n*redSlotsPerNode + k
-			o.Trace.MetaThreadName(PidReduceSlots, slot, nodeSlotName(n, k))
+			t.meta("thread_name", PidReduceSlots, n*redSlotsPerNode+k, "node "+itoa(n)+" slot "+itoa(k))
 		}
 	}
+	if !faults {
+		return
+	}
+	t.meta("process_name", PidFaults, 0, "faults")
+	for n := 0; n < nodes; n++ {
+		t.meta("thread_name", PidFaults, n, "node "+itoa(n))
+	}
 }
 
-func nodeSlotName(node, k int) string {
-	return "node " + itoa(node) + " slot " + itoa(k)
+// Count bumps the named counter — the whole report of an occurrence
+// that moves one counter and carries no value. Count and set are the
+// per-increment path every typed method below funnels through.
+//
+//saqp:hotpath
+func (o *Observer) Count(name string) {
+	if o == nil || o.Metrics == nil {
+		return
+	}
+	o.Metrics.Counter(name).Inc()
 }
 
-// itoa is strconv.Itoa under a shorter name for the builders above.
-func itoa(v int) string { return strconv.Itoa(v) }
+// set replaces the named gauge's value.
+//
+//saqp:hotpath
+func (o *Observer) set(name string, v int) {
+	if o == nil || o.Metrics == nil {
+		return
+	}
+	o.Metrics.Gauge(name).Set(float64(v))
+}
 
-// QueryArrived records a query submission.
-func (o *Observer) QueryArrived(now float64, id string, jobs int, inputBytes float64) {
+// ServeAdmitted records a query entering the SWRD admission queue with
+// its Weighted Resource Demand and the resulting queue depth.
+func (o *Observer) ServeAdmitted(wrd float64, queueDepth int) {
+	if o == nil || o.Metrics == nil {
+		return
+	}
+	o.Metrics.Histogram(MServeAdmittedWRD, nil).Observe(wrd)
+	o.set(MServeQueueDepth, queueDepth)
+}
+
+// ServeDequeued records a pool worker taking a query off the admission
+// queue.
+func (o *Observer) ServeDequeued(queueDepth, inflight int) {
+	o.set(MServeQueueDepth, queueDepth)
+	o.set(MServeInflight, inflight)
+}
+
+// ServeCompleted records a successfully served query: its simulated
+// response time and the remaining in-flight count. A non-empty traceID
+// links the latency histogram's worst-per-bucket exemplar to the
+// query's span tree.
+func (o *Observer) ServeCompleted(simResponseSec float64, inflight int, traceID string) {
+	if o == nil || o.Metrics == nil {
+		return
+	}
+	o.Count(MServeCompletions)
+	o.Metrics.Histogram(MServeSimResponseSec, nil).ObserveExemplar(simResponseSec, traceID)
+	o.set(MServeInflight, inflight)
+}
+
+// ServeCanceled counts a query abandoned by context cancellation —
+// either while queued or mid-run on a pool simulator.
+func (o *Observer) ServeCanceled(inflight int) {
+	o.Count(MServeCancellations)
+	o.set(MServeInflight, inflight)
+}
+
+// NetConnAccepted records one accepted connection and the resulting
+// active-connection count.
+func (o *Observer) NetConnAccepted(active int) {
+	o.Count(MNetConnsAccepted)
+	o.set(MNetConnsActive, active)
+}
+
+// NetConnClosed records one connection ending and the resulting
+// active-connection count.
+func (o *Observer) NetConnClosed(active int) {
+	o.Count(MNetConnsClosed)
+	o.set(MNetConnsActive, active)
+}
+
+// ShardCrash records one crash actuation and the resulting count of
+// alive primaries.
+func (o *Observer) ShardCrash(alivePrimaries int) {
+	o.Count(MShardCrashes)
+	o.set(MShardAlivePrimaries, alivePrimaries)
+}
+
+// ShardRejoin records one crashed instance rejoining as a standby and
+// the resulting count of alive primaries.
+func (o *Observer) ShardRejoin(alivePrimaries int) {
+	o.Count(MShardRejoins)
+	o.set(MShardAlivePrimaries, alivePrimaries)
+}
+
+// ShardFailover records one quorum failover and the new cluster epoch.
+func (o *Observer) ShardFailover(epoch int) {
+	o.Count(MShardFailovers)
+	o.set(MShardEpoch, epoch)
+}
+
+// ShardModelSync records one model fan-out pass: the coordinator
+// registry's champion version and the worst replica lag behind it.
+func (o *Observer) ShardModelSync(leaderVersion, maxLag int) {
+	o.set(MShardLeaderVersion, leaderVersion)
+	o.set(MShardModelLagMax, maxLag)
+}
+
+// BloomPruneOutcome records one pruned shuffle side: probed rows entered
+// the Bloom probe, pruned of them were dropped before the shuffle.
+func (o *Observer) BloomPruneOutcome(probed, pruned int64) {
+	if o == nil || o.Metrics == nil {
+		return
+	}
+	o.Metrics.Counter(MSketchBloomProbes).Add(float64(probed))
+	o.Metrics.Counter(MSketchBloomPruned).Add(float64(pruned))
+}
+
+// LearnJobSample counts one absorbed job observation and updates the
+// windowed relative-error gauges. A negative error means that window is
+// still empty and leaves its gauge untouched.
+func (o *Observer) LearnJobSample(championErr, challengerErr float64) {
+	if o == nil || o.Metrics == nil {
+		return
+	}
+	o.Count(MLearnJobSamples)
+	if championErr >= 0 {
+		o.Metrics.Gauge(MLearnChampionErr).Set(championErr)
+	}
+	if challengerErr >= 0 {
+		o.Metrics.Gauge(MLearnChallengerErr).Set(challengerErr)
+	}
+}
+
+// LearnIntervalWidth records the half-width of the challenger's 95%
+// confidence band at the latest observed job's features.
+func (o *Observer) LearnIntervalWidth(sec float64) {
+	if o == nil || o.Metrics == nil {
+		return
+	}
+	o.Metrics.Histogram(MLearnIntervalSec, nil).Observe(sec)
+}
+
+// LearnPromotion records a champion promotion: the model-version gauge
+// and a LearnPromotion event positioned at the promotion's job-sample
+// count — the registry has no clock, so seeded replays emit identical
+// events. championErr is −1 for the cold-start bootstrap.
+func (o *Observer) LearnPromotion(version, atJobSamples int, championErr, challengerErr float64) {
 	if o == nil {
 		return
 	}
-	if o.Metrics != nil {
-		o.Metrics.Counter(MQueriesSubmitted).Inc()
-	}
-	if o.Trace != nil {
-		pid := o.pidOf(id)
-		o.Trace.Instant(pid, 0, now, "arrive", "query",
-			Arg{"jobs", jobs}, Arg{"input_bytes", inputBytes})
-	}
-}
-
-// QueryFinished records a query completion and emits its lifecycle span.
-func (o *Observer) QueryFinished(now, arrival float64, id string) {
-	if o == nil {
-		return
-	}
-	if o.Metrics != nil {
-		o.Metrics.Counter(MQueriesCompleted).Inc()
-		o.Metrics.Histogram(MQueryResponseSec, nil).Observe(now - arrival)
-	}
-	if o.Trace != nil {
-		pid := o.pidOf(id)
-		o.Trace.Complete(pid, 0, arrival, now, "query "+id, "query",
-			Arg{"response_sec", now - arrival})
-	}
-}
-
-// JobSubmitted records a job entering the cluster (initialisation runs
-// until ready).
-func (o *Observer) JobSubmitted(now, ready float64, query, job, jobType string, maps, reds int) {
-	if o == nil {
-		return
-	}
-	if o.Metrics != nil {
-		o.Metrics.Counter(MJobsSubmitted).Inc()
-	}
-	if o.Spans != nil {
-		o.Spans.jobSubmitted(now, ready, job, jobType, maps, reds)
-	}
-	if o.Trace != nil {
-		pid, tid := o.tidOf(query, job, jobType)
-		o.Trace.Instant(pid, tid, now, "submit", "job",
-			Arg{"type", jobType}, Arg{"maps", maps}, Arg{"reduces", reds},
-			Arg{"init_until_sec", ready})
-	}
-}
-
-// JobFinished records a job completion and emits its span.
-func (o *Observer) JobFinished(now, submit float64, query, job, jobType string) {
-	if o == nil {
-		return
-	}
-	if o.Metrics != nil {
-		o.Metrics.Counter(MJobsCompleted).Inc()
-		o.Metrics.Histogram(MJobRuntimeSec, nil).Observe(now - submit)
-	}
-	if o.Spans != nil {
-		o.Spans.jobFinished(now, job)
-	}
-	if o.Trace != nil {
-		pid, tid := o.tidOf(query, job, jobType)
-		o.Trace.Complete(pid, tid, submit, now, job+" ("+jobType+")", "job",
-			Arg{"runtime_sec", now - submit})
-	}
-}
-
-// TaskStarted records a dispatch. hoarding marks a reduce launched by
-// slowstart before its job's map phase completed — it occupies the slot
-// without progressing.
-func (o *Observer) TaskStarted(now float64, query, job, jobType string, reduce bool,
-	index, node, slot int, predSec float64, hoarding bool) {
-	if o == nil {
-		return
-	}
-	if o.Metrics != nil && hoarding {
-		o.Metrics.Counter(MReduceHoards).Inc()
-	}
-	if o.Trace != nil && hoarding {
-		o.Trace.Instant(PidReduceSlots, slot, now, "slowstart hoard "+taskName(job, reduce, index),
-			"cluster", Arg{"job", job}, Arg{"node", node})
-	}
-}
-
-// TaskFinished records a task completion: the span on its slot track,
-// runtime metrics, and task-level prediction drift (predicted vs
-// observed slot occupancy). faulted marks tasks whose runtime was
-// perturbed by injected faults (failed attempts, crash kills, slowdown
-// windows); their drift samples land in separate "/faulted" buckets.
-func (o *Observer) TaskFinished(now, start float64, query, job, jobType string, reduce bool,
-	index, node, slot int, predSec float64, speculated, faulted bool) {
-	if o == nil {
-		return
-	}
-	if o.Metrics != nil {
-		if reduce {
-			o.Metrics.Counter(MReduceTasksDone).Inc()
-		} else {
-			o.Metrics.Counter(MMapTasksDone).Inc()
-		}
-		o.Metrics.Histogram(MTaskRuntimeSec, nil).Observe(now - start)
-	}
-	if o.Drift != nil {
-		o.Drift.RecordTask(jobType, reduce, predSec, now-start, faulted)
-	}
-	if o.Spans != nil {
-		o.Spans.taskFinished(now, start, job, reduce, index, node, slot,
-			predSec, speculated, faulted)
-	}
-	if o.Trace != nil {
-		pid := PidMapSlots
-		if reduce {
-			pid = PidReduceSlots
-		}
-		o.Trace.Complete(pid, slot, start, now, taskName(job, reduce, index), "cluster",
-			Arg{"query", query}, Arg{"type", jobType}, Arg{"node", node},
-			Arg{"pred_sec", predSec}, Arg{"speculated", speculated})
-	}
-}
-
-func taskName(job string, reduce bool, index int) string {
-	phase := " m"
-	if reduce {
-		phase = " r"
-	}
-	return job + phase + itoa(index)
-}
-
-// ShuffleReady records a job's map phase completing, releasing its
-// hoarding reduces.
-func (o *Observer) ShuffleReady(now float64, query, job, jobType string, released int) {
-	if o == nil {
-		return
-	}
-	if o.Spans != nil {
-		o.Spans.shuffleReady(now, job, released)
-	}
-	if o.Trace == nil {
-		return
-	}
-	pid, tid := o.tidOf(query, job, jobType)
-	o.Trace.Instant(pid, tid, now, "maps done", "job", Arg{"released_reduces", released})
-}
-
-// ReducePreempted records a hoarding reduce being evicted for a
-// shuffle-ready job (paper reference [30]).
-func (o *Observer) ReducePreempted(now float64, query, job string, index, slot int, waitedSec float64) {
-	if o == nil {
-		return
-	}
-	if o.Metrics != nil {
-		o.Metrics.Counter(MReducePreemptions).Inc()
-	}
-	if o.Spans != nil {
-		o.Spans.reducePreempted(now, job, index, slot, waitedSec)
-	}
-	if o.Trace != nil {
-		o.Trace.Instant(PidReduceSlots, slot, now, "preempt "+taskName(job, true, index),
-			"cluster", Arg{"query", query}, Arg{"hoarded_sec", waitedSec})
-	}
-}
-
-// SpeculativeLaunched records a duplicate attempt of a slow task.
-func (o *Observer) SpeculativeLaunched(now float64, query, job string, reduce bool,
-	index, origNode, slot int) {
-	if o == nil {
-		return
-	}
-	if o.Metrics != nil {
-		o.Metrics.Counter(MSpeculativeLaunches).Inc()
-	}
-	if o.Spans != nil {
-		o.Spans.speculativeLaunched(now, job, reduce, index, origNode, slot)
-	}
-	if o.Trace != nil {
-		pid := PidMapSlots
-		if reduce {
-			pid = PidReduceSlots
-		}
-		o.Trace.Instant(pid, slot, now, "speculate "+taskName(job, reduce, index),
-			"cluster", Arg{"query", query}, Arg{"original_node", origNode})
-	}
+	o.set(MLearnModelVersion, version)
+	o.Emit(Event{Kind: LearnPromotion, At: float64(atJobSamples), Label: "promote v" + itoa(version)},
+		AttrInt("version", version), AttrInt("at_job_samples", atJobSamples),
+		AttrFloat("champion_err", championErr), AttrFloat("challenger_err", challengerErr))
 }
 
 // Candidate is one job in a scheduler decision's ranking.
@@ -363,56 +325,46 @@ type Candidate struct {
 // answers "why was this picked", and the full depth is kept as a scalar.
 const maxTraceCandidates = 8
 
-// SchedulerDecision records one PickJob call: which job won the slot and
-// the candidates with the rankings the policy saw, so "why did the
-// scheduler pick this query" is answerable from the trace. The recorded
-// list is capped at maxTraceCandidates (the winner is always included);
-// queue_depth carries the uncapped count.
+// SchedulerDecision records one PickJob call: which job won the slot
+// (picked is "" when nothing was) out of queueDepth candidates. With a
+// timeline attached, cands is the ranking the policy saw, so "why did the
+// scheduler pick this query" is answerable from the trace; callers
+// without one pass nil.
 func (o *Observer) SchedulerDecision(now float64, scheduler string, reduce bool,
-	picked string, cands []Candidate) {
+	picked string, queueDepth int, cands []Candidate) {
 	if o == nil {
 		return
 	}
-	if o.Metrics != nil {
-		o.Metrics.Counter(MSchedDecisions).Inc()
-		if picked == "" {
-			o.Metrics.Counter(MSchedIdleDecisions).Inc()
-		}
+	if picked == "" {
+		o.Count(MSchedIdleDecisions)
 	}
-	if o.Spans != nil {
-		o.Spans.decision(now, scheduler, reduce, picked, len(cands))
-	}
-	if o.Trace == nil {
-		return
-	}
-	tid := 0
 	phase := "map"
 	if reduce {
-		tid = 1
 		phase = "reduce"
 	}
-	name := scheduler + ": idle"
-	if picked != "" {
-		name = scheduler + ": " + picked
+	attrs := [4]Attr{AttrStr("phase", phase), AttrStr("picked", picked), AttrInt("queue_depth", queueDepth)}
+	n := 3
+	if o.Trace != nil {
+		attrs[3] = Attr{Key: "candidates", Val: candidatesJSON(picked, cands), typ: attrJSON}
+		n = 4
 	}
+	o.Emit(Event{Kind: SchedDecision, At: now, Label: scheduler, Job: picked, Reduce: reduce}, attrs[:n]...)
+}
+
+// candidatesJSON serialises a decision's ranking, capped at
+// maxTraceCandidates with the winner always included.
+func candidatesJSON(picked string, cands []Candidate) string {
 	record := cands
 	if len(cands) > maxTraceCandidates {
 		record = cands[:maxTraceCandidates:maxTraceCandidates]
-		if picked != "" {
-			found := false
-			for _, c := range record {
-				if c.Job == picked {
-					found = true
-					break
-				}
-			}
-			if !found {
-				for _, c := range cands[maxTraceCandidates:] {
-					if c.Job == picked {
-						record = append(record, c)
-						break
-					}
-				}
+		inHead := false
+		for _, c := range record {
+			inHead = inHead || c.Job == picked
+		}
+		for _, c := range cands[maxTraceCandidates:] {
+			if !inHead && c.Job == picked {
+				record = append(record, c)
+				break
 			}
 		}
 	}
@@ -435,8 +387,5 @@ func (o *Observer) SchedulerDecision(now float64, scheduler string, reduce bool,
 		b.WriteByte('}')
 	}
 	b.WriteByte(']')
-	o.Trace.Instant(PidScheduler, tid, now, name, "sched",
-		Arg{"phase", phase}, Arg{"picked", picked},
-		Arg{"queue_depth", len(cands)},
-		Arg{"candidates", rawJSON(b.String())})
+	return b.String()
 }

@@ -13,23 +13,35 @@ import (
 // miniature two-job query run with a hoarded reduce, a preemption, a
 // speculative attempt and scheduler decisions.
 func replay(o *obs.Observer) {
+	job := obs.Event{Query: "q1", Job: "q1/J1", JobType: "Join"}
+	at := func(kind obs.Kind, at, start float64, reduce bool, node, slot int) obs.Event {
+		e := job
+		e.Kind, e.At, e.Start, e.Reduce, e.Node, e.Slot = kind, at, start, reduce, node, slot
+		return e
+	}
 	o.RunStarted("SWRD")
-	o.ClusterInfo(2, 2, 1)
-	o.QueryArrived(0, "q1", 2, 10e9)
-	o.JobSubmitted(0, 10, "q1", "q1/J1", "Join", 2, 1)
-	o.SchedulerDecision(10, "SWRD", false, "q1/J1", []obs.Candidate{
-		{Job: "q1/J1", Query: "q1", WRD: 42.5, Running: 0, Submit: 0},
-	})
-	o.TaskStarted(10, "q1", "q1/J1", "Join", false, 0, 0, 0, 5, false)
-	o.TaskStarted(10, "q1", "q1/J1", "Join", true, 0, 1, 1, 8, true)
-	o.ReducePreempted(12, "q1", "q1/J1", 0, 1, 2)
-	o.SpeculativeLaunched(14, "q1", "q1/J1", false, 0, 0, 3)
-	o.TaskFinished(15, 10, "q1", "q1/J1", "Join", false, 0, 0, 0, 5, false, false)
-	o.ShuffleReady(15, "q1", "q1/J1", "Join", 1)
-	o.TaskFinished(24, 16, "q1", "q1/J1", "Join", true, 0, 1, 1, 8, true, false)
-	o.JobFinished(24, 0, "q1", "q1/J1", "Join")
-	o.SchedulerDecision(24, "SWRD", true, "", nil)
-	o.QueryFinished(24, 0, "q1")
+	o.ClusterInfo(2, 2, 1, false)
+	o.Emit(obs.Event{Kind: obs.QueryArrived, Query: "q1"}, obs.AttrInt("jobs", 2), obs.AttrFloat("input_bytes", 10e9))
+	o.Emit(at(obs.JobSubmitted, 0, 0, false, 0, 0), obs.AttrInt("maps", 2), obs.AttrInt("reduces", 1),
+		obs.AttrFloat("init_until_sec", 10))
+	var ranked []obs.Candidate
+	if o != nil && o.Trace != nil {
+		ranked = []obs.Candidate{{Job: "q1/J1", Query: "q1", WRD: 42.5, Running: 0, Submit: 0}}
+	}
+	o.SchedulerDecision(10, "SWRD", false, "q1/J1", 1, ranked)
+	o.Emit(at(obs.ReduceHoarded, 10, 0, true, 1, 1))
+	o.Emit(at(obs.ReducePreempted, 12, 0, true, 1, 1), obs.AttrFloat("hoarded_sec", 2))
+	o.Emit(at(obs.SpeculativeLaunched, 14, 0, false, 1, 3), obs.AttrInt("original_node", 0))
+	m0 := at(obs.TaskFinished, 15, 10, false, 0, 0)
+	m0.Pred = 5
+	o.Emit(m0, obs.AttrBool("speculated", false))
+	o.Emit(at(obs.ShuffleReady, 15, 0, false, 0, 0), obs.AttrInt("released_reduces", 1))
+	r0 := at(obs.TaskFinished, 24, 16, true, 1, 1)
+	r0.Pred = 8
+	o.Emit(r0, obs.AttrBool("speculated", true))
+	o.Emit(at(obs.JobFinished, 24, 0, false, 0, 0))
+	o.SchedulerDecision(24, "SWRD", true, "", 0, nil)
+	o.Emit(obs.Event{Kind: obs.QueryFinished, At: 24, Query: "q1"})
 }
 
 // TestNilObserverAllocatesNothing is the zero-overhead guarantee for
@@ -211,7 +223,7 @@ func TestDriftSummary(t *testing.T) {
 func TestSchedulerDecisionArgs(t *testing.T) {
 	var buf bytes.Buffer
 	o := obs.New(obs.NewTraceSink(&buf))
-	o.SchedulerDecision(1, "SWRD", false, "a", []obs.Candidate{
+	o.SchedulerDecision(1, "SWRD", false, "a", 2, []obs.Candidate{
 		{Job: "a", Query: `q"uote`, WRD: math.Inf(1), Running: 3, Submit: 0.5},
 		{Job: "b", Query: "q2", WRD: 7, Running: 0, Submit: 1},
 	})
@@ -257,7 +269,7 @@ func TestSchedulerDecisionTruncation(t *testing.T) {
 	long[0].Job, long[37].Job = "head", "winner"
 	var buf bytes.Buffer
 	o := obs.New(obs.NewTraceSink(&buf))
-	o.SchedulerDecision(1, "SWRD", false, "winner", long)
+	o.SchedulerDecision(1, "SWRD", false, "winner", len(long), long)
 	if err := o.Close(); err != nil {
 		t.Fatal(err)
 	}

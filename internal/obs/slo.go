@@ -271,16 +271,6 @@ func (s *SLOTracker) SnapshotJSON() ([]byte, error) {
 	return json.MarshalIndent(s.Snapshot(), "", "  ")
 }
 
-// SLO metric names.
-const (
-	MSLOGoodTotal   = "saqp_slo_good_total"
-	MSLOBadTotal    = "saqp_slo_bad_total"
-	MSLOFastBurn    = "saqp_slo_fast_burn_rate"
-	MSLOSlowBurn    = "saqp_slo_slow_burn_rate"
-	MSLOFiring      = "saqp_slo_firing"
-	MSLOTransitions = "saqp_slo_transitions_total"
-)
-
 // SLORecorded publishes one SLO evaluation to the metrics registry:
 // good/bad counters, the burn-rate and firing gauges, and the alert
 // transition counter.
@@ -289,18 +279,18 @@ func (o *Observer) SLORecorded(st SLOState) {
 		return
 	}
 	if st.Bad {
-		o.Metrics.Counter(MSLOBadTotal).Inc()
+		o.Count(MSLOBadTotal)
 	} else {
-		o.Metrics.Counter(MSLOGoodTotal).Inc()
+		o.Count(MSLOGoodTotal)
 	}
 	o.Metrics.Gauge(MSLOFastBurn).Set(st.FastBurn)
 	o.Metrics.Gauge(MSLOSlowBurn).Set(st.SlowBurn)
-	firing := 0.0
+	firing := 0
 	if st.Firing {
 		firing = 1
 	}
-	o.Metrics.Gauge(MSLOFiring).Set(firing)
+	o.set(MSLOFiring, firing)
 	if st.Transition {
-		o.Metrics.Counter(MSLOTransitions).Inc()
+		o.Count(MSLOTransitions)
 	}
 }

@@ -13,14 +13,14 @@ package obs
 //
 // The pieces compose as
 //
-//	SpanCollector  per simulator attempt, fed by the Observer callbacks
+//	SpanCollector  per simulator attempt, fed by Observer.Emit
 //	QuerySpan      per submission, merges collectors under one root
 //	SpanStore      bounded ring of finished trees, JSON + Chrome export
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
-	"strconv"
 	"sync"
 )
 
@@ -45,27 +45,6 @@ const (
 	// SpanKindFeedback marks the learn-registry feedback of observed times.
 	SpanKindFeedback = "feedback"
 )
-
-// Attr is one ordered key/value pair on a span. Values are rendered to
-// strings at record time so serialisation needs no reflection and two
-// identical runs marshal byte-identically.
-type Attr struct {
-	Key string `json:"k"`
-	Val string `json:"v"`
-}
-
-// AttrStr builds a string-valued span attribute.
-func AttrStr(k, v string) Attr { return Attr{Key: k, Val: v} }
-
-// AttrInt builds an integer-valued span attribute.
-func AttrInt(k string, v int) Attr { return Attr{Key: k, Val: strconv.Itoa(v)} }
-
-// AttrFloat builds a float-valued span attribute (shortest round-trip
-// formatting, matching the metrics exposition).
-func AttrFloat(k string, v float64) Attr { return Attr{Key: k, Val: fnum(v)} }
-
-// AttrBool builds a boolean-valued span attribute.
-func AttrBool(k string, v bool) Attr { return Attr{Key: k, Val: strconv.FormatBool(v)} }
 
 // Span is one node of a request-scoped trace tree. IDs index the tree's
 // flat span slice; Parent is -1 for the root. Times are virtual seconds
@@ -107,29 +86,7 @@ func TraceID(normSQL, catalogFingerprint string, submission uint64) string {
 		h ^= uint64(catalogFingerprint[i])
 		h *= prime64
 	}
-	buf := make([]byte, 0, 24)
-	buf = appendHexPad(buf, h, 16)
-	buf = append(buf, '-')
-	buf = appendDecPad(buf, submission, 6)
-	return string(buf)
-}
-
-// appendHexPad appends v in lowercase hex, zero-padded to width.
-func appendHexPad(b []byte, v uint64, width int) []byte {
-	s := strconv.FormatUint(v, 16)
-	for i := len(s); i < width; i++ {
-		b = append(b, '0')
-	}
-	return append(b, s...)
-}
-
-// appendDecPad appends v in decimal, zero-padded to width.
-func appendDecPad(b []byte, v uint64, width int) []byte {
-	s := strconv.FormatUint(v, 10)
-	for i := len(s); i < width; i++ {
-		b = append(b, '0')
-	}
-	return append(b, s...)
+	return fmt.Sprintf("%016x-%06d", h, submission)
 }
 
 // maxSpanDecisions caps scheduler-decision spans recorded per attempt;
@@ -139,11 +96,11 @@ func appendDecPad(b []byte, v uint64, width int) []byte {
 const maxSpanDecisions = 8
 
 // SpanCollector accumulates one simulator attempt's spans from the
-// Observer callbacks. It is single-goroutine by construction (one
-// collector per pool simulator, which is single-threaded) and therefore
-// unlocked. Span times are attempt-local until QuerySpan.AddAttempt
-// re-bases them onto the request timeline; Parent -1 marks spans that
-// re-parent onto the attempt span at merge.
+// events Observer.Emit hands it. It is single-goroutine by construction
+// (one collector per pool simulator, which is single-threaded) and
+// therefore unlocked. Span times are attempt-local until
+// QuerySpan.AddAttempt re-bases them onto the request timeline; Parent -1
+// marks spans that re-parent onto the attempt span at merge.
 type SpanCollector struct {
 	spans     []Span
 	jobs      map[string]int // job id → open job span index
@@ -156,171 +113,49 @@ func NewSpanCollector() *SpanCollector {
 	return &SpanCollector{jobs: map[string]int{}}
 }
 
-// Decisions returns the uncapped scheduler-decision count.
-func (c *SpanCollector) Decisions() int { return c.decisions }
-
-// LastEventSec returns the latest virtual time any callback reported —
-// the attempt's effective duration when the simulated query failed and
-// has no response time.
+// LastEventSec returns the latest virtual time any span-bearing event
+// reported — the attempt's effective duration when the simulated query
+// failed and has no response time.
 func (c *SpanCollector) LastEventSec() float64 { return c.maxT }
 
-// touch advances the attempt's last-event clock.
-func (c *SpanCollector) touch(now float64) {
-	if now > c.maxT {
-		c.maxT = now
+// add records one event as the span its kind's spec describes: a point
+// or a range under the attempt or under the event's job, or the opening
+// or closing edge of that job's own span (left open — clamped at merge —
+// when the run fails mid-job). Scheduler decisions past
+// maxSpanDecisions are counted, not stored.
+func (c *SpanCollector) add(s *kindSpec, e *Event, attrs []Attr) {
+	if e.At > c.maxT {
+		c.maxT = e.At
 	}
-}
-
-// add appends a span and returns its index.
-func (c *SpanCollector) add(s Span) int {
-	s.ID = len(c.spans)
-	c.spans = append(c.spans, s)
-	return s.ID
-}
-
-// jobParent resolves a job id to its open span index (-1 when the job
-// was never opened, which re-parents the child onto the attempt).
-func (c *SpanCollector) jobParent(job string) int {
-	if i, ok := c.jobs[job]; ok {
-		return i
+	if e.Kind == SchedDecision {
+		c.decisions++
+		if c.decisions > maxSpanDecisions {
+			return
+		}
 	}
-	return -1
-}
-
-// jobSubmitted opens a job span (closed by jobFinished; left open —
-// clamped at merge — when the run fails mid-job).
-func (c *SpanCollector) jobSubmitted(now, ready float64, job, jobType string, maps, reds int) {
-	c.touch(now)
-	c.jobs[job] = c.add(Span{
-		Parent: -1, Kind: SpanKindJob, Name: job + " (" + jobType + ")",
-		Start: now, End: -1,
-		Attrs: []Attr{
-			AttrStr("type", jobType), AttrInt("maps", maps), AttrInt("reduces", reds),
-			AttrFloat("init_until_sec", ready),
-		},
-	})
-}
-
-// jobFinished closes the job's span.
-func (c *SpanCollector) jobFinished(now float64, job string) {
-	c.touch(now)
-	if i, ok := c.jobs[job]; ok {
-		c.spans[i].End = now
-	}
-}
-
-// taskFinished records a completed task attempt under its job.
-func (c *SpanCollector) taskFinished(now, start float64, job string, reduce bool,
-	index, node, slot int, predSec float64, speculated, faulted bool) {
-	c.touch(now)
-	c.add(Span{
-		Parent: c.jobParent(job), Kind: SpanKindTask, Name: taskName(job, reduce, index),
-		Start: start, End: now,
-		Attrs: []Attr{
-			AttrInt("node", node), AttrInt("slot", slot), AttrFloat("pred_sec", predSec),
-			AttrBool("speculated", speculated), AttrBool("faulted", faulted),
-		},
-	})
-}
-
-// taskFailed records a transient attempt failure under its job.
-func (c *SpanCollector) taskFailed(now, start float64, job string, reduce bool,
-	index, node, attempt int, backoffSec float64) {
-	c.touch(now)
-	c.add(Span{
-		Parent: c.jobParent(job), Kind: SpanKindFault, Name: "FAIL " + taskName(job, reduce, index),
-		Start: start, End: now,
-		Attrs: []Attr{
-			AttrInt("node", node), AttrInt("attempt", attempt),
-			AttrFloat("backoff_sec", backoffSec),
-		},
-	})
-}
-
-// speculativeLaunched records a duplicate attempt starting.
-func (c *SpanCollector) speculativeLaunched(now float64, job string, reduce bool,
-	index, origNode, slot int) {
-	c.touch(now)
-	c.add(Span{
-		Parent: c.jobParent(job), Kind: SpanKindTask, Name: "speculate " + taskName(job, reduce, index),
-		Start: now, End: now,
-		Attrs: []Attr{AttrInt("original_node", origNode), AttrInt("slot", slot)},
-	})
-}
-
-// speculativeCanceled records the losing attempt of a speculative race:
-// the span covers the slot time the loser burned before the winner won.
-func (c *SpanCollector) speculativeCanceled(now, start float64, job string, reduce bool,
-	index, slot int) {
-	c.touch(now)
-	c.add(Span{
-		Parent: c.jobParent(job), Kind: SpanKindTask, Name: "cancel " + taskName(job, reduce, index),
-		Start: start, End: now,
-		Attrs: []Attr{AttrInt("slot", slot)},
-	})
-}
-
-// shuffleReady records a job's map phase completing.
-func (c *SpanCollector) shuffleReady(now float64, job string, released int) {
-	c.touch(now)
-	c.add(Span{
-		Parent: c.jobParent(job), Kind: SpanKindJob, Name: "maps done",
-		Start: now, End: now,
-		Attrs: []Attr{AttrInt("released_reduces", released)},
-	})
-}
-
-// reducePreempted records a hoarding reduce evicted for runnable work.
-func (c *SpanCollector) reducePreempted(now float64, job string, index, slot int, waitedSec float64) {
-	c.touch(now)
-	c.add(Span{
-		Parent: c.jobParent(job), Kind: SpanKindSched, Name: "preempt " + taskName(job, true, index),
-		Start: now, End: now,
-		Attrs: []Attr{AttrInt("slot", slot), AttrFloat("hoarded_sec", waitedSec)},
-	})
-}
-
-// nodeEvent records a node-scoped fault (crash/recover/blacklist) at the
-// attempt level.
-func (c *SpanCollector) nodeEvent(now float64, name string, attrs ...Attr) {
-	c.touch(now)
-	c.add(Span{Parent: -1, Kind: SpanKindFault, Name: name, Start: now, End: now, Attrs: attrs})
-}
-
-// queryFailed records the simulated query aborting (attempt cap hit).
-func (c *SpanCollector) queryFailed(now float64, reason string) {
-	c.touch(now)
-	c.add(Span{
-		Parent: -1, Kind: SpanKindFault, Name: "query failed",
-		Start: now, End: now,
-		Attrs: []Attr{AttrStr("reason", reason)},
-	})
-}
-
-// decision records one PickJob call, capped at maxSpanDecisions.
-func (c *SpanCollector) decision(now float64, scheduler string, reduce bool,
-	picked string, queueDepth int) {
-	c.touch(now)
-	c.decisions++
-	if c.decisions > maxSpanDecisions {
+	job, open := c.jobs[e.Job]
+	if s.form == fClose {
+		if open {
+			c.spans[job].End = e.At
+		}
 		return
 	}
-	phase := "map"
-	if reduce {
-		phase = "reduce"
+	sp := Span{ID: len(c.spans), Parent: -1, Kind: s.span, Name: s.onTree,
+		Start: e.At, End: e.At, Attrs: rendered(attrs)}
+	if sp.Name == "" {
+		sp.Name = e.name(s)
 	}
-	name := scheduler + ": idle"
-	if picked != "" {
-		name = scheduler + ": " + picked
+	if s.underJob && open {
+		sp.Parent = job
 	}
-	c.add(Span{
-		Parent: -1, Kind: SpanKindSched, Name: name,
-		Start: now, End: now,
-		Attrs: []Attr{
-			AttrStr("phase", phase), AttrStr("picked", picked),
-			AttrInt("queue_depth", queueDepth),
-		},
-	})
+	switch s.form {
+	case fRange:
+		sp.Start = e.Start
+	case fOpen:
+		sp.End = -1
+		c.jobs[e.Job] = sp.ID
+	}
+	c.spans = append(c.spans, sp)
 }
 
 // QuerySpan builds one submission's tree: a root span, zero-width
@@ -337,7 +172,7 @@ type QuerySpan struct {
 func BeginQuerySpan(traceID, name string, attrs ...Attr) *QuerySpan {
 	q := &QuerySpan{tree: SpanTree{TraceID: traceID}}
 	q.tree.Spans = append(q.tree.Spans, Span{
-		ID: 0, Parent: -1, Kind: SpanKindQuery, Name: name, Attrs: attrs,
+		ID: 0, Parent: -1, Kind: SpanKindQuery, Name: name, Attrs: rendered(attrs),
 	})
 	return q
 }
@@ -350,7 +185,7 @@ func (q *QuerySpan) TraceID() string { return q.tree.TraceID }
 func (q *QuerySpan) Event(kind, name string, attrs ...Attr) {
 	q.tree.Spans = append(q.tree.Spans, Span{
 		ID: len(q.tree.Spans), Parent: 0, Kind: kind, Name: name,
-		Start: q.offset, End: q.offset, Attrs: attrs,
+		Start: q.offset, End: q.offset, Attrs: rendered(attrs),
 	})
 }
 
@@ -362,11 +197,11 @@ func (q *QuerySpan) Event(kind, name string, attrs ...Attr) {
 func (q *QuerySpan) AddAttempt(c *SpanCollector, durSec float64, attrs ...Attr) {
 	q.attempts++
 	attemptID := len(q.tree.Spans)
-	attrs = append(attrs, AttrInt("sched_decisions", c.decisions))
 	q.tree.Spans = append(q.tree.Spans, Span{
 		ID: attemptID, Parent: 0, Kind: SpanKindAttempt,
 		Name:  "attempt " + itoa(q.attempts),
-		Start: q.offset, End: q.offset + durSec, Attrs: attrs,
+		Start: q.offset, End: q.offset + durSec,
+		Attrs: rendered(append(attrs, AttrInt("sched_decisions", c.decisions))),
 	})
 	base := attemptID + 1
 	for _, s := range c.spans {
@@ -390,7 +225,7 @@ func (q *QuerySpan) AddAttempt(c *SpanCollector, durSec float64, attrs ...Attr) 
 // outcome attributes, and returns the completed tree.
 func (q *QuerySpan) Finish(attrs ...Attr) SpanTree {
 	q.tree.Spans[0].End = q.offset
-	q.tree.Spans[0].Attrs = append(q.tree.Spans[0].Attrs, attrs...)
+	q.tree.Spans[0].Attrs = append(q.tree.Spans[0].Attrs, rendered(attrs)...)
 	return q.tree
 }
 
@@ -520,28 +355,20 @@ func (s *SpanStore) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// pidSpanBase is the first trace process id used by WriteChromeTrace —
-// far above the simulator's per-query pids so a span export can share a
-// sink with a timeline trace without colliding.
-const pidSpanBase = 10000
-
-// WriteChromeTrace exports every retained tree as Chrome trace-event
-// async spans ("b"/"e" pairs keyed by span id), one trace process per
-// tree, so overlapping sibling spans render side by side in Perfetto.
-// The caller owns the sink lifecycle (Close).
+// WriteChromeTrace exports every retained tree through the timeline
+// renderer as async spans ("b"/"e" pairs keyed by span id), one trace
+// process per tree, so overlapping sibling spans render side by side in
+// Perfetto. The caller owns the sink lifecycle (Close).
 func (s *SpanStore) WriteChromeTrace(ts *TraceSink) {
 	for i, tree := range s.Trees() {
 		pid := pidSpanBase + i
-		ts.MetaProcessName(pid, "trace "+tree.TraceID)
+		ts.meta("process_name", pid, 0, "trace "+tree.TraceID)
 		for _, sp := range tree.Spans {
-			id := tree.TraceID + ":" + itoa(sp.ID)
-			args := make([]Arg, 0, len(sp.Attrs)+2)
-			args = append(args, Arg{"span_id", sp.ID}, Arg{"parent", sp.Parent})
-			for _, a := range sp.Attrs {
-				args = append(args, Arg{a.Key, a.Val})
-			}
-			ts.AsyncBegin(pid, id, sp.Start, sp.Name, sp.Kind, args...)
-			ts.AsyncEnd(pid, id, sp.End, sp.Name, sp.Kind)
+			r := rec{name: sp.Name, cat: sp.Kind, ph: "b", pid: pid, at: sp.Start,
+				id: tree.TraceID + ":" + itoa(sp.ID)}
+			ts.write(r, append([]Attr{AttrInt("span_id", sp.ID), AttrInt("parent", sp.Parent)}, sp.Attrs...))
+			r.ph, r.at = "e", sp.End
+			ts.write(r, nil)
 		}
 	}
 }

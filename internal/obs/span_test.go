@@ -35,7 +35,7 @@ func TestTraceIDDeterministic(t *testing.T) {
 }
 
 // buildTwoAttemptTree replays a fixed two-attempt request — attempt 1
-// fails mid-job, attempt 2 completes — through the Observer callbacks,
+// fails mid-job, attempt 2 completes — through Observer.Emit,
 // exactly as the serving engine drives them.
 func buildTwoAttemptTree() obs.SpanTree {
 	q := obs.BeginQuerySpan("abc-000001", "q1", obs.AttrStr("seed", "9"))
@@ -44,20 +44,24 @@ func buildTwoAttemptTree() obs.SpanTree {
 
 	// Attempt 1: the job opens, one task attempt fails, the simulated
 	// query aborts — the job span is left open and must clamp at merge.
+	j1 := obs.Event{Kind: obs.JobSubmitted, Query: "q1", Job: "j1", JobType: "join"}
+	submit := []obs.Attr{obs.AttrInt("maps", 4), obs.AttrInt("reduces", 2), obs.AttrFloat("init_until_sec", 1.5)}
 	c1 := obs.NewSpanCollector()
 	o1 := &obs.Observer{Spans: c1}
-	o1.JobSubmitted(0, 1.5, "q1", "j1", "join", 4, 2)
-	o1.SchedulerDecision(0.5, "SWRD", false, "q1", nil)
-	o1.TaskFailed(2, 1, "q1", "j1", "join", false, 0, 3, 1, 1, 0.5)
-	o1.QueryFailed(2.5, 0, "q1", "task attempt cap")
+	o1.Emit(j1, submit...)
+	o1.SchedulerDecision(0.5, "SWRD", false, "q1", 0, nil)
+	o1.Emit(obs.Event{Kind: obs.TaskFailed, At: 2, Start: 1, Query: "q1", Job: "j1", JobType: "join", Node: 3, Slot: 1},
+		obs.AttrInt("attempt", 1), obs.AttrFloat("backoff_sec", 0.5))
+	o1.Emit(obs.Event{Kind: obs.QueryFailed, At: 2.5, Query: "q1"}, obs.AttrStr("reason", "task attempt cap"))
 	q.AddAttempt(c1, 2.5, obs.AttrBool("failed", true))
 
 	// Attempt 2: the retry completes cleanly.
 	c2 := obs.NewSpanCollector()
 	o2 := &obs.Observer{Spans: c2}
-	o2.JobSubmitted(0, 1.5, "q1", "j1", "join", 4, 2)
-	o2.TaskFinished(3, 1, "q1", "j1", "join", false, 0, 2, 1, 2.0, false, false)
-	o2.JobFinished(4, 0, "q1", "j1", "join")
+	o2.Emit(j1, submit...)
+	o2.Emit(obs.Event{Kind: obs.TaskFinished, At: 3, Start: 1, Query: "q1", Job: "j1", JobType: "join", Node: 2, Slot: 1, Pred: 2},
+		obs.AttrBool("speculated", false))
+	o2.Emit(obs.Event{Kind: obs.JobFinished, At: 4, Query: "q1", Job: "j1", JobType: "join"})
 	q.AddAttempt(c2, 4, obs.AttrBool("failed", false))
 
 	q.Event(obs.SpanKindFeedback, "learn-feedback", obs.AttrInt("jobs", 1))

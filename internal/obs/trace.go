@@ -19,10 +19,14 @@ import (
 //	pid 1  "cluster: map slots"     one thread per map slot; task spans
 //	pid 2  "cluster: reduce slots"  one thread per reduce slot; task spans
 //	pid 3  "scheduler"              instant events per PickJob decision
+//	pid 4  "faults"                 one thread per node: crash, recover, blacklist
+//	pid 5  "model lifecycle"        promotion instants at their job-sample counts
 //	pid ≥ 100                       one process per (run, query): the
 //	                                query span on thread 0 and one thread
 //	                                per job, so query→job→task lifecycles
 //	                                nest visually.
+//	pid ≥ 10000                     one process per exported span tree
+//	                                (SpanStore.WriteChromeTrace)
 type TraceSink struct {
 	w       io.Writer
 	started bool
@@ -34,14 +38,14 @@ const (
 	PidMapSlots    = 1
 	PidReduceSlots = 2
 	PidScheduler   = 3
-	// PidFaults carries injected node-level fault events (crash, recover,
-	// blacklist), one thread per node.
-	PidFaults = 4
-	// PidLearn carries model-lifecycle promotion instants, positioned at
-	// their job-sample counts rather than any clock.
-	PidLearn = 5
+	PidFaults      = 4
+	PidLearn       = 5
 	// pidQueryBase is the first per-query process id.
 	pidQueryBase = 100
+	// pidSpanBase is the first process id of an exported span tree — far
+	// above the per-query pids, so a span export can share a sink with a
+	// timeline trace without colliding.
+	pidSpanBase = 10000
 )
 
 // NewTraceSink writes trace events to w. Call Close when the run ends to
@@ -49,10 +53,7 @@ const (
 // crashed run still yields a loadable trace).
 func NewTraceSink(w io.Writer) *TraceSink { return &TraceSink{w: w} }
 
-// Err returns the first write error, if any.
-func (t *TraceSink) Err() error { return t.err }
-
-// Close terminates the JSON array.
+// Close terminates the JSON array and returns the first write error.
 func (t *TraceSink) Close() error {
 	if t.err != nil {
 		return t.err
@@ -65,61 +66,8 @@ func (t *TraceSink) Close() error {
 	return t.err
 }
 
-// emit writes one pre-serialised event object.
-func (t *TraceSink) emit(line string) {
-	if t.err != nil {
-		return
-	}
-	prefix := ",\n"
-	if !t.started {
-		prefix = "[\n"
-		t.started = true
-	}
-	_, t.err = io.WriteString(t.w, prefix+line)
-}
-
 // micros converts simulated seconds to integer trace microseconds.
 func micros(sec float64) int64 { return int64(math.Round(sec * 1e6)) }
-
-// Arg is one key/value pair in an event's args object. Values may be
-// string, float64, int, int64 or bool; argument order is preserved in
-// the serialised JSON, keeping output deterministic.
-type Arg struct {
-	Key string
-	Val any
-}
-
-// appendArgs serialises args as a JSON object into b.
-func appendArgs(b *strings.Builder, args []Arg) {
-	b.WriteByte('{')
-	for i, a := range args {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Quote(a.Key))
-		b.WriteByte(':')
-		switch v := a.Val.(type) {
-		case string:
-			b.WriteString(strconv.Quote(v))
-		case float64:
-			b.WriteString(jsonNum(v))
-		case int:
-			b.WriteString(strconv.Itoa(v))
-		case int64:
-			b.WriteString(strconv.FormatInt(v, 10))
-		case bool:
-			b.WriteString(strconv.FormatBool(v))
-		case rawJSON:
-			b.WriteString(string(v))
-		default:
-			b.WriteString(strconv.Quote(fmt.Sprint(v)))
-		}
-	}
-	b.WriteByte('}')
-}
-
-// rawJSON is pre-serialised JSON spliced into args verbatim.
-type rawJSON string
 
 // jsonNum formats a float as a JSON number (Inf/NaN are not valid JSON;
 // they are clamped to null, which trace viewers ignore).
@@ -130,103 +78,61 @@ func jsonNum(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// header writes the common event prefix: name, phase, ts, pid, tid.
-func header(b *strings.Builder, name, ph string, ts int64, pid, tid int) {
-	b.WriteString(`{"name":`)
-	b.WriteString(strconv.Quote(name))
-	b.WriteString(`,"ph":"`)
-	b.WriteString(ph)
-	b.WriteString(`","ts":`)
-	b.WriteString(strconv.FormatInt(ts, 10))
-	b.WriteString(`,"pid":`)
-	b.WriteString(strconv.Itoa(pid))
-	b.WriteString(`,"tid":`)
-	b.WriteString(strconv.Itoa(tid))
+// rec is one trace event ahead of its args. ph is the Chrome phase: "M"
+// metadata, "i" thread-scoped instant at at, "X" complete span at..end,
+// "b"/"e" async begin/end paired by (cat, id, name) — async spans may
+// overlap within a process, which is how span trees with concurrent
+// siblings render.
+type rec struct {
+	name, cat, ph string
+	pid, tid      int
+	at, end       float64
+	id            string
 }
 
-// MetaProcessName names a process group in the trace UI.
-func (t *TraceSink) MetaProcessName(pid int, name string) {
-	var b strings.Builder
-	header(&b, "process_name", "M", 0, pid, 0)
-	b.WriteString(`,"args":{"name":`)
-	b.WriteString(strconv.Quote(name))
-	b.WriteString("}}")
-	t.emit(b.String())
-}
-
-// MetaThreadName names a thread track in the trace UI.
-func (t *TraceSink) MetaThreadName(pid, tid int, name string) {
-	var b strings.Builder
-	header(&b, "thread_name", "M", 0, pid, tid)
-	b.WriteString(`,"args":{"name":`)
-	b.WriteString(strconv.Quote(name))
-	b.WriteString("}}")
-	t.emit(b.String())
-}
-
-// Complete emits an "X" span from startSec to endSec.
-func (t *TraceSink) Complete(pid, tid int, startSec, endSec float64, name, category string, args ...Arg) {
-	dur := micros(endSec) - micros(startSec)
-	if dur < 0 {
-		dur = 0
+// write serialises one event; every exporter goes through it.
+func (t *TraceSink) write(r rec, args []Attr) {
+	if t.err != nil {
+		return
 	}
 	var b strings.Builder
-	header(&b, name, "X", micros(startSec), pid, tid)
-	b.WriteString(`,"cat":`)
-	b.WriteString(strconv.Quote(category))
-	b.WriteString(`,"dur":`)
-	b.WriteString(strconv.FormatInt(dur, 10))
+	if t.started {
+		b.WriteString(",\n")
+	} else {
+		b.WriteString("[\n")
+		t.started = true
+	}
+	fmt.Fprintf(&b, `{"name":%q,"ph":%q,"ts":%d,"pid":%d,"tid":%d`, r.name, r.ph, micros(r.at), r.pid, r.tid)
+	if r.cat != "" {
+		fmt.Fprintf(&b, `,"cat":%q`, r.cat)
+	}
+	switch r.ph {
+	case "X":
+		fmt.Fprintf(&b, `,"dur":%d`, max(0, micros(r.end)-micros(r.at)))
+	case "b", "e":
+		fmt.Fprintf(&b, `,"id":%q`, r.id)
+	case "i":
+		b.WriteString(`,"s":"t"`)
+	}
+	for i, a := range args {
+		if i == 0 {
+			b.WriteString(`,"args":{`)
+		} else {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Quote(a.Key))
+		b.WriteByte(':')
+		a.appendJSON(&b)
+	}
 	if len(args) > 0 {
-		b.WriteString(`,"args":`)
-		appendArgs(&b, args)
+		b.WriteByte('}')
 	}
 	b.WriteByte('}')
-	t.emit(b.String())
+	_, t.err = io.WriteString(t.w, b.String())
 }
 
-// AsyncBegin emits a "b" (async span begin) event under the given id.
-// Async spans may overlap freely within a process — Perfetto pairs each
-// "b" with the "e" sharing its (category, id, name) — which is how
-// request-scoped span trees with concurrent siblings render.
-func (t *TraceSink) AsyncBegin(pid int, id string, startSec float64, name, category string, args ...Arg) {
-	var b strings.Builder
-	header(&b, name, "b", micros(startSec), pid, 0)
-	b.WriteString(`,"cat":`)
-	b.WriteString(strconv.Quote(category))
-	b.WriteString(`,"id":`)
-	b.WriteString(strconv.Quote(id))
-	if len(args) > 0 {
-		b.WriteString(`,"args":`)
-		appendArgs(&b, args)
-	}
-	b.WriteByte('}')
-	t.emit(b.String())
-}
-
-// AsyncEnd emits the "e" event closing an AsyncBegin with the same
-// (category, id, name).
-func (t *TraceSink) AsyncEnd(pid int, id string, endSec float64, name, category string) {
-	var b strings.Builder
-	header(&b, name, "e", micros(endSec), pid, 0)
-	b.WriteString(`,"cat":`)
-	b.WriteString(strconv.Quote(category))
-	b.WriteString(`,"id":`)
-	b.WriteString(strconv.Quote(id))
-	b.WriteByte('}')
-	t.emit(b.String())
-}
-
-// Instant emits a thread-scoped "i" event.
-func (t *TraceSink) Instant(pid, tid int, nowSec float64, name, category string, args ...Arg) {
-	var b strings.Builder
-	header(&b, name, "i", micros(nowSec), pid, tid)
-	b.WriteString(`,"cat":`)
-	b.WriteString(strconv.Quote(category))
-	b.WriteString(`,"s":"t"`)
-	if len(args) > 0 {
-		b.WriteString(`,"args":`)
-		appendArgs(&b, args)
-	}
-	b.WriteByte('}')
-	t.emit(b.String())
+// meta labels a process group (what "process_name", tid 0) or one of its
+// thread tracks (what "thread_name") in the trace UI.
+func (t *TraceSink) meta(what string, pid, tid int, label string) {
+	t.write(rec{name: what, ph: "M", pid: pid, tid: tid}, []Attr{AttrStr("name", label)})
 }

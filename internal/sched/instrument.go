@@ -31,24 +31,29 @@ type instrumented struct {
 // results and run labels stay attributed to it.
 func (in *instrumented) Name() string { return in.inner.Name() }
 
-// PickJob delegates to the wrapped policy and records the decision.
+// PickJob delegates to the wrapped policy and records the decision. The
+// ranking is built only for a timeline: the span collector and the
+// registry keep just the queue depth.
 func (in *instrumented) PickJob(now float64, cands, active []*cluster.Job, reduce bool) *cluster.Job {
 	j := in.inner.PickJob(now, cands, active, reduce)
-	ranked := make([]obs.Candidate, len(cands))
-	for i, c := range cands {
-		ranked[i] = obs.Candidate{
-			Job:     c.ID,
-			Query:   c.Query.ID,
-			WRD:     c.Query.RemainingWRD(),
-			Running: c.RunningTasks(),
-			Submit:  c.SubmitTime,
+	var ranked []obs.Candidate
+	if in.obs.Trace != nil {
+		ranked = make([]obs.Candidate, len(cands))
+		for i, c := range cands {
+			ranked[i] = obs.Candidate{
+				Job:     c.ID,
+				Query:   c.Query.ID,
+				WRD:     c.Query.RemainingWRD(),
+				Running: c.RunningTasks(),
+				Submit:  c.SubmitTime,
+			}
 		}
 	}
 	picked := ""
 	if j != nil {
 		picked = j.ID
 	}
-	in.obs.SchedulerDecision(now, in.inner.Name(), reduce, picked, ranked)
+	in.obs.SchedulerDecision(now, in.inner.Name(), reduce, picked, len(cands), ranked)
 	return j
 }
 

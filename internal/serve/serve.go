@@ -135,6 +135,17 @@ type Pending interface {
 	Wait(ctx context.Context) (Result, error)
 }
 
+// Backend is one serving engine as the layers above it (TCP frontend,
+// shard coordinator) drive it.
+type Backend interface {
+	// Submit admits one query for serving.
+	Submit(ctx context.Context, sql string, seed uint64) (Pending, error)
+	// Stats snapshots the engine's counters.
+	Stats() Stats
+	// Close stops admissions and drains the engine.
+	Close() error
+}
+
 // Ticket is a pending submission. Exactly one completion is delivered
 // per ticket; Wait may be called from any goroutine, any number of
 // times, and always agrees.
@@ -339,22 +350,24 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 		ctx = context.Background() //lint:allow saqpvet/ctxleak nil Submit ctx explicitly opts out of cancellation
 	}
 	o := e.cfg.Observer
-	o.ServeSubmitted()
+	o.Count(obs.MServeSubmissions)
 	q, err := query.Parse(sql)
 	if err != nil {
-		o.ServeError()
+		o.Count(obs.MServeErrors)
 		e.count(func(s *Stats) { s.Errors++ })
 		return nil, err
 	}
 	norm := q.String()
 	ent, owner, evicted := e.cache.lookup(norm + "\x00" + e.cfg.CatalogFingerprint)
-	o.ServeCacheLookup(!owner)
 	for i := 0; i < evicted; i++ {
-		o.ServeCacheEvicted()
+		o.Count(obs.MServeCacheEvictions)
 	}
 	if owner {
+		o.Count(obs.MServeCacheMisses)
 		e.compute(ent, q)
 	} else {
+		// A waiter that joined an in-flight computation paid no compile.
+		o.Count(obs.MServeCacheHits)
 		select {
 		case <-ent.ready:
 		case <-ctx.Done():
@@ -364,7 +377,7 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 		}
 	}
 	if ent.err != nil {
-		o.ServeError()
+		o.Count(obs.MServeErrors)
 		e.count(func(s *Stats) { s.Errors++ })
 		return nil, ent.err
 	}
@@ -388,7 +401,7 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 	if e.cfg.QueueCap > 0 && len(e.queue) >= e.cfg.QueueCap {
 		e.st.Rejected++
 		e.mu.Unlock()
-		o.ServeRejected()
+		o.Count(obs.MServeRejections)
 		return nil, ErrQueueFull
 	}
 	e.seq++
@@ -448,7 +461,7 @@ func (e *Engine) compute(ent *cacheEntry, q *query.Query) {
 		return
 	}
 	if est.StatsTier == selectivity.StatsSketch {
-		e.cfg.Observer.SketchEstimate()
+		e.cfg.Observer.Count(obs.MSketchEstimates)
 	}
 	ent.dag, ent.est = d, est
 	if tm := e.cfg.TaskModel; tm != nil {
@@ -572,11 +585,11 @@ func (e *Engine) run(t *Ticket) {
 		if cq.Failed() {
 			if attempt < maxRetries {
 				e.count(func(s *Stats) { s.Retries++ })
-				e.cfg.Observer.ServeRetried()
+				e.cfg.Observer.Count(obs.MServeRetries)
 				continue
 			}
 			e.count(func(s *Stats) { s.FaultFailures++ })
-			e.cfg.Observer.ServeFaultFailure()
+			e.cfg.Observer.Count(obs.MServeFaultFailures)
 			e.finish(t, Result{}, fmt.Errorf("serve: query %s failed after %d run(s): %w",
 				t.id, attempt+1, cq.Err))
 			return
@@ -723,7 +736,7 @@ func (e *Engine) finish(t *Ticket, res Result, err error) {
 	case canceled:
 		e.cfg.Observer.ServeCanceled(inflight)
 	default:
-		e.cfg.Observer.ServeError()
+		e.cfg.Observer.Count(obs.MServeErrors)
 	}
 	close(t.done)
 }

@@ -34,22 +34,12 @@ func (r Role) String() string {
 	return "primary"
 }
 
-// Backend is one serving engine instance the coordinator routes into.
-type Backend interface {
-	// Submit admits one query for serving.
-	Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error)
-	// Stats snapshots the engine's counters.
-	Stats() serve.Stats
-	// Close stops admissions and drains the engine.
-	Close() error
-}
-
 // Instance is one engine behind the coordinator: its backend, the wire
 // address it is advertised at (empty when it serves no socket), and
 // its model replica (nil when the deployment runs without online
 // learning).
 type Instance struct {
-	Backend Backend
+	Backend serve.Backend
 	Addr    string
 	Model   *learn.Replica
 }
@@ -227,9 +217,9 @@ func (c *Cluster) SubmitShard(ctx context.Context, shard int, sql string, seed u
 			if err != nil {
 				return nil, err
 			}
-			c.ob.ShardSubmitted()
+			c.ob.Count(obs.MShardSubmissions)
 			if waited {
-				c.ob.ShardFailoverWait()
+				c.ob.Count(obs.MShardFailoverWaits)
 			}
 			return &shardPending{p: p, id: shardTicketID(shard, p.ID())}, nil
 		}
@@ -290,7 +280,7 @@ func (c *Cluster) InstanceStats(shard int, role Role) serve.Stats {
 // against client-observed WAITs.
 func (c *Cluster) Stats() serve.Stats {
 	c.mu.Lock()
-	backends := make([]Backend, 0, 2*len(c.shards))
+	backends := make([]serve.Backend, 0, 2*len(c.shards))
 	for _, sh := range c.shards {
 		for r := range sh.inst {
 			if sh.inst[r].Backend != nil {
@@ -403,7 +393,7 @@ func (c *Cluster) Info() []string {
 // their errors.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
-	backends := make([]Backend, 0, 2*len(c.shards))
+	backends := make([]serve.Backend, 0, 2*len(c.shards))
 	for _, sh := range c.shards {
 		for r := range sh.inst {
 			if sh.inst[r].Backend != nil {

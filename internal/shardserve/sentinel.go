@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 
 	"saqp/internal/fault"
+	"saqp/internal/obs"
 )
 
 // SentinelConfig tunes the tick-driven health/failover loop.
@@ -145,11 +146,11 @@ func (c *Cluster) Tick() []Event {
 			miss := sh.active == RolePrimary && c.planDown(i, at)
 			if miss {
 				sh.misses[j]++
-				c.ob.ShardHeartbeatMiss()
+				c.ob.Count(obs.MShardHeartbeatMisses)
 				if sh.misses[j] >= c.scfg.MissThreshold && !sh.votes[j] {
 					sh.votes[j] = true
 					c.append(Event{Tick: c.tick, Kind: EventVote, Shard: i, Sentinel: j, Epoch: c.epoch})
-					c.ob.ShardVote()
+					c.ob.Count(obs.MShardDownVotes)
 				}
 				continue
 			}

@@ -43,7 +43,7 @@ type NetOptions struct {
 	BusyQueueDepth int
 }
 
-// netBackend adapts the facade Server to the frontend's Backend seam.
+// netBackend adapts the facade Server to the serve.Backend seam.
 type netBackend struct{ s *Server }
 
 // Submit admits one query through the facade server.
@@ -57,6 +57,9 @@ func (b netBackend) Submit(ctx context.Context, sql string, seed uint64) (serve.
 
 // Stats snapshots the facade server's counters.
 func (b netBackend) Stats() ServeStats { return b.s.Stats() }
+
+// Close drains the facade server.
+func (b netBackend) Close() error { return b.s.Close() }
 
 // NewNetServer starts the TCP query frontend over srv: a RESP-style
 // protocol speaking SUBMIT / WAIT / STATS / EXPLAIN / METRICS / PING /

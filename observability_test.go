@@ -6,7 +6,15 @@ package saqp_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"saqp"
@@ -157,5 +165,305 @@ func TestFig2Observed(t *testing.T) {
 	}
 	if !bytes.Contains(traceBuf.Bytes(), []byte("SWRD")) {
 		t.Error("trace missing scheduler decision events")
+	}
+}
+
+// Golden observability scenario. One observer (metrics + drift + a
+// Chrome timeline sink) sees a clean seeded SimulateQuery, a second one
+// under the default fault plan, and then a single-worker TraceSpans
+// server (online learning, SLO, retries, default fault plan) fed a fixed
+// serialized submission sequence. Metrics sample lines, drift and SLO
+// snapshots must match the checked-in files byte for byte; the timeline,
+// the span trees and the span store's Chrome export are compared as
+// skeletons (identity, kind and times exact; attribute keys may only
+// grow). Regenerate deliberately with:
+//
+//	SAQP_UPDATE_GOLDEN=1 go test -run TestGoldenObservability .
+const goldenObsDir = "testdata/golden_obs"
+
+// timelineSkel is one Chrome trace event minus its argument values.
+type timelineSkel struct {
+	Name  string   `json:"name"`
+	Ph    string   `json:"ph"`
+	Ts    int64    `json:"ts"`
+	Dur   int64    `json:"dur,omitempty"`
+	Pid   int      `json:"pid"`
+	Tid   int      `json:"tid"`
+	Cat   string   `json:"cat,omitempty"`
+	ID    string   `json:"id,omitempty"`
+	Label string   `json:"label,omitempty"` // a metadata event's track name
+	Keys  []string `json:"keys,omitempty"`  // sorted argument keys
+}
+
+// spanSkel is one span-tree node minus its attribute values.
+type spanSkel struct {
+	Trace  string   `json:"trace"`
+	ID     int      `json:"id"`
+	Parent int      `json:"parent"`
+	Kind   string   `json:"kind"`
+	Name   string   `json:"name"`
+	Start  float64  `json:"start_sec"`
+	End    float64  `json:"end_sec"`
+	Keys   []string `json:"keys,omitempty"`
+}
+
+type obsSkeleton struct {
+	Timeline     []timelineSkel `json:"timeline"`
+	Spans        []spanSkel     `json:"spans"`
+	SpanTimeline []timelineSkel `json:"span_timeline"`
+}
+
+// encode serialises the skeleton one event per line, so a drift shows as
+// a line diff and the file stays small.
+func (s obsSkeleton) encode(t *testing.T) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	section := func(name string, n int, at func(int) any) {
+		fmt.Fprintf(&b, "%q: [", name)
+		for i := 0; i < n; i++ {
+			line, err := json.Marshal(at(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString("\n")
+			b.Write(line)
+		}
+		b.WriteString("\n]")
+	}
+	b.WriteString("{\n")
+	section("timeline", len(s.Timeline), func(i int) any { return s.Timeline[i] })
+	b.WriteString(",\n")
+	section("spans", len(s.Spans), func(i int) any { return s.Spans[i] })
+	b.WriteString(",\n")
+	section("span_timeline", len(s.SpanTimeline), func(i int) any { return s.SpanTimeline[i] })
+	b.WriteString("\n}\n")
+	return b.Bytes()
+}
+
+func timelineSkeleton(t *testing.T, trace []byte) []timelineSkel {
+	t.Helper()
+	var events []struct {
+		timelineSkel
+		Args map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(trace, &events); err != nil {
+		t.Fatalf("timeline is not valid JSON: %v", err)
+	}
+	out := make([]timelineSkel, len(events))
+	for i, e := range events {
+		out[i] = e.timelineSkel
+		if e.Ph == "M" {
+			out[i].Label, _ = e.Args["name"].(string)
+			continue
+		}
+		for k := range e.Args {
+			out[i].Keys = append(out[i].Keys, k)
+		}
+		sort.Strings(out[i].Keys)
+	}
+	return out
+}
+
+// keysGrewOnly reports whether every golden key is still present.
+func keysGrewOnly(golden, got []string) bool {
+	have := map[string]bool{}
+	for _, k := range got {
+		have[k] = true
+	}
+	for _, k := range golden {
+		if !have[k] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestGoldenObservability(t *testing.T) {
+	a, _ := artifacts(t)
+	var timeline bytes.Buffer
+	o := saqp.NewObserver(saqp.NewTraceSink(&timeline))
+	fw, err := saqp.NewFramework(saqp.Options{ScaleFactor: 2, Observer: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.JobTime, fw.TaskTime = a.Jobs, a.Tasks
+	estimate := func(name string) *saqp.QueryEstimate {
+		sql, err := saqp.TPCHSQL(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dag, err := fw.Compile(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qe, err := fw.Estimate(dag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qe
+	}
+	if _, err := fw.SimulateQuery("clean", estimate("q14"), saqp.SchedulerSWRD, 7); err != nil {
+		t.Fatal(err)
+	}
+	harsh := saqp.FaultSpec{Seed: 2, HorizonSec: 150, CrashProb: 0.6, CrashDowntimeSec: 30,
+		SlowProb: 0.5, TaskFailProb: 0.15, MaxAttempts: 6, BlacklistAfter: 2}
+	cc := saqp.DefaultClusterConfig()
+	cc.PreemptiveReduce, cc.SpeculativeExecution = true, true
+	cc.Faults = saqp.NewFaultPlan(harsh)
+	if _, err := fw.SimulateQueryConfig("faulty", estimate("q3"), saqp.SchedulerHFS, 11, cc); err != nil {
+		t.Fatal(err)
+	}
+	cc.Faults = saqp.NewFaultPlan(saqp.FaultSpec{Seed: 1, TaskFailProb: 1, MaxAttempts: 2})
+	if _, err := fw.SimulateQueryConfig("doomed", estimate("q6"), saqp.SchedulerHCS, 3, cc); err == nil {
+		t.Fatal("doomed run completed")
+	}
+
+	// serveAll runs one single-worker traced server over names, one
+	// submission at a time so completion order is the submission order.
+	var slos [][]byte
+	var stores []*saqp.SpanStore
+	serveAll := func(opts saqp.ServerOptions, names ...string) {
+		opts.Workers, opts.TraceSpans = 1, true
+		opts.SLO = &saqp.SLOConfig{LatencyObjectiveSec: 60}
+		srv, err := fw.NewServer(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range names {
+			sql, err := saqp.TPCHSQL(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk, err := srv.Submit(context.Background(), sql, uint64(3+i))
+			if err != nil {
+				t.Fatalf("submit %s: %v", name, err)
+			}
+			_, _ = tk.Wait(context.Background()) // a fault failure is part of the scenario
+		}
+		if _, err := srv.Submit(context.Background(), "SELECT nothing FROM nowhere", 1); err == nil {
+			t.Fatal("unresolvable query admitted")
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		slo, err := srv.SLO().SnapshotJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		slos = append(slos, slo)
+		stores = append(stores, srv.Spans())
+	}
+	opts := saqp.ServerOptions{MaxRetries: 3, OnlineLearning: true}
+	opts.Cluster.Faults = saqp.NewFaultPlan(saqp.DefaultFaultSpec(11))
+	serveAll(opts, "q1", "q6", "q1", "q17")
+	harsh.MaxAttempts = 2
+	opts = saqp.ServerOptions{MaxRetries: 1, Cluster: cc}
+	opts.Cluster.Faults = saqp.NewFaultPlan(harsh)
+	serveAll(opts, "q14", "q3", "q19", "q14", "q11")
+	// A cold learner on a fault-free cluster bootstraps its first champion
+	// from feedback: the promotion instant lands on the timeline.
+	serveAll(saqp.ServerOptions{OnlineLearning: true, Learner: saqp.NewLearnerRegistry(
+		saqp.LearnerConfig{Observer: o, MinSamples: 3, Window: 4})}, "q1", "q6", "q14", "q3", "q11", "q17", "q19", "q6")
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var prom bytes.Buffer
+	if err := o.Metrics.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	var samples bytes.Buffer
+	for _, line := range strings.SplitAfter(prom.String(), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			samples.WriteString(line)
+		}
+	}
+	drift, err := o.Drift.SnapshotJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := obsSkeleton{Timeline: timelineSkeleton(t, timeline.Bytes())}
+	var spanTimeline bytes.Buffer
+	sink := saqp.NewTraceSink(&spanTimeline)
+	stores[1].WriteChromeTrace(sink) // the harsh run: every span kind
+	for _, store := range stores {
+		for _, tree := range store.Trees() {
+			for _, sp := range tree.Spans {
+				s := spanSkel{Trace: tree.TraceID, ID: sp.ID, Parent: sp.Parent, Kind: sp.Kind,
+					Name: sp.Name, Start: sp.Start, End: sp.End}
+				for _, at := range sp.Attrs {
+					s.Keys = append(s.Keys, at.Key)
+				}
+				sort.Strings(s.Keys)
+				got.Spans = append(got.Spans, s)
+			}
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got.SpanTimeline = timelineSkeleton(t, spanTimeline.Bytes())
+	skeleton := got.encode(t)
+
+	exact := map[string][]byte{"metrics.txt": samples.Bytes(), "drift.json": drift,
+		"slo_default.json": slos[0], "slo_harsh.json": slos[1], "slo_clean.json": slos[2]}
+	if os.Getenv("SAQP_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(goldenObsDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		exact["skeleton.json"] = skeleton
+		for name, data := range exact {
+			if err := os.WriteFile(filepath.Join(goldenObsDir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
+	}
+	for name, data := range exact {
+		want, err := os.ReadFile(filepath.Join(goldenObsDir, name))
+		if err != nil {
+			t.Fatalf("reading golden (regenerate with SAQP_UPDATE_GOLDEN=1): %v", err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Errorf("%s drifted from the golden:\n%s\nwant:\n%s", name, data, want)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(goldenObsDir, "skeleton.json"))
+	if err != nil {
+		t.Fatalf("reading golden (regenerate with SAQP_UPDATE_GOLDEN=1): %v", err)
+	}
+	var want obsSkeleton
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	sameTimeline := func(what string, got, want []timelineSkel) {
+		if len(got) != len(want) {
+			t.Errorf("%s has %d events, golden %d", what, len(got), len(want))
+			return
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			grew := keysGrewOnly(w.Keys, g.Keys)
+			g.Keys, w.Keys = nil, nil
+			if !reflect.DeepEqual(g, w) || !grew {
+				t.Errorf("%s event %d = %+v keys %v, golden %+v keys %v", what, i, g, got[i].Keys, w, want[i].Keys)
+			}
+		}
+	}
+	sameTimeline("timeline", got.Timeline, want.Timeline)
+	sameTimeline("span timeline", got.SpanTimeline, want.SpanTimeline)
+	if len(got.Spans) != len(want.Spans) {
+		t.Fatalf("span trees have %d spans, golden %d", len(got.Spans), len(want.Spans))
+	}
+	for i := range want.Spans {
+		g, w := got.Spans[i], want.Spans[i]
+		grew := keysGrewOnly(w.Keys, g.Keys)
+		g.Keys, w.Keys = nil, nil
+		if !reflect.DeepEqual(g, w) || !grew {
+			t.Errorf("span %d = %+v keys %v, golden %+v keys %v", i, g, got.Spans[i].Keys, w, want.Spans[i].Keys)
+		}
 	}
 }

@@ -130,13 +130,6 @@ type Framework struct {
 	opts Options
 }
 
-// count bumps a framework counter when an observer is attached.
-func (f *Framework) count(name string) {
-	if f.Obs != nil && f.Obs.Metrics != nil {
-		f.Obs.Metrics.Counter(name).Inc()
-	}
-}
-
 // NewFramework builds a framework over analytically-derived statistics for
 // the synthetic TPC-H/TPC-DS schemas at the configured scale factor.
 func NewFramework(opts Options) (*Framework, error) {
@@ -178,7 +171,7 @@ func NewFrameworkFromCatalog(cat *catalog.Catalog, opts Options) *Framework {
 // operators, predicates, join keys, projected columns — which is the
 // "cross-layer semantics percolation" of paper Section 2.2.
 func (f *Framework) Compile(sql string) (*DAG, error) {
-	f.count(obs.MCompiles)
+	f.Obs.Count(obs.MCompiles)
 	q, err := query.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -193,10 +186,10 @@ func (f *Framework) Compile(sql string) (*DAG, error) {
 // (paper Section 3): per-job IS/FS, D_in/D_med/D_out, task counts, and the
 // join balance ratio P.
 func (f *Framework) Estimate(d *DAG) (*QueryEstimate, error) {
-	f.count(obs.MEstimates)
+	f.Obs.Count(obs.MEstimates)
 	qe, err := f.Estimator.EstimateQuery(d)
 	if err == nil && qe.StatsTier == selectivity.StatsSketch {
-		f.count(obs.MSketchEstimates)
+		f.Obs.Count(obs.MSketchEstimates)
 	}
 	return qe, err
 }
@@ -210,7 +203,7 @@ func (f *Framework) statsFingerprint() string {
 
 // Train fits the Eq. 8 job model and Eq. 9 task models from a corpus.
 func (f *Framework) Train(c *Corpus) error {
-	f.count(obs.MTrainings)
+	f.Obs.Count(obs.MTrainings)
 	jm, err := predict.FitJobModel(c.JobSamples)
 	if err != nil {
 		return fmt.Errorf("saqp: training job model: %w", err)
@@ -309,7 +302,7 @@ func (f *Framework) SimulateQueryConfig(id string, qe *QueryEstimate, scheduler 
 	if err != nil {
 		return 0, err
 	}
-	f.count(obs.MSimulations)
+	f.Obs.Count(obs.MSimulations)
 	var pred cluster.TaskTimePredictor = cluster.ConstantPredictor(1)
 	if f.TaskTime != nil {
 		pred = f.TaskTime
