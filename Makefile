@@ -2,7 +2,7 @@ GO      ?= go
 BIN     := bin
 SAQPVET := $(BIN)/saqpvet
 
-.PHONY: all build test race lint lint-self bench-alloc fuzz-smoke stress cover-serve admin-smoke scheduler-comparison bench bench-micro bench-micro-rebase ci clean
+.PHONY: all build test race lint lint-self bench-alloc fuzz-smoke stress cover-serve scheduler-comparison bench bench-micro bench-micro-rebase ci clean
 
 all: build
 
@@ -72,37 +72,6 @@ cover-serve:
 	awk -v p="$$pct" -v f="$(SERVE_COVER_FLOOR)" 'BEGIN { exit (p+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage below floor"; exit 1; }
 
-# Live introspection smoke test: cmd/saqp serves one query through the
-# engine and holds the admin endpoint open; /metrics /slo /spans /statz
-# and pprof are curled once it is up, and SIGTERM must produce a graceful
-# zero-exit shutdown. Leaves the responses under obs-out/.
-ADMIN_ADDR := 127.0.0.1:18080
-admin-smoke:
-	@mkdir -p $(BIN) obs-out
-	$(GO) build -o $(BIN)/saqp ./cmd/saqp
-	@set -e; \
-	$(BIN)/saqp -admin $(ADMIN_ADDR) \
-		-query "SELECT l_returnflag, count(*) FROM lineitem WHERE l_quantity < 24 GROUP BY l_returnflag" \
-		> obs-out/admin-smoke.log 2>&1 & \
-	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	for i in $$(seq 1 120); do \
-		if curl -fsS http://$(ADMIN_ADDR)/metrics > obs-out/admin-metrics.prom 2>/dev/null; then break; fi; \
-		if ! kill -0 $$pid 2>/dev/null; then \
-			echo "saqp exited before the admin endpoint came up"; cat obs-out/admin-smoke.log; exit 1; \
-		fi; \
-		sleep 1; \
-	done; \
-	curl -fsS http://$(ADMIN_ADDR)/metrics > obs-out/admin-metrics.prom; \
-	curl -fsS http://$(ADMIN_ADDR)/slo > obs-out/admin-slo.json; \
-	curl -fsS http://$(ADMIN_ADDR)/spans > obs-out/admin-spans.json; \
-	curl -fsS http://$(ADMIN_ADDR)/statz > obs-out/admin-statz.json; \
-	curl -fsS http://$(ADMIN_ADDR)/debug/pprof/cmdline > /dev/null; \
-	kill -TERM $$pid; \
-	wait $$pid; \
-	cat obs-out/admin-smoke.log; \
-	python3 -c "import json; [json.load(open('obs-out/admin-' + f + '.json')) for f in ('slo', 'spans', 'statz')]"
-
 # Observability end to end: the scheduler comparison runs fully
 # instrumented, producing a Perfetto-loadable trace (must be valid JSON;
 # gzipped afterwards — Perfetto opens .json.gz directly, ~20x smaller)
@@ -153,7 +122,7 @@ bench:
 
 # Everything CI runs, in the same order: .github/workflows/ci.yml is one
 # `make <target>` step per name here.
-ci: build lint lint-self test bench-alloc race fuzz-smoke stress cover-serve admin-smoke bench-micro bench scheduler-comparison
+ci: build lint lint-self test bench-alloc race fuzz-smoke stress cover-serve bench-micro bench scheduler-comparison
 
 clean:
 	rm -rf $(BIN) bench-out obs-out

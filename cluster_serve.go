@@ -7,7 +7,6 @@ import (
 
 	"saqp/internal/learn"
 	"saqp/internal/net"
-	"saqp/internal/net/proto"
 	"saqp/internal/serve"
 	"saqp/internal/shardserve"
 )
@@ -119,128 +118,64 @@ type ClusterOptions struct {
 // tick-driven sentinel failover loop. See internal/shardserve for the
 // coordinator and docs/CLUSTER.md for the protocol.
 type ClusterServer struct {
-	f        *Framework
 	cluster  *shardserve.Cluster
 	registry *Learner
-	opts     ClusterOptions
-	nets     []*NetServer // shard-major, primary then replica; nil entries when !Listen
+	insts    []*Server    // shard-major, primary then replica
+	nets     []*NetServer // one per instance, same order; empty when !Listen
 }
-
-// clusterEngineBackend adapts a serve.Engine to the serve.Backend seam
-// the coordinator routes into.
-type clusterEngineBackend struct{ eng *serve.Engine }
-
-// Submit admits one query on the wrapped engine.
-func (b clusterEngineBackend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error) {
-	t, err := b.eng.Submit(ctx, sql, seed)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// Stats snapshots the wrapped engine's counters.
-func (b clusterEngineBackend) Stats() ServeStats { return b.eng.Stats() }
-
-// Close drains the wrapped engine.
-func (b clusterEngineBackend) Close() error { return b.eng.Close() }
-
-// clusterNetBackend adapts one instance's view of the coordinator to
-// the serve.Backend seam the TCP frontend submits into: submissions
-// route through the coordinator (so a frontend whose instance just
-// failed over parks and completes on the promotion), stats are the
-// instance's own engine.
-type clusterNetBackend struct {
-	c     *shardserve.Cluster
-	shard int
-	role  ClusterRole
-}
-
-// Submit admits one query on the instance's shard via the coordinator.
-func (b clusterNetBackend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error) {
-	p, err := b.c.SubmitShard(ctx, b.shard, sql, seed)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Stats snapshots the instance's engine counters.
-func (b clusterNetBackend) Stats() ServeStats { return b.c.InstanceStats(b.shard, b.role) }
-
-// Close does nothing: the coordinator owns the instance's engine and
-// drains it when the cluster closes.
-func (b clusterNetBackend) Close() error { return nil }
 
 // NewClusterServer builds and (optionally) exposes a sharded serving
 // cluster over the framework's estimator and trained models. Every
-// instance gets its own engine and its own model replica of one shared
-// coordinator Learner, so feedback from any shard trains one champion
-// that Tick fans back out to all of them.
+// instance is a Server of its own (built as NewServer builds one) with
+// its own model replica of one shared coordinator Learner, so feedback
+// from any shard trains one champion that Tick fans back out to all of
+// them.
 func (f *Framework) NewClusterServer(opts ClusterOptions) (*ClusterServer, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 4
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
-	if opts.CacheSize <= 0 {
-		opts.CacheSize = 64
 	}
 	if len(opts.Advertise) > 0 && len(opts.Advertise) != 2*opts.Shards {
 		return nil, fmt.Errorf("saqp: ClusterOptions.Advertise needs %d entries (2 per shard), got %d",
 			2*opts.Shards, len(opts.Advertise))
 	}
-	name := opts.Scheduler
-	if name == "" {
-		name = SchedulerSWRD
+	// An instance is sized by the cluster's own fields only, and defaults
+	// smaller than a standalone server (4 workers, 256 entries): one
+	// process hosts 2·Shards of them.
+	inst := ServerOptions{
+		Workers:   opts.Workers,
+		CacheSize: opts.CacheSize,
+		QueueCap:  opts.QueueCap,
+		Cluster:   opts.Cluster,
+		Scheduler: opts.Scheduler,
 	}
-	pol, err := schedulerByName(name)
-	if err != nil {
-		return nil, err
+	if inst.Workers <= 0 {
+		inst.Workers = 1
 	}
-	registry := f.NewLearner(LearnerConfig{})
-
+	if inst.CacheSize <= 0 {
+		inst.CacheSize = 64
+	}
+	// From here on Close is the unwinder: it drains whatever exists.
+	cs := &ClusterServer{registry: f.NewLearner(LearnerConfig{})}
 	specs := make([]shardserve.ShardSpec, opts.Shards)
-	engines := make([]*serve.Engine, 0, 2*opts.Shards)
-	closeEngines := func() {
-		for _, eng := range engines {
-			_ = eng.Close() //lint:allow saqpvet/errdrop construction failed; the original error is the one to surface
-		}
-	}
-	for shard := 0; shard < opts.Shards; shard++ {
-		var insts [2]shardserve.Instance
-		for role := 0; role < 2; role++ {
-			rep := learn.NewReplica(registry, f.Obs)
-			eng, err := serve.New(serve.Config{
-				Schemas:            f.Schemas,
-				Estimator:          f.Estimator,
-				CatalogFingerprint: f.statsFingerprint(),
-				TaskModel:          f.TaskTime,
-				JobModel:           f.JobTime,
-				Cluster:            opts.Cluster,
-				Scheduler:          pol,
-				Workers:            opts.Workers,
-				CacheSize:          opts.CacheSize,
-				QueueCap:           opts.QueueCap,
-				Observer:           f.Obs,
-				Learner:            rep,
-			})
+	for shard := range specs {
+		var pair [2]shardserve.Instance
+		for role := range pair {
+			rep := learn.NewReplica(cs.registry, f.Obs)
+			srv, err := f.newServer(inst, rep)
 			if err != nil {
-				closeEngines()
-				return nil, err
+				return nil, errors.Join(err, cs.Close())
 			}
-			engines = append(engines, eng)
-			insts[role] = shardserve.Instance{Backend: clusterEngineBackend{eng: eng}, Model: rep}
+			cs.insts = append(cs.insts, srv)
+			pair[role] = shardserve.Instance{Backend: backend{srv}, Model: rep}
 		}
-		specs[shard] = shardserve.ShardSpec{Primary: insts[0], Replica: insts[1]}
+		specs[shard] = shardserve.ShardSpec{Primary: pair[0], Replica: pair[1]}
 	}
-
-	cluster, err := shardserve.NewCluster(shardserve.Config{
+	var err error
+	cs.cluster, err = shardserve.NewCluster(shardserve.Config{
 		Shards:             specs,
 		Slots:              opts.Slots,
 		CatalogFingerprint: f.statsFingerprint(),
-		Registry:           registry,
+		Registry:           cs.registry,
 		Observer:           f.Obs,
 		Sentinel: shardserve.SentinelConfig{
 			Sentinels:     opts.Sentinels,
@@ -252,74 +187,25 @@ func (f *Framework) NewClusterServer(opts ClusterOptions) (*ClusterServer, error
 		},
 	})
 	if err != nil {
-		closeEngines()
-		return nil, err
+		return nil, errors.Join(err, cs.Close())
 	}
-
-	cs := &ClusterServer{f: f, cluster: cluster, registry: registry, opts: opts}
 	if !opts.Listen {
 		return cs, nil
 	}
-	cs.nets = make([]*NetServer, 2*opts.Shards)
-	for shard := 0; shard < opts.Shards; shard++ {
-		for role := ClusterPrimary; role <= ClusterReplica; role++ {
-			idx := 2*shard + int(role)
-			srv, err := net.Start(net.Config{
-				Addr:        "127.0.0.1:0",
-				Backend:     clusterNetBackend{c: cluster, shard: shard, role: role},
-				Limits:      proto.DefaultLimits(),
-				Explain:     cs.explainFor(shard, role),
-				MetricsText: f.metricsText,
-				Route:       cs.routeFor(shard, role),
-				ClusterInfo: cluster.Info,
-				Observer:    f.Obs,
-			})
-			if err != nil {
-				_ = cs.Close() //lint:allow saqpvet/errdrop construction failed; the listen error is the one to surface
-				return nil, err
-			}
-			cs.nets[idx] = srv
-			addr := srv.Addr()
-			if len(opts.Advertise) > 0 {
-				addr = opts.Advertise[idx]
-			}
-			cluster.SetAddr(shard, role, addr)
+	for idx := range cs.insts {
+		shard, role := idx/2, ClusterRole(idx%2)
+		srv, err := f.startNet(NetOptions{Addr: "127.0.0.1:0"}, cs.cluster.View(shard, role))
+		if err != nil {
+			return nil, errors.Join(err, cs.Close())
 		}
+		cs.nets = append(cs.nets, srv)
+		addr := srv.Addr()
+		if len(opts.Advertise) > 0 {
+			addr = opts.Advertise[idx]
+		}
+		cs.cluster.SetAddr(shard, role, addr)
 	}
 	return cs, nil
-}
-
-// routeFor builds one instance's cluster routing gate: a query is
-// local exactly when this instance is the active owner of its slot.
-func (cs *ClusterServer) routeFor(shard int, role ClusterRole) func(sql string) (int, string, bool, error) {
-	return func(sql string) (int, string, bool, error) {
-		ri, err := cs.cluster.Route(sql)
-		if err != nil {
-			return 0, "", false, err
-		}
-		local := ri.Shard == shard && cs.cluster.ActiveRole(shard) == role
-		return ri.Slot, ri.Addr, local, nil
-	}
-}
-
-// explainFor builds one instance's EXPLAIN: the framework's plan
-// description plus the executing shard's attribution line (shard id,
-// role, and the model version this instance serves predictions from).
-func (cs *ClusterServer) explainFor(shard int, role ClusterRole) func(sql string) ([]string, error) {
-	return func(sql string) ([]string, error) {
-		lines, err := cs.f.explainLines(sql)
-		if err != nil {
-			return nil, err
-		}
-		st := cs.cluster.Status()
-		version := 0
-		for _, is := range st.Instances {
-			if is.Shard == shard && is.Role == role {
-				version = is.ModelVersion
-			}
-		}
-		return append(lines, fmt.Sprintf("shard=%d role=%s model_version=%d", shard, role, version)), nil
-	}
 }
 
 // Submit routes one query by its semantics-aware fingerprint and
@@ -351,8 +237,16 @@ func (cs *ClusterServer) Status() ClusterStatus { return cs.cluster.Status() }
 // Info renders the CLUSTER verb's line-oriented topology snapshot.
 func (cs *ClusterServer) Info() []string { return cs.cluster.Info() }
 
-// Stats aggregates every instance's engine counters.
-func (cs *ClusterServer) Stats() ServeStats { return cs.cluster.Stats() }
+// Stats aggregates every instance's engine counters — the cluster-wide
+// completion accounting the exactly-once gates compare against
+// client-observed WAITs.
+func (cs *ClusterServer) Stats() ServeStats {
+	var agg ServeStats
+	for _, srv := range cs.insts {
+		agg.Add(srv.Stats())
+	}
+	return agg
+}
 
 // Learner returns the coordinator's model-lifecycle registry — the
 // replication leader every instance's replica syncs from.
@@ -361,23 +255,37 @@ func (cs *ClusterServer) Learner() *Learner { return cs.registry }
 // NetAddr returns one instance's actual TCP listen address, or ""
 // when the cluster is not listening.
 func (cs *ClusterServer) NetAddr(shard int, role ClusterRole) string {
-	if cs.nets == nil {
-		return ""
+	if idx := 2*shard + int(role); idx < len(cs.nets) {
+		return cs.nets[idx].Addr()
 	}
-	srv := cs.nets[2*shard+int(role)]
-	if srv == nil {
-		return ""
-	}
-	return srv.Addr()
+	return ""
 }
 
-// Close shuts the frontends down, then drains every engine.
+// Shutdown drains the TCP frontends, bounded by ctx, as
+// NetServer.Shutdown drains one: listeners close, idle connections are
+// kicked, and in-flight commands — a WAIT on a running query included —
+// complete and flush, because the instances keep serving until Close.
+// When ctx expires first the remaining connections are torn down and
+// its error returned. Keep ticking while this runs: a submission parked
+// on a crashed primary is released only by the failover.
+func (cs *ClusterServer) Shutdown(ctx context.Context) error {
+	var err error
+	for _, srv := range cs.nets {
+		err = errors.Join(err, srv.Shutdown(ctx))
+	}
+	return err
+}
+
+// Close tears the frontends down at once — canceling submissions still
+// in flight on a socket; Shutdown first to let them finish — then
+// drains every instance: queued and running queries complete.
 func (cs *ClusterServer) Close() error {
 	var err error
 	for _, srv := range cs.nets {
-		if srv != nil {
-			err = errors.Join(err, srv.Close())
-		}
+		err = errors.Join(err, srv.Close())
 	}
-	return errors.Join(err, cs.cluster.Close())
+	for _, srv := range cs.insts {
+		err = errors.Join(err, srv.Close())
+	}
+	return err
 }

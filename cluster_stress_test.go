@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"saqp/internal/obs"
 )
 
 // clusterStressRun drives one full failover scenario: a 4-shard
@@ -139,5 +141,105 @@ func TestShardClusterFailoverStress(t *testing.T) {
 	// (plan, sentinel config, tick count) — byte-identical across runs.
 	if !bytes.Equal(eventsA, eventsB) {
 		t.Fatalf("same-seed failover event logs diverged:\n--- run A ---\n%s--- run B ---\n%s", eventsA, eventsB)
+	}
+}
+
+// TestClusterShutdownCompletesInflightWait is the cluster's drain
+// contract: a WAIT in flight on an instance's socket when Shutdown
+// begins returns its result, not a cancellation, and Shutdown blocks
+// until it has. The waited query sits last in a one-worker queue behind
+// a backlog of equals; the backlog grows until the WAIT is observed
+// still pending after the drain has begun, so a pass is never vacuous.
+func TestClusterShutdownCompletesInflightWait(t *testing.T) {
+	fw, err := NewFramework(Options{Observer: NewObserver(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, err := TPCHSQL("q17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commands := fw.Obs.Metrics.Counter(obs.MNetCommands)
+	eventually := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	for backlog := 1000; ; backlog *= 4 {
+		if backlog > 64000 {
+			t.Fatal("no backlog kept the WAIT in flight until the drain began")
+		}
+		cs, err := fw.NewClusterServer(ClusterOptions{Shards: 1, Workers: 1, Listen: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := cs.NetAddr(0, ClusterPrimary)
+		c, err := DialNet(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < backlog; i++ {
+			if _, err := cs.Submit(context.Background(), sql, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		id, err := c.Submit(sql, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type waitOut struct {
+			res ServeResult
+			err error
+		}
+		waited := make(chan waitOut, 1)
+		sent := commands.Value()
+		go func() {
+			res, err := c.Wait(id)
+			waited <- waitOut{res, err}
+		}()
+		// The frontend counts a command before dispatching it, so one more
+		// means the WAIT is on the server, blocking on its ticket.
+		eventually("the WAIT to reach the frontend", func() bool { return commands.Value() > sent })
+
+		shutdown := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			shutdown <- cs.Shutdown(ctx)
+		}()
+		// A drain's first act is closing the listener.
+		eventually("the drain to begin", func() bool {
+			probe, err := DialNet(addr)
+			if err == nil {
+				probe.Close()
+			}
+			return err != nil
+		})
+		inflight := true
+		select {
+		case err := <-shutdown:
+			t.Fatalf("Shutdown returned %v before the in-flight WAIT", err)
+		case out := <-waited:
+			waited <- out
+			inflight = false
+		default:
+		}
+		out := <-waited
+		if out.err != nil || out.res.ID != id {
+			t.Fatalf("WAIT = (%+v, %v), want the result of %s", out.res, out.err, id)
+		}
+		if err := <-shutdown; err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		c.Close()
+		if err := cs.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if inflight {
+			return
+		}
 	}
 }

@@ -27,7 +27,7 @@
 //
 // With -listen the process hosts the TCP query frontend instead: a
 // RESP-style protocol speaking SUBMIT / WAIT / STATS / EXPLAIN /
-// METRICS / PING / QUIT (grammar in DESIGN.md), serving until
+// METRICS / PING / QUIT (grammar in docs/PROTOCOL.md), serving until
 // SIGINT/SIGTERM with a graceful drain. -query becomes optional:
 //
 //	saqp -train -listen :6380
@@ -46,6 +46,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -83,14 +84,7 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *cluster > 0 {
-		if err := runCluster(*cluster, *sf, *train, *queries, *models, *schedler, *faultSeed); err != nil {
-			fmt.Fprintln(os.Stderr, "saqp:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *sql == "" && *listen == "" {
+	if *sql == "" && *listen == "" && *cluster <= 0 {
 		fmt.Fprintln(os.Stderr, "saqp: -query is required (unless -listen or -cluster is set)")
 		flag.Usage()
 		os.Exit(2)
@@ -99,14 +93,14 @@ func main() {
 	if *faults {
 		fp = saqp.NewFaultPlan(saqp.DefaultFaultSpec(*faultSeed))
 	}
-	if err := run(*sql, *sf, *train, *queries, *models, *traceOut, *promOut, *schedler, *seed, fp, *admin, *listen); err != nil {
+	if err := run(*sql, *sf, *train, *queries, *models, *traceOut, *promOut, *schedler, *seed, *faultSeed, fp, *admin, *listen, *cluster); err != nil {
 		fmt.Fprintln(os.Stderr, "saqp:", err)
 		os.Exit(1)
 	}
 }
 
 func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
-	traceOut, promOut, scheduler string, seed uint64, fp *saqp.FaultPlan, admin, listen string) error {
+	traceOut, promOut, scheduler string, seed, faultSeed uint64, fp *saqp.FaultPlan, admin, listen string, shards int) error {
 	var o *saqp.Observer
 	var traceFile *os.File
 	if traceOut != "" || promOut != "" {
@@ -120,6 +114,9 @@ func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
 			sink = saqp.NewTraceSink(f)
 		}
 		o = saqp.NewObserver(sink)
+	} else if shards > 0 {
+		// A cluster's METRICS verb serves the saqp_shard_* series.
+		o = saqp.NewObserver(nil)
 	}
 	fw, err := saqp.NewFramework(saqp.Options{ScaleFactor: sf, Observer: o})
 	if err != nil {
@@ -134,15 +131,27 @@ func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
 			train = false
 		}
 	}
-	if sql == "" {
-		// -listen without -query: no one-shot report, straight to serving.
-		if train {
-			if err := trainModels(fw, trainQueries, modelsPath); err != nil {
-				return err
-			}
+	if sql != "" && shards <= 0 { // -cluster ignores -query
+		if err := report(fw, o, sql, train, trainQueries, modelsPath, traceFile, traceOut, promOut, scheduler, seed, fp); err != nil {
+			return err
 		}
-		return serveNet(fw, scheduler, listen)
+	} else if train {
+		// Hosting without a one-shot report: straight to serving.
+		if err := trainModels(fw, trainQueries, modelsPath); err != nil {
+			return err
+		}
 	}
+	if admin == "" && listen == "" && shards <= 0 {
+		return nil
+	}
+	return host(fw, sql, scheduler, seed, faultSeed, admin, listen, shards)
+}
+
+// report prints the one-shot answer for sql: plan, selectivity table,
+// and — with models loaded or trained — predicted time and WRD, then
+// the simulated run when an observer or fault plan asks for one.
+func report(fw *saqp.Framework, o *saqp.Observer, sql string, train bool, trainQueries int, modelsPath string,
+	traceFile *os.File, traceOut, promOut, scheduler string, seed uint64, fp *saqp.FaultPlan) error {
 	dag, err := fw.Compile(sql)
 	if err != nil {
 		return err
@@ -166,19 +175,15 @@ func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
 	}
 	w.Flush()
 
-	if !train && fw.TaskTime == nil {
-		fmt.Println("\n(run with -train to predict execution time and WRD)")
-		if err := simulate(fw, o, est, traceFile, traceOut, promOut, scheduler, seed, fp); err != nil {
-			return err
-		}
-		return serveAdmin(fw, sql, scheduler, seed, admin)
-	}
 	if train {
 		if err := trainModels(fw, trainQueries, modelsPath); err != nil {
 			return err
 		}
 	}
-
+	if fw.TaskTime == nil {
+		fmt.Println("\n(run with -train to predict execution time and WRD)")
+		return simulate(fw, o, est, traceFile, traceOut, promOut, scheduler, seed, fp)
+	}
 	secs, err := fw.PredictQuerySeconds(est)
 	if err != nil {
 		return err
@@ -196,13 +201,7 @@ func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
 		}
 		fmt.Printf("  %s predicted job time (Eq. 8): %.1f s\n", je.Job.ID, js)
 	}
-	if err := simulate(fw, o, est, traceFile, traceOut, promOut, scheduler, seed, fp); err != nil {
-		return err
-	}
-	if err := serveAdmin(fw, sql, scheduler, seed, admin); err != nil {
-		return err
-	}
-	return serveNet(fw, scheduler, listen)
+	return simulate(fw, o, est, traceFile, traceOut, promOut, scheduler, seed, fp)
 }
 
 // trainModels fits the time models on a synthetic corpus and saves
@@ -229,30 +228,108 @@ func trainModels(fw *saqp.Framework, trainQueries int, modelsPath string) error 
 	return nil
 }
 
-// runCluster hosts the sharded serving cluster until SIGINT/SIGTERM:
-// shards primary/replica engine pairs behind TCP frontends, with a
-// wall-clock heartbeat driving the sentinel loop and a deterministic
-// fault plan (seeded by -fault-seed) crashing primaries so failovers
-// actually happen while you watch.
-func runCluster(shards int, sf float64, train bool, trainQueries int, modelsPath, scheduler string, faultSeed uint64) error {
-	fw, err := saqp.NewFramework(saqp.Options{ScaleFactor: sf, Observer: saqp.NewObserver(nil)})
-	if err != nil {
-		return err
-	}
-	if modelsPath != "" {
-		if data, err := os.ReadFile(modelsPath); err == nil {
-			if err := fw.LoadModels(data); err != nil {
-				return fmt.Errorf("loading %s: %w", modelsPath, err)
-			}
-			fmt.Printf("Loaded trained models from %s\n", modelsPath)
-			train = false
-		}
-	}
-	if train {
-		if err := trainModels(fw, trainQueries, modelsPath); err != nil {
+// drainTimeout bounds the graceful drain after SIGINT/SIGTERM before
+// remaining connections are torn down.
+const drainTimeout = 30 * time.Second
+
+// host is the one hosting loop behind -admin, -listen and -cluster:
+// build the serving instance, print its banner, wait for
+// SIGINT/SIGTERM (ticking the sentinel loop when clustered), drain the
+// sockets within drainTimeout, close. -admin and -listen together host
+// one server with both endpoints.
+func host(fw *saqp.Framework, sql, scheduler string, seed, faultSeed uint64, admin, listen string, shards int) error {
+	// Registered before any banner, so a supervisor that signals as soon
+	// as it reads one always gets the drain.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
+	drain := func(context.Context) error { return nil } // -admin alone has no socket to drain
+	var closeAll func() error
+	var cs *saqp.ClusterServer // nil unless clustered
+	if shards > 0 {
+		var err error
+		if cs, err = startCluster(fw, scheduler, faultSeed, shards); err != nil {
 			return err
 		}
+		drain, closeAll = cs.Shutdown, cs.Close
+	} else {
+		srv, err := fw.NewServer(saqp.ServerOptions{Scheduler: scheduler, AdminAddr: admin})
+		if err != nil {
+			return err
+		}
+		closeAll = srv.Close
+		if admin != "" {
+			if err := serveOnce(srv, sql, seed); err != nil {
+				return errors.Join(err, srv.Close())
+			}
+		}
+		if listen != "" {
+			ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: listen, BusyQueueDepth: 256})
+			if err != nil {
+				return errors.Join(err, srv.Close())
+			}
+			drain = ns.Shutdown
+			mode := "untrained (FIFO admission)"
+			if fw.TaskTime != nil {
+				mode = "trained (WRD admission)"
+			}
+			fmt.Printf("\nTCP query frontend live at %s, models %s\n", ns.Addr(), mode)
+			fmt.Println("Commands (inline or RESP arrays, CRLF-terminated): SUBMIT / WAIT / STATS / EXPLAIN / METRICS / PING / QUIT.")
+		}
 	}
+	fmt.Println("Ctrl-C (SIGINT/SIGTERM) to drain and shut down.")
+
+	// The heartbeat outlives the signal: a submission parked on a crashed
+	// primary finishes draining only if the failover still happens.
+	var ticks <-chan time.Time
+	if cs != nil {
+		ticker := time.NewTicker(time.Second)
+		defer ticker.Stop()
+		ticks = ticker.C
+	}
+	var drained chan error
+	for {
+		select {
+		case <-sig:
+			signal.Stop(sig) // a second Ctrl-C kills the process the default way
+			sig = nil
+			fmt.Println("shutting down")
+			drained = make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+				defer cancel()
+				drained <- drain(ctx)
+			}()
+		case <-ticks:
+			for _, e := range cs.Tick() {
+				switch e.Kind {
+				case saqp.ClusterEventFailover:
+					fmt.Printf("[tick %d] shard %d FAILOVER: replica promoted by %d votes, epoch %d\n",
+						e.Tick, e.Shard, e.Votes, e.Epoch)
+				case saqp.ClusterEventVote:
+					fmt.Printf("[tick %d] shard %d: sentinel %d votes down\n", e.Tick, e.Shard, e.Sentinel)
+				default:
+					fmt.Printf("[tick %d] shard %d: %s\n", e.Tick, e.Shard, e.Kind)
+				}
+			}
+		case err := <-drained:
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "saqp: drain incomplete:", err)
+			}
+			if cs != nil {
+				fmt.Printf("failover event log (%d events):\n%s", len(cs.Events()), cs.EventsJSON())
+			}
+			return closeAll()
+		}
+	}
+}
+
+// startCluster builds the -cluster demo: shards primary/replica pairs
+// behind TCP frontends, and a deterministic fault plan (seeded by
+// -fault-seed) crashing primaries so failovers actually happen while
+// you watch.
+func startCluster(fw *saqp.Framework, scheduler string, faultSeed uint64, shards int) (*saqp.ClusterServer, error) {
 	// Every primary crashes once inside the first two simulated minutes
 	// and stays down 45 heartbeats — long past the sentinel's detection
 	// window, so each shard demonstrates a full crash → votes → failover
@@ -272,95 +349,21 @@ func runCluster(shards int, sf float64, train bool, trainQueries int, modelsPath
 		SentinelSeed: faultSeed,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("Sharded cluster live: %d shards, %d slots\n", shards, cs.Status().Slots)
 	for _, line := range cs.Info() {
 		fmt.Println("  " + line)
 	}
 	fmt.Println("Cluster wire protocol: SUBMIT/EXPLAIN answer -MOVED <slot> <addr> when a query")
-	fmt.Println("belongs to another instance; CLUSTER prints the topology. Ctrl-C to shut down.")
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	ticker := time.NewTicker(time.Second)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-sig:
-			fmt.Println("shutting down")
-			fmt.Printf("failover event log (%d events):\n%s", len(cs.Events()), cs.EventsJSON())
-			return cs.Close()
-		case <-ticker.C:
-			for _, e := range cs.Tick() {
-				switch e.Kind {
-				case saqp.ClusterEventFailover:
-					fmt.Printf("[tick %d] shard %d FAILOVER: replica promoted by %d votes, epoch %d\n",
-						e.Tick, e.Shard, e.Votes, e.Epoch)
-				case saqp.ClusterEventVote:
-					fmt.Printf("[tick %d] shard %d: sentinel %d votes down\n", e.Tick, e.Shard, e.Sentinel)
-				default:
-					fmt.Printf("[tick %d] shard %d: %s\n", e.Tick, e.Shard, e.Kind)
-				}
-			}
-		}
-	}
+	fmt.Println("belongs to another instance; CLUSTER prints the topology.")
+	return cs, nil
 }
 
-// netDrainTimeout bounds the graceful drain after SIGINT/SIGTERM
-// before remaining connections are torn down.
-const netDrainTimeout = 30 * time.Second
-
-// serveNet hosts the TCP query frontend until SIGINT/SIGTERM, then
-// drains it and closes the serving engine. A no-op when addr is empty.
-func serveNet(fw *saqp.Framework, scheduler, addr string) error {
-	if addr == "" {
-		return nil
-	}
-	srv, err := fw.NewServer(saqp.ServerOptions{Scheduler: scheduler})
-	if err != nil {
-		return err
-	}
-	ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: addr, BusyQueueDepth: 256})
-	if err != nil {
-		srv.Close()
-		return err
-	}
-	mode := "untrained (FIFO admission)"
-	if fw.TaskTime != nil {
-		mode = "trained (WRD admission)"
-	}
-	fmt.Printf("\nTCP query frontend live at %s, models %s\n", ns.Addr(), mode)
-	fmt.Println("Commands (inline or RESP arrays, CRLF-terminated): SUBMIT / WAIT / STATS / EXPLAIN / METRICS / PING / QUIT.")
-	fmt.Println("Ctrl-C (SIGINT/SIGTERM) to drain and shut down.")
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	<-sig
-	fmt.Println("draining connections")
-	ctx, cancel := context.WithTimeout(context.Background(), netDrainTimeout)
-	defer cancel()
-	if err := ns.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "saqp: drain incomplete:", err)
-	}
-	return srv.Close()
-}
-
-// serveAdmin serves the query once through the concurrent serving engine
-// with tracing and SLO tracking on, then holds the process (and the
-// admin introspection endpoint) open until SIGINT/SIGTERM. A no-op when
-// addr is empty.
-func serveAdmin(fw *saqp.Framework, sql, scheduler string, seed uint64, addr string) error {
-	if addr == "" {
-		return nil
-	}
-	srv, err := fw.NewServer(saqp.ServerOptions{
-		Scheduler: scheduler,
-		AdminAddr: addr,
-	})
-	if err != nil {
-		return err
-	}
+// serveOnce serves the -admin query through the engine (tracing and SLO
+// tracking are on, so the endpoints have substance) and prints where
+// the introspection endpoint lives.
+func serveOnce(srv *saqp.Server, sql string, seed uint64) error {
 	ctx := context.Background()
 	tk, err := srv.Submit(ctx, sql, seed)
 	if err != nil {
@@ -374,13 +377,7 @@ func serveAdmin(fw *saqp.Framework, sql, scheduler string, seed uint64, addr str
 		res.SimSec, res.Attempts)
 	fmt.Printf("admin endpoint live at %s — try:\n", srv.AdminURL())
 	fmt.Printf("  curl %s/metrics\n  curl %s/spans\n  curl %s/slo\n", srv.AdminURL(), srv.AdminURL(), srv.AdminURL())
-	fmt.Println("Ctrl-C (SIGINT/SIGTERM) to shut down.")
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	<-sig
-	fmt.Println("shutting down")
-	return srv.Close()
+	return nil
 }
 
 // simulate runs the estimated query on the simulated cluster when an

@@ -1,0 +1,177 @@
+package main
+
+import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+
+	"saqp"
+)
+
+// saqpBin is the binary under test, built once from this directory.
+var saqpBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "saqp-cmd")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	saqpBin = filepath.Join(dir, "saqp")
+	out, err := exec.Command("go", "build", "-o", saqpBin, ".").CombinedOutput()
+	code := 1
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+const smokeQuery = "SELECT l_returnflag, count(*) FROM lineitem WHERE l_quantity < 24 GROUP BY l_returnflag"
+
+// TestHostingModes drives the real binary through each hosting mode on
+// ephemeral ports: wait for the banner, probe what the mode serves,
+// SIGTERM, and require a zero exit inside the drain timeout.
+func TestHostingModes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		banner *regexp.Regexp // first submatch is the address to probe
+		probe  func(t *testing.T, addr string)
+	}{
+		{
+			name:   "admin",
+			args:   []string{"-admin", "127.0.0.1:0", "-query", smokeQuery},
+			banner: regexp.MustCompile(`admin endpoint live at (http://\S+)`),
+			probe:  probeAdmin,
+		},
+		{
+			name:   "listen",
+			args:   []string{"-listen", "127.0.0.1:0"},
+			banner: regexp.MustCompile(`TCP query frontend live at (\S+),`),
+			probe: func(t *testing.T, addr string) {
+				c := dial(t, addr)
+				if err := c.Ping(); err != nil {
+					t.Errorf("PING: %v", err)
+				}
+			},
+		},
+		{
+			name:   "cluster",
+			args:   []string{"-cluster", "2"},
+			banner: regexp.MustCompile(`shard=1 slots=\S+ primary\*=(\S+)\(up`),
+			probe: func(t *testing.T, addr string) {
+				lines, err := dial(t, addr).Cluster()
+				if err != nil {
+					t.Fatalf("CLUSTER: %v", err)
+				}
+				info := strings.Join(lines, "\n")
+				for _, want := range []string{"cluster_shards:2", "shard=0 slots=", "shard=1 slots="} {
+					if !strings.Contains(info, want) {
+						t.Errorf("CLUSTER reply lacks %q:\n%s", want, info)
+					}
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(saqpBin, tc.args...)
+			stdout, err := cmd.StdoutPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			// The banner and the "ready" line that follows it; the rest of
+			// stdout is drained so the process never blocks on a full pipe.
+			ready, exited := make(chan string, 1), make(chan struct{})
+			var exitErr error
+			go func() {
+				defer close(exited)
+				addr := ""
+				sc := bufio.NewScanner(stdout)
+				for sc.Scan() {
+					if m := tc.banner.FindStringSubmatch(sc.Text()); m != nil && addr == "" {
+						addr = m[1]
+					}
+					if addr != "" && strings.HasPrefix(sc.Text(), "Ctrl-C") {
+						ready <- addr
+						break
+					}
+				}
+				_, _ = io.Copy(io.Discard, stdout)
+				exitErr = cmd.Wait()
+			}()
+			t.Cleanup(func() {
+				_ = cmd.Process.Kill() // a no-op once the process has exited
+				<-exited
+			})
+			select {
+			case addr := <-ready:
+				tc.probe(t, addr)
+			case <-exited:
+				t.Fatalf("saqp exited before its banner: %v\n%s", exitErr, stderr.String())
+			case <-time.After(time.Minute):
+				t.Fatalf("no banner within a minute\n%s", stderr.String())
+			}
+			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-exited:
+				if exitErr != nil {
+					t.Errorf("exit after SIGTERM: %v, want 0\n%s", exitErr, stderr.String())
+				}
+			case <-time.After(drainTimeout):
+				t.Errorf("still running %v after SIGTERM", drainTimeout)
+			}
+		})
+	}
+}
+
+// probeAdmin requires 200 from the five introspection endpoints and
+// well-formed JSON from the three that serve it.
+func probeAdmin(t *testing.T, base string) {
+	for path, isJSON := range map[string]bool{
+		"/metrics": false, "/slo": true, "/spans": true, "/statz": true, "/debug/pprof/cmdline": false,
+	} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Errorf("GET %s: %v", path, err)
+			continue
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Errorf("GET %s: status %d, %d bytes, err %v", path, resp.StatusCode, len(body), err)
+		}
+		if isJSON && !json.Valid(body) {
+			t.Errorf("GET %s: not JSON: %.80s", path, body)
+		}
+	}
+}
+
+func dial(t *testing.T, addr string) *saqp.NetClient {
+	t.Helper()
+	c, err := saqp.DialNet(addr)
+	if err != nil {
+		t.Fatalf("dial %s: %v", addr, err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}

@@ -10,6 +10,7 @@ import (
 	"saqp/internal/predict"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
+	"saqp/internal/serve"
 	"saqp/internal/sim"
 	"saqp/internal/trace"
 	"saqp/internal/workload"
@@ -339,7 +340,7 @@ func ReproduceFig2(scheduler string, a *TrainedArtifacts, cfg ExperimentConfig) 
 	}
 	if a != nil {
 		for i, q := range qs {
-			recordJobDrift(cfg.Observer, a.Jobs, ests[i], q)
+			serve.RecordJobDrift(cfg.Observer, a.Jobs, ests[i], q)
 		}
 	}
 
@@ -426,21 +427,6 @@ func recordEstimateDrift(o *Observer, truth, est *selectivity.QueryEstimate) {
 	}
 }
 
-// recordJobDrift logs Eq. 8 job-time predictions (from the estimator's
-// features) against the simulated execution times of a finished query.
-func recordJobDrift(o *Observer, jm *predict.JobModel, est *selectivity.QueryEstimate, q *cluster.Query) {
-	if o == nil || o.Drift == nil || jm == nil || est == nil || q == nil {
-		return
-	}
-	for ji, je := range est.Jobs {
-		sj := q.Jobs[ji]
-		if sj.DoneTime <= sj.SubmitTime {
-			continue
-		}
-		o.Drift.RecordJob(je.Job.Type.String(), jm.PredictJob(je), sj.DoneTime-sj.SubmitTime, q.Faulted)
-	}
-}
-
 // ReproduceFig8 runs one workload mix under the three schedulers and
 // reports average query response times (paper Figure 8). meanGapSec sets
 // the Poisson arrival rate; the paper's clusters are heavily loaded, so the
@@ -518,7 +504,7 @@ func ReproduceFig8(mix string, a *TrainedArtifacts, cfg ExperimentConfig, meanGa
 		}
 		if a != nil {
 			for qi, q := range queries {
-				recordJobDrift(cfg.Observer, a.Jobs, items[qi].est, q)
+				serve.RecordJobDrift(cfg.Observer, a.Jobs, items[qi].est, q)
 			}
 		}
 		byBin := map[int]float64{}
@@ -902,24 +888,9 @@ func feedRunIntoLearner(reg *Learner, run *workload.QueryRun) {
 		if sec := sj.DoneTime - sj.SubmitTime; sec > 0 {
 			reg.ObserveJob(je.Job.Type, predict.JobFeatures(je), sec)
 		}
-		pf := je.PFactor()
-		idx := 0
-		for _, g := range je.MapGroups {
-			for i := 0; i < g.Count && i < perPhase; i++ {
-				reg.ObserveTask(je.Job.Type, false,
-					predict.TaskFeatures(je.Job.Type, g.InBytes, g.OutBytes, pf),
-					sj.Maps[idx+i].ActualSec)
-			}
-			idx += g.Count
-		}
-		idx = 0
-		for _, g := range je.ReduceGroups {
-			for i := 0; i < g.Count && i < perPhase; i++ {
-				reg.ObserveTask(je.Job.Type, true,
-					predict.TaskFeatures(je.Job.Type, g.InBytes, g.OutBytes, pf),
-					sj.Reds[idx+i].ActualSec)
-			}
-			idx += g.Count
-		}
+		op, pf := je.Job.Type, je.PFactor()
+		sj.EachSample(je, perPhase, func(g selectivity.TaskGroup, tk *cluster.Task) {
+			reg.ObserveTask(op, tk.Reduce, predict.TaskFeatures(op, g.InBytes, g.OutBytes, pf), tk.ActualSec)
+		})
 	}
 }

@@ -350,6 +350,75 @@ func TestBuildQueryFromEstimate(t *testing.T) {
 	}
 }
 
+// volumePredictor predicts a task's time as a function of its per-task
+// volumes alone, so a task's PredSec names the group it was built from.
+type volumePredictor struct{}
+
+func (volumePredictor) PredictTask(_ plan.JobType, _ bool, in, out, _ float64) float64 {
+	return in + out/1024
+}
+
+// TestEachSampleFollowsBuildQueryLayout pins the sample walk to the
+// layout BuildQuery builds — for an estimate with its own task groups
+// (a join: two map groups) and for one that carries none (the
+// synthesized single group) — and to zero allocations, since the
+// serving engine runs it per completed query.
+func TestEachSampleFollowsBuildQueryLayout(t *testing.T) {
+	qq, err := query.Parse(`SELECT o_orderpriority, count(*) FROM orders JOIN lineitem ON l_orderkey = o_orderkey GROUP BY o_orderpriority`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := query.Resolve(qq, dataset.AllSchemas()); err != nil {
+		t.Fatal(err)
+	}
+	d, err := plan.Compile(qq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.FromSchemas(dataset.TPCH(), 10, 64)
+	qe, err := selectivity.NewEstimator(cat, selectivity.Config{}).EstimateQuery(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stripped := range []bool{false, true} {
+		if stripped {
+			for _, je := range qe.Jobs {
+				je.MapGroups, je.ReduceGroups = nil, nil
+			}
+		}
+		cq := cluster.BuildQuery("q", qe, trace.NewDefaultCostModel(1), volumePredictor{})
+		const perGroup = 3
+		for ji, je := range qe.Jobs {
+			sj := cq.Jobs[ji]
+			seen := 0
+			sj.EachSample(je, perGroup, func(g selectivity.TaskGroup, tk *cluster.Task) {
+				seen++
+				if want := (volumePredictor{}).PredictTask(sj.Type, tk.Reduce, g.InBytes, g.OutBytes, 0); tk.PredSec != want {
+					t.Errorf("stripped=%v %s task %d (reduce=%v): built from other volumes than its group's", stripped, sj.ID, tk.Index, tk.Reduce)
+				}
+			})
+			want := 0
+			for _, gs := range [][]selectivity.TaskGroup{je.MapGroups, je.ReduceGroups} {
+				for _, g := range gs {
+					want += min(g.Count, perGroup)
+				}
+			}
+			if stripped {
+				want = min(len(sj.Maps), perGroup) + min(len(sj.Reds), perGroup)
+			}
+			if seen != want || seen == 0 {
+				t.Errorf("stripped=%v %s: %d samples, want %d", stripped, sj.ID, seen, want)
+			}
+		}
+		je, sj, n := qe.Jobs[0], cq.Jobs[0], 0
+		if a := testing.AllocsPerRun(100, func() {
+			sj.EachSample(je, perGroup, func(selectivity.TaskGroup, *cluster.Task) { n++ })
+		}); a != 0 {
+			t.Errorf("stripped=%v: EachSample allocates %.0f times per walk", stripped, a)
+		}
+	}
+}
+
 func TestWRDDecreasesMonotonically(t *testing.T) {
 	q := synthQuery("q", []jobSpec{{id: "J1", maps: 5, mapSec: 3}})
 	before := q.RemainingWRD()

@@ -283,19 +283,8 @@ func BuildQuery(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, p
 			j.DepIDs = append(j.DepIDs, dep.ID)
 		}
 		pf := je.PFactor()
-		groups := je.MapGroups
-		if len(groups) == 0 {
-			nm := je.NumMaps
-			if nm < 1 {
-				nm = 1
-			}
-			groups = []selectivity.TaskGroup{{
-				Count:    nm,
-				InBytes:  je.InBytes / float64(nm),
-				OutBytes: je.MedBytes / float64(nm),
-			}}
-		}
-		for _, g := range groups {
+		var one [1]selectivity.TaskGroup
+		for _, g := range phaseGroups(je, false, &one) {
 			for i := 0; i < g.Count; i++ {
 				spec := trace.TaskSpec{Op: j.Type, InBytes: g.InBytes, OutBytes: g.OutBytes}
 				t := &Task{
@@ -306,16 +295,7 @@ func BuildQuery(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, p
 				j.Maps = append(j.Maps, t)
 			}
 		}
-		rgroups := je.ReduceGroups
-		if len(rgroups) == 0 && je.NumReduces > 0 {
-			nr := je.NumReduces
-			rgroups = []selectivity.TaskGroup{{
-				Count:    nr,
-				InBytes:  je.MedBytes / float64(nr),
-				OutBytes: je.OutBytes / float64(nr),
-			}}
-		}
-		for _, g := range rgroups {
+		for _, g := range phaseGroups(je, true, &one) {
 			for i := 0; i < g.Count; i++ {
 				spec := trace.TaskSpec{Op: j.Type, Reduce: true, InBytes: g.InBytes, OutBytes: g.OutBytes}
 				t := &Task{
@@ -339,4 +319,40 @@ func BuildQuery(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, p
 		}
 	}
 	return q
+}
+
+// phaseGroups returns the task groups BuildQuery lays one phase of a
+// job out by, in task-index order: the estimate's own, or — when it
+// carries none — a single group splitting the phase's volume evenly
+// across its task count (at least one map; no group for zero reduces).
+// one backs that synthesized group so the fallback stays off the heap.
+func phaseGroups(je *selectivity.JobEstimate, reduce bool, one *[1]selectivity.TaskGroup) []selectivity.TaskGroup {
+	groups, n, in, out := je.MapGroups, je.NumMaps, je.InBytes, je.MedBytes
+	if reduce {
+		groups, n, in, out = je.ReduceGroups, je.NumReduces, je.MedBytes, je.OutBytes
+	} else if n < 1 {
+		n = 1
+	}
+	if len(groups) > 0 || n < 1 {
+		return groups
+	}
+	one[0] = selectivity.TaskGroup{Count: n, InBytes: in / float64(n), OutBytes: out / float64(n)}
+	return one[:]
+}
+
+// EachSample calls fn for the first perGroup tasks of every task group
+// of j — maps, then reduces — with the group whose per-task volumes the
+// task was built from. je must be the estimate BuildQuery built j from;
+// the group→task index layout is BuildQuery's and is known only here.
+func (j *Job) EachSample(je *selectivity.JobEstimate, perGroup int, fn func(g selectivity.TaskGroup, t *Task)) {
+	var one [1]selectivity.TaskGroup
+	for p, tasks := range [2][]*Task{j.Maps, j.Reds} {
+		idx := 0
+		for _, g := range phaseGroups(je, p == 1, &one) {
+			for i := 0; i < g.Count && i < perGroup; i++ {
+				fn(g, tasks[idx+i])
+			}
+			idx += g.Count
+		}
+	}
 }

@@ -29,9 +29,11 @@ type Config struct {
 	// Addr is the TCP listen address (host:port; ":0" picks a free
 	// port).
 	Addr string
-	// Backend is the serving engine commands dispatch into; saqp.Server
-	// satisfies it through a thin adapter. Required. The frontend never
-	// closes it: the engine outlives Shutdown so in-flight queries drain.
+	// Backend is the serving engine commands dispatch into: the facade
+	// passes a saqp.Server (behind its one adapter, which only narrows
+	// Submit's *Ticket to serve.Pending) or a cluster instance's
+	// shardserve.View. Required. The frontend cannot close it: the engine
+	// outlives Shutdown so in-flight queries drain.
 	Backend serve.Backend
 	// MaxConns bounds concurrently served connections; beyond it an
 	// accept earns `-BUSY connection limit reached` and an immediate

@@ -83,8 +83,6 @@ func (b *fakeBackend) release() {
 	b.pending = nil
 }
 
-func (b *fakeBackend) Close() error { return nil }
-
 func (b *fakeBackend) Stats() serve.Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()

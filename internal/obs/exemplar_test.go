@@ -87,7 +87,7 @@ func TestHistogramExemplarDeterminism(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			state = state*6364136223846793005 + 1442695040888963407
 			v := float64(state%100000) / 100
-			h.ObserveExemplar(v, obs.TraceID("q", "cat", uint64(i)))
+			h.ObserveExemplar(v, obs.TraceID("q\x00cat", uint64(i)))
 		}
 		b, err := r.SnapshotJSON()
 		if err != nil {

@@ -17,7 +17,7 @@ var hotSinkAccepted bool
 // stack with metrics on pays per request.
 func TestHotPathAllocs(t *testing.T) {
 	h := obs.NewRegistry().Histogram("saqp_test_hotpath_seconds", nil)
-	id := obs.TraceID("select 1", "cat", 1)
+	id := obs.TraceID("select 1\x00cat", 1)
 	everyKind := func(o *obs.Observer) {
 		for k := obs.Kind(0); k <= obs.LearnPromotion; k++ {
 			for _, reduce := range []bool{false, true} {

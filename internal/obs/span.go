@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"saqp/internal/sketch"
 )
 
 // Span kinds, from root to leaf of a request tree.
@@ -66,27 +68,12 @@ type SpanTree struct {
 }
 
 // TraceID derives the deterministic request trace id: the FNV-64a hash
-// of the normalized SQL and the catalog fingerprint (the plan-cache key
-// material), joined with the engine-assigned submission index. The same
-// query text resubmitted gets a new suffix but keeps its fingerprint
-// prefix, so related requests group textually.
-func TraceID(normSQL, catalogFingerprint string, submission uint64) string {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(normSQL); i++ {
-		h ^= uint64(normSQL[i])
-		h *= prime64
-	}
-	h ^= 0 // the cache key's NUL joint
-	h *= prime64
-	for i := 0; i < len(catalogFingerprint); i++ {
-		h ^= uint64(catalogFingerprint[i])
-		h *= prime64
-	}
-	return fmt.Sprintf("%016x-%06d", h, submission)
+// of the plan-cache key (serve.CacheKey — the same fingerprint the
+// shard coordinator routes on), joined with the engine-assigned
+// submission index. The same query text resubmitted gets a new suffix
+// but keeps its fingerprint prefix, so related requests group textually.
+func TraceID(cacheKey string, submission uint64) string {
+	return fmt.Sprintf("%016x-%06d", sketch.Hash64String(cacheKey), submission)
 }
 
 // maxSpanDecisions caps scheduler-decision spans recorded per attempt;

@@ -10,18 +10,18 @@ import (
 )
 
 func TestTraceIDDeterministic(t *testing.T) {
-	a := obs.TraceID("select 1", "cat-v1", 7)
-	b := obs.TraceID("select 1", "cat-v1", 7)
+	a := obs.TraceID("select 1\x00cat-v1", 7)
+	b := obs.TraceID("select 1\x00cat-v1", 7)
 	if a != b {
 		t.Fatalf("same inputs produced different trace ids: %q vs %q", a, b)
 	}
-	if got := obs.TraceID("select 1", "cat-v1", 8); got == a {
+	if got := obs.TraceID("select 1\x00cat-v1", 8); got == a {
 		t.Fatalf("submission index not reflected in trace id: %q", got)
 	}
-	if got := obs.TraceID("select 2", "cat-v1", 7); got == a {
+	if got := obs.TraceID("select 2\x00cat-v1", 7); got == a {
 		t.Fatalf("sql not reflected in trace id: %q", got)
 	}
-	if got := obs.TraceID("select 1", "cat-v2", 7); got == a {
+	if got := obs.TraceID("select 1\x00cat-v2", 7); got == a {
 		t.Fatalf("catalog fingerprint not reflected in trace id: %q", got)
 	}
 	// Shape: 16 hex chars, dash, 6 decimal digits.

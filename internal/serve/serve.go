@@ -136,14 +136,13 @@ type Pending interface {
 }
 
 // Backend is one serving engine as the layers above it (TCP frontend,
-// shard coordinator) drive it.
+// shard coordinator) drive it. Neither closes it: whoever built the
+// engine drains it, after the layers above have stopped submitting.
 type Backend interface {
 	// Submit admits one query for serving.
 	Submit(ctx context.Context, sql string, seed uint64) (Pending, error)
 	// Stats snapshots the engine's counters.
 	Stats() Stats
-	// Close stops admissions and drains the engine.
-	Close() error
 }
 
 // Ticket is a pending submission. Exactly one completion is delivered
@@ -358,7 +357,8 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 		return nil, err
 	}
 	norm := q.String()
-	ent, owner, evicted := e.cache.lookup(norm + "\x00" + e.cfg.CatalogFingerprint)
+	key := CacheKey(norm, e.cfg.CatalogFingerprint)
+	ent, owner, evicted := e.cache.lookup(key)
 	for i := 0; i < evicted; i++ {
 		o.Count(obs.MServeCacheEvictions)
 	}
@@ -423,7 +423,7 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 	if st := e.cfg.Spans; st != nil {
 		st.Begin()
 		t.span = obs.BeginQuerySpan(
-			obs.TraceID(norm, e.cfg.CatalogFingerprint, t.seq), t.id,
+			obs.TraceID(key, t.seq), t.id,
 			obs.AttrStr("seed", strconv.FormatUint(seed, 10)),
 			obs.AttrInt("model_version", version),
 		)
@@ -440,6 +440,15 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 	o.ServeAdmitted(t.wrd, depth)
 	e.cond.Signal()
 	return t, nil
+}
+
+// CacheKey is the identity under which two submissions are the same
+// query: normalized SQL (query.Query.String) plus the fingerprint of
+// the statistics the estimate was computed over. The plan cache looks
+// entries up by it and the shard coordinator hashes it into a slot, so
+// texts that share a cache entry always share a shard.
+func CacheKey(normSQL, catalogFP string) string {
+	return normSQL + "\x00" + catalogFP
 }
 
 // compute fills a cache entry the caller owns: resolve, compile,
@@ -594,16 +603,7 @@ func (e *Engine) run(t *Ticket) {
 				t.id, attempt+1, cq.Err))
 			return
 		}
-		if o := e.cfg.Observer; o != nil && o.Drift != nil && jm != nil {
-			for ji, je := range t.est.Jobs {
-				sj := cq.Jobs[ji]
-				if sj.DoneTime <= sj.SubmitTime {
-					continue
-				}
-				o.Drift.RecordJob(je.Job.Type.String(), jm.PredictJob(je),
-					sj.DoneTime-sj.SubmitTime, cq.Faulted)
-			}
-		}
+		RecordJobDrift(e.cfg.Observer, jm, t.est, cq)
 		if L := e.cfg.Learner; L != nil && !cq.Faulted {
 			feedback(L, t.est, cq)
 			if t.span != nil {
@@ -628,6 +628,24 @@ func (e *Engine) run(t *Ticket) {
 	}
 }
 
+// RecordJobDrift logs each finished job's Eq. 8 predicted time (from
+// the estimate's features) against its simulated execution time — the
+// live Tables 3–5. Jobs that never ran (a failed query's tail) are
+// skipped; a nil observer, drift recorder or model records nothing.
+func RecordJobDrift(o *obs.Observer, jm *predict.JobModel, est *selectivity.QueryEstimate, cq *cluster.Query) {
+	if o == nil || o.Drift == nil || jm == nil {
+		return
+	}
+	for ji, je := range est.Jobs {
+		sj := cq.Jobs[ji]
+		if sj.DoneTime <= sj.SubmitTime {
+			continue
+		}
+		o.Drift.RecordJob(je.Job.Type.String(), jm.PredictJob(je),
+			sj.DoneTime-sj.SubmitTime, cq.Faulted)
+	}
+}
+
 // learnTasksPerGroup caps how many task observations one task group
 // feeds back per completed job. A group's tasks share features (volumes
 // split evenly), so a bounded sample per group keeps feedback O(groups)
@@ -636,60 +654,20 @@ func (e *Engine) run(t *Ticket) {
 const learnTasksPerGroup = 8
 
 // feedback feeds one cleanly completed query's observed job and task
-// times into the online-learning source. Group walking mirrors
-// cluster.BuildQuery's task construction order exactly — including the
-// single synthesized group when an estimate carries none — so each
-// group's features align with the tasks it produced.
+// times into the online-learning source.
 func feedback(l learn.Source, est *selectivity.QueryEstimate, cq *cluster.Query) {
 	for ji, je := range est.Jobs {
 		sj := cq.Jobs[ji]
 		if sec := sj.DoneTime - sj.SubmitTime; sec > 0 {
 			l.ObserveJob(je.Job.Type, predict.JobFeatures(je), sec)
 		}
-		pf := je.PFactor()
-		groups := je.MapGroups
-		if len(groups) == 0 {
-			nm := je.NumMaps
-			if nm < 1 {
-				nm = 1
+		op, pf := je.Job.Type, je.PFactor()
+		sj.EachSample(je, learnTasksPerGroup, func(g selectivity.TaskGroup, tk *cluster.Task) {
+			if tk.EndTime > tk.StartTime {
+				l.ObserveTask(op, tk.Reduce, predict.TaskFeatures(op, g.InBytes, g.OutBytes, pf),
+					tk.EndTime-tk.StartTime)
 			}
-			groups = []selectivity.TaskGroup{{
-				Count:    nm,
-				InBytes:  je.InBytes / float64(nm),
-				OutBytes: je.MedBytes / float64(nm),
-			}}
-		}
-		idx := 0
-		for _, g := range groups {
-			for i := 0; i < g.Count && i < learnTasksPerGroup; i++ {
-				if tk := sj.Maps[idx+i]; tk.EndTime > tk.StartTime {
-					l.ObserveTask(je.Job.Type, false,
-						predict.TaskFeatures(je.Job.Type, g.InBytes, g.OutBytes, pf),
-						tk.EndTime-tk.StartTime)
-				}
-			}
-			idx += g.Count
-		}
-		rgroups := je.ReduceGroups
-		if len(rgroups) == 0 && je.NumReduces > 0 {
-			nr := je.NumReduces
-			rgroups = []selectivity.TaskGroup{{
-				Count:    nr,
-				InBytes:  je.MedBytes / float64(nr),
-				OutBytes: je.OutBytes / float64(nr),
-			}}
-		}
-		idx = 0
-		for _, g := range rgroups {
-			for i := 0; i < g.Count && i < learnTasksPerGroup; i++ {
-				if tk := sj.Reds[idx+i]; tk.EndTime > tk.StartTime {
-					l.ObserveTask(je.Job.Type, true,
-						predict.TaskFeatures(je.Job.Type, g.InBytes, g.OutBytes, pf),
-						tk.EndTime-tk.StartTime)
-				}
-			}
-			idx += g.Count
-		}
+		})
 	}
 }
 

@@ -158,25 +158,80 @@ type RouteInfo struct {
 // and resolves its slot, owning shard, and the active instance's
 // advertised address.
 func (c *Cluster) Route(sql string) (RouteInfo, error) {
+	ri, _, err := c.route(sql)
+	return ri, err
+}
+
+// route is Route plus the role serving the owning shard, read under
+// the same lock as the address so the pair is one failover epoch's.
+func (c *Cluster) route(sql string) (RouteInfo, Role, error) {
 	q, err := query.Parse(sql)
 	if err != nil {
-		return RouteInfo{}, err
+		return RouteInfo{}, 0, err
 	}
-	fp := Fingerprint(q.String(), c.cfg.CatalogFingerprint)
-	slot := SlotOf(fp, c.slots)
+	slot := SlotOf(Fingerprint(serve.CacheKey(q.String(), c.cfg.CatalogFingerprint)), c.slots)
 	shard := OwnerOf(slot, c.slots, len(c.shards))
 	c.mu.Lock()
 	sh := c.shards[shard]
-	addr := sh.inst[sh.active].Addr
+	active := sh.active
+	addr := sh.inst[active].Addr
 	c.mu.Unlock()
-	return RouteInfo{Slot: slot, Shard: shard, Addr: addr}, nil
+	return RouteInfo{Slot: slot, Shard: shard, Addr: addr}, active, nil
 }
 
-// ActiveRole returns which role currently serves shard's slots.
-func (c *Cluster) ActiveRole(shard int) Role {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shards[shard].active
+// View is one instance's side of the coordinator — what the TCP
+// frontend of (shard, role) serves. It is a serve.Backend: submissions
+// go through the coordinator, so a frontend whose instance just failed
+// over parks and completes on the promotion; Stats are the instance's
+// own engine; Close does nothing, because the coordinator owns the
+// engine and drains it when the cluster closes.
+type View struct {
+	c     *Cluster
+	shard int
+	role  Role
+}
+
+// View returns the instance view of (shard, role).
+func (c *Cluster) View(shard int, role Role) View { return View{c: c, shard: shard, role: role} }
+
+// Submit admits one query on the instance's shard via the coordinator.
+func (v View) Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error) {
+	return v.c.SubmitShard(ctx, v.shard, sql, seed)
+}
+
+// Stats snapshots the instance's own engine counters.
+func (v View) Stats() serve.Stats {
+	v.c.mu.Lock()
+	b := v.c.shards[v.shard].inst[v.role].Backend
+	v.c.mu.Unlock()
+	if b == nil {
+		return serve.Stats{}
+	}
+	return b.Stats()
+}
+
+// Route is the instance's routing gate (net.Config.Route): a query is
+// local exactly when this instance is the active owner of its slot;
+// otherwise addr is where the -MOVED redirect points.
+func (v View) Route(sql string) (slot int, addr string, local bool, err error) {
+	ri, active, err := v.c.route(sql)
+	if err != nil {
+		return 0, "", false, err
+	}
+	return ri.Slot, ri.Addr, ri.Shard == v.shard && active == v.role, nil
+}
+
+// Info is the CLUSTER verb's reply — the same topology snapshot from
+// every instance.
+func (v View) Info() []string { return v.c.Info() }
+
+// Attribution is the line the instance appends to its EXPLAIN output:
+// who answered, and the model version its predictions are served from.
+func (v View) Attribution() string {
+	v.c.mu.Lock()
+	version := v.c.shards[v.shard].inst[v.role].Model.Version()
+	v.c.mu.Unlock()
+	return fmt.Sprintf("shard=%d role=%s model_version=%d", v.shard, v.role, version)
 }
 
 // SetAddr records the advertised wire address of one instance — the
@@ -262,38 +317,6 @@ func (sp *shardPending) Wait(ctx context.Context) (serve.Result, error) {
 	}
 	res.ID = sp.id
 	return res, nil
-}
-
-// InstanceStats snapshots one instance's engine counters.
-func (c *Cluster) InstanceStats(shard int, role Role) serve.Stats {
-	c.mu.Lock()
-	b := c.shards[shard].inst[role].Backend
-	c.mu.Unlock()
-	if b == nil {
-		return serve.Stats{}
-	}
-	return b.Stats()
-}
-
-// Stats aggregates every instance's engine counters — the
-// cluster-wide completion accounting the exactly-once gates compare
-// against client-observed WAITs.
-func (c *Cluster) Stats() serve.Stats {
-	c.mu.Lock()
-	backends := make([]serve.Backend, 0, 2*len(c.shards))
-	for _, sh := range c.shards {
-		for r := range sh.inst {
-			if sh.inst[r].Backend != nil {
-				backends = append(backends, sh.inst[r].Backend)
-			}
-		}
-	}
-	c.mu.Unlock()
-	var agg serve.Stats
-	for _, b := range backends {
-		agg.Add(b.Stats())
-	}
-	return agg
 }
 
 // InstanceStatus is one instance's coordinator view.
@@ -387,26 +410,6 @@ func (c *Cluster) Info() []string {
 		lines = append(lines, b.String())
 	}
 	return lines
-}
-
-// Close drains every instance's engine, primaries first, and joins
-// their errors.
-func (c *Cluster) Close() error {
-	c.mu.Lock()
-	backends := make([]serve.Backend, 0, 2*len(c.shards))
-	for _, sh := range c.shards {
-		for r := range sh.inst {
-			if sh.inst[r].Backend != nil {
-				backends = append(backends, sh.inst[r].Backend)
-			}
-		}
-	}
-	c.mu.Unlock()
-	var err error
-	for _, b := range backends {
-		err = errors.Join(err, b.Close())
-	}
-	return err
 }
 
 // syncModelsLocked fans the coordinator champion out to every alive

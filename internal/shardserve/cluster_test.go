@@ -29,10 +29,9 @@ func (p *fakePending) Wait(ctx context.Context) (serve.Result, error) {
 type fakeBackend struct {
 	name string
 
-	mu     sync.Mutex
-	seq    int
-	subs   []string
-	closed bool
+	mu   sync.Mutex
+	seq  int
+	subs []string
 }
 
 func (b *fakeBackend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error) {
@@ -47,13 +46,6 @@ func (b *fakeBackend) Stats() serve.Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return serve.Stats{Submitted: uint64(len(b.subs)), Completed: uint64(len(b.subs))}
-}
-
-func (b *fakeBackend) Close() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.closed = true
-	return nil
 }
 
 func (b *fakeBackend) submissions() int {
@@ -120,7 +112,6 @@ func TestSlotPartitionCoversEverySlotExactlyOnce(t *testing.T) {
 
 func TestRouteNormalizesBeforeHashing(t *testing.T) {
 	c, _ := newTestCluster(t, 4, nil, nil)
-	defer c.Close()
 	a, err := c.Route("SELECT COUNT(*) FROM lineitem WHERE l_quantity < 24")
 	if err != nil {
 		t.Fatalf("Route: %v", err)
@@ -142,7 +133,6 @@ func TestRouteNormalizesBeforeHashing(t *testing.T) {
 
 func TestSubmitPrefixesTicketIDsWithShard(t *testing.T) {
 	c, backends := newTestCluster(t, 2, nil, nil)
-	defer c.Close()
 	ctx := context.Background()
 	p, err := c.SubmitShard(ctx, 1, "SELECT COUNT(*) FROM orders", 42)
 	if err != nil {
@@ -179,7 +169,6 @@ func crashPlan(t *testing.T, nodes int) *fault.Plan {
 func TestSentinelQuorumFailover(t *testing.T) {
 	pl := crashPlan(t, 2)
 	c, backends := newTestCluster(t, 2, pl, nil)
-	defer c.Close()
 
 	const ticks = 60 // past horizon + downtime: every crash actuates and rejoins
 	var all []Event
@@ -199,12 +188,12 @@ func TestSentinelQuorumFailover(t *testing.T) {
 	if kinds[EventVote] < 2*2 {
 		t.Fatalf("votes = %d, want at least quorum per shard", kinds[EventVote])
 	}
-	for shard := 0; shard < 2; shard++ {
-		if c.ActiveRole(shard) != RoleReplica {
-			t.Fatalf("shard %d active role = %v after failover, want replica", shard, c.ActiveRole(shard))
+	st := c.Status()
+	for _, is := range st.Instances {
+		if is.Active != (is.Role == RoleReplica) {
+			t.Fatalf("shard %d %v active = %v after failover, want the replica serving", is.Shard, is.Role, is.Active)
 		}
 	}
-	st := c.Status()
 	if st.Epoch != 2 {
 		t.Fatalf("epoch = %d after two failovers, want 2", st.Epoch)
 	}
@@ -235,7 +224,6 @@ func TestSentinelQuorumFailover(t *testing.T) {
 func TestSubmitParksDuringOutageAndReleasesOnPromotion(t *testing.T) {
 	pl := crashPlan(t, 1)
 	c, backends := newTestCluster(t, 1, pl, nil)
-	defer c.Close()
 
 	// Tick until the crash actuates, but stop before the failover.
 	crashed := false
@@ -285,16 +273,12 @@ func TestSubmitParksDuringOutageAndReleasesOnPromotion(t *testing.T) {
 	if backends[0][1].submissions() != 1 || backends[0][0].submissions() != 0 {
 		t.Fatal("parked submission did not land on the promoted replica")
 	}
-	if c.Stats().Submitted != 1 {
-		t.Fatalf("aggregated Submitted = %d, want 1", c.Stats().Submitted)
-	}
 }
 
 func TestEventLogIsByteIdenticalAcrossReplays(t *testing.T) {
 	run := func() []byte {
 		pl := crashPlan(t, 4)
 		c, _ := newTestCluster(t, 4, pl, nil)
-		defer c.Close()
 		for i := 0; i < 80; i++ {
 			c.Tick()
 		}
@@ -312,7 +296,6 @@ func TestEventLogIsByteIdenticalAcrossReplays(t *testing.T) {
 func TestModelReplicationFansOutOnTick(t *testing.T) {
 	reg := learn.NewRegistry(learn.Config{MinSamples: 5, Window: 4})
 	c, _ := newTestCluster(t, 2, nil, reg)
-	defer c.Close()
 
 	// Bootstrap a champion on the coordinator registry.
 	for i := 0; i < 20; i++ {
@@ -347,9 +330,63 @@ func TestModelReplicationFansOutOnTick(t *testing.T) {
 	}
 }
 
+// TestViewIsTheActiveOwnersGate pins the per-instance view the TCP
+// frontends serve: Route is local exactly on the active instance of the
+// owning shard — before and after a failover — redirects carry the
+// active instance's address, Stats are the instance's own engine, and
+// Attribution names the instance and its replica's model version.
+func TestViewIsTheActiveOwnersGate(t *testing.T) {
+	reg := learn.NewRegistry(learn.Config{MinSamples: 5, Window: 4})
+	c, backends := newTestCluster(t, 2, crashPlan(t, 2), reg)
+	const sql = "SELECT COUNT(*) FROM orders"
+	ri, err := c.Route(sql)
+	if err != nil {
+		t.Fatalf("Route: %v", err)
+	}
+	check := func(active Role) {
+		t.Helper()
+		for shard := 0; shard < 2; shard++ {
+			for role := RolePrimary; role <= RoleReplica; role++ {
+				slot, addr, local, err := c.View(shard, role).Route(sql)
+				if err != nil {
+					t.Fatalf("View(%d,%v).Route: %v", shard, role, err)
+				}
+				if want := shard == ri.Shard && role == active; local != want {
+					t.Errorf("View(%d,%v) local = %v with %v active on shard %d, want %v", shard, role, local, active, ri.Shard, want)
+				}
+				if want := fmt.Sprintf("127.0.0.1:7%d0%d", ri.Shard, active); slot != ri.Slot || addr != want {
+					t.Errorf("View(%d,%v) redirects to slot %d at %s, want %d at %s", shard, role, slot, addr, ri.Slot, want)
+				}
+			}
+		}
+	}
+	check(RolePrimary)
+	for i := 0; i < 20; i++ {
+		x := float64(i%7 + 1)
+		reg.ObserveJob(plan.Groupby, []float64{x, x * x}, 2*x+3)
+	}
+	for i := 0; i < 60; i++ {
+		c.Tick()
+	}
+	check(RoleReplica)
+
+	v := c.View(ri.Shard, RoleReplica)
+	if _, err := v.Submit(context.Background(), sql, 1); err != nil {
+		t.Fatalf("View.Submit: %v", err)
+	}
+	if got := backends[ri.Shard][RoleReplica].submissions(); got != 1 {
+		t.Fatalf("promoted replica saw %d submissions through its view, want 1", got)
+	}
+	if got, want := v.Stats(), backends[ri.Shard][RoleReplica].Stats(); got != want {
+		t.Errorf("View.Stats = %+v, want the instance's own engine's %+v", got, want)
+	}
+	if got, want := v.Attribution(), fmt.Sprintf("shard=%d role=replica model_version=%d", ri.Shard, reg.Version()); got != want || reg.Version() == 0 {
+		t.Errorf("View.Attribution = %q, want %q with a promoted champion", got, want)
+	}
+}
+
 func TestInfoIsStableAndShardOrdered(t *testing.T) {
 	c, _ := newTestCluster(t, 2, nil, nil)
-	defer c.Close()
 	a := strings.Join(c.Info(), "\n")
 	b := strings.Join(c.Info(), "\n")
 	if a != b {

@@ -1,30 +1,17 @@
 package shardserve
 
+import "saqp/internal/sketch"
+
 // DefaultSlots is the default size of the hash-slot space. Small
 // enough to print, large enough that four shards get sixteen slots
 // each; the slot count is a routing granularity, not a shard limit.
 const DefaultSlots = 64
 
-// Fingerprint hashes a normalized query plus the catalog fingerprint
-// with FNV-64a — the same identity the serving engine's plan cache
-// keys on (norm + NUL + catalog), so two queries that share a cache
-// entry always route to the same shard and routing never splits a
-// shard's working set.
-func Fingerprint(normSQL, catalogFP string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(normSQL); i++ {
-		h = (h ^ uint64(normSQL[i])) * prime64
-	}
-	h = (h ^ 0) * prime64 // NUL separator, mirroring the cache key
-	for i := 0; i < len(catalogFP); i++ {
-		h = (h ^ uint64(catalogFP[i])) * prime64
-	}
-	return h
-}
+// Fingerprint hashes a plan-cache key (serve.CacheKey) with FNV-64a.
+// Routing on the engines' own cache identity means two queries that
+// share a cache entry always route to the same shard, so routing never
+// splits a shard's working set.
+func Fingerprint(cacheKey string) uint64 { return sketch.Hash64String(cacheKey) }
 
 // SlotOf maps a fingerprint onto the slot space.
 func SlotOf(fp uint64, slots int) int {

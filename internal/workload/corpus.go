@@ -253,32 +253,15 @@ func (c *Corpus) collectSamples(run *QueryRun) {
 		// a bounded number per group keeps the corpus compact without
 		// changing the fitted coefficients' expectation.
 		const perPhase = 16
-		pf := je.PFactor()
-		taskIdx := 0
-		for _, g := range je.MapGroups {
-			for i := 0; i < minInt(g.Count, perPhase); i++ {
-				t := sj.Maps[taskIdx+i]
-				c.TaskSamples = append(c.TaskSamples, predict.TaskSample{
-					Op:       je.Job.Type,
-					Features: predict.TaskFeatures(je.Job.Type, g.InBytes, g.OutBytes, pf),
-					Seconds:  t.ActualSec,
-				})
-			}
-			taskIdx += g.Count
-		}
-		taskIdx = 0
-		for _, g := range je.ReduceGroups {
-			for i := 0; i < minInt(g.Count, perPhase); i++ {
-				t := sj.Reds[taskIdx+i]
-				c.TaskSamples = append(c.TaskSamples, predict.TaskSample{
-					Op:       je.Job.Type,
-					Reduce:   true,
-					Features: predict.TaskFeatures(je.Job.Type, g.InBytes, g.OutBytes, pf),
-					Seconds:  t.ActualSec,
-				})
-			}
-			taskIdx += g.Count
-		}
+		op, pf := je.Job.Type, je.PFactor()
+		sj.EachSample(je, perPhase, func(g selectivity.TaskGroup, t *cluster.Task) {
+			c.TaskSamples = append(c.TaskSamples, predict.TaskSample{
+				Op:       op,
+				Reduce:   t.Reduce,
+				Features: predict.TaskFeatures(op, g.InBytes, g.OutBytes, pf),
+				Seconds:  t.ActualSec,
+			})
+		})
 	}
 }
 
@@ -296,13 +279,6 @@ func (c *Corpus) Split(trainFrac float64) (train, test *Corpus) {
 		dst.collectSamples(run)
 	}
 	return train, test
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // NumJobs returns the total number of jobs across runs (the paper's

@@ -9,6 +9,7 @@ import (
 	"saqp/internal/net"
 	"saqp/internal/net/proto"
 	"saqp/internal/serve"
+	"saqp/internal/shardserve"
 )
 
 // Network-frontend re-exports, so callers stay on the facade.
@@ -43,23 +44,23 @@ type NetOptions struct {
 	BusyQueueDepth int
 }
 
-// netBackend adapts the facade Server to the serve.Backend seam.
-type netBackend struct{ s *Server }
+// backend is the facade's one adapter: *Server as a serve.Backend, for
+// the TCP frontend and the shard coordinator. Stats is Server's own;
+// Submit exists only because Go's return types are invariant —
+// Server.Submit returns the concrete *Ticket its callers use, the seam
+// wants a serve.Pending.
+type backend struct{ *Server }
 
 // Submit admits one query through the facade server.
-func (b netBackend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error) {
-	t, err := b.s.Submit(ctx, sql, seed)
+func (b backend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error) {
+	t, err := b.Server.Submit(ctx, sql, seed)
 	if err != nil {
+		// Returned as an untyped nil: a nil *Ticket in the interface
+		// would read as a non-nil Pending.
 		return nil, err
 	}
 	return t, nil
 }
-
-// Stats snapshots the facade server's counters.
-func (b netBackend) Stats() ServeStats { return b.s.Stats() }
-
-// Close drains the facade server.
-func (b netBackend) Close() error { return b.s.Close() }
 
 // NewNetServer starts the TCP query frontend over srv: a RESP-style
 // protocol speaking SUBMIT / WAIT / STATS / EXPLAIN / METRICS / PING /
@@ -68,9 +69,18 @@ func (b netBackend) Close() error { return b.s.Close() }
 // frontend drains via NetServer.Shutdown — close srv only after that
 // returns, so in-flight queries keep their engine.
 func (f *Framework) NewNetServer(srv *Server, opts NetOptions) (*NetServer, error) {
-	return net.Start(net.Config{
+	return f.startNet(opts, backend{srv})
+}
+
+// startNet starts every TCP frontend the facade hosts — NewNetServer's
+// and one per instance of a listening ClusterServer — so this is the
+// one net.Config. A backend that is a cluster instance's view makes the
+// frontend that instance's: it gates SUBMIT/EXPLAIN on slot ownership,
+// serves CLUSTER, and signs EXPLAIN with the instance's attribution.
+func (f *Framework) startNet(opts NetOptions, b serve.Backend) (*NetServer, error) {
+	cfg := net.Config{
 		Addr:           opts.Addr,
-		Backend:        netBackend{s: srv},
+		Backend:        b,
 		MaxConns:       opts.MaxConns,
 		MaxPending:     opts.MaxPending,
 		IdleTimeout:    opts.IdleTimeout,
@@ -80,7 +90,18 @@ func (f *Framework) NewNetServer(srv *Server, opts NetOptions) (*NetServer, erro
 		Explain:        f.explainLines,
 		MetricsText:    f.metricsText,
 		Observer:       f.Obs,
-	})
+	}
+	if inst, ok := b.(shardserve.View); ok {
+		cfg.Route, cfg.ClusterInfo = inst.Route, inst.Info
+		cfg.Explain = func(sql string) ([]string, error) {
+			lines, err := f.explainLines(sql)
+			if err != nil {
+				return nil, err
+			}
+			return append(lines, inst.Attribution()), nil
+		}
+	}
+	return net.Start(cfg)
 }
 
 // DialNet connects a wire client to a NetServer at addr.

@@ -14,6 +14,7 @@ import (
 	"saqp/internal/query"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
+	"saqp/internal/serve"
 	"saqp/internal/trace"
 	"saqp/internal/workload"
 )
@@ -316,12 +317,7 @@ func (f *Framework) SimulateQueryConfig(id string, qe *QueryEstimate, scheduler 
 	if q.Failed() {
 		return 0, q.Err
 	}
-	if f.Obs != nil && f.JobTime != nil {
-		for ji, je := range qe.Jobs {
-			sj := q.Jobs[ji]
-			f.Obs.Drift.RecordJob(je.Job.Type.String(), f.JobTime.PredictJob(je), sj.DoneTime-sj.SubmitTime, q.Faulted)
-		}
-	}
+	serve.RecordJobDrift(f.Obs, f.JobTime, qe, q)
 	return q.ResponseTime(), nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"time"
 
+	"saqp/internal/learn"
 	"saqp/internal/obs"
 	"saqp/internal/obs/adminhttp"
 	"saqp/internal/serve"
@@ -89,12 +90,11 @@ type ServerOptions struct {
 // See internal/serve for the pipeline; Server adds the facade's trained
 // models, catalog fingerprinting, and wall-clock timeouts.
 type Server struct {
-	eng     *serve.Engine
-	opts    ServerOptions
-	learner *Learner
-	spans   *SpanStore
-	slo     *SLOTracker
-	admin   *adminhttp.Server
+	eng   *serve.Engine
+	opts  ServerOptions // with Learner resolved: the registry built for OnlineLearning, if any
+	spans *SpanStore
+	slo   *SLOTracker
+	admin *adminhttp.Server
 }
 
 // NewServer starts a serving engine over the framework's estimator and
@@ -104,6 +104,23 @@ type Server struct {
 // read-only after construction, so the framework remains usable
 // concurrently.
 func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
+	if opts.Learner == nil && opts.OnlineLearning {
+		opts.Learner = f.NewLearner(LearnerConfig{})
+	}
+	if opts.Learner == nil {
+		// An untyped nil: a nil *Learner in the interface would be a
+		// non-nil learn.Source and turn learning "on".
+		return f.newServer(opts, nil)
+	}
+	return f.newServer(opts, opts.Learner)
+}
+
+// newServer builds every serving instance the facade hosts — the
+// standalone Server and each of a ClusterServer's 2·Shards instances —
+// so this is the one serve.Config outside internal/serve. src is the
+// instance's learning source: a Learner it owns or shares, a cluster
+// instance's model replica, or nil for none.
+func (f *Framework) newServer(opts ServerOptions, src learn.Source) (*Server, error) {
 	name := opts.Scheduler
 	if name == "" {
 		name = SchedulerSWRD
@@ -111,10 +128,6 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 	pol, err := schedulerByName(name)
 	if err != nil {
 		return nil, err
-	}
-	lr := opts.Learner
-	if lr == nil && opts.OnlineLearning {
-		lr = f.NewLearner(LearnerConfig{})
 	}
 	// The admin server implies tracing and a default SLO so its /spans
 	// and /slo endpoints have substance, and needs a metrics registry
@@ -139,7 +152,7 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 	if ob == nil && opts.AdminAddr != "" {
 		ob = obs.New(nil)
 	}
-	cfg := serve.Config{
+	eng, err := serve.New(serve.Config{
 		Schemas:            f.Schemas,
 		Estimator:          f.Estimator,
 		CatalogFingerprint: f.statsFingerprint(),
@@ -151,30 +164,23 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 		MaxRetries:         opts.MaxRetries,
 		CacheSize:          opts.CacheSize,
 		QueueCap:           opts.QueueCap,
+		Learner:            src,
 		Observer:           ob,
 		Spans:              spans,
 		SLO:                slo,
-	}
-	// Config.Learner is an interface; assigning a nil *Learner directly
-	// would produce a typed non-nil interface and turn learning "on".
-	if lr != nil {
-		cfg.Learner = lr
-	}
-	eng, err := serve.New(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{eng: eng, opts: opts, learner: lr, spans: spans, slo: slo}
+	s := &Server{eng: eng, opts: opts, spans: spans, slo: slo}
 	if opts.AdminAddr != "" {
-		cfg := adminhttp.Config{
+		adm, err := adminhttp.Start(opts.AdminAddr, adminhttp.Config{
+			Metrics:   ob.Metrics, // ob is never nil here: see above
+			Drift:     ob.Drift,
 			Spans:     spans,
 			SLO:       slo,
 			StatsJSON: func() ([]byte, error) { return json.MarshalIndent(eng.Stats(), "", "  ") },
-		}
-		if ob != nil {
-			cfg.Metrics, cfg.Drift = ob.Metrics, ob.Drift
-		}
-		adm, err := adminhttp.Start(opts.AdminAddr, cfg)
+		})
 		if err != nil {
 			_ = eng.Close() //lint:allow saqpvet/errdrop Close never fails; the listen error is the one to surface
 			return nil, err
@@ -186,7 +192,7 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 
 // Learner returns the online model-lifecycle registry this server
 // serves from and feeds back into, or nil when online learning is off.
-func (s *Server) Learner() *Learner { return s.learner }
+func (s *Server) Learner() *Learner { return s.opts.Learner }
 
 // Submit admits one HiveQL query for serving and returns a ticket whose
 // Wait delivers the result. ctx governs the submission end to end: cancel
