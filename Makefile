@@ -2,7 +2,7 @@ GO      ?= go
 BIN     := bin
 SAQPVET := $(BIN)/saqpvet
 
-.PHONY: all build test race lint lint-self bench-alloc fuzz-smoke stress cover-serve scheduler-comparison bench bench-micro bench-micro-rebase ci clean
+.PHONY: all build test race lint lint-self bench-alloc fuzz-smoke stress cover-serve scheduler-comparison bench ci clean
 
 all: build
 
@@ -34,7 +34,7 @@ bench-alloc:
 	$(GO) test -count=1 -run TestHotPathAllocs \
 		./internal/mapreduce ./internal/selectivity ./internal/histogram \
 		./internal/dataset ./internal/predict ./internal/serve ./internal/obs \
-		./internal/net/proto ./internal/sketch
+		./internal/net/proto
 
 test:
 	$(GO) test ./...
@@ -84,29 +84,6 @@ scheduler-comparison:
 	python3 -c "import json; json.load(open('obs-out/scheduler-comparison.trace.json'))"
 	gzip -f -9 obs-out/scheduler-comparison.trace.json
 
-# Allocation gate for the BenchmarkMicro* families (sketch ops,
-# estimator, engine map/shuffle/reduce, serve-cache lookup): allocs/op
-# may never regress against testdata/bench_baseline/BENCH_micro.json.
-# ns/op is recorded, not gated — timed comparisons are `go run ./bench`
-# (docs/MEASURING.md). Writes bench-out/BENCH_micro.{txt,json}; the raw
-# text is benchstat-ready.
-MICRO_PKGS  := ./internal/sketch ./internal/selectivity ./internal/mapreduce ./internal/serve
-MICRO_BENCH  = $(GO) test -run '^$$' -bench '^BenchmarkMicro' -benchmem -count 1 \
-	$(MICRO_PKGS) | tee bench-out/BENCH_micro.txt
-MICRO_GATE   = $(GO) run ./cmd/benchrunner -micro-in bench-out/BENCH_micro.txt \
-	-bench-out bench-out -micro-baseline testdata/bench_baseline/BENCH_micro.json
-bench-micro:
-	@mkdir -p bench-out
-	$(MICRO_BENCH)
-	$(MICRO_GATE)
-
-# Rebase the committed microbenchmark baseline from a fresh run on this
-# machine (review the diff before committing).
-bench-micro-rebase:
-	@mkdir -p bench-out
-	$(MICRO_BENCH)
-	$(MICRO_GATE) -micro-rebase
-
 # Regenerate the paper's tables and figures plus the deterministic
 # fault and online-learning replays with full observability:
 # machine-readable BENCH_<exp>.json per experiment, a Perfetto-loadable
@@ -122,7 +99,7 @@ bench:
 
 # Everything CI runs, in the same order: .github/workflows/ci.yml is one
 # `make <target>` step per name here.
-ci: build lint lint-self test bench-alloc race fuzz-smoke stress cover-serve bench-micro bench scheduler-comparison
+ci: build lint lint-self test bench-alloc race fuzz-smoke stress cover-serve bench scheduler-comparison
 
 clean:
 	rm -rf $(BIN) bench-out obs-out

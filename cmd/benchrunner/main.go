@@ -11,7 +11,6 @@
 //	benchrunner -exp table3 -queries 1000
 //	benchrunner -exp fig8 -gap 12
 //	benchrunner -exp learn -queries 120 -bench-out bench-out
-//	benchrunner -micro-in bench.txt -micro-baseline BENCH_micro.json
 package main
 
 import (
@@ -39,17 +38,12 @@ func main() {
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of the simulated runs (fig2/fig8/fault) to this file")
 		promOut  = flag.String("metrics", "", "write Prometheus text-format metrics to this file")
 		benchDir = flag.String("bench-out", "", "write machine-readable BENCH_<exp>.json results into this directory")
-
-		microIn       = flag.String("micro-in", "", "gate this `go test -bench -benchmem` text output instead of running experiments")
-		microBaseline = flag.String("micro-baseline", "", "micro: committed BENCH_micro.json whose allocs/op this run may not exceed")
-		microRebase   = flag.Bool("micro-rebase", false, "micro: rewrite -micro-baseline from this run instead of gating")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"benchrunner regenerates the paper's evaluation artifacts (Tables 2-5,\n"+
 				"Figures 2 and 5-8) and the deterministic fault and online-learning\n"+
-				"replays from the simulated substrate; with -micro-in it gates\n"+
-				"`go test -bench` allocations against a committed baseline instead.\n"+
+				"replays from the simulated substrate.\n"+
 				"Timed measurement lives in `go run ./bench` (docs/MEASURING.md).\n\n"+
 				"usage: benchrunner [flags]\n\n"+
 				"examples:\n"+
@@ -68,13 +62,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	var err error
-	if *microIn != "" {
-		err = runMicroBench(*microIn, *microBaseline, *microRebase, *benchDir)
-	} else {
-		err = run(*exp, *queries, *gap, *seed, *csvDir, *traceOut, *promOut, *benchDir)
-	}
-	if err != nil {
+	if err := run(*exp, *queries, *gap, *seed, *csvDir, *traceOut, *promOut, *benchDir); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
 		os.Exit(1)
 	}

@@ -47,12 +47,6 @@ var DeterministicPackages = []string{
 	"saqp/internal/dataset",
 	"saqp/internal/trace",
 	"saqp/internal/core",
-	// The sketch tier promises byte-identical sketch state for the same
-	// input stream: hashing is seedless FNV-1a plus a fixed SplitMix64
-	// finalizer, and estimates are pure functions of register/counter
-	// state. Catalog fingerprints and Bloom-pruned shuffles both depend
-	// on that stability.
-	"saqp/internal/sketch",
 	// The shard coordinator promises byte-identical failover event logs
 	// for equal (fault plan, sentinel config, tick count): the sentinel
 	// state machine advances only on explicit ticks, heartbeat phases

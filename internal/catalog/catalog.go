@@ -11,7 +11,6 @@ import (
 
 	"saqp/internal/dataset"
 	"saqp/internal/histogram"
-	"saqp/internal/sketch"
 )
 
 // DefaultBuckets is the histogram resolution used when callers do not
@@ -39,25 +38,6 @@ type ColumnStats struct {
 	TopShare float64 `json:"top_share"`
 	// Ref is "table.column" when this column is a foreign key.
 	Ref string `json:"ref,omitempty"`
-	// Sketch holds the probabilistic summaries built alongside the exact
-	// scan. Only Collect populates it; the analytic FromSchema path has
-	// no rows to sketch, so it stays nil there.
-	Sketch *SketchStats `json:"sketch,omitempty"`
-}
-
-// SketchStats is the probabilistic-statistics companion to a column's
-// exact summary: an HLL for distinct counts, a count-min sketch for
-// per-value frequencies, and the running heavy-hitter count observed
-// while the sketch was fed. The selectivity tier substitutes these for
-// Distinct/TopShare when running in sketch mode.
-type SketchStats struct {
-	HLL *sketch.HLL `json:"hll,omitempty"`
-	CMS *sketch.CMS `json:"cms,omitempty"`
-	// TopCount is the count-min estimate for the most frequent value,
-	// captured as a running max during collection (each insert's fresh
-	// estimate is compared against the best so far, so no second pass
-	// over the key space is needed).
-	TopCount uint64 `json:"top_count,omitempty"`
 }
 
 // TableStats summarises one table.
@@ -171,11 +151,6 @@ func Collect(rel *dataset.Relation, n int) *TableStats {
 func collectColumn(rel *dataset.Relation, ci int, col *dataset.Column, n int) *ColumnStats {
 	cs := &ColumnStats{Name: col.Name, Kind: col.Kind, Ref: col.Ref}
 	freq := make(map[string]int64)
-	distinct := make(map[string]struct{})
-	sk := &SketchStats{
-		HLL: sketch.NewHLL(sketch.DefaultHLLPrecision),
-		CMS: sketch.NewCMS(sketch.DefaultCMSDepth, sketch.DefaultCMSWidth),
-	}
 	var widthSum float64
 	numeric := col.Kind != dataset.KindString
 	min, max := math.Inf(1), math.Inf(-1)
@@ -186,17 +161,7 @@ func collectColumn(rel *dataset.Relation, ci int, col *dataset.Column, n int) *C
 	adjacentEqual := 0
 	for i, row := range rel.Rows {
 		v := row[ci]
-		distinct[v.Key()] = struct{}{}
 		freq[v.Key()]++
-		// One hash of the same identity the exact maps key on feeds both
-		// sketches; the running max turns the count-min into a
-		// heavy-hitter counter without a second pass.
-		h := sketch.Hash64String(v.Key())
-		sk.HLL.Add(h)
-		sk.CMS.Add(h)
-		if c := sk.CMS.Count(h); c > sk.TopCount {
-			sk.TopCount = c
-		}
 		widthSum += float64(v.Width())
 		if numeric {
 			f := v.Num()
@@ -213,8 +178,7 @@ func collectColumn(rel *dataset.Relation, ci int, col *dataset.Column, n int) *C
 		}
 	}
 	rows := len(rel.Rows)
-	cs.Distinct = int64(len(distinct))
-	cs.Sketch = sk
+	cs.Distinct = int64(len(freq))
 	if rows > 0 {
 		cs.AvgWidth = widthSum / float64(rows)
 		var top int64
@@ -391,6 +355,18 @@ func Decode(data []byte) (*Catalog, error) {
 	}
 	if c.Tables == nil {
 		c.Tables = make(map[string]*TableStats)
+	}
+	// JSON null decodes to a nil pointer that Fingerprint and the
+	// estimator would dereference.
+	for name, t := range c.Tables {
+		if t == nil {
+			return nil, fmt.Errorf("catalog: decode: table %q is null", name)
+		}
+		for cn, cs := range t.Columns {
+			if cs == nil {
+				return nil, fmt.Errorf("catalog: decode: column %q.%q is null", name, cn)
+			}
+		}
 	}
 	return &c, nil
 }

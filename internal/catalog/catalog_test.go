@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"saqp/internal/dataset"
@@ -156,6 +157,26 @@ func TestDecodeGarbage(t *testing.T) {
 	c, err := Decode([]byte("{}"))
 	if err != nil || c.Tables == nil {
 		t.Fatal("Decode of empty object should give usable catalog")
+	}
+}
+
+// TestDecodeRejectsNull: statistics files are outside input, and a JSON
+// null table or column decodes to a nil pointer that Fingerprint and the
+// estimator would dereference.
+func TestDecodeRejectsNull(t *testing.T) {
+	for _, tc := range []struct{ name, json string }{
+		{"null table", `{"tables":{"t":null}}`},
+		{"null column", `{"tables":{"t":{"name":"t","rows":1,"columns":{"c":null}}}}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Decode([]byte(tc.json))
+			if err == nil {
+				t.Fatalf("Decode accepted %s; Fingerprint() = %q", tc.json, c.Fingerprint())
+			}
+			if !strings.HasPrefix(err.Error(), "catalog: decode:") {
+				t.Fatalf("error %q lacks the catalog: decode: prefix", err)
+			}
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"saqp/internal/dataset"
-	"saqp/internal/obs"
 	"saqp/internal/plan"
 	"saqp/internal/query"
 	"saqp/internal/selectivity"
@@ -24,18 +23,6 @@ type Config struct {
 	NumReducers int
 	// Parallelism bounds concurrent map/reduce tasks (default NumCPU).
 	Parallelism int
-	// BloomPrune enables Bloom-filter semi-join pruning on shuffle
-	// joins: the smaller filtered side builds a membership filter and
-	// the larger side is probed before its rows enter the shuffle. Off
-	// by default — the join output is identical either way (the filter
-	// has no false negatives), only the shuffle volume changes.
-	BloomPrune bool
-	// BloomFPRate is the pruning filter's false-positive target
-	// (sketch.DefaultBloomFPRate when unset).
-	BloomFPRate float64
-	// Observer receives sketch-tier counters (Bloom probes/prunes); nil
-	// disables instrumentation.
-	Observer *obs.Observer
 }
 
 func (c Config) withDefaults() Config {
@@ -72,10 +59,6 @@ type JobStats struct {
 	InBytes, MedBytes, OutBytes int64
 	InRows, MedRows, OutRows    int64
 	NumMaps                     int
-	// BloomProbed/BloomPruned count probe-side rows tested against the
-	// semi-join filter and rows it dropped before the shuffle (both 0
-	// when Config.BloomPrune is off or the job has no shuffle join).
-	BloomProbed, BloomPruned int64
 }
 
 // IS returns the measured intermediate selectivity D_med/D_in.
@@ -551,19 +534,6 @@ func (e *Engine) runJoin(job *plan.Job, ins []jobInput, stats *JobStats) (*Frame
 	stats.MedBytes = lb + rb
 	stats.MedRows = lr + rr
 	stats.NumMaps = len(lparts) + len(rparts)
-	if e.cfg.BloomPrune {
-		// Semi-join pruning: the smaller filtered side builds the
-		// filter, the larger side sheds definite non-matches before its
-		// rows are shuffled. D_med shrinks by exactly the pruned volume.
-		var prunedBytes int64
-		if lr <= rr {
-			prunedBytes = e.bloomPruneProbe(e.buildJoinBloom(lparts, li), rparts, ri, stats)
-		} else {
-			prunedBytes = e.bloomPruneProbe(e.buildJoinBloom(rparts, ri), lparts, li, stats)
-		}
-		stats.MedBytes -= prunedBytes
-		stats.MedRows -= stats.BloomPruned
-	}
 
 	R := e.cfg.NumReducers
 	lbuckets := make([][]dataset.Row, R)

@@ -8,13 +8,12 @@ import (
 	"saqp/internal/query"
 )
 
-// BenchmarkMicro* cover the engine stages the bench-micro gate watches:
-// map-side filtering, the shuffle join with and without Bloom pruning,
-// and the combine-heavy group-by reduce.
+// BenchmarkMicro* cover the engine's three stages: map-side filtering,
+// the shuffle join, and the combine-heavy group-by reduce.
 
-func benchEngine(b *testing.B, prune bool) *Engine {
+func benchEngine(b *testing.B) *Engine {
 	b.Helper()
-	e := New(Config{BlockSize: 64 << 10, NumReducers: 4, BloomPrune: prune})
+	e := New(Config{BlockSize: 64 << 10, NumReducers: 4})
 	for _, rel := range fixtureRelations() {
 		e.Register(rel)
 	}
@@ -37,9 +36,9 @@ func benchCompile(b *testing.B, src string) *plan.DAG {
 	return d
 }
 
-func benchRun(b *testing.B, prune bool, src string) {
+func benchRun(b *testing.B, src string) {
 	b.Helper()
-	e := benchEngine(b, prune)
+	e := benchEngine(b)
 	d := benchCompile(b, src)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -51,17 +50,13 @@ func benchRun(b *testing.B, prune bool, src string) {
 }
 
 func BenchmarkMicroEngineMapFilter(b *testing.B) {
-	benchRun(b, false, `SELECT l_orderkey FROM lineitem WHERE l_quantity < 11`)
+	benchRun(b, `SELECT l_orderkey FROM lineitem WHERE l_quantity < 11`)
 }
 
 func BenchmarkMicroEngineShuffleJoin(b *testing.B) {
-	benchRun(b, false, `SELECT l_orderkey, o_orderdate FROM lineitem JOIN orders ON l_orderkey = o_orderkey WHERE o_totalprice < 2000`)
-}
-
-func BenchmarkMicroEngineShuffleJoinBloom(b *testing.B) {
-	benchRun(b, true, `SELECT l_orderkey, o_orderdate FROM lineitem JOIN orders ON l_orderkey = o_orderkey WHERE o_totalprice < 2000`)
+	benchRun(b, `SELECT l_orderkey, o_orderdate FROM lineitem JOIN orders ON l_orderkey = o_orderkey WHERE o_totalprice < 2000`)
 }
 
 func BenchmarkMicroEngineGroupbyReduce(b *testing.B) {
-	benchRun(b, false, `SELECT l_orderkey, sum(l_quantity) FROM lineitem GROUP BY l_orderkey`)
+	benchRun(b, `SELECT l_orderkey, sum(l_quantity) FROM lineitem GROUP BY l_orderkey`)
 }

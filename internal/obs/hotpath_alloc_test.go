@@ -6,7 +6,10 @@ import (
 	"saqp/internal/obs"
 )
 
-var hotSinkAccepted bool
+var (
+	hotSinkAccepted bool
+	hotSinkU64      uint64
+)
 
 // TestHotPathAllocs is the runtime half of the //saqp:hotpath contract.
 // Recording a histogram sample — with or without an exemplar trace id —
@@ -32,6 +35,7 @@ func TestHotPathAllocs(t *testing.T) {
 		name string
 		fn   func()
 	}{
+		{"FNV64a", func() { hotSinkU64 = obs.FNV64a(id) }},
 		{"Histogram.Observe", func() { hotSinkAccepted = h.Observe(3) }},
 		{"Histogram.ObserveExemplar", func() { hotSinkAccepted = h.ObserveExemplar(3, id) }},
 		{"nil Observer.Emit", func() { everyKind(nil) }},
@@ -56,7 +60,6 @@ func TestHotPathAllocs(t *testing.T) {
 			o.ShardRejoin(1000)
 			o.ShardFailover(1000)
 			o.ShardModelSync(1000, 1000)
-			o.BloomPruneOutcome(1000, 1000)
 			o.LearnJobSample(0.5, 0.25)
 			o.LearnIntervalWidth(3)
 			o.SLORecorded(obs.SLOState{FastBurn: 1.5, SlowBurn: 0.5, Firing: true, Transition: true})

@@ -35,8 +35,8 @@ func gauge(name, help string) string     { return declare("gauge", name, help) }
 func histogram(name, help string) string { return declare("histogram", name, help) }
 
 // The metric table. Names follow saqp_<subsystem>_<name>[_<unit>] with a
-// subsystem of cluster, sched, framework, serve, net, shard, sketch,
-// learn or slo; counters end in _total (TestMetricTable enforces both).
+// subsystem of cluster, sched, framework, serve, net, shard, learn or
+// slo; counters end in _total (TestMetricTable enforces both).
 // Every value is a count, a gauge or a simulated duration, so a seeded
 // replay exports identical numbers.
 var (
@@ -111,11 +111,6 @@ var (
 	MShardEpoch           = gauge("saqp_shard_epoch", "Cluster epoch, bumped per failover.")
 	MShardLeaderVersion   = gauge("saqp_shard_model_leader_version", "Coordinator registry's champion version.")
 	MShardModelLagMax     = gauge("saqp_shard_model_lag_max", "Worst replica lag behind the leader, in versions.")
-
-	// Probabilistic statistics tier.
-	MSketchEstimates   = counter("saqp_sketch_estimates_total", "Query estimates priced from sketch statistics.")
-	MSketchBloomProbes = counter("saqp_sketch_bloom_probes_total", "Rows probed against a Bloom semi-join filter.")
-	MSketchBloomPruned = counter("saqp_sketch_bloom_pruned_total", "Rows the Bloom filter dropped before the shuffle.")
 
 	// Online learning.
 	MLearnJobSamples    = counter("saqp_learn_job_samples_total", "Job observations absorbed.")

@@ -261,16 +261,6 @@ func (o *Observer) ShardModelSync(leaderVersion, maxLag int) {
 	o.set(MShardModelLagMax, maxLag)
 }
 
-// BloomPruneOutcome records one pruned shuffle side: probed rows entered
-// the Bloom probe, pruned of them were dropped before the shuffle.
-func (o *Observer) BloomPruneOutcome(probed, pruned int64) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	o.Metrics.Counter(MSketchBloomProbes).Add(float64(probed))
-	o.Metrics.Counter(MSketchBloomPruned).Add(float64(pruned))
-}
-
 // LearnJobSample counts one absorbed job observation and updates the
 // windowed relative-error gauges. A negative error means that window is
 // still empty and leaves its gauge untouched.

@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-
-	"saqp/internal/sketch"
 )
 
 // Span kinds, from root to leaf of a request tree.
@@ -73,7 +71,22 @@ type SpanTree struct {
 // submission index. The same query text resubmitted gets a new suffix
 // but keeps its fingerprint prefix, so related requests group textually.
 func TraceID(cacheKey string, submission uint64) string {
-	return fmt.Sprintf("%016x-%06d", sketch.Hash64String(cacheKey), submission)
+	return fmt.Sprintf("%016x-%06d", FNV64a(cacheKey), submission)
+}
+
+// FNV64a returns the 64-bit FNV-1a hash of s — hash/fnv's New64a without
+// the hash.Hash64 allocation or the []byte(s) copy. TraceID and the
+// shard coordinator's route slot both take it over serve.CacheKey, so
+// one value identifies a query in traces, routing and the plan cache.
+//
+//saqp:hotpath
+func FNV64a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // maxSpanDecisions caps scheduler-decision spans recorded per attempt;

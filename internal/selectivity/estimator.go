@@ -10,21 +10,6 @@ import (
 	"saqp/internal/plan"
 )
 
-// StatsTier selects which statistics source the estimator prices plans
-// from.
-type StatsTier string
-
-const (
-	// StatsExact prices plans from the catalog's exact per-column
-	// statistics (distinct maps, full frequency counts).
-	StatsExact StatsTier = "exact"
-	// StatsSketch substitutes the probabilistic tier where the catalog
-	// carries sketches: HyperLogLog estimates for distinct counts and
-	// the count-min heavy-hitter share for TopShare. Columns without
-	// sketches (analytic catalogs) fall back to exact statistics.
-	StatsSketch StatsTier = "sketch"
-)
-
 // Config carries the MapReduce sizing parameters that turn estimated data
 // volumes into task counts — the resource-usage half of the prediction.
 type Config struct {
@@ -41,8 +26,6 @@ type Config struct {
 	// to isolate how much of the join-time prediction error comes from
 	// partition skew.
 	DisableReduceSkew bool
-	// Stats selects the statistics tier (StatsExact when empty).
-	Stats StatsTier
 }
 
 // DefaultConfig mirrors the paper's testbed configuration. BytesPerReducer
@@ -75,14 +58,8 @@ func NewEstimator(cat *catalog.Catalog, cfg Config) *Estimator {
 	if cfg.MaxReduces <= 0 {
 		cfg.MaxReduces = def.MaxReduces
 	}
-	if cfg.Stats == "" {
-		cfg.Stats = StatsExact
-	}
 	return &Estimator{cat: cat, cfg: cfg}
 }
-
-// Stats returns the statistics tier this estimator prices plans from.
-func (e *Estimator) Stats() StatsTier { return e.cfg.Stats }
 
 // JobEstimate is the estimated data flow and resource usage of one job —
 // exactly the quantities the paper's multivariate model consumes (Table 1).
@@ -140,13 +117,6 @@ type QueryEstimate struct {
 	DAG  *plan.DAG
 	Jobs []*JobEstimate
 	ByID map[string]*JobEstimate
-	// StatsTier records which statistics source priced this estimate, so
-	// EXPLAIN output and cache keys can attribute the numbers.
-	StatsTier StatsTier
-	// SketchCols counts base-table columns whose distinct/TopShare
-	// statistics were substituted from sketches (0 in exact mode, and in
-	// sketch mode over catalogs that carry no sketches).
-	SketchCols int
 }
 
 // TotalInputBytes sums raw input bytes over base-table scans only — the
@@ -161,8 +131,7 @@ func (q *QueryEstimate) TotalInputBytes() float64 {
 
 // EstimateQuery walks the DAG in topological order, estimating every job.
 func (e *Estimator) EstimateQuery(d *plan.DAG) (*QueryEstimate, error) {
-	qe := &QueryEstimate{DAG: d, ByID: make(map[string]*JobEstimate, len(d.Jobs)),
-		StatsTier: e.cfg.Stats}
+	qe := &QueryEstimate{DAG: d, ByID: make(map[string]*JobEstimate, len(d.Jobs))}
 	for _, job := range d.Jobs {
 		je, err := e.estimateJob(job, qe)
 		if err != nil {
@@ -191,7 +160,7 @@ func (e *Estimator) resolveInputs(job *plan.Job, qe *QueryEstimate) ([]input, fl
 	var ins []input
 	var scanBytes float64
 	for _, ts := range job.Scans {
-		in, err := e.scanInput(ts, qe)
+		in, err := e.scanInput(ts)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -219,11 +188,8 @@ func (e *Estimator) resolveInputs(job *plan.Job, qe *QueryEstimate) ([]input, fl
 }
 
 // scanInput builds the input for a base-table scan: S_pred from the pushed
-// predicates, S_proj from the pruned columns, and the filtered edge. In
-// sketch mode, distinct counts and the heavy-hitter share come from the
-// column's probabilistic summaries (qe, when non-nil, tallies the
-// substitutions for EXPLAIN attribution).
-func (e *Estimator) scanInput(ts plan.TableScan, qe *QueryEstimate) (input, error) {
+// predicates, S_proj from the pruned columns, and the filtered edge.
+func (e *Estimator) scanInput(ts plan.TableScan) (input, error) {
 	stats, err := e.cat.Table(ts.Table)
 	if err != nil {
 		return input{}, err
@@ -235,7 +201,7 @@ func (e *Estimator) scanInput(ts plan.TableScan, qe *QueryEstimate) (input, erro
 		if cs == nil {
 			return input{}, fmt.Errorf("table %q has no column %q", ts.Table, name)
 		}
-		st := &ColStat{
+		cols[ts.Table+"."+name] = &ColStat{
 			Hist:         cs.Hist,
 			Distinct:     float64(cs.Distinct),
 			BaseDistinct: float64(cs.Distinct),
@@ -243,23 +209,6 @@ func (e *Estimator) scanInput(ts plan.TableScan, qe *QueryEstimate) (input, erro
 			Width:        cs.AvgWidth,
 			Clustered:    cs.Clustered,
 		}
-		if e.cfg.Stats == StatsSketch && cs.Sketch != nil && cs.Sketch.HLL != nil {
-			d := cs.Sketch.HLL.Estimate()
-			if d < 1 {
-				d = 1
-			}
-			if rows := float64(stats.Rows); rows > 0 && d > rows {
-				d = rows
-			}
-			st.Distinct, st.BaseDistinct = d, d
-			if cs.Sketch.TopCount > 0 && stats.Rows > 0 {
-				st.TopShare = math.Min(1, float64(cs.Sketch.TopCount)/float64(stats.Rows))
-			}
-			if qe != nil {
-				qe.SketchCols++
-			}
-		}
-		cols[ts.Table+"."+name] = st
 		projWidth += cs.AvgWidth
 	}
 	if projWidth == 0 { //lint:allow saqpvet/floatcmp width sums are exact small-integer arithmetic
@@ -322,7 +271,7 @@ func (e *Estimator) estimateJob(job *plan.Job, qe *QueryEstimate) (*JobEstimate,
 // table's bytes count toward D_in (it is read as side data by every map).
 func (e *Estimator) applyMapJoins(job *plan.Job, je *JobEstimate, ins []input, qe *QueryEstimate) ([]input, error) {
 	for _, spec := range job.MapJoins {
-		b, err := e.scanInput(spec.BroadcastScan, qe)
+		b, err := e.scanInput(spec.BroadcastScan)
 		if err != nil {
 			return nil, err
 		}

@@ -6,10 +6,8 @@ import (
 )
 
 // BenchmarkMicroServeCacheHit measures the steady-state path of every
-// repeated submission: a warm plan-cache lookup. It is part of the
-// bench-micro gate (cmd/benchrunner -micro-in), which holds allocs/op at
-// the committed baseline — the hit path is //saqp:hotpath and must stay
-// allocation-free.
+// repeated submission: a warm plan-cache lookup. The hit path is
+// //saqp:hotpath; TestHotPathAllocs holds it at zero allocations.
 func BenchmarkMicroServeCacheHit(b *testing.B) {
 	c := newPlanCache(256)
 	keys := make([]string, 64)

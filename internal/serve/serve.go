@@ -469,9 +469,6 @@ func (e *Engine) compute(ent *cacheEntry, q *query.Query) {
 		ent.err = err
 		return
 	}
-	if est.StatsTier == selectivity.StatsSketch {
-		e.cfg.Observer.Count(obs.MSketchEstimates)
-	}
 	ent.dag, ent.est = d, est
 	if tm := e.cfg.TaskModel; tm != nil {
 		ent.wrd = tm.WRD(est)

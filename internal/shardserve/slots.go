@@ -1,6 +1,6 @@
 package shardserve
 
-import "saqp/internal/sketch"
+import "saqp/internal/obs"
 
 // DefaultSlots is the default size of the hash-slot space. Small
 // enough to print, large enough that four shards get sixteen slots
@@ -11,7 +11,7 @@ const DefaultSlots = 64
 // Routing on the engines' own cache identity means two queries that
 // share a cache entry always route to the same shard, so routing never
 // splits a shard's working set.
-func Fingerprint(cacheKey string) uint64 { return sketch.Hash64String(cacheKey) }
+func Fingerprint(cacheKey string) uint64 { return obs.FNV64a(cacheKey) }
 
 // SlotOf maps a fingerprint onto the slot space.
 func SlotOf(fp uint64, slots int) int {

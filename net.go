@@ -125,8 +125,8 @@ func (f *Framework) explainLines(sql string) ([]string, error) {
 		return nil, err
 	}
 	lines := make([]string, 0, len(qe.Jobs)+2)
-	lines = append(lines, fmt.Sprintf("plan: %d jobs, est input %.0f bytes, stats=%s",
-		len(qe.Jobs), qe.TotalInputBytes(), qe.StatsTier))
+	lines = append(lines, fmt.Sprintf("plan: %d jobs, est input %.0f bytes",
+		len(qe.Jobs), qe.TotalInputBytes()))
 	for _, je := range qe.Jobs {
 		lines = append(lines, fmt.Sprintf(
 			"%s %s: maps=%d reduces=%d d_in=%.0f d_med=%.0f d_out=%.0f is=%.3f fs=%.3f p=%.3f",

@@ -188,18 +188,15 @@ func (f *Framework) Compile(sql string) (*DAG, error) {
 // join balance ratio P.
 func (f *Framework) Estimate(d *DAG) (*QueryEstimate, error) {
 	f.Obs.Count(obs.MEstimates)
-	qe, err := f.Estimator.EstimateQuery(d)
-	if err == nil && qe.StatsTier == selectivity.StatsSketch {
-		f.Obs.Count(obs.MSketchEstimates)
-	}
-	return qe, err
+	return f.Estimator.EstimateQuery(d)
 }
 
-// statsFingerprint extends the catalog fingerprint with the estimator's
-// statistics tier: exact-mode and sketch-mode servers price the same
-// plan differently, so they must never share cached estimates.
+// statsFingerprint is the serving stack's CatalogFingerprint. The
+// "/exact" suffix once named a statistics tier; only one exists now, but
+// the bytes stay because route slots, trace ids and the golden
+// transcripts all hash this string through serve.CacheKey.
 func (f *Framework) statsFingerprint() string {
-	return f.Catalog.Fingerprint() + "/" + string(f.Estimator.Stats())
+	return f.Catalog.Fingerprint() + "/exact"
 }
 
 // Train fits the Eq. 8 job model and Eq. 9 task models from a corpus.
