@@ -1,40 +1,18 @@
-GO      ?= go
-BIN     := bin
-SAQPVET := $(BIN)/saqpvet
+GO  ?= go
+BIN := bin
 
-.PHONY: all build test race lint lint-self bench-alloc fuzz-smoke stress cover-serve scheduler-comparison bench ci clean
+.PHONY: all build test race lint fuzz-smoke stress cover-serve scheduler-comparison bench ci clean
 
 all: build
 
 build:
 	$(GO) build ./...
 
-$(SAQPVET): $(shell find cmd/saqpvet internal/analysis -name '*.go' -not -path '*/testdata/*' 2>/dev/null)
-	@mkdir -p $(BIN)
-	$(GO) build -o $(SAQPVET) ./cmd/saqpvet
-
-# Static analysis: the stock go vet suite plus the project's nine
-# saqpvet analyzers (determinism, doccheck, floatcmp, lockcheck,
-# errdrop, allocfree, ctxleak, atomiccheck, leakcheck — see
-# internal/analysis/registry), run through the vet -vettool protocol so
-# per-package results are cached like any other vet check.
-lint: $(SAQPVET)
+# Stock go vet, then the saqpvet gate: TestRepositoryIsClean in
+# internal/analysis/self_test.go (docs/ANALYSIS.md), beside the analyzers' fixtures.
+lint:
 	$(GO) vet ./...
-	$(GO) vet -vettool=$(abspath $(SAQPVET)) ./...
-
-# The analyzers' own golden-fixture suites plus the tree-wide
-# cleanliness gate, run separately from `test` so a broken analyzer
-# shows up as a lint failure rather than a buried test failure.
-lint-self:
 	$(GO) test -count=1 ./internal/analysis/...
-
-# Runtime half of the //saqp:hotpath contract: every annotated function
-# must measure zero heap allocations per call via testing.AllocsPerRun.
-bench-alloc:
-	$(GO) test -count=1 -run TestHotPathAllocs \
-		./internal/mapreduce ./internal/selectivity ./internal/histogram \
-		./internal/dataset ./internal/predict ./internal/serve ./internal/obs \
-		./internal/net/proto
 
 test:
 	$(GO) test ./...
@@ -99,7 +77,7 @@ bench:
 
 # Everything CI runs, in the same order: .github/workflows/ci.yml is one
 # `make <target>` step per name here.
-ci: build lint lint-self test bench-alloc race fuzz-smoke stress cover-serve bench scheduler-comparison
+ci: build lint test race fuzz-smoke stress cover-serve bench scheduler-comparison
 
 clean:
 	rm -rf $(BIN) bench-out obs-out

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"saqp/internal/workload"
@@ -42,13 +43,13 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if err := run(*mix, *gap, *seed); err != nil {
+	if err := run(os.Stdout, *mix, *gap, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "wlgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(mix string, gap float64, seed uint64) error {
+func run(w io.Writer, mix string, gap float64, seed uint64) error {
 	var comp []workload.BinSpec
 	switch mix {
 	case "bing":
@@ -58,15 +59,15 @@ func run(mix string, gap float64, seed uint64) error {
 	default:
 		return fmt.Errorf("unknown mix %q (want bing or facebook)", mix)
 	}
-	w, err := workload.BuildWorkload(mix, comp, gap, seed)
+	wl, err := workload.BuildWorkload(mix, comp, gap, seed)
 	if err != nil {
 		return err
 	}
 	out := struct {
 		Name  string     `json:"name"`
 		Items []itemJSON `json:"items"`
-	}{Name: w.Name}
-	for _, it := range w.Items {
+	}{Name: wl.Name}
+	for _, it := range wl.Items {
 		out.Items = append(out.Items, itemJSON{
 			SQL:        it.Query.String(),
 			Shape:      it.Shape.String(),
@@ -75,7 +76,7 @@ func run(mix string, gap float64, seed uint64) error {
 			ArrivalSec: it.ArrivalSec,
 		})
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }

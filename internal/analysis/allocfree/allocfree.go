@@ -20,12 +20,6 @@ import (
 	"saqp/internal/analysis/dataflow"
 )
 
-// index resolves //saqp:hotpath annotations on cross-package callees,
-// which type information alone (export data in vettool mode) cannot
-// see. Shared across passes: the annotation set per package is
-// immutable within one saqpvet run.
-var index = analysis.NewHotpathIndex()
-
 // Analyzer flags heap-allocating constructs reachable from functions
 // marked //saqp:hotpath.
 var Analyzer = &analysis.Analyzer{
@@ -95,7 +89,6 @@ func checkFunc(pass *analysis.Pass, decl *ast.FuncDecl, root string) []*types.Fu
 	if !analysis.IsHotpath(decl) {
 		suffix = fmt.Sprintf(" (reached from //saqp:hotpath %s)", root)
 	}
-	filename := pass.Fset.Position(decl.Pos()).Filename
 	var callees []*types.Func
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
@@ -140,7 +133,7 @@ func checkFunc(pass *analysis.Pass, decl *ast.FuncDecl, root string) []*types.Fu
 		case *ast.ReturnStmt:
 			checkReturn(pass, flow, decl, node, suffix)
 		case *ast.CallExpr:
-			callees = append(callees, checkCall(pass, flow, node, filename, suffix)...)
+			callees = append(callees, checkCall(pass, flow, node, suffix)...)
 		}
 		return true
 	})
@@ -149,7 +142,7 @@ func checkFunc(pass *analysis.Pass, decl *ast.FuncDecl, root string) []*types.Fu
 
 // checkCall classifies one call: conversion, builtin, static call or
 // dynamic dispatch. It returns same-package callees for the closure.
-func checkCall(pass *analysis.Pass, flow *dataflow.Flow, call *ast.CallExpr, filename, suffix string) []*types.Func {
+func checkCall(pass *analysis.Pass, flow *dataflow.Flow, call *ast.CallExpr, suffix string) []*types.Func {
 	info := pass.TypesInfo
 
 	// Conversions.
@@ -224,7 +217,7 @@ func checkCall(pass *analysis.Pass, flow *dataflow.Flow, call *ast.CallExpr, fil
 	// Cross-package module callees must carry their own annotation so
 	// their own package's allocfree pass (and AllocsPerRun guard)
 	// covers them; other imports (stdlib) are trusted as reviewed.
-	if annotated, ok := index.Annotated(fn, filename); ok && !annotated {
+	if annotated, ok := pass.HotpathCallee(fn); ok && !annotated {
 		pass.Reportf(call.Pos(),
 			"hot path calls %s.%s, which is not marked //saqp:hotpath; annotate it or excuse this call",
 			pkg.Name(), fn.Name())

@@ -50,6 +50,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
+	pkg   *Package
 	diags []Diagnostic
 }
 
@@ -125,6 +126,7 @@ func runOne(pkg *Package, a *Analyzer, supp suppressions) ([]Diagnostic, error) 
 		Files:     nonTestFiles(pkg),
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.TypesInfo,
+		pkg:       pkg,
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)

@@ -9,9 +9,12 @@
 // global math/rand, no exact float comparison in the estimator, no
 // unguarded writes to mutex-protected state, no silently dropped errors —
 // were previously upheld by convention. The analyzers in the
-// sub-packages (determinism, floatcmp, lockcheck, errdrop) turn them
-// into machine-checked rules, run by cmd/saqpvet both standalone and as
-// a `go vet -vettool` plugin.
+// sub-packages (determinism, floatcmp, lockcheck, errdrop, …) turn
+// them into machine-checked rules. The suite ("saqpvet", the name the
+// //lint:allow directive spells) has one driver: TestRepositoryIsClean
+// in this package's self-tests loads every module package from source
+// and runs registry.All() over it, inside tier-1 `go test ./...`.
+// docs/ANALYSIS.md holds the per-analyzer evidence table.
 //
 // The API deliberately mirrors x/tools' Analyzer/Pass/Diagnostic shape,
 // so that if the real module ever becomes available the analyzers port

@@ -2,13 +2,8 @@ package analysis
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 )
 
 // HotpathDirective marks a function as part of the zero-allocation
@@ -40,136 +35,38 @@ func IsHotpath(decl *ast.FuncDecl) bool {
 	return false
 }
 
-// HotpathIndex answers "is that function annotated //saqp:hotpath?"
-// for functions in *other* packages of the module. An analyzer pass
-// sees cross-package callees only through type information (in vettool
-// mode, export data), which drops comments — so the index re-parses
-// the callee's package directory syntax-only on first query and caches
-// the annotation set per directory. Safe for concurrent use.
-type HotpathIndex struct {
-	mu   sync.Mutex
-	root string // module root; resolved lazily from the first query's file
-	mod  string // module path from go.mod
-	pkgs map[string]map[string]bool
-}
-
-// NewHotpathIndex returns an empty index.
-func NewHotpathIndex() *HotpathIndex {
-	return &HotpathIndex{pkgs: make(map[string]map[string]bool)}
-}
-
-// Annotated reports whether fn carries //saqp:hotpath at its
-// definition. fromFile is any file path inside the module (typically
-// the file containing the call site); it anchors the go.mod search so
-// the index works identically under the standalone driver and the go
-// vet vettool protocol, whose working directories differ. ok is false
-// when fn's package lies outside the module or its source directory
-// cannot be parsed — callers should treat that as unannotated.
-func (ix *HotpathIndex) Annotated(fn *types.Func, fromFile string) (annotated, ok bool) {
+// HotpathCallee reports whether fn — a function of another module
+// package — carries //saqp:hotpath at its declaration. The Loader has
+// already parsed (comments on) and cached every module package the
+// analyzed one imports, so the callee's FuncDecl is in memory. ok is
+// false when fn's package was not loaded from module source (standard
+// library, or anything seen from an analysistest fixture): callers
+// treat that as "not checked".
+func (p *Pass) HotpathCallee(fn *types.Func) (annotated, ok bool) {
 	if fn == nil || fn.Pkg() == nil {
 		return false, false
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.root == "" {
-		root, err := FindModuleRoot(filepath.Dir(fromFile))
-		if err != nil {
-			return false, false
-		}
-		data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-		if err != nil {
-			return false, false
-		}
-		m := moduleRE.FindSubmatch(data)
-		if m == nil {
-			return false, false
-		}
-		ix.root, ix.mod = root, string(m[1])
-	}
-	pkgPath := fn.Pkg().Path()
-	if pkgPath != ix.mod && !strings.HasPrefix(pkgPath, ix.mod+"/") {
+	res := p.pkg.loader.pkgs[fn.Pkg().Path()]
+	if res == nil || res.pkg == nil {
 		return false, false
 	}
-	set, err := ix.packageSet(pkgPath)
-	if err != nil {
-		return false, false
-	}
-	return set[funcKey(fn)], true
+	return res.pkg.hotpathFuncs()[fn.Origin()], true
 }
 
-// packageSet parses pkgPath's directory (comments on, bodies kept,
-// tests skipped) and returns its annotated-function set.
-func (ix *HotpathIndex) packageSet(pkgPath string) (map[string]bool, error) {
-	if set, ok := ix.pkgs[pkgPath]; ok {
-		return set, nil
-	}
-	rel := strings.TrimPrefix(strings.TrimPrefix(pkgPath, ix.mod), "/")
-	dir := filepath.Join(ix.root, filepath.FromSlash(rel))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	set := make(map[string]bool)
-	fset := token.NewFileSet()
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range f.Decls {
-			decl, isFunc := d.(*ast.FuncDecl)
-			if !isFunc || !IsHotpath(decl) {
-				continue
+// hotpathFuncs is the package's annotated-function set, built on first
+// use.
+func (pkg *Package) hotpathFuncs() map[*types.Func]bool {
+	if pkg.hotpath == nil {
+		pkg.hotpath = make(map[*types.Func]bool)
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if decl, isFunc := d.(*ast.FuncDecl); isFunc && IsHotpath(decl) {
+					if fn, isDef := pkg.TypesInfo.Defs[decl.Name].(*types.Func); isDef {
+						pkg.hotpath[fn] = true
+					}
+				}
 			}
-			set[declKey(decl)] = true
 		}
 	}
-	ix.pkgs[pkgPath] = set
-	return set, nil
-}
-
-// funcKey names a function or method the way declKey does from syntax:
-// "Name" for functions, "Recv.Name" for methods.
-func funcKey(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return fn.Name()
-	}
-	t := sig.Recv().Type()
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return fn.Name()
-	}
-	return named.Obj().Name() + "." + fn.Name()
-}
-
-// declKey is funcKey computed from the declaration's syntax alone.
-func declKey(decl *ast.FuncDecl) string {
-	if decl.Recv == nil || len(decl.Recv.List) == 0 {
-		return decl.Name.Name
-	}
-	t := decl.Recv.List[0].Type
-	for {
-		switch rt := t.(type) {
-		case *ast.StarExpr:
-			t = rt.X
-		case *ast.ParenExpr:
-			t = rt.X
-		case *ast.IndexExpr: // generic receiver [T]
-			t = rt.X
-		case *ast.Ident:
-			return rt.Name + "." + decl.Name.Name
-		default:
-			return decl.Name.Name
-		}
-	}
+	return pkg.hotpath
 }

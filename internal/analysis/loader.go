@@ -21,9 +21,13 @@ type Package struct {
 	Path      string
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Filenames []string
 	Types     *types.Package
 	TypesInfo *types.Info
+
+	// loader is the Loader that produced the package; it still holds
+	// every module package this one imports (see Pass.HotpathCallee).
+	loader  *Loader
+	hotpath map[*types.Func]bool
 }
 
 // Loader parses and type-checks packages of one module without any
@@ -122,14 +126,14 @@ func LoadFixtureDir(dir string) (*Package, error) {
 		std:  importer.ForCompiler(fset, "source", nil),
 		pkgs: make(map[string]*loadResult),
 	}
-	files, names, err := l.parseDir(dir)
+	files, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in fixture %s", dir)
 	}
-	return l.check(files[0].Name.Name, files, names)
+	return l.check(files[0].Name.Name, files)
 }
 
 func (l *Loader) load(path, dir string) (*Package, error) {
@@ -147,20 +151,20 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 }
 
 func (l *Loader) loadUncached(path, dir string) (*Package, error) {
-	files, names, err := l.parseDir(dir)
+	files, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no buildable Go files in %s", dir)
 	}
-	return l.check(path, files, names)
+	return l.check(path, files)
 }
 
-func (l *Loader) parseDir(dir string) ([]*ast.File, []string, error) {
+func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var names []string
 	for _, e := range entries {
@@ -177,14 +181,14 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, []string, error) {
 	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
-	return files, names, nil
+	return files, nil
 }
 
-func (l *Loader) check(path string, files []*ast.File, names []string) (*Package, error) {
+func (l *Loader) check(path string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -200,9 +204,9 @@ func (l *Loader) check(path string, files []*ast.File, names []string) (*Package
 		Path:      path,
 		Fset:      l.Fset,
 		Files:     files,
-		Filenames: names,
 		Types:     tpkg,
 		TypesInfo: info,
+		loader:    l,
 	}, nil
 }
 
@@ -230,8 +234,7 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // ModuleDirs returns every directory under root that contains at least
 // one non-test Go file, skipping testdata, hidden and underscore
-// directories — the expansion of the "./..." pattern for the standalone
-// driver.
+// directories — the expansion of "./..." for the repository self-tests.
 func ModuleDirs(root string) ([]string, error) {
 	var dirs []string
 	// WalkDir interleaves a directory's files with descents into its

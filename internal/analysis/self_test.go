@@ -1,7 +1,12 @@
 package analysis_test
 
 import (
+	"bytes"
+	"fmt"
+	"go/ast"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -9,14 +14,14 @@ import (
 	"saqp/internal/analysis/registry"
 )
 
-// TestRepositoryIsClean runs the full saqpvet analyzer suite over every
-// package in the module and fails on any diagnostic. This is the
-// cleanliness regression gate: a change that reintroduces time.Now in
-// the simulator, a raw float comparison in the estimator, a heap
+// TestRepositoryIsClean runs the full saqpvet analyzer suite
+// (registry.All()) over every package in the module and fails on any
+// diagnostic, printed as file:line:col: message (saqpvet/<analyzer>).
+// It is the suite's one driver — tier-1 `go test ./...` and `make lint`
+// both reach the tree through it: a change that reintroduces time.Now
+// in the simulator, a raw float comparison in the estimator, a heap
 // allocation on a //saqp:hotpath function, or a dropped error anywhere
-// in internal/ fails `go test` even before CI runs the standalone
-// saqpvet binary. The suite comes from registry.All(), the same list
-// cmd/saqpvet runs, so the gate and the tool cannot drift apart.
+// in internal/ fails here.
 func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
@@ -33,7 +38,8 @@ func TestRepositoryIsClean(t *testing.T) {
 			t.Fatalf("analyze %s: %v", pkg.Path, err)
 		}
 		for _, d := range diags {
-			t.Errorf("%s", d)
+			// Module-relative, the path `go vet` prints from the root.
+			t.Errorf("%s", strings.TrimPrefix(d.String(), loader.ModuleRoot+string(filepath.Separator)))
 		}
 	}
 }
@@ -78,10 +84,104 @@ func TestDeterminismScopeCoversSeededImporters(t *testing.T) {
 	}
 }
 
+// TestHotpathPackagesHaveAllocGuard enforces the dynamic half of the
+// //saqp:hotpath contract: every module package with an annotated
+// function carries a TestHotPathAllocs in its _test.go files, so plain
+// `go test ./...` measures each annotated package with
+// testing.AllocsPerRun — no hand-kept package list to forget.
+func TestHotpathPackagesHaveAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short mode")
+	}
+	loader, dirs := moduleLoader(t)
+	for _, dir := range dirs {
+		pkg, err := loader.LoadDir(dir)
+		if err != nil {
+			t.Fatalf("load %s: %v", dir, err)
+		}
+		annotated := 0
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && analysis.IsHotpath(fd) {
+					annotated++
+				}
+			}
+		}
+		if annotated == 0 {
+			continue
+		}
+		tests, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		guarded := false
+		for _, name := range tests {
+			src, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			guarded = guarded || bytes.Contains(src, []byte("\nfunc TestHotPathAllocs(t *testing.T)"))
+		}
+		if !guarded {
+			t.Errorf("%s has %d //saqp:hotpath functions but no TestHotPathAllocs guard in its _test.go files",
+				pkg.Path, annotated)
+		}
+	}
+}
+
+// TestAnalysisDocAgrees keeps docs/ANALYSIS.md's evidence table equal
+// to the registry: the rows marked kept are exactly registry.All(), in
+// order, each with its analyzer's scope; a row marked deleted names
+// nothing still registered.
+func TestAnalysisDocAgrees(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/ANALYSIS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := regexp.MustCompile("(?m)^\\| `([a-z]+)` \\| ([^|]+) \\|(?:[^|]+\\|){3} \\*\\*(kept|deleted)\\*\\*").
+		FindAllStringSubmatch(string(doc), -1)
+	suite := registry.All()
+	registered := make(map[string]bool, len(suite))
+	for _, a := range suite {
+		registered[a.Name] = true
+	}
+	var kept [][]string
+	for _, r := range rows {
+		switch {
+		case r[3] == "kept":
+			kept = append(kept, r)
+		case registered[r[1]]:
+			t.Errorf("docs/ANALYSIS.md marks %s deleted, but registry.All() still runs it", r[1])
+		}
+	}
+	if len(kept) != len(suite) {
+		t.Fatalf("%d kept rows in docs/ANALYSIS.md, %d analyzers in registry.All()", len(kept), len(suite))
+	}
+	for i, a := range suite {
+		scope := "whole module"
+		switch {
+		// The determinism scope aliases the declared list; the doc
+		// names the list and its length rather than its 14 entries.
+		case len(a.Scope) > 0 && &a.Scope[0] == &analysis.DeterministicPackages[0]:
+			scope = fmt.Sprintf("`analysis.DeterministicPackages` (%d packages)", len(a.Scope))
+		case len(a.Scope) > 0:
+			scope = "`" + strings.Join(a.Scope, "`, `") + "`"
+		}
+		if kept[i][1] != a.Name || strings.TrimSpace(kept[i][2]) != scope {
+			t.Errorf("row %d: doc has %s | %s, registry has %s | %s", i, kept[i][1], kept[i][2], a.Name, scope)
+		}
+	}
+}
+
 // moduleLoader resolves the module root from the test's working
-// directory and enumerates its package directories.
+// directory and enumerates its package directories. The loader is
+// shared by the self-tests (none runs in parallel), so the module is
+// type-checked once per `go test` run rather than once per test.
 func moduleLoader(t *testing.T) (*analysis.Loader, []string) {
 	t.Helper()
+	if sharedLoader != nil {
+		return sharedLoader, sharedDirs
+	}
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
@@ -98,5 +198,11 @@ func moduleLoader(t *testing.T) (*analysis.Loader, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sharedLoader, sharedDirs = loader, dirs
 	return loader, dirs
 }
+
+var (
+	sharedLoader *analysis.Loader
+	sharedDirs   []string
+)

@@ -151,9 +151,3 @@ func validateDirectives(ds []directive, known map[string]bool) []Diagnostic {
 	}
 	return out
 }
-
-// HasSuppression reports whether src contains any saqpvet suppression
-// comment; cheap pre-filter used by tests.
-func HasSuppression(src string) bool {
-	return strings.Contains(src, "//lint:allow saqpvet/")
-}

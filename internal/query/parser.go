@@ -279,9 +279,15 @@ var reserved = map[string]bool{
 	"asc": true, "desc": true, "between": true, "in": true, "having": true,
 }
 
+// Identifiers are case-insensitive, as in HiveQL: table, alias and
+// column names fold to lower case where the parser takes them (the
+// lexer cannot — keywords are tokIdent too), so LINEITEM and lineitem
+// are one query, one cache key and one route slot. ToLower returns an
+// already-lower-case name unchanged, without allocating.
 func (p *parser) parseColumnRef() (ColumnRef, error) {
 	t := p.cur()
-	if t.kind != tokIdent || reserved[strings.ToLower(t.text)] {
+	name := strings.ToLower(t.text)
+	if t.kind != tokIdent || reserved[name] {
 		return ColumnRef{}, p.errf("expected column reference")
 	}
 	p.i++
@@ -290,21 +296,23 @@ func (p *parser) parseColumnRef() (ColumnRef, error) {
 		if t2.kind != tokIdent {
 			return ColumnRef{}, fmt.Errorf("query: expected column after %q. at offset %d", t.text, t2.pos)
 		}
-		return ColumnRef{Table: t.text, Column: t2.text}, nil
+		return ColumnRef{Table: name, Column: strings.ToLower(t2.text)}, nil
 	}
-	return ColumnRef{Column: t.text}, nil
+	return ColumnRef{Column: name}, nil
 }
 
 func (p *parser) parseTableRef() (TableRef, error) {
 	t := p.next()
-	if t.kind != tokIdent || reserved[strings.ToLower(t.text)] {
+	name := strings.ToLower(t.text)
+	if t.kind != tokIdent || reserved[name] {
 		return TableRef{}, fmt.Errorf("query: expected table name at offset %d (near %q)", t.pos, t.text)
 	}
-	tr := TableRef{Name: t.text}
-	a := p.cur()
-	if a.kind == tokIdent && !reserved[strings.ToLower(a.text)] {
-		tr.Alias = a.text
-		p.i++
+	tr := TableRef{Name: name}
+	if a := p.cur(); a.kind == tokIdent {
+		if alias := strings.ToLower(a.text); !reserved[alias] {
+			tr.Alias = alias
+			p.i++
+		}
 	}
 	return tr, nil
 }
@@ -487,7 +495,7 @@ func parseMapJoinHint(body string) ([]string, error) {
 		if name == "" {
 			return nil, fmt.Errorf("empty table in MAPJOIN hint %q", s)
 		}
-		tables = append(tables, name)
+		tables = append(tables, strings.ToLower(name))
 	}
 	return tables, nil
 }

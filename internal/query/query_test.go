@@ -116,6 +116,26 @@ func TestParseStringEscape(t *testing.T) {
 	}
 }
 
+// TestParseFoldsIdentifierCase covers what the TPC-H case variants in
+// the root routing-identity test cannot: aliases, qualified columns and
+// MAPJOIN hint tables fold to lower case; string constants do not.
+func TestParseFoldsIdentifierCase(t *testing.T) {
+	upper, err := Parse(`SELECT /*+ MAPJOIN(N) */ N.N_Name FROM NATION N JOIN Supplier S ON S.S_NATIONKEY = N.N_NATIONKEY WHERE N.N_NAME = 'FRANCE'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lower, err := Parse(`select /*+ mapjoin(n) */ n.n_name from nation n join supplier s on s.s_nationkey = n.n_nationkey where n.n_name = 'FRANCE'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if upper.String() != lower.String() {
+		t.Errorf("identifier case changes the normalized text:\n%s\n%s", upper, lower)
+	}
+	if upper.Where[0].Lit.S != "FRANCE" {
+		t.Errorf("string constant folded: %q", upper.Where[0].Lit.S)
+	}
+}
+
 func TestParseNegativeNumber(t *testing.T) {
 	q, err := Parse(`SELECT a FROM t WHERE a > -42.5`)
 	if err != nil {

@@ -26,11 +26,13 @@ var tpchFingerprints = map[string]uint64{
 	"q6":  0x5d7c101172f9732a, // slot 42
 }
 
-// lowerKeywords lowercases every capital outside single-quoted
-// literals. The TPC-H texts spell keywords in capitals and identifiers
-// in lower case, so this is the case variant the normalizer must fold
-// (keywords) without touching what it must not (string constants).
-func lowerKeywords(sql string) string {
+// foldOutsideLiterals maps every rune outside single-quoted literals
+// through fold. The TPC-H texts spell keywords in capitals and
+// identifiers in lower case, so unicode.ToLower gives the keyword-case
+// variant and unicode.ToUpper the identifier-case one (LINEITEM,
+// L_QUANTITY) — both must fold to the raw text's key without touching
+// what must not fold (string constants).
+func foldOutsideLiterals(sql string, fold func(rune) rune) string {
 	quoted := false
 	return strings.Map(func(r rune) rune {
 		if r == '\'' {
@@ -39,7 +41,7 @@ func lowerKeywords(sql string) string {
 		if quoted {
 			return r
 		}
-		return unicode.ToLower(r)
+		return fold(r)
 	}, sql)
 }
 
@@ -80,7 +82,8 @@ func TestRoutingIdentityIsCacheIdentity(t *testing.T) {
 		for _, variant := range []string{
 			strings.Join(strings.Fields(raw), " "),
 			"\n\t" + strings.ReplaceAll(raw, " ", "  \n") + " ",
-			lowerKeywords(raw),
+			foldOutsideLiterals(raw, unicode.ToLower),
+			foldOutsideLiterals(raw, unicode.ToUpper),
 		} {
 			if keyOf(variant) != keyOf(raw) {
 				t.Errorf("%s: a whitespace/case variant has its own cache key:\n%s", name, variant)
