@@ -102,26 +102,44 @@ func main() {
 func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
 	traceOut, promOut, scheduler string, seed, faultSeed uint64, fp *saqp.FaultPlan, admin, listen string, shards int) error {
 	var o *saqp.Observer
-	var traceFile *os.File
+	finish := func() error { return nil }
 	if traceOut != "" || promOut != "" {
-		var sink *saqp.TraceSink
-		if traceOut != "" {
-			f, err := os.Create(traceOut)
-			if err != nil {
-				return err
-			}
-			traceFile = f
-			sink = saqp.NewTraceSink(f)
+		var err error
+		if o, finish, err = saqp.OpenObserver(traceOut, promOut); err != nil {
+			return err
 		}
-		o = saqp.NewObserver(sink)
 	} else if shards > 0 {
 		// A cluster's METRICS verb serves the saqp_shard_* series.
 		o = saqp.NewObserver(nil)
 	}
 	fw, err := saqp.NewFramework(saqp.Options{ScaleFactor: sf, Observer: o})
+	if err == nil {
+		err = oneShot(fw, sql, train, trainQueries, modelsPath, scheduler, seed, fp, shards)
+	}
+	// The observer's files are finished before any hosting starts, and
+	// also when the one-shot part failed: the trace stays loadable.
+	if ferr := finish(); err == nil {
+		err = ferr
+	}
 	if err != nil {
 		return err
 	}
+	if traceOut != "" {
+		fmt.Printf("Wrote trace to %s (open in ui.perfetto.dev)\n", traceOut)
+	}
+	if promOut != "" {
+		fmt.Printf("Wrote metrics to %s\n", promOut)
+	}
+	if admin == "" && listen == "" && shards <= 0 {
+		return nil
+	}
+	return host(fw, sql, scheduler, seed, faultSeed, admin, listen, shards)
+}
+
+// oneShot is everything before hosting: load or train the models and,
+// given a query outside cluster mode, print its report.
+func oneShot(fw *saqp.Framework, sql string, train bool, trainQueries int, modelsPath,
+	scheduler string, seed uint64, fp *saqp.FaultPlan, shards int) error {
 	if modelsPath != "" {
 		if data, err := os.ReadFile(modelsPath); err == nil {
 			if err := fw.LoadModels(data); err != nil {
@@ -132,26 +150,20 @@ func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
 		}
 	}
 	if sql != "" && shards <= 0 { // -cluster ignores -query
-		if err := report(fw, o, sql, train, trainQueries, modelsPath, traceFile, traceOut, promOut, scheduler, seed, fp); err != nil {
-			return err
-		}
-	} else if train {
+		return report(fw, sql, train, trainQueries, modelsPath, scheduler, seed, fp)
+	}
+	if train {
 		// Hosting without a one-shot report: straight to serving.
-		if err := trainModels(fw, trainQueries, modelsPath); err != nil {
-			return err
-		}
+		return trainModels(fw, trainQueries, modelsPath)
 	}
-	if admin == "" && listen == "" && shards <= 0 {
-		return nil
-	}
-	return host(fw, sql, scheduler, seed, faultSeed, admin, listen, shards)
+	return nil
 }
 
 // report prints the one-shot answer for sql: plan, selectivity table,
 // and — with models loaded or trained — predicted time and WRD, then
 // the simulated run when an observer or fault plan asks for one.
-func report(fw *saqp.Framework, o *saqp.Observer, sql string, train bool, trainQueries int, modelsPath string,
-	traceFile *os.File, traceOut, promOut, scheduler string, seed uint64, fp *saqp.FaultPlan) error {
+func report(fw *saqp.Framework, sql string, train bool, trainQueries int, modelsPath,
+	scheduler string, seed uint64, fp *saqp.FaultPlan) error {
 	dag, err := fw.Compile(sql)
 	if err != nil {
 		return err
@@ -182,7 +194,7 @@ func report(fw *saqp.Framework, o *saqp.Observer, sql string, train bool, trainQ
 	}
 	if fw.TaskTime == nil {
 		fmt.Println("\n(run with -train to predict execution time and WRD)")
-		return simulate(fw, o, est, traceFile, traceOut, promOut, scheduler, seed, fp)
+		return simulate(fw, est, scheduler, seed, fp)
 	}
 	secs, err := fw.PredictQuerySeconds(est)
 	if err != nil {
@@ -201,7 +213,7 @@ func report(fw *saqp.Framework, o *saqp.Observer, sql string, train bool, trainQ
 		}
 		fmt.Printf("  %s predicted job time (Eq. 8): %.1f s\n", je.Job.ID, js)
 	}
-	return simulate(fw, o, est, traceFile, traceOut, promOut, scheduler, seed, fp)
+	return simulate(fw, est, scheduler, seed, fp)
 }
 
 // trainModels fits the time models on a synthetic corpus and saves
@@ -381,11 +393,9 @@ func serveOnce(srv *saqp.Server, sql string, seed uint64) error {
 }
 
 // simulate runs the estimated query on the simulated cluster when an
-// observer was requested or a fault plan is set, then flushes the trace
-// and metrics outputs.
-func simulate(fw *saqp.Framework, o *saqp.Observer, est *saqp.QueryEstimate,
-	traceFile *os.File, traceOut, promOut, scheduler string, seed uint64, fp *saqp.FaultPlan) error {
-	if o == nil && fp == nil {
+// observer was requested or a fault plan is set.
+func simulate(fw *saqp.Framework, est *saqp.QueryEstimate, scheduler string, seed uint64, fp *saqp.FaultPlan) error {
+	if fw.Obs == nil && fp == nil {
 		return nil
 	}
 	cc := saqp.DefaultClusterConfig()
@@ -399,32 +409,6 @@ func simulate(fw *saqp.Framework, o *saqp.Observer, est *saqp.QueryEstimate,
 		mode = ", faults injected"
 	}
 	fmt.Printf("\nSimulated response time (alone, %s%s): %.1f s\n", scheduler, mode, secs)
-	if o == nil {
-		return nil
-	}
-	if err := o.Close(); err != nil {
-		return err
-	}
-	if traceFile != nil {
-		if err := traceFile.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("Wrote trace to %s (open in ui.perfetto.dev)\n", traceOut)
-	}
-	if promOut != "" {
-		f, err := os.Create(promOut)
-		if err != nil {
-			return err
-		}
-		if err := o.Metrics.WritePrometheus(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("Wrote metrics to %s\n", promOut)
-	}
 	return nil
 }
 

@@ -32,8 +32,7 @@ func main() {
 
 	cfg := saqp.DefaultExperimentConfig()
 	cfg.CorpusQueries = *queries
-	fmt.Printf("Building corpus of %d queries (%d jobs after compilation)...\n",
-		*queries, 0)
+	fmt.Printf("Building corpus of %d queries...\n", *queries)
 	art, err := saqp.BuildTrainedArtifacts(cfg)
 	if err != nil {
 		log.Fatal(err)

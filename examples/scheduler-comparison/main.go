@@ -4,19 +4,19 @@
 // the Hadoop Capacity Scheduler (HCS), the Hadoop Fair Scheduler (HFS),
 // and the paper's semantics-aware Smallest-WRD-first scheduler (SWRD).
 //
-// The runs are observable: -trace writes a Chrome trace-event JSON of
-// every simulated run (open in ui.perfetto.dev), -metrics a Prometheus
-// text-format dump, and the summary includes the live prediction-drift
-// snapshot accumulated while the workloads executed.
+// The runs are observed: the summary ends with the live prediction-drift
+// snapshot accumulated while the workloads executed. For the same runs as
+// a Perfetto trace and a Prometheus dump, use the fig8 row of the
+// experiment table: benchrunner -exp fig8 -trace out.json -metrics out.prom.
 //
-//	go run ./examples/scheduler-comparison [-gap 12] [-queries 200] [-trace out.json] [-metrics out.prom]
+//	go run ./examples/scheduler-comparison [-gap 12] [-queries 200]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
+	"strings"
 
 	"saqp"
 )
@@ -24,29 +24,18 @@ import (
 func main() {
 	gap := flag.Float64("gap", 12, "mean Poisson inter-arrival gap (seconds)")
 	queries := flag.Int("queries", 200, "training corpus size")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the simulated runs to this file")
-	promOut := flag.String("metrics", "", "write Prometheus text-format metrics to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"scheduler-comparison reproduces the paper's Figure 8: the Bing and\n"+
 				"Facebook workload mixes (Table 2) replayed with Poisson arrivals under\n"+
-				"HCS, HFS and SWRD on the simulated 9-node cluster.\n\n"+
+				"HCS, HFS and SWRD on the simulated 9-node cluster. For a trace and\n"+
+				"metrics of the same runs: benchrunner -exp fig8 -trace out.json -metrics out.prom\n\n"+
 				"usage: go run ./examples/scheduler-comparison [flags]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	var traceFile *os.File
-	var sink *saqp.TraceSink
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		traceFile = f
-		sink = saqp.NewTraceSink(f)
-	}
-	o := saqp.NewObserver(sink)
+	o := saqp.NewObserver(nil)
 
 	cfg := saqp.DefaultExperimentConfig()
 	cfg.CorpusQueries = *queries
@@ -72,8 +61,8 @@ func main() {
 			}
 		}
 		for _, r := range rs {
-			bar := int(40 * r.AvgResponseSec / worst)
-			fmt.Printf("%-5s %8.1f s  %s\n", r.Scheduler, r.AvgResponseSec, repeat('#', bar))
+			bar := max(1, int(40*r.AvgResponseSec/worst))
+			fmt.Printf("%-5s %8.1f s  %s\n", r.Scheduler, r.AvgResponseSec, strings.Repeat("#", bar))
 		}
 		fmt.Printf("SWRD improves on HFS by %.1f%%, on HCS by %.1f%%\n",
 			100*(1-byName["SWRD"]/byName["HFS"]),
@@ -95,38 +84,4 @@ func main() {
 	for _, s := range drift.Estimates {
 		fmt.Printf("  %-12s mean rel err=%6.1f%%  (n=%d)\n", s.Category, 100*s.MeanRelError, s.N)
 	}
-
-	if err := o.Close(); err != nil {
-		log.Fatal(err)
-	}
-	if traceFile != nil {
-		if err := traceFile.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nWrote trace to %s (open in ui.perfetto.dev)\n", *traceOut)
-	}
-	if *promOut != "" {
-		f, err := os.Create(*promOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := o.Metrics.WritePrometheus(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("Wrote metrics to %s\n", *promOut)
-	}
-}
-
-func repeat(c byte, n int) string {
-	if n < 1 {
-		n = 1
-	}
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = c
-	}
-	return string(b)
 }

@@ -8,11 +8,11 @@ import (
 	"saqp/internal/core"
 	"saqp/internal/plan"
 	"saqp/internal/predict"
+	"saqp/internal/query"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
 	"saqp/internal/serve"
 	"saqp/internal/sim"
-	"saqp/internal/trace"
 	"saqp/internal/workload"
 )
 
@@ -45,6 +45,23 @@ func DefaultExperimentConfig() ExperimentConfig {
 	}
 }
 
+// corpusConfig is the corpus the experiment config describes: the paper's
+// setup with the config's size, seed and testbed; a zero size, seed or
+// cluster keeps workload.DefaultCorpusConfig's.
+func (cfg ExperimentConfig) corpusConfig() workload.CorpusConfig {
+	ccfg := workload.DefaultCorpusConfig()
+	if cfg.CorpusQueries > 0 {
+		ccfg.NumQueries = cfg.CorpusQueries
+	}
+	if cfg.Seed != 0 {
+		ccfg.Seed = cfg.Seed
+	}
+	if cfg.Cluster.Nodes > 0 {
+		ccfg.Cluster = cfg.Cluster
+	}
+	return ccfg
+}
+
 // TrainedArtifacts holds everything trained once and shared by experiments.
 type TrainedArtifacts struct {
 	Corpus *workload.Corpus
@@ -57,15 +74,7 @@ type TrainedArtifacts struct {
 // BuildTrainedArtifacts generates the corpus (paper Section 5.1: TPC-H and
 // TPC-DS queries over 1–100 GB, 3/4 train, 1/4 test) and fits the models.
 func BuildTrainedArtifacts(cfg ExperimentConfig) (*TrainedArtifacts, error) {
-	ccfg := workload.DefaultCorpusConfig()
-	if cfg.CorpusQueries > 0 {
-		ccfg.NumQueries = cfg.CorpusQueries
-	}
-	if cfg.Seed != 0 {
-		ccfg.Seed = cfg.Seed
-	}
-	ccfg.Cluster = cfg.Cluster
-	corpus, err := workload.BuildCorpus(ccfg)
+	corpus, err := workload.BuildCorpus(cfg.corpusConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -131,18 +140,14 @@ type ScatterPoint struct {
 	Operator          string
 }
 
-// ReproduceTable3 evaluates the Eq. 8 job model like the paper's Table 3.
+// ReproduceTable3 evaluates the Eq. 8 job model like the paper's Table 3;
+// its TestSet row averages the relative error over Figure 6's points.
 func ReproduceTable3(a *TrainedArtifacts) Table3Result {
 	res := Table3Result{TrainRows: a.Jobs.JobAccuracyByOperator(a.Train.JobSamples)}
 	var sum float64
-	for _, run := range a.Test.Runs {
-		for ji, je := range run.Est.Jobs {
-			sj := run.Sim.Jobs[ji]
-			actual := sj.DoneTime - sj.SubmitTime
-			if actual <= 0 {
-				continue
-			}
-			sum += math.Abs(a.Jobs.PredictJob(je)-actual) / actual
+	for _, p := range ReproduceFig6(a) {
+		if p.Actual > 0 {
+			sum += math.Abs(p.Predicted-p.Actual) / p.Actual
 			res.TestSetJobs++
 		}
 	}
@@ -203,8 +208,7 @@ func ReproduceFig7(a *TrainedArtifacts, cfg ExperimentConfig, numQueries int) (F
 		numQueries = 15
 	}
 	gen := workload.NewGenerator(cfg.Seed ^ 0xf1677)
-	estCache := workload.NewCatalogCache(64)
-	oraCache := workload.NewCatalogCache(1024)
+	stats := workload.NewStats(workload.DefaultCorpusConfig())
 	cm := defaultCostModel(cfg.Seed ^ 0x7fe)
 	slots := slotsFor(cfg.Cluster)
 	var res Fig7Result
@@ -215,7 +219,7 @@ func ReproduceFig7(a *TrainedArtifacts, cfg ExperimentConfig, numQueries int) (F
 			return res, err
 		}
 		sf := workload.SFForTargetBytes(q, 100e9)
-		run, err := workload.RunStandalone(q, shape, sf, estCache, oraCache, cm, cfg.Cluster)
+		run, err := workload.RunStandaloneSized(q, shape, sf, stats, cm, cfg.Cluster, selectivity.Config{})
 		if err != nil {
 			return res, err
 		}
@@ -227,6 +231,126 @@ func ReproduceFig7(a *TrainedArtifacts, cfg ExperimentConfig, numQueries int) (F
 	}
 	res.AvgError = sum / float64(len(res.Points))
 	return res, nil
+}
+
+// ---------------------------------------------------------------------------
+// The replay behind every simulated experiment
+// ---------------------------------------------------------------------------
+
+// replayItem is one query of a simulated experiment, prepared once and
+// replayed under as many cluster configs and schedulers as the experiment
+// compares.
+type replayItem struct {
+	name string
+	// est is the estimate the predictor sees; oracle sizes the tasks and
+	// draws their hidden durations. They are one estimate where an
+	// experiment has no second statistics resolution.
+	est, oracle *selectivity.QueryEstimate
+	arrival     float64
+	// seed seeds the item's own cost model under replay.perItemCost.
+	seed uint64
+}
+
+// replay is the one act behind Fig. 2, Fig. 8, the fault replay and
+// SimulateQuery: percolate prepared queries onto a simulated cluster,
+// submit them at their arrival times under a scheduler, and read response
+// times and Eq. 8 drift back. An experiment is a list of items and the
+// (cluster config, scheduler) pairs it hands to run.
+type replay struct {
+	items []replayItem
+	// tasks is the Eq. 9 model whose predictions are percolated onto the
+	// tasks (nil: the constant, semantics-free baseline); jobs is the
+	// Eq. 8 model job drift is scored with (nil: none is recorded).
+	jobs  *predict.JobModel
+	tasks *predict.TaskModel
+	// costSeed seeds the hidden cost model all items draw their task
+	// durations from, in item order; with perItemCost each item draws
+	// from a model of its own, seeded by the item.
+	costSeed    uint64
+	perItemCost bool
+}
+
+// models returns the artifacts' job and task models; nil artifacts have
+// neither.
+func (a *TrainedArtifacts) models() (*predict.JobModel, *predict.TaskModel) {
+	if a == nil {
+		return nil, nil
+	}
+	return a.Jobs, a.Tasks
+}
+
+// add compiles q and estimates it at both statistics resolutions over the
+// database at scale factor sf, appending the result as an item.
+func (r *replay) add(stats *workload.Stats, name string, q *query.Query, sf, arrival float64) error {
+	d, err := plan.Compile(q)
+	if err != nil {
+		return err
+	}
+	est, oracle, err := stats.Estimate(d, sf, selectivity.Config{})
+	if err != nil {
+		return err
+	}
+	r.items = append(r.items, replayItem{name: name, est: est, oracle: oracle, arrival: arrival})
+	return nil
+}
+
+// recordEstimateDrift logs every item's per-job selectivity estimates
+// (IS/FS) against the oracle's values, keyed by operator category. It is
+// per query, not per run: an experiment calls it once however many
+// schedulers it replays under.
+func (r *replay) recordEstimateDrift(o *Observer) {
+	if o == nil || o.Drift == nil {
+		return
+	}
+	for _, it := range r.items {
+		for ji, je := range it.est.Jobs {
+			tj := it.oracle.Jobs[ji]
+			cat := je.Job.Type.String()
+			o.Drift.RecordEstimate(cat, "IS", je.IS, tj.IS)
+			o.Drift.RecordEstimate(cat, "FS", je.FS, tj.FS)
+		}
+	}
+}
+
+// everyItem is run's alone argument for the usual replay: all items, each
+// at its arrival time.
+const everyItem = -1
+
+// run replays the items once: it percolates a fresh cluster query per
+// item (task state is per run; cross-layer semantics percolation,
+// internal/core), submits them at their arrival times — or, with
+// alone >= 0, only that item, at time zero — to a cluster of config cc
+// under pol, runs it to completion and records the Eq. 8 drift of every
+// submitted query that finished. A nil observer runs un-instrumented.
+// The returned queries align with r.items; every item is percolated even
+// when one runs alone, so a shared cost model hands that query the task
+// durations it has in company.
+func (r *replay) run(cc cluster.Config, pol cluster.Scheduler, o *Observer, alone int) (*cluster.Results, []*cluster.Query, error) {
+	cm := defaultCostModel(r.costSeed)
+	sim := cluster.New(cc, sched.Instrument(pol, o)).SetObserver(o)
+	qs := make([]*cluster.Query, len(r.items))
+	for i, it := range r.items {
+		if r.perItemCost {
+			cm = defaultCostModel(it.seed)
+		}
+		qs[i] = core.Percolate(it.name, it.oracle, it.est, cm, r.tasks).Query
+		switch alone {
+		case everyItem:
+			sim.Submit(qs[i], it.arrival)
+		case i:
+			sim.Submit(qs[i], 0)
+		}
+	}
+	res, err := sim.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, q := range qs {
+		if (alone == everyItem || alone == i) && !q.Failed() {
+			serve.RecordJobDrift(o, r.jobs, r.items[i].est, q)
+		}
+	}
+	return res, qs, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -253,122 +377,62 @@ type MotivationResult struct {
 	Makespan  float64
 }
 
-// motivationSQL returns the three queries as the paper specifies them:
-// QA/QC are instances of TPC-H Q14 ("evaluates the market response to a
-// production promotion in one month") and QB is TPC-H Q17 — see
-// workload.TPCHQuery for the canonical texts.
-func motivationSQL() (qa, qb string) {
-	q14, err := workload.TPCHQuery("q14")
-	if err != nil {
-		panic(err) // the canonical catalog is compiled-in; cannot fail
-	}
-	q17, err := workload.TPCHQuery("q17")
-	if err != nil {
-		panic(err)
-	}
-	return q14.String(), q17.String()
-}
-
 // ReproduceFig2 runs QA(10 GB), QB(100 GB), QC(10 GB) submitted 5 s apart
 // under the named scheduler, plus each query alone, and reports response
-// times and slowdowns. Under HCS the small queries' second jobs are starved
+// times and slowdowns. As the paper specifies them, QA/QC are instances
+// of TPC-H Q14 ("evaluates the market response to a production promotion
+// in one month") and QB is TPC-H Q17 — see workload.TPCHQuery for the
+// canonical texts. Under HCS the small queries' second jobs are starved
 // behind QB's jobs — the thrashing of Figures 1–2.
 func ReproduceFig2(scheduler string, a *TrainedArtifacts, cfg ExperimentConfig) (*MotivationResult, error) {
 	pol, err := schedulerByName(scheduler)
 	if err != nil {
 		return nil, err
 	}
-	qaSQL, qbSQL := motivationSQL()
-	type spec struct {
-		name    string
-		sql     string
-		target  float64
-		arrival float64
-	}
-	specs := []spec{
-		{"QA", qaSQL, 10e9, 0},
-		{"QB", qbSQL, 100e9, 5},
-		{"QC", qaSQL, 10e9, 10},
-	}
-	fw, err := NewFramework(Options{Observer: cfg.Observer})
-	if err != nil {
-		return nil, err
-	}
-	estCache := workload.NewCatalogCache(64)
-	oraCache := workload.NewCatalogCache(1024)
-
-	build := func(cmSeed uint64, o *Observer) ([]*cluster.Query, []float64, []*selectivity.QueryEstimate, error) {
-		cm := defaultCostModel(cmSeed)
-		var qs []*cluster.Query
-		var inputs []float64
-		var ests []*selectivity.QueryEstimate
-		for _, sp := range specs {
-			d, err := fw.Compile(sp.sql)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			sf := workload.SFForTargetBytes(d.Query, sp.target)
-			oracle, err := selectivity.NewEstimator(oraCache.Get(sf), selectivity.Config{}).EstimateQuery(d)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			est, err := selectivity.NewEstimator(estCache.Get(sf), selectivity.Config{}).EstimateQuery(d)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			cq := percolate(a, o, sp.name, oracle, est, cm)
-			qs = append(qs, cq)
-			inputs = append(inputs, oracle.TotalInputBytes())
-			ests = append(ests, est)
+	rp := &replay{costSeed: cfg.Seed ^ 0x515}
+	rp.jobs, rp.tasks = a.models()
+	stats := workload.NewStats(workload.DefaultCorpusConfig())
+	for _, sp := range []struct {
+		name, tpch      string
+		target, arrival float64
+	}{
+		{"QA", "q14", 10e9, 0},
+		{"QB", "q17", 100e9, 5},
+		{"QC", "q14", 10e9, 10},
+	} {
+		q, err := workload.TPCHQuery(sp.tpch)
+		if err != nil {
+			return nil, err
 		}
-		return qs, inputs, ests, nil
+		if err := rp.add(stats, sp.name, q, workload.SFForTargetBytes(q, sp.target), sp.arrival); err != nil {
+			return nil, err
+		}
 	}
 
 	// Concurrent run — the only one the observer instruments, so the trace
 	// shows the thrashing rather than three quiet standalone runs.
-	qs, inputs, ests, err := build(cfg.Seed^0x515, cfg.Observer)
+	rp.recordEstimateDrift(cfg.Observer)
+	res, qs, err := rp.run(cfg.Cluster, pol, cfg.Observer, everyItem)
 	if err != nil {
 		return nil, err
-	}
-	sim := cluster.New(cfg.Cluster, sched.Instrument(pol, cfg.Observer)).SetObserver(cfg.Observer)
-	for i, q := range qs {
-		sim.Submit(q, specs[i].arrival)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		return nil, err
-	}
-	if a != nil {
-		for i, q := range qs {
-			serve.RecordJobDrift(cfg.Observer, a.Jobs, ests[i], q)
-		}
 	}
 
-	// Alone runs (same cost-model seed → same task durations).
-	alone := make([]float64, len(specs))
-	for i := range specs {
-		qs2, _, _, err := build(cfg.Seed^0x515, nil)
+	// Each query alone: its tasks last exactly as long as they did in
+	// company (see run), so the slowdown is contention and nothing else.
+	out := &MotivationResult{Scheduler: scheduler, Makespan: res.Makespan}
+	for i, q := range qs {
+		_, alone, err := rp.run(cfg.Cluster, pol, nil, i)
 		if err != nil {
 			return nil, err
 		}
-		s2 := cluster.New(cfg.Cluster, pol)
-		s2.Submit(qs2[i], 0)
-		if _, err := s2.Run(); err != nil {
-			return nil, err
-		}
-		alone[i] = qs2[i].ResponseTime()
-	}
-
-	out := &MotivationResult{Scheduler: scheduler, Makespan: res.Makespan}
-	for i, q := range qs {
 		mq := MotivationQuery{
-			Name:       specs[i].name,
+			Name:       rp.items[i].name,
 			Response:   q.ResponseTime(),
-			Alone:      alone[i],
-			InputBytes: inputs[i],
+			Alone:      alone[i].ResponseTime(),
+			InputBytes: rp.items[i].oracle.TotalInputBytes(),
 		}
-		if alone[i] > 0 {
-			mq.Slowdown = q.ResponseTime() / alone[i]
+		if mq.Alone > 0 {
+			mq.Slowdown = mq.Response / mq.Alone
 		}
 		for _, j := range q.Jobs {
 			start, end := cluster.JobSpan(j)
@@ -399,34 +463,6 @@ type Fig8Result struct {
 	AvgByBin map[int]float64
 }
 
-// percolate attaches the artifacts' semantics-aware predictions to a
-// query (cross-layer semantics percolation, internal/core). A non-nil
-// observer records the estimator's IS/FS output against the oracle
-// values for each job.
-func percolate(a *TrainedArtifacts, o *Observer, id string, truth, est *selectivity.QueryEstimate,
-	cm *trace.CostModel) *cluster.Query {
-	recordEstimateDrift(o, truth, est)
-	var tm *predict.TaskModel
-	if a != nil {
-		tm = a.Tasks
-	}
-	return core.Percolate(id, truth, est, cm, tm).Query
-}
-
-// recordEstimateDrift logs per-job selectivity estimates (IS/FS) against
-// the oracle catalog's values, keyed by operator category.
-func recordEstimateDrift(o *Observer, truth, est *selectivity.QueryEstimate) {
-	if o == nil || o.Drift == nil || truth == nil || est == nil {
-		return
-	}
-	for ji, je := range est.Jobs {
-		tj := truth.Jobs[ji]
-		cat := je.Job.Type.String()
-		o.Drift.RecordEstimate(cat, "IS", je.IS, tj.IS)
-		o.Drift.RecordEstimate(cat, "FS", je.FS, tj.FS)
-	}
-}
-
 // ReproduceFig8 runs one workload mix under the three schedulers and
 // reports average query response times (paper Figure 8). meanGapSec sets
 // the Poisson arrival rate; the paper's clusters are heavily loaded, so the
@@ -448,70 +484,31 @@ func ReproduceFig8(mix string, a *TrainedArtifacts, cfg ExperimentConfig, meanGa
 	if err != nil {
 		return nil, err
 	}
-
-	// Pre-compile and estimate every item once; per-scheduler runs rebuild
-	// the cluster queries (task state is per-run) with identical seeds.
-	type item struct {
-		dag         *plan.DAG
-		est, oracle *selectivity.QueryEstimate
-		arrival     float64
-		name        string
-		bin         int
-	}
-	estCache := workload.NewCatalogCache(64)
-	oraCache := workload.NewCatalogCache(1024)
-	items := make([]item, len(w.Items))
+	rp := &replay{costSeed: cfg.Seed ^ 0xc0ffee}
+	rp.jobs, rp.tasks = a.models()
+	stats := workload.NewStats(workload.DefaultCorpusConfig())
 	for i, wi := range w.Items {
-		d, err := plan.Compile(wi.Query)
-		if err != nil {
+		if err := rp.add(stats, fmt.Sprintf("%s-%03d", mix, i), wi.Query, wi.SF, wi.ArrivalSec); err != nil {
 			return nil, err
 		}
-		oracle, err := selectivity.NewEstimator(oraCache.Get(wi.SF), selectivity.Config{}).EstimateQuery(d)
-		if err != nil {
-			return nil, err
-		}
-		est, err := selectivity.NewEstimator(estCache.Get(wi.SF), selectivity.Config{}).EstimateQuery(d)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = item{dag: d, est: est, oracle: oracle, arrival: wi.ArrivalSec,
-			name: fmt.Sprintf("%s-%03d", mix, i), bin: wi.Bin}
 	}
+	rp.recordEstimateDrift(cfg.Observer)
 
 	var out []Fig8Result
-	for si, name := range []string{SchedulerHCS, SchedulerHFS, SchedulerSWRD} {
+	for _, name := range []string{SchedulerHCS, SchedulerHFS, SchedulerSWRD} {
 		pol, err := schedulerByName(name)
 		if err != nil {
 			return nil, err
 		}
-		cm := defaultCostModel(cfg.Seed ^ 0xc0ffee)
-		sim := cluster.New(cfg.Cluster, sched.Instrument(pol, cfg.Observer)).SetObserver(cfg.Observer)
-		// Estimate drift is per-query, not per-run: record it only on the
-		// first scheduler pass so replays don't triple-count samples.
-		po := cfg.Observer
-		if si > 0 {
-			po = nil
-		}
-		var queries []*cluster.Query
-		for _, it := range items {
-			cq := percolate(a, po, it.name, it.oracle, it.est, cm)
-			queries = append(queries, cq)
-			sim.Submit(cq, it.arrival)
-		}
-		res, err := sim.Run()
+		res, queries, err := rp.run(cfg.Cluster, pol, cfg.Observer, everyItem)
 		if err != nil {
 			return nil, fmt.Errorf("saqp: %s under %s: %w", mix, name, err)
-		}
-		if a != nil {
-			for qi, q := range queries {
-				serve.RecordJobDrift(cfg.Observer, a.Jobs, items[qi].est, q)
-			}
 		}
 		byBin := map[int]float64{}
 		binN := map[int]int{}
 		for i, q := range queries {
-			byBin[items[i].bin] += q.ResponseTime()
-			binN[items[i].bin]++
+			byBin[w.Items[i].Bin] += q.ResponseTime()
+			binN[w.Items[i].Bin]++
 		}
 		for bin := range byBin {
 			byBin[bin] /= float64(binN[bin])
@@ -611,58 +608,58 @@ func ReproduceFig5() ([]Fig5Job, error) {
 // inflation ratios quantify how much injected crashes, slowdowns and
 // transient failures stretch the response-time distribution, and
 // CompletionRate reports how much of the workload the recovery machinery
-// (re-execution, backoff, blacklisting) carried to completion.
+// (re-execution, backoff, blacklisting) carried to completion. The JSON
+// names are BENCH_fault.json's; every field is deterministic in the seeds.
 type FaultReplayResult struct {
-	Scheduler string
-	Queries   int
+	Scheduler string  `json:"scheduler"`
+	Seed      uint64  `json:"seed"`
+	FaultSeed uint64  `json:"fault_seed"`
+	Rounds    int     `json:"rounds"`
+	GapSec    float64 `json:"gap_sec"`
+	Queries   int     `json:"queries"`
 	// Completed and Failed partition the faulted run's queries; a failed
 	// query carries a *TaskFailedError (attempt cap exhausted).
-	Completed int
-	Failed    int
+	Completed int `json:"completed"`
+	Failed    int `json:"failed"`
 	// CompletionRate is Completed / Queries of the faulted run.
-	CompletionRate float64
+	CompletionRate float64 `json:"completion_rate"`
 	// Clean vs faulted response-time percentiles and their ratios.
-	CleanP50Sec, CleanP99Sec   float64
-	FaultP50Sec, FaultP99Sec   float64
-	P50Inflation, P99Inflation float64
+	CleanP50Sec  float64 `json:"clean_p50_sec"`
+	CleanP99Sec  float64 `json:"clean_p99_sec"`
+	FaultP50Sec  float64 `json:"fault_p50_sec"`
+	FaultP99Sec  float64 `json:"fault_p99_sec"`
+	P50Inflation float64 `json:"p50_inflation"`
+	P99Inflation float64 `json:"p99_inflation"`
 	// Makespans of the two runs.
-	CleanMakespanSec, FaultMakespanSec float64
-	// Faults tallies the faulted run's recovery activity.
-	Faults FaultStats
+	CleanMakespanSec float64 `json:"clean_makespan_sec"`
+	FaultMakespanSec float64 `json:"fault_makespan_sec"`
+	// Faults tallies the faulted run's recovery activity. A report embeds
+	// it beside the result, so its counters sit at the top level.
+	Faults FaultStats `json:"-"`
 }
 
+// faultReplayGapSec is the fault replay's mean Poisson inter-arrival gap.
+const faultReplayGapSec = 20
+
 // ReproduceFaultReplay replays the canonical TPC-H queries (rounds copies
-// each, Poisson arrivals with meanGapSec) on cfg.Cluster twice — clean,
-// then under fp — and reports the fault run's recovery outcome against
-// the clean baseline. Both runs share per-query cost-model seeds, so
-// every difference is attributable to the plan. a may be nil (constant
-// task predictions); scheduler defaults to SWRD.
-func ReproduceFaultReplay(a *TrainedArtifacts, cfg ExperimentConfig, fp *FaultPlan,
-	scheduler string, rounds int, meanGapSec float64) (*FaultReplayResult, error) {
-	if scheduler == "" {
-		scheduler = SchedulerSWRD
-	}
-	pol, err := schedulerByName(scheduler)
+// each, default 3; Poisson arrivals 20 s apart) under SWRD on cfg.Cluster
+// twice — clean, then under fp — and reports the fault run's recovery
+// outcome against the clean baseline. Both runs share per-query
+// cost-model seeds, so every difference is attributable to the plan. Task
+// predictions are the constant baseline: the replay measures recovery,
+// not scheduling quality.
+func ReproduceFaultReplay(cfg ExperimentConfig, fp *FaultPlan, rounds int) (*FaultReplayResult, error) {
+	pol, err := schedulerByName(SchedulerSWRD)
 	if err != nil {
 		return nil, err
 	}
 	if rounds <= 0 {
 		rounds = 3
 	}
-	if meanGapSec <= 0 {
-		meanGapSec = 20
-	}
 
 	// Compile and estimate each canonical query once; arrivals come from a
 	// seeded exponential clock shared by both runs.
-	type item struct {
-		est     *selectivity.QueryEstimate
-		arrival float64
-		name    string
-		seed    uint64
-	}
-	cat := workload.NewCatalogCache(1024).Get(10)
-	est := selectivity.NewEstimator(cat, selectivity.Config{})
+	est := selectivity.NewEstimator(workload.NewCatalogCache(1024).Get(10), selectivity.Config{})
 	byName := map[string]*selectivity.QueryEstimate{}
 	names := workload.TPCHNames()
 	for _, name := range names {
@@ -674,56 +671,46 @@ func ReproduceFaultReplay(a *TrainedArtifacts, cfg ExperimentConfig, fp *FaultPl
 		if err != nil {
 			return nil, err
 		}
-		qe, err := est.EstimateQuery(d)
-		if err != nil {
+		if byName[name], err = est.EstimateQuery(d); err != nil {
 			return nil, err
 		}
-		byName[name] = qe
 	}
 	rng := sim.New(cfg.Seed ^ 0xfa017)
-	var items []item
+	rp := &replay{perItemCost: true}
 	clock := 0.0
 	for r := 0; r < rounds; r++ {
 		for _, name := range names {
-			clock += -meanGapSec * math.Log(1-rng.Float64())
-			items = append(items, item{
-				est:     byName[name],
-				arrival: clock,
+			clock += -faultReplayGapSec * math.Log(1-rng.Float64())
+			rp.items = append(rp.items, replayItem{
 				name:    fmt.Sprintf("%s-r%d", name, r),
-				seed:    cfg.Seed ^ uint64(len(items))*0x9e3779b97f4a7c15,
+				est:     byName[name],
+				oracle:  byName[name],
+				arrival: clock,
+				seed:    cfg.Seed ^ uint64(len(rp.items))*0x9e3779b97f4a7c15,
 			})
 		}
 	}
 
-	var pred cluster.TaskTimePredictor = cluster.ConstantPredictor(1)
-	if a != nil {
-		pred = a.Tasks
-	}
-	run := func(cc cluster.Config) (*cluster.Results, error) {
-		s := cluster.New(cc, sched.Instrument(pol, cfg.Observer)).SetObserver(cfg.Observer)
-		for _, it := range items {
-			cq := cluster.BuildQuery(it.name, it.est, defaultCostModel(it.seed), pred)
-			s.Submit(cq, it.arrival)
-		}
-		return s.Run()
-	}
-
 	clean := cfg.Cluster
 	clean.Faults = nil
-	cres, err := run(clean)
+	cres, _, err := rp.run(clean, pol, cfg.Observer, everyItem)
 	if err != nil {
 		return nil, fmt.Errorf("saqp: fault replay clean run: %w", err)
 	}
 	faulted := cfg.Cluster
 	faulted.Faults = fp
-	fres, err := run(faulted)
+	fres, _, err := rp.run(faulted, pol, cfg.Observer, everyItem)
 	if err != nil {
 		return nil, fmt.Errorf("saqp: fault replay faulted run: %w", err)
 	}
 
 	out := &FaultReplayResult{
-		Scheduler:        scheduler,
-		Queries:          len(items),
+		Scheduler:        SchedulerSWRD,
+		Seed:             cfg.Seed,
+		FaultSeed:        fp.Spec().Seed,
+		Rounds:           rounds,
+		GapSec:           faultReplayGapSec,
+		Queries:          len(rp.items),
 		Completed:        fres.Completed,
 		Failed:           fres.Failed,
 		CleanP50Sec:      cres.PercentileResponse(0.50),
@@ -750,25 +737,8 @@ func ReproduceFaultReplay(a *TrainedArtifacts, cfg ExperimentConfig, fp *FaultPl
 // Learning replay: error-vs-samples convergence of the online registry
 // ---------------------------------------------------------------------------
 
-// LearnReplayConfig controls the online-learning convergence replay.
-type LearnReplayConfig struct {
-	// Queries sizes the replayed corpus. Default 120.
-	Queries int
-	// Seed drives corpus generation. Default 2018.
-	Seed uint64
-	// Window, MinSamples and PromoteMargin configure the registry; zero
-	// values take the registry defaults (100, 50, 0.05).
-	Window        int
-	MinSamples    int
-	PromoteMargin float64
-	// PointEvery is the job-sample stride between convergence points.
-	// Default 25.
-	PointEvery int
-	// Cluster sizes the simulated testbed the corpus executed on.
-	Cluster cluster.Config
-	// Observer receives saqp_learn_* metrics during the replay.
-	Observer *Observer
-}
+// learnPointEvery is the job-sample stride between convergence points.
+const learnPointEvery = 25
 
 // LearnPoint is one error-vs-samples convergence measurement: the
 // challenger's average relative error over the full job-sample stream
@@ -799,67 +769,49 @@ type LearnReplayResult struct {
 }
 
 // avgRelJobError scores a job model over samples with the paper's
-// average-relative-error metric.
+// average-relative-error metric: Table 3's "All" row.
 func avgRelJobError(jm *predict.JobModel, samples []predict.JobSample) float64 {
-	var sum float64
-	var n int
-	for _, s := range samples {
-		if s.Seconds <= 0 {
-			continue
+	for _, r := range jm.JobAccuracyByOperator(samples) {
+		if r.Op == "All" {
+			return r.AvgError
 		}
-		sum += math.Abs(jm.PredictSample(s)-s.Seconds) / s.Seconds
-		n++
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return 0
 }
 
-// ReproduceLearningReplay replays a generated corpus through a cold
-// model-lifecycle registry, one completed run at a time, and reports
-// error-vs-samples convergence, the promotion sequence, and the final
-// challenger accuracy against a batch-trained baseline over the same
-// stream. Everything is derived from the seeded corpus — no wall clock
-// — so repeated runs produce byte-identical results.
-func ReproduceLearningReplay(cfg LearnReplayConfig) (*LearnReplayResult, error) {
-	if cfg.Queries <= 0 {
-		cfg.Queries = 120
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 2018
-	}
-	if cfg.PointEvery <= 0 {
-		cfg.PointEvery = 25
-	}
-	ccfg := workload.DefaultCorpusConfig()
-	ccfg.NumQueries = cfg.Queries
-	ccfg.Seed = cfg.Seed
-	if cfg.Cluster.Nodes > 0 {
-		ccfg.Cluster = cfg.Cluster
-	}
-	corpus, err := workload.BuildCorpus(ccfg)
+// ReproduceLearningReplay replays the corpus cfg describes through a cold
+// model-lifecycle registry at its default window, warm-up and promotion
+// margin (LearnerConfig), one completed run at a time — each run's
+// samples in the order the offline corpus collects them — and reports
+// error-vs-samples convergence every 25 job samples, the promotion
+// sequence, and the final challenger accuracy against a batch-trained
+// baseline over the same stream. Everything is derived from the seeded
+// corpus — no wall clock — so repeated runs produce byte-identical
+// results. cfg.Observer receives the saqp_learn_* metrics.
+func ReproduceLearningReplay(cfg ExperimentConfig) (*LearnReplayResult, error) {
+	corpus, err := workload.BuildCorpus(cfg.corpusConfig())
 	if err != nil {
 		return nil, err
 	}
-	reg := NewLearnerRegistry(LearnerConfig{
-		Window:        cfg.Window,
-		MinSamples:    cfg.MinSamples,
-		PromoteMargin: cfg.PromoteMargin,
-		Observer:      cfg.Observer,
-	})
+	reg := NewLearnerRegistry(LearnerConfig{Observer: cfg.Observer})
 
 	res := &LearnReplayResult{Queries: len(corpus.Runs)}
-	nextPoint := cfg.PointEvery
+	nextPoint := learnPointEvery
 	for _, run := range corpus.Runs {
-		feedRunIntoLearner(reg, run)
+		run.EachSample(
+			func(op plan.JobType, features []float64, sec float64) {
+				if sec > 0 {
+					reg.ObserveJob(op, features, sec)
+				}
+			},
+			reg.ObserveTask)
 		for reg.JobSamples() >= nextPoint {
 			p := LearnPoint{JobSamples: nextPoint, Version: reg.Version()}
 			if jm := reg.ChallengerJobModel(); jm != nil {
 				p.ChallengerErr = avgRelJobError(jm, corpus.JobSamples)
 			}
 			res.Points = append(res.Points, p)
-			nextPoint += cfg.PointEvery
+			nextPoint += learnPointEvery
 		}
 	}
 	res.JobSamples = reg.JobSamples()
@@ -875,22 +827,4 @@ func ReproduceLearningReplay(cfg LearnReplayConfig) (*LearnReplayResult, error) 
 	}
 	res.BatchErr = avgRelJobError(batch, corpus.JobSamples)
 	return res, nil
-}
-
-// feedRunIntoLearner feeds one completed corpus run into the registry
-// the same way the offline corpus collects samples: the observed job
-// time with oracle (log-derived) features, plus a bounded number of
-// task observations per group.
-func feedRunIntoLearner(reg *Learner, run *workload.QueryRun) {
-	const perPhase = 16
-	for ji, je := range run.Oracle.Jobs {
-		sj := run.Sim.Jobs[ji]
-		if sec := sj.DoneTime - sj.SubmitTime; sec > 0 {
-			reg.ObserveJob(je.Job.Type, predict.JobFeatures(je), sec)
-		}
-		op, pf := je.Job.Type, je.PFactor()
-		sj.EachSample(je, perPhase, func(g selectivity.TaskGroup, tk *cluster.Task) {
-			reg.ObserveTask(op, tk.Reduce, predict.TaskFeatures(op, g.InBytes, g.OutBytes, pf), tk.ActualSec)
-		})
-	}
 }

@@ -87,8 +87,8 @@ func TestDefaultFaultPlanRecovers(t *testing.T) {
 func TestFaultReplayDefaultPlanCompletes(t *testing.T) {
 	run := func() *saqp.FaultReplayResult {
 		cfg := saqp.DefaultExperimentConfig()
-		r, err := saqp.ReproduceFaultReplay(nil, cfg,
-			saqp.NewFaultPlan(saqp.DefaultFaultSpec(2018)), "", 2, 20)
+		r, err := saqp.ReproduceFaultReplay(cfg,
+			saqp.NewFaultPlan(saqp.DefaultFaultSpec(2018)), 2)
 		if err != nil {
 			t.Fatal(err)
 		}

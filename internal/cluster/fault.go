@@ -36,23 +36,24 @@ func (e *TaskFailedError) Error() string {
 		e.Query, e.Job, phase, e.Index, e.Attempts)
 }
 
-// FaultStats tallies injected-fault recovery activity over one run.
+// FaultStats tallies injected-fault recovery activity over one run. The
+// JSON names are BENCH_fault.json's.
 type FaultStats struct {
 	// TaskFailures counts transient attempt failures (FAILED attempts).
-	TaskFailures int
+	TaskFailures int `json:"task_failures"`
 	// TaskRetries counts task re-executions scheduled after a failure or
 	// crash kill (KILLED attempts re-queue immediately).
-	TaskRetries int
+	TaskRetries int `json:"task_retries"`
 	// NodeCrashes and NodeRecoveries count outage windows applied.
-	NodeCrashes    int
-	NodeRecoveries int
+	NodeCrashes    int `json:"node_crashes"`
+	NodeRecoveries int `json:"node_recoveries"`
 	// NodesBlacklisted counts nodes excluded after repeated failures.
-	NodesBlacklisted int
+	NodesBlacklisted int `json:"nodes_blacklisted"`
 	// SpeculativeCancels counts losing attempts of speculative races
 	// cancelled when the winner finished.
-	SpeculativeCancels int
+	SpeculativeCancels int `json:"speculative_cancels"`
 	// QueryFailures counts queries abandoned at the attempt cap.
-	QueryFailures int
+	QueryFailures int `json:"query_failures"`
 }
 
 // effFactor is the node's speed multiplier at the current sim time: the

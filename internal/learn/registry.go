@@ -81,9 +81,9 @@ type Registry struct {
 	retired    [][]byte
 }
 
-// NewRegistry builds a registry from cfg, applying defaults for
-// unset fields.
-func NewRegistry(cfg Config) *Registry {
+// WithDefaults returns cfg with every unset knob at its default: the
+// configuration a registry built from cfg actually runs with.
+func (cfg Config) WithDefaults() Config {
 	if cfg.Window <= 0 {
 		cfg.Window = 100
 	}
@@ -93,6 +93,13 @@ func NewRegistry(cfg Config) *Registry {
 	if cfg.PromoteMargin <= 0 {
 		cfg.PromoteMargin = 0.05
 	}
+	return cfg
+}
+
+// NewRegistry builds a registry from cfg, applying defaults for
+// unset fields.
+func NewRegistry(cfg Config) *Registry {
+	cfg = cfg.WithDefaults()
 	r := &Registry{
 		cfg:       cfg,
 		jobPooled: NewLearner(Relative),

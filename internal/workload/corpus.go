@@ -133,6 +133,34 @@ func (cc *CatalogCache) Get(sf float64) *catalog.Catalog {
 	return c
 }
 
+// Stats is the pair of statistics resolutions every experiment estimates
+// a query at: the coarse histograms the predictor is allowed to see and
+// the fine ones standing in for the data volumes the cluster observes.
+type Stats struct {
+	est, oracle *CatalogCache
+}
+
+// NewStats returns catalog caches at cfg's two histogram resolutions;
+// DefaultCorpusConfig's (64 and 1024 buckets) are the ones every table
+// and figure is reported at.
+func NewStats(cfg CorpusConfig) *Stats {
+	return &Stats{est: NewCatalogCache(cfg.EstimatorBuckets), oracle: NewCatalogCache(cfg.OracleBuckets)}
+}
+
+// Estimate estimates a compiled plan over the database at scale factor sf
+// twice: est from the predictor-visible statistics, oracle from the fine
+// ones. Like the caches underneath, it is not goroutine-safe for a scale
+// factor seen for the first time.
+func (s *Stats) Estimate(d *plan.DAG, sf float64, sizing selectivity.Config) (est, oracle *selectivity.QueryEstimate, err error) {
+	if est, err = selectivity.NewEstimator(s.est.Get(sf), sizing).EstimateQuery(d); err != nil {
+		return nil, nil, err
+	}
+	if oracle, err = selectivity.NewEstimator(s.oracle.Get(sf), sizing).EstimateQuery(d); err != nil {
+		return nil, nil, err
+	}
+	return est, oracle, nil
+}
+
 // BuildCorpus generates queries, estimates them at both statistic
 // resolutions, executes each standalone on the simulated cluster, and
 // collects job- and task-level training samples. Runs execute in parallel
@@ -165,11 +193,10 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 
 	// Pre-warm the catalog caches sequentially: the caches are not
 	// goroutine-safe, and the quantised scale factors repeat heavily.
-	estCache := NewCatalogCache(cfg.EstimatorBuckets)
-	oraCache := NewCatalogCache(cfg.OracleBuckets)
+	stats := NewStats(cfg)
 	for _, d := range draws {
-		estCache.Get(d.sf)
-		oraCache.Get(d.sf)
+		stats.est.Get(d.sf)
+		stats.oracle.Get(d.sf)
 	}
 
 	// Phase 2 (parallel): compile, estimate and simulate each run.
@@ -184,7 +211,7 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			cm := trace.NewDefaultCostModel(d.cmSeed)
-			runs[i], errs[i] = RunStandaloneSized(d.q, d.shape, d.sf, estCache, oraCache, cm, cfg.Cluster, cfg.Sizing)
+			runs[i], errs[i] = RunStandaloneSized(d.q, d.shape, d.sf, stats, cm, cfg.Cluster, cfg.Sizing)
 		}(i, d)
 	}
 	wg.Wait()
@@ -199,27 +226,18 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 	return corpus, nil
 }
 
-// RunStandalone compiles, estimates (at both statistics resolutions) and
-// executes a single query alone on a simulated cluster, returning the full
-// run record. It is the building block of corpus construction and of the
-// per-query experiments (Fig. 7, Fig. 2).
-func RunStandalone(q *query.Query, shape Shape, sf float64, estCache, oraCache *CatalogCache,
-	cm *trace.CostModel, clusterCfg cluster.Config) (*QueryRun, error) {
-	return RunStandaloneSized(q, shape, sf, estCache, oraCache, cm, clusterCfg, selectivity.Config{})
-}
-
-// RunStandaloneSized is RunStandalone with explicit task-sizing rules.
-func RunStandaloneSized(q *query.Query, shape Shape, sf float64, estCache, oraCache *CatalogCache,
+// RunStandaloneSized compiles, estimates (at both statistics resolutions,
+// under the given task-sizing rules) and executes a single query alone on
+// a simulated cluster, returning the full run record. It is the building
+// block of corpus construction and of Fig. 7, and deliberately not a
+// replay of one: bench/'s setup_s times this un-instrumented path.
+func RunStandaloneSized(q *query.Query, shape Shape, sf float64, stats *Stats,
 	cm *trace.CostModel, clusterCfg cluster.Config, sizing selectivity.Config) (*QueryRun, error) {
 	d, err := plan.Compile(q)
 	if err != nil {
 		return nil, err
 	}
-	est, err := selectivity.NewEstimator(estCache.Get(sf), sizing).EstimateQuery(d)
-	if err != nil {
-		return nil, err
-	}
-	oracle, err := selectivity.NewEstimator(oraCache.Get(sf), sizing).EstimateQuery(d)
+	est, oracle, err := stats.Estimate(d, sf, sizing)
 	if err != nil {
 		return nil, err
 	}
@@ -237,32 +255,41 @@ func RunStandaloneSized(q *query.Query, shape Shape, sf float64, estCache, oraCa
 	}, nil
 }
 
-// collectSamples extracts job and task training samples from a run. Job
-// features use the oracle's (observed) data sizes, matching how the paper
-// trains from execution logs; prediction-time features come from Est.
-func (c *Corpus) collectSamples(run *QueryRun) {
-	for ji, je := range run.Oracle.Jobs {
-		sj := run.Sim.Jobs[ji]
-		jobSecs := sj.DoneTime - sj.SubmitTime
-		c.JobSamples = append(c.JobSamples, predict.JobSample{
-			Op:       je.Job.Type,
-			Features: predict.JobFeatures(je),
-			Seconds:  jobSecs,
-		})
-		// A group's tasks share features (volumes split evenly), so sampling
-		// a bounded number per group keeps the corpus compact without
-		// changing the fitted coefficients' expectation.
-		const perPhase = 16
+// samplesPerGroup bounds the task samples one task group contributes. A
+// group's tasks share features (volumes split evenly), so a bounded number
+// per group keeps the stream compact without changing the fitted
+// coefficients' expectation.
+const samplesPerGroup = 16
+
+// EachSample walks the run's training samples in stream order: each job's
+// observed time, then up to samplesPerGroup of that job's task times per
+// task group. Features use the oracle's (observed) data sizes, matching
+// how the paper trains from execution logs; prediction-time features come
+// from Est. The offline corpus and the learning replay's registry both
+// consume this one walk, so they see the same interleaved stream.
+func (r *QueryRun) EachSample(
+	job func(op plan.JobType, features []float64, sec float64),
+	task func(op plan.JobType, reduce bool, features []float64, sec float64),
+) {
+	for ji, je := range r.Oracle.Jobs {
+		sj := r.Sim.Jobs[ji]
 		op, pf := je.Job.Type, je.PFactor()
-		sj.EachSample(je, perPhase, func(g selectivity.TaskGroup, t *cluster.Task) {
-			c.TaskSamples = append(c.TaskSamples, predict.TaskSample{
-				Op:       op,
-				Reduce:   t.Reduce,
-				Features: predict.TaskFeatures(op, g.InBytes, g.OutBytes, pf),
-				Seconds:  t.ActualSec,
-			})
+		job(op, predict.JobFeatures(je), sj.DoneTime-sj.SubmitTime)
+		sj.EachSample(je, samplesPerGroup, func(g selectivity.TaskGroup, t *cluster.Task) {
+			task(op, t.Reduce, predict.TaskFeatures(op, g.InBytes, g.OutBytes, pf), t.ActualSec)
 		})
 	}
+}
+
+// collectSamples appends a run's job and task training samples.
+func (c *Corpus) collectSamples(run *QueryRun) {
+	run.EachSample(
+		func(op plan.JobType, features []float64, sec float64) {
+			c.JobSamples = append(c.JobSamples, predict.JobSample{Op: op, Features: features, Seconds: sec})
+		},
+		func(op plan.JobType, reduce bool, features []float64, sec float64) {
+			c.TaskSamples = append(c.TaskSamples, predict.TaskSample{Op: op, Reduce: reduce, Features: features, Seconds: sec})
+		})
 }
 
 // Split partitions the corpus runs into training and test sets with the

@@ -151,6 +151,9 @@ func TestFig2Observed(t *testing.T) {
 	if o.Metrics.Counter("saqp_sched_decisions_total").Value() == 0 {
 		t.Error("no scheduler decisions recorded")
 	}
+	if got := o.Metrics.Counter("saqp_framework_compiles_total").Value(); got > 3 {
+		t.Errorf("the three queries are prepared once for all four runs, yet %v compiles were counted", got)
+	}
 	drift := o.Drift.Snapshot()
 	if len(drift.Estimates) == 0 {
 		t.Error("no selectivity estimate drift recorded")

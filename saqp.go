@@ -1,8 +1,10 @@
 package saqp
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"saqp/internal/catalog"
 	"saqp/internal/cluster"
@@ -14,7 +16,6 @@ import (
 	"saqp/internal/query"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
-	"saqp/internal/serve"
 	"saqp/internal/trace"
 	"saqp/internal/workload"
 )
@@ -89,6 +90,39 @@ func NewObserver(trace *TraceSink) *Observer { return obs.New(trace) }
 // NewTraceSink wraps w in a Chrome trace-event sink. Call Close to
 // terminate the JSON array once the run finishes.
 func NewTraceSink(w io.Writer) *TraceSink { return obs.NewTraceSink(w) }
+
+// OpenObserver builds an observer backed by files: its trace, when
+// tracePath is set, streams into that file as Chrome trace-event JSON
+// (open it in ui.perfetto.dev). The returned finish ends the observation:
+// it terminates the trace's JSON array, closes the file and, when
+// promPath is set, writes the metrics registry there in Prometheus text
+// format. Call it once on every path — also after a failed run, so what
+// is left behind is a loadable trace rather than a truncated one.
+func OpenObserver(tracePath, promPath string) (o *Observer, finish func() error, err error) {
+	var traceFile *os.File
+	var sink *TraceSink
+	if tracePath != "" {
+		if traceFile, err = os.Create(tracePath); err != nil {
+			return nil, nil, err
+		}
+		sink = NewTraceSink(traceFile)
+	}
+	o = NewObserver(sink)
+	return o, func() error {
+		err := o.Close()
+		if traceFile != nil {
+			err = errors.Join(err, traceFile.Close())
+		}
+		if promPath == "" {
+			return err
+		}
+		f, cerr := os.Create(promPath)
+		if cerr != nil {
+			return errors.Join(err, cerr)
+		}
+		return errors.Join(err, o.Metrics.WritePrometheus(f), f.Close())
+	}, nil
+}
 
 // Scheduler name constants for experiment entry points.
 const (
@@ -264,9 +298,7 @@ func (f *Framework) PredictQuerySeconds(qe *QueryEstimate) (float64, error) {
 		return 0, errNotTrained
 	}
 	cc := cluster.DefaultConfig()
-	ov := predict.Overheads{SchedPerTaskSec: cc.SchedulingOverheadSec, JobInitSec: cc.JobInitSec}
-	slots := predict.Slots{Map: cc.Nodes * cc.MapSlotsPerNode, Reduce: cc.Nodes * cc.ReduceSlotsPerNode}
-	return f.TaskTime.PredictQuery(qe, slots, ov), nil
+	return f.TaskTime.PredictQuery(qe, slotsFor(cc), overheadsFor(cc)), nil
 }
 
 // WRD computes the query's Weighted Resource Demand (Eq. 10) — the metric
@@ -301,21 +333,20 @@ func (f *Framework) SimulateQueryConfig(id string, qe *QueryEstimate, scheduler 
 		return 0, err
 	}
 	f.Obs.Count(obs.MSimulations)
-	var pred cluster.TaskTimePredictor = cluster.ConstantPredictor(1)
-	if f.TaskTime != nil {
-		pred = f.TaskTime
+	rp := &replay{
+		items:       []replayItem{{name: id, est: qe, oracle: qe, seed: seed}},
+		jobs:        f.JobTime,
+		tasks:       f.TaskTime,
+		perItemCost: true,
 	}
-	q := cluster.BuildQuery(id, qe, defaultCostModel(seed), pred)
-	sim := cluster.New(cc, sched.Instrument(pol, f.Obs)).SetObserver(f.Obs)
-	sim.Submit(q, 0)
-	if _, err := sim.Run(); err != nil {
+	_, qs, err := rp.run(cc, pol, f.Obs, everyItem)
+	if err != nil {
 		return 0, err
 	}
-	if q.Failed() {
+	if q := qs[0]; q.Failed() {
 		return 0, q.Err
 	}
-	serve.RecordJobDrift(f.Obs, f.JobTime, qe, q)
-	return q.ResponseTime(), nil
+	return qs[0].ResponseTime(), nil
 }
 
 // TPCHQuery returns one of the canonical TPC-H-derived queries ("q1",

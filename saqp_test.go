@@ -361,7 +361,7 @@ func TestFig8PerBinFairness(t *testing.T) {
 // same samples — reproducibly, field for field.
 func TestLearningReplayConverges(t *testing.T) {
 	run := func() *saqp.LearnReplayResult {
-		r, err := saqp.ReproduceLearningReplay(saqp.LearnReplayConfig{Queries: 120, Seed: 2018})
+		r, err := saqp.ReproduceLearningReplay(saqp.ExperimentConfig{CorpusQueries: 120, Seed: 2018})
 		if err != nil {
 			t.Fatal(err)
 		}
