@@ -223,8 +223,8 @@ type learnReport struct {
 }
 
 // learnReplay feeds the seeded corpus through a cold model-lifecycle
-// registry at its default shape. Whether the challenger must land within
-// 10% of the batch fit is TestLearningReplayConverges's to say.
+// registry at its default shape. That the fully-fed challenger must equal
+// the batch fit is TestLearningReplayConverges's to say.
 func learnReplay(e *env) (*table, report, error) {
 	r, err := saqp.ReproduceLearningReplay(e.cfg)
 	if err != nil {

@@ -106,20 +106,6 @@ func RecordCorpusDrift(a *TrainedArtifacts, o *Observer) {
 	}
 }
 
-// overheadsFor translates a cluster config into predictor overheads.
-func overheadsFor(cc cluster.Config) predict.Overheads {
-	return predict.Overheads{SchedPerTaskSec: cc.SchedulingOverheadSec, JobInitSec: cc.JobInitSec}
-}
-
-// slotsFor translates a cluster config into per-phase slot capacities.
-func slotsFor(cc cluster.Config) predict.Slots {
-	s := predict.Slots{Map: cc.Nodes * cc.MapSlotsPerNode, Reduce: cc.Nodes * cc.ReduceSlotsPerNode}
-	if s.Map <= 0 || s.Reduce <= 0 {
-		return predict.DefaultSlots()
-	}
-	return s
-}
-
 // ---------------------------------------------------------------------------
 // Table 3 + Figure 6: job time prediction accuracy
 // ---------------------------------------------------------------------------
@@ -210,7 +196,7 @@ func ReproduceFig7(a *TrainedArtifacts, cfg ExperimentConfig, numQueries int) (F
 	gen := workload.NewGenerator(cfg.Seed ^ 0xf1677)
 	stats := workload.NewStats(workload.DefaultCorpusConfig())
 	cm := defaultCostModel(cfg.Seed ^ 0x7fe)
-	slots := slotsFor(cfg.Cluster)
+	slots, ov := core.Capacity(cfg.Cluster)
 	var res Fig7Result
 	var sum float64
 	for i := 0; i < numQueries; i++ {
@@ -223,7 +209,7 @@ func ReproduceFig7(a *TrainedArtifacts, cfg ExperimentConfig, numQueries int) (F
 		if err != nil {
 			return res, err
 		}
-		pred := a.Tasks.PredictQuery(run.Est, slots, overheadsFor(cfg.Cluster))
+		pred := a.Tasks.PredictQuery(run.Est, slots, ov)
 		res.Points = append(res.Points, ScatterPoint{Actual: run.Seconds, Predicted: pred})
 		if run.Seconds > 0 {
 			sum += math.Abs(pred-run.Seconds) / run.Seconds
@@ -760,9 +746,8 @@ type LearnReplayResult struct {
 	Points      []LearnPoint `json:"points"`
 	// FinalChallengerErr scores the fully-fed challenger job model over
 	// the whole stream; BatchErr scores a batch FitJobModel over the
-	// same samples. TestLearningReplayConverges requires the former
-	// within 10% of the latter (RLS through the shared solve path makes
-	// them equal up to per-operator fallback differences).
+	// same samples. TestLearningReplayConverges requires them equal: the
+	// learner and the batch fit are one accumulator fed one stream.
 	FinalChallengerErr float64 `json:"final_challenger_err"`
 	BatchErr           float64 `json:"batch_err"`
 	FinalVersion       int     `json:"final_version"`

@@ -31,8 +31,13 @@ var DeterministicPackages = []string{
 	// The model-lifecycle subsystem promises that promotion sequences
 	// are functions of the observed sample stream alone — versions,
 	// thresholds and error windows all count samples, never the clock,
-	// and per-operator iteration is sorted before any output.
+	// and per-operator iteration only ever fills a map.
 	"saqp/internal/learn",
+	// The regression itself: batch fit ≡ online learner is a bit-identity
+	// (one accumulator fed one stream), and Tables 3–5, Fig. 6/7, the
+	// learning replay and every saved bundle are pinned to the digit, so
+	// a fit must not depend on the order a map happens to yield operators.
+	"saqp/internal/predict",
 	// The wire codec promises that every accepted frame re-encodes
 	// byte-identically (the fuzzer's round-trip property) and that
 	// golden transcripts stay byte-stable; a clock or map-ordered

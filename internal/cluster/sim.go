@@ -20,9 +20,6 @@ type Config struct {
 	// containers/node ≈ 8 map + 4 reduce slots).
 	MapSlotsPerNode    int
 	ReduceSlotsPerNode int
-	// ContainersPerNode is a convenience: when the per-phase slot counts
-	// are zero it is split 2:1 into map and reduce slots.
-	ContainersPerNode int
 	// NodeFactors optionally gives per-node speed multipliers (length
 	// Nodes); nil means 1.0 everywhere.
 	NodeFactors []float64
@@ -76,21 +73,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// normalize resolves defaulting rules.
-func (c Config) normalize() Config {
+// Normalized resolves the defaulting rules: the config the simulator
+// actually runs, and so the one a predictor must size itself from. Unset
+// nodes and slot counts take the paper's 9 nodes × (8 map + 4 reduce).
+func (c Config) Normalized() Config {
 	if c.Nodes <= 0 {
 		c.Nodes = 9
 	}
 	if c.MapSlotsPerNode <= 0 && c.ReduceSlotsPerNode <= 0 {
-		total := c.ContainersPerNode
-		if total <= 0 {
-			total = 12
-		}
-		c.MapSlotsPerNode = (2*total + 2) / 3
-		c.ReduceSlotsPerNode = total - c.MapSlotsPerNode
-		if c.ReduceSlotsPerNode < 1 {
-			c.ReduceSlotsPerNode = 1
-		}
+		c.MapSlotsPerNode, c.ReduceSlotsPerNode = 8, 4
 	}
 	if c.MapSlotsPerNode < 1 {
 		c.MapSlotsPerNode = 1
@@ -199,7 +190,7 @@ type Sim struct {
 
 // New builds a simulator with the given cluster config and scheduler.
 func New(cfg Config, sched Scheduler) *Sim {
-	cfg = cfg.normalize()
+	cfg = cfg.Normalized()
 	s := &Sim{cfg: cfg, sched: sched}
 	s.factors = make([]float64, cfg.Nodes)
 	for i := range s.factors {

@@ -63,3 +63,14 @@ type scaledPredictor struct {
 func (s scaledPredictor) PredictTask(op planJobType, reduce bool, in, out, pf float64) float64 {
 	return s.factor * s.tm.PredictTask(op, reduce, in, out, pf)
 }
+
+// Capacity translates a cluster config into what the time predictor needs
+// of it — per-phase slot totals and the fixed scheduling overheads — read
+// from the normalised config, so a predictor is always sized for the
+// cluster the simulator runs rather than for the fields a caller happened
+// to set.
+func Capacity(cc cluster.Config) (predict.Slots, predict.Overheads) {
+	cc = cc.Normalized()
+	return predict.Slots{Map: cc.Nodes * cc.MapSlotsPerNode, Reduce: cc.Nodes * cc.ReduceSlotsPerNode},
+		predict.Overheads{SchedPerTaskSec: cc.SchedulingOverheadSec, JobInitSec: cc.JobInitSec}
+}

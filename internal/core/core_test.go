@@ -144,3 +144,33 @@ func TestPercolatedQueryRunsUnderEveryPolicy(t *testing.T) {
 		}
 	}
 }
+
+// TestCapacityIsTheNormalisedCluster holds the predictor's view of the
+// cluster to the one the simulator runs: unset slot counts are filled by
+// Config.Normalized before they are multiplied out, and predict's default
+// slots and overheads are the translation of cluster.DefaultConfig.
+func TestCapacityIsTheNormalisedCluster(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cc   cluster.Config
+		want predict.Slots
+	}{
+		{"three nodes, per-node slots unset", cluster.Config{Nodes: 3}, predict.Slots{Map: 24, Reduce: 12}},
+		{"all zero", cluster.Config{}, predict.Slots{Map: 72, Reduce: 36}},
+		{"explicit", cluster.Config{Nodes: 2, MapSlotsPerNode: 5, ReduceSlotsPerNode: 3}, predict.Slots{Map: 10, Reduce: 6}},
+		{"one phase unset", cluster.Config{Nodes: 4, MapSlotsPerNode: 6}, predict.Slots{Map: 24, Reduce: 4}},
+	} {
+		slots, _ := core.Capacity(tc.cc)
+		if slots != tc.want {
+			t.Errorf("%s: Capacity = %+v, want %+v", tc.name, slots, tc.want)
+		}
+		if n := tc.cc.Normalized(); slots.Map != n.Nodes*n.MapSlotsPerNode || slots.Reduce != n.Nodes*n.ReduceSlotsPerNode {
+			t.Errorf("%s: Capacity %+v is not the normalised config %+v", tc.name, slots, n)
+		}
+	}
+	slots, ov := core.Capacity(cluster.DefaultConfig())
+	if slots != predict.DefaultSlots() || ov != predict.DefaultOverheads() {
+		t.Errorf("predict defaults %+v %+v drifted from cluster.DefaultConfig's %+v %+v",
+			predict.DefaultSlots(), predict.DefaultOverheads(), slots, ov)
+	}
+}

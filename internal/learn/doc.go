@@ -4,19 +4,19 @@
 //
 // Three pieces compose:
 //
-//   - Learner is a recursive-least-squares (RLS) online fitter. It absorbs
-//     one (features, observed seconds) sample at a time by applying the
-//     same rank-1 update to the accumulated normal equations that the
-//     batch fitters in internal/predict apply per sample, then solves
-//     lazily through predict.SolveNormal — so after N updates its
-//     coefficients agree with a batch Fit/FitRelative over the identical
-//     stream to the last bit. It also tracks prequential residuals, so
+//   - Learner is a recursive-least-squares (RLS) online fitter: a
+//     predict.Normal — the accumulator the batch fitters in
+//     internal/predict are themselves written on — fed one (features,
+//     observed seconds) sample at a time and solved lazily, so after N
+//     updates its coefficients agree with a batch Fit/FitRelative over
+//     the identical stream to the last bit. It also tracks prequential residuals, so
 //     PredictWithInterval returns a confidence band alongside the point
 //     estimate.
 //
 //   - Registry is a versioned model store with champion/challenger
-//     semantics: the serving champion stays frozen while challenger
-//     learners absorb completed-job feedback; when the challenger's
+//     semantics: the serving champion stays frozen while the challenger —
+//     one learner family (pooled + per operator) each for jobs, map tasks
+//     and reduce tasks — absorbs completed-job feedback; when the challenger's
 //     windowed average relative error beats the champion's by a
 //     configurable margin, the registry atomically promotes it, bumps the
 //     version, and snapshots the retired champion as a V2 predict

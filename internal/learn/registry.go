@@ -3,7 +3,6 @@ package learn
 import (
 	"encoding/json"
 	"math"
-	"sort"
 	"sync"
 
 	"saqp/internal/obs"
@@ -64,12 +63,8 @@ type Registry struct {
 	champJob  *predict.JobModel
 	champTask *predict.TaskModel
 
-	jobPooled *Learner
-	jobPerOp  map[plan.JobType]*Learner
-	mapPooled *Learner
-	mapPerOp  map[plan.JobType]*Learner
-	redPooled *Learner
-	redPerOp  map[plan.JobType]*Learner
+	// The challenger: one learner family per regression target.
+	job, maps, reds family
 
 	jobSamples  int
 	taskSamples int
@@ -101,15 +96,12 @@ func (cfg Config) WithDefaults() Config {
 func NewRegistry(cfg Config) *Registry {
 	cfg = cfg.WithDefaults()
 	r := &Registry{
-		cfg:       cfg,
-		jobPooled: NewLearner(Relative),
-		jobPerOp:  map[plan.JobType]*Learner{},
-		mapPooled: NewLearner(Relative),
-		mapPerOp:  map[plan.JobType]*Learner{},
-		redPooled: NewLearner(Relative),
-		redPerOp:  map[plan.JobType]*Learner{},
-		champWin:  newWindow(cfg.Window),
-		challWin:  newWindow(cfg.Window),
+		cfg:      cfg,
+		job:      newFamily(),
+		maps:     newFamily(),
+		reds:     newFamily(),
+		champWin: newWindow(cfg.Window),
+		challWin: newWindow(cfg.Window),
 	}
 	if cfg.Champion != nil && cfg.ChampionTasks != nil {
 		r.champJob, r.champTask = cfg.Champion, cfg.ChampionTasks
@@ -129,17 +121,17 @@ func (r *Registry) ObserveJob(op plan.JobType, features []float64, observedSec f
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := predict.JobSample{Op: op, Features: features}
 	if r.champJob != nil {
-		pred := r.champJob.PredictSample(predict.JobSample{Op: op, Features: features})
-		r.champWin.push(math.Abs(pred-observedSec) / observedSec)
+		r.champWin.push(math.Abs(r.champJob.PredictSample(s)-observedSec) / observedSec)
 	}
-	if pred, ok := r.challengerPredictJobLocked(op, features); ok {
-		r.challWin.push(math.Abs(pred-observedSec) / observedSec)
+	if jm := r.challengerJobLocked(); jm != nil {
+		r.challWin.push(math.Abs(jm.PredictSample(s)-observedSec) / observedSec)
 	}
-	r.absorbJobLocked(op, features, observedSec)
+	r.job.observe(op, features, observedSec)
 	r.jobSamples++
 	r.cfg.Observer.LearnJobSample(r.champWin.meanOrNeg(), r.challWin.meanOrNeg())
-	if _, half, err := r.jobPooled.PredictWithInterval(features); err == nil && half > 0 {
+	if _, half, err := r.job.pooled.PredictWithInterval(features); err == nil && half > 0 {
 		r.cfg.Observer.LearnIntervalWidth(half)
 	}
 	r.maybePromoteLocked()
@@ -155,61 +147,59 @@ func (r *Registry) ObserveTask(op plan.JobType, reduce bool, features []float64,
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	pooled, perOp := r.mapPooled, r.mapPerOp
+	f := &r.maps
 	if reduce {
-		pooled, perOp = r.redPooled, r.redPerOp
+		f = &r.reds
 	}
-	if err := pooled.Observe(features, observedSec); err != nil {
-		return
-	}
-	l := perOp[op]
-	if l == nil {
-		l = NewLearner(Relative)
-		perOp[op] = l
-	}
-	if err := l.Observe(features, observedSec); err != nil {
+	if !f.observe(op, features, observedSec) {
 		return
 	}
 	r.taskSamples++
 	r.cfg.Observer.Count(obs.MLearnTaskSamples)
 }
 
-// absorbJobLocked feeds a job sample into the pooled and per-operator
-// challenger learners.
-func (r *Registry) absorbJobLocked(op plan.JobType, features []float64, sec float64) {
-	if err := r.jobPooled.Observe(features, sec); err != nil {
-		return
-	}
-	l := r.jobPerOp[op]
-	if l == nil {
-		l = NewLearner(Relative)
-		r.jobPerOp[op] = l
-	}
-	if err := l.Observe(features, sec); err != nil {
-		return
-	}
+// family is one regression target's challenger: the learners behind a
+// predict.Family, pooled plus one per operator seen so far.
+type family struct {
+	pooled *Learner
+	perOp  map[plan.JobType]*Learner
 }
 
-// challengerPredictJobLocked scores features with the challenger's most
-// specific solvable model — per-operator first, pooled fallback — with
-// the same non-negativity clamp the champion's PredictSample applies.
-func (r *Registry) challengerPredictJobLocked(op plan.JobType, features []float64) (float64, bool) {
-	if l := r.jobPerOp[op]; l != nil {
-		if m, err := l.Model(); err == nil {
-			if y, perr := m.PredictChecked(features); perr == nil {
-				return math.Max(0, y), true
-			}
+func newFamily() family {
+	return family{pooled: NewLearner(Relative), perOp: map[plan.JobType]*Learner{}}
+}
+
+// observe feeds one sample to the pooled learner and to its operator's,
+// reporting whether both absorbed it (a sample of the wrong width is
+// rejected).
+func (f *family) observe(op plan.JobType, features []float64, sec float64) bool {
+	if f.pooled.Observe(features, sec) != nil {
+		return false
+	}
+	l := f.perOp[op]
+	if l == nil {
+		l = NewLearner(Relative)
+		f.perOp[op] = l
+	}
+	return l.Observe(features, sec) == nil
+}
+
+// model assembles the family's current solution: the pooled model
+// (required) and every operator whose learner is solvable — the online
+// twin of the batch fitters' solve step, and like it independent of the
+// order the operators are visited in.
+func (f *family) model() (predict.Family, error) {
+	pooled, err := f.pooled.Model()
+	if err != nil {
+		return predict.Family{}, err
+	}
+	out := predict.Family{Pooled: pooled, PerOp: make(map[plan.JobType]*predict.Model, len(f.perOp))}
+	for op, l := range f.perOp {
+		if m, merr := l.Model(); merr == nil {
+			out.PerOp[op] = m
 		}
 	}
-	m, err := r.jobPooled.Model()
-	if err != nil {
-		return 0, false
-	}
-	y, err := m.PredictChecked(features)
-	if err != nil {
-		return 0, false
-	}
-	return math.Max(0, y), true
+	return out, nil
 }
 
 // maybePromoteLocked applies the promotion rule: a cold registry
@@ -241,20 +231,13 @@ func (r *Registry) maybePromoteLocked() {
 // challenger without solvable task learners carries the champion's
 // TaskModel forward.
 func (r *Registry) promoteLocked(champErr, challErr float64) {
-	jm, err := r.challengerJobLocked()
-	if err != nil {
+	jm := r.challengerJobLocked()
+	if jm == nil {
 		return
 	}
 	tm := r.challengerTaskLocked()
-	if r.champJob != nil && r.champTask != nil {
-		meta := &predict.RegistryMeta{
-			ModelVersion: r.version,
-			Samples:      r.jobSamples,
-			ErrorWindow:  r.champWin.values(),
-		}
-		if b, serr := predict.SaveBundle(r.champJob, r.champTask, "retired champion", meta); serr == nil {
-			r.retired = append(r.retired, b)
-		}
+	if b, err := r.bundleLocked("retired champion"); err == nil {
+		r.retired = append(r.retired, b)
 	}
 	r.champJob, r.champTask = jm, tm
 	r.version++
@@ -269,20 +252,14 @@ func (r *Registry) promoteLocked(champErr, challErr float64) {
 	r.cfg.Observer.LearnPromotion(r.version, r.jobSamples, champErr, challErr)
 }
 
-// challengerJobLocked assembles the challenger's JobModel from the
-// pooled learner (required) and every solvable per-operator learner.
-func (r *Registry) challengerJobLocked() (*predict.JobModel, error) {
-	pooled, err := r.jobPooled.Model()
+// challengerJobLocked assembles the challenger's JobModel, nil while the
+// pooled job learner is underdetermined.
+func (r *Registry) challengerJobLocked() *predict.JobModel {
+	f, err := r.job.model()
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	jm := &predict.JobModel{Pooled: pooled, PerOp: map[plan.JobType]*predict.Model{}}
-	for _, op := range sortedOps(r.jobPerOp) {
-		if m, merr := r.jobPerOp[op].Model(); merr == nil {
-			jm.PerOp[op] = m
-		}
-	}
-	return jm, nil
+	return &predict.JobModel{Family: f}
 }
 
 // challengerTaskLocked assembles the challenger's TaskModel, falling
@@ -290,71 +267,19 @@ func (r *Registry) challengerJobLocked() (*predict.JobModel, error) {
 // still underdetermined (the promoted JobModel can lead the TaskModel
 // early in a cold start).
 func (r *Registry) challengerTaskLocked() *predict.TaskModel {
-	mm, merr := r.mapPooled.Model()
-	rm, rerr := r.redPooled.Model()
+	mf, merr := r.maps.model()
+	rf, rerr := r.reds.model()
 	if merr != nil || rerr != nil {
 		return r.champTask
 	}
-	tm := &predict.TaskModel{
-		MapModel: mm, ReduceModel: rm,
-		MapPerOp:    map[plan.JobType]*predict.Model{},
-		ReducePerOp: map[plan.JobType]*predict.Model{},
-	}
-	for _, op := range sortedOps(r.mapPerOp) {
-		if m, err := r.mapPerOp[op].Model(); err == nil {
-			tm.MapPerOp[op] = m
-		}
-	}
-	for _, op := range sortedOps(r.redPerOp) {
-		if m, err := r.redPerOp[op].Model(); err == nil {
-			tm.ReducePerOp[op] = m
-		}
-	}
-	return tm
-}
-
-// sortedOps returns the map's operator keys in ascending order, so
-// model assembly never depends on map iteration order.
-func sortedOps(m map[plan.JobType]*Learner) []plan.JobType {
-	ops := make([]plan.JobType, 0, len(m))
-	for op := range m {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
-	return ops
+	return &predict.TaskModel{Map: mf, Reduce: rf}
 }
 
 // Version returns the champion's version: 0 while cold, 1 for a seeded
 // or bootstrapped champion, +1 per promotion since.
 func (r *Registry) Version() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.version
-}
-
-// JobModel returns the frozen serving champion's job model, nil while
-// the registry is cold. The returned model must not be mutated.
-func (r *Registry) JobModel() *predict.JobModel {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.champJob
-}
-
-// TaskModel returns the frozen serving champion's task model, nil while
-// the registry is cold. The returned model must not be mutated.
-func (r *Registry) TaskModel() *predict.TaskModel {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.champTask
+	v, _, _ := r.Champion()
+	return v
 }
 
 // ChallengerJobModel assembles the challenger's current job model, or
@@ -366,11 +291,7 @@ func (r *Registry) ChallengerJobModel() *predict.JobModel {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	jm, err := r.challengerJobLocked()
-	if err != nil {
-		return nil
-	}
-	return jm
+	return r.challengerJobLocked()
 }
 
 // JobSamples returns how many job observations the registry absorbed.
@@ -431,12 +352,17 @@ func (r *Registry) RetiredBundles() [][]byte {
 func (r *Registry) Snapshot() ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	meta := &predict.RegistryMeta{
+	return r.bundleLocked("serving champion")
+}
+
+// bundleLocked serialises the current champion with its live lifecycle
+// metadata; it fails while there is no complete champion to save.
+func (r *Registry) bundleLocked(description string) ([]byte, error) {
+	return predict.SaveBundle(r.champJob, r.champTask, description, &predict.RegistryMeta{
 		ModelVersion: r.version,
 		Samples:      r.jobSamples,
 		ErrorWindow:  r.champWin.values(),
-	}
-	return predict.SaveBundle(r.champJob, r.champTask, "serving champion", meta)
+	})
 }
 
 // window is a fixed-capacity ring of relative errors. The mean is

@@ -2,6 +2,7 @@ package learn
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"saqp/internal/plan"
@@ -24,16 +25,21 @@ func feedRegistry(r *Registry, seed uint64, n int) {
 	}
 }
 
+// jobModelOf and taskModelOf pick one model out of a source's champion
+// snapshot.
+func jobModelOf(s Source) *predict.JobModel   { _, jm, _ := s.Champion(); return jm }
+func taskModelOf(s Source) *predict.TaskModel { _, _, tm := s.Champion(); return tm }
+
 func TestColdStartBootstrap(t *testing.T) {
 	r := NewRegistry(Config{MinSamples: 30, Window: 20})
-	if r.Version() != 0 || r.JobModel() != nil || r.TaskModel() != nil {
+	if r.Version() != 0 || jobModelOf(r) != nil || taskModelOf(r) != nil {
 		t.Fatal("cold registry should have no champion")
 	}
 	feedRegistry(r, 1, 60)
 	if r.Version() < 1 {
 		t.Fatalf("version = %d, want ≥1 after MinSamples", r.Version())
 	}
-	if r.JobModel() == nil || r.TaskModel() == nil {
+	if jobModelOf(r) == nil || taskModelOf(r) == nil {
 		t.Fatal("bootstrap should install a full champion")
 	}
 	ps := r.Promotions()
@@ -71,10 +77,10 @@ func TestPromotionsAreDeterministic(t *testing.T) {
 func TestSeededChampionPromotesOnMargin(t *testing.T) {
 	// Seed a deliberately bad champion: the challenger must depose it
 	// once both windows fill.
-	bad := &predict.JobModel{Pooled: &predict.Model{Theta: []float64{1000, 0, 0, 0}}}
+	bad := &predict.JobModel{Family: predict.Family{Pooled: &predict.Model{Theta: []float64{1000, 0, 0, 0}}}}
 	badTasks := &predict.TaskModel{
-		MapModel:    &predict.Model{Theta: []float64{1, 0, 0, 0}},
-		ReduceModel: &predict.Model{Theta: []float64{1, 0, 0, 0}},
+		Map:    predict.Family{Pooled: &predict.Model{Theta: []float64{1, 0, 0, 0}}},
+		Reduce: predict.Family{Pooled: &predict.Model{Theta: []float64{1, 0, 0, 0}}},
 	}
 	r := NewRegistry(Config{Window: 30, MinSamples: 10, PromoteMargin: 0.05,
 		Champion: bad, ChampionTasks: badTasks})
@@ -125,14 +131,14 @@ func TestSeededChampionPromotesOnMargin(t *testing.T) {
 func TestChampionFrozenWhileChallengerLearns(t *testing.T) {
 	r := NewRegistry(Config{MinSamples: 10, Window: 1000})
 	feedRegistry(r, 5, 20) // bootstrap at 10, window far from full again
-	jm := r.JobModel()
+	jm := jobModelOf(r)
 	if jm == nil {
 		t.Fatal("no champion after bootstrap")
 	}
 	f := []float64{50, 10, 2}
 	before := jm.Pooled.Predict(f)
 	feedRegistry(r, 6, 100) // challenger keeps absorbing; window (1000) never fills
-	if got := r.JobModel().Pooled.Predict(f); got != before {
+	if got := jobModelOf(r).Pooled.Predict(f); got != before {
 		t.Fatalf("champion moved while unpromoted: %v vs %v", got, before)
 	}
 	if ch := r.ChallengerJobModel(); ch == nil {
@@ -165,7 +171,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
 	r.ObserveJob(plan.Join, []float64{1}, 1)
 	r.ObserveTask(plan.Join, false, []float64{1}, 1)
-	if r.Version() != 0 || r.JobModel() != nil || r.TaskModel() != nil ||
+	if r.Version() != 0 || jobModelOf(r) != nil || taskModelOf(r) != nil ||
 		r.JobSamples() != 0 || r.TaskSamples() != 0 ||
 		r.Promotions() != nil || r.RetiredBundles() != nil ||
 		r.ChallengerJobModel() != nil {
@@ -180,5 +186,105 @@ func TestIgnoresNonPositiveObservations(t *testing.T) {
 	r.ObserveTask(plan.Extract, false, []float64{1, 2}, 0)
 	if r.JobSamples() != 0 || r.TaskSamples() != 0 {
 		t.Fatal("non-positive observations should be dropped")
+	}
+}
+
+// sameTheta reports whether two models carry bit-identical coefficients.
+func sameTheta(a, b *predict.Model) bool {
+	return a != nil && b != nil && slices.Equal(a.Theta, b.Theta)
+}
+
+// TestRegistryChallengerEqualsBatchFit is the family-level identity: a
+// cold registry fed a seeded job/task stream holds — as its challenger,
+// and as the champion a bootstrap promotion on the stream's last job
+// installs — coefficient vectors == (not ≤ tol) to FitJobModel and
+// FitTaskModel over the same stream, pooled and per operator. Extract
+// reduce tasks are too few to identify a model, so that class must fall
+// back to the pooled fit on both sides.
+func TestRegistryChallengerEqualsBatchFit(t *testing.T) {
+	rng := sim.New(77)
+	ops := []plan.JobType{plan.Extract, plan.Groupby, plan.Join}
+	var jobs []predict.JobSample
+	var tasks []predict.TaskSample
+	for i := 0; i < 90; i++ {
+		op := ops[i%len(ops)]
+		f := []float64{rng.Range(1, 200), rng.Range(1, 50), rng.Range(1, 20), 0}
+		if op == plan.Join {
+			f[3] = rng.Range(0, 10)
+		}
+		jobs = append(jobs, predict.JobSample{Op: op, Features: f,
+			Seconds: 5 + 0.4*f[0] + 0.1*f[1] + 0.05*f[2] + 2*f[3] + rng.Normal(0, 1)})
+		for k := 0; k < 2; k++ {
+			reduce := k == 1
+			if reduce && op == plan.Extract && i >= 6 {
+				continue
+			}
+			tf := []float64{rng.Range(1, 100), rng.Range(1, 20), f[3] / 4}
+			tasks = append(tasks, predict.TaskSample{Op: op, Reduce: reduce, Features: tf,
+				Seconds: 1 + 0.2*tf[0] + 0.05*tf[1] + rng.Normal(0, 0.2)})
+		}
+	}
+	// Tasks go in first, so the bootstrap on the last job sample promotes
+	// a challenger that has seen the whole stream.
+	r := NewRegistry(Config{MinSamples: len(jobs)})
+	for _, s := range tasks {
+		r.ObserveTask(s.Op, s.Reduce, s.Features, s.Seconds)
+	}
+	for i, s := range jobs {
+		if i == len(jobs)-1 {
+			if v, _, _ := r.Champion(); v != 0 {
+				t.Fatalf("promoted at version %d before the last job sample", v)
+			}
+		}
+		r.ObserveJob(s.Op, s.Features, s.Seconds)
+	}
+	wantJob, err := predict.FitJobModel(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTask, err := predict.FitTaskModel(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, champJob, champTask := r.Champion()
+	if v != 1 || champJob == nil || champTask == nil {
+		t.Fatalf("bootstrap did not install a full champion: version %d", v)
+	}
+	type family struct {
+		name      string
+		got, want *predict.Model
+		gotOp     map[plan.JobType]*predict.Model
+		wantOp    map[plan.JobType]*predict.Model
+	}
+	chall := r.ChallengerJobModel()
+	if chall == nil {
+		t.Fatal("challenger job model unsolvable after the full stream")
+	}
+	for _, f := range []family{
+		{"challenger job", chall.Pooled, wantJob.Pooled, chall.PerOp, wantJob.PerOp},
+		{"champion job", champJob.Pooled, wantJob.Pooled, champJob.PerOp, wantJob.PerOp},
+		{"champion map", champTask.Map.Pooled, wantTask.Map.Pooled, champTask.Map.PerOp, wantTask.Map.PerOp},
+		{"champion reduce", champTask.Reduce.Pooled, wantTask.Reduce.Pooled, champTask.Reduce.PerOp, wantTask.Reduce.PerOp},
+	} {
+		if !sameTheta(f.got, f.want) {
+			t.Errorf("%s: pooled coefficients differ: %v vs %v", f.name, f.got, f.want)
+		}
+		if len(f.gotOp) != len(f.wantOp) {
+			t.Errorf("%s: %d per-operator models online, %d batch", f.name, len(f.gotOp), len(f.wantOp))
+		}
+		for op, want := range f.wantOp {
+			if !sameTheta(f.gotOp[op], want) {
+				t.Errorf("%s: %s coefficients differ: %v vs %v", f.name, op, f.gotOp[op], want)
+			}
+		}
+	}
+	if _, ok := wantTask.Reduce.PerOp[plan.Extract]; ok {
+		t.Fatal("the starved Extract reduce class should not identify a batch model")
+	}
+	if _, ok := champTask.Reduce.PerOp[plan.Extract]; ok {
+		t.Fatal("the starved Extract reduce class should not identify an online model")
+	}
+	if got, want := champTask.PredictTask(plan.Extract, true, 40, 8, 0), wantTask.PredictTask(plan.Extract, true, 40, 8, 0); got != want {
+		t.Fatalf("fallback prediction differs: %v vs %v", got, want)
 	}
 }

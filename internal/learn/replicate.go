@@ -8,19 +8,18 @@ import (
 	"saqp/internal/predict"
 )
 
-// Source is the model-lifecycle seam the serving engine consumes:
-// champion models to serve from and a feedback sink for observed job
-// and task times. *Registry is the canonical implementation; Replica
-// lets a sharded deployment serve a frozen copy of a coordinator's
-// champion while funnelling feedback upstream, so promotion decisions
-// stay centralized and every shard converges on the same version.
+// Source is the model-lifecycle seam the serving engine consumes: the
+// champion to serve from and a feedback sink for observed job and task
+// times. *Registry is the canonical implementation; Replica lets a
+// sharded deployment serve a frozen copy of a coordinator's champion
+// while funnelling feedback upstream, so promotion decisions stay
+// centralized and every shard converges on the same version.
 type Source interface {
-	// Version returns the champion version served from this source.
-	Version() int
-	// JobModel returns the frozen champion job model, nil while cold.
-	JobModel() *predict.JobModel
-	// TaskModel returns the frozen champion task model, nil while cold.
-	TaskModel() *predict.TaskModel
+	// Champion returns the serving champion as one consistent snapshot:
+	// its version and its frozen job and task models (nil while cold).
+	// A decision that needs more than one of the three takes them from
+	// one call, never from two.
+	Champion() (version int, jm *predict.JobModel, tm *predict.TaskModel)
 	// ObserveJob feeds one completed job's observed execution time.
 	ObserveJob(op plan.JobType, features []float64, observedSec float64)
 	// ObserveTask feeds one completed task's observed execution time.
@@ -30,10 +29,10 @@ type Source interface {
 // Registry is the canonical Source.
 var _ Source = (*Registry)(nil)
 
-// Champion returns the serving champion as one consistent snapshot —
-// version, job model, task model — under a single lock acquisition, so
-// a replica can never observe a version from one promotion paired with
-// models from another. The models are frozen and must not be mutated.
+// Champion returns the serving champion — version, job model, task
+// model — under a single lock acquisition, so neither the engine nor a
+// replica can observe a version from one promotion paired with models
+// from another. The models are frozen and must not be mutated.
 func (r *Registry) Champion() (version int, jm *predict.JobModel, tm *predict.TaskModel) {
 	if r == nil {
 		return 0, nil, nil
@@ -44,7 +43,7 @@ func (r *Registry) Champion() (version int, jm *predict.JobModel, tm *predict.Ta
 }
 
 // Replica is a shard-local copy of a coordinator Registry's champion.
-// It serves Version/JobModel/TaskModel from a frozen local snapshot and
+// It serves Champion (and Version) from a frozen local snapshot and
 // forwards every observation to the upstream registry, where the
 // promotion rule runs; the snapshot only advances when Sync is called
 // (the cluster's model fan-out), so the replica's version can lag the
@@ -103,34 +102,20 @@ func (r *Replica) Lag() int {
 
 // Version returns the locally served champion version.
 func (r *Replica) Version() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.version
+	v, _, _ := r.Champion()
+	return v
 }
 
-// JobModel returns the locally served champion job model, nil while the
-// replica has only ever seen a cold leader.
-func (r *Replica) JobModel() *predict.JobModel {
+// Champion returns the locally served snapshot: the leader's champion as
+// of the last Sync, all nil/0 while the replica has only ever seen a
+// cold leader.
+func (r *Replica) Champion() (version int, jm *predict.JobModel, tm *predict.TaskModel) {
 	if r == nil {
-		return nil
+		return 0, nil, nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.jm
-}
-
-// TaskModel returns the locally served champion task model, nil while
-// the replica has only ever seen a cold leader.
-func (r *Replica) TaskModel() *predict.TaskModel {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tm
+	return r.version, r.jm, r.tm
 }
 
 // ObserveJob forwards one job observation to the upstream registry,

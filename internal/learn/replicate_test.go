@@ -43,10 +43,10 @@ func TestReplicaServesLeaderChampionAfterSync(t *testing.T) {
 	if rep.Lag() != 0 {
 		t.Fatalf("Lag = %d after Sync, want 0", rep.Lag())
 	}
-	if rep.JobModel() != reg.JobModel() {
+	if jobModelOf(rep) != jobModelOf(reg) {
 		t.Fatal("replica job model is not the leader's frozen champion")
 	}
-	if rep.TaskModel() != reg.TaskModel() {
+	if taskModelOf(rep) != taskModelOf(reg) {
 		t.Fatal("replica task model is not the leader's frozen champion")
 	}
 }
@@ -58,7 +58,7 @@ func TestReplicaSnapshotIsConsistent(t *testing.T) {
 	if v != reg.Version() {
 		t.Fatalf("Champion version %d != Version() %d", v, reg.Version())
 	}
-	if jm != reg.JobModel() || tm != reg.TaskModel() {
+	if jm != jobModelOf(reg) || tm != taskModelOf(reg) {
 		t.Fatal("Champion models differ from the accessor views")
 	}
 }
@@ -68,7 +68,7 @@ func TestReplicaNilSafety(t *testing.T) {
 	if rep.Version() != 0 || rep.Lag() != 0 || rep.Sync() != 0 {
 		t.Fatal("nil replica must report version/lag/sync 0")
 	}
-	if rep.JobModel() != nil || rep.TaskModel() != nil {
+	if jobModelOf(rep) != nil || taskModelOf(rep) != nil {
 		t.Fatal("nil replica must serve nil models")
 	}
 	rep.ObserveJob(plan.Groupby, []float64{1}, 1)

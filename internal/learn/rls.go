@@ -1,8 +1,6 @@
 package learn
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"saqp/internal/predict"
@@ -16,38 +14,32 @@ const (
 	// Uniform weights every sample equally — the online counterpart of
 	// predict.Fit.
 	Uniform Weighting = iota
-	// Relative weights each sample by 1/t^1.5 (t = observed seconds) —
-	// the online counterpart of predict.FitRelative, tuning the fit
-	// toward relative rather than absolute residuals.
+	// Relative weights each sample by predict.RelativeWeight — the online
+	// counterpart of predict.FitRelative, tuning the fit toward relative
+	// rather than absolute residuals.
 	Relative
 )
 
 // ErrUnderdetermined is returned by Model and the prediction methods
 // while the learner has seen fewer samples than it has coefficients.
-var ErrUnderdetermined = errors.New("learn: fewer samples than coefficients")
+var ErrUnderdetermined = predict.ErrUnderdetermined
 
 // zCritical is the two-sided 95% normal quantile used for the
 // confidence band returned by PredictWithInterval.
 const zCritical = 1.96
 
 // Learner is a recursive-least-squares online fitter in information
-// form: it accumulates the weighted normal equations XᵀWX and XᵀWy with
-// one rank-1 update per sample — in the exact floating-point operation
-// order the batch predict.FitWeighted uses — and solves lazily through
-// predict.SolveNormal. A Learner fed N samples therefore produces
-// bit-identical coefficients to a batch Fit/FitRelative over the same
-// stream, which is the property the RLS≡OLS tests pin down.
+// form: a predict.Normal — the accumulator the batch fitters are
+// themselves written on — fed one sample at a time and solved lazily,
+// plus the prequential residuals behind its confidence band. A Learner
+// fed N samples therefore holds the very state a batch Fit/FitRelative
+// over the same stream solves, which is the property the RLS≡OLS tests
+// pin down.
 //
 // A Learner is not goroutine-safe; Registry serialises access.
 type Learner struct {
 	weighting Weighting
-
-	k   int // coefficient count (features + intercept); fixed by first sample
-	xtx [][]float64
-	xty []float64
-	row []float64
-
-	n int // samples absorbed
+	acc       predict.Normal
 
 	// Prequential (predict-then-absorb) residual accumulation: each
 	// sample is scored by the model fitted to the samples before it,
@@ -55,51 +47,29 @@ type Learner struct {
 	// confidence band.
 	sqErr float64 // Σ w·(pred−target)²
 	preqN int
-
-	cached *predict.Model
-	dirty  bool
 }
 
 // NewLearner returns an empty learner with the given weighting.
 func NewLearner(w Weighting) *Learner { return &Learner{weighting: w} }
 
-// sampleWeight reproduces the batch fitters' weights exactly:
-// predict.Fit uses 1, predict.FitRelative uses 1/(t·√t) with the same
-// 1e-6 floor on |target|.
-func sampleWeight(w Weighting, target float64) float64 {
-	if w != Relative {
-		return 1
+// weight is the per-sample weight the learner's scheme assigns a target.
+func (l *Learner) weight(target float64) float64 {
+	if l.weighting == Relative {
+		return predict.RelativeWeight(target)
 	}
-	t := math.Abs(target)
-	if t < 1e-6 {
-		t = 1e-6
-	}
-	return 1 / (t * math.Sqrt(t))
+	return 1
 }
 
 // N returns how many samples the learner has absorbed.
-func (l *Learner) N() int { return l.n }
+func (l *Learner) N() int { return l.acc.N() }
 
 // Observe absorbs one (features, target) sample: it first scores the
 // sample against the current model (prequential residual for the
-// confidence band), then applies the rank-1 update to the accumulated
-// normal equations. The feature width is fixed by the first sample; a
-// later sample with a different width is rejected.
+// confidence band), then adds it to the accumulated normal equations.
+// The feature width is fixed by the first sample; a later sample with a
+// different width is rejected.
 func (l *Learner) Observe(features []float64, target float64) error {
-	k := len(features) + 1
-	if l.k == 0 {
-		l.k = k
-		l.xtx = make([][]float64, k)
-		for i := range l.xtx {
-			l.xtx[i] = make([]float64, k)
-		}
-		l.xty = make([]float64, k)
-		l.row = make([]float64, k)
-	}
-	if k != l.k {
-		return fmt.Errorf("learn: inconsistent feature width %d vs %d", k, l.k)
-	}
-	w := sampleWeight(l.weighting, target)
+	w := l.weight(target)
 	if m, err := l.Model(); err == nil {
 		if pred, perr := m.PredictChecked(features); perr == nil {
 			e := pred - target
@@ -107,49 +77,14 @@ func (l *Learner) Observe(features []float64, target float64) error {
 			l.preqN++
 		}
 	}
-	l.row[0] = 1
-	copy(l.row[1:], features)
-	for i := 0; i < l.k; i++ {
-		for j := 0; j < l.k; j++ {
-			l.xtx[i][j] += w * l.row[i] * l.row[j]
-		}
-		l.xty[i] += w * l.row[i] * target
-	}
-	l.n++
-	l.dirty = true
-	return nil
+	return l.acc.Add(features, target, w)
 }
 
-// Model solves the accumulated normal equations and returns the fitted
-// model, caching the solution until the next Observe. The returned
-// model must be treated as read-only; a later Observe replaces (never
-// mutates) it, which is what lets the registry freeze a promoted
-// champion while the learner keeps absorbing samples.
-func (l *Learner) Model() (*predict.Model, error) {
-	if l.k == 0 || l.n < l.k {
-		return nil, ErrUnderdetermined
-	}
-	if !l.dirty && l.cached != nil {
-		return l.cached, nil
-	}
-	theta, err := predict.SolveNormal(l.xtx, l.xty)
-	if err != nil {
-		l.cached = nil
-		return nil, err
-	}
-	l.cached = &predict.Model{Theta: theta}
-	l.dirty = false
-	return l.cached, nil
-}
-
-// Predict evaluates the current model on one feature vector.
-func (l *Learner) Predict(features []float64) (float64, error) {
-	m, err := l.Model()
-	if err != nil {
-		return 0, err
-	}
-	return m.PredictChecked(features)
-}
+// Model returns the fit of the samples absorbed so far (predict.Normal
+// solves once per absorbed sample at most). The model is read-only: a
+// later Observe replaces, never mutates, it, which is what lets the
+// registry freeze a promoted champion while the learner keeps absorbing.
+func (l *Learner) Model() (*predict.Model, error) { return l.acc.Solve() }
 
 // PredictWithInterval returns the point prediction and the half-width
 // of its 95% confidence band: z·√(s²·(1/w_x + xᵀ(XᵀWX)⁻¹x)), where s²
@@ -171,22 +106,14 @@ func (l *Learner) PredictWithInterval(features []float64) (pred, halfWidth float
 		return pred, 0, nil
 	}
 	s2 := l.sqErr / float64(l.preqN)
-	x := make([]float64, l.k)
-	x[0] = 1
-	copy(x[1:], features)
-	z, err := predict.SolveNormal(l.xtx, x)
+	leverage, err := l.acc.Leverage(features)
 	if err != nil {
 		return pred, 0, nil
-	}
-	var leverage float64
-	for i := range x {
-		leverage += x[i] * z[i]
 	}
 	if leverage < 0 {
 		leverage = 0
 	}
-	wx := sampleWeight(l.weighting, pred)
-	v := s2 * (1/wx + leverage)
+	v := s2 * (1/l.weight(pred) + leverage)
 	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		return pred, 0, nil
 	}

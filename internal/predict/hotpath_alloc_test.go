@@ -16,19 +16,18 @@ var (
 func TestHotPathAllocs(t *testing.T) {
 	m := &Model{Theta: []float64{0.5, 1, 2, 3}}
 	feats := []float64{1, 2, 3}
-	jm := &JobModel{Pooled: m, PerOp: map[plan.JobType]*Model{plan.Join: m}}
+	jm := &JobModel{Family{Pooled: m, PerOp: map[plan.JobType]*Model{plan.Join: m}}}
 	tm := &TaskModel{
-		MapModel: m, ReduceModel: m,
-		MapPerOp:    map[plan.JobType]*Model{plan.Join: m},
-		ReducePerOp: map[plan.JobType]*Model{},
+		Map:    Family{Pooled: m, PerOp: map[plan.JobType]*Model{plan.Join: m}},
+		Reduce: Family{Pooled: m, PerOp: map[plan.JobType]*Model{}},
 	}
 	cases := []struct {
 		name string
 		fn   func()
 	}{
 		{"Model.Predict", func() { hotSinkFloat = m.Predict(feats) }},
-		{"JobModel.modelFor", func() { hotSinkModel = jm.modelFor(plan.Extract) }},
-		{"TaskModel.taskModelFor", func() { hotSinkModel = tm.taskModelFor(plan.Join, true) }},
+		{"JobModel.For", func() { hotSinkModel = jm.For(plan.Extract) }},
+		{"TaskModel.phase.For", func() { hotSinkModel = tm.phase(true).For(plan.Join) }},
 		{"opIndicator", func() { hotSinkFloat = opIndicator(plan.Join) }},
 	}
 	for _, c := range cases {

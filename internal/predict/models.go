@@ -54,133 +54,156 @@ type TaskSample struct {
 	Seconds  float64
 }
 
-// JobModel is the fitted Eq. 8 job execution-time model. The paper
-// "include[s] the operator type as part of our generalized multivariate
-// model"; realising that as full operator interaction terms is equivalent
-// to per-operator coefficient vectors, which is how the model is stored.
-// Pooled holds the operator-agnostic fallback for types unseen in training.
-type JobModel struct {
-	PerOp  map[plan.JobType]*Model
+// Family is one regression target's fitted models: the paper "include[s]
+// the operator type as part of our generalized multivariate model";
+// realising that as full operator interaction terms is equivalent to
+// per-operator coefficient vectors, which is how a family is stored.
+// Pooled is the operator-agnostic fit, serving operators unseen (or seen
+// too rarely to identify a model) in training.
+type Family struct {
 	Pooled *Model
+	PerOp  map[plan.JobType]*Model
 }
 
-// FitJobModel trains Eq. 8 over the job corpus, with relative weighting so
-// the model is as accurate on the many small jobs as on the few huge ones.
-func FitJobModel(samples []JobSample) (*JobModel, error) {
-	raw := make([]Sample, len(samples))
-	byOp := map[plan.JobType][]Sample{}
-	for i, s := range samples {
-		raw[i] = Sample{Features: s.Features, Target: s.Seconds}
-		byOp[s.Op] = append(byOp[s.Op], raw[i])
+// For returns the operator's model, or the pooled fallback.
+//
+//saqp:hotpath
+func (f *Family) For(op plan.JobType) *Model {
+	if m, ok := f.PerOp[op]; ok {
+		return m
 	}
-	pooled, err := FitRelative(raw)
+	return f.Pooled
+}
+
+// familyFit accumulates one family's normal equations, relative-weighted
+// so the fit is as accurate on the many small jobs as on the few huge
+// ones: every sample goes to the pooled accumulator and to its
+// operator's.
+type familyFit struct {
+	pooled Normal
+	perOp  map[plan.JobType]*Normal
+}
+
+func (ff *familyFit) add(op plan.JobType, features []float64, sec float64) error {
+	w := RelativeWeight(sec)
+	if err := ff.pooled.Add(features, sec, w); err != nil {
+		return err
+	}
+	a := ff.perOp[op]
+	if a == nil {
+		if ff.perOp == nil {
+			ff.perOp = map[plan.JobType]*Normal{}
+		}
+		a = &Normal{}
+		ff.perOp[op] = a
+	}
+	return a.Add(features, sec, w)
+}
+
+// solve fits the pooled model (required) and every operator with enough
+// samples to identify one; the rest fall back to the pooled fit.
+func (ff *familyFit) solve() (Family, error) {
+	pooled, err := ff.pooled.Solve()
+	if err != nil {
+		return Family{}, err
+	}
+	f := Family{Pooled: pooled, PerOp: map[plan.JobType]*Model{}}
+	for op, a := range ff.perOp {
+		if m, err := a.Solve(); err == nil {
+			f.PerOp[op] = m
+		}
+	}
+	return f, nil
+}
+
+// JobModel is the fitted Eq. 8 job execution-time model: one family.
+type JobModel struct {
+	Family
+}
+
+// FitJobModel trains Eq. 8 over the job corpus.
+func FitJobModel(samples []JobSample) (*JobModel, error) {
+	var ff familyFit
+	for _, s := range samples {
+		if err := ff.add(s.Op, s.Features, s.Seconds); err != nil {
+			return nil, fmt.Errorf("predict: job model: %w", err)
+		}
+	}
+	f, err := ff.solve()
 	if err != nil {
 		return nil, fmt.Errorf("predict: job model: %w", err)
 	}
-	jm := &JobModel{PerOp: map[plan.JobType]*Model{}, Pooled: pooled}
-	for op, ss := range byOp {
-		// Operators with too few observations fall back to the pooled fit.
-		m, err := FitRelative(ss)
-		if err != nil {
-			continue
-		}
-		jm.PerOp[op] = m
-	}
-	return jm, nil
+	return &JobModel{f}, nil
 }
 
-// modelFor returns the operator's model, or the pooled fallback.
-//
-//saqp:hotpath
-func (jm *JobModel) modelFor(op plan.JobType) *Model {
-	if m, ok := jm.PerOp[op]; ok {
-		return m
-	}
-	return jm.Pooled
+// PredictSample scores one (operator, features) pair with the model its
+// operator dispatches to. This is the one place a job prediction is
+// clamped non-negative; PredictJob, the accuracy tables, corpus drift and
+// the learner's error windows all score through it.
+func (jm *JobModel) PredictSample(s JobSample) float64 {
+	return math.Max(0, jm.For(s.Op).Predict(s.Features))
 }
 
 // PredictJob returns the predicted execution time for a job estimate.
 func (jm *JobModel) PredictJob(je *selectivity.JobEstimate) float64 {
-	return math.Max(0, jm.modelFor(je.Job.Type).Predict(JobFeatures(je)))
+	return jm.PredictSample(JobSample{Op: je.Job.Type, Features: JobFeatures(je)})
 }
 
 // TaskModel is the fitted Eq. 9 task-time model. Following Section 4.2
 // ("based on the task type, the operator type, job scale, the per-task
-// input size and output size"), coefficients are keyed by (phase,
-// operator); phase-pooled models serve as fallbacks for unseen operators.
+// input size and output size"), it is one family per phase.
 type TaskModel struct {
-	MapModel    *Model // phase-pooled fallback
-	ReduceModel *Model
-	MapPerOp    map[plan.JobType]*Model
-	ReducePerOp map[plan.JobType]*Model
+	Map, Reduce Family
+}
+
+// phase returns the family serving a task phase.
+//
+//saqp:hotpath
+func (tm *TaskModel) phase(reduce bool) *Family {
+	if reduce {
+		return &tm.Reduce
+	}
+	return &tm.Map
 }
 
 // FitTaskModel trains the Eq. 9 models over the task corpus.
 func FitTaskModel(samples []TaskSample) (*TaskModel, error) {
-	var maps, reds []Sample
-	mapsOp := map[plan.JobType][]Sample{}
-	redsOp := map[plan.JobType][]Sample{}
+	var maps, reds familyFit
 	for _, s := range samples {
-		raw := Sample{Features: s.Features, Target: s.Seconds}
+		ff := &maps
 		if s.Reduce {
-			reds = append(reds, raw)
-			redsOp[s.Op] = append(redsOp[s.Op], raw)
-		} else {
-			maps = append(maps, raw)
-			mapsOp[s.Op] = append(mapsOp[s.Op], raw)
+			ff = &reds
+		}
+		if err := ff.add(s.Op, s.Features, s.Seconds); err != nil {
+			return nil, fmt.Errorf("predict: task model: %w", err)
 		}
 	}
-	mm, err := FitRelative(maps)
-	if err != nil {
+	var tm TaskModel
+	var err error
+	if tm.Map, err = maps.solve(); err != nil {
 		return nil, fmt.Errorf("predict: map task model: %w", err)
 	}
-	rm, err := FitRelative(reds)
-	if err != nil {
+	if tm.Reduce, err = reds.solve(); err != nil {
 		return nil, fmt.Errorf("predict: reduce task model: %w", err)
 	}
-	tm := &TaskModel{
-		MapModel: mm, ReduceModel: rm,
-		MapPerOp:    map[plan.JobType]*Model{},
-		ReducePerOp: map[plan.JobType]*Model{},
-	}
-	for op, ss := range mapsOp {
-		if m, err := FitRelative(ss); err == nil {
-			tm.MapPerOp[op] = m
-		}
-	}
-	for op, ss := range redsOp {
-		if m, err := FitRelative(ss); err == nil {
-			tm.ReducePerOp[op] = m
-		}
-	}
-	return tm, nil
+	return &tm, nil
 }
 
-// taskModelFor returns the most specific fitted model for a task class.
-//
-//saqp:hotpath
-func (tm *TaskModel) taskModelFor(op plan.JobType, reduce bool) *Model {
-	if reduce {
-		if m, ok := tm.ReducePerOp[op]; ok {
-			return m
-		}
-		return tm.ReduceModel
+// PredictTaskSample scores one task sample with the model its (phase,
+// operator) class dispatches to. This is the one place a task prediction
+// is floored: tasks never finish instantly, JVM startup floors them.
+func (tm *TaskModel) PredictTaskSample(s TaskSample) float64 {
+	v := tm.phase(s.Reduce).For(s.Op).Predict(s.Features)
+	if v < 0.1 {
+		v = 0.1
 	}
-	if m, ok := tm.MapPerOp[op]; ok {
-		return m
-	}
-	return tm.MapModel
+	return v
 }
 
 // PredictTask implements cluster.TaskTimePredictor: predicted seconds for
 // one task from its semantics-derived features.
 func (tm *TaskModel) PredictTask(op plan.JobType, reduce bool, inBytes, outBytes, pFactor float64) float64 {
-	f := TaskFeatures(op, inBytes, outBytes, pFactor)
-	v := tm.taskModelFor(op, reduce).Predict(f)
-	if v < 0.1 {
-		v = 0.1 // tasks never finish instantly: JVM startup floors them
-	}
-	return v
+	return tm.PredictTaskSample(TaskSample{Op: op, Reduce: reduce, Features: TaskFeatures(op, inBytes, outBytes, pFactor)})
 }
 
 // Overheads carries the fixed cluster costs the task-composition predictor
@@ -323,77 +346,60 @@ type GroupAccuracy struct {
 }
 
 // JobAccuracyByOperator evaluates a job model per operator type plus an
-// overall row, reproducing Table 3's structure. Each sample is scored with
-// the model its operator dispatches to.
+// overall row, reproducing Table 3's structure.
 func (jm *JobModel) JobAccuracyByOperator(samples []JobSample) []GroupAccuracy {
-	groups := map[string][]predActual{}
-	for _, s := range samples {
-		p := math.Max(0, jm.modelFor(s.Op).Predict(s.Features))
-		groups[s.Op.String()] = append(groups[s.Op.String()], predActual{p, s.Seconds})
-		groups["All"] = append(groups["All"], predActual{p, s.Seconds})
+	ps := make([]predActual, len(samples))
+	for i, s := range samples {
+		ps[i] = predActual{s.Op, jm.PredictSample(s), s.Seconds}
 	}
-	var out []GroupAccuracy
-	for _, name := range []string{plan.Groupby.String(), plan.Join.String(), plan.Extract.String(), "All"} {
-		ps, ok := groups[name]
-		if !ok {
-			continue
-		}
-		out = append(out, summarize(name, ps))
-	}
-	return out
+	return accuracyByOperator(ps, []plan.JobType{plan.Groupby, plan.Join, plan.Extract}, "All")
 }
 
 // TaskAccuracyByOperator evaluates one phase's task model per operator
-// type plus a "Together" row, reproducing Tables 4 and 5. Each sample is
-// scored with the model its (phase, operator) class dispatches to.
+// type plus a "Together" row, reproducing Tables 4 and 5.
 func (tm *TaskModel) TaskAccuracyByOperator(samples []TaskSample, reduce bool) []GroupAccuracy {
-	groups := map[string][]predActual{}
+	var ps []predActual
 	for _, s := range samples {
-		if s.Reduce != reduce {
-			continue
+		if s.Reduce == reduce {
+			ps = append(ps, predActual{s.Op, tm.PredictTaskSample(s), s.Seconds})
 		}
-		p := tm.taskModelFor(s.Op, reduce).Predict(s.Features)
-		if p < 0.1 {
-			p = 0.1
-		}
-		groups[s.Op.String()] = append(groups[s.Op.String()], predActual{p, s.Seconds})
-		groups["Together"] = append(groups["Together"], predActual{p, s.Seconds})
 	}
-	order := []string{plan.Join.String(), plan.Groupby.String(), plan.Extract.String(), "Together"}
+	return accuracyByOperator(ps, []plan.JobType{plan.Join, plan.Groupby, plan.Extract}, "Together")
+}
+
+// predActual pairs a prediction with its observation and operator.
+type predActual struct {
+	op           plan.JobType
+	pred, actual float64
+}
+
+// accuracyByOperator is the one accuracy table: a row per operator that
+// scored at least one sample, in the given order, then the named total.
+func accuracyByOperator(ps []predActual, order []plan.JobType, total string) []GroupAccuracy {
+	byOp := map[plan.JobType][]predActual{}
+	for _, p := range ps {
+		byOp[p.op] = append(byOp[p.op], p)
+	}
 	var out []GroupAccuracy
-	for _, name := range order {
-		ps, ok := groups[name]
-		if !ok {
-			continue
+	for _, op := range order {
+		if g := byOp[op]; len(g) > 0 {
+			out = append(out, summarize(op.String(), g))
 		}
-		out = append(out, summarize(name, ps))
+	}
+	if len(ps) > 0 {
+		out = append(out, summarize(total, ps))
 	}
 	return out
 }
 
-// PredictSample scores one training sample with the model its operator
-// dispatches to, applying the same non-negativity clamp as PredictJob —
-// exactly how JobAccuracyByOperator scores the sample.
-func (jm *JobModel) PredictSample(s JobSample) float64 {
-	return math.Max(0, jm.modelFor(s.Op).Predict(s.Features))
-}
-
-// PredictTaskSample scores one task sample with its (phase, operator)
-// model, floored at the JVM-startup minimum like PredictTask — exactly
-// how TaskAccuracyByOperator scores the sample.
-func (tm *TaskModel) PredictTaskSample(s TaskSample) float64 {
-	p := tm.taskModelFor(s.Op, s.Reduce).Predict(s.Features)
-	if p < 0.1 {
-		p = 0.1
-	}
-	return p
-}
-
-// predActual pairs a prediction with its observation.
-type predActual struct{ pred, actual float64 }
-
-// summarize computes the Table 3/4/5 metrics for one group.
+// summarize computes the Table 3/4/5 metrics for one group — the one R²
+// and average-relative-error implementation in this package. Constant
+// targets score R² 1 for an exact fit and 0 otherwise; an empty group
+// scores zeros.
 func summarize(name string, ps []predActual) GroupAccuracy {
+	if len(ps) == 0 {
+		return GroupAccuracy{Op: name}
+	}
 	var mean float64
 	for _, p := range ps {
 		mean += p.actual

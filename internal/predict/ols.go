@@ -25,106 +25,129 @@ type Model struct {
 // (collinear features or too few samples).
 var ErrSingular = errors.New("predict: singular design matrix")
 
-// Fit computes the least-squares coefficients via the normal equations
-// XᵀXθ = Xᵀy, solved with Gaussian elimination and partial pivoting. An
-// intercept column is added internally. A tiny ridge term (1e-9 relative)
-// keeps near-collinear workload features solvable without visibly biasing
-// coefficients.
-func Fit(samples []Sample) (*Model, error) {
-	return FitWeighted(samples, nil)
+// ErrUnderdetermined is returned while an accumulator holds fewer samples
+// than the model has coefficients.
+var ErrUnderdetermined = errors.New("predict: fewer samples than coefficients")
+
+// RelativeWeight is the weight 1/t^1.5 (t = |target|, floored at 1e-6) that
+// biases least squares toward *relative* residuals. Execution times span
+// three orders of magnitude across a query corpus; unweighted OLS would
+// tune the model to the biggest jobs and grossly over-predict the small
+// ones, while the paper's accuracy metric (average relative error) treats
+// all jobs equally. The 1.5 exponent balances the two regimes.
+func RelativeWeight(target float64) float64 {
+	t := math.Abs(target)
+	if t < 1e-6 {
+		t = 1e-6
+	}
+	return 1 / (t * math.Sqrt(t))
 }
 
-// FitRelative fits with per-sample weights 1/target^1.5 — weighted least
-// squares biased toward *relative* residuals. Execution times span three
-// orders of magnitude across a query corpus; unweighted OLS would tune the
-// model to the biggest jobs and grossly over-predict the small ones, while
-// the paper's accuracy metric (average relative error) treats all jobs
-// equally. The 1.5 exponent balances the two regimes.
-func FitRelative(samples []Sample) (*Model, error) {
-	return FitWeighted(samples, func(s Sample) float64 {
-		t := math.Abs(s.Target)
-		if t < 1e-6 {
-			t = 1e-6
-		}
-		return 1 / (t * math.Sqrt(t))
-	})
+// Normal accumulates the weighted normal equations XᵀWXθ = XᵀWy one
+// sample at a time. It is the only place a sample meets the Gram matrix:
+// the batch fitters Add every sample and Solve once, the online learner
+// (internal/learn) Adds as feedback arrives and Solves on demand, so a
+// stream yields the same coefficients — to the bit — whichever way it is
+// fed. The zero value is an empty accumulator; an intercept column is
+// added internally and the width is fixed by the first sample.
+type Normal struct {
+	xtx [][]float64 // XᵀWX, k×k
+	xty []float64   // XᵀWy
+	row []float64   // scratch: the current sample with its intercept
+	n   int
+
+	solved *Model // Solve's result, until the next Add
 }
 
-// FitWeighted computes weighted least squares; weight nil means uniform.
-func FitWeighted(samples []Sample, weight func(Sample) float64) (*Model, error) {
-	if len(samples) == 0 {
-		return nil, errors.New("predict: no samples")
-	}
-	k := len(samples[0].Features) + 1
-	if len(samples) < k {
-		return nil, fmt.Errorf("predict: %d samples cannot identify %d coefficients", len(samples), k)
-	}
-	// Build XᵀWX (k×k) and XᵀWy (k).
-	xtx := make([][]float64, k)
-	for i := range xtx {
-		xtx[i] = make([]float64, k)
-	}
-	xty := make([]float64, k)
-	row := make([]float64, k)
-	for _, s := range samples {
-		if len(s.Features)+1 != k {
-			return nil, fmt.Errorf("predict: inconsistent feature width %d vs %d", len(s.Features)+1, k)
+// N returns how many samples have been added.
+func (a *Normal) N() int { return a.n }
+
+// Add applies one sample's rank-1 update. A sample whose width differs
+// from the first one's is rejected and leaves the accumulator unchanged.
+func (a *Normal) Add(features []float64, target, weight float64) error {
+	k := len(features) + 1
+	if a.xtx == nil {
+		a.xtx = make([][]float64, k)
+		for i := range a.xtx {
+			a.xtx[i] = make([]float64, k)
 		}
-		w := 1.0
-		if weight != nil {
-			w = weight(s)
-		}
-		row[0] = 1
-		copy(row[1:], s.Features)
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				xtx[i][j] += w * row[i] * row[j]
-			}
-			xty[i] += w * row[i] * s.Target
-		}
+		a.xty = make([]float64, k)
+		a.row = make([]float64, k)
 	}
-	theta, err := SolveNormal(xtx, xty)
+	if k != len(a.row) {
+		return fmt.Errorf("predict: inconsistent feature width %d vs %d", k, len(a.row))
+	}
+	a.row[0] = 1
+	copy(a.row[1:], features)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			a.xtx[i][j] += weight * a.row[i] * a.row[j]
+		}
+		a.xty[i] += weight * a.row[i] * target
+	}
+	a.n++
+	a.solved = nil
+	return nil
+}
+
+// Solve fits the accumulated samples: ErrUnderdetermined while there are
+// fewer samples than coefficients, ErrSingular when elimination fails.
+// The accumulator is not consumed: more samples may follow, and until one
+// does Solve returns the same model. A later Add replaces — never mutates
+// — that model, so a caller may keep it as a frozen snapshot; it must be
+// treated as read-only.
+func (a *Normal) Solve() (*Model, error) {
+	if a.solved != nil {
+		return a.solved, nil
+	}
+	if a.n == 0 || a.n < len(a.row) {
+		return nil, ErrUnderdetermined
+	}
+	theta, err := a.solve(a.xty)
 	if err != nil {
 		return nil, err
 	}
-	return &Model{Theta: theta}, nil
+	a.solved = &Model{Theta: theta}
+	return a.solved, nil
 }
 
-// SolveNormal solves the accumulated (weighted) normal equations
-// XᵀWXθ = XᵀWy: it applies the relative ridge to a copy of the Gram
-// matrix, then runs Gaussian elimination with partial pivoting. Inputs
-// are never mutated. The online learner (internal/learn) accumulates the
-// same rank-1 updates sample by sample and solves through this exact
-// path, which is what makes an RLS fit after N updates agree with a
-// batch Fit/FitRelative over the same sample stream.
-func SolveNormal(xtx [][]float64, xty []float64) ([]float64, error) {
-	k := len(xty)
-	if k == 0 || len(xtx) != k {
-		return nil, errors.New("predict: empty or mismatched normal equations")
+// Leverage returns xᵀ(XᵀWX)⁻¹x for x = (1, features): how far the point
+// lies from the accumulated design, the data-dependent half of a
+// prediction's variance.
+func (a *Normal) Leverage(features []float64) (float64, error) {
+	if len(features)+1 != len(a.row) {
+		return 0, ErrFeatureWidth
 	}
-	m := make([][]float64, k)
+	x := make([]float64, len(a.row))
+	x[0] = 1
+	copy(x[1:], features)
+	z, err := a.solve(x)
+	if err != nil {
+		return 0, err
+	}
+	var lev float64
+	for i := range x {
+		lev += x[i] * z[i]
+	}
+	return lev, nil
+}
+
+// solve solves XᵀWX·θ = rhs by Gaussian elimination with partial pivoting
+// on an augmented copy of the Gram matrix. A tiny ridge term (1e-9,
+// relative to each diagonal entry so units don't matter) keeps
+// near-collinear workload features solvable without visibly biasing
+// coefficients.
+func (a *Normal) solve(rhs []float64) ([]float64, error) {
+	n := len(rhs)
+	m := make([][]float64, n)
 	for i := range m {
-		if len(xtx[i]) != k {
-			return nil, errors.New("predict: ragged Gram matrix")
-		}
-		m[i] = append([]float64{}, xtx[i]...)
-	}
-	// Relative ridge: scale by each diagonal entry so units don't matter.
-	for i := 0; i < k; i++ {
+		m[i] = make([]float64, n+1)
+		copy(m[i], a.xtx[i])
+		m[i][n] = rhs[i]
 		m[i][i] *= 1 + 1e-9
 		if floats.ApproxEqual(m[i][i], 0, 1e-12) {
 			m[i][i] = 1e-12
 		}
-	}
-	return solve(m, xty)
-}
-
-// solve performs Gaussian elimination with partial pivoting on a copy of A.
-func solve(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = append(append([]float64{}, a[i]...), b[i])
 	}
 	for col := 0; col < n; col++ {
 		// Pivot.
@@ -160,6 +183,32 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 		}
 	}
 	return x, nil
+}
+
+// Fit computes the uniform least-squares coefficients.
+func Fit(samples []Sample) (*Model, error) {
+	return FitWeighted(samples, nil)
+}
+
+// FitRelative fits with RelativeWeight per sample.
+func FitRelative(samples []Sample) (*Model, error) {
+	return FitWeighted(samples, RelativeWeight)
+}
+
+// FitWeighted computes weighted least squares, each sample weighted by
+// weight(target); weight nil means uniform.
+func FitWeighted(samples []Sample, weight func(target float64) float64) (*Model, error) {
+	var a Normal
+	for _, s := range samples {
+		w := 1.0
+		if weight != nil {
+			w = weight(s.Target)
+		}
+		if err := a.Add(s.Features, s.Target, w); err != nil {
+			return nil, err
+		}
+	}
+	return a.Solve()
 }
 
 // ErrFeatureWidth is returned (wrapped) by PredictChecked when the
@@ -202,44 +251,20 @@ func (m *Model) PredictChecked(features []float64) (float64, error) {
 // samples: 1 − SS_res/SS_tot. A value approaching 1 indicates a good fit
 // (paper Section 5.2). It can be negative for a model worse than the mean.
 func (m *Model) RSquared(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var mean float64
-	for _, s := range samples {
-		mean += s.Target
-	}
-	mean /= float64(len(samples))
-	var ssRes, ssTot float64
-	for _, s := range samples {
-		d := s.Target - m.Predict(s.Features)
-		ssRes += d * d
-		t := s.Target - mean
-		ssTot += t * t
-	}
-	if floats.ApproxEqual(ssTot, 0, 1e-12) {
-		if floats.ApproxEqual(ssRes, 0, 1e-12) {
-			return 1
-		}
-		return 0
-	}
-	return 1 - ssRes/ssTot
+	return m.accuracy(samples).RSquared
 }
 
 // AvgRelError computes the mean of |pred − actual| / actual over samples
 // with positive targets — the paper's "Avg Error" metric.
 func (m *Model) AvgRelError(samples []Sample) float64 {
-	var sum float64
-	var n int
-	for _, s := range samples {
-		if s.Target <= 0 {
-			continue
-		}
-		sum += math.Abs(m.Predict(s.Features)-s.Target) / s.Target
-		n++
+	return m.accuracy(samples).AvgError
+}
+
+// accuracy scores the raw model over samples with the tables' metrics.
+func (m *Model) accuracy(samples []Sample) GroupAccuracy {
+	ps := make([]predActual, len(samples))
+	for i, s := range samples {
+		ps[i] = predActual{pred: m.Predict(s.Features), actual: s.Target}
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return summarize("", ps)
 }

@@ -74,26 +74,33 @@ var opByName = map[string]plan.JobType{
 	plan.Join.String():    plan.Join,
 }
 
-func savePerOp(m map[plan.JobType]*Model) map[string]*savedModel {
-	out := make(map[string]*savedModel, len(m))
-	for op, mm := range m {
-		out[op.String()] = toSaved(mm)
+// saveFamily serialises one family into its pooled and per-operator
+// slots of the bundle.
+func saveFamily(f *Family) (*savedModel, map[string]*savedModel) {
+	perOp := make(map[string]*savedModel, len(f.PerOp))
+	for op, m := range f.PerOp {
+		perOp[op.String()] = toSaved(m)
 	}
-	return out
+	return toSaved(f.Pooled), perOp
 }
 
-func loadPerOp(m map[string]*savedModel) (map[plan.JobType]*Model, error) {
-	out := make(map[plan.JobType]*Model, len(m))
-	for name, sm := range m {
-		op, ok := opByName[name]
+// loadFamily is saveFamily's inverse; name says which family a bundle
+// lacks when its pooled model is missing.
+func loadFamily(name string, pooled *savedModel, perOp map[string]*savedModel) (Family, error) {
+	f := Family{Pooled: fromSaved(pooled), PerOp: make(map[plan.JobType]*Model, len(perOp))}
+	if f.Pooled == nil {
+		return f, fmt.Errorf("predict: saved bundle lacks a pooled %s model", name)
+	}
+	for opName, sm := range perOp {
+		op, ok := opByName[opName]
 		if !ok {
-			return nil, fmt.Errorf("predict: unknown operator %q in saved models", name)
+			return f, fmt.Errorf("predict: unknown operator %q in saved models", opName)
 		}
-		if mm := fromSaved(sm); mm != nil {
-			out[op] = mm
+		if m := fromSaved(sm); m != nil {
+			f.PerOp[op] = m
 		}
 	}
-	return out, nil
+	return f, nil
 }
 
 // SaveModels serialises a trained (job, task) model pair to JSON with no
@@ -109,17 +116,10 @@ func SaveBundle(jm *JobModel, tm *TaskModel, description string, meta *RegistryM
 	if jm == nil || tm == nil {
 		return nil, fmt.Errorf("predict: cannot save nil models")
 	}
-	b := savedBundle{
-		Version:     currentVersion,
-		Description: description,
-		JobPooled:   toSaved(jm.Pooled),
-		JobPerOp:    savePerOp(jm.PerOp),
-		MapPooled:   toSaved(tm.MapModel),
-		MapPerOp:    savePerOp(tm.MapPerOp),
-		RedPooled:   toSaved(tm.ReduceModel),
-		RedPerOp:    savePerOp(tm.ReducePerOp),
-		Registry:    meta,
-	}
+	b := savedBundle{Version: currentVersion, Description: description, Registry: meta}
+	b.JobPooled, b.JobPerOp = saveFamily(&jm.Family)
+	b.MapPooled, b.MapPerOp = saveFamily(&tm.Map)
+	b.RedPooled, b.RedPerOp = saveFamily(&tm.Reduce)
 	return json.MarshalIndent(b, "", "  ")
 }
 
@@ -142,23 +142,17 @@ func LoadBundle(data []byte) (*JobModel, *TaskModel, *RegistryMeta, error) {
 		return nil, nil, nil, fmt.Errorf("%w: got %d, support %d",
 			ErrVersion, b.Version, currentVersion)
 	}
-	jm := &JobModel{Pooled: fromSaved(b.JobPooled)}
-	if jm.Pooled == nil {
-		return nil, nil, nil, fmt.Errorf("predict: saved bundle lacks a pooled job model")
-	}
+	var jm JobModel
+	var tm TaskModel
 	var err error
-	if jm.PerOp, err = loadPerOp(b.JobPerOp); err != nil {
+	if jm.Family, err = loadFamily("job", b.JobPooled, b.JobPerOp); err != nil {
 		return nil, nil, nil, err
 	}
-	tm := &TaskModel{MapModel: fromSaved(b.MapPooled), ReduceModel: fromSaved(b.RedPooled)}
-	if tm.MapModel == nil || tm.ReduceModel == nil {
-		return nil, nil, nil, fmt.Errorf("predict: saved bundle lacks pooled task models")
-	}
-	if tm.MapPerOp, err = loadPerOp(b.MapPerOp); err != nil {
+	if tm.Map, err = loadFamily("map task", b.MapPooled, b.MapPerOp); err != nil {
 		return nil, nil, nil, err
 	}
-	if tm.ReducePerOp, err = loadPerOp(b.RedPerOp); err != nil {
+	if tm.Reduce, err = loadFamily("reduce task", b.RedPooled, b.RedPerOp); err != nil {
 		return nil, nil, nil, err
 	}
-	return jm, tm, b.Registry, nil
+	return &jm, &tm, b.Registry, nil
 }

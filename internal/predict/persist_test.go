@@ -1,13 +1,16 @@
 package predict_test
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
 	"saqp/internal/plan"
 	"saqp/internal/predict"
+	"saqp/internal/sim"
 )
 
 func TestSaveLoadModelsRoundTrip(t *testing.T) {
@@ -179,5 +182,95 @@ func TestSavedBundleOperatorsComplete(t *testing.T) {
 		if !strings.Contains(string(data), `"`+op.String()+`"`) {
 			t.Fatalf("bundle missing operator %s", op)
 		}
+	}
+}
+
+// bundleSamples is a small seeded synthetic stream in the corpus's feature
+// shapes (Eq. 8: 4 wide, Eq. 9: 3 wide). Extract reduce tasks are too few
+// to identify a model of their own, so that class falls back to the
+// phase-pooled fit and is absent from the bundle's reduce_per_op.
+func bundleSamples() ([]predict.JobSample, []predict.TaskSample) {
+	rng := sim.New(2018)
+	ops := []plan.JobType{plan.Extract, plan.Groupby, plan.Join}
+	var jobs []predict.JobSample
+	var tasks []predict.TaskSample
+	for i := 0; i < 60; i++ {
+		op := ops[i%len(ops)]
+		in, med, out := rng.Range(1, 200), rng.Range(1, 50), rng.Range(1, 20)
+		pf := 0.0
+		if op == plan.Join {
+			pf = rng.Range(0, 0.25)
+		}
+		jobs = append(jobs, predict.JobSample{Op: op, Features: []float64{in, med, out, pf * med},
+			Seconds: 8 + 0.4*in + 0.1*med + 0.05*out + 2*pf*med + rng.Normal(0, 1)})
+		tasks = append(tasks, predict.TaskSample{Op: op, Features: []float64{in / 8, med / 8, pf * in / 8},
+			Seconds: 1 + 0.2*in/8 + 0.05*med/8 + rng.Normal(0, 0.1)})
+		if op != plan.Extract || i < 6 {
+			tasks = append(tasks, predict.TaskSample{Op: op, Reduce: true, Features: []float64{med / 4, out / 4, pf * med / 4},
+				Seconds: 2 + 0.3*med/4 + 0.1*out/4 + rng.Normal(0, 0.1)})
+		}
+	}
+	return jobs, tasks
+}
+
+// TestBundleGoldenBytes pins the on-disk V2 layout: SaveBundle of models
+// fitted on the seeded stream, with lifecycle metadata, is compared
+// byte-for-byte with testdata/bundle_v2.json and survives LoadBundle →
+// SaveBundle unchanged. Regenerate only on purpose:
+//
+//	SAQP_UPDATE_GOLDEN=1 go test -run TestBundleGoldenBytes ./internal/predict
+func TestBundleGoldenBytes(t *testing.T) {
+	jobs, tasks := bundleSamples()
+	jm, err := predict.FitJobModel(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := predict.FitTaskModel(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := &predict.RegistryMeta{ModelVersion: 3, Samples: len(jobs), ErrorWindow: []float64{0.125, 0.0625, 0.25}}
+	got, err := predict.SaveBundle(jm, tm, "golden bundle", meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "testdata/bundle_v2.json"
+	if os.Getenv("SAQP_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden bundle (create with SAQP_UPDATE_GOLDEN=1): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("bundle bytes drifted from %s:\n%s", path, got)
+	}
+	for _, key := range []string{`"job_pooled"`, `"job_per_op"`, `"map_pooled"`, `"map_per_op"`,
+		`"reduce_pooled"`, `"reduce_per_op"`, `"registry"`} {
+		if !bytes.Contains(want, []byte(key)) {
+			t.Errorf("golden bundle lacks key %s", key)
+		}
+	}
+	jm2, tm2, meta2, err := predict.LoadBundle(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := predict.SaveBundle(jm2, tm2, "golden bundle", meta2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatalf("bundle did not survive LoadBundle → SaveBundle:\n%s", again)
+	}
+	// The starved class is served by the phase-pooled model on both sides
+	// of the round trip.
+	in, out := 3.0, 1.5
+	if a, b := tm.PredictTask(plan.Extract, true, in, out, 0), tm2.PredictTask(plan.Extract, true, in, out, 0); a != b {
+		t.Fatalf("fallback prediction drifted through the round trip: %v vs %v", a, b)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"saqp/internal/cluster"
+	"saqp/internal/core"
 	"saqp/internal/dataset"
 	"saqp/internal/learn"
 	"saqp/internal/obs"
@@ -316,17 +317,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.TaskModel != nil {
 		e.pred = cfg.TaskModel
 	}
-	e.slots = predict.Slots{
-		Map:    cfg.Cluster.Nodes * cfg.Cluster.MapSlotsPerNode,
-		Reduce: cfg.Cluster.Nodes * cfg.Cluster.ReduceSlotsPerNode,
-	}
-	if e.slots.Map <= 0 || e.slots.Reduce <= 0 {
-		e.slots = predict.DefaultSlots()
-	}
-	e.ov = predict.Overheads{
-		SchedPerTaskSec: cfg.Cluster.SchedulingOverheadSec,
-		JobInitSec:      cfg.Cluster.JobInitSec,
-	}
+	e.slots, e.ov = core.Capacity(cfg.Cluster)
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -386,8 +377,8 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 	// the registry is cold.
 	wrd, predSec, version := ent.wrd, ent.predSec, 0
 	if L := e.cfg.Learner; L != nil {
-		version = L.Version()
-		if tm := L.TaskModel(); tm != nil {
+		var tm *predict.TaskModel
+		if version, _, tm = L.Champion(); tm != nil {
 			wrd = tm.WRD(ent.est)
 			predSec = tm.PredictQuery(ent.est, e.slots, e.ov)
 		}
@@ -540,12 +531,16 @@ func (e *Engine) run(t *Ticket) {
 	}
 	// Serve this query from the learner's champion models when online
 	// learning is on and a champion exists; static models otherwise.
-	pred, jm := e.pred, e.cfg.JobModel
+	// One snapshot per run: the tasks are predicted and the jobs' drift
+	// scored by the same champion.
+	pred, jm, served := e.pred, e.cfg.JobModel, 0
 	if L := e.cfg.Learner; L != nil {
-		if tm := L.TaskModel(); tm != nil {
+		v, j, tm := L.Champion()
+		served = v
+		if tm != nil {
 			pred = tm
 		}
-		if j := L.JobModel(); j != nil {
+		if j != nil {
 			jm = j
 		}
 	}
@@ -606,7 +601,7 @@ func (e *Engine) run(t *Ticket) {
 			if t.span != nil {
 				t.span.Event(obs.SpanKindFeedback, "learn-feedback",
 					obs.AttrInt("jobs", len(cq.Jobs)),
-					obs.AttrInt("registry_version", L.Version()))
+					obs.AttrInt("registry_version", served))
 			}
 		}
 		res := Result{

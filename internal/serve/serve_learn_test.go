@@ -3,9 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 
 	"saqp/internal/learn"
+	"saqp/internal/obs"
+	"saqp/internal/plan"
+	"saqp/internal/predict"
 	"saqp/internal/workload"
 )
 
@@ -117,5 +121,79 @@ func TestLearnerServesChampion(t *testing.T) {
 	}
 	if reg.JobSamples() == 0 {
 		t.Fatal("feedback should flow into the registry after a clean completion")
+	}
+}
+
+// swappingSource is a learn.Source whose champion is replaced on every
+// read: call n returns version n with constant models that predict
+// 1000·n seconds per job and 10·n per task, so any value the engine
+// derives from a model names the call it came from.
+type swappingSource struct {
+	mu    sync.Mutex
+	calls int
+}
+
+func swappedModels(v int) (*predict.JobModel, *predict.TaskModel) {
+	task := predict.Family{Pooled: &predict.Model{Theta: []float64{10 * float64(v), 0, 0, 0}}}
+	return &predict.JobModel{Family: predict.Family{Pooled: &predict.Model{Theta: []float64{1000 * float64(v), 0, 0, 0, 0}}}},
+		&predict.TaskModel{Map: task, Reduce: task}
+}
+
+func (s *swappingSource) Champion() (int, *predict.JobModel, *predict.TaskModel) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.calls++
+	jm, tm := swappedModels(s.calls)
+	return s.calls, jm, tm
+}
+
+func (s *swappingSource) ObserveJob(plan.JobType, []float64, float64) {}
+
+func (s *swappingSource) ObserveTask(plan.JobType, bool, []float64, float64) {}
+
+// TestServerOneChampionSnapshotPerDecision promotes the champion between
+// every two reads the engine makes. A submission is still stamped with
+// the version whose task model scored it, and a run still records job
+// drift from the champion whose task model predicted its tasks — each
+// decision reads the source once.
+func TestServerOneChampionSnapshotPerDecision(t *testing.T) {
+	src := &swappingSource{}
+	o := obs.New(nil)
+	cfg := config(t)
+	cfg.Workers = 1
+	cfg.Learner = src
+	cfg.Observer = o
+	e := newEngine(t, cfg)
+
+	tk, err := e.Submit(context.Background(), q6, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ModelVersion != 1 {
+		t.Fatalf("ModelVersion = %d, want 1 (the submission's one read)", res.ModelVersion)
+	}
+	_, scored := swappedModels(res.ModelVersion)
+	if want := scored.WRD(tk.est); res.WRD != want {
+		t.Errorf("WRD = %v, but version %d's task model scores %v", res.WRD, res.ModelVersion, want)
+	}
+	if want := scored.PredictQuery(tk.est, e.slots, e.ov); res.PredictedSec != want {
+		t.Errorf("PredictedSec = %v, but version %d's task model predicts %v", res.PredictedSec, res.ModelVersion, want)
+	}
+	if src.calls != 2 {
+		t.Errorf("the source was read %d times for one query, want 2 (one per submission, one per run)", src.calls)
+	}
+	// The run's snapshot is read 2: every drift sample is its job model's.
+	jobs := o.Drift.Snapshot().Jobs
+	if len(jobs) == 0 {
+		t.Fatal("no job drift recorded")
+	}
+	for _, d := range jobs {
+		if d.MeanPredicted != 2000 {
+			t.Errorf("%s drift predicted %v, want 2000 (the run's one read)", d.Category, d.MeanPredicted)
+		}
 	}
 }

@@ -462,3 +462,16 @@ func TestDeterministicSnapshots(t *testing.T) {
 		t.Errorf("snapshot should include serve metrics:\n%s", m1)
 	}
 }
+
+// TestServerPredictsForTheClusterItSimulates sizes a cluster by node
+// count alone: the pool simulators fill in 8 map + 4 reduce slots per
+// node, and the predictor must see those 24 + 12 — not the 72 + 36 of the
+// default testbed.
+func TestServerPredictsForTheClusterItSimulates(t *testing.T) {
+	cfg := config(t)
+	cfg.Cluster = cluster.Config{Nodes: 3}
+	e := newEngine(t, cfg)
+	if want := (predict.Slots{Map: 24, Reduce: 12}); e.slots != want {
+		t.Fatalf("engine predicts for %+v, its simulators run %+v", e.slots, want)
+	}
+}

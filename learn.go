@@ -14,9 +14,6 @@ type (
 	LearnerConfig = learn.Config
 	// Promotion records one champion replacement in a Learner.
 	Promotion = learn.Promotion
-	// OnlineLearner is the recursive-least-squares incremental fitter a
-	// Learner trains its challengers with; exposed for direct use.
-	OnlineLearner = learn.Learner
 )
 
 // NewLearnerRegistry builds an online model-lifecycle registry from cfg

@@ -8,6 +8,7 @@ import (
 
 	"saqp/internal/catalog"
 	"saqp/internal/cluster"
+	"saqp/internal/core"
 	"saqp/internal/dataset"
 	"saqp/internal/mapreduce"
 	"saqp/internal/obs"
@@ -297,8 +298,8 @@ func (f *Framework) PredictQuerySeconds(qe *QueryEstimate) (float64, error) {
 	if f.TaskTime == nil {
 		return 0, errNotTrained
 	}
-	cc := cluster.DefaultConfig()
-	return f.TaskTime.PredictQuery(qe, slotsFor(cc), overheadsFor(cc)), nil
+	slots, ov := core.Capacity(cluster.DefaultConfig())
+	return f.TaskTime.PredictQuery(qe, slots, ov), nil
 }
 
 // WRD computes the query's Weighted Resource Demand (Eq. 10) — the metric
