@@ -21,23 +21,26 @@ race:
 	$(GO) test -race ./...
 
 # A short native-fuzzing burst over the full compile→estimate→execute
-# stack, the randomized estimator-vs-engine agreement test, and the
+# stack, the randomized estimator-vs-engine agreement test, the
 # wire-protocol decoder (no panics, no over-reads, byte-exact
-# re-encoding of every accepted frame).
+# re-encoding of every accepted frame), and the query normalizer (every
+# accepted text renders to a text that parses and renders to itself).
 fuzz-smoke:
 	$(GO) test -run TestRandomQueriesEstimatorVsEngine -count=1 ./internal/mapreduce
 	$(GO) test -fuzz FuzzEngineQuery -fuzztime 10s -run '^$$' ./internal/mapreduce
 	$(GO) test -fuzz FuzzProtocolDecode -fuzztime 10s -run '^$$' ./internal/net/proto
+	$(GO) test -fuzz FuzzNormalize -fuzztime 10s -run '^$$' ./internal/query
 
 # Concurrency stress: the serving-layer and network-frontend stress/
 # property suites under the race detector, run twice to vary goroutine
 # interleavings (includes the 64-connection TCP stress test at the
-# root, the connection-lifecycle suite in internal/net, and the
+# root, the connection-lifecycle suite in internal/net, the
 # shard-cluster failover stress test with its byte-identical
-# event-log replay check).
+# event-log replay check, the plan cache's text-tier invariant and
+# single-flight suites, and the reused-simulator equivalence test).
 stress:
-	$(GO) test -race -count=2 -run 'TestServer|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestShardCluster|TestEventLog|TestSubmitParks|TestSentinelQuorum' \
-		. ./internal/serve ./internal/selectivity ./internal/net ./internal/shardserve
+	$(GO) test -race -count=2 -run 'TestServer|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestShardCluster|TestEventLog|TestSubmitParks|TestSentinelQuorum|TestSimReuse' \
+		. ./internal/serve ./internal/selectivity ./internal/net ./internal/shardserve ./internal/cluster
 
 # Coverage gate for the serving engine: fail if internal/serve drops
 # below 85% statement coverage.

@@ -145,9 +145,7 @@ func (s *Sim) taskFail(e *event) {
 	}
 	t.State = TaskWaiting
 	t.StartTime = 0
-	s.seq++
-	s.events.push(&event{time: s.now + backoff, kind: evRetry, seq: s.seq,
-		task: t, epoch: t.epochO})
+	s.push(event{time: s.now + backoff, kind: evRetry, task: t, epoch: t.epochO})
 }
 
 // retryTask moves a backed-off task back to pending once its delay ends.

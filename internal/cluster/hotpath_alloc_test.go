@@ -1,0 +1,63 @@
+package cluster
+
+import "testing"
+
+// TestHotPathAllocs is the runtime half of the //saqp:hotpath contract
+// for the simulator's per-dispatch and per-task path (candidates,
+// scheduleFinish, and dispatch around them, which static analysis cannot
+// follow through the Scheduler interface): on a warmed Sim, Reset plus a
+// whole run allocates exactly the run's two results — the queries slice
+// and the Results — however many tasks are dispatched. Slowstart is 1 so
+// no reduce hoards: the hoard list is the job's storage, not the Sim's.
+func TestHotPathAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ReduceSlowstart = 1
+	build := func(maps, reds int) *Query {
+		q := &Query{ID: "q"}
+		for _, id := range []string{"J1", "J2"} {
+			j := &Job{ID: "q/" + id, JobID: id, Query: q}
+			for i := 0; i < maps; i++ {
+				j.Maps = append(j.Maps, &Task{Job: j, Index: i, ActualSec: 3 + float64(i%5), PredSec: 4})
+			}
+			for i := 0; i < reds; i++ {
+				j.Reds = append(j.Reds, &Task{Job: j, Reduce: true, Index: i, ActualSec: 5, PredSec: 5})
+			}
+			q.Jobs = append(q.Jobs, j)
+		}
+		q.Jobs[1].DepIDs = []string{"J1"}
+		return q
+	}
+	rewind := func(q *Query) {
+		q.DoneTime = 0
+		for _, j := range q.Jobs {
+			*j = Job{ID: j.ID, JobID: j.JobID, Query: q, Maps: j.Maps, Reds: j.Reds, DepIDs: j.DepIDs}
+			j.ResetPending()
+			for _, tasks := range [2][]*Task{j.Maps, j.Reds} {
+				for _, tk := range tasks {
+					*tk = Task{Job: j, Reduce: tk.Reduce, Index: tk.Index, ActualSec: tk.ActualSec, PredSec: tk.PredSec}
+				}
+			}
+		}
+		q.RecomputeWRD()
+	}
+	s := New(cfg, fifoPick{})
+	for _, size := range []struct{ maps, reds int }{{6, 2}, {200, 40}} {
+		q := build(size.maps, size.reds)
+		run := func() {
+			rewind(q)
+			s.Reset(cfg, fifoPick{})
+			s.Submit(q, 0)
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm: grow the heap, the free list and the scratch once
+		if n := testing.AllocsPerRun(20, run); n != 2 {
+			t.Errorf("%d+%d tasks per job: a warmed Sim allocates %.0f times per run, want 2 (queries slice, Results)",
+				size.maps, size.reds, n)
+		}
+		if !q.Done() || q.Jobs[1].Reds[size.reds-1].Attempts != 1 {
+			t.Fatalf("the measured run did not execute the query")
+		}
+	}
+}

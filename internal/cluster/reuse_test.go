@@ -1,0 +1,125 @@
+package cluster_test
+
+import (
+	"bytes"
+	"context"
+	"testing"
+
+	"saqp/internal/catalog"
+	"saqp/internal/cluster"
+	"saqp/internal/dataset"
+	"saqp/internal/fault"
+	"saqp/internal/obs"
+	"saqp/internal/plan"
+	"saqp/internal/sched"
+	"saqp/internal/selectivity"
+	"saqp/internal/trace"
+	"saqp/internal/workload"
+)
+
+// TestSimReuseEqualsNew holds Reset to its contract — a re-initialised
+// Sim is indistinguishable from a new one — over 240 generated query
+// pairs run back-to-back on one Sim, each also on a fresh New. Configs
+// alternate (cluster shape, preemption, speculation, a fault plan with
+// crashes, slowdowns and task failures, heterogeneous nodes) and so do
+// policies, so state a run left behind would meet a run it does not fit;
+// every tenth run is first abandoned mid-flight, leaving events queued.
+// Compared: every task, job and query time, attempt and fault count, the
+// Results, and the full obs event stream (which carries node and slot).
+func TestSimReuseEqualsNew(t *testing.T) {
+	var schemas []*dataset.Schema
+	for _, s := range dataset.AllSchemas() {
+		schemas = append(schemas, s)
+	}
+	est := selectivity.NewEstimator(catalog.FromSchemas(schemas, 1, catalog.DefaultBuckets), selectivity.Config{})
+	g := workload.NewGenerator(11)
+	estimate := func() *selectivity.QueryEstimate {
+		q, _, err := g.RandomQuery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := plan.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qe, err := est.EstimateQuery(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qe
+	}
+
+	faulty := fault.NewPlan(fault.Spec{
+		Seed: 7, Nodes: 9, HorizonSec: 600,
+		CrashProb: 0.5, CrashDowntimeSec: 40,
+		SlowProb: 0.5, SlowDurationSec: 80,
+		TaskFailProb: 0.08,
+	})
+	with := func(edit func(*cluster.Config)) cluster.Config {
+		c := cluster.DefaultConfig()
+		edit(&c)
+		return c
+	}
+	configs := []cluster.Config{
+		cluster.DefaultConfig(),
+		with(func(c *cluster.Config) { c.PreemptiveReduce = true }),
+		with(func(c *cluster.Config) { c.SpeculativeExecution = true }),
+		with(func(c *cluster.Config) { c.Faults = faulty }),
+		with(func(c *cluster.Config) {
+			c.NodeFactors = []float64{0.4, 1, 1.3, 0.7, 1, 1, 2, 0.9, 1.1}
+			c.PreemptiveReduce, c.SpeculativeExecution = true, true
+		}),
+		{Nodes: 3, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, JobInitSec: 1, Faults: faulty, SpeculativeExecution: true},
+	}
+	policies := []cluster.Scheduler{sched.SWRD{}, sched.HFS{}, sched.HCS{Queues: 2}}
+
+	reused := new(cluster.Sim)
+	for i := 0; i < 240; i++ {
+		qa, qb := estimate(), estimate()
+		cfg := configs[i%len(configs)]
+		cfg.FaultSalt = uint64(i)
+		run := func(fresh bool) (string, []byte) {
+			var events bytes.Buffer
+			o := obs.New(obs.NewTraceSink(&events))
+			pol := sched.Instrument(policies[i%len(policies)], o)
+			s := reused
+			if fresh {
+				s = cluster.New(cfg, pol)
+			} else {
+				if i%10 == 0 {
+					ctx, cancel := context.WithCancel(context.Background())
+					cancel()
+					s.Reset(configs[(i+1)%len(configs)], policies[0])
+					s.Submit(cluster.BuildQuery("abandoned", qa, trace.NewDefaultCostModel(1), cluster.ConstantPredictor(1)), 0)
+					if _, err := s.RunContext(ctx); err == nil {
+						t.Fatal("a canceled run should report its context's error")
+					}
+				}
+				s.Reset(cfg, pol)
+			}
+			s.SetObserver(o)
+			cm := trace.NewDefaultCostModel(uint64(i))
+			a := cluster.BuildQuery("a", qa, cm, cluster.ConstantPredictor(3))
+			b := cluster.BuildQuery("b", qb, cm, cluster.ConstantPredictor(2))
+			s.Submit(a, 0)
+			s.Submit(b, 4)
+			res, err := s.Run()
+			if err != nil {
+				t.Fatalf("run %d: %v", i, err)
+			}
+			if err := o.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return fingerprint(res, a, b), events.Bytes()
+		}
+		wantPrint, wantEvents := run(true)
+		gotPrint, gotEvents := run(false)
+		if gotPrint != wantPrint {
+			t.Fatalf("run %d (config %d): a reset Sim scheduled differently from a new one:\nnew:\n%s\nreset:\n%s",
+				i, i%len(configs), wantPrint, gotPrint)
+		}
+		if !bytes.Equal(gotEvents, wantEvents) {
+			t.Fatalf("run %d (config %d): a reset Sim emitted a different event stream from a new one", i, i%len(configs))
+		}
+	}
+}

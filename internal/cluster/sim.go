@@ -101,6 +101,8 @@ func (c Config) Normalized() Config {
 // Scheduler ranks jobs when a slot frees. The simulator filters the active
 // set down to jobs holding a runnable task of the requested phase before
 // calling PickJob; implementations only choose *which job* goes next.
+// Both slices are the simulator's own storage, rewritten by the next
+// dispatch: PickJob must not retain candidates or active past its return.
 type Scheduler interface {
 	Name() string
 	// PickJob selects the next job to serve from candidates (all of which
@@ -154,11 +156,11 @@ func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-func (h *eventHeap) push(e *event) { heap.Push(h, e) }
-func (h *eventHeap) pop() *event   { return heap.Pop(h).(*event) }
-func (h *eventHeap) empty() bool   { return len(*h) == 0 }
+func (h *eventHeap) pop() *event { return heap.Pop(h).(*event) }
+func (h *eventHeap) empty() bool { return len(*h) == 0 }
 
 // Sim is one simulation run: a cluster, a scheduler and a set of queries.
+// Reset starts another run on the same value, keeping its storage.
 type Sim struct {
 	cfg   Config
 	sched Scheduler
@@ -171,10 +173,12 @@ type Sim struct {
 	mapFree  []int
 	redFree  []int
 	events   eventHeap
+	free     []*event // processed events, reused by push
 	seq      int
 	now      float64
 	queries  []*Query
 	active   []*Job // submitted, unfinished jobs in submission order
+	cands    []*Job // candidates' result, valid until its next call
 	busySec  float64
 	slotsTot int
 	hoarded  int // reduce slots held by not-yet-runnable reduces
@@ -190,17 +194,40 @@ type Sim struct {
 
 // New builds a simulator with the given cluster config and scheduler.
 func New(cfg Config, sched Scheduler) *Sim {
+	s := new(Sim)
+	s.Reset(cfg, sched)
+	return s
+}
+
+// Reset re-initialises s in place for a fresh run under cfg and sched,
+// with no observer attached: afterwards s behaves exactly as New(cfg,
+// sched) would, but slot pools, the event heap and its events, the
+// per-node tables and the scheduler scratch keep their storage, so a
+// long-lived owner (a serving-pool worker) simulates query after query
+// without rebuilding the cluster. Results of earlier runs stay valid.
+func (s *Sim) Reset(cfg Config, sched Scheduler) {
 	cfg = cfg.Normalized()
-	s := &Sim{cfg: cfg, sched: sched}
-	s.factors = make([]float64, cfg.Nodes)
-	for i := range s.factors {
-		if cfg.NodeFactors != nil {
-			s.factors[i] = cfg.NodeFactors[i]
-		} else {
-			s.factors[i] = 1
-		}
+	// Everything not named here starts from zero; what is named is
+	// storage, emptied. Events a stopped run left queued are recycled.
+	*s = Sim{
+		cfg: cfg, sched: sched, fplan: cfg.Faults,
+		factors:     s.factors[:0],
+		mapFree:     s.mapFree[:0],
+		redFree:     s.redFree[:0],
+		events:      s.events[:0],
+		free:        append(s.free, s.events...),
+		active:      s.active[:0],
+		cands:       s.cands[:0],
+		down:        zeroed(s.down, cfg.Nodes),
+		blacklisted: zeroed(s.blacklisted, cfg.Nodes),
+		nodeFails:   zeroed(s.nodeFails, cfg.Nodes),
 	}
 	for n := 0; n < cfg.Nodes; n++ {
+		f := 1.0
+		if cfg.NodeFactors != nil {
+			f = cfg.NodeFactors[n]
+		}
+		s.factors = append(s.factors, f)
 		for k := 0; k < cfg.MapSlotsPerNode; k++ {
 			s.mapFree = append(s.mapFree, n*cfg.MapSlotsPerNode+k)
 		}
@@ -209,10 +236,6 @@ func New(cfg Config, sched Scheduler) *Sim {
 		}
 	}
 	s.slotsTot = len(s.mapFree) + len(s.redFree)
-	s.down = make([]bool, cfg.Nodes)
-	s.blacklisted = make([]bool, cfg.Nodes)
-	s.nodeFails = make([]int, cfg.Nodes)
-	s.fplan = cfg.Faults
 	if s.fplan != nil {
 		// The plan's node windows were expanded at construction; book them
 		// as events now so the run replays them deterministically. Windows
@@ -221,13 +244,35 @@ func New(cfg Config, sched Scheduler) *Sim {
 			if w.Node >= cfg.Nodes {
 				continue
 			}
-			s.seq++
-			s.events.push(&event{time: w.Start, kind: evCrash, seq: s.seq, node: w.Node})
-			s.seq++
-			s.events.push(&event{time: w.End, kind: evRecover, seq: s.seq, node: w.Node})
+			s.push(event{time: w.Start, kind: evCrash, node: w.Node})
+			s.push(event{time: w.End, kind: evRecover, node: w.Node})
 		}
 	}
-	return s
+}
+
+// zeroed returns buf resized to n zero elements, reallocating only to grow.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// push books ev at the next sequence number, on a recycled event when
+// the free list has one.
+func (s *Sim) push(ev event) {
+	s.seq++
+	ev.seq = s.seq
+	var e *event
+	if n := len(s.free); n > 0 {
+		e, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		e = &event{}
+	}
+	*e = ev
+	heap.Push(&s.events, e)
 }
 
 // SetObserver attaches the observability layer to this run: lifecycle
@@ -283,8 +328,7 @@ func (s *Sim) ReduceSlots() int { return s.cfg.Nodes * s.cfg.ReduceSlotsPerNode 
 func (s *Sim) Submit(q *Query, at float64) {
 	q.ArrivalTime = at
 	s.queries = append(s.queries, q)
-	s.seq++
-	s.events.push(&event{time: at, kind: evArrival, seq: s.seq, query: q})
+	s.push(event{time: at, kind: evArrival, query: q})
 }
 
 // Results summarises a completed run.
@@ -380,6 +424,7 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 			s.recoverNode(e.node)
 		}
 		s.dispatch()
+		s.free = append(s.free, e)
 		// Stop once every query reached a terminal state: trailing fault
 		// events (a crash window after the last completion) must not
 		// stretch the makespan.
@@ -423,9 +468,11 @@ func (s *Sim) submitJob(j *Job) {
 	j.SubmitTime = s.now
 	j.ReadyTime = s.now + s.cfg.JobInitSec
 	s.active = append(s.active, j)
+	if cap(s.cands) < len(s.active) {
+		s.cands = make([]*Job, cap(s.active))
+	}
 	if s.cfg.JobInitSec > 0 {
-		s.seq++
-		s.events.push(&event{time: j.ReadyTime, kind: evWake, seq: s.seq})
+		s.push(event{time: j.ReadyTime, kind: evWake})
 	}
 	s.obs.Emit(s.jobEvent(obs.JobSubmitted, j), obs.AttrInt("maps", len(j.Maps)),
 		obs.AttrInt("reduces", len(j.Reds)), obs.AttrFloat("init_until_sec", j.ReadyTime))
@@ -594,6 +641,8 @@ func (s *Sim) finish(e *event) {
 // dispatch overhead. Under a fault plan the attempt may instead be booked
 // to fail partway through: the slot burns for the failure fraction of the
 // attempt's duration, then taskFail takes over.
+//
+//saqp:hotpath
 func (s *Sim) scheduleFinish(t *Task) {
 	t.Attempts++
 	factor := s.effFactor(t.node)
@@ -603,23 +652,23 @@ func (s *Sim) scheduleFinish(t *Task) {
 		s.obs.Count(obs.MSlowDispatches)
 	}
 	dur := t.ActualSec/factor + s.cfg.SchedulingOverheadSec
-	s.seq++
 	if fail, frac := s.fplan.TaskFailure(s.cfg.FaultSalt, t.Job.ID, t.Reduce, t.Index, t.Attempts); fail {
 		burn := frac * dur
 		s.busySec += burn
 		t.origEnd = s.now + burn
-		s.events.push(&event{time: t.origEnd, kind: evTaskFail, seq: s.seq,
-			task: t, slot: t.slot, epoch: t.epochO})
+		s.push(event{time: t.origEnd, kind: evTaskFail, task: t, slot: t.slot, epoch: t.epochO})
 		return
 	}
 	s.busySec += dur
 	t.origEnd = s.now + dur
-	s.events.push(&event{time: t.origEnd, kind: evFinish, seq: s.seq,
-		task: t, slot: t.slot, epoch: t.epochO})
+	s.push(event{time: t.origEnd, kind: evFinish, task: t, slot: t.slot, epoch: t.epochO})
 }
 
 // dispatch assigns runnable tasks to free slots until the scheduler
-// declines or slots run out (work conservation per phase).
+// declines or slots run out (work conservation per phase). It runs after
+// every event and must not allocate on a warmed Sim; its business is a
+// call through the Scheduler interface, which allocfree cannot follow, so
+// TestHotPathAllocs alone holds it to that.
 func (s *Sim) dispatch() {
 	// Map slots.
 	for len(s.mapFree) > 0 {
@@ -730,9 +779,7 @@ func (s *Sim) speculate(reduce bool, pool *[]int) {
 		victim.specSlot = slot
 		victim.specEnd = s.now + dur
 		s.busySec += dur
-		s.seq++
-		s.events.push(&event{time: victim.specEnd, kind: evFinish, seq: s.seq,
-			task: victim, slot: slot, spec: true, epoch: victim.epochS})
+		s.push(event{time: victim.specEnd, kind: evFinish, task: victim, slot: slot, spec: true, epoch: victim.epochS})
 		s.obs.Emit(s.taskEvent(obs.SpeculativeLaunched, victim, slot), obs.AttrInt("original_node", victim.node))
 	}
 }
@@ -817,34 +864,36 @@ func (s *Sim) preemptForRunnableReduce() bool {
 }
 
 // candidates filters ready jobs to those with a runnable task of a phase.
+// The result is scratch storage (submitJob keeps it as large as the
+// active set), valid until the next call.
+//
+//saqp:hotpath
 func (s *Sim) candidates(reduce bool) []*Job {
-	var out []*Job
+	out, n := s.cands[:len(s.active)], 0
 	for _, j := range s.active {
 		if j.ReadyTime > s.now {
 			continue
 		}
-		if reduce {
-			if s.reduceLaunchAllowed(j) {
-				out = append(out, j)
-			}
-		} else if j.pendingMaps > 0 {
-			out = append(out, j)
+		if reduce && s.reduceLaunchAllowed(j) || !reduce && j.pendingMaps > 0 {
+			out[n] = j
+			n++
 		}
 	}
 	// Under preemptive reduce scheduling, shuffle-ready jobs take priority
 	// for reduce slots over would-be hoarders.
 	if reduce && s.cfg.PreemptiveReduce {
-		var readyJobs []*Job
-		for _, j := range out {
+		ready := 0
+		for _, j := range out[:n] {
 			if j.MapsDone() {
-				readyJobs = append(readyJobs, j)
+				out[ready] = j
+				ready++
 			}
 		}
-		if len(readyJobs) > 0 {
-			return readyJobs
+		if ready > 0 {
+			n = ready
 		}
 	}
-	return out
+	return out[:n]
 }
 
 // start occupies a slot with a task. Early-launched reduces hoard the slot

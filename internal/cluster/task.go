@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"saqp/internal/plan"
 	"saqp/internal/selectivity"
 	"saqp/internal/trace"
@@ -269,54 +267,57 @@ func (c ConstantPredictor) PredictTask(plan.JobType, bool, float64, float64, flo
 // BuildQuery turns a selectivity-annotated DAG into a simulator query:
 // per-task input/output volumes are divided evenly across the estimated
 // task counts, ground-truth durations are drawn from the cost model, and
-// predicted durations from the predictor.
+// predicted durations from the predictor. The estimate's group counts
+// size one slab of jobs and one of tasks for the whole query.
 func BuildQuery(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, pred TaskTimePredictor) *Query {
 	q := &Query{ID: id, InputBytes: qe.TotalInputBytes()}
+	var one [1]selectivity.TaskGroup
+	total := 0
 	for _, je := range qe.Jobs {
-		j := &Job{
-			ID:    fmt.Sprintf("%s/%s", id, je.Job.ID),
-			JobID: je.Job.ID,
-			Query: q,
-			Type:  je.Job.Type,
+		for _, reduce := range [2]bool{false, true} {
+			for _, g := range phaseGroups(je, reduce, &one) {
+				total += g.Count
+			}
 		}
-		for _, dep := range je.Job.Deps {
-			j.DepIDs = append(j.DepIDs, dep.ID)
+	}
+	jobs := make([]Job, len(qe.Jobs))
+	q.Jobs = make([]*Job, len(qe.Jobs))
+	tasks := make([]Task, total)
+	ptrs := make([]*Task, total)
+	for ji, je := range qe.Jobs {
+		j := &jobs[ji]
+		q.Jobs[ji] = j
+		j.ID, j.JobID, j.Query, j.Type = id+"/"+je.Job.ID, je.Job.ID, q, je.Job.Type
+		if len(je.Job.Deps) > 0 {
+			j.DepIDs = make([]string, len(je.Job.Deps))
+			for i, dep := range je.Job.Deps {
+				j.DepIDs[i] = dep.ID
+			}
 		}
 		pf := je.PFactor()
-		var one [1]selectivity.TaskGroup
-		for _, g := range phaseGroups(je, false, &one) {
-			for i := 0; i < g.Count; i++ {
-				spec := trace.TaskSpec{Op: j.Type, InBytes: g.InBytes, OutBytes: g.OutBytes}
-				t := &Task{
-					Job: j, Index: len(j.Maps),
-					ActualSec: cm.Duration(spec),
-					PredSec:   pred.PredictTask(j.Type, false, g.InBytes, g.OutBytes, pf),
+		for _, reduce := range [2]bool{false, true} {
+			n := 0
+			for _, g := range phaseGroups(je, reduce, &one) {
+				spec := trace.TaskSpec{Op: j.Type, Reduce: reduce, InBytes: g.InBytes, OutBytes: g.OutBytes}
+				for i := 0; i < g.Count; i++ {
+					tasks[n] = Task{
+						Job: j, Reduce: reduce, Index: n,
+						ActualSec: cm.Duration(spec),
+						PredSec:   pred.PredictTask(j.Type, reduce, g.InBytes, g.OutBytes, pf),
+					}
+					q.remainingWRD += tasks[n].PredSec
+					ptrs[n] = &tasks[n]
+					n++
 				}
-				j.Maps = append(j.Maps, t)
 			}
-		}
-		for _, g := range phaseGroups(je, true, &one) {
-			for i := 0; i < g.Count; i++ {
-				spec := trace.TaskSpec{Op: j.Type, Reduce: true, InBytes: g.InBytes, OutBytes: g.OutBytes}
-				t := &Task{
-					Job: j, Reduce: true, Index: len(j.Reds),
-					ActualSec: cm.Duration(spec),
-					PredSec:   pred.PredictTask(j.Type, true, g.InBytes, g.OutBytes, pf),
-				}
-				j.Reds = append(j.Reds, t)
+			if reduce {
+				j.Reds = ptrs[:n:n]
+			} else {
+				j.Maps = ptrs[:n:n]
 			}
+			tasks, ptrs = tasks[n:], ptrs[n:]
 		}
-		j.pendingMaps = len(j.Maps)
-		j.pendingReds = len(j.Reds)
-		q.Jobs = append(q.Jobs, j)
-	}
-	for _, j := range q.Jobs {
-		for _, t := range j.Maps {
-			q.remainingWRD += t.PredSec
-		}
-		for _, t := range j.Reds {
-			q.remainingWRD += t.PredSec
-		}
+		j.ResetPending()
 	}
 	return q
 }

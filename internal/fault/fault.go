@@ -167,7 +167,10 @@ func (p *Plan) Slowdowns() []Window {
 }
 
 // SlowFactor returns the speed multiplier for tasks dispatched to node at
-// sim time at: 1 outside any slowdown window.
+// sim time at: 1 outside any slowdown window. The simulator asks once
+// per dispatched task.
+//
+//saqp:hotpath
 func (p *Plan) SlowFactor(node int, at float64) float64 {
 	if p == nil {
 		return 1
@@ -221,7 +224,10 @@ func (p *Plan) Backoff(n int) float64 {
 // hash of the identity — independent of dispatch order or cluster state —
 // so re-executions and speculative copies of *other* tasks cannot perturb
 // it. salt lets a caller (the serving layer's query retry) re-roll every
-// decision at once without rebuilding the plan.
+// decision at once without rebuilding the plan. The simulator asks once
+// per dispatched task.
+//
+//saqp:hotpath
 func (p *Plan) TaskFailure(salt uint64, job string, reduce bool, index, attempt int) (fail bool, frac float64) {
 	if p == nil || p.spec.TaskFailProb <= 0 {
 		return false, 0

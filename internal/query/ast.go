@@ -177,7 +177,9 @@ func StrLit(s string) Literal { return Literal{IsString: true, S: s} }
 // String renders the literal in SQL form.
 func (l Literal) String() string {
 	if l.IsString {
-		return "'" + l.S + "'"
+		// Quotes are doubled, as the lexer reads them: rendered bare, 'a''b'
+		// would end at its own middle and splice the rest into the query.
+		return "'" + strings.ReplaceAll(l.S, "'", "''") + "'"
 	}
 	return trimFloat(l.F)
 }

@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // tokenKind classifies lexer tokens.
@@ -49,11 +48,11 @@ func lex(src string) ([]token, error) {
 			if err := l.lexHint(); err != nil {
 				return nil, err
 			}
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			l.lexIdent()
-		case c >= '0' && c <= '9':
+		case isDigit(c):
 			l.lexNumber()
-		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
+		case c == '-' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 			l.lexNumber()
 		case c == '\'':
 			if err := l.lexString(); err != nil {
@@ -117,17 +116,22 @@ func (l *lexer) lexHint() error {
 	return fmt.Errorf("query: unterminated hint at offset %d", start)
 }
 
-func isIdentStart(c rune) bool {
-	return unicode.IsLetter(c) || c == '_'
+// Identifiers are ASCII: the lexer walks bytes, and a byte ≥ 0x80 taken
+// for a Latin-1 letter would be rewritten by the parser's ToLower into a
+// U+FFFD the lexer then refuses — a normalized text that does not parse.
+func isIdentStart(c byte) bool {
+	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
-func isIdentPart(c rune) bool {
-	return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_'
+func isIdentPart(c byte) bool {
+	return isIdentStart(c) || isDigit(c)
 }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 func (l *lexer) lexIdent() {
 	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 		l.pos++
 	}
 	l.toks = append(l.toks, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
@@ -141,7 +145,7 @@ func (l *lexer) lexNumber() {
 	seenDot := false
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
-		if c >= '0' && c <= '9' {
+		if isDigit(c) {
 			l.pos++
 			continue
 		}
@@ -151,6 +155,20 @@ func (l *lexer) lexNumber() {
 			continue
 		}
 		break
+	}
+	// An exponent, taken only when complete (e[+-]digits): Literal.String
+	// prints 19940101 as 1.9940101e+07, and that must lex as one number.
+	if p := l.pos; p < len(l.src) && (l.src[p] == 'e' || l.src[p] == 'E') {
+		p++
+		if p < len(l.src) && (l.src[p] == '+' || l.src[p] == '-') {
+			p++
+		}
+		if p < len(l.src) && isDigit(l.src[p]) {
+			for p < len(l.src) && isDigit(l.src[p]) {
+				p++
+			}
+			l.pos = p
+		}
 	}
 	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
 }

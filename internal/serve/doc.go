@@ -1,13 +1,14 @@
 // Package serve is the concurrent query-serving engine over the paper's
 // prediction stack: many goroutines submit HiveQL text, the engine
 // deduplicates compile+estimate work through a bounded single-flight LRU
-// cache (keyed by normalized SQL + catalog fingerprint), ranks admitted
-// queries by Weighted Resource Demand (paper Eq. 10) into an SWRD
-// admission queue, and dispatches them onto a pool of cluster
-// simulators. Submissions are cancellable via context.Context — a
-// canceled query is skipped if still queued and aborted mid-run if
-// already on a simulator — and Close drains gracefully: queued work
-// completes, then the pool exits.
+// cache (keyed by normalized SQL + catalog fingerprint; a text seen
+// before skips the parse through an exact-text memo of that key), ranks
+// admitted queries by Weighted Resource Demand (paper Eq. 10) into an
+// SWRD admission queue, and dispatches them onto a pool of workers, each
+// re-running one cluster simulator it owns. Submissions are cancellable
+// via context.Context — a canceled query is skipped if still queued and
+// aborted mid-run if already on a simulator — and Close drains
+// gracefully: queued work completes, then the pool exits.
 //
 // Keeping prediction on the hot admission path is the point (cf. Wu et
 // al. on query-time prediction and Rizvandi et al. on MapReduce CPU

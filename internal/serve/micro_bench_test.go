@@ -6,14 +6,15 @@ import (
 )
 
 // BenchmarkMicroServeCacheHit measures the steady-state path of every
-// repeated submission: a warm plan-cache lookup. The hit path is
-// //saqp:hotpath; TestHotPathAllocs holds it at zero allocations.
+// repeated submission: a warm text-tier lookup, lock included. The hit
+// path is //saqp:hotpath; TestHotPathAllocs holds it at zero
+// allocations and TestServerHitAllocBudget bounds the whole hit.
 func BenchmarkMicroServeCacheHit(b *testing.B) {
 	c := newPlanCache(256)
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("select l_orderkey from lineitem where l_quantity < %d\x00fp/exact", i)
-		e, owner, _ := c.lookup(keys[i])
+	texts := make([]string, 64)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("select l_orderkey from lineitem where l_quantity < %d", i)
+		e, owner, _ := c.lookup(texts[i]+"\x00fp/exact", texts[i])
 		if !owner {
 			b.Fatal("fresh key already cached")
 		}
@@ -22,11 +23,8 @@ func BenchmarkMicroServeCacheHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.mu.Lock()
-		if _, ok := c.hit(keys[i&63]); !ok {
-			c.mu.Unlock()
-			b.Fatal("warm key missed")
+		if c.lookupText(texts[i&63]) == nil {
+			b.Fatal("warm text missed")
 		}
-		c.mu.Unlock()
 	}
 }

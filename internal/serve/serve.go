@@ -209,6 +209,9 @@ type Stats struct {
 	CacheMisses    uint64
 	CacheEvictions uint64
 	CacheEntries   int
+	// CacheSpellings counts raw texts the plan cache's exact-text tier
+	// remembers; never more than maxSpellings per cache entry.
+	CacheSpellings int
 
 	QueueDepth int // tickets awaiting a pool worker
 	Inflight   int // tickets on pool simulators right now
@@ -245,6 +248,7 @@ func (s *Stats) Add(o Stats) {
 	s.CacheMisses += o.CacheMisses
 	s.CacheEvictions += o.CacheEvictions
 	s.CacheEntries += o.CacheEntries
+	s.CacheSpellings += o.CacheSpellings
 	s.QueueDepth += o.QueueDepth
 	s.Inflight += o.Inflight
 	s.Workers += o.Workers
@@ -341,22 +345,33 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 	}
 	o := e.cfg.Observer
 	o.Count(obs.MServeSubmissions)
-	q, err := query.Parse(sql)
-	if err != nil {
-		o.Count(obs.MServeErrors)
-		e.count(func(s *Stats) { s.Errors++ })
-		return nil, err
+	// A text the cache has seen names its entry directly; any other
+	// spelling is parsed and normalized to the key — the one identity —
+	// and remembered for next time if it is not mostly padding.
+	ent, owner := e.cache.lookupText(sql), false
+	if ent == nil {
+		q, err := query.Parse(sql)
+		if err != nil {
+			o.Count(obs.MServeErrors)
+			e.count(func(s *Stats) { s.Errors++ })
+			return nil, err
+		}
+		norm := q.String()
+		text := sql
+		if len(text) > maxSpellingBloat*len(norm) {
+			text = ""
+		}
+		var evicted int
+		ent, owner, evicted = e.cache.lookup(CacheKey(norm, e.cfg.CatalogFingerprint), text)
+		for i := 0; i < evicted; i++ {
+			o.Count(obs.MServeCacheEvictions)
+		}
+		if owner {
+			o.Count(obs.MServeCacheMisses)
+			e.compute(ent, q)
+		}
 	}
-	norm := q.String()
-	key := CacheKey(norm, e.cfg.CatalogFingerprint)
-	ent, owner, evicted := e.cache.lookup(key)
-	for i := 0; i < evicted; i++ {
-		o.Count(obs.MServeCacheEvictions)
-	}
-	if owner {
-		o.Count(obs.MServeCacheMisses)
-		e.compute(ent, q)
-	} else {
+	if !owner {
 		// A waiter that joined an in-flight computation paid no compile.
 		o.Count(obs.MServeCacheHits)
 		select {
@@ -396,13 +411,14 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 		return nil, ErrQueueFull
 	}
 	e.seq++
+	// The normalized text is the entry's key up to CacheKey's NUL.
 	t := &Ticket{
-		id:       fmt.Sprintf("q%06d", e.seq),
+		id:       ticketID(e.seq),
 		seq:      e.seq,
 		seed:     seed,
 		ctx:      ctx,
 		est:      ent.est,
-		sql:      norm,
+		sql:      ent.key[:len(ent.key)-1-len(e.cfg.CatalogFingerprint)],
 		wrd:      wrd,
 		predSec:  predSec,
 		version:  version,
@@ -414,7 +430,7 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 	if st := e.cfg.Spans; st != nil {
 		st.Begin()
 		t.span = obs.BeginQuerySpan(
-			obs.TraceID(key, t.seq), t.id,
+			obs.TraceID(ent.key, t.seq), t.id,
 			obs.AttrStr("seed", strconv.FormatUint(seed, 10)),
 			obs.AttrInt("model_version", version),
 		)
@@ -431,6 +447,14 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 	o.ServeAdmitted(t.wrd, depth)
 	e.cond.Signal()
 	return t, nil
+}
+
+// ticketID renders a submission sequence number as fmt's "q%06d".
+func ticketID(seq uint64) string {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], seq, 10)
+	id := append(make([]byte, 0, 21), "q00000"[:1+max(0, 6-len(d))]...)
+	return string(append(id, d...))
 }
 
 // CacheKey is the identity under which two submissions are the same
@@ -481,15 +505,17 @@ func (e *Engine) inflightNow() int {
 	return e.inflight
 }
 
-// worker serves admitted tickets until the engine closes and drains.
+// worker serves admitted tickets until the engine closes and drains, on
+// one simulator it owns for its lifetime and resets per attempt.
 func (e *Engine) worker() {
 	defer e.wg.Done()
+	sim := new(cluster.Sim)
 	for {
 		t := e.next()
 		if t == nil {
 			return
 		}
-		e.run(t)
+		e.run(sim, t)
 	}
 }
 
@@ -512,11 +538,12 @@ func (e *Engine) next() *Ticket {
 	return t
 }
 
-// run executes one ticket on a fresh pool simulator and delivers its
-// completion. Under a fault plan a query whose task exhausted its attempt
-// cap is retried up to MaxRetries times, each retry on a rebuilt query
-// and a re-salted plan, before the typed error is delivered.
-func (e *Engine) run(t *Ticket) {
+// run executes one ticket on the worker's simulator, reset per attempt,
+// and delivers its completion. Under a fault plan a query whose task
+// exhausted its attempt cap is retried up to MaxRetries times, each retry
+// on a rebuilt query and a re-salted plan, before the typed error is
+// delivered.
+func (e *Engine) run(sim *cluster.Sim, t *Ticket) {
 	// Submit normalized the context, so t.ctx is never nil here.
 	select {
 	case <-t.ctx.Done():
@@ -565,7 +592,7 @@ func (e *Engine) run(t *Ticket) {
 			runObs = &obs.Observer{Spans: coll}
 			pol = sched.Instrument(pol, runObs)
 		}
-		sim := cluster.New(scfg, pol)
+		sim.Reset(scfg, pol)
 		if runObs != nil {
 			sim.SetObserver(runObs)
 		}
@@ -721,7 +748,7 @@ func (e *Engine) Stats() Stats {
 	s.Workers = e.cfg.Workers
 	e.mu.Unlock()
 	s.CacheHits, s.CacheMisses, s.CacheEvictions = hits, misses, evictions
-	s.CacheEntries = e.cache.len()
+	s.CacheEntries, s.CacheSpellings = e.cache.len()
 	if st := e.cfg.Spans; st != nil {
 		c := st.Counts()
 		s.SpansStarted, s.SpansFinished = c.Started, c.Finished
