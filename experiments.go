@@ -205,7 +205,7 @@ func ReproduceFig7(a *TrainedArtifacts, cfg ExperimentConfig, numQueries int) (F
 			return res, err
 		}
 		sf := workload.SFForTargetBytes(q, 100e9)
-		run, err := workload.RunStandaloneSized(q, shape, sf, stats, cm, cfg.Cluster, selectivity.Config{})
+		run, err := workload.RunStandalone(q, shape, sf, stats, cm, cfg.Cluster)
 		if err != nil {
 			return res, err
 		}
@@ -272,7 +272,7 @@ func (r *replay) add(stats *workload.Stats, name string, q *query.Query, sf, arr
 	if err != nil {
 		return err
 	}
-	est, oracle, err := stats.Estimate(d, sf, selectivity.Config{})
+	est, oracle, err := stats.Estimate(d, sf)
 	if err != nil {
 		return err
 	}

@@ -73,7 +73,9 @@ func (c *Catalog) Table(name string) (*TableStats, error) {
 	return t, nil
 }
 
-// Put installs (or replaces) statistics for a table.
+// Put installs (or replaces) statistics for a table. A catalog is built up
+// front and then immutable: selectivity.NewEstimator prepares its view once
+// and shares the histograms, so no Put or write through a TableStats follows.
 func (c *Catalog) Put(t *TableStats) { c.Tables[t.Name] = t }
 
 // Fingerprint returns a short stable hash of the catalog's statistical

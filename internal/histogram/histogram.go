@@ -18,6 +18,8 @@ type Bucket struct {
 
 // Histogram is an equi-width histogram over a numeric domain [Lo, Hi).
 // The zero value is not usable; construct with Build, Synthesize or New.
+// No bucket holds more distinct values than rows: every producer here
+// keeps that, so Scale(1) of a histogram equals it.
 type Histogram struct {
 	Lo      float64  `json:"lo"`
 	Hi      float64  `json:"hi"`
@@ -147,8 +149,8 @@ func (h *Histogram) DistinctTotal() float64 {
 
 // SelectivityLT estimates the fraction of rows with value < x, assuming
 // uniform spread within the partially-covered bucket. The Selectivity*
-// family backs PredSelectivity, which scores every plan candidate, so
-// none of it may allocate.
+// family backs PredSelectivity, which runs once per scan predicate on
+// every plan-cache miss, so none of it may allocate.
 //
 //saqp:hotpath
 func (h *Histogram) SelectivityLT(x float64) float64 {
@@ -294,17 +296,22 @@ func (h *Histogram) Scale(f float64) *Histogram {
 	}
 	out := New(h.Lo, h.Hi, len(h.Buckets))
 	for i, b := range h.Buckets {
-		c := b.Count * f
-		d := b.Distinct
-		if f < 1 {
-			d = YaoDistinct(b.Distinct, b.Count, f)
-		}
-		if d > c {
-			d = c
-		}
-		out.Buckets[i] = Bucket{Count: c, Distinct: d}
+		out.Buckets[i] = scaleBucket(b, f)
 	}
 	return out
+}
+
+// scaleBucket is Scale's per-bucket step, for f >= 0.
+func scaleBucket(b Bucket, f float64) Bucket {
+	c := b.Count * f
+	d := b.Distinct
+	if f < 1 {
+		d = YaoDistinct(b.Distinct, b.Count, f)
+	}
+	if d > c {
+		d = c
+	}
+	return Bucket{Count: c, Distinct: d}
 }
 
 // YaoDistinct estimates how many of d distinct values survive keeping a
@@ -337,6 +344,13 @@ const (
 	CmpGE
 )
 
+// Cond is one comparison against a constant, (value Op X): the restriction
+// Filter applies.
+type Cond struct {
+	Op CmpOp
+	X  float64
+}
+
 // Filter returns the histogram restricted to rows whose value satisfies
 // (value op x), assuming uniform spread within buckets. Unlike Scale, this
 // reshapes the distribution: a filter on the column itself zeroes buckets
@@ -347,19 +361,46 @@ func (h *Histogram) Filter(op CmpOp, x float64) *Histogram {
 	w := h.width()
 	for i, b := range h.Buckets {
 		bLo := h.Lo + float64(i)*w
-		bHi := bLo + w
-		frac := overlapFraction(op, x, bLo, bHi, b)
-		c := b.Count * frac
-		d := b.Distinct * frac
-		if op == CmpEQ && frac > 0 {
-			d = math.Min(b.Distinct, 1)
-		}
-		if d > c {
-			d = c
-		}
-		out.Buckets[i] = Bucket{Count: c, Distinct: d}
+		out.Buckets[i] = filterBucket(Cond{op, x}, bLo, bLo+w, b)
 	}
 	return out
+}
+
+// filterBucket is Filter's per-bucket step over the bucket [bLo, bHi).
+func filterBucket(c Cond, bLo, bHi float64, b Bucket) Bucket {
+	frac := overlapFraction(c.Op, c.X, bLo, bHi, b)
+	n := b.Count * frac
+	d := b.Distinct * frac
+	if c.Op == CmpEQ && frac > 0 {
+		d = math.Min(b.Distinct, 1)
+	}
+	if d > n {
+		d = n
+	}
+	return Bucket{Count: n, Distinct: d}
+}
+
+// NarrowedTotals returns Rows() of the histogram after Filter by each of
+// conds in order, and DistinctTotal() of that histogram after Scale(f),
+// materialising neither: every bucket's (count, distinct) pair is threaded
+// through the same steps in the same order, so both sums equal the
+// materialised ones to the bit — for a caller that reads only the scalars.
+//
+//saqp:hotpath
+func (h *Histogram) NarrowedTotals(conds []Cond, f float64) (rows, distinct float64) {
+	if f < 0 {
+		f = 0
+	}
+	w := h.width()
+	for i, b := range h.Buckets {
+		bLo := h.Lo + float64(i)*w
+		for _, c := range conds {
+			b = filterBucket(c, bLo, bLo+w, b)
+		}
+		rows += b.Count
+		distinct += scaleBucket(b, f).Distinct
+	}
+	return rows, distinct
 }
 
 // overlapFraction computes the fraction of bucket [bLo,bHi) passing op-x.

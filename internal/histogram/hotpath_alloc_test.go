@@ -11,6 +11,7 @@ var (
 // for the selectivity kernel: zero heap allocations per call.
 func TestHotPathAllocs(t *testing.T) {
 	h := Build([]float64{1, 2, 3, 42, 42, 99}, 0, 100, 8)
+	conds := []Cond{{CmpGE, 2}, {CmpLT, 60}, {CmpNE, 42}}
 	cases := []struct {
 		name string
 		fn   func()
@@ -25,6 +26,13 @@ func TestHotPathAllocs(t *testing.T) {
 		{"SelectivityNE", func() { hotSinkFloat = h.SelectivityNE(42) }},
 		{"SelectivityBetween", func() { hotSinkFloat = h.SelectivityBetween(10, 60) }},
 		{"clamp01", func() { hotSinkFloat = clamp01(-0.5) }},
+		{"YaoDistinct", func() { hotSinkFloat = YaoDistinct(40, 1000, 0.3) }},
+		{"NarrowedTotals", func() { hotSinkFloat, hotSinkFloat = h.NarrowedTotals(conds, 0.4) }},
+		{"NarrowedTotals/stack-conds", func() {
+			var buf [4]Cond
+			cs := append(buf[:0], Cond{CmpGT, 1}, Cond{CmpLE, 99})
+			hotSinkFloat, hotSinkFloat = h.NarrowedTotals(cs, 1)
+		}},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(100, c.fn); n != 0 {

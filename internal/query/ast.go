@@ -1,9 +1,11 @@
 package query
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
+
+// Rendering: every node appends its SQL form to a byte slice through an
+// appendTo method, so Query.String — the normalizer behind the plan-cache
+// key — builds its text in one buffer; the String methods wrap them, each
+// with a buffer its usual rendering fits, which stays on the stack.
 
 // CmpOp is a comparison operator in a predicate.
 type CmpOp uint8
@@ -86,6 +88,13 @@ func (c ColumnRef) String() string {
 	return c.Table + "." + c.Column
 }
 
+func (c ColumnRef) appendTo(b []byte) []byte {
+	if c.Table != "" {
+		b = append(append(b, c.Table...), '.')
+	}
+	return append(b, c.Column...)
+}
+
 // ArithOp is an arithmetic operator inside aggregate expressions.
 type ArithOp uint8
 
@@ -135,11 +144,23 @@ func (e Expr) Columns() []ColumnRef {
 }
 
 // String renders the expression in SQL form.
-func (e Expr) String() string {
+func (e Expr) String() string { return string(e.appendTo(make([]byte, 0, 64))) }
+
+func (e Expr) appendTo(b []byte) []byte {
 	if e.Binop != nil {
-		return e.Binop.Left.String() + e.Binop.Op.String() + e.Binop.Right.String()
+		b = append(e.Binop.Left.appendTo(b), e.Binop.Op.String()...)
+		return e.Binop.Right.appendTo(b)
 	}
-	return e.Col.String()
+	return e.Col.appendTo(b)
+}
+
+// appendAgg renders an aggregate call: count(*) when star, else agg(e).
+func appendAgg(b []byte, agg AggFunc, e Expr, star bool) []byte {
+	if star {
+		return append(b, "count(*)"...)
+	}
+	b = append(append(b, agg.String()...), '(')
+	return append(e.appendTo(b), ')')
 }
 
 // SelectItem is one projection-list entry: a column, `agg(expr)`, or
@@ -151,14 +172,13 @@ type SelectItem struct {
 }
 
 // String renders the item in SQL form.
-func (s SelectItem) String() string {
-	if s.Star {
-		return "count(*)"
+func (s SelectItem) String() string { return string(s.appendTo(make([]byte, 0, 64))) }
+
+func (s SelectItem) appendTo(b []byte) []byte {
+	if s.Agg == AggNone && !s.Star {
+		return s.Expr.appendTo(b)
 	}
-	if s.Agg == AggNone {
-		return s.Expr.String()
-	}
-	return fmt.Sprintf("%s(%s)", s.Agg, s.Expr)
+	return appendAgg(b, s.Agg, s.Expr, s.Star)
 }
 
 // Literal is a constant in a predicate.
@@ -175,18 +195,22 @@ func NumLit(v float64) Literal { return Literal{F: v} }
 func StrLit(s string) Literal { return Literal{IsString: true, S: s} }
 
 // String renders the literal in SQL form.
-func (l Literal) String() string {
-	if l.IsString {
-		// Quotes are doubled, as the lexer reads them: rendered bare, 'a''b'
-		// would end at its own middle and splice the rest into the query.
-		return "'" + strings.ReplaceAll(l.S, "'", "''") + "'"
-	}
-	return trimFloat(l.F)
-}
+func (l Literal) String() string { return string(l.appendTo(make([]byte, 0, 64))) }
 
-func trimFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	return s
+func (l Literal) appendTo(b []byte) []byte {
+	if !l.IsString {
+		return strconv.AppendFloat(b, l.F, 'g', -1, 64) // fmt's %g
+	}
+	// Quotes are doubled, as the lexer reads them: rendered bare, 'a''b'
+	// would end at its own middle and splice the rest into the query.
+	b = append(b, '\'')
+	for i := 0; i < len(l.S); i++ {
+		if l.S[i] == '\'' {
+			b = append(b, '\'')
+		}
+		b = append(b, l.S[i])
+	}
+	return append(b, '\'')
 }
 
 // Predicate is a conjunct: either column-op-literal (a local filter),
@@ -204,23 +228,24 @@ type Predicate struct {
 func (p Predicate) IsJoin() bool { return p.Right != nil }
 
 // String renders the predicate in SQL form.
-func (p Predicate) String() string {
-	if p.Right != nil {
-		return fmt.Sprintf("%s %s %s", p.Left, p.Op, *p.Right)
-	}
-	if p.Op == OpIN {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s IN (", p.Left)
+func (p Predicate) String() string { return string(p.appendTo(make([]byte, 0, 64))) }
+
+func (p *Predicate) appendTo(b []byte) []byte {
+	b = append(append(append(p.Left.appendTo(b), ' '), p.Op.String()...), ' ')
+	switch {
+	case p.Right != nil:
+		return p.Right.appendTo(b)
+	case p.Op == OpIN:
+		b = append(b, '(')
 		for i, l := range p.Set {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			b.WriteString(l.String())
+			b = l.appendTo(b)
 		}
-		b.WriteString(")")
-		return b.String()
+		return append(b, ')')
 	}
-	return fmt.Sprintf("%s %s %s", p.Left, p.Op, p.Lit)
+	return p.Lit.appendTo(b)
 }
 
 // TableRef names a base table with an optional alias.
@@ -238,11 +263,14 @@ func (t TableRef) Label() string {
 }
 
 // String renders the reference in SQL form.
-func (t TableRef) String() string {
+func (t TableRef) String() string { return string(t.appendTo(make([]byte, 0, 64))) }
+
+func (t TableRef) appendTo(b []byte) []byte {
+	b = append(b, t.Name...)
 	if t.Alias != "" {
-		return t.Name + " " + t.Alias
+		b = append(append(b, ' '), t.Alias...)
 	}
-	return t.Name
+	return b
 }
 
 // Join is one JOIN clause: the joined table and its ON conjuncts (at least
@@ -263,12 +291,11 @@ type HavingPred struct {
 }
 
 // String renders the conjunct in SQL form.
-func (h HavingPred) String() string {
-	left := fmt.Sprintf("%s(%s)", h.Agg, h.Expr)
-	if h.Star {
-		left = "count(*)"
-	}
-	return fmt.Sprintf("%s %s %s", left, h.Op, h.Lit)
+func (h HavingPred) String() string { return string(h.appendTo(make([]byte, 0, 64))) }
+
+func (h HavingPred) appendTo(b []byte) []byte {
+	b = append(appendAgg(b, h.Agg, h.Expr, h.Star), ' ')
+	return h.Lit.appendTo(append(append(b, h.Op.String()...), ' '))
 }
 
 // OrderItem is one ORDER BY entry: a column, or an aggregate that must
@@ -289,17 +316,18 @@ type OrderItem struct {
 func (o OrderItem) IsAggregate() bool { return o.Agg != AggNone || o.Star }
 
 // String renders the item in SQL form.
-func (o OrderItem) String() string {
-	left := o.Col.String()
-	if o.Star {
-		left = "count(*)"
-	} else if o.Agg != AggNone {
-		left = fmt.Sprintf("%s(%s)", o.Agg, o.Expr)
+func (o OrderItem) String() string { return string(o.appendTo(make([]byte, 0, 64))) }
+
+func (o OrderItem) appendTo(b []byte) []byte {
+	if o.IsAggregate() {
+		b = appendAgg(b, o.Agg, o.Expr, o.Star)
+	} else {
+		b = o.Col.appendTo(b)
 	}
 	if o.Desc {
-		return left + " DESC"
+		b = append(b, " DESC"...)
 	}
-	return left
+	return b
 }
 
 // Query is a single-block analytic query.
@@ -337,72 +365,50 @@ func (q *Query) Tables() []TableRef {
 	return ts
 }
 
-// String renders the query as SQL.
-func (q *Query) String() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
+// String renders the query as SQL, in a buffer all but the longest queries
+// fit (the generated pool's mean is 200 bytes).
+func (q *Query) String() string { return string(q.appendTo(make([]byte, 0, 512))) }
+
+// sep returns what precedes element i of a rendered list.
+func sep(i int, first, next string) string {
+	if i == 0 {
+		return first
+	}
+	return next
+}
+
+func (q *Query) appendTo(b []byte) []byte {
+	b = append(b, "SELECT "...)
+	for i, t := range q.MapJoinTables {
+		b = append(append(b, sep(i, "/*+ MAPJOIN(", ", ")...), t...)
+	}
 	if len(q.MapJoinTables) > 0 {
-		b.WriteString("/*+ MAPJOIN(")
-		b.WriteString(strings.Join(q.MapJoinTables, ", "))
-		b.WriteString(") */ ")
+		b = append(b, ") */ "...)
 	}
 	for i, s := range q.Select {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(s.String())
+		b = s.appendTo(append(b, sep(i, "", ", ")...))
 	}
-	b.WriteString(" FROM ")
-	b.WriteString(q.From.String())
+	b = q.From.appendTo(append(b, " FROM "...))
 	for _, j := range q.Joins {
-		b.WriteString(" JOIN ")
-		b.WriteString(j.Table.String())
-		b.WriteString(" ON ")
-		for i, p := range j.On {
-			if i > 0 {
-				b.WriteString(" AND ")
-			}
-			b.WriteString(p.String())
+		b = j.Table.appendTo(append(b, " JOIN "...))
+		for i := range j.On {
+			b = j.On[i].appendTo(append(b, sep(i, " ON ", " AND ")...))
 		}
 	}
-	if len(q.Where) > 0 {
-		b.WriteString(" WHERE ")
-		for i, p := range q.Where {
-			if i > 0 {
-				b.WriteString(" AND ")
-			}
-			b.WriteString(p.String())
-		}
+	for i := range q.Where {
+		b = q.Where[i].appendTo(append(b, sep(i, " WHERE ", " AND ")...))
 	}
-	if len(q.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, c := range q.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(c.String())
-		}
+	for i, c := range q.GroupBy {
+		b = c.appendTo(append(b, sep(i, " GROUP BY ", ", ")...))
 	}
-	if len(q.Having) > 0 {
-		b.WriteString(" HAVING ")
-		for i, h := range q.Having {
-			if i > 0 {
-				b.WriteString(" AND ")
-			}
-			b.WriteString(h.String())
-		}
+	for i, h := range q.Having {
+		b = h.appendTo(append(b, sep(i, " HAVING ", " AND ")...))
 	}
-	if len(q.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, o := range q.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(o.String())
-		}
+	for i, o := range q.OrderBy {
+		b = o.appendTo(append(b, sep(i, " ORDER BY ", ", ")...))
 	}
 	if q.Limit >= 0 {
-		fmt.Fprintf(&b, " LIMIT %d", q.Limit)
+		b = strconv.AppendInt(append(b, " LIMIT "...), q.Limit, 10)
 	}
-	return b.String()
+	return b
 }

@@ -2,13 +2,16 @@ package selectivity
 
 import (
 	"saqp/internal/histogram"
+	"saqp/internal/query"
 )
 
 // ColStat tracks the statistics of one column as data flows through a DAG:
 // its (scaled) histogram, distinct count, average width, and whether equal
 // values remain physically clustered.
 type ColStat struct {
-	Hist     *histogram.Histogram // nil for string columns
+	// Hist is nil for string columns — and, on an edge, for a column whose
+	// histogram nothing downstream reads.
+	Hist     *histogram.Histogram
 	Distinct float64
 	// BaseDistinct is the column's cardinality in the unfiltered base
 	// table — the paper's T.d_x in Eq. 2 — preserved as statistics flow
@@ -22,21 +25,16 @@ type ColStat struct {
 	Clustered bool
 }
 
-// clone returns an independent copy (the histogram pointer is shared until
-// scaled, since Scale returns a new histogram).
-func (c *ColStat) clone() *ColStat {
-	cp := *c
-	return &cp
-}
-
 // scaled returns the column statistics after the row count is multiplied
 // by factor f (f <= 1 for filters, f > 1 possible after joins). Surviving
 // distinct counts follow the Cardenas/Yao estimate — dropping rows
 // uniformly keeps most values of a low-cardinality column alive — and can
-// never exceed the new row count.
-func (c *ColStat) scaled(f float64, newRows float64) *ColStat {
-	out := c.clone()
-	if c.Hist != nil {
+// never exceed the new row count. The histogram is rescaled, into a new
+// one, only when hist says a consumer reads it.
+func (c *ColStat) scaled(f, newRows float64, hist bool) ColStat {
+	out := *c
+	out.Hist = nil
+	if hist && c.Hist != nil {
 		out.Hist = c.Hist.Scale(f)
 	}
 	if f < 1 {
@@ -55,53 +53,77 @@ func (c *ColStat) scaled(f float64, newRows float64) *ColStat {
 	return out
 }
 
-// Edge describes the data flowing along one DAG edge (a base-table scan
+// need is one column that a job's operator, or a transitive consumer of
+// its output, reads, and whether it reads the histogram (join and map-join
+// keys) or only the scalars (group keys). A statistic flows along the DAG
+// exactly as far as something reads it.
+type need struct {
+	ref  query.ColumnRef
+	hist bool
+}
+
+// addNeed unions one column into a need set.
+func addNeed(set []need, ref query.ColumnRef, hist bool) []need {
+	for i := range set {
+		if set[i].ref == ref {
+			set[i].hist = set[i].hist || hist
+			return set
+		}
+	}
+	return append(set, need{ref, hist})
+}
+
+// edgeCol is one needed column's statistics on an edge.
+type edgeCol struct {
+	ref query.ColumnRef
+	ColStat
+}
+
+// edge describes the data flowing along one DAG edge (a base-table scan
 // after filtering+projection, or a job's output): row count, average tuple
-// width, and per-column statistics for the columns that survive.
-type Edge struct {
-	Rows  float64
-	Width float64 // average tuple width in bytes
-	// Cols is keyed by "table.column".
-	Cols map[string]*ColStat
+// width, and statistics for those surviving columns something downstream
+// reads, cut from the walk's column slab.
+type edge struct {
+	rows  float64
+	width float64 // average tuple width in bytes
+	cols  []edgeCol
 }
 
-// Bytes returns the edge's data volume.
-func (e *Edge) Bytes() float64 { return e.Rows * e.Width }
-
-// Col returns the statistics for the given qualified column, or nil.
-func (e *Edge) Col(key string) *ColStat { return e.Cols[key] }
-
-// scaledEdge returns the edge after multiplying rows by f.
-func (e *Edge) scaledEdge(f float64) *Edge {
-	out := &Edge{Rows: e.Rows * f, Width: e.Width, Cols: make(map[string]*ColStat, len(e.Cols))}
-	for k, c := range e.Cols {
-		out.Cols[k] = c.scaled(f, out.Rows)
+// col returns the statistics the edge carries for ref, or nil.
+func (e *edge) col(ref query.ColumnRef) *ColStat {
+	for i := range e.cols {
+		if e.cols[i].ref == ref {
+			return &e.cols[i].ColStat
+		}
 	}
-	return out
+	return nil
 }
 
-// mergeEdges combines the column sets of two join inputs into the join
-// output edge with the given result row count. Each side's columns are
-// scaled by the side's multiplication factor — the Bell et al. technique
-// the paper leverages to carry a key's distribution through an earlier
-// join on a different key.
-func mergeEdges(left, right *Edge, outRows float64) *Edge {
-	out := &Edge{Rows: outRows, Width: left.Width + right.Width,
-		Cols: make(map[string]*ColStat, len(left.Cols)+len(right.Cols))}
-	scaleInto := func(e *Edge) {
+// mergeEdges combines two join inputs into the join output edge with the
+// given result row count, carrying the needed columns. Each side's columns
+// are scaled by the side's multiplication factor — the Bell et al.
+// technique the paper leverages to carry a key's distribution through an
+// earlier join on a different key. A column both sides have (a self-join)
+// is the right side's.
+func (w *walk) mergeEdges(left, right *edge, outRows float64, needs []need) edge {
+	start := len(w.cols)
+	for _, n := range needs {
+		from, c := right, right.col(n.ref)
+		if c == nil {
+			from, c = left, left.col(n.ref)
+		}
+		if c == nil {
+			continue
+		}
 		f := 1.0
-		if e.Rows > 0 {
-			f = outRows / e.Rows
+		if from.rows > 0 {
+			f = outRows / from.rows
 		}
-		for k, c := range e.Cols {
-			nc := c.scaled(f, outRows)
-			// The shuffle reorders rows by the join key, destroying any
-			// physical clustering the input columns had.
-			nc.Clustered = false
-			out.Cols[k] = nc
-		}
+		nc := c.scaled(f, outRows, n.hist)
+		// The shuffle reorders rows by the join key, destroying any
+		// physical clustering the input columns had.
+		nc.Clustered = false
+		w.cols = append(w.cols, edgeCol{n.ref, nc})
 	}
-	scaleInto(left)
-	scaleInto(right)
-	return out
+	return edge{rows: outRows, width: left.width + right.width, cols: w.cut(start)}
 }

@@ -8,6 +8,7 @@ import (
 	"saqp/internal/catalog"
 	"saqp/internal/histogram"
 	"saqp/internal/plan"
+	"saqp/internal/query"
 )
 
 // Config carries the MapReduce sizing parameters that turn estimated data
@@ -32,21 +33,38 @@ type Config struct {
 // follows the Hive-era practice of sizing reducers at one block of shuffle
 // data so reduce-side parallelism grows smoothly with intermediate volume.
 func DefaultConfig() Config {
-	return Config{
-		BlockSize:       256 << 20,
-		BytesPerReducer: 128 << 20,
-		MaxReduces:      108,
+	return Config{BlockSize: 256 << 20, BytesPerReducer: 128 << 20, MaxReduces: 108}
+}
+
+// table is one catalog table as NewEstimator prepared it: its scalars as
+// float64, its FragFactor, and each column's base statistics, the catalog's
+// histogram shared by pointer. Nothing in it is written after NewEstimator
+// returns, so one Estimator serves any number of goroutines without a lock.
+type table struct {
+	name                     string
+	rows, bytes, width, frag float64
+	cols                     []ColStat
+	index                    map[string]int // column name → ordinal in cols
+}
+
+// col returns the base statistics of ref if it names a column of t, else nil.
+func (t *table) col(ref query.ColumnRef) *ColStat {
+	if ci, ok := t.index[ref.Column]; ok && ref.Table == t.name {
+		return &t.cols[ci]
 	}
+	return nil
 }
 
 // Estimator performs selectivity estimation against catalog statistics.
 type Estimator struct {
-	cat *catalog.Catalog
-	cfg Config
+	cat    *catalog.Catalog
+	cfg    Config
+	tables map[string]*table
 }
 
 // NewEstimator returns an estimator over the given catalog with cfg
-// (zero-value fields fall back to DefaultConfig values).
+// (zero-value fields fall back to DefaultConfig values). It prepares every
+// table's statistics once; the catalog must not change afterwards.
 func NewEstimator(cat *catalog.Catalog, cfg Config) *Estimator {
 	def := DefaultConfig()
 	if cfg.BlockSize <= 0 {
@@ -58,7 +76,18 @@ func NewEstimator(cat *catalog.Catalog, cfg Config) *Estimator {
 	if cfg.MaxReduces <= 0 {
 		cfg.MaxReduces = def.MaxReduces
 	}
-	return &Estimator{cat: cat, cfg: cfg}
+	e := &Estimator{cat: cat, cfg: cfg, tables: make(map[string]*table, len(cat.Tables))}
+	for name, ts := range cat.Tables {
+		t := &table{name: name, rows: float64(ts.Rows), bytes: float64(ts.Bytes), width: ts.AvgTupleWidth,
+			frag: FragFactor(name), cols: make([]ColStat, 0, len(ts.Columns)), index: make(map[string]int, len(ts.Columns))}
+		for cn, cs := range ts.Columns {
+			t.index[cn] = len(t.cols)
+			t.cols = append(t.cols, ColStat{Hist: cs.Hist, Distinct: float64(cs.Distinct), BaseDistinct: float64(cs.Distinct),
+				TopShare: cs.TopShare, Width: cs.AvgWidth, Clustered: cs.Clustered})
+		}
+		e.tables[name] = t
+	}
+	return e
 }
 
 // JobEstimate is the estimated data flow and resource usage of one job —
@@ -89,17 +118,10 @@ type JobEstimate struct {
 	// own group — the straggler that speculative execution and the paper's
 	// join-error discussion are about. Group counts sum to NumReduces.
 	ReduceGroups []TaskGroup
-	// OutEdge carries column statistics to downstream jobs.
-	OutEdge *Edge
 
 	// scanBytes is the portion of InBytes read from base tables (not from
 	// upstream jobs); it feeds QueryEstimate.TotalInputBytes.
 	scanBytes float64
-	// shuffleKey carries the statistics of the column the shuffle
-	// partitions on (join key, first group key); nil when unknown.
-	shuffleKey *ColStat
-	// shuffleRows is the tuple count entering the shuffle.
-	shuffleRows float64
 }
 
 // TaskGroup describes a homogeneous set of tasks: Count tasks, each with
@@ -112,7 +134,9 @@ type TaskGroup struct {
 // PFactor returns P(1-P), the model's join growth feature.
 func (j *JobEstimate) PFactor() float64 { return j.P * (1 - j.P) }
 
-// QueryEstimate aggregates per-job estimates for a DAG.
+// QueryEstimate aggregates per-job estimates for a DAG. It holds numbers
+// only: edge statistics and histograms die with the walk that made it, not
+// with the plan-cache entry that keeps it.
 type QueryEstimate struct {
 	DAG  *plan.DAG
 	Jobs []*JobEstimate
@@ -129,268 +153,316 @@ func (q *QueryEstimate) TotalInputBytes() float64 {
 	return t
 }
 
-// EstimateQuery walks the DAG in topological order, estimating every job.
+// stage is the walk's state per job: what its inputs must carry (reads),
+// what consumers, transitively, read of its output (feeds), and the output
+// edge, which carries exactly that.
+type stage struct {
+	je               *JobEstimate
+	reads, feeds     []need
+	out              edge
+	readBuf, feedBuf [6]need
+}
+
+// walk is the scratch of one EstimateQuery call, in one allocation: the
+// arrays back the slices for the usual query, and append moves a slice that
+// outgrows its array to the heap. The returned estimate keeps only groups,
+// the unused rest of its task-group slab.
+type walk struct {
+	e      *Estimator
+	jobs   []*plan.Job
+	stages []stage
+	groups []TaskGroup
+	// cols is the slab edges' columns are cut from; an edge is never
+	// written once built, so growing the slab leaves earlier edges valid.
+	cols []edgeCol
+
+	stageBuf [3]stage
+	colBuf   [12]edgeCol
+	condBuf  [8]histogram.Cond
+}
+
+// EstimateQuery estimates every job of the DAG in topological order, after
+// one reverse pass has marked, per job, the columns a transitive consumer
+// reads: the forward pass carries exactly those along each edge.
 func (e *Estimator) EstimateQuery(d *plan.DAG) (*QueryEstimate, error) {
-	qe := &QueryEstimate{DAG: d, ByID: make(map[string]*JobEstimate, len(d.Jobs))}
+	n, ngroups := len(d.Jobs), 0
 	for _, job := range d.Jobs {
-		je, err := e.estimateJob(job, qe)
-		if err != nil {
+		ngroups += max(1, len(job.Scans)+len(job.Deps)) + 2 // map groups + at most two reduce groups
+	}
+	qe := &QueryEstimate{DAG: d, Jobs: make([]*JobEstimate, n), ByID: make(map[string]*JobEstimate, n)}
+	jes := make([]JobEstimate, n)
+	w := &walk{e: e, jobs: d.Jobs, groups: make([]TaskGroup, ngroups)}
+	w.markNeeds(jes)
+	for i, job := range d.Jobs {
+		if err := w.estimateJob(i); err != nil {
 			return nil, fmt.Errorf("selectivity: job %s: %w", job.ID, err)
 		}
-		qe.Jobs = append(qe.Jobs, je)
-		qe.ByID[job.ID] = je
+		qe.Jobs[i] = &jes[i]
+		qe.ByID[job.ID] = &jes[i]
 	}
 	return qe, nil
 }
 
-// input is one resolved job input: its filtered/projected edge plus the raw
-// volume read and the scan selectivities (1 for upstream-edge inputs).
-type input struct {
-	edge     *Edge
-	rawBytes float64
-	rawRows  float64
-	rawWidth float64
-	sPred    float64
-	sProj    float64
+// upstream returns the stage of the job before i with the given ID, or nil.
+func (w *walk) upstream(id string, i int) *stage {
+	for k := i - 1; k >= 0; k-- {
+		if w.jobs[k].ID == id {
+			return &w.stages[k]
+		}
+	}
+	return nil
 }
 
-// resolveInputs produces the job's inputs: base-table scans first, then
-// upstream job outputs.
-func (e *Estimator) resolveInputs(job *plan.Job, qe *QueryEstimate) ([]input, float64, error) {
-	var ins []input
-	var scanBytes float64
-	for _, ts := range job.Scans {
-		in, err := e.scanInput(ts)
-		if err != nil {
-			return nil, 0, err
+// markNeeds sets up the stages and fills their need sets in one reverse
+// pass over the jobs. A job's inputs must carry what its operator reads —
+// join and map-join keys with their histograms, group keys for their
+// scalars — and, through a join, what its consumers read; and what a job
+// reads, its dependencies feed.
+func (w *walk) markNeeds(jes []JobEstimate) {
+	w.stages, w.cols = w.stageBuf[:], w.colBuf[:0]
+	if len(jes) > len(w.stages) {
+		w.stages = make([]stage, len(jes))
+	}
+	for i := len(jes) - 1; i >= 0; i-- {
+		job, st := w.jobs[i], &w.stages[i]
+		jes[i].Job, st.je = job, &jes[i]
+		r := st.readBuf[:0]
+		switch job.Type {
+		case plan.Join:
+			r = addNeed(addNeed(append(r, st.feeds...), job.JoinLeft, true), job.JoinRight, true)
+		case plan.Groupby:
+			for _, k := range job.GroupKeys {
+				r = addNeed(r, k, false)
+			}
 		}
-		scanBytes += in.rawBytes
-		ins = append(ins, in)
-	}
-	for _, dep := range job.Deps {
-		de, ok := qe.ByID[dep.ID]
-		if !ok {
-			return nil, 0, fmt.Errorf("dependency %s not yet estimated", dep.ID)
+		for k := range job.MapJoins {
+			r = addNeed(addNeed(r, job.MapJoins[k].JoinLeft, true), job.MapJoins[k].JoinRight, true)
 		}
-		ins = append(ins, input{
-			edge:     de.OutEdge,
-			rawBytes: de.OutBytes,
-			rawRows:  de.OutRows,
-			rawWidth: de.OutEdge.Width,
-			sPred:    1,
-			sProj:    1,
-		})
+		st.reads = r
+		for _, dep := range job.Deps {
+			if up := w.upstream(dep.ID, i); up != nil {
+				if up.feeds == nil {
+					up.feeds = up.feedBuf[:0]
+				}
+				for _, n := range r {
+					up.feeds = addNeed(up.feeds, n.ref, n.hist)
+				}
+			}
+		}
 	}
-	if len(ins) == 0 {
-		return nil, 0, fmt.Errorf("job has no inputs")
-	}
-	return ins, scanBytes, nil
+}
+
+// input is one resolved job input: its filtered/projected edge plus the raw
+// volume read and the scan selectivities (1 for upstream-edge inputs), and
+// either the base table scanned or the upstream job read.
+type input struct {
+	edge                                      edge
+	table                                     *table
+	dep                                       *JobEstimate
+	rawBytes, rawRows, rawWidth, sPred, sProj float64
 }
 
 // scanInput builds the input for a base-table scan: S_pred from the pushed
-// predicates, S_proj from the pruned columns, and the filtered edge.
-func (e *Estimator) scanInput(ts plan.TableScan) (input, error) {
-	stats, err := e.cat.Table(ts.Table)
-	if err != nil {
+// predicates, S_proj from the pruned columns, and the filtered edge with
+// those of needs the table has.
+func (w *walk) scanInput(ts *plan.TableScan, needs []need) (input, error) {
+	t := w.e.tables[ts.Table]
+	if t == nil {
+		_, err := w.e.cat.Table(ts.Table)
 		return input{}, err
 	}
-	cols := make(map[string]*ColStat, len(ts.Columns))
 	var projWidth float64
 	for _, name := range ts.Columns {
-		cs := stats.Column(name)
-		if cs == nil {
+		ci, ok := t.index[name]
+		if !ok {
 			return input{}, fmt.Errorf("table %q has no column %q", ts.Table, name)
 		}
-		cols[ts.Table+"."+name] = &ColStat{
-			Hist:         cs.Hist,
-			Distinct:     float64(cs.Distinct),
-			BaseDistinct: float64(cs.Distinct),
-			TopShare:     cs.TopShare,
-			Width:        cs.AvgWidth,
-			Clustered:    cs.Clustered,
-		}
-		projWidth += cs.AvgWidth
+		projWidth += t.cols[ci].Width
 	}
 	if projWidth == 0 { //lint:allow saqpvet/floatcmp width sums are exact small-integer arithmetic
 		projWidth = 8 // count(*)-style scans still move a key per tuple
 	}
-	sProj := clamp01(projWidth / stats.AvgTupleWidth)
-	sPred := ConjunctionSelectivity(cols, ts.Preds)
-	rows := float64(stats.Rows)
-	edge := &Edge{Rows: rows * sPred, Width: projWidth,
-		Cols: filterColumns(cols, ts.Preds, rows*sPred)}
-	return input{
-		edge:     edge,
-		rawBytes: float64(stats.Bytes),
-		rawRows:  rows,
-		rawWidth: stats.AvgTupleWidth,
-		sPred:    sPred,
-		sProj:    sProj,
-	}, nil
+	var pcBuf [6]predCol
+	pcs, sPred := scanConjunction(t, ts.Preds, pcBuf[:0], w.condBuf[:0])
+	in := input{edge: edge{rows: t.rows * sPred, width: projWidth}, table: t,
+		rawBytes: t.bytes, rawRows: t.rows, rawWidth: t.width, sPred: sPred, sProj: clamp01(projWidth / t.width)}
+	start := len(w.cols)
+	for _, n := range needs {
+		if base := t.col(n.ref); base != nil {
+			w.cols = append(w.cols, edgeCol{n.ref, narrowColumn(base, n, pcs, in.edge.rows)})
+		}
+	}
+	in.edge.cols = w.cut(start)
+	return in, nil
 }
 
-// estimateJob dispatches on the job category.
-func (e *Estimator) estimateJob(job *plan.Job, qe *QueryEstimate) (*JobEstimate, error) {
-	ins, scanBytes, err := e.resolveInputs(job, qe)
-	if err != nil {
-		return nil, err
+// cut returns the columns appended to the slab since start as one edge's.
+func (w *walk) cut(start int) []edgeCol { return w.cols[start:len(w.cols):len(w.cols)] }
+
+// estimateJob resolves job i's inputs — base-table scans first, then
+// upstream job outputs — and dispatches on the job category.
+func (w *walk) estimateJob(i int) error {
+	job, st := w.jobs[i], &w.stages[i]
+	je, needs := st.je, st.reads
+	var insBuf [4]input
+	ins := insBuf[:0]
+	for si := range job.Scans {
+		in, err := w.scanInput(&job.Scans[si], needs)
+		if err != nil {
+			return err
+		}
+		je.scanBytes += in.rawBytes
+		ins = append(ins, in)
 	}
-	je := &JobEstimate{Job: job, scanBytes: scanBytes}
-	for _, in := range ins {
-		je.InBytes += in.rawBytes
-		je.InRows += in.rawRows
+	for _, dep := range job.Deps {
+		up := w.upstream(dep.ID, i)
+		if up == nil {
+			return fmt.Errorf("dependency %s not yet estimated", dep.ID)
+		}
+		ins = append(ins, input{edge: up.out, dep: up.je, rawBytes: up.je.OutBytes, rawRows: up.je.OutRows,
+			rawWidth: up.out.width, sPred: 1, sProj: 1})
+	}
+	if len(ins) == 0 {
+		return fmt.Errorf("job has no inputs")
+	}
+	for k := range ins {
+		je.InBytes += ins[k].rawBytes
+		je.InRows += ins[k].rawRows
 	}
 	// Broadcast-join preludes transform the main input inside the map
 	// phase before the job's own operator sees it.
-	ins, err = e.applyMapJoins(job, je, ins, qe)
+	sideBytes, err := w.applyMapJoins(job, je, ins, needs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Map counts depend only on the inputs and must be known before the
 	// Groupby estimate (Eq. 2's random-key case divides by N_maps).
-	e.computeMapCounts(job, je, qe)
+	w.computeMapCounts(job, je, ins, sideBytes)
+	var shuffleKey *ColStat
 	switch job.Type {
 	case plan.Join:
-		err = e.estimateJoin(job, je, ins)
+		shuffleKey, err = w.estimateJoin(job, st, ins)
 	case plan.Groupby:
-		err = e.estimateGroupby(job, je, ins)
+		err = estimateGroupby(job, st, &ins[0])
 	case plan.Extract:
-		err = e.estimateExtract(job, je, ins)
+		estimateExtract(job, st, &ins[0])
 	default:
 		err = fmt.Errorf("unknown job type %v", job.Type)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e.finishTaskCounts(job, je)
-	return je, nil
+	w.finishTaskCounts(job, je, shuffleKey)
+	return nil
 }
 
 // applyMapJoins folds each broadcast-join prelude into the matching input:
 // the probe edge is replaced by the estimated join result, and the small
-// table's bytes count toward D_in (it is read as side data by every map).
-func (e *Estimator) applyMapJoins(job *plan.Job, je *JobEstimate, ins []input, qe *QueryEstimate) ([]input, error) {
-	for _, spec := range job.MapJoins {
-		b, err := e.scanInput(spec.BroadcastScan)
+// table's bytes count toward D_in and toward sideBytes, which every map loads.
+func (w *walk) applyMapJoins(job *plan.Job, je *JobEstimate, ins []input, needs []need) (sideBytes float64, err error) {
+	for si := range job.MapJoins {
+		spec := &job.MapJoins[si]
+		b, err := w.scanInput(&spec.BroadcastScan, needs)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		// Which spec key lives in the broadcast table?
-		bKey, pKey := spec.JoinLeft.String(), spec.JoinRight.String()
-		if b.edge.Col(bKey) == nil {
+		bKey, pKey := spec.JoinLeft, spec.JoinRight
+		if b.edge.col(bKey) == nil {
 			bKey, pKey = pKey, bKey
 		}
-		bc := b.edge.Col(bKey)
+		bc := b.edge.col(bKey) // whichever spec key lives in the broadcast table
 		if bc == nil {
-			return nil, fmt.Errorf("map-join key %s not in broadcast table %s", bKey, spec.BroadcastScan.Table)
+			return 0, fmt.Errorf("map-join key %s not in broadcast table %s", bKey, spec.BroadcastScan.Table)
 		}
-		// Locate the probe input.
-		pi := -1
-		for i := range ins {
-			if ins[i].edge.Col(pKey) != nil {
-				pi = i
+		// The probe input is the first that carries the other key.
+		var probe *input
+		for k := range ins {
+			if ins[k].edge.col(pKey) != nil {
+				probe = &ins[k]
 				break
 			}
 		}
-		if pi < 0 {
-			return nil, fmt.Errorf("map-join probe key %s not found in inputs", pKey)
+		if probe == nil {
+			return 0, fmt.Errorf("map-join probe key %s not found in inputs", pKey)
 		}
-		probe := &ins[pi]
-		pc := probe.edge.Col(pKey)
-		outRows := joinCardinality(pc, bc, probe.edge.Rows, b.edge.Rows)
-		merged := mergeEdges(probe.edge, b.edge, outRows)
-		probe.edge = merged
+		outRows := joinCardinality(probe.edge.col(pKey), bc, probe.edge.rows, b.edge.rows)
+		probe.edge = w.mergeEdges(&probe.edge, &b.edge, outRows, needs)
 		probe.rawBytes += b.rawBytes
-		probe.rawRows += 0 // the probe side's tuple count still drives Eq. 2
+		// The probe side's tuple count, unchanged, still drives Eq. 2.
 		if probe.rawRows > 0 {
 			probe.sPred = clamp01(outRows / probe.rawRows)
 		}
 		je.InBytes += b.rawBytes
 		je.scanBytes += b.rawBytes
+		sideBytes += b.rawBytes
 	}
-	return ins, nil
+	return sideBytes, nil
 }
 
 // FragFactor models HDFS file fragmentation: tables are written as many
 // files whose tails leave splits below one full block, so the effective
 // bytes-per-map varies by table. The factor is a deterministic hash of the
-// table name into [0.45, 1.0]. The execution engine applies the same
-// factor so measured and estimated task granularities agree.
+// table name into [0.45, 1.0]; the execution engine applies it too, so
+// measured and estimated task granularities agree. NewEstimator prepares
+// it per table.
 func FragFactor(table string) float64 {
 	h := fnv.New32a()
 	h.Write([]byte(table))
 	return 0.45 + 0.55*float64(h.Sum32()%1000)/999
 }
 
-// finishTaskCounts derives map/reduce task counts. Base-table scans get one
-// map per (fragmentation-adjusted) block. Inputs read from an upstream job
-// arrive as that job's reduce-output files, and Hadoop-era FileInputFormat
-// schedules at least one map per file: maps = max(upstream reduces,
-// ceil(bytes/block)).
-func (e *Estimator) computeMapCounts(job *plan.Job, je *JobEstimate, qe *QueryEstimate) {
-	block := float64(e.cfg.BlockSize)
-	// addGroup registers `count` map tasks over `bytes` of input; the map
-	// output share is filled in by finishTaskCounts once D_med is known.
-	addGroup := func(count int, bytes float64) {
-		if count < 1 {
-			count = 1
-		}
-		je.MapGroups = append(je.MapGroups, TaskGroup{
-			Count:   count,
-			InBytes: bytes / float64(count),
-		})
-	}
-	var broadcastBytes float64
-	// Folded map-join preludes load their small tables into every map.
-	for _, spec := range job.MapJoins {
-		if stats, err := e.cat.Table(spec.BroadcastScan.Table); err == nil {
-			broadcastBytes += float64(stats.Bytes)
-		}
-	}
-	for _, ts := range job.Scans {
-		stats, err := e.cat.Table(ts.Table)
-		if err != nil {
-			continue
-		}
-		if job.Broadcast == ts.Table {
-			// Broadcast tables are loaded as side data by every map task,
-			// not scanned by their own maps.
-			broadcastBytes += float64(stats.Bytes)
-			continue
-		}
-		eff := block * FragFactor(ts.Table)
-		addGroup(int(math.Ceil(float64(stats.Bytes)/eff)), float64(stats.Bytes))
-	}
-	for _, dep := range job.Deps {
-		de := qe.ByID[dep.ID]
-		if de == nil {
-			continue
-		}
-		m := int(math.Ceil(de.OutBytes / block))
-		if m < de.NumReduces {
-			m = de.NumReduces
-		}
-		addGroup(m, de.OutBytes)
-	}
-	if len(je.MapGroups) == 0 {
-		addGroup(1, je.InBytes)
-	}
-	// Every map of a broadcast join re-reads the (small) broadcast table.
-	if broadcastBytes > 0 {
-		for i := range je.MapGroups {
-			je.MapGroups[i].InBytes += broadcastBytes
-		}
-	}
-	maps := 0
-	for _, g := range je.MapGroups {
-		maps += g.Count
-	}
-	je.NumMaps = maps
+// takeGroups cuts n task groups from the query's slab.
+func (w *walk) takeGroups(n int) []TaskGroup {
+	g := w.groups[:n:n]
+	w.groups = w.groups[n:]
+	return g
 }
 
-// finishTaskCounts apportions map output across groups and sets the reduce
-// count from the estimated intermediate volume.
-func (e *Estimator) finishTaskCounts(job *plan.Job, je *JobEstimate) {
+// computeMapCounts derives the map task count and its per-input groups.
+// Base-table scans get one map per (fragmentation-adjusted) block. Inputs
+// read from an upstream job arrive as that job's reduce-output files, and
+// Hadoop-era FileInputFormat schedules at least one map per file: maps =
+// max(upstream reduces, ceil(bytes/block)). Every map also loads sideBytes;
+// finishTaskCounts fills in the groups' output once D_med is known.
+func (w *walk) computeMapCounts(job *plan.Job, je *JobEstimate, ins []input, sideBytes float64) {
+	block := float64(w.e.cfg.BlockSize)
+	groups := w.takeGroups(max(1, len(ins)))[:0]
+	for k := range ins {
+		in, count, bytes := &ins[k], 0, 0.0
+		switch {
+		case in.dep != nil:
+			count, bytes = max(int(math.Ceil(in.dep.OutBytes/block)), in.dep.NumReduces), in.dep.OutBytes
+		case job.Broadcast == in.table.name:
+			// Broadcast tables are loaded as side data by every map task,
+			// not scanned by their own maps.
+			sideBytes += in.table.bytes
+			continue
+		default:
+			count, bytes = int(math.Ceil(in.table.bytes/(block*in.table.frag))), in.table.bytes
+		}
+		count = max(count, 1)
+		groups = append(groups, TaskGroup{Count: count, InBytes: bytes / float64(count)})
+	}
+	if len(groups) == 0 {
+		groups = append(groups, TaskGroup{Count: 1, InBytes: je.InBytes})
+	}
+	for k := range groups {
+		groups[k].InBytes += sideBytes
+		je.NumMaps += groups[k].Count
+	}
+	je.MapGroups = groups
+}
+
+// finishTaskCounts apportions map output across groups, sets the reduce
+// count from the estimated intermediate volume and sizes the reduce tasks.
+// Hash partitioning spreads the shuffle mass evenly unless a single key
+// outweighs a partition's fair share: all of a key's rows land on one
+// reducer, so the hottest key's share lower-bounds the hottest partition,
+// and that reducer becomes its own (straggler) group. Only hash-partitioned
+// shuffles (joins) pass a shuffleKey, the statistics of the column they
+// partition on; sort shuffles range-partition over sampled quantiles and
+// stay balanced, and groupby shuffles are collapsed by the map-side combine.
+func (w *walk) finishTaskCounts(job *plan.Job, je *JobEstimate, shuffleKey *ColStat) {
 	for i := range je.MapGroups {
 		g := &je.MapGroups[i]
 		if je.InBytes > 0 {
@@ -399,50 +471,25 @@ func (e *Estimator) finishTaskCounts(job *plan.Job, je *JobEstimate) {
 		}
 	}
 	if job.MapOnly {
-		je.NumReduces = 0
 		return
 	}
-	n := int(math.Ceil(je.MedBytes / float64(e.cfg.BytesPerReducer)))
-	if n < 1 {
-		n = 1
-	}
-	if n > e.cfg.MaxReduces {
-		n = e.cfg.MaxReduces
-	}
+	n := int(math.Ceil(je.MedBytes / float64(w.e.cfg.BytesPerReducer)))
+	n = min(max(n, 1), w.e.cfg.MaxReduces)
 	je.NumReduces = n
-	je.ReduceGroups = e.reduceGroups(je, n)
-}
-
-// reduceGroups sizes the reduce tasks. Hash partitioning spreads the
-// shuffle mass evenly unless a single key outweighs a partition's fair
-// share: all of a key's rows land on one reducer, so the hottest key's
-// share lower-bounds the hottest partition. That reducer becomes its own
-// (straggler) group. Only hash-partitioned shuffles (joins) are affected;
-// sort shuffles range-partition over sampled quantiles and stay balanced,
-// and groupby shuffles are collapsed by the map-side combine.
-func (e *Estimator) reduceGroups(je *JobEstimate, n int) []TaskGroup {
-	uniform := []TaskGroup{{
-		Count:    n,
-		InBytes:  je.MedBytes / float64(n),
-		OutBytes: je.OutBytes / float64(n),
-	}}
-	if e.cfg.DisableReduceSkew || n < 2 || je.shuffleKey == nil ||
-		je.shuffleKey.Hist == nil || je.shuffleRows <= 0 {
-		return uniform
+	hot := 0.0
+	if !w.e.cfg.DisableReduceSkew && n >= 2 && shuffleKey != nil {
+		hot = hottestKeyShare(shuffleKey)
 	}
-	hot := hottestKeyShare(je.shuffleKey)
-	fair := 1 / float64(n)
-	if hot <= 1.5*fair {
-		return uniform
+	if fair := 1 / float64(n); hot <= 1.5*fair {
+		je.ReduceGroups = w.takeGroups(1)
+		je.ReduceGroups[0] = TaskGroup{Count: n, InBytes: je.MedBytes / float64(n), OutBytes: je.OutBytes / float64(n)}
+		return
 	}
-	if hot > 0.9 {
-		hot = 0.9
-	}
+	hot = math.Min(hot, 0.9)
 	rest := (1 - hot) / float64(n-1)
-	return []TaskGroup{
-		{Count: 1, InBytes: je.MedBytes * hot, OutBytes: je.OutBytes * hot},
-		{Count: n - 1, InBytes: je.MedBytes * rest, OutBytes: je.OutBytes * rest},
-	}
+	je.ReduceGroups = w.takeGroups(2)
+	je.ReduceGroups[0] = TaskGroup{Count: 1, InBytes: je.MedBytes * hot, OutBytes: je.OutBytes * hot}
+	je.ReduceGroups[1] = TaskGroup{Count: n - 1, InBytes: je.MedBytes * rest, OutBytes: je.OutBytes * rest}
 }
 
 // hottestKeyShare estimates the row share of the most frequent key: the
@@ -450,27 +497,30 @@ func (e *Estimator) reduceGroups(je *JobEstimate, n int) []TaskGroup {
 // smear single keys), else the densest bucket's per-value mass.
 func hottestKeyShare(cs *ColStat) float64 {
 	best := cs.TopShare
-	h := cs.Hist
-	if h == nil {
+	if cs.Hist == nil {
 		return best
 	}
-	total := h.Rows()
+	total := cs.Hist.Rows()
 	if total <= 0 {
 		return best
 	}
-	for _, b := range h.Buckets {
+	for _, b := range cs.Hist.Buckets {
 		if b.Count <= 0 {
 			continue
 		}
-		d := b.Distinct
-		if d < 1 {
-			d = 1
-		}
-		if share := b.Count / d / total; share > best {
+		if share := b.Count / math.Max(b.Distinct, 1) / total; share > best {
 			best = share
 		}
 	}
 	return best
+}
+
+// emits records the job's output volume and with it FS = D_out / D_in.
+func (je *JobEstimate) emits(rows, width float64) {
+	je.OutRows, je.OutBytes = rows, rows*width
+	if je.InBytes > 0 {
+		je.FS = je.OutBytes / je.InBytes
+	}
 }
 
 // floorMedToOut enforces the physical invariant D_med ≥ D_out (and with
@@ -489,43 +539,31 @@ func floorMedToOut(je *JobEstimate) {
 
 // estimateExtract covers scans, sorts and limits: IS = S_pred × S_proj
 // (paper Section 3.1.1); |Out| = min(|In|, k) for LIMIT k, |In| for sorts.
-func (e *Estimator) estimateExtract(job *plan.Job, je *JobEstimate, ins []input) error {
-	in := ins[0]
+func estimateExtract(job *plan.Job, st *stage, in *input) {
+	je := st.je
 	je.IS = clamp01(in.sPred * in.sProj)
 	je.MedBytes = je.InBytes * je.IS
-	je.MedRows = in.edge.Rows
-	outRows := in.edge.Rows
+	je.MedRows = in.edge.rows
+	outRows := in.edge.rows
 	if job.Limit >= 0 && float64(job.Limit) < outRows {
 		outRows = float64(job.Limit)
 	}
-	je.OutRows = outRows
-	wOut := in.edge.Width
-	je.OutBytes = outRows * wOut
-	if je.InBytes > 0 {
-		je.FS = je.OutBytes / je.InBytes
-	}
+	je.emits(outRows, in.edge.width)
 	floorMedToOut(je)
-	out := in.edge
-	if outRows < in.edge.Rows && in.edge.Rows > 0 {
-		out = in.edge.scaledEdge(outRows / in.edge.Rows)
-	}
-	je.OutEdge = out
-	return nil
+	// No compiled plan consumes an Extract job: its edge carries no columns.
+	st.out = edge{rows: outRows, width: in.edge.width}
 }
 
 // estimateGroupby covers aggregation: IS = S_comb × S_proj with Eq. 2's
 // clustered/random cases, and |Out| = min(Π d_key, |T| × S_pred).
-func (e *Estimator) estimateGroupby(job *plan.Job, je *JobEstimate, ins []input) error {
-	in := ins[0]
+func estimateGroupby(job *plan.Job, st *stage, in *input) error {
+	je := st.je
 	// d_xy: product of the grouping keys' base-table distinct counts (the
 	// paper's T.d_xy in Eq. 2); survivingGroups tracks the post-filter
 	// cardinality estimate (Cardenas/Yao-corrected by the edge statistics).
-	dxy := 1.0
-	survivingGroups := 1.0
-	keyWidth := 0.0
-	clustered := true
+	dxy, survivingGroups, keyWidth, clustered := 1.0, 1.0, 0.0, true
 	for _, k := range job.GroupKeys {
-		cs := in.edge.Col(k.String())
+		cs := in.edge.col(k)
 		if cs == nil {
 			return fmt.Errorf("group key %s not present in input", k)
 		}
@@ -538,37 +576,22 @@ func (e *Estimator) estimateGroupby(job *plan.Job, je *JobEstimate, ins []input)
 		keyWidth += cs.Width
 		clustered = clustered && cs.Clustered
 	}
-	if len(job.GroupKeys) == 0 {
-		dxy = 1
-		survivingGroups = 1
-		clustered = true
-	}
-	rawRows := in.rawRows
-	if rawRows < 1 {
-		rawRows = 1
-	}
+	rawRows := math.Max(in.rawRows, 1)
 	// Eq. 2: clustered keys combine to d_xy rows per map wave overall;
 	// random keys only combine within each map's slice of |T|/N_maps rows.
-	var sComb float64
-	if clustered {
-		sComb = math.Min(in.sPred, dxy/rawRows)
-	} else {
-		nMaps := math.Max(1, float64(je.NumMaps))
-		sComb = math.Min(in.sPred, dxy/(rawRows/nMaps))
+	perCombine := rawRows
+	if !clustered {
+		perCombine = rawRows / math.Max(1, float64(je.NumMaps))
 	}
-	sComb = clamp01(sComb)
+	sComb := clamp01(math.Min(in.sPred, dxy/perCombine))
 
-	// Map output carries group keys + aggregate source columns.
-	aggWidth := 8.0 * float64(len(job.Aggs))
-	if len(job.Aggs) == 0 {
-		aggWidth = 0
+	// Map output carries group keys + aggregate source columns; the reduce
+	// output has the same shape.
+	wOut := keyWidth + 8.0*float64(len(job.Aggs))
+	if wOut == 0 { //lint:allow saqpvet/floatcmp width sums are exact small-integer arithmetic
+		wOut = 8
 	}
-	mapOutWidth := keyWidth + aggWidth
-	if mapOutWidth == 0 { //lint:allow saqpvet/floatcmp width sums are exact small-integer arithmetic
-		mapOutWidth = 8
-	}
-	sProj := clamp01(mapOutWidth / in.rawWidth)
-	je.IS = clamp01(sComb * sProj)
+	je.IS = clamp01(sComb * clamp01(wOut/in.rawWidth))
 	je.MedBytes = je.InBytes * je.IS
 	je.MedRows = math.Max(1, rawRows*sComb)
 
@@ -581,122 +604,88 @@ func (e *Estimator) estimateGroupby(job *plan.Job, je *JobEstimate, ins []input)
 	for range job.Having {
 		outRows *= defaultIneqSel
 	}
-	if outRows < 1 {
-		outRows = 1
-	}
-	wOut := keyWidth + aggWidth
-	if wOut == 0 { //lint:allow saqpvet/floatcmp width sums are exact small-integer arithmetic
-		wOut = 8
-	}
-	je.OutRows = outRows
-	je.OutBytes = outRows * wOut
-	if je.InBytes > 0 {
-		je.FS = je.OutBytes / je.InBytes
-	}
+	outRows = math.Max(outRows, 1)
+	je.emits(outRows, wOut)
 	floorMedToOut(je)
-
-	// Output edge: group keys keep their identity (distinct values now
-	// unique); aggregates appear as fresh numeric columns.
-	cols := make(map[string]*ColStat, len(job.GroupKeys)+len(job.Aggs))
-	for _, k := range job.GroupKeys {
-		cs := in.edge.Col(k.String())
-		f := 1.0
-		if in.edge.Rows > 0 {
-			f = outRows / in.edge.Rows
-		}
-		nc := cs.scaled(f, outRows)
-		nc.Distinct = math.Min(cs.Distinct, outRows)
-		nc.Clustered = true // reduce output is sorted by the group keys
-		cols[k.String()] = nc
-	}
-	for i := range job.Aggs {
-		cols[fmt.Sprintf("%s.agg%d", job.ID, i)] = &ColStat{Distinct: outRows, Width: 8}
-	}
-	je.OutEdge = &Edge{Rows: outRows, Width: wOut, Cols: cols}
+	// Only an Extract job, which reads no column, ever consumes this one.
+	st.out = edge{rows: outRows, width: wOut}
 	return nil
 }
 
 // estimateJoin covers two-input equi-joins: Eq. 3 for IS, Eq. 5 (or the
-// classic uniform formula as fallback) for the output cardinality, and
-// Eq. 7 for the balance ratio P.
-func (e *Estimator) estimateJoin(job *plan.Job, je *JobEstimate, ins []input) error {
+// classic uniform formula as fallback) for the output cardinality, Eq. 7
+// for the balance ratio P. It returns the statistics of the column the
+// shuffle partitions on, nil when no histogram describes it.
+func (w *walk) estimateJoin(job *plan.Job, st *stage, ins []input) (shuffleKey *ColStat, err error) {
+	je := st.je
 	if len(ins) != 2 {
-		return fmt.Errorf("join expects 2 inputs, got %d", len(ins))
+		return nil, fmt.Errorf("join expects 2 inputs, got %d", len(ins))
 	}
 	// Identify which input carries each join key.
-	leftKey, rightKey := job.JoinLeft.String(), job.JoinRight.String()
-	a, b := ins[0], ins[1]
-	if a.edge.Col(leftKey) == nil && b.edge.Col(leftKey) != nil {
+	a, b := &ins[0], &ins[1]
+	if a.edge.col(job.JoinLeft) == nil && b.edge.col(job.JoinLeft) != nil {
 		a, b = b, a
 	}
-	lc, rc := a.edge.Col(leftKey), b.edge.Col(rightKey)
+	lc, rc := a.edge.col(job.JoinLeft), b.edge.col(job.JoinRight)
 	if lc == nil || rc == nil {
-		return fmt.Errorf("join keys %s/%s not found in inputs", leftKey, rightKey)
+		return nil, fmt.Errorf("join keys %s/%s not found in inputs", job.JoinLeft, job.JoinRight)
 	}
 
 	// Eq. 3: IS = Σ_i S_pred_i × S_proj_i × r_i with r_i the byte share.
-	total := a.rawBytes + b.rawBytes
 	r1 := 0.5
-	if total > 0 {
+	if total := a.rawBytes + b.rawBytes; total > 0 {
 		r1 = a.rawBytes / total
 	}
 	je.IS = clamp01(a.sPred*a.sProj*r1 + b.sPred*b.sProj*(1-r1))
 	je.MedBytes = je.InBytes * je.IS
-	je.MedRows = a.edge.Rows + b.edge.Rows
+	je.MedRows = a.edge.rows + b.edge.rows
 
 	// Eq. 7: P from the filtered tuple counts of the two inputs.
-	fl, fr := a.edge.Rows, b.edge.Rows
+	fl, fr := a.edge.rows, b.edge.rows
 	if fl+fr > 0 {
 		je.P = math.Max(fl, fr) / (fl + fr)
-	}
-
-	// The shuffle partitions both sides by the join key; the hotter side's
-	// key distribution drives reduce-partition skew. (Groupby shuffles are
-	// skew-free here: the map-side combine collapses each key to one
-	// record per map.)
-	je.shuffleRows = fl + fr
-	if lc.Hist != nil && (rc.Hist == nil || hottestKeyShare(lc) >= hottestKeyShare(rc)) {
-		je.shuffleKey = lc
-	} else if rc.Hist != nil {
-		je.shuffleKey = rc
+		// The shuffle partitions both sides by the join key; the hotter
+		// side's key distribution drives reduce-partition skew. (Groupby
+		// shuffles are skew-free here: the map-side combine collapses each
+		// key to one record per map.)
+		if lc.Hist != nil && (rc.Hist == nil || hottestKeyShare(lc) >= hottestKeyShare(rc)) {
+			shuffleKey = lc
+		} else if rc.Hist != nil {
+			shuffleKey = rc
+		}
 	}
 
 	// Output cardinality: Eq. 5 on aligned histograms, else the classic
 	// uniform formula |T1|·|T2|/max(d1,d2).
 	outRows := joinCardinality(lc, rc, fl, fr)
-	je.OutRows = outRows
-	wOut := a.edge.Width + b.edge.Width
-	je.OutBytes = outRows * wOut
-	if je.InBytes > 0 {
-		je.FS = je.OutBytes / je.InBytes
-	}
-
+	je.emits(outRows, a.edge.width+b.edge.width)
 	// Map-side (broadcast) joins have no shuffle: the map output *is* the
 	// job output, so D_med = D_out (and for PK–FK broadcast joins, FS stays
 	// near 1 — the paper's map-only case).
 	if job.MapOnly {
-		je.MedBytes = je.OutBytes
-		je.MedRows = je.OutRows
-		je.IS = clamp01(je.FS)
+		je.MedBytes, je.MedRows, je.IS = je.OutBytes, je.OutRows, clamp01(je.FS)
 	}
 
-	out := mergeEdges(a.edge, b.edge, outRows)
-	// The join key's post-join histogram follows the paper's identity
-	// (T1i ⋈ T2i).d = min(d1, d2).
-	if lc.Hist != nil && rc.Hist != nil {
-		l, r := alignHistograms(lc.Hist, rc.Hist)
-		if joined, err := l.Join(r); err == nil {
-			// Reduce output is sorted by the join key, so equal key values
-			// are physically adjacent downstream.
-			jc := &ColStat{Hist: joined, Width: lc.Width,
-				Distinct:  math.Min(lc.Distinct, rc.Distinct),
-				Clustered: true}
-			out.Cols[leftKey] = jc
-			out.Cols[rightKey] = jc.clone()
+	st.out = w.mergeEdges(&a.edge, &b.edge, outRows, st.feeds)
+	if lc.Hist == nil || rc.Hist == nil {
+		return shuffleKey, nil
+	}
+	// The join key leaves with the paper's identity (T1i ⋈ T2i).d = min(d1,
+	// d2), sorted by the reduce, and joined if a later join reads it.
+	for _, n := range st.feeds {
+		if n.ref != job.JoinLeft && n.ref != job.JoinRight {
+			continue
+		}
+		c := st.out.col(n.ref)
+		*c = ColStat{Width: lc.Width, Distinct: math.Min(lc.Distinct, rc.Distinct), Clustered: true}
+		if n.hist {
+			l, r := alignHistograms(lc.Hist, rc.Hist)
+			if joined, err := l.Join(r); err == nil {
+				c.Hist = joined
+			}
 		}
 	}
-	je.OutEdge = out
-	return nil
+	return shuffleKey, nil
 }
 
 // joinCardinality applies Eq. 5 when both sides have histograms, otherwise
@@ -708,28 +697,17 @@ func joinCardinality(lc, rc *ColStat, rowsL, rowsR float64) float64 {
 			return n
 		}
 	}
-	d := math.Max(lc.Distinct, rc.Distinct)
-	if d < 1 {
-		d = 1
-	}
-	return rowsL * rowsR / d
+	return rowsL * rowsR / math.Max(math.Max(lc.Distinct, rc.Distinct), 1)
 }
-
-// histAlias shortens the histogram type name in join-side code.
-type histAlias = histogram.Histogram
 
 // alignHistograms rebuckets both histograms onto a shared grid covering the
 // union of their domains, so offline statistics built with different
 // resolutions can still be combined bucket-wise.
-func alignHistograms(l, r *histAlias) (*histAlias, *histAlias) {
+func alignHistograms(l, r *histogram.Histogram) (*histogram.Histogram, *histogram.Histogram) {
 	if l.Aligned(r) {
 		return l, r
 	}
-	lo := math.Min(l.Lo, r.Lo)
-	hi := math.Max(l.Hi, r.Hi)
-	n := len(l.Buckets)
-	if len(r.Buckets) > n {
-		n = len(r.Buckets)
-	}
+	lo, hi := math.Min(l.Lo, r.Lo), math.Max(l.Hi, r.Hi)
+	n := max(len(l.Buckets), len(r.Buckets))
 	return l.Rebucket(lo, hi, n), r.Rebucket(lo, hi, n)
 }

@@ -19,6 +19,17 @@ func TestHotPathAllocs(t *testing.T) {
 	eq := query.Predicate{Op: query.OpEQ, Lit: query.NumLit(42)}
 	in := query.Predicate{Op: query.OpIN, Set: []query.Literal{query.NumLit(1), query.NumLit(42)}}
 	seq := query.Predicate{Op: query.OpEQ, Lit: query.StrLit("x")}
+	// One scan's worth of conjuncts: a range pair and an IN list on one
+	// column, a string equality on another, evaluated into caller-owned
+	// scratch as the walk does.
+	tbl := &table{name: "t", cols: []ColStat{*numCol, *strCol}, index: map[string]int{"n": 0, "s": 1}}
+	onN, onS := query.ColumnRef{Table: "t", Column: "n"}, query.ColumnRef{Table: "t", Column: "s"}
+	preds := []query.Predicate{
+		{Left: onN, Op: query.OpGE, Lit: query.NumLit(2)}, {Left: onS, Op: query.OpEQ, Lit: query.StrLit("x")},
+		{Left: onN, Op: query.OpLT, Lit: query.NumLit(60)}, {Left: onN, Op: query.OpIN, Set: in.Set},
+	}
+	pcBuf, condBuf := make([]predCol, 0, 4), make([]histogram.Cond, 0, 4)
+	pcs, _ := scanConjunction(tbl, preds, pcBuf, condBuf)
 	cases := []struct {
 		name string
 		fn   func()
@@ -28,6 +39,9 @@ func TestHotPathAllocs(t *testing.T) {
 		{"inSelectivity", func() { hotSinkFloat = inSelectivity(numCol, in) }},
 		{"stringPredSelectivity", func() { hotSinkFloat = stringPredSelectivity(strCol, seq) }},
 		{"clamp01", func() { hotSinkFloat = clamp01(1.5) }},
+		{"scanConjunction", func() { _, hotSinkFloat = scanConjunction(tbl, preds, pcBuf, condBuf) }},
+		{"narrowColumn/scalars", func() { hotSinkFloat = narrowColumn(numCol, need{ref: onN}, pcs, 3).Distinct }},
+		{"narrowColumn/string", func() { hotSinkFloat = narrowColumn(strCol, need{ref: onS, hist: true}, pcs, 3).Distinct }},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(100, c.fn); n != 0 {

@@ -2,7 +2,6 @@ package selectivity
 
 import (
 	"math"
-	"sort"
 
 	"saqp/internal/histogram"
 	"saqp/internal/query"
@@ -16,8 +15,9 @@ const defaultIneqSel = 1.0 / 3.0
 // against a column with the given statistics. Numeric columns use the
 // equi-width histogram; string columns use distinct counts for equality
 // and the standard 1/3 heuristic for inequalities. IN lists sum the
-// per-member equality selectivities. Estimation runs once per predicate
-// per plan candidate during admission scoring, so it must not allocate.
+// per-member equality selectivities. It runs once per scan predicate each
+// time a query misses the plan cache — one DAG per query, estimated once —
+// on the submitting goroutine, so it must not allocate.
 //
 //saqp:hotpath
 func PredSelectivity(cs *ColStat, p query.Predicate) float64 {
@@ -56,10 +56,7 @@ func PredSelectivity(cs *ColStat, p query.Predicate) float64 {
 //saqp:hotpath
 func inSelectivity(cs *ColStat, p query.Predicate) float64 {
 	var s float64
-	d := cs.Distinct
-	if d < 1 {
-		d = 1
-	}
+	d := math.Max(cs.Distinct, 1)
 	for _, lit := range p.Set {
 		if cs.Hist != nil && !lit.IsString {
 			s += cs.Hist.SelectivityEQ(lit.F)
@@ -74,10 +71,7 @@ func inSelectivity(cs *ColStat, p query.Predicate) float64 {
 //
 //saqp:hotpath
 func stringPredSelectivity(cs *ColStat, p query.Predicate) float64 {
-	d := cs.Distinct
-	if d < 1 {
-		d = 1
-	}
+	d := math.Max(cs.Distinct, 1)
 	switch p.Op {
 	case query.OpEQ:
 		return clamp01(1 / d)
@@ -88,59 +82,71 @@ func stringPredSelectivity(cs *ColStat, p query.Predicate) float64 {
 	}
 }
 
-// ConjunctionSelectivity estimates the fraction of rows passing all
-// conjuncts. Predicates on *different* columns multiply under the
-// independence assumption (the approach the paper's S_pred inherits from
-// the histogram literature it cites); predicates on the *same* numeric
-// column are intersected exactly by filtering the histogram sequentially —
-// BETWEEN-style range pairs are not independent events.
-func ConjunctionSelectivity(cols map[string]*ColStat, preds []query.Predicate) float64 {
-	byCol := map[string][]query.Predicate{}
-	var order []string
-	for _, p := range preds {
+// predCol is one predicated column of a scan, evaluated once: every other
+// column's "others" factor and the scan's S_pred are products of these.
+type predCol struct {
+	ref query.ColumnRef
+	cs  *ColStat // base statistics; nil for a column the table lacks
+	// masks are the column's comparisons a histogram mask expresses
+	// exactly; raw is the product of those it cannot (IN lists, string
+	// operators), which apply as a uniform scale instead; factor is the
+	// column's whole conjunction.
+	masks       []histogram.Cond
+	raw, factor float64
+}
+
+// scanConjunction estimates the fraction of a scan's rows passing all its
+// local conjuncts (S_pred), and returns the per-column factors it is the
+// product of, in column order. Predicates on *different* columns multiply
+// under the independence assumption (the approach the paper's S_pred
+// inherits from the histogram literature it cites); predicates on the
+// *same* numeric column are intersected exactly — BETWEEN-style range pairs
+// are not independent events — by one bucket walk over the comparisons a
+// histogram mask expresses, equal to the bit to sequential Filter calls
+// followed by Rows(); the rest (IN lists, string predicates) multiply in.
+// pcs and conds are scratch to append to.
+func scanConjunction(t *table, preds []query.Predicate, pcs []predCol, conds []histogram.Cond) ([]predCol, float64) {
+	for i := range preds {
+		p := &preds[i]
 		if p.IsJoin() {
 			continue
 		}
-		key := p.Left.String()
-		if _, ok := byCol[key]; !ok {
-			order = append(order, key)
+		k := 0
+		for k < len(pcs) && pcs[k].ref.Column < p.Left.Column {
+			k++
 		}
-		byCol[key] = append(byCol[key], p)
+		if k == len(pcs) || pcs[k].ref != p.Left {
+			pcs = append(pcs, predCol{})
+			copy(pcs[k+1:], pcs[k:])
+			pcs[k] = predCol{ref: p.Left, cs: t.col(p.Left), raw: 1}
+		}
 	}
-	sort.Strings(order)
 	s := 1.0
-	for _, key := range order {
-		s *= columnConjunction(cols[key], byCol[key])
-	}
-	return clamp01(s)
-}
-
-// columnConjunction combines all conjuncts on one column: histogram-maskable
-// comparisons are intersected through sequential Filter calls; the rest
-// (IN lists, string predicates) multiply in.
-func columnConjunction(cs *ColStat, ps []query.Predicate) float64 {
-	s := 1.0
-	if cs != nil && cs.Hist != nil {
-		h := cs.Hist
-		orig := h.Rows()
-		masked := false
-		for _, p := range ps {
-			if p.Op != query.OpIN && !p.Lit.IsString {
-				h = h.Filter(cmpToHist(p.Op), p.Lit.F)
-				masked = true
+	for k := range pcs {
+		pc, start := &pcs[k], len(conds)
+		maskable := pc.cs != nil && pc.cs.Hist != nil
+		for i := range preds {
+			p := &preds[i]
+			if p.IsJoin() || p.Left != pc.ref {
+				continue
+			}
+			if maskable && p.Op != query.OpIN && !p.Lit.IsString {
+				conds = append(conds, histogram.Cond{Op: cmpToHist(p.Op), X: p.Lit.F})
 			} else {
-				s *= PredSelectivity(cs, p)
+				pc.raw *= PredSelectivity(pc.cs, *p)
 			}
 		}
-		if masked && orig > 0 {
-			s *= clamp01(h.Rows() / orig)
+		pc.masks, pc.factor = conds[start:len(conds):len(conds)], pc.raw
+		if len(pc.masks) > 0 {
+			if orig := pc.cs.Hist.Rows(); orig > 0 {
+				rows, _ := pc.cs.Hist.NarrowedTotals(pc.masks, 1)
+				pc.factor *= clamp01(rows / orig)
+			}
 		}
-		return clamp01(s)
+		pc.factor = clamp01(pc.factor)
+		s *= pc.factor
 	}
-	for _, p := range ps {
-		s *= PredSelectivity(cs, p)
-	}
-	return clamp01(s)
+	return pcs, clamp01(s)
 }
 
 // cmpToHist maps query comparison operators to histogram filter operators.
@@ -160,55 +166,49 @@ func cmpToHist(op query.CmpOp) histogram.CmpOp {
 	return histogram.CmpGE
 }
 
-// filterColumns applies scan predicates to every column's statistics.
-// Predicates on a column itself reshape that column's histogram via Filter
-// (zeroing excluded buckets — crucial when the column later joins);
+// narrowColumn applies a scan's predicates to one needed column's base
+// statistics. Predicates on the column itself reshape its histogram via
+// Filter (zeroing excluded buckets — crucial when the column later joins);
 // predicates on *other* columns scale it uniformly, per the independence
-// assumption. newRows is the filtered row count |T|·S_pred.
-func filterColumns(cols map[string]*ColStat, preds []query.Predicate, newRows float64) map[string]*ColStat {
-	out := make(map[string]*ColStat, len(cols))
-	for key, cs := range cols {
-		var own float64 = 1
-		// ownUnapplied accumulates own-column selectivity that could not be
-		// expressed as a precise histogram mask (IN lists, string ops) and
-		// must be applied as a uniform scale instead.
-		ownUnapplied := 1.0
-		var otherPreds []query.Predicate
-		nc := cs.clone()
-		for _, p := range preds {
-			if p.IsJoin() {
-				continue
-			}
-			if p.Left.String() != key {
-				otherPreds = append(otherPreds, p)
-				continue
-			}
-			s := PredSelectivity(cols[key], p)
-			own *= s
-			if nc.Hist != nil && p.Op != query.OpIN && !p.Lit.IsString {
-				nc.Hist = nc.Hist.Filter(cmpToHist(p.Op), p.Lit.F)
-			} else {
-				ownUnapplied *= s
-			}
-		}
-		// Other-column conjuncts scale uniformly; use the same intersection
-		// semantics as ConjunctionSelectivity so range pairs combine right.
-		others := ConjunctionSelectivity(cols, otherPreds)
-		if nc.Hist != nil {
-			nc.Hist = nc.Hist.Scale(others * ownUnapplied)
-			nc.Distinct = math.Min(nc.Hist.DistinctTotal(), newRows)
+// assumption. newRows is the filtered row count |T|·S_pred. The histogram
+// is materialised only when n.hist says a join reads it; a group key's
+// surviving distinct count comes from the same bucket walk without one.
+func narrowColumn(base *ColStat, n need, pcs []predCol, newRows float64) ColStat {
+	nc := *base
+	nc.Hist = nil
+	// own is the own-column selectivity no histogram mask expresses (all of
+	// it, for a column without a histogram); others multiplies the other
+	// columns' factors, range pairs already intersected.
+	own, others := 1.0, 1.0
+	var masks []histogram.Cond
+	for k := range pcs {
+		if pcs[k].ref == n.ref {
+			own, masks = pcs[k].raw, pcs[k].masks
 		} else {
-			nc.Distinct = cs.Distinct * own
-			if nc.Distinct > newRows {
-				nc.Distinct = newRows
-			}
+			others *= pcs[k].factor
 		}
-		if nc.Distinct < 1 && newRows >= 1 {
-			nc.Distinct = 1
-		}
-		out[key] = nc
 	}
-	return out
+	others = clamp01(others)
+	d := base.Distinct * own
+	if base.Hist != nil && n.hist {
+		h := base.Hist
+		for _, c := range masks {
+			h = h.Filter(c.Op, c.X)
+		}
+		// With no local predicate the scale is by exactly 1, the identity:
+		// share the catalog's histogram rather than copy it.
+		if len(pcs) > 0 {
+			h = h.Scale(others * own)
+		}
+		nc.Hist, d = h, h.DistinctTotal()
+	} else if base.Hist != nil {
+		_, d = base.Hist.NarrowedTotals(masks, others*own)
+	}
+	nc.Distinct = math.Min(d, newRows)
+	if nc.Distinct < 1 && newRows >= 1 {
+		nc.Distinct = 1
+	}
+	return nc
 }
 
 // clamp01 clips a probability estimate into [0, 1].

@@ -278,8 +278,8 @@ func TestSelectivityInvariants(t *testing.T) {
 			if pf := j.PFactor(); pf < 0 || pf > 0.25 {
 				t.Fatalf("%s: P(1-P) = %v for %s", src, pf, j.Job.ID)
 			}
-			if j.OutEdge == nil || j.OutEdge.Rows < 0 {
-				t.Fatalf("%s: bad out edge for %s", src, j.Job.ID)
+			if j.OutRows < 0 || j.OutBytes < 0 {
+				t.Fatalf("%s: bad output volume for %s", src, j.Job.ID)
 			}
 		}
 	}
@@ -375,20 +375,16 @@ func TestPredSelectivityStringAndNil(t *testing.T) {
 }
 
 func TestConjunctionIndependence(t *testing.T) {
-	cat := catalog.FromSchema(dataset.LineItem(), 0.1, 64)
-	mkCS := func(name string) *ColStat {
-		c := cat.Column(name)
-		return &ColStat{Hist: c.Hist, Distinct: float64(c.Distinct), Width: c.AvgWidth}
-	}
-	cols := map[string]*ColStat{
-		"lineitem.l_quantity": mkCS("l_quantity"),
-		"lineitem.l_discount": mkCS("l_discount"),
-	}
-	p1 := query.Predicate{Left: query.ColumnRef{Table: "lineitem", Column: "l_quantity"}, Op: query.OpLT, Lit: query.NumLit(26)}
-	p2 := query.Predicate{Left: query.ColumnRef{Table: "lineitem", Column: "l_discount"}, Op: query.OpLT, Lit: query.NumLit(0.05)}
-	s1 := PredSelectivity(cols["lineitem.l_quantity"], p1)
-	s2 := PredSelectivity(cols["lineitem.l_discount"], p2)
-	both := ConjunctionSelectivity(cols, []query.Predicate{p1, p2})
+	cat := catalog.New()
+	cat.Put(catalog.FromSchema(dataset.LineItem(), 0.1, 64))
+	li := NewEstimator(cat, Config{}).tables["lineitem"]
+	qty := query.ColumnRef{Table: "lineitem", Column: "l_quantity"}
+	disc := query.ColumnRef{Table: "lineitem", Column: "l_discount"}
+	p1 := query.Predicate{Left: qty, Op: query.OpLT, Lit: query.NumLit(26)}
+	p2 := query.Predicate{Left: disc, Op: query.OpLT, Lit: query.NumLit(0.05)}
+	s1 := PredSelectivity(li.col(qty), p1)
+	s2 := PredSelectivity(li.col(disc), p2)
+	_, both := scanConjunction(li, []query.Predicate{p1, p2}, nil, nil)
 	if math.Abs(both-s1*s2) > 1e-12 {
 		t.Fatalf("conjunction %v != %v * %v", both, s1, s2)
 	}

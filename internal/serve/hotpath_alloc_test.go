@@ -74,3 +74,59 @@ func TestServerHitAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestServerMissAllocBudget bounds the whole of a cache miss — parse,
+// normalize, resolve, compile, estimate, score, cache insert with one
+// eviction, the worker's simulation, Wait — per plan shape, so a
+// regression fails `go test`, not only bench's serve_cold. A one-entry
+// cache and two alternating texts make every submission a miss that
+// evicts the other text's entry. Where the measured counts go, per
+// shape (scan-only / join → group-by / three-job chain, mean of the two
+// texts): query.Parse 13 / 18 / 23.5, Query.String 1 / 1 / 1,
+// query.Resolve 0, plan.Compile 19 / 31 / 42.5, EstimateQuery 7 / 9 / 11
+// (the estimate, its Jobs slice and ByID map, one slab each of job
+// estimates and task groups, the walk's scratch, and two per join key
+// whose histogram a scan predicate rescales), and 16 / 21 / 26 for
+// scoring, the ticket, the cache entry with its spelling and eviction, and
+// the simulated run (TestServerHitAllocBudget itemises that part).
+// Budgets are the measured counts + 10.
+func TestServerMissAllocBudget(t *testing.T) {
+	cfg := config(t)
+	cfg.Workers, cfg.CacheSize = 1, 1
+	cfg.JobModel, cfg.TaskModel = models(t)
+	e := newEngine(t, cfg)
+	for _, shape := range []struct {
+		name     string
+		a, b     string
+		measured float64
+	}{
+		{"scan-only",
+			`SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_shipdate < 9000 AND l_quantity >= 10`,
+			`SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderdate > 8500 AND o_totalprice < 50000`, 56},
+		{"join → group-by",
+			`SELECT c_nationkey, sum(o_totalprice) FROM customer JOIN orders ON o_custkey = c_custkey WHERE o_orderdate < 9000 GROUP BY c_nationkey`,
+			`SELECT p_brand, sum(l_extendedprice) FROM part JOIN lineitem ON l_partkey = p_partkey WHERE l_quantity < 12 GROUP BY p_brand`, 80},
+		{"three-job chain",
+			`SELECT ps_partkey, sum(ps_supplycost) FROM nation JOIN supplier ON s_nationkey = n_nationkey JOIN partsupp ON ps_suppkey = s_suppkey WHERE n_name <> 'CHINA' GROUP BY ps_partkey`,
+			`SELECT o_orderpriority, count(*) FROM customer JOIN orders ON o_custkey = c_custkey JOIN lineitem ON l_orderkey = o_orderkey WHERE l_quantity < 20 GROUP BY o_orderpriority`, 104},
+	} {
+		miss := func(sql string) {
+			tk, err := e.Submit(context.Background(), sql, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tk.Wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CacheHit {
+				t.Fatalf("%s: a one-entry cache served a hit", shape.name)
+			}
+		}
+		pair := func() { miss(shape.a); miss(shape.b) }
+		pair() // warm the worker's simulator
+		if n := testing.AllocsPerRun(100, pair) / 2; n > shape.measured+10 {
+			t.Errorf("%s: a cache miss allocates %.1f times, budget %.0f+10", shape.name, n, shape.measured)
+		}
+	}
+}

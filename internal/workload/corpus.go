@@ -95,16 +95,22 @@ func SFForTargetBytes(q *query.Query, targetBytes float64) float64 {
 	return sf
 }
 
-// CatalogCache builds analytic catalogs per scale factor lazily. Scale
-// factors are continuous, so entries are keyed on rounded sf.
+// CatalogCache builds analytic catalogs, each with the one estimator over
+// it, per scale factor, lazily; entries are keyed on rounded sf.
 type CatalogCache struct {
 	buckets int
+	sizing  selectivity.Config
 	schemas []*dataset.Schema
-	cache   map[int64]*catalog.Catalog
+	cache   map[int64]cacheEntry
+}
+
+type cacheEntry struct {
+	cat *catalog.Catalog
+	est *selectivity.Estimator
 }
 
 // NewCatalogCache returns a cache producing catalogs with the given
-// histogram resolution.
+// histogram resolution, and estimators with the default task sizing.
 func NewCatalogCache(buckets int) *CatalogCache {
 	// Iterate the schema map in sorted-name order so every cache (and
 	// therefore every catalog, estimate, and schedule derived from it)
@@ -119,19 +125,23 @@ func NewCatalogCache(buckets int) *CatalogCache {
 	for _, name := range names {
 		list = append(list, all[name])
 	}
-	return &CatalogCache{buckets: buckets, schemas: list, cache: map[int64]*catalog.Catalog{}}
+	return &CatalogCache{buckets: buckets, schemas: list, cache: map[int64]cacheEntry{}}
+}
+
+// entry returns the catalog and estimator for sf quantised to 1e-3.
+func (cc *CatalogCache) entry(sf float64) cacheEntry {
+	key := int64(sf * 1000)
+	e, ok := cc.cache[key]
+	if !ok {
+		e.cat = catalog.FromSchemas(cc.schemas, float64(key)/1000, cc.buckets)
+		e.est = selectivity.NewEstimator(e.cat, cc.sizing)
+		cc.cache[key] = e
+	}
+	return e
 }
 
 // Get returns a catalog for sf, quantised to 1e-3 granularity.
-func (cc *CatalogCache) Get(sf float64) *catalog.Catalog {
-	key := int64(sf * 1000)
-	if c, ok := cc.cache[key]; ok {
-		return c
-	}
-	c := catalog.FromSchemas(cc.schemas, float64(key)/1000, cc.buckets)
-	cc.cache[key] = c
-	return c
-}
+func (cc *CatalogCache) Get(sf float64) *catalog.Catalog { return cc.entry(sf).cat }
 
 // Stats is the pair of statistics resolutions every experiment estimates
 // a query at: the coarse histograms the predictor is allowed to see and
@@ -140,22 +150,24 @@ type Stats struct {
 	est, oracle *CatalogCache
 }
 
-// NewStats returns catalog caches at cfg's two histogram resolutions;
-// DefaultCorpusConfig's (64 and 1024 buckets) are the ones every table
-// and figure is reported at.
+// NewStats returns catalog caches at cfg's two histogram resolutions, both
+// estimating under cfg.Sizing; DefaultCorpusConfig's (64 and 1024 buckets)
+// are the ones every table and figure is reported at.
 func NewStats(cfg CorpusConfig) *Stats {
-	return &Stats{est: NewCatalogCache(cfg.EstimatorBuckets), oracle: NewCatalogCache(cfg.OracleBuckets)}
+	s := &Stats{est: NewCatalogCache(cfg.EstimatorBuckets), oracle: NewCatalogCache(cfg.OracleBuckets)}
+	s.est.sizing, s.oracle.sizing = cfg.Sizing, cfg.Sizing
+	return s
 }
 
 // Estimate estimates a compiled plan over the database at scale factor sf
 // twice: est from the predictor-visible statistics, oracle from the fine
-// ones. Like the caches underneath, it is not goroutine-safe for a scale
-// factor seen for the first time.
-func (s *Stats) Estimate(d *plan.DAG, sf float64, sizing selectivity.Config) (est, oracle *selectivity.QueryEstimate, err error) {
-	if est, err = selectivity.NewEstimator(s.est.Get(sf), sizing).EstimateQuery(d); err != nil {
+// ones, each with the estimator its cache prepared once for sf. Like the
+// caches underneath, it is not goroutine-safe for a first-seen sf.
+func (s *Stats) Estimate(d *plan.DAG, sf float64) (est, oracle *selectivity.QueryEstimate, err error) {
+	if est, err = s.est.entry(sf).est.EstimateQuery(d); err != nil {
 		return nil, nil, err
 	}
-	if oracle, err = selectivity.NewEstimator(s.oracle.Get(sf), sizing).EstimateQuery(d); err != nil {
+	if oracle, err = s.oracle.entry(sf).est.EstimateQuery(d); err != nil {
 		return nil, nil, err
 	}
 	return est, oracle, nil
@@ -211,7 +223,7 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			cm := trace.NewDefaultCostModel(d.cmSeed)
-			runs[i], errs[i] = RunStandaloneSized(d.q, d.shape, d.sf, stats, cm, cfg.Cluster, cfg.Sizing)
+			runs[i], errs[i] = RunStandalone(d.q, d.shape, d.sf, stats, cm, cfg.Cluster)
 		}(i, d)
 	}
 	wg.Wait()
@@ -226,18 +238,17 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 	return corpus, nil
 }
 
-// RunStandaloneSized compiles, estimates (at both statistics resolutions,
-// under the given task-sizing rules) and executes a single query alone on
-// a simulated cluster, returning the full run record. It is the building
-// block of corpus construction and of Fig. 7, and deliberately not a
-// replay of one: bench/'s setup_s times this un-instrumented path.
-func RunStandaloneSized(q *query.Query, shape Shape, sf float64, stats *Stats,
-	cm *trace.CostModel, clusterCfg cluster.Config, sizing selectivity.Config) (*QueryRun, error) {
+// RunStandalone compiles, estimates (at both statistics resolutions, under
+// the task-sizing rules stats was built with) and executes a single query
+// alone on a simulated cluster, returning the full run record. It is the
+// building block of corpus construction and of Fig. 7, and deliberately not
+// a replay of one: bench/'s setup_s times this un-instrumented path.
+func RunStandalone(q *query.Query, shape Shape, sf float64, stats *Stats, cm *trace.CostModel, clusterCfg cluster.Config) (*QueryRun, error) {
 	d, err := plan.Compile(q)
 	if err != nil {
 		return nil, err
 	}
-	est, oracle, err := stats.Estimate(d, sf, sizing)
+	est, oracle, err := stats.Estimate(d, sf)
 	if err != nil {
 		return nil, err
 	}
