@@ -194,7 +194,7 @@ func (f *Framework) NewClusterServer(opts ClusterOptions) (*ClusterServer, error
 	}
 	for idx := range cs.insts {
 		shard, role := idx/2, ClusterRole(idx%2)
-		srv, err := f.startNet(NetOptions{Addr: "127.0.0.1:0"}, cs.cluster.View(shard, role))
+		srv, err := f.startNet(NetOptions{Addr: "127.0.0.1:0"}, cs.insts[idx], cs.cluster.View(shard, role))
 		if err != nil {
 			return nil, errors.Join(err, cs.Close())
 		}

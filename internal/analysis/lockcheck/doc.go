@@ -3,7 +3,8 @@
 // struct fields are ever written by a function that locks a sync.Mutex
 // or sync.RWMutex field of the same struct ("guarded" fields), then
 // flags writes to those fields from functions that never lock that
-// mutex. This is the invariant the parallel aggregation paths in
+// mutex. A write to anything inside a field — x.f.g++, x.f[i] = v — is a
+// write to the field. This is the invariant the parallel aggregation paths in
 // internal/mapreduce and internal/workload rely on: a partial-sum field
 // updated outside the lock races under -race and, worse, can merge
 // nondeterministically, corrupting the measured IS/FS ground truth.
@@ -14,6 +15,6 @@
 // closures; writes through a variable declared inside the same function
 // body are treated as construction of a not-yet-shared value and are
 // not flagged; only named mutex fields and embedded sync.Mutex/RWMutex
-// are recognised. Escapes are reviewed with
+// are recognised; a write through a local alias of a field is not seen. Escapes are reviewed with
 // //lint:allow saqpvet/lockcheck.
 package lockcheck

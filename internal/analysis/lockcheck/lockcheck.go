@@ -20,7 +20,7 @@ var Analyzer = &analysis.Analyzer{
 type write struct {
 	structObj *types.TypeName
 	field     string
-	pos       ast.Expr // the selector being written
+	pos       ast.Expr // the field's selector, at or inside the expression written
 	base      ast.Expr // the expression the field is selected from
 	fn        *ast.FuncDecl
 }
@@ -179,21 +179,35 @@ func lockTarget(info *types.Info, structs map[*types.TypeName][]string, call *as
 	return nil
 }
 
+// recordWrite records lhs as a write to a mutex struct's field. Selector,
+// index and dereference chains are peeled down to the nearest mutex-struct
+// base, so x.f.g++, x.f[i] = v and x.f[i].g = v are all writes to f: a
+// write anywhere inside a guarded field is a write to that field.
 func recordWrite(info *types.Info, structs map[*types.TypeName][]string, fn *ast.FuncDecl, lhs ast.Expr, writes *[]write) {
-	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	obj := baseStruct(info, structs, sel.X)
-	if obj == nil {
-		return
-	}
-	for _, mu := range structs[obj] {
-		if sel.Sel.Name == mu {
-			return // writing the mutex field itself (e.g. zeroing) is out of scope
+	e := lhs
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			obj := baseStruct(info, structs, x.X)
+			if obj == nil {
+				e = x.X
+				continue
+			}
+			for _, mu := range structs[obj] {
+				if x.Sel.Name == mu {
+					return // writing the mutex field itself (e.g. zeroing) is out of scope
+				}
+			}
+			*writes = append(*writes, write{structObj: obj, field: x.Sel.Name, pos: x, base: x.X, fn: fn})
+			return
+		default:
+			return
 		}
 	}
-	*writes = append(*writes, write{structObj: obj, field: sel.Sel.Name, pos: sel, base: sel.X, fn: fn})
 }
 
 // locallyConstructed reports whether base is a variable declared inside

@@ -318,9 +318,6 @@ func (s *Sim) nodeOf(slot int, reduce bool) int {
 	return slot / s.cfg.MapSlotsPerNode
 }
 
-// MapSlots returns the total map slot count.
-func (s *Sim) MapSlots() int { return s.cfg.Nodes * s.cfg.MapSlotsPerNode }
-
 // ReduceSlots returns the total reduce slot count.
 func (s *Sim) ReduceSlots() int { return s.cfg.Nodes * s.cfg.ReduceSlotsPerNode }
 

@@ -113,15 +113,6 @@ func (j *Job) MapsDone() bool { return j.doneMaps == len(j.Maps) }
 // Done reports whether the whole job has finished.
 func (j *Job) Done() bool { return j.doneMaps == len(j.Maps) && j.doneReds == len(j.Reds) }
 
-// RunnableTasks counts tasks eligible to start right now.
-func (j *Job) RunnableTasks() int {
-	n := j.pendingMaps
-	if j.MapsDone() {
-		n += j.pendingReds
-	}
-	return n
-}
-
 // RunningTasks counts tasks currently occupying containers.
 func (j *Job) RunningTasks() int {
 	n := 0
@@ -138,19 +129,6 @@ func (j *Job) RunningTasks() int {
 	return n
 }
 
-// NextTask returns a pending runnable task, maps first, or nil. Reduces
-// are only offered once the map phase completes; the simulator's slowstart
-// path uses nextPending directly.
-func (j *Job) NextTask() *Task {
-	if j.pendingMaps > 0 {
-		return j.nextPending(false)
-	}
-	if j.MapsDone() && j.pendingReds > 0 {
-		return j.nextPending(true)
-	}
-	return nil
-}
-
 // nextPending returns the first pending task of the given phase.
 func (j *Job) nextPending(reduce bool) *Task {
 	tasks := j.Maps
@@ -164,12 +142,6 @@ func (j *Job) nextPending(reduce bool) *Task {
 	}
 	return nil
 }
-
-// PendingMaps returns the count of maps awaiting dispatch.
-func (j *Job) PendingMaps() int { return j.pendingMaps }
-
-// PendingReduces returns the count of reduces awaiting dispatch.
-func (j *Job) PendingReduces() int { return j.pendingReds }
 
 // Query is a DAG of jobs submitted as one unit.
 type Query struct {

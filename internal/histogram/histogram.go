@@ -147,57 +147,11 @@ func (h *Histogram) DistinctTotal() float64 {
 	return t
 }
 
-// SelectivityLT estimates the fraction of rows with value < x, assuming
-// uniform spread within the partially-covered bucket. The Selectivity*
-// family backs PredSelectivity, which runs once per scan predicate on
-// every plan-cache miss, so none of it may allocate.
-//
-//saqp:hotpath
-func (h *Histogram) SelectivityLT(x float64) float64 {
-	total := h.Rows()
-	if total == 0 { //lint:allow saqpvet/floatcmp zero row mass means an empty histogram, an exact state
-		return 0
-	}
-	if x <= h.Lo {
-		return 0
-	}
-	if x >= h.Hi {
-		return 1
-	}
-	w := h.width()
-	var rows float64
-	for i, b := range h.Buckets {
-		bLo := h.Lo + float64(i)*w
-		bHi := bLo + w
-		switch {
-		case x >= bHi:
-			rows += b.Count
-		case x > bLo:
-			rows += b.Count * (x - bLo) / w
-		}
-	}
-	return clamp01(rows / total)
-}
-
-// SelectivityGE estimates the fraction of rows with value >= x.
-//
-//saqp:hotpath
-func (h *Histogram) SelectivityGE(x float64) float64 {
-	return clamp01(1 - h.SelectivityLT(x))
-}
-
-// SelectivityBetween estimates the fraction of rows with lo <= value < hi.
-//
-//saqp:hotpath
-func (h *Histogram) SelectivityBetween(lo, hi float64) float64 {
-	if hi <= lo {
-		return 0
-	}
-	return clamp01(h.SelectivityLT(hi) - h.SelectivityLT(lo))
-}
-
 // SelectivityEQ estimates the fraction of rows equal to x: the covering
-// bucket's count split evenly over its distinct values.
+// bucket's count split evenly over its distinct values. It prices the
+// members of an IN list (selectivity.inSelectivity), once per member on
+// every plan-cache miss, so it may not allocate; every other numeric
+// comparison is answered by the bucket walk, NarrowedTotals.
 //
 //saqp:hotpath
 func (h *Histogram) SelectivityEQ(x float64) float64 {
@@ -210,13 +164,6 @@ func (h *Histogram) SelectivityEQ(x float64) float64 {
 		return 0
 	}
 	return clamp01(b.Count / b.Distinct / total)
-}
-
-// SelectivityNE estimates the fraction of rows not equal to x.
-//
-//saqp:hotpath
-func (h *Histogram) SelectivityNE(x float64) float64 {
-	return clamp01(1 - h.SelectivityEQ(x))
 }
 
 // ErrMisaligned is returned when two histograms cannot be combined

@@ -35,14 +35,22 @@ func TestBuildClampsOutliers(t *testing.T) {
 	}
 }
 
+// passing is the fraction of h's rows that pass every cond, by the bucket
+// walk production prices a numeric comparison with (NarrowedTotals over
+// Rows, as selectivity.scanConjunction computes it).
+func passing(h *Histogram, conds ...Cond) float64 {
+	rows, _ := h.NarrowedTotals(conds, 1)
+	return rows / h.Rows()
+}
+
 func TestSelectivityLTUniform(t *testing.T) {
 	vals := uniformSample(100000, 0, 100, 2)
 	h := Build(vals, 0, 100, 50)
 	for _, x := range []float64{10, 25, 50, 90} {
-		got := h.SelectivityLT(x)
+		got := passing(h, Cond{CmpLT, x})
 		want := x / 100
 		if math.Abs(got-want) > 0.02 {
-			t.Fatalf("SelectivityLT(%v) = %v, want ~%v", x, got, want)
+			t.Fatalf("fraction < %v = %v, want ~%v", x, got, want)
 		}
 	}
 }
@@ -50,10 +58,10 @@ func TestSelectivityLTUniform(t *testing.T) {
 func TestSelectivityBounds(t *testing.T) {
 	vals := uniformSample(1000, 0, 10, 3)
 	h := Build(vals, 0, 10, 8)
-	if h.SelectivityLT(-1) != 0 || h.SelectivityLT(11) != 1 {
+	if passing(h, Cond{CmpLT, -1}) != 0 || passing(h, Cond{CmpLT, 11}) != 1 {
 		t.Fatal("LT out-of-domain bounds wrong")
 	}
-	if h.SelectivityGE(-1) != 1 || h.SelectivityGE(11) != 0 {
+	if passing(h, Cond{CmpGE, -1}) != 1 || passing(h, Cond{CmpGE, 11}) != 0 {
 		t.Fatal("GE out-of-domain bounds wrong")
 	}
 	if h.SelectivityEQ(-1) != 0 || h.SelectivityEQ(11) != 0 {
@@ -69,7 +77,7 @@ func TestSelectivityMonotoneProperty(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return h.SelectivityLT(a) <= h.SelectivityLT(b)+1e-12
+		return passing(h, Cond{CmpLT, a}) <= passing(h, Cond{CmpLT, b})+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -79,10 +87,11 @@ func TestSelectivityMonotoneProperty(t *testing.T) {
 func TestSelectivityBetweenWiderIsLarger(t *testing.T) {
 	vals := uniformSample(5000, 0, 100, 5)
 	h := Build(vals, 0, 100, 20)
-	if h.SelectivityBetween(20, 40) > h.SelectivityBetween(20, 60) {
+	between := func(lo, hi float64) float64 { return passing(h, Cond{CmpGE, lo}, Cond{CmpLT, hi}) }
+	if between(20, 40) > between(20, 60) {
 		t.Fatal("wider range has smaller selectivity")
 	}
-	if h.SelectivityBetween(40, 20) != 0 {
+	if between(40, 20) != 0 {
 		t.Fatal("inverted range should give 0")
 	}
 }
@@ -99,7 +108,7 @@ func TestSelectivityEQ(t *testing.T) {
 	if math.Abs(got-0.01) > 0.004 {
 		t.Fatalf("SelectivityEQ = %v, want ~0.01", got)
 	}
-	if ne := h.SelectivityNE(42); math.Abs(ne-(1-got)) > 1e-12 {
+	if ne := passing(h, Cond{CmpNE, 42}); math.Abs(ne-(1-got)) > 1e-12 {
 		t.Fatalf("NE != 1-EQ: %v vs %v", ne, 1-got)
 	}
 }
@@ -253,9 +262,8 @@ func TestRebucketPreservesShape(t *testing.T) {
 	vals := uniformSample(50000, 0, 100, 11)
 	h := Build(vals, 0, 100, 20)
 	r := h.Rebucket(0, 100, 10)
-	if math.Abs(r.SelectivityLT(30)-h.SelectivityLT(30)) > 0.03 {
-		t.Fatalf("Rebucket distorted distribution: %v vs %v",
-			r.SelectivityLT(30), h.SelectivityLT(30))
+	if lt := (Cond{CmpLT, 30}); math.Abs(passing(r, lt)-passing(h, lt)) > 0.03 {
+		t.Fatalf("Rebucket distorted distribution: %v vs %v", passing(r, lt), passing(h, lt))
 	}
 }
 
@@ -267,7 +275,7 @@ func TestSynthesizeUniform(t *testing.T) {
 	if d := h.DistinctTotal(); d != 500 {
 		t.Fatalf("Synthesize distinct = %v, want 500", d)
 	}
-	if s := h.SelectivityLT(250); math.Abs(s-0.5) > 0.03 {
+	if s := passing(h, Cond{CmpLT, 250}); math.Abs(s-0.5) > 0.03 {
 		t.Fatalf("synthesized LT(mid) = %v", s)
 	}
 }
@@ -341,7 +349,7 @@ func TestNewPanics(t *testing.T) {
 
 func TestSelectivityEmptyHistogram(t *testing.T) {
 	h := New(0, 10, 4)
-	if h.SelectivityLT(5) != 0 || h.SelectivityEQ(5) != 0 {
+	if rows, _ := h.NarrowedTotals([]Cond{{CmpLT, 5}}, 1); rows != 0 || h.SelectivityEQ(5) != 0 {
 		t.Fatal("empty histogram should have zero selectivity")
 	}
 }

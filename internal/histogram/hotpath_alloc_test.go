@@ -20,11 +20,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{"width", func() { hotSinkFloat = h.width() }},
 		{"Rows", func() { hotSinkFloat = h.Rows() }},
 		{"DistinctTotal", func() { hotSinkFloat = h.DistinctTotal() }},
-		{"SelectivityLT", func() { hotSinkFloat = h.SelectivityLT(42) }},
-		{"SelectivityGE", func() { hotSinkFloat = h.SelectivityGE(42) }},
 		{"SelectivityEQ", func() { hotSinkFloat = h.SelectivityEQ(42) }},
-		{"SelectivityNE", func() { hotSinkFloat = h.SelectivityNE(42) }},
-		{"SelectivityBetween", func() { hotSinkFloat = h.SelectivityBetween(10, 60) }},
 		{"clamp01", func() { hotSinkFloat = clamp01(-0.5) }},
 		{"YaoDistinct", func() { hotSinkFloat = YaoDistinct(40, 1000, 0.3) }},
 		{"NarrowedTotals", func() { hotSinkFloat, hotSinkFloat = h.NarrowedTotals(conds, 0.4) }},

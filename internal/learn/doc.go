@@ -2,25 +2,23 @@
 // observe→learn→predict loop that the paper leaves open by training its
 // Eq. 8/9 time models once, offline.
 //
-// Three pieces compose:
-//
-//   - Learner is a recursive-least-squares (RLS) online fitter: a
-//     predict.Normal — the accumulator the batch fitters in
-//     internal/predict are themselves written on — fed one (features,
-//     observed seconds) sample at a time and solved lazily, so after N
-//     updates its coefficients agree with a batch Fit/FitRelative over
-//     the identical stream to the last bit. It also tracks prequential residuals, so
-//     PredictWithInterval returns a confidence band alongside the point
-//     estimate.
+// Two pieces compose:
 //
 //   - Registry is a versioned model store with champion/challenger
 //     semantics: the serving champion stays frozen while the challenger —
-//     one learner family (pooled + per operator) each for jobs, map tasks
-//     and reduce tasks — absorbs completed-job feedback; when the challenger's
-//     windowed average relative error beats the champion's by a
-//     configurable margin, the registry atomically promotes it, bumps the
-//     version, and snapshots the retired champion as a V2 predict
-//     persistence bundle.
+//     one predict.FamilyFit (pooled + per operator) each for jobs, map
+//     tasks and reduce tasks, the very accumulator the batch fitters in
+//     internal/predict Add their corpus to — absorbs completed-job
+//     feedback one sample at a time, so after N observations its
+//     coefficients are the batch fit's over the identical stream, to the
+//     last bit, by definition rather than by test. The job family is
+//     solved once per observed job (the challenger's prequential score
+//     and, from the same pooled model, the residual behind a 95%
+//     confidence band on its predictions); the task families only when a
+//     promotion installs them. When the challenger's windowed average
+//     relative error beats the champion's by a configurable margin, the
+//     registry atomically promotes it, bumps the version, and snapshots
+//     the retired champion as a V2 predict persistence bundle.
 //
 //   - The serving engine (internal/serve) feeds observed job and task
 //     times into the registry after each cleanly completed query and

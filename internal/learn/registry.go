@@ -46,11 +46,12 @@ type Promotion struct {
 
 // Registry is the versioned model store with champion/challenger
 // semantics. The champion — a frozen JobModel/TaskModel pair — serves
-// predictions; challenger learners absorb every observed job and task
-// sample; when the challenger's windowed average relative error beats
-// the champion's by the configured margin, the registry atomically
-// promotes the challenger, bumps the version, and snapshots the retired
-// champion as a V2 predict persistence bundle.
+// predictions; the challenger — three predict.FamilyFit accumulators,
+// the batch fitters' own — absorbs every observed job and task sample;
+// when the challenger's windowed average relative error beats the
+// champion's by the configured margin, the registry atomically promotes
+// the challenger, bumps the version, and snapshots the retired champion
+// as a V2 predict persistence bundle.
 //
 // Every decision depends only on sample counts and error windows, never
 // on the wall clock, so identical feedback streams produce identical
@@ -63,8 +64,10 @@ type Registry struct {
 	champJob  *predict.JobModel
 	champTask *predict.TaskModel
 
-	// The challenger: one learner family per regression target.
-	job, maps, reds family
+	// The challenger: one family accumulator per regression target, and
+	// the pooled job model's confidence band.
+	job, maps, reds predict.FamilyFit
+	jobBand         band
 
 	jobSamples  int
 	taskSamples int
@@ -97,9 +100,6 @@ func NewRegistry(cfg Config) *Registry {
 	cfg = cfg.WithDefaults()
 	r := &Registry{
 		cfg:      cfg,
-		job:      newFamily(),
-		maps:     newFamily(),
-		reds:     newFamily(),
 		champWin: newWindow(cfg.Window),
 		challWin: newWindow(cfg.Window),
 	}
@@ -111,10 +111,11 @@ func NewRegistry(cfg Config) *Registry {
 }
 
 // ObserveJob feeds one completed job's observed execution time into the
-// registry: both error windows advance (the challenger is scored
-// prequentially, before absorbing the sample), the challenger learners
-// absorb it, and the promotion rule is evaluated. Non-positive observed
-// times are ignored.
+// registry: both error windows and the band's residual advance (the
+// challenger is scored prequentially, before absorbing the sample), the
+// challenger absorbs it, the band's width at the sample is reported, and
+// the promotion rule is evaluated. Non-positive observed times are
+// ignored.
 func (r *Registry) ObserveJob(op plan.JobType, features []float64, observedSec float64) {
 	if r == nil || observedSec <= 0 {
 		return
@@ -127,79 +128,96 @@ func (r *Registry) ObserveJob(op plan.JobType, features []float64, observedSec f
 	}
 	if jm := r.challengerJobLocked(); jm != nil {
 		r.challWin.push(math.Abs(jm.PredictSample(s)-observedSec) / observedSec)
+		r.jobBand.score(jm.Pooled, features, observedSec)
 	}
-	r.job.observe(op, features, observedSec)
+	//lint:allow saqpvet/errdrop a job sample of the wrong width still counts and advances the windows, it is only not absorbed
+	r.job.Add(op, features, observedSec)
 	r.jobSamples++
 	r.cfg.Observer.LearnJobSample(r.champWin.meanOrNeg(), r.challWin.meanOrNeg())
-	if _, half, err := r.job.pooled.PredictWithInterval(features); err == nil && half > 0 {
+	if half := r.jobBand.halfWidth(&r.job.Pooled, features); half > 0 {
 		r.cfg.Observer.LearnIntervalWidth(half)
 	}
 	r.maybePromoteLocked()
 }
 
 // ObserveTask feeds one completed task's observed time into the
-// challenger task learners. Task samples refine the promoted TaskModel
-// (WRD ranking, per-task predictions) but do not drive the promotion
-// rule, which compares job-level error. Non-positive times are ignored.
+// challenger's task accumulators — two rank-1 updates and no solve: task
+// samples refine the TaskModel the next promotion installs (WRD ranking,
+// per-task predictions) but do not drive the promotion rule, which
+// compares job-level error. Non-positive times are ignored.
 func (r *Registry) ObserveTask(op plan.JobType, reduce bool, features []float64, observedSec float64) {
 	if r == nil || observedSec <= 0 {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := &r.maps
+	ff := &r.maps
 	if reduce {
-		f = &r.reds
+		ff = &r.reds
 	}
-	if !f.observe(op, features, observedSec) {
+	if ff.Add(op, features, observedSec) != nil {
 		return
 	}
 	r.taskSamples++
 	r.cfg.Observer.Count(obs.MLearnTaskSamples)
 }
 
-// family is one regression target's challenger: the learners behind a
-// predict.Family, pooled plus one per operator seen so far.
-type family struct {
-	pooled *Learner
-	perOp  map[plan.JobType]*Learner
+// zCritical is the two-sided 95% normal quantile of the confidence band.
+const zCritical = 1.96
+
+// band is the prequential (predict-then-absorb) residual variance behind
+// one pooled model's 95% confidence band: each sample is scored by the
+// model fitted to the samples before it, giving an honest out-of-sample
+// variance estimate. ObserveJob is its one feeder and its one reader.
+type band struct {
+	sqErr float64 // Σ w·(pred−target)²
+	n     int
 }
 
-func newFamily() family {
-	return family{pooled: NewLearner(Relative), perOp: map[plan.JobType]*Learner{}}
-}
-
-// observe feeds one sample to the pooled learner and to its operator's,
-// reporting whether both absorbed it (a sample of the wrong width is
-// rejected).
-func (f *family) observe(op plan.JobType, features []float64, sec float64) bool {
-	if f.pooled.Observe(features, sec) != nil {
-		return false
-	}
-	l := f.perOp[op]
-	if l == nil {
-		l = NewLearner(Relative)
-		f.perOp[op] = l
-	}
-	return l.Observe(features, sec) == nil
-}
-
-// model assembles the family's current solution: the pooled model
-// (required) and every operator whose learner is solvable — the online
-// twin of the batch fitters' solve step, and like it independent of the
-// order the operators are visited in.
-func (f *family) model() (predict.Family, error) {
-	pooled, err := f.pooled.Model()
+// score absorbs one residual: m is the model solved before the sample
+// (features, target) is added to its accumulator.
+func (b *band) score(m *predict.Model, features []float64, target float64) {
+	pred, err := m.PredictChecked(features)
 	if err != nil {
-		return predict.Family{}, err
+		return
 	}
-	out := predict.Family{Pooled: pooled, PerOp: make(map[plan.JobType]*predict.Model, len(f.perOp))}
-	for op, l := range f.perOp {
-		if m, merr := l.Model(); merr == nil {
-			out.PerOp[op] = m
-		}
+	e := pred - target
+	b.sqErr += predict.RelativeWeight(target) * e * e
+	b.n++
+}
+
+// halfWidth returns the half-width of the 95% band around acc's
+// prediction at features: z·√(s²·(1/w_x + xᵀ(XᵀWX)⁻¹x)), where s² is the
+// prequential weighted residual variance, 1/w_x restores the
+// heteroscedastic noise scale at the predicted magnitude (relative
+// weighting models noise growing with the target), and the quadratic
+// form is the leverage of x under the accumulated design. It is 0 while
+// no residuals have been scored or acc cannot be solved.
+func (b *band) halfWidth(acc *predict.Normal, features []float64) float64 {
+	if b.n == 0 {
+		return 0
 	}
-	return out, nil
+	m, err := acc.Solve()
+	if err != nil {
+		return 0
+	}
+	pred, err := m.PredictChecked(features)
+	if err != nil {
+		return 0
+	}
+	leverage, err := acc.Leverage(features)
+	if err != nil {
+		return 0
+	}
+	if leverage < 0 {
+		leverage = 0
+	}
+	s2 := b.sqErr / float64(b.n)
+	v := s2 * (1/predict.RelativeWeight(pred) + leverage)
+	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0
+	}
+	return zCritical * math.Sqrt(v)
 }
 
 // maybePromoteLocked applies the promotion rule: a cold registry
@@ -228,7 +246,7 @@ func (r *Registry) maybePromoteLocked() {
 // its lifecycle metadata, the version bumps, the promotion is recorded,
 // and both error windows reset so the next comparison starts fresh. A
 // challenger whose job model cannot be solved yet never promotes; a
-// challenger without solvable task learners carries the champion's
+// challenger without solvable task accumulators carries the champion's
 // TaskModel forward.
 func (r *Registry) promoteLocked(champErr, challErr float64) {
 	jm := r.challengerJobLocked()
@@ -253,9 +271,9 @@ func (r *Registry) promoteLocked(champErr, challErr float64) {
 }
 
 // challengerJobLocked assembles the challenger's JobModel, nil while the
-// pooled job learner is underdetermined.
+// pooled job accumulator is underdetermined.
 func (r *Registry) challengerJobLocked() *predict.JobModel {
-	f, err := r.job.model()
+	f, err := r.job.Solve()
 	if err != nil {
 		return nil
 	}
@@ -263,12 +281,12 @@ func (r *Registry) challengerJobLocked() *predict.JobModel {
 }
 
 // challengerTaskLocked assembles the challenger's TaskModel, falling
-// back to the current champion's when either phase-pooled learner is
+// back to the current champion's when either phase-pooled accumulator is
 // still underdetermined (the promoted JobModel can lead the TaskModel
 // early in a cold start).
 func (r *Registry) challengerTaskLocked() *predict.TaskModel {
-	mf, merr := r.maps.model()
-	rf, rerr := r.reds.model()
+	mf, merr := r.maps.Solve()
+	rf, rerr := r.reds.Solve()
 	if merr != nil || rerr != nil {
 		return r.champTask
 	}

@@ -278,7 +278,6 @@ hintScan:
 			}
 		}
 	}
-	j.Output = c.outputColumns()
 	return j, nil
 }
 
@@ -297,7 +296,6 @@ func (c *compiler) groupbyJob(prev *Job) *Job {
 		}
 	}
 	j.Having = c.q.Having
-	j.Output = c.outputColumns()
 	return j
 }
 
@@ -325,7 +323,6 @@ func (c *compiler) extractJob(prev *Job) (*Job, error) {
 		j.OrderKeys = append(j.OrderKeys, o)
 	}
 	j.Limit = c.q.Limit
-	j.Output = c.outputColumns()
 	return j, nil
 }
 
@@ -351,19 +348,5 @@ func (c *compiler) scanOnlyJob() *Job {
 	j := c.newJob(Extract)
 	j.Scans = []TableScan{c.scan(c.q.From.Name)}
 	j.MapOnly = true
-	j.Output = c.outputColumns()
 	return j
-}
-
-// outputColumns renders the query's projected column names.
-func (c *compiler) outputColumns() []string {
-	var cols []string
-	for _, s := range c.q.Select {
-		if s.Star {
-			cols = append(cols, "count(*)")
-			continue
-		}
-		cols = append(cols, s.String())
-	}
-	return cols
 }

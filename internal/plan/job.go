@@ -68,8 +68,6 @@ type Job struct {
 	OrderKeys []query.OrderItem
 	// Limit is the row limit for Extract jobs (-1 if absent).
 	Limit int64
-	// Output lists the column names this job emits (for width accounting).
-	Output []string
 	// MapOnly marks jobs with no reduce phase (pure filter/project, or a
 	// broadcast map-side join).
 	MapOnly bool

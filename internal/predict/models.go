@@ -75,18 +75,28 @@ func (f *Family) For(op plan.JobType) *Model {
 	return f.Pooled
 }
 
-// familyFit accumulates one family's normal equations, relative-weighted
-// so the fit is as accurate on the many small jobs as on the few huge
-// ones: every sample goes to the pooled accumulator and to its
-// operator's.
-type familyFit struct {
-	pooled Normal
+// FamilyFit is the one family accumulator: it holds one regression
+// target's normal equations, pooled plus one per operator seen so far,
+// relative-weighted so the fit is as accurate on the many small jobs as
+// on the few huge ones. The batch fitters Add every sample and Solve
+// once; the online registry (internal/learn) Adds as feedback arrives and
+// Solves where something reads the answer, so batch ≡ online is this
+// type's definition rather than a property of two. The zero value is an
+// empty accumulator; it is not goroutine-safe.
+type FamilyFit struct {
+	// Pooled is the operator-agnostic accumulator, exported for readers
+	// of more than its coefficients (the registry's confidence band reads
+	// its Leverage).
+	Pooled Normal
 	perOp  map[plan.JobType]*Normal
 }
 
-func (ff *familyFit) add(op plan.JobType, features []float64, sec float64) error {
+// Add feeds one sample to the pooled accumulator, then to its
+// operator's. A sample of the wrong width is rejected by the pooled
+// accumulator before the operator's sees it.
+func (ff *FamilyFit) Add(op plan.JobType, features []float64, sec float64) error {
 	w := RelativeWeight(sec)
-	if err := ff.pooled.Add(features, sec, w); err != nil {
+	if err := ff.Pooled.Add(features, sec, w); err != nil {
 		return err
 	}
 	a := ff.perOp[op]
@@ -100,10 +110,12 @@ func (ff *familyFit) add(op plan.JobType, features []float64, sec float64) error
 	return a.Add(features, sec, w)
 }
 
-// solve fits the pooled model (required) and every operator with enough
-// samples to identify one; the rest fall back to the pooled fit.
-func (ff *familyFit) solve() (Family, error) {
-	pooled, err := ff.pooled.Solve()
+// Solve fits the pooled model (required) and every operator with enough
+// samples to identify one; the rest fall back to the pooled fit. Like
+// Normal.Solve it does not consume the accumulator, and the models it
+// returns are replaced, never mutated, by later Adds.
+func (ff *FamilyFit) Solve() (Family, error) {
+	pooled, err := ff.Pooled.Solve()
 	if err != nil {
 		return Family{}, err
 	}
@@ -123,13 +135,13 @@ type JobModel struct {
 
 // FitJobModel trains Eq. 8 over the job corpus.
 func FitJobModel(samples []JobSample) (*JobModel, error) {
-	var ff familyFit
+	var ff FamilyFit
 	for _, s := range samples {
-		if err := ff.add(s.Op, s.Features, s.Seconds); err != nil {
+		if err := ff.Add(s.Op, s.Features, s.Seconds); err != nil {
 			return nil, fmt.Errorf("predict: job model: %w", err)
 		}
 	}
-	f, err := ff.solve()
+	f, err := ff.Solve()
 	if err != nil {
 		return nil, fmt.Errorf("predict: job model: %w", err)
 	}
@@ -139,7 +151,7 @@ func FitJobModel(samples []JobSample) (*JobModel, error) {
 // PredictSample scores one (operator, features) pair with the model its
 // operator dispatches to. This is the one place a job prediction is
 // clamped non-negative; PredictJob, the accuracy tables, corpus drift and
-// the learner's error windows all score through it.
+// the registry's error windows all score through it.
 func (jm *JobModel) PredictSample(s JobSample) float64 {
 	return math.Max(0, jm.For(s.Op).Predict(s.Features))
 }
@@ -168,22 +180,22 @@ func (tm *TaskModel) phase(reduce bool) *Family {
 
 // FitTaskModel trains the Eq. 9 models over the task corpus.
 func FitTaskModel(samples []TaskSample) (*TaskModel, error) {
-	var maps, reds familyFit
+	var maps, reds FamilyFit
 	for _, s := range samples {
 		ff := &maps
 		if s.Reduce {
 			ff = &reds
 		}
-		if err := ff.add(s.Op, s.Features, s.Seconds); err != nil {
+		if err := ff.Add(s.Op, s.Features, s.Seconds); err != nil {
 			return nil, fmt.Errorf("predict: task model: %w", err)
 		}
 	}
 	var tm TaskModel
 	var err error
-	if tm.Map, err = maps.solve(); err != nil {
+	if tm.Map, err = maps.Solve(); err != nil {
 		return nil, fmt.Errorf("predict: map task model: %w", err)
 	}
-	if tm.Reduce, err = reds.solve(); err != nil {
+	if tm.Reduce, err = reds.Solve(); err != nil {
 		return nil, fmt.Errorf("predict: reduce task model: %w", err)
 	}
 	return &tm, nil

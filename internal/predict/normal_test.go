@@ -1,0 +1,180 @@
+package predict
+
+import (
+	"errors"
+	"slices"
+	"testing"
+	"testing/quick"
+
+	"saqp/internal/plan"
+	"saqp/internal/sim"
+)
+
+// synthSamples draws n samples of a noisy 3-feature plane from a seeded
+// generator.
+func synthSamples(seed uint64, n int) []Sample {
+	r := sim.New(seed)
+	truth := []float64{4, 2.5, -1.25, 0.5}
+	out := make([]Sample, 0, n)
+	for i := 0; i < n; i++ {
+		f := []float64{r.Range(1, 100), r.Range(-20, 20), r.Range(0, 8)}
+		y := truth[0] + truth[1]*f[0] + truth[2]*f[1] + truth[3]*f[2] + r.Normal(0, 0.5)
+		out = append(out, Sample{Features: f, Target: y})
+	}
+	return out
+}
+
+// feedOnline adds the samples to a fresh Normal the way feedback arrives:
+// one at a time, solving between samples (the solve must leave the
+// accumulated equations untouched).
+func feedOnline(t testing.TB, samples []Sample, weight func(float64) float64) *Model {
+	var a Normal
+	for _, s := range samples {
+		a.Solve() // may be underdetermined; only the final solve is compared
+		w := 1.0
+		if weight != nil {
+			w = weight(s.Target)
+		}
+		if err := a.Add(s.Features, s.Target, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := a.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestNormalOneAtATimeEqualsBatch is the property the online registry
+// stands on: an accumulator fed N samples one at a time, solved along the
+// way, holds the coefficients the batch fitter computes over the
+// identical stream — to the bit, for both weight schemes and for a whole
+// family.
+func TestNormalOneAtATimeEqualsBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		weight func(float64) float64
+		batch  func([]Sample) (*Model, error)
+	}{
+		{"uniform ≡ Fit", nil, Fit},
+		{"relative ≡ FitRelative", RelativeWeight, FitRelative},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := func(seedRaw uint16, nRaw uint8) bool {
+				samples := synthSamples(uint64(seedRaw)+1, 10+int(nRaw)%200)
+				batch, err := tc.batch(samples)
+				return err == nil && slices.Equal(feedOnline(t, samples, tc.weight).Theta, batch.Theta)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Run("family ≡ FitJobModel", func(t *testing.T) {
+		ops := []plan.JobType{plan.Extract, plan.Groupby, plan.Join}
+		var jobs []JobSample
+		var ff FamilyFit
+		for i, s := range synthSamples(9, 120) {
+			if s.Target <= 0 {
+				continue
+			}
+			ff.Solve()
+			jobs = append(jobs, JobSample{Op: ops[i%len(ops)], Features: s.Features, Seconds: s.Target})
+			if err := ff.Add(ops[i%len(ops)], s.Features, s.Target); err != nil {
+				t.Fatal(err)
+			}
+		}
+		online, err := ff.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := FitJobModel(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(online.Pooled.Theta, batch.Pooled.Theta) || len(online.PerOp) != len(ops) {
+			t.Fatalf("pooled %v vs %v, %d operator models", online.Pooled.Theta, batch.Pooled.Theta, len(online.PerOp))
+		}
+		for _, op := range ops {
+			if !slices.Equal(online.PerOp[op].Theta, batch.PerOp[op].Theta) {
+				t.Fatalf("%s: %v vs %v", op, online.PerOp[op].Theta, batch.PerOp[op].Theta)
+			}
+		}
+	})
+}
+
+// TestNormalOneAtATimeNearCollinear drives both feeds through the ridge
+// path: two almost-identical features give a near-singular Gram matrix,
+// where agreement depends on the online feed reusing the exact batch
+// regularisation.
+func TestNormalOneAtATimeNearCollinear(t *testing.T) {
+	r := sim.New(11)
+	var samples []Sample
+	for i := 0; i < 120; i++ {
+		x := r.Range(1, 50)
+		samples = append(samples, Sample{
+			Features: []float64{x, x * (1 + 1e-10), r.Range(0, 5)},
+			Target:   2 + 3*x + r.Normal(0, 0.1),
+		})
+	}
+	batch, err := FitRelative(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if online := feedOnline(t, samples, RelativeWeight); !slices.Equal(online.Theta, batch.Theta) {
+		t.Fatalf("near-collinear coefficients differ: %v vs %v", online.Theta, batch.Theta)
+	}
+}
+
+func TestNormalSolveUnderdetermined(t *testing.T) {
+	var a Normal
+	if _, err := a.Solve(); !errors.Is(err, ErrUnderdetermined) {
+		t.Fatalf("empty accumulator Solve err = %v", err)
+	}
+	// 3 features + intercept = 4 coefficients; 3 samples stay short.
+	for i := 0; i < 3; i++ {
+		if err := a.Add([]float64{1, float64(i), 2}, 5, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.Solve(); !errors.Is(err, ErrUnderdetermined) {
+		t.Fatalf("underdetermined accumulator Solve err = %v", err)
+	}
+	if err := a.Add([]float64{9, 9}, 1, 1); err == nil {
+		t.Fatal("width change should be rejected")
+	}
+	if a.N() != 3 {
+		t.Fatalf("N = %d after a rejected sample, want 3", a.N())
+	}
+}
+
+// TestNormalModelReplacedNotMutated pins the freezing property the
+// registry relies on: a model handed out before further Adds keeps its
+// coefficients.
+func TestNormalModelReplacedNotMutated(t *testing.T) {
+	var a Normal
+	r := sim.New(3)
+	for i := 0; i < 50; i++ {
+		x := r.Range(0, 10)
+		a.Add([]float64{x}, 2*x+r.Normal(0, 0.1), 1)
+	}
+	m1, err := a.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]float64{}, m1.Theta...)
+	for i := 0; i < 50; i++ {
+		a.Add([]float64{r.Range(0, 10)}, 100, 1) // shift the fit hard
+	}
+	m2, err := a.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2 == m1 || slices.Equal(m2.Theta, before) {
+		t.Fatal("the later solve should be a new, different model")
+	}
+	if !slices.Equal(m1.Theta, before) {
+		t.Fatal("earlier model's coefficients were mutated by later Adds")
+	}
+}

@@ -45,7 +45,7 @@ func RelativeWeight(target float64) float64 {
 
 // Normal accumulates the weighted normal equations XᵀWXθ = XᵀWy one
 // sample at a time. It is the only place a sample meets the Gram matrix:
-// the batch fitters Add every sample and Solve once, the online learner
+// the batch fitters Add every sample and Solve once, the online registry
 // (internal/learn) Adds as feedback arrives and Solves on demand, so a
 // stream yields the same coefficients — to the bit — whichever way it is
 // fed. The zero value is an empty accumulator; an intercept column is

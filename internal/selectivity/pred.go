@@ -12,12 +12,14 @@ import (
 const defaultIneqSel = 1.0 / 3.0
 
 // PredSelectivity estimates the fraction of rows satisfying one predicate
-// against a column with the given statistics. Numeric columns use the
-// equi-width histogram; string columns use distinct counts for equality
-// and the standard 1/3 heuristic for inequalities. IN lists sum the
-// per-member equality selectivities. It runs once per scan predicate each
-// time a query misses the plan cache — one DAG per query, estimated once —
-// on the submitting goroutine, so it must not allocate.
+// that no histogram mask expresses: an IN list sums its members' equality
+// selectivities, and a comparison on a column without a histogram, or
+// against a string literal, uses distinct counts for equality and the
+// standard 1/3 heuristic for inequalities. Numeric comparisons on
+// histogram-backed columns never come here — scanConjunction intersects
+// them in one bucket walk (histogram.NarrowedTotals). It runs once per
+// such predicate each time a query misses the plan cache, on the
+// submitting goroutine, so it must not allocate.
 //
 //saqp:hotpath
 func PredSelectivity(cs *ColStat, p query.Predicate) float64 {
@@ -27,28 +29,7 @@ func PredSelectivity(cs *ColStat, p query.Predicate) float64 {
 	if p.Op == query.OpIN {
 		return inSelectivity(cs, p)
 	}
-	if cs.Hist == nil || p.Lit.IsString {
-		return stringPredSelectivity(cs, p)
-	}
-	x := p.Lit.F
-	h := cs.Hist
-	// One distinct step, for translating closed/open bounds.
-	eq := h.SelectivityEQ(x)
-	switch p.Op {
-	case query.OpEQ:
-		return eq
-	case query.OpNE:
-		return clamp01(1 - eq)
-	case query.OpLT:
-		return h.SelectivityLT(x)
-	case query.OpLE:
-		return clamp01(h.SelectivityLT(x) + eq)
-	case query.OpGE:
-		return h.SelectivityGE(x)
-	case query.OpGT:
-		return clamp01(h.SelectivityGE(x) - eq)
-	}
-	return defaultIneqSel
+	return stringPredSelectivity(cs, p)
 }
 
 // inSelectivity sums equality selectivities over an IN list's members.
@@ -67,7 +48,8 @@ func inSelectivity(cs *ColStat, p query.Predicate) float64 {
 	return clamp01(s)
 }
 
-// stringPredSelectivity handles predicates whose column lacks a histogram.
+// stringPredSelectivity handles comparisons no histogram answers: the
+// column lacks one, or the literal is a string.
 //
 //saqp:hotpath
 func stringPredSelectivity(cs *ColStat, p query.Predicate) float64 {

@@ -322,22 +322,27 @@ func TestTotalInputBytes(t *testing.T) {
 	}
 }
 
+// passing is S_pred of a scan of t under the given conjuncts — the route
+// production prices a predicate by (numeric comparisons on a
+// histogram-backed column go through the bucket walk).
+func passing(t *table, preds ...query.Predicate) float64 {
+	_, s := scanConjunction(t, preds, nil, nil)
+	return s
+}
+
 func TestPredSelectivityOperators(t *testing.T) {
-	cat := catalog.FromSchema(dataset.LineItem(), 0.1, 64)
-	cs := &ColStat{
-		Hist:     cat.Column("l_quantity").Hist,
-		Distinct: float64(cat.Column("l_quantity").Distinct),
-		Width:    8,
-	}
+	cat := catalog.New()
+	cat.Put(catalog.FromSchema(dataset.LineItem(), 0.1, 64))
+	li := NewEstimator(cat, Config{}).tables["lineitem"]
 	mk := func(op query.CmpOp, v float64) query.Predicate {
 		return query.Predicate{Left: query.ColumnRef{Table: "lineitem", Column: "l_quantity"}, Op: op, Lit: query.NumLit(v)}
 	}
-	lt := PredSelectivity(cs, mk(query.OpLT, 26))
-	le := PredSelectivity(cs, mk(query.OpLE, 26))
-	gt := PredSelectivity(cs, mk(query.OpGT, 26))
-	ge := PredSelectivity(cs, mk(query.OpGE, 26))
-	eq := PredSelectivity(cs, mk(query.OpEQ, 26))
-	ne := PredSelectivity(cs, mk(query.OpNE, 26))
+	lt := passing(li, mk(query.OpLT, 26))
+	le := passing(li, mk(query.OpLE, 26))
+	gt := passing(li, mk(query.OpGT, 26))
+	ge := passing(li, mk(query.OpGE, 26))
+	eq := passing(li, mk(query.OpEQ, 26))
+	ne := passing(li, mk(query.OpNE, 26))
 	if math.Abs(lt+eq-le) > 1e-9 {
 		t.Fatalf("LE != LT+EQ: %v + %v vs %v", lt, eq, le)
 	}
@@ -382,9 +387,7 @@ func TestConjunctionIndependence(t *testing.T) {
 	disc := query.ColumnRef{Table: "lineitem", Column: "l_discount"}
 	p1 := query.Predicate{Left: qty, Op: query.OpLT, Lit: query.NumLit(26)}
 	p2 := query.Predicate{Left: disc, Op: query.OpLT, Lit: query.NumLit(0.05)}
-	s1 := PredSelectivity(li.col(qty), p1)
-	s2 := PredSelectivity(li.col(disc), p2)
-	_, both := scanConjunction(li, []query.Predicate{p1, p2}, nil, nil)
+	s1, s2, both := passing(li, p1), passing(li, p2), passing(li, p1, p2)
 	if math.Abs(both-s1*s2) > 1e-12 {
 		t.Fatalf("conjunction %v != %v * %v", both, s1, s2)
 	}

@@ -387,16 +387,11 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 		e.count(func(s *Stats) { s.Errors++ })
 		return nil, ent.err
 	}
-	// Score admission with the learner's current champion when online
-	// learning is on; the cached static scores remain the fallback while
-	// the registry is cold.
+	// Without a learner the scores were cached with the plan; with one
+	// they are the current champion's.
 	wrd, predSec, version := ent.wrd, ent.predSec, 0
-	if L := e.cfg.Learner; L != nil {
-		var tm *predict.TaskModel
-		if version, _, tm = L.Champion(); tm != nil {
-			wrd = tm.WRD(ent.est)
-			predSec = tm.PredictQuery(ent.est, e.slots, e.ov)
-		}
+	if e.cfg.Learner != nil {
+		wrd, predSec, version, _ = e.Score(ent.est)
 	}
 
 	e.mu.Lock()
@@ -485,10 +480,33 @@ func (e *Engine) compute(ent *cacheEntry, q *query.Query) {
 		return
 	}
 	ent.dag, ent.est = d, est
-	if tm := e.cfg.TaskModel; tm != nil {
-		ent.wrd = tm.WRD(est)
-		ent.predSec = tm.PredictQuery(est, e.slots, e.ov)
+	if e.cfg.Learner == nil {
+		// No champion can replace the static model: score once per plan.
+		ent.wrd, ent.predSec, _, _ = e.Score(est)
 	}
+}
+
+// Score is the one place an estimate becomes admission scores — Weighted
+// Resource Demand (Eq. 10) and predicted standalone seconds on this
+// engine's cluster — and the model version a submission scored now is
+// stamped with: the learner's current champion when online learning is
+// on and a champion exists (one Champion() snapshot), the static task
+// model otherwise. ok is false when there is no task model to score with
+// (an untrained engine serves FIFO). Submit and the wire's EXPLAIN both
+// score through it, so EXPLAIN shows what a SUBMIT of the same text
+// would be admitted with.
+func (e *Engine) Score(est *selectivity.QueryEstimate) (wrd, predSec float64, version int, ok bool) {
+	tm := e.cfg.TaskModel
+	if L := e.cfg.Learner; L != nil {
+		var champ *predict.TaskModel
+		if version, _, champ = L.Champion(); champ != nil {
+			tm = champ
+		}
+	}
+	if tm == nil {
+		return 0, 0, version, false
+	}
+	return tm.WRD(est), tm.PredictQuery(est, e.slots, e.ov), version, true
 }
 
 // count applies a mutation to the stats under the engine lock.

@@ -197,3 +197,53 @@ func TestServerOneChampionSnapshotPerDecision(t *testing.T) {
 		}
 	}
 }
+
+// TestServerScoreIsWhatSubmitStamps holds the one scoring function to
+// Submit on the swapping source: the scores and version Score returns on
+// read n are the ones a submission making read n is stamped with, from
+// that read's champion and no other — which is what lets the wire's
+// EXPLAIN promise the numbers of a SUBMIT.
+func TestServerScoreIsWhatSubmitStamps(t *testing.T) {
+	src := &swappingSource{}
+	cfg := config(t)
+	cfg.Workers = 1
+	cfg.Learner = src
+	e := newEngine(t, cfg)
+
+	tk, err := e.Submit(context.Background(), q6, 7) // read 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrd, sec, version, ok := e.Score(tk.est) // read 2
+	if !ok || version != 2 {
+		t.Fatalf("Score = version %d ok %v, want the second read's champion", version, ok)
+	}
+	_, scored := swappedModels(2)
+	if wrd != scored.WRD(tk.est) || sec != scored.PredictQuery(tk.est, e.slots, e.ov) {
+		t.Errorf("Score = (%v, %v), version 2's task model scores (%v, %v)",
+			wrd, sec, scored.WRD(tk.est), scored.PredictQuery(tk.est, e.slots, e.ov))
+	}
+	if _, err := tk.Wait(context.Background()); err != nil { // the run's read 3
+		t.Fatal(err)
+	}
+	// What Score would have said on the next read is what the next
+	// submission gets.
+	_, next := swappedModels(4)
+	tk2, err := e.Submit(context.Background(), q6, 8) // read 4
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk2.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ModelVersion != 4 || res.WRD != next.WRD(tk2.est) || res.PredictedSec != next.PredictQuery(tk2.est, e.slots, e.ov) {
+		t.Errorf("submission stamped version %d (%v, %v), want read 4's (%v, %v)", res.ModelVersion,
+			res.WRD, res.PredictedSec, next.WRD(tk2.est), next.PredictQuery(tk2.est, e.slots, e.ov))
+	}
+	// Without a learner or a static task model there is nothing to score
+	// with, and EXPLAIN prints no score line.
+	if _, _, v, ok := newEngine(t, config(t)).Score(tk.est); ok || v != 0 {
+		t.Errorf("untrained engine Score = version %d ok %v, want 0 false", v, ok)
+	}
+}

@@ -69,15 +69,17 @@ func (b backend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pen
 // frontend drains via NetServer.Shutdown — close srv only after that
 // returns, so in-flight queries keep their engine.
 func (f *Framework) NewNetServer(srv *Server, opts NetOptions) (*NetServer, error) {
-	return f.startNet(opts, backend{srv})
+	return f.startNet(opts, srv, backend{srv})
 }
 
 // startNet starts every TCP frontend the facade hosts — NewNetServer's
 // and one per instance of a listening ClusterServer — so this is the
-// one net.Config. A backend that is a cluster instance's view makes the
+// one net.Config. srv is the server behind b, whose engine scores
+// EXPLAIN. A backend that is a cluster instance's view makes the
 // frontend that instance's: it gates SUBMIT/EXPLAIN on slot ownership,
 // serves CLUSTER, and signs EXPLAIN with the instance's attribution.
-func (f *Framework) startNet(opts NetOptions, b serve.Backend) (*NetServer, error) {
+func (f *Framework) startNet(opts NetOptions, srv *Server, b serve.Backend) (*NetServer, error) {
+	explain := func(sql string) ([]string, error) { return f.explainLines(srv, sql) }
 	cfg := net.Config{
 		Addr:           opts.Addr,
 		Backend:        b,
@@ -87,14 +89,14 @@ func (f *Framework) startNet(opts NetOptions, b serve.Backend) (*NetServer, erro
 		WriteTimeout:   opts.WriteTimeout,
 		BusyQueueDepth: opts.BusyQueueDepth,
 		Limits:         proto.DefaultLimits(),
-		Explain:        f.explainLines,
+		Explain:        explain,
 		MetricsText:    f.metricsText,
 		Observer:       f.Obs,
 	}
 	if inst, ok := b.(shardserve.View); ok {
 		cfg.Route, cfg.ClusterInfo = inst.Route, inst.Info
 		cfg.Explain = func(sql string) ([]string, error) {
-			lines, err := f.explainLines(sql)
+			lines, err := explain(sql)
 			if err != nil {
 				return nil, err
 			}
@@ -112,10 +114,12 @@ func DialNet(addr string) (*NetClient, error) { return net.Dial(addr) }
 func IsNetBusy(err error) bool { return net.IsBusy(err) }
 
 // explainLines serves the wire EXPLAIN command: compile + estimate,
-// one line per job, with predicted time and WRD when models are
-// trained. Floats use fixed precision so repeated EXPLAINs are
-// byte-stable.
-func (f *Framework) explainLines(sql string) ([]string, error) {
+// one line per job, then the predicted time and WRD a SUBMIT of the same
+// text to srv would be admitted with right now (serve.Engine.Score: srv's
+// cluster shape, its learner's champion when there is one) — printed
+// exactly when srv has a task model to score with. Floats use fixed
+// precision so repeated EXPLAINs are byte-stable.
+func (f *Framework) explainLines(srv *Server, sql string) ([]string, error) {
 	d, err := f.Compile(sql)
 	if err != nil {
 		return nil, err
@@ -133,10 +137,8 @@ func (f *Framework) explainLines(sql string) ([]string, error) {
 			je.Job.ID, je.Job.Type, je.NumMaps, je.NumReduces,
 			je.InBytes, je.MedBytes, je.OutBytes, je.IS, je.FS, je.P))
 	}
-	if pred, err := f.PredictQuerySeconds(qe); err == nil {
-		if wrd, err := f.WRD(qe); err == nil {
-			lines = append(lines, fmt.Sprintf("predicted_sec=%.3f wrd=%.3f", pred, wrd))
-		}
+	if wrd, pred, _, ok := srv.eng.Score(qe); ok {
+		lines = append(lines, fmt.Sprintf("predicted_sec=%.3f wrd=%.3f", pred, wrd))
 	}
 	return lines, nil
 }

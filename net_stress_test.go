@@ -2,6 +2,7 @@ package saqp_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"saqp"
+	"saqp/internal/predict"
 )
 
 // TestServerNetworkStress hammers the TCP frontend with 64 real client
@@ -132,4 +134,93 @@ func TestServerNetworkStress(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutine leak: %d before stress, %d after drain", before, runtime.NumGoroutine())
+}
+
+// TestServerExplainScoresLikeSubmit holds the wire's EXPLAIN to the
+// server behind it: the predicted_sec/wrd line it prints is what a
+// SUBMIT of the same text is admitted with — on that server's cluster
+// shape, from its learner's champion when it has one — not what the
+// framework's static model says about the default cluster.
+func TestServerExplainScoresLikeSubmit(t *testing.T) {
+	fw, err := saqp.NewFramework(saqp.Options{ScaleFactor: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.TrainDefault(); err != nil {
+		t.Fatal(err)
+	}
+	sql, err := saqp.TPCHSQL("q3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A champion no static model agrees with: every map task twice as slow.
+	slow := *fw.TaskTime
+	slow.Map.PerOp = nil
+	slow.Map.Pooled = &predict.Model{Theta: append([]float64(nil), fw.TaskTime.Map.Pooled.Theta...)}
+	for i := range slow.Map.Pooled.Theta {
+		slow.Map.Pooled.Theta[i] *= 2
+	}
+	for _, tc := range []struct {
+		name string
+		opts saqp.ServerOptions
+	}{
+		{"cluster shape", saqp.ServerOptions{Cluster: saqp.ClusterConfig{Nodes: 3}}},
+		{"champion", saqp.ServerOptions{Learner: saqp.NewLearnerRegistry(
+			saqp.LearnerConfig{Champion: fw.JobTime, ChampionTasks: &slow})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := fw.NewServer(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ns.Close()
+			cl, err := saqp.DialNet(ns.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			lines, err := cl.Explain(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := cl.Submit(sql, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := cl.Wait(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("predicted_sec=%.3f wrd=%.3f", res.PredictedSec, res.WRD)
+			if got := lines[len(lines)-1]; got != want {
+				t.Fatalf("EXPLAIN says %q, the same text was admitted with %q", got, want)
+			}
+			static, err := fw.PredictQuerySeconds(mustEstimate(t, fw, sql))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprintf("%.3f", static) == fmt.Sprintf("%.3f", res.PredictedSec) {
+				t.Fatalf("the case does not discriminate: static default-cluster score %.3f equals the server's", static)
+			}
+		})
+	}
+}
+
+// mustEstimate compiles and estimates one query on the framework.
+func mustEstimate(t *testing.T, fw *saqp.Framework, sql string) *saqp.QueryEstimate {
+	t.Helper()
+	d, err := fw.Compile(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qe, err := fw.Estimate(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qe
 }
