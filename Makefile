@@ -37,10 +37,12 @@ fuzz-smoke:
 # root, the connection-lifecycle suite in internal/net, the
 # shard-cluster failover stress test with its byte-identical
 # event-log replay check, the plan cache's text-tier invariant and
-# single-flight suites, and the reused-simulator equivalence test).
+# single-flight suites, the reused-simulator equivalence test, and the
+# batch engine — the tree's only goroutine-per-task code — whose digest
+# must read the same at Parallelism 1 and 8).
 stress:
-	$(GO) test -race -count=2 -run 'TestServer|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestShardCluster|TestEventLog|TestSubmitParks|TestSentinelQuorum|TestSimReuse' \
-		. ./internal/serve ./internal/selectivity ./internal/net ./internal/shardserve ./internal/cluster
+	$(GO) test -race -count=2 -run 'TestServer|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestShardCluster|TestEventLog|TestSubmitParks|TestSentinelQuorum|TestSimReuse|TestEngine' \
+		. ./internal/serve ./internal/selectivity ./internal/net ./internal/shardserve ./internal/cluster ./internal/mapreduce
 
 # Coverage gate for the serving engine: fail if internal/serve drops
 # below 85% statement coverage.

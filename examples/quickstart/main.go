@@ -73,6 +73,9 @@ func main() {
 		st := res.Stats[je.Job.ID]
 		fmt.Printf("  %-2s estimated=%8.0f  measured=%8d\n", je.Job.ID, je.OutRows, st.OutRows)
 	}
-	fmt.Printf("\nFinal result: %d groups; first row: %v\n",
-		res.Final.NumRows(), res.Final.Rows[0])
+	fmt.Printf("\nFinal result: %d groups", res.Final.NumRows())
+	if res.Final.NumRows() > 0 {
+		fmt.Printf("; first row: %v", res.Final.Row(0))
+	}
+	fmt.Println()
 }

@@ -10,10 +10,10 @@ import (
 // serving hot path. It goes on its own line at the end of the doc
 // comment, directive-style (no space after //):
 //
-//	// evalPred evaluates one predicate against a row value.
+//	// evalPred evaluates one predicate against one value.
 //	//
 //	//saqp:hotpath
-//	func evalPred(v dataset.Value, p query.Predicate) bool { ... }
+//	func evalPred(num float64, str string, p *query.Predicate) bool { ... }
 //
 // The allocfree analyzer checks every annotated function — and every
 // function it statically calls — for heap-allocating constructs, and

@@ -143,52 +143,37 @@ func Collect(rel *dataset.Relation, n int) *TableStats {
 		ts.AvgTupleWidth = float64(ts.Bytes) / float64(ts.Rows)
 	}
 	for ci := range s.Columns {
-		col := &s.Columns[ci]
-		cs := collectColumn(rel, ci, col, n)
+		cs := collectColumn(rel.Cols[ci], &s.Columns[ci], n)
 		ts.Columns[cs.Name] = cs
 	}
 	return ts
 }
 
-func collectColumn(rel *dataset.Relation, ci int, col *dataset.Column, n int) *ColumnStats {
+// collectColumn summarises one column in one pass over its typed vector:
+// integers and dates are counted as themselves, floats by their bits and
+// strings by the string, so no value is rendered to be counted.
+func collectColumn(vec dataset.Vector, col *dataset.Column, n int) *ColumnStats {
 	cs := &ColumnStats{Name: col.Name, Kind: col.Kind, Ref: col.Ref}
-	freq := make(map[string]int64)
-	var widthSum float64
-	numeric := col.Kind != dataset.KindString
-	min, max := math.Inf(1), math.Inf(-1)
-	var vals []float64
-	if numeric {
-		vals = make([]float64, 0, len(rel.Rows))
-	}
-	adjacentEqual := 0
-	for i, row := range rel.Rows {
-		v := row[ci]
-		freq[v.Key()]++
-		widthSum += float64(v.Width())
-		if numeric {
-			f := v.Num()
-			vals = append(vals, f)
-			if f < min {
-				min = f
-			}
-			if f > max {
-				max = f
-			}
-		}
-		if i > 0 && v.Equal(rel.Rows[i-1][ci]) {
-			adjacentEqual++
+	rows := vec.Len()
+	var top int64
+	var adjacentEqual int
+	var vals []float64 // the numeric values histogram.Build buckets, in row order
+	switch vec.Kind() {
+	case dataset.KindString:
+		cs.Distinct, top, adjacentEqual = countValues(vec.Strings(), func(s string) string { return s })
+	case dataset.KindFloat:
+		vals = vec.Floats()
+		cs.Distinct, top, adjacentEqual = countValues(vals, math.Float64bits)
+	default:
+		ints := vec.Ints()
+		cs.Distinct, top, adjacentEqual = countValues(ints, func(v int64) int64 { return v })
+		vals = make([]float64, rows)
+		for i, v := range ints {
+			vals[i] = float64(v)
 		}
 	}
-	rows := len(rel.Rows)
-	cs.Distinct = int64(len(freq))
 	if rows > 0 {
-		cs.AvgWidth = widthSum / float64(rows)
-		var top int64
-		for _, c := range freq {
-			if c > top {
-				top = c
-			}
-		}
+		cs.AvgWidth = float64(vec.Bytes()) / float64(rows)
 		cs.TopShare = float64(top) / float64(rows)
 	}
 	// A column is "clustered" when equal values sit together far more often
@@ -199,7 +184,16 @@ func collectColumn(rel *dataset.Relation, ci int, col *dataset.Column, n int) *C
 		cs.Clustered = float64(adjacentEqual) > 4*expectRandom &&
 			float64(adjacentEqual) > 0.1*float64(rows)
 	}
-	if numeric && rows > 0 {
+	if vals != nil && rows > 0 {
+		min, max := math.Inf(1), math.Inf(-1)
+		for _, f := range vals {
+			if f < min {
+				min = f
+			}
+			if f > max {
+				max = f
+			}
+		}
 		hi := max + 1 // domain is [min, max+1) so max lands in the last bucket
 		cs.Min, cs.Max = min, max
 		nb := n
@@ -209,6 +203,26 @@ func collectColumn(rel *dataset.Relation, ci int, col *dataset.Column, n int) *C
 		cs.Hist = histogram.Build(vals, min, hi, nb)
 	}
 	return cs
+}
+
+// countValues counts a column's values under key — the identity a value
+// groups by, which for floats is the bit pattern so that +0 and -0 stay two
+// values — and returns the distinct count, the most frequent value's count
+// and how many rows equal their predecessor.
+func countValues[T, K comparable](vals []T, key func(T) K) (distinct, top int64, adjacentEqual int) {
+	freq := make(map[K]int64)
+	for i, v := range vals {
+		freq[key(v)]++
+		if i > 0 && v == vals[i-1] {
+			adjacentEqual++
+		}
+	}
+	for _, c := range freq {
+		if c > top {
+			top = c
+		}
+	}
+	return int64(len(freq)), top, adjacentEqual
 }
 
 // FromSchema derives statistics analytically at scale factor sf without

@@ -11,12 +11,42 @@ func TestGenerateDeterministic(t *testing.T) {
 	if a.NumRows() != b.NumRows() {
 		t.Fatalf("row counts differ: %d vs %d", a.NumRows(), b.NumRows())
 	}
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if !a.Rows[i][j].Equal(b.Rows[i][j]) {
-				t.Fatalf("row %d col %d differ: %v vs %v", i, j, a.Rows[i][j], b.Rows[i][j])
+	for i := 0; i < int(a.NumRows()); i++ {
+		for j := range a.Cols {
+			if !a.At(i, j).Equal(b.At(i, j)) {
+				t.Fatalf("row %d col %d differ: %v vs %v", i, j, a.At(i, j), b.At(i, j))
 			}
 		}
+	}
+}
+
+// TestRelationViewAgrees checks the value view against the column storage:
+// every value has its column's kind, every vector one value per row, and the
+// widths sum to the size fixed when the vectors were built.
+func TestRelationViewAgrees(t *testing.T) {
+	rel := Generate(Orders(), 0.001, 7)
+	if len(rel.Cols) != len(rel.Schema.Columns) {
+		t.Fatalf("%d vectors for %d columns", len(rel.Cols), len(rel.Schema.Columns))
+	}
+	var bytes int64
+	for j := range rel.Cols {
+		if rel.Cols[j].Len() != int(rel.NumRows()) {
+			t.Fatalf("column %d has %d values for %d rows", j, rel.Cols[j].Len(), rel.NumRows())
+		}
+		for i := 0; i < int(rel.NumRows()); i++ {
+			v := rel.At(i, j)
+			if v.K != rel.Schema.Columns[j].Kind {
+				t.Fatalf("row %d col %d: kind %v, schema says %v", i, j, v.K, rel.Schema.Columns[j].Kind)
+			}
+			if v.K == KindString {
+				bytes += int64(len(v.S))
+			} else {
+				bytes += 8
+			}
+		}
+	}
+	if bytes != rel.Bytes() {
+		t.Fatalf("value widths sum to %d, Bytes() = %d", bytes, rel.Bytes())
 	}
 }
 
@@ -24,9 +54,9 @@ func TestGenerateSeedSensitive(t *testing.T) {
 	a := Generate(Supplier(), 0.01, 1)
 	b := Generate(Supplier(), 0.01, 2)
 	diff := false
-	for i := range a.Rows {
+	for i := 0; i < int(a.NumRows()); i++ {
 		// s_nationkey (index 2) is random; sequential cols will match.
-		if !a.Rows[i][2].Equal(b.Rows[i][2]) {
+		if !a.At(i, 2).Equal(b.At(i, 2)) {
 			diff = true
 			break
 		}
@@ -71,8 +101,8 @@ func TestCardinalityRespected(t *testing.T) {
 	rel := Generate(LineItem(), 0.002, 11)
 	idx := rel.Schema.ColumnIndex("l_quantity")
 	distinct := map[string]bool{}
-	for _, row := range rel.Rows {
-		distinct[row[idx].Key()] = true
+	for i := 0; i < int(rel.NumRows()); i++ {
+		distinct[rel.At(i, idx).Key()] = true
 	}
 	if len(distinct) > 50 {
 		t.Fatalf("l_quantity has %d distinct values, cap is 50", len(distinct))
@@ -86,12 +116,12 @@ func TestDomainBounds(t *testing.T) {
 	rel := Generate(LineItem(), 0.002, 13)
 	qidx := rel.Schema.ColumnIndex("l_quantity")
 	didx := rel.Schema.ColumnIndex("l_shipdate")
-	for _, row := range rel.Rows {
-		q := row[qidx].I
+	for i := 0; i < int(rel.NumRows()); i++ {
+		q := rel.At(i, qidx).I
 		if q < 1 || q > 50 {
 			t.Fatalf("l_quantity %d out of [1,50]", q)
 		}
-		d := row[didx].I
+		d := rel.At(i, didx).I
 		if d < dateEpochDays || d >= dateEpochDays+2_526 {
 			t.Fatalf("l_shipdate %d out of domain", d)
 		}
@@ -106,13 +136,13 @@ func TestReferentialIntegrity(t *testing.T) {
 	li := Generate(LineItem(), sf, 5)
 	pk := map[int64]bool{}
 	oidx := orders.Schema.ColumnIndex("o_orderkey")
-	for _, row := range orders.Rows {
-		pk[row[oidx].I] = true
+	for i := 0; i < int(orders.NumRows()); i++ {
+		pk[orders.At(i, oidx).I] = true
 	}
 	lidx := li.Schema.ColumnIndex("l_orderkey")
-	for _, row := range li.Rows {
-		if !pk[row[lidx].I] {
-			t.Fatalf("dangling FK l_orderkey=%d", row[lidx].I)
+	for i := 0; i < int(li.NumRows()); i++ {
+		if k := li.At(i, lidx).I; !pk[k] {
+			t.Fatalf("dangling FK l_orderkey=%d", k)
 		}
 	}
 }
@@ -121,22 +151,23 @@ func TestClusteredColumnIsClustered(t *testing.T) {
 	rel := Generate(LineItem(), 0.002, 9)
 	idx := rel.Schema.ColumnIndex("l_orderkey")
 	adjacent := 0
-	for i := 1; i < len(rel.Rows); i++ {
-		if rel.Rows[i][idx].I == rel.Rows[i-1][idx].I {
+	n := int(rel.NumRows())
+	for i := 1; i < n; i++ {
+		if rel.At(i, idx).I == rel.At(i-1, idx).I {
 			adjacent++
 		}
 	}
-	if adjacent < len(rel.Rows)/4 {
-		t.Fatalf("l_orderkey shows only %d adjacent-equal pairs over %d rows", adjacent, len(rel.Rows))
+	if adjacent < n/4 {
+		t.Fatalf("l_orderkey shows only %d adjacent-equal pairs over %d rows", adjacent, n)
 	}
 }
 
 func TestStringWidths(t *testing.T) {
 	rel := Generate(Customer(), 0.005, 21)
 	idx := rel.Schema.ColumnIndex("c_mktsegment")
-	for _, row := range rel.Rows {
-		if len(row[idx].S) != 10 {
-			t.Fatalf("c_mktsegment width %d, want 10", len(row[idx].S))
+	for i := 0; i < int(rel.NumRows()); i++ {
+		if s := rel.At(i, idx).S; len(s) != 10 {
+			t.Fatalf("c_mktsegment width %d, want 10", len(s))
 		}
 	}
 }
@@ -192,29 +223,25 @@ func TestAllSchemasComplete(t *testing.T) {
 }
 
 func TestValueOps(t *testing.T) {
-	if !Int(3).Less(Int(4)) || Int(4).Less(Int(3)) {
-		t.Fatal("Int Less broken")
-	}
-	if !Str("a").Less(Str("b")) {
-		t.Fatal("Str Less broken")
-	}
 	if !Float(1.5).Equal(Float(1.5)) || Float(1.5).Equal(Float(2)) {
 		t.Fatal("Float Equal broken")
 	}
-	if Int(1).Equal(Float(1)) {
+	if !Str("a").Equal(Str("a")) || Str("a").Equal(Str("b")) || !Date(3).Equal(Date(3)) {
+		t.Fatal("Str/Date Equal broken")
+	}
+	if Int(1).Equal(Float(1)) || Int(3).Equal(Date(3)) {
 		t.Fatal("cross-kind Equal should be false")
 	}
-	if Int(1).Width() != 8 || Str("abc").Width() != 3 {
-		t.Fatal("Width broken")
+	if IntVector(KindDate, []int64{1, 2}).Bytes() != 16 || FloatVector([]float64{1}).Bytes() != 8 ||
+		StringVector([]string{"abc", "", "de"}).Bytes() != 5 {
+		t.Fatal("Vector.Bytes broken")
 	}
-	r := Row{Int(1), Str("xy")}
-	if r.Width() != 10 {
-		t.Fatalf("Row width = %d, want 10", r.Width())
+	if v := IntVector(KindDate, []int64{7}); !v.At(0).Equal(Date(7)) || v.Len() != 1 {
+		t.Fatalf("date vector view = %v", v.At(0))
 	}
-	c := r.Clone()
-	c[0] = Int(9)
-	if r[0].I != 1 {
-		t.Fatal("Clone aliases original")
+	got := Row{Int(1), Str("xy"), Float(2.5)}
+	if got[0].String() != "1" || got[1].String() != "xy" || got[2].String() != "2.5" {
+		t.Fatalf("row renders as %v", got)
 	}
 }
 
@@ -272,16 +299,16 @@ func TestLowWidthStringColumnsDistinct(t *testing.T) {
 	rel := Generate(LineItem(), 0.002, 31)
 	idx := rel.Schema.ColumnIndex("l_returnflag")
 	seen := map[string]bool{}
-	for _, r := range rel.Rows {
-		seen[r[idx].S] = true
+	for i := 0; i < int(rel.NumRows()); i++ {
+		seen[rel.At(i, idx).S] = true
 	}
 	if len(seen) != 3 {
 		t.Fatalf("l_returnflag distinct = %d, want 3", len(seen))
 	}
 	mi := rel.Schema.ColumnIndex("l_shipmode")
 	seenM := map[string]bool{}
-	for _, r := range rel.Rows {
-		seenM[r[mi].S] = true
+	for i := 0; i < int(rel.NumRows()); i++ {
+		seenM[rel.At(i, mi).S] = true
 	}
 	if len(seenM) != 7 {
 		t.Fatalf("l_shipmode distinct = %d, want 7", len(seenM))

@@ -8,6 +8,6 @@
 //   - per-column distinct cardinalities, widths and value distributions
 //     (uniform, Zipf-skewed, clustered, sequential),
 //   - primary-key/foreign-key referential integrity, and
-//   - laptop-scale materialised relations for ground-truth execution in
-//     the in-memory MapReduce engine.
+//   - laptop-scale materialised relations — one typed Vector per column —
+//     for ground-truth execution in the in-memory MapReduce engine.
 package dataset

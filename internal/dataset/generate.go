@@ -19,17 +19,9 @@ import (
 // full tables at run time.
 func Generate(s *Schema, sf float64, seed uint64) *Relation {
 	n := int(s.RowsAt(sf))
-	rel := &Relation{Schema: s, Rows: make([]Row, n)}
-	cols := make([][]Value, len(s.Columns))
+	rel := &Relation{Schema: s, Cols: make([]Vector, len(s.Columns))}
 	for ci := range s.Columns {
-		cols[ci] = generateColumn(&s.Columns[ci], n, sf, columnSeed(seed, s.Name, s.Columns[ci].Name))
-	}
-	for i := 0; i < n; i++ {
-		row := make(Row, len(s.Columns))
-		for ci := range cols {
-			row[ci] = cols[ci][i]
-		}
-		rel.Rows[i] = row
+		rel.Cols[ci] = generateColumn(&s.Columns[ci], n, sf, columnSeed(seed, s.Name, s.Columns[ci].Name))
 	}
 	return rel
 }
@@ -43,8 +35,8 @@ func columnSeed(seed uint64, table, column string) uint64 {
 	return seed ^ h.Sum64()
 }
 
-// generateColumn produces n values for one column.
-func generateColumn(c *Column, n int, sf float64, seed uint64) []Value {
+// generateColumn produces the n-value vector of one column.
+func generateColumn(c *Column, n int, sf float64, seed uint64) Vector {
 	rng := sim.New(seed)
 	card := c.Card(sf)
 	if card < 1 {
@@ -72,11 +64,24 @@ func generateColumn(c *Column, n int, sf float64, seed uint64) []Value {
 	case DistClustered:
 		copy(keys, sim.ClusteredKeys(rng, n, card))
 	}
-	vals := make([]Value, n)
-	for i, k := range keys {
-		vals[i] = materialize(c, k)
+	switch c.Kind {
+	case KindFloat:
+		vals := make([]float64, n)
+		for i, k := range keys {
+			vals[i] = materialize(c, k).F
+		}
+		return FloatVector(vals)
+	case KindString:
+		vals := make([]string, n)
+		for i, k := range keys {
+			vals[i] = materialize(c, k).S
+		}
+		return StringVector(vals)
 	}
-	return vals
+	for i, k := range keys {
+		keys[i] = materialize(c, k).I
+	}
+	return IntVector(c.Kind, keys)
 }
 
 // materialize turns an integer domain key into a concrete column value.

@@ -9,19 +9,18 @@ var (
 )
 
 // TestHotPathAllocs is the runtime half of the //saqp:hotpath contract
-// for per-row Value operations: zero heap allocations per call.
+// for the Vector accessors the engine's per-element kernels read through:
+// zero heap allocations per call.
 func TestHotPathAllocs(t *testing.T) {
-	iv, fv, sv := Int(7), Float(3.5), Str("abc")
+	iv, fv, sv := IntVector(KindInt, []int64{7}), FloatVector([]float64{3.5}), StringVector([]string{"abc", "de"})
 	cases := []struct {
 		name string
 		fn   func()
 	}{
-		{"Num/int", func() { hotSinkFloat = iv.Num() }},
-		{"Num/float", func() { hotSinkFloat = fv.Num() }},
-		{"Less", func() { hotSinkBool = iv.Less(fv) }},
-		{"Less/string", func() { hotSinkBool = sv.Less(sv) }},
-		{"Equal", func() { hotSinkBool = fv.Equal(fv) }},
-		{"Width", func() { hotSinkInt = sv.Width() }},
+		{"Vector.Kind", func() { hotSinkBool = sv.Kind() == KindString }},
+		{"Vector.Ints", func() { hotSinkInt = int(iv.Ints()[0]) }},
+		{"Vector.Floats", func() { hotSinkFloat = fv.Floats()[0] }},
+		{"Vector.Strings", func() { hotSinkInt = len(sv.Strings()[1]) }},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(100, c.fn); n != 0 {

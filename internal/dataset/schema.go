@@ -112,21 +112,3 @@ func (s *Schema) AvgTupleWidth() int {
 func (s *Schema) BytesAt(sf float64) int64 {
 	return s.RowsAt(sf) * int64(s.AvgTupleWidth())
 }
-
-// Relation is a materialised table: a schema plus generated rows.
-type Relation struct {
-	Schema *Schema
-	Rows   []Row
-}
-
-// Bytes returns the total encoded size of the materialised rows.
-func (r *Relation) Bytes() int64 {
-	var total int64
-	for _, row := range r.Rows {
-		total += int64(row.Width())
-	}
-	return total
-}
-
-// NumRows returns the number of materialised rows.
-func (r *Relation) NumRows() int64 { return int64(len(r.Rows)) }

@@ -35,7 +35,8 @@ func (k Kind) String() string {
 }
 
 // Value is a single column value. Exactly one payload field is meaningful,
-// selected by K. Values are compact enough to store millions per relation.
+// selected by K. It is the view type tests, display and predicate builders
+// read one value through; relations and frames store typed Vectors.
 type Value struct {
 	K Kind
 	I int64 // payload for KindInt and KindDate
@@ -55,8 +56,10 @@ func Str(v string) Value { return Value{K: KindString, S: v} }
 // Date wraps days-since-epoch as a Value.
 func Date(days int64) Value { return Value{K: KindDate, I: days} }
 
-// Key returns a comparable representation used for grouping and joining.
-// Two Values compare equal under Key iff they are the same logical value.
+// Key renders the value: decimal integers, shortest %g floats, the string
+// itself — the rendering the engine orders group output and hashes the
+// shuffle by. Two Values of one kind are equal under Key iff they are the
+// same logical value.
 func (v Value) Key() string {
 	switch v.K {
 	case KindInt, KindDate:
@@ -69,45 +72,7 @@ func (v Value) Key() string {
 	return ""
 }
 
-// Num returns the value as a float64 for numeric comparison. Strings map to
-// 0; predicates on strings should use equality on S instead. Num, Less,
-// Equal and Width run once per row inside the simulated map/reduce inner
-// loops, so they must not allocate (Key, which builds a string, is
-// deliberately outside the contract).
-//
-//saqp:hotpath
-func (v Value) Num() float64 {
-	switch v.K {
-	case KindInt, KindDate:
-		return float64(v.I)
-	case KindFloat:
-		return v.F
-	}
-	return 0
-}
-
-// Less reports whether v orders before o. Values of different kinds order
-// by kind, matching the engine's total order for sorting.
-//
-//saqp:hotpath
-func (v Value) Less(o Value) bool {
-	if v.K != o.K {
-		return v.K < o.K
-	}
-	switch v.K {
-	case KindInt, KindDate:
-		return v.I < o.I
-	case KindFloat:
-		return v.F < o.F
-	case KindString:
-		return v.S < o.S
-	}
-	return false
-}
-
 // Equal reports whether v and o are the same logical value.
-//
-//saqp:hotpath
 func (v Value) Equal(o Value) bool {
 	if v.K != o.K {
 		return false
@@ -123,40 +88,9 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
-// Width returns the encoded width of the value in bytes, the unit used for
-// all D_in/D_med/D_out size accounting in the paper's model.
-//
-//saqp:hotpath
-func (v Value) Width() int {
-	switch v.K {
-	case KindInt, KindDate:
-		return 8
-	case KindFloat:
-		return 8
-	case KindString:
-		return len(v.S)
-	}
-	return 0
-}
-
 // String renders the value for display.
 func (v Value) String() string { return v.Key() }
 
-// Row is a tuple of column values.
+// Row is a tuple of column values: how a frame shows one of its rows, not
+// how anything is stored.
 type Row []Value
-
-// Width returns the encoded width of the whole tuple in bytes.
-func (r Row) Width() int {
-	w := 0
-	for _, v := range r {
-		w += v.Width()
-	}
-	return w
-}
-
-// Clone returns a deep copy of the row.
-func (r Row) Clone() Row {
-	c := make(Row, len(r))
-	copy(c, r)
-	return c
-}

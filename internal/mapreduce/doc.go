@@ -1,7 +1,10 @@
 // Package mapreduce is an in-memory MapReduce engine that actually executes
 // compiled query DAGs over materialised relations: map tasks filter and
 // project in parallel, Groupby jobs run per-map combines, the shuffle
-// hash-partitions by key, and reduce tasks join, aggregate or sort.
+// hash-partitions by key, and reduce tasks join, aggregate or sort. Data
+// stays in typed column vectors from the scan (which shares the relation's)
+// to the result: operators pass row indices and gather each output column
+// once, so a job allocates per column, task and reducer, never per row.
 //
 // In the paper this role is played by the Hadoop cluster itself. The engine
 // exists so that selectivity estimates can be validated against *measured*

@@ -1,10 +1,13 @@
 package mapreduce
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
-	"hash/fnv"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"saqp/internal/dataset"
@@ -103,9 +106,9 @@ func (e *Engine) RunQuery(d *plan.DAG) (*QueryResult, error) {
 	return res, nil
 }
 
-// jobInput is one resolved input: the source frame (scan output columns or
-// an upstream frame), the raw bytes/rows read, and scan predicates to apply
-// in the map phase.
+// jobInput is one resolved input: the source frame (a scan's pruned columns
+// or an upstream frame), the raw bytes/rows read, and scan predicates to
+// apply in the map phase.
 type jobInput struct {
 	frame    *Frame // unfiltered source data with qualified columns
 	rawBytes int64
@@ -116,34 +119,26 @@ type jobInput struct {
 	table string
 }
 
-// loadScan materialises one base-table scan as a job input: the pruned
-// columns of every row, with the pushed-down predicates attached for the
-// map phase. Raw sizes count the full table, as the job reads every block.
+// loadScan resolves one base-table scan as a job input: the relation's
+// vectors for the pruned columns, shared not copied, with the pushed-down
+// predicates attached for the map phase. Raw sizes count the full table,
+// as the job reads every block.
 func (e *Engine) loadScan(ts plan.TableScan) (jobInput, error) {
 	rel, ok := e.tables[ts.Table]
 	if !ok {
 		return jobInput{}, fmt.Errorf("table %q not registered", ts.Table)
 	}
-	idx := make([]int, len(ts.Columns))
 	cols := make([]string, len(ts.Columns))
+	vecs := make([]dataset.Vector, len(ts.Columns))
 	for i, c := range ts.Columns {
 		j := rel.Schema.ColumnIndex(c)
 		if j < 0 {
 			return jobInput{}, fmt.Errorf("table %q has no column %q", ts.Table, c)
 		}
-		idx[i] = j
-		cols[i] = ts.Table + "." + c
-	}
-	rows := make([]dataset.Row, len(rel.Rows))
-	for i, r := range rel.Rows {
-		nr := make(dataset.Row, len(idx))
-		for k, j := range idx {
-			nr[k] = r[j]
-		}
-		rows[i] = nr
+		cols[i], vecs[i] = ts.Table+"."+c, rel.Cols[j]
 	}
 	return jobInput{
-		frame:    NewFrame(cols, rows),
+		frame:    NewFrame(int(rel.NumRows()), cols, vecs),
 		rawBytes: rel.Bytes(),
 		rawRows:  rel.NumRows(),
 		preds:    ts.Preds,
@@ -187,509 +182,544 @@ func (e *Engine) runJob(job *plan.Job, frames map[string]*Frame) (*Frame, *JobSt
 	if err != nil {
 		return nil, nil, err
 	}
+	var out *Frame
 	switch job.Type {
 	case plan.Extract:
-		return e.runExtract(job, ins[0], stats)
+		out, err = e.runExtract(job, ins[0], stats)
 	case plan.Groupby:
-		return e.runGroupby(job, ins[0], stats)
+		out, err = e.runGroupby(job, ins[0], stats)
 	case plan.Join:
-		return e.runJoin(job, ins, stats)
+		out, err = e.runJoin(job, ins, stats)
+	default:
+		err = fmt.Errorf("unknown job type %v", job.Type)
 	}
-	return nil, nil, fmt.Errorf("unknown job type %v", job.Type)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats.OutRows, stats.OutBytes = out.NumRows(), out.Bytes()
+	return out, stats, nil
+}
+
+// each runs task(i) for every i in [0, n), at most Parallelism at a time,
+// and returns when all have finished. Tasks write only their own slot of
+// whatever they fill, so results do not depend on the schedule.
+func (e *Engine) each(n int, task func(i int)) {
+	sem := make(chan struct{}, e.cfg.Parallelism)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			task(i)
+			<-sem
+		}()
+	}
+	wg.Wait()
 }
 
 // splits partitions [0, n) rows into map-task ranges of ~BlockSize bytes,
 // shrunk by the table's fragmentation factor for base-table scans so the
 // engine's task granularity matches the estimator's.
-func (e *Engine) splits(f *Frame, rawBytes int64, table string) [][2]int {
-	n := len(f.Rows)
+func (e *Engine) splits(in jobInput) [][2]int {
+	n := in.frame.n
 	if n == 0 {
 		return [][2]int{{0, 0}}
 	}
-	avg := rawBytes / int64(n)
+	avg := in.rawBytes / int64(n)
 	if avg <= 0 {
 		avg = 1
 	}
 	eff := float64(e.cfg.BlockSize)
-	if table != "" {
-		eff *= selectivity.FragFactor(table)
+	if in.table != "" {
+		eff *= selectivity.FragFactor(in.table)
 	}
 	per := int(eff / float64(avg))
 	if per < 1 {
 		per = 1
 	}
-	var out [][2]int
+	out := make([][2]int, 0, (n+per-1)/per)
 	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
+		out = append(out, [2]int{lo, min(lo+per, n)})
 	}
 	return out
 }
 
-// mapFilter runs the map phase for one input: parallel tasks filter rows by
-// the scan predicates. It returns per-split row slices (deterministic
-// order) and the filtered byte/row totals.
-func (e *Engine) mapFilter(in jobInput) ([][]dataset.Row, int64, int64) {
-	f := in.frame
-	sp := e.splits(f, in.rawBytes, in.table)
-	out := make([][]dataset.Row, len(sp))
-	predIdx := make([]int, len(in.preds))
-	for i, p := range in.preds {
-		predIdx[i] = f.Col(p.Left.String())
-	}
-	var medBytes, medRows int64
-	var mu sync.Mutex
-	sem := make(chan struct{}, e.cfg.Parallelism)
-	var wg sync.WaitGroup
-	for si, s := range sp {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(si, lo, hi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			var rows []dataset.Row
-			var bytes int64
-			for _, r := range f.Rows[lo:hi] {
-				ok := true
-				for pi, p := range in.preds {
-					if predIdx[pi] < 0 || !evalPred(r[predIdx[pi]], p) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					rows = append(rows, r)
-					bytes += int64(r.Width())
-				}
-			}
-			out[si] = rows
-			mu.Lock()
-			medBytes += bytes
-			medRows += int64(len(rows))
-			mu.Unlock()
-		}(si, s[0], s[1])
-	}
-	wg.Wait()
-	return out, medBytes, medRows
+// scanPred is one scan predicate resolved to the vector it reads.
+type scanPred struct {
+	vec  dataset.Vector
+	pred *query.Predicate
 }
 
-// runExtract filters, optionally sorts, and optionally limits one input.
-func (e *Engine) runExtract(job *plan.Job, in jobInput, stats *JobStats) (*Frame, *JobStats, error) {
-	parts, medBytes, medRows := e.mapFilter(in)
-	stats.MedBytes, stats.MedRows = medBytes, medRows
-	stats.NumMaps = len(parts)
-	var rows []dataset.Row
-	for _, p := range parts {
-		rows = append(rows, p...)
+// resolvePreds binds the input's predicates to its columns, once per job. A
+// predicate on a column the input does not carry is a plan defect, not a
+// filter that rejects every row.
+func resolvePreds(in jobInput) ([]scanPred, error) {
+	out := make([]scanPred, len(in.preds))
+	for i := range in.preds {
+		v, err := in.frame.column("predicate column", in.preds[i].Left)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = scanPred{v, &in.preds[i]}
 	}
-	out := NewFrame(in.frame.Cols, rows)
+	return out, nil
+}
+
+// filterSplit is one map task's filter: it fills sel with the rows
+// [lo, lo+len(sel)) and compacts it to those that pass every predicate.
+func filterSplit(preds []scanPred, sel []int32, lo int) []int32 {
+	for i := range sel {
+		sel[i] = int32(lo + i)
+	}
+	for _, p := range preds {
+		switch p.vec.Kind() {
+		case dataset.KindString:
+			sel = sel[:filterStrings(p.vec.Strings(), sel, p.pred)]
+		case dataset.KindFloat:
+			sel = sel[:filterNums(p.vec.Floats(), sel, p.pred)]
+		default:
+			sel = sel[:filterNums(p.vec.Ints(), sel, p.pred)]
+		}
+	}
+	return sel
+}
+
+// mapFilter runs the map phase for one input: one parallel task per split
+// filters its rows by the scan predicates. It returns each task's surviving
+// rows, in order, as segments of one buffer.
+func (e *Engine) mapFilter(in jobInput) ([][]int32, error) {
+	preds, err := resolvePreds(in)
+	if err != nil {
+		return nil, err
+	}
+	sp := e.splits(in)
+	sel := make([]int32, in.frame.n)
+	parts := make([][]int32, len(sp))
+	e.each(len(sp), func(si int) {
+		lo, hi := sp[si][0], sp[si][1]
+		parts[si] = filterSplit(preds, sel[lo:hi], lo)
+	})
+	return parts, nil
+}
+
+// flatten closes the gaps between mapFilter's segments, in place, leaving
+// the input's surviving rows in input order.
+func flatten(parts [][]int32) []int32 {
+	sel := parts[0]
+	for _, p := range parts[1:] {
+		sel = append(sel, p...)
+	}
+	return sel
+}
+
+// rowBytes is the encoded size of the rows sel picks out of the columns.
+// sel holds distinct rows, so one as long as a column is the whole column.
+func rowBytes(vecs []dataset.Vector, sel []int32) int64 {
+	var t int64
+	for j := range vecs {
+		switch strs := vecs[j].Strings(); {
+		case len(sel) == vecs[j].Len():
+			t += vecs[j].Bytes()
+		case strs != nil:
+			for _, i := range sel {
+				t += int64(len(strs[i]))
+			}
+		default:
+			t += 8 * int64(len(sel))
+		}
+	}
+	return t
+}
+
+// gather copies the selected rows of one column, in selection order.
+func gather(v dataset.Vector, sel []int32) dataset.Vector {
+	switch v.Kind() {
+	case dataset.KindString:
+		out := make([]string, len(sel))
+		take(out, v.Strings(), sel)
+		return dataset.StringVector(out)
+	case dataset.KindFloat:
+		out := make([]float64, len(sel))
+		take(out, v.Floats(), sel)
+		return dataset.FloatVector(out)
+	}
+	out := make([]int64, len(sel))
+	take(out, v.Ints(), sel)
+	return dataset.IntVector(v.Kind(), out)
+}
+
+// gatherAll appends the selected rows of every column of src to dst.
+func gatherAll(dst, src []dataset.Vector, sel []int32) []dataset.Vector {
+	for j := range src {
+		dst = append(dst, gather(src[j], sel))
+	}
+	return dst
+}
+
+// joined materialises matched index pairs as a frame: first's columns then
+// second's, one gather per column.
+func joined(first *Frame, frows []int32, second *Frame, srows []int32) *Frame {
+	w := len(first.Cols) + len(second.Cols)
+	cols := append(append(make([]string, 0, w), first.Cols...), second.Cols...)
+	vecs := gatherAll(gatherAll(make([]dataset.Vector, 0, w), first.vecs, frows), second.vecs, srows)
+	return NewFrame(len(frows), cols, vecs)
+}
+
+// orderBy returns the three-way comparison of two rows under one sort key.
+func orderBy[T cmp.Ordered](vals []T, desc bool) func(a, b int32) int {
+	return func(a, b int32) int {
+		switch va, vb := vals[a], vals[b]; {
+		case va == vb:
+			return 0
+		case (va < vb) != desc:
+			return -1
+		}
+		return 1
+	}
+}
+
+// runExtract filters, optionally sorts, and optionally limits one input: a
+// stable sort of the surviving row indices, truncated, then one gather.
+func (e *Engine) runExtract(job *plan.Job, in jobInput, stats *JobStats) (*Frame, error) {
+	f := in.frame
+	parts, err := e.mapFilter(in)
+	if err != nil {
+		return nil, err
+	}
+	sel := flatten(parts)
+	stats.MedBytes, stats.MedRows, stats.NumMaps = rowBytes(f.vecs, sel), int64(len(sel)), len(parts)
 	if len(job.OrderKeys) > 0 {
-		keyIdx := make([]int, len(job.OrderKeys))
+		keys := make([]func(a, b int32) int, len(job.OrderKeys))
 		for i, k := range job.OrderKeys {
-			keyIdx[i] = out.Col(k.Col.String())
-			if keyIdx[i] < 0 {
-				return nil, nil, fmt.Errorf("order key %s not in input", k.Col)
+			v, err := f.column("order key", k.Col)
+			if err != nil {
+				return nil, err
+			}
+			switch v.Kind() {
+			case dataset.KindString:
+				keys[i] = orderBy(v.Strings(), k.Desc)
+			case dataset.KindFloat:
+				keys[i] = orderBy(v.Floats(), k.Desc)
+			default:
+				keys[i] = orderBy(v.Ints(), k.Desc)
 			}
 		}
-		sort.SliceStable(out.Rows, func(a, b int) bool {
-			ra, rb := out.Rows[a], out.Rows[b]
-			for i, ki := range keyIdx {
-				va, vb := ra[ki], rb[ki]
-				if va.Equal(vb) {
-					continue
+		sort.SliceStable(sel, func(a, b int) bool {
+			for _, key := range keys {
+				if c := key(sel[a], sel[b]); c != 0 {
+					return c < 0
 				}
-				less := va.Less(vb)
-				if job.OrderKeys[i].Desc {
-					return !less
-				}
-				return less
 			}
 			return false
 		})
 	}
-	if job.Limit >= 0 && int64(len(out.Rows)) > job.Limit {
-		out.Rows = out.Rows[:job.Limit]
+	if job.Limit >= 0 && int64(len(sel)) > job.Limit {
+		sel = sel[:job.Limit]
 	}
-	stats.OutRows = out.NumRows()
-	stats.OutBytes = out.Bytes()
-	return out, stats, nil
+	return NewFrame(len(sel), f.Cols, gatherAll(make([]dataset.Vector, 0, len(f.vecs)), f.vecs, sel)), nil
 }
 
-// groupKey renders the composite grouping key of a row.
-func groupKey(row dataset.Row, keyIdx []int) string {
-	if len(keyIdx) == 0 {
-		return ""
+// aggSpec is one aggregate (a SELECT item or a HAVING conjunct) resolved
+// against the job's input: a column, or two columns under an operator.
+type aggSpec struct {
+	fn    query.AggFunc
+	star  bool
+	l, r  dataset.Vector
+	op    query.ArithOp
+	binop bool
+}
+
+func resolveAgg(f *Frame, fn query.AggFunc, star bool, x query.Expr) (a aggSpec, err error) {
+	a = aggSpec{fn: fn, star: star, binop: x.Binop != nil}
+	switch {
+	case star:
+	case a.binop:
+		a.op = x.Binop.Op
+		if a.l, err = f.column("aggregate column", x.Binop.Left); err == nil {
+			a.r, err = f.column("aggregate column", x.Binop.Right)
+		}
+	default:
+		a.l, err = f.column("aggregate column", x.Col)
 	}
-	k := ""
-	for _, i := range keyIdx {
-		k += row[i].Key() + "\x00"
+	return a, err
+}
+
+// nums reads the selected rows of v as float64s; a string column reads 0.
+func nums(dst []float64, v dataset.Vector, sel []int32) {
+	switch v.Kind() {
+	case dataset.KindString:
+		clear(dst)
+	case dataset.KindFloat:
+		widen(dst, v.Floats(), sel)
+	default:
+		widen(dst, v.Ints(), sel)
 	}
-	return k
+}
+
+// partial is one map task's combine output: the rows that introduced its
+// local groups, in first-seen order, and the groups' aggregate states in
+// one flat slice, len(specs) per group.
+type partial struct {
+	first  []int32
+	states []aggState
+}
+
+// combine is one Groupby map task after its filter: rows get dense local
+// group ids from the typed group keys, and every aggregate is evaluated
+// over the split as a vector and folded into its group's state.
+func combine(keys []dataset.Vector, specs []aggSpec, sel []int32) partial {
+	gid, first := groupRows(keys, sel)
+	w := len(specs)
+	states := make([]aggState, len(first)*w)
+	var l, r []float64
+	for a, spec := range specs {
+		if spec.star {
+			for _, g := range gid {
+				states[int(g)*w+a].addCount(1)
+			}
+			continue
+		}
+		if l == nil {
+			l = make([]float64, len(sel))
+		}
+		nums(l, spec.l, sel)
+		if spec.binop {
+			if r == nil {
+				r = make([]float64, len(sel))
+			}
+			nums(r, spec.r, sel)
+			arith(l, r, spec.op)
+		}
+		for j, g := range gid {
+			states[int(g)*w+a].add(l[j])
+		}
+	}
+	return partial{first, states}
+}
+
+// appendKey renders row i of a key column as Value.Key always has: decimal
+// integers, shortest %g floats, the string itself.
+func appendKey(b []byte, v dataset.Vector, i int32) []byte {
+	switch v.Kind() {
+	case dataset.KindString:
+		return append(b, v.Strings()[i]...)
+	case dataset.KindFloat:
+		return strconv.AppendFloat(b, v.Floats()[i], 'g', -1, 64)
+	}
+	return strconv.AppendInt(b, v.Ints()[i], 10)
 }
 
 // runGroupby aggregates with per-map combines: each map task filters its
 // split and pre-aggregates locally (the combine that Eq. 2 models), then
-// reducers merge the partial states by key.
-func (e *Engine) runGroupby(job *plan.Job, in jobInput, stats *JobStats) (*Frame, *JobStats, error) {
+// the reduce merges the partial states by key, in split order.
+func (e *Engine) runGroupby(job *plan.Job, in jobInput, stats *JobStats) (*Frame, error) {
 	f := in.frame
-	keyIdx := make([]int, len(job.GroupKeys))
+	keys := make([]dataset.Vector, len(job.GroupKeys))
+	var err error
 	for i, k := range job.GroupKeys {
-		keyIdx[i] = f.Col(k.String())
-		if keyIdx[i] < 0 {
-			return nil, nil, fmt.Errorf("group key %s not in input", k)
+		if keys[i], err = f.column("group key", k); err != nil {
+			return nil, err
 		}
 	}
-	predIdx := make([]int, len(in.preds))
-	for i, p := range in.preds {
-		predIdx[i] = f.Col(p.Left.String())
-	}
-
-	type combined struct {
-		keyRow dataset.Row // group key values
-		states []*aggState
-		having []*aggState
-	}
-	sp := e.splits(f, in.rawBytes, in.table)
-	stats.NumMaps = len(sp)
-	partials := make([]map[string]*combined, len(sp))
-	var medBytes, medRows int64
-	var mu sync.Mutex
-	sem := make(chan struct{}, e.cfg.Parallelism)
-	var wg sync.WaitGroup
-	var firstErr error
-	for si, s := range sp {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(si, lo, hi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			local := make(map[string]*combined)
-			for _, r := range f.Rows[lo:hi] {
-				ok := true
-				for pi, p := range in.preds {
-					if predIdx[pi] < 0 || !evalPred(r[predIdx[pi]], p) {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				k := groupKey(r, keyIdx)
-				c := local[k]
-				if c == nil {
-					kr := make(dataset.Row, len(keyIdx))
-					for i, ki := range keyIdx {
-						kr[i] = r[ki]
-					}
-					c = &combined{
-						keyRow: kr,
-						states: make([]*aggState, len(job.Aggs)),
-						having: make([]*aggState, len(job.Having)),
-					}
-					for i, a := range job.Aggs {
-						c.states[i] = newAggState(a.Agg)
-					}
-					for i, h := range job.Having {
-						c.having[i] = newAggState(h.Agg)
-					}
-					local[k] = c
-				}
-				for i, a := range job.Aggs {
-					if a.Star {
-						c.states[i].addCount(1)
-						continue
-					}
-					v, err := evalExpr(f, r, a.Expr)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					c.states[i].add(v)
-				}
-				for i, h := range job.Having {
-					if h.Star {
-						c.having[i].addCount(1)
-						continue
-					}
-					v, err := evalExpr(f, r, h.Expr)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					c.having[i].add(v)
-				}
-			}
-			partials[si] = local
-			// Combined map-output records: key columns + one 8-byte partial
-			// per aggregate.
-			var bytes int64
-			for _, c := range local {
-				bytes += int64(c.keyRow.Width()) + 8*int64(len(job.Aggs))
-			}
-			mu.Lock()
-			medBytes += bytes
-			medRows += int64(len(local))
-			mu.Unlock()
-		}(si, s[0], s[1])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	stats.MedBytes, stats.MedRows = medBytes, medRows
-
-	// Reduce: merge partials across maps.
-	final := make(map[string]*combined)
-	for _, local := range partials {
-		for k, c := range local {
-			fc := final[k]
-			if fc == nil {
-				final[k] = c
-				continue
-			}
-			for i := range fc.states {
-				fc.states[i].merge(c.states[i])
-			}
-			for i := range fc.having {
-				fc.having[i].merge(c.having[i])
-			}
+	w, nAggs := len(job.Aggs)+len(job.Having), len(job.Aggs)
+	specs := make([]aggSpec, w) // the SELECT list's aggregates, then HAVING's
+	for i, a := range job.Aggs {
+		if specs[i], err = resolveAgg(f, a.Agg, a.Star, a.Expr); err != nil {
+			return nil, err
 		}
 	}
-	// Deterministic output order: sort by key.
-	keys := make([]string, 0, len(final))
-	for k := range final {
-		keys = append(keys, k)
+	for i, h := range job.Having {
+		if specs[nAggs+i], err = resolveAgg(f, h.Agg, h.Star, h.Expr); err != nil {
+			return nil, err
+		}
 	}
-	sort.Strings(keys)
-	cols := make([]string, 0, len(job.GroupKeys)+len(job.Aggs))
-	for _, k := range job.GroupKeys {
-		cols = append(cols, k.String())
+	parts, err := e.mapFilter(in)
+	if err != nil {
+		return nil, err
 	}
-	for i := range job.Aggs {
-		cols = append(cols, fmt.Sprintf("%s.agg%d", job.ID, i))
+	stats.NumMaps = len(parts)
+	partials := make([]partial, len(parts))
+	e.each(len(parts), func(si int) { partials[si] = combine(keys, specs, parts[si]) })
+
+	// Reduce: merge the partials across maps, in split order — float sums
+	// depend on it. A combined map-output record is its key columns plus
+	// one 8-byte partial per aggregate.
+	var locals []int32 // every task's local groups, by their first rows
+	for _, p := range partials {
+		locals = append(locals, p.first...)
+		stats.MedRows += int64(len(p.first))
+		stats.MedBytes += rowBytes(keys, p.first) + 8*int64(nAggs*len(p.first))
 	}
-	rows := make([]dataset.Row, 0, len(final))
-	for _, k := range keys {
-		c := final[k]
+	gid, first := groupRows(keys, locals)
+	states := make([]aggState, 0, len(first)*w)
+	for _, p := range partials {
+		for g := range p.first {
+			if id := int(gid[0]); id*w == len(states) {
+				states = append(states, p.states[g*w:(g+1)*w]...)
+			} else {
+				for a := 0; a < w; a++ {
+					states[id*w+a].merge(&p.states[g*w+a])
+				}
+			}
+			gid = gid[1:]
+		}
+	}
+
+	// Deterministic output order: groups sorted by their rendered key, each
+	// column's rendering NUL-terminated, all in one buffer.
+	var rendered []byte
+	ends := make([]int, 1, len(first)+1)
+	for _, row := range first {
+		for k := range keys {
+			rendered = append(appendKey(rendered, keys[k], row), 0)
+		}
+		ends = append(ends, len(rendered))
+	}
+	key := func(g int32) []byte { return rendered[ends[g]:ends[g+1]] }
+	order := make([]int32, 0, len(first))
+	for g := range first {
 		// HAVING: drop groups whose aggregate fails any conjunct.
 		keep := true
 		for i, h := range job.Having {
-			v := c.having[i].value().Num()
-			if !cmpFloats(v, h.Lit.F, h.Op) {
+			if !compare(states[g*w+nAggs+i].value(h.Agg), h.Lit.F, h.Op) {
 				keep = false
 				break
 			}
 		}
-		if !keep {
+		if keep {
+			order = append(order, int32(g))
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return bytes.Compare(key(a), key(b)) })
+
+	rows := make([]int32, len(order))
+	take(rows, first, order)
+	cols := make([]string, 0, len(keys)+nAggs)
+	vecs := make([]dataset.Vector, 0, len(keys)+nAggs)
+	for i, k := range job.GroupKeys {
+		cols, vecs = append(cols, k.String()), append(vecs, gather(keys[i], rows))
+	}
+	for a, spec := range specs[:nAggs] {
+		cols = append(cols, fmt.Sprintf("%s.agg%d", job.ID, a))
+		if spec.fn == query.AggCount {
+			counts := make([]int64, len(order))
+			for j, g := range order {
+				counts[j] = states[int(g)*w+a].count
+			}
+			vecs = append(vecs, dataset.IntVector(dataset.KindInt, counts))
 			continue
 		}
-		row := make(dataset.Row, 0, len(cols))
-		row = append(row, c.keyRow...)
-		for _, st := range c.states {
-			row = append(row, st.value())
+		vals := make([]float64, len(order))
+		for j, g := range order {
+			vals[j] = states[int(g)*w+a].value(spec.fn)
 		}
-		rows = append(rows, row)
+		vecs = append(vecs, dataset.FloatVector(vals))
 	}
-	out := NewFrame(cols, rows)
-	stats.OutRows = out.NumRows()
-	stats.OutBytes = out.Bytes()
-	return out, stats, nil
+	return NewFrame(len(order), cols, vecs), nil
+}
+
+// joinSides orders a join's two inputs as (holder of left, holder of right)
+// and returns their key columns in a common storage class.
+func joinSides(left, right query.ColumnRef, a, b jobInput) (jobInput, jobInput, dataset.Vector, dataset.Vector, error) {
+	lk, rk := left.String(), right.String()
+	if a.frame.Col(lk) < 0 && b.frame.Col(lk) >= 0 {
+		a, b = b, a
+	}
+	li, ri := a.frame.Col(lk), b.frame.Col(rk)
+	if li < 0 || ri < 0 {
+		return a, b, dataset.Vector{}, dataset.Vector{}, fmt.Errorf("join keys %s/%s not found", lk, rk)
+	}
+	ak, bk, err := joinKeys(a.frame.vecs[li], b.frame.vecs[ri], lk, rk)
+	return a, b, ak, bk, err
 }
 
 // runJoin hash-joins two inputs on the equi-join keys: maps filter each
-// side, the shuffle partitions by key hash, and reducers build/probe per
-// partition in parallel. Broadcast joins (plan.Job.Broadcast) skip the
-// shuffle: every map task probes an in-memory copy of the small side.
-func (e *Engine) runJoin(job *plan.Job, ins []jobInput, stats *JobStats) (*Frame, *JobStats, error) {
+// side, the shuffle partitions both by key hash, and reducers build on the
+// left and probe with the right per partition in parallel. Broadcast joins
+// (plan.Job.Broadcast) skip the shuffle: every map task probes an
+// in-memory index of the small side.
+func (e *Engine) runJoin(job *plan.Job, ins []jobInput, stats *JobStats) (*Frame, error) {
 	if len(ins) != 2 {
-		return nil, nil, fmt.Errorf("join expects 2 inputs, got %d", len(ins))
+		return nil, fmt.Errorf("join expects 2 inputs, got %d", len(ins))
 	}
-	leftKey, rightKey := job.JoinLeft.String(), job.JoinRight.String()
-	a, b := ins[0], ins[1]
-	if a.frame.Col(leftKey) < 0 && b.frame.Col(leftKey) >= 0 {
-		a, b = b, a
-	}
-	li, ri := a.frame.Col(leftKey), b.frame.Col(rightKey)
-	if li < 0 || ri < 0 {
-		return nil, nil, fmt.Errorf("join keys %s/%s not found", leftKey, rightKey)
+	a, b, ak, bk, err := joinSides(job.JoinLeft, job.JoinRight, ins[0], ins[1])
+	if err != nil {
+		return nil, err
 	}
 	if job.MapOnly && job.Broadcast != "" {
-		return e.runBroadcastJoin(job, a, b, li, ri, stats)
+		return e.runBroadcastJoin(job, a, b, ak, bk, stats)
 	}
-
-	lparts, lb, lr := e.mapFilter(a)
-	rparts, rb, rr := e.mapFilter(b)
-	stats.MedBytes = lb + rb
-	stats.MedRows = lr + rr
+	lparts, err := e.mapFilter(a)
+	if err != nil {
+		return nil, err
+	}
+	rparts, err := e.mapFilter(b)
+	if err != nil {
+		return nil, err
+	}
+	lsel, rsel := flatten(lparts), flatten(rparts)
+	stats.MedBytes = rowBytes(a.frame.vecs, lsel) + rowBytes(b.frame.vecs, rsel)
+	stats.MedRows = int64(len(lsel) + len(rsel))
 	stats.NumMaps = len(lparts) + len(rparts)
 
 	R := e.cfg.NumReducers
-	lbuckets := make([][]dataset.Row, R)
-	rbuckets := make([][]dataset.Row, R)
-	fill := func(parts [][]dataset.Row, ki int, buckets [][]dataset.Row) {
-		for _, p := range parts {
-			for _, row := range p {
-				h := fnv.New32a()
-				h.Write([]byte(row[ki].Key()))
-				buckets[int(h.Sum32())%R] = append(buckets[int(h.Sum32())%R], row)
-			}
-		}
-	}
-	fill(lparts, li, lbuckets)
-	fill(rparts, ri, rbuckets)
-
-	outRows := make([][]dataset.Row, R)
-	sem := make(chan struct{}, e.cfg.Parallelism)
-	var wg sync.WaitGroup
-	for p := 0; p < R; p++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			build := make(map[string][]dataset.Row)
-			for _, row := range lbuckets[p] {
-				k := row[li].Key()
-				build[k] = append(build[k], row)
-			}
-			var rows []dataset.Row
-			for _, rrow := range rbuckets[p] {
-				for _, lrow := range build[rrow[ri].Key()] {
-					joined := make(dataset.Row, 0, len(lrow)+len(rrow))
-					joined = append(joined, lrow...)
-					joined = append(joined, rrow...)
-					rows = append(rows, joined)
-				}
-			}
-			outRows[p] = rows
-		}(p)
-	}
-	wg.Wait()
-
-	cols := make([]string, 0, len(a.frame.Cols)+len(b.frame.Cols))
-	cols = append(cols, a.frame.Cols...)
-	cols = append(cols, b.frame.Cols...)
-	var rows []dataset.Row
-	for _, p := range outRows {
-		rows = append(rows, p...)
-	}
-	out := NewFrame(cols, rows)
-	stats.OutRows = out.NumRows()
-	stats.OutBytes = out.Bytes()
-	return out, stats, nil
+	lrows, lb := partition(ak, lsel, R)
+	rrows, rb := partition(bk, rsel, R)
+	out := make([]pairs, R)
+	e.each(R, func(p int) {
+		out[p] = joinIndex(ak, bk, lrows[lb[p]:lb[p+1]])(rrows[rb[p]:rb[p+1]])
+	})
+	m := concatPairs(out)
+	return joined(a.frame, m.build, b.frame, m.probe), nil
 }
 
-// runBroadcastJoin executes a map-side join: the broadcast side is fully
-// materialised into a hash table, and each map split of the probe side
-// joins against it in parallel — no shuffle, no reduce phase.
-func (e *Engine) runBroadcastJoin(job *plan.Job, a, b jobInput, li, ri int, stats *JobStats) (*Frame, *JobStats, error) {
-	// Identify which input is the broadcast table; `a` carries the join's
-	// left columns, so remember the side for column ordering.
-	build, probe := a, b
-	buildKey, probeKey := li, ri
-	buildLeft := true
+// broadcastPairs is the map-side join itself: the build side is filtered
+// and indexed once, and every map split of the probe side filters its rows
+// and probes the index in parallel. It returns the matches in probe order
+// and the number of probe-side map tasks.
+func (e *Engine) broadcastPairs(build jobInput, bk dataset.Vector, probe jobInput, pk dataset.Vector) (pairs, int, error) {
+	bparts, err := e.mapFilter(build)
+	if err != nil {
+		return pairs{}, 0, err
+	}
+	pparts, err := e.mapFilter(probe)
+	if err != nil {
+		return pairs{}, 0, err
+	}
+	matches := joinIndex(bk, pk, flatten(bparts))
+	out := make([]pairs, len(pparts))
+	e.each(len(pparts), func(si int) { out[si] = matches(pparts[si]) })
+	return concatPairs(out), len(pparts), nil
+}
+
+// runBroadcastJoin executes a map-side join as a job of its own: no
+// shuffle, no reduce phase, so the map output is the job output.
+func (e *Engine) runBroadcastJoin(job *plan.Job, a, b jobInput, ak, bk dataset.Vector, stats *JobStats) (*Frame, error) {
+	build, buildKey, probe, probeKey := a, ak, b, bk
 	if a.table != job.Broadcast {
-		build, probe = b, a
-		buildKey, probeKey = ri, li
-		buildLeft = false
+		build, buildKey, probe, probeKey = b, bk, a, ak
 	}
-	// Filter + hash the broadcast side once.
-	bparts, _, _ := e.mapFilter(build)
-	hash := make(map[string][]dataset.Row)
-	for _, part := range bparts {
-		for _, row := range part {
-			k := row[buildKey].Key()
-			hash[k] = append(hash[k], row)
-		}
+	m, maps, err := e.broadcastPairs(build, buildKey, probe, probeKey)
+	if err != nil {
+		return nil, err
 	}
-	// Probe side: filter and join inside each map split.
-	f := probe.frame
-	sp := e.splits(f, probe.rawBytes, probe.table)
-	stats.NumMaps = len(sp)
-	predIdx := make([]int, len(probe.preds))
-	for i, p := range probe.preds {
-		predIdx[i] = f.Col(p.Left.String())
+	// a carries the join's left columns, so the output keeps a's first
+	// whichever side is broadcast.
+	arows, brows := m.build, m.probe
+	if a.table != job.Broadcast {
+		arows, brows = m.probe, m.build
 	}
-	out := make([][]dataset.Row, len(sp))
-	var medBytes, medRows int64
-	var mu sync.Mutex
-	sem := make(chan struct{}, e.cfg.Parallelism)
-	var wg sync.WaitGroup
-	for si, s := range sp {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(si, lo, hi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			var rows []dataset.Row
-			var bytes int64
-			for _, r := range f.Rows[lo:hi] {
-				ok := true
-				for pi, p := range probe.preds {
-					if predIdx[pi] < 0 || !evalPred(r[predIdx[pi]], p) {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				for _, brow := range hash[r[probeKey].Key()] {
-					var joined dataset.Row
-					if buildLeft {
-						joined = append(append(dataset.Row{}, brow...), r...)
-					} else {
-						joined = append(append(dataset.Row{}, r...), brow...)
-					}
-					rows = append(rows, joined)
-					bytes += int64(joined.Width())
-				}
-			}
-			out[si] = rows
-			mu.Lock()
-			medBytes += bytes
-			medRows += int64(len(rows))
-			mu.Unlock()
-		}(si, s[0], s[1])
-	}
-	wg.Wait()
-	// No shuffle: the map output is the job output.
-	stats.MedBytes, stats.MedRows = medBytes, medRows
-	var rows []dataset.Row
-	for _, p := range out {
-		rows = append(rows, p...)
-	}
-	cols := make([]string, 0, len(a.frame.Cols)+len(b.frame.Cols))
-	if buildLeft {
-		cols = append(cols, build.frame.Cols...)
-		cols = append(cols, probe.frame.Cols...)
-	} else {
-		cols = append(cols, probe.frame.Cols...)
-		cols = append(cols, build.frame.Cols...)
-	}
-	res := NewFrame(cols, rows)
-	stats.OutRows = res.NumRows()
-	stats.OutBytes = res.Bytes()
-	return res, stats, nil
+	res := joined(a.frame, arows, b.frame, brows)
+	stats.NumMaps, stats.MedBytes, stats.MedRows = maps, res.Bytes(), res.NumRows()
+	return res, nil
 }
 
 // applyMapJoins executes the job's folded broadcast-join preludes: for each
-// spec the small table is hashed and the matching probe input's frame is
-// replaced with the joined rows, exactly as the merged map phase would see
-// them. Probe-side predicates stay attached (row-level filters commute with
-// the join); broadcast-side predicates apply while building the hash.
+// spec the small table is filtered and indexed and the matching probe
+// input's frame is replaced with the joined rows, exactly as the merged map
+// phase would see them. Probe-side predicates stay attached for that phase
+// (row-level filters commute with the join).
 func (e *Engine) applyMapJoins(job *plan.Job, ins []jobInput, stats *JobStats) ([]jobInput, error) {
 	for _, spec := range job.MapJoins {
 		b, err := e.loadScan(spec.BroadcastScan)
@@ -716,31 +746,18 @@ func (e *Engine) applyMapJoins(job *plan.Job, ins []jobInput, stats *JobStats) (
 		if pi < 0 {
 			return nil, fmt.Errorf("map-join probe key %s not found in inputs", pKey)
 		}
-		// Build the hash from the filtered broadcast side.
-		bparts, _, _ := e.mapFilter(b)
-		hash := make(map[string][]dataset.Row)
-		for _, part := range bparts {
-			for _, row := range part {
-				k := row[bi].Key()
-				hash[k] = append(hash[k], row)
-			}
-		}
 		probe := ins[pi]
-		pidx := probe.frame.Col(pKey)
-		cols := append(append([]string{}, probe.frame.Cols...), b.frame.Cols...)
-		var rows []dataset.Row
-		for _, r := range probe.frame.Rows {
-			for _, brow := range hash[r[pidx].Key()] {
-				rows = append(rows, append(append(dataset.Row{}, r...), brow...))
-			}
+		bk, pk, err := joinKeys(b.frame.vecs[bi], probe.frame.vecs[probe.frame.Col(pKey)], bKey, pKey)
+		if err != nil {
+			return nil, err
 		}
-		joined := NewFrame(cols, rows)
-		ins[pi] = jobInput{
-			frame:    joined,
-			rawBytes: joined.Bytes(),
-			rawRows:  joined.NumRows(),
-			preds:    probe.preds,
+		// Probe-side predicates wait for the job's own map phase.
+		m, _, err := e.broadcastPairs(b, bk, jobInput{frame: probe.frame, rawBytes: probe.rawBytes}, pk)
+		if err != nil {
+			return nil, err
 		}
+		res := joined(probe.frame, m.probe, b.frame, m.build)
+		ins[pi] = jobInput{frame: res, rawBytes: res.Bytes(), rawRows: res.NumRows(), preds: probe.preds}
 	}
 	return ins, nil
 }

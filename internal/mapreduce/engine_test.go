@@ -74,8 +74,8 @@ func TestFilterMatchesBruteForce(t *testing.T) {
 	rel := dataset.Generate(dataset.LineItem(), sf, 42)
 	qi := rel.Schema.ColumnIndex("l_quantity")
 	var want int64
-	for _, r := range rel.Rows {
-		if r[qi].I < 11 {
+	for i := 0; i < int(rel.NumRows()); i++ {
+		if rel.At(i, qi).I < 11 {
 			want++
 		}
 	}
@@ -91,8 +91,8 @@ func TestConjunctiveFilter(t *testing.T) {
 	qi := rel.Schema.ColumnIndex("l_quantity")
 	di := rel.Schema.ColumnIndex("l_discount")
 	var want int64
-	for _, r := range rel.Rows {
-		if r[qi].I < 11 && r[di].F < 0.05 {
+	for i := 0; i < int(rel.NumRows()); i++ {
+		if rel.At(i, qi).I < 11 && rel.At(i, di).F < 0.05 {
 			want++
 		}
 	}
@@ -113,13 +113,14 @@ func TestGroupbyAggregatesMatchBruteForce(t *testing.T) {
 		n             int64
 	}
 	want := map[int64]*agg{}
-	for _, r := range rel.Rows {
-		a := want[r[qi].I]
+	for i := 0; i < int(rel.NumRows()); i++ {
+		q := rel.At(i, qi).I
+		a := want[q]
 		if a == nil {
 			a = &agg{min: math.Inf(1), max: math.Inf(-1)}
-			want[r[qi].I] = a
+			want[q] = a
 		}
-		v := r[pi].F
+		v := rel.At(i, pi).F
 		a.sum += v
 		a.n++
 		a.min = math.Min(a.min, v)
@@ -129,7 +130,8 @@ func TestGroupbyAggregatesMatchBruteForce(t *testing.T) {
 		t.Fatalf("groups = %d, want %d", res.Final.NumRows(), len(want))
 	}
 	kc := res.Final.Col("lineitem.l_quantity")
-	for _, row := range res.Final.Rows {
+	for i := 0; i < int(res.Final.NumRows()); i++ {
+		row := res.Final.Row(i)
 		a := want[row[kc].I]
 		if a == nil {
 			t.Fatalf("phantom group %v", row[kc])
@@ -182,8 +184,8 @@ func TestJoinWithLocalPredicate(t *testing.T) {
 	sup := dataset.Generate(dataset.Supplier(), sf, 42)
 	ni := sup.Schema.ColumnIndex("s_nationkey")
 	var want int64
-	for _, r := range sup.Rows {
-		if r[ni].I < 5 {
+	for i := 0; i < int(sup.NumRows()); i++ {
+		if sup.At(i, ni).I < 5 {
 			want++
 		}
 	}
@@ -199,8 +201,8 @@ func TestOrderByAndLimit(t *testing.T) {
 		t.Fatalf("limit rows = %d", res.Final.NumRows())
 	}
 	bi := res.Final.Col("supplier.s_acctbal")
-	for i := 1; i < len(res.Final.Rows); i++ {
-		if res.Final.Rows[i][bi].F > res.Final.Rows[i-1][bi].F {
+	for i := 1; i < int(res.Final.NumRows()); i++ {
+		if res.Final.At(i, bi).F > res.Final.At(i-1, bi).F {
 			t.Fatal("descending order violated")
 		}
 	}
@@ -208,11 +210,11 @@ func TestOrderByAndLimit(t *testing.T) {
 	rel := dataset.Generate(dataset.Supplier(), sf, 42)
 	ci := rel.Schema.ColumnIndex("s_acctbal")
 	max := math.Inf(-1)
-	for _, r := range rel.Rows {
-		max = math.Max(max, r[ci].F)
+	for i := 0; i < int(rel.NumRows()); i++ {
+		max = math.Max(max, rel.At(i, ci).F)
 	}
-	if res.Final.Rows[0][bi].F != max {
-		t.Fatalf("top-1 = %v, true max = %v", res.Final.Rows[0][bi].F, max)
+	if res.Final.At(0, bi).F != max {
+		t.Fatalf("top-1 = %v, true max = %v", res.Final.At(0, bi).F, max)
 	}
 }
 
@@ -220,8 +222,8 @@ func TestOrderByAscendingStable(t *testing.T) {
 	e := newTestEngine(t)
 	res := run(t, e, `SELECT o_orderkey FROM orders ORDER BY o_orderkey`)
 	oi := res.Final.Col("orders.o_orderkey")
-	for i := 1; i < len(res.Final.Rows); i++ {
-		if res.Final.Rows[i][oi].I < res.Final.Rows[i-1][oi].I {
+	for i := 1; i < int(res.Final.NumRows()); i++ {
+		if res.Final.At(i, oi).I < res.Final.At(i-1, oi).I {
 			t.Fatal("ascending order violated")
 		}
 	}
@@ -246,7 +248,7 @@ func TestQ11Pipeline(t *testing.T) {
 	if ai < 0 {
 		t.Fatalf("missing aggregate column: %v", res.Final.Cols)
 	}
-	if res.Final.Rows[0][ai].F == 0 {
+	if res.Final.At(0, ai).F == 0 {
 		t.Fatal("aggregate value suspiciously zero")
 	}
 }
@@ -289,7 +291,8 @@ func TestUnregisteredTable(t *testing.T) {
 }
 
 func TestFrameBasics(t *testing.T) {
-	f := NewFrame([]string{"a", "b"}, []dataset.Row{{dataset.Int(1), dataset.Str("xy")}})
+	a, b := dataset.IntVector(dataset.KindInt, []int64{1}), dataset.StringVector([]string{"xy"})
+	f := NewFrame(1, []string{"a", "b"}, []dataset.Vector{a, b})
 	if f.Col("a") != 0 || f.Col("b") != 1 || f.Col("zz") != -1 {
 		t.Fatal("Col lookup broken")
 	}
@@ -299,9 +302,12 @@ func TestFrameBasics(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	f.Rows = append(f.Rows, dataset.Row{dataset.Int(2)})
-	if err := f.Validate(); err == nil {
-		t.Fatal("Validate accepted ragged row")
+	if row := f.Row(0); len(row) != 2 || !row[0].Equal(dataset.Int(1)) || !row[1].Equal(dataset.Str("xy")) || !row[1].Equal(f.At(0, 1)) {
+		t.Fatalf("row view = %v", row)
+	}
+	ragged := NewFrame(2, f.Cols, []dataset.Vector{dataset.IntVector(dataset.KindInt, []int64{1, 2}), b})
+	if err := ragged.Validate(); err == nil {
+		t.Fatal("Validate accepted ragged column")
 	}
 }
 
@@ -314,9 +320,9 @@ func TestEngineDeterministic(t *testing.T) {
 	if r1.Final.NumRows() != r2.Final.NumRows() {
 		t.Fatal("row counts differ across runs")
 	}
-	for i := range r1.Final.Rows {
-		for j := range r1.Final.Rows[i] {
-			if !r1.Final.Rows[i][j].Equal(r2.Final.Rows[i][j]) {
+	for i := 0; i < int(r1.Final.NumRows()); i++ {
+		for j := range r1.Final.Cols {
+			if !r1.Final.At(i, j).Equal(r2.Final.At(i, j)) {
 				t.Fatalf("row %d differs across identical runs", i)
 			}
 		}

@@ -1,40 +1,46 @@
 package mapreduce
 
 import (
-	"fmt"
+	"cmp"
+	"math"
 
-	"saqp/internal/dataset"
 	"saqp/internal/query"
 )
 
-// evalPred evaluates one column-vs-literal predicate against a row. It
-// runs once per row per predicate inside the map phase — the innermost
-// loop of simulated execution — so it must not allocate.
+// This file holds the per-element kernels: what runs once per row, per
+// group or per match inside the map and reduce loops of engine.go. They
+// work on typed slices and row indices, never on a tuple, and must not
+// allocate; the loops that size and grow slices live with their callers.
+
+// evalPred evaluates one column-vs-literal predicate against one value,
+// given as its numeric reading and its string reading (0 for a string
+// column, "" for a numeric one — what a mismatched literal compares
+// against). It runs once per row per predicate inside the map phase.
 //
 //saqp:hotpath
-func evalPred(v dataset.Value, p query.Predicate) bool {
+func evalPred(num float64, str string, p *query.Predicate) bool {
 	if p.Op == query.OpIN {
-		for _, lit := range p.Set {
-			if lit.IsString {
-				if v.S == lit.S {
+		for i := range p.Set {
+			if lit := &p.Set[i]; lit.IsString {
+				if str == lit.S {
 					return true
 				}
-			} else if v.Num() == lit.F {
+			} else if num == lit.F {
 				return true
 			}
 		}
 		return false
 	}
 	if p.Lit.IsString {
-		return cmpStrings(v.S, p.Lit.S, p.Op)
+		return compare(str, p.Lit.S, p.Op)
 	}
-	return cmpFloats(v.Num(), p.Lit.F, p.Op)
+	return compare(num, p.Lit.F, p.Op)
 }
 
-// cmpFloats applies one comparison operator to two numerics.
+// compare applies one comparison operator to two numerics or two strings.
 //
 //saqp:hotpath
-func cmpFloats(a, b float64, op query.CmpOp) bool {
+func compare[T cmp.Ordered](a, b T, op query.CmpOp) bool {
 	switch op {
 	case query.OpEQ:
 		return a == b
@@ -52,68 +58,111 @@ func cmpFloats(a, b float64, op query.CmpOp) bool {
 	return false
 }
 
-// cmpStrings applies one comparison operator to two strings.
+// filterNums compacts sel, in place, to the rows of a numeric column that
+// satisfy p, and returns how many it kept.
 //
 //saqp:hotpath
-func cmpStrings(a, b string, op query.CmpOp) bool {
-	switch op {
-	case query.OpEQ:
-		return a == b
-	case query.OpNE:
-		return a != b
-	case query.OpLT:
-		return a < b
-	case query.OpLE:
-		return a <= b
-	case query.OpGT:
-		return a > b
-	case query.OpGE:
-		return a >= b
+func filterNums[T int64 | float64](vals []T, sel []int32, p *query.Predicate) int {
+	k := 0
+	for _, i := range sel {
+		if evalPred(float64(vals[i]), "", p) {
+			sel[k] = i
+			k++
+		}
 	}
-	return false
+	return k
 }
 
-// evalExpr computes a projection expression over a frame row.
-func evalExpr(f *Frame, row dataset.Row, e query.Expr) (float64, error) {
-	if e.Binop == nil {
-		i := f.Col(e.Col.String())
-		if i < 0 {
-			return 0, fmt.Errorf("mapreduce: column %s not in frame", e.Col)
+// filterStrings is filterNums for a string column.
+//
+//saqp:hotpath
+func filterStrings(vals []string, sel []int32, p *query.Predicate) int {
+	k := 0
+	for _, i := range sel {
+		if evalPred(0, vals[i], p) {
+			sel[k] = i
+			k++
 		}
-		return row[i].Num(), nil
 	}
-	li, ri := f.Col(e.Binop.Left.String()), f.Col(e.Binop.Right.String())
-	if li < 0 || ri < 0 {
-		return 0, fmt.Errorf("mapreduce: expression %s references missing columns", e)
-	}
-	l, r := row[li].Num(), row[ri].Num()
-	switch e.Binop.Op {
-	case query.ArithMul:
-		return l * r, nil
-	case query.ArithAdd:
-		return l + r, nil
-	case query.ArithSub:
-		return l - r, nil
-	case query.ArithDiv:
-		if r == 0 {
-			return 0, nil
-		}
-		return l / r, nil
-	}
-	return 0, fmt.Errorf("mapreduce: unknown arithmetic op")
+	return k
 }
 
-// aggState accumulates one aggregate function.
+// take gathers src[idx[j]] into dst[j]: how every output column of a
+// filter, sort, join or group-by is produced from row indices.
+//
+//saqp:hotpath
+func take[T any](dst, src []T, idx []int32) {
+	for j, i := range idx {
+		dst[j] = src[i]
+	}
+}
+
+// widen reads the selected rows of a numeric column as float64s, the type
+// every aggregate expression is evaluated in.
+//
+//saqp:hotpath
+func widen[T int64 | float64](dst []float64, src []T, sel []int32) {
+	for j, i := range sel {
+		dst[j] = float64(src[i])
+	}
+}
+
+// arith folds r into l element-wise under op. Division by zero yields 0.
+//
+//saqp:hotpath
+func arith(l, r []float64, op query.ArithOp) {
+	for j, b := range r {
+		switch a := l[j]; op {
+		case query.ArithMul:
+			l[j] = a * b
+		case query.ArithAdd:
+			l[j] = a + b
+		case query.ArithSub:
+			l[j] = a - b
+		case query.ArithDiv:
+			if b == 0 {
+				l[j] = 0
+			} else {
+				l[j] = a / b
+			}
+		}
+	}
+}
+
+// floatKey is the identity a float groups and joins by: its bit pattern,
+// so +0 and -0 are two keys (as their renderings "0" and "-0" always
+// were), with every NaN folded onto one.
+//
+//saqp:hotpath
+func floatKey(f float64) uint64 {
+	if f != f {
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
+}
+
+// fnv32a is hash/fnv's New32a over a rendered key, without the hash.Hash32
+// or the []byte(string) copy. The shuffle partitions by it, so it fixes the
+// row order of every join output.
+//
+//saqp:hotpath
+func fnv32a[B string | []byte](b B) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(b); i++ {
+		h ^= uint32(b[i])
+		h *= 16777619
+	}
+	return h
+}
+
+// aggState accumulates one aggregate of one group.
 type aggState struct {
-	fn    query.AggFunc
 	sum   float64
 	count int64
 	min   float64
 	max   float64
 	init  bool
 }
-
-func newAggState(fn query.AggFunc) *aggState { return &aggState{fn: fn} }
 
 // add folds one value into the aggregate; called once per surviving row.
 //
@@ -153,22 +202,25 @@ func (a *aggState) merge(o *aggState) {
 	a.init = true
 }
 
-// value renders the final aggregate value.
-func (a *aggState) value() dataset.Value {
-	switch a.fn {
+// value reads the finished aggregate as fn, counts included, as a float:
+// the form HAVING compares and every output column but count's takes.
+//
+//saqp:hotpath
+func (a *aggState) value(fn query.AggFunc) float64 {
+	switch fn {
 	case query.AggSum:
-		return dataset.Float(a.sum)
+		return a.sum
 	case query.AggCount:
-		return dataset.Int(a.count)
+		return float64(a.count)
 	case query.AggAvg:
 		if a.count == 0 {
-			return dataset.Float(0)
+			return 0
 		}
-		return dataset.Float(a.sum / float64(a.count))
+		return a.sum / float64(a.count)
 	case query.AggMin:
-		return dataset.Float(a.min)
+		return a.min
 	case query.AggMax:
-		return dataset.Float(a.max)
+		return a.max
 	}
-	return dataset.Float(0)
+	return 0
 }

@@ -23,16 +23,16 @@ func TestHavingFiltersGroups(t *testing.T) {
 	}
 	// Every surviving group satisfies the condition; brute-force check.
 	ci := filtered.Final.Col("J1.agg0")
-	for _, r := range filtered.Final.Rows {
-		if r[ci].I <= 1200 {
-			t.Fatalf("group with count %d survived HAVING count(*) > 1200", r[ci].I)
+	for i := 0; i < int(filtered.Final.NumRows()); i++ {
+		if n := filtered.Final.At(i, ci).I; n <= 1200 {
+			t.Fatalf("group with count %d survived HAVING count(*) > 1200", n)
 		}
 	}
 	// And the set of surviving groups matches filtering the full result.
 	want := 0
 	ai := all.Final.Col("J1.agg0")
-	for _, r := range all.Final.Rows {
-		if r[ai].I > 1200 {
+	for i := 0; i < int(all.Final.NumRows()); i++ {
+		if all.Final.At(i, ai).I > 1200 {
 			want++
 		}
 	}
@@ -119,21 +119,21 @@ func TestOrderByAggregateTopK(t *testing.T) {
 		t.Fatalf("rows = %d", res.Final.NumRows())
 	}
 	// Descending by the aggregate column.
-	for i := 1; i < len(res.Final.Rows); i++ {
-		if res.Final.Rows[i][1].F > res.Final.Rows[i-1][1].F {
+	for i := 1; i < int(res.Final.NumRows()); i++ {
+		if res.Final.At(i, 1).F > res.Final.At(i-1, 1).F {
 			t.Fatal("not sorted by aggregate desc")
 		}
 	}
 	// The top value matches the max over the unsorted aggregation.
 	full := run(t, e, `SELECT l_shipmode, sum(l_extendedprice) FROM lineitem GROUP BY l_shipmode`)
 	max := 0.0
-	for _, r := range full.Final.Rows {
-		if r[1].F > max {
-			max = r[1].F
+	for i := 0; i < int(full.Final.NumRows()); i++ {
+		if v := full.Final.At(i, 1).F; v > max {
+			max = v
 		}
 	}
-	if res.Final.Rows[0][1].F != max {
-		t.Fatalf("top-1 %v != true max %v", res.Final.Rows[0][1].F, max)
+	if res.Final.At(0, 1).F != max {
+		t.Fatalf("top-1 %v != true max %v", res.Final.At(0, 1).F, max)
 	}
 }
 

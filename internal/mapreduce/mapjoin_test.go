@@ -25,9 +25,9 @@ func TestBroadcastJoinMatchesShuffleJoin(t *testing.T) {
 	// Same multiset of rows (order may differ between strategies).
 	key := func(f *Frame) []string {
 		si := f.Col("supplier.s_name")
-		out := make([]string, 0, len(f.Rows))
-		for _, r := range f.Rows {
-			out = append(out, r[si].S)
+		out := make([]string, 0, f.NumRows())
+		for i := 0; i < int(f.NumRows()); i++ {
+			out = append(out, f.At(i, si).S)
 		}
 		sort.Strings(out)
 		return out
@@ -65,8 +65,8 @@ func TestBroadcastJoinDownstreamGroupby(t *testing.T) {
 		t.Fatalf("groups differ: %d vs %d", plain.Final.NumRows(), hinted.Final.NumRows())
 	}
 	// Group sums identical (both outputs are key-sorted by the engine).
-	for i := range plain.Final.Rows {
-		if plain.Final.Rows[i][1].F != hinted.Final.Rows[i][1].F {
+	for i := 0; i < int(plain.Final.NumRows()); i++ {
+		if plain.Final.At(i, 1).F != hinted.Final.At(i, 1).F {
 			t.Fatalf("group %d sum differs", i)
 		}
 	}
@@ -169,12 +169,12 @@ func TestMergedMapJoinMatchesShufflePlan(t *testing.T) {
 	}
 	// Both group outputs are key-sorted; compare values directly. Column
 	// names differ (J1.agg0 vs J2.agg0), so compare positionally.
-	for i := range merged.Final.Rows {
-		mk, pk := merged.Final.Rows[i][0], plain.Final.Rows[i][0]
+	for i := 0; i < int(merged.Final.NumRows()); i++ {
+		mk, pk := merged.Final.At(i, 0), plain.Final.At(i, 0)
 		if !mk.Equal(pk) {
 			t.Fatalf("group %d key differs: %v vs %v", i, mk, pk)
 		}
-		mv, pv := merged.Final.Rows[i][1].F, plain.Final.Rows[i][1].F
+		mv, pv := merged.Final.At(i, 1).F, plain.Final.At(i, 1).F
 		// Summation order differs between the two plans; allow FP slack.
 		if diff := mv - pv; diff > 1e-9*pv || diff < -1e-9*pv {
 			t.Fatalf("group %d sum differs: %v vs %v", i, mv, pv)
@@ -201,9 +201,9 @@ func TestMergedMapJoinWithBroadcastFilter(t *testing.T) {
 	if merged.Final.NumRows() != plain.Final.NumRows() {
 		t.Fatalf("group counts differ: %d vs %d", merged.Final.NumRows(), plain.Final.NumRows())
 	}
-	for i := range merged.Final.Rows {
-		if !merged.Final.Rows[i][0].Equal(plain.Final.Rows[i][0]) ||
-			merged.Final.Rows[i][1].I != plain.Final.Rows[i][1].I {
+	for i := 0; i < int(merged.Final.NumRows()); i++ {
+		if !merged.Final.At(i, 0).Equal(plain.Final.At(i, 0)) ||
+			merged.Final.At(i, 1).I != plain.Final.At(i, 1).I {
 			t.Fatalf("group %d differs", i)
 		}
 	}

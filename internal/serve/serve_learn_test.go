@@ -214,17 +214,19 @@ func TestServerScoreIsWhatSubmitStamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrd, sec, version, ok := e.Score(tk.est) // read 2
-	if !ok || version != 2 {
-		t.Fatalf("Score = version %d ok %v, want the second read's champion", version, ok)
-	}
-	_, scored := swappedModels(2)
-	if wrd != scored.WRD(tk.est) || sec != scored.PredictQuery(tk.est, e.slots, e.ov) {
-		t.Errorf("Score = (%v, %v), version 2's task model scores (%v, %v)",
-			wrd, sec, scored.WRD(tk.est), scored.PredictQuery(tk.est, e.slots, e.ov))
-	}
-	if _, err := tk.Wait(context.Background()); err != nil { // the run's read 3
+	// The worker's run makes its own read as soon as it picks the ticket
+	// up; wait for it so Score's read has a fixed number.
+	if _, err := tk.Wait(context.Background()); err != nil { // the run's read 2
 		t.Fatal(err)
+	}
+	wrd, sec, version, ok := e.Score(tk.est) // read 3
+	if !ok || version != 3 {
+		t.Fatalf("Score = version %d ok %v, want the third read's champion", version, ok)
+	}
+	_, scored := swappedModels(3)
+	if wrd != scored.WRD(tk.est) || sec != scored.PredictQuery(tk.est, e.slots, e.ov) {
+		t.Errorf("Score = (%v, %v), version 3's task model scores (%v, %v)",
+			wrd, sec, scored.WRD(tk.est), scored.PredictQuery(tk.est, e.slots, e.ov))
 	}
 	// What Score would have said on the next read is what the next
 	// submission gets.
