@@ -23,7 +23,9 @@ import (
 	"testing"
 
 	"saqp"
+	"saqp/internal/catalog"
 	"saqp/internal/cluster"
+	"saqp/internal/dataset"
 	"saqp/internal/plan"
 	"saqp/internal/predict"
 	"saqp/internal/sched"
@@ -189,19 +191,18 @@ func BenchmarkAblationHistogramResolution(b *testing.B) {
 		return d
 	}
 	d := compile()
-	refCache := workload.NewCatalogCache(4096)
-	ref, err := selectivity.NewEstimator(refCache.Get(1), selectivity.Config{}).EstimateQuery(d)
+	ref, err := selectivity.NewEstimator(catalog.FromSchemas(dataset.TPCDS(), 1, 4096), selectivity.Config{}).EstimateQuery(d)
 	if err != nil {
 		b.Fatal(err)
 	}
 	refRows := ref.Jobs[0].OutRows
 	for _, buckets := range []int{8, 64, 512} {
 		b.Run(bucketsName(buckets), func(b *testing.B) {
-			cache := workload.NewCatalogCache(buckets)
+			cat := catalog.FromSchemas(dataset.TPCDS(), 1, buckets)
 			var est *selectivity.QueryEstimate
 			for i := 0; i < b.N; i++ {
 				var err error
-				est, err = selectivity.NewEstimator(cache.Get(1), selectivity.Config{}).EstimateQuery(d)
+				est, err = selectivity.NewEstimator(cat, selectivity.Config{}).EstimateQuery(d)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -240,7 +241,7 @@ func BenchmarkAblationSWRDPredictor(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	oraCache := workload.NewCatalogCache(1024)
+	stats := workload.NewStats(workload.DefaultCorpusConfig())
 	type prepared struct {
 		est *selectivity.QueryEstimate
 		at  float64
@@ -251,7 +252,7 @@ func BenchmarkAblationSWRDPredictor(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		oracle, err := selectivity.NewEstimator(oraCache.Get(wi.SF), selectivity.Config{}).EstimateQuery(d)
+		_, oracle, err := stats.Estimate(d, wi.SF)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,7 +289,7 @@ func BenchmarkAblationHCSQueues(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	oraCache := workload.NewCatalogCache(1024)
+	stats := workload.NewStats(workload.DefaultCorpusConfig())
 	type prepared struct {
 		est *selectivity.QueryEstimate
 		at  float64
@@ -299,7 +300,7 @@ func BenchmarkAblationHCSQueues(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		oracle, err := selectivity.NewEstimator(oraCache.Get(wi.SF), selectivity.Config{}).EstimateQuery(d)
+		_, oracle, err := stats.Estimate(d, wi.SF)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -340,7 +341,7 @@ func BenchmarkAblationPreemptiveReduce(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	oraCache := workload.NewCatalogCache(1024)
+	stats := workload.NewStats(workload.DefaultCorpusConfig())
 	type prepared struct {
 		est *selectivity.QueryEstimate
 		at  float64
@@ -351,7 +352,7 @@ func BenchmarkAblationPreemptiveReduce(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		oracle, err := selectivity.NewEstimator(oraCache.Get(wi.SF), selectivity.Config{}).EstimateQuery(d)
+		_, oracle, err := stats.Estimate(d, wi.SF)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -221,7 +221,19 @@ func TestClusterShutdownCompletesInflightWait(t *testing.T) {
 		inflight := true
 		select {
 		case err := <-shutdown:
-			t.Fatalf("Shutdown returned %v before the in-flight WAIT", err)
+			// The backlog drained before the probe dial failed. Shutdown
+			// has returned, so the WAIT's reply is written and its client
+			// delivers it now or in a moment — with both channels ready
+			// select picks at random. That is "not in flight": grow the
+			// backlog. Only a reply that never comes is the defect.
+			select {
+			case out := <-waited:
+				waited <- out
+			case <-time.After(30 * time.Second):
+				t.Fatalf("Shutdown returned %v before the in-flight WAIT", err)
+			}
+			shutdown <- err
+			inflight = false
 		case out := <-waited:
 			waited <- out
 			inflight = false

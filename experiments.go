@@ -197,6 +197,7 @@ func ReproduceFig7(a *TrainedArtifacts, cfg ExperimentConfig, numQueries int) (F
 	stats := workload.NewStats(workload.DefaultCorpusConfig())
 	cm := defaultCostModel(cfg.Seed ^ 0x7fe)
 	slots, ov := core.Capacity(cfg.Cluster)
+	sim := new(cluster.Sim)
 	var res Fig7Result
 	var sum float64
 	for i := 0; i < numQueries; i++ {
@@ -205,7 +206,7 @@ func ReproduceFig7(a *TrainedArtifacts, cfg ExperimentConfig, numQueries int) (F
 			return res, err
 		}
 		sf := workload.SFForTargetBytes(q, 100e9)
-		run, err := workload.RunStandalone(q, shape, sf, stats, cm, cfg.Cluster)
+		run, err := workload.RunStandalone(sim, q, shape, sf, stats, cm, cfg.Cluster)
 		if err != nil {
 			return res, err
 		}
@@ -645,7 +646,7 @@ func ReproduceFaultReplay(cfg ExperimentConfig, fp *FaultPlan, rounds int) (*Fau
 
 	// Compile and estimate each canonical query once; arrivals come from a
 	// seeded exponential clock shared by both runs.
-	est := selectivity.NewEstimator(workload.NewCatalogCache(1024).Get(10), selectivity.Config{})
+	stats := workload.NewStats(workload.DefaultCorpusConfig())
 	byName := map[string]*selectivity.QueryEstimate{}
 	names := workload.TPCHNames()
 	for _, name := range names {
@@ -657,7 +658,7 @@ func ReproduceFaultReplay(cfg ExperimentConfig, fp *FaultPlan, rounds int) (*Fau
 		if err != nil {
 			return nil, err
 		}
-		if byName[name], err = est.EstimateQuery(d); err != nil {
+		if _, byName[name], err = stats.Estimate(d, 10); err != nil {
 			return nil, err
 		}
 	}

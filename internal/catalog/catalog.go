@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync"
 
 	"saqp/internal/dataset"
 	"saqp/internal/histogram"
@@ -231,64 +232,88 @@ func countValues[T, K comparable](vals []T, key func(T) K) (distinct, top int64,
 // weights; Zipf columns get bucket masses integrated from the Zipf density,
 // so the skew the estimator must cope with is preserved.
 func FromSchema(s *dataset.Schema, sf float64, n int) *TableStats {
+	ts := analyticTable(s, sf, len(s.Columns))
+	for ci := range s.Columns {
+		ts.synthesize(&s.Columns[ci], sf, n)
+	}
+	return ts
+}
+
+// FromSchemaColumns is FromSchema for a reader that knows what it will ask:
+// the table-level figures are the whole table's, but only the columns named
+// in cols (those of them s has) get statistics.
+func FromSchemaColumns(s *dataset.Schema, sf float64, n int, cols []string) *TableStats {
+	ts := analyticTable(s, sf, len(cols))
+	for _, name := range cols {
+		if col := s.Column(name); col != nil {
+			ts.synthesize(col, sf, n)
+		}
+	}
+	return ts
+}
+
+// analyticTable returns s's table-level statistics at sf, with room for
+// ncols columns and none yet.
+func analyticTable(s *dataset.Schema, sf float64, ncols int) *TableStats {
+	return &TableStats{
+		Name:          s.Name,
+		Rows:          s.RowsAt(sf),
+		Bytes:         s.BytesAt(sf),
+		AvgTupleWidth: float64(s.AvgTupleWidth()),
+		Columns:       make(map[string]*ColumnStats, ncols),
+	}
+}
+
+// synthesize adds col's analytic statistics at sf, with a histogram of at
+// most n buckets (DefaultBuckets if n <= 0).
+func (ts *TableStats) synthesize(col *dataset.Column, sf float64, n int) {
 	if n <= 0 {
 		n = DefaultBuckets
 	}
-	rows := s.RowsAt(sf)
-	ts := &TableStats{
-		Name:          s.Name,
-		Rows:          rows,
-		Bytes:         s.BytesAt(sf),
-		AvgTupleWidth: float64(s.AvgTupleWidth()),
-		Columns:       make(map[string]*ColumnStats, len(s.Columns)),
+	rows := ts.Rows
+	// domainCard is the declared key-domain size (values are drawn from
+	// the full domain even when few rows exist); distinct is capped at
+	// the row count.
+	domainCard := col.Card(sf)
+	if domainCard < 1 {
+		domainCard = 1
 	}
-	for ci := range s.Columns {
-		col := &s.Columns[ci]
-		// domainCard is the declared key-domain size (values are drawn from
-		// the full domain even when few rows exist); distinct is capped at
-		// the row count.
-		domainCard := col.Card(sf)
-		if domainCard < 1 {
-			domainCard = 1
-		}
-		distinct := domainCard
-		if distinct > rows {
-			distinct = rows
-		}
-		cs := &ColumnStats{
-			Name:      col.Name,
-			Kind:      col.Kind,
-			Distinct:  distinct,
-			AvgWidth:  float64(col.AvgWidth()),
-			Clustered: col.Dist == dataset.DistClustered || col.Dist == dataset.DistSequential,
-			Ref:       col.Ref,
-			TopShare:  analyticTopShare(col, domainCard, rows),
-		}
-		if col.Kind != dataset.KindString {
-			lo := domainLo(col)
-			width := domainWidth(col, domainCard)
-			cs.Min, cs.Max = lo, lo+width
-			// Never use more buckets than distinct domain values: integer
-			// rounding would otherwise pile all rows into one bucket.
-			nb := n
-			if int64(nb) > domainCard {
-				nb = int(domainCard)
-			}
-			var weights []float64
-			if col.Dist == dataset.DistZipf {
-				weights = zipfBucketWeights(col.Skew, domainCard, nb)
-			}
-			cs.Hist = histogram.Synthesize(rows, domainCard, lo, nb, weights)
-			// Synthesize labels the domain as [lo, lo+card) in key steps.
-			// For float columns one key step is 0.01 units, and the key→
-			// value map is affine, so relabelling the axis is exact.
-			if col.Kind == dataset.KindFloat {
-				cs.Hist.Lo, cs.Hist.Hi = lo, lo+width
-			}
-		}
-		ts.Columns[cs.Name] = cs
+	distinct := domainCard
+	if distinct > rows {
+		distinct = rows
 	}
-	return ts
+	cs := &ColumnStats{
+		Name:      col.Name,
+		Kind:      col.Kind,
+		Distinct:  distinct,
+		AvgWidth:  float64(col.AvgWidth()),
+		Clustered: col.Dist == dataset.DistClustered || col.Dist == dataset.DistSequential,
+		Ref:       col.Ref,
+		TopShare:  analyticTopShare(col, domainCard, rows),
+	}
+	if col.Kind != dataset.KindString {
+		lo := domainLo(col)
+		width := domainWidth(col, domainCard)
+		cs.Min, cs.Max = lo, lo+width
+		// Never use more buckets than distinct domain values: integer
+		// rounding would otherwise pile all rows into one bucket.
+		nb := n
+		if int64(nb) > domainCard {
+			nb = int(domainCard)
+		}
+		var weights []float64
+		if col.Dist == dataset.DistZipf {
+			weights = zipfBucketWeights(col.Skew, domainCard, nb)
+		}
+		cs.Hist = histogram.Synthesize(rows, domainCard, lo, nb, weights)
+		// Synthesize labels the domain as [lo, lo+card) in key steps.
+		// For float columns one key step is 0.01 units, and the key→
+		// value map is affine, so relabelling the axis is exact.
+		if col.Kind == dataset.KindFloat {
+			cs.Hist.Lo, cs.Hist.Hi = lo, lo+width
+		}
+	}
+	ts.Columns[cs.Name] = cs
 }
 
 // domainLo returns the smallest numeric value the column generates.
@@ -319,14 +344,8 @@ func analyticTopShare(col *dataset.Column, card, rows int64) float64 {
 	}
 	// Normalising constant of P(k) ∝ (1+k)^-s over k ∈ [0, card): partial
 	// sum of the head plus an integral tail.
-	norm := 0.0
-	head := int64(1000)
-	if head > card {
-		head = card
-	}
-	for k := int64(0); k < head; k++ {
-		norm += math.Pow(float64(1+k), -s)
-	}
+	head := min(zipfHead, card)
+	norm := zipfHeadSums(s)[head]
 	if card > head {
 		// ∫_{head}^{card} (1+x)^-s dx
 		norm += (math.Pow(float64(1+head), 1-s) - math.Pow(float64(1+card), 1-s)) / (s - 1)
@@ -335,6 +354,31 @@ func analyticTopShare(col *dataset.Column, card, rows int64) float64 {
 		return uniform
 	}
 	return math.Min(1, 1/norm)
+}
+
+// zipfHead is how many leading terms of the Zipf normalising constant are
+// summed exactly before the integral tail takes over.
+const zipfHead int64 = 1000
+
+// zipfSums memoises zipfHeadSums per exponent. The terms depend on the
+// exponent alone — not on the scale factor, the resolution or the column —
+// and schemas declare a handful of exponents, so after the first catalog a
+// column's sum is one lock-free Load; goroutines racing on a new exponent
+// compute equal tables and one of them is kept.
+var zipfSums sync.Map // float64 exponent → *[zipfHead + 1]float64
+
+// zipfHeadSums returns the running sums of (1+k)^-s: entry h is the first
+// h terms added in order from zero, bit for bit what a loop over them gives.
+func zipfHeadSums(s float64) *[zipfHead + 1]float64 {
+	if sums, ok := zipfSums.Load(s); ok {
+		return sums.(*[zipfHead + 1]float64)
+	}
+	sums := new([zipfHead + 1]float64)
+	for k := range sums[1:] {
+		sums[k+1] = sums[k] + math.Pow(float64(1+k), -s)
+	}
+	kept, _ := zipfSums.LoadOrStore(s, sums)
+	return kept.(*[zipfHead + 1]float64)
 }
 
 // zipfBucketWeights integrates the Zipf(s, v=1) density 1/(1+x)^s over n
@@ -349,12 +393,16 @@ func zipfBucketWeights(s float64, card int64, n int) []float64 {
 	}
 	w := make([]float64, n)
 	step := float64(card) / float64(n)
+	// Slice i's upper edge, float64(i+1)*step, is slice i+1's lower edge:
+	// the same expression, evaluated once.
+	lo := antideriv(0)
 	for i := range w {
-		lo, hi := float64(i)*step, float64(i+1)*step
-		w[i] = antideriv(hi) - antideriv(lo)
+		hi := antideriv(float64(i+1) * step)
+		w[i] = hi - lo
 		if w[i] < 0 {
 			w[i] = 0
 		}
+		lo = hi
 	}
 	return w
 }

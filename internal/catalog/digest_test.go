@@ -44,3 +44,36 @@ func TestCollectDigestPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestFromSchemasDigestPinned is TestCollectDigestPinned's analytic
+// sibling: the SHA-256 of the encoded catalog FromSchemas derives for all 13
+// schemas, at the two resolutions workload.Stats estimates at and three
+// scale factors — SF 0.01 leaves the Zipf columns' domains (180 keys) below
+// the 1,000-term head of their normalising sum, the others above it.
+// Recorded at 5319422, which called math.Pow for every term and every
+// bucket edge; a sum taken in another order, or an edge evaluated from
+// another expression, moves a TopShare or a bucket count here.
+func TestFromSchemasDigestPinned(t *testing.T) {
+	all := append(dataset.TPCH(), dataset.TPCDS()...)
+	for _, tc := range []struct {
+		sf      float64
+		buckets int
+		sha     string
+	}{
+		{0.01, 64, "092c5447147795feb2200d7334d618898378008a1d6c23387911e6d4195b9e2d"},
+		{0.01, 1024, "5724e1dafc754e6137b0977652395c196993a4eb4af8bb50c2395fb52b9a5239"},
+		{7.3, 64, "e5346f7994d840e6b8422237cb567f05fe8d51f397d27c27567d8eabb570b30a"},
+		{7.3, 1024, "ae2d1c41c8820ca6e10f1d1d90d0a4b06808eea8c0a37859ac903605cc8c6491"},
+		{100, 64, "6975259153857f3c8187ccfad6de5fd2579778b357b719ad6e90c789adc6be59"},
+		{100, 1024, "8d641ce14272bbcfb7dfd76567f0297f478a2f4f38cd02ec561329cd2b88c69c"},
+	} {
+		enc, err := FromSchemas(all, tc.sf, tc.buckets).Encode()
+		if err != nil {
+			t.Fatalf("sf %g, %d buckets: %v", tc.sf, tc.buckets, err)
+		}
+		sum := sha256.Sum256(enc)
+		if got := hex.EncodeToString(sum[:]); got != tc.sha {
+			t.Errorf("sf %g, %d buckets: sha256(Encode()) %s, pinned %s", tc.sf, tc.buckets, got, tc.sha)
+		}
+	}
+}

@@ -93,7 +93,7 @@ func (s *Sim) refund(scheduledEnd float64) {
 // requeueTask puts a lost (crash-killed or retry-eligible) task back in
 // its job's pending queue, restoring its WRD contribution.
 func (s *Sim) requeueTask(t *Task) {
-	t.State = TaskPending
+	t.setState(TaskPending)
 	t.StartTime = 0
 	t.origDead = false
 	j := t.Job
@@ -143,7 +143,7 @@ func (s *Sim) taskFail(e *event) {
 		s.failQuery(j.Query, t)
 		return
 	}
-	t.State = TaskWaiting
+	t.setState(TaskWaiting)
 	t.StartTime = 0
 	s.push(event{time: s.now + backoff, kind: evRetry, task: t, epoch: t.epochO})
 }
@@ -301,7 +301,7 @@ func (s *Sim) failQuery(q *Query, t *Task) {
 			s.busySec += s.now - r.StartTime
 			s.hoarded--
 			s.releaseSlot(r.slot, true)
-			r.State = TaskPending
+			r.setState(TaskPending)
 		}
 		j.hoarding = nil
 		for _, tt := range append(append([]*Task{}, j.Maps...), j.Reds...) {
@@ -318,10 +318,10 @@ func (s *Sim) failQuery(q *Query, t *Task) {
 					s.refund(tt.specEnd)
 					s.releaseSlot(tt.specSlot, tt.Reduce)
 				}
-				tt.State = TaskPending
+				tt.setState(TaskPending)
 			case TaskWaiting:
 				tt.epochO++
-				tt.State = TaskPending
+				tt.setState(TaskPending)
 			}
 		}
 		for i, a := range s.active {

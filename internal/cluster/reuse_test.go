@@ -17,23 +17,14 @@ import (
 	"saqp/internal/workload"
 )
 
-// TestSimReuseEqualsNew holds Reset to its contract — a re-initialised
-// Sim is indistinguishable from a new one — over 240 generated query
-// pairs run back-to-back on one Sim, each also on a fresh New. Configs
-// alternate (cluster shape, preemption, speculation, a fault plan with
-// crashes, slowdowns and task failures, heterogeneous nodes) and so do
-// policies, so state a run left behind would meet a run it does not fit;
-// every tenth run is first abandoned mid-flight, leaving events queued.
-// Compared: every task, job and query time, attempt and fault count, the
-// Results, and the full obs event stream (which carries node and slot).
-func TestSimReuseEqualsNew(t *testing.T) {
-	var schemas []*dataset.Schema
-	for _, s := range dataset.AllSchemas() {
-		schemas = append(schemas, s)
-	}
-	est := selectivity.NewEstimator(catalog.FromSchemas(schemas, 1, catalog.DefaultBuckets), selectivity.Config{})
-	g := workload.NewGenerator(11)
-	estimate := func() *selectivity.QueryEstimate {
+// generatedEstimates returns a source of estimated queries: each call
+// draws the next query of workload.NewGenerator(seed) and estimates it over
+// the analytic catalog at scale factor sf.
+func generatedEstimates(t *testing.T, seed uint64, sf float64) func() *selectivity.QueryEstimate {
+	est := selectivity.NewEstimator(catalog.FromSchemas(append(dataset.TPCH(), dataset.TPCDS()...), sf, catalog.DefaultBuckets), selectivity.Config{})
+	g := workload.NewGenerator(seed)
+	return func() *selectivity.QueryEstimate {
+		t.Helper()
 		q, _, err := g.RandomQuery()
 		if err != nil {
 			t.Fatal(err)
@@ -48,6 +39,19 @@ func TestSimReuseEqualsNew(t *testing.T) {
 		}
 		return qe
 	}
+}
+
+// TestSimReuseEqualsNew holds Reset to its contract — a re-initialised
+// Sim is indistinguishable from a new one — over 240 generated query
+// pairs run back-to-back on one Sim, each also on a fresh New. Configs
+// alternate (cluster shape, preemption, speculation, a fault plan with
+// crashes, slowdowns and task failures, heterogeneous nodes) and so do
+// policies, so state a run left behind would meet a run it does not fit;
+// every tenth run is first abandoned mid-flight, leaving events queued.
+// Compared: every task, job and query time, attempt and fault count, the
+// Results, and the full obs event stream (which carries node and slot).
+func TestSimReuseEqualsNew(t *testing.T) {
+	estimate := generatedEstimates(t, 11, 1)
 
 	faulty := fault.NewPlan(fault.Spec{
 		Seed: 7, Nodes: 9, HorizonSec: 600,
@@ -121,5 +125,87 @@ func TestSimReuseEqualsNew(t *testing.T) {
 		if !bytes.Equal(gotEvents, wantEvents) {
 			t.Fatalf("run %d (config %d): a reset Sim emitted a different event stream from a new one", i, i%len(configs))
 		}
+	}
+}
+
+// scanChecked is a policy that, before every pick, holds each job of the
+// run to cluster.Job.ScanMismatch.
+type scanChecked struct {
+	cluster.Scheduler
+	t       *testing.T
+	queries []*cluster.Query
+}
+
+func (c scanChecked) PickJob(now float64, cands, active []*cluster.Job, reduce bool) *cluster.Job {
+	c.check(now)
+	return c.Scheduler.PickJob(now, cands, active, reduce)
+}
+
+func (c scanChecked) check(now float64) {
+	c.t.Helper()
+	for _, q := range c.queries {
+		for _, j := range q.Jobs {
+			if msg := j.ScanMismatch(); msg != "" {
+				c.t.Fatalf("at %.3f s: %s", now, msg)
+			}
+		}
+	}
+}
+
+// TestSimCountersEqualScans: the running count and first-pending cursors a
+// job keeps equal the scans they replaced, at every dispatch decision of
+// 200 seeded two-query runs with everything that moves a task on at once —
+// speculation, hoard preemption, and a fault plan whose crashes requeue
+// running and hoarding tasks, whose task failures back off (TaskWaiting →
+// pending) and whose exhausted attempts fail whole queries — under the
+// three policies and two cluster shapes, at SF 20 so that reduce slots fill
+// with hoarders. Jobs that left the active set (done, or failed with their
+// tasks reset to pending) are held too.
+func TestSimCountersEqualScans(t *testing.T) {
+	estimate := generatedEstimates(t, 13, 20)
+	policies := []cluster.Scheduler{sched.SWRD{}, sched.HFS{}, sched.HCS{Queues: 2}}
+	o := obs.New(nil) // counts the transitions the runs are meant to drive
+	s := new(cluster.Sim)
+	for i := 0; i < 200; i++ {
+		cfg := cluster.DefaultConfig()
+		if i%2 == 1 {
+			cfg = cluster.Config{Nodes: 3, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, JobInitSec: 1}
+		}
+		cfg.PreemptiveReduce, cfg.SpeculativeExecution = true, true
+		cfg.NodeFactors = []float64{0.4, 1, 1.3, 0.7, 1, 1, 2, 0.9, 1.1}[:cfg.Nodes]
+		cfg.Faults = fault.NewPlan(fault.Spec{
+			Seed: uint64(i), Nodes: cfg.Nodes, HorizonSec: 600,
+			CrashProb: 0.5, CrashDowntimeSec: 40,
+			SlowProb: 0.5, SlowDurationSec: 80,
+			TaskFailProb: 0.08, MaxAttempts: 2 + i%3,
+		})
+		cm := trace.NewDefaultCostModel(uint64(i))
+		a := cluster.BuildQuery("a", estimate(), cm, cluster.ConstantPredictor(3))
+		b := cluster.BuildQuery("b", estimate(), cm, cluster.ConstantPredictor(2))
+		checked := scanChecked{policies[i%len(policies)], t, []*cluster.Query{a, b}}
+		s.Reset(cfg, checked)
+		s.SetObserver(o)
+		s.Submit(a, 0)
+		s.Submit(b, 4)
+		res, err := s.Run()
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		checked.check(res.Makespan)
+		for _, q := range res.Queries {
+			for _, j := range q.Jobs {
+				if n := j.RunningTasks(); n != 0 && !q.Failed() {
+					t.Fatalf("run %d: %s finished with %d tasks running", i, j.ID, n)
+				}
+			}
+		}
+	}
+	for _, m := range []string{obs.MReducePreemptions, obs.MSpeculativeCancels, obs.MTaskFailures,
+		obs.MTaskRetries, obs.MNodeCrashes, obs.MQueryFailures} {
+		n := o.Metrics.Counter(m).Value()
+		if n == 0 {
+			t.Errorf("the 200 runs never drove %s", m)
+		}
+		t.Logf("%s %.0f", m, n)
 	}
 }

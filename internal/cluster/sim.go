@@ -561,7 +561,7 @@ func (s *Sim) finish(e *event) {
 			s.canceled(t, t.specSlot, t.specStart)
 		}
 	}
-	t.State = TaskDone
+	t.setState(TaskDone)
 	t.EndTime = s.now
 	t.Speculated = t.Speculated || spec
 	start := t.StartTime
@@ -851,7 +851,7 @@ func (s *Sim) preemptForRunnableReduce() bool {
 	// The hoard window occupied the slot; account for it, then requeue.
 	s.obs.Emit(s.taskEvent(obs.ReducePreempted, victim, victim.slot), obs.AttrFloat("hoarded_sec", s.now-victim.StartTime))
 	s.busySec += s.now - victim.StartTime
-	victim.State = TaskPending
+	victim.setState(TaskPending)
 	victim.StartTime = 0
 	owner.pendingReds++
 	owner.Query.remainingWRD += victim.PredSec
@@ -900,18 +900,9 @@ func (s *Sim) start(t *Task, pool *[]int) {
 	*pool = (*pool)[:len(*pool)-1]
 	t.slot = slot
 	t.node = s.nodeOf(slot, t.Reduce)
-	t.State = TaskRunning
+	t.Start()
 	t.StartTime = s.now
 	j := t.Job
-	if t.Reduce {
-		j.pendingReds--
-	} else {
-		j.pendingMaps--
-	}
-	j.Query.remainingWRD -= t.PredSec
-	if j.Query.remainingWRD < 0 {
-		j.Query.remainingWRD = 0
-	}
 	if t.Reduce && !j.MapsDone() {
 		// Shuffle cannot complete until the maps do: hold the slot.
 		s.obs.Emit(s.taskEvent(obs.ReduceHoarded, t, slot))

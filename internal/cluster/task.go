@@ -25,7 +25,8 @@ const (
 type Task struct {
 	Job    *Job
 	Reduce bool
-	Index  int
+	// Index is the task's position in its job's Maps or Reds.
+	Index int
 	// ActualSec is the hidden ground-truth duration at nominal node speed;
 	// the effective duration is ActualSec / nodeFactor.
 	ActualSec float64
@@ -33,6 +34,8 @@ type Task struct {
 	// SWRD scheduler's WRD sums these (Eq. 10).
 	PredSec float64
 
+	// State is written by setState alone once the job is built: the job
+	// counts its running tasks and tracks its first pending one from there.
 	State     TaskState
 	StartTime float64
 	EndTime   float64
@@ -87,12 +90,21 @@ type Job struct {
 	JobID string // plan job ID ("J1")
 	Query *Query
 	Type  plan.JobType
-	Maps  []*Task
-	Reds  []*Task
+	// Submitted reports that the simulator has submitted the job.
+	Submitted bool
+	// running counts the job's tasks in TaskRunning. It and the cursors
+	// below are int32s in what was padding after Type and Submitted: Job
+	// must not grow (see TestJobSizePinned).
+	running int32
+	Maps    []*Task
+	Reds    []*Task
 	// DepIDs are plan-level IDs of upstream jobs.
 	DepIDs []string
+	// firstMap and firstRed bound the first pending task of each phase
+	// from below: no task at a lower index is pending. nextPending moves
+	// them up, a task returning to pending rewinds them.
+	firstMap, firstRed int32
 
-	Submitted  bool
 	SubmitTime float64
 	// ReadyTime is when initialisation completes and tasks may start.
 	ReadyTime float64
@@ -114,33 +126,60 @@ func (j *Job) MapsDone() bool { return j.doneMaps == len(j.Maps) }
 func (j *Job) Done() bool { return j.doneMaps == len(j.Maps) && j.doneReds == len(j.Reds) }
 
 // RunningTasks counts tasks currently occupying containers.
-func (j *Job) RunningTasks() int {
-	n := 0
-	for _, t := range j.Maps {
-		if t.State == TaskRunning {
-			n++
-		}
+func (j *Job) RunningTasks() int { return int(j.running) }
+
+// phase returns the tasks of one phase and that phase's first-pending cursor.
+func (j *Job) phase(reduce bool) ([]*Task, *int32) {
+	if reduce {
+		return j.Reds, &j.firstRed
 	}
-	for _, t := range j.Reds {
-		if t.State == TaskRunning {
-			n++
-		}
-	}
-	return n
+	return j.Maps, &j.firstMap
 }
 
 // nextPending returns the first pending task of the given phase.
 func (j *Job) nextPending(reduce bool) *Task {
-	tasks := j.Maps
-	if reduce {
-		tasks = j.Reds
-	}
-	for _, t := range tasks {
-		if t.State == TaskPending {
+	tasks, first := j.phase(reduce)
+	for ; int(*first) < len(tasks); *first++ {
+		if t := tasks[*first]; t.State == TaskPending {
 			return t
 		}
 	}
 	return nil
+}
+
+// setState moves t to state s, keeping its job's running count and
+// first-pending cursor true. Every lifecycle transition goes through it.
+func (t *Task) setState(s TaskState) {
+	j := t.Job
+	if t.State == TaskRunning {
+		j.running--
+	}
+	if s == TaskRunning {
+		j.running++
+	}
+	t.State = s
+	if _, first := j.phase(t.Reduce); s == TaskPending && int32(t.Index) < *first {
+		*first = int32(t.Index)
+	}
+}
+
+// Start moves a pending task to running as a dispatch does: its job's
+// pending and running counts and its query's remaining WRD follow. The
+// simulator starts every task through it; a caller driving a scheduler over
+// hand-built jobs does too, since RunningTasks does not see a State written
+// directly.
+func (t *Task) Start() {
+	t.setState(TaskRunning)
+	j := t.Job
+	if t.Reduce {
+		j.pendingReds--
+	} else {
+		j.pendingMaps--
+	}
+	j.Query.remainingWRD -= t.PredSec
+	if j.Query.remainingWRD < 0 {
+		j.Query.remainingWRD = 0
+	}
 }
 
 // Query is a DAG of jobs submitted as one unit.
@@ -192,12 +231,13 @@ func (q *Query) Done() bool {
 	return true
 }
 
-// ResetPending initialises a job's pending-task counters. BuildQuery calls
-// it automatically; callers constructing jobs by hand (tests, synthetic
-// workloads) must call it before submission.
+// ResetPending initialises a job's task counters for tasks that are all
+// pending. BuildQuery calls it automatically; callers constructing jobs by
+// hand (tests, synthetic workloads) must call it before submission.
 func (j *Job) ResetPending() {
 	j.pendingMaps = len(j.Maps)
 	j.pendingReds = len(j.Reds)
+	j.running, j.firstMap, j.firstRed = 0, 0, 0
 }
 
 // RecomputeWRD recomputes the query's remaining Weighted Resource Demand

@@ -169,14 +169,12 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// simStart marks n of j's map tasks as running via a real simulator run
-// fragment: we dispatch through a 1-node cluster to keep Task state
-// transitions inside the cluster package's control.
+// simStart starts n of j's map tasks the way a dispatch does, so the
+// job's running count — what share-based policies read — follows.
 func simStart(t *testing.T, j *cluster.Job, n int) {
 	t.Helper()
-	// Mark tasks running directly through the exported state field.
 	for i := 0; i < n && i < len(j.Maps); i++ {
-		j.Maps[i].State = cluster.TaskRunning
+		j.Maps[i].Start()
 	}
 }
 

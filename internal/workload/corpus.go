@@ -3,7 +3,7 @@ package workload
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"saqp/internal/catalog"
@@ -95,79 +95,79 @@ func SFForTargetBytes(q *query.Query, targetBytes float64) float64 {
 	return sf
 }
 
-// CatalogCache builds analytic catalogs, each with the one estimator over
-// it, per scale factor, lazily; entries are keyed on rounded sf.
-type CatalogCache struct {
-	buckets int
-	sizing  selectivity.Config
-	schemas []*dataset.Schema
-	cache   map[int64]cacheEntry
-}
-
-type cacheEntry struct {
-	cat *catalog.Catalog
-	est *selectivity.Estimator
-}
-
-// NewCatalogCache returns a cache producing catalogs with the given
-// histogram resolution, and estimators with the default task sizing.
-func NewCatalogCache(buckets int) *CatalogCache {
-	// Iterate the schema map in sorted-name order so every cache (and
-	// therefore every catalog, estimate, and schedule derived from it)
-	// sees the same table order regardless of map iteration.
-	all := dataset.AllSchemas()
-	names := make([]string, 0, len(all))
-	for name := range all {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	list := make([]*dataset.Schema, 0, len(names))
-	for _, name := range names {
-		list = append(list, all[name])
-	}
-	return &CatalogCache{buckets: buckets, schemas: list, cache: map[int64]cacheEntry{}}
-}
-
-// entry returns the catalog and estimator for sf quantised to 1e-3.
-func (cc *CatalogCache) entry(sf float64) cacheEntry {
-	key := int64(sf * 1000)
-	e, ok := cc.cache[key]
-	if !ok {
-		e.cat = catalog.FromSchemas(cc.schemas, float64(key)/1000, cc.buckets)
-		e.est = selectivity.NewEstimator(e.cat, cc.sizing)
-		cc.cache[key] = e
-	}
-	return e
-}
-
-// Get returns a catalog for sf, quantised to 1e-3 granularity.
-func (cc *CatalogCache) Get(sf float64) *catalog.Catalog { return cc.entry(sf).cat }
-
 // Stats is the pair of statistics resolutions every experiment estimates
 // a query at: the coarse histograms the predictor is allowed to see and
 // the fine ones standing in for the data volumes the cluster observes.
 type Stats struct {
-	est, oracle *CatalogCache
+	estBuckets, oracleBuckets int
+	sizing                    selectivity.Config
+	schemas                   map[string]*dataset.Schema
 }
 
-// NewStats returns catalog caches at cfg's two histogram resolutions, both
+// NewStats returns statistics at cfg's two histogram resolutions, both
 // estimating under cfg.Sizing; DefaultCorpusConfig's (64 and 1024 buckets)
 // are the ones every table and figure is reported at.
 func NewStats(cfg CorpusConfig) *Stats {
-	s := &Stats{est: NewCatalogCache(cfg.EstimatorBuckets), oracle: NewCatalogCache(cfg.OracleBuckets)}
-	s.est.sizing, s.oracle.sizing = cfg.Sizing, cfg.Sizing
-	return s
+	return &Stats{estBuckets: cfg.EstimatorBuckets, oracleBuckets: cfg.OracleBuckets,
+		sizing: cfg.Sizing, schemas: dataset.AllSchemas()}
+}
+
+// tableRead is one base table a plan scans and the columns it reads of it.
+type tableRead struct {
+	schema *dataset.Schema
+	cols   []string
+}
+
+// reads lists the tables d scans — as a job's input or as the broadcast
+// side of a map join — each with the union of its scans' pruned columns:
+// all the statistics an estimate of d can ask for. A table without a
+// schema is left out, for the estimator to name.
+func (s *Stats) reads(d *plan.DAG) []tableRead {
+	var out []tableRead
+	add := func(ts *plan.TableScan) {
+		schema := s.schemas[ts.Table]
+		if schema == nil {
+			return
+		}
+		i := slices.IndexFunc(out, func(r tableRead) bool { return r.schema == schema })
+		if i < 0 {
+			i, out = len(out), append(out, tableRead{schema: schema})
+		}
+		for _, c := range ts.Columns {
+			if !slices.Contains(out[i].cols, c) {
+				out[i].cols = append(out[i].cols, c)
+			}
+		}
+	}
+	for _, j := range d.Jobs {
+		for i := range j.Scans {
+			add(&j.Scans[i])
+		}
+		for i := range j.MapJoins {
+			add(&j.MapJoins[i].BroadcastScan)
+		}
+	}
+	return out
 }
 
 // Estimate estimates a compiled plan over the database at scale factor sf
-// twice: est from the predictor-visible statistics, oracle from the fine
-// ones, each with the estimator its cache prepared once for sf. Like the
-// caches underneath, it is not goroutine-safe for a first-seen sf.
+// (quantised to 1e-3) twice: est from the predictor-visible statistics,
+// oracle from the fine ones. Each call synthesises only what d reads and
+// shares nothing, so any number of goroutines may estimate at once.
 func (s *Stats) Estimate(d *plan.DAG, sf float64) (est, oracle *selectivity.QueryEstimate, err error) {
-	if est, err = s.est.entry(sf).est.EstimateQuery(d); err != nil {
+	sf = float64(int64(sf*1000)) / 1000
+	reads := s.reads(d)
+	at := func(buckets int) (*selectivity.QueryEstimate, error) {
+		cat := catalog.New()
+		for _, r := range reads {
+			cat.Put(catalog.FromSchemaColumns(r.schema, sf, buckets, r.cols))
+		}
+		return selectivity.NewEstimator(cat, s.sizing).EstimateQuery(d)
+	}
+	if est, err = at(s.estBuckets); err != nil {
 		return nil, nil, err
 	}
-	if oracle, err = s.oracle.entry(sf).est.EstimateQuery(d); err != nil {
+	if oracle, err = at(s.oracleBuckets); err != nil {
 		return nil, nil, err
 	}
 	return est, oracle, nil
@@ -203,29 +203,30 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 		draws[i] = drawn{q: q, shape: shape, sf: SFForTargetBytes(q, targetGB*1e9), cmSeed: rng.Uint64()}
 	}
 
-	// Pre-warm the catalog caches sequentially: the caches are not
-	// goroutine-safe, and the quantised scale factors repeat heavily.
 	stats := NewStats(cfg)
-	for _, d := range draws {
-		stats.est.Get(d.sf)
-		stats.oracle.Get(d.sf)
-	}
 
-	// Phase 2 (parallel): compile, estimate and simulate each run.
+	// Phase 2 (parallel): compile, estimate and simulate each run, each
+	// worker on one simulator it resets from run to run.
 	runs := make([]*QueryRun, len(draws))
 	errs := make([]error, len(draws))
-	sem := make(chan struct{}, runtime.NumCPU())
+	next := make(chan int)
 	var wg sync.WaitGroup
-	for i, d := range draws {
+	for w := 0; w < runtime.NumCPU(); w++ {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, d drawn) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			cm := trace.NewDefaultCostModel(d.cmSeed)
-			runs[i], errs[i] = RunStandalone(d.q, d.shape, d.sf, stats, cm, cfg.Cluster)
-		}(i, d)
+			sim := new(cluster.Sim)
+			for i := range next {
+				d := draws[i]
+				cm := trace.NewDefaultCostModel(d.cmSeed)
+				runs[i], errs[i] = RunStandalone(sim, d.q, d.shape, d.sf, stats, cm, cfg.Cluster)
+			}
+		}()
 	}
+	for i := range draws {
+		next <- i
+	}
+	close(next)
 	wg.Wait()
 	corpus := &Corpus{}
 	for i, err := range errs {
@@ -240,10 +241,12 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 
 // RunStandalone compiles, estimates (at both statistics resolutions, under
 // the task-sizing rules stats was built with) and executes a single query
-// alone on a simulated cluster, returning the full run record. It is the
-// building block of corpus construction and of Fig. 7, and deliberately not
-// a replay of one: bench/'s setup_s times this un-instrumented path.
-func RunStandalone(q *query.Query, shape Shape, sf float64, stats *Stats, cm *trace.CostModel, clusterCfg cluster.Config) (*QueryRun, error) {
+// alone on a simulated cluster — sim, reset to clusterCfg, so a caller with
+// many queries builds the cluster once — returning the full run record. It
+// is the building block of corpus construction and of Fig. 7, and
+// deliberately not a replay of one: bench/'s setup_s times this
+// un-instrumented path.
+func RunStandalone(sim *cluster.Sim, q *query.Query, shape Shape, sf float64, stats *Stats, cm *trace.CostModel, clusterCfg cluster.Config) (*QueryRun, error) {
 	d, err := plan.Compile(q)
 	if err != nil {
 		return nil, err
@@ -253,9 +256,9 @@ func RunStandalone(q *query.Query, shape Shape, sf float64, stats *Stats, cm *tr
 		return nil, err
 	}
 	cq := cluster.BuildQuery("q", oracle, cm, cluster.ConstantPredictor(1))
-	s := cluster.New(clusterCfg, sched.HCS{})
-	s.Submit(cq, 0)
-	res, err := s.Run()
+	sim.Reset(clusterCfg, sched.HCS{})
+	sim.Submit(cq, 0)
+	res, err := sim.Run()
 	if err != nil {
 		return nil, err
 	}
