@@ -57,7 +57,8 @@ cover-serve:
 		{ echo "coverage below floor"; exit 1; }
 
 # Regenerate the paper's tables and figures plus the deterministic
-# fault and online-learning replays with full observability:
+# fault and online-learning replays and the design-choice ablations with
+# full observability:
 # machine-readable BENCH_<exp>.json per experiment, a Perfetto-loadable
 # trace of the simulated runs (gzipped; Perfetto opens .json.gz
 # directly), and a Prometheus metrics dump, all under bench-out/. Its

@@ -1,7 +1,8 @@
 // Command benchrunner regenerates every table and figure of the paper's
 // evaluation (Section 5) from the reproduction's simulated substrate and
 // prints them in the paper's row/series layout; the deterministic fault
-// and online-learning replays are two more rows of the same table. It
+// and online-learning replays and the ablations of the design choices are
+// three more rows of the same table. It
 // times nothing (go run ./bench does) and judges nothing (go test does);
 // see docs/MEASURING.md.
 //
@@ -39,8 +40,8 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"benchrunner regenerates the paper's evaluation artifacts (Tables 2-5,\n"+
-				"Figures 2 and 5-8) and the deterministic fault and online-learning\n"+
-				"replays from the simulated substrate.\n"+
+				"Figures 2 and 5-8), the deterministic fault and online-learning\n"+
+				"replays and the design-choice ablations from the simulated substrate.\n"+
 				"Timed measurement lives in `go run ./bench` (docs/MEASURING.md).\n\n"+
 				"usage: benchrunner [flags]\n\n"+
 				"examples:\n"+

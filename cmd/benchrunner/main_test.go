@@ -12,10 +12,13 @@ import (
 	"testing"
 )
 
-// goldenDir holds what `-exp all -queries 60 -seed 2018` wrote at the
-// commit before the rows were moved onto one replay driver and one
-// renderer: the 11 CSVs byte for byte and the 11 BENCH_*.json with
-// wall_seconds zeroed. Regenerate deliberately with
+// goldenDir holds what `-exp all -queries 60 -seed 2018` writes, one CSV
+// (byte for byte) and one BENCH_*.json (wall_seconds zeroed) per row of
+// the -exp table: the paper's rows as written before they were moved onto
+// one replay driver and one renderer, the ablations as first written by
+// their row. A new row's pair is copied out of one observed run rather
+// than regenerated, which would also rewrite the older reports.
+// Regenerate deliberately with
 //
 //	SAQP_UPDATE_GOLDEN=1 go test -run TestGoldenQ60 ./cmd/benchrunner
 const goldenDir = "testdata/golden_q60"
@@ -140,11 +143,11 @@ func TestGoldenQ60(t *testing.T) {
 		return
 	}
 
-	rows := goldenRows(t)
-	if len(rows) != 11 {
-		t.Fatalf("golden pins %d rows, want 11: %v", len(rows), rows)
+	names := goldenRows(t)
+	if len(names) != len(rows) {
+		t.Fatalf("golden pins %d rows, the -exp table has %d: %v", len(names), len(rows), names)
 	}
-	for _, name := range rows {
+	for _, name := range names {
 		compareFile(t, filepath.Join(dir, "csv", name+".csv"), name+".csv")
 		compareFile(t, filepath.Join(dir, "bench", "BENCH_"+name+".json"), "BENCH_"+name+".json")
 	}
@@ -168,7 +171,7 @@ func TestGoldenQ60(t *testing.T) {
 		t.Errorf("a second run printed different tables:\n--- first\n%s\n--- second\n%s", first, second)
 	}
 
-	for _, name := range rows {
+	for _, name := range names {
 		alone := t.TempDir()
 		runQ60(t, name, alone, false)
 		compareFile(t, filepath.Join(alone, "csv", name+".csv"), name+".csv")

@@ -40,6 +40,8 @@ var rows = []row{
 	{"fig8", true, fig8},
 	{"fault", false, faultReplay},
 	{"learn", false, learnReplay},
+	// Last, so the cumulative metrics of every earlier report stay put.
+	{"ablations", true, ablations},
 }
 
 // expNames lists what -exp accepts: every row, then "all".
@@ -172,6 +174,31 @@ func fig8(e *env) (*table, report, error) {
 			100*(1-avg[saqp.SchedulerSWRD]/avg[saqp.SchedulerHCS])))
 	}
 	t.notes = append(t.notes, "(paper: SWRD vs HFS -40.2%/-43.9%; vs HCS -72.8%/-27.4%)")
+	return t, nil, nil
+}
+
+// ablations lays out the design-choice ablations in long format, one
+// measured cell per row; every baseline is a cell of fig8 or table3.
+func ablations(e *env) (*table, report, error) {
+	rs, err := saqp.ReproduceAblations(e.art, e.cfg, e.gap)
+	if err != nil {
+		return nil, nil, err
+	}
+	t := newTable("Ablations: the design choices behind Table 3 and Fig 8 (DESIGN.md A1-A6)",
+		"ablation variant metric value")
+	got := map[string]float64{}
+	for _, r := range rs {
+		t.add(r.Ablation, r.Variant, r.Metric, r.Value)
+		got[r.Ablation+" "+r.Variant] = r.Value
+	}
+	t.notes = []string{
+		fmt.Sprintf("A2: SWRD on a constant per-task guess is %.2f%% slower than on the trained Eq. 9 model",
+			100*(got["A2_swrd_predictor constant"]/got["A2_swrd_predictor trained"]-1)),
+		"A3: 1 queue is fig8's HCS; with 4 or 16 the result depends on how query ids hash onto the queues",
+		fmt.Sprintf("A5: preemptive reduce scheduling moves HFS's Bing average by %+.1f%%",
+			100*(got["A5_hfs_preemptive_reduce on"]/got["A5_hfs_preemptive_reduce off"]-1)),
+		"A6: skew on is table3's Join row; off rebuilds the corpus with uniform reducers (paper: Join 92.71%/14.40%)",
+	}
 	return t, nil, nil
 }
 

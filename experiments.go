@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 
+	"saqp/internal/catalog"
 	"saqp/internal/cluster"
 	"saqp/internal/core"
+	"saqp/internal/dataset"
 	"saqp/internal/plan"
 	"saqp/internal/predict"
 	"saqp/internal/query"
@@ -17,9 +19,10 @@ import (
 )
 
 // This file contains the experiment drivers that regenerate every table
-// and figure of the paper's evaluation (Section 5). Each driver returns
-// structured results; cmd/benchrunner and bench_test.go print them in the
-// paper's row/series format.
+// and figure of the paper's evaluation (Section 5), the ablations of the
+// design choices behind them, and the fault and learning replays. Each
+// driver returns structured results; cmd/benchrunner prints them, one
+// -exp row each, in the paper's row/series format.
 
 // ExperimentConfig bundles the shared experiment knobs.
 type ExperimentConfig struct {
@@ -314,7 +317,7 @@ const everyItem = -1
 // durations it has in company.
 func (r *replay) run(cc cluster.Config, pol cluster.Scheduler, o *Observer, alone int) (*cluster.Results, []*cluster.Query, error) {
 	cm := defaultCostModel(r.costSeed)
-	sim := cluster.New(cc, sched.Instrument(pol, o)).SetObserver(o)
+	sim := cluster.New(cc, pol).SetObserver(o)
 	qs := make([]*cluster.Query, len(r.items))
 	for i, it := range r.items {
 		if r.perItemCost {
@@ -450,11 +453,11 @@ type Fig8Result struct {
 	AvgByBin map[int]float64
 }
 
-// ReproduceFig8 runs one workload mix under the three schedulers and
-// reports average query response times (paper Figure 8). meanGapSec sets
-// the Poisson arrival rate; the paper's clusters are heavily loaded, so the
-// default (10 s) keeps many queries in flight.
-func ReproduceFig8(mix string, a *TrainedArtifacts, cfg ExperimentConfig, meanGapSec float64) ([]Fig8Result, error) {
+// mixReplay prepares one Table 2 mix for replay: the workload drawn with
+// Poisson arrivals meanGapSec apart (default 10), every item estimated at
+// both statistics resolutions, and one cost model for all task durations.
+// Fig. 8 and the scheduling ablations replay exactly these items.
+func mixReplay(mix string, a *TrainedArtifacts, cfg ExperimentConfig, meanGapSec float64) (*replay, *workload.Workload, error) {
 	var comp []workload.BinSpec
 	switch mix {
 	case "bing":
@@ -462,22 +465,34 @@ func ReproduceFig8(mix string, a *TrainedArtifacts, cfg ExperimentConfig, meanGa
 	case "facebook":
 		comp = workload.FacebookComposition()
 	default:
-		return nil, fmt.Errorf("saqp: unknown workload mix %q (want bing or facebook)", mix)
+		return nil, nil, fmt.Errorf("saqp: unknown workload mix %q (want bing or facebook)", mix)
 	}
 	if meanGapSec <= 0 {
 		meanGapSec = 10
 	}
 	w, err := workload.BuildWorkload(mix, comp, meanGapSec, cfg.Seed^0xfb8)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rp := &replay{costSeed: cfg.Seed ^ 0xc0ffee}
 	rp.jobs, rp.tasks = a.models()
 	stats := workload.NewStats(workload.DefaultCorpusConfig())
 	for i, wi := range w.Items {
 		if err := rp.add(stats, fmt.Sprintf("%s-%03d", mix, i), wi.Query, wi.SF, wi.ArrivalSec); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+	}
+	return rp, w, nil
+}
+
+// ReproduceFig8 runs one workload mix under the three schedulers and
+// reports average query response times (paper Figure 8). meanGapSec sets
+// the Poisson arrival rate; the paper's clusters are heavily loaded, so the
+// default (10 s) keeps many queries in flight.
+func ReproduceFig8(mix string, a *TrainedArtifacts, cfg ExperimentConfig, meanGapSec float64) ([]Fig8Result, error) {
+	rp, w, err := mixReplay(mix, a, cfg, meanGapSec)
+	if err != nil {
+		return nil, err
 	}
 	rp.recordEstimateDrift(cfg.Observer)
 
@@ -510,6 +525,115 @@ func ReproduceFig8(mix string, a *TrainedArtifacts, cfg ExperimentConfig, meanGa
 			Queries:        len(queries),
 			AvgByBin:       byBin,
 		})
+	}
+	return out, nil
+}
+
+// ---------------------------------------------------------------------------
+// Ablations: the design choices behind Table 3 and Figure 8
+// ---------------------------------------------------------------------------
+
+// AblationResult is one cell of the ablations in long format: a design
+// choice (DESIGN.md's A-rows), one setting of it, and one metric that
+// setting measured.
+type AblationResult struct {
+	Ablation string
+	Variant  string
+	Metric   string
+	Value    float64
+}
+
+// ablationJoin is A1's many-to-many join of two Zipf-skewed fact tables:
+// coarse histogram buckets smear its hot keys and mis-estimate the blow-up.
+const ablationJoin = `SELECT ss_quantity FROM store_sales JOIN web_sales ON ws_item_sk = ss_item_sk`
+
+// ReproduceAblations measures the design choices DESIGN.md calls out, each
+// on the experiment it ablates, so every baseline is that experiment's own
+// cell:
+//
+//   - A1: ablationJoin's estimated output rows at 8, 64 and 512 histogram
+//     buckets, as relative deviation from a 4,096-bucket reference;
+//   - A2, A3, A5: Fig. 8's Bing replay (ReproduceFig8's items, seeds and
+//     gap) under SWRD with the trained Eq. 9 model vs the constant
+//     predictor, HCS with 1, 4 and 16 capacity queues, and HFS without and
+//     with preemptive reduce scheduling;
+//   - A6: Table 3's Join row, and the same row over the corpus cfg
+//     describes rebuilt with reduce-partition skew off.
+//
+// The variant replays run unobserved, so cfg.Observer's trace and metrics
+// end exactly as Fig. 8 left them.
+func ReproduceAblations(a *TrainedArtifacts, cfg ExperimentConfig, meanGapSec float64) ([]AblationResult, error) {
+	var out []AblationResult
+	add := func(ablation, variant, metric string, v float64) {
+		out = append(out, AblationResult{Ablation: ablation, Variant: variant, Metric: metric, Value: v})
+	}
+
+	var ref float64
+	for _, buckets := range []int{4096, 8, 64, 512} {
+		fw := NewFrameworkFromCatalog(catalog.FromSchemas(dataset.TPCDS(), 1, buckets), Options{})
+		d, err := fw.Compile(ablationJoin)
+		if err != nil {
+			return nil, err
+		}
+		qe, err := fw.Estimate(d)
+		if err != nil {
+			return nil, err
+		}
+		if rows := qe.Jobs[0].OutRows; buckets == 4096 {
+			ref = rows
+		} else {
+			add("A1_histogram_buckets", fmt.Sprint(buckets), "join_rows_dev_vs_4096", math.Abs(rows-ref)/ref)
+		}
+	}
+
+	rp, _, err := mixReplay("bing", a, cfg, meanGapSec)
+	if err != nil {
+		return nil, err
+	}
+	trained := rp.tasks
+	hoarding, preemptive := cfg.Cluster, cfg.Cluster
+	hoarding.PreemptiveReduce, preemptive.PreemptiveReduce = false, true
+	for _, v := range []struct {
+		ablation, variant string
+		tasks             *predict.TaskModel
+		cc                cluster.Config
+		pol               cluster.Scheduler
+	}{
+		{"A2_swrd_predictor", "trained", trained, cfg.Cluster, sched.SWRD{}},
+		{"A2_swrd_predictor", "constant", nil, cfg.Cluster, sched.SWRD{}},
+		{"A3_hcs_queues", "1", trained, cfg.Cluster, sched.HCS{Queues: 1}},
+		{"A3_hcs_queues", "4", trained, cfg.Cluster, sched.HCS{Queues: 4}},
+		{"A3_hcs_queues", "16", trained, cfg.Cluster, sched.HCS{Queues: 16}},
+		{"A5_hfs_preemptive_reduce", "off", trained, hoarding, sched.HFS{}},
+		{"A5_hfs_preemptive_reduce", "on", trained, preemptive, sched.HFS{}},
+	} {
+		rp.tasks = v.tasks
+		res, _, err := rp.run(v.cc, v.pol, nil, everyItem)
+		if err != nil {
+			return nil, fmt.Errorf("saqp: ablation %s %s: %w", v.ablation, v.variant, err)
+		}
+		add(v.ablation, v.variant, "bing_avg_response_sec", res.AvgResponseTime())
+	}
+
+	uniform := cfg.corpusConfig()
+	uniform.Sizing.DisableReduceSkew = true
+	corpus, err := workload.BuildCorpus(uniform)
+	if err != nil {
+		return nil, err
+	}
+	train, _ := corpus.Split(0.75)
+	jm, err := predict.FitJobModel(train.JobSamples)
+	if err != nil {
+		return nil, err
+	}
+	skew := [...]string{"on", "off"}
+	for i, rows := range [][]GroupAccuracy{ReproduceTable3(a).TrainRows, jm.JobAccuracyByOperator(train.JobSamples)} {
+		for _, r := range rows {
+			if r.Op == "Join" {
+				add("A6_reduce_skew", skew[i], "join_r_squared", r.RSquared)
+				add("A6_reduce_skew", skew[i], "join_avg_error", r.AvgError)
+			}
+		}
 	}
 	return out, nil
 }

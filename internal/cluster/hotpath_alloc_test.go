@@ -1,6 +1,40 @@
 package cluster
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"saqp/internal/obs"
+)
+
+// idlePick sees every candidate and leaves the slot idle.
+type idlePick struct{}
+
+func (idlePick) Name() string                               { return "idle" }
+func (idlePick) PickJob(float64, []*Job, []*Job, bool) *Job { return nil }
+
+// TestDecisionSpansOnlyBuildsNoRanking: the candidate ranking exists for
+// the timeline alone. Under a spans-only observer (what the serving engine
+// attaches per traced attempt) the collector keeps only the first few
+// decisions and the queue depth, so once past its cap a dispatch over 64
+// candidates must not allocate at all — in particular not an O(queued
+// jobs) ranking.
+func TestDecisionSpansOnlyBuildsNoRanking(t *testing.T) {
+	s := New(Config{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1}, idlePick{})
+	s.SetObserver(&obs.Observer{Spans: obs.NewSpanCollector()})
+	for i := 0; i < 64; i++ {
+		s.arrive(mkQuery(fmt.Sprintf("q%02d", i), 1, 1))
+	}
+	if n := len(s.candidates(false)); n != 64 {
+		t.Fatalf("%d candidates, want 64", n)
+	}
+	for i := 0; i < 16; i++ { // exhaust the collector's decision cap
+		s.dispatch()
+	}
+	if n := testing.AllocsPerRun(100, s.dispatch); n != 0 {
+		t.Errorf("an observed dispatch on a spans-only observer allocates %.0f times, want 0", n)
+	}
+}
 
 // TestHotPathAllocs is the runtime half of the //saqp:hotpath contract
 // for the simulator's per-dispatch and per-task path (candidates,

@@ -19,11 +19,10 @@ func observedRun(t *testing.T) (traceJSON, prom, drift []byte) {
 	var traceBuf bytes.Buffer
 	o := obs.New(obs.NewTraceSink(&traceBuf))
 
-	pol := sched.Instrument(sched.SWRD{}, o)
 	s := cluster.New(cluster.Config{
 		Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1,
 		SchedulingOverheadSec: 0.5, JobInitSec: 2, ReduceSlowstart: 0.5,
-	}, pol).SetObserver(o)
+	}, sched.SWRD{}).SetObserver(o)
 
 	big := synthQuery("big", []jobSpec{
 		{id: "J1", maps: 6, reds: 2, mapSec: 10, redSec: 8, jobType: plan.Join},
@@ -95,7 +94,7 @@ func TestObservedRunContent(t *testing.T) {
 
 	o := obs.New(nil)
 	s := cluster.New(cluster.Config{Nodes: 1, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1,
-		SchedulingOverheadSec: 0.5}, sched.Instrument(sched.HCS{}, o)).SetObserver(o)
+		SchedulingOverheadSec: 0.5}, sched.HCS{}).SetObserver(o)
 	q := synthQuery("q", []jobSpec{{id: "J1", maps: 3, reds: 2, mapSec: 5, redSec: 4, jobType: plan.Join}})
 	s.Submit(q, 0)
 	if _, err := s.Run(); err != nil {

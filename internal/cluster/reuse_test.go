@@ -85,7 +85,7 @@ func TestSimReuseEqualsNew(t *testing.T) {
 		run := func(fresh bool) (string, []byte) {
 			var events bytes.Buffer
 			o := obs.New(obs.NewTraceSink(&events))
-			pol := sched.Instrument(policies[i%len(policies)], o)
+			pol := policies[i%len(policies)]
 			s := reused
 			if fresh {
 				s = cluster.New(cfg, pol)

@@ -98,6 +98,33 @@ func (c Config) Normalized() Config {
 	return c
 }
 
+// ConfigError reports a cluster config the simulator refuses to run.
+type ConfigError struct {
+	Reason string
+}
+
+// Error names the config field at fault.
+func (e *ConfigError) Error() string { return "cluster: invalid config: " + e.Reason }
+
+// Check reports whether the normalized config can be simulated: NodeFactors,
+// when set, must give every node a finite speed above zero. It is the one
+// check, made where a config enters from outside (serve.New, Sim.Run).
+func (c Config) Check() error {
+	c = c.Normalized()
+	if c.NodeFactors == nil {
+		return nil
+	}
+	if len(c.NodeFactors) != c.Nodes {
+		return &ConfigError{Reason: fmt.Sprintf("%d NodeFactors for %d nodes", len(c.NodeFactors), c.Nodes)}
+	}
+	for n, f := range c.NodeFactors {
+		if !(f > 0) || math.IsInf(f, 1) {
+			return &ConfigError{Reason: fmt.Sprintf("NodeFactors[%d] = %v, want finite and > 0", n, f)}
+		}
+	}
+	return nil
+}
+
 // Scheduler ranks jobs when a slot frees. The simulator filters the active
 // set down to jobs holding a runnable task of the requested phase before
 // calling PickJob; implementations only choose *which job* goes next.
@@ -224,8 +251,8 @@ func (s *Sim) Reset(cfg Config, sched Scheduler) {
 	}
 	for n := 0; n < cfg.Nodes; n++ {
 		f := 1.0
-		if cfg.NodeFactors != nil {
-			f = cfg.NodeFactors[n]
+		if n < len(cfg.NodeFactors) {
+			f = cfg.NodeFactors[n] // Run refuses the config unless Check passes
 		}
 		s.factors = append(s.factors, f)
 		for k := 0; k < cfg.MapSlotsPerNode; k++ {
@@ -278,9 +305,9 @@ func (s *Sim) push(ev event) {
 // SetObserver attaches the observability layer to this run: lifecycle
 // events (submit, init, dispatch, slowstart hoarding, preemption,
 // speculation, completion) flow to o's trace, metrics and drift sinks,
-// timestamped with the simulator's virtual clock. A nil o (the default)
-// keeps the hot path free of instrumentation. To also record scheduler
-// decisions, wrap the policy with sched.Instrument before New.
+// timestamped with the simulator's virtual clock, and so do the scheduler's
+// decisions (see decided). A nil o (the default) keeps the hot path free of
+// instrumentation.
 func (s *Sim) SetObserver(o *obs.Observer) *Sim {
 	s.obs = o
 	if o != nil {
@@ -391,8 +418,12 @@ func (s *Sim) Run() (*Results, error) {
 // ctx between events and aborts with ctx.Err() once it is done. A run
 // that is never canceled is indistinguishable from Run — cancellation is
 // the only nondeterminism the context introduces, which keeps seeded
-// serving-pool runs reproducible.
+// serving-pool runs reproducible. A config that fails Config.Check is
+// refused with its *ConfigError before any event runs.
 func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
+	if err := s.cfg.Check(); err != nil {
+		return nil, err
+	}
 	done := ctx.Done()
 	for !s.events.empty() {
 		if done != nil {
@@ -674,6 +705,7 @@ func (s *Sim) dispatch() {
 			break
 		}
 		j := s.sched.PickJob(s.now, cands, s.active, false)
+		s.decided(cands, j, false)
 		if j == nil {
 			break
 		}
@@ -696,6 +728,7 @@ func (s *Sim) dispatch() {
 			break
 		}
 		j := s.sched.PickJob(s.now, cands, s.active, true)
+		s.decided(cands, j, true)
 		if j == nil {
 			break
 		}
@@ -709,6 +742,31 @@ func (s *Sim) dispatch() {
 		s.speculate(false, &s.mapFree)
 		s.speculate(true, &s.redFree)
 	}
+}
+
+// decided records one PickJob outcome with the observer: the winner (nil
+// leaves the slot idle) and the full candidate ranking the policy saw
+// (remaining WRD, running tasks, submit time per job), which makes "why
+// did the scheduler pick this query" answerable from the trace. The
+// ranking is built only for a timeline: the span collector and the
+// registry keep just the queue depth.
+func (s *Sim) decided(cands []*Job, j *Job, reduce bool) {
+	if s.obs == nil {
+		return
+	}
+	var ranked []obs.Candidate
+	if s.obs.Trace != nil {
+		ranked = make([]obs.Candidate, len(cands))
+		for i, c := range cands {
+			ranked[i] = obs.Candidate{Job: c.ID, Query: c.Query.ID, WRD: c.Query.RemainingWRD(),
+				Running: c.RunningTasks(), Submit: c.SubmitTime}
+		}
+	}
+	picked := ""
+	if j != nil {
+		picked = j.ID
+	}
+	s.obs.SchedulerDecision(s.now, s.sched.Name(), reduce, picked, len(cands), ranked)
 }
 
 // speculate duplicates straggling attempts of the given phase onto

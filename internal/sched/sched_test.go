@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"saqp/internal/cluster"
-	"saqp/internal/obs"
 	"saqp/internal/sched"
 )
 
@@ -175,24 +174,5 @@ func simStart(t *testing.T, j *cluster.Job, n int) {
 	t.Helper()
 	for i := 0; i < n && i < len(j.Maps); i++ {
 		j.Maps[i].Start()
-	}
-}
-
-// TestInstrumentSpansOnlyBuildsNoRanking: the candidate ranking exists
-// for the timeline alone. Under a spans-only observer (what the serving
-// engine attaches per traced attempt) the collector keeps only the first
-// few decisions and the queue depth, so once past its cap a PickJob must
-// not allocate at all — in particular not an O(queued jobs) ranking.
-func TestInstrumentSpansOnlyBuildsNoRanking(t *testing.T) {
-	cands := make([]*cluster.Job, 64)
-	for i := range cands {
-		cands[i] = mkJob("q"+string(rune('a'+i%26)), "J1", float64(i), 1)
-	}
-	pol := sched.Instrument(sched.HCS{}, &obs.Observer{Spans: obs.NewSpanCollector()})
-	for i := 0; i < 16; i++ { // exhaust the collector's decision cap
-		pol.PickJob(0, cands, cands, false)
-	}
-	if n := testing.AllocsPerRun(100, func() { pol.PickJob(0, cands, cands, false) }); n != 0 {
-		t.Errorf("instrumented PickJob on a spans-only observer allocates %.0f times per call, want 0", n)
 	}
 }

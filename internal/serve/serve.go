@@ -16,7 +16,6 @@ import (
 	"saqp/internal/plan"
 	"saqp/internal/predict"
 	"saqp/internal/query"
-	"saqp/internal/sched"
 	"saqp/internal/selectivity"
 	"saqp/internal/trace"
 )
@@ -300,6 +299,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Scheduler == nil {
 		return nil, errors.New("serve: Config.Scheduler is required")
+	}
+	if err := cfg.Cluster.Check(); err != nil {
+		return nil, err
 	}
 	if cfg.Schemas == nil {
 		cfg.Schemas = dataset.AllSchemas()
@@ -602,18 +604,14 @@ func (e *Engine) run(sim *cluster.Sim, t *Ticket) {
 		// tasks, faults and scheduler decisions without touching the
 		// shared metrics registry — the simulated schedule is identical
 		// either way, only observation is added.
-		pol := e.cfg.Scheduler
 		var coll *obs.SpanCollector
 		var runObs *obs.Observer
 		if t.span != nil {
 			coll = obs.NewSpanCollector()
 			runObs = &obs.Observer{Spans: coll}
-			pol = sched.Instrument(pol, runObs)
 		}
-		sim.Reset(scfg, pol)
-		if runObs != nil {
-			sim.SetObserver(runObs)
-		}
+		sim.Reset(scfg, e.cfg.Scheduler)
+		sim.SetObserver(runObs)
 		sim.Submit(cq, 0)
 		if _, err := sim.RunContext(ctx); err != nil {
 			e.finish(t, Result{}, err)

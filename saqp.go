@@ -48,6 +48,10 @@ type (
 	Engine = mapreduce.Engine
 	// ClusterConfig sizes the discrete-event cluster simulator.
 	ClusterConfig = cluster.Config
+	// ClusterConfigError reports a ClusterConfig the simulator refuses
+	// (see cluster.Config.Check); NewServer, SimulateQueryConfig and the
+	// experiment drivers return it rather than running the config.
+	ClusterConfigError = cluster.ConfigError
 	// Schema describes one synthetic table.
 	Schema = dataset.Schema
 	// GroupAccuracy is one row of the paper's accuracy tables.

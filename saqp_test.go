@@ -1,6 +1,7 @@
 package saqp_test
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"sync"
@@ -118,6 +119,93 @@ func TestReproduceTable2(t *testing.T) {
 	}
 	if rows[0].Bing != 44 || rows[0].Facebook != 85 {
 		t.Fatalf("bin 1 = %+v", rows[0])
+	}
+	bing, facebook := 0, 0
+	for _, r := range rows {
+		bing, facebook = bing+r.Bing, facebook+r.Facebook
+	}
+	if bing != 100 || facebook != 100 {
+		t.Fatalf("mixes hold %d (Bing) and %d (Facebook) queries, want 100 each", bing, facebook)
+	}
+}
+
+// TestAblationBaselinesAreFig8AndTable3: every ablation's baseline is, to
+// the bit, the cell of the row it ablates. A variant that hand-rolls its
+// own replay or re-seeds its corpus forks from the paper's rows and fails
+// here.
+func TestAblationBaselinesAreFig8AndTable3(t *testing.T) {
+	a, cfg := artifacts(t)
+	rs, err := saqp.ReproduceAblations(a, cfg, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, r := range rs {
+		got[r.Ablation+" "+r.Variant+" "+r.Metric] = r.Value
+	}
+	fig8, err := saqp.ReproduceFig8("bing", a, cfg, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := map[string]float64{}
+	for _, r := range fig8 {
+		avg[r.Scheduler] = r.AvgResponseSec
+	}
+	var join saqp.GroupAccuracy
+	for _, r := range saqp.ReproduceTable3(a).TrainRows {
+		if r.Op == "Join" {
+			join = r
+		}
+	}
+	for cell, want := range map[string]float64{
+		"A2_swrd_predictor trained bing_avg_response_sec":    avg[saqp.SchedulerSWRD],
+		"A3_hcs_queues 1 bing_avg_response_sec":              avg[saqp.SchedulerHCS],
+		"A5_hfs_preemptive_reduce off bing_avg_response_sec": avg[saqp.SchedulerHFS],
+		"A6_reduce_skew on join_r_squared":                   join.RSquared,
+		"A6_reduce_skew on join_avg_error":                   join.AvgError,
+	} {
+		if g, ok := got[cell]; !ok || math.Float64bits(g) != math.Float64bits(want) || !(want > 0) {
+			t.Errorf("%s = %v (present %v), want the ablated row's %v", cell, g, ok, want)
+		}
+	}
+}
+
+// TestClusterConfigRefused: a ClusterConfig is outside input. One whose
+// NodeFactors do not give each node a finite speed above zero is refused
+// with a *ClusterConfigError wherever it enters — never a panic on a pool
+// goroutine, a +Inf or NaN response time, or a run reported as starved.
+func TestClusterConfigRefused(t *testing.T) {
+	fw, err := saqp.NewFramework(saqp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, cfg := artifacts(t)
+	qe := a.Test.Runs[0].Est
+	for _, factors := range [][]float64{{1, 2}, {0}, {math.NaN()}, {-1}, {math.Inf(1)}} {
+		cc := saqp.ClusterConfig{Nodes: 1, NodeFactors: factors}
+		if len(factors) == 2 {
+			cc.Nodes = 4
+		}
+		var ce *saqp.ClusterConfigError
+		if srv, err := fw.NewServer(saqp.ServerOptions{Workers: 1, Cluster: cc}); !errors.As(err, &ce) {
+			if srv != nil {
+				srv.Close()
+			}
+			t.Errorf("NewServer(%v) = %v, want a *ClusterConfigError", factors, err)
+		}
+		if sec, err := fw.SimulateQueryConfig("q6", qe, saqp.SchedulerSWRD, 1, cc); !errors.As(err, &ce) {
+			t.Errorf("SimulateQueryConfig(%v) = %v, %v, want a *ClusterConfigError", factors, sec, err)
+		}
+		ecfg := cfg
+		ecfg.Cluster = cc
+		if _, err := saqp.ReproduceFig8("bing", a, ecfg, 12); !errors.As(err, &ce) {
+			t.Errorf("ReproduceFig8(%v) = %v, want a *ClusterConfigError", factors, err)
+		}
+	}
+	cc := saqp.DefaultClusterConfig()
+	cc.NodeFactors = []float64{0.5, 1, 1, 1, 1, 1, 1, 1, 2}
+	if sec, err := fw.SimulateQueryConfig("q6", qe, saqp.SchedulerSWRD, 1, cc); err != nil || !(sec > 0) || math.IsInf(sec, 1) {
+		t.Errorf("one finite speed per node: %v, %v", sec, err)
 	}
 }
 

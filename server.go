@@ -65,12 +65,10 @@ type ServerOptions struct {
 	// TraceSpans records a request-scoped span tree per admitted query:
 	// cache lookup → SWRD admission → every simulator attempt (jobs,
 	// tasks, faults, speculative losers, scheduler decisions) → learn
-	// feedback, retained in a bounded store readable via Spans and the
-	// admin server's /spans endpoint.
+	// feedback, retained in a bounded store (the newest
+	// obs.DefaultSpanCapacity trees) readable via Spans and the admin
+	// server's /spans endpoint.
 	TraceSpans bool
-	// SpanCapacity bounds retained span trees (oldest evicted first).
-	// 0 means obs.DefaultSpanCapacity.
-	SpanCapacity int
 	// SLO, when non-nil, tracks a latency objective with multi-window
 	// burn-rate alerting over virtual time; zero fields take the obs
 	// defaults and Name defaults to the scheduler name.
@@ -135,7 +133,7 @@ func (f *Framework) newServer(opts ServerOptions, src learn.Source) (*Server, er
 	ob := f.Obs
 	var spans *SpanStore
 	if opts.TraceSpans || opts.AdminAddr != "" {
-		spans = obs.NewSpanStore(opts.SpanCapacity)
+		spans = obs.NewSpanStore(obs.DefaultSpanCapacity)
 	}
 	sloCfg := opts.SLO
 	if sloCfg == nil && opts.AdminAddr != "" {
