@@ -33,17 +33,16 @@ fuzz-smoke:
 
 # Concurrency stress: the serving-layer and network-frontend stress/
 # property suites under the race detector, run twice to vary goroutine
-# interleavings (includes the 64-connection TCP stress test at the
-# root, the connection-lifecycle suite in internal/net, the
-# shard-cluster failover stress test with its byte-identical
-# event-log replay check, the plan cache's text-tier invariant and
-# single-flight suites, the reused-simulator equivalence test, the
-# job-counters-equal-scans test beside it, and the
-# batch engine — the tree's only goroutine-per-task code — whose digest
-# must read the same at Parallelism 1 and 8).
+# interleavings (includes the 64-connection TCP stress test and the
+# real-engine drain test at the root, the connection-lifecycle suite in
+# internal/net with its drain-versus-quiet-clients race, the plan
+# cache's text-tier invariant and single-flight suites, the
+# reused-simulator equivalence test, the job-counters-equal-scans test
+# beside it, and the batch engine — the tree's only goroutine-per-task
+# code — whose digest must read the same at Parallelism 1 and 8).
 stress:
-	$(GO) test -race -count=2 -run 'TestServer|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestShardCluster|TestEventLog|TestSubmitParks|TestSentinelQuorum|TestSimReuse|TestSimCounters|TestEngine' \
-		. ./internal/serve ./internal/selectivity ./internal/net ./internal/shardserve ./internal/cluster ./internal/mapreduce
+	$(GO) test -race -count=2 -run 'TestServer|TestNetShutdown|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestSimReuse|TestSimCounters|TestEngine' \
+		. ./internal/serve ./internal/selectivity ./internal/net ./internal/cluster ./internal/mapreduce
 
 # Coverage gate for the serving engine: fail if internal/serve drops
 # below 85% statement coverage.

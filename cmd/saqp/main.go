@@ -32,16 +32,6 @@
 //
 //	saqp -train -listen :6380
 //	printf 'SUBMIT SELECT COUNT(*) FROM lineitem\r\n' | nc localhost 6380
-//
-// With -cluster N the process hosts a sharded serving cluster instead:
-// N primary/replica engine pairs, each pair behind its own pair of TCP
-// frontends, with fingerprint-based slot routing (-MOVED redirects, the
-// CLUSTER verb) and a sentinel failover loop driven by a wall-clock
-// heartbeat. A deterministic fault plan crashes primaries so a watcher
-// sees detection, quorum votes, and replica promotion live:
-//
-//	saqp -cluster 3
-//	printf 'CLUSTER\r\n' | nc localhost <printed port>
 package main
 
 import (
@@ -73,7 +63,6 @@ func main() {
 		faultSeed = flag.Uint64("fault-seed", 1, "seed of the fault plan used with -faults")
 		admin     = flag.String("admin", "", "serve the query through the serving engine and host the live introspection endpoint on this address (host:port) until SIGINT/SIGTERM")
 		listen    = flag.String("listen", "", "host the TCP query frontend on this address (host:port) until SIGINT/SIGTERM; RESP-style SUBMIT/WAIT/STATS/EXPLAIN/METRICS/PING/QUIT, makes -query optional")
-		cluster   = flag.Int("cluster", 0, "host a sharded serving cluster with this many primary/replica shard pairs (TCP frontends on ephemeral ports, sentinel failover on a deterministic fault plan seeded by -fault-seed), makes -query optional")
 	)
 	flag.Usage = func() {
 		fmt.Fprintln(flag.CommandLine.Output(),
@@ -84,8 +73,8 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *sql == "" && *listen == "" && *cluster <= 0 {
-		fmt.Fprintln(os.Stderr, "saqp: -query is required (unless -listen or -cluster is set)")
+	if *sql == "" && *listen == "" {
+		fmt.Fprintln(os.Stderr, "saqp: -query is required (unless -listen is set)")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -93,14 +82,14 @@ func main() {
 	if *faults {
 		fp = saqp.NewFaultPlan(saqp.DefaultFaultSpec(*faultSeed))
 	}
-	if err := run(*sql, *sf, *train, *queries, *models, *traceOut, *promOut, *schedler, *seed, *faultSeed, fp, *admin, *listen, *cluster); err != nil {
+	if err := run(*sql, *sf, *train, *queries, *models, *traceOut, *promOut, *schedler, *seed, fp, *admin, *listen); err != nil {
 		fmt.Fprintln(os.Stderr, "saqp:", err)
 		os.Exit(1)
 	}
 }
 
 func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
-	traceOut, promOut, scheduler string, seed, faultSeed uint64, fp *saqp.FaultPlan, admin, listen string, shards int) error {
+	traceOut, promOut, scheduler string, seed uint64, fp *saqp.FaultPlan, admin, listen string) error {
 	var o *saqp.Observer
 	finish := func() error { return nil }
 	if traceOut != "" || promOut != "" {
@@ -108,13 +97,10 @@ func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
 		if o, finish, err = saqp.OpenObserver(traceOut, promOut); err != nil {
 			return err
 		}
-	} else if shards > 0 {
-		// A cluster's METRICS verb serves the saqp_shard_* series.
-		o = saqp.NewObserver(nil)
 	}
 	fw, err := saqp.NewFramework(saqp.Options{ScaleFactor: sf, Observer: o})
 	if err == nil {
-		err = oneShot(fw, sql, train, trainQueries, modelsPath, scheduler, seed, fp, shards)
+		err = oneShot(fw, sql, train, trainQueries, modelsPath, scheduler, seed, fp)
 	}
 	// The observer's files are finished before any hosting starts, and
 	// also when the one-shot part failed: the trace stays loadable.
@@ -130,16 +116,16 @@ func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
 	if promOut != "" {
 		fmt.Printf("Wrote metrics to %s\n", promOut)
 	}
-	if admin == "" && listen == "" && shards <= 0 {
+	if admin == "" && listen == "" {
 		return nil
 	}
-	return host(fw, sql, scheduler, seed, faultSeed, admin, listen, shards)
+	return host(fw, sql, scheduler, seed, admin, listen)
 }
 
 // oneShot is everything before hosting: load or train the models and,
-// given a query outside cluster mode, print its report.
+// given a query, print its report.
 func oneShot(fw *saqp.Framework, sql string, train bool, trainQueries int, modelsPath,
-	scheduler string, seed uint64, fp *saqp.FaultPlan, shards int) error {
+	scheduler string, seed uint64, fp *saqp.FaultPlan) error {
 	if modelsPath != "" {
 		if data, err := os.ReadFile(modelsPath); err == nil {
 			if err := fw.LoadModels(data); err != nil {
@@ -149,7 +135,7 @@ func oneShot(fw *saqp.Framework, sql string, train bool, trainQueries int, model
 			train = false
 		}
 	}
-	if sql != "" && shards <= 0 { // -cluster ignores -query
+	if sql != "" {
 		return report(fw, sql, train, trainQueries, modelsPath, scheduler, seed, fp)
 	}
 	if train {
@@ -244,132 +230,51 @@ func trainModels(fw *saqp.Framework, trainQueries int, modelsPath string) error 
 // remaining connections are torn down.
 const drainTimeout = 30 * time.Second
 
-// host is the one hosting loop behind -admin, -listen and -cluster:
-// build the serving instance, print its banner, wait for
-// SIGINT/SIGTERM (ticking the sentinel loop when clustered), drain the
-// sockets within drainTimeout, close. -admin and -listen together host
-// one server with both endpoints.
-func host(fw *saqp.Framework, sql, scheduler string, seed, faultSeed uint64, admin, listen string, shards int) error {
+// host is the one hosting loop behind -admin and -listen: build the
+// server, print its banner, wait for SIGINT/SIGTERM, drain the socket
+// within drainTimeout, close. -admin and -listen together host one
+// server with both endpoints.
+func host(fw *saqp.Framework, sql, scheduler string, seed uint64, admin, listen string) error {
 	// Registered before any banner, so a supervisor that signals as soon
 	// as it reads one always gets the drain.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
 
+	srv, err := fw.NewServer(saqp.ServerOptions{Scheduler: scheduler, AdminAddr: admin})
+	if err != nil {
+		return err
+	}
+	if admin != "" {
+		if err := serveOnce(srv, sql, seed); err != nil {
+			return errors.Join(err, srv.Close())
+		}
+	}
 	drain := func(context.Context) error { return nil } // -admin alone has no socket to drain
-	var closeAll func() error
-	var cs *saqp.ClusterServer // nil unless clustered
-	if shards > 0 {
-		var err error
-		if cs, err = startCluster(fw, scheduler, faultSeed, shards); err != nil {
-			return err
-		}
-		drain, closeAll = cs.Shutdown, cs.Close
-	} else {
-		srv, err := fw.NewServer(saqp.ServerOptions{Scheduler: scheduler, AdminAddr: admin})
+	if listen != "" {
+		ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: listen, BusyQueueDepth: 256})
 		if err != nil {
-			return err
+			return errors.Join(err, srv.Close())
 		}
-		closeAll = srv.Close
-		if admin != "" {
-			if err := serveOnce(srv, sql, seed); err != nil {
-				return errors.Join(err, srv.Close())
-			}
+		drain = ns.Shutdown
+		mode := "untrained (FIFO admission)"
+		if fw.TaskTime != nil {
+			mode = "trained (WRD admission)"
 		}
-		if listen != "" {
-			ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: listen, BusyQueueDepth: 256})
-			if err != nil {
-				return errors.Join(err, srv.Close())
-			}
-			drain = ns.Shutdown
-			mode := "untrained (FIFO admission)"
-			if fw.TaskTime != nil {
-				mode = "trained (WRD admission)"
-			}
-			fmt.Printf("\nTCP query frontend live at %s, models %s\n", ns.Addr(), mode)
-			fmt.Println("Commands (inline or RESP arrays, CRLF-terminated): SUBMIT / WAIT / STATS / EXPLAIN / METRICS / PING / QUIT.")
-		}
+		fmt.Printf("\nTCP query frontend live at %s, models %s\n", ns.Addr(), mode)
+		fmt.Println("Commands (inline or RESP arrays, CRLF-terminated): SUBMIT / WAIT / STATS / EXPLAIN / METRICS / PING / QUIT.")
 	}
 	fmt.Println("Ctrl-C (SIGINT/SIGTERM) to drain and shut down.")
 
-	// The heartbeat outlives the signal: a submission parked on a crashed
-	// primary finishes draining only if the failover still happens.
-	var ticks <-chan time.Time
-	if cs != nil {
-		ticker := time.NewTicker(time.Second)
-		defer ticker.Stop()
-		ticks = ticker.C
+	<-sig
+	signal.Stop(sig) // a second Ctrl-C kills the process the default way
+	fmt.Println("shutting down")
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := drain(ctx); err != nil {
+		fmt.Fprintln(os.Stderr, "saqp: drain incomplete:", err)
 	}
-	var drained chan error
-	for {
-		select {
-		case <-sig:
-			signal.Stop(sig) // a second Ctrl-C kills the process the default way
-			sig = nil
-			fmt.Println("shutting down")
-			drained = make(chan error, 1)
-			go func() {
-				ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-				defer cancel()
-				drained <- drain(ctx)
-			}()
-		case <-ticks:
-			for _, e := range cs.Tick() {
-				switch e.Kind {
-				case saqp.ClusterEventFailover:
-					fmt.Printf("[tick %d] shard %d FAILOVER: replica promoted by %d votes, epoch %d\n",
-						e.Tick, e.Shard, e.Votes, e.Epoch)
-				case saqp.ClusterEventVote:
-					fmt.Printf("[tick %d] shard %d: sentinel %d votes down\n", e.Tick, e.Shard, e.Sentinel)
-				default:
-					fmt.Printf("[tick %d] shard %d: %s\n", e.Tick, e.Shard, e.Kind)
-				}
-			}
-		case err := <-drained:
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "saqp: drain incomplete:", err)
-			}
-			if cs != nil {
-				fmt.Printf("failover event log (%d events):\n%s", len(cs.Events()), cs.EventsJSON())
-			}
-			return closeAll()
-		}
-	}
-}
-
-// startCluster builds the -cluster demo: shards primary/replica pairs
-// behind TCP frontends, and a deterministic fault plan (seeded by
-// -fault-seed) crashing primaries so failovers actually happen while
-// you watch.
-func startCluster(fw *saqp.Framework, scheduler string, faultSeed uint64, shards int) (*saqp.ClusterServer, error) {
-	// Every primary crashes once inside the first two simulated minutes
-	// and stays down 45 heartbeats — long past the sentinel's detection
-	// window, so each shard demonstrates a full crash → votes → failover
-	// → rejoin cycle.
-	plan := saqp.NewFaultPlan(saqp.FaultSpec{
-		Seed:             faultSeed,
-		Nodes:            shards,
-		HorizonSec:       120,
-		CrashProb:        1,
-		CrashDowntimeSec: 45,
-	})
-	cs, err := fw.NewClusterServer(saqp.ClusterOptions{
-		Shards:       shards,
-		Scheduler:    scheduler,
-		Listen:       true,
-		FaultPlan:    plan,
-		SentinelSeed: faultSeed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("Sharded cluster live: %d shards, %d slots\n", shards, cs.Status().Slots)
-	for _, line := range cs.Info() {
-		fmt.Println("  " + line)
-	}
-	fmt.Println("Cluster wire protocol: SUBMIT/EXPLAIN answer -MOVED <slot> <addr> when a query")
-	fmt.Println("belongs to another instance; CLUSTER prints the topology.")
-	return cs, nil
+	return srv.Close()
 }
 
 // serveOnce serves the -admin query through the engine (tracing and SLO

@@ -68,23 +68,6 @@ func TestHostingModes(t *testing.T) {
 				}
 			},
 		},
-		{
-			name:   "cluster",
-			args:   []string{"-cluster", "2"},
-			banner: regexp.MustCompile(`shard=1 slots=\S+ primary\*=(\S+)\(up`),
-			probe: func(t *testing.T, addr string) {
-				lines, err := dial(t, addr).Cluster()
-				if err != nil {
-					t.Fatalf("CLUSTER: %v", err)
-				}
-				info := strings.Join(lines, "\n")
-				for _, want := range []string{"cluster_shards:2", "shard=0 slots=", "shard=1 slots="} {
-					if !strings.Contains(info, want) {
-						t.Errorf("CLUSTER reply lacks %q:\n%s", want, info)
-					}
-				}
-			},
-		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(saqpBin, tc.args...)

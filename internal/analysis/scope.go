@@ -52,13 +52,6 @@ var DeterministicPackages = []string{
 	"saqp/internal/dataset",
 	"saqp/internal/trace",
 	"saqp/internal/core",
-	// The shard coordinator promises byte-identical failover event logs
-	// for equal (fault plan, sentinel config, tick count): the sentinel
-	// state machine advances only on explicit ticks, heartbeat phases
-	// derive from the seed, and status output never ranges a map. The
-	// wall-clock ticker that drives Tick in a live cluster lives in
-	// cmd/saqp, outside this scope.
-	"saqp/internal/shardserve",
 }
 
 // SeededCorePackages are the packages whose import marks a consumer as

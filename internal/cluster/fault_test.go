@@ -3,11 +3,15 @@ package cluster_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"saqp/internal/cluster"
 	"saqp/internal/fault"
 	"saqp/internal/sched"
+	"saqp/internal/selectivity"
+	"saqp/internal/sim"
+	"saqp/internal/trace"
 )
 
 // fingerprint flattens every per-task time of a run into one comparable
@@ -302,4 +306,78 @@ func TestSpeculativeLoserCancelledWithoutDoubleCounting(t *testing.T) {
 			t.Fatalf("map %d left in state %v", task.Index, task.State)
 		}
 	}
+}
+
+// TestFaultPlansCompleteOrFailTyped widens the fault tests' few
+// hand-picked plans to 1,008 seeds: each seed draws its own crash, slow
+// and task-fail probabilities and an attempt cap of 1–4, and runs three
+// generated SF 20 queries on one of TestSimReuseEqualsNew's configs
+// under SWRD, HFS or HCS, cycling through all eighteen pairs. Every run must
+// return, every query must end completed or failed — Completed + Failed
+// is the number submitted — and every failure must be a typed
+// *TaskFailedError naming its query. Runs are deterministic, so a
+// failure reproduces from its seed alone.
+func TestFaultPlansCompleteOrFailTyped(t *testing.T) {
+	const seeds = 1008
+	next := generatedEstimates(t, 17, 20)
+	pool := make([]*selectivity.QueryEstimate, 64)
+	for i := range pool {
+		pool[i] = next()
+	}
+	configs, policies := reuseConfigs(nil), reusePolicies()
+	s := new(cluster.Sim)
+	var completed, failed int
+	var capsSeen [5]int
+	var faults cluster.FaultStats
+	for i := 0; i < seeds; i++ {
+		seed := uint64(1000 + i)
+		r := sim.New(seed)
+		cfg := configs[i%len(configs)]
+		spec := fault.Spec{
+			Seed: seed, Nodes: cfg.Nodes, HorizonSec: 300,
+			CrashProb: r.Float64(), CrashDowntimeSec: r.Range(10, 120),
+			SlowProb: r.Float64(), SlowDurationSec: r.Range(20, 200),
+			TaskFailProb: r.Range(0, 0.3), MaxAttempts: 1 + r.Intn(4),
+		}
+		capsSeen[spec.MaxAttempts]++
+		cfg.Faults = fault.NewPlan(spec)
+		s.Reset(cfg, policies[(i/len(configs))%len(policies)])
+		cm := trace.NewDefaultCostModel(seed)
+		qs := make([]*cluster.Query, 3)
+		for k := range qs {
+			qs[k] = cluster.BuildQuery(fmt.Sprintf("q%d", k), pool[(3*i+k)%len(pool)], cm, cluster.ConstantPredictor(float64(k+1)))
+			s.Submit(qs[k], 4*float64(k))
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatalf("seed %d (%+v): %v", seed, spec, err)
+		}
+		if res.Completed+res.Failed != len(qs) || len(res.Queries) != len(qs) {
+			t.Fatalf("seed %d: completed %d + failed %d of %d queries (%d in results)",
+				seed, res.Completed, res.Failed, len(qs), len(res.Queries))
+		}
+		for _, q := range qs {
+			if !q.Failed() {
+				if !q.Done() {
+					t.Fatalf("seed %d: %s neither failed nor done", seed, q.ID)
+				}
+				continue
+			}
+			if tfe, ok := q.Err.(*cluster.TaskFailedError); !ok || tfe.Query != q.ID {
+				t.Fatalf("seed %d: %s failed with %T %v, want a *cluster.TaskFailedError naming it", seed, q.ID, q.Err, q.Err)
+			}
+		}
+		completed += res.Completed
+		failed += res.Failed
+		faults.NodeCrashes += res.Faults.NodeCrashes
+		faults.TaskFailures += res.Faults.TaskFailures
+		faults.NodesBlacklisted += res.Faults.NodesBlacklisted
+	}
+	if completed == 0 || failed == 0 || slices.Contains(capsSeen[1:], 0) ||
+		faults.NodeCrashes == 0 || faults.TaskFailures == 0 || faults.NodesBlacklisted == 0 {
+		t.Fatalf("the sweep does not discriminate: %d completed, %d failed, attempt caps drawn %v, faults %+v",
+			completed, failed, capsSeen[1:], faults)
+	}
+	t.Logf("%d queries completed, %d failed typed; attempt caps 1–4 drawn %v times; %d crashes, %d task failures, %d blacklistings",
+		completed, failed, capsSeen[1:], faults.NodeCrashes, faults.TaskFailures, faults.NodesBlacklisted)
 }

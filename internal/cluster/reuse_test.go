@@ -41,6 +41,34 @@ func generatedEstimates(t *testing.T, seed uint64, sf float64) func() *selectivi
 	}
 }
 
+// reuseConfigs are the cluster shapes TestSimReuseEqualsNew alternates:
+// the default, preemption, speculation, faulty (the given plan), skewed
+// node speeds with both recovery features, and a 3-node faulty cluster
+// with speculation.
+func reuseConfigs(faulty *fault.Plan) []cluster.Config {
+	with := func(edit func(*cluster.Config)) cluster.Config {
+		c := cluster.DefaultConfig()
+		edit(&c)
+		return c
+	}
+	return []cluster.Config{
+		cluster.DefaultConfig(),
+		with(func(c *cluster.Config) { c.PreemptiveReduce = true }),
+		with(func(c *cluster.Config) { c.SpeculativeExecution = true }),
+		with(func(c *cluster.Config) { c.Faults = faulty }),
+		with(func(c *cluster.Config) {
+			c.NodeFactors = []float64{0.4, 1, 1.3, 0.7, 1, 1, 2, 0.9, 1.1}
+			c.PreemptiveReduce, c.SpeculativeExecution = true, true
+		}),
+		{Nodes: 3, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, JobInitSec: 1, Faults: faulty, SpeculativeExecution: true},
+	}
+}
+
+// reusePolicies are the slot policies TestSimReuseEqualsNew alternates.
+func reusePolicies() []cluster.Scheduler {
+	return []cluster.Scheduler{sched.SWRD{}, sched.HFS{}, sched.HCS{Queues: 2}}
+}
+
 // TestSimReuseEqualsNew holds Reset to its contract — a re-initialised
 // Sim is indistinguishable from a new one — over 240 generated query
 // pairs run back-to-back on one Sim, each also on a fresh New. Configs
@@ -52,30 +80,13 @@ func generatedEstimates(t *testing.T, seed uint64, sf float64) func() *selectivi
 // Results, and the full obs event stream (which carries node and slot).
 func TestSimReuseEqualsNew(t *testing.T) {
 	estimate := generatedEstimates(t, 11, 1)
-
-	faulty := fault.NewPlan(fault.Spec{
+	configs := reuseConfigs(fault.NewPlan(fault.Spec{
 		Seed: 7, Nodes: 9, HorizonSec: 600,
 		CrashProb: 0.5, CrashDowntimeSec: 40,
 		SlowProb: 0.5, SlowDurationSec: 80,
 		TaskFailProb: 0.08,
-	})
-	with := func(edit func(*cluster.Config)) cluster.Config {
-		c := cluster.DefaultConfig()
-		edit(&c)
-		return c
-	}
-	configs := []cluster.Config{
-		cluster.DefaultConfig(),
-		with(func(c *cluster.Config) { c.PreemptiveReduce = true }),
-		with(func(c *cluster.Config) { c.SpeculativeExecution = true }),
-		with(func(c *cluster.Config) { c.Faults = faulty }),
-		with(func(c *cluster.Config) {
-			c.NodeFactors = []float64{0.4, 1, 1.3, 0.7, 1, 1, 2, 0.9, 1.1}
-			c.PreemptiveReduce, c.SpeculativeExecution = true, true
-		}),
-		{Nodes: 3, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, JobInitSec: 1, Faults: faulty, SpeculativeExecution: true},
-	}
-	policies := []cluster.Scheduler{sched.SWRD{}, sched.HFS{}, sched.HCS{Queues: 2}}
+	}))
+	policies := reusePolicies()
 
 	reused := new(cluster.Sim)
 	for i := 0; i < 240; i++ {
@@ -163,7 +174,7 @@ func (c scanChecked) check(now float64) {
 // tasks reset to pending) are held too.
 func TestSimCountersEqualScans(t *testing.T) {
 	estimate := generatedEstimates(t, 13, 20)
-	policies := []cluster.Scheduler{sched.SWRD{}, sched.HFS{}, sched.HCS{Queues: 2}}
+	policies := reusePolicies()
 	o := obs.New(nil) // counts the transitions the runs are meant to drive
 	s := new(cluster.Sim)
 	for i := 0; i < 200; i++ {

@@ -20,11 +20,11 @@
 //     registry atomically promotes it, bumps the version, and snapshots
 //     the retired champion as a V2 predict persistence bundle.
 //
-//   - The serving engine (internal/serve) feeds observed job and task
-//     times into the registry after each cleanly completed query and
-//     serves admission scores and per-task predictions from the current
-//     champion; internal/obs carries the saqp_learn_* metrics and the
-//     promotion trace instants.
+//   - The serving engine (internal/serve), through the Source seam, feeds
+//     observed job and task times into the registry after each cleanly
+//     completed query and serves admission scores and per-task
+//     predictions from the current champion; internal/obs carries the
+//     saqp_learn_* metrics and the promotion trace instants.
 //
 // Every decision in this package is deterministic: promotions are driven
 // by sample counts and error windows, never the wall clock, so a seeded

@@ -44,6 +44,24 @@ type Promotion struct {
 	ChallengerErr float64 `json:"challenger_err"`
 }
 
+// Source is the model-lifecycle seam the serving engine consumes: the
+// champion to serve from and a feedback sink for observed job and task
+// times. *Registry is its one implementation outside tests; the seam
+// lets a test hand the engine a champion that changes on every read.
+type Source interface {
+	// Champion returns the serving champion as one consistent snapshot:
+	// its version and its frozen job and task models (nil while cold).
+	// A decision that needs more than one of the three takes them from
+	// one call, never from two.
+	Champion() (version int, jm *predict.JobModel, tm *predict.TaskModel)
+	// ObserveJob feeds one completed job's observed execution time.
+	ObserveJob(op plan.JobType, features []float64, observedSec float64)
+	// ObserveTask feeds one completed task's observed execution time.
+	ObserveTask(op plan.JobType, reduce bool, features []float64, observedSec float64)
+}
+
+var _ Source = (*Registry)(nil)
+
 // Registry is the versioned model store with champion/challenger
 // semantics. The champion — a frozen JobModel/TaskModel pair — serves
 // predictions; the challenger — three predict.FamilyFit accumulators,
@@ -291,6 +309,19 @@ func (r *Registry) challengerTaskLocked() *predict.TaskModel {
 		return r.champTask
 	}
 	return &predict.TaskModel{Map: mf, Reduce: rf}
+}
+
+// Champion returns the serving champion — version, job model, task
+// model — under a single lock acquisition, so the engine never observes
+// a version from one promotion paired with models from another. The
+// models are frozen and must not be mutated.
+func (r *Registry) Champion() (version int, jm *predict.JobModel, tm *predict.TaskModel) {
+	if r == nil {
+		return 0, nil, nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.version, r.champJob, r.champTask
 }
 
 // Version returns the champion's version: 0 while cold, 1 for a seeded

@@ -27,10 +27,26 @@ func feedRegistry(r *Registry, seed uint64, n int) {
 	}
 }
 
-// jobModelOf and taskModelOf pick one model out of a source's champion
-// snapshot.
-func jobModelOf(s Source) *predict.JobModel   { _, jm, _ := s.Champion(); return jm }
-func taskModelOf(s Source) *predict.TaskModel { _, _, tm := s.Champion(); return tm }
+// jobModelOf and taskModelOf pick one model out of the registry's
+// champion snapshot.
+func jobModelOf(r *Registry) *predict.JobModel   { _, jm, _ := r.Champion(); return jm }
+func taskModelOf(r *Registry) *predict.TaskModel { _, _, tm := r.Champion(); return tm }
+
+func TestRegistryChampionIsConsistent(t *testing.T) {
+	r := NewRegistry(Config{MinSamples: 5, Window: 4})
+	feedRegistry(r, 1, 10)
+	v, jm, tm := r.Champion()
+	if v < 1 || v != r.Version() {
+		t.Fatalf("Champion version %d, Version() %d, want the same bootstrapped version", v, r.Version())
+	}
+	if jm == nil || tm == nil {
+		t.Fatal("bootstrap should install a full champion")
+	}
+	var nilReg *Registry
+	if v, jm, tm := nilReg.Champion(); v != 0 || jm != nil || tm != nil {
+		t.Fatal("a nil registry must serve version 0 and nil models")
+	}
+}
 
 func TestColdStartBootstrap(t *testing.T) {
 	r := NewRegistry(Config{MinSamples: 30, Window: 20})

@@ -32,43 +32,6 @@ func IsBusy(err error) bool {
 	return errors.As(err, &se) && se.Code == "BUSY"
 }
 
-// MovedError is a cluster redirect: the addressed instance does not
-// own the query's hash slot and names the instance that does.
-type MovedError struct {
-	// Slot is the query's hash slot.
-	Slot int
-	// Addr is the advertised address of the owning instance.
-	Addr string
-}
-
-// Error implements the error interface in the wire's own shape.
-func (e *MovedError) Error() string {
-	return "server error MOVED: " + strconv.Itoa(e.Slot) + " " + e.Addr
-}
-
-// AsMoved unwraps a -MOVED redirect from err, if that is what it is.
-func AsMoved(err error) (*MovedError, bool) {
-	var me *MovedError
-	if errors.As(err, &me) {
-		return me, true
-	}
-	return nil, false
-}
-
-// parseMoved decodes a MOVED error payload ("<slot> <addr>"); nil when
-// the payload is malformed (the caller falls back to *ServerError).
-func parseMoved(msg []byte) *MovedError {
-	slotRaw, addr, ok := bytes.Cut(msg, []byte{' '})
-	if !ok || len(addr) == 0 {
-		return nil
-	}
-	slot, err := strconv.Atoi(string(slotRaw))
-	if err != nil || slot < 0 {
-		return nil
-	}
-	return &MovedError{Slot: slot, Addr: string(addr)}
-}
-
 // Client is a blocking, connection-per-client wire client. Methods are
 // safe for one goroutine at a time; a Client serializes one
 // request/reply exchange per call.
@@ -120,11 +83,6 @@ func (c *Client) roundTrip(args ...string) (proto.Value, error) {
 	}
 	if v.Kind == proto.KindError {
 		code, msg, _ := bytes.Cut(v.Str, []byte{' '})
-		if string(code) == "MOVED" {
-			if me := parseMoved(msg); me != nil {
-				return proto.Value{}, me
-			}
-		}
 		return proto.Value{}, &ServerError{Code: string(code), Msg: string(msg)}
 	}
 	return v, nil
@@ -198,16 +156,6 @@ func (c *Client) Explain(sql string) ([]string, error) {
 // Metrics returns the server's metrics dump, one line per entry.
 func (c *Client) Metrics() ([]string, error) {
 	v, err := c.roundTrip("METRICS")
-	if err != nil {
-		return nil, err
-	}
-	return bulkLines(v)
-}
-
-// Cluster returns the server's cluster topology snapshot, one line per
-// entry.
-func (c *Client) Cluster() ([]string, error) {
-	v, err := c.roundTrip("CLUSTER")
 	if err != nil {
 		return nil, err
 	}

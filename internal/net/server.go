@@ -30,10 +30,9 @@ type Config struct {
 	// port).
 	Addr string
 	// Backend is the serving engine commands dispatch into: the facade
-	// passes a saqp.Server (behind its one adapter, which only narrows
-	// Submit's *Ticket to serve.Pending) or a cluster instance's
-	// shardserve.View. Required. The frontend cannot close it: the engine
-	// outlives Shutdown so in-flight queries drain.
+	// passes a saqp.Server behind its one adapter, which only narrows
+	// Submit's *Ticket to serve.Pending. Required. The frontend cannot
+	// close it: the engine outlives Shutdown so in-flight queries drain.
 	Backend serve.Backend
 	// MaxConns bounds concurrently served connections; beyond it an
 	// accept earns `-BUSY connection limit reached` and an immediate
@@ -62,15 +61,6 @@ type Config struct {
 	// MetricsText, when set, serves the METRICS command with a textual
 	// metrics dump.
 	MetricsText func() ([]byte, error)
-	// Route, when set, marks this server as one instance of a sharded
-	// cluster: it resolves a query's hash slot and the advertised
-	// address of the instance that owns it. When local is false, SUBMIT
-	// and EXPLAIN answer `-MOVED <slot> <addr>` instead of executing, so
-	// clients re-route and retry — the Redis Cluster redirect contract.
-	Route func(sql string) (slot int, addr string, local bool, err error)
-	// ClusterInfo, when set, serves the CLUSTER command with the
-	// coordinator's line-oriented topology snapshot.
-	ClusterInfo func() []string
 	// Observer records connection and command metrics; nil disables.
 	Observer *obs.Observer
 }
@@ -194,11 +184,15 @@ func (s *Server) closeConns() {
 	}
 }
 
-// draining reports whether a drain or close has begun.
-func (s *Server) isDraining() bool {
+// armRead sets c's idle read deadline for the next request; false means
+// a drain or close has begun and c should hang up. Check and arm are one
+// critical section with beginDrain's kick: armed outside s.mu, the idle
+// deadline could overwrite a kick that landed between the two, and a
+// quiet client would then hold Shutdown until its ctx expired.
+func (s *Server) armRead(c stdnet.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.draining
+	return !s.draining && c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)) == nil
 }
 
 // acceptLoop admits connections until the listener closes.
@@ -261,10 +255,7 @@ func (s *Server) serveConn(c stdnet.Conn) {
 	enc := proto.NewEncoder(bw)
 	pending := make(map[string]serve.Pending)
 	for {
-		if s.isDraining() {
-			return
-		}
-		if err := c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
+		if !s.armRead(c) {
 			return
 		}
 		args, err := readRequest(br, s.cfg.Limits)
@@ -350,8 +341,6 @@ func (s *Server) dispatch(ctx context.Context, enc *proto.Encoder, pending map[s
 		s.cmdExplain(enc, args)
 	case "METRICS":
 		s.cmdMetrics(enc)
-	case "CLUSTER":
-		s.cmdCluster(enc)
 	default:
 		s.ob.Count(obs.MNetUnknownCmds)
 		enc.Error("ERR", "unknown command '"+proto.Sanitize(verb)+"'")
@@ -374,9 +363,6 @@ func (s *Server) cmdSubmit(ctx context.Context, enc *proto.Encoder, pending map[
 			enc.Error("ERR", "bad seed '"+proto.Sanitize(string(args[2]))+"'")
 			return
 		}
-	}
-	if !s.routeLocal(enc, string(args[1])) {
-		return
 	}
 	if len(pending) >= s.cfg.MaxPending {
 		s.ob.Count(obs.MNetBusyRejections)
@@ -434,9 +420,6 @@ func (s *Server) cmdExplain(enc *proto.Encoder, args [][]byte) {
 		enc.Error("ERR", "EXPLAIN requires a query")
 		return
 	}
-	if !s.routeLocal(enc, string(args[1])) {
-		return
-	}
 	lines, err := s.cfg.Explain(string(args[1]))
 	if err != nil {
 		enc.Error("ERR", proto.Sanitize(err.Error()))
@@ -460,41 +443,6 @@ func (s *Server) cmdMetrics(enc *proto.Encoder) {
 		return
 	}
 	lines := strings.Split(strings.TrimRight(string(text), "\n"), "\n")
-	enc.Array(len(lines))
-	for _, l := range lines {
-		enc.BulkString(l)
-	}
-}
-
-// routeLocal applies the cluster routing gate to a query-bearing
-// command: true means this instance owns the query (or the server is
-// not clustered) and the command should execute here. Otherwise the
-// MOVED redirect (or routing error) has already been encoded.
-func (s *Server) routeLocal(enc *proto.Encoder, sql string) bool {
-	if s.cfg.Route == nil {
-		return true
-	}
-	slot, addr, local, err := s.cfg.Route(sql)
-	if err != nil {
-		enc.Error("ERR", proto.Sanitize(err.Error()))
-		return false
-	}
-	if local {
-		return true
-	}
-	s.ob.Count(obs.MShardMovedRedirects)
-	enc.Error("MOVED", strconv.Itoa(slot)+" "+addr)
-	return false
-}
-
-// cmdCluster serves the coordinator's topology snapshot, one bulk
-// frame per line.
-func (s *Server) cmdCluster(enc *proto.Encoder) {
-	if s.cfg.ClusterInfo == nil {
-		enc.Error("ERR", "CLUSTER not supported by this server")
-		return
-	}
-	lines := s.cfg.ClusterInfo()
 	enc.Array(len(lines))
 	for _, l := range lines {
 		enc.BulkString(l)

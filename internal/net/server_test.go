@@ -162,9 +162,11 @@ func TestServerCommands(t *testing.T) {
 	if err != nil || len(metrics) != 2 || metrics[1] != "b 2" {
 		t.Fatalf("METRICS = %v, %v", metrics, err)
 	}
-	var se *ServerError
-	if _, err := c.roundTrip("NOSUCH"); !errors.As(err, &se) || se.Code != "ERR" {
-		t.Fatalf("unknown command error = %v", err)
+	for _, verb := range []string{"NOSUCH", "CLUSTER"} {
+		var se *ServerError
+		if _, err := c.roundTrip(verb); !errors.As(err, &se) || se.Code != "ERR" || se.Msg != "unknown command '"+verb+"'" {
+			t.Fatalf("%s error = %v, want -ERR unknown command", verb, err)
+		}
 	}
 	if err := c.Quit(); err != nil {
 		t.Fatalf("QUIT: %v", err)
@@ -343,7 +345,8 @@ func TestServerParseErrorCloses(t *testing.T) {
 // connection closes.
 func TestServerGracefulDrain(t *testing.T) {
 	b := &fakeBackend{hold: true}
-	s, _ := startServer(t, Config{Backend: b})
+	ob := obs.New(nil)
+	s, _ := startServer(t, Config{Backend: b, Observer: ob})
 	c := dialT(t, s.Addr())
 	id, err := c.Submit("SELECT COUNT(*) FROM lineitem", 1)
 	if err != nil {
@@ -355,12 +358,19 @@ func TestServerGracefulDrain(t *testing.T) {
 		err error
 	}
 	waited := make(chan waitOut, 1)
+	commands := ob.Metrics.Counter(obs.MNetCommands)
+	sent := commands.Value()
 	go func() {
 		res, err := c.Wait(id)
 		waited <- waitOut{res, err}
 	}()
-	// Give the WAIT time to reach the server before draining.
-	time.Sleep(50 * time.Millisecond)
+	// The server counts a command before dispatching it, so one more
+	// means the WAIT is on the server, blocking on its ticket.
+	for deadline := time.Now().Add(5 * time.Second); commands.Value() <= sent; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the WAIT never reached the server")
+		}
+	}
 
 	shutdown := make(chan error, 1)
 	go func() {
@@ -389,6 +399,56 @@ func TestServerGracefulDrain(t *testing.T) {
 	// Post-drain the server accepts nothing new.
 	if _, err := Dial(s.Addr()); err == nil {
 		t.Fatal("Dial succeeded after Shutdown")
+	}
+}
+
+// TestServerDrainWithQuietClients races Shutdown against connections
+// that have just been served and are about to wait for their next
+// request. Each round opens 32 connections that send one PING and then
+// go quiet, and begins the drain once half the PINGs have been counted,
+// so some handlers are between their reply and their next read. A kick
+// that a handler's re-armed idle deadline overwrote would hold Shutdown
+// for the full minute of IdleTimeout; a clean drain must return nil
+// well inside the 5 s ctx every round.
+func TestServerDrainWithQuietClients(t *testing.T) {
+	const (
+		rounds = 200
+		conns  = 32
+	)
+	for round := 0; round < rounds; round++ {
+		ob := obs.New(nil)
+		s, err := Start(Config{Addr: "127.0.0.1:0", Backend: &fakeBackend{}, IdleTimeout: time.Minute, Observer: ob})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients := make([]stdnet.Conn, 0, conns)
+		for i := 0; i < conns; i++ {
+			c, err := stdnet.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			clients = append(clients, c)
+		}
+		for _, c := range clients {
+			if _, err := io.WriteString(c, "PING\r\n"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		commands := ob.Metrics.Counter(obs.MNetCommands)
+		for deadline := time.Now().Add(5 * time.Second); commands.Value() < conns/2; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: only %v of %d PINGs reached the server", round, commands.Value(), conns)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err = s.Shutdown(ctx)
+		cancel()
+		for _, c := range clients {
+			_ = c.Close()
+		}
+		if err != nil {
+			t.Errorf("round %d: Shutdown = %v with every client quiet, want nil", round, err)
+		}
 	}
 }
 

@@ -56,10 +56,6 @@ func TestHotPathAllocs(t *testing.T) {
 			o.ServeCanceled(1000)
 			o.NetConnAccepted(1000)
 			o.NetConnClosed(1000)
-			o.ShardCrash(1000)
-			o.ShardRejoin(1000)
-			o.ShardFailover(1000)
-			o.ShardModelSync(1000, 1000)
 			o.LearnJobSample(0.5, 0.25)
 			o.LearnIntervalWidth(3)
 			o.SLORecorded(obs.SLOState{FastBurn: 1.5, SlowBurn: 0.5, Firing: true, Transition: true})

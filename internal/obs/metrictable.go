@@ -35,8 +35,8 @@ func gauge(name, help string) string     { return declare("gauge", name, help) }
 func histogram(name, help string) string { return declare("histogram", name, help) }
 
 // The metric table. Names follow saqp_<subsystem>_<name>[_<unit>] with a
-// subsystem of cluster, sched, framework, serve, net, shard, learn or
-// slo; counters end in _total (TestMetricTable enforces both).
+// subsystem of cluster, sched, framework, serve, net, learn or slo;
+// counters end in _total (TestMetricTable enforces both).
 // Every value is a count, a gauge or a simulated duration, so a seeded
 // replay exports identical numbers.
 var (
@@ -97,26 +97,10 @@ var (
 	MNetBusyRejections = counter("saqp_net_busy_rejections_total", "Submissions refused with -BUSY.")
 	MNetUnknownCmds    = counter("saqp_net_unknown_commands_total", "Command verbs the server does not speak.")
 
-	// Shard coordinator and sentinel. Failover causality is the
-	// coordinator's event log; these only count.
-	MShardSubmissions     = counter("saqp_shard_submissions_total", "Submissions routed through the coordinator.")
-	MShardFailoverWaits   = counter("saqp_shard_failover_waits_total", "Submissions that blocked for a promotion.")
-	MShardMovedRedirects  = counter("saqp_shard_moved_redirects_total", "-MOVED redirects served.")
-	MShardCrashes         = counter("saqp_shard_crashes_total", "Instance crash actuations.")
-	MShardRejoins         = counter("saqp_shard_rejoins_total", "Crashed instances that rejoined as standby.")
-	MShardHeartbeatMisses = counter("saqp_shard_heartbeat_misses_total", "Sentinel heartbeats that found an instance unresponsive.")
-	MShardDownVotes       = counter("saqp_shard_down_votes_total", "Sentinel votes that a shard is down.")
-	MShardFailovers       = counter("saqp_shard_failovers_total", "Quorum failovers.")
-	MShardAlivePrimaries  = gauge("saqp_shard_alive_primaries", "Primaries currently alive.")
-	MShardEpoch           = gauge("saqp_shard_epoch", "Cluster epoch, bumped per failover.")
-	MShardLeaderVersion   = gauge("saqp_shard_model_leader_version", "Coordinator registry's champion version.")
-	MShardModelLagMax     = gauge("saqp_shard_model_lag_max", "Worst replica lag behind the leader, in versions.")
-
 	// Online learning.
 	MLearnJobSamples    = counter("saqp_learn_job_samples_total", "Job observations absorbed.")
 	MLearnTaskSamples   = counter("saqp_learn_task_samples_total", "Task observations absorbed.")
 	MLearnPromotions    = counter("saqp_learn_promotions_total", "Champion promotions.")
-	MLearnReplicaSyncs  = counter("saqp_learn_replica_syncs_total", "Replica pulls of a new champion version.")
 	MLearnModelVersion  = gauge("saqp_learn_model_version", "Serving champion version.")
 	MLearnChampionErr   = gauge("saqp_learn_champion_window_rel_error", "Champion's windowed mean relative error.")
 	MLearnChallengerErr = gauge("saqp_learn_challenger_window_rel_error", "Challenger's windowed mean relative error.")

@@ -234,33 +234,6 @@ func (o *Observer) NetConnClosed(active int) {
 	o.set(MNetConnsActive, active)
 }
 
-// ShardCrash records one crash actuation and the resulting count of
-// alive primaries.
-func (o *Observer) ShardCrash(alivePrimaries int) {
-	o.Count(MShardCrashes)
-	o.set(MShardAlivePrimaries, alivePrimaries)
-}
-
-// ShardRejoin records one crashed instance rejoining as a standby and
-// the resulting count of alive primaries.
-func (o *Observer) ShardRejoin(alivePrimaries int) {
-	o.Count(MShardRejoins)
-	o.set(MShardAlivePrimaries, alivePrimaries)
-}
-
-// ShardFailover records one quorum failover and the new cluster epoch.
-func (o *Observer) ShardFailover(epoch int) {
-	o.Count(MShardFailovers)
-	o.set(MShardEpoch, epoch)
-}
-
-// ShardModelSync records one model fan-out pass: the coordinator
-// registry's champion version and the worst replica lag behind it.
-func (o *Observer) ShardModelSync(leaderVersion, maxLag int) {
-	o.set(MShardLeaderVersion, leaderVersion)
-	o.set(MShardModelLagMax, maxLag)
-}
-
 // LearnJobSample counts one absorbed job observation and updates the
 // windowed relative-error gauges. A negative error means that window is
 // still empty and leaves its gauge untouched.

@@ -66,8 +66,7 @@ type SpanTree struct {
 }
 
 // TraceID derives the deterministic request trace id: the FNV-64a hash
-// of the plan-cache key (serve.CacheKey — the same fingerprint the
-// shard coordinator routes on), joined with the engine-assigned
+// of the plan-cache key (serve.CacheKey), joined with the engine-assigned
 // submission index. The same query text resubmitted gets a new suffix
 // but keeps its fingerprint prefix, so related requests group textually.
 func TraceID(cacheKey string, submission uint64) string {
@@ -75,9 +74,9 @@ func TraceID(cacheKey string, submission uint64) string {
 }
 
 // FNV64a returns the 64-bit FNV-1a hash of s — hash/fnv's New64a without
-// the hash.Hash64 allocation or the []byte(s) copy. TraceID and the
-// shard coordinator's route slot both take it over serve.CacheKey, so
-// one value identifies a query in traces, routing and the plan cache.
+// the hash.Hash64 allocation or the []byte(s) copy. TraceID takes it
+// over serve.CacheKey, so one value identifies a query in traces and in
+// the plan cache.
 //
 //saqp:hotpath
 func FNV64a(s string) uint64 {

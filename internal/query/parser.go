@@ -282,7 +282,7 @@ var reserved = map[string]bool{
 // Identifiers are case-insensitive, as in HiveQL: table, alias and
 // column names fold to lower case where the parser takes them (the
 // lexer cannot — keywords are tokIdent too), so LINEITEM and lineitem
-// are one query, one cache key and one route slot. ToLower returns an
+// are one query and one cache key. ToLower returns an
 // already-lower-case name unchanged, without allocating.
 func (p *parser) parseColumnRef() (ColumnRef, error) {
 	t := p.cur()

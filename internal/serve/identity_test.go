@@ -14,7 +14,7 @@ import (
 
 // The identity suite: CacheKey is the claim "these two submissions are
 // the same query", and every tier above it (the plan cache, the exact-text
-// memo in front of it, the shard router, trace ids) inherits whatever it
+// memo in front of it, trace ids) inherits whatever it
 // gets wrong. Three properties over the generator's whole shape space
 // plus the TPC-H texts, with the estimator as arbiter of "same":
 //

@@ -63,10 +63,9 @@ type Config struct {
 	// drift accounting come from the source's current champion models —
 	// falling back to the static TaskModel/JobModel while the source is
 	// cold — and every cleanly completed (unfaulted) query's observed job
-	// and task times are fed back as challenger training samples. A
-	// *learn.Registry learns locally; a *learn.Replica serves a sharded
-	// coordinator's champion and forwards feedback upstream. Callers must
-	// leave this nil (not a typed-nil pointer) to disable learning.
+	// and task times are fed back as challenger training samples. The
+	// facade passes a *learn.Registry. Callers must leave this nil (not a
+	// typed-nil pointer) to disable learning.
 	Learner learn.Source
 	// Scheduler is the slot policy each pool simulator runs (required).
 	// The policies in internal/sched are stateless values, safe to
@@ -125,9 +124,8 @@ type Result struct {
 }
 
 // Pending is one accepted submission awaiting completion — the slice of
-// Ticket every layer above the engine (TCP frontend, shard coordinator)
-// consumes, so engine tickets pass through them unwrapped except for
-// shard-qualified ids.
+// Ticket the TCP frontend consumes, so a frontend test can resolve
+// tickets by hand.
 type Pending interface {
 	// ID returns the submission id.
 	ID() string
@@ -135,9 +133,9 @@ type Pending interface {
 	Wait(ctx context.Context) (Result, error)
 }
 
-// Backend is one serving engine as the layers above it (TCP frontend,
-// shard coordinator) drive it. Neither closes it: whoever built the
-// engine drains it, after the layers above have stopped submitting.
+// Backend is one serving engine as the TCP frontend drives it. The
+// frontend never closes it: whoever built the engine drains it, after
+// the frontend has stopped submitting.
 type Backend interface {
 	// Submit admits one query for serving.
 	Submit(ctx context.Context, sql string, seed uint64) (Pending, error)
@@ -229,38 +227,6 @@ type Stats struct {
 	SLOSlowBurn float64
 	SLOFiring   bool
 	SLOAlerts   int
-}
-
-// Add folds another engine's snapshot into s — the per-shard
-// aggregation a cluster coordinator reports. Counters and occupancy
-// gauges sum; the SLO burn-rate fields take the worst (highest-burn)
-// engine's view, and the alert fires if any engine's does.
-func (s *Stats) Add(o Stats) {
-	s.Submitted += o.Submitted
-	s.Completed += o.Completed
-	s.Canceled += o.Canceled
-	s.Rejected += o.Rejected
-	s.Errors += o.Errors
-	s.Retries += o.Retries
-	s.FaultFailures += o.FaultFailures
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.CacheEvictions += o.CacheEvictions
-	s.CacheEntries += o.CacheEntries
-	s.CacheSpellings += o.CacheSpellings
-	s.QueueDepth += o.QueueDepth
-	s.Inflight += o.Inflight
-	s.Workers += o.Workers
-	s.SpansStarted += o.SpansStarted
-	s.SpansFinished += o.SpansFinished
-	if o.SLOFastBurn > s.SLOFastBurn {
-		s.SLOFastBurn = o.SLOFastBurn
-	}
-	if o.SLOSlowBurn > s.SLOSlowBurn {
-		s.SLOSlowBurn = o.SLOSlowBurn
-	}
-	s.SLOFiring = s.SLOFiring || o.SLOFiring
-	s.SLOAlerts += o.SLOAlerts
 }
 
 // HitRate returns the cache hit fraction, 0 when no lookups happened.
@@ -457,8 +423,8 @@ func ticketID(seq uint64) string {
 // CacheKey is the identity under which two submissions are the same
 // query: normalized SQL (query.Query.String) plus the fingerprint of
 // the statistics the estimate was computed over. The plan cache looks
-// entries up by it and the shard coordinator hashes it into a slot, so
-// texts that share a cache entry always share a shard.
+// entries up by it and obs.TraceID hashes it into a trace id's prefix,
+// so texts that share a cache entry share that prefix.
 func CacheKey(normSQL, catalogFP string) string {
 	return normSQL + "\x00" + catalogFP
 }

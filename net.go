@@ -9,7 +9,6 @@ import (
 	"saqp/internal/net"
 	"saqp/internal/net/proto"
 	"saqp/internal/serve"
-	"saqp/internal/shardserve"
 )
 
 // Network-frontend re-exports, so callers stay on the facade.
@@ -45,7 +44,7 @@ type NetOptions struct {
 }
 
 // backend is the facade's one adapter: *Server as a serve.Backend, for
-// the TCP frontend and the shard coordinator. Stats is Server's own;
+// the TCP frontend. Stats is Server's own;
 // Submit exists only because Go's return types are invariant —
 // Server.Submit returns the concrete *Ticket its callers use, the seam
 // wants a serve.Pending.
@@ -69,41 +68,19 @@ func (b backend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pen
 // frontend drains via NetServer.Shutdown — close srv only after that
 // returns, so in-flight queries keep their engine.
 func (f *Framework) NewNetServer(srv *Server, opts NetOptions) (*NetServer, error) {
-	return f.startNet(opts, srv, backend{srv})
-}
-
-// startNet starts every TCP frontend the facade hosts — NewNetServer's
-// and one per instance of a listening ClusterServer — so this is the
-// one net.Config. srv is the server behind b, whose engine scores
-// EXPLAIN. A backend that is a cluster instance's view makes the
-// frontend that instance's: it gates SUBMIT/EXPLAIN on slot ownership,
-// serves CLUSTER, and signs EXPLAIN with the instance's attribution.
-func (f *Framework) startNet(opts NetOptions, srv *Server, b serve.Backend) (*NetServer, error) {
-	explain := func(sql string) ([]string, error) { return f.explainLines(srv, sql) }
-	cfg := net.Config{
+	return net.Start(net.Config{
 		Addr:           opts.Addr,
-		Backend:        b,
+		Backend:        backend{srv},
 		MaxConns:       opts.MaxConns,
 		MaxPending:     opts.MaxPending,
 		IdleTimeout:    opts.IdleTimeout,
 		WriteTimeout:   opts.WriteTimeout,
 		BusyQueueDepth: opts.BusyQueueDepth,
 		Limits:         proto.DefaultLimits(),
-		Explain:        explain,
+		Explain:        func(sql string) ([]string, error) { return f.explainLines(srv, sql) },
 		MetricsText:    f.metricsText,
 		Observer:       f.Obs,
-	}
-	if inst, ok := b.(shardserve.View); ok {
-		cfg.Route, cfg.ClusterInfo = inst.Route, inst.Info
-		cfg.Explain = func(sql string) ([]string, error) {
-			lines, err := explain(sql)
-			if err != nil {
-				return nil, err
-			}
-			return append(lines, inst.Attribution()), nil
-		}
-	}
-	return net.Start(cfg)
+	})
 }
 
 // DialNet connects a wire client to a NetServer at addr.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"saqp"
+	"saqp/internal/obs"
 	"saqp/internal/predict"
 )
 
@@ -134,6 +135,122 @@ func TestServerNetworkStress(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutine leak: %d before stress, %d after drain", before, runtime.NumGoroutine())
+}
+
+// TestNetShutdownCompletesInflightWait is the frontend's drain contract
+// over a real engine: a WAIT in flight when Shutdown begins returns its
+// result, not a cancellation, and Shutdown blocks until it has. The
+// waited query sits last in a one-worker queue behind a backlog of
+// equals; the backlog grows until the WAIT is observed still pending
+// after the drain has begun, so a pass is never vacuous.
+func TestNetShutdownCompletesInflightWait(t *testing.T) {
+	fw, err := saqp.NewFramework(saqp.Options{Observer: saqp.NewObserver(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, err := saqp.TPCHSQL("q17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commands := fw.Obs.Metrics.Counter(obs.MNetCommands)
+	eventually := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	for backlog := 1000; ; backlog *= 4 {
+		if backlog > 64000 {
+			t.Fatal("no backlog kept the WAIT in flight until the drain began")
+		}
+		srv, err := fw.NewServer(saqp.ServerOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ns.Addr()
+		c, err := saqp.DialNet(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < backlog; i++ {
+			if _, err := srv.Submit(context.Background(), sql, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		id, err := c.Submit(sql, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type waitOut struct {
+			res saqp.ServeResult
+			err error
+		}
+		waited := make(chan waitOut, 1)
+		sent := commands.Value()
+		go func() {
+			res, err := c.Wait(id)
+			waited <- waitOut{res, err}
+		}()
+		// The frontend counts a command before dispatching it, so one more
+		// means the WAIT is on the server, blocking on its ticket.
+		eventually("the WAIT to reach the frontend", func() bool { return commands.Value() > sent })
+
+		shutdown := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			shutdown <- ns.Shutdown(ctx)
+		}()
+		// A drain's first act is closing the listener.
+		eventually("the drain to begin", func() bool {
+			probe, err := saqp.DialNet(addr)
+			if err == nil {
+				probe.Close()
+			}
+			return err != nil
+		})
+		inflight := true
+		select {
+		case err := <-shutdown:
+			// The backlog drained before the probe dial failed. Shutdown
+			// has returned, so the WAIT's reply is written and its client
+			// delivers it now or in a moment — with both channels ready
+			// select picks at random. That is "not in flight": grow the
+			// backlog. Only a reply that never comes is the defect.
+			select {
+			case out := <-waited:
+				waited <- out
+			case <-time.After(30 * time.Second):
+				t.Fatalf("Shutdown returned %v before the in-flight WAIT", err)
+			}
+			shutdown <- err
+			inflight = false
+		case out := <-waited:
+			waited <- out
+			inflight = false
+		default:
+		}
+		out := <-waited
+		if out.err != nil || out.res.ID != id {
+			t.Fatalf("WAIT = (%+v, %v), want the result of %s", out.res, out.err, id)
+		}
+		if err := <-shutdown; err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		c.Close()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if inflight {
+			return
+		}
+	}
 }
 
 // TestServerExplainScoresLikeSubmit holds the wire's EXPLAIN to the

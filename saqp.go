@@ -232,8 +232,8 @@ func (f *Framework) Estimate(d *DAG) (*QueryEstimate, error) {
 
 // statsFingerprint is the serving stack's CatalogFingerprint. The
 // "/exact" suffix once named a statistics tier; only one exists now, but
-// the bytes stay because route slots, trace ids and the golden
-// transcripts all hash this string through serve.CacheKey.
+// the bytes stay because trace ids, the pinned TPC-H fingerprints and
+// the golden transcripts all hash this string through serve.CacheKey.
 func (f *Framework) statsFingerprint() string {
 	return f.Catalog.Fingerprint() + "/exact"
 }

@@ -105,20 +105,12 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 	if opts.Learner == nil && opts.OnlineLearning {
 		opts.Learner = f.NewLearner(LearnerConfig{})
 	}
-	if opts.Learner == nil {
-		// An untyped nil: a nil *Learner in the interface would be a
-		// non-nil learn.Source and turn learning "on".
-		return f.newServer(opts, nil)
+	// An untyped nil unless a Learner is set: a nil *Learner in the
+	// interface would be a non-nil learn.Source and turn learning "on".
+	var src learn.Source
+	if opts.Learner != nil {
+		src = opts.Learner
 	}
-	return f.newServer(opts, opts.Learner)
-}
-
-// newServer builds every serving instance the facade hosts — the
-// standalone Server and each of a ClusterServer's 2·Shards instances —
-// so this is the one serve.Config outside internal/serve. src is the
-// instance's learning source: a Learner it owns or shares, a cluster
-// instance's model replica, or nil for none.
-func (f *Framework) newServer(opts ServerOptions, src learn.Source) (*Server, error) {
 	name := opts.Scheduler
 	if name == "" {
 		name = SchedulerSWRD
