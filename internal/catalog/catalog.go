@@ -152,22 +152,30 @@ func Collect(rel *dataset.Relation, n int) *TableStats {
 
 // collectColumn summarises one column in one pass over its typed vector:
 // integers and dates are counted as themselves, floats by their bits and
-// strings by the string, so no value is rendered to be counted.
+// strings by the string, so no value is rendered to be counted. The
+// histogram takes its per-bucket distinct counts from the same count.
 func collectColumn(vec dataset.Vector, col *dataset.Column, n int) *ColumnStats {
 	cs := &ColumnStats{Name: col.Name, Kind: col.Kind, Ref: col.Ref}
 	rows := vec.Len()
 	var top int64
 	var adjacentEqual int
-	var vals []float64 // the numeric values histogram.Build buckets, in row order
+	var vals []float64 // the numeric values the histogram buckets, in row order
+	var uniq []float64 // each distinct one once, under float64 equality
 	switch vec.Kind() {
 	case dataset.KindString:
-		cs.Distinct, top, adjacentEqual = countValues(vec.Strings(), func(s string) string { return s })
+		var freq map[string]int64
+		freq, top, adjacentEqual = countValues(vec.Strings(), func(s string) string { return s })
+		cs.Distinct = int64(len(freq))
 	case dataset.KindFloat:
 		vals = vec.Floats()
-		cs.Distinct, top, adjacentEqual = countValues(vals, math.Float64bits)
+		var freq map[uint64]int64
+		freq, top, adjacentEqual = countValues(vals, math.Float64bits)
+		cs.Distinct, uniq = int64(len(freq)), floatValues(freq)
 	default:
 		ints := vec.Ints()
-		cs.Distinct, top, adjacentEqual = countValues(ints, func(v int64) int64 { return v })
+		var freq map[int64]int64
+		freq, top, adjacentEqual = countValues(ints, func(v int64) int64 { return v })
+		cs.Distinct, uniq = int64(len(freq)), intValues(freq)
 		vals = make([]float64, rows)
 		for i, v := range ints {
 			vals[i] = float64(v)
@@ -201,17 +209,17 @@ func collectColumn(vec dataset.Vector, col *dataset.Column, n int) *ColumnStats 
 		if int64(nb) > cs.Distinct {
 			nb = int(cs.Distinct)
 		}
-		cs.Hist = histogram.Build(vals, min, hi, nb)
+		cs.Hist = histogram.BuildDistinct(vals, uniq, min, hi, nb)
 	}
 	return cs
 }
 
 // countValues counts a column's values under key — the identity a value
 // groups by, which for floats is the bit pattern so that +0 and -0 stay two
-// values — and returns the distinct count, the most frequent value's count
+// values — and returns each key's count, the most frequent value's count
 // and how many rows equal their predecessor.
-func countValues[T, K comparable](vals []T, key func(T) K) (distinct, top int64, adjacentEqual int) {
-	freq := make(map[K]int64)
+func countValues[T, K comparable](vals []T, key func(T) K) (freq map[K]int64, top int64, adjacentEqual int) {
+	freq = make(map[K]int64)
 	for i, v := range vals {
 		freq[key(v)]++
 		if i > 0 && v == vals[i-1] {
@@ -223,7 +231,48 @@ func countValues[T, K comparable](vals []T, key func(T) K) (distinct, top int64,
 			top = c
 		}
 	}
-	return int64(len(freq)), top, adjacentEqual
+	return freq, top, adjacentEqual
+}
+
+// floatValues returns the distinct float64 values among bit-pattern
+// counts: −0 beside +0 is one value, and every NaN row a value of its own.
+func floatValues(freq map[uint64]int64) []float64 {
+	uniq := make([]float64, 0, len(freq))
+	for bits, c := range freq {
+		switch f := math.Float64frombits(bits); {
+		case math.IsNaN(f):
+			for ; c > 0; c-- {
+				uniq = append(uniq, f)
+			}
+		case bits == 1<<63 && freq[0] > 0:
+		default:
+			uniq = append(uniq, f)
+		}
+	}
+	return uniq
+}
+
+// intValues returns the distinct float64 values of counted integers.
+// Beyond ±2^53 distinct integers can round to one float64.
+func intValues(freq map[int64]int64) []float64 {
+	const exact = 1 << 53
+	uniq := make([]float64, 0, len(freq))
+	var wide map[float64]bool
+	for v := range freq {
+		f := float64(v)
+		if -exact < v && v < exact {
+			uniq = append(uniq, f)
+			continue
+		}
+		if wide == nil {
+			wide = make(map[float64]bool)
+		}
+		if !wide[f] {
+			wide[f] = true
+			uniq = append(uniq, f)
+		}
+	}
+	return uniq
 }
 
 // FromSchema derives statistics analytically at scale factor sf without

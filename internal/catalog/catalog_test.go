@@ -30,6 +30,36 @@ func TestCollectBasics(t *testing.T) {
 	}
 }
 
+// TestCollectHistogramEqualsBuild holds a collected histogram, whose
+// per-bucket distinct counts come from the column's value counts, to
+// histogram.Build of the same values where float64 equality differs from
+// the count's: integers beyond ±2^53 that round to one float64, and −0
+// beside +0.
+func TestCollectHistogramEqualsBuild(t *testing.T) {
+	const big = 1 << 53
+	ints := []int64{big, big + 1, big + 2, big + 3, -big - 1, -big, -big + 1, 5, 5, 7, math.MaxInt64, math.MaxInt64 - 1, math.MinInt64}
+	negZero := math.Copysign(0, -1)
+	for _, vec := range []dataset.Vector{
+		dataset.IntVector(dataset.KindInt, ints),
+		dataset.FloatVector([]float64{0, negZero, 0, negZero, 1.5, 1.5, -2, 3}),
+		dataset.FloatVector([]float64{negZero, negZero, 4}),
+	} {
+		cs := collectColumn(vec, &dataset.Column{Name: "c", Kind: vec.Kind()}, 4)
+		vals := vec.Floats()
+		if vals == nil {
+			for _, v := range vec.Ints() {
+				vals = append(vals, float64(v))
+			}
+		}
+		want := histogram.Build(vals, cs.Hist.Lo, cs.Hist.Hi, len(cs.Hist.Buckets))
+		for i := range want.Buckets {
+			if cs.Hist.Buckets[i] != want.Buckets[i] {
+				t.Errorf("%v: bucket %d = %+v, Build gives %+v", vec.Kind(), i, cs.Hist.Buckets[i], want.Buckets[i])
+			}
+		}
+	}
+}
+
 func TestCollectDistinctCounts(t *testing.T) {
 	rel := dataset.Generate(dataset.LineItem(), 0.002, 2)
 	ts := Collect(rel, 32)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"saqp/internal/core/floats"
 )
@@ -42,20 +43,32 @@ func New(lo, hi float64, n int) *Histogram {
 // Values outside [lo, hi) are clamped into the boundary buckets, matching
 // how offline statistics tolerate slightly stale domain bounds.
 func Build(values []float64, lo, hi float64, n int) *Histogram {
+	return BuildDistinct(values, distinct(values), lo, hi, n)
+}
+
+// BuildDistinct is Build for a caller that has already counted the
+// sample: uniq holds each distinct value of values once, under float64
+// equality (+0 and −0 are one value, every NaN is its own). Equal values
+// share a bucket, so each bucket's distinct count is how many of uniq
+// fall in it.
+func BuildDistinct(values, uniq []float64, lo, hi float64, n int) *Histogram {
 	h := New(lo, hi, n)
-	distinct := make([]map[float64]struct{}, n)
-	for i := range distinct {
-		distinct[i] = make(map[float64]struct{})
-	}
 	for _, v := range values {
-		b := h.bucketOf(v)
-		h.Buckets[b].Count++
-		distinct[b][v] = struct{}{}
+		h.Buckets[h.bucketOf(v)].Count++
 	}
-	for i := range h.Buckets {
-		h.Buckets[i].Distinct = float64(len(distinct[i]))
+	for _, v := range uniq {
+		h.Buckets[h.bucketOf(v)].Distinct++
 	}
 	return h
+}
+
+// distinct returns each distinct value of values once, under float64
+// equality, from one pass over a sorted copy: Compact's == merges −0 into
+// +0 and keeps every NaN.
+func distinct(values []float64) []float64 {
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	return slices.Compact(sorted)
 }
 
 // Synthesize constructs a histogram analytically — without scanning rows —

@@ -17,6 +17,38 @@ func uniformSample(n int, lo, hi float64, seed uint64) []float64 {
 	return vals
 }
 
+// TestBuildDistinctEqualsPerBucketSets holds Build's per-bucket distinct
+// counts to one map[float64] per bucket, the way they were first counted:
+// +0 and −0 are one value, duplicates and clamped outliers count once.
+func TestBuildDistinctEqualsPerBucketSets(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, vals := range [][]float64{
+		{0, negZero, 0, negZero, 1, 1, 2.5, 99, 99.5, 150, -3, -3, 1e300},
+		append(uniformSample(5000, 0, 100, 3), uniformSample(5000, 0, 100, 3)...),
+		{7},
+	} {
+		got := Build(vals, 0, 100, 8)
+		want := New(0, 100, 8)
+		sets := make([]map[float64]struct{}, 8)
+		for i := range sets {
+			sets[i] = make(map[float64]struct{})
+		}
+		for _, v := range vals {
+			b := want.bucketOf(v)
+			want.Buckets[b].Count++
+			sets[b][v] = struct{}{}
+		}
+		for i := range want.Buckets {
+			want.Buckets[i].Distinct = float64(len(sets[i]))
+		}
+		for i := range want.Buckets {
+			if got.Buckets[i] != want.Buckets[i] {
+				t.Errorf("bucket %d = %+v, per-bucket sets give %+v", i, got.Buckets[i], want.Buckets[i])
+			}
+		}
+	}
+}
+
 func TestBuildCountsConserved(t *testing.T) {
 	vals := uniformSample(10000, 0, 100, 1)
 	h := Build(vals, 0, 100, 32)

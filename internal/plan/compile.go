@@ -2,7 +2,9 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"saqp/internal/query"
 )
@@ -19,230 +21,129 @@ import (
 //
 // Local predicates are pushed down to the scan of the table they filter.
 // Column pruning records exactly the attributes consumed downstream, which
-// drives the paper's projection selectivity S_proj.
+// drives the paper's projection selectivity S_proj. A join against a table
+// named in a MAPJOIN hint is a map-only broadcast join, and one that has a
+// consumer folds into that consumer's map phase, as Hive does.
+//
+// The chain's shape — how many jobs, which folds, which scans survive —
+// is worked out on the query's tables first, so every slice of the DAG is
+// cut from one exact-size allocation per element kind. Each is cut with a
+// 3-index slice, so an append by a consumer never writes into a neighbour.
 func Compile(q *query.Query) (*DAG, error) {
 	if len(q.Select) == 0 {
 		return nil, fmt.Errorf("plan: query has no projection")
 	}
-	c := &compiler{q: q, localPreds: map[string][]query.Predicate{}}
-	c.gatherColumns()
-	c.gatherPredicates()
-
-	var prev *Job
-	var err error
+	// The scratch lives on this frame: helpers read and write its
+	// elements, and only Compile grows it.
+	var (
+		tabBuf  [8]tableInfo
+		joinBuf [7]joinInfo
+		foldBuf [7]foldSpec
+		colBuf  [32]colRef
+	)
+	c := compiler{tabs: tabBuf[:0], joins: joinBuf[:0], folds: foldBuf[:0]}
+	for t := 0; t <= len(q.Joins); t++ {
+		name := q.From.Name
+		if t > 0 {
+			name = q.Joins[t-1].Table.Name
+		}
+		c.tabs = append(c.tabs, tableInfo{name: name, owner: max(t-1, 0)})
+	}
 	for i := range q.Joins {
-		prev, err = c.joinJob(i, prev)
+		ji, err := c.join(q, i)
 		if err != nil {
 			return nil, err
 		}
+		c.joins = append(c.joins, ji)
 	}
-	if q.HasAggregates() || len(q.GroupBy) > 0 {
-		prev = c.groupbyJob(prev)
+	groupby := q.HasAggregates() || len(q.GroupBy) > 0
+	extract := len(q.OrderBy) > 0 || q.Limit >= 0
+	built := len(q.Joins)
+	if groupby {
+		built++
 	}
-	if len(q.OrderBy) > 0 || q.Limit >= 0 {
-		prev, err = c.extractJob(prev)
-		if err != nil {
-			return nil, err
+	if extract || built == 0 {
+		built++
+	}
+	for _, o := range q.OrderBy {
+		if !o.IsAggregate() {
+			continue
+		}
+		if !groupby {
+			return nil, fmt.Errorf("plan: ORDER BY aggregate %s requires a GROUP BY", o)
+		}
+		if matchAgg(q.Select, o) < 0 {
+			return nil, fmt.Errorf("plan: ORDER BY aggregate %s must appear in SELECT", o)
 		}
 	}
-	if prev == nil {
-		prev = c.scanOnlyJob()
+	for k := range c.joins {
+		if c.folded(k, built) {
+			c.folds = append(c.folds, c.fold(k))
+		}
 	}
-	c.mergeMapJoins()
-	d := &DAG{Jobs: c.jobs, Query: q}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	c.refs = c.neededColumns(q, colBuf[:0])
+	c.regions(q)
+	return c.build(q, built, groupby, extract)
 }
 
-// mergeMapJoins folds map-only broadcast Join jobs into their single
-// consumer, as Hive does: the consumer's map phase performs the broadcast
-// join inline. Runs to a fixed point, then renumbers job IDs.
-func (c *compiler) mergeMapJoins() {
-	for {
-		merged := false
-		for xi, x := range c.jobs {
-			if x.Type != Join || !x.MapOnly || x.Broadcast == "" {
-				continue
-			}
-			// Find the consumers of x.
-			var consumers []*Job
-			for _, d := range c.jobs {
-				for _, dep := range d.Deps {
-					if dep == x {
-						consumers = append(consumers, d)
-					}
-				}
-			}
-			if len(consumers) != 1 {
-				continue
-			}
-			d := consumers[0]
-			// Split x's scans into the broadcast table and probe scans.
-			var bScan TableScan
-			var probeScans []TableScan
-			for _, ts := range x.Scans {
-				if ts.Table == x.Broadcast {
-					bScan = ts
-				} else {
-					probeScans = append(probeScans, ts)
-				}
-			}
-			spec := MapJoinSpec{BroadcastScan: bScan, JoinLeft: x.JoinLeft, JoinRight: x.JoinRight}
-			// x's own preludes run first, then x's join, then d's preludes.
-			d.MapJoins = append(append(append([]MapJoinSpec{}, x.MapJoins...), spec), d.MapJoins...)
-			d.Scans = append(probeScans, d.Scans...)
-			// Rewire d's dependencies: replace x with x's deps.
-			var newDeps []*Job
-			for _, dep := range d.Deps {
-				if dep == x {
-					newDeps = append(newDeps, x.Deps...)
-				} else {
-					newDeps = append(newDeps, dep)
-				}
-			}
-			d.Deps = newDeps
-			c.jobs = append(c.jobs[:xi], c.jobs[xi+1:]...)
-			merged = true
-			break
-		}
-		if !merged {
-			break
-		}
-	}
-	// Renumber IDs and rewrite any synthetic column references (aggregate
-	// ORDER BY keys bound to "J<n>.agg<i>") that named the old IDs.
-	rename := map[string]string{}
-	for i, j := range c.jobs {
-		newID := fmt.Sprintf("J%d", i+1)
-		if j.ID != newID {
-			rename[j.ID] = newID
-		}
-		j.ID = newID
-	}
-	if len(rename) == 0 {
-		return
-	}
-	for _, j := range c.jobs {
-		for i := range j.OrderKeys {
-			if to, ok := rename[j.OrderKeys[i].Col.Table]; ok {
-				j.OrderKeys[i].Col.Table = to
-			}
-		}
-	}
+// tableInfo is one table of the query, in FROM/JOIN order.
+type tableInfo struct {
+	name string
+	// owner is the built job whose map phase scans the table, or -1 once a
+	// broadcast join has consumed or dropped it.
+	owner int
+	// The table's pushed-down filters and pruned columns, as regions of
+	// the predicate and column slabs. A self-join scans one base table
+	// twice, with one set of each: they are kept on the table's first
+	// occurrence (compiler.table).
+	predAt, preds, colAt, cols int
 }
 
+// joinInfo is one join job's oriented condition and broadcast table.
+type joinInfo struct {
+	left, right query.ColumnRef
+	broadcast   string
+}
+
+// foldSpec is a map-only join folded into a consumer: the broadcast
+// table, the join it came from, and the built job that now runs it.
+type foldSpec struct{ tab, join, into int }
+
+// colRef is one needed column of a table.
+type colRef struct {
+	tab  int
+	name string
+}
+
+// compiler holds one Compile call's view of the query's tables, joins
+// and folds, in scratch that covers up to seven joins and 32 column
+// references on Compile's stack; larger queries grow onto the heap. The
+// query is passed beside it rather than held in it: escape analysis does
+// not tell fields apart, and the query's slices reach the DAG.
 type compiler struct {
-	q          *query.Query
-	jobs       []*Job
-	localPreds map[string][]query.Predicate // table -> pushed-down filters
-	needCols   map[string]map[string]bool   // table -> needed column set
+	tabs   []tableInfo
+	joins  []joinInfo
+	folds  []foldSpec
+	refs   []colRef // needed columns, sorted by table, then name
+	nPreds int
 }
 
-// newJob appends a job with the next sequential ID.
-func (c *compiler) newJob(t JobType) *Job {
-	j := &Job{ID: fmt.Sprintf("J%d", len(c.jobs)+1), Type: t, Limit: -1}
-	c.jobs = append(c.jobs, j)
-	return j
+// table returns the index of the first table named name, or -1.
+func (c *compiler) table(name string) int {
+	for t := range c.tabs {
+		if c.tabs[t].name == name {
+			return t
+		}
+	}
+	return -1
 }
 
-// gatherColumns computes, per base table, the set of columns referenced
-// anywhere in the query (projection pruning).
-func (c *compiler) gatherColumns() {
-	c.needCols = make(map[string]map[string]bool)
-	add := func(col query.ColumnRef) {
-		if col.Table == "" {
-			return
-		}
-		m := c.needCols[col.Table]
-		if m == nil {
-			m = make(map[string]bool)
-			c.needCols[col.Table] = m
-		}
-		m[col.Column] = true
-	}
-	for _, s := range c.q.Select {
-		if s.Star {
-			continue
-		}
-		for _, col := range s.Expr.Columns() {
-			add(col)
-		}
-	}
-	addPred := func(p query.Predicate) {
-		add(p.Left)
-		if p.Right != nil {
-			add(*p.Right)
-		}
-	}
-	for _, j := range c.q.Joins {
-		for _, p := range j.On {
-			addPred(p)
-		}
-	}
-	for _, p := range c.q.Where {
-		addPred(p)
-	}
-	for _, g := range c.q.GroupBy {
-		add(g)
-	}
-	for _, h := range c.q.Having {
-		if h.Star {
-			continue
-		}
-		for _, col := range h.Expr.Columns() {
-			add(col)
-		}
-	}
-	for _, o := range c.q.OrderBy {
-		if o.Star {
-			continue
-		}
-		if o.IsAggregate() {
-			for _, col := range o.Expr.Columns() {
-				add(col)
-			}
-			continue
-		}
-		add(o.Col)
-	}
-}
-
-// gatherPredicates pushes local (column-vs-literal) conjuncts down to the
-// scan of the table they filter.
-func (c *compiler) gatherPredicates() {
-	push := func(p query.Predicate) {
-		if !p.IsJoin() {
-			c.localPreds[p.Left.Table] = append(c.localPreds[p.Left.Table], p)
-		}
-	}
-	for _, p := range c.q.Where {
-		push(p)
-	}
-	for _, j := range c.q.Joins {
-		for _, p := range j.On {
-			push(p)
-		}
-	}
-}
-
-// scan builds the TableScan for a base table with its pushed predicates
-// and pruned column list.
-func (c *compiler) scan(table string) TableScan {
-	cols := make([]string, 0, len(c.needCols[table]))
-	for col := range c.needCols[table] {
-		cols = append(cols, col)
-	}
-	sort.Strings(cols)
-	return TableScan{Table: table, Preds: c.localPreds[table], Columns: cols}
-}
-
-// joinJob emits the i-th Join job of the left-deep chain. Joins against a
-// table named in a MAPJOIN hint compile to map-only broadcast joins: the
-// small table is loaded into every map task and probed without a shuffle.
-func (c *compiler) joinJob(i int, prev *Job) (*Job, error) {
-	jc := c.q.Joins[i]
+// join orients the i-th join's condition so that Right refers to the
+// newly joined table, and picks its broadcast table: a hinted table on
+// either side makes the join map-side; when both sides are hinted, hint
+// order decides which table broadcasts.
+func (c *compiler) join(q *query.Query, i int) (joinInfo, error) {
+	jc := q.Joins[i]
 	var cond *query.Predicate
 	for k := range jc.On {
 		if jc.On[k].IsJoin() {
@@ -251,102 +152,318 @@ func (c *compiler) joinJob(i int, prev *Job) (*Job, error) {
 		}
 	}
 	if cond == nil {
-		return nil, fmt.Errorf("plan: join %d has no equi-join condition", i+1)
+		return joinInfo{}, fmt.Errorf("plan: join %d has no equi-join condition", i+1)
 	}
-	// Orient the condition: Right side refers to the newly joined table.
 	left, right := cond.Left, *cond.Right
 	if left.Table == jc.Table.Name && right.Table != jc.Table.Name {
 		left, right = right, left
 	}
-	j := c.newJob(Join)
-	j.JoinLeft, j.JoinRight = left, right
-	if prev == nil {
-		j.Scans = []TableScan{c.scan(c.q.From.Name), c.scan(jc.Table.Name)}
-	} else {
-		j.Deps = []*Job{prev}
-		j.Scans = []TableScan{c.scan(jc.Table.Name)}
+	ji := joinInfo{left: left, right: right}
+	// The first join scans the FROM table and its own, later ones their own.
+	lo := i + 1
+	if i == 0 {
+		lo = 0
 	}
-	// A hinted table on either side of this join makes it map-side; when
-	// both sides are hinted, hint order decides which table broadcasts.
-hintScan:
-	for _, hinted := range c.q.MapJoinTables {
-		for _, ts := range j.Scans {
-			if ts.Table == hinted {
-				j.MapOnly = true
-				j.Broadcast = hinted
-				break hintScan
+hint:
+	for _, hinted := range q.MapJoinTables {
+		for t := lo; t <= i+1; t++ {
+			if c.tabs[t].name == hinted {
+				ji.broadcast = hinted
+				break hint
 			}
 		}
 	}
-	return j, nil
+	return ji, nil
 }
 
-// groupbyJob emits the aggregation job.
-func (c *compiler) groupbyJob(prev *Job) *Job {
-	j := c.newJob(Groupby)
-	if prev == nil {
-		j.Scans = []TableScan{c.scan(c.q.From.Name)}
-	} else {
-		j.Deps = []*Job{prev}
+// folded reports whether built job k is a map-only broadcast join with a
+// consumer. In the left-deep chain every job but the last has exactly
+// one, the next.
+func (c *compiler) folded(k, built int) bool {
+	return k < len(c.joins) && c.joins[k].broadcast != "" && k < built-1
+}
+
+// fold folds join k into built job k+1, as Hive merges a map-only join
+// into its consumer. Called first to last, so a run of such joins lands
+// in one consumer in order. The last scan of the broadcast table becomes
+// the consumer's map-join prelude and other scans of that table are
+// dropped; the probe scans move to the consumer, ahead of its own.
+func (c *compiler) fold(k int) foldSpec {
+	bt := -1
+	for t := range c.tabs {
+		tab := &c.tabs[t]
+		if tab.owner != k {
+			continue
+		}
+		if tab.name == c.joins[k].broadcast {
+			bt, tab.owner = t, -1
+		} else {
+			tab.owner = k + 1
+		}
 	}
-	j.GroupKeys = c.q.GroupBy
-	for _, s := range c.q.Select {
+	for f := range c.folds {
+		if c.folds[f].into == k {
+			c.folds[f].into = k + 1
+		}
+	}
+	return foldSpec{tab: bt, join: k, into: k + 1}
+}
+
+// neededColumns appends, per base table, the distinct columns referenced
+// anywhere in the query (projection pruning), sorted by table, then name.
+func (c *compiler) neededColumns(q *query.Query, refs []colRef) []colRef {
+	add := func(col query.ColumnRef) {
+		if t := c.table(col.Table); t >= 0 {
+			refs = append(refs, colRef{t, col.Column})
+		}
+	}
+	addExpr := func(e query.Expr) {
+		if e.Binop != nil {
+			add(e.Binop.Left)
+			add(e.Binop.Right)
+			return
+		}
+		add(e.Col)
+	}
+	addPreds := func(ps []query.Predicate) {
+		for i := range ps {
+			add(ps[i].Left)
+			if ps[i].Right != nil {
+				add(*ps[i].Right)
+			}
+		}
+	}
+	for _, s := range q.Select {
+		if !s.Star {
+			addExpr(s.Expr)
+		}
+	}
+	for _, j := range q.Joins {
+		addPreds(j.On)
+	}
+	addPreds(q.Where)
+	for _, g := range q.GroupBy {
+		add(g)
+	}
+	for _, h := range q.Having {
+		if !h.Star {
+			addExpr(h.Expr)
+		}
+	}
+	for _, o := range q.OrderBy {
+		switch {
+		case o.Star:
+		case o.IsAggregate():
+			addExpr(o.Expr)
+		default:
+			add(o.Col)
+		}
+	}
+	slices.SortFunc(refs, func(a, b colRef) int {
+		if a.tab != b.tab {
+			return a.tab - b.tab
+		}
+		return strings.Compare(a.name, b.name)
+	})
+	return slices.Compact(refs)
+}
+
+// pushed calls f with the query's local (column-vs-literal) conjuncts on
+// table t, in the order they are pushed down: WHERE, then each ON.
+func (c *compiler) pushed(q *query.Query, t int, f func(query.Predicate)) {
+	each := func(ps []query.Predicate) {
+		for i := range ps {
+			if !ps[i].IsJoin() && c.table(ps[i].Left.Table) == t {
+				f(ps[i])
+			}
+		}
+	}
+	each(q.Where)
+	for _, j := range q.Joins {
+		each(j.On)
+	}
+}
+
+// regions lays each table's filters and columns out in the predicate and
+// column slabs, in table order.
+func (c *compiler) regions(q *query.Query) {
+	for _, r := range c.refs {
+		c.tabs[r.tab].cols++
+	}
+	cols := 0
+	for t := range c.tabs {
+		tab := &c.tabs[t]
+		if c.table(tab.name) == t {
+			c.pushed(q, t, func(query.Predicate) { tab.preds++ })
+		}
+		tab.predAt, tab.colAt = c.nPreds, cols
+		c.nPreds += tab.preds
+		cols += tab.cols
+	}
+}
+
+// build cuts the DAG from its slabs. Built job k is join k for k below
+// len(Joins), then the Groupby job, then the Extract job (or the lone
+// map-only scan); a folded join has no job of its own.
+func (c *compiler) build(q *query.Query, built int, groupby, extract bool) (*DAG, error) {
+	m := built - len(c.folds)
+	jobs := make([]Job, m)
+	ptrs := make([]*Job, 2*m-1) // the DAG's Jobs, then each job's one dependency
+	cols := make([]string, len(c.refs))
+	for i, r := range c.refs {
+		cols[i] = r.name
+	}
+	var preds []query.Predicate
+	if c.nPreds > 0 {
+		preds = make([]query.Predicate, 0, c.nPreds)
+		for t := range c.tabs {
+			c.pushed(q, t, func(p query.Predicate) { preds = append(preds, p) })
+		}
+	}
+	scanOf := func(t int) TableScan {
+		f := &c.tabs[c.table(c.tabs[t].name)]
+		ts := TableScan{Table: f.name, Columns: cols[f.colAt : f.colAt+f.cols : f.colAt+f.cols]}
+		if f.preds > 0 {
+			ts.Preds = preds[f.predAt : f.predAt+f.preds : f.predAt+f.preds]
+		}
+		return ts
+	}
+	nScans := 0
+	for _, tab := range c.tabs {
+		if tab.owner >= 0 {
+			nScans++
+		}
+	}
+	scans := make([]TableScan, nScans)
+	var specs []MapJoinSpec
+	if len(c.folds) > 0 {
+		specs = make([]MapJoinSpec, len(c.folds))
+	}
+
+	f, s, sp := 0, 0, 0 // next job, scan and map-join
+	for k := 0; k < built; k++ {
+		if c.folded(k, built) {
+			continue
+		}
+		j := &jobs[f]
+		ptrs[f] = j
+		j.ID, j.Limit = jobID(f+1), -1
+		if f > 0 {
+			ptrs[m+f-1] = &jobs[f-1]
+			j.Deps = ptrs[m+f-1 : m+f : m+f]
+		}
+		from := s
+		for t := range c.tabs {
+			if c.tabs[t].owner == k {
+				scans[s] = scanOf(t)
+				s++
+			}
+		}
+		if s > from {
+			j.Scans = scans[from:s:s]
+		}
+		from = sp
+		for _, fs := range c.folds {
+			if fs.into == k {
+				ji := c.joins[fs.join]
+				specs[sp] = MapJoinSpec{BroadcastScan: scanOf(fs.tab), JoinLeft: ji.left, JoinRight: ji.right}
+				sp++
+			}
+		}
+		if sp > from {
+			j.MapJoins = specs[from:sp:sp]
+		}
+		switch {
+		case k < len(c.joins):
+			ji := c.joins[k]
+			j.Type, j.JoinLeft, j.JoinRight = Join, ji.left, ji.right
+			j.MapOnly, j.Broadcast = ji.broadcast != "", ji.broadcast
+		case groupby && k == len(c.joins):
+			j.Type, j.GroupKeys, j.Having = Groupby, q.GroupBy, q.Having
+			j.Aggs = aggregates(q.Select)
+		case extract:
+			j.Type, j.Limit = Extract, q.Limit
+			if len(q.OrderBy) > 0 {
+				j.OrderKeys = make([]query.OrderItem, len(q.OrderBy))
+				for i, o := range q.OrderBy {
+					if o.IsAggregate() {
+						// Bound to the Groupby job, the one just before.
+						o.Col = query.ColumnRef{Table: jobs[f-1].ID, Column: aggColumn(matchAgg(q.Select, o))}
+					}
+					j.OrderKeys[i] = o
+				}
+			}
+		default:
+			j.Type, j.MapOnly = Extract, true
+		}
+		f++
+	}
+	d := &DAG{Jobs: ptrs[:m:m], Query: q}
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// aggregates returns the select list's aggregate items, the Groupby
+// job's outputs, or nil.
+func aggregates(sel []query.SelectItem) []query.SelectItem {
+	n := 0
+	for _, s := range sel {
 		if s.Agg != query.AggNone || s.Star {
-			j.Aggs = append(j.Aggs, s)
+			n++
 		}
 	}
-	j.Having = c.q.Having
-	return j
-}
-
-// extractJob emits the sort/limit job. Aggregate sort keys (ORDER BY
-// sum(x)) are bound to the upstream aggregation job's output columns; the
-// aggregate must appear in the SELECT list.
-func (c *compiler) extractJob(prev *Job) (*Job, error) {
-	j := c.newJob(Extract)
-	if prev == nil {
-		j.Scans = []TableScan{c.scan(c.q.From.Name)}
-	} else {
-		j.Deps = []*Job{prev}
+	if n == 0 {
+		return nil
 	}
-	for _, o := range c.q.OrderBy {
-		if o.IsAggregate() {
-			if prev == nil || prev.Type != Groupby {
-				return nil, fmt.Errorf("plan: ORDER BY aggregate %s requires a GROUP BY", o)
-			}
-			idx := matchAgg(prev.Aggs, o)
-			if idx < 0 {
-				return nil, fmt.Errorf("plan: ORDER BY aggregate %s must appear in SELECT", o)
-			}
-			o.Col = query.ColumnRef{Table: prev.ID, Column: fmt.Sprintf("agg%d", idx)}
+	aggs := make([]query.SelectItem, 0, n)
+	for _, s := range sel {
+		if s.Agg != query.AggNone || s.Star {
+			aggs = append(aggs, s)
 		}
-		j.OrderKeys = append(j.OrderKeys, o)
 	}
-	j.Limit = c.q.Limit
-	return j, nil
+	return aggs
 }
 
-// matchAgg finds the select-list aggregate matching an ORDER BY aggregate.
-func matchAgg(aggs []query.SelectItem, o query.OrderItem) int {
-	for i, a := range aggs {
+// matchAgg finds, among the select list's aggregates, the one an ORDER BY
+// aggregate names, or -1.
+func matchAgg(sel []query.SelectItem, o query.OrderItem) int {
+	i := 0
+	for _, a := range sel {
+		if a.Agg == query.AggNone && !a.Star {
+			continue
+		}
 		if a.Star && o.Star {
 			return i
 		}
-		if a.Star || o.Star {
-			continue
-		}
-		if a.Agg == o.Agg && a.Expr.String() == o.Expr.String() {
+		if !a.Star && !o.Star && a.Agg == o.Agg && a.Expr.SameText(o.Expr) {
 			return i
 		}
+		i++
 	}
 	return -1
 }
 
-// scanOnlyJob emits the single map-only filter/project job for queries
-// with no join, aggregation, ordering or limit.
-func (c *compiler) scanOnlyJob() *Job {
-	j := c.newJob(Extract)
-	j.Scans = []TableScan{c.scan(c.q.From.Name)}
-	j.MapOnly = true
-	return j
+// jobIDs and aggColumns spell the ids of the first jobs and the names of
+// the first aggregate output columns without formatting them.
+var (
+	jobIDs     = [...]string{"J0", "J1", "J2", "J3", "J4", "J5", "J6", "J7", "J8", "J9", "J10", "J11", "J12", "J13", "J14", "J15", "J16"}
+	aggColumns = [...]string{"agg0", "agg1", "agg2", "agg3", "agg4", "agg5", "agg6", "agg7", "agg8", "agg9", "agg10", "agg11", "agg12", "agg13", "agg14", "agg15"}
+)
+
+// jobID returns "J<n>".
+func jobID(n int) string {
+	if n < len(jobIDs) {
+		return jobIDs[n]
+	}
+	return "J" + strconv.Itoa(n)
+}
+
+// aggColumn returns "agg<i>", the name of a Groupby job's i-th output.
+func aggColumn(i int) string {
+	if i < len(aggColumns) {
+		return aggColumns[i]
+	}
+	return "agg" + strconv.Itoa(i)
 }

@@ -142,22 +142,29 @@ func (d *DAG) Dependents() map[string][]*Job {
 }
 
 // Validate checks structural invariants: unique IDs, dependencies that are
-// members of the DAG, and topological ordering of Jobs.
+// members of the DAG, and topological ordering of Jobs. A plan has a few
+// jobs, so ids are looked up by a scan rather than through a map.
 func (d *DAG) Validate() error {
-	seen := make(map[string]int, len(d.Jobs))
+	index := func(id string, n int) int {
+		for k, j := range d.Jobs[:n] {
+			if j.ID == id {
+				return k
+			}
+		}
+		return -1
+	}
 	for i, j := range d.Jobs {
 		if j.ID == "" {
 			return fmt.Errorf("plan: job %d has empty ID", i)
 		}
-		if _, dup := seen[j.ID]; dup {
+		if index(j.ID, i) >= 0 {
 			return fmt.Errorf("plan: duplicate job ID %q", j.ID)
 		}
-		seen[j.ID] = i
 	}
 	for i, j := range d.Jobs {
 		for _, dep := range j.Deps {
-			k, ok := seen[dep.ID]
-			if !ok {
+			k := index(dep.ID, len(d.Jobs))
+			if k < 0 {
 				return fmt.Errorf("plan: job %s depends on %s which is not in the DAG", j.ID, dep.ID)
 			}
 			if k >= i {

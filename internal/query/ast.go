@@ -146,6 +146,13 @@ func (e Expr) Columns() []ColumnRef {
 // String renders the expression in SQL form.
 func (e Expr) String() string { return string(e.appendTo(make([]byte, 0, 64))) }
 
+// SameText reports whether e and o render to the same SQL text, without
+// allocating for expressions whose renderings fit 64 bytes.
+func (e Expr) SameText(o Expr) bool {
+	var a, b [64]byte
+	return string(e.appendTo(a[:0])) == string(o.appendTo(b[:0]))
+}
+
 func (e Expr) appendTo(b []byte) []byte {
 	if e.Binop != nil {
 		b = append(e.Binop.Left.appendTo(b), e.Binop.Op.String()...)

@@ -15,6 +15,7 @@ const (
 	tokString
 	tokSymbol // punctuation and operators: ( ) , . * + - / = <> < <= > >= !=
 	tokHint   // /*+ ... */ optimizer hint; text carries the hint body
+	tokErr    // what follows a lexical error
 )
 
 // token is one lexical unit with its source position for error messages.
@@ -24,46 +25,58 @@ type token struct {
 	pos  int
 }
 
-// lexer splits HiveQL text into tokens. Keywords are returned as tokIdent;
-// the parser matches them case-insensitively.
+// lexer splits HiveQL text into tokens on demand, so that no token list is
+// built. Keywords are returned as tokIdent; the parser matches them
+// case-insensitively. After a lexical error every token is tokErr and err
+// holds the error.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src string
+	pos int
+	err error
 }
 
-// lex tokenises src or returns a positioned error.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
-			return l.toks, nil
-		}
-		start := l.pos
-		c := l.src[l.pos]
-		switch {
-		case c == '/' && l.pos+2 < len(l.src) && l.src[l.pos+1] == '*' && l.src[l.pos+2] == '+':
-			if err := l.lexHint(); err != nil {
-				return nil, err
-			}
-		case isIdentStart(c):
-			l.lexIdent()
-		case isDigit(c):
-			l.lexNumber()
-		case c == '-' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
-			l.lexNumber()
-		case c == '\'':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
-		default:
-			if !l.lexSymbol() {
-				return nil, fmt.Errorf("query: unexpected character %q at offset %d", c, start)
-			}
+// next returns the next token, tokEOF at the end of the text.
+func (l *lexer) next() token {
+	if l.err != nil {
+		return token{kind: tokErr, pos: l.pos}
+	}
+	l.skipSpace()
+	if l.pos >= len(l.src) {
+		return token{kind: tokEOF, pos: l.pos}
+	}
+	start := l.pos
+	c := l.src[l.pos]
+	var t token
+	switch {
+	case c == '/' && l.pos+2 < len(l.src) && l.src[l.pos+1] == '*' && l.src[l.pos+2] == '+':
+		t, l.err = l.lexHint()
+	case isIdentStart(c):
+		t = l.lexIdent()
+	case isDigit(c):
+		t = l.lexNumber()
+	case c == '-' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
+		t = l.lexNumber()
+	case c == '\'':
+		t, l.err = l.lexString()
+	default:
+		var ok bool
+		if t, ok = l.lexSymbol(); !ok {
+			l.err = fmt.Errorf("query: unexpected character %q at offset %d", c, start)
 		}
 	}
+	if l.err != nil {
+		return token{kind: tokErr, pos: start}
+	}
+	return t
+}
+
+// rest lexes what is left of the text and returns the first lexical error
+// in it, so that, as when the whole text was lexed before parsing, a
+// lexical error anywhere wins over a parse error before it.
+func (l *lexer) rest() error {
+	for l.err == nil && l.next().kind != tokEOF {
+	}
+	return l.err
 }
 
 func (l *lexer) skipSpace() {
@@ -100,20 +113,20 @@ func (l *lexer) skipSpace() {
 	}
 }
 
-// lexHint consumes a /*+ ... */ optimizer hint and emits its body.
-func (l *lexer) lexHint() error {
+// lexHint consumes a /*+ ... */ optimizer hint and returns its body.
+func (l *lexer) lexHint() (token, error) {
 	start := l.pos
 	l.pos += 3 // "/*+"
 	body := l.pos
 	for l.pos+1 < len(l.src) {
 		if l.src[l.pos] == '*' && l.src[l.pos+1] == '/' {
-			l.toks = append(l.toks, token{kind: tokHint, text: l.src[body:l.pos], pos: start})
+			t := token{kind: tokHint, text: l.src[body:l.pos], pos: start}
 			l.pos += 2
-			return nil
+			return t, nil
 		}
 		l.pos++
 	}
-	return fmt.Errorf("query: unterminated hint at offset %d", start)
+	return token{}, fmt.Errorf("query: unterminated hint at offset %d", start)
 }
 
 // Identifiers are ASCII: the lexer walks bytes, and a byte ≥ 0x80 taken
@@ -129,15 +142,15 @@ func isIdentPart(c byte) bool {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-func (l *lexer) lexIdent() {
+func (l *lexer) lexIdent() token {
 	start := l.pos
 	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 		l.pos++
 	}
-	l.toks = append(l.toks, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
+	return token{kind: tokIdent, text: l.src[start:l.pos], pos: start}
 }
 
-func (l *lexer) lexNumber() {
+func (l *lexer) lexNumber() token {
 	start := l.pos
 	if l.src[l.pos] == '-' {
 		l.pos++
@@ -170,49 +183,51 @@ func (l *lexer) lexNumber() {
 			l.pos = p
 		}
 	}
-	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
+	return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}
 }
 
-func (l *lexer) lexString() error {
+// lexString returns a string literal's value: a substring of the source,
+// unless a doubled quote (”) escapes a quote inside it.
+func (l *lexer) lexString() (token, error) {
 	start := l.pos
 	l.pos++ // opening quote
-	var b strings.Builder
+	body, escaped := l.pos, false
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			// '' escapes a quote
+		if l.src[l.pos] == '\'' {
 			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'')
+				escaped = true
 				l.pos += 2
 				continue
 			}
+			text := l.src[body:l.pos]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
 			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: b.String(), pos: start})
-			return nil
+			return token{kind: tokString, text: text, pos: start}, nil
 		}
-		b.WriteByte(c)
 		l.pos++
 	}
-	return fmt.Errorf("query: unterminated string literal at offset %d", start)
+	return token{}, fmt.Errorf("query: unterminated string literal at offset %d", start)
 }
 
 // twoCharSymbols are matched before single characters.
 var twoCharSymbols = []string{"<>", "<=", ">=", "!="}
 
-func (l *lexer) lexSymbol() bool {
+func (l *lexer) lexSymbol() (token, bool) {
 	rest := l.src[l.pos:]
 	for _, s := range twoCharSymbols {
 		if strings.HasPrefix(rest, s) {
-			l.toks = append(l.toks, token{kind: tokSymbol, text: s, pos: l.pos})
+			t := token{kind: tokSymbol, text: s, pos: l.pos}
 			l.pos += len(s)
-			return true
+			return t, true
 		}
 	}
 	switch rest[0] {
 	case '(', ')', ',', '.', '*', '+', '-', '/', '=', '<', '>', ';':
-		l.toks = append(l.toks, token{kind: tokSymbol, text: rest[:1], pos: l.pos})
+		t := token{kind: tokSymbol, text: rest[:1], pos: l.pos}
 		l.pos++
-		return true
+		return t, true
 	}
-	return false
+	return token{}, false
 }

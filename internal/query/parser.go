@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Parse compiles HiveQL text into a Query AST. The supported grammar:
@@ -24,33 +25,101 @@ import (
 // A /*+ MAPJOIN(t, ...) */ hint directly after SELECT marks joins against
 // the named tables as map-only broadcast joins. Keywords are
 // case-insensitive. A trailing semicolon is permitted.
+//
+// The query is gathered clause by clause into scratch on Parse's stack and
+// then copied into one exact-size slab per element kind: WHERE and every
+// ON share one []Predicate, GROUP BY shares one []ColumnRef with the
+// right-hand sides of column-to-column predicates, and IN sets share one
+// []Literal. Each slice handed out is cut with a 3-index slice, so an
+// append by a consumer never writes into a neighbour.
 func Parse(src string) (*Query, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	var p parser
+	p.lx.src = src
+	p.tok = p.lx.next()
+	p.ahead = p.lx.next()
 	q, err := p.parseQuery()
 	if err != nil {
+		if lexErr := p.lx.rest(); lexErr != nil {
+			return nil, lexErr
+		}
 		return nil, err
 	}
 	return q, nil
 }
 
-type parser struct {
-	toks []token
-	i    int
+// scratch gathers one kind of AST element in the parser, spilling to the
+// heap past eight.
+type scratch[T any] struct {
+	fixed [8]T
+	n     int
+	spill []T
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (s *scratch[T]) add(v T) {
+	if s.n < len(s.fixed) {
+		s.fixed[s.n] = v
+	} else {
+		s.spill = append(s.spill, v)
+	}
+	s.n++
+}
+
+func (s *scratch[T]) at(i int) T {
+	if i < len(s.fixed) {
+		return s.fixed[i]
+	}
+	return s.spill[i-len(s.fixed)]
+}
+
+// slab copies the gathered elements into an exact-size slice, nil if none.
+func (s *scratch[T]) slab() []T {
+	if s.n == 0 {
+		return nil
+	}
+	out := make([]T, s.n)
+	copy(out[copy(out, s.fixed[:min(s.n, len(s.fixed))]):], s.spill)
+	return out
+}
+
+// Until the slabs exist, a column-to-column predicate's right-hand side
+// and an expression's arithmetic point here; build rebinds them, in
+// parse order, to their slab elements.
+var (
+	pendingRight ColumnRef
+	pendingBinop BinaryExpr
+)
+
+type parser struct {
+	lx     lexer
+	tok    token // the current token
+	ahead  token // the one after it
+	sel    scratch[SelectItem]
+	joins  scratch[Join]
+	onEnd  scratch[int]       // per join, where its ON conjuncts end in preds
+	preds  scratch[Predicate] // every ON conjunct, then WHERE
+	cols   scratch[ColumnRef] // right-hand sides in preds order, then GROUP BY
+	inLen  scratch[int]       // per IN predicate, its set's length in lits
+	lits   scratch[Literal]
+	bins   scratch[BinaryExpr] // in SELECT, HAVING, ORDER BY order
+	having scratch[HavingPred]
+	order  scratch[OrderItem]
+}
+
+func (p *parser) cur() token { return p.tok }
+
+func (p *parser) advance() {
+	p.tok = p.ahead
+	p.ahead = p.lx.next()
+}
+
+func (p *parser) next() token { t := p.tok; p.advance(); return t }
 
 // keyword reports whether the current token is the given keyword (matched
 // case-insensitively) and consumes it if so.
 func (p *parser) keyword(kw string) bool {
 	t := p.cur()
 	if t.kind == tokIdent && strings.EqualFold(t.text, kw) {
-		p.i++
+		p.advance()
 		return true
 	}
 	return false
@@ -59,7 +128,7 @@ func (p *parser) keyword(kw string) bool {
 func (p *parser) symbol(s string) bool {
 	t := p.cur()
 	if t.kind == tokSymbol && t.text == s {
-		p.i++
+		p.advance()
 		return true
 	}
 	return false
@@ -81,6 +150,15 @@ func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("query: %s at offset %d (near %q)", fmt.Sprintf(format, args...), t.pos, where)
 }
 
+// aggCall reports whether the current token opens an aggregate call,
+// agg '(', and which aggregate.
+func (p *parser) aggCall() (AggFunc, bool) {
+	if p.tok.kind != tokIdent || p.ahead.kind != tokSymbol || p.ahead.text != "(" {
+		return AggNone, false
+	}
+	return aggOf(p.tok.text)
+}
+
 func (p *parser) parseQuery() (*Query, error) {
 	q := &Query{Limit: -1}
 	if !p.keyword("select") {
@@ -99,7 +177,7 @@ func (p *parser) parseQuery() (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		q.Select = append(q.Select, item)
+		p.sel.add(item)
 		if !p.symbol(",") {
 			break
 		}
@@ -120,34 +198,28 @@ func (p *parser) parseQuery() (*Query, error) {
 		if !p.keyword("on") {
 			return nil, p.errf("expected ON")
 		}
+		hasJoinCond := false
 		for {
-			prs, err := p.parsePredicateList()
+			isJoin, err := p.parsePredicateList()
 			if err != nil {
 				return nil, err
 			}
-			j.On = append(j.On, prs...)
+			hasJoinCond = hasJoinCond || isJoin
 			if !p.keyword("and") {
 				break
-			}
-		}
-		hasJoinCond := false
-		for _, pr := range j.On {
-			if pr.IsJoin() {
-				hasJoinCond = true
 			}
 		}
 		if !hasJoinCond {
 			return nil, fmt.Errorf("query: JOIN %s has no column-to-column condition", j.Table.Name)
 		}
-		q.Joins = append(q.Joins, j)
+		p.joins.add(j)
+		p.onEnd.add(p.preds.n)
 	}
 	if p.keyword("where") {
 		for {
-			prs, err := p.parsePredicateList()
-			if err != nil {
+			if _, err := p.parsePredicateList(); err != nil {
 				return nil, err
 			}
-			q.Where = append(q.Where, prs...)
 			if !p.keyword("and") {
 				break
 			}
@@ -162,7 +234,7 @@ func (p *parser) parseQuery() (*Query, error) {
 			if err != nil {
 				return nil, err
 			}
-			q.GroupBy = append(q.GroupBy, c)
+			p.cols.add(c)
 			if !p.symbol(",") {
 				break
 			}
@@ -174,7 +246,7 @@ func (p *parser) parseQuery() (*Query, error) {
 			if err != nil {
 				return nil, err
 			}
-			q.Having = append(q.Having, h)
+			p.having.add(h)
 			if !p.keyword("and") {
 				break
 			}
@@ -194,7 +266,7 @@ func (p *parser) parseQuery() (*Query, error) {
 			} else {
 				p.keyword("asc")
 			}
-			q.OrderBy = append(q.OrderBy, item)
+			p.order.add(item)
 			if !p.symbol(",") {
 				break
 			}
@@ -215,33 +287,91 @@ func (p *parser) parseQuery() (*Query, error) {
 	if p.cur().kind != tokEOF {
 		return nil, p.errf("unexpected trailing input")
 	}
+	p.build(q)
 	return q, nil
 }
 
-var aggNames = map[string]AggFunc{
-	"sum": AggSum, "count": AggCount, "avg": AggAvg, "min": AggMin, "max": AggMax,
+// build copies the gathered clauses into q's slabs and rebinds the
+// pending pointers, in the order they were parsed.
+func (p *parser) build(q *Query) {
+	q.Select = p.sel.slab()
+	q.Having = p.having.slab()
+	q.OrderBy = p.order.slab()
+	if bins := p.bins.slab(); bins != nil {
+		k := 0
+		bind := func(e *Expr) {
+			if e.Binop != nil {
+				e.Binop = &bins[k]
+				k++
+			}
+		}
+		for i := range q.Select {
+			bind(&q.Select[i].Expr)
+		}
+		for i := range q.Having {
+			bind(&q.Having[i].Expr)
+		}
+		for i := range q.OrderBy {
+			bind(&q.OrderBy[i].Expr)
+		}
+	}
+	cols, lits, preds := p.cols.slab(), p.lits.slab(), p.preds.slab()
+	r, l, in := 0, 0, 0
+	for i := range preds {
+		pr := &preds[i]
+		if pr.Right != nil {
+			pr.Right = &cols[r]
+			r++
+		}
+		if pr.Op == OpIN {
+			n := l + p.inLen.at(in)
+			pr.Set = lits[l:n:n]
+			l, in = n, in+1
+		}
+	}
+	if r < len(cols) {
+		q.GroupBy = cols[r:len(cols):len(cols)]
+	}
+	q.Joins = p.joins.slab()
+	on := 0
+	for i := range q.Joins {
+		end := p.onEnd.at(i)
+		q.Joins[i].On = preds[on:end:end]
+		on = end
+	}
+	if on < len(preds) {
+		q.Where = preds[on:len(preds):len(preds)]
+	}
+}
+
+// aggOf returns the aggregate an identifier names, in any case.
+func aggOf(name string) (AggFunc, bool) {
+	for _, a := range [...]AggFunc{AggSum, AggCount, AggAvg, AggMin, AggMax} {
+		if strings.EqualFold(name, a.String()) {
+			return a, true
+		}
+	}
+	return AggNone, false
 }
 
 func (p *parser) parseSelectItem() (SelectItem, error) {
-	t := p.cur()
-	if t.kind == tokIdent {
-		if agg, ok := aggNames[strings.ToLower(t.text)]; ok && p.toks[p.i+1].kind == tokSymbol && p.toks[p.i+1].text == "(" {
-			p.i += 2 // agg name and '('
-			if agg == AggCount && p.symbol("*") {
-				if err := p.expectSymbol(")"); err != nil {
-					return SelectItem{}, err
-				}
-				return SelectItem{Agg: AggCount, Star: true}, nil
-			}
-			expr, err := p.parseExpr()
-			if err != nil {
-				return SelectItem{}, err
-			}
+	if agg, ok := p.aggCall(); ok {
+		p.advance() // agg name
+		p.advance() // '('
+		if agg == AggCount && p.symbol("*") {
 			if err := p.expectSymbol(")"); err != nil {
 				return SelectItem{}, err
 			}
-			return SelectItem{Agg: agg, Expr: expr}, nil
+			return SelectItem{Agg: AggCount, Star: true}, nil
 		}
+		expr, err := p.parseExpr()
+		if err != nil {
+			return SelectItem{}, err
+		}
+		if err := p.expectSymbol(")"); err != nil {
+			return SelectItem{}, err
+		}
+		return SelectItem{Agg: agg, Expr: expr}, nil
 	}
 	expr, err := p.parseExpr()
 	if err != nil {
@@ -261,12 +391,13 @@ func (p *parser) parseExpr() (Expr, error) {
 	t := p.cur()
 	if t.kind == tokSymbol {
 		if op, ok := arithOps[t.text]; ok {
-			p.i++
+			p.advance()
 			right, err := p.parseColumnRef()
 			if err != nil {
 				return Expr{}, err
 			}
-			return Expr{Binop: &BinaryExpr{Left: left, Right: right, Op: op}}, nil
+			p.bins.add(BinaryExpr{Left: left, Right: right, Op: op})
+			return Expr{Binop: &pendingBinop}, nil
 		}
 	}
 	return Expr{Col: left}, nil
@@ -279,6 +410,25 @@ var reserved = map[string]bool{
 	"asc": true, "desc": true, "between": true, "in": true, "having": true,
 }
 
+// isReserved reports whether an identifier, in any case, is a reserved
+// keyword. Identifiers are ASCII, so it lowers them in a stack buffer
+// rather than through strings.ToLower, which would allocate for the
+// upper-case keywords a rendered query is full of.
+func isReserved(ident string) bool {
+	var b [len("between")]byte
+	if len(ident) > len(b) {
+		return false
+	}
+	for i := 0; i < len(ident); i++ {
+		c := ident[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b[i] = c
+	}
+	return reserved[string(b[:len(ident)])]
+}
+
 // Identifiers are case-insensitive, as in HiveQL: table, alias and
 // column names fold to lower case where the parser takes them (the
 // lexer cannot — keywords are tokIdent too), so LINEITEM and lineitem
@@ -286,11 +436,11 @@ var reserved = map[string]bool{
 // already-lower-case name unchanged, without allocating.
 func (p *parser) parseColumnRef() (ColumnRef, error) {
 	t := p.cur()
-	name := strings.ToLower(t.text)
-	if t.kind != tokIdent || reserved[name] {
+	if t.kind != tokIdent || isReserved(t.text) {
 		return ColumnRef{}, p.errf("expected column reference")
 	}
-	p.i++
+	name := strings.ToLower(t.text)
+	p.advance()
 	if p.symbol(".") {
 		t2 := p.next()
 		if t2.kind != tokIdent {
@@ -303,16 +453,13 @@ func (p *parser) parseColumnRef() (ColumnRef, error) {
 
 func (p *parser) parseTableRef() (TableRef, error) {
 	t := p.next()
-	name := strings.ToLower(t.text)
-	if t.kind != tokIdent || reserved[name] {
+	if t.kind != tokIdent || isReserved(t.text) {
 		return TableRef{}, fmt.Errorf("query: expected table name at offset %d (near %q)", t.pos, t.text)
 	}
-	tr := TableRef{Name: name}
-	if a := p.cur(); a.kind == tokIdent {
-		if alias := strings.ToLower(a.text); !reserved[alias] {
-			tr.Alias = alias
-			p.i++
-		}
+	tr := TableRef{Name: strings.ToLower(t.text)}
+	if a := p.cur(); a.kind == tokIdent && !isReserved(a.text) {
+		tr.Alias = strings.ToLower(a.text)
+		p.advance()
 	}
 	return tr, nil
 }
@@ -321,54 +468,57 @@ var cmpOps = map[string]CmpOp{
 	"=": OpEQ, "<>": OpNE, "!=": OpNE, "<": OpLT, "<=": OpLE, ">": OpGT, ">=": OpGE,
 }
 
-// parsePredicateList parses one surface-syntax conjunct: a comparison, an
-// IN list, or a BETWEEN (which expands to two conjuncts: >= lo AND <= hi).
-func (p *parser) parsePredicateList() ([]Predicate, error) {
+// parsePredicateList parses one surface-syntax conjunct into preds: a
+// comparison, an IN list, or a BETWEEN (which expands to two conjuncts:
+// >= lo AND <= hi). It reports whether the conjunct compares two columns.
+func (p *parser) parsePredicateList() (bool, error) {
 	left, err := p.parseColumnRef()
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	if p.keyword("between") {
 		lo, err := p.parseLiteral()
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		if !p.keyword("and") {
-			return nil, p.errf("expected AND in BETWEEN")
+			return false, p.errf("expected AND in BETWEEN")
 		}
 		hi, err := p.parseLiteral()
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		return []Predicate{
-			{Left: left, Op: OpGE, Lit: lo},
-			{Left: left, Op: OpLE, Lit: hi},
-		}, nil
+		p.preds.add(Predicate{Left: left, Op: OpGE, Lit: lo})
+		p.preds.add(Predicate{Left: left, Op: OpLE, Lit: hi})
+		return false, nil
 	}
 	if p.keyword("in") {
 		if err := p.expectSymbol("("); err != nil {
-			return nil, err
+			return false, err
 		}
-		pr := Predicate{Left: left, Op: OpIN}
+		n := 0
 		for {
 			lit, err := p.parseLiteral()
 			if err != nil {
-				return nil, err
+				return false, err
 			}
-			pr.Set = append(pr.Set, lit)
+			p.lits.add(lit)
+			n++
 			if !p.symbol(",") {
 				break
 			}
 		}
 		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
+			return false, err
 		}
-		return []Predicate{pr}, nil
+		p.inLen.add(n)
+		p.preds.add(Predicate{Left: left, Op: OpIN})
+		return false, nil
 	}
 	t := p.next()
 	op, ok := cmpOps[t.text]
 	if t.kind != tokSymbol || !ok {
-		return nil, fmt.Errorf("query: expected comparison operator at offset %d (near %q)", t.pos, t.text)
+		return false, fmt.Errorf("query: expected comparison operator at offset %d (near %q)", t.pos, t.text)
 	}
 	pr := Predicate{Left: left, Op: op}
 	v := p.cur()
@@ -376,43 +526,42 @@ func (p *parser) parsePredicateList() ([]Predicate, error) {
 	case tokNumber, tokString:
 		lit, err := p.parseLiteral()
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		pr.Lit = lit
 	case tokIdent:
 		right, err := p.parseColumnRef()
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		pr.Right = &right
+		p.cols.add(right)
+		pr.Right = &pendingRight
 	default:
-		return nil, p.errf("expected literal or column on right side of predicate")
+		return false, p.errf("expected literal or column on right side of predicate")
 	}
-	return []Predicate{pr}, nil
+	p.preds.add(pr)
+	return pr.Right != nil, nil
 }
 
 // parseOrderItem parses one ORDER BY key: a column or an aggregate call.
 func (p *parser) parseOrderItem() (OrderItem, error) {
-	t := p.cur()
-	if t.kind == tokIdent {
-		if agg, ok := aggNames[strings.ToLower(t.text)]; ok &&
-			p.toks[p.i+1].kind == tokSymbol && p.toks[p.i+1].text == "(" {
-			p.i += 2
-			item := OrderItem{Agg: agg}
-			if agg == AggCount && p.symbol("*") {
-				item.Star = true
-			} else {
-				expr, err := p.parseExpr()
-				if err != nil {
-					return OrderItem{}, err
-				}
-				item.Expr = expr
-			}
-			if err := p.expectSymbol(")"); err != nil {
+	if agg, ok := p.aggCall(); ok {
+		p.advance() // agg name
+		p.advance() // '('
+		item := OrderItem{Agg: agg}
+		if agg == AggCount && p.symbol("*") {
+			item.Star = true
+		} else {
+			expr, err := p.parseExpr()
+			if err != nil {
 				return OrderItem{}, err
 			}
-			return item, nil
+			item.Expr = expr
 		}
+		if err := p.expectSymbol(")"); err != nil {
+			return OrderItem{}, err
+		}
+		return item, nil
 	}
 	c, err := p.parseColumnRef()
 	if err != nil {
@@ -427,7 +576,7 @@ func (p *parser) parseHaving() (HavingPred, error) {
 	if t.kind != tokIdent {
 		return HavingPred{}, fmt.Errorf("query: expected aggregate in HAVING at offset %d", t.pos)
 	}
-	agg, ok := aggNames[strings.ToLower(t.text)]
+	agg, ok := aggOf(t.text)
 	if !ok {
 		return HavingPred{}, fmt.Errorf("query: HAVING requires an aggregate, got %q at offset %d", t.text, t.pos)
 	}
@@ -480,8 +629,7 @@ func (p *parser) parseLiteral() (Literal, error) {
 // parseMapJoinHint parses "MAPJOIN(t1, t2, ...)" hint bodies.
 func parseMapJoinHint(body string) ([]string, error) {
 	s := strings.TrimSpace(body)
-	lower := strings.ToLower(s)
-	if !strings.HasPrefix(lower, "mapjoin") {
+	if !hasFoldedPrefix(s, "mapjoin") {
 		return nil, fmt.Errorf("unsupported hint %q (only MAPJOIN)", s)
 	}
 	rest := strings.TrimSpace(s[len("mapjoin"):])
@@ -489,8 +637,10 @@ func parseMapJoinHint(body string) ([]string, error) {
 		return nil, fmt.Errorf("malformed MAPJOIN hint %q", s)
 	}
 	inner := rest[1 : len(rest)-1]
-	var tables []string
-	for _, part := range strings.Split(inner, ",") {
+	tables := make([]string, 0, strings.Count(inner, ",")+1)
+	for more := true; more; {
+		var part string
+		part, inner, more = strings.Cut(inner, ",")
 		name := strings.TrimSpace(part)
 		if name == "" {
 			return nil, fmt.Errorf("empty table in MAPJOIN hint %q", s)
@@ -498,4 +648,16 @@ func parseMapJoinHint(body string) ([]string, error) {
 		tables = append(tables, strings.ToLower(name))
 	}
 	return tables, nil
+}
+
+// hasFoldedPrefix reports whether strings.ToLower(s) begins with the
+// lower-case ASCII prefix, without building the lowered copy when s is
+// ASCII (a hint body need not be).
+func hasFoldedPrefix(s, prefix string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return strings.HasPrefix(strings.ToLower(s), prefix)
+		}
+	}
+	return len(s) >= len(prefix) && strings.EqualFold(s[:len(prefix)], prefix)
 }

@@ -81,15 +81,17 @@ func TestServerHitAllocBudget(t *testing.T) {
 // regression fails `go test`, not only bench's serve_cold. A one-entry
 // cache and two alternating texts make every submission a miss that
 // evicts the other text's entry. Where the measured counts go, per
-// shape (scan-only / join → group-by / three-job chain, mean of the two
-// texts): query.Parse 13 / 18 / 23.5, Query.String 1 / 1 / 1,
-// query.Resolve 0, plan.Compile 15 / 23 / 32, EstimateQuery 7 / 9 / 11
-// (the estimate, its Jobs slice and ByID map, one slab each of job
-// estimates and task groups, the walk's scratch, and two per join key
-// whose histogram a scan predicate rescales), and 16 / 21 / 26 for
-// scoring, the ticket, the cache entry with its spelling and eviction, and
-// the simulated run (TestServerHitAllocBudget itemises that part).
-// Budgets are the measured counts + 10.
+// shape (scan-only / join → group-by / three-job chain, both texts
+// alike): query.Parse 3 / 5 / 5 (the Query and one slab per element
+// kind, TestParseAllocBudget), Query.String 1 / 1 / 1, query.Resolve 0,
+// plan.Compile 6 / 7 / 7 (the DAG and one slab per element kind,
+// TestCompileAllocBudget), EstimateQuery 7 / 9 / 11 (the estimate, its
+// Jobs slice and ByID map, one slab each of job estimates and task
+// groups, the walk's scratch, and two per join key whose histogram a scan
+// predicate rescales), and 16 / 21 / 26 for scoring, the ticket, the
+// cache entry with its spelling and eviction, and the simulated run
+// (TestServerHitAllocBudget itemises that part). Budgets are the
+// measured counts + 10.
 func TestServerMissAllocBudget(t *testing.T) {
 	cfg := config(t)
 	cfg.Workers, cfg.CacheSize = 1, 1
@@ -102,13 +104,13 @@ func TestServerMissAllocBudget(t *testing.T) {
 	}{
 		{"scan-only",
 			`SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_shipdate < 9000 AND l_quantity >= 10`,
-			`SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderdate > 8500 AND o_totalprice < 50000`, 52},
+			`SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderdate > 8500 AND o_totalprice < 50000`, 33},
 		{"join → group-by",
 			`SELECT c_nationkey, sum(o_totalprice) FROM customer JOIN orders ON o_custkey = c_custkey WHERE o_orderdate < 9000 GROUP BY c_nationkey`,
-			`SELECT p_brand, sum(l_extendedprice) FROM part JOIN lineitem ON l_partkey = p_partkey WHERE l_quantity < 12 GROUP BY p_brand`, 72},
+			`SELECT p_brand, sum(l_extendedprice) FROM part JOIN lineitem ON l_partkey = p_partkey WHERE l_quantity < 12 GROUP BY p_brand`, 43},
 		{"three-job chain",
 			`SELECT ps_partkey, sum(ps_supplycost) FROM nation JOIN supplier ON s_nationkey = n_nationkey JOIN partsupp ON ps_suppkey = s_suppkey WHERE n_name <> 'CHINA' GROUP BY ps_partkey`,
-			`SELECT o_orderpriority, count(*) FROM customer JOIN orders ON o_custkey = c_custkey JOIN lineitem ON l_orderkey = o_orderkey WHERE l_quantity < 20 GROUP BY o_orderpriority`, 93.5},
+			`SELECT o_orderpriority, count(*) FROM customer JOIN orders ON o_custkey = c_custkey JOIN lineitem ON l_orderkey = o_orderkey WHERE l_quantity < 20 GROUP BY o_orderpriority`, 50},
 	} {
 		miss := func(sql string) {
 			tk, err := e.Submit(context.Background(), sql, 7)
