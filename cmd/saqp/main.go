@@ -18,7 +18,7 @@
 //
 // With -admin the query is served through the concurrent serving engine
 // instead, and the process stays up hosting the live introspection
-// endpoint (/metrics, /spans, /slo, /statz, /debug/pprof) until
+// endpoint (/metrics, /spans, /drift, /statz, /debug/pprof) until
 // SIGINT/SIGTERM:
 //
 //	saqp -query "..." -admin :8080
@@ -277,9 +277,9 @@ func host(fw *saqp.Framework, sql, scheduler string, seed uint64, admin, listen 
 	return srv.Close()
 }
 
-// serveOnce serves the -admin query through the engine (tracing and SLO
-// tracking are on, so the endpoints have substance) and prints where
-// the introspection endpoint lives.
+// serveOnce serves the -admin query through the engine (tracing is on,
+// so the endpoints have substance) and prints where the introspection
+// endpoint lives.
 func serveOnce(srv *saqp.Server, sql string, seed uint64) error {
 	ctx := context.Background()
 	tk, err := srv.Submit(ctx, sql, seed)
@@ -293,7 +293,7 @@ func serveOnce(srv *saqp.Server, sql string, seed uint64) error {
 	fmt.Printf("\nServed query through the engine: %.1f s simulated (%d attempt(s))\n",
 		res.SimSec, res.Attempts)
 	fmt.Printf("admin endpoint live at %s — try:\n", srv.AdminURL())
-	fmt.Printf("  curl %s/metrics\n  curl %s/spans\n  curl %s/slo\n", srv.AdminURL(), srv.AdminURL(), srv.AdminURL())
+	fmt.Printf("  curl %s/metrics\n  curl %s/spans\n", srv.AdminURL(), srv.AdminURL())
 	return nil
 }
 

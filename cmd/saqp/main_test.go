@@ -131,7 +131,7 @@ func TestHostingModes(t *testing.T) {
 // well-formed JSON from the three that serve it.
 func probeAdmin(t *testing.T, base string) {
 	for path, isJSON := range map[string]bool{
-		"/metrics": false, "/slo": true, "/spans": true, "/statz": true, "/debug/pprof/cmdline": false,
+		"/metrics": false, "/drift": true, "/spans": true, "/statz": true, "/debug/pprof/cmdline": false,
 	} {
 		resp, err := http.Get(base + path)
 		if err != nil {

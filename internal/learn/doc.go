@@ -12,13 +12,11 @@
 //     feedback one sample at a time, so after N observations its
 //     coefficients are the batch fit's over the identical stream, to the
 //     last bit, by definition rather than by test. The job family is
-//     solved once per observed job (the challenger's prequential score
-//     and, from the same pooled model, the residual behind a 95%
-//     confidence band on its predictions); the task families only when a
-//     promotion installs them. When the challenger's windowed average
-//     relative error beats the champion's by a configurable margin, the
-//     registry atomically promotes it, bumps the version, and snapshots
-//     the retired champion as a V2 predict persistence bundle.
+//     solved once per observed job (the challenger's prequential score);
+//     the task families only when a promotion installs them. When the
+//     challenger's windowed average relative error beats the champion's
+//     by a configurable margin, the registry atomically promotes it and
+//     bumps the version.
 //
 //   - The serving engine (internal/serve), through the Source seam, feeds
 //     observed job and task times into the registry after each cleanly

@@ -68,8 +68,7 @@ var _ Source = (*Registry)(nil)
 // the batch fitters' own — absorbs every observed job and task sample;
 // when the challenger's windowed average relative error beats the
 // champion's by the configured margin, the registry atomically promotes
-// the challenger, bumps the version, and snapshots the retired champion
-// as a V2 predict persistence bundle.
+// the challenger and bumps the version.
 //
 // Every decision depends only on sample counts and error windows, never
 // on the wall clock, so identical feedback streams produce identical
@@ -82,10 +81,8 @@ type Registry struct {
 	champJob  *predict.JobModel
 	champTask *predict.TaskModel
 
-	// The challenger: one family accumulator per regression target, and
-	// the pooled job model's confidence band.
+	// The challenger: one family accumulator per regression target.
 	job, maps, reds predict.FamilyFit
-	jobBand         band
 
 	jobSamples  int
 	taskSamples int
@@ -94,7 +91,6 @@ type Registry struct {
 	challWin *window
 
 	promotions []Promotion
-	retired    [][]byte
 }
 
 // WithDefaults returns cfg with every unset knob at its default: the
@@ -129,11 +125,10 @@ func NewRegistry(cfg Config) *Registry {
 }
 
 // ObserveJob feeds one completed job's observed execution time into the
-// registry: both error windows and the band's residual advance (the
-// challenger is scored prequentially, before absorbing the sample), the
-// challenger absorbs it, the band's width at the sample is reported, and
-// the promotion rule is evaluated. Non-positive observed times are
-// ignored.
+// registry: both error windows advance (the challenger is scored
+// prequentially, before absorbing the sample), the challenger absorbs
+// it, and the promotion rule is evaluated. Non-positive observed times
+// are ignored.
 func (r *Registry) ObserveJob(op plan.JobType, features []float64, observedSec float64) {
 	if r == nil || observedSec <= 0 {
 		return
@@ -146,15 +141,11 @@ func (r *Registry) ObserveJob(op plan.JobType, features []float64, observedSec f
 	}
 	if jm := r.challengerJobLocked(); jm != nil {
 		r.challWin.push(math.Abs(jm.PredictSample(s)-observedSec) / observedSec)
-		r.jobBand.score(jm.Pooled, features, observedSec)
 	}
 	//lint:allow saqpvet/errdrop a job sample of the wrong width still counts and advances the windows, it is only not absorbed
 	r.job.Add(op, features, observedSec)
 	r.jobSamples++
 	r.cfg.Observer.LearnJobSample(r.champWin.meanOrNeg(), r.challWin.meanOrNeg())
-	if half := r.jobBand.halfWidth(&r.job.Pooled, features); half > 0 {
-		r.cfg.Observer.LearnIntervalWidth(half)
-	}
 	r.maybePromoteLocked()
 }
 
@@ -180,64 +171,6 @@ func (r *Registry) ObserveTask(op plan.JobType, reduce bool, features []float64,
 	r.cfg.Observer.Count(obs.MLearnTaskSamples)
 }
 
-// zCritical is the two-sided 95% normal quantile of the confidence band.
-const zCritical = 1.96
-
-// band is the prequential (predict-then-absorb) residual variance behind
-// one pooled model's 95% confidence band: each sample is scored by the
-// model fitted to the samples before it, giving an honest out-of-sample
-// variance estimate. ObserveJob is its one feeder and its one reader.
-type band struct {
-	sqErr float64 // Σ w·(pred−target)²
-	n     int
-}
-
-// score absorbs one residual: m is the model solved before the sample
-// (features, target) is added to its accumulator.
-func (b *band) score(m *predict.Model, features []float64, target float64) {
-	pred, err := m.PredictChecked(features)
-	if err != nil {
-		return
-	}
-	e := pred - target
-	b.sqErr += predict.RelativeWeight(target) * e * e
-	b.n++
-}
-
-// halfWidth returns the half-width of the 95% band around acc's
-// prediction at features: z·√(s²·(1/w_x + xᵀ(XᵀWX)⁻¹x)), where s² is the
-// prequential weighted residual variance, 1/w_x restores the
-// heteroscedastic noise scale at the predicted magnitude (relative
-// weighting models noise growing with the target), and the quadratic
-// form is the leverage of x under the accumulated design. It is 0 while
-// no residuals have been scored or acc cannot be solved.
-func (b *band) halfWidth(acc *predict.Normal, features []float64) float64 {
-	if b.n == 0 {
-		return 0
-	}
-	m, err := acc.Solve()
-	if err != nil {
-		return 0
-	}
-	pred, err := m.PredictChecked(features)
-	if err != nil {
-		return 0
-	}
-	leverage, err := acc.Leverage(features)
-	if err != nil {
-		return 0
-	}
-	if leverage < 0 {
-		leverage = 0
-	}
-	s2 := b.sqErr / float64(b.n)
-	v := s2 * (1/predict.RelativeWeight(pred) + leverage)
-	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return zCritical * math.Sqrt(v)
-}
-
 // maybePromoteLocked applies the promotion rule: a cold registry
 // bootstraps its first champion once MinSamples job samples have
 // arrived; afterwards the challenger must fill both error windows and
@@ -260,9 +193,8 @@ func (r *Registry) maybePromoteLocked() {
 }
 
 // promoteLocked replaces the champion with the challenger's current
-// solution: the retiring champion is snapshotted as a V2 bundle with
-// its lifecycle metadata, the version bumps, the promotion is recorded,
-// and both error windows reset so the next comparison starts fresh. A
+// solution: the version bumps, the promotion is recorded, and both
+// error windows reset so the next comparison starts fresh. A
 // challenger whose job model cannot be solved yet never promotes; a
 // challenger without solvable task accumulators carries the champion's
 // TaskModel forward.
@@ -271,11 +203,7 @@ func (r *Registry) promoteLocked(champErr, challErr float64) {
 	if jm == nil {
 		return
 	}
-	tm := r.challengerTaskLocked()
-	if b, err := r.bundleLocked("retired champion"); err == nil {
-		r.retired = append(r.retired, b)
-	}
-	r.champJob, r.champTask = jm, tm
+	r.champJob, r.champTask = jm, r.challengerTaskLocked()
 	r.version++
 	r.promotions = append(r.promotions, Promotion{
 		Version:       r.version,
@@ -374,44 +302,10 @@ func (r *Registry) Promotions() []Promotion {
 }
 
 // PromotionsJSON serialises the promotion history — the byte-identical
-// artifact the seeded-replay tests compare.
+// artifact the seeded-replay tests compare. A nil registry marshals as
+// null, like its nil Promotions.
 func (r *Registry) PromotionsJSON() ([]byte, error) {
-	r.mu.Lock()
-	ps := append([]Promotion{}, r.promotions...)
-	r.mu.Unlock()
-	return json.MarshalIndent(ps, "", "  ")
-}
-
-// RetiredBundles returns the V2 persistence bundles of every retired
-// champion, oldest first.
-func (r *Registry) RetiredBundles() [][]byte {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([][]byte, len(r.retired))
-	copy(out, r.retired)
-	return out
-}
-
-// Snapshot serialises the current champion as a V2 bundle carrying the
-// live lifecycle metadata. It fails while the registry is cold or the
-// champion has no task model yet.
-func (r *Registry) Snapshot() ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.bundleLocked("serving champion")
-}
-
-// bundleLocked serialises the current champion with its live lifecycle
-// metadata; it fails while there is no complete champion to save.
-func (r *Registry) bundleLocked(description string) ([]byte, error) {
-	return predict.SaveBundle(r.champJob, r.champTask, description, &predict.RegistryMeta{
-		ModelVersion: r.version,
-		Samples:      r.jobSamples,
-		ErrorWindow:  r.champWin.values(),
-	})
+	return json.MarshalIndent(r.Promotions(), "", "  ")
 }
 
 // window is a fixed-capacity ring of relative errors. The mean is
@@ -458,15 +352,4 @@ func (w *window) meanOrNeg() float64 {
 func (w *window) reset() {
 	w.buf = w.buf[:0]
 	w.next = 0
-}
-
-// values returns the window's contents oldest-first.
-func (w *window) values() []float64 {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	out := make([]float64, 0, len(w.buf))
-	out = append(out, w.buf[w.next:]...)
-	out = append(out, w.buf[:w.next]...)
-	return out
 }

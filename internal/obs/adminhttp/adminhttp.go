@@ -1,8 +1,8 @@
 // Package adminhttp serves the live introspection surface of a running
 // saqp server over stdlib net/http: Prometheus metrics, request-scoped
-// span trees, SLO burn-rate state, prediction drift, engine stats, and
-// net/http/pprof — everything needed to answer "why is this query slow
-// right now" against a live process instead of a post-mortem dump.
+// span trees, prediction drift, engine stats, and net/http/pprof —
+// everything needed to answer "why is this query slow right now" against
+// a live process instead of a post-mortem dump.
 //
 // The package deliberately imports only internal/obs and the standard
 // library: it reads snapshots through the observability layer's own
@@ -12,7 +12,6 @@
 //	/               index of mounted endpoints
 //	/metrics        Prometheus text exposition (0.0.4)
 //	/spans          span-tree JSON; ?trace=<id> selects one tree
-//	/slo            SLO tracker snapshot with the alert log
 //	/drift          prediction-drift snapshot (live Tables 3-5)
 //	/statz          engine stats JSON (when wired)
 //	/debug/pprof/   live profiling
@@ -37,8 +36,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// Spans backs /spans.
 	Spans *obs.SpanStore
-	// SLO backs /slo.
-	SLO *obs.SLOTracker
 	// Drift backs /drift.
 	Drift *obs.DriftRecorder
 	// StatsJSON, when set, backs /statz with an engine-stats document.
@@ -49,7 +46,6 @@ type Config struct {
 const indexBody = `saqp admin endpoints:
   /metrics        Prometheus text exposition
   /spans          request span trees (?trace=<id> for one)
-  /slo            SLO burn-rate state and alert log
   /drift          prediction drift snapshot
   /statz          serving-engine stats
   /debug/pprof/   live profiling
@@ -97,14 +93,6 @@ func Handler(cfg Config) http.Handler {
 		if err := cfg.Spans.WriteJSON(w); err != nil {
 			return
 		}
-	})
-	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.SLO == nil {
-			http.Error(w, "no SLO tracker configured", http.StatusNotFound)
-			return
-		}
-		b, err := cfg.SLO.SnapshotJSON()
-		sendJSON(w, b, err)
 	})
 	mux.HandleFunc("/drift", func(w http.ResponseWriter, r *http.Request) {
 		if cfg.Drift == nil {

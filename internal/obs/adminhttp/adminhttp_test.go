@@ -26,13 +26,9 @@ func fullConfig() adminhttp.Config {
 	q.Event(obs.SpanKindCache, "plan-cache", obs.AttrBool("hit", true))
 	spans.Add(q.Finish())
 
-	slo := obs.NewSLOTracker(obs.SLOConfig{Name: "SWRD"})
-	slo.Record(1, false)
-
 	return adminhttp.Config{
 		Metrics:   o.Metrics,
 		Spans:     spans,
-		SLO:       slo,
 		Drift:     o.Drift,
 		StatsJSON: func() ([]byte, error) { return []byte(`{"submitted": 1}`), nil },
 	}
@@ -92,18 +88,6 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Errorf("unknown trace id: code %d, want 404", code)
 	}
 
-	code, _, body = get(t, h, "/slo")
-	if code != http.StatusOK {
-		t.Fatalf("/slo: code %d", code)
-	}
-	var sloSnap obs.SLOSnapshot
-	if err := json.Unmarshal([]byte(body), &sloSnap); err != nil {
-		t.Fatalf("/slo invalid JSON: %v", err)
-	}
-	if sloSnap.Config.Name != "SWRD" || sloSnap.Good != 1 {
-		t.Errorf("/slo snapshot = %+v", sloSnap)
-	}
-
 	if code, _, body = get(t, h, "/drift"); code != http.StatusOK || !json.Valid([]byte(body)) {
 		t.Errorf("/drift: code %d valid-json %v", code, json.Valid([]byte(body)))
 	}
@@ -122,7 +106,7 @@ func TestHandlerEndpoints(t *testing.T) {
 // 404 with a hint instead of panicking when unset.
 func TestHandlerUnconfiguredSources(t *testing.T) {
 	h := adminhttp.Handler(adminhttp.Config{})
-	for _, path := range []string{"/metrics", "/spans", "/slo", "/drift", "/statz"} {
+	for _, path := range []string{"/metrics", "/spans", "/drift", "/statz"} {
 		code, _, body := get(t, h, path)
 		if code != http.StatusNotFound {
 			t.Errorf("%s: code %d, want 404", path, code)

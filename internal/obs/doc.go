@@ -3,10 +3,9 @@
 // which metric it moves, what it carries, and how the Chrome timeline
 // and the request span tree render it, and Observer.Emit hands it to
 // every attached sink. Every metric is one row of the metric table
-// (metrictable.go). Beside the event path sit a prediction-drift
-// recorder — the live equivalent of the paper's Tables 3–5 — and a
-// virtual-time SLO tracker. docs/OBSERVABILITY.md lists every kind and
-// every metric.
+// (metrictable.go). Beside the event path sits a prediction-drift
+// recorder — the live equivalent of the paper's Tables 3–5.
+// docs/OBSERVABILITY.md lists every kind and every metric.
 //
 // The layer is deterministic by construction: every timestamp comes from
 // the cluster simulator's virtual clock (float64 seconds carried by each

@@ -57,8 +57,6 @@ func TestHotPathAllocs(t *testing.T) {
 			o.NetConnAccepted(1000)
 			o.NetConnClosed(1000)
 			o.LearnJobSample(0.5, 0.25)
-			o.LearnIntervalWidth(3)
-			o.SLORecorded(obs.SLOState{FastBurn: 1.5, SlowBurn: 0.5, Firing: true, Transition: true})
 			o.SchedulerDecision(1, "SWRD", false, "", 1000, nil)
 		}},
 	}

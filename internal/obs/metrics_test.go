@@ -169,7 +169,7 @@ func TestCounterMonotone(t *testing.T) {
 // non-test code outside the table itself: the event-kind table, a typed
 // Observer method, or a Count call site.
 func TestMetricTable(t *testing.T) {
-	subsystem := regexp.MustCompile(`^saqp_(cluster|sched|framework|serve|net|learn|slo)_[a-z0-9_]+$`)
+	subsystem := regexp.MustCompile(`^saqp_(cluster|sched|framework|serve|net|learn)_[a-z0-9_]+$`)
 	decl := regexp.MustCompile(`(?m)^\t(M\w+)\s*= (?:counter|gauge|histogram)\("([^"]+)"`)
 	const tableFile = "metrictable.go"
 	src, err := os.ReadFile(tableFile)

@@ -35,7 +35,7 @@ func gauge(name, help string) string     { return declare("gauge", name, help) }
 func histogram(name, help string) string { return declare("histogram", name, help) }
 
 // The metric table. Names follow saqp_<subsystem>_<name>[_<unit>] with a
-// subsystem of cluster, sched, framework, serve, net, learn or slo;
+// subsystem of cluster, sched, framework, serve, net or learn;
 // counters end in _total (TestMetricTable enforces both).
 // Every value is a count, a gauge or a simulated duration, so a seeded
 // replay exports identical numbers.
@@ -104,13 +104,4 @@ var (
 	MLearnModelVersion  = gauge("saqp_learn_model_version", "Serving champion version.")
 	MLearnChampionErr   = gauge("saqp_learn_champion_window_rel_error", "Champion's windowed mean relative error.")
 	MLearnChallengerErr = gauge("saqp_learn_challenger_window_rel_error", "Challenger's windowed mean relative error.")
-	MLearnIntervalSec   = histogram("saqp_learn_interval_width_seconds", "Half-width of the challenger's 95% band at the latest job.")
-
-	// Latency objective.
-	MSLOGoodTotal   = counter("saqp_slo_good_total", "Completions that met the objective.")
-	MSLOBadTotal    = counter("saqp_slo_bad_total", "Completions that failed or missed the objective.")
-	MSLOTransitions = counter("saqp_slo_transitions_total", "Alert fire and resolve transitions.")
-	MSLOFastBurn    = gauge("saqp_slo_fast_burn_rate", "Error-budget burn rate over the fast window.")
-	MSLOSlowBurn    = gauge("saqp_slo_slow_burn_rate", "Error-budget burn rate over the slow window.")
-	MSLOFiring      = gauge("saqp_slo_firing", "1 while the burn-rate alert fires.")
 )

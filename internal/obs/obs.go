@@ -250,15 +250,6 @@ func (o *Observer) LearnJobSample(championErr, challengerErr float64) {
 	}
 }
 
-// LearnIntervalWidth records the half-width of the challenger's 95%
-// confidence band at the latest observed job's features.
-func (o *Observer) LearnIntervalWidth(sec float64) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	o.Metrics.Histogram(MLearnIntervalSec, nil).Observe(sec)
-}
-
 // LearnPromotion records a champion promotion: the model-version gauge
 // and a LearnPromotion event positioned at the promotion's job-sample
 // count — the registry has no clock, so seeded replays emit identical

@@ -84,10 +84,7 @@ func (f *Family) For(op plan.JobType) *Model {
 // type's definition rather than a property of two. The zero value is an
 // empty accumulator; it is not goroutine-safe.
 type FamilyFit struct {
-	// Pooled is the operator-agnostic accumulator, exported for readers
-	// of more than its coefficients (the registry's confidence band reads
-	// its Leverage).
-	Pooled Normal
+	pooled Normal // the operator-agnostic accumulator
 	perOp  map[plan.JobType]*Normal
 }
 
@@ -96,7 +93,7 @@ type FamilyFit struct {
 // accumulator before the operator's sees it.
 func (ff *FamilyFit) Add(op plan.JobType, features []float64, sec float64) error {
 	w := RelativeWeight(sec)
-	if err := ff.Pooled.Add(features, sec, w); err != nil {
+	if err := ff.pooled.Add(features, sec, w); err != nil {
 		return err
 	}
 	a := ff.perOp[op]
@@ -115,7 +112,7 @@ func (ff *FamilyFit) Add(op plan.JobType, features []float64, sec float64) error
 // Normal.Solve it does not consume the accumulator, and the models it
 // returns are replaced, never mutated, by later Adds.
 func (ff *FamilyFit) Solve() (Family, error) {
-	pooled, err := ff.Pooled.Solve()
+	pooled, err := ff.pooled.Solve()
 	if err != nil {
 		return Family{}, err
 	}

@@ -111,27 +111,6 @@ func (a *Normal) Solve() (*Model, error) {
 	return a.solved, nil
 }
 
-// Leverage returns xᵀ(XᵀWX)⁻¹x for x = (1, features): how far the point
-// lies from the accumulated design, the data-dependent half of a
-// prediction's variance.
-func (a *Normal) Leverage(features []float64) (float64, error) {
-	if len(features)+1 != len(a.row) {
-		return 0, ErrFeatureWidth
-	}
-	x := make([]float64, len(a.row))
-	x[0] = 1
-	copy(x[1:], features)
-	z, err := a.solve(x)
-	if err != nil {
-		return 0, err
-	}
-	var lev float64
-	for i := range x {
-		lev += x[i] * z[i]
-	}
-	return lev, nil
-}
-
 // solve solves XᵀWX·θ = rhs by Gaussian elimination with partial pivoting
 // on an augmented copy of the Gram matrix. A tiny ridge term (1e-9,
 // relative to each diagonal entry so units don't matter) keeps

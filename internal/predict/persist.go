@@ -18,16 +18,6 @@ type savedModel struct {
 	Theta []float64 `json:"theta"`
 }
 
-// RegistryMeta is the model-lifecycle metadata a V2 bundle carries: the
-// registry version counter the bundle was serving as, the number of
-// feedback samples absorbed up to that point, and the trailing window of
-// per-job relative errors that justified (or preceded) its retirement.
-type RegistryMeta struct {
-	ModelVersion int       `json:"model_version"`
-	Samples      int       `json:"samples"`
-	ErrorWindow  []float64 `json:"error_window,omitempty"`
-}
-
 // savedBundle is the on-disk layout of a trained model set.
 type savedBundle struct {
 	Version     int                    `json:"version"`
@@ -38,14 +28,12 @@ type savedBundle struct {
 	RedPooled   *savedModel            `json:"reduce_pooled"`
 	RedPerOp    map[string]*savedModel `json:"reduce_per_op"`
 	Description string                 `json:"description,omitempty"`
-	// Registry is absent (nil) in bundles saved without lifecycle
-	// metadata.
-	Registry *RegistryMeta `json:"registry,omitempty"`
 }
 
-// currentVersion is the only bundle layout this build reads or writes:
-// coefficients plus the optional registry lifecycle metadata. (The
-// coefficient-only version 1 predates every writer in this repository.)
+// currentVersion is the only bundle layout this build reads or writes.
+// (Version 1 predates every writer in this repository.) A version-2 file
+// may also carry a "registry" object of model-lifecycle metadata, written
+// by earlier builds; loading ignores it.
 const currentVersion = 2
 
 // ErrVersion is returned (wrapped, with the offending version number)
@@ -103,56 +91,41 @@ func loadFamily(name string, pooled *savedModel, perOp map[string]*savedModel) (
 	return f, nil
 }
 
-// SaveModels serialises a trained (job, task) model pair to JSON with no
-// lifecycle metadata. Equivalent to SaveBundle(jm, tm, description, nil).
+// SaveModels serialises a trained (job, task) model pair to a V2 JSON
+// bundle.
 func SaveModels(jm *JobModel, tm *TaskModel, description string) ([]byte, error) {
-	return SaveBundle(jm, tm, description, nil)
-}
-
-// SaveBundle serialises a trained (job, task) model pair to a V2 JSON
-// bundle, optionally carrying the model-lifecycle metadata the registry
-// (internal/learn) stamps on champion snapshots.
-func SaveBundle(jm *JobModel, tm *TaskModel, description string, meta *RegistryMeta) ([]byte, error) {
 	if jm == nil || tm == nil {
 		return nil, fmt.Errorf("predict: cannot save nil models")
 	}
-	b := savedBundle{Version: currentVersion, Description: description, Registry: meta}
+	b := savedBundle{Version: currentVersion, Description: description}
 	b.JobPooled, b.JobPerOp = saveFamily(&jm.Family)
 	b.MapPooled, b.MapPerOp = saveFamily(&tm.Map)
 	b.RedPooled, b.RedPerOp = saveFamily(&tm.Reduce)
 	return json.MarshalIndent(b, "", "  ")
 }
 
-// LoadModels parses a bundle produced by SaveModels or SaveBundle,
-// discarding any lifecycle metadata. See LoadBundle for version rules.
+// LoadModels parses a bundle produced by SaveModels. Any layout version
+// other than the current one fails with a wrapped ErrVersion.
 func LoadModels(data []byte) (*JobModel, *TaskModel, error) {
-	jm, tm, _, err := LoadBundle(data)
-	return jm, tm, err
-}
-
-// LoadBundle parses a saved bundle and returns its models with their
-// RegistryMeta (nil when saved without one). Any layout version other
-// than the current one fails with a wrapped ErrVersion.
-func LoadBundle(data []byte) (*JobModel, *TaskModel, *RegistryMeta, error) {
 	var b savedBundle
 	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, nil, nil, fmt.Errorf("predict: parsing saved models: %w", err)
+		return nil, nil, fmt.Errorf("predict: parsing saved models: %w", err)
 	}
 	if b.Version != currentVersion {
-		return nil, nil, nil, fmt.Errorf("%w: got %d, support %d",
+		return nil, nil, fmt.Errorf("%w: got %d, support %d",
 			ErrVersion, b.Version, currentVersion)
 	}
 	var jm JobModel
 	var tm TaskModel
 	var err error
 	if jm.Family, err = loadFamily("job", b.JobPooled, b.JobPerOp); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if tm.Map, err = loadFamily("map task", b.MapPooled, b.MapPerOp); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if tm.Reduce, err = loadFamily("reduce task", b.RedPooled, b.RedPerOp); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return &jm, &tm, b.Registry, nil
+	return &jm, &tm, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,17 +83,27 @@ const validV1 = `{"version":1,` +
 	`"map_pooled":{"theta":[3,4]},` +
 	`"reduce_pooled":{"theta":[5,6]}}`
 
-func TestLoadBundleVersions(t *testing.T) {
+// validV2 is validV1 at the current layout version.
+var validV2 = strings.Replace(validV1, `"version":1`, `"version":2`, 1)
+
+// withRegistry is validV2 carrying the model-lifecycle object earlier
+// builds wrote into every registry snapshot.
+var withRegistry = strings.Replace(validV2, `}}`,
+	`},"registry":{"model_version":3,"samples":60,"error_window":[0.125,0.0625,0.25]}}`, 1)
+
+func TestLoadModelsVersions(t *testing.T) {
 	tests := []struct {
 		name     string
 		data     string
 		wantErr  error // errors.Is target; nil = any error when wantFail
 		wantFail bool
-		wantMeta bool
+		// like, when set, is a bundle data must load to the same
+		// coefficients as.
+		like string
 	}{
 		{name: "v1 rejected", data: validV1, wantErr: predict.ErrVersion, wantFail: true},
-		{name: "v2 without registry loads with nil metadata",
-			data: strings.Replace(validV1, `"version":1`, `"version":2`, 1)},
+		{name: "v2 loads", data: validV2},
+		{name: "v2 registry object ignored", data: withRegistry, like: validV2},
 		{name: "unknown future version rejected",
 			data:    strings.Replace(validV1, `"version":1`, `"version":99`, 1),
 			wantErr: predict.ErrVersion, wantFail: true},
@@ -106,10 +117,10 @@ func TestLoadBundleVersions(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			jm, tm, meta, err := predict.LoadBundle([]byte(tc.data))
+			jm, tm, err := predict.LoadModels([]byte(tc.data))
 			if tc.wantFail {
 				if err == nil {
-					t.Fatal("LoadBundle should fail")
+					t.Fatal("LoadModels should fail")
 				}
 				if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
 					t.Fatalf("err = %v, want errors.Is %v", err, tc.wantErr)
@@ -122,44 +133,21 @@ func TestLoadBundleVersions(t *testing.T) {
 			if jm == nil || tm == nil {
 				t.Fatal("models missing after load")
 			}
-			if (meta != nil) != tc.wantMeta {
-				t.Fatalf("meta = %+v, wantMeta %v", meta, tc.wantMeta)
+			if tc.like == "" {
+				return
+			}
+			jm2, tm2, err := predict.LoadModels([]byte(tc.like))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pair := range [][2]*predict.Model{
+				{jm.Pooled, jm2.Pooled}, {tm.Map.Pooled, tm2.Map.Pooled}, {tm.Reduce.Pooled, tm2.Reduce.Pooled},
+			} {
+				if !slices.Equal(pair[0].Theta, pair[1].Theta) {
+					t.Fatalf("coefficients %v, want %v", pair[0].Theta, pair[1].Theta)
+				}
 			}
 		})
-	}
-}
-
-func TestSaveBundleRoundTripsMetadata(t *testing.T) {
-	c := sharedCorpus(t)
-	train, _ := c.Split(0.75)
-	jm, err := predict.FitJobModel(train.JobSamples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm, err := predict.FitTaskModel(train.TaskSamples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := &predict.RegistryMeta{ModelVersion: 3, Samples: 250, ErrorWindow: []float64{0.1, 0.08, 0.12}}
-	data, err := predict.SaveBundle(jm, tm, "retired champion", meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"version": 2`) {
-		t.Fatal("SaveBundle should write the current (V2) layout")
-	}
-	jm2, _, meta2, err := predict.LoadBundle(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta2 == nil || meta2.ModelVersion != 3 || meta2.Samples != 250 ||
-		len(meta2.ErrorWindow) != 3 || meta2.ErrorWindow[2] != 0.12 {
-		t.Fatalf("metadata did not round-trip: %+v", meta2)
-	}
-	for _, s := range train.JobSamples[:20] {
-		if jmPredict(jm, s) != jmPredict(jm2, s) {
-			t.Fatal("coefficients drifted through the V2 round trip")
-		}
 	}
 }
 
@@ -213,10 +201,10 @@ func bundleSamples() ([]predict.JobSample, []predict.TaskSample) {
 	return jobs, tasks
 }
 
-// TestBundleGoldenBytes pins the on-disk V2 layout: SaveBundle of models
-// fitted on the seeded stream, with lifecycle metadata, is compared
-// byte-for-byte with testdata/bundle_v2.json and survives LoadBundle →
-// SaveBundle unchanged. Regenerate only on purpose:
+// TestBundleGoldenBytes pins the on-disk V2 layout: SaveModels of models
+// fitted on the seeded stream is compared byte-for-byte with
+// testdata/bundle_v2.json and survives LoadModels → SaveModels
+// unchanged. Regenerate only on purpose:
 //
 //	SAQP_UPDATE_GOLDEN=1 go test -run TestBundleGoldenBytes ./internal/predict
 func TestBundleGoldenBytes(t *testing.T) {
@@ -229,8 +217,7 @@ func TestBundleGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := &predict.RegistryMeta{ModelVersion: 3, Samples: len(jobs), ErrorWindow: []float64{0.125, 0.0625, 0.25}}
-	got, err := predict.SaveBundle(jm, tm, "golden bundle", meta)
+	got, err := predict.SaveModels(jm, tm, "golden bundle")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,21 +238,21 @@ func TestBundleGoldenBytes(t *testing.T) {
 		t.Fatalf("bundle bytes drifted from %s:\n%s", path, got)
 	}
 	for _, key := range []string{`"job_pooled"`, `"job_per_op"`, `"map_pooled"`, `"map_per_op"`,
-		`"reduce_pooled"`, `"reduce_per_op"`, `"registry"`} {
+		`"reduce_pooled"`, `"reduce_per_op"`} {
 		if !bytes.Contains(want, []byte(key)) {
 			t.Errorf("golden bundle lacks key %s", key)
 		}
 	}
-	jm2, tm2, meta2, err := predict.LoadBundle(want)
+	jm2, tm2, err := predict.LoadModels(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := predict.SaveBundle(jm2, tm2, "golden bundle", meta2)
+	again, err := predict.SaveModels(jm2, tm2, "golden bundle")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again, want) {
-		t.Fatalf("bundle did not survive LoadBundle → SaveBundle:\n%s", again)
+		t.Fatalf("bundle did not survive LoadModels → SaveModels:\n%s", again)
 	}
 	// The starved class is served by the phase-pooled model on both sides
 	// of the round trip.

@@ -88,11 +88,6 @@ type Config struct {
 	// disables tracing at zero cost — pool simulators then run with no
 	// observer attached, exactly as before.
 	Spans *obs.SpanStore
-	// SLO, when set, classifies every delivered completion against a
-	// latency objective and evaluates multi-window burn rates in virtual
-	// time (see obs.SLOTracker). Cancellations are not classified — the
-	// client walked away, the engine didn't miss.
-	SLO *obs.SLOTracker
 }
 
 // Result is one served query's outcome.
@@ -219,14 +214,6 @@ type Stats struct {
 	// started by in-flight plus abandoned/canceled trees).
 	SpansStarted  uint64
 	SpansFinished uint64
-
-	// SLO burn-rate state at snapshot time (Config.SLO): the fast/slow
-	// window burn rates, whether the alert is firing, and how many
-	// fire/resolve transitions the deterministic alert log has recorded.
-	SLOFastBurn float64
-	SLOSlowBurn float64
-	SLOFiring   bool
-	SLOAlerts   int
 }
 
 // HitRate returns the cache hit fraction, 0 when no lookups happened.
@@ -674,10 +661,8 @@ func feedback(l learn.Source, est *selectivity.QueryEstimate, cq *cluster.Query)
 
 // finish delivers a ticket's completion exactly once and updates
 // counters per outcome. Completed and errored queries seal their span
-// tree into the store and feed the SLO tracker; cancellations abandon
-// the tree (it is incomplete by definition) and are not classified
-// against the objective — the client walked away, the engine didn't
-// miss.
+// tree into the store; cancellations abandon the tree (it is incomplete
+// by definition).
 func (e *Engine) finish(t *Ticket, res Result, err error) {
 	t.res, t.err = res, err
 	canceled := err != nil &&
@@ -693,9 +678,6 @@ func (e *Engine) finish(t *Ticket, res Result, err error) {
 		} else {
 			e.cfg.Spans.Add(t.span.Finish(obs.AttrStr("error", err.Error())))
 		}
-	}
-	if slo := e.cfg.SLO; slo != nil && !canceled {
-		e.cfg.Observer.SLORecorded(slo.Record(res.SimSec, err != nil))
 	}
 	e.mu.Lock()
 	e.inflight--
@@ -734,11 +716,6 @@ func (e *Engine) Stats() Stats {
 	if st := e.cfg.Spans; st != nil {
 		c := st.Counts()
 		s.SpansStarted, s.SpansFinished = c.Started, c.Finished
-	}
-	if slo := e.cfg.SLO; slo != nil {
-		st := slo.Status()
-		s.SLOFastBurn, s.SLOSlowBurn = st.FastBurn, st.SlowBurn
-		s.SLOFiring, s.SLOAlerts = st.Firing, st.Alerts
 	}
 	return s
 }

@@ -10,12 +10,11 @@ import (
 )
 
 // traceReplay is one fully instrumented serialized replay: a
-// single-worker engine with tracing, SLO tracking, online learning and
-// metrics on, fed a fixed seeded TPC-H query mix one submission at a
-// time (submit, then wait) so completion order is deterministic.
+// single-worker engine with tracing, online learning and metrics on, fed
+// a fixed seeded TPC-H query mix one submission at a time (submit, then
+// wait) so completion order is deterministic.
 type traceReplay struct {
 	spans   *obs.SpanStore
-	slo     *obs.SLOTracker
 	obs     *obs.Observer
 	stats   Stats
 	simSecs []float64
@@ -32,10 +31,8 @@ func runTraceReplay(t *testing.T, traced bool) traceReplay {
 	if traced {
 		r.obs = obs.New(nil)
 		r.spans = obs.NewSpanStore(0)
-		r.slo = obs.NewSLOTracker(obs.SLOConfig{Name: "SWRD", LatencyObjectiveSec: 60})
 		cfg.Observer = r.obs
 		cfg.Spans = r.spans
-		cfg.SLO = r.slo
 	}
 	e := newEngine(t, cfg)
 	for i, sql := range []string{q1, q6, q1, q6, q1, q6} {
@@ -54,8 +51,8 @@ func runTraceReplay(t *testing.T, traced bool) traceReplay {
 }
 
 // TestServeSpanReplayDeterministic is the acceptance gate: two seeded
-// serialized replays must serialise byte-identical span stores, SLO
-// snapshots and metrics registries.
+// serialized replays must serialise byte-identical span stores and
+// metrics registries.
 func TestServeSpanReplayDeterministic(t *testing.T) {
 	a := runTraceReplay(t, true)
 	b := runTraceReplay(t, true)
@@ -69,18 +66,6 @@ func TestServeSpanReplayDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(aj.Bytes(), bj.Bytes()) {
 		t.Error("span-store JSON differs between identical seeded replays")
-	}
-
-	as, err := a.slo.SnapshotJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := b.slo.SnapshotJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(as, bs) {
-		t.Error("SLO snapshot differs between identical seeded replays")
 	}
 
 	am, err := a.obs.Metrics.SnapshotJSON()
@@ -121,9 +106,6 @@ func TestServeExemplarResolvesToSpanTree(t *testing.T) {
 
 	if r.stats.SpansStarted != 6 || r.stats.SpansFinished != 6 {
 		t.Errorf("stats spans = %d/%d, want 6/6", r.stats.SpansStarted, r.stats.SpansFinished)
-	}
-	if got := r.slo.Status(); got.Good+got.Bad != 6 {
-		t.Errorf("SLO classified %d+%d queries, want 6", got.Good, got.Bad)
 	}
 
 	hist := r.obs.Metrics.Snapshot().Histograms[obs.MServeSimResponseSec]

@@ -77,15 +77,6 @@ type (
 	SpanTree = obs.SpanTree
 	// SpanStore retains finished span trees in a bounded ring.
 	SpanStore = obs.SpanStore
-	// SLOConfig parameterises a latency objective with multi-window
-	// burn-rate alerting (zero fields take the obs defaults).
-	SLOConfig = obs.SLOConfig
-	// SLOTracker evaluates a latency objective over virtual time.
-	SLOTracker = obs.SLOTracker
-	// SLOSnapshot is a tracker's JSON state, including the alert log.
-	SLOSnapshot = obs.SLOSnapshot
-	// SLOAlert is one deterministic fire/resolve alert-log entry.
-	SLOAlert = obs.SLOAlert
 )
 
 // NewObserver builds an observer with a fresh metrics registry and drift

@@ -69,15 +69,11 @@ type ServerOptions struct {
 	// obs.DefaultSpanCapacity trees) readable via Spans and the admin
 	// server's /spans endpoint.
 	TraceSpans bool
-	// SLO, when non-nil, tracks a latency objective with multi-window
-	// burn-rate alerting over virtual time; zero fields take the obs
-	// defaults and Name defaults to the scheduler name.
-	SLO *SLOConfig
 	// AdminAddr, when non-empty, starts the live introspection HTTP
 	// server on that address (host:port; ":0" picks a free port) serving
-	// /metrics, /spans, /slo, /drift, /statz and /debug/pprof. Setting it
-	// implies TraceSpans and a default SLO (if none was given) so the
-	// endpoints have substance. The server stops on Close.
+	// /metrics, /spans, /drift, /statz and /debug/pprof. Setting it
+	// implies TraceSpans so /spans has substance. The server stops on
+	// Close.
 	AdminAddr string
 }
 
@@ -91,7 +87,6 @@ type Server struct {
 	eng   *serve.Engine
 	opts  ServerOptions // with Learner resolved: the registry built for OnlineLearning, if any
 	spans *SpanStore
-	slo   *SLOTracker
 	admin *adminhttp.Server
 }
 
@@ -119,25 +114,13 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The admin server implies tracing and a default SLO so its /spans
-	// and /slo endpoints have substance, and needs a metrics registry
-	// even when the framework runs unobserved.
+	// The admin server implies tracing so its /spans endpoint has
+	// substance, and needs a metrics registry even when the framework
+	// runs unobserved.
 	ob := f.Obs
 	var spans *SpanStore
 	if opts.TraceSpans || opts.AdminAddr != "" {
 		spans = obs.NewSpanStore(obs.DefaultSpanCapacity)
-	}
-	sloCfg := opts.SLO
-	if sloCfg == nil && opts.AdminAddr != "" {
-		sloCfg = &SLOConfig{}
-	}
-	var slo *SLOTracker
-	if sloCfg != nil {
-		cfg := *sloCfg
-		if cfg.Name == "" {
-			cfg.Name = name
-		}
-		slo = obs.NewSLOTracker(cfg)
 	}
 	if ob == nil && opts.AdminAddr != "" {
 		ob = obs.New(nil)
@@ -157,18 +140,16 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 		Learner:            src,
 		Observer:           ob,
 		Spans:              spans,
-		SLO:                slo,
 	})
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{eng: eng, opts: opts, spans: spans, slo: slo}
+	s := &Server{eng: eng, opts: opts, spans: spans}
 	if opts.AdminAddr != "" {
 		adm, err := adminhttp.Start(opts.AdminAddr, adminhttp.Config{
 			Metrics:   ob.Metrics, // ob is never nil here: see above
 			Drift:     ob.Drift,
 			Spans:     spans,
-			SLO:       slo,
 			StatsJSON: func() ([]byte, error) { return json.MarshalIndent(eng.Stats(), "", "  ") },
 		})
 		if err != nil {
@@ -212,10 +193,6 @@ func (s *Server) Stats() ServeStats { return s.eng.Stats() }
 // Spans returns the request-scoped span store, or nil when tracing is
 // off (no TraceSpans option and no admin server).
 func (s *Server) Spans() *SpanStore { return s.spans }
-
-// SLO returns the latency-objective tracker, or nil when none is
-// configured.
-func (s *Server) SLO() *SLOTracker { return s.slo }
 
 // AdminURL returns the admin server's base URL, or "" when no admin
 // server is running.
