@@ -313,25 +313,6 @@ func flatten(parts [][]int32) []int32 {
 	return sel
 }
 
-// rowBytes is the encoded size of the rows sel picks out of the columns.
-// sel holds distinct rows, so one as long as a column is the whole column.
-func rowBytes(vecs []dataset.Vector, sel []int32) int64 {
-	var t int64
-	for j := range vecs {
-		switch strs := vecs[j].Strings(); {
-		case len(sel) == vecs[j].Len():
-			t += vecs[j].Bytes()
-		case strs != nil:
-			for _, i := range sel {
-				t += int64(len(strs[i]))
-			}
-		default:
-			t += 8 * int64(len(sel))
-		}
-	}
-	return t
-}
-
 // gather copies the selected rows of one column, in selection order.
 func gather(v dataset.Vector, sel []int32) dataset.Vector {
 	switch v.Kind() {
@@ -349,23 +330,6 @@ func gather(v dataset.Vector, sel []int32) dataset.Vector {
 	return dataset.IntVector(v.Kind(), out)
 }
 
-// gatherAll appends the selected rows of every column of src to dst.
-func gatherAll(dst, src []dataset.Vector, sel []int32) []dataset.Vector {
-	for j := range src {
-		dst = append(dst, gather(src[j], sel))
-	}
-	return dst
-}
-
-// joined materialises matched index pairs as a frame: first's columns then
-// second's, one gather per column.
-func joined(first *Frame, frows []int32, second *Frame, srows []int32) *Frame {
-	w := len(first.Cols) + len(second.Cols)
-	cols := append(append(make([]string, 0, w), first.Cols...), second.Cols...)
-	vecs := gatherAll(gatherAll(make([]dataset.Vector, 0, w), first.vecs, frows), second.vecs, srows)
-	return NewFrame(len(frows), cols, vecs)
-}
-
 // orderBy returns the three-way comparison of two rows under one sort key.
 func orderBy[T cmp.Ordered](vals []T, desc bool) func(a, b int32) int {
 	return func(a, b int32) int {
@@ -380,7 +344,8 @@ func orderBy[T cmp.Ordered](vals []T, desc bool) func(a, b int32) int {
 }
 
 // runExtract filters, optionally sorts, and optionally limits one input: a
-// stable sort of the surviving row indices, truncated, then one gather.
+// stable sort of the surviving row indices, truncated, then one gather per
+// column, read through the input's view.
 func (e *Engine) runExtract(job *plan.Job, in jobInput, stats *JobStats) (*Frame, error) {
 	f := in.frame
 	parts, err := e.mapFilter(in)
@@ -388,7 +353,7 @@ func (e *Engine) runExtract(job *plan.Job, in jobInput, stats *JobStats) (*Frame
 		return nil, err
 	}
 	sel := flatten(parts)
-	stats.MedBytes, stats.MedRows, stats.NumMaps = rowBytes(f.vecs, sel), int64(len(sel)), len(parts)
+	stats.MedBytes, stats.MedRows, stats.NumMaps = f.rowBytes(sel), int64(len(sel)), len(parts)
 	if len(job.OrderKeys) > 0 {
 		keys := make([]func(a, b int32) int, len(job.OrderKeys))
 		for i, k := range job.OrderKeys {
@@ -417,7 +382,7 @@ func (e *Engine) runExtract(job *plan.Job, in jobInput, stats *JobStats) (*Frame
 	if job.Limit >= 0 && int64(len(sel)) > job.Limit {
 		sel = sel[:job.Limit]
 	}
-	return NewFrame(len(sel), f.Cols, gatherAll(make([]dataset.Vector, 0, len(f.vecs)), f.vecs, sel)), nil
+	return f.view(sel).gathered(), nil
 }
 
 // aggSpec is one aggregate (a SELECT item or a HAVING conjunct) resolved
@@ -545,11 +510,12 @@ func (e *Engine) runGroupby(job *plan.Job, in jobInput, stats *JobStats) (*Frame
 	// Reduce: merge the partials across maps, in split order — float sums
 	// depend on it. A combined map-output record is its key columns plus
 	// one 8-byte partial per aggregate.
-	var locals []int32 // every task's local groups, by their first rows
+	var locals []int32                 // every task's local groups, by their first rows
+	keyed := Frame{vecs: keys, n: f.n} // sizes a record's key columns
 	for _, p := range partials {
 		locals = append(locals, p.first...)
 		stats.MedRows += int64(len(p.first))
-		stats.MedBytes += rowBytes(keys, p.first) + 8*int64(nAggs*len(p.first))
+		stats.MedBytes += keyed.rowBytes(p.first) + 8*int64(nAggs*len(p.first))
 	}
 	gid, first := groupRows(keys, locals)
 	states := make([]aggState, 0, len(first)*w)
@@ -621,16 +587,16 @@ func (e *Engine) runGroupby(job *plan.Job, in jobInput, stats *JobStats) (*Frame
 
 // joinSides orders a join's two inputs as (holder of left, holder of right)
 // and returns their key columns in a common storage class.
-func joinSides(left, right query.ColumnRef, a, b jobInput) (jobInput, jobInput, dataset.Vector, dataset.Vector, error) {
+func joinSides(left, right query.ColumnRef, a, b jobInput) (jobInput, jobInput, joinKey, joinKey, error) {
 	lk, rk := left.String(), right.String()
 	if a.frame.Col(lk) < 0 && b.frame.Col(lk) >= 0 {
 		a, b = b, a
 	}
 	li, ri := a.frame.Col(lk), b.frame.Col(rk)
 	if li < 0 || ri < 0 {
-		return a, b, dataset.Vector{}, dataset.Vector{}, fmt.Errorf("join keys %s/%s not found", lk, rk)
+		return a, b, joinKey{}, joinKey{}, fmt.Errorf("join keys %s/%s not found", lk, rk)
 	}
-	ak, bk, err := joinKeys(a.frame.vecs[li], b.frame.vecs[ri], lk, rk)
+	ak, bk, err := joinKeys(a.frame.vector(li), b.frame.vector(ri), lk, rk)
 	return a, b, ak, bk, err
 }
 
@@ -659,18 +625,12 @@ func (e *Engine) runJoin(job *plan.Job, ins []jobInput, stats *JobStats) (*Frame
 		return nil, err
 	}
 	lsel, rsel := flatten(lparts), flatten(rparts)
-	stats.MedBytes = rowBytes(a.frame.vecs, lsel) + rowBytes(b.frame.vecs, rsel)
+	stats.MedBytes = a.frame.rowBytes(lsel) + b.frame.rowBytes(rsel)
 	stats.MedRows = int64(len(lsel) + len(rsel))
 	stats.NumMaps = len(lparts) + len(rparts)
 
 	R := e.cfg.NumReducers
-	lrows, lb := partition(ak, lsel, R)
-	rrows, rb := partition(bk, rsel, R)
-	out := make([]pairs, R)
-	e.each(R, func(p int) {
-		out[p] = joinIndex(ak, bk, lrows[lb[p]:lb[p+1]])(rrows[rb[p]:rb[p+1]])
-	})
-	m := concatPairs(out)
+	m := e.match(ak, bk, partition(ak, lsel, R), partition(bk, rsel, R))
 	return joined(a.frame, m.build, b.frame, m.probe), nil
 }
 
@@ -678,7 +638,7 @@ func (e *Engine) runJoin(job *plan.Job, ins []jobInput, stats *JobStats) (*Frame
 // and indexed once, and every map split of the probe side filters its rows
 // and probes the index in parallel. It returns the matches in probe order
 // and the number of probe-side map tasks.
-func (e *Engine) broadcastPairs(build jobInput, bk dataset.Vector, probe jobInput, pk dataset.Vector) (pairs, int, error) {
+func (e *Engine) broadcastPairs(build jobInput, bk joinKey, probe jobInput, pk joinKey) (pairs, int, error) {
 	bparts, err := e.mapFilter(build)
 	if err != nil {
 		return pairs{}, 0, err
@@ -687,15 +647,12 @@ func (e *Engine) broadcastPairs(build jobInput, bk dataset.Vector, probe jobInpu
 	if err != nil {
 		return pairs{}, 0, err
 	}
-	matches := joinIndex(bk, pk, flatten(bparts))
-	out := make([]pairs, len(pparts))
-	e.each(len(pparts), func(si int) { out[si] = matches(pparts[si]) })
-	return concatPairs(out), len(pparts), nil
+	return e.match(bk, pk, [][]int32{flatten(bparts)}, pparts), len(pparts), nil
 }
 
 // runBroadcastJoin executes a map-side join as a job of its own: no
 // shuffle, no reduce phase, so the map output is the job output.
-func (e *Engine) runBroadcastJoin(job *plan.Job, a, b jobInput, ak, bk dataset.Vector, stats *JobStats) (*Frame, error) {
+func (e *Engine) runBroadcastJoin(job *plan.Job, a, b jobInput, ak, bk joinKey, stats *JobStats) (*Frame, error) {
 	build, buildKey, probe, probeKey := a, ak, b, bk
 	if a.table != job.Broadcast {
 		build, buildKey, probe, probeKey = b, bk, a, ak
@@ -747,7 +704,7 @@ func (e *Engine) applyMapJoins(job *plan.Job, ins []jobInput, stats *JobStats) (
 			return nil, fmt.Errorf("map-join probe key %s not found in inputs", pKey)
 		}
 		probe := ins[pi]
-		bk, pk, err := joinKeys(b.frame.vecs[bi], probe.frame.vecs[probe.frame.Col(pKey)], bKey, pKey)
+		bk, pk, err := joinKeys(b.frame.vector(bi), probe.frame.vector(probe.frame.Col(pKey)), bKey, pKey)
 		if err != nil {
 			return nil, err
 		}

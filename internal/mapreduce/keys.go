@@ -2,6 +2,8 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 
 	"saqp/internal/dataset"
 )
@@ -50,44 +52,61 @@ func refine[T any, K comparable](gid []int32, vals []T, rows []int32, key func(T
 	return first
 }
 
-// joinKeys returns the two key columns of an equi-join in a common storage
-// class. Integer and date keys compare as integers, floats by floatKey and
-// strings as strings; an integer column against a float one is widened once
-// so the pair compares numerically; a string against a number is an error.
-func joinKeys(a, b dataset.Vector, an, bn string) (dataset.Vector, dataset.Vector, error) {
-	if (a.Kind() == dataset.KindString) != (b.Kind() == dataset.KindString) {
-		return a, b, fmt.Errorf("join keys %s (%s) and %s (%s) are not comparable", an, a.Kind(), bn, b.Kind())
-	}
-	if af, bf := a.Kind() == dataset.KindFloat, b.Kind() == dataset.KindFloat; af && !bf {
-		b = widened(b)
-	} else if bf && !af {
-		a = widened(a)
-	}
-	return a, b, nil
+// joinKey is one side of an equi-join's key in the form it hashes and
+// compares in: strings and integers as stored, and floats — or integers
+// joined against floats — as floatKey's bit patterns in ints.
+type joinKey struct {
+	kind dataset.Kind
+	ints []int64
+	strs []string
 }
 
-func widened(v dataset.Vector) dataset.Vector {
-	f := make([]float64, v.Len())
-	for i, x := range v.Ints() {
-		f[i] = float64(x)
+// joinKeys returns the two key columns of an equi-join in a common storage
+// class. Integer and date keys compare as integers, floats by floatKey and
+// strings as strings; an integer column against a float one is widened so
+// the pair compares numerically; a string against a number is an error.
+func joinKeys(a, b dataset.Vector, an, bn string) (joinKey, joinKey, error) {
+	if (a.Kind() == dataset.KindString) != (b.Kind() == dataset.KindString) {
+		return joinKey{}, joinKey{}, fmt.Errorf("join keys %s (%s) and %s (%s) are not comparable", an, a.Kind(), bn, b.Kind())
 	}
-	return dataset.FloatVector(f)
+	if a.Kind() == dataset.KindFloat || b.Kind() == dataset.KindFloat {
+		return floatBits(a), floatBits(b), nil
+	}
+	return joinKey{a.Kind(), a.Ints(), a.Strings()}, joinKey{b.Kind(), b.Ints(), b.Strings()}, nil
+}
+
+// floatBits keys a numeric column by floatKey of its values as floats.
+func floatBits(v dataset.Vector) joinKey {
+	bits := make([]int64, v.Len())
+	if v.Kind() == dataset.KindFloat {
+		for i, x := range v.Floats() {
+			bits[i] = int64(floatKey(x))
+		}
+	} else {
+		for i, x := range v.Ints() {
+			bits[i] = int64(floatKey(float64(x)))
+		}
+	}
+	return joinKey{kind: dataset.KindFloat, ints: bits}
 }
 
 // partition splits rows into r shuffle buckets by fnv32a of the key's
-// rendering (appendKey's; a string is hashed where it lies), each bucket
-// keeping rows in order. It returns the rows grouped by bucket and the r+1
-// bucket boundaries.
-func partition(key dataset.Vector, rows []int32, r int) ([]int32, []int) {
+// rendering (appendKey's, a float's rendered from its bits; a string is
+// hashed where it lies), each bucket keeping rows in order. It returns the
+// buckets as segments of one buffer.
+func partition(key joinKey, rows []int32, r int) [][]int32 {
 	pid := make([]int32, len(rows))
 	bounds := make([]int, r+1)
 	var buf [32]byte
 	for j, i := range rows {
 		var h uint32
-		if strs := key.Strings(); strs != nil {
-			h = fnv32a(strs[i])
-		} else {
-			h = fnv32a(appendKey(buf[:0], key, i))
+		switch key.kind {
+		case dataset.KindString:
+			h = fnv32a(key.strs[i])
+		case dataset.KindFloat:
+			h = fnv32a(strconv.AppendFloat(buf[:0], math.Float64frombits(uint64(key.ints[i])), 'g', -1, 64))
+		default:
+			h = fnv32a(strconv.AppendInt(buf[:0], key.ints[i], 10))
 		}
 		pid[j] = int32(int(h) % r)
 		bounds[pid[j]+1]++
@@ -96,64 +115,104 @@ func partition(key dataset.Vector, rows []int32, r int) ([]int32, []int) {
 		bounds[p+1] += bounds[p]
 	}
 	out := make([]int32, len(rows))
-	next := append([]int(nil), bounds[:r]...)
-	for j, p := range pid {
-		out[next[p]] = rows[j]
-		next[p]++
+	buckets := make([][]int32, r)
+	for p := range buckets {
+		buckets[p] = out[bounds[p]:bounds[p]:bounds[p+1]]
 	}
-	return out, bounds
+	for j, p := range pid {
+		buckets[p] = append(buckets[p], rows[j])
+	}
+	return buckets
 }
 
 // pairs are matched (build row, probe row) index pairs in output order.
 type pairs struct{ build, probe []int32 }
 
-// joinIndex indexes the build rows of a hash join by key — each key's rows
-// chained in insertion order through one next slice — and returns the probe:
-// it matches probe rows in order, each against its key's build rows in
-// insertion order. The probe only reads, so map tasks may share it.
-func joinIndex(build, probe dataset.Vector, brows []int32) func(prows []int32) pairs {
-	switch build.Kind() {
-	case dataset.KindString:
-		return indexOn(build.Strings(), probe.Strings(), brows, same[string])
-	case dataset.KindFloat:
-		return indexOn(build.Floats(), probe.Floats(), brows, floatKey)
-	}
-	return indexOn(build.Ints(), probe.Ints(), brows, same[int64])
+// chain locates one key's build rows: the position of its first and how
+// many there are.
+type chain struct{ first, n int32 }
+
+// hashIndex indexes the build rows of a hash join by key, each key's rows
+// chained in insertion order through next. Probing only reads it, so
+// probe tasks may share one.
+type hashIndex[K comparable] struct {
+	head  map[K]chain
+	next  []int32 // position in brows → position of the key's next row
+	brows []int32
 }
 
-func indexOn[T any, K comparable](bvals, pvals []T, brows []int32, key func(T) K) func([]int32) pairs {
-	head := make(map[K]int32) // key → position in brows of its first row
-	next := make([]int32, len(brows))
+func newIndex[K comparable](keys []K, brows []int32) hashIndex[K] {
+	h := hashIndex[K]{head: make(map[K]chain), next: make([]int32, len(brows)), brows: brows}
 	for j := len(brows) - 1; j >= 0; j-- {
-		k := key(bvals[brows[j]])
-		if h, ok := head[k]; ok {
-			next[j] = h
-		} else {
-			next[j] = -1
-		}
-		head[k] = int32(j)
+		k := keys[brows[j]]
+		c := h.head[k]
+		h.next[j] = c.first
+		h.head[k] = chain{int32(j), c.n + 1}
 	}
-	return func(prows []int32) (out pairs) {
-		for _, r := range prows {
-			if b, ok := head[key(pvals[r])]; ok {
-				for ; b >= 0; b = next[b] {
-					out.build, out.probe = append(out.build, brows[b]), append(out.probe, r)
-				}
-			}
+	return h
+}
+
+// count returns how many build rows the probe rows prows match; keys are
+// the probe side's, by row.
+//
+//saqp:hotpath
+func (h *hashIndex[K]) count(keys []K, prows []int32) int {
+	n := 0
+	for _, r := range prows {
+		n += int(h.head[keys[r]].n)
+	}
+	return n
+}
+
+// fill writes the matches count counted into build and probe: probe rows
+// in order, each against its key's build rows in insertion order.
+//
+//saqp:hotpath
+func (h *hashIndex[K]) fill(keys []K, prows, build, probe []int32) {
+	k := 0
+	for _, r := range prows {
+		c := h.head[keys[r]]
+		for b := c.first; c.n > 0; c.n-- {
+			build[k], probe[k] = h.brows[b], r
+			b = h.next[b]
+			k++
 		}
-		return out
 	}
 }
 
-// concatPairs joins per-task pair lists in task order.
-func concatPairs(parts []pairs) pairs {
-	n := 0
-	for _, p := range parts {
-		n += len(p.build)
+// match pairs every probe task's rows with a hash index of build rows and
+// returns all the matches, in task order, in one exact-size pair: each task
+// counts its matches, a prefix sum places its segment, and each task fills
+// its own. With one build set for many tasks (a broadcast) the index is
+// built once and shared; with one per task (a shuffle's reducers) each task
+// indexes its own.
+func (e *Engine) match(bk, pk joinKey, builds, probes [][]int32) pairs {
+	if bk.kind == dataset.KindString {
+		return matchOn(e, bk.strs, pk.strs, builds, probes)
 	}
-	out := pairs{build: make([]int32, 0, n), probe: make([]int32, 0, n)}
-	for _, p := range parts {
-		out.build, out.probe = append(out.build, p.build...), append(out.probe, p.probe...)
+	return matchOn(e, bk.ints, pk.ints, builds, probes)
+}
+
+func matchOn[K comparable](e *Engine, bkeys, pkeys []K, builds, probes [][]int32) pairs {
+	idx := make([]hashIndex[K], len(builds))
+	own := len(builds) == len(probes)
+	if !own {
+		idx[0] = newIndex(bkeys, builds[0])
 	}
-	return out
+	off := make([]int, len(probes)+1)
+	e.each(len(probes), func(i int) {
+		if own {
+			idx[i] = newIndex(bkeys, builds[i])
+		}
+		off[i+1] = idx[min(i, len(idx)-1)].count(pkeys, probes[i])
+	})
+	for i := range probes {
+		off[i+1] += off[i]
+	}
+	m := pairs{make([]int32, off[len(probes)]), make([]int32, off[len(probes)])}
+	e.each(len(probes), func(i int) {
+		lo, hi := off[i], off[i+1]
+		idx[min(i, len(idx)-1)].fill(pkeys, probes[i], m.build[lo:hi], m.probe[lo:hi])
+	})
+	return m
 }

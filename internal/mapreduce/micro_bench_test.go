@@ -8,8 +8,9 @@ import (
 	"saqp/internal/query"
 )
 
-// BenchmarkMicro* cover the engine's three stages: map-side filtering,
-// the shuffle join, and the combine-heavy group-by reduce.
+// BenchmarkMicro* cover the engine's stages: map-side filtering, the
+// shuffle join, the combine-heavy group-by reduce, and a group-by whose map
+// phase runs a folded broadcast join.
 
 func benchEngine(b *testing.B) *Engine {
 	b.Helper()
@@ -59,4 +60,13 @@ func BenchmarkMicroEngineShuffleJoin(b *testing.B) {
 
 func BenchmarkMicroEngineGroupbyReduce(b *testing.B) {
 	benchRun(b, `SELECT l_orderkey, sum(l_quantity) FROM lineitem GROUP BY l_orderkey`)
+}
+
+// BenchmarkMicroEngineMapJoin is q14's shape: part broadcast into the
+// lineitem group-by's map phase (plan.Job.MapJoins), whose probe selection
+// is the identity.
+func BenchmarkMicroEngineMapJoin(b *testing.B) {
+	benchRun(b, `SELECT /*+ MAPJOIN(part) */ p_type, sum(l_extendedprice)
+		FROM part JOIN lineitem ON l_partkey = p_partkey
+		WHERE l_shipdate >= 8962 AND l_shipdate < 8993 GROUP BY p_type`)
 }
