@@ -39,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/signal"
 	"syscall"
@@ -127,12 +128,18 @@ func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
 func oneShot(fw *saqp.Framework, sql string, train bool, trainQueries int, modelsPath,
 	scheduler string, seed uint64, fp *saqp.FaultPlan) error {
 	if modelsPath != "" {
-		if data, err := os.ReadFile(modelsPath); err == nil {
+		// Only an absent file means "train and write"; any other read
+		// error would otherwise run untrained without a word.
+		data, err := os.ReadFile(modelsPath)
+		switch {
+		case err == nil:
 			if err := fw.LoadModels(data); err != nil {
 				return fmt.Errorf("loading %s: %w", modelsPath, err)
 			}
 			fmt.Printf("Loaded trained models from %s\n", modelsPath)
 			train = false
+		case !errors.Is(err, fs.ErrNotExist):
+			return fmt.Errorf("reading models: %w", err)
 		}
 	}
 	if sql != "" {

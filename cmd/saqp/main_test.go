@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -124,6 +125,20 @@ func TestHostingModes(t *testing.T) {
 				t.Errorf("still running %v after SIGTERM", drainTimeout)
 			}
 		})
+	}
+}
+
+// TestModelsPathUnreadable: a -models path that exists but cannot be read
+// as a file is an error naming the path, not a silent untrained run.
+func TestModelsPathUnreadable(t *testing.T) {
+	dir := t.TempDir()
+	out, err := exec.Command(saqpBin, "-models", dir, "-query", smokeQuery).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("-models pointing at a directory: exit %v, want non-zero\n%s", err, out)
+	}
+	if !strings.Contains(string(out), dir) {
+		t.Errorf("error does not name %s:\n%s", dir, out)
 	}
 }
 

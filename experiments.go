@@ -93,22 +93,6 @@ func BuildTrainedArtifacts(cfg ExperimentConfig) (*TrainedArtifacts, error) {
 	return &TrainedArtifacts{Corpus: corpus, Train: train, Test: test, Jobs: jm, Tasks: tm}, nil
 }
 
-// RecordCorpusDrift replays the artifacts' training samples through an
-// observer's drift recorder, scoring each with exactly the model the
-// accuracy tables use, so the live drift snapshot reproduces the
-// per-category mean relative error of Tables 3–5.
-func RecordCorpusDrift(a *TrainedArtifacts, o *Observer) {
-	if a == nil || o == nil || o.Drift == nil {
-		return
-	}
-	for _, s := range a.Train.JobSamples {
-		o.Drift.RecordJob(s.Op.String(), a.Jobs.PredictSample(s), s.Seconds, false)
-	}
-	for _, s := range a.Train.TaskSamples {
-		o.Drift.RecordTask(s.Op.String(), s.Reduce, a.Tasks.PredictTaskSample(s), s.Seconds, false)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Table 3 + Figure 6: job time prediction accuracy
 // ---------------------------------------------------------------------------

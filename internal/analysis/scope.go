@@ -21,8 +21,8 @@ var DeterministicPackages = []string{
 	"saqp/internal/obs",
 	// The serving engine promises that identical seeds submitted in
 	// serialized order reproduce byte-identical metrics and drift
-	// snapshots; wall-clock timeouts live in the root facade, outside
-	// this scope, precisely so the engine itself stays clock-free.
+	// snapshots; wall-clock deadlines arrive on the caller's ctx, from
+	// outside this scope, precisely so the engine itself stays clock-free.
 	"saqp/internal/serve",
 	// Fault plans promise byte-identical expansion and failure
 	// decisions for equal specs; any entropy here would break the

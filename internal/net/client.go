@@ -34,7 +34,8 @@ func IsBusy(err error) bool {
 
 // Client is a blocking, connection-per-client wire client. Methods are
 // safe for one goroutine at a time; a Client serializes one
-// request/reply exchange per call.
+// request/reply exchange per call. Close is the exception: any goroutine
+// may call it, and it unblocks a pending call.
 type Client struct {
 	mu  sync.Mutex
 	c   stdnet.Conn
@@ -58,12 +59,10 @@ func Dial(addr string) (*Client, error) {
 	}, nil
 }
 
-// Close tears the connection down.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.c.Close()
-}
+// Close tears the connection down. It takes no lock, so a call blocked
+// in another goroutine — a Wait on a ticket that never completes, say —
+// returns with the connection's error instead of holding Close.
+func (c *Client) Close() error { return c.c.Close() }
 
 // roundTrip sends one request array and decodes one reply frame,
 // mapping error frames to *ServerError.

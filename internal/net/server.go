@@ -52,9 +52,6 @@ type Config struct {
 	// the backend's admission queue is at or past this depth —
 	// backpressure ahead of the engine's own ErrQueueFull.
 	BusyQueueDepth int
-	// Limits bounds decoded request frames; the zero value means
-	// proto.DefaultLimits.
-	Limits proto.Limits
 	// Explain, when set, serves the EXPLAIN command: it returns the
 	// compiled plan description of one query, one line per list entry.
 	Explain func(sql string) ([]string, error)
@@ -99,9 +96,6 @@ func Start(cfg Config) (*Server, error) {
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = DefaultWriteTimeout
-	}
-	if cfg.Limits == (proto.Limits{}) {
-		cfg.Limits = proto.DefaultLimits()
 	}
 	ln, err := stdnet.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -250,7 +244,8 @@ func (s *Server) refuse(c stdnet.Conn) {
 func (s *Server) serveConn(c stdnet.Conn) {
 	defer s.wg.Done()
 	defer s.unregister(c)
-	br := bufio.NewReaderSize(c, s.cfg.Limits.MaxLine+2)
+	lim := proto.DefaultLimits()
+	br := bufio.NewReaderSize(c, lim.MaxLine+2)
 	bw := bufio.NewWriter(c)
 	enc := proto.NewEncoder(bw)
 	pending := make(map[string]serve.Pending)
@@ -258,7 +253,7 @@ func (s *Server) serveConn(c stdnet.Conn) {
 		if !s.armRead(c) {
 			return
 		}
-		args, err := readRequest(br, s.cfg.Limits)
+		args, err := readRequest(br, lim)
 		if err != nil {
 			var we *proto.WireError
 			if errors.As(err, &we) {

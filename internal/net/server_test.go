@@ -452,6 +452,54 @@ func TestServerDrainWithQuietClients(t *testing.T) {
 	}
 }
 
+// TestClientCloseUnblocksWait: a Close from another goroutine ends a
+// Wait blocked on a ticket that never completes — neither call may hang
+// behind the other.
+func TestClientCloseUnblocksWait(t *testing.T) {
+	ob := obs.New(nil)
+	s, _ := startServer(t, Config{Backend: &fakeBackend{hold: true}, Observer: ob})
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Submit("SELECT 1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commands := ob.Metrics.Counter(obs.MNetCommands)
+	sent := commands.Value()
+	waited := make(chan error, 1)
+	go func() {
+		_, err := c.Wait(id)
+		waited <- err
+	}()
+	// One more command counted means the WAIT is on the server and the
+	// client is blocked reading its reply.
+	for deadline := time.Now().Add(5 * time.Second); commands.Value() <= sent; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the WAIT never reached the server")
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked behind a pending Wait")
+	}
+	select {
+	case err := <-waited:
+		if err == nil {
+			t.Fatal("Wait on a closed client returned no error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait still blocked after Close")
+	}
+}
+
 func TestServerShutdownDeadline(t *testing.T) {
 	b := &fakeBackend{hold: true}
 	s, _ := startServer(t, Config{Backend: b})

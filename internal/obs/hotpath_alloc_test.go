@@ -12,12 +12,12 @@ var (
 )
 
 // TestHotPathAllocs is the runtime half of the //saqp:hotpath contract.
-// Recording a histogram sample — with or without an exemplar trace id —
-// must not allocate, since it runs once per served completion. Emitting
-// any event kind on a nil observer must not either (pool simulators run
-// unobserved), nor may any report on a metrics-only observer: Count, the
-// typed metric methods and Emit's registry half are everything a serving
-// stack with metrics on pays per request.
+// Recording a histogram sample must not allocate, since it runs once per
+// served completion. Emitting any event kind on a nil observer must not
+// either (pool simulators run unobserved), nor may any report on a
+// metrics-only observer: Count, the typed metric methods and Emit's
+// registry half are everything a serving stack with metrics on pays per
+// request.
 func TestHotPathAllocs(t *testing.T) {
 	h := obs.NewRegistry().Histogram("saqp_test_hotpath_seconds", nil)
 	id := obs.TraceID("select 1\x00cat", 1)
@@ -37,14 +37,13 @@ func TestHotPathAllocs(t *testing.T) {
 	}{
 		{"FNV64a", func() { hotSinkU64 = obs.FNV64a(id) }},
 		{"Histogram.Observe", func() { hotSinkAccepted = h.Observe(3) }},
-		{"Histogram.ObserveExemplar", func() { hotSinkAccepted = h.ObserveExemplar(3, id) }},
 		{"nil Observer.Emit", func() { everyKind(nil) }},
 		{"nil Observer typed methods", func() {
 			var o *obs.Observer
 			o.Count(obs.MNetCommands)
 			o.SchedulerDecision(1, "SWRD", false, "q/J1", 1000, nil)
 			o.LearnPromotion(1000, 1000, 0.5, 0.25)
-			o.ServeCompleted(12.5, 1000, id)
+			o.ServeCompleted(12.5, 1000)
 		}},
 		{"metrics-only Observer.Emit", func() { everyKind(metricsOnly) }},
 		{"metrics-only Observer.Count", func() { metricsOnly.Count(obs.MNetCommands) }},
@@ -52,7 +51,7 @@ func TestHotPathAllocs(t *testing.T) {
 			o := metricsOnly
 			o.ServeAdmitted(87.5, 1000)
 			o.ServeDequeued(1000, 1000)
-			o.ServeCompleted(12.5, 1000, id)
+			o.ServeCompleted(12.5, 1000)
 			o.ServeCanceled(1000)
 			o.NetConnAccepted(1000)
 			o.NetConnClosed(1000)

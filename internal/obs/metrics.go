@@ -107,20 +107,11 @@ func (g *Gauge) Value() float64 {
 // negative value signals an instrumentation bug, not data).
 type Histogram struct {
 	mu       sync.Mutex
-	upper    []float64  // ascending finite upper bounds
-	counts   []uint64   // len(upper)+1; last is the +Inf bucket
-	exem     []Exemplar // len(upper)+1; worst accepted sample per bucket
+	upper    []float64 // ascending finite upper bounds
+	counts   []uint64  // len(upper)+1; last is the +Inf bucket
 	sum      float64
 	count    uint64
 	rejected uint64
-}
-
-// Exemplar links a histogram bucket to the request trace that produced
-// its worst (largest) observation, so a p99 bucket resolves directly to
-// a full span tree instead of just a count.
-type Exemplar struct {
-	Value   float64 `json:"value"`
-	TraceID string  `json:"trace_id"`
 }
 
 // DefTimeBuckets spans simulated durations from sub-second dispatch
@@ -142,31 +133,14 @@ func newHistogram(buckets []float64) *Histogram {
 	}
 	up := make([]float64, len(buckets))
 	copy(up, buckets)
-	return &Histogram{
-		upper:  up,
-		counts: make([]uint64, len(up)+1),
-		exem:   make([]Exemplar, len(up)+1),
-	}
+	return &Histogram{upper: up, counts: make([]uint64, len(up)+1)}
 }
 
 // Observe records v and reports whether it was accepted; negative and
 // NaN observations are rejected and counted separately.
-func (h *Histogram) Observe(v float64) bool { return h.observe(v, "") }
-
-// ObserveExemplar records v like Observe and, when accepted, keeps
-// traceID as the bucket's exemplar if v is the bucket's worst sample so
-// far (ties keep the earlier trace, so replays stay deterministic).
 //
 //saqp:hotpath
-func (h *Histogram) ObserveExemplar(v float64, traceID string) bool {
-	return h.observe(v, traceID)
-}
-
-// observe is the shared per-sample path; an empty traceID records no
-// exemplar.
-//
-//saqp:hotpath
-func (h *Histogram) observe(v float64, traceID string) bool {
+func (h *Histogram) Observe(v float64) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if v < 0 || v != v {
@@ -177,9 +151,6 @@ func (h *Histogram) observe(v float64, traceID string) bool {
 	h.counts[i]++
 	h.count++
 	h.sum += v
-	if traceID != "" && (h.exem[i].TraceID == "" || v > h.exem[i].Value) {
-		h.exem[i] = Exemplar{Value: v, TraceID: traceID}
-	}
 	return true
 }
 
@@ -192,29 +163,19 @@ type HistogramSnapshot struct {
 	Sum      float64   `json:"sum"`
 	Count    uint64    `json:"count"`
 	Rejected uint64    `json:"rejected"`
-	// Exemplars, present only when at least one bucket recorded one via
-	// ObserveExemplar, aligns with Counts (last entry is +Inf).
-	Exemplars []Exemplar `json:"exemplars,omitempty"`
 }
 
 // Snapshot copies the histogram state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HistogramSnapshot{
+	return HistogramSnapshot{
 		Upper:    append([]float64(nil), h.upper...),
 		Counts:   append([]uint64(nil), h.counts...),
 		Sum:      h.sum,
 		Count:    h.count,
 		Rejected: h.rejected,
 	}
-	for i := range h.exem {
-		if h.exem[i].TraceID != "" {
-			s.Exemplars = append([]Exemplar(nil), h.exem...)
-			break
-		}
-	}
-	return s
 }
 
 // Counter returns (creating on first use) the named counter.

@@ -152,6 +152,28 @@ func TestExpositionDeterministic(t *testing.T) {
 	}
 }
 
+// TestEmptyRegistryOutputs pins the empty-registry contract the admin
+// endpoint relies on: Prometheus exposition is empty (not an error) and
+// the JSON snapshot is a complete document with empty sections.
+func TestEmptyRegistryOutputs(t *testing.T) {
+	r := obs.NewRegistry()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatalf("empty registry exposition failed: %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("empty registry wrote %q, want nothing", buf.String())
+	}
+	b, err := r.SnapshotJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}\n}"
+	if string(b) != want {
+		t.Errorf("empty registry snapshot = %s, want %s", b, want)
+	}
+}
+
 func TestCounterMonotone(t *testing.T) {
 	c := obs.NewRegistry().Counter("saqp_test_mono_total")
 	c.Add(2)

@@ -84,7 +84,7 @@ var (
 	MServeCacheEvictions = counter("saqp_serve_cache_evictions_total", "Plan-cache LRU evictions.")
 	MServeQueueDepth     = gauge("saqp_serve_queue_depth", "SWRD admission queue depth.")
 	MServeInflight       = gauge("saqp_serve_inflight_queries", "Queries running on pool simulators.")
-	MServeSimResponseSec = histogram("saqp_serve_sim_response_seconds", "Simulated response time of served queries; exemplars link to span trees.")
+	MServeSimResponseSec = histogram("saqp_serve_sim_response_seconds", "Simulated response time of served queries.")
 	MServeAdmittedWRD    = histogram("saqp_serve_admitted_wrd_seconds", "Weighted Resource Demand of admitted queries.")
 
 	// TCP frontend.

@@ -201,15 +201,13 @@ func (o *Observer) ServeDequeued(queueDepth, inflight int) {
 }
 
 // ServeCompleted records a successfully served query: its simulated
-// response time and the remaining in-flight count. A non-empty traceID
-// links the latency histogram's worst-per-bucket exemplar to the
-// query's span tree.
-func (o *Observer) ServeCompleted(simResponseSec float64, inflight int, traceID string) {
+// response time and the remaining in-flight count.
+func (o *Observer) ServeCompleted(simResponseSec float64, inflight int) {
 	if o == nil || o.Metrics == nil {
 		return
 	}
 	o.Count(MServeCompletions)
-	o.Metrics.Histogram(MServeSimResponseSec, nil).ObserveExemplar(simResponseSec, traceID)
+	o.Metrics.Histogram(MServeSimResponseSec, nil).Observe(simResponseSec)
 	o.set(MServeInflight, inflight)
 }
 

@@ -176,9 +176,6 @@ func BeginQuerySpan(traceID, name string, attrs ...Attr) *QuerySpan {
 	return q
 }
 
-// TraceID returns the request's trace id.
-func (q *QuerySpan) TraceID() string { return q.tree.TraceID }
-
 // Event appends a zero-width child of the root at the current timeline
 // position (pipeline stages like cache lookup and admission).
 func (q *QuerySpan) Event(kind, name string, attrs ...Attr) {

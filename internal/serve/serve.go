@@ -667,9 +667,7 @@ func (e *Engine) finish(t *Ticket, res Result, err error) {
 	t.res, t.err = res, err
 	canceled := err != nil &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-	traceID := ""
 	if t.span != nil && !canceled {
-		traceID = t.span.TraceID()
 		if err == nil {
 			e.cfg.Spans.Add(t.span.Finish(
 				obs.AttrFloat("sim_sec", res.SimSec),
@@ -693,7 +691,7 @@ func (e *Engine) finish(t *Ticket, res Result, err error) {
 	e.mu.Unlock()
 	switch {
 	case err == nil:
-		e.cfg.Observer.ServeCompleted(res.SimSec, inflight, traceID)
+		e.cfg.Observer.ServeCompleted(res.SimSec, inflight)
 	case canceled:
 		e.cfg.Observer.ServeCanceled(inflight)
 	default:

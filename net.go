@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"time"
 
 	"saqp/internal/net"
-	"saqp/internal/net/proto"
 	"saqp/internal/serve"
 )
 
@@ -29,15 +27,6 @@ type NetOptions struct {
 	// MaxConns bounds concurrently served connections (0 means the
 	// package default).
 	MaxConns int
-	// MaxPending bounds one connection's submitted-but-unwaited
-	// tickets (0 means the package default).
-	MaxPending int
-	// IdleTimeout disconnects a client silent for this long (0 means
-	// the package default).
-	IdleTimeout time.Duration
-	// WriteTimeout bounds flushing one reply (0 means the package
-	// default).
-	WriteTimeout time.Duration
 	// BusyQueueDepth, when positive, refuses SUBMIT with -BUSY while
 	// the admission queue is at or past this depth.
 	BusyQueueDepth int
@@ -72,11 +61,7 @@ func (f *Framework) NewNetServer(srv *Server, opts NetOptions) (*NetServer, erro
 		Addr:           opts.Addr,
 		Backend:        backend{srv},
 		MaxConns:       opts.MaxConns,
-		MaxPending:     opts.MaxPending,
-		IdleTimeout:    opts.IdleTimeout,
-		WriteTimeout:   opts.WriteTimeout,
 		BusyQueueDepth: opts.BusyQueueDepth,
-		Limits:         proto.DefaultLimits(),
 		Explain:        func(sql string) ([]string, error) { return f.explainLines(srv, sql) },
 		MetricsText:    f.metricsText,
 		Observer:       f.Obs,

@@ -132,10 +132,6 @@ type Options struct {
 	// ScaleFactor sizes the synthetic TPC-H/TPC-DS database the catalog
 	// describes (1.0 ≈ 1 GB of TPC-H). Default 1.
 	ScaleFactor float64
-	// HistogramBuckets is the offline statistics resolution. Default 64.
-	HistogramBuckets int
-	// Sizing overrides MapReduce task sizing (block size, bytes/reducer).
-	Sizing selectivity.Config
 	// Observer receives framework metrics and, through SimulateQuery,
 	// cluster traces and prediction drift. Nil disables observability at
 	// zero cost.
@@ -157,31 +153,26 @@ type Framework struct {
 	// Obs, when non-nil, counts facade operations and instruments
 	// SimulateQuery runs. Set from Options.Observer.
 	Obs *Observer
-
-	opts Options
 }
 
-// NewFramework builds a framework over analytically-derived statistics for
-// the synthetic TPC-H/TPC-DS schemas at the configured scale factor.
+// NewFramework builds a framework over analytically-derived statistics
+// (catalog.DefaultBuckets per column) for the synthetic TPC-H/TPC-DS
+// schemas at the configured scale factor.
 func NewFramework(opts Options) (*Framework, error) {
 	if opts.ScaleFactor <= 0 {
 		opts.ScaleFactor = 1
-	}
-	if opts.HistogramBuckets <= 0 {
-		opts.HistogramBuckets = catalog.DefaultBuckets
 	}
 	schemas := dataset.AllSchemas()
 	var list []*dataset.Schema
 	for _, s := range schemas {
 		list = append(list, s)
 	}
-	cat := catalog.FromSchemas(list, opts.ScaleFactor, opts.HistogramBuckets)
+	cat := catalog.FromSchemas(list, opts.ScaleFactor, catalog.DefaultBuckets)
 	return &Framework{
 		Schemas:   schemas,
 		Catalog:   cat,
-		Estimator: selectivity.NewEstimator(cat, opts.Sizing),
+		Estimator: selectivity.NewEstimator(cat, selectivity.Config{}),
 		Obs:       opts.Observer,
-		opts:      opts,
 	}, nil
 }
 
@@ -191,9 +182,8 @@ func NewFrameworkFromCatalog(cat *catalog.Catalog, opts Options) *Framework {
 	return &Framework{
 		Schemas:   dataset.AllSchemas(),
 		Catalog:   cat,
-		Estimator: selectivity.NewEstimator(cat, opts.Sizing),
+		Estimator: selectivity.NewEstimator(cat, selectivity.Config{}),
 		Obs:       opts.Observer,
-		opts:      opts,
 	}
 }
 

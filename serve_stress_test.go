@@ -162,15 +162,15 @@ func TestSchedulerNamesFacade(t *testing.T) {
 	}
 }
 
-// TestServerQueryTimeout exercises the facade's wall-clock guard: a
-// submission whose deadline has passed must resolve as canceled, not
-// hang a pool worker.
+// TestServerQueryTimeout exercises the wall-clock bound a caller puts on
+// Submit's ctx: a submission whose deadline has passed must resolve as
+// canceled, not hang a pool worker.
 func TestServerQueryTimeout(t *testing.T) {
 	fw, err := saqp.NewFramework(saqp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := fw.NewServer(saqp.ServerOptions{Workers: 1, QueryTimeout: time.Nanosecond})
+	srv, err := fw.NewServer(saqp.ServerOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,9 @@ func TestServerQueryTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := srv.Submit(context.Background(), sql, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	tk, err := srv.Submit(ctx, sql, 1)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return // expired while joining the cache flight: fine
@@ -192,5 +194,8 @@ func TestServerQueryTimeout(t *testing.T) {
 		if err != nil {
 			t.Fatalf("want DeadlineExceeded or success, got %v", err)
 		}
+	}
+	if n := srv.Stats().Inflight; n != 0 {
+		t.Fatalf("%d queries still hold a pool worker after Wait returned", n)
 	}
 }

@@ -49,10 +49,6 @@ type ServerOptions struct {
 	// *TaskFailedError is delivered through Ticket.Wait. Only meaningful
 	// when Cluster.Faults is set. Default 0: fail on first abandonment.
 	MaxRetries int
-	// QueryTimeout, when positive, bounds each submission's wall-clock
-	// lifetime: Submit's context is wrapped with this deadline, so a
-	// stuck query is canceled rather than holding a pool worker.
-	QueryTimeout time.Duration
 	// OnlineLearning enables the model-lifecycle subsystem: the server
 	// builds a Learner seeded from the framework's trained models (or
 	// cold, if untrained), serves predictions from its champion, and
@@ -82,12 +78,12 @@ type ServerOptions struct {
 // plan/estimate cache, ranked by Weighted Resource Demand into an SWRD
 // admission queue, and dispatched onto a pool of cluster simulators.
 // See internal/serve for the pipeline; Server adds the facade's trained
-// models, catalog fingerprinting, and wall-clock timeouts.
+// models, catalog fingerprinting and admin endpoint.
 type Server struct {
-	eng   *serve.Engine
-	opts  ServerOptions // with Learner resolved: the registry built for OnlineLearning, if any
-	spans *SpanStore
-	admin *adminhttp.Server
+	eng     *serve.Engine
+	learner *Learner // ServerOptions.Learner, or the registry built for OnlineLearning
+	spans   *SpanStore
+	admin   *adminhttp.Server
 }
 
 // NewServer starts a serving engine over the framework's estimator and
@@ -144,7 +140,7 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{eng: eng, opts: opts, spans: spans}
+	s := &Server{eng: eng, learner: opts.Learner, spans: spans}
 	if opts.AdminAddr != "" {
 		adm, err := adminhttp.Start(opts.AdminAddr, adminhttp.Config{
 			Metrics:   ob.Metrics, // ob is never nil here: see above
@@ -163,27 +159,15 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 
 // Learner returns the online model-lifecycle registry this server
 // serves from and feeds back into, or nil when online learning is off.
-func (s *Server) Learner() *Learner { return s.opts.Learner }
+func (s *Server) Learner() *Learner { return s.learner }
 
 // Submit admits one HiveQL query for serving and returns a ticket whose
 // Wait delivers the result. ctx governs the submission end to end: cancel
-// it and the query is skipped if still queued, aborted if running. seed
-// drives the query's hidden ground-truth cost model — a fixed (sql, seed)
-// pair simulates identically on every run.
+// it and the query is skipped if still queued, aborted if running; a
+// deadline on ctx bounds its wall-clock lifetime. seed drives the query's
+// hidden ground-truth cost model — a fixed (sql, seed) pair simulates
+// identically on every run.
 func (s *Server) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, error) {
-	if s.opts.QueryTimeout > 0 {
-		tctx, cancel := context.WithTimeout(ctx, s.opts.QueryTimeout)
-		t, err := s.eng.Submit(tctx, sql, seed)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		go func() {
-			<-t.Done()
-			cancel()
-		}()
-		return t, nil
-	}
 	return s.eng.Submit(ctx, sql, seed)
 }
 
