@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"saqp"
+	"saqp/internal/repro"
 )
 
 func main() {
@@ -103,7 +104,7 @@ func run(out io.Writer, exp string, queries int, gap float64, seed uint64, csvDi
 	if len(todo) == 0 {
 		return fmt.Errorf("unknown experiment %q (want %s)", exp, expNames())
 	}
-	e := &env{cfg: saqp.DefaultExperimentConfig(), gap: gap}
+	e := &env{cfg: repro.DefaultExperimentConfig(), gap: gap}
 	e.cfg.CorpusQueries = queries
 	e.cfg.Seed = seed
 	finish := func() error { return nil }
@@ -136,7 +137,7 @@ func runRows(out io.Writer, todo []row, e *env, csvDir, benchDir string) error {
 		if r.models && e.art == nil {
 			fmt.Fprintf(out, "Building corpus (%d queries) and training models...\n", e.cfg.CorpusQueries)
 			var err error
-			if e.art, err = saqp.BuildTrainedArtifacts(e.cfg); err != nil {
+			if e.art, err = repro.BuildTrainedArtifacts(e.cfg); err != nil {
 				return err
 			}
 		}

@@ -6,14 +6,16 @@ import (
 	"strings"
 
 	"saqp"
+	"saqp/internal/predict"
+	"saqp/internal/repro"
 )
 
 // env is what a row may draw on: the experiment config (observer
 // attached when any side output was asked for), the trained artifacts
 // when a selected row needs them, and fig8's arrival gap.
 type env struct {
-	cfg saqp.ExperimentConfig
-	art *saqp.TrainedArtifacts
+	cfg repro.ExperimentConfig
+	art *repro.TrainedArtifacts
 	gap float64
 }
 
@@ -55,14 +57,14 @@ func expNames() string {
 
 func table2(*env) (*table, report, error) {
 	t := newTable("Table 2: Composition of Bing and Facebook Workloads", "bin input_size bing facebook")
-	for _, r := range saqp.ReproduceTable2() {
+	for _, r := range repro.ReproduceTable2() {
 		t.add(r.Bin, r.InputDesc, r.Bing, r.Facebook)
 	}
 	return t, nil, nil
 }
 
 func fig5(*env) (*table, report, error) {
-	jobs, err := saqp.ReproduceFig5()
+	jobs, err := repro.ReproduceFig5()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -76,7 +78,7 @@ func fig5(*env) (*table, report, error) {
 }
 
 // accuracyTable lays out Tables 3–5: one row per operator group.
-func accuracyTable(title, paper string, groups []saqp.GroupAccuracy) *table {
+func accuracyTable(title, paper string, groups []predict.GroupAccuracy) *table {
 	t := newTable(title, "types r_squared avg_error n")
 	for _, r := range groups {
 		t.add(r.Op, pct(r.RSquared), pct(r.AvgError), r.N)
@@ -86,7 +88,7 @@ func accuracyTable(title, paper string, groups []saqp.GroupAccuracy) *table {
 }
 
 func table3(e *env) (*table, report, error) {
-	res := saqp.ReproduceTable3(e.art)
+	res := repro.ReproduceTable3(e.art)
 	t := accuracyTable("Table 3: Accuracy Statistics — Job Time Prediction (Eq. 8)",
 		"(paper: Groupby 96.75%/8.63%, Join 92.71%/14.40%, Extract 84.64%/9.38%, TestSet 13.98%)",
 		res.TrainRows)
@@ -97,17 +99,17 @@ func table3(e *env) (*table, report, error) {
 func table4(e *env) (*table, report, error) {
 	return accuracyTable("Table 4: Map Task Time Prediction (training set)",
 		"(paper: Join 85.6%/16.27%, Groupby 92.4%/24.8%, Extract 92.74%/14.5%, Together 87.05%/20.5%)",
-		saqp.ReproduceTable4(e.art)), nil, nil
+		repro.ReproduceTable4(e.art)), nil, nil
 }
 
 func table5(e *env) (*table, report, error) {
 	return accuracyTable("Table 5: Reduce Task Time Prediction (training set)",
 		"(paper: Join 85.83%/14.23%, Groupby 98.82%/4.67%, Extract 90.03%/6.18%, Together 90.68%/7.4%)",
-		saqp.ReproduceTable5(e.art)), nil, nil
+		repro.ReproduceTable5(e.art)), nil, nil
 }
 
 func fig6(e *env) (*table, report, error) {
-	pts := saqp.ReproduceFig6(e.art)
+	pts := repro.ReproduceFig6(e.art)
 	sort.Slice(pts, func(i, j int) bool { return pts[i].Actual < pts[j].Actual })
 	t := newTable("Fig 6: Accuracy of Job Execution Prediction (test set scatter)",
 		"actual_sec predicted_sec operator")
@@ -120,7 +122,7 @@ func fig6(e *env) (*table, report, error) {
 }
 
 func fig7(e *env) (*table, report, error) {
-	res, err := saqp.ReproduceFig7(e.art, e.cfg, 15)
+	res, err := repro.ReproduceFig7(e.art, e.cfg, 15)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -137,7 +139,7 @@ func fig2(e *env) (*table, report, error) {
 	t := newTable("Fig 1-2: Motivation — QA(10GB), QB(100GB), QC(10GB) under HCS vs SWRD",
 		"scheduler query response_sec alone_sec slowdown")
 	for _, sch := range []string{saqp.SchedulerHCS, saqp.SchedulerSWRD} {
-		res, err := saqp.ReproduceFig2(sch, e.art, e.cfg)
+		res, err := repro.ReproduceFig2(sch, e.art, e.cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -158,7 +160,7 @@ func fig8(e *env) (*table, report, error) {
 	t := newTable("Fig 8: Average Query Response Times — Bing & Facebook Workloads",
 		"workload scheduler avg_sec p50_sec p95_sec bin1 bin2 bin3 bin4 bin5 makespan_sec")
 	for _, mix := range []string{"bing", "facebook"} {
-		rs, err := saqp.ReproduceFig8(mix, e.art, e.cfg, e.gap)
+		rs, err := repro.ReproduceFig8(mix, e.art, e.cfg, e.gap)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -180,7 +182,7 @@ func fig8(e *env) (*table, report, error) {
 // ablations lays out the design-choice ablations in long format, one
 // measured cell per row; every baseline is a cell of fig8 or table3.
 func ablations(e *env) (*table, report, error) {
-	rs, err := saqp.ReproduceAblations(e.art, e.cfg, e.gap)
+	rs, err := repro.ReproduceAblations(e.art, e.cfg, e.gap)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -206,7 +208,7 @@ func ablations(e *env) (*table, report, error) {
 // then the faulted run's recovery counters, all at the top level.
 type faultReport struct {
 	Experiment string `json:"experiment"`
-	*saqp.FaultReplayResult
+	*repro.FaultReplayResult
 	saqp.FaultStats
 	wall
 }
@@ -217,7 +219,7 @@ type faultReport struct {
 // TestFaultReplayDefaultPlanCompletes's to say.
 func faultReplay(e *env) (*table, report, error) {
 	spec := saqp.DefaultFaultSpec(e.cfg.Seed)
-	r, err := saqp.ReproduceFaultReplay(e.cfg, saqp.NewFaultPlan(spec), 3)
+	r, err := repro.ReproduceFaultReplay(e.cfg, saqp.NewFaultPlan(spec), 3)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -240,12 +242,12 @@ func faultReplay(e *env) (*table, report, error) {
 // learnReport is BENCH_learn.json: the registry's shape, then the
 // convergence replay's outcome.
 type learnReport struct {
-	Experiment string                  `json:"experiment"`
-	Seed       uint64                  `json:"seed"`
-	Window     int                     `json:"window"`
-	MinSamples int                     `json:"min_samples"`
-	Margin     float64                 `json:"margin"`
-	Result     *saqp.LearnReplayResult `json:"result"`
+	Experiment string                   `json:"experiment"`
+	Seed       uint64                   `json:"seed"`
+	Window     int                      `json:"window"`
+	MinSamples int                      `json:"min_samples"`
+	Margin     float64                  `json:"margin"`
+	Result     *repro.LearnReplayResult `json:"result"`
 	wall
 }
 
@@ -253,7 +255,7 @@ type learnReport struct {
 // registry at its default shape. That the fully-fed challenger must equal
 // the batch fit is TestLearningReplayConverges's to say.
 func learnReplay(e *env) (*table, report, error) {
-	r, err := saqp.ReproduceLearningReplay(e.cfg)
+	r, err := repro.ReproduceLearningReplay(e.cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"saqp"
+	"saqp/internal/repro"
 )
 
 func main() {
@@ -213,9 +214,9 @@ func report(fw *saqp.Framework, sql string, train bool, trainQueries int, models
 // them when a models path is given.
 func trainModels(fw *saqp.Framework, trainQueries int, modelsPath string) error {
 	fmt.Printf("\nTraining time models on %d synthetic queries...\n", trainQueries)
-	cfg := saqp.DefaultExperimentConfig()
+	cfg := repro.DefaultExperimentConfig()
 	cfg.CorpusQueries = trainQueries
-	art, err := saqp.BuildTrainedArtifacts(cfg)
+	art, err := repro.BuildTrainedArtifacts(cfg)
 	if err != nil {
 		return err
 	}

@@ -50,14 +50,9 @@ func main() {
 }
 
 func run(w io.Writer, mix string, gap float64, seed uint64) error {
-	var comp []workload.BinSpec
-	switch mix {
-	case "bing":
-		comp = workload.BingComposition()
-	case "facebook":
-		comp = workload.FacebookComposition()
-	default:
-		return fmt.Errorf("unknown mix %q (want bing or facebook)", mix)
+	comp, err := workload.Composition(mix)
+	if err != nil {
+		return err
 	}
 	wl, err := workload.BuildWorkload(mix, comp, gap, seed)
 	if err != nil {

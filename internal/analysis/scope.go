@@ -52,6 +52,9 @@ var DeterministicPackages = []string{
 	"saqp/internal/dataset",
 	"saqp/internal/trace",
 	"saqp/internal/core",
+	// The experiment drivers: every -exp row is pinned byte for byte in
+	// cmd/benchrunner's golden_q60, so no clock reads, no map-order rows.
+	"saqp/internal/repro",
 }
 
 // SeededCorePackages are the packages whose import marks a consumer as

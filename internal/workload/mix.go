@@ -38,6 +38,17 @@ func FacebookComposition() []BinSpec {
 	}
 }
 
+// Composition returns the Table 2 mix named "bing" or "facebook".
+func Composition(name string) ([]BinSpec, error) {
+	switch name {
+	case "bing":
+		return BingComposition(), nil
+	case "facebook":
+		return FacebookComposition(), nil
+	}
+	return nil, fmt.Errorf("workload: unknown mix %q (want bing or facebook)", name)
+}
+
 // WorkItem is one query of a workload with its scale and arrival offset.
 type WorkItem struct {
 	Query      *query.Query

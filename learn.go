@@ -16,12 +16,6 @@ type (
 	Promotion = learn.Promotion
 )
 
-// NewLearnerRegistry builds an online model-lifecycle registry from cfg
-// alone — cold unless cfg seeds a champion. Framework.NewLearner is the
-// variant that defaults the observer and seed champion from a
-// framework's trained state.
-func NewLearnerRegistry(cfg LearnerConfig) *Learner { return learn.NewRegistry(cfg) }
-
 // NewLearner builds an online model-lifecycle registry. Unset config
 // fields default from the framework: the observer is the framework's,
 // and — when the framework has trained models — they seed the registry

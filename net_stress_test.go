@@ -282,7 +282,7 @@ func TestServerExplainScoresLikeSubmit(t *testing.T) {
 		opts saqp.ServerOptions
 	}{
 		{"cluster shape", saqp.ServerOptions{Cluster: saqp.ClusterConfig{Nodes: 3}}},
-		{"champion", saqp.ServerOptions{Learner: saqp.NewLearnerRegistry(
+		{"champion", saqp.ServerOptions{Learner: fw.NewLearner(
 			saqp.LearnerConfig{Champion: fw.JobTime, ChampionTasks: &slow})}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,15 +1,14 @@
 package saqp_test
 
-// Facade-level observability tests: the drift recorder must reproduce the
-// accuracy tables, SimulateQuery must be deterministic and fully
-// instrumented, and the experiment drivers must feed the observer.
+// Facade-level observability tests: SimulateQuery must be deterministic
+// and fully instrumented, and a fixed serving scenario must reproduce its
+// golden metrics, drift and timelines.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,73 +18,6 @@ import (
 
 	"saqp"
 )
-
-// recordCorpusDrift replays the artifacts' training samples through an
-// observer's drift recorder, scoring each with exactly the model the
-// accuracy tables use, so the live drift snapshot reproduces the
-// per-category mean relative error of Tables 3–5.
-func recordCorpusDrift(a *saqp.TrainedArtifacts, o *saqp.Observer) {
-	for _, s := range a.Train.JobSamples {
-		o.Drift.RecordJob(s.Op.String(), a.Jobs.PredictSample(s), s.Seconds, false)
-	}
-	for _, s := range a.Train.TaskSamples {
-		o.Drift.RecordTask(s.Op.String(), s.Reduce, a.Tasks.PredictTaskSample(s), s.Seconds, false)
-	}
-}
-
-// TestCorpusDriftMatchesAccuracyTables: replaying the training corpus
-// through the drift recorder must reproduce the per-category mean
-// relative error and R² of Tables 3-5 (computed independently by the
-// predict package) to within floating-point noise.
-func TestCorpusDriftMatchesAccuracyTables(t *testing.T) {
-	a, _ := artifacts(t)
-	o := saqp.NewObserver(nil)
-	recordCorpusDrift(a, o)
-	drift := o.Drift.Snapshot()
-
-	const tol = 1e-9
-	check := func(kind, category string, rows []saqp.DriftSummary, want saqp.GroupAccuracy) {
-		t.Helper()
-		for _, s := range rows {
-			if s.Category != category {
-				continue
-			}
-			if s.N != want.N {
-				t.Errorf("%s %s: n = %d, accuracy table has %d", kind, category, s.N, want.N)
-			}
-			if math.Abs(s.MeanRelError-want.AvgError) > tol {
-				t.Errorf("%s %s: mean rel err %v, accuracy table %v", kind, category, s.MeanRelError, want.AvgError)
-			}
-			// The recorder computes R² from running sums, the table from
-			// two passes; they agree to far better than table precision.
-			if math.Abs(s.RSquared-want.RSquared) > 1e-6 {
-				t.Errorf("%s %s: R² %v, accuracy table %v", kind, category, s.RSquared, want.RSquared)
-			}
-			return
-		}
-		t.Errorf("%s: no drift category %q", kind, category)
-	}
-
-	res := saqp.ReproduceTable3(a)
-	for _, row := range res.TrainRows {
-		if row.Op == "All" {
-			continue // the recorder keys by category only
-		}
-		check("job", row.Op, drift.Jobs, row)
-	}
-	for _, row := range saqp.ReproduceTable4(a) {
-		if row.Op == "Together" {
-			continue
-		}
-		check("map task", row.Op+"/map", drift.Tasks, row)
-	}
-	for _, row := range saqp.ReproduceTable5(a) {
-		if row.Op == "Together" {
-			continue
-		}
-		check("reduce task", row.Op+"/reduce", drift.Tasks, row)
-	}
-}
 
 // TestSimulateQueryDeterministicTrace: two instrumented SimulateQuery
 // runs with the same seed produce byte-identical traces and metrics.
@@ -141,46 +73,6 @@ func TestSimulateQueryDeterministicTrace(t *testing.T) {
 	}
 	if !bytes.Contains(p1, []byte("saqp_framework_simulations_total 1")) {
 		t.Error("simulation counter missing from exposition")
-	}
-}
-
-// TestFig2Observed: the motivation experiment must feed the observer —
-// scheduler decisions, cluster lifecycle metrics, selectivity estimate
-// drift and (given trained models) job-time drift.
-func TestFig2Observed(t *testing.T) {
-	a, cfg := artifacts(t)
-	var traceBuf bytes.Buffer
-	o := saqp.NewObserver(saqp.NewTraceSink(&traceBuf))
-	cfg.Observer = o
-	if _, err := saqp.ReproduceFig2(saqp.SchedulerSWRD, a, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := o.Metrics.Counter("saqp_cluster_queries_completed_total").Value(); got != 3 {
-		t.Errorf("concurrent run should complete 3 queries, metrics say %v (alone runs must stay uninstrumented)", got)
-	}
-	if o.Metrics.Counter("saqp_sched_decisions_total").Value() == 0 {
-		t.Error("no scheduler decisions recorded")
-	}
-	if got := o.Metrics.Counter("saqp_framework_compiles_total").Value(); got > 3 {
-		t.Errorf("the three queries are prepared once for all four runs, yet %v compiles were counted", got)
-	}
-	drift := o.Drift.Snapshot()
-	if len(drift.Estimates) == 0 {
-		t.Error("no selectivity estimate drift recorded")
-	}
-	if len(drift.Jobs) == 0 {
-		t.Error("no job-time drift recorded")
-	}
-	for _, s := range drift.Estimates {
-		if s.N == 0 {
-			t.Errorf("estimate drift category %s empty", s.Category)
-		}
-	}
-	if !bytes.Contains(traceBuf.Bytes(), []byte("SWRD")) {
-		t.Error("trace missing scheduler decision events")
 	}
 }
 
@@ -299,7 +191,7 @@ func keysGrewOnly(golden, got []string) bool {
 }
 
 func TestGoldenObservability(t *testing.T) {
-	a, _ := artifacts(t)
+	a := artifacts(t)
 	var timeline bytes.Buffer
 	o := saqp.NewObserver(saqp.NewTraceSink(&timeline))
 	fw, err := saqp.NewFramework(saqp.Options{ScaleFactor: 2, Observer: o})
@@ -374,8 +266,10 @@ func TestGoldenObservability(t *testing.T) {
 	opts.Cluster.Faults = saqp.NewFaultPlan(harsh)
 	serveAll(opts, "q14", "q3", "q19", "q14", "q11")
 	// A cold learner on a fault-free cluster bootstraps its first champion
-	// from feedback: the promotion instant lands on the timeline.
-	serveAll(saqp.ServerOptions{OnlineLearning: true, Learner: saqp.NewLearnerRegistry(
+	// from feedback: the promotion instant lands on the timeline. An
+	// untrained framework seeds no champion.
+	cold := &saqp.Framework{}
+	serveAll(saqp.ServerOptions{OnlineLearning: true, Learner: cold.NewLearner(
 		saqp.LearnerConfig{Observer: o, MinSamples: 3, Window: 4})}, "q1", "q6", "q14", "q3", "q11", "q17", "q19", "q6")
 	if err := o.Close(); err != nil {
 		t.Fatal(err)

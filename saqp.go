@@ -15,9 +15,9 @@ import (
 	"saqp/internal/plan"
 	"saqp/internal/predict"
 	"saqp/internal/query"
+	"saqp/internal/repro"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
-	"saqp/internal/trace"
 	"saqp/internal/workload"
 )
 
@@ -42,20 +42,16 @@ type (
 	TaskModel = predict.TaskModel
 	// Corpus is a training/evaluation query corpus.
 	Corpus = workload.Corpus
-	// Workload is a Table 2-style query mix with Poisson arrivals.
-	Workload = workload.Workload
 	// Engine is the in-memory MapReduce execution engine.
 	Engine = mapreduce.Engine
 	// ClusterConfig sizes the discrete-event cluster simulator.
 	ClusterConfig = cluster.Config
 	// ClusterConfigError reports a ClusterConfig the simulator refuses
-	// (see cluster.Config.Check); NewServer, SimulateQueryConfig and the
-	// experiment drivers return it rather than running the config.
+	// (see cluster.Config.Check); NewServer and SimulateQueryConfig
+	// return it rather than running the config.
 	ClusterConfigError = cluster.ConfigError
 	// Schema describes one synthetic table.
 	Schema = dataset.Schema
-	// GroupAccuracy is one row of the paper's accuracy tables.
-	GroupAccuracy = predict.GroupAccuracy
 	// Observer is the deterministic observability hub: metrics registry,
 	// sim-time trace sink and prediction-drift recorder.
 	Observer = obs.Observer
@@ -120,7 +116,7 @@ func OpenObserver(tracePath, promPath string) (o *Observer, finish func() error,
 	}, nil
 }
 
-// Scheduler name constants for experiment entry points.
+// Scheduler names SimulateQuery and ServerOptions.Scheduler accept.
 const (
 	SchedulerHCS  = "HCS"
 	SchedulerHFS  = "HFS"
@@ -162,18 +158,8 @@ func NewFramework(opts Options) (*Framework, error) {
 	if opts.ScaleFactor <= 0 {
 		opts.ScaleFactor = 1
 	}
-	schemas := dataset.AllSchemas()
-	var list []*dataset.Schema
-	for _, s := range schemas {
-		list = append(list, s)
-	}
-	cat := catalog.FromSchemas(list, opts.ScaleFactor, catalog.DefaultBuckets)
-	return &Framework{
-		Schemas:   schemas,
-		Catalog:   cat,
-		Estimator: selectivity.NewEstimator(cat, selectivity.Config{}),
-		Obs:       opts.Observer,
-	}, nil
+	cat := catalog.FromSchemas(append(dataset.TPCH(), dataset.TPCDS()...), opts.ScaleFactor, catalog.DefaultBuckets)
+	return NewFrameworkFromCatalog(cat, opts), nil
 }
 
 // NewFrameworkFromCatalog builds a framework over caller-provided
@@ -319,20 +305,7 @@ func (f *Framework) SimulateQueryConfig(id string, qe *QueryEstimate, scheduler 
 		return 0, err
 	}
 	f.Obs.Count(obs.MSimulations)
-	rp := &replay{
-		items:       []replayItem{{name: id, est: qe, oracle: qe, seed: seed}},
-		jobs:        f.JobTime,
-		tasks:       f.TaskTime,
-		perItemCost: true,
-	}
-	_, qs, err := rp.run(cc, pol, f.Obs, everyItem)
-	if err != nil {
-		return 0, err
-	}
-	if q := qs[0]; q.Failed() {
-		return 0, q.Err
-	}
-	return qs[0].ResponseTime(), nil
+	return repro.SimulateAlone(id, qe, seed, f.JobTime, f.TaskTime, cc, pol, f.Obs)
 }
 
 // TPCHQuery returns one of the canonical TPC-H-derived queries ("q1",
@@ -362,11 +335,11 @@ func NewEngine(sf float64, seed uint64) *Engine {
 	return e
 }
 
-// SchedulerNames returns every scheduler name the experiment entry
-// points accept, in the order the paper's evaluation presents them.
+// SchedulerNames returns every scheduler name SimulateQuery and
+// ServerOptions.Scheduler accept, in the paper's evaluation order.
 func SchedulerNames() []string { return sched.Names() }
 
-// schedulerByName maps experiment names to policies via the sched
+// schedulerByName maps scheduler names to policies via the sched
 // package registry; unknown names produce an error enumerating the
 // valid schedulers.
 func schedulerByName(name string) (cluster.Scheduler, error) {
@@ -375,10 +348,4 @@ func schedulerByName(name string) (cluster.Scheduler, error) {
 		return nil, fmt.Errorf("saqp: %w", err)
 	}
 	return pol, nil
-}
-
-// defaultCostModel builds the hidden ground-truth cost model used by the
-// experiment drivers.
-func defaultCostModel(seed uint64) *trace.CostModel {
-	return trace.NewDefaultCostModel(seed)
 }
