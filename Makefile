@@ -1,7 +1,7 @@
 GO  ?= go
 BIN := bin
 
-.PHONY: all build test race lint fuzz-smoke stress cover-serve bench ci clean
+.PHONY: all build test race lint fuzz-smoke stress cover-serve bench bench-pairs ci clean
 
 all: build
 
@@ -38,11 +38,14 @@ fuzz-smoke:
 # internal/net with its drain-versus-quiet-clients race, the plan
 # cache's text-tier invariant and single-flight suites, the
 # reused-simulator equivalence test, the job-counters-equal-scans test
-# beside it, and the batch engine — the tree's only goroutine-per-task
-# code — whose digest must read the same at Parallelism 1 and 8).
+# beside it, the batch engine, which starts one goroutine per task and
+# whose digest must read the same at Parallelism 1 and 8, and the
+# column-parallel dataset.Generate and catalog.Collect, whose values and
+# encoded catalog must read the same at GOMAXPROCS 1 and 8).
 stress:
-	$(GO) test -race -count=2 -run 'TestServer|TestNetShutdown|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestSimReuse|TestSimCounters|TestEngine' \
-		. ./internal/serve ./internal/selectivity ./internal/net ./internal/cluster ./internal/mapreduce
+	$(GO) test -race -count=2 -run 'TestServer|TestNetShutdown|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestSimReuse|TestSimCounters|TestEngine|ScheduleIndependent' \
+		. ./internal/serve ./internal/selectivity ./internal/net ./internal/cluster ./internal/mapreduce \
+		./internal/dataset ./internal/catalog
 
 # Coverage gate for the serving engine: fail if internal/serve drops
 # below 85% statement coverage.
@@ -72,6 +75,14 @@ bench:
 		-bench-out bench-out -csv bench-out \
 		-trace bench-out/runs.trace.json -metrics bench-out/metrics.prom
 	gzip -f -9 bench-out/runs.trace.json
+
+# Paired timings of the benchmark of record: builds ./bench at BASE (default:
+# the merge base with main) and from the working tree into bin/, then runs
+# N alternating pairs of WORKLOAD at SEED and prints one TSV line per run
+# with the four bounded end-to-end metrics. Not part of ci: a pair takes
+# about a minute.
+bench-pairs:
+	BASE='$(BASE)' N='$(N)' WORKLOAD='$(WORKLOAD)' SEED='$(SEED)' scripts/bench-pairs.sh
 
 # Everything CI runs, in the same order: .github/workflows/ci.yml is one
 # `make <target>` step per name here.

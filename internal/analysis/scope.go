@@ -52,6 +52,11 @@ var DeterministicPackages = []string{
 	"saqp/internal/dataset",
 	"saqp/internal/trace",
 	"saqp/internal/core",
+	// Collected statistics feed the pinned estimator digests (and the
+	// catalog fingerprint every plan-cache key carries), and Collect
+	// summarises columns on parallel workers: its output must not depend
+	// on the schedule or on the order a map yields its counts.
+	"saqp/internal/catalog",
 	// The experiment drivers: every -exp row is pinned byte for byte in
 	// cmd/benchrunner's golden_q60, so no clock reads, no map-order rows.
 	"saqp/internal/repro",

@@ -12,6 +12,7 @@ import (
 
 	"saqp/internal/dataset"
 	"saqp/internal/histogram"
+	"saqp/internal/par"
 )
 
 // DefaultBuckets is the histogram resolution used when callers do not
@@ -143,8 +144,13 @@ func Collect(rel *dataset.Relation, n int) *TableStats {
 	if ts.Rows > 0 {
 		ts.AvgTupleWidth = float64(ts.Bytes) / float64(ts.Rows)
 	}
-	for ci := range s.Columns {
-		cs := collectColumn(rel.Cols[ci], &s.Columns[ci], n)
+	// Columns are summarised in parallel, each into its own slot, and enter
+	// the map afterwards in schema order.
+	cols := make([]*ColumnStats, len(s.Columns))
+	par.For(len(cols), func(_ *struct{}, ci int) {
+		cols[ci] = collectColumn(rel.Cols[ci], &s.Columns[ci], n)
+	})
+	for _, cs := range cols {
 		ts.Columns[cs.Name] = cs
 	}
 	return ts
@@ -155,43 +161,50 @@ func Collect(rel *dataset.Relation, n int) *TableStats {
 // strings by the string, so no value is rendered to be counted. The
 // histogram takes its per-bucket distinct counts from the same count.
 func collectColumn(vec dataset.Vector, col *dataset.Column, n int) *ColumnStats {
-	cs := &ColumnStats{Name: col.Name, Kind: col.Kind, Ref: col.Ref}
-	rows := vec.Len()
-	var top int64
-	var adjacentEqual int
-	var vals []float64 // the numeric values the histogram buckets, in row order
-	var uniq []float64 // each distinct one once, under float64 equality
 	switch vec.Kind() {
 	case dataset.KindString:
-		var freq map[string]int64
-		freq, top, adjacentEqual = countValues(vec.Strings(), func(s string) string { return s })
-		cs.Distinct = int64(len(freq))
+		return summarize(vec, col, n, nil, countValues(vec.Strings(), func(s string) string { return s }, nil))
 	case dataset.KindFloat:
-		vals = vec.Floats()
-		var freq map[uint64]int64
-		freq, top, adjacentEqual = countValues(vals, math.Float64bits)
-		cs.Distinct, uniq = int64(len(freq)), floatValues(freq)
-	default:
-		ints := vec.Ints()
-		var freq map[int64]int64
-		freq, top, adjacentEqual = countValues(ints, func(v int64) int64 { return v })
-		cs.Distinct, uniq = int64(len(freq)), intValues(freq)
-		vals = make([]float64, rows)
-		for i, v := range ints {
-			vals[i] = float64(v)
-		}
+		return summarize(vec, col, n, vec.Floats(), countValues(vec.Floats(), math.Float64bits, floatValues))
 	}
+	ints := vec.Ints()
+	vals := make([]float64, len(ints))
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for i, v := range ints {
+		vals[i] = float64(v)
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if denseRange(lo, hi, len(ints)) {
+		return summarize(vec, col, n, vals, countDense(ints, lo, hi))
+	}
+	return summarize(vec, col, n, vals, countValues(ints, func(v int64) int64 { return v }, intValues))
+}
+
+// counts is what one counting pass over a column learns.
+type counts struct {
+	distinct      int64     // distinct values, under the identity a value groups by
+	uniq          []float64 // numeric columns: each distinct float64 value once
+	top           int64     // the most frequent value's count
+	adjacentEqual int       // rows equal to their predecessor
+}
+
+// summarize completes the statistics of column col from its vector, its
+// values as the histogram buckets them (nil for strings) in row order and
+// their counts, with a histogram of at most n buckets.
+func summarize(vec dataset.Vector, col *dataset.Column, n int, vals []float64, c counts) *ColumnStats {
+	cs := &ColumnStats{Name: col.Name, Kind: col.Kind, Ref: col.Ref, Distinct: c.distinct}
+	rows := vec.Len()
 	if rows > 0 {
 		cs.AvgWidth = float64(vec.Bytes()) / float64(rows)
-		cs.TopShare = float64(top) / float64(rows)
+		cs.TopShare = float64(c.top) / float64(rows)
 	}
 	// A column is "clustered" when equal values sit together far more often
 	// than random placement would produce. Random placement yields about
 	// rows/distinct adjacent pairs; require 4x that, and at least 10% runs.
 	if rows > 1 && cs.Distinct > 0 {
 		expectRandom := float64(rows) / float64(cs.Distinct)
-		cs.Clustered = float64(adjacentEqual) > 4*expectRandom &&
-			float64(adjacentEqual) > 0.1*float64(rows)
+		cs.Clustered = float64(c.adjacentEqual) > 4*expectRandom &&
+			float64(c.adjacentEqual) > 0.1*float64(rows)
 	}
 	if vals != nil && rows > 0 {
 		min, max := math.Inf(1), math.Inf(-1)
@@ -204,40 +217,85 @@ func collectColumn(vec dataset.Vector, col *dataset.Column, n int) *ColumnStats 
 			}
 		}
 		hi := max + 1 // domain is [min, max+1) so max lands in the last bucket
+		if hi <= min {
+			// One float64 value beyond ±2^53, where max+1 rounds back to max.
+			hi = math.Nextafter(min, math.Inf(1))
+		}
 		cs.Min, cs.Max = min, max
 		nb := n
 		if int64(nb) > cs.Distinct {
 			nb = int(cs.Distinct)
 		}
-		cs.Hist = histogram.BuildDistinct(vals, uniq, min, hi, nb)
+		cs.Hist = histogram.BuildDistinct(vals, c.uniq, min, hi, nb)
 	}
 	return cs
 }
 
-// countValues counts a column's values under key — the identity a value
-// groups by, which for floats is the bit pattern so that +0 and -0 stay two
-// values — and returns each key's count, the most frequent value's count
-// and how many rows equal their predecessor.
-func countValues[T, K comparable](vals []T, key func(T) K) (freq map[K]int64, top int64, adjacentEqual int) {
-	freq = make(map[K]int64)
+// countValues counts a column's values in a map under key — the identity a
+// value groups by, which for floats is the bit pattern so that +0 and -0
+// stay two values — and, for a numeric column, has values turn the counts
+// into the distinct float64 values.
+func countValues[T, K comparable](vals []T, key func(T) K, values func(map[K]int64) []float64) counts {
+	var c counts
+	freq := make(map[K]int64)
 	for i, v := range vals {
 		freq[key(v)]++
 		if i > 0 && v == vals[i-1] {
-			adjacentEqual++
+			c.adjacentEqual++
 		}
 	}
-	for _, c := range freq {
-		if c > top {
-			top = c
+	for _, m := range freq {
+		c.top = max(c.top, m)
+	}
+	c.distinct = int64(len(freq))
+	if values != nil {
+		c.uniq = values(freq)
+	}
+	return c
+}
+
+// denseRange reports whether an integer column of rows values, all in
+// [lo, hi], is counted by countDense: when its range hi−lo+1 is at most
+// 4 × rows, one int32 slot per value of the range costs less than the map
+// countValues would grow.
+func denseRange(lo, hi int64, rows int) bool {
+	return rows > 0 && rows <= math.MaxInt32 && uint64(hi)-uint64(lo) < 4*uint64(rows)
+}
+
+// countDense is countValues for integers in [lo, hi], counted in one slot
+// per value of the range. The distinct values come out in ascending order,
+// where integers that round to one float64 (beyond ±2^53) are adjacent and
+// merge as intValues merges them.
+func countDense(ints []int64, lo, hi int64) counts {
+	var c counts
+	slots := make([]int32, uint64(hi)-uint64(lo)+1)
+	for i, v := range ints {
+		slots[uint64(v)-uint64(lo)]++
+		if i > 0 && v == ints[i-1] {
+			c.adjacentEqual++
 		}
 	}
-	return freq, top, adjacentEqual
+	c.uniq = make([]float64, 0, min(len(slots), len(ints)))
+	for k, m := range slots {
+		if m == 0 {
+			continue
+		}
+		c.distinct++
+		c.top = max(c.top, int64(m))
+		if f := float64(lo + int64(k)); len(c.uniq) == 0 || f != c.uniq[len(c.uniq)-1] {
+			c.uniq = append(c.uniq, f)
+		}
+	}
+	return c
 }
 
 // floatValues returns the distinct float64 values among bit-pattern
 // counts: −0 beside +0 is one value, and every NaN row a value of its own.
+// Map order reaches the slice, which is harmless: histogram.BuildDistinct
+// only counts its values per bucket.
 func floatValues(freq map[uint64]int64) []float64 {
 	uniq := make([]float64, 0, len(freq))
+	//lint:allow saqpvet/determinism uniq is only counted per bucket by histogram.BuildDistinct, in any order alike
 	for bits, c := range freq {
 		switch f := math.Float64frombits(bits); {
 		case math.IsNaN(f):
@@ -252,12 +310,14 @@ func floatValues(freq map[uint64]int64) []float64 {
 	return uniq
 }
 
-// intValues returns the distinct float64 values of counted integers.
-// Beyond ±2^53 distinct integers can round to one float64.
+// intValues returns the distinct float64 values of counted integers, in
+// map order like floatValues. Beyond ±2^53 distinct integers can round to
+// one float64.
 func intValues(freq map[int64]int64) []float64 {
 	const exact = 1 << 53
 	uniq := make([]float64, 0, len(freq))
 	var wide map[float64]bool
+	//lint:allow saqpvet/determinism uniq is only counted per bucket by histogram.BuildDistinct, in any order alike
 	for v := range freq {
 		f := float64(v)
 		if -exact < v && v < exact {

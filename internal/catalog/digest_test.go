@@ -1,8 +1,10 @@
 package catalog
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"saqp/internal/dataset"
@@ -41,6 +43,28 @@ func TestCollectDigestPinned(t *testing.T) {
 		}
 		if got := hex.EncodeToString(sum[:]); got != tc.sha {
 			t.Errorf("%s: sha256(Encode()) %s, pinned %s", tc.name, got, tc.sha)
+		}
+	}
+}
+
+// TestCollectScheduleIndependent generates and collects every schema with
+// the columns run inline (GOMAXPROCS 1) and spread over eight workers: the
+// encoded catalogs are the same bytes. make stress runs it under -race.
+func TestCollectScheduleIndependent(t *testing.T) {
+	all := append(dataset.TPCH(), dataset.TPCDS()...)
+	for _, seed := range []uint64{1, 42} {
+		var enc [2][]byte
+		for i, procs := range []int{1, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			b, err := CollectAll(all, 0.01, seed, 0).Encode()
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			enc[i] = b
+		}
+		if !bytes.Equal(enc[0], enc[1]) {
+			t.Errorf("seed %d: Encode() differs between GOMAXPROCS 1 and 8", seed)
 		}
 	}
 }

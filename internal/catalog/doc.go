@@ -10,4 +10,14 @@
 //     used by tests to validate the synthetic path;
 //   - FromSchema derives statistics analytically from a schema at any scale
 //     factor — how 100 GB+ experiments get statistics without 100 GB of RAM.
+//
+// Collect runs column-parallel on the internal/par pool: each column is
+// summarised into its own slot and the slots enter the table's map in
+// schema order afterwards. An integer or date column whose value range is
+// at most 4 × rows is counted in a dense slice, any other column in a map.
+// The output does not depend on the schedule, nor on map order: a column's
+// statistics are a function of its vector alone, and the distinct values
+// that reach a histogram in map order are only counted per bucket
+// (histogram.BuildDistinct), which no order changes. The package is on
+// the determinism analyzer's list for that reason.
 package catalog

@@ -5,6 +5,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -33,9 +34,8 @@ func hashValue(h hash.Hash64, v Value) {
 // view accessor only, so a change of storage layout that moves one of them
 // changed the data, not just its shape.
 func TestGenerateDigestPinned(t *testing.T) {
-	schemas := append(TPCH(), TPCDS()...)
-	if len(schemas) != 13 {
-		t.Fatalf("%d schemas, want 13", len(schemas))
+	if n := len(TPCH()) + len(TPCDS()); n != 13 {
+		t.Fatalf("%d schemas, want 13", n)
 	}
 	for _, tc := range []struct {
 		seed uint64
@@ -44,19 +44,42 @@ func TestGenerateDigestPinned(t *testing.T) {
 		{1, 0x30ec4f1ae807ed4d},
 		{42, 0x6b09bbffe7f94510},
 	} {
-		h := fnv.New64a()
-		for _, s := range schemas {
-			rel := Generate(s, 0.01, tc.seed)
-			h.Write([]byte(s.Name))
-			n := int(rel.NumRows())
-			for i := 0; i < n; i++ {
-				for j := range s.Columns {
-					hashValue(h, rel.At(i, j))
-				}
-			}
-		}
-		if got := h.Sum64(); got != tc.want {
+		if got := valueDigest(tc.seed); got != tc.want {
 			t.Errorf("seed %d: digest %#x, pinned %#x", tc.seed, got, tc.want)
 		}
 	}
+}
+
+// TestGenerateScheduleIndependent generates every schema with the columns
+// run inline (GOMAXPROCS 1) and spread over eight workers: the values are
+// the same. make stress runs it under -race.
+func TestGenerateScheduleIndependent(t *testing.T) {
+	for _, seed := range []uint64{1, 42} {
+		var digests [2]uint64
+		for i, procs := range []int{1, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			digests[i] = valueDigest(seed)
+			runtime.GOMAXPROCS(prev)
+		}
+		if digests[0] != digests[1] {
+			t.Errorf("seed %d: digest %#x at GOMAXPROCS 1, %#x at 8", seed, digests[0], digests[1])
+		}
+	}
+}
+
+// valueDigest generates the 13 schemas at SF 0.01 from seed and hashes
+// every value, row-major, with the table names between tables.
+func valueDigest(seed uint64) uint64 {
+	h := fnv.New64a()
+	for _, s := range append(TPCH(), TPCDS()...) {
+		rel := Generate(s, 0.01, seed)
+		h.Write([]byte(s.Name))
+		n := int(rel.NumRows())
+		for i := 0; i < n; i++ {
+			for j := range s.Columns {
+				hashValue(h, rel.At(i, j))
+			}
+		}
+	}
+	return h.Sum64()
 }

@@ -10,4 +10,11 @@
 //   - primary-key/foreign-key referential integrity, and
 //   - laptop-scale materialised relations — one typed Vector per column —
 //     for ground-truth execution in the in-memory MapReduce engine.
+//
+// Generate runs column-parallel: each column is its own task on the
+// internal/par pool, with a typed kernel per kind in place of a Value per
+// row. The output stays byte-identical to a serial run because every
+// column draws from its own seed (master seed ^ hash of table.column)
+// and writes only its own slot of the relation; no state crosses columns,
+// so which worker runs a column, and when, cannot reach a value.
 package dataset

@@ -5,13 +5,16 @@ import (
 	"strconv"
 	"strings"
 
+	"saqp/internal/par"
 	"saqp/internal/sim"
 )
 
 // Generate materialises a relation for the given schema at scale factor sf,
 // deterministically from seed. Two calls with identical arguments produce
 // identical relations. Column streams are seeded independently (by table
-// and column name), so adding a column never perturbs the others.
+// and column name), so adding a column never perturbs the others — and
+// the columns are generated in parallel, each worker writing only its own
+// column's slot.
 //
 // Materialisation is intended for laptop-scale factors (sf <= ~0.1); large
 // experiment scales are handled analytically via Schema.RowsAt/BytesAt and
@@ -20,9 +23,10 @@ import (
 func Generate(s *Schema, sf float64, seed uint64) *Relation {
 	n := int(s.RowsAt(sf))
 	rel := &Relation{Schema: s, Cols: make([]Vector, len(s.Columns))}
-	for ci := range s.Columns {
-		rel.Cols[ci] = generateColumn(&s.Columns[ci], n, sf, columnSeed(seed, s.Name, s.Columns[ci].Name))
-	}
+	par.For(len(s.Columns), func(_ *struct{}, ci int) {
+		c := &s.Columns[ci]
+		rel.Cols[ci] = generateColumn(c, n, sf, columnSeed(seed, s.Name, c.Name))
+	})
 	return rel
 }
 
@@ -64,22 +68,38 @@ func generateColumn(c *Column, n int, sf float64, seed uint64) Vector {
 	case DistClustered:
 		copy(keys, sim.ClusteredKeys(rng, n, card))
 	}
+	// Each kind's kernel is materialize's mapping, applied to the whole
+	// vector without building a Value per row.
 	switch c.Kind {
 	case KindFloat:
 		vals := make([]float64, n)
 		for i, k := range keys {
-			vals[i] = materialize(c, k).F
+			vals[i] = floatValue(c.Lo, k)
 		}
 		return FloatVector(vals)
 	case KindString:
 		vals := make([]string, n)
+		width := c.AvgWidth()
+		if card > int64(n) {
+			for i, k := range keys {
+				vals[i] = makeString(c.Name, k, width)
+			}
+			return StringVector(vals)
+		}
+		// No more keys than rows: each key's string is built once, on its
+		// first row, and shared by the rows after it (width >= 1, so ""
+		// marks a key not yet built).
+		byKey := make([]string, card)
 		for i, k := range keys {
-			vals[i] = materialize(c, k).S
+			if byKey[k] == "" {
+				byKey[k] = makeString(c.Name, k, width)
+			}
+			vals[i] = byKey[k]
 		}
 		return StringVector(vals)
 	}
-	for i, k := range keys {
-		keys[i] = materialize(c, k).I
+	for i := range keys {
+		keys[i] += c.Lo
 	}
 	return IntVector(c.Kind, keys)
 }
@@ -92,12 +112,17 @@ func materialize(c *Column, k int64) Value {
 	case KindDate:
 		return Date(c.Lo + k)
 	case KindFloat:
-		return Float(float64(c.Lo) + float64(k)*0.01)
+		return Float(floatValue(c.Lo, k))
 	case KindString:
 		return Str(makeString(c.Name, k, c.AvgWidth()))
 	}
 	return Value{}
 }
+
+// floatValue is the value of domain key k of a float column whose domain
+// starts at lo: one expression, shared by materialize and the column
+// kernel so that both round alike.
+func floatValue(lo, k int64) float64 { return float64(lo) + float64(k)*0.01 }
 
 // makeString builds a deterministic string of exactly width bytes encoding
 // domain key k. The mapping is injective for any width w as long as the
@@ -110,9 +135,10 @@ func materialize(c *Column, k int64) Value {
 //     outside both the prefix alphabet and base-36 — so the key decodes
 //     unambiguously regardless of prefix truncation.
 func makeString(prefix string, k int64, width int) string {
-	digits := strconv.FormatInt(k, 36)
+	var buf [16]byte // an int64 in base 36 is at most 13 digits and a sign
+	digits := strconv.AppendInt(buf[:0], k, 36)
 	if len(digits) >= width {
-		return digits[len(digits)-width:]
+		return string(digits[len(digits)-width:])
 	}
 	maxPrefix := width - len(digits) - 1
 	p := prefix
@@ -123,7 +149,7 @@ func makeString(prefix string, k int64, width int) string {
 	b.Grow(width)
 	b.WriteString(p)
 	b.WriteByte('#')
-	b.WriteString(digits)
+	b.Write(digits)
 	for b.Len() < width {
 		b.WriteByte('~')
 	}

@@ -2,13 +2,12 @@ package workload
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"saqp/internal/catalog"
 	"saqp/internal/cluster"
 	"saqp/internal/dataset"
+	"saqp/internal/par"
 	"saqp/internal/plan"
 	"saqp/internal/predict"
 	"saqp/internal/query"
@@ -209,25 +208,11 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 	// worker on one simulator it resets from run to run.
 	runs := make([]*QueryRun, len(draws))
 	errs := make([]error, len(draws))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < runtime.NumCPU(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sim := new(cluster.Sim)
-			for i := range next {
-				d := draws[i]
-				cm := trace.NewDefaultCostModel(d.cmSeed)
-				runs[i], errs[i] = RunStandalone(sim, d.q, d.shape, d.sf, stats, cm, cfg.Cluster)
-			}
-		}()
-	}
-	for i := range draws {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	par.For(len(draws), func(sim *cluster.Sim, i int) {
+		d := draws[i]
+		cm := trace.NewDefaultCostModel(d.cmSeed)
+		runs[i], errs[i] = RunStandalone(sim, d.q, d.shape, d.sf, stats, cm, cfg.Cluster)
+	})
 	corpus := &Corpus{}
 	for i, err := range errs {
 		if err != nil {
