@@ -122,24 +122,24 @@ func (s *Sim) taskFail(e *event) {
 	t.faulted = true
 	j.Query.Faulted = true
 	s.fstats.TaskFailures++
-	node := t.node
+	node := int(t.node)
 	s.nodeFails[node]++
-	backoff := s.fplan.Backoff(t.failures)
-	failed := s.taskEvent(obs.TaskFailed, t, e.slot)
+	backoff := s.fplan.Backoff(int(t.failures))
+	failed := s.taskEvent(obs.TaskFailed, t, int(e.slot))
 	failed.Start = t.StartTime
 	s.obs.Emit(failed, obs.AttrInt("attempt", t.Attempts), obs.AttrFloat("backoff_sec", backoff))
 	if !s.blacklisted[node] && s.nodeFails[node] >= s.fplan.BlacklistAfter() &&
 		s.canBlacklist() {
 		s.blacklistNode(node)
 	}
-	s.releaseSlot(e.slot, t.Reduce)
+	s.releaseSlot(int(e.slot), t.Reduce)
 	if t.speculating {
 		// A duplicate attempt is still running elsewhere; the task
 		// survives on it and no retry is needed unless that dies too.
 		t.origDead = true
 		return
 	}
-	if t.failures >= s.fplan.MaxAttempts() {
+	if int(t.failures) >= s.fplan.MaxAttempts() {
 		s.failQuery(j.Query, t)
 		return
 	}
@@ -210,11 +210,11 @@ func (s *Sim) crashNode(node int) {
 	killed := 0
 	for _, j := range s.active {
 		// Hoarding reduces occupy slots without a finish event; kill and
-		// re-queue the ones on this node.
-		var keepHoard []*Task
+		// re-queue the ones on this node, keeping the rest in place.
+		keep := j.hoarding[:0]
 		for _, r := range j.hoarding {
-			if s.nodeOf(r.slot, true) != node {
-				keepHoard = append(keepHoard, r)
+			if int(r.node) != node {
+				keep = append(keep, r)
 				continue
 			}
 			s.busySec += s.now - r.StartTime
@@ -224,34 +224,36 @@ func (s *Sim) crashNode(node int) {
 			j.Query.Faulted = true
 			s.requeueTask(r)
 		}
-		j.hoarding = keepHoard
+		j.hoarding = keep
 		// Hoarders on this node were re-queued above (now TaskPending), so
 		// every remaining running attempt here has a scheduled event.
-		for _, t := range append(append([]*Task{}, j.Maps...), j.Reds...) {
-			if t.State != TaskRunning {
-				continue
-			}
-			if !t.origDead && t.node == node {
-				t.epochO++
-				s.refund(t.origEnd)
-				killed++
-				t.faulted = true
-				j.Query.Faulted = true
-				if t.speculating {
-					t.origDead = true
-				} else {
-					s.requeueTask(t)
+		for _, tasks := range [2][]*Task{j.Maps, j.Reds} {
+			for _, t := range tasks {
+				if t.State != TaskRunning {
+					continue
 				}
-			}
-			if t.speculating && t.specNode == node {
-				t.epochS++
-				t.speculating = false
-				s.refund(t.specEnd)
-				killed++
-				t.faulted = true
-				j.Query.Faulted = true
-				if t.origDead {
-					s.requeueTask(t)
+				if !t.origDead && int(t.node) == node {
+					t.epochO++
+					s.refund(t.origEnd)
+					killed++
+					t.faulted = true
+					j.Query.Faulted = true
+					if t.speculating {
+						t.origDead = true
+					} else {
+						s.requeueTask(t)
+					}
+				}
+				if t.speculating && int(t.specNode) == node {
+					t.epochS++
+					t.speculating = false
+					s.refund(t.specEnd)
+					killed++
+					t.faulted = true
+					j.Query.Faulted = true
+					if t.origDead {
+						s.requeueTask(t)
+					}
 				}
 			}
 		}
@@ -287,7 +289,7 @@ func (s *Sim) recoverNode(node int) {
 func (s *Sim) failQuery(q *Query, t *Task) {
 	q.Err = &TaskFailedError{
 		Query: q.ID, Job: t.Job.ID, Reduce: t.Reduce,
-		Index: t.Index, Attempts: t.failures,
+		Index: t.Index, Attempts: int(t.failures),
 	}
 	q.DoneTime = s.now
 	q.Faulted = true
@@ -300,28 +302,30 @@ func (s *Sim) failQuery(q *Query, t *Task) {
 		for _, r := range j.hoarding {
 			s.busySec += s.now - r.StartTime
 			s.hoarded--
-			s.releaseSlot(r.slot, true)
+			s.releaseSlot(int(r.slot), true)
 			r.setState(TaskPending)
 		}
-		j.hoarding = nil
-		for _, tt := range append(append([]*Task{}, j.Maps...), j.Reds...) {
-			switch tt.State {
-			case TaskRunning:
-				if !tt.origDead {
+		j.hoarding = j.hoarding[:0]
+		for _, tasks := range [2][]*Task{j.Maps, j.Reds} {
+			for _, tt := range tasks {
+				switch tt.State {
+				case TaskRunning:
+					if !tt.origDead {
+						tt.epochO++
+						s.refund(tt.origEnd)
+						s.releaseSlot(int(tt.slot), tt.Reduce)
+					}
+					if tt.speculating {
+						tt.epochS++
+						tt.speculating = false
+						s.refund(tt.specEnd)
+						s.releaseSlot(int(tt.specSlot), tt.Reduce)
+					}
+					tt.setState(TaskPending)
+				case TaskWaiting:
 					tt.epochO++
-					s.refund(tt.origEnd)
-					s.releaseSlot(tt.slot, tt.Reduce)
+					tt.setState(TaskPending)
 				}
-				if tt.speculating {
-					tt.epochS++
-					tt.speculating = false
-					s.refund(tt.specEnd)
-					s.releaseSlot(tt.specSlot, tt.Reduce)
-				}
-				tt.setState(TaskPending)
-			case TaskWaiting:
-				tt.epochO++
-				tt.setState(TaskPending)
 			}
 		}
 		for i, a := range s.active {

@@ -105,7 +105,7 @@ func TestBlacklistTripsAfterRepeatedFailures(t *testing.T) {
 	// The failure struck the first dispatch; everything that completed
 	// afterwards (every final attempt) must sit on the surviving node.
 	for _, task := range q.Jobs[0].Maps {
-		if task.node == blacklisted {
+		if int(task.node) == blacklisted {
 			t.Fatalf("map %d's final attempt ran on blacklisted node %d", task.Index, blacklisted)
 		}
 	}

@@ -41,15 +41,19 @@ func TestDecisionSpansOnlyBuildsNoRanking(t *testing.T) {
 // scheduleFinish, and dispatch around them, which static analysis cannot
 // follow through the Scheduler interface): on a warmed Sim, Reset plus a
 // whole run allocates exactly the run's two results — the queries slice
-// and the Results — however many tasks are dispatched. Slowstart is 1 so
-// no reduce hoards: the hoard list is the job's storage, not the Sim's.
+// and the Results — however many tasks are dispatched. Reduces hoard at
+// the default slowstart into a hoard list with room for every reduce, as
+// BuildQuery lays it out; the speculative config runs one node at a
+// third of the speed, so duplicates launch and race, and its per-job
+// median is taken on the Sim's scratch.
 func TestHotPathAllocs(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReduceSlowstart = 1
+	spec := DefaultConfig()
+	spec.SpeculativeExecution = true
+	spec.NodeFactors = []float64{0.3, 1, 1, 1, 1, 1, 1, 1, 1}
 	build := func(maps, reds int) *Query {
 		q := &Query{ID: "q"}
 		for _, id := range []string{"J1", "J2"} {
-			j := &Job{ID: "q/" + id, JobID: id, Query: q}
+			j := &Job{ID: "q/" + id, JobID: id, Query: q, hoarding: make([]*Task, 0, reds)}
 			for i := 0; i < maps; i++ {
 				j.Maps = append(j.Maps, &Task{Job: j, Index: i, ActualSec: 3 + float64(i%5), PredSec: 4})
 			}
@@ -64,7 +68,7 @@ func TestHotPathAllocs(t *testing.T) {
 	rewind := func(q *Query) {
 		q.DoneTime = 0
 		for _, j := range q.Jobs {
-			*j = Job{ID: j.ID, JobID: j.JobID, Query: q, Maps: j.Maps, Reds: j.Reds, DepIDs: j.DepIDs}
+			*j = Job{ID: j.ID, JobID: j.JobID, Query: q, Maps: j.Maps, Reds: j.Reds, DepIDs: j.DepIDs, hoarding: j.hoarding[:0]}
 			j.ResetPending()
 			for _, tasks := range [2][]*Task{j.Maps, j.Reds} {
 				for _, tk := range tasks {
@@ -74,24 +78,43 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 		q.RecomputeWRD()
 	}
-	s := New(cfg, fifoPick{})
-	for _, size := range []struct{ maps, reds int }{{6, 2}, {200, 40}} {
-		q := build(size.maps, size.reds)
-		run := func() {
-			rewind(q)
-			s.Reset(cfg, fifoPick{})
-			s.Submit(q, 0)
-			if _, err := s.Run(); err != nil {
-				t.Fatal(err)
+	for _, cfg := range []Config{DefaultConfig(), spec} {
+		s := New(cfg, fifoPick{})
+		for _, size := range []struct{ maps, reds int }{{6, 2}, {200, 40}} {
+			q := build(size.maps, size.reds)
+			run := func() {
+				rewind(q)
+				s.Reset(cfg, fifoPick{})
+				s.Submit(q, 0)
+				if _, err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm: grow the event queue and the scratch once
+			if n := testing.AllocsPerRun(20, run); n != 2 {
+				t.Errorf("speculative=%v, %d+%d tasks per job: a warmed Sim allocates %.0f times per run, want 2 (queries slice, Results)",
+					cfg.SpeculativeExecution, size.maps, size.reds, n)
+			}
+			if !q.Done() || q.Jobs[1].Reds[size.reds-1].Attempts != 1 {
+				t.Fatalf("the measured run did not execute the query")
+			}
+			if cfg.SpeculativeExecution && size.maps > 6 && !anySpeculated(q) {
+				t.Fatalf("speculative=%v, %d+%d tasks per job: no duplicate won a race", cfg.SpeculativeExecution, size.maps, size.reds)
 			}
 		}
-		run() // warm: grow the heap, the free list and the scratch once
-		if n := testing.AllocsPerRun(20, run); n != 2 {
-			t.Errorf("%d+%d tasks per job: a warmed Sim allocates %.0f times per run, want 2 (queries slice, Results)",
-				size.maps, size.reds, n)
-		}
-		if !q.Done() || q.Jobs[1].Reds[size.reds-1].Attempts != 1 {
-			t.Fatalf("the measured run did not execute the query")
+	}
+}
+
+// anySpeculated reports whether a duplicate attempt completed any task of q.
+func anySpeculated(q *Query) bool {
+	for _, j := range q.Jobs {
+		for _, tasks := range [2][]*Task{j.Maps, j.Reds} {
+			for _, t := range tasks {
+				if t.Speculated {
+					return true
+				}
+			}
 		}
 	}
+	return false
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -139,23 +138,34 @@ type Scheduler interface {
 	PickJob(now float64, candidates, active []*Job, reduce bool) *Job
 }
 
-// event is a simulator occurrence ordered by time.
+// event is a simulator occurrence ordered by (time, seq). The queue holds
+// events by value, so event must not grow (see TestEventSizePinned).
 type event struct {
 	time float64
-	kind eventKind
-	// seq breaks ties deterministically in arrival order.
+	// seq breaks ties deterministically in arrival order. It is unique, so
+	// (time, seq) is a strict total order: any correct heap pops the same
+	// sequence.
 	seq int
 
 	query *Query // arrival
 	task  *Task  // finish, fail, retry
-	slot  int    // slot of the finishing attempt
-	spec  bool   // the attempt was a speculative duplicate
+	slot  int32  // slot of the finishing attempt
 	// epoch must match the task's attempt epoch for the event to apply;
 	// cancelled and crash-killed attempts bump the epoch, turning their
 	// scheduled events into no-ops.
-	epoch int
+	epoch int32
 	// node targets crash/recover events.
-	node int
+	node int32
+	kind eventKind
+	spec bool // the attempt was a speculative duplicate
+}
+
+// before reports whether a pops ahead of b.
+func (a *event) before(b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	return a.seq < b.seq
 }
 
 type eventKind uint8
@@ -170,21 +180,55 @@ const (
 	evRecover  // a crashed node rejoins with all slots free
 )
 
-type eventHeap []*event
+// eventQueue is a binary min-heap of events by value, earliest first.
+type eventQueue []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// push adds ev, moving the hole it opens up past every later parent.
+func (h *eventQueue) push(ev event) {
+	q := append(*h, ev) //lint:allow saqpvet/allocfree grows only while a Sim warms up; TestHotPathAllocs proves a warmed run allocates nothing here
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-func (h *eventHeap) pop() *event { return heap.Pop(h).(*event) }
-func (h *eventHeap) empty() bool { return len(*h) == 0 }
+// pop removes and returns the earliest event. The vacated tail slot is
+// zeroed, so the queue's spare capacity pins no task or query.
+func (h *eventQueue) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
+}
 
 // Sim is one simulation run: a cluster, a scheduler and a set of queries.
 // Reset starts another run on the same value, keeping its storage.
@@ -199,13 +243,13 @@ type Sim struct {
 	// task a stable (node, slot) identity for observability.
 	mapFree  []int
 	redFree  []int
-	events   eventHeap
-	free     []*event // processed events, reused by push
+	events   eventQueue
 	seq      int
 	now      float64
 	queries  []*Query
-	active   []*Job // submitted, unfinished jobs in submission order
-	cands    []*Job // candidates' result, valid until its next call
+	active   []*Job    // submitted, unfinished jobs in submission order
+	cands    []*Job    // candidates' result, valid until its next call
+	ends     []float64 // speculate's per-job scratch
 	busySec  float64
 	slotsTot int
 	hoarded  int // reduce slots held by not-yet-runnable reduces
@@ -228,23 +272,26 @@ func New(cfg Config, sched Scheduler) *Sim {
 
 // Reset re-initialises s in place for a fresh run under cfg and sched,
 // with no observer attached: afterwards s behaves exactly as New(cfg,
-// sched) would, but slot pools, the event heap and its events, the
-// per-node tables and the scheduler scratch keep their storage, so a
-// long-lived owner (a serving-pool worker) simulates query after query
-// without rebuilding the cluster. Results of earlier runs stay valid.
+// sched) would, but slot pools, the event queue, the per-node tables and
+// the scheduler scratch keep their storage, so a long-lived owner (a
+// serving-pool worker) simulates query after query without rebuilding the
+// cluster. Results of earlier runs stay valid.
 func (s *Sim) Reset(cfg Config, sched Scheduler) {
 	cfg = cfg.Normalized()
+	// Events a stopped run left queued are cleared, so they pin none of
+	// its tasks or queries (pop zeroes what it vacates).
+	clear(s.events)
 	// Everything not named here starts from zero; what is named is
-	// storage, emptied. Events a stopped run left queued are recycled.
+	// storage, emptied.
 	*s = Sim{
 		cfg: cfg, sched: sched, fplan: cfg.Faults,
 		factors:     s.factors[:0],
 		mapFree:     s.mapFree[:0],
 		redFree:     s.redFree[:0],
 		events:      s.events[:0],
-		free:        append(s.free, s.events...),
 		active:      s.active[:0],
 		cands:       s.cands[:0],
+		ends:        s.ends[:0],
 		down:        zeroed(s.down, cfg.Nodes),
 		blacklisted: zeroed(s.blacklisted, cfg.Nodes),
 		nodeFails:   zeroed(s.nodeFails, cfg.Nodes),
@@ -271,8 +318,8 @@ func (s *Sim) Reset(cfg Config, sched Scheduler) {
 			if w.Node >= cfg.Nodes {
 				continue
 			}
-			s.push(event{time: w.Start, kind: evCrash, node: w.Node})
-			s.push(event{time: w.End, kind: evRecover, node: w.Node})
+			s.push(event{time: w.Start, kind: evCrash, node: int32(w.Node)})
+			s.push(event{time: w.End, kind: evRecover, node: int32(w.Node)})
 		}
 	}
 }
@@ -287,19 +334,11 @@ func zeroed[T any](buf []T, n int) []T {
 	return buf
 }
 
-// push books ev at the next sequence number, on a recycled event when
-// the free list has one.
+// push books ev at the next sequence number.
 func (s *Sim) push(ev event) {
 	s.seq++
 	ev.seq = s.seq
-	var e *event
-	if n := len(s.free); n > 0 {
-		e, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		e = &event{}
-	}
-	*e = ev
-	heap.Push(&s.events, e)
+	s.events.push(ev)
 }
 
 // SetObserver attaches the observability layer to this run: lifecycle
@@ -425,7 +464,7 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 		return nil, err
 	}
 	done := ctx.Done()
-	for !s.events.empty() {
+	for len(s.events) > 0 {
 		if done != nil {
 			select {
 			case <-done:
@@ -439,20 +478,19 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 		case evArrival:
 			s.arrive(e.query)
 		case evFinish:
-			s.finish(e)
+			s.finish(&e)
 		case evWake:
 			// no state change; jobs become ready by time passing
 		case evTaskFail:
-			s.taskFail(e)
+			s.taskFail(&e)
 		case evRetry:
-			s.retryTask(e)
+			s.retryTask(&e)
 		case evCrash:
-			s.crashNode(e.node)
+			s.crashNode(int(e.node))
 		case evRecover:
-			s.recoverNode(e.node)
+			s.recoverNode(int(e.node))
 		}
 		s.dispatch()
-		s.free = append(s.free, e)
 		// Stop once every query reached a terminal state: trailing fault
 		// events (a crash window after the last completion) must not
 		// stretch the makespan.
@@ -555,7 +593,7 @@ func (s *Sim) reduceLaunchAllowed(j *Job) bool {
 // pre-charged busy time is refunded, so duplicated work is never
 // double-counted.
 func (s *Sim) finish(e *event) {
-	t, slot, spec := e.task, e.slot, e.spec
+	t, slot, spec := e.task, int(e.slot), e.spec
 	if spec {
 		if e.epoch != t.epochS {
 			return // the duplicate was cancelled or crash-killed
@@ -576,9 +614,9 @@ func (s *Sim) finish(e *event) {
 			// The original loses the race: cancel it now.
 			t.epochO++
 			s.refund(t.origEnd)
-			s.releaseSlot(t.slot, t.Reduce)
+			s.releaseSlot(int(t.slot), t.Reduce)
 			s.fstats.SpeculativeCancels++
-			s.canceled(t, t.slot, t.StartTime)
+			s.canceled(t, int(t.slot), t.StartTime)
 		}
 	} else {
 		t.epochO++
@@ -587,21 +625,22 @@ func (s *Sim) finish(e *event) {
 			t.epochS++
 			t.speculating = false
 			s.refund(t.specEnd)
-			s.releaseSlot(t.specSlot, t.Reduce)
+			s.releaseSlot(int(t.specSlot), t.Reduce)
 			s.fstats.SpeculativeCancels++
-			s.canceled(t, t.specSlot, t.specStart)
+			s.canceled(t, int(t.specSlot), t.specStart)
 		}
 	}
 	t.setState(TaskDone)
 	t.EndTime = s.now
 	t.Speculated = t.Speculated || spec
-	start := t.StartTime
-	if spec {
-		start = t.specStart
+	if s.obs != nil {
+		done := s.taskEvent(obs.TaskFinished, t, slot)
+		done.Start, done.Pred, done.Faulted = t.StartTime, t.PredSec, t.faulted
+		if spec {
+			done.Start = t.specStart
+		}
+		s.obs.Emit(done, obs.AttrBool("speculated", spec))
 	}
-	done := s.taskEvent(obs.TaskFinished, t, slot)
-	done.Start, done.Pred, done.Faulted = start, t.PredSec, t.faulted
-	s.obs.Emit(done, obs.AttrBool("speculated", spec))
 	s.releaseSlot(slot, t.Reduce)
 	if t.Reduce {
 		j.doneReds++
@@ -619,16 +658,18 @@ func (s *Sim) finish(e *event) {
 				s.hoarded--
 				s.scheduleFinish(r)
 			}
-			j.hoarding = nil
+			j.hoarding = j.hoarding[:0]
 		}
 	}
 	if !j.Done() {
 		return
 	}
 	j.DoneTime = s.now
-	jobDone := s.jobEvent(obs.JobFinished, j)
-	jobDone.Start = j.SubmitTime
-	s.obs.Emit(jobDone)
+	if s.obs != nil {
+		jobDone := s.jobEvent(obs.JobFinished, j)
+		jobDone.Start = j.SubmitTime
+		s.obs.Emit(jobDone)
+	}
 	// Remove from active set.
 	for i, a := range s.active {
 		if a == j {
@@ -638,22 +679,8 @@ func (s *Sim) finish(e *event) {
 	}
 	// Submit dependents whose deps are all done.
 	q := j.Query
-	byID := make(map[string]*Job, len(q.Jobs))
-	for _, jj := range q.Jobs {
-		byID[jj.JobID] = jj
-	}
 	for _, cand := range q.Jobs {
-		if cand.Submitted {
-			continue
-		}
-		ready := true
-		for _, dep := range cand.DepIDs {
-			if !byID[dep].Done() {
-				ready = false
-				break
-			}
-		}
-		if ready {
+		if !cand.Submitted && q.depsDone(cand) {
 			s.submitJob(cand)
 		}
 	}
@@ -662,6 +689,22 @@ func (s *Sim) finish(e *event) {
 		s.terminal++
 		s.obs.Emit(obs.Event{Kind: obs.QueryFinished, At: s.now, Start: q.ArrivalTime, Query: q.ID})
 	}
+}
+
+// depsDone reports whether every upstream job of j has completed. A
+// query has a handful of jobs, so each dependency is found by a scan.
+func (q *Query) depsDone(j *Job) bool {
+	for _, dep := range j.DepIDs {
+		for _, up := range q.Jobs {
+			if up.JobID == dep {
+				if !up.Done() {
+					return false
+				}
+				break
+			}
+		}
+	}
+	return true
 }
 
 // scheduleFinish books the completion event for a running task, charging
@@ -673,7 +716,7 @@ func (s *Sim) finish(e *event) {
 //saqp:hotpath
 func (s *Sim) scheduleFinish(t *Task) {
 	t.Attempts++
-	factor := s.effFactor(t.node)
+	factor := s.effFactor(int(t.node))
 	if s.fplan != nil && factor != s.factors[t.node] {
 		t.faulted = true
 		t.Job.Query.Faulted = true
@@ -790,7 +833,7 @@ func (s *Sim) speculate(reduce bool, pool *[]int) {
 			// Median projected completion over this phase's started tasks:
 			// done tasks contribute their end, running ones the earliest
 			// scheduled end of their live attempts.
-			var ends []float64
+			ends := s.ends[:0]
 			for _, t := range tasks {
 				switch t.State {
 				case TaskDone:
@@ -799,6 +842,7 @@ func (s *Sim) speculate(reduce bool, pool *[]int) {
 					ends = append(ends, s.projectedEnd(t))
 				}
 			}
+			s.ends = ends
 			med := median(ends)
 			for _, t := range tasks {
 				if t.State != TaskRunning || t.speculating || t.origDead {
@@ -820,7 +864,7 @@ func (s *Sim) speculate(reduce bool, pool *[]int) {
 		slot := (*pool)[len(*pool)-1]
 		n := s.nodeOf(slot, reduce)
 		// A duplicate on the same (slow) node cannot help.
-		if n == victim.node && s.cfg.Nodes > 1 {
+		if n == int(victim.node) && s.cfg.Nodes > 1 {
 			return
 		}
 		dur := victim.ActualSec/s.effFactor(n) + s.cfg.SchedulingOverheadSec
@@ -830,12 +874,12 @@ func (s *Sim) speculate(reduce bool, pool *[]int) {
 		*pool = (*pool)[:len(*pool)-1]
 		victim.speculating = true
 		victim.specStart = s.now
-		victim.specNode = n
-		victim.specSlot = slot
+		victim.specNode = int32(n)
+		victim.specSlot = int32(slot)
 		victim.specEnd = s.now + dur
 		s.busySec += dur
-		s.push(event{time: victim.specEnd, kind: evFinish, task: victim, slot: slot, spec: true, epoch: victim.epochS})
-		s.obs.Emit(s.taskEvent(obs.SpeculativeLaunched, victim, slot), obs.AttrInt("original_node", victim.node))
+		s.push(event{time: victim.specEnd, kind: evFinish, task: victim, slot: int32(slot), spec: true, epoch: victim.epochS})
+		s.obs.Emit(s.taskEvent(obs.SpeculativeLaunched, victim, slot), obs.AttrInt("original_node", int(victim.node)))
 	}
 }
 
@@ -853,18 +897,18 @@ func (s *Sim) projectedEnd(t *Task) float64 {
 }
 
 // median returns the middle value of xs (mean of the two middles for even
-// lengths), or +Inf when empty so nothing qualifies as lagging it.
+// lengths), or +Inf when empty so nothing qualifies as lagging it. It
+// sorts xs in place.
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.Inf(1)
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	n := len(sorted)
+	sort.Float64s(xs)
+	n := len(xs)
 	if n%2 == 1 {
-		return sorted[n/2]
+		return xs[n/2]
 	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // preemptForRunnableReduce implements [30]-style preemption: when no reduce
@@ -907,14 +951,14 @@ func (s *Sim) preemptForRunnableReduce() bool {
 		}
 	}
 	// The hoard window occupied the slot; account for it, then requeue.
-	s.obs.Emit(s.taskEvent(obs.ReducePreempted, victim, victim.slot), obs.AttrFloat("hoarded_sec", s.now-victim.StartTime))
+	s.obs.Emit(s.taskEvent(obs.ReducePreempted, victim, int(victim.slot)), obs.AttrFloat("hoarded_sec", s.now-victim.StartTime))
 	s.busySec += s.now - victim.StartTime
 	victim.setState(TaskPending)
 	victim.StartTime = 0
 	owner.pendingReds++
 	owner.Query.remainingWRD += victim.PredSec
 	s.hoarded--
-	s.releaseSlot(victim.slot, true)
+	s.releaseSlot(int(victim.slot), true)
 	return true
 }
 
@@ -956,8 +1000,8 @@ func (s *Sim) candidates(reduce bool) []*Job {
 func (s *Sim) start(t *Task, pool *[]int) {
 	slot := (*pool)[len(*pool)-1]
 	*pool = (*pool)[:len(*pool)-1]
-	t.slot = slot
-	t.node = s.nodeOf(slot, t.Reduce)
+	t.slot = int32(slot)
+	t.node = int32(s.nodeOf(slot, t.Reduce))
 	t.Start()
 	t.StartTime = s.now
 	j := t.Job
@@ -975,15 +1019,17 @@ func (s *Sim) start(t *Task, pool *[]int) {
 // behind the paper's Figure 2 execution timelines.
 func JobSpan(j *Job) (start, end float64) {
 	start = math.Inf(1)
-	for _, t := range append(append([]*Task{}, j.Maps...), j.Reds...) {
-		if t.State != TaskDone {
-			continue
-		}
-		if t.StartTime < start {
-			start = t.StartTime
-		}
-		if t.EndTime > end {
-			end = t.EndTime
+	for _, tasks := range [2][]*Task{j.Maps, j.Reds} {
+		for _, t := range tasks {
+			if t.State != TaskDone {
+				continue
+			}
+			if t.StartTime < start {
+				start = t.StartTime
+			}
+			if t.EndTime > end {
+				end = t.EndTime
+			}
 		}
 	}
 	return start, end

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"strings"
+
 	"saqp/internal/plan"
 	"saqp/internal/selectivity"
 	"saqp/internal/trace"
@@ -21,58 +23,64 @@ const (
 	TaskWaiting
 )
 
-// Task is one map or reduce task.
+// Task is one map or reduce task. A query's tasks are one slab
+// (BuildQuery), so the fields are laid out pointer, floats, ints, then the
+// one-byte flags, with the simulator's own counters as int32s: Task must
+// not grow (see TestTaskSizePinned).
 type Task struct {
-	Job    *Job
-	Reduce bool
-	// Index is the task's position in its job's Maps or Reds.
-	Index int
+	Job *Job
 	// ActualSec is the hidden ground-truth duration at nominal node speed;
 	// the effective duration is ActualSec / nodeFactor.
 	ActualSec float64
 	// PredSec is the duration predicted by the semantics-aware model; the
 	// SWRD scheduler's WRD sums these (Eq. 10).
-	PredSec float64
-
-	// State is written by setState alone once the job is built: the job
-	// counts its running tasks and tracks its first pending one from there.
-	State     TaskState
+	PredSec   float64
 	StartTime float64
 	EndTime   float64
-	// Speculated records that the task was completed by a speculative
-	// duplicate attempt rather than its original.
-	Speculated bool
+	// specStart is when the duplicate attempt launched (valid while
+	// speculating).
+	specStart float64
+	// specEnd is the duplicate attempt's scheduled completion (valid while
+	// speculating).
+	specEnd float64
+	// origEnd is the scheduled completion (or failure) time of the
+	// original attempt currently running.
+	origEnd float64
+
+	// Index is the task's position in its job's Maps or Reds.
+	Index int
 	// Attempts counts executing attempts of this task (1 on a clean run);
 	// crash-killed attempts count, hoard-only slot occupancy does not.
 	Attempts int
 
 	// node is the hosting node index, set at dispatch.
-	node int
+	node int32
 	// slot is the hosting slot id within the phase's pool, set at
 	// dispatch — the task's stable track in the observability layer.
-	slot int
-	// speculating marks that a duplicate attempt is already in flight.
-	speculating bool
-	// specStart is when the duplicate attempt launched (valid while
+	slot int32
+	// specNode and specSlot locate the duplicate attempt (valid while
 	// speculating).
-	specStart float64
-	// specNode and specSlot locate the duplicate attempt; specEnd is its
-	// scheduled completion (valid while speculating).
-	specNode, specSlot int
-	specEnd            float64
-	// origEnd is the scheduled completion (or failure) time of the
-	// original attempt currently running.
-	origEnd float64
-	// origDead marks that the original attempt was lost (transient
-	// failure or crash) while a speculative duplicate is still running.
-	origDead bool
+	specNode, specSlot int32
 	// epochO and epochS version the original and speculative attempts; a
 	// scheduled event whose epoch no longer matches is stale and ignored,
 	// which is how cancelled or crash-killed attempts are invalidated
 	// without scanning the event heap.
-	epochO, epochS int
+	epochO, epochS int32
 	// failures counts transient failures charged against the attempt cap.
-	failures int
+	failures int32
+
+	Reduce bool
+	// State is written by setState alone once the job is built: the job
+	// counts its running tasks and tracks its first pending one from there.
+	State TaskState
+	// Speculated records that the task was completed by a speculative
+	// duplicate attempt rather than its original.
+	Speculated bool
+	// speculating marks that a duplicate attempt is already in flight.
+	speculating bool
+	// origDead marks that the original attempt was lost (transient
+	// failure or crash) while a speculative duplicate is still running.
+	origDead bool
 	// faulted marks a task whose runtime was perturbed by injected faults
 	// (failed attempt, crash kill, or dispatch into a slowdown window).
 	faulted bool
@@ -82,7 +90,7 @@ type Task struct {
 func (t *Task) Faulted() bool { return t.faulted }
 
 // Failures returns how many transient failures the task has suffered.
-func (t *Task) Failures() int { return t.failures }
+func (t *Task) Failures() int { return int(t.failures) }
 
 // Job is one MapReduce job inside a query.
 type Job struct {
@@ -116,6 +124,9 @@ type Job struct {
 	doneReds    int
 	// hoarding holds reduces launched before the map phase finished; they
 	// occupy reduce slots without progressing until the last map ends.
+	// BuildQuery gives it capacity for every reduce, so it never grows: a
+	// reduce hoards at most once at a time, and every path that drops
+	// hoarders filters it in place.
 	hoarding []*Task
 }
 
@@ -280,28 +291,49 @@ func (c ConstantPredictor) PredictTask(plan.JobType, bool, float64, float64, flo
 // per-task input/output volumes are divided evenly across the estimated
 // task counts, ground-truth durations are drawn from the cost model, and
 // predicted durations from the predictor. The estimate's group counts
-// size one slab of jobs and one of tasks for the whole query.
+// size the query's slabs: one of jobs, one of tasks, and one of task
+// pointers that also backs each job's hoard list; the jobs' ids are cut
+// from one string and their dependency lists from one slice.
 func BuildQuery(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, pred TaskTimePredictor) *Query {
 	q := &Query{ID: id, InputBytes: qe.TotalInputBytes()}
 	var one [1]selectivity.TaskGroup
-	total := 0
+	total, reds, deps, idLen := 0, 0, 0, 0
 	for _, je := range qe.Jobs {
 		for _, reduce := range [2]bool{false, true} {
 			for _, g := range phaseGroups(je, reduce, &one) {
 				total += g.Count
+				if reduce {
+					reds += g.Count
+				}
 			}
 		}
+		deps += len(je.Job.Deps)
+		idLen += len(id) + 1 + len(je.Job.ID)
 	}
+	var ids strings.Builder
+	ids.Grow(idLen)
+	for _, je := range qe.Jobs {
+		ids.WriteString(id)
+		ids.WriteByte('/')
+		ids.WriteString(je.Job.ID)
+	}
+	idBuf := ids.String()
 	jobs := make([]Job, len(qe.Jobs))
 	q.Jobs = make([]*Job, len(qe.Jobs))
 	tasks := make([]Task, total)
-	ptrs := make([]*Task, total)
+	ptrs := make([]*Task, total+reds)
+	var depIDs []string
+	if deps > 0 {
+		depIDs = make([]string, deps)
+	}
 	for ji, je := range qe.Jobs {
 		j := &jobs[ji]
 		q.Jobs[ji] = j
-		j.ID, j.JobID, j.Query, j.Type = id+"/"+je.Job.ID, je.Job.ID, q, je.Job.Type
-		if len(je.Job.Deps) > 0 {
-			j.DepIDs = make([]string, len(je.Job.Deps))
+		n := len(id) + 1 + len(je.Job.ID)
+		j.ID, j.JobID, j.Query, j.Type = idBuf[:n], je.Job.ID, q, je.Job.Type
+		idBuf = idBuf[n:]
+		if k := len(je.Job.Deps); k > 0 {
+			j.DepIDs, depIDs = depIDs[:k:k], depIDs[k:]
 			for i, dep := range je.Job.Deps {
 				j.DepIDs[i] = dep.ID
 			}
@@ -329,6 +361,7 @@ func BuildQuery(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, p
 			}
 			tasks, ptrs = tasks[n:], ptrs[n:]
 		}
+		j.hoarding, ptrs = ptrs[:0:len(j.Reds)], ptrs[len(j.Reds):]
 		j.ResetPending()
 	}
 	return q

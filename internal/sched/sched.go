@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"saqp/internal/cluster"
@@ -41,43 +40,46 @@ type HCS struct {
 // Name implements cluster.Scheduler.
 func (h HCS) Name() string { return "HCS" }
 
-// queueOf hashes a job's query onto a queue.
-func (h HCS) queueOf(j *cluster.Job) int {
-	n := h.Queues
-	if n <= 1 {
-		return 0
+// queueOf hashes a job's query onto one of n > 1 queues (FNV-1a 32).
+func queueOf(j *cluster.Job, n int) int {
+	const offset, prime = 2166136261, 16777619
+	h := uint32(offset)
+	for i := 0; i < len(j.Query.ID); i++ {
+		h = (h ^ uint32(j.Query.ID[i])) * prime
 	}
-	f := fnv.New32a()
-	f.Write([]byte(j.Query.ID))
-	return int(f.Sum32()) % n
+	return int(h) % n
 }
 
 // PickJob serves the most under-served queue that has a candidate, FIFO
-// within the queue.
+// within the queue. With one queue that is plain FIFO.
 func (h HCS) PickJob(_ float64, cands, active []*cluster.Job, _ bool) *cluster.Job {
-	if len(cands) == 0 {
-		return nil
+	if h.Queues <= 1 {
+		return fifo(cands)
 	}
 	// Usage per queue over all active jobs (running tasks occupy slots).
 	usage := map[int]int{}
 	for _, j := range active {
-		usage[h.queueOf(j)] += j.RunningTasks()
+		usage[queueOf(j, h.Queues)] += j.RunningTasks()
 	}
-	// The least-used queue holding a candidate (ties: lowest queue index).
-	bestQueue := -1
+	// The least-used queue holding a candidate (ties: lowest queue index),
+	// FIFO within it: the first candidate minimising (usage, queue,
+	// submit time).
+	var best *cluster.Job
+	bestQueue := 0
 	for _, j := range cands {
-		q := h.queueOf(j)
-		if bestQueue < 0 || usage[q] < usage[bestQueue] ||
-			(usage[q] == usage[bestQueue] && q < bestQueue) {
-			bestQueue = q
+		q := queueOf(j, h.Queues)
+		if best == nil || usage[q] < usage[bestQueue] ||
+			usage[q] == usage[bestQueue] && (q < bestQueue || q == bestQueue && j.SubmitTime < best.SubmitTime) {
+			best, bestQueue = j, q
 		}
 	}
-	// FIFO within the chosen queue.
+	return best
+}
+
+// fifo returns the earliest-submitted candidate, the first on ties.
+func fifo(cands []*cluster.Job) *cluster.Job {
 	var best *cluster.Job
 	for _, j := range cands {
-		if h.queueOf(j) != bestQueue {
-			continue
-		}
 		if best == nil || j.SubmitTime < best.SubmitTime {
 			best = j
 		}

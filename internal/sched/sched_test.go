@@ -1,6 +1,9 @@
 package sched_test
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -70,6 +73,68 @@ func TestHCSQueueStability(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if got := h.PickJob(0, cands, cands, false); got != first {
 			t.Fatal("multi-queue HCS not deterministic")
+		}
+	}
+}
+
+// refHCS is HCS.PickJob as it was written before its one-pass form: a
+// fnv hasher per lookup, a usage map even for one queue, the queue
+// chosen first and FIFO within it second.
+func refHCS(queues int, cands, active []*cluster.Job) *cluster.Job {
+	queueOf := func(j *cluster.Job) int {
+		if queues <= 1 {
+			return 0
+		}
+		f := fnv.New32a()
+		f.Write([]byte(j.Query.ID))
+		return int(f.Sum32()) % queues
+	}
+	if len(cands) == 0 {
+		return nil
+	}
+	usage := map[int]int{}
+	for _, j := range active {
+		usage[queueOf(j)] += j.RunningTasks()
+	}
+	bestQueue := -1
+	for _, j := range cands {
+		q := queueOf(j)
+		if bestQueue < 0 || usage[q] < usage[bestQueue] ||
+			(usage[q] == usage[bestQueue] && q < bestQueue) {
+			bestQueue = q
+		}
+	}
+	var best *cluster.Job
+	for _, j := range cands {
+		if queueOf(j) == bestQueue && (best == nil || j.SubmitTime < best.SubmitTime) {
+			best = j
+		}
+	}
+	return best
+}
+
+// TestHCSPicksEqualReference: over random candidate sets with tied submit
+// times and running counts, HCS at 1, 2, 3 and 8 queues picks exactly the
+// job the reference picks.
+func TestHCSPicksEqualReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 2000; round++ {
+		var active []*cluster.Job
+		for i, n := 0, 1+rng.Intn(12); i < n; i++ {
+			j := mkJob(fmt.Sprintf("q%d", rng.Intn(20)), fmt.Sprintf("J%d", i), float64(rng.Intn(4)), 4)
+			simStart(t, j, rng.Intn(4))
+			active = append(active, j)
+		}
+		var cands []*cluster.Job
+		for _, j := range active {
+			if rng.Intn(3) > 0 {
+				cands = append(cands, j)
+			}
+		}
+		for _, queues := range []int{0, 1, 2, 3, 8} {
+			if got, want := (sched.HCS{Queues: queues}).PickJob(0, cands, active, false), refHCS(queues, cands, active); got != want {
+				t.Fatalf("round %d, %d queues: HCS picked %v, reference %v", round, queues, got, want)
+			}
 		}
 	}
 }

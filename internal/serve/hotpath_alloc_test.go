@@ -39,21 +39,21 @@ func TestHotPathAllocs(t *testing.T) {
 // TestServerHitAllocBudget bounds the whole of a cache hit — Submit,
 // the worker's simulation, Wait — so a regression fails `go test`, not
 // only bench's allocs_per_op. A hit with static models, no observer and
-// one worker allocates 8 objects whatever the query — the Ticket, its
-// done channel, its id; the cluster.Query and its four slabs (jobs, job
-// pointers, tasks, task pointers) — plus the run's queries slice and
-// Results, plus per job its "<query>/<job>" id, its DepIDs when it has
-// dependencies, and the hoard list of a job whose reduces launch at
-// slowstart. The cost model lives on the worker's stack; the text tier,
-// the admission heap, the simulator and its events allocate nothing.
-// Budgets are the measured counts + 5.
+// one worker allocates 11 objects whatever the query — the Ticket, its
+// done channel, its id; the cluster.Query, its four slabs (jobs, job
+// pointers, tasks, and task pointers that also back every job's hoard
+// list) and the one string its jobs' "<query>/<job>" ids are cut from;
+// the run's queries slice and Results — plus one slab of DepIDs when any
+// job has dependencies. The cost model lives on the worker's stack; the
+// text tier, the admission heap, the simulator and its event queue
+// allocate nothing. Budgets are the measured counts + 5.
 func TestServerHitAllocBudget(t *testing.T) {
 	cfg := config(t)
 	cfg.Workers = 1
 	cfg.JobModel, cfg.TaskModel = models(t)
 	e := newEngine(t, cfg)
 	for name, measured := range map[string]float64{
-		"q1": 12, "q6": 12, "q14": 14, "q19": 14, "q11": 17, "q3": 19, "q17": 20,
+		"q1": 11, "q6": 11, "q14": 12, "q19": 12, "q11": 12, "q3": 12, "q17": 12,
 	} {
 		sql, err := workload.TPCHSQL(name)
 		if err != nil {
@@ -88,7 +88,7 @@ func TestServerHitAllocBudget(t *testing.T) {
 // TestCompileAllocBudget), EstimateQuery 7 / 9 / 11 (the estimate, its
 // Jobs slice and ByID map, one slab each of job estimates and task
 // groups, the walk's scratch, and two per join key whose histogram a scan
-// predicate rescales), and 16 / 21 / 26 for scoring, the ticket, the
+// predicate rescales), and 16 / 19 / 21 for scoring, the ticket, the
 // cache entry with its spelling and eviction, and the simulated run
 // (TestServerHitAllocBudget itemises that part). Budgets are the
 // measured counts + 10.
@@ -107,10 +107,10 @@ func TestServerMissAllocBudget(t *testing.T) {
 			`SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderdate > 8500 AND o_totalprice < 50000`, 33},
 		{"join → group-by",
 			`SELECT c_nationkey, sum(o_totalprice) FROM customer JOIN orders ON o_custkey = c_custkey WHERE o_orderdate < 9000 GROUP BY c_nationkey`,
-			`SELECT p_brand, sum(l_extendedprice) FROM part JOIN lineitem ON l_partkey = p_partkey WHERE l_quantity < 12 GROUP BY p_brand`, 43},
+			`SELECT p_brand, sum(l_extendedprice) FROM part JOIN lineitem ON l_partkey = p_partkey WHERE l_quantity < 12 GROUP BY p_brand`, 41},
 		{"three-job chain",
 			`SELECT ps_partkey, sum(ps_supplycost) FROM nation JOIN supplier ON s_nationkey = n_nationkey JOIN partsupp ON ps_suppkey = s_suppkey WHERE n_name <> 'CHINA' GROUP BY ps_partkey`,
-			`SELECT o_orderpriority, count(*) FROM customer JOIN orders ON o_custkey = c_custkey JOIN lineitem ON l_orderkey = o_orderkey WHERE l_quantity < 20 GROUP BY o_orderpriority`, 50},
+			`SELECT o_orderpriority, count(*) FROM customer JOIN orders ON o_custkey = c_custkey JOIN lineitem ON l_orderkey = o_orderkey WHERE l_quantity < 20 GROUP BY o_orderpriority`, 45},
 	} {
 		miss := func(sql string) {
 			tk, err := e.Submit(context.Background(), sql, 7)

@@ -146,7 +146,9 @@ func TestTrainDefaultDigestPinned(t *testing.T) {
 // 5319422, which synthesised the whole 13-table catalog twice per corpus
 // query and built a cluster per query, read 161 MB and 184,750 mallocs;
 // statistics for the scanned tables' read columns alone and one simulator
-// per worker read 31.6 MB and 63,300. A change that brings whole-catalog
+// per worker read 31.6 MB and 63,300; a 120-byte cluster.Task and a
+// query's job ids, dependency and hoard lists cut from its slabs, 27.4 MB
+// and 58,500. A change that brings whole-catalog
 // synthesis back fails here, not only in bench's setup_s.
 func TestTrainDefaultBudget(t *testing.T) {
 	const (
