@@ -8,9 +8,11 @@ all: build
 build:
 	$(GO) build ./...
 
-# Stock go vet, then the saqpvet gate: TestRepositoryIsClean in
+# gofmt (lists unformatted files and fails if there are any), stock go vet,
+# then the saqpvet gate: TestRepositoryIsClean in
 # internal/analysis/self_test.go (docs/ANALYSIS.md), beside the analyzers' fixtures.
 lint:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 	$(GO) vet ./...
 	$(GO) test -count=1 ./internal/analysis/...
 

@@ -232,9 +232,8 @@ func faultReplay(e *env) (*table, report, error) {
 	t.notes = []string{
 		fmt.Sprintf("%d round(s) of the TPC-H set under %s, gap %.0fs, plan seed %d (%d nodes, horizon %.0fs)",
 			r.Rounds, r.Scheduler, r.GapSec, r.FaultSeed, spec.Nodes, spec.HorizonSec),
-		fmt.Sprintf("inflation p50 %.2fx, p99 %.2fx; makespan %.1fs clean → %.1fs faulted; %d node recover(ies), %d speculative cancel(s)",
-			r.P50Inflation, r.P99Inflation, r.CleanMakespanSec, r.FaultMakespanSec,
-			r.Faults.NodeRecoveries, r.Faults.SpeculativeCancels),
+		fmt.Sprintf("inflation p50 %.2fx, p99 %.2fx; makespan %.1fs clean → %.1fs faulted; %d node recover(ies)",
+			r.P50Inflation, r.P99Inflation, r.CleanMakespanSec, r.FaultMakespanSec, r.Faults.NodeRecoveries),
 	}
 	return t, &faultReport{Experiment: "fault", FaultReplayResult: r, FaultStats: r.Faults}, nil
 }

@@ -5,9 +5,9 @@ package cluster
 // recovery, and blacklisting of nodes that host repeated failures — the
 // Hadoop 1.x JobTracker behaviours (mapred.map.max.attempts,
 // mapred.max.tracker.failures, heartbeat-loss expiry) driven by an
-// internal/fault.Plan. All of it is dormant when Config.Faults is nil: the
-// event kinds are never scheduled and every epoch stays zero, so a
-// fault-free run is byte-identical to the pre-fault simulator.
+// internal/fault.Plan. All of it is dormant when Config.Faults is nil: its
+// event kinds are never scheduled, so a fault-free run is byte-identical to
+// the pre-fault simulator.
 
 import (
 	"fmt"
@@ -49,9 +49,6 @@ type FaultStats struct {
 	NodeRecoveries int `json:"node_recoveries"`
 	// NodesBlacklisted counts nodes excluded after repeated failures.
 	NodesBlacklisted int `json:"nodes_blacklisted"`
-	// SpeculativeCancels counts losing attempts of speculative races
-	// cancelled when the winner finished.
-	SpeculativeCancels int `json:"speculative_cancels"`
 	// QueryFailures counts queries abandoned at the attempt cap.
 	QueryFailures int `json:"query_failures"`
 }
@@ -95,7 +92,6 @@ func (s *Sim) refund(scheduledEnd float64) {
 func (s *Sim) requeueTask(t *Task) {
 	t.setState(TaskPending)
 	t.StartTime = 0
-	t.origDead = false
 	j := t.Job
 	if t.Reduce {
 		j.pendingReds++
@@ -113,11 +109,11 @@ func (s *Sim) requeueTask(t *Task) {
 // off before retrying — or, at the attempt cap, fails its whole query.
 func (s *Sim) taskFail(e *event) {
 	t := e.task
-	if e.epoch != t.epochO || t.State != TaskRunning {
+	if e.epoch != t.epoch || t.State != TaskRunning {
 		return
 	}
 	j := t.Job
-	t.epochO++
+	t.epoch++
 	t.failures++
 	t.faulted = true
 	j.Query.Faulted = true
@@ -133,25 +129,19 @@ func (s *Sim) taskFail(e *event) {
 		s.blacklistNode(node)
 	}
 	s.releaseSlot(int(e.slot), t.Reduce)
-	if t.speculating {
-		// A duplicate attempt is still running elsewhere; the task
-		// survives on it and no retry is needed unless that dies too.
-		t.origDead = true
-		return
-	}
 	if int(t.failures) >= s.fplan.MaxAttempts() {
 		s.failQuery(j.Query, t)
 		return
 	}
 	t.setState(TaskWaiting)
 	t.StartTime = 0
-	s.push(event{time: s.now + backoff, kind: evRetry, task: t, epoch: t.epochO})
+	s.push(event{time: s.now + backoff, kind: evRetry, task: t, epoch: t.epoch})
 }
 
 // retryTask moves a backed-off task back to pending once its delay ends.
 func (s *Sim) retryTask(e *event) {
 	t := e.task
-	if e.epoch != t.epochO || t.State != TaskWaiting || t.Job.Query.Failed() {
+	if e.epoch != t.epoch || t.State != TaskWaiting || t.Job.Query.Failed() {
 		return
 	}
 	s.requeueTask(t)
@@ -196,10 +186,8 @@ func (s *Sim) dropNodeSlots(node int) {
 }
 
 // crashNode takes a node down: its free slots leave the pools and every
-// attempt it hosts is killed. Killed original attempts re-queue
-// immediately without burning a failure (Hadoop marks them KILLED, not
-// FAILED); a killed original whose speculative duplicate survives
-// elsewhere just hands the task over to the duplicate, and vice versa.
+// attempt it hosts is killed. Killed attempts re-queue immediately without
+// burning a failure (Hadoop marks them KILLED, not FAILED).
 func (s *Sim) crashNode(node int) {
 	if s.down[node] {
 		return
@@ -229,32 +217,15 @@ func (s *Sim) crashNode(node int) {
 		// every remaining running attempt here has a scheduled event.
 		for _, tasks := range [2][]*Task{j.Maps, j.Reds} {
 			for _, t := range tasks {
-				if t.State != TaskRunning {
+				if t.State != TaskRunning || int(t.node) != node {
 					continue
 				}
-				if !t.origDead && int(t.node) == node {
-					t.epochO++
-					s.refund(t.origEnd)
-					killed++
-					t.faulted = true
-					j.Query.Faulted = true
-					if t.speculating {
-						t.origDead = true
-					} else {
-						s.requeueTask(t)
-					}
-				}
-				if t.speculating && int(t.specNode) == node {
-					t.epochS++
-					t.speculating = false
-					s.refund(t.specEnd)
-					killed++
-					t.faulted = true
-					j.Query.Faulted = true
-					if t.origDead {
-						s.requeueTask(t)
-					}
-				}
+				t.epoch++
+				s.refund(t.end)
+				killed++
+				t.faulted = true
+				j.Query.Faulted = true
+				s.requeueTask(t)
 			}
 		}
 	}
@@ -310,20 +281,12 @@ func (s *Sim) failQuery(q *Query, t *Task) {
 			for _, tt := range tasks {
 				switch tt.State {
 				case TaskRunning:
-					if !tt.origDead {
-						tt.epochO++
-						s.refund(tt.origEnd)
-						s.releaseSlot(int(tt.slot), tt.Reduce)
-					}
-					if tt.speculating {
-						tt.epochS++
-						tt.speculating = false
-						s.refund(tt.specEnd)
-						s.releaseSlot(int(tt.specSlot), tt.Reduce)
-					}
+					tt.epoch++
+					s.refund(tt.end)
+					s.releaseSlot(int(tt.slot), tt.Reduce)
 					tt.setState(TaskPending)
 				case TaskWaiting:
-					tt.epochO++
+					tt.epoch++
 					tt.setState(TaskPending)
 				}
 			}

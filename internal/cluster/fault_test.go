@@ -24,9 +24,8 @@ func fingerprint(res *cluster.Results, qs ...*cluster.Query) string {
 		for _, j := range q.Jobs {
 			s += fmt.Sprintf(" j=%s submit=%v done=%v\n", j.ID, j.SubmitTime, j.DoneTime)
 			for _, t := range append(append([]*cluster.Task{}, j.Maps...), j.Reds...) {
-				s += fmt.Sprintf("  r=%v i=%d start=%v end=%v spec=%v attempts=%d fail=%d faulted=%v\n",
-					t.Reduce, t.Index, t.StartTime, t.EndTime, t.Speculated,
-					t.Attempts, t.Failures(), t.Faulted())
+				s += fmt.Sprintf("  r=%v i=%d start=%v end=%v attempts=%d fail=%d faulted=%v\n",
+					t.Reduce, t.Index, t.StartTime, t.EndTime, t.Attempts, t.Failures(), t.Faulted())
 			}
 		}
 	}
@@ -65,7 +64,7 @@ func TestZeroFaultPlanScheduleIdentical(t *testing.T) {
 		Nodes: 3, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1,
 		NodeFactors:           []float64{0.5, 1.0, 1.1},
 		SchedulingOverheadSec: 0.5, JobInitSec: 2,
-		PreemptiveReduce: true, SpeculativeExecution: true,
+		PreemptiveReduce: true,
 	}
 	resNil, qsNil := runFaultWorkload(t, cfg)
 
@@ -87,8 +86,9 @@ func TestFaultedRunsByteIdentical(t *testing.T) {
 	run := func() string {
 		cfg := cluster.Config{
 			Nodes: 3, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1,
+			NodeFactors:           []float64{0.5, 1.0, 1.1},
 			SchedulingOverheadSec: 0.5, JobInitSec: 2,
-			SpeculativeExecution: true,
+			PreemptiveReduce: true,
 			Faults: fault.NewPlan(fault.Spec{
 				Seed: 7, Nodes: 3, HorizonSec: 120,
 				CrashProb: 0.9, CrashDowntimeSec: 15,
@@ -272,39 +272,6 @@ func TestSlowdownWindowInflatesMakespan(t *testing.T) {
 	}
 	if res.Faults.TaskFailures != 0 || res.Faults.QueryFailures != 0 {
 		t.Fatalf("slowdown charged failures: %+v", res.Faults)
-	}
-}
-
-// TestSpeculativeLoserCancelledWithoutDoubleCounting: the losing attempt
-// of a speculative race frees its slot at the winner's finish and its
-// unspent busy time is refunded — verified by exact utilization math.
-func TestSpeculativeLoserCancelledWithoutDoubleCounting(t *testing.T) {
-	// Node 0 at 0.3x: its 30s map runs 100s. Node 1 finishes its own map at
-	// t=30 and clones the straggler (done at 60 < 100). Expected busy time:
-	// 30 (fast map) + 30 (winning clone) + 60 (straggler until cancel) =
-	// 120 slot-seconds over 4 slots × 60s makespan = exactly 0.5.
-	q := synthQuery("q", []jobSpec{{id: "J1", maps: 2, mapSec: 30}})
-	cfg := cluster.Config{Nodes: 2, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1,
-		NodeFactors: []float64{0.3, 1.0}, SpeculativeExecution: true}
-	s := cluster.New(cfg, sched.HCS{})
-	s.Submit(q, 0)
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan != 60 {
-		t.Fatalf("makespan = %v, want 60 (clone wins at t=60)", res.Makespan)
-	}
-	if res.Faults.SpeculativeCancels != 1 {
-		t.Fatalf("speculative cancels = %d, want 1", res.Faults.SpeculativeCancels)
-	}
-	if res.Utilization != 0.5 {
-		t.Fatalf("utilization = %v, want exactly 0.5 (loser refunded)", res.Utilization)
-	}
-	for _, task := range q.Jobs[0].Maps {
-		if task.State != cluster.TaskDone {
-			t.Fatalf("map %d left in state %v", task.Index, task.State)
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"saqp/internal/fault"
 	"saqp/internal/obs"
 )
 
@@ -43,13 +44,18 @@ func TestDecisionSpansOnlyBuildsNoRanking(t *testing.T) {
 // whole run allocates exactly the run's two results — the queries slice
 // and the Results — however many tasks are dispatched. Reduces hoard at
 // the default slowstart into a hoard list with room for every reduce, as
-// BuildQuery lays it out; the speculative config runs one node at a
-// third of the speed, so duplicates launch and race, and its per-job
-// median is taken on the Sim's scratch.
+// BuildQuery lays it out. The faulty config drives the recovery paths too:
+// Reset books a node crash, every node slows down for a window, and
+// transient failures back tasks off, retry them and blacklist nodes, with
+// an attempt cap no task reaches.
 func TestHotPathAllocs(t *testing.T) {
-	spec := DefaultConfig()
-	spec.SpeculativeExecution = true
-	spec.NodeFactors = []float64{0.3, 1, 1, 1, 1, 1, 1, 1, 1}
+	faulty := DefaultConfig()
+	faulty.Faults = fault.NewPlan(fault.Spec{
+		Seed: 4, Nodes: 9, HorizonSec: 30,
+		CrashProb: 0.3, CrashDowntimeSec: 20,
+		SlowProb: 1, SlowDurationSec: 30,
+		TaskFailProb: 0.05, MaxAttempts: 20,
+	})
 	build := func(maps, reds int) *Query {
 		q := &Query{ID: "q"}
 		for _, id := range []string{"J1", "J2"} {
@@ -66,7 +72,7 @@ func TestHotPathAllocs(t *testing.T) {
 		return q
 	}
 	rewind := func(q *Query) {
-		q.DoneTime = 0
+		q.DoneTime, q.Faulted = 0, false
 		for _, j := range q.Jobs {
 			*j = Job{ID: j.ID, JobID: j.JobID, Query: q, Maps: j.Maps, Reds: j.Reds, DepIDs: j.DepIDs, hoarding: j.hoarding[:0]}
 			j.ResetPending()
@@ -78,41 +84,44 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 		q.RecomputeWRD()
 	}
-	for _, cfg := range []Config{DefaultConfig(), spec} {
+	for _, cfg := range []Config{DefaultConfig(), faulty} {
 		s := New(cfg, fifoPick{})
 		for _, size := range []struct{ maps, reds int }{{6, 2}, {200, 40}} {
 			q := build(size.maps, size.reds)
+			var res *Results
 			run := func() {
 				rewind(q)
 				s.Reset(cfg, fifoPick{})
 				s.Submit(q, 0)
-				if _, err := s.Run(); err != nil {
+				var err error
+				if res, err = s.Run(); err != nil {
 					t.Fatal(err)
 				}
 			}
 			run() // warm: grow the event queue and the scratch once
 			if n := testing.AllocsPerRun(20, run); n != 2 {
-				t.Errorf("speculative=%v, %d+%d tasks per job: a warmed Sim allocates %.0f times per run, want 2 (queries slice, Results)",
-					cfg.SpeculativeExecution, size.maps, size.reds, n)
+				t.Errorf("faulty=%v, %d+%d tasks per job: a warmed Sim allocates %.0f times per run, want 2 (queries slice, Results)",
+					cfg.Faults != nil, size.maps, size.reds, n)
 			}
-			if !q.Done() || q.Jobs[1].Reds[size.reds-1].Attempts != 1 {
+			if !q.Done() || q.Failed() {
 				t.Fatalf("the measured run did not execute the query")
 			}
-			if cfg.SpeculativeExecution && size.maps > 6 && !anySpeculated(q) {
-				t.Fatalf("speculative=%v, %d+%d tasks per job: no duplicate won a race", cfg.SpeculativeExecution, size.maps, size.reds)
+			if f := res.Faults; cfg.Faults != nil && size.maps > 6 &&
+				(f.NodeCrashes == 0 || f.TaskFailures == 0 || f.NodesBlacklisted == 0 || !anySlowed(q)) {
+				t.Fatalf("%d+%d tasks per job: the faulty run missed a recovery path: %+v, slowed %v",
+					size.maps, size.reds, f, anySlowed(q))
 			}
 		}
 	}
 }
 
-// anySpeculated reports whether a duplicate attempt completed any task of q.
-func anySpeculated(q *Query) bool {
+// anySlowed reports whether a map of q was dispatched into a slowdown
+// window: faulted on its one attempt, which neither failed nor was killed.
+func anySlowed(q *Query) bool {
 	for _, j := range q.Jobs {
-		for _, tasks := range [2][]*Task{j.Maps, j.Reds} {
-			for _, t := range tasks {
-				if t.Speculated {
-					return true
-				}
+		for _, t := range j.Maps {
+			if t.faulted && t.failures == 0 && t.Attempts == 1 {
+				return true
 			}
 		}
 	}

@@ -42,10 +42,11 @@ func generatedEstimates(t *testing.T, seed uint64, sf float64) func() *selectivi
 }
 
 // reuseConfigs are the cluster shapes TestSimReuseEqualsNew alternates:
-// the default, preemption, speculation, faulty (the given plan), skewed
-// node speeds with both recovery features, and a 3-node faulty cluster
-// with speculation.
+// the default, preemption, skewed node speeds, faulty (the given plan),
+// skewed node speeds with preemption, and a 3-node faulty cluster with
+// skewed node speeds and preemption.
 func reuseConfigs(faulty *fault.Plan) []cluster.Config {
+	skewed := []float64{0.4, 1, 1.3, 0.7, 1, 1, 2, 0.9, 1.1}
 	with := func(edit func(*cluster.Config)) cluster.Config {
 		c := cluster.DefaultConfig()
 		edit(&c)
@@ -54,13 +55,11 @@ func reuseConfigs(faulty *fault.Plan) []cluster.Config {
 	return []cluster.Config{
 		cluster.DefaultConfig(),
 		with(func(c *cluster.Config) { c.PreemptiveReduce = true }),
-		with(func(c *cluster.Config) { c.SpeculativeExecution = true }),
+		with(func(c *cluster.Config) { c.NodeFactors = skewed }),
 		with(func(c *cluster.Config) { c.Faults = faulty }),
-		with(func(c *cluster.Config) {
-			c.NodeFactors = []float64{0.4, 1, 1.3, 0.7, 1, 1, 2, 0.9, 1.1}
-			c.PreemptiveReduce, c.SpeculativeExecution = true, true
-		}),
-		{Nodes: 3, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, JobInitSec: 1, Faults: faulty, SpeculativeExecution: true},
+		with(func(c *cluster.Config) { c.NodeFactors, c.PreemptiveReduce = skewed, true }),
+		{Nodes: 3, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, JobInitSec: 1, Faults: faulty,
+			NodeFactors: skewed[:3], PreemptiveReduce: true},
 	}
 }
 
@@ -72,9 +71,9 @@ func reusePolicies() []cluster.Scheduler {
 // TestSimReuseEqualsNew holds Reset to its contract — a re-initialised
 // Sim is indistinguishable from a new one — over 240 generated query
 // pairs run back-to-back on one Sim, each also on a fresh New. Configs
-// alternate (cluster shape, preemption, speculation, a fault plan with
-// crashes, slowdowns and task failures, heterogeneous nodes) and so do
-// policies, so state a run left behind would meet a run it does not fit;
+// alternate (cluster shape, preemption, heterogeneous nodes, a fault plan
+// with crashes, slowdowns and task failures) and so do policies, so state
+// a run left behind would meet a run it does not fit;
 // every tenth run is first abandoned mid-flight, leaving events queued.
 // Compared: every task, job and query time, attempt and fault count, the
 // Results, and the full obs event stream (which carries node and slot).
@@ -166,11 +165,11 @@ func (c scanChecked) check(now float64) {
 // TestSimCountersEqualScans: the running count and first-pending cursors a
 // job keeps equal the scans they replaced, at every dispatch decision of
 // 200 seeded two-query runs with everything that moves a task on at once —
-// speculation, hoard preemption, and a fault plan whose crashes requeue
-// running and hoarding tasks, whose task failures back off (TaskWaiting →
-// pending) and whose exhausted attempts fail whole queries — under the
-// three policies and two cluster shapes, at SF 20 so that reduce slots fill
-// with hoarders. Jobs that left the active set (done, or failed with their
+// hoard preemption on heterogeneous nodes, and a fault plan whose crashes
+// requeue running and hoarding tasks, whose task failures back off
+// (TaskWaiting → pending) and whose exhausted attempts fail whole queries —
+// under the three policies and two cluster shapes, at SF 20 so that reduce
+// slots fill with hoarders. Jobs that left the active set (done, or failed with their
 // tasks reset to pending) are held too.
 func TestSimCountersEqualScans(t *testing.T) {
 	estimate := generatedEstimates(t, 13, 20)
@@ -182,7 +181,7 @@ func TestSimCountersEqualScans(t *testing.T) {
 		if i%2 == 1 {
 			cfg = cluster.Config{Nodes: 3, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, JobInitSec: 1}
 		}
-		cfg.PreemptiveReduce, cfg.SpeculativeExecution = true, true
+		cfg.PreemptiveReduce = true
 		cfg.NodeFactors = []float64{0.4, 1, 1.3, 0.7, 1, 1, 2, 0.9, 1.1}[:cfg.Nodes]
 		cfg.Faults = fault.NewPlan(fault.Spec{
 			Seed: uint64(i), Nodes: cfg.Nodes, HorizonSec: 600,
@@ -211,7 +210,7 @@ func TestSimCountersEqualScans(t *testing.T) {
 			}
 		}
 	}
-	for _, m := range []string{obs.MReducePreemptions, obs.MSpeculativeCancels, obs.MTaskFailures,
+	for _, m := range []string{obs.MReducePreemptions, obs.MTaskFailures,
 		obs.MTaskRetries, obs.MNodeCrashes, obs.MQueryFailures} {
 		n := o.Metrics.Counter(m).Value()
 		if n == 0 {

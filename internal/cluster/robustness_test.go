@@ -12,17 +12,16 @@ import (
 
 // TestRandomWorkloadsAllPoliciesAllFeatures stress-tests the simulator:
 // random synthetic query mixes run to completion under every scheduler and
-// every feature combination (slowstart hoarding, preemption, speculation),
-// with structural invariants checked after each run.
+// every feature combination (slowstart hoarding, preemption, heterogeneous
+// node speeds), with structural invariants checked after each run.
 func TestRandomWorkloadsAllPoliciesAllFeatures(t *testing.T) {
 	policies := []cluster.Scheduler{sched.HCS{}, sched.HCS{Queues: 4}, sched.HFS{}, sched.SWRD{}}
 	features := []cluster.Config{
 		{Nodes: 3, MapSlotsPerNode: 3, ReduceSlotsPerNode: 2},
 		{Nodes: 3, MapSlotsPerNode: 3, ReduceSlotsPerNode: 2, PreemptiveReduce: true},
-		{Nodes: 3, MapSlotsPerNode: 3, ReduceSlotsPerNode: 2, SpeculativeExecution: true,
-			NodeFactors: []float64{0.7, 1.0, 1.2}},
+		{Nodes: 3, MapSlotsPerNode: 3, ReduceSlotsPerNode: 2, NodeFactors: []float64{0.7, 1.0, 1.2}},
 		{Nodes: 2, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, PreemptiveReduce: true,
-			SpeculativeExecution: true, NodeFactors: []float64{0.5, 1.1}},
+			NodeFactors: []float64{0.5, 1.1}},
 	}
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := sim.New(seed * 977)
@@ -100,7 +99,7 @@ func checkInvariants(t *testing.T, qs []*cluster.Query, res *cluster.Results, cf
 		t float64
 		d int
 	}
-	var points []iv
+	var points [2][]iv // map, reduce
 	for _, q := range qs {
 		if !q.Done() {
 			t.Fatalf("%s: query %s incomplete", label, q.ID)
@@ -119,28 +118,33 @@ func checkInvariants(t *testing.T, qs []*cluster.Query, res *cluster.Results, cf
 				if task.EndTime < task.StartTime {
 					t.Fatalf("%s: inverted task interval in %s", label, j.ID)
 				}
-				points = append(points, iv{task.StartTime, 1}, iv{task.EndTime, -1})
+				p := &points[0]
+				if task.Reduce {
+					p = &points[1]
+				}
+				*p = append(*p, iv{task.StartTime, 1}, iv{task.EndTime, -1})
 			}
 		}
 	}
-	// Concurrency (by completed-attempt intervals) never exceeds the slot
-	// count; speculative duplicates may briefly add up to one per slot, so
-	// the bound uses total slots which duplicates also occupy.
-	sort.Slice(points, func(i, j int) bool {
-		if points[i].t != points[j].t {
-			return points[i].t < points[j].t
+	// Concurrency of each phase (by completed-attempt intervals, a hoarding
+	// reduce's from its launch) never exceeds that phase's slot count.
+	for p, slots := range [2]int{cfg.Nodes * cfg.MapSlotsPerNode, cfg.Nodes * cfg.ReduceSlotsPerNode} {
+		ivs := points[p]
+		sort.Slice(ivs, func(i, j int) bool {
+			if ivs[i].t != ivs[j].t {
+				return ivs[i].t < ivs[j].t
+			}
+			return ivs[i].d < ivs[j].d
+		})
+		cur, max := 0, 0
+		for _, iv := range ivs {
+			cur += iv.d
+			if cur > max {
+				max = cur
+			}
 		}
-		return points[i].d < points[j].d
-	})
-	slots := cfg.Nodes * (cfg.MapSlotsPerNode + cfg.ReduceSlotsPerNode)
-	cur, max := 0, 0
-	for _, p := range points {
-		cur += p.d
-		if cur > max {
-			max = cur
+		if max > slots {
+			t.Fatalf("%s: %d concurrent %s tasks exceeded %d slots", label, max, [2]string{"map", "reduce"}[p], slots)
 		}
-	}
-	if max > slots {
-		t.Fatalf("%s: concurrency %d exceeded %d slots", label, max, slots)
 	}
 }

@@ -42,13 +42,6 @@ type Config struct {
 	// slot is free. Jobs with completed map phases also take priority for
 	// reduce slots, preventing relaunch ping-pong.
 	PreemptiveReduce bool
-	// SpeculativeExecution enables Hadoop-style straggler mitigation: when
-	// slots would otherwise idle, a running attempt whose projected
-	// completion lags the median of its job's phase is duplicated on a free
-	// slot; the task completes with whichever attempt finishes first and
-	// the loser is cancelled immediately. Off by default, as on the paper's
-	// testbed configuration.
-	SpeculativeExecution bool
 	// Faults optionally injects deterministic node crashes, slowdown
 	// windows and transient task failures into the run (see
 	// internal/fault). Nil — the default — and a zero-spec plan leave the
@@ -74,13 +67,22 @@ func DefaultConfig() Config {
 
 // Normalized resolves the defaulting rules: the config the simulator
 // actually runs, and so the one a predictor must size itself from. Unset
-// nodes and slot counts take the paper's 9 nodes × (8 map + 4 reduce).
+// nodes and slot counts take DefaultConfig's 9 nodes × (8 map + 4 reduce);
+// a config with unset nodes is the paper's testbed, so an unset scheduling
+// overhead or job initialisation delay takes DefaultConfig's too.
 func (c Config) Normalized() Config {
+	d := DefaultConfig()
 	if c.Nodes <= 0 {
-		c.Nodes = 9
+		c.Nodes = d.Nodes
+		if c.SchedulingOverheadSec <= 0 {
+			c.SchedulingOverheadSec = d.SchedulingOverheadSec
+		}
+		if c.JobInitSec <= 0 {
+			c.JobInitSec = d.JobInitSec
+		}
 	}
 	if c.MapSlotsPerNode <= 0 && c.ReduceSlotsPerNode <= 0 {
-		c.MapSlotsPerNode, c.ReduceSlotsPerNode = 8, 4
+		c.MapSlotsPerNode, c.ReduceSlotsPerNode = d.MapSlotsPerNode, d.ReduceSlotsPerNode
 	}
 	if c.MapSlotsPerNode < 1 {
 		c.MapSlotsPerNode = 1
@@ -89,7 +91,7 @@ func (c Config) Normalized() Config {
 		c.ReduceSlotsPerNode = 1
 	}
 	if c.ReduceSlowstart <= 0 {
-		c.ReduceSlowstart = 0.05
+		c.ReduceSlowstart = d.ReduceSlowstart
 	}
 	if c.ReduceSlowstart > 1 {
 		c.ReduceSlowstart = 1
@@ -157,7 +159,6 @@ type event struct {
 	// node targets crash/recover events.
 	node int32
 	kind eventKind
-	spec bool // the attempt was a speculative duplicate
 }
 
 // before reports whether a pops ahead of b.
@@ -247,9 +248,8 @@ type Sim struct {
 	seq      int
 	now      float64
 	queries  []*Query
-	active   []*Job    // submitted, unfinished jobs in submission order
-	cands    []*Job    // candidates' result, valid until its next call
-	ends     []float64 // speculate's per-job scratch
+	active   []*Job // submitted, unfinished jobs in submission order
+	cands    []*Job // candidates' result, valid until its next call
 	busySec  float64
 	slotsTot int
 	hoarded  int // reduce slots held by not-yet-runnable reduces
@@ -291,7 +291,6 @@ func (s *Sim) Reset(cfg Config, sched Scheduler) {
 		events:      s.events[:0],
 		active:      s.active[:0],
 		cands:       s.cands[:0],
-		ends:        s.ends[:0],
 		down:        zeroed(s.down, cfg.Nodes),
 		blacklisted: zeroed(s.blacklisted, cfg.Nodes),
 		nodeFails:   zeroed(s.nodeFails, cfg.Nodes),
@@ -343,7 +342,7 @@ func (s *Sim) push(ev event) {
 
 // SetObserver attaches the observability layer to this run: lifecycle
 // events (submit, init, dispatch, slowstart hoarding, preemption,
-// speculation, completion) flow to o's trace, metrics and drift sinks,
+// faults, completion) flow to o's trace, metrics and drift sinks,
 // timestamped with the simulator's virtual clock, and so do the scheduler's
 // decisions (see decided). A nil o (the default) keeps the hot path free of
 // instrumentation.
@@ -354,14 +353,6 @@ func (s *Sim) SetObserver(o *obs.Observer) *Sim {
 		o.ClusterInfo(s.cfg.Nodes, s.cfg.MapSlotsPerNode, s.cfg.ReduceSlotsPerNode, s.fplan != nil)
 	}
 	return s
-}
-
-// canceled reports the losing attempt of a speculative race, dispatched
-// on slot at start, being cancelled the moment the winner finishes.
-func (s *Sim) canceled(t *Task, slot int, start float64) {
-	e := s.taskEvent(obs.SpeculativeCanceled, t, slot)
-	e.Start = start
-	s.obs.Emit(e)
 }
 
 // jobEvent starts an event about job j at the current virtual time.
@@ -587,19 +578,11 @@ func (s *Sim) reduceLaunchAllowed(j *Job) bool {
 }
 
 // finish completes a task attempt, frees its slot, and cascades job/query
-// completion (submitting dependents). With speculative execution a task can
-// have two attempts racing; the first completion wins and the losing
-// attempt is cancelled on the spot — its slot frees immediately and its
-// pre-charged busy time is refunded, so duplicated work is never
-// double-counted.
+// completion (submitting dependents).
 func (s *Sim) finish(e *event) {
-	t, slot, spec := e.task, int(e.slot), e.spec
-	if spec {
-		if e.epoch != t.epochS {
-			return // the duplicate was cancelled or crash-killed
-		}
-	} else if e.epoch != t.epochO {
-		return // the original was cancelled, killed or failed
+	t, slot := e.task, int(e.slot)
+	if e.epoch != t.epoch {
+		return // the attempt was cancelled, killed or failed
 	}
 	j := t.Job
 	if t.State != TaskRunning {
@@ -607,39 +590,13 @@ func (s *Sim) finish(e *event) {
 		s.releaseSlot(slot, t.Reduce)
 		return
 	}
-	if spec {
-		t.epochS++
-		t.speculating = false
-		if !t.origDead {
-			// The original loses the race: cancel it now.
-			t.epochO++
-			s.refund(t.origEnd)
-			s.releaseSlot(int(t.slot), t.Reduce)
-			s.fstats.SpeculativeCancels++
-			s.canceled(t, int(t.slot), t.StartTime)
-		}
-	} else {
-		t.epochO++
-		if t.speculating {
-			// The duplicate loses: cancel it now.
-			t.epochS++
-			t.speculating = false
-			s.refund(t.specEnd)
-			s.releaseSlot(int(t.specSlot), t.Reduce)
-			s.fstats.SpeculativeCancels++
-			s.canceled(t, int(t.specSlot), t.specStart)
-		}
-	}
+	t.epoch++
 	t.setState(TaskDone)
 	t.EndTime = s.now
-	t.Speculated = t.Speculated || spec
 	if s.obs != nil {
 		done := s.taskEvent(obs.TaskFinished, t, slot)
 		done.Start, done.Pred, done.Faulted = t.StartTime, t.PredSec, t.faulted
-		if spec {
-			done.Start = t.specStart
-		}
-		s.obs.Emit(done, obs.AttrBool("speculated", spec))
+		s.obs.Emit(done)
 	}
 	s.releaseSlot(slot, t.Reduce)
 	if t.Reduce {
@@ -726,13 +683,13 @@ func (s *Sim) scheduleFinish(t *Task) {
 	if fail, frac := s.fplan.TaskFailure(s.cfg.FaultSalt, t.Job.ID, t.Reduce, t.Index, t.Attempts); fail {
 		burn := frac * dur
 		s.busySec += burn
-		t.origEnd = s.now + burn
-		s.push(event{time: t.origEnd, kind: evTaskFail, task: t, slot: t.slot, epoch: t.epochO})
+		t.end = s.now + burn
+		s.push(event{time: t.end, kind: evTaskFail, task: t, slot: t.slot, epoch: t.epoch})
 		return
 	}
 	s.busySec += dur
-	t.origEnd = s.now + dur
-	s.push(event{time: t.origEnd, kind: evFinish, task: t, slot: t.slot, epoch: t.epochO})
+	t.end = s.now + dur
+	s.push(event{time: t.end, kind: evFinish, task: t, slot: t.slot, epoch: t.epoch})
 }
 
 // dispatch assigns runnable tasks to free slots until the scheduler
@@ -781,10 +738,6 @@ func (s *Sim) dispatch() {
 		}
 		s.start(t, &s.redFree)
 	}
-	if s.cfg.SpeculativeExecution {
-		s.speculate(false, &s.mapFree)
-		s.speculate(true, &s.redFree)
-	}
 }
 
 // decided records one PickJob outcome with the observer: the winner (nil
@@ -810,105 +763,6 @@ func (s *Sim) decided(cands []*Job, j *Job, reduce bool) {
 		picked = j.ID
 	}
 	s.obs.SchedulerDecision(s.now, s.sched.Name(), reduce, picked, len(cands), ranked)
-}
-
-// speculate duplicates straggling attempts of the given phase onto
-// otherwise-idle slots, Hadoop-style: a running task qualifies only when
-// its projected completion lags the median completion of its job's phase
-// (over started tasks), the slowest qualifier is cloned first, and the
-// clone's completion event races the original's — whichever fires first
-// finishes the task and the loser is cancelled.
-func (s *Sim) speculate(reduce bool, pool *[]int) {
-	for len(*pool) > 0 {
-		var victim *Task
-		var victimEnd float64
-		for _, j := range s.active {
-			tasks := j.Maps
-			if reduce {
-				tasks = j.Reds
-			}
-			if reduce && !j.MapsDone() {
-				continue // hoarding reduces cannot be sped up by a copy
-			}
-			// Median projected completion over this phase's started tasks:
-			// done tasks contribute their end, running ones the earliest
-			// scheduled end of their live attempts.
-			ends := s.ends[:0]
-			for _, t := range tasks {
-				switch t.State {
-				case TaskDone:
-					ends = append(ends, t.EndTime)
-				case TaskRunning:
-					ends = append(ends, s.projectedEnd(t))
-				}
-			}
-			s.ends = ends
-			med := median(ends)
-			for _, t := range tasks {
-				if t.State != TaskRunning || t.speculating || t.origDead {
-					continue
-				}
-				end := t.origEnd
-				if end <= s.now || end <= med {
-					continue // on pace with its siblings: not a straggler
-				}
-				if victim == nil || end > victimEnd {
-					victim = t
-					victimEnd = end
-				}
-			}
-		}
-		if victim == nil {
-			return
-		}
-		slot := (*pool)[len(*pool)-1]
-		n := s.nodeOf(slot, reduce)
-		// A duplicate on the same (slow) node cannot help.
-		if n == int(victim.node) && s.cfg.Nodes > 1 {
-			return
-		}
-		dur := victim.ActualSec/s.effFactor(n) + s.cfg.SchedulingOverheadSec
-		if s.now+dur >= victimEnd {
-			return // the copy would lose the race; don't waste the slot
-		}
-		*pool = (*pool)[:len(*pool)-1]
-		victim.speculating = true
-		victim.specStart = s.now
-		victim.specNode = int32(n)
-		victim.specSlot = int32(slot)
-		victim.specEnd = s.now + dur
-		s.busySec += dur
-		s.push(event{time: victim.specEnd, kind: evFinish, task: victim, slot: int32(slot), spec: true, epoch: victim.epochS})
-		s.obs.Emit(s.taskEvent(obs.SpeculativeLaunched, victim, slot), obs.AttrInt("original_node", int(victim.node)))
-	}
-}
-
-// projectedEnd is the earliest scheduled completion among a running task's
-// live attempts.
-func (s *Sim) projectedEnd(t *Task) float64 {
-	switch {
-	case t.origDead:
-		return t.specEnd
-	case t.speculating && t.specEnd < t.origEnd:
-		return t.specEnd
-	default:
-		return t.origEnd
-	}
-}
-
-// median returns the middle value of xs (mean of the two middles for even
-// lengths), or +Inf when empty so nothing qualifies as lagging it. It
-// sorts xs in place.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(1)
-	}
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // preemptForRunnableReduce implements [30]-style preemption: when no reduce

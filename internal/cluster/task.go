@@ -37,15 +37,9 @@ type Task struct {
 	PredSec   float64
 	StartTime float64
 	EndTime   float64
-	// specStart is when the duplicate attempt launched (valid while
-	// speculating).
-	specStart float64
-	// specEnd is the duplicate attempt's scheduled completion (valid while
-	// speculating).
-	specEnd float64
-	// origEnd is the scheduled completion (or failure) time of the
-	// original attempt currently running.
-	origEnd float64
+	// end is the scheduled completion (or failure) time of the attempt
+	// currently running.
+	end float64
 
 	// Index is the task's position in its job's Maps or Reds.
 	Index int
@@ -58,14 +52,10 @@ type Task struct {
 	// slot is the hosting slot id within the phase's pool, set at
 	// dispatch — the task's stable track in the observability layer.
 	slot int32
-	// specNode and specSlot locate the duplicate attempt (valid while
-	// speculating).
-	specNode, specSlot int32
-	// epochO and epochS version the original and speculative attempts; a
-	// scheduled event whose epoch no longer matches is stale and ignored,
-	// which is how cancelled or crash-killed attempts are invalidated
-	// without scanning the event heap.
-	epochO, epochS int32
+	// epoch versions the task's attempts; a scheduled event whose epoch no
+	// longer matches is stale and ignored, which is how cancelled or
+	// crash-killed attempts are invalidated without scanning the event heap.
+	epoch int32
 	// failures counts transient failures charged against the attempt cap.
 	failures int32
 
@@ -73,14 +63,6 @@ type Task struct {
 	// State is written by setState alone once the job is built: the job
 	// counts its running tasks and tracks its first pending one from there.
 	State TaskState
-	// Speculated records that the task was completed by a speculative
-	// duplicate attempt rather than its original.
-	Speculated bool
-	// speculating marks that a duplicate attempt is already in flight.
-	speculating bool
-	// origDead marks that the original attempt was lost (transient
-	// failure or crash) while a speculative duplicate is still running.
-	origDead bool
 	// faulted marks a task whose runtime was perturbed by injected faults
 	// (failed attempt, crash kill, or dispatch into a slowdown window).
 	faulted bool

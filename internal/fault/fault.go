@@ -27,7 +27,7 @@ type Spec struct {
 	// SlowProb is the probability that a given node degrades once during
 	// the horizon: for SlowDurationSec (default 300) tasks dispatched to it
 	// run at SlowFactor (default 0.25) of the node's nominal speed — the
-	// straggler behaviour speculative execution exists to mask.
+	// straggler behaviour of a degraded tasktracker.
 	SlowProb        float64
 	SlowFactor      float64
 	SlowDurationSec float64
@@ -150,12 +150,14 @@ func (p *Plan) Spec() Spec {
 	return p.spec
 }
 
-// Crashes returns the node outage windows, in node order.
+// Crashes returns the node outage windows, in node order. The slice is the
+// plan's own, which a simulator books on every reset without copying:
+// callers must not write to it.
 func (p *Plan) Crashes() []Window {
 	if p == nil {
 		return nil
 	}
-	return append([]Window(nil), p.crashes...)
+	return p.crashes[:len(p.crashes):len(p.crashes)]
 }
 
 // Slowdowns returns the node slowdown windows, in node order.
@@ -222,10 +224,9 @@ func (p *Plan) Backoff(n int) float64 {
 // identified by (job, reduce, index) fails, and if so at which fraction of
 // its duration (in [0.1, 0.9)) the slot is lost. The decision is a pure
 // hash of the identity — independent of dispatch order or cluster state —
-// so re-executions and speculative copies of *other* tasks cannot perturb
-// it. salt lets a caller (the serving layer's query retry) re-roll every
-// decision at once without rebuilding the plan. The simulator asks once
-// per dispatched task.
+// so re-executions of *other* tasks cannot perturb it. salt lets a caller
+// (the serving layer's query retry) re-roll every decision at once without
+// rebuilding the plan. The simulator asks once per dispatched task.
 //
 //saqp:hotpath
 func (p *Plan) TaskFailure(salt uint64, job string, reduce bool, index, attempt int) (fail bool, frac float64) {

@@ -99,8 +99,6 @@ const (
 	TaskFailed   // transient attempt failure; the task backs off and retries
 	ShuffleReady // a job's map phase finished, releasing its hoarding reduces
 	ReducePreempted
-	SpeculativeLaunched
-	SpeculativeCanceled // the losing attempt of a speculative race
 	NodeCrashed
 	NodeRecovered
 	NodeBlacklisted
@@ -214,10 +212,6 @@ var kinds = [numKinds]kindSpec{
 	ShuffleReady: {track: tJob, cat: "job", prefix: "maps done", span: SpanKindJob, underJob: true},
 	ReducePreempted: {counter: MReducePreemptions, carries: cQuery | cSlot, track: tSlot, cat: "cluster", name: nTask, prefix: "preempt ",
 		span: SpanKindSched, underJob: true},
-	SpeculativeLaunched: {counter: MSpeculativeLaunches, carries: cQuery | cSlot, track: tSlot, cat: "cluster", name: nTask, prefix: "speculate ",
-		span: SpanKindTask, underJob: true},
-	SpeculativeCanceled: {counter: MSpeculativeCancels, carries: cQuery | cSlot, track: tSlot, cat: "fault", name: nTask, prefix: "cancel ",
-		span: SpanKindTask, form: fRange, underJob: true}, // the tree shows the slot time the loser burned
 	NodeCrashed:     {counter: MNodeCrashes, track: tNode, cat: "fault", name: nNode, prefix: "crash ", span: SpanKindFault},
 	NodeRecovered:   {counter: MNodeRecoveries, track: tNode, cat: "fault", name: nNode, prefix: "recover ", span: SpanKindFault},
 	NodeBlacklisted: {counter: MNodeBlacklists, track: tNode, cat: "fault", name: nNode, prefix: "blacklist ", span: SpanKindFault},

@@ -41,28 +41,26 @@ func histogram(name, help string) string { return declare("histogram", name, hel
 // replay exports identical numbers.
 var (
 	// Cluster simulator lifecycle, moved by Emit through the event-kind table.
-	MQueriesSubmitted    = counter("saqp_cluster_queries_submitted_total", "Queries submitted to a cluster simulator.")
-	MQueriesCompleted    = counter("saqp_cluster_queries_completed_total", "Queries whose every job finished.")
-	MQueryResponseSec    = histogram("saqp_cluster_query_response_seconds", "Simulated query response time, arrival to last job.")
-	MJobsSubmitted       = counter("saqp_cluster_jobs_submitted_total", "MapReduce jobs submitted.")
-	MJobsCompleted       = counter("saqp_cluster_jobs_completed_total", "MapReduce jobs finished.")
-	MJobRuntimeSec       = histogram("saqp_cluster_job_runtime_seconds", "Simulated job runtime, submission to last task.")
-	MMapTasksDone        = counter("saqp_cluster_map_tasks_completed_total", "Map task attempts that finished their task.")
-	MReduceTasksDone     = counter("saqp_cluster_reduce_tasks_completed_total", "Reduce task attempts that finished their task.")
-	MTaskRuntimeSec      = histogram("saqp_cluster_task_runtime_seconds", "Simulated slot occupancy of finished task attempts.")
-	MReduceHoards        = counter("saqp_cluster_reduce_slowstart_hoards_total", "Reduces launched by slowstart before their job's maps finished.")
-	MReducePreemptions   = counter("saqp_cluster_reduce_preemptions_total", "Hoarding reduces evicted for a shuffle-ready job.")
-	MSpeculativeLaunches = counter("saqp_cluster_speculative_launches_total", "Duplicate attempts launched for straggling tasks.")
-	MSpeculativeCancels  = counter("saqp_cluster_speculative_cancels_total", "Losing attempts of a speculative race cancelled.")
-	MTaskFailures        = counter("saqp_cluster_task_failures_total", "Transient task-attempt failures injected by the fault plan.")
-	MTaskRetries         = counter("saqp_cluster_task_retries_total", "Failed or crash-killed tasks re-queued.")
-	MNodeCrashes         = counter("saqp_cluster_node_crashes_total", "Node outages injected by the fault plan.")
-	MNodeRecoveries      = counter("saqp_cluster_node_recoveries_total", "Crashed nodes that rejoined.")
-	MNodeBlacklists      = counter("saqp_cluster_node_blacklists_total", "Nodes excluded after repeated task failures.")
-	MQueryFailures       = counter("saqp_cluster_query_failures_total", "Queries abandoned at the task attempt cap.")
-	MSlowDispatches      = counter("saqp_cluster_slowdown_dispatches_total", "Tasks dispatched onto a node inside a slowdown window.")
-	MSchedDecisions      = counter("saqp_sched_decisions_total", "PickJob calls on an instrumented scheduler.")
-	MSchedIdleDecisions  = counter("saqp_sched_idle_decisions_total", "PickJob calls that picked nothing.")
+	MQueriesSubmitted   = counter("saqp_cluster_queries_submitted_total", "Queries submitted to a cluster simulator.")
+	MQueriesCompleted   = counter("saqp_cluster_queries_completed_total", "Queries whose every job finished.")
+	MQueryResponseSec   = histogram("saqp_cluster_query_response_seconds", "Simulated query response time, arrival to last job.")
+	MJobsSubmitted      = counter("saqp_cluster_jobs_submitted_total", "MapReduce jobs submitted.")
+	MJobsCompleted      = counter("saqp_cluster_jobs_completed_total", "MapReduce jobs finished.")
+	MJobRuntimeSec      = histogram("saqp_cluster_job_runtime_seconds", "Simulated job runtime, submission to last task.")
+	MMapTasksDone       = counter("saqp_cluster_map_tasks_completed_total", "Map task attempts that finished their task.")
+	MReduceTasksDone    = counter("saqp_cluster_reduce_tasks_completed_total", "Reduce task attempts that finished their task.")
+	MTaskRuntimeSec     = histogram("saqp_cluster_task_runtime_seconds", "Simulated slot occupancy of finished task attempts.")
+	MReduceHoards       = counter("saqp_cluster_reduce_slowstart_hoards_total", "Reduces launched by slowstart before their job's maps finished.")
+	MReducePreemptions  = counter("saqp_cluster_reduce_preemptions_total", "Hoarding reduces evicted for a shuffle-ready job.")
+	MTaskFailures       = counter("saqp_cluster_task_failures_total", "Transient task-attempt failures injected by the fault plan.")
+	MTaskRetries        = counter("saqp_cluster_task_retries_total", "Failed or crash-killed tasks re-queued.")
+	MNodeCrashes        = counter("saqp_cluster_node_crashes_total", "Node outages injected by the fault plan.")
+	MNodeRecoveries     = counter("saqp_cluster_node_recoveries_total", "Crashed nodes that rejoined.")
+	MNodeBlacklists     = counter("saqp_cluster_node_blacklists_total", "Nodes excluded after repeated task failures.")
+	MQueryFailures      = counter("saqp_cluster_query_failures_total", "Queries abandoned at the task attempt cap.")
+	MSlowDispatches     = counter("saqp_cluster_slowdown_dispatches_total", "Tasks dispatched onto a node inside a slowdown window.")
+	MSchedDecisions     = counter("saqp_sched_decisions_total", "PickJob calls on an instrumented scheduler.")
+	MSchedIdleDecisions = counter("saqp_sched_idle_decisions_total", "PickJob calls that picked nothing.")
 
 	// Facade operations.
 	MCompiles    = counter("saqp_framework_compiles_total", "Framework.Compile calls.")

@@ -10,8 +10,8 @@ import (
 )
 
 // replay drives one fixed event sequence through an observer — a
-// miniature two-job query run with a hoarded reduce, a preemption, a
-// speculative attempt and scheduler decisions.
+// miniature two-job query run with a hoarded reduce, a preemption and
+// scheduler decisions.
 func replay(o *obs.Observer) {
 	job := obs.Event{Query: "q1", Job: "q1/J1", JobType: "Join"}
 	at := func(kind obs.Kind, at, start float64, reduce bool, node, slot int) obs.Event {
@@ -31,14 +31,13 @@ func replay(o *obs.Observer) {
 	o.SchedulerDecision(10, "SWRD", false, "q1/J1", 1, ranked)
 	o.Emit(at(obs.ReduceHoarded, 10, 0, true, 1, 1))
 	o.Emit(at(obs.ReducePreempted, 12, 0, true, 1, 1), obs.AttrFloat("hoarded_sec", 2))
-	o.Emit(at(obs.SpeculativeLaunched, 14, 0, false, 1, 3), obs.AttrInt("original_node", 0))
 	m0 := at(obs.TaskFinished, 15, 10, false, 0, 0)
 	m0.Pred = 5
-	o.Emit(m0, obs.AttrBool("speculated", false))
+	o.Emit(m0)
 	o.Emit(at(obs.ShuffleReady, 15, 0, false, 0, 0), obs.AttrInt("released_reduces", 1))
 	r0 := at(obs.TaskFinished, 24, 16, true, 1, 1)
 	r0.Pred = 8
-	o.Emit(r0, obs.AttrBool("speculated", true))
+	o.Emit(r0)
 	o.Emit(at(obs.JobFinished, 24, 0, false, 0, 0))
 	o.SchedulerDecision(24, "SWRD", true, "", 0, nil)
 	o.Emit(obs.Event{Kind: obs.QueryFinished, At: 24, Query: "q1"})
@@ -159,17 +158,16 @@ func TestObserverMetrics(t *testing.T) {
 	o := obs.New(nil)
 	replay(o)
 	want := map[string]float64{
-		obs.MQueriesSubmitted:    1,
-		obs.MQueriesCompleted:    1,
-		obs.MJobsSubmitted:       1,
-		obs.MJobsCompleted:       1,
-		obs.MMapTasksDone:        1,
-		obs.MReduceTasksDone:     1,
-		obs.MReduceHoards:        1,
-		obs.MReducePreemptions:   1,
-		obs.MSpeculativeLaunches: 1,
-		obs.MSchedDecisions:      2,
-		obs.MSchedIdleDecisions:  1,
+		obs.MQueriesSubmitted:   1,
+		obs.MQueriesCompleted:   1,
+		obs.MJobsSubmitted:      1,
+		obs.MJobsCompleted:      1,
+		obs.MMapTasksDone:       1,
+		obs.MReduceTasksDone:    1,
+		obs.MReduceHoards:       1,
+		obs.MReducePreemptions:  1,
+		obs.MSchedDecisions:     2,
+		obs.MSchedIdleDecisions: 1,
 	}
 	for name, v := range want {
 		if got := o.Metrics.Counter(name).Value(); got != v {

@@ -3,7 +3,7 @@ package obs
 // Request-scoped tracing: deterministic span trees that tie one served
 // submission's full causal chain together — plan-cache lookup, SWRD
 // admission, every simulator attempt (jobs, tasks, fault retries,
-// speculative losers, scheduler decisions), and the learn feedback.
+// scheduler decisions), and the learn feedback.
 //
 // Determinism contract: trace ids derive from the query fingerprint and
 // the engine submission index, timestamps are virtual simulator seconds
@@ -36,7 +36,7 @@ const (
 	SpanKindAttempt = "attempt"
 	// SpanKindJob is one MapReduce job inside an attempt.
 	SpanKindJob = "job"
-	// SpanKindTask is one task attempt (including speculative losers).
+	// SpanKindTask is one task attempt.
 	SpanKindTask = "task"
 	// SpanKindSched is a scheduler PickJob decision.
 	SpanKindSched = "sched"

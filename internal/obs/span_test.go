@@ -76,8 +76,7 @@ func buildTwoAttemptTree() obs.SpanTree {
 	c2 := obs.NewSpanCollector()
 	o2 := &obs.Observer{Spans: c2}
 	o2.Emit(j1, submit...)
-	o2.Emit(obs.Event{Kind: obs.TaskFinished, At: 3, Start: 1, Query: "q1", Job: "j1", JobType: "join", Node: 2, Slot: 1, Pred: 2},
-		obs.AttrBool("speculated", false))
+	o2.Emit(obs.Event{Kind: obs.TaskFinished, At: 3, Start: 1, Query: "q1", Job: "j1", JobType: "join", Node: 2, Slot: 1, Pred: 2})
 	o2.Emit(obs.Event{Kind: obs.JobFinished, At: 4, Query: "q1", Job: "j1", JobType: "join"})
 	q.AddAttempt(c2, 4, obs.AttrBool("failed", false))
 

@@ -115,8 +115,8 @@ type JobEstimate struct {
 	// ReduceGroups breaks the reduce tasks down by shuffle-partition mass.
 	// When the shuffle key is skewed enough that one hash partition holds
 	// more than its fair share (a Zipf hot key), the hot reducer gets its
-	// own group — the straggler that speculative execution and the paper's
-	// join-error discussion are about. Group counts sum to NumReduces.
+	// own group — the straggler the paper's join-error discussion is
+	// about. Group counts sum to NumReduces.
 	ReduceGroups []TaskGroup
 
 	// scanBytes is the portion of InBytes read from base tables (not from

@@ -47,9 +47,11 @@ type Config struct {
 	// JobModel, together with Observer, records per-job prediction
 	// drift for every served query (the live Tables 3–5).
 	JobModel *predict.JobModel
-	// Cluster sizes each pool simulator; the zero value means the
-	// paper's 9-node default. Setting Cluster.Faults replays every
-	// admitted query under that deterministic fault plan; the engine
+	// Cluster sizes each pool simulator as cluster.Config.Normalized
+	// resolves it: the zero value means the paper's 9-node default, and
+	// the fields set beside an unset Nodes are kept. Setting
+	// Cluster.Faults replays every admitted query under that
+	// deterministic fault plan; the engine
 	// re-rolls Cluster.FaultSalt per submission seed and retry attempt so
 	// repeated runs of the same query see independent failure draws.
 	Cluster cluster.Config
@@ -83,7 +85,7 @@ type Config struct {
 	Observer *obs.Observer
 	// Spans, when set, records one request-scoped span tree per admitted
 	// submission: cache lookup, SWRD admission, every simulator attempt
-	// (jobs, tasks, faults, speculative losers, scheduler decisions) and
+	// (jobs, tasks, faults, scheduler decisions) and
 	// the learn feedback, all on one deterministic virtual timeline. Nil
 	// disables tracing at zero cost — pool simulators then run with no
 	// observer attached, exactly as before.
@@ -264,11 +266,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 256
-	}
-	if cfg.Cluster.Nodes <= 0 {
-		faults, salt := cfg.Cluster.Faults, cfg.Cluster.FaultSalt
-		cfg.Cluster = cluster.DefaultConfig()
-		cfg.Cluster.Faults, cfg.Cluster.FaultSalt = faults, salt
 	}
 	e := &Engine{cfg: cfg, cache: newPlanCache(cfg.CacheSize)}
 	e.cond = sync.NewCond(&e.mu)

@@ -220,7 +220,7 @@ func TestGoldenObservability(t *testing.T) {
 	harsh := saqp.FaultSpec{Seed: 2, HorizonSec: 150, CrashProb: 0.6, CrashDowntimeSec: 30,
 		SlowProb: 0.5, TaskFailProb: 0.15, MaxAttempts: 6, BlacklistAfter: 2}
 	cc := saqp.DefaultClusterConfig()
-	cc.PreemptiveReduce, cc.SpeculativeExecution = true, true
+	cc.PreemptiveReduce = true
 	cc.Faults = saqp.NewFaultPlan(harsh)
 	if _, err := fw.SimulateQueryConfig("faulty", estimate("q3"), saqp.SchedulerHFS, 11, cc); err != nil {
 		t.Fatal(err)

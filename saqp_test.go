@@ -1,6 +1,7 @@
 package saqp_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -144,6 +145,41 @@ func TestClusterConfigRefused(t *testing.T) {
 	cc.NodeFactors = []float64{0.5, 1, 1, 1, 1, 1, 1, 1, 2}
 	if sec, err := fw.SimulateQueryConfig("q6", qe, saqp.SchedulerSWRD, 1, cc); err != nil || !(sec > 0) || math.IsInf(sec, 1) {
 		t.Errorf("one finite speed per node: %v, %v", sec, err)
+	}
+}
+
+// TestServerKeepsClusterShapeWithNodesUnset: a ClusterConfig whose Nodes
+// is unset is the paper's testbed with the fields the caller did set —
+// here nine nodes at half speed, which must serve q3 slower than the zero
+// config does.
+func TestServerKeepsClusterShapeWithNodesUnset(t *testing.T) {
+	fw, err := saqp.NewFramework(saqp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, err := saqp.TPCHSQL("q3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	simSec := func(cc saqp.ClusterConfig) float64 {
+		srv, err := fw.NewServer(saqp.ServerOptions{Workers: 1, Cluster: cc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		tk, err := srv.Submit(context.Background(), sql, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tk.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.SimSec
+	}
+	half := saqp.ClusterConfig{NodeFactors: []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}}
+	if slow, zero := simSec(half), simSec(saqp.ClusterConfig{}); !(slow > zero) {
+		t.Fatalf("nine half-speed nodes served q3 in %v s, the zero config in %v s: the node factors were dropped", slow, zero)
 	}
 }
 

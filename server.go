@@ -60,7 +60,7 @@ type ServerOptions struct {
 	Learner *Learner
 	// TraceSpans records a request-scoped span tree per admitted query:
 	// cache lookup → SWRD admission → every simulator attempt (jobs,
-	// tasks, faults, speculative losers, scheduler decisions) → learn
+	// tasks, faults, scheduler decisions) → learn
 	// feedback, retained in a bounded store (the newest
 	// obs.DefaultSpanCapacity trees) readable via Spans and the admin
 	// server's /spans endpoint.
