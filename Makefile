@@ -40,8 +40,8 @@ fuzz-smoke:
 # internal/net with its drain-versus-quiet-clients race, the plan
 # cache's text-tier invariant and single-flight suites, the
 # reused-simulator equivalence test, the job-counters-equal-scans test
-# beside it, the batch engine, which starts one goroutine per task and
-# whose digest must read the same at Parallelism 1 and 8, and the
+# beside it, the batch engine, whose tasks run on internal/par's pool and
+# whose digest must read the same at GOMAXPROCS 1 and 8, and the
 # column-parallel dataset.Generate and catalog.Collect, whose values and
 # encoded catalog must read the same at GOMAXPROCS 1 and 8).
 stress:

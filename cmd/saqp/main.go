@@ -260,7 +260,7 @@ func host(fw *saqp.Framework, sql, scheduler string, seed uint64, admin, listen 
 	}
 	drain := func(context.Context) error { return nil } // -admin alone has no socket to drain
 	if listen != "" {
-		ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: listen, BusyQueueDepth: 256})
+		ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: listen})
 		if err != nil {
 			return errors.Join(err, srv.Close())
 		}

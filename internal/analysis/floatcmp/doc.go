@@ -5,7 +5,7 @@
 // behaviour depend on the exact association order of float operations,
 // which is precisely the kind of silent drift that corrupts the
 // regression models the paper fits. Callers should use
-// saqp/internal/core.ApproxEqual with an explicit tolerance, or add a
+// saqp/internal/core/floats.ApproxEqual with an explicit tolerance, or add a
 // reviewed //lint:allow saqpvet/floatcmp suppression where exactness is
 // genuinely intended (e.g. a bit-identical sentinel).
 package floatcmp

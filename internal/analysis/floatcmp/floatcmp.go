@@ -12,7 +12,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "floatcmp",
 	Doc: "flags == and != on float32/float64 operands in the estimator and " +
-		"predictor packages; use core.ApproxEqual(a, b, eps) instead",
+		"predictor packages; use floats.ApproxEqual(a, b, eps) instead",
 	Scope: []string{
 		"saqp/internal/selectivity",
 		"saqp/internal/predict",
@@ -38,7 +38,7 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			pass.Reportf(be.OpPos,
-				"floating-point %s comparison is sensitive to rounding; use core.ApproxEqual with an explicit tolerance", be.Op)
+				"floating-point %s comparison is sensitive to rounding; use floats.ApproxEqual with an explicit tolerance", be.Op)
 			return true
 		})
 	}

@@ -22,7 +22,8 @@ func TestScope(t *testing.T) {
 			t.Errorf("floatcmp should apply to %s", pkg)
 		}
 	}
-	// core hosts ApproxEqual itself and is deliberately out of scope.
+	// The scope is the packages that compute selectivities, histograms,
+	// costs and fitted coefficients; core composes them and is out of it.
 	if floatcmp.Analyzer.AppliesTo("saqp/internal/core") {
 		t.Error("floatcmp should not apply to saqp/internal/core")
 	}

@@ -4,9 +4,12 @@ import (
 	"math"
 	"testing"
 
-	"saqp/internal/core"
+	"saqp/internal/core/floats"
 )
 
+// TestApproxEqual is the exhaustive table for floats.ApproxEqual, the
+// comparison the floatcmp analyzer sends the estimator and predictor
+// packages to.
 func TestApproxEqual(t *testing.T) {
 	nan := math.NaN()
 	inf := math.Inf(1)
@@ -52,11 +55,11 @@ func TestApproxEqual(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := core.ApproxEqual(c.a, c.b, c.eps); got != c.want {
+			if got := floats.ApproxEqual(c.a, c.b, c.eps); got != c.want {
 				t.Errorf("ApproxEqual(%g, %g, %g) = %v, want %v", c.a, c.b, c.eps, got, c.want)
 			}
 			// Approximate equality is symmetric by construction.
-			if got := core.ApproxEqual(c.b, c.a, c.eps); got != c.want {
+			if got := floats.ApproxEqual(c.b, c.a, c.eps); got != c.want {
 				t.Errorf("ApproxEqual(%g, %g, %g) = %v, want %v (symmetry)", c.b, c.a, c.eps, got, c.want)
 			}
 		})

@@ -168,9 +168,4 @@ func TestCapacityIsTheNormalisedCluster(t *testing.T) {
 			t.Errorf("%s: Capacity %+v is not the normalised config %+v", tc.name, slots, n)
 		}
 	}
-	slots, ov := core.Capacity(cluster.DefaultConfig())
-	if slots != predict.DefaultSlots() || ov != predict.DefaultOverheads() {
-		t.Errorf("predict defaults %+v %+v drifted from cluster.DefaultConfig's %+v %+v",
-			predict.DefaultSlots(), predict.DefaultOverheads(), slots, ov)
-	}
 }

@@ -2,5 +2,5 @@
 // whole estimation stack. It is a leaf package (imports only math) so
 // that histogram, selectivity, predict and trace — which sit *below*
 // internal/core in the import graph — can use ApproxEqual without a
-// cycle; internal/core re-exports it for callers above.
+// cycle; callers above core import it from here too.
 package floats

@@ -7,10 +7,9 @@ import (
 	"saqp/internal/core/floats"
 )
 
-// The exhaustive table (NaN, infinities, denormals) lives in
-// internal/core/approx_test.go against the core.ApproxEqual re-export;
-// this test pins the leaf package's own behavior so it cannot drift if
-// the re-export is ever bypassed.
+// The exhaustive table (NaN, infinities, denormals, symmetry) is
+// TestApproxEqual in internal/core/approx_test.go; these are the leaf
+// package's own spot checks, one per branch.
 func TestApproxEqualLeaf(t *testing.T) {
 	if !floats.ApproxEqual(1, 1+1e-12, 1e-9) {
 		t.Error("relative tolerance should accept 1 vs 1+1e-12 at eps=1e-9")

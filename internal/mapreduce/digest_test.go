@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -184,7 +185,8 @@ func digestRelations() []*dataset.Relation {
 // TestEngineDigestPinned pins the engine's whole observable output — the
 // measured |In|/|Med|/|Out| the estimator is validated against and every
 // result value, in order — on the bench's configuration and on one with
-// small blocks and an odd reducer count, each at Parallelism 1 and 8. Row
+// small blocks and an odd reducer count, each with the tasks run inline
+// (GOMAXPROCS 1) and spread over eight workers. Row
 // order is part of the answer: a downstream group-by combines per
 // contiguous split of its upstream frame, so shuffle partitioning, build
 // and probe order, group output order and the order partial float sums
@@ -203,10 +205,9 @@ func TestEngineDigestPinned(t *testing.T) {
 		{"bench", Config{}, 0xc47889e59a829381},
 		{"small-blocks", Config{BlockSize: 64 << 10, NumReducers: 3}, 0x5656dabcfa4f1d51},
 	} {
-		for _, par := range []int{1, 8} {
-			cfg := tc.cfg
-			cfg.Parallelism = par
-			e := New(cfg)
+		for _, procs := range []int{1, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			e := New(tc.cfg)
 			for _, rel := range digestRelations() {
 				e.Register(rel)
 			}
@@ -215,17 +216,19 @@ func TestEngineDigestPinned(t *testing.T) {
 			for i, d := range dags {
 				res, err := e.RunQuery(d)
 				if err != nil {
-					t.Fatalf("%s/par%d: %s: %v", tc.name, par, names[i], err)
+					runtime.GOMAXPROCS(prev)
+					t.Fatalf("%s/procs%d: %s: %v", tc.name, procs, names[i], err)
 				}
 				per[i] = digestResult(d, res)
 				var buf [8]byte
 				binary.LittleEndian.PutUint64(buf[:], per[i])
 				total.Write(buf[:])
 			}
+			runtime.GOMAXPROCS(prev)
 			if got := total.Sum64(); got != tc.want {
-				t.Errorf("%s/par%d: digest %#x, pinned %#x", tc.name, par, got, tc.want)
+				t.Errorf("%s/procs%d: digest %#x, pinned %#x", tc.name, procs, got, tc.want)
 				for i, p := range per {
-					t.Logf("%s/par%d %s %#x", tc.name, par, names[i], p)
+					t.Logf("%s/procs%d %s %#x", tc.name, procs, names[i], p)
 				}
 			}
 		}

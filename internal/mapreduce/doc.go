@@ -1,6 +1,7 @@
 // Package mapreduce is an in-memory MapReduce engine that actually executes
 // compiled query DAGs over materialised relations: map tasks filter and
-// project in parallel, Groupby jobs run per-map combines, the shuffle
+// project in parallel on internal/par's pool, Groupby jobs run per-map
+// combines, the shuffle
 // hash-partitions by key, and reduce tasks join, aggregate or sort. Data
 // stays in typed column vectors from the scan (which shares the relation's)
 // to the result: operators pass row indices, and a join's output is an

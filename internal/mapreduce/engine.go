@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"saqp/internal/dataset"
+	"saqp/internal/par"
 	"saqp/internal/plan"
 	"saqp/internal/query"
 	"saqp/internal/selectivity"
@@ -18,14 +17,14 @@ import (
 
 // Config sizes the engine's task structure. At laptop scale the block size
 // is far smaller than HDFS's 256 MB so that multi-map behaviour (per-map
-// combines, parallelism) is exercised on megabyte inputs.
+// combines, parallelism) is exercised on megabyte inputs. Tasks run on
+// internal/par's pool, GOMAXPROCS at a time; each writes only its own slot
+// of whatever it fills, so results do not depend on the schedule.
 type Config struct {
 	// BlockSize is bytes of input per map task (default 1 MB).
 	BlockSize int64
 	// NumReducers is the number of reduce partitions (default 4).
 	NumReducers int
-	// Parallelism bounds concurrent map/reduce tasks (default NumCPU).
-	Parallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -34,9 +33,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NumReducers <= 0 {
 		c.NumReducers = 4
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.NumCPU()
 	}
 	return c
 }
@@ -200,24 +196,6 @@ func (e *Engine) runJob(job *plan.Job, frames map[string]*Frame) (*Frame, *JobSt
 	return out, stats, nil
 }
 
-// each runs task(i) for every i in [0, n), at most Parallelism at a time,
-// and returns when all have finished. Tasks write only their own slot of
-// whatever they fill, so results do not depend on the schedule.
-func (e *Engine) each(n int, task func(i int)) {
-	sem := make(chan struct{}, e.cfg.Parallelism)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			task(i)
-			<-sem
-		}()
-	}
-	wg.Wait()
-}
-
 // splits partitions [0, n) rows into map-task ranges of ~BlockSize bytes,
 // shrunk by the table's fragmentation factor for base-table scans so the
 // engine's task granularity matches the estimator's.
@@ -296,7 +274,7 @@ func (e *Engine) mapFilter(in jobInput) ([][]int32, error) {
 	sp := e.splits(in)
 	sel := make([]int32, in.frame.n)
 	parts := make([][]int32, len(sp))
-	e.each(len(sp), func(si int) {
+	par.For(len(sp), func(_ *struct{}, si int) {
 		lo, hi := sp[si][0], sp[si][1]
 		parts[si] = filterSplit(preds, sel[lo:hi], lo)
 	})
@@ -505,7 +483,7 @@ func (e *Engine) runGroupby(job *plan.Job, in jobInput, stats *JobStats) (*Frame
 	}
 	stats.NumMaps = len(parts)
 	partials := make([]partial, len(parts))
-	e.each(len(parts), func(si int) { partials[si] = combine(keys, specs, parts[si]) })
+	par.For(len(parts), func(_ *struct{}, si int) { partials[si] = combine(keys, specs, parts[si]) })
 
 	// Reduce: merge the partials across maps, in split order — float sums
 	// depend on it. A combined map-output record is its key columns plus
@@ -630,7 +608,7 @@ func (e *Engine) runJoin(job *plan.Job, ins []jobInput, stats *JobStats) (*Frame
 	stats.NumMaps = len(lparts) + len(rparts)
 
 	R := e.cfg.NumReducers
-	m := e.match(ak, bk, partition(ak, lsel, R), partition(bk, rsel, R))
+	m := match(ak, bk, partition(ak, lsel, R), partition(bk, rsel, R))
 	return joined(a.frame, m.build, b.frame, m.probe), nil
 }
 
@@ -647,7 +625,7 @@ func (e *Engine) broadcastPairs(build jobInput, bk joinKey, probe jobInput, pk j
 	if err != nil {
 		return pairs{}, 0, err
 	}
-	return e.match(bk, pk, [][]int32{flatten(bparts)}, pparts), len(pparts), nil
+	return match(bk, pk, [][]int32{flatten(bparts)}, pparts), len(pparts), nil
 }
 
 // runBroadcastJoin executes a map-side join as a job of its own: no

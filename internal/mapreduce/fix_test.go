@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -61,57 +62,63 @@ func crossKindSchemas() map[string]*dataset.Schema {
 // error at job start, not an empty result.
 func TestJoinCrossKindKeys(t *testing.T) {
 	schemas := crossKindSchemas()
-	for _, cfg := range []Config{{}, {NumReducers: 3, Parallelism: 1}} {
-		e := New(cfg)
-		for _, s := range schemas {
-			e.Register(dataset.Generate(s, 1, 1))
-		}
-		dag := func(src string) *plan.DAG {
-			t.Helper()
-			q, err := query.Parse(src)
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		cfg   Config
+		procs int // GOMAXPROCS for the run; 0 keeps it
+	}{{Config{}, 0}, {Config{NumReducers: 3}, 1}} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			e := New(tc.cfg)
+			for _, s := range schemas {
+				e.Register(dataset.Generate(s, 1, 1))
 			}
-			if err := query.Resolve(q, schemas); err != nil {
-				t.Fatal(err)
+			dag := func(src string) *plan.DAG {
+				t.Helper()
+				q, err := query.Parse(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := query.Resolve(q, schemas); err != nil {
+					t.Fatal(err)
+				}
+				d, err := plan.Compile(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
 			}
-			d, err := plan.Compile(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}
-		for _, src := range []string{
-			`SELECT i_key, f_key FROM ti JOIN tf ON i_key = f_key`,
-			`SELECT i_key, f_key FROM tf JOIN ti ON f_key = i_key`,
-			`SELECT /*+ MAPJOIN(ti) */ i_key, f_key FROM ti JOIN tf ON i_key = f_key`,
-			`SELECT /*+ MAPJOIN(tf) */ i_key, f_key FROM ti JOIN tf ON i_key = f_key`,
-		} {
-			res, err := e.RunQuery(dag(src))
-			if err != nil {
-				t.Fatalf("%s: %v", src, err)
-			}
-			f := res.Final
-			if f.NumRows() != 20 {
-				t.Errorf("%s: %d rows, want all 20 integer keys matched (10 below 1e6, 10 at or above)", src, f.NumRows())
-			}
-			ic, fc := f.Col("ti.i_key"), f.Col("tf.f_key")
-			for i := 0; i < int(f.NumRows()); i++ {
-				if iv, fv := f.At(i, ic), f.At(i, fc); float64(iv.I) != fv.F {
-					t.Errorf("%s: row %d joins %v with %v", src, i, iv, fv)
+			for _, src := range []string{
+				`SELECT i_key, f_key FROM ti JOIN tf ON i_key = f_key`,
+				`SELECT i_key, f_key FROM tf JOIN ti ON f_key = i_key`,
+				`SELECT /*+ MAPJOIN(ti) */ i_key, f_key FROM ti JOIN tf ON i_key = f_key`,
+				`SELECT /*+ MAPJOIN(tf) */ i_key, f_key FROM ti JOIN tf ON i_key = f_key`,
+			} {
+				res, err := e.RunQuery(dag(src))
+				if err != nil {
+					t.Fatalf("%s: %v", src, err)
+				}
+				f := res.Final
+				if f.NumRows() != 20 {
+					t.Errorf("%s: %d rows, want all 20 integer keys matched (10 below 1e6, 10 at or above)", src, f.NumRows())
+				}
+				ic, fc := f.Col("ti.i_key"), f.Col("tf.f_key")
+				for i := 0; i < int(f.NumRows()); i++ {
+					if iv, fv := f.At(i, ic), f.At(i, fc); float64(iv.I) != fv.F {
+						t.Errorf("%s: row %d joins %v with %v", src, i, iv, fv)
+					}
 				}
 			}
-		}
-		for _, src := range []string{
-			`SELECT i_key, s_key FROM ti JOIN ts ON i_key = s_key`,
-			`SELECT f_key, s_key FROM ts JOIN tf ON s_key = f_key`,
-			`SELECT /*+ MAPJOIN(ts) */ i_key, s_key FROM ti JOIN ts ON i_key = s_key`,
-		} {
-			if res, err := e.RunQuery(dag(src)); err == nil {
-				t.Errorf("%s: a string key joined a numeric one without error (%d rows)", src, res.Final.NumRows())
-			} else if !strings.Contains(err.Error(), "join key") {
-				t.Errorf("%s: error %q does not name the join keys", src, err)
+			for _, src := range []string{
+				`SELECT i_key, s_key FROM ti JOIN ts ON i_key = s_key`,
+				`SELECT f_key, s_key FROM ts JOIN tf ON s_key = f_key`,
+				`SELECT /*+ MAPJOIN(ts) */ i_key, s_key FROM ti JOIN ts ON i_key = s_key`,
+			} {
+				if res, err := e.RunQuery(dag(src)); err == nil {
+					t.Errorf("%s: a string key joined a numeric one without error (%d rows)", src, res.Final.NumRows())
+				} else if !strings.Contains(err.Error(), "join key") {
+					t.Errorf("%s: error %q does not name the join keys", src, err)
+				}
 			}
-		}
+		}()
 	}
 }

@@ -77,32 +77,37 @@ func TestHotPathAllocs(t *testing.T) {
 }
 
 // TestEngineAllocBudget bounds what one pass of the 7 TPC-H DAGs allocates
-// on the bench's configuration (SF 0.01, seed 1, Config{}): the whole-DAG
-// successor of the per-family allocation gate the deleted micro suite kept
-// (docs/MEASURING.md), and the tier-1 form of bench's batch_tpch
-// allocs_per_op and alloc_kb_per_op (these ÷ 7). The row engine allocated
-// 988 164 times per pass; the column engine 2 450 and 11 913 KB while every
-// join output was gathered; since join outputs are index views, 1 690 and
-// 7 115 KB, nothing per row and nothing per group:
+// on the bench's configuration (SF 0.01, seed 1, Config{}) at GOMAXPROCS 4:
+// the whole-DAG successor of the per-family allocation gate the deleted
+// micro suite kept (docs/MEASURING.md), and the tier-1 form of bench's
+// batch_tpch allocs_per_op and alloc_kb_per_op (these ÷ 7). The row engine
+// allocated 988 164 times per pass; the column engine 2 450 and 11 913 KB
+// while every join output was gathered; 1 690 and 7 115 KB once join
+// outputs were index views; since tasks run on internal/par's pool, 1 600
+// and 7 117 KB, nothing per row and nothing per group (job counts, each
+// query's total adds RunQuery's own few):
 //
-//	q1   162   944 KB  J1 Groupby 159 (10 maps, 60 local groups)
-//	q3   362  1569 KB  J1 Join 111, J2 Join 133 (11 maps), J3 Groupby 100, J4 Extract 18
-//	q6    92   259 KB  J1 Groupby 90 (10 maps)
-//	q11  280  1025 KB  J1 Join 72, J2 Join 97, J3 Groupby 112
-//	q14  246  2203 KB  J1 Groupby 225 (a 60 000-row folded MAPJOIN: the build
+//	q1   145   942 KB  J1 Groupby 145 (10 maps, 60 local groups)
+//	q3   340  1568 KB  J1 Join 108, J2 Join 121 (11 maps), J3 Groupby 96, J4 Extract 15
+//	q6    77   258 KB  J1 Groupby 77 (10 maps)
+//	q11  261  1023 KB  J1 Join 66, J2 Join 89, J3 Groupby 106
+//	q14  225  2200 KB  J1 Groupby 212 (a 60 000-row folded MAPJOIN: the build
 //	                   map, one exact-size pair, the gathered group key
-//	                   p_type — 940 KB of it), J2 Extract 16
-//	q17  375   674 KB  J1 Join 100, J2 Join 106, J3 Join 105, J4 Groupby 60
-//	q19  176   441 KB  J1 Join 112, J2 Groupby 61
+//	                   p_type — 940 KB of it), J2 Extract 13
+//	q17  346   671 KB  J1 Join 90, J2 Join 103, J3 Join 99, J4 Groupby 54
+//	q19  158   440 KB  J1 Join 103, J2 Groupby 55
 //
 // A job costs its resolved columns (a view's gathered), one selection
-// buffer, one goroutine and closure per task, and per reducer or map a key
-// map's growth steps; a Join adds two partitions, a count and a fill phase
-// over one exact-size pair, and one composed index per side of a view
-// input. Both budgets are the measured value + 10 %. The race detector's
-// instrumentation moves the count by under 1 % (≈ 1 705), so the test does
+// buffer, one goroutine and closure per pool worker of each parallel phase
+// (up to GOMAXPROCS, so the count is taken at a fixed 4: 1 395 at 1, 1 657
+// at 8, at most one per task), and per reducer or map a key map's growth
+// steps; a Join adds two partitions, a count and a fill phase over one
+// exact-size pair, and one composed index per side of a view input. Both
+// budgets are the measured value + 10 %. The race detector's
+// instrumentation moves the count by under 1 % (≈ 1 581), so the test does
 // not skip under -race.
 func TestEngineAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	e := New(Config{})
 	for _, rel := range digestRelations() {
 		e.Register(rel)
@@ -132,7 +137,7 @@ func TestEngineAllocBudget(t *testing.T) {
 	pass()
 	runtime.ReadMemStats(&after)
 	got, kb := after.Mallocs-before.Mallocs, (after.TotalAlloc-before.TotalAlloc)>>10
-	const measured, measuredKB = 1_690, 7_115
+	const measured, measuredKB = 1_600, 7_117
 	t.Logf("one pass: %d mallocs, %d KB", got, kb)
 	if got > measured+measured/10 {
 		t.Errorf("one pass of the 7 TPC-H DAGs allocates %d times, budget %d + 10%%", got, measured)

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"saqp/internal/dataset"
+	"saqp/internal/par"
 )
 
 // same is the grouping identity of integer and string keys; floats group
@@ -186,21 +187,21 @@ func (h *hashIndex[K]) fill(keys []K, prows, build, probe []int32) {
 // its own. With one build set for many tasks (a broadcast) the index is
 // built once and shared; with one per task (a shuffle's reducers) each task
 // indexes its own.
-func (e *Engine) match(bk, pk joinKey, builds, probes [][]int32) pairs {
+func match(bk, pk joinKey, builds, probes [][]int32) pairs {
 	if bk.kind == dataset.KindString {
-		return matchOn(e, bk.strs, pk.strs, builds, probes)
+		return matchOn(bk.strs, pk.strs, builds, probes)
 	}
-	return matchOn(e, bk.ints, pk.ints, builds, probes)
+	return matchOn(bk.ints, pk.ints, builds, probes)
 }
 
-func matchOn[K comparable](e *Engine, bkeys, pkeys []K, builds, probes [][]int32) pairs {
+func matchOn[K comparable](bkeys, pkeys []K, builds, probes [][]int32) pairs {
 	idx := make([]hashIndex[K], len(builds))
 	own := len(builds) == len(probes)
 	if !own {
 		idx[0] = newIndex(bkeys, builds[0])
 	}
 	off := make([]int, len(probes)+1)
-	e.each(len(probes), func(i int) {
+	par.For(len(probes), func(_ *struct{}, i int) {
 		if own {
 			idx[i] = newIndex(bkeys, builds[i])
 		}
@@ -210,7 +211,7 @@ func matchOn[K comparable](e *Engine, bkeys, pkeys []K, builds, probes [][]int32
 		off[i+1] += off[i]
 	}
 	m := pairs{make([]int32, off[len(probes)]), make([]int32, off[len(probes)])}
-	e.each(len(probes), func(i int) {
+	par.For(len(probes), func(_ *struct{}, i int) {
 		lo, hi := off[i], off[i+1]
 		idx[min(i, len(idx)-1)].fill(pkeys, probes[i], m.build[lo:hi], m.probe[lo:hi])
 	})

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"runtime"
 	"testing"
 
 	"saqp/internal/plan"
@@ -40,7 +41,7 @@ func checkView(t *testing.T, what string, f *Frame) {
 }
 
 // TestEngineViewsEqualGathered runs every plan the digest covers, job by
-// job, at Parallelism 8 (make stress runs it under -race), and holds every
+// job, at GOMAXPROCS 8 (make stress runs it under -race), and holds every
 // frame the engine builds to its gathered copy: each job's output and each
 // folded MAPJOIN's rewritten input. It also checks that the three shapes a
 // view takes are reached: q14's folded MAPJOIN shares the 60 000-row
@@ -52,7 +53,8 @@ func TestEngineViewsEqualGathered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping the engine's view check in -short mode")
 	}
-	e := New(Config{Parallelism: 8})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	e := New(Config{})
 	for _, rel := range digestRelations() {
 		e.Register(rel)
 	}

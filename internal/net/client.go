@@ -25,8 +25,8 @@ type ServerError struct {
 func (e *ServerError) Error() string { return "server error " + e.Code + ": " + e.Msg }
 
 // IsBusy reports whether err is the server's typed -BUSY backpressure
-// refusal (connection limit, pending-ticket limit, or admission queue
-// depth).
+// refusal (connection limit, pending-ticket limit, or a full admission
+// queue).
 func IsBusy(err error) bool {
 	var se *ServerError
 	return errors.As(err, &se) && se.Code == "BUSY"

@@ -11,9 +11,9 @@
 // CRLF-terminated lines (telnet-friendly).
 //
 // The server enforces a connection limit, per-connection read and
-// write deadlines, and admission backpressure: when the SWRD queue is
-// past a configurable depth (or the engine itself refuses with a full
-// queue) SUBMIT earns a typed -BUSY error instead of queueing.
+// write deadlines, and admission backpressure: past a connection's
+// unwaited-ticket limit, or when the engine refuses with a full admission
+// queue, SUBMIT earns a typed -BUSY error instead of queueing.
 // Shutdown drains gracefully — the listener closes, idle connections
 // are kicked, and in-flight commands (a WAIT blocked on a running
 // query, in particular) complete and flush before their connections

@@ -48,10 +48,6 @@ type Config struct {
 	// WriteTimeout bounds flushing one reply. Default
 	// DefaultWriteTimeout.
 	WriteTimeout time.Duration
-	// BusyQueueDepth, when positive, refuses SUBMIT with -BUSY while
-	// the backend's admission queue is at or past this depth —
-	// backpressure ahead of the engine's own ErrQueueFull.
-	BusyQueueDepth int
 	// Explain, when set, serves the EXPLAIN command: it returns the
 	// compiled plan description of one query, one line per list entry.
 	Explain func(sql string) ([]string, error)
@@ -343,8 +339,8 @@ func (s *Server) dispatch(ctx context.Context, enc *proto.Encoder, pending map[s
 	return false
 }
 
-// cmdSubmit admits one query, applying -BUSY backpressure ahead of and
-// behind the engine's admission queue.
+// cmdSubmit admits one query: -BUSY past the connection's MaxPending, and
+// -BUSY when the engine's bounded admission queue refuses it.
 func (s *Server) cmdSubmit(ctx context.Context, enc *proto.Encoder, pending map[string]serve.Pending, args [][]byte) {
 	if len(args) < 2 || len(args) > 3 {
 		enc.Error("ERR", "SUBMIT requires a query and an optional seed")
@@ -362,11 +358,6 @@ func (s *Server) cmdSubmit(ctx context.Context, enc *proto.Encoder, pending map[
 	if len(pending) >= s.cfg.MaxPending {
 		s.ob.Count(obs.MNetBusyRejections)
 		enc.Error("BUSY", "pending ticket limit reached; WAIT on earlier submissions first")
-		return
-	}
-	if d := s.cfg.BusyQueueDepth; d > 0 && s.cfg.Backend.Stats().QueueDepth >= d {
-		s.ob.Count(obs.MNetBusyRejections)
-		enc.Error("BUSY", "admission queue depth past configured limit")
 		return
 	}
 	p, err := s.cfg.Backend.Submit(ctx, string(args[1]), seed)

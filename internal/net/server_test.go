@@ -38,16 +38,14 @@ func (p *fakePending) Wait(ctx context.Context) (serve.Result, error) {
 }
 
 // fakeBackend is a scriptable Backend: it can auto-resolve
-// submissions, hold them for manual release, fail them, or report an
-// arbitrary queue depth.
+// submissions, hold them for manual release, or fail them.
 type fakeBackend struct {
-	mu         sync.Mutex
-	next       int
-	hold       bool  // leave tickets unresolved until release
-	submitErr  error // returned by Submit when set
-	queueDepth int   // reported via Stats
-	completed  uint64
-	pending    []*fakePending
+	mu        sync.Mutex
+	next      int
+	hold      bool  // leave tickets unresolved until release
+	submitErr error // returned by Submit when set
+	completed uint64
+	pending   []*fakePending
 }
 
 func (b *fakeBackend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pending, error) {
@@ -86,7 +84,7 @@ func (b *fakeBackend) release() {
 func (b *fakeBackend) Stats() serve.Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return serve.Stats{QueueDepth: b.queueDepth, Completed: b.completed}
+	return serve.Stats{Completed: b.completed}
 }
 
 // startServer boots a frontend on a free port and tears it down with
@@ -268,23 +266,19 @@ func TestServerIdleDisconnect(t *testing.T) {
 	}
 }
 
+// TestServerBusyBackpressure: the engine's bounded admission queue is the
+// one queue-depth refusal; the frontend maps its ErrQueueFull to a typed
+// -BUSY, admits nothing, and admits again once the engine does.
 func TestServerBusyBackpressure(t *testing.T) {
 	ob := obs.New(nil)
-	b := &fakeBackend{queueDepth: 10}
-	s, _ := startServer(t, Config{Backend: b, BusyQueueDepth: 10, Observer: ob})
+	b := &fakeBackend{submitErr: serve.ErrQueueFull}
+	s, _ := startServer(t, Config{Backend: b, Observer: ob})
 	c := dialT(t, s.Addr())
 
-	// Saturated admission queue: typed -BUSY, nothing admitted.
 	_, err := c.Submit("SELECT 1", 0)
-	if !IsBusy(err) {
-		t.Fatalf("Submit under saturation = %v, want -BUSY", err)
-	}
-	// Engine-level queue-full maps to -BUSY too.
-	b.mu.Lock()
-	b.queueDepth, b.submitErr = 0, serve.ErrQueueFull
-	b.mu.Unlock()
-	if _, err := c.Submit("SELECT 1", 0); !IsBusy(err) {
-		t.Fatalf("Submit with ErrQueueFull = %v, want -BUSY", err)
+	var se *ServerError
+	if !IsBusy(err) || !errors.As(err, &se) || se.Msg != "admission queue full" {
+		t.Fatalf("Submit with ErrQueueFull = %v, want -BUSY admission queue full", err)
 	}
 	// Clearing the pressure admits again.
 	b.mu.Lock()
@@ -293,8 +287,8 @@ func TestServerBusyBackpressure(t *testing.T) {
 	if _, err := c.Submit("SELECT 1", 0); err != nil {
 		t.Fatalf("Submit after pressure cleared: %v", err)
 	}
-	if n := ob.Metrics.Counter(obs.MNetBusyRejections).Value(); n != 2 {
-		t.Fatalf("busy rejections metric = %v, want 2", n)
+	if n := ob.Metrics.Counter(obs.MNetBusyRejections).Value(); n != 1 {
+		t.Fatalf("busy rejections metric = %v, want 1", n)
 	}
 }
 

@@ -223,19 +223,11 @@ type Overheads struct {
 	JobInitSec      float64
 }
 
-// DefaultOverheads matches cluster.DefaultConfig.
-func DefaultOverheads() Overheads {
-	return Overheads{SchedPerTaskSec: 0.5, JobInitSec: 10}
-}
-
 // Slots carries the per-phase slot capacities of the target cluster
 // (Hadoop-1 task trackers partition containers into map and reduce slots).
 type Slots struct {
 	Map, Reduce int
 }
-
-// DefaultSlots matches cluster.DefaultConfig (9 nodes × 8 map + 4 reduce).
-func DefaultSlots() Slots { return Slots{Map: 72, Reduce: 36} }
 
 // PredictJobFromTasks approximates a job's execution time from the task
 // models, the way Section 4.2/4.3 scales to jobs beyond the training range:

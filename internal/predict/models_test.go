@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"saqp/internal/cluster"
+	"saqp/internal/core"
 	"saqp/internal/plan"
 	"saqp/internal/predict"
 	"saqp/internal/workload"
@@ -127,10 +128,11 @@ func TestQueryPredictionFig7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	slots, ov := core.Capacity(cluster.DefaultConfig())
 	var sumErr float64
 	var n int
 	for _, run := range test.Runs {
-		pred := tm.PredictQuery(run.Est, predict.DefaultSlots(), predict.DefaultOverheads())
+		pred := tm.PredictQuery(run.Est, slots, ov)
 		if run.Seconds <= 0 {
 			continue
 		}
@@ -196,10 +198,11 @@ func TestScaleOutPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	slots, ov := core.Capacity(cluster.DefaultConfig())
 	var sumErr float64
 	var n int
 	for _, run := range big.Runs {
-		pred := tm.PredictQuery(run.Est, predict.DefaultSlots(), predict.DefaultOverheads())
+		pred := tm.PredictQuery(run.Est, slots, ov)
 		sumErr += math.Abs(pred-run.Seconds) / run.Seconds
 		n++
 	}

@@ -12,14 +12,14 @@ import (
 
 // synthSamples draws n samples of a noisy 3-feature plane from a seeded
 // generator.
-func synthSamples(seed uint64, n int) []Sample {
+func synthSamples(seed uint64, n int) []JobSample {
 	r := sim.New(seed)
 	truth := []float64{4, 2.5, -1.25, 0.5}
-	out := make([]Sample, 0, n)
+	out := make([]JobSample, 0, n)
 	for i := 0; i < n; i++ {
 		f := []float64{r.Range(1, 100), r.Range(-20, 20), r.Range(0, 8)}
 		y := truth[0] + truth[1]*f[0] + truth[2]*f[1] + truth[3]*f[2] + r.Normal(0, 0.5)
-		out = append(out, Sample{Features: f, Target: y})
+		out = append(out, JobSample{Features: f, Seconds: y})
 	}
 	return out
 }
@@ -27,15 +27,15 @@ func synthSamples(seed uint64, n int) []Sample {
 // feedOnline adds the samples to a fresh Normal the way feedback arrives:
 // one at a time, solving between samples (the solve must leave the
 // accumulated equations untouched).
-func feedOnline(t testing.TB, samples []Sample, weight func(float64) float64) *Model {
+func feedOnline(t testing.TB, samples []JobSample, weight func(float64) float64) *Model {
 	var a Normal
 	for _, s := range samples {
 		a.Solve() // may be underdetermined; only the final solve is compared
 		w := 1.0
 		if weight != nil {
-			w = weight(s.Target)
+			w = weight(s.Seconds)
 		}
-		if err := a.Add(s.Features, s.Target, w); err != nil {
+		if err := a.Add(s.Features, s.Seconds, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,22 +48,21 @@ func feedOnline(t testing.TB, samples []Sample, weight func(float64) float64) *M
 
 // TestNormalOneAtATimeEqualsBatch is the property the online registry
 // stands on: an accumulator fed N samples one at a time, solved along the
-// way, holds the coefficients the batch fitter computes over the
-// identical stream — to the bit, for both weight schemes and for a whole
-// family.
+// way, holds the coefficients a single solve after the whole stream
+// computes (fit, the batch path) — to the bit, for both weight schemes and
+// for a whole family.
 func TestNormalOneAtATimeEqualsBatch(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		weight func(float64) float64
-		batch  func([]Sample) (*Model, error)
 	}{
-		{"uniform ≡ Fit", nil, Fit},
-		{"relative ≡ FitRelative", RelativeWeight, FitRelative},
+		{"uniform", nil},
+		{"relative", RelativeWeight},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := func(seedRaw uint16, nRaw uint8) bool {
 				samples := synthSamples(uint64(seedRaw)+1, 10+int(nRaw)%200)
-				batch, err := tc.batch(samples)
+				batch, err := fit(samples, tc.weight)
 				return err == nil && slices.Equal(feedOnline(t, samples, tc.weight).Theta, batch.Theta)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -76,12 +75,13 @@ func TestNormalOneAtATimeEqualsBatch(t *testing.T) {
 		var jobs []JobSample
 		var ff FamilyFit
 		for i, s := range synthSamples(9, 120) {
-			if s.Target <= 0 {
+			if s.Seconds <= 0 {
 				continue
 			}
 			ff.Solve()
-			jobs = append(jobs, JobSample{Op: ops[i%len(ops)], Features: s.Features, Seconds: s.Target})
-			if err := ff.Add(ops[i%len(ops)], s.Features, s.Target); err != nil {
+			s.Op = ops[i%len(ops)]
+			jobs = append(jobs, s)
+			if err := ff.Add(s.Op, s.Features, s.Seconds); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -110,15 +110,15 @@ func TestNormalOneAtATimeEqualsBatch(t *testing.T) {
 // regularisation.
 func TestNormalOneAtATimeNearCollinear(t *testing.T) {
 	r := sim.New(11)
-	var samples []Sample
+	var samples []JobSample
 	for i := 0; i < 120; i++ {
 		x := r.Range(1, 50)
-		samples = append(samples, Sample{
+		samples = append(samples, JobSample{
 			Features: []float64{x, x * (1 + 1e-10), r.Range(0, 5)},
-			Target:   2 + 3*x + r.Normal(0, 0.1),
+			Seconds:  2 + 3*x + r.Normal(0, 0.1),
 		})
 	}
-	batch, err := FitRelative(samples)
+	batch, err := fit(samples, RelativeWeight)
 	if err != nil {
 		t.Fatal(err)
 	}

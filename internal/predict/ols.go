@@ -8,13 +8,6 @@ import (
 	"saqp/internal/core/floats"
 )
 
-// Sample is one training observation: a feature vector (without intercept)
-// and the observed target.
-type Sample struct {
-	Features []float64
-	Target   float64
-}
-
 // Model is a fitted linear model. Theta[0] is the intercept; Theta[1:]
 // correspond to the feature vector positions.
 type Model struct {
@@ -164,32 +157,6 @@ func (a *Normal) solve(rhs []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Fit computes the uniform least-squares coefficients.
-func Fit(samples []Sample) (*Model, error) {
-	return FitWeighted(samples, nil)
-}
-
-// FitRelative fits with RelativeWeight per sample.
-func FitRelative(samples []Sample) (*Model, error) {
-	return FitWeighted(samples, RelativeWeight)
-}
-
-// FitWeighted computes weighted least squares, each sample weighted by
-// weight(target); weight nil means uniform.
-func FitWeighted(samples []Sample, weight func(target float64) float64) (*Model, error) {
-	var a Normal
-	for _, s := range samples {
-		w := 1.0
-		if weight != nil {
-			w = weight(s.Target)
-		}
-		if err := a.Add(s.Features, s.Target, w); err != nil {
-			return nil, err
-		}
-	}
-	return a.Solve()
-}
-
 // ErrFeatureWidth is returned (wrapped) by PredictChecked when the
 // feature vector's width does not match the fitted coefficient count.
 var ErrFeatureWidth = errors.New("predict: feature width does not match fitted model")
@@ -224,26 +191,4 @@ func (m *Model) PredictChecked(features []float64) (float64, error) {
 			ErrFeatureWidth, len(features), len(m.Theta)-1)
 	}
 	return m.Predict(features), nil
-}
-
-// RSquared computes the coefficient of determination of the model over the
-// samples: 1 − SS_res/SS_tot. A value approaching 1 indicates a good fit
-// (paper Section 5.2). It can be negative for a model worse than the mean.
-func (m *Model) RSquared(samples []Sample) float64 {
-	return m.accuracy(samples).RSquared
-}
-
-// AvgRelError computes the mean of |pred − actual| / actual over samples
-// with positive targets — the paper's "Avg Error" metric.
-func (m *Model) AvgRelError(samples []Sample) float64 {
-	return m.accuracy(samples).AvgError
-}
-
-// accuracy scores the raw model over samples with the tables' metrics.
-func (m *Model) accuracy(samples []Sample) GroupAccuracy {
-	ps := make([]predActual, len(samples))
-	for i, s := range samples {
-		ps[i] = predActual{pred: m.Predict(s.Features), actual: s.Target}
-	}
-	return summarize("", ps)
 }

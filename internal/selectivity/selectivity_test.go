@@ -299,18 +299,87 @@ func TestZipfJoinBeatsUniformFormula(t *testing.T) {
 	}
 }
 
+// naturalJoinTable is one table of a PK–FK natural-join chain with its
+// local predicate selectivity.
+type naturalJoinTable struct {
+	rows, sPred float64
+}
+
+// naturalJoinChainRows is the paper's Eq. 6, the reference the estimator's
+// join chains are held to: when every join matches one table's primary key
+// with another's foreign key under referential integrity, predicate
+// selectivities accumulate along the chain and scale the largest table,
+//
+//	|T1.pred1 ⋈ ... ⋈ Tn.predn| = S_pred1 · S_pred2 · ... · S_predn × max(|T1|, ..., |Tn|)
+func naturalJoinChainRows(tables []naturalJoinTable) float64 {
+	if len(tables) == 0 {
+		return 0
+	}
+	prod, maxRows := 1.0, 0.0
+	for _, t := range tables {
+		prod *= clamp01(t.sPred)
+		maxRows = math.Max(maxRows, t.rows)
+	}
+	return prod * maxRows
+}
+
 func TestNaturalJoinChainRows(t *testing.T) {
 	// Eq. 6: three tables with predicates.
-	got := NaturalJoinChainRows([]NaturalJoinTable{
-		{Rows: 25, SPred: 0.96},
-		{Rows: 10000, SPred: 1},
-		{Rows: 800000, SPred: 1},
-	})
+	got := naturalJoinChainRows([]naturalJoinTable{{25, 0.96}, {10000, 1}, {800000, 1}})
 	if got != 0.96*800000 {
 		t.Fatalf("Eq.6 rows = %v, want %v", got, 0.96*800000)
 	}
-	if NaturalJoinChainRows(nil) != 0 {
+	if naturalJoinChainRows(nil) != 0 {
 		t.Fatal("empty chain should be 0")
+	}
+}
+
+// TestEstimatorJoinChainsFollowEq6 holds the output rows of the last join
+// of a PK–FK chain at SF 1 to Eq. 6 within 1 %. The estimator never
+// evaluates Eq. 6: it estimates each join with Eq. 5 and relays the
+// predicates' selectivity down the chain, and on a natural-join chain
+// those estimates must compose to Eq. 6's count. The predicate
+// selectivities are the schemas' exact fractions.
+func TestEstimatorJoinChainsFollowEq6(t *testing.T) {
+	rows := func(s *dataset.Schema) float64 { return float64(s.RowsAt(1)) }
+	for _, tc := range []struct {
+		name, sql string
+		chain     []naturalJoinTable
+	}{
+		{"nation⋈supplier⋈partsupp (Fig. 5)", q11, []naturalJoinTable{
+			{rows(dataset.Nation()), 24.0 / 25}, // n_name <> 'CHINA': 24 of 25 names
+			{rows(dataset.Supplier()), 1},
+			{rows(dataset.PartSupp()), 1},
+		}},
+		{"orders⋈customer", `SELECT o_orderkey FROM orders JOIN customer ON o_custkey = c_custkey WHERE c_nationkey < 5`,
+			[]naturalJoinTable{
+				{rows(dataset.Customer()), 5.0 / 25}, // 5 of 25 uniform nation keys
+				{rows(dataset.Orders()), 1},
+			}},
+		{"lineitem⋈orders⋈customer", `SELECT l_orderkey FROM lineitem JOIN orders ON l_orderkey = o_orderkey
+			JOIN customer ON o_custkey = c_custkey WHERE c_nationkey < 5 AND o_totalprice < 8300`,
+			[]naturalJoinTable{
+				{rows(dataset.Customer()), 5.0 / 25},
+				// o_totalprice: 1.5 M uniform keys 0.01 apart from 800.
+				{rows(dataset.Orders()), (8300 - 800) / (0.01 * 1_500_000)},
+				{rows(dataset.LineItem()), 1},
+			}},
+	} {
+		qe := estimateSQL(t, tc.sql, 1)
+		var last *JobEstimate
+		for _, je := range qe.Jobs {
+			if je.Job.Type == plan.Join {
+				last = je
+			}
+		}
+		if last == nil {
+			t.Fatalf("%s: no join job", tc.name)
+		}
+		want := naturalJoinChainRows(tc.chain)
+		t.Logf("%s: %s out rows %.0f, Eq. 6 %.0f", tc.name, last.Job.ID, last.OutRows, want)
+		if e := relErr(last.OutRows, want); e > 0.01 {
+			t.Errorf("%s: %s out rows %.0f, Eq. 6 %.0f (err %.4f)", tc.name, last.Job.ID, last.OutRows, want, e)
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ type Config struct {
 	// CacheSize bounds the plan/estimate LRU entry count. Default 256.
 	CacheSize int
 	// QueueCap bounds the admission queue; submissions beyond it fail
-	// with ErrQueueFull. 0 means unbounded.
+	// with ErrQueueFull (the wire's -BUSY). Default 256.
 	QueueCap int
 	// Observer receives serve metrics and prediction drift; nil
 	// disables instrumentation at zero cost.
@@ -267,6 +267,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 256
 	}
+	if cfg.QueueCap <= 0 {
+		cfg.QueueCap = 256
+	}
 	e := &Engine{cfg: cfg, cache: newPlanCache(cfg.CacheSize)}
 	e.cond = sync.NewCond(&e.mu)
 	e.pred = cluster.ConstantPredictor(1)
@@ -351,7 +354,7 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if e.cfg.QueueCap > 0 && len(e.queue) >= e.cfg.QueueCap {
+	if len(e.queue) >= e.cfg.QueueCap {
 		e.st.Rejected++
 		e.mu.Unlock()
 		o.Count(obs.MServeRejections)

@@ -126,29 +126,3 @@ func (r *RNG) Exponential(lambda float64) float64 {
 		}
 	}
 }
-
-// Poisson returns a Poisson-distributed integer with the given mean.
-// Knuth's multiplication method is used for small means; for large means a
-// normal approximation with continuity correction keeps it O(1).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		v := r.Normal(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	limit := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= limit {
-			return k
-		}
-		k++
-	}
-}

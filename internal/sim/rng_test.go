@@ -140,39 +140,6 @@ func TestExponentialPanics(t *testing.T) {
 	New(1).Exponential(0)
 }
 
-func TestPoissonSmallMean(t *testing.T) {
-	r := New(10)
-	const n = 100000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += r.Poisson(3.5)
-	}
-	if mean := float64(sum) / n; math.Abs(mean-3.5) > 0.1 {
-		t.Fatalf("poisson mean = %v, want ~3.5", mean)
-	}
-}
-
-func TestPoissonLargeMean(t *testing.T) {
-	r := New(11)
-	const n = 50000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += r.Poisson(200)
-	}
-	if mean := float64(sum) / n; math.Abs(mean-200) > 1 {
-		t.Fatalf("poisson mean = %v, want ~200", mean)
-	}
-}
-
-func TestPoissonNonPositiveMean(t *testing.T) {
-	if got := New(1).Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
-	}
-	if got := New(1).Poisson(-1); got != 0 {
-		t.Fatalf("Poisson(-1) = %d, want 0", got)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(12)
 	p := r.Perm(100)

@@ -86,16 +86,6 @@ func ClusteredKeys(rng *RNG, n int, cardinality int64) []int64 {
 	return keys
 }
 
-// RandomKeys generates n keys uniformly from [0, cardinality) with no
-// clustering — the "randomly distributed" case of Eq. 2.
-func RandomKeys(rng *RNG, n int, cardinality int64) []int64 {
-	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = rng.Int63n(cardinality)
-	}
-	return keys
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -94,25 +93,13 @@ func TestClusteredKeysAreClustered(t *testing.T) {
 		}
 		return runs
 	}
-	clustered := adj(ClusteredKeys(New(4), n, card))
-	random := adj(RandomKeys(New(4), n, card))
+	rng, uniform := New(4), make([]int64, n)
+	for i := range uniform {
+		uniform[i] = rng.Int63n(card)
+	}
+	clustered, random := adj(ClusteredKeys(New(4), n, card)), adj(uniform)
 	if clustered <= 3*random {
 		t.Fatalf("clustered keys not clustered: clustered-adj=%d random-adj=%d", clustered, random)
-	}
-}
-
-func TestRandomKeysUniform(t *testing.T) {
-	const n, card = 100000, 10
-	keys := RandomKeys(New(5), n, card)
-	counts := make([]int, card)
-	for _, k := range keys {
-		counts[k]++
-	}
-	expect := float64(n) / card
-	for i, c := range counts {
-		if math.Abs(float64(c)-expect) > 5*math.Sqrt(expect) {
-			t.Fatalf("key %d count %d deviates from %v", i, c, expect)
-		}
 	}
 }
 

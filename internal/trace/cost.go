@@ -25,8 +25,6 @@ type Params struct {
 	SortFactor float64
 	// NoiseSigma is the sigma of the per-task log-normal noise.
 	NoiseSigma float64
-	// NodeSigma is the stddev of per-node speed factors around 1.0.
-	NodeSigma float64
 }
 
 // DefaultParams returns the calibrated constants. Bandwidths are effective
@@ -43,7 +41,6 @@ func DefaultParams() Params {
 		CPURateJoin:    35e6,
 		SortFactor:     0.30,
 		NoiseSigma:     0.08,
-		NodeSigma:      0.05,
 	}
 }
 
@@ -72,9 +69,6 @@ type TaskSpec struct {
 	Reduce bool
 	// InBytes and OutBytes are the task's input and output volumes.
 	InBytes, OutBytes float64
-	// NodeFactor is the hosting node's speed multiplier (1.0 nominal).
-	// Zero means 1.0.
-	NodeFactor float64
 }
 
 // cpuRate returns the map-side processing rate for the operator.
@@ -90,12 +84,9 @@ func (m *CostModel) cpuRate(op plan.JobType) float64 {
 }
 
 // Expected returns the noise-free duration in seconds for a task — the
-// model's mean behaviour, exposed for tests and calibration.
+// model's mean behaviour, exposed for tests and calibration. It prices a
+// task on a nominal node; the simulator applies cluster.Config.NodeFactors.
 func (m *CostModel) Expected(t TaskSpec) float64 {
-	nf := t.NodeFactor
-	if nf <= 0 {
-		nf = 1
-	}
 	p := m.p
 	var sec float64
 	if !t.Reduce {
@@ -120,28 +111,11 @@ func (m *CostModel) Expected(t TaskSpec) float64 {
 	if t.Op == plan.Join {
 		sec += 0.4 * t.OutBytes / p.DiskBW
 	}
-	return sec / nf
+	return sec
 }
 
 // Duration returns the noisy observed duration in seconds for a task.
 // Consecutive calls consume the model's deterministic noise stream.
 func (m *CostModel) Duration(t TaskSpec) float64 {
 	return m.Expected(t) * m.rng.LogNormal(0, m.p.NoiseSigma)
-}
-
-// NodeFactors draws per-node speed multipliers for an n-node cluster,
-// clamped to [0.8, 1.2] so no node is pathological.
-func (m *CostModel) NodeFactors(n int) []float64 {
-	f := make([]float64, n)
-	for i := range f {
-		v := m.rng.Normal(1, m.p.NodeSigma)
-		if v < 0.8 {
-			v = 0.8
-		}
-		if v > 1.2 {
-			v = 1.2
-		}
-		f[i] = v
-	}
-	return f
 }

@@ -67,20 +67,6 @@ func TestSortTermSuperlinear(t *testing.T) {
 	}
 }
 
-func TestNodeFactorSpeedsUp(t *testing.T) {
-	m := NewDefaultCostModel(1)
-	slow := m.Expected(TaskSpec{Op: plan.Extract, InBytes: 1e8, NodeFactor: 0.8})
-	fast := m.Expected(TaskSpec{Op: plan.Extract, InBytes: 1e8, NodeFactor: 1.2})
-	if fast >= slow {
-		t.Fatalf("node factor ignored: fast %v >= slow %v", fast, slow)
-	}
-	def := m.Expected(TaskSpec{Op: plan.Extract, InBytes: 1e8})
-	one := m.Expected(TaskSpec{Op: plan.Extract, InBytes: 1e8, NodeFactor: 1})
-	if def != one {
-		t.Fatal("zero NodeFactor should default to 1.0")
-	}
-}
-
 func TestDurationNoiseProperties(t *testing.T) {
 	m := NewDefaultCostModel(7)
 	spec := TaskSpec{Op: plan.Extract, InBytes: 256 << 20, OutBytes: 1e6}
@@ -107,21 +93,6 @@ func TestDurationDeterministicStream(t *testing.T) {
 		if a.Duration(spec) != b.Duration(spec) {
 			t.Fatal("cost model streams diverged")
 		}
-	}
-}
-
-func TestNodeFactorsBounded(t *testing.T) {
-	m := NewDefaultCostModel(3)
-	f := m.NodeFactors(1000)
-	var sum float64
-	for _, v := range f {
-		if v < 0.8 || v > 1.2 {
-			t.Fatalf("node factor %v out of clamp range", v)
-		}
-		sum += v
-	}
-	if mean := sum / 1000; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("node factors mean %v", mean)
 	}
 }
 

@@ -27,9 +27,6 @@ type NetOptions struct {
 	// MaxConns bounds concurrently served connections (0 means the
 	// package default).
 	MaxConns int
-	// BusyQueueDepth, when positive, refuses SUBMIT with -BUSY while
-	// the admission queue is at or past this depth.
-	BusyQueueDepth int
 }
 
 // backend is the facade's one adapter: *Server as a serve.Backend, for
@@ -58,13 +55,12 @@ func (b backend) Submit(ctx context.Context, sql string, seed uint64) (serve.Pen
 // returns, so in-flight queries keep their engine.
 func (f *Framework) NewNetServer(srv *Server, opts NetOptions) (*NetServer, error) {
 	return net.Start(net.Config{
-		Addr:           opts.Addr,
-		Backend:        backend{srv},
-		MaxConns:       opts.MaxConns,
-		BusyQueueDepth: opts.BusyQueueDepth,
-		Explain:        func(sql string) ([]string, error) { return f.explainLines(srv, sql) },
-		MetricsText:    f.metricsText,
-		Observer:       f.Obs,
+		Addr:        opts.Addr,
+		Backend:     backend{srv},
+		MaxConns:    opts.MaxConns,
+		Explain:     func(sql string) ([]string, error) { return f.explainLines(srv, sql) },
+		MetricsText: f.metricsText,
+		Observer:    f.Obs,
 	})
 }
 

@@ -2,6 +2,7 @@ package saqp_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -137,12 +138,49 @@ func TestServerNetworkStress(t *testing.T) {
 	t.Fatalf("goroutine leak: %d before stress, %d after drain", before, runtime.NumGoroutine())
 }
 
+// gateCtx holds the pool worker that serves it: a worker looks at a
+// ticket's Done before running it, and this Done returns only once gate is
+// closed. Submit does not look at Done when it computes the plan itself (a
+// cache miss), so only the worker waits.
+type gateCtx struct {
+	context.Context
+	gate chan struct{}
+}
+
+func (c gateCtx) Done() <-chan struct{} {
+	<-c.gate
+	return c.Context.Done()
+}
+
+// holdPool starts a one-worker server and holds its worker on a gated
+// first submission of sql; the returned release lets it go, and runs on
+// cleanup if the test has not called it.
+func holdPool(t *testing.T, fw *saqp.Framework, sql string) (*saqp.Server, func()) {
+	t.Helper()
+	srv, err := fw.NewServer(saqp.ServerOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	if _, err := srv.Submit(gateCtx{context.Background(), gate}, sql, 0); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); srv.Stats().Inflight != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the pool worker never took the gated submission")
+		}
+	}
+	return srv, release
+}
+
 // TestNetShutdownCompletesInflightWait is the frontend's drain contract
 // over a real engine: a WAIT in flight when Shutdown begins returns its
-// result, not a cancellation, and Shutdown blocks until it has. The
-// waited query sits last in a one-worker queue behind a backlog of
-// equals; the backlog grows until the WAIT is observed still pending
-// after the drain has begun, so a pass is never vacuous.
+// result, not a cancellation, and Shutdown blocks until it has. The one
+// pool worker is held until the drain has begun, so the waited query is
+// still queued then and the pass is never vacuous.
 func TestNetShutdownCompletesInflightWait(t *testing.T) {
 	fw, err := saqp.NewFramework(saqp.Options{Observer: saqp.NewObserver(nil)})
 	if err != nil {
@@ -161,95 +199,117 @@ func TestNetShutdownCompletesInflightWait(t *testing.T) {
 			}
 		}
 	}
-	for backlog := 1000; ; backlog *= 4 {
-		if backlog > 64000 {
-			t.Fatal("no backlog kept the WAIT in flight until the drain began")
-		}
-		srv, err := fw.NewServer(saqp.ServerOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: "127.0.0.1:0"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ns.Addr()
-		c, err := saqp.DialNet(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < backlog; i++ {
-			if _, err := srv.Submit(context.Background(), sql, uint64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		id, err := c.Submit(sql, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		type waitOut struct {
-			res saqp.ServeResult
-			err error
-		}
-		waited := make(chan waitOut, 1)
-		sent := commands.Value()
-		go func() {
-			res, err := c.Wait(id)
-			waited <- waitOut{res, err}
-		}()
-		// The frontend counts a command before dispatching it, so one more
-		// means the WAIT is on the server, blocking on its ticket.
-		eventually("the WAIT to reach the frontend", func() bool { return commands.Value() > sent })
+	srv, release := holdPool(t, fw, sql)
+	ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ns.Addr()
+	c, err := saqp.DialNet(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Submit(sql, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type waitOut struct {
+		res saqp.ServeResult
+		err error
+	}
+	waited := make(chan waitOut, 1)
+	sent := commands.Value()
+	go func() {
+		res, err := c.Wait(id)
+		waited <- waitOut{res, err}
+	}()
+	// The frontend counts a command before dispatching it, so one more
+	// means the WAIT is on the server, blocking on its ticket.
+	eventually("the WAIT to reach the frontend", func() bool { return commands.Value() > sent })
 
-		shutdown := make(chan error, 1)
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			shutdown <- ns.Shutdown(ctx)
-		}()
-		// A drain's first act is closing the listener.
-		eventually("the drain to begin", func() bool {
-			probe, err := saqp.DialNet(addr)
-			if err == nil {
-				probe.Close()
-			}
-			return err != nil
-		})
-		inflight := true
-		select {
-		case err := <-shutdown:
-			// The backlog drained before the probe dial failed. Shutdown
-			// has returned, so the WAIT's reply is written and its client
-			// delivers it now or in a moment — with both channels ready
-			// select picks at random. That is "not in flight": grow the
-			// backlog. Only a reply that never comes is the defect.
-			select {
-			case out := <-waited:
-				waited <- out
-			case <-time.After(30 * time.Second):
-				t.Fatalf("Shutdown returned %v before the in-flight WAIT", err)
-			}
-			shutdown <- err
-			inflight = false
-		case out := <-waited:
-			waited <- out
-			inflight = false
-		default:
+	shutdown := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		shutdown <- ns.Shutdown(ctx)
+	}()
+	// A drain's first act is closing the listener.
+	eventually("the drain to begin", func() bool {
+		probe, err := saqp.DialNet(addr)
+		if err == nil {
+			probe.Close()
 		}
-		out := <-waited
-		if out.err != nil || out.res.ID != id {
-			t.Fatalf("WAIT = (%+v, %v), want the result of %s", out.res, out.err, id)
+		return err != nil
+	})
+	select {
+	case err := <-shutdown:
+		t.Fatalf("Shutdown returned %v while the WAIT's query was still queued", err)
+	case out := <-waited:
+		t.Fatalf("WAIT returned (%+v, %v) before its query could run", out.res, out.err)
+	default:
+	}
+	release()
+	out := <-waited
+	if out.err != nil || out.res.ID != id {
+		t.Fatalf("WAIT = (%+v, %v), want the result of %s", out.res, out.err, id)
+	}
+	if err := <-shutdown; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	c.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerQueueFullIsBusy: the engine's admission queue holds 256
+// queries unless configured otherwise. With the one pool worker held, 256
+// submissions queue, the 257th is refused with ErrQueueFull, and a SUBMIT
+// over the wire is refused with -BUSY admission queue full; once the
+// worker is let go every admitted query completes.
+func TestServerQueueFullIsBusy(t *testing.T) {
+	fw, err := saqp.NewFramework(saqp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, err := saqp.TPCHSQL("q6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, release := holdPool(t, fw, sql)
+	ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := saqp.DialNet(ns.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 1; i <= 256; i++ {
+		if _, err := srv.Submit(context.Background(), sql, uint64(i)); err != nil {
+			t.Fatalf("queued submission %d: %v", i, err)
 		}
-		if err := <-shutdown; err != nil {
-			t.Fatalf("Shutdown: %v", err)
-		}
-		c.Close()
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if inflight {
-			return
-		}
+	}
+	if _, err := srv.Submit(context.Background(), sql, 257); !errors.Is(err, saqp.ErrQueueFull) {
+		t.Fatalf("257th queued submission = %v, want ErrQueueFull", err)
+	}
+	_, err = c.Submit(sql, 258)
+	var se *saqp.NetServerError
+	if !saqp.IsNetBusy(err) || !errors.As(err, &se) || se.Msg != "admission queue full" {
+		t.Fatalf("SUBMIT over the wire with the queue full = %v, want -BUSY admission queue full", err)
+	}
+	release()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := ns.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Completed != 257 || st.Rejected != 2 {
+		t.Fatalf("after the drain: %d completed, %d rejected; want 257 and 2", st.Completed, st.Rejected)
 	}
 }
 

@@ -24,8 +24,8 @@ type (
 // ErrServerClosed is returned by Submit after Close has begun.
 var ErrServerClosed = serve.ErrClosed
 
-// ErrQueueFull is returned by Submit when the admission queue is at
-// capacity.
+// ErrQueueFull is returned by Submit when the admission queue already
+// holds 256 queries waiting for a pool worker.
 var ErrQueueFull = serve.ErrQueueFull
 
 // ServerOptions configures a Server. The zero value serves with SWRD
@@ -35,9 +35,6 @@ type ServerOptions struct {
 	Workers int
 	// CacheSize bounds the plan/estimate cache entry count. Default 256.
 	CacheSize int
-	// QueueCap bounds the admission queue (ErrQueueFull beyond it).
-	// 0 means unbounded.
-	QueueCap int
 	// Cluster sizes each pool simulator; the zero value means the
 	// paper's 9-node default.
 	Cluster ClusterConfig
@@ -132,7 +129,6 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 		Workers:            opts.Workers,
 		MaxRetries:         opts.MaxRetries,
 		CacheSize:          opts.CacheSize,
-		QueueCap:           opts.QueueCap,
 		Learner:            src,
 		Observer:           ob,
 		Spans:              spans,
