@@ -298,8 +298,7 @@ func serveOnce(srv *saqp.Server, sql string, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nServed query through the engine: %.1f s simulated (%d attempt(s))\n",
-		res.SimSec, res.Attempts)
+	fmt.Printf("\nServed query through the engine: %.1f s simulated\n", res.SimSec)
 	fmt.Printf("admin endpoint live at %s — try:\n", srv.AdminURL())
 	fmt.Printf("  curl %s/metrics\n  curl %s/spans\n", srv.AdminURL(), srv.AdminURL())
 	return nil

@@ -15,7 +15,7 @@ type (
 	FaultPlan = fault.Plan
 	// TaskFailedError reports a query abandoned because one task
 	// exhausted its attempt cap under fault injection; unwrap it from
-	// Ticket.Wait errors with errors.As.
+	// SimulateQueryConfig errors with errors.As.
 	TaskFailedError = cluster.TaskFailedError
 	// FaultStats tallies a simulator run's fault-recovery activity.
 	FaultStats = cluster.FaultStats
@@ -34,5 +34,6 @@ func DefaultFaultSpec(seed uint64) FaultSpec { return fault.DefaultSpec(seed) }
 
 // DefaultClusterConfig returns the paper-scale simulated cluster (9 nodes,
 // Hadoop 1.x slot counts). Set its Faults field to inject a fault plan
-// before passing it to SimulateQueryConfig or ServerOptions.
+// before passing it to SimulateQueryConfig; ServerOptions.Cluster takes
+// it without one.
 func DefaultClusterConfig() ClusterConfig { return cluster.DefaultConfig() }

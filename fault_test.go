@@ -1,16 +1,36 @@
 package saqp_test
 
 import (
-	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"saqp"
 )
 
-// TestServerFaultFailureTyped drives the facade end to end under a doomed
-// fault plan: every task attempt fails with a one-attempt cap, so the
-// submission must surface a *saqp.TaskFailedError through Ticket.Wait.
+// estimateTPCH compiles and estimates one canonical TPC-H query.
+func estimateTPCH(t *testing.T, fw *saqp.Framework, name string) *saqp.QueryEstimate {
+	t.Helper()
+	sql, err := saqp.TPCHSQL(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dag, err := fw.Compile(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qe, err := fw.Estimate(dag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qe
+}
+
+// TestServerFaultFailureTyped: a served query runs once, fault-free, so a
+// Server given a fault plan fails typed at construction — NewServer
+// returns a *saqp.ClusterConfigError naming Cluster.Faults and starts no
+// pool worker.
 func TestServerFaultFailureTyped(t *testing.T) {
 	fw, err := saqp.NewFramework(saqp.Options{})
 	if err != nil {
@@ -20,63 +40,60 @@ func TestServerFaultFailureTyped(t *testing.T) {
 	opts.Cluster.Faults = saqp.NewFaultPlan(saqp.FaultSpec{
 		Seed: 1, TaskFailProb: 1, MaxAttempts: 1,
 	})
+	before := runtime.NumGoroutine()
 	srv, err := fw.NewServer(opts)
-	if err != nil {
-		t.Fatal(err)
+	if srv != nil {
+		srv.Close()
+		t.Fatal("NewServer admitted a fault plan")
 	}
-	defer srv.Close()
+	var ce *saqp.ClusterConfigError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "Faults") {
+		t.Fatalf("NewServer(Faults set) = %v, want a *saqp.ClusterConfigError naming Faults", err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("a refused NewServer left %d goroutines running, %d before", after, before)
+	}
+}
 
-	sql, err := saqp.TPCHSQL("q6")
+// TestSimulateFaultFailureTyped replays a query under a doomed fault
+// plan — every task attempt fails, one attempt allowed — where fault
+// plans are replayed: SimulateQueryConfig must surface the simulator's
+// *saqp.TaskFailedError.
+func TestSimulateFaultFailureTyped(t *testing.T) {
+	fw, err := saqp.NewFramework(saqp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := srv.Submit(context.Background(), sql, 7)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if _, err = tk.Wait(context.Background()); err == nil {
-		t.Fatal("doomed submission should fail")
+	cc := saqp.DefaultClusterConfig()
+	cc.Faults = saqp.NewFaultPlan(saqp.FaultSpec{Seed: 1, TaskFailProb: 1, MaxAttempts: 1})
+	sec, err := fw.SimulateQueryConfig("doomed", estimateTPCH(t, fw, "q6"), saqp.SchedulerSWRD, 7, cc)
+	if err == nil {
+		t.Fatalf("doomed run completed in %v s", sec)
 	}
 	var tfe *saqp.TaskFailedError
 	if !errors.As(err, &tfe) {
-		t.Fatalf("Wait error = %v, want wrapped *saqp.TaskFailedError", err)
+		t.Fatalf("SimulateQueryConfig error = %v, want a *saqp.TaskFailedError", err)
 	}
 	if tfe.Attempts != 1 || tfe.Query == "" || tfe.Job == "" {
 		t.Fatalf("typed error fields: %+v", *tfe)
 	}
-	if st := srv.Stats(); st.FaultFailures != 1 {
-		t.Fatalf("server stats after fault failure: %+v", st)
-	}
 }
 
 // TestDefaultFaultPlanRecovers replays one TPC-H query under the default
-// CI fault plan with retries enabled: the serving layer must complete it.
+// CI fault plan: the simulator's task-level recovery (retry, backoff,
+// blacklist) must complete it.
 func TestDefaultFaultPlanRecovers(t *testing.T) {
 	fw, err := saqp.NewFramework(saqp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := saqp.ServerOptions{Workers: 1, MaxRetries: 3}
-	opts.Cluster.Faults = saqp.NewFaultPlan(saqp.DefaultFaultSpec(11))
-	srv, err := fw.NewServer(opts)
+	cc := saqp.DefaultClusterConfig()
+	cc.Faults = saqp.NewFaultPlan(saqp.DefaultFaultSpec(11))
+	sec, err := fw.SimulateQueryConfig("q1", estimateTPCH(t, fw, "q1"), saqp.SchedulerSWRD, 3, cc)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("default plan should recover, got %v", err)
 	}
-	defer srv.Close()
-
-	sql, err := saqp.TPCHSQL("q1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk, err := srv.Submit(context.Background(), sql, 3)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	res, err := tk.Wait(context.Background())
-	if err != nil {
-		t.Fatalf("default plan with retries should recover, got %v", err)
-	}
-	if res.SimSec <= 0 || res.Attempts < 1 {
-		t.Fatalf("result: %+v", res)
+	if !(sec > 0) {
+		t.Fatalf("response time = %v, want positive", sec)
 	}
 }

@@ -64,8 +64,8 @@ func TestBlacklistTripsAfterRepeatedFailures(t *testing.T) {
 		p := fault.NewPlan(fault.Spec{Seed: seed, TaskFailProb: 0.3, BlacklistAfter: 1})
 		ok := true
 		for i := 0; i < 4; i++ {
-			f1, _ := p.TaskFailure(0, "q/J1", false, i, 1)
-			f2, _ := p.TaskFailure(0, "q/J1", false, i, 2)
+			f1, _ := p.TaskFailure("q/J1", false, i, 1)
+			f2, _ := p.TaskFailure("q/J1", false, i, 2)
 			if f1 != (i == 0) || f2 {
 				ok = false
 				break

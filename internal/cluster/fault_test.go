@@ -114,13 +114,13 @@ func probeFailSeed(t *testing.T, spec fault.Spec, n int) *fault.Plan {
 		p := fault.NewPlan(spec)
 		ok := true
 		for a := 1; a <= n; a++ {
-			if fail, _ := p.TaskFailure(0, "q/J1", false, 0, a); !fail {
+			if fail, _ := p.TaskFailure("q/J1", false, 0, a); !fail {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			if fail, _ := p.TaskFailure(0, "q/J1", false, 0, n+1); !fail {
+			if fail, _ := p.TaskFailure("q/J1", false, 0, n+1); !fail {
 				return p
 			}
 		}

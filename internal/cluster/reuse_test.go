@@ -91,7 +91,6 @@ func TestSimReuseEqualsNew(t *testing.T) {
 	for i := 0; i < 240; i++ {
 		qa, qb := estimate(), estimate()
 		cfg := configs[i%len(configs)]
-		cfg.FaultSalt = uint64(i)
 		run := func(fresh bool) (string, []byte) {
 			var events bytes.Buffer
 			o := obs.New(obs.NewTraceSink(&events))

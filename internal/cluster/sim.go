@@ -47,10 +47,6 @@ type Config struct {
 	// internal/fault). Nil — the default — and a zero-spec plan leave the
 	// schedule byte-identical to a fault-free run.
 	Faults *fault.Plan
-	// FaultSalt perturbs the plan's per-task failure decisions without
-	// changing its node windows; the serving layer re-rolls it across
-	// query retries so a retry is not doomed to the identical failure.
-	FaultSalt uint64
 }
 
 // DefaultConfig mirrors the paper's 9-node, 12-container testbed.
@@ -680,7 +676,7 @@ func (s *Sim) scheduleFinish(t *Task) {
 		s.obs.Count(obs.MSlowDispatches)
 	}
 	dur := t.ActualSec/factor + s.cfg.SchedulingOverheadSec
-	if fail, frac := s.fplan.TaskFailure(s.cfg.FaultSalt, t.Job.ID, t.Reduce, t.Index, t.Attempts); fail {
+	if fail, frac := s.fplan.TaskFailure(t.Job.ID, t.Reduce, t.Index, t.Attempts); fail {
 		burn := frac * dur
 		s.busySec += burn
 		t.end = s.now + burn

@@ -9,7 +9,7 @@
 // Determinism contract: a Plan is fully expanded at construction from a
 // sim.RNG seeded by Spec.Seed — node crash and slowdown windows are fixed
 // before the run starts, and per-task failure decisions are a pure hash of
-// (seed, salt, task identity, attempt number), independent of dispatch
+// (seed, task identity, attempt number), independent of dispatch
 // order. Two runs with the same Spec, workload and scheduler are therefore
 // byte-identical; a nil *Plan or a zero Spec injects nothing and leaves the
 // simulated schedule untouched.

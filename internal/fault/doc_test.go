@@ -34,8 +34,8 @@ func TestFaultsDocAgrees(t *testing.T) {
 	spec := reflect.TypeOf(Spec{})
 	placement := map[string]bool{"Seed": true, "Nodes": true, "HorizonSec": true}
 	classRows := regexp.MustCompile(`(?m)^\| [A-Z][^|]+\|[^|]+\|([^|]+)\|([^|]+)\|$`).FindAllStringSubmatch(classes, -1)
-	if len(classRows) != 7 {
-		t.Fatalf("fault-class table has %d lines, want its heading and 6 classes", len(classRows))
+	if len(classRows) != 6 {
+		t.Fatalf("fault-class table has %d lines, want its heading and 5 classes", len(classRows))
 	}
 	classRows = classRows[1:]
 	named := map[string]bool{}
@@ -46,9 +46,6 @@ func TestFaultsDocAgrees(t *testing.T) {
 	ticked := regexp.MustCompile("`([A-Za-z_.]+)`")
 	for _, row := range classRows {
 		for _, k := range ticked.FindAllStringSubmatch(row[1], -1) {
-			if strings.Contains(k[1], ".") {
-				continue // ServerOptions.MaxRetries: stated not to be a plan knob
-			}
 			if _, ok := spec.FieldByName(k[1]); !ok {
 				t.Errorf("docs/FAULTS.md names knob %s, which fault.Spec does not have", k[1])
 			}

@@ -224,12 +224,11 @@ func (p *Plan) Backoff(n int) float64 {
 // identified by (job, reduce, index) fails, and if so at which fraction of
 // its duration (in [0.1, 0.9)) the slot is lost. The decision is a pure
 // hash of the identity — independent of dispatch order or cluster state —
-// so re-executions of *other* tasks cannot perturb it. salt lets a caller
-// (the serving layer's query retry) re-roll every decision at once without
-// rebuilding the plan. The simulator asks once per dispatched task.
+// so re-executions of *other* tasks cannot perturb it. The simulator asks
+// once per dispatched task.
 //
 //saqp:hotpath
-func (p *Plan) TaskFailure(salt uint64, job string, reduce bool, index, attempt int) (fail bool, frac float64) {
+func (p *Plan) TaskFailure(job string, reduce bool, index, attempt int) (fail bool, frac float64) {
 	if p == nil || p.spec.TaskFailProb <= 0 {
 		return false, 0
 	}
@@ -238,7 +237,7 @@ func (p *Plan) TaskFailure(salt uint64, job string, reduce bool, index, attempt 
 		h = (h ^ uint64(job[i])) * 1099511628211
 	}
 	h = mix64(h ^ p.spec.Seed)
-	h = mix64(h ^ salt)
+	h = mix64(h)
 	phase := uint64(0)
 	if reduce {
 		phase = 1

@@ -1,9 +1,7 @@
 package histogram
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 
@@ -458,24 +456,6 @@ func clampInto(out, h *Histogram, lo, hi float64) {
 			out.Buckets[last].Distinct += b.Distinct * frac
 		}
 	}
-}
-
-// Encode serialises the histogram to JSON — the stand-in for the paper's
-// "histograms stored on HDFS".
-func (h *Histogram) Encode() ([]byte, error) {
-	return json.Marshal(h)
-}
-
-// Decode parses a histogram previously produced by Encode.
-func Decode(data []byte) (*Histogram, error) {
-	var h Histogram
-	if err := json.Unmarshal(data, &h); err != nil {
-		return nil, fmt.Errorf("histogram: decode: %w", err)
-	}
-	if len(h.Buckets) == 0 || h.Hi <= h.Lo {
-		return nil, errors.New("histogram: decoded histogram is malformed")
-	}
-	return &h, nil
 }
 
 // clamp01 clips a selectivity estimate into [0, 1].

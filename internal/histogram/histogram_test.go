@@ -335,34 +335,6 @@ func TestSynthesizeSmallCardinality(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	vals := uniformSample(1000, 0, 50, 12)
-	h := Build(vals, 0, 50, 8)
-	data, err := h.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.Rows() != h.Rows() || len(h2.Buckets) != len(h.Buckets) {
-		t.Fatal("round trip lost data")
-	}
-}
-
-func TestDecodeRejectsMalformed(t *testing.T) {
-	if _, err := Decode([]byte(`{"lo":5,"hi":1,"buckets":[{}]}`)); err == nil {
-		t.Fatal("Decode accepted hi<=lo")
-	}
-	if _, err := Decode([]byte(`not json`)); err == nil {
-		t.Fatal("Decode accepted garbage")
-	}
-	if _, err := Decode([]byte(`{"lo":0,"hi":1,"buckets":[]}`)); err == nil {
-		t.Fatal("Decode accepted empty buckets")
-	}
-}
-
 func TestNewPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { New(0, 10, 0) },

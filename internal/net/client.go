@@ -203,7 +203,9 @@ func parseResult(v proto.Value) (serve.Result, error) {
 		case "id":
 			r.ID = string(val.Str)
 		case "cache_hit":
-			r.CacheHit = val.Int != 0
+			var hit int
+			hit, err = intField(name, val)
+			r.CacheHit = hit != 0
 		case "wrd":
 			r.WRD, err = floatField(name, val)
 		case "predicted_sec":
@@ -211,23 +213,27 @@ func parseResult(v proto.Value) (serve.Result, error) {
 		case "sim_sec":
 			r.SimSec, err = floatField(name, val)
 		case "jobs":
-			r.Jobs = int(val.Int)
+			r.Jobs, err = intField(name, val)
 		case "maps":
-			r.Maps = int(val.Int)
+			r.Maps, err = intField(name, val)
 		case "reduces":
-			r.Reduces = int(val.Int)
-		case "attempts":
-			r.Attempts = int(val.Int)
-		case "faulted":
-			r.Faulted = val.Int != 0
+			r.Reduces, err = intField(name, val)
 		case "model_version":
-			r.ModelVersion = int(val.Int)
+			r.ModelVersion, err = intField(name, val)
 		}
 		if err != nil {
 			return serve.Result{}, err
 		}
 	}
 	return r, nil
+}
+
+// intField reads one integer reply field (a count or a 0/1 flag).
+func intField(name string, v proto.Value) (int, error) {
+	if v.Kind != proto.KindInt {
+		return 0, errors.New("net: field " + name + " is not an integer")
+	}
+	return int(v.Int), nil
 }
 
 // floatField parses one fixed-precision float reply field.

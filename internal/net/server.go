@@ -442,7 +442,7 @@ const resultFloatPrec = 3
 // writeResult encodes one completed query as a flat name/value array.
 // The field order is fixed — golden transcripts depend on it.
 func writeResult(enc *proto.Encoder, r serve.Result) {
-	enc.Array(22)
+	enc.Array(18)
 	enc.BulkString("id")
 	enc.BulkString(r.ID)
 	enc.BulkString("cache_hit")
@@ -459,10 +459,6 @@ func writeResult(enc *proto.Encoder, r serve.Result) {
 	enc.Int(int64(r.Maps))
 	enc.BulkString("reduces")
 	enc.Int(int64(r.Reduces))
-	enc.BulkString("attempts")
-	enc.Int(int64(r.Attempts))
-	enc.BulkString("faulted")
-	enc.Int(boolInt(r.Faulted))
 	enc.BulkString("model_version")
 	enc.Int(int64(r.ModelVersion))
 }
@@ -470,7 +466,7 @@ func writeResult(enc *proto.Encoder, r serve.Result) {
 // writeStats encodes the engine counters as a flat name/value array,
 // in fixed order.
 func writeStats(enc *proto.Encoder, st serve.Stats) {
-	enc.Array(28)
+	enc.Array(24)
 	enc.BulkString("submitted")
 	enc.Int(int64(st.Submitted))
 	enc.BulkString("completed")
@@ -481,10 +477,6 @@ func writeStats(enc *proto.Encoder, st serve.Stats) {
 	enc.Int(int64(st.Rejected))
 	enc.BulkString("errors")
 	enc.Int(int64(st.Errors))
-	enc.BulkString("retries")
-	enc.Int(int64(st.Retries))
-	enc.BulkString("fault_failures")
-	enc.Int(int64(st.FaultFailures))
 	enc.BulkString("cache_hits")
 	enc.Int(int64(st.CacheHits))
 	enc.BulkString("cache_misses")

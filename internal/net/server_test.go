@@ -58,7 +58,7 @@ func (b *fakeBackend) Submit(ctx context.Context, sql string, seed uint64) (serv
 	p := &fakePending{
 		id:   fmt.Sprintf("q%06d", b.next),
 		done: make(chan struct{}),
-		res:  serve.Result{SimSec: 1.5, Jobs: 1, Attempts: 1, SQL: sql},
+		res:  serve.Result{SimSec: 1.5, Jobs: 1, Maps: 4, SQL: sql},
 	}
 	p.res.ID = p.id
 	if b.hold {
@@ -139,7 +139,7 @@ func TestServerCommands(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WAIT: %v", err)
 	}
-	if res.ID != id || res.SimSec != 1.5 || res.Jobs != 1 || res.Attempts != 1 {
+	if res.ID != id || res.SimSec != 1.5 || res.Jobs != 1 || res.Maps != 4 {
 		t.Fatalf("WAIT result = %+v", res)
 	}
 	if _, err := c.Wait(id); err == nil {

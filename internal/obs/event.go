@@ -190,15 +190,13 @@ type kindSpec struct {
 
 	span     string // span kind; "" keeps the kind out of request trees
 	form     form
-	underJob bool   // parent is the job's open span, else the attempt
-	onTree   string // span name when it is not the timeline's
+	underJob bool // parent is the job's open span, else the run
 }
 
 var kinds = [numKinds]kindSpec{
 	QueryArrived:  {counter: MQueriesSubmitted, track: tQuery, cat: "query", prefix: "arrive"},
 	QueryFinished: {counter: MQueriesCompleted, hist: MQueryResponseSec, durKey: "response_sec", track: tQuery, cat: "query", ranged: true, name: nQuery},
-	QueryFailed: {counter: MQueryFailures, track: tQuery, cat: "fault", ranged: true, name: nQuery, prefix: "FAILED ",
-		span: SpanKindFault, onTree: "query failed"},
+	QueryFailed:   {counter: MQueryFailures, track: tQuery, cat: "fault", ranged: true, name: nQuery, prefix: "FAILED "},
 	JobSubmitted: {counter: MJobsSubmitted, carries: cType, track: tJob, cat: "job", name: nJob, onLine: "submit",
 		span: SpanKindJob, form: fOpen},
 	JobFinished: {counter: MJobsCompleted, hist: MJobRuntimeSec, durKey: "runtime_sec", track: tJob, cat: "job", ranged: true, name: nJob,
@@ -207,14 +205,13 @@ var kinds = [numKinds]kindSpec{
 	TaskFinished: {counter: MMapTasksDone, redCounter: MReduceTasksDone, hist: MTaskRuntimeSec,
 		carries: cQuery | cType | cNode | cSlot | cPred | cFaulted, track: tSlot, cat: "cluster", ranged: true, name: nTask,
 		span: SpanKindTask, form: fRange, underJob: true},
-	TaskFailed: {counter: MTaskFailures, carries: cQuery | cType | cNode, track: tSlot, cat: "fault", ranged: true, name: nTask, prefix: "FAIL ",
-		span: SpanKindFault, form: fRange, underJob: true},
+	TaskFailed:   {counter: MTaskFailures, carries: cQuery | cType | cNode, track: tSlot, cat: "fault", ranged: true, name: nTask, prefix: "FAIL "},
 	ShuffleReady: {track: tJob, cat: "job", prefix: "maps done", span: SpanKindJob, underJob: true},
 	ReducePreempted: {counter: MReducePreemptions, carries: cQuery | cSlot, track: tSlot, cat: "cluster", name: nTask, prefix: "preempt ",
 		span: SpanKindSched, underJob: true},
-	NodeCrashed:     {counter: MNodeCrashes, track: tNode, cat: "fault", name: nNode, prefix: "crash ", span: SpanKindFault},
-	NodeRecovered:   {counter: MNodeRecoveries, track: tNode, cat: "fault", name: nNode, prefix: "recover ", span: SpanKindFault},
-	NodeBlacklisted: {counter: MNodeBlacklists, track: tNode, cat: "fault", name: nNode, prefix: "blacklist ", span: SpanKindFault},
+	NodeCrashed:     {counter: MNodeCrashes, track: tNode, cat: "fault", name: nNode, prefix: "crash "},
+	NodeRecovered:   {counter: MNodeRecoveries, track: tNode, cat: "fault", name: nNode, prefix: "recover "},
+	NodeBlacklisted: {counter: MNodeBlacklists, track: tNode, cat: "fault", name: nNode, prefix: "blacklist "},
 	SchedDecision:   {counter: MSchedDecisions, track: tSched, cat: "sched", name: nDecision, span: SpanKindSched},
 	LearnPromotion:  {counter: MLearnPromotions, track: tLearn, cat: "learn", name: nLabel},
 }
@@ -277,7 +274,7 @@ func (e *Event) carried(s *kindSpec, out []Attr) []Attr {
 
 // Emit records one event on every attached sink: the registry moves the
 // kind's counter and histogram, the drift recorder takes a finished
-// task's predicted-vs-observed pair, and the timeline and the attempt's
+// task's predicted-vs-observed pair, and the timeline and the run's
 // span collector render it with the carried fields followed by attrs.
 // attrs is not retained.
 func (o *Observer) Emit(e Event, attrs ...Attr) {

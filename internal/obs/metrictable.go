@@ -75,8 +75,6 @@ var (
 	MServeCancellations  = counter("saqp_serve_cancellations_total", "Queries abandoned by context cancellation.")
 	MServeRejections     = counter("saqp_serve_rejections_total", "Submissions refused by a full admission queue.")
 	MServeErrors         = counter("saqp_serve_errors_total", "Submissions that failed parse, compile, estimation or their run.")
-	MServeRetries        = counter("saqp_serve_retries_total", "Fault-failed queries re-run on a re-salted fault plan.")
-	MServeFaultFailures  = counter("saqp_serve_fault_failures_total", "Queries still failed after the retry budget.")
 	MServeCacheHits      = counter("saqp_serve_cache_hits_total", "Plan-cache hits, including waiters on an in-flight compile.")
 	MServeCacheMisses    = counter("saqp_serve_cache_misses_total", "Plan-cache misses.")
 	MServeCacheEvictions = counter("saqp_serve_cache_evictions_total", "Plan-cache LRU evictions.")

@@ -12,7 +12,7 @@ type Observer struct {
 	Metrics *Registry
 	Trace   *TraceSink
 	Drift   *DriftRecorder
-	// Spans collects one simulator attempt's request-scoped spans; the
+	// Spans collects one simulator run's request-scoped spans; the
 	// serving engine attaches a spans-only Observer to each pool
 	// simulator when tracing is enabled (see span.go).
 	Spans *SpanCollector

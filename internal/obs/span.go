@@ -2,19 +2,18 @@ package obs
 
 // Request-scoped tracing: deterministic span trees that tie one served
 // submission's full causal chain together — plan-cache lookup, SWRD
-// admission, every simulator attempt (jobs, tasks, fault retries,
-// scheduler decisions), and the learn feedback.
+// admission, its one simulator run (jobs, tasks, scheduler decisions),
+// and the learn feedback.
 //
 // Determinism contract: trace ids derive from the query fingerprint and
-// the engine submission index, timestamps are virtual simulator seconds
-// re-based onto a single per-request timeline (attempt k starts where
-// attempt k-1 ended), and attributes are ordered slices — so a seeded
-// serialized replay serialises byte-identically.
+// the engine submission index, timestamps are the run's virtual simulator
+// seconds, and attributes are ordered slices — so a seeded serialized
+// replay serialises byte-identically.
 //
 // The pieces compose as
 //
-//	SpanCollector  per simulator attempt, fed by Observer.Emit
-//	QuerySpan      per submission, merges collectors under one root
+//	SpanCollector  per simulator run, fed by Observer.Emit
+//	QuerySpan      per submission, merges the run's collector under one root
 //	SpanStore      bounded ring of finished trees, JSON + Chrome export
 
 import (
@@ -32,16 +31,14 @@ const (
 	SpanKindCache = "cache"
 	// SpanKindAdmission marks SWRD admission-queue entry.
 	SpanKindAdmission = "admission"
-	// SpanKindAttempt is one pool-simulator run (1 + fault retries).
-	SpanKindAttempt = "attempt"
-	// SpanKindJob is one MapReduce job inside an attempt.
+	// SpanKindRun is the submission's one pool-simulator run.
+	SpanKindRun = "run"
+	// SpanKindJob is one MapReduce job inside the run.
 	SpanKindJob = "job"
 	// SpanKindTask is one task attempt.
 	SpanKindTask = "task"
 	// SpanKindSched is a scheduler PickJob decision.
 	SpanKindSched = "sched"
-	// SpanKindFault is an injected fault or recovery event.
-	SpanKindFault = "fault"
 	// SpanKindFeedback marks the learn-registry feedback of observed times.
 	SpanKindFeedback = "feedback"
 )
@@ -88,44 +85,33 @@ func FNV64a(s string) uint64 {
 	return h
 }
 
-// maxSpanDecisions caps scheduler-decision spans recorded per attempt;
+// maxSpanDecisions caps scheduler-decision spans recorded per run;
 // under heavy queueing PickJob fires per free slot per event and would
-// dominate tree size. The uncapped count still reaches the attempt span
+// dominate tree size. The uncapped count still reaches the run span
 // as the sched_decisions attribute.
 const maxSpanDecisions = 8
 
-// SpanCollector accumulates one simulator attempt's spans from the
-// events Observer.Emit hands it. It is single-goroutine by construction
-// (one collector per pool simulator, which is single-threaded) and
-// therefore unlocked. Span times are attempt-local until
-// QuerySpan.AddAttempt re-bases them onto the request timeline; Parent -1
-// marks spans that re-parent onto the attempt span at merge.
+// SpanCollector accumulates one simulator run's spans from the events
+// Observer.Emit hands it. It is single-goroutine by construction (one
+// collector per pool simulator, which is single-threaded) and therefore
+// unlocked. Parent -1 marks spans that parent onto the run span when
+// QuerySpan.AddRun merges them.
 type SpanCollector struct {
 	spans     []Span
 	jobs      map[string]int // job id → open job span index
 	decisions int            // uncapped PickJob count
-	maxT      float64        // latest event time seen (failed-run duration)
 }
 
-// NewSpanCollector returns an empty per-attempt collector.
+// NewSpanCollector returns an empty per-run collector.
 func NewSpanCollector() *SpanCollector {
 	return &SpanCollector{jobs: map[string]int{}}
 }
 
-// LastEventSec returns the latest virtual time any span-bearing event
-// reported — the attempt's effective duration when the simulated query
-// failed and has no response time.
-func (c *SpanCollector) LastEventSec() float64 { return c.maxT }
-
 // add records one event as the span its kind's spec describes: a point
-// or a range under the attempt or under the event's job, or the opening
-// or closing edge of that job's own span (left open — clamped at merge —
-// when the run fails mid-job). Scheduler decisions past
+// or a range under the run or under the event's job, or the opening or
+// closing edge of that job's own span. Scheduler decisions past
 // maxSpanDecisions are counted, not stored.
 func (c *SpanCollector) add(s *kindSpec, e *Event, attrs []Attr) {
-	if e.At > c.maxT {
-		c.maxT = e.At
-	}
 	if e.Kind == SchedDecision {
 		c.decisions++
 		if c.decisions > maxSpanDecisions {
@@ -139,11 +125,8 @@ func (c *SpanCollector) add(s *kindSpec, e *Event, attrs []Attr) {
 		}
 		return
 	}
-	sp := Span{ID: len(c.spans), Parent: -1, Kind: s.span, Name: s.onTree,
+	sp := Span{ID: len(c.spans), Parent: -1, Kind: s.span, Name: e.name(s),
 		Start: e.At, End: e.At, Attrs: rendered(attrs)}
-	if sp.Name == "" {
-		sp.Name = e.name(s)
-	}
 	if s.underJob && open {
 		sp.Parent = job
 	}
@@ -158,13 +141,12 @@ func (c *SpanCollector) add(s *kindSpec, e *Event, attrs []Attr) {
 }
 
 // QuerySpan builds one submission's tree: a root span, zero-width
-// pipeline events (cache, admission, feedback), and one attempt span
-// per simulator run with the collector's spans re-based under it.
-// It is confined to the goroutine serving the submission.
+// pipeline events (cache, admission, feedback), and one run span with
+// the simulator run's collected spans under it. It is confined to the
+// goroutine serving the submission.
 type QuerySpan struct {
-	tree     SpanTree
-	offset   float64 // request-timeline position: sum of prior attempt durations
-	attempts int
+	tree SpanTree
+	end  float64 // the run's duration once merged; 0 before
 }
 
 // BeginQuerySpan opens a request tree rooted at a SpanKindQuery span.
@@ -176,51 +158,42 @@ func BeginQuerySpan(traceID, name string, attrs ...Attr) *QuerySpan {
 	return q
 }
 
-// Event appends a zero-width child of the root at the current timeline
-// position (pipeline stages like cache lookup and admission).
+// Event appends a zero-width child of the root: at 0 before the run is
+// merged (cache lookup, admission), at the run's end after (feedback).
 func (q *QuerySpan) Event(kind, name string, attrs ...Attr) {
 	q.tree.Spans = append(q.tree.Spans, Span{
 		ID: len(q.tree.Spans), Parent: 0, Kind: kind, Name: name,
-		Start: q.offset, End: q.offset, Attrs: rendered(attrs),
+		Start: q.end, End: q.end, Attrs: rendered(attrs),
 	})
 }
 
-// AddAttempt merges one collector under a new attempt span spanning
-// durSec on the request timeline: collector span ids shift past the
-// attempt's, roots re-parent onto it, times shift by the timeline
-// offset, and still-open job spans clamp to the attempt end (the run
-// failed mid-job). The collector must not be reused afterwards.
-func (q *QuerySpan) AddAttempt(c *SpanCollector, durSec float64, attrs ...Attr) {
-	q.attempts++
-	attemptID := len(q.tree.Spans)
+// AddRun merges the run's collector under a run span [0, durSec]:
+// collector span ids shift past the run's and its top-level spans parent
+// onto it. Call it once per tree; the collector must not be reused
+// afterwards.
+func (q *QuerySpan) AddRun(c *SpanCollector, durSec float64) {
+	runID := len(q.tree.Spans)
 	q.tree.Spans = append(q.tree.Spans, Span{
-		ID: attemptID, Parent: 0, Kind: SpanKindAttempt,
-		Name:  "attempt " + itoa(q.attempts),
-		Start: q.offset, End: q.offset + durSec,
-		Attrs: rendered(append(attrs, AttrInt("sched_decisions", c.decisions))),
+		ID: runID, Parent: 0, Kind: SpanKindRun, Name: "run", End: durSec,
+		Attrs: rendered([]Attr{AttrInt("sched_decisions", c.decisions)}),
 	})
-	base := attemptID + 1
+	base := runID + 1
 	for _, s := range c.spans {
-		if s.End < s.Start {
-			s.End = durSec // job left open by a failed run
-		}
 		s.ID += base
 		if s.Parent < 0 {
-			s.Parent = attemptID
+			s.Parent = runID
 		} else {
 			s.Parent += base
 		}
-		s.Start += q.offset
-		s.End += q.offset
 		q.tree.Spans = append(q.tree.Spans, s)
 	}
-	q.offset += durSec
+	q.end = durSec
 }
 
-// Finish closes the root at the current timeline position, appends the
-// outcome attributes, and returns the completed tree.
+// Finish closes the root at the run's end, appends the outcome
+// attributes, and returns the completed tree.
 func (q *QuerySpan) Finish(attrs ...Attr) SpanTree {
-	q.tree.Spans[0].End = q.offset
+	q.tree.Spans[0].End = q.end
 	q.tree.Spans[0].Attrs = append(q.tree.Spans[0].Attrs, rendered(attrs)...)
 	return q.tree
 }

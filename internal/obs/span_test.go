@@ -51,48 +51,36 @@ func TestTraceIDDeterministic(t *testing.T) {
 	}
 }
 
-// buildTwoAttemptTree replays a fixed two-attempt request — attempt 1
-// fails mid-job, attempt 2 completes — through Observer.Emit,
-// exactly as the serving engine drives them.
-func buildTwoAttemptTree() obs.SpanTree {
+// buildRunTree replays a fixed request — cache lookup, admission, one
+// clean simulator run, learn feedback — through Observer.Emit, exactly
+// as the serving engine drives it.
+func buildRunTree() obs.SpanTree {
 	q := obs.BeginQuerySpan("abc-000001", "q1", obs.AttrStr("seed", "9"))
 	q.Event(obs.SpanKindCache, "plan-cache", obs.AttrBool("hit", false))
 	q.Event(obs.SpanKindAdmission, "swrd-admission", obs.AttrFloat("wrd", 42.5))
 
-	// Attempt 1: the job opens, one task attempt fails, the simulated
-	// query aborts — the job span is left open and must clamp at merge.
-	j1 := obs.Event{Kind: obs.JobSubmitted, Query: "q1", Job: "j1", JobType: "join"}
-	submit := []obs.Attr{obs.AttrInt("maps", 4), obs.AttrInt("reduces", 2), obs.AttrFloat("init_until_sec", 1.5)}
-	c1 := obs.NewSpanCollector()
-	o1 := &obs.Observer{Spans: c1}
-	o1.Emit(j1, submit...)
-	o1.SchedulerDecision(0.5, "SWRD", false, "q1", 0, nil)
-	o1.Emit(obs.Event{Kind: obs.TaskFailed, At: 2, Start: 1, Query: "q1", Job: "j1", JobType: "join", Node: 3, Slot: 1},
-		obs.AttrInt("attempt", 1), obs.AttrFloat("backoff_sec", 0.5))
-	o1.Emit(obs.Event{Kind: obs.QueryFailed, At: 2.5, Query: "q1"}, obs.AttrStr("reason", "task attempt cap"))
-	q.AddAttempt(c1, 2.5, obs.AttrBool("failed", true))
-
-	// Attempt 2: the retry completes cleanly.
-	c2 := obs.NewSpanCollector()
-	o2 := &obs.Observer{Spans: c2}
-	o2.Emit(j1, submit...)
-	o2.Emit(obs.Event{Kind: obs.TaskFinished, At: 3, Start: 1, Query: "q1", Job: "j1", JobType: "join", Node: 2, Slot: 1, Pred: 2})
-	o2.Emit(obs.Event{Kind: obs.JobFinished, At: 4, Query: "q1", Job: "j1", JobType: "join"})
-	q.AddAttempt(c2, 4, obs.AttrBool("failed", false))
+	c := obs.NewSpanCollector()
+	o := &obs.Observer{Spans: c}
+	o.Emit(obs.Event{Kind: obs.JobSubmitted, Query: "q1", Job: "j1", JobType: "join"},
+		obs.AttrInt("maps", 4), obs.AttrInt("reduces", 2), obs.AttrFloat("init_until_sec", 1.5))
+	o.SchedulerDecision(0.5, "SWRD", false, "q1", 0, nil)
+	o.Emit(obs.Event{Kind: obs.TaskFinished, At: 3, Start: 1, Query: "q1", Job: "j1", JobType: "join", Node: 2, Slot: 1, Pred: 2})
+	o.Emit(obs.Event{Kind: obs.JobFinished, At: 4, Query: "q1", Job: "j1", JobType: "join"})
+	q.AddRun(c, 4)
 
 	q.Event(obs.SpanKindFeedback, "learn-feedback", obs.AttrInt("jobs", 1))
-	return q.Finish(obs.AttrFloat("sim_sec", 6.5))
+	return q.Finish(obs.AttrFloat("sim_sec", 4))
 }
 
-func TestQuerySpanMergesAttempts(t *testing.T) {
-	tree := buildTwoAttemptTree()
+func TestQuerySpanMergesRun(t *testing.T) {
+	tree := buildRunTree()
 
 	root := tree.Spans[0]
 	if root.Kind != obs.SpanKindQuery || root.Parent != -1 || root.ID != 0 {
 		t.Fatalf("root span malformed: %+v", root)
 	}
-	if root.End != 6.5 {
-		t.Fatalf("root end = %g, want 6.5 (2.5 + 4 on the merged timeline)", root.End)
+	if root.End != 4 {
+		t.Fatalf("root end = %g, want the run's 4", root.End)
 	}
 
 	// Every non-root span must point at an earlier, existing parent.
@@ -107,53 +95,37 @@ func TestQuerySpanMergesAttempts(t *testing.T) {
 		byKind[s.Kind] = append(byKind[s.Kind], s)
 	}
 	for _, kind := range []string{obs.SpanKindCache, obs.SpanKindAdmission,
-		obs.SpanKindAttempt, obs.SpanKindJob, obs.SpanKindTask,
-		obs.SpanKindSched, obs.SpanKindFault, obs.SpanKindFeedback} {
+		obs.SpanKindRun, obs.SpanKindJob, obs.SpanKindTask,
+		obs.SpanKindSched, obs.SpanKindFeedback} {
 		if len(byKind[kind]) == 0 {
 			t.Errorf("tree has no %q span", kind)
 		}
 	}
 
-	attempts := byKind[obs.SpanKindAttempt]
-	if len(attempts) != 2 {
-		t.Fatalf("got %d attempt spans, want 2", len(attempts))
+	runs := byKind[obs.SpanKindRun]
+	if len(runs) != 1 || runs[0].Start != 0 || runs[0].End != 4 || runs[0].Parent != 0 {
+		t.Fatalf("run spans = %+v, want one [0,4] under the root", runs)
 	}
-	if attempts[0].Start != 0 || attempts[0].End != 2.5 {
-		t.Errorf("attempt 1 spans [%g,%g], want [0,2.5]", attempts[0].Start, attempts[0].End)
-	}
-	if attempts[1].Start != 2.5 || attempts[1].End != 6.5 {
-		t.Errorf("attempt 2 spans [%g,%g], want [2.5,6.5]", attempts[1].Start, attempts[1].End)
-	}
-
 	jobs := byKind[obs.SpanKindJob]
-	if len(jobs) != 2 {
-		t.Fatalf("got %d job spans, want 2", len(jobs))
+	if len(jobs) != 1 || jobs[0].Start != 0 || jobs[0].End != 4 || jobs[0].Parent != runs[0].ID {
+		t.Fatalf("job spans = %+v, want one [0,4] under the run", jobs)
 	}
-	// Attempt 1's job was never finished: its end clamps to the attempt.
-	if jobs[0].End != 2.5 {
-		t.Errorf("open job clamped to %g, want attempt end 2.5", jobs[0].End)
-	}
-	if jobs[0].Parent != attempts[0].ID {
-		t.Errorf("attempt-1 job parented on %d, want attempt span %d", jobs[0].Parent, attempts[0].ID)
-	}
-	// Attempt 2's job re-bases by the 2.5s the first attempt consumed.
-	if jobs[1].Start != 2.5 || jobs[1].End != 6.5 {
-		t.Errorf("attempt-2 job spans [%g,%g], want [2.5,6.5]", jobs[1].Start, jobs[1].End)
-	}
-
-	// The completed task re-bases and re-parents under its job span.
+	// The task parents under its job span, the decision under the run.
 	task := byKind[obs.SpanKindTask][0]
-	if task.Start != 3.5 || task.End != 5.5 {
-		t.Errorf("task spans [%g,%g], want [3.5,5.5]", task.Start, task.End)
+	if task.Start != 1 || task.End != 3 || task.Parent != jobs[0].ID {
+		t.Errorf("task spans [%g,%g] parent %d, want [1,3] under job span %d", task.Start, task.End, task.Parent, jobs[0].ID)
 	}
-	if task.Parent != jobs[1].ID {
-		t.Errorf("task parented on %d, want job span %d", task.Parent, jobs[1].ID)
+	if d := byKind[obs.SpanKindSched][0]; d.Parent != runs[0].ID {
+		t.Errorf("decision parented on %d, want the run span %d", d.Parent, runs[0].ID)
 	}
 
-	// The feedback event lands at the merged-timeline end.
+	// Cache and admission sit at 0; the feedback event lands at the run's end.
+	if c := byKind[obs.SpanKindCache][0]; c.Start != 0 || c.Parent != 0 {
+		t.Errorf("cache at %g parent %d, want 0 parent 0", c.Start, c.Parent)
+	}
 	fb := byKind[obs.SpanKindFeedback][0]
-	if fb.Start != 6.5 || fb.Parent != 0 {
-		t.Errorf("feedback at %g parent %d, want 6.5 parent 0", fb.Start, fb.Parent)
+	if fb.Start != 4 || fb.Parent != 0 {
+		t.Errorf("feedback at %g parent %d, want 4 parent 0", fb.Start, fb.Parent)
 	}
 }
 
@@ -161,11 +133,11 @@ func TestQuerySpanMergesAttempts(t *testing.T) {
 // demands byte-identical serialisation — the contract the seeded replay
 // acceptance test relies on.
 func TestSpanTreeJSONDeterministic(t *testing.T) {
-	a, err := json.MarshalIndent(buildTwoAttemptTree(), "", "  ")
+	a, err := json.MarshalIndent(buildRunTree(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.MarshalIndent(buildTwoAttemptTree(), "", "  ")
+	b, err := json.MarshalIndent(buildRunTree(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +212,7 @@ func TestSpanStoreWriteJSON(t *testing.T) {
 func TestSpanStoreChromeExport(t *testing.T) {
 	st := obs.NewSpanStore(4)
 	st.Begin()
-	st.Add(buildTwoAttemptTree())
+	st.Add(buildRunTree())
 
 	var buf bytes.Buffer
 	ts := obs.NewTraceSink(&buf)

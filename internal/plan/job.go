@@ -119,28 +119,6 @@ func (d *DAG) Sink() *Job {
 	return d.Jobs[len(d.Jobs)-1]
 }
 
-// Roots returns the jobs with no upstream dependencies.
-func (d *DAG) Roots() []*Job {
-	var roots []*Job
-	for _, j := range d.Jobs {
-		if len(j.Deps) == 0 {
-			roots = append(roots, j)
-		}
-	}
-	return roots
-}
-
-// Dependents returns a map from job ID to the jobs that consume it.
-func (d *DAG) Dependents() map[string][]*Job {
-	out := make(map[string][]*Job, len(d.Jobs))
-	for _, j := range d.Jobs {
-		for _, dep := range j.Deps {
-			out[dep.ID] = append(out[dep.ID], j)
-		}
-	}
-	return out
-}
-
 // Validate checks structural invariants: unique IDs, dependencies that are
 // members of the DAG, and topological ordering of Jobs. A plan has a few
 // jobs, so ids are looked up by a scan rather than through a map.

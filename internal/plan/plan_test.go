@@ -175,25 +175,10 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestRootsAndSink(t *testing.T) {
+func TestSink(t *testing.T) {
 	d := mustCompile(t, q11)
-	roots := d.Roots()
-	if len(roots) != 1 || roots[0].ID != "J1" {
-		t.Fatalf("roots = %v", roots)
-	}
 	if d.Sink().ID != "J3" {
 		t.Fatalf("sink = %s", d.Sink().ID)
-	}
-}
-
-func TestDependents(t *testing.T) {
-	d := mustCompile(t, q11)
-	deps := d.Dependents()
-	if len(deps["J1"]) != 1 || deps["J1"][0].ID != "J2" {
-		t.Fatalf("dependents of J1 = %v", deps["J1"])
-	}
-	if len(deps["J3"]) != 0 {
-		t.Fatal("sink should have no dependents")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 
@@ -49,25 +48,18 @@ type Config struct {
 	JobModel *predict.JobModel
 	// Cluster sizes each pool simulator as cluster.Config.Normalized
 	// resolves it: the zero value means the paper's 9-node default, and
-	// the fields set beside an unset Nodes are kept. Setting
-	// Cluster.Faults replays every admitted query under that
-	// deterministic fault plan; the engine
-	// re-rolls Cluster.FaultSalt per submission seed and retry attempt so
-	// repeated runs of the same query see independent failure draws.
+	// the fields set beside an unset Nodes are kept. Cluster.Faults must
+	// be nil: a served query runs once, fault-free, and New refuses a
+	// fault plan (inject faults through a cluster.Sim directly).
 	Cluster cluster.Config
-	// MaxRetries is how many times a fault-failed query (one that
-	// exhausted a task attempt cap) is re-run on a fresh pool simulator
-	// before its *cluster.TaskFailedError is delivered through
-	// Ticket.Wait. Only meaningful with Cluster.Faults set; default 0.
-	MaxRetries int
 	// Learner, when set, closes the observe→learn→predict loop: admission
 	// scoring (WRD ranking, predicted seconds), per-task predictions and
 	// drift accounting come from the source's current champion models —
 	// falling back to the static TaskModel/JobModel while the source is
-	// cold — and every cleanly completed (unfaulted) query's observed job
-	// and task times are fed back as challenger training samples. The
-	// facade passes a *learn.Registry. Callers must leave this nil (not a
-	// typed-nil pointer) to disable learning.
+	// cold — and every completed query's observed job and task times are
+	// fed back as challenger training samples. The facade passes a
+	// *learn.Registry. Callers must leave this nil (not a typed-nil
+	// pointer) to disable learning.
 	Learner learn.Source
 	// Scheduler is the slot policy each pool simulator runs (required).
 	// The policies in internal/sched are stateless values, safe to
@@ -84,11 +76,10 @@ type Config struct {
 	// disables instrumentation at zero cost.
 	Observer *obs.Observer
 	// Spans, when set, records one request-scoped span tree per admitted
-	// submission: cache lookup, SWRD admission, every simulator attempt
-	// (jobs, tasks, faults, scheduler decisions) and
-	// the learn feedback, all on one deterministic virtual timeline. Nil
-	// disables tracing at zero cost — pool simulators then run with no
-	// observer attached, exactly as before.
+	// submission: cache lookup, SWRD admission, the simulator run (jobs,
+	// tasks, scheduler decisions) and the learn feedback, all on the
+	// run's deterministic virtual timeline. Nil disables tracing at zero
+	// cost — pool simulators then run with no observer attached.
 	Spans *obs.SpanStore
 }
 
@@ -110,10 +101,6 @@ type Result struct {
 	SimSec float64
 	// Jobs, Maps and Reduces describe the executed plan.
 	Jobs, Maps, Reduces int
-	// Attempts counts simulator runs consumed (1 + fault retries).
-	Attempts int
-	// Faulted reports that injected faults perturbed the (final) run.
-	Faulted bool
 	// ModelVersion is the learner registry's champion version at
 	// admission; 0 without online learning (or while the registry is
 	// cold).
@@ -191,13 +178,7 @@ type Stats struct {
 	Completed uint64 // queries served to completion
 	Canceled  uint64 // submissions abandoned by context cancellation
 	Rejected  uint64 // submissions refused by a full queue
-	Errors    uint64 // compile/estimate/simulation failures
-
-	// Retries counts fault-failed queries re-run on a fresh simulator;
-	// FaultFailures counts queries still failed after the retry budget
-	// (each of those also counts once under Errors).
-	Retries       uint64
-	FaultFailures uint64
+	Errors    uint64 // parse/compile/estimate failures
 
 	CacheHits      uint64
 	CacheMisses    uint64
@@ -210,12 +191,6 @@ type Stats struct {
 	QueueDepth int // tickets awaiting a pool worker
 	Inflight   int // tickets on pool simulators right now
 	Workers    int
-
-	// SpansStarted/SpansFinished count request-scoped span trees opened
-	// at admission and retained at delivery (Config.Spans; finished lags
-	// started by in-flight plus abandoned/canceled trees).
-	SpansStarted  uint64
-	SpansFinished uint64
 }
 
 // HitRate returns the cache hit fraction, 0 when no lookups happened.
@@ -254,6 +229,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Scheduler == nil {
 		return nil, errors.New("serve: Config.Scheduler is required")
+	}
+	if cfg.Cluster.Faults != nil {
+		return nil, &cluster.ConfigError{Reason: "Faults is set; the serving engine runs every query fault-free"}
 	}
 	if err := cfg.Cluster.Check(); err != nil {
 		return nil, err
@@ -479,7 +457,7 @@ func (e *Engine) inflightNow() int {
 }
 
 // worker serves admitted tickets until the engine closes and drains, on
-// one simulator it owns for its lifetime and resets per attempt.
+// one simulator it owns for its lifetime and resets per ticket.
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	sim := new(cluster.Sim)
@@ -511,11 +489,8 @@ func (e *Engine) next() *Ticket {
 	return t
 }
 
-// run executes one ticket on the worker's simulator, reset per attempt,
-// and delivers its completion. Under a fault plan a query whose task
-// exhausted its attempt cap is retried up to MaxRetries times, each retry
-// on a rebuilt query and a re-salted plan, before the typed error is
-// delivered.
+// run executes one ticket on the worker's simulator, reset for it, and
+// delivers its completion.
 func (e *Engine) run(sim *cluster.Sim, t *Ticket) {
 	// Submit normalized the context, so t.ctx is never nil here.
 	select {
@@ -523,11 +498,6 @@ func (e *Engine) run(sim *cluster.Sim, t *Ticket) {
 		e.finish(t, Result{}, t.ctx.Err())
 		return
 	default:
-	}
-	ctx := t.ctx
-	maxRetries := e.cfg.MaxRetries
-	if e.cfg.Cluster.Faults == nil {
-		maxRetries = 0
 	}
 	// Serve this query from the learner's champion models when online
 	// learning is on and a champion exists; static models otherwise.
@@ -544,76 +514,48 @@ func (e *Engine) run(sim *cluster.Sim, t *Ticket) {
 			jm = j
 		}
 	}
-	for attempt := 0; ; attempt++ {
-		cq := cluster.BuildQuery(t.id, t.est, trace.NewDefaultCostModel(t.seed), pred)
-		scfg := e.cfg.Cluster
-		if scfg.Faults != nil {
-			// Decorrelate failure draws across submissions and retries
-			// while keeping each (sql, seed, attempt) run reproducible.
-			scfg.FaultSalt ^= t.seed ^ uint64(attempt)*0x9e3779b97f4a7c15
-		}
-		// With tracing on, each attempt runs under a spans-only observer:
-		// its single-goroutine collector captures the attempt's jobs,
-		// tasks, faults and scheduler decisions without touching the
-		// shared metrics registry — the simulated schedule is identical
-		// either way, only observation is added.
-		var coll *obs.SpanCollector
-		var runObs *obs.Observer
-		if t.span != nil {
-			coll = obs.NewSpanCollector()
-			runObs = &obs.Observer{Spans: coll}
-		}
-		sim.Reset(scfg, e.cfg.Scheduler)
-		sim.SetObserver(runObs)
-		sim.Submit(cq, 0)
-		if _, err := sim.RunContext(ctx); err != nil {
-			e.finish(t, Result{}, err)
-			return
-		}
-		if t.span != nil {
-			dur := cq.ResponseTime()
-			if dur < 0 {
-				dur = coll.LastEventSec()
-			}
-			t.span.AddAttempt(coll, dur,
-				obs.AttrBool("failed", cq.Failed()),
-				obs.AttrBool("faulted", cq.Faulted))
-		}
-		if cq.Failed() {
-			if attempt < maxRetries {
-				e.count(func(s *Stats) { s.Retries++ })
-				e.cfg.Observer.Count(obs.MServeRetries)
-				continue
-			}
-			e.count(func(s *Stats) { s.FaultFailures++ })
-			e.cfg.Observer.Count(obs.MServeFaultFailures)
-			e.finish(t, Result{}, fmt.Errorf("serve: query %s failed after %d run(s): %w",
-				t.id, attempt+1, cq.Err))
-			return
-		}
-		RecordJobDrift(e.cfg.Observer, jm, t.est, cq)
-		if L := e.cfg.Learner; L != nil && !cq.Faulted {
-			feedback(L, t.est, cq)
-			if t.span != nil {
-				t.span.Event(obs.SpanKindFeedback, "learn-feedback",
-					obs.AttrInt("jobs", len(cq.Jobs)),
-					obs.AttrInt("registry_version", served))
-			}
-		}
-		res := Result{
-			ID: t.id, SQL: t.sql, CacheHit: t.cacheHit,
-			WRD: t.wrd, PredictedSec: t.predSec,
-			SimSec: cq.ResponseTime(), Jobs: len(cq.Jobs),
-			Attempts: attempt + 1, Faulted: cq.Faulted,
-			ModelVersion: t.version,
-		}
-		for _, j := range cq.Jobs {
-			res.Maps += len(j.Maps)
-			res.Reduces += len(j.Reds)
-		}
-		e.finish(t, res, nil)
+	cq := cluster.BuildQuery(t.id, t.est, trace.NewDefaultCostModel(t.seed), pred)
+	// With tracing on, the run goes under a spans-only observer: its
+	// single-goroutine collector captures the run's jobs, tasks and
+	// scheduler decisions without touching the shared metrics registry —
+	// the simulated schedule is identical either way, only observation is
+	// added.
+	var coll *obs.SpanCollector
+	var runObs *obs.Observer
+	if t.span != nil {
+		coll = obs.NewSpanCollector()
+		runObs = &obs.Observer{Spans: coll}
+	}
+	sim.Reset(e.cfg.Cluster, e.cfg.Scheduler)
+	sim.SetObserver(runObs)
+	sim.Submit(cq, 0)
+	if _, err := sim.RunContext(t.ctx); err != nil {
+		e.finish(t, Result{}, err)
 		return
 	}
+	if t.span != nil {
+		t.span.AddRun(coll, cq.ResponseTime())
+	}
+	RecordJobDrift(e.cfg.Observer, jm, t.est, cq)
+	if L := e.cfg.Learner; L != nil {
+		feedback(L, t.est, cq)
+		if t.span != nil {
+			t.span.Event(obs.SpanKindFeedback, "learn-feedback",
+				obs.AttrInt("jobs", len(cq.Jobs)),
+				obs.AttrInt("registry_version", served))
+		}
+	}
+	res := Result{
+		ID: t.id, SQL: t.sql, CacheHit: t.cacheHit,
+		WRD: t.wrd, PredictedSec: t.predSec,
+		SimSec: cq.ResponseTime(), Jobs: len(cq.Jobs),
+		ModelVersion: t.version,
+	}
+	for _, j := range cq.Jobs {
+		res.Maps += len(j.Maps)
+		res.Reduces += len(j.Reds)
+	}
+	e.finish(t, res, nil)
 }
 
 // RecordJobDrift logs each finished job's Eq. 8 predicted time (from
@@ -641,8 +583,8 @@ func RecordJobDrift(o *obs.Observer, jm *predict.JobModel, est *selectivity.Quer
 // rationale as the offline corpus's per-group sampling.
 const learnTasksPerGroup = 8
 
-// feedback feeds one cleanly completed query's observed job and task
-// times into the online-learning source.
+// feedback feeds one completed query's observed job and task times into
+// the online-learning source.
 func feedback(l learn.Source, est *selectivity.QueryEstimate, cq *cluster.Query) {
 	for ji, je := range est.Jobs {
 		sj := cq.Jobs[ji]
@@ -669,10 +611,7 @@ func (e *Engine) finish(t *Ticket, res Result, err error) {
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	if t.span != nil && !canceled {
 		if err == nil {
-			e.cfg.Spans.Add(t.span.Finish(
-				obs.AttrFloat("sim_sec", res.SimSec),
-				obs.AttrInt("attempts", res.Attempts),
-				obs.AttrBool("faulted", res.Faulted)))
+			e.cfg.Spans.Add(t.span.Finish(obs.AttrFloat("sim_sec", res.SimSec)))
 		} else {
 			e.cfg.Spans.Add(t.span.Finish(obs.AttrStr("error", err.Error())))
 		}
@@ -711,10 +650,6 @@ func (e *Engine) Stats() Stats {
 	e.mu.Unlock()
 	s.CacheHits, s.CacheMisses, s.CacheEvictions = hits, misses, evictions
 	s.CacheEntries, s.CacheSpellings = e.cache.len()
-	if st := e.cfg.Spans; st != nil {
-		c := st.Counts()
-		s.SpansStarted, s.SpansFinished = c.Started, c.Finished
-	}
 	return s
 }
 

@@ -1,106 +1,38 @@
 package serve
 
 import (
-	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"saqp/internal/cluster"
 	"saqp/internal/fault"
 )
 
-// faultCfg returns a serve config whose pool simulators run under the
-// given fault plan.
-func faultCfg(t *testing.T, p *fault.Plan) Config {
-	cfg := config(t)
-	cfg.Workers = 1
-	cfg.Cluster.Faults = p
-	return cfg
-}
-
-// TestFaultFailureSurfacesTypedError: with every attempt failing and a
-// one-attempt cap, the query is abandoned and Ticket.Wait unwraps to the
-// cluster's typed error.
+// TestFaultFailureSurfacesTypedError: a served query runs once,
+// fault-free, so a fault plan given to the engine fails at New — even a
+// plan that injects nothing — with a *cluster.ConfigError naming the
+// field, before any worker starts.
 func TestFaultFailureSurfacesTypedError(t *testing.T) {
-	e := newEngine(t, faultCfg(t, fault.NewPlan(fault.Spec{
-		Seed: 1, TaskFailProb: 1, MaxAttempts: 1,
-	})))
-	tk, err := e.Submit(context.Background(), q6, 7)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	_, err = tk.Wait(context.Background())
-	if err == nil {
-		t.Fatal("doomed query should fail through Wait")
-	}
-	var tfe *cluster.TaskFailedError
-	if !errors.As(err, &tfe) {
-		t.Fatalf("Wait error = %v, want a wrapped *cluster.TaskFailedError", err)
-	}
-	if tfe.Attempts != 1 {
-		t.Fatalf("typed error attempts = %d, want the cap of 1", tfe.Attempts)
-	}
-	st := e.Stats()
-	if st.FaultFailures != 1 || st.Errors != 1 || st.Retries != 0 {
-		t.Fatalf("stats after fault failure: %+v", st)
-	}
-}
-
-// TestFaultRetryRecovers probes for a plan seed where the first run of a
-// query fails at the attempt cap but a re-salted retry completes, then
-// asserts MaxRetries turns that exact failure into a success.
-func TestFaultRetryRecovers(t *testing.T) {
-	probe := func(planSeed uint64, retries int) (*Result, error, *Engine) {
-		cfg := faultCfg(t, fault.NewPlan(fault.Spec{
-			Seed: planSeed, TaskFailProb: 0.02, MaxAttempts: 1,
-		}))
-		cfg.MaxRetries = retries
-		e := newEngine(t, cfg)
-		tk, err := e.Submit(context.Background(), q6, 7)
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
+	for _, p := range []*fault.Plan{
+		fault.NewPlan(fault.Spec{Seed: 1, TaskFailProb: 1, MaxAttempts: 1}),
+		fault.NewPlan(fault.Spec{}),
+	} {
+		cfg := config(t)
+		cfg.Cluster.Faults = p
+		before := runtime.NumGoroutine()
+		e, err := New(cfg)
+		if e != nil {
+			e.Close()
+			t.Fatal("New admitted a fault plan")
 		}
-		res, err := tk.Wait(context.Background())
-		return &res, err, e
-	}
-	for planSeed := uint64(0); planSeed < 200; planSeed++ {
-		if _, err, _ := probe(planSeed, 0); err == nil {
-			continue // this plan doesn't fail the first run; try the next
+		var ce *cluster.ConfigError
+		if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "Faults") {
+			t.Fatalf("New(Faults set) = %v, want a *cluster.ConfigError naming Faults", err)
 		}
-		res, err, e := probe(planSeed, 5)
-		if err != nil {
-			continue // every re-roll failed too; keep probing
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("a refused New left %d goroutines running, %d before", after, before)
 		}
-		if res.Attempts < 2 {
-			t.Fatalf("recovered result reports %d attempt(s), want >= 2", res.Attempts)
-		}
-		st := e.Stats()
-		if st.Retries == 0 || st.FaultFailures != 0 || st.Completed != 1 {
-			t.Fatalf("stats after recovered retry: %+v", st)
-		}
-		return
-	}
-	t.Fatal("no plan seed under 200 fails once and recovers on retry")
-}
-
-// TestNilFaultPlanForcesZeroRetries: without a fault plan MaxRetries is
-// inert — a clean run completes in one attempt and counts no retries.
-func TestNilFaultPlanForcesZeroRetries(t *testing.T) {
-	cfg := config(t)
-	cfg.MaxRetries = 5
-	e := newEngine(t, cfg)
-	tk, err := e.Submit(context.Background(), q6, 7)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	res, err := tk.Wait(context.Background())
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if res.Attempts != 1 || res.Faulted {
-		t.Fatalf("clean run result: %+v", res)
-	}
-	if st := e.Stats(); st.Retries != 0 || st.FaultFailures != 0 {
-		t.Fatalf("clean run stats: %+v", st)
 	}
 }

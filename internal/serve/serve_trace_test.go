@@ -16,7 +16,6 @@ import (
 type traceReplay struct {
 	spans   *obs.SpanStore
 	obs     *obs.Observer
-	stats   Stats
 	simSecs []float64
 }
 
@@ -46,7 +45,6 @@ func runTraceReplay(t *testing.T, traced bool) traceReplay {
 		}
 		r.simSecs = append(r.simSecs, res.SimSec)
 	}
-	r.stats = e.Stats()
 	return r
 }
 
@@ -99,12 +97,12 @@ func TestServeSpansDoNotPerturbSchedule(t *testing.T) {
 
 // TestServeSpanTreesComplete follows the full observability chain: every
 // served query's trace id resolves in the span store to a complete
-// submit→admit→schedule→attempt→feedback tree.
+// submit→admit→schedule→run→feedback tree with exactly one run span.
 func TestServeSpanTreesComplete(t *testing.T) {
 	r := runTraceReplay(t, true)
 
-	if r.stats.SpansStarted != 6 || r.stats.SpansFinished != 6 {
-		t.Errorf("stats spans = %d/%d, want 6/6", r.stats.SpansStarted, r.stats.SpansFinished)
+	if c := r.spans.Counts(); c.Started != 6 || c.Finished != 6 {
+		t.Errorf("span store counts %d/%d started/finished, want 6/6", c.Started, c.Finished)
 	}
 	if hist := r.obs.Metrics.Snapshot().Histograms[obs.MServeSimResponseSec]; hist.Count != 6 {
 		t.Errorf("sim-response histogram count = %d, want 6", hist.Count)
@@ -120,16 +118,19 @@ func TestServeSpanTreesComplete(t *testing.T) {
 		if !ok {
 			t.Fatalf("trace %q not resolvable in the span store", traceID)
 		}
-		kinds := map[string]bool{}
+		kinds := map[string]int{}
 		for _, sp := range tree.Spans {
-			kinds[sp.Kind] = true
+			kinds[sp.Kind]++
 		}
 		for _, kind := range []string{obs.SpanKindQuery, obs.SpanKindCache,
-			obs.SpanKindAdmission, obs.SpanKindAttempt, obs.SpanKindJob,
+			obs.SpanKindAdmission, obs.SpanKindRun, obs.SpanKindJob,
 			obs.SpanKindTask, obs.SpanKindSched, obs.SpanKindFeedback} {
-			if !kinds[kind] {
+			if kinds[kind] == 0 {
 				t.Errorf("tree %q lacks a %q span", traceID, kind)
 			}
+		}
+		if kinds[obs.SpanKindRun] != 1 {
+			t.Errorf("tree %q has %d run spans, want 1", traceID, kinds[obs.SpanKindRun])
 		}
 		if tree.Spans[0].Kind != obs.SpanKindQuery || tree.Spans[0].End <= 0 {
 			t.Errorf("tree %q root malformed: %+v", traceID, tree.Spans[0])

@@ -12,8 +12,6 @@ type (
 	// LearnerConfig assembles a Learner (window size, promotion margin,
 	// minimum samples, seed champion).
 	LearnerConfig = learn.Config
-	// Promotion records one champion replacement in a Learner.
-	Promotion = learn.Promotion
 )
 
 // NewLearner builds an online model-lifecycle registry. Unset config

@@ -77,10 +77,10 @@ func TestSimulateQueryDeterministicTrace(t *testing.T) {
 }
 
 // Golden observability scenario. One observer (metrics + drift + a
-// Chrome timeline sink) sees a clean seeded SimulateQuery, a second one
-// under the default fault plan, and then a single-worker TraceSpans
-// server (online learning, retries, default fault plan) fed a fixed
-// serialized submission sequence. Metrics sample lines and the drift
+// Chrome timeline sink) sees a clean seeded SimulateQuery, a faulty and a
+// doomed one under fault plans, and then three single-worker TraceSpans
+// servers (online learning; preemptive reduce; a cold learner) fed fixed
+// serialized submission sequences, each query served once, fault-free. Metrics sample lines and the drift
 // snapshot must match the checked-in files byte for byte; the timeline,
 // the span trees and the span store's Chrome export are compared as
 // skeletons (identity, kind and times exact; attribute keys may only
@@ -248,7 +248,9 @@ func TestGoldenObservability(t *testing.T) {
 			if err != nil {
 				t.Fatalf("submit %s: %v", name, err)
 			}
-			_, _ = tk.Wait(context.Background()) // a fault failure is part of the scenario
+			if _, err := tk.Wait(context.Background()); err != nil {
+				t.Fatalf("wait %s: %v", name, err)
+			}
 		}
 		if _, err := srv.Submit(context.Background(), "SELECT nothing FROM nowhere", 1); err == nil {
 			t.Fatal("unresolvable query admitted")
@@ -258,14 +260,10 @@ func TestGoldenObservability(t *testing.T) {
 		}
 		stores = append(stores, srv.Spans())
 	}
-	opts := saqp.ServerOptions{MaxRetries: 3, OnlineLearning: true}
-	opts.Cluster.Faults = saqp.NewFaultPlan(saqp.DefaultFaultSpec(11))
-	serveAll(opts, "q1", "q6", "q1", "q17")
-	harsh.MaxAttempts = 2
-	opts = saqp.ServerOptions{MaxRetries: 1, Cluster: cc}
-	opts.Cluster.Faults = saqp.NewFaultPlan(harsh)
-	serveAll(opts, "q14", "q3", "q19", "q14", "q11")
-	// A cold learner on a fault-free cluster bootstraps its first champion
+	serveAll(saqp.ServerOptions{OnlineLearning: true}, "q1", "q6", "q1", "q17")
+	cc.Faults = nil
+	serveAll(saqp.ServerOptions{Cluster: cc}, "q14", "q3", "q19", "q14", "q11")
+	// A cold learner bootstraps its first champion
 	// from feedback: the promotion instant lands on the timeline. An
 	// untrained framework seeds no champion.
 	cold := &saqp.Framework{}
@@ -292,7 +290,7 @@ func TestGoldenObservability(t *testing.T) {
 	got := obsSkeleton{Timeline: timelineSkeleton(t, timeline.Bytes())}
 	var spanTimeline bytes.Buffer
 	sink := saqp.NewTraceSink(&spanTimeline)
-	stores[1].WriteChromeTrace(sink) // the harsh run: every span kind
+	stores[1].WriteChromeTrace(sink) // the preemptive-reduce server's trees
 	for _, store := range stores {
 		for _, tree := range store.Trees() {
 			for _, sp := range tree.Spans {

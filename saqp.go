@@ -47,8 +47,9 @@ type (
 	// ClusterConfig sizes the discrete-event cluster simulator.
 	ClusterConfig = cluster.Config
 	// ClusterConfigError reports a ClusterConfig the simulator refuses
-	// (see cluster.Config.Check); NewServer and SimulateQueryConfig
-	// return it rather than running the config.
+	// (see cluster.Config.Check), or one with Faults set given to
+	// NewServer; NewServer and SimulateQueryConfig return it rather than
+	// running the config.
 	ClusterConfigError = cluster.ConfigError
 	// Schema describes one synthetic table.
 	Schema = dataset.Schema
@@ -57,14 +58,8 @@ type (
 	Observer = obs.Observer
 	// TraceSink writes Chrome trace-event JSON (loadable in Perfetto).
 	TraceSink = obs.TraceSink
-	// MetricsRegistry collects counters, gauges and histograms.
-	MetricsRegistry = obs.Registry
 	// RegistrySnapshot is a point-in-time metrics dump.
 	RegistrySnapshot = obs.RegistrySnapshot
-	// DriftRecorder accumulates predicted-vs-observed error per category.
-	DriftRecorder = obs.DriftRecorder
-	// DriftSnapshot is the recorder's rolled-up accuracy state.
-	DriftSnapshot = obs.DriftSnapshot
 	// DriftSummary is one category's accuracy roll-up.
 	DriftSummary = obs.DriftSummary
 	// Span is one node of a request-scoped trace tree.
@@ -296,9 +291,9 @@ func (f *Framework) SimulateQuery(id string, qe *QueryEstimate, scheduler string
 
 // SimulateQueryConfig is SimulateQuery on a caller-supplied cluster
 // config — the hook behind cmd/saqp's fault-injection flags: set
-// cc.Faults (and optionally cc.FaultSalt) to replay the query under a
-// deterministic fault plan. A failed query (task attempt cap exhausted
-// under the plan) returns its *TaskFailedError.
+// cc.Faults to replay the query under a deterministic fault plan. A
+// failed query (task attempt cap exhausted under the plan) returns its
+// *TaskFailedError.
 func (f *Framework) SimulateQueryConfig(id string, qe *QueryEstimate, scheduler string, seed uint64, cc ClusterConfig) (float64, error) {
 	pol, err := schedulerByName(scheduler)
 	if err != nil {

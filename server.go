@@ -36,31 +36,27 @@ type ServerOptions struct {
 	// CacheSize bounds the plan/estimate cache entry count. Default 256.
 	CacheSize int
 	// Cluster sizes each pool simulator; the zero value means the
-	// paper's 9-node default.
+	// paper's 9-node default. Served queries run fault-free: NewServer
+	// refuses a Cluster with Faults set (*ClusterConfigError), and
+	// SimulateQueryConfig is where a fault plan is replayed.
 	Cluster ClusterConfig
 	// Scheduler names the slot policy each pool simulator runs — one of
 	// SchedulerNames(). Empty means SchedulerSWRD.
 	Scheduler string
-	// MaxRetries is how many times a query abandoned at the task attempt
-	// cap is re-run (on a re-salted fault plan) before its
-	// *TaskFailedError is delivered through Ticket.Wait. Only meaningful
-	// when Cluster.Faults is set. Default 0: fail on first abandonment.
-	MaxRetries int
 	// OnlineLearning enables the model-lifecycle subsystem: the server
 	// builds a Learner seeded from the framework's trained models (or
 	// cold, if untrained), serves predictions from its champion, and
-	// feeds every cleanly completed query's observed times back into it.
+	// feeds every completed query's observed times back into it.
 	OnlineLearning bool
 	// Learner overrides the registry used when online learning is on;
 	// nil builds one via Framework.NewLearner with defaults. Sharing one
 	// Learner across servers pools their feedback.
 	Learner *Learner
 	// TraceSpans records a request-scoped span tree per admitted query:
-	// cache lookup → SWRD admission → every simulator attempt (jobs,
-	// tasks, faults, scheduler decisions) → learn
-	// feedback, retained in a bounded store (the newest
-	// obs.DefaultSpanCapacity trees) readable via Spans and the admin
-	// server's /spans endpoint.
+	// cache lookup → SWRD admission → its simulator run (jobs, tasks,
+	// scheduler decisions) → learn feedback, retained in a bounded store
+	// (the newest obs.DefaultSpanCapacity trees) readable via Spans and
+	// the admin server's /spans endpoint.
 	TraceSpans bool
 	// AdminAddr, when non-empty, starts the live introspection HTTP
 	// server on that address (host:port; ":0" picks a free port) serving
@@ -127,7 +123,6 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 		Cluster:            opts.Cluster,
 		Scheduler:          pol,
 		Workers:            opts.Workers,
-		MaxRetries:         opts.MaxRetries,
 		CacheSize:          opts.CacheSize,
 		Learner:            src,
 		Observer:           ob,
