@@ -11,9 +11,9 @@
 //     internal/predict Add their corpus to — absorbs completed-job
 //     feedback one sample at a time, so after N observations its
 //     coefficients are the batch fit's over the identical stream, to the
-//     last bit, by definition rather than by test. The job family is
-//     solved once per observed job (the challenger's prequential score);
-//     the task families only when a promotion installs them. When the
+//     last bit, by definition rather than by test. Each observed job
+//     scores the challenger in place, building no model; the families
+//     are built only when a promotion installs them. When the
 //     challenger's windowed average relative error beats the champion's
 //     by a configurable margin, the registry atomically promotes it and
 //     bumps the version.

@@ -1,7 +1,7 @@
 package learn
 
 import (
-	"encoding/json"
+	"errors"
 	"math"
 	"sync"
 
@@ -54,9 +54,11 @@ type Source interface {
 	// A decision that needs more than one of the three takes them from
 	// one call, never from two.
 	Champion() (version int, jm *predict.JobModel, tm *predict.TaskModel)
-	// ObserveJob feeds one completed job's observed execution time.
+	// ObserveJob feeds one completed job's observed execution time;
+	// features is valid only for the call (the caller reuses it).
 	ObserveJob(op plan.JobType, features []float64, observedSec float64)
-	// ObserveTask feeds one completed task's observed execution time.
+	// ObserveTask feeds one completed task's observed execution time;
+	// features is valid only for the call.
 	ObserveTask(op plan.JobType, reduce bool, features []float64, observedSec float64)
 }
 
@@ -126,24 +128,31 @@ func NewRegistry(cfg Config) *Registry {
 
 // ObserveJob feeds one completed job's observed execution time into the
 // registry: both error windows advance (the challenger is scored
-// prequentially, before absorbing the sample), the challenger absorbs
-// it, and the promotion rule is evaluated. Non-positive observed times
-// are ignored.
+// prequentially and in place, before absorbing the sample), the
+// challenger absorbs it, and the promotion rule is evaluated.
+// Non-positive times are ignored; non-finite samples are dropped whole.
 func (r *Registry) ObserveJob(op plan.JobType, features []float64, observedSec float64) {
 	if r == nil || observedSec <= 0 {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := predict.JobSample{Op: op, Features: features}
+	var champPred float64
 	if r.champJob != nil {
-		r.champWin.push(math.Abs(r.champJob.PredictSample(s)-observedSec) / observedSec)
+		champPred = r.champJob.PredictSample(predict.JobSample{Op: op, Features: features})
 	}
-	if jm := r.challengerJobLocked(); jm != nil {
-		r.challWin.push(math.Abs(jm.PredictSample(s)-observedSec) / observedSec)
+	challPred, chall := r.job.PredictSample(op, features)
+	// A sample of the wrong width still counts and advances the windows;
+	// it is only not absorbed.
+	if err := r.job.Add(op, features, observedSec); errors.Is(err, predict.ErrNonFinite) {
+		return
 	}
-	//lint:allow saqpvet/errdrop a job sample of the wrong width still counts and advances the windows, it is only not absorbed
-	r.job.Add(op, features, observedSec)
+	if r.champJob != nil {
+		r.champWin.push(math.Abs(champPred-observedSec) / observedSec)
+	}
+	if chall {
+		r.challWin.push(math.Abs(challPred-observedSec) / observedSec)
+	}
 	r.jobSamples++
 	r.cfg.Observer.LearnJobSample(r.champWin.meanOrNeg(), r.challWin.meanOrNeg())
 	r.maybePromoteLocked()
@@ -153,7 +162,8 @@ func (r *Registry) ObserveJob(op plan.JobType, features []float64, observedSec f
 // challenger's task accumulators — two rank-1 updates and no solve: task
 // samples refine the TaskModel the next promotion installs (WRD ranking,
 // per-task predictions) but do not drive the promotion rule, which
-// compares job-level error. Non-positive times are ignored.
+// compares job-level error. Non-positive times, and samples the
+// accumulators refuse (wrong width, non-finite), are ignored.
 func (r *Registry) ObserveTask(op plan.JobType, reduce bool, features []float64, observedSec float64) {
 	if r == nil || observedSec <= 0 {
 		return
@@ -299,13 +309,6 @@ func (r *Registry) Promotions() []Promotion {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Promotion{}, r.promotions...)
-}
-
-// PromotionsJSON serialises the promotion history — the byte-identical
-// artifact the seeded-replay tests compare. A nil registry marshals as
-// null, like its nil Promotions.
-func (r *Registry) PromotionsJSON() ([]byte, error) {
-	return json.MarshalIndent(r.Promotions(), "", "  ")
 }
 
 // window is a fixed-capacity ring of relative errors. The mean is

@@ -2,6 +2,8 @@ package learn
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"slices"
 	"testing"
 
@@ -74,7 +76,7 @@ func TestPromotionsAreDeterministic(t *testing.T) {
 	run := func() ([]byte, int, int) {
 		r := NewRegistry(Config{MinSamples: 25, Window: 40, PromoteMargin: 0.02})
 		feedRegistry(r, 42, 400)
-		js, err := r.PromotionsJSON()
+		js, err := json.MarshalIndent(r.Promotions(), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,9 +148,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 		r.Promotions() != nil || r.ChallengerJobModel() != nil {
 		t.Fatal("nil registry should be a no-op")
 	}
-	if js, err := r.PromotionsJSON(); err != nil || string(js) != "null" {
-		t.Fatalf("nil registry PromotionsJSON = %q, %v; want null like its nil Promotions", js, err)
-	}
 }
 
 func TestIgnoresNonPositiveObservations(t *testing.T) {
@@ -158,6 +157,43 @@ func TestIgnoresNonPositiveObservations(t *testing.T) {
 	r.ObserveTask(plan.Extract, false, []float64{1, 2}, 0)
 	if r.JobSamples() != 0 || r.TaskSamples() != 0 {
 		t.Fatal("non-positive observations should be dropped")
+	}
+}
+
+// TestNonFiniteSampleIsDropped: one NaN observed time or one infinite
+// feature, on a cold registry or after its first promotion, is dropped
+// whole — not absorbed, not counted, no window advanced — so the learner
+// promotes exactly as if it had never arrived, instead of holding a NaN
+// in its accumulators (every later solve singular, no challenger ever
+// again) or in an error window.
+func TestNonFiniteSampleIsDropped(t *testing.T) {
+	for _, bad := range []struct {
+		name string
+		f    []float64
+		sec  float64
+	}{
+		{"NaN time", []float64{10, 5, 1}, math.NaN()},
+		{"Inf feature", []float64{math.Inf(1), 5, 1}, 30},
+	} {
+		for _, at := range []int{0, 120} {
+			r, clean := NewRegistry(Config{MinSamples: 50, Window: 40}), NewRegistry(Config{MinSamples: 50, Window: 40})
+			feedRegistry(r, 3, at)
+			feedRegistry(clean, 3, at)
+			r.ObserveJob(plan.Join, bad.f, bad.sec)
+			r.ObserveTask(plan.Join, true, bad.f, bad.sec)
+			if r.JobSamples() != at || r.TaskSamples() != at {
+				t.Fatalf("%s after %d: the sample was counted: %d job, %d task", bad.name, at, r.JobSamples(), r.TaskSamples())
+			}
+			feedRegistry(r, 4, 300)
+			feedRegistry(clean, 4, 300)
+			if r.Version() < 1 || r.ChallengerJobModel() == nil {
+				t.Fatalf("%s after %d: version %d, challenger %v: one bad sample disabled the learner",
+					bad.name, at, r.Version(), r.ChallengerJobModel())
+			}
+			if got, want := r.Promotions(), clean.Promotions(); !slices.Equal(got, want) {
+				t.Fatalf("%s after %d: promotions %v, want the clean stream's %v", bad.name, at, got, want)
+			}
+		}
 	}
 }
 
@@ -266,10 +302,9 @@ func TestRegistryChallengerEqualsBatchFit(t *testing.T) {
 // The windows are sized so no promotion lands inside the measurement.
 //
 // A task observation is two rank-1 updates: nothing. A job observation
-// adds to two accumulators, so the next challenger read re-solves two
-// models, each a fresh k×(k+1) elimination (k = 5: five rows, the matrix,
-// the solution and its holder — 8 allocations): the added operator's and
-// the pooled one. The challenger's per-operator map is the other 2.
+// is two rank-1 updates and, because the previous one changed the pooled
+// and its operator's accumulators, two eliminations to score the
+// challenger, each into its accumulator's own scratch: nothing either.
 func TestFeedbackAllocBudget(t *testing.T) {
 	r := NewRegistry(Config{Window: 1 << 16})
 	rng := sim.New(5)
@@ -291,8 +326,8 @@ func TestFeedbackAllocBudget(t *testing.T) {
 	perJob := testing.AllocsPerRun(200, func() { r.ObserveJob(plan.Join, jobF, 60) })
 	perTask := testing.AllocsPerRun(200, func() { r.ObserveTask(plan.Join, true, taskF, 9) })
 	t.Logf("allocations per ObserveJob %v, per ObserveTask %v", perJob, perTask)
-	if perJob > 18 {
-		t.Errorf("ObserveJob allocates %v times, budget 18", perJob)
+	if perJob != 0 {
+		t.Errorf("ObserveJob allocates %v times, want 0", perJob)
 	}
 	if perTask != 0 {
 		t.Errorf("ObserveTask allocates %v times, want 0", perTask)

@@ -13,6 +13,10 @@
 // round-trip exactly: re-encoding a decoded Value reproduces the
 // canonical bytes, a property the fuzz suite enforces.
 //
+// ReadValue copies the payloads of one top-level frame into one slab,
+// sized from the reader's buffered bytes as a hint, never by reading
+// ahead; each payload is cut with capacity equal to its length.
+//
 // Encoding goes through an Encoder with a sticky error and fixed
 // scratch buffers, so the per-command reply path performs no heap
 // allocations (the //saqp:hotpath contract, guarded by

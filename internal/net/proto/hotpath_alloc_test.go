@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"testing"
 )
@@ -38,5 +39,49 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
+	}
+}
+
+// TestDecodeAllocBudget bounds what decoding one whole frame allocates:
+// the array's element slice and the one slab every payload of the frame
+// is copied into, whatever the number of payloads. The frames are a
+// WAIT reply (18 elements, nine of them bulk names and four bulk values)
+// and a SUBMIT request, each arriving whole in the reader's buffer.
+func TestDecodeAllocBudget(t *testing.T) {
+	wait := AppendValue(nil, Array(
+		BulkString("id"), BulkString("q-000042"),
+		BulkString("cache_hit"), Int(1),
+		BulkString("wrd"), BulkString("123.456789"),
+		BulkString("predicted_sec"), BulkString("45.678901"),
+		BulkString("sim_sec"), BulkString("47.000000"),
+		BulkString("jobs"), Int(3),
+		BulkString("maps"), Int(24),
+		BulkString("reduces"), Int(6),
+		BulkString("model_version"), Int(2)))
+	submit := AppendValue(nil, Array(BulkString("SUBMIT"),
+		BulkString("SELECT l_returnflag, count(*) FROM lineitem WHERE l_quantity < 24 GROUP BY l_returnflag"),
+		BulkString("7")))
+	lim := DefaultLimits()
+	var rd bytes.Reader
+	br := bufio.NewReaderSize(&rd, lim.MaxLine+2)
+	for _, c := range []struct {
+		name string
+		raw  []byte
+	}{{"WAIT reply", wait}, {"SUBMIT request", submit}} {
+		decode := func() {
+			rd.Reset(c.raw)
+			br.Reset(&rd)
+			if _, err := br.Peek(1); err != nil { // the server peeks the kind first
+				t.Fatal(err)
+			}
+			v, err := ReadValue(br, lim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hotSinkInt = int64(len(v.Elems))
+		}
+		if n := testing.AllocsPerRun(100, decode); n > 2 {
+			t.Errorf("decoding a %s allocates %.0f times, budget 2", c.name, n)
+		}
 	}
 }

@@ -148,13 +148,34 @@ func ReadInline(br *bufio.Reader, lim Limits) ([][]byte, error) {
 // io.ErrUnexpectedEOF; a malformed or over-limit frame returns a
 // *WireError. The returned Value owns its payload bytes (nothing
 // aliases the reader's buffer), and no byte past the decoded frame is
-// consumed.
+// consumed. The payloads of one frame share one slab, each cut to its
+// own length and capacity, so appending to one never writes into
+// another.
 func ReadValue(br *bufio.Reader, lim Limits) (Value, error) {
-	return readValue(br, lim, 1)
+	var slab []byte
+	return readValue(br, lim, 1, &slab)
 }
 
-// readValue decodes one frame at the given nesting depth.
-func readValue(br *bufio.Reader, lim Limits, depth int) (Value, error) {
+// cut returns the next n bytes of the frame's slab. The slab is made at
+// the frame's first payload with room for n plus what br holds buffered,
+// which covers the rest of the frame when it arrived whole; that size is
+// a hint, never a read, and a payload that does not fit what is left
+// gets its own allocation.
+func cut(slab *[]byte, n int, br *bufio.Reader) []byte {
+	if *slab == nil {
+		*slab = make([]byte, 0, n+br.Buffered())
+	}
+	s, off := *slab, len(*slab)
+	if cap(s)-off < n {
+		return make([]byte, n)
+	}
+	*slab = s[:off+n]
+	return s[off : off+n : off+n]
+}
+
+// readValue decodes one frame at the given nesting depth, cutting its
+// payloads from the top-level frame's slab.
+func readValue(br *bufio.Reader, lim Limits, depth int, slab *[]byte) (Value, error) {
 	marker, err := br.ReadByte()
 	if err != nil {
 		if err == io.EOF {
@@ -168,7 +189,9 @@ func readValue(br *bufio.Reader, lim Limits, depth int) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return Value{Kind: Kind(marker), Str: append([]byte(nil), line...)}, nil
+		str := cut(slab, len(line), br)
+		copy(str, line)
+		return Value{Kind: Kind(marker), Str: str}, nil
 	case KindInt:
 		line, err := readLine(br, lim.MaxLine)
 		if err != nil {
@@ -187,7 +210,7 @@ func readValue(br *bufio.Reader, lim Limits, depth int) (Value, error) {
 		if n > int64(lim.MaxBulk) {
 			return Value{}, wireErrf("bulk length %d exceeds limit %d", n, lim.MaxBulk)
 		}
-		buf := make([]byte, n+2)
+		buf := cut(slab, int(n)+2, br)
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return Value{}, eofErr(err)
 		}
@@ -208,7 +231,7 @@ func readValue(br *bufio.Reader, lim Limits, depth int) (Value, error) {
 		}
 		elems := make([]Value, 0, n)
 		for i := int64(0); i < n; i++ {
-			el, err := readValue(br, lim, depth+1)
+			el, err := readValue(br, lim, depth+1, slab)
 			if err != nil {
 				return Value{}, eofErr(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // decode parses one frame from raw under lim and returns how many
@@ -200,5 +201,60 @@ func TestParseIntBounds(t *testing.T) {
 		if _, ok := parseInt([]byte(bad)); ok {
 			t.Errorf("parseInt(%q) accepted a non-canonical form", bad)
 		}
+	}
+}
+
+// TestDecodedPayloadsDoNotAlias holds the one-slab decoder to the
+// ownership rule: every payload is cut with its capacity equal to its
+// length, so a caller appending to one cannot write into its neighbour,
+// and nothing aliases the reader's buffer. It decodes the frame both
+// whole (one slab) and one byte per read (the slab is too small, so
+// later payloads get their own allocations).
+func TestDecodedPayloadsDoNotAlias(t *testing.T) {
+	want := Array(BulkString("SUBMIT"), Simple("ok"), BulkString(""),
+		Array(BulkString("nested"), Int(5)), BulkString("SELECT 1"))
+	raw := AppendValue(nil, want)
+	raw = AppendValue(raw, Array(Simple("zzzzzzzzzzzz"), BulkString("zzzzzzzzzzzz")))
+	for _, src := range []struct {
+		name string
+		r    io.Reader
+	}{
+		{"whole", bytes.NewReader(raw)},
+		{"one byte per read", iotest.OneByteReader(bytes.NewReader(raw))},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			br := bufio.NewReaderSize(src.r, 16)
+			v, err := ReadValue(br, DefaultLimits())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.Equal(want) {
+				t.Fatalf("decoded %+v, want %+v", v, want)
+			}
+			var strs [][]byte
+			var walk func(Value)
+			walk = func(v Value) {
+				if v.Kind == KindArray {
+					for _, el := range v.Elems {
+						walk(el)
+					}
+				} else if v.Kind != KindInt {
+					strs = append(strs, v.Str)
+				}
+			}
+			walk(v)
+			for i, s := range strs {
+				if cap(s) != len(s) {
+					t.Fatalf("payload %d %q has cap %d, want its length", i, s, cap(s))
+				}
+				_ = append(s, "XXXXXXXXXXXXXXXX"...)
+			}
+			if _, err := ReadValue(br, DefaultLimits()); err != nil { // refills the reader's buffer
+				t.Fatal(err)
+			}
+			if !v.Equal(want) {
+				t.Fatalf("appending to a payload or reading on changed the frame: %+v", v)
+			}
+		})
 	}
 }

@@ -153,16 +153,14 @@ func (d *DAG) Validate() error {
 	return nil
 }
 
-// CriticalPath returns the maximum-cost root-to-sink path under the given
-// per-job cost function, along with the path's jobs in order. The paper
-// approximates a query's execution time by the jobs along this path
-// (Section 5.4).
-func (d *DAG) CriticalPath(cost func(*Job) float64) (float64, []*Job) {
+// CriticalPath returns the cost of the maximum-cost root-to-sink path
+// under the given per-job cost function; negative costs count as zero.
+// The paper approximates a query's execution time by the jobs along this
+// path (Section 5.4).
+func (d *DAG) CriticalPath(cost func(*Job) float64) float64 {
 	best := make(map[string]float64, len(d.Jobs))
-	prev := make(map[string]*Job, len(d.Jobs))
-	var maxJob *Job
 	var maxCost float64
-	for _, j := range d.Jobs { // Jobs are topologically ordered
+	for i, j := range d.Jobs { // Jobs are topologically ordered
 		c := cost(j)
 		if c < 0 {
 			c = 0
@@ -171,19 +169,14 @@ func (d *DAG) CriticalPath(cost func(*Job) float64) (float64, []*Job) {
 		for _, dep := range j.Deps {
 			if v := best[dep.ID] + c; v > b {
 				b = v
-				prev[j.ID] = dep
 			}
 		}
 		best[j.ID] = b
-		if maxJob == nil || b > maxCost {
-			maxJob, maxCost = j, b
+		if i == 0 || b > maxCost {
+			maxCost = b
 		}
 	}
-	var path []*Job
-	for j := maxJob; j != nil; j = prev[j.ID] {
-		path = append([]*Job{j}, path...)
-	}
-	return maxCost, path
+	return maxCost
 }
 
 // String renders the DAG one job per line.

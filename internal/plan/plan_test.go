@@ -184,18 +184,14 @@ func TestSink(t *testing.T) {
 
 func TestCriticalPathChain(t *testing.T) {
 	d := mustCompile(t, q11)
-	cost, path := d.CriticalPath(func(*Job) float64 { return 10 })
-	if cost != 30 {
+	if cost := d.CriticalPath(func(*Job) float64 { return 10 }); cost != 30 {
 		t.Fatalf("critical path cost = %v, want 30", cost)
-	}
-	if len(path) != 3 || path[0].ID != "J1" || path[2].ID != "J3" {
-		t.Fatalf("path = %v", path)
 	}
 }
 
 func TestCriticalPathWeighted(t *testing.T) {
 	d := mustCompile(t, q11)
-	cost, _ := d.CriticalPath(func(j *Job) float64 {
+	cost := d.CriticalPath(func(j *Job) float64 {
 		if j.ID == "J2" {
 			return 100
 		}
@@ -205,7 +201,7 @@ func TestCriticalPathWeighted(t *testing.T) {
 		t.Fatalf("cost = %v, want 102", cost)
 	}
 	// Negative costs are clamped.
-	cost, _ = d.CriticalPath(func(j *Job) float64 { return -5 })
+	cost = d.CriticalPath(func(j *Job) float64 { return -5 })
 	if cost != 0 {
 		t.Fatalf("negative-cost path = %v", cost)
 	}

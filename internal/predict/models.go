@@ -23,20 +23,25 @@ func opIndicator(op plan.JobType) float64 {
 // JobFeatures builds the Eq. 8 feature vector from a job's estimated data
 // flow: [D_in, D_med, D_out, O·P(1−P)·D_med].
 func JobFeatures(je *selectivity.JobEstimate) []float64 {
+	return AppendJobFeatures(make([]float64, 0, 4), je)
+}
+
+// AppendJobFeatures appends JobFeatures(je) to dst.
+func AppendJobFeatures(dst []float64, je *selectivity.JobEstimate) []float64 {
 	o := opIndicator(je.Job.Type)
-	return []float64{
-		je.InBytes,
-		je.MedBytes,
-		je.OutBytes,
-		o * je.PFactor() * je.MedBytes,
-	}
+	return append(dst, je.InBytes, je.MedBytes, je.OutBytes, o*je.PFactor()*je.MedBytes)
 }
 
 // TaskFeatures builds the Eq. 9 feature vector for one task:
 // [TD_in, TD_out, O·P(1−P)·TD_in].
 func TaskFeatures(op plan.JobType, inBytes, outBytes, pFactor float64) []float64 {
+	return AppendTaskFeatures(make([]float64, 0, 3), op, inBytes, outBytes, pFactor)
+}
+
+// AppendTaskFeatures appends TaskFeatures(op, …) to dst.
+func AppendTaskFeatures(dst []float64, op plan.JobType, inBytes, outBytes, pFactor float64) []float64 {
 	o := opIndicator(op)
-	return []float64{inBytes, outBytes, o * pFactor * inBytes}
+	return append(dst, inBytes, outBytes, o*pFactor*inBytes)
 }
 
 // JobSample is one observed (job, execution time) pair for training.
@@ -123,6 +128,24 @@ func (ff *FamilyFit) Solve() (Family, error) {
 		}
 	}
 	return f, nil
+}
+
+// PredictSample returns what JobModel.PredictSample on Solve's family
+// would, and ok false exactly when Solve would fail, without building
+// the family or allocating: only the pooled and the operator's
+// accumulators are solved, each in its scratch, at most once per Add.
+func (ff *FamilyFit) PredictSample(op plan.JobType, features []float64) (float64, bool) {
+	theta, err := ff.pooled.solution()
+	if err != nil {
+		return 0, false
+	}
+	if a := ff.perOp[op]; a != nil {
+		if t, err := a.solution(); err == nil {
+			theta = t
+		}
+	}
+	m := Model{Theta: theta}
+	return math.Max(0, m.Predict(features)), true
 }
 
 // JobModel is the fitted Eq. 8 job execution-time model: one family.
@@ -314,8 +337,7 @@ func (tm *TaskModel) PredictQuery(qe *selectivity.QueryEstimate, slots Slots, ov
 		}
 		return tm.PredictJobFromTasks(je, slots, ov)
 	}
-	total, _ := qe.DAG.CriticalPath(cost)
-	return total
+	return qe.DAG.CriticalPath(cost)
 }
 
 // WRD computes a query's Weighted Resource Demand (Eq. 10) from the task

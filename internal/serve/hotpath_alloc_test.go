@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"saqp/internal/learn"
 	"saqp/internal/workload"
 )
 
@@ -47,30 +48,45 @@ func TestHotPathAllocs(t *testing.T) {
 // job has dependencies. The cost model lives on the worker's stack; the
 // text tier, the admission heap, the simulator and its event queue
 // allocate nothing. Budgets are the measured counts + 5.
+//
+// The same hit served from a seeded learn.Registry (windows too long for
+// a promotion to land inside the measurement) is held to the same
+// budget: scoring from the champion at Submit, and feeding every job and
+// sampled task back, allocate only the one feature buffer feedback
+// reuses for all of them.
 func TestServerHitAllocBudget(t *testing.T) {
-	cfg := config(t)
-	cfg.Workers = 1
-	cfg.JobModel, cfg.TaskModel = models(t)
-	e := newEngine(t, cfg)
-	for name, measured := range map[string]float64{
-		"q1": 11, "q6": 11, "q14": 12, "q19": 12, "q11": 12, "q3": 12, "q17": 12,
-	} {
-		sql, err := workload.TPCHSQL(name)
-		if err != nil {
-			t.Fatal(err)
+	jm, tm := models(t)
+	for _, learner := range []bool{false, true} {
+		cfg := config(t)
+		cfg.Workers = 1
+		cfg.JobModel, cfg.TaskModel = jm, tm
+		if learner {
+			cfg.Learner = learn.NewRegistry(learn.Config{Window: 1 << 16, Champion: jm, ChampionTasks: tm})
 		}
-		hit := func() {
-			tk, err := e.Submit(context.Background(), sql, 7)
+		e := newEngine(t, cfg)
+		for name, measured := range map[string]float64{
+			"q1": 11, "q6": 11, "q14": 12, "q19": 12, "q11": 12, "q3": 12, "q17": 12,
+		} {
+			sql, err := workload.TPCHSQL(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tk.Wait(context.Background()); err != nil {
-				t.Fatal(err)
+			hit := func() {
+				tk, err := e.Submit(context.Background(), sql, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tk.Wait(context.Background()); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		hit() // compile, remember the text, warm the worker's simulator
-		if n := testing.AllocsPerRun(100, hit); n > measured+5 {
-			t.Errorf("%s: a cache hit allocates %.0f times, budget %.0f+5", name, n, measured)
+			hit() // compile, remember the text, warm the worker's simulator
+			hit() // and the challenger's accumulators
+			n := testing.AllocsPerRun(100, hit)
+			t.Logf("%s, learner %v: %.0f allocations", name, learner, n)
+			if n > measured+5 {
+				t.Errorf("%s, learner %v: a cache hit allocates %.0f times, budget %.0f+5", name, learner, n, measured)
+			}
 		}
 	}
 }

@@ -193,15 +193,6 @@ type Stats struct {
 	Workers    int
 }
 
-// HitRate returns the cache hit fraction, 0 when no lookups happened.
-func (s Stats) HitRate() float64 {
-	n := s.CacheHits + s.CacheMisses
-	if n == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(n)
-}
-
 // Engine is the concurrent query-serving engine. See the package
 // comment for the pipeline.
 type Engine struct {
@@ -584,17 +575,19 @@ func RecordJobDrift(o *obs.Observer, jm *predict.JobModel, est *selectivity.Quer
 const learnTasksPerGroup = 8
 
 // feedback feeds one completed query's observed job and task times into
-// the online-learning source.
+// the online-learning source, writing every sample's features into one
+// buffer (Source's features are valid only for the call).
 func feedback(l learn.Source, est *selectivity.QueryEstimate, cq *cluster.Query) {
+	var buf [4]float64
 	for ji, je := range est.Jobs {
 		sj := cq.Jobs[ji]
 		if sec := sj.DoneTime - sj.SubmitTime; sec > 0 {
-			l.ObserveJob(je.Job.Type, predict.JobFeatures(je), sec)
+			l.ObserveJob(je.Job.Type, predict.AppendJobFeatures(buf[:0], je), sec)
 		}
 		op, pf := je.Job.Type, je.PFactor()
 		sj.EachSample(je, learnTasksPerGroup, func(g selectivity.TaskGroup, tk *cluster.Task) {
 			if tk.EndTime > tk.StartTime {
-				l.ObserveTask(op, tk.Reduce, predict.TaskFeatures(op, g.InBytes, g.OutBytes, pf),
+				l.ObserveTask(op, tk.Reduce, predict.AppendTaskFeatures(buf[:0], op, g.InBytes, g.OutBytes, pf),
 					tk.EndTime-tk.StartTime)
 			}
 		})

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"sync"
 	"testing"
 
@@ -57,11 +58,11 @@ func TestLearnReplayDeterministic(t *testing.T) {
 	reg1, v1 := learnReplay(t, 4)
 	reg2, v2 := learnReplay(t, 4)
 
-	j1, err := reg1.PromotionsJSON()
+	j1, err := json.Marshal(reg1.Promotions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := reg2.PromotionsJSON()
+	j2, err := json.Marshal(reg2.Promotions())
 	if err != nil {
 		t.Fatal(err)
 	}

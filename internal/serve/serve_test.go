@@ -406,17 +406,6 @@ func TestFingerprintIsolatesCatalogs(t *testing.T) {
 	}
 }
 
-func TestStatsHitRate(t *testing.T) {
-	var s Stats
-	if s.HitRate() != 0 {
-		t.Error("no lookups → hit rate 0")
-	}
-	s.CacheHits, s.CacheMisses = 3, 1
-	if got := s.HitRate(); got != 0.75 {
-		t.Errorf("hit rate = %g, want 0.75", got)
-	}
-}
-
 // TestDeterministicSnapshots is the serving layer's reproducibility
 // contract: identical seeds submitted in serialized order reproduce
 // byte-identical metrics and drift snapshots across engines.

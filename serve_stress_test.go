@@ -109,7 +109,7 @@ func TestServerStress(t *testing.T) {
 
 	// The mix repeats 7 queries across 256 submissions; the single-flight
 	// cache must absorb nearly all of them.
-	if hr := st.HitRate(); hr <= 0.5 {
+	if hr := float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses); hr <= 0.5 {
 		t.Errorf("cache hit-rate %.2f under stress, want > 0.5 (%+v)", hr, st)
 	}
 
