@@ -20,12 +20,14 @@ func fingerprint(res *cluster.Results, qs ...*cluster.Query) string {
 	s := fmt.Sprintf("makespan=%v util=%v completed=%d failed=%d faults=%+v\n",
 		res.Makespan, res.Utilization, res.Completed, res.Failed, res.Faults)
 	for _, q := range qs {
-		s += fmt.Sprintf("q=%s done=%v faulted=%v err=%v\n", q.ID, q.DoneTime, q.Faulted, q.Err)
+		s += fmt.Sprintf("q=%s in=%v arrival=%v done=%v wrd=%v faulted=%v err=%v\n",
+			q.ID, q.InputBytes, q.ArrivalTime, q.DoneTime, q.RemainingWRD(), q.Faulted, q.Err)
 		for _, j := range q.Jobs {
-			s += fmt.Sprintf(" j=%s submit=%v done=%v\n", j.ID, j.SubmitTime, j.DoneTime)
+			s += fmt.Sprintf(" j=%s (%s %v deps=%v) submitted=%v submit=%v ready=%v done=%v running=%d\n",
+				j.ID, j.JobID, j.Type, j.DepIDs, j.Submitted, j.SubmitTime, j.ReadyTime, j.DoneTime, j.RunningTasks())
 			for _, t := range append(append([]*cluster.Task{}, j.Maps...), j.Reds...) {
-				s += fmt.Sprintf("  r=%v i=%d start=%v end=%v attempts=%d fail=%d faulted=%v\n",
-					t.Reduce, t.Index, t.StartTime, t.EndTime, t.Attempts, t.Failures(), t.Faulted())
+				s += fmt.Sprintf("  r=%v i=%d actual=%v pred=%v state=%d start=%v end=%v attempts=%d fail=%d faulted=%v\n",
+					t.Reduce, t.Index, t.ActualSec, t.PredSec, t.State, t.StartTime, t.EndTime, t.Attempts, t.Failures(), t.Faulted())
 			}
 		}
 	}

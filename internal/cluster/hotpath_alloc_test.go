@@ -41,13 +41,13 @@ func TestDecisionSpansOnlyBuildsNoRanking(t *testing.T) {
 // for the simulator's per-dispatch and per-task path (candidates,
 // scheduleFinish, and dispatch around them, which static analysis cannot
 // follow through the Scheduler interface): on a warmed Sim, Reset plus a
-// whole run allocates exactly the run's two results — the queries slice
-// and the Results — however many tasks are dispatched. Reduces hoard at
-// the default slowstart into a hoard list with room for every reduce, as
-// BuildQuery lays it out. The faulty config drives the recovery paths too:
-// Reset books a node crash, every node slows down for a window, and
-// transient failures back tasks off, retry them and blacklist nodes, with
-// an attempt cap no task reaches.
+// whole run allocates nothing, however many tasks are dispatched — the
+// queries slice and the Results are the Sim's, kept across Reset. Reduces
+// hoard at the default slowstart into a hoard list with room for every
+// reduce, as Query.Rebuild lays it out. The faulty config drives the
+// recovery paths too: Reset books a node crash, every node slows down for
+// a window, and transient failures back tasks off, retry them and
+// blacklist nodes, with an attempt cap no task reaches.
 func TestHotPathAllocs(t *testing.T) {
 	faulty := DefaultConfig()
 	faulty.Faults = fault.NewPlan(fault.Spec{
@@ -99,8 +99,8 @@ func TestHotPathAllocs(t *testing.T) {
 				}
 			}
 			run() // warm: grow the event queue and the scratch once
-			if n := testing.AllocsPerRun(20, run); n != 2 {
-				t.Errorf("faulty=%v, %d+%d tasks per job: a warmed Sim allocates %.0f times per run, want 2 (queries slice, Results)",
+			if n := testing.AllocsPerRun(20, run); n != 0 {
+				t.Errorf("faulty=%v, %d+%d tasks per job: a warmed Sim allocates %.0f times per run, want 0",
 					cfg.Faults != nil, size.maps, size.reds, n)
 			}
 			if !q.Done() || q.Failed() {

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"saqp/internal/catalog"
@@ -68,52 +69,109 @@ func reusePolicies() []cluster.Scheduler {
 	return []cluster.Scheduler{sched.SWRD{}, sched.HFS{}, sched.HCS{Queues: 2}}
 }
 
-// TestSimReuseEqualsNew holds Reset to its contract — a re-initialised
-// Sim is indistinguishable from a new one — over 240 generated query
-// pairs run back-to-back on one Sim, each also on a fresh New. Configs
-// alternate (cluster shape, preemption, heterogeneous nodes, a fault plan
-// with crashes, slowdowns and task failures) and so do policies, so state
-// a run left behind would meet a run it does not fit;
-// every tenth run is first abandoned mid-flight, leaving events queued.
-// Compared: every task, job and query time, attempt and fault count, the
-// Results, and the full obs event stream (which carries node and slot).
+// cancelAt is a policy that cancels its run's context at its n-th pick,
+// abandoning the run mid-flight with tasks running and hoarding.
+type cancelAt struct {
+	cluster.Scheduler
+	n      int
+	picks  *int
+	cancel context.CancelFunc
+}
+
+func (c cancelAt) PickJob(now float64, cands, active []*cluster.Job, reduce bool) *cluster.Job {
+	if *c.picks++; *c.picks == c.n {
+		c.cancel()
+	}
+	return c.Scheduler.PickJob(now, cands, active, reduce)
+}
+
+// TestSimReuseEqualsNew holds Reset and Query.Rebuild to their contracts
+// — a re-initialised Sim is indistinguishable from a new one, and a query
+// rebuilt in place from one BuildQuery made — over 240 generated query
+// pairs run back-to-back on one Sim and rebuilt into the same two Query
+// values, each pair also run on a fresh New with fresh BuildQuery
+// queries. Configs alternate (cluster shape, preemption, heterogeneous
+// nodes, a fault plan with crashes, slowdowns and task failures) and so do
+// policies, so state a run left behind would meet a run it does not fit;
+// the two queries alternate between a large and a small scale factor, so
+// their slabs grow and shrink. Every tenth pair is first rebuilt from the
+// other's estimate and abandoned: canceled mid-flight at a pick further
+// into the run each time, or run to the end on a cluster whose task
+// failures fail queries — leaving events queued, tasks running, hoard
+// lists and cursors moved, Err and Faulted set. Compared: every task, job and query time, attempt
+// and fault count, the Results, and the full obs event stream (which
+// carries node and slot).
 func TestSimReuseEqualsNew(t *testing.T) {
-	estimate := generatedEstimates(t, 11, 1)
+	small, large := generatedEstimates(t, 11, 1), generatedEstimates(t, 12, 10)
 	configs := reuseConfigs(fault.NewPlan(fault.Spec{
 		Seed: 7, Nodes: 9, HorizonSec: 600,
 		CrashProb: 0.5, CrashDowntimeSec: 40,
 		SlowProb: 0.5, SlowDurationSec: 80,
 		TaskFailProb: 0.08,
 	}))
+	failing := cluster.DefaultConfig()
+	failing.Faults = fault.NewPlan(fault.Spec{
+		Seed: 9, Nodes: 9, HorizonSec: 600,
+		CrashProb: 0.5, CrashDowntimeSec: 40,
+		TaskFailProb: 0.2, MaxAttempts: 1,
+	})
 	policies := reusePolicies()
 
 	reused := new(cluster.Sim)
+	var ra, rb cluster.Query
+	var canceled, failed int
+	abandon := func(i int, qa, qb *selectivity.QueryEstimate) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var picks int
+		if i%20 == 0 {
+			reused.Reset(configs[(i+1)%len(configs)], cancelAt{policies[0], 1 + 3*(i/20), &picks, cancel})
+		} else {
+			reused.Reset(failing, policies[i%len(policies)])
+		}
+		cm := trace.NewDefaultCostModel(1)
+		ra.Rebuild("abandoned-a", qb, cm, cluster.ConstantPredictor(1))
+		rb.Rebuild("abandoned-b", qa, cm, cluster.ConstantPredictor(2))
+		reused.Submit(&ra, 0)
+		reused.Submit(&rb, 1)
+		switch _, err := reused.RunContext(ctx); {
+		case errors.Is(err, context.Canceled):
+			canceled++
+		case err != nil:
+			t.Fatalf("run %d: abandoned run: %v", i, err)
+		}
+		if ra.Failed() || rb.Failed() {
+			failed++
+		}
+	}
 	for i := 0; i < 240; i++ {
-		qa, qb := estimate(), estimate()
+		qa, qb := small(), large()
+		if i%2 == 1 {
+			qa, qb = qb, qa
+		}
 		cfg := configs[i%len(configs)]
 		run := func(fresh bool) (string, []byte) {
 			var events bytes.Buffer
 			o := obs.New(obs.NewTraceSink(&events))
 			pol := policies[i%len(policies)]
 			s := reused
+			cm := trace.NewDefaultCostModel(uint64(i))
+			var a, b *cluster.Query
 			if fresh {
 				s = cluster.New(cfg, pol)
+				a = cluster.BuildQuery("a", qa, cm, cluster.ConstantPredictor(3))
+				b = cluster.BuildQuery("b", qb, cm, cluster.ConstantPredictor(2))
 			} else {
 				if i%10 == 0 {
-					ctx, cancel := context.WithCancel(context.Background())
-					cancel()
-					s.Reset(configs[(i+1)%len(configs)], policies[0])
-					s.Submit(cluster.BuildQuery("abandoned", qa, trace.NewDefaultCostModel(1), cluster.ConstantPredictor(1)), 0)
-					if _, err := s.RunContext(ctx); err == nil {
-						t.Fatal("a canceled run should report its context's error")
-					}
+					abandon(i, qa, qb)
 				}
 				s.Reset(cfg, pol)
+				a, b = &ra, &rb
+				a.Rebuild("a", qa, cm, cluster.ConstantPredictor(3))
+				b.Rebuild("b", qb, cm, cluster.ConstantPredictor(2))
 			}
 			s.SetObserver(o)
-			cm := trace.NewDefaultCostModel(uint64(i))
-			a := cluster.BuildQuery("a", qa, cm, cluster.ConstantPredictor(3))
-			b := cluster.BuildQuery("b", qb, cm, cluster.ConstantPredictor(2))
 			s.Submit(a, 0)
 			s.Submit(b, 4)
 			res, err := s.Run()
@@ -128,12 +186,16 @@ func TestSimReuseEqualsNew(t *testing.T) {
 		wantPrint, wantEvents := run(true)
 		gotPrint, gotEvents := run(false)
 		if gotPrint != wantPrint {
-			t.Fatalf("run %d (config %d): a reset Sim scheduled differently from a new one:\nnew:\n%s\nreset:\n%s",
+			t.Fatalf("run %d (config %d): a reset Sim and rebuilt queries scheduled differently from new ones:\nnew:\n%s\nreset:\n%s",
 				i, i%len(configs), wantPrint, gotPrint)
 		}
 		if !bytes.Equal(gotEvents, wantEvents) {
-			t.Fatalf("run %d (config %d): a reset Sim emitted a different event stream from a new one", i, i%len(configs))
+			t.Fatalf("run %d (config %d): a reset Sim and rebuilt queries emitted a different event stream from new ones", i, i%len(configs))
 		}
+	}
+	t.Logf("abandoned runs: %d canceled mid-flight, %d with a failed query", canceled, failed)
+	if canceled == 0 || failed == 0 {
+		t.Fatalf("the abandoned runs left %d canceled mid-flight and %d with a failed query; want some of each", canceled, failed)
 	}
 }
 

@@ -257,6 +257,8 @@ type Sim struct {
 	nodeFails   []int  // transient failures hosted per node
 	fstats      FaultStats
 	terminal    int // queries completed or failed; Run stops at len(queries)
+
+	res Results // what Run returns, valid until the next Reset
 }
 
 // New builds a simulator with the given cluster config and scheduler.
@@ -271,12 +273,15 @@ func New(cfg Config, sched Scheduler) *Sim {
 // sched) would, but slot pools, the event queue, the per-node tables and
 // the scheduler scratch keep their storage, so a long-lived owner (a
 // serving-pool worker) simulates query after query without rebuilding the
-// cluster. Results of earlier runs stay valid.
+// cluster. The Results of the run before are valid until Reset: the
+// queries slice they list and the Results themselves are s's storage.
 func (s *Sim) Reset(cfg Config, sched Scheduler) {
 	cfg = cfg.Normalized()
-	// Events a stopped run left queued are cleared, so they pin none of
-	// its tasks or queries (pop zeroes what it vacates).
+	// Events a stopped run left queued are cleared, and so are the
+	// submitted queries, so they pin none of its tasks or queries (pop
+	// zeroes what it vacates).
 	clear(s.events)
+	clear(s.queries)
 	// Everything not named here starts from zero; what is named is
 	// storage, emptied.
 	*s = Sim{
@@ -285,6 +290,7 @@ func (s *Sim) Reset(cfg Config, sched Scheduler) {
 		mapFree:     s.mapFree[:0],
 		redFree:     s.redFree[:0],
 		events:      s.events[:0],
+		queries:     s.queries[:0],
 		active:      s.active[:0],
 		cands:       s.cands[:0],
 		down:        zeroed(s.down, cfg.Nodes),
@@ -321,12 +327,18 @@ func (s *Sim) Reset(cfg Config, sched Scheduler) {
 
 // zeroed returns buf resized to n zero elements, reallocating only to grow.
 func zeroed[T any](buf []T, n int) []T {
+	buf = resized(buf, n)
+	clear(buf)
+	return buf
+}
+
+// resized returns buf at length n, reallocating only to grow; the
+// elements it keeps hold what they held.
+func resized[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
 	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
+	return buf[:n]
 }
 
 // push books ev at the next sequence number.
@@ -381,7 +393,9 @@ func (s *Sim) Submit(q *Query, at float64) {
 	s.push(event{time: at, kind: evArrival, query: q})
 }
 
-// Results summarises a completed run.
+// Results summarises a completed run. A Sim owns the Results its run
+// returns, and Queries is its own slice: both are valid until the Sim's
+// next Reset.
 type Results struct {
 	SchedulerName string
 	Makespan      float64
@@ -490,8 +504,9 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 			return nil, fmt.Errorf("cluster: query %s did not complete (starvation?)", q.ID)
 		}
 	}
-	res := &Results{SchedulerName: s.sched.Name(), Makespan: s.now, Queries: s.queries,
+	s.res = Results{SchedulerName: s.sched.Name(), Makespan: s.now, Queries: s.queries,
 		Faults: s.fstats}
+	res := &s.res
 	for _, q := range s.queries {
 		if q.Failed() {
 			res.Failed++

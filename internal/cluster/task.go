@@ -24,8 +24,8 @@ const (
 )
 
 // Task is one map or reduce task. A query's tasks are one slab
-// (BuildQuery), so the fields are laid out pointer, floats, ints, then the
-// one-byte flags, with the simulator's own counters as int32s: Task must
+// (Query.Rebuild), so the fields are laid out pointer, floats, ints, then
+// the one-byte flags, with the simulator's own counters as int32s: Task must
 // not grow (see TestTaskSizePinned).
 type Task struct {
 	Job *Job
@@ -106,7 +106,7 @@ type Job struct {
 	doneReds    int
 	// hoarding holds reduces launched before the map phase finished; they
 	// occupy reduce slots without progressing until the last map ends.
-	// BuildQuery gives it capacity for every reduce, so it never grows: a
+	// Query.Rebuild gives it capacity for every reduce, so it never grows: a
 	// reduce hoards at most once at a time, and every path that drops
 	// hoarders filters it in place.
 	hoarding []*Task
@@ -195,6 +195,12 @@ type Query struct {
 	Faulted bool
 
 	remainingWRD float64
+	// jobs, tasks, ptrs and depIDs are the slabs Rebuild cuts the query's
+	// jobs, tasks, task-pointer lists and dependency lists from.
+	jobs   []Job
+	tasks  []Task
+	ptrs   []*Task
+	depIDs []string
 }
 
 // Failed reports whether the query was abandoned under fault injection.
@@ -225,7 +231,7 @@ func (q *Query) Done() bool {
 }
 
 // ResetPending initialises a job's task counters for tasks that are all
-// pending. BuildQuery calls it automatically; callers constructing jobs by
+// pending. Query.Rebuild calls it automatically; callers constructing jobs by
 // hand (tests, synthetic workloads) must call it before submission.
 func (j *Job) ResetPending() {
 	j.pendingMaps = len(j.Maps)
@@ -269,15 +275,24 @@ func (c ConstantPredictor) PredictTask(plan.JobType, bool, float64, float64, flo
 	return float64(c)
 }
 
-// BuildQuery turns a selectivity-annotated DAG into a simulator query:
-// per-task input/output volumes are divided evenly across the estimated
-// task counts, ground-truth durations are drawn from the cost model, and
-// predicted durations from the predictor. The estimate's group counts
-// size the query's slabs: one of jobs, one of tasks, and one of task
-// pointers that also backs each job's hoard list; the jobs' ids are cut
-// from one string and their dependency lists from one slice.
+// BuildQuery turns a selectivity-annotated DAG into a new simulator
+// query: Rebuild into a fresh Query.
 func BuildQuery(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, pred TaskTimePredictor) *Query {
-	q := &Query{ID: id, InputBytes: qe.TotalInputBytes()}
+	q := new(Query)
+	q.Rebuild(id, qe, cm, pred)
+	return q
+}
+
+// Rebuild lays qe out as query id in q, in place, resetting everything a
+// run writes: per-task input/output volumes are divided evenly across the
+// estimated task counts, ground-truth durations are drawn from the cost
+// model, and predicted durations from the predictor. The estimate's group
+// counts size the query's slabs — jobs, job pointers, tasks, task
+// pointers (which also back each job's hoard list) and dependency ids —
+// each q's previous one when its capacity allows, so a long-lived owner (a
+// serving-pool worker) rebuilds query after query without allocating. The
+// jobs' ids are cut from one new string: spans and errors keep it.
+func (q *Query) Rebuild(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, pred TaskTimePredictor) {
 	var one [1]selectivity.TaskGroup
 	total, reds, deps, idLen := 0, 0, 0, 0
 	for _, je := range qe.Jobs {
@@ -300,19 +315,20 @@ func BuildQuery(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, p
 		ids.WriteString(je.Job.ID)
 	}
 	idBuf := ids.String()
-	jobs := make([]Job, len(qe.Jobs))
-	q.Jobs = make([]*Job, len(qe.Jobs))
-	tasks := make([]Task, total)
-	ptrs := make([]*Task, total+reds)
-	var depIDs []string
-	if deps > 0 {
-		depIDs = make([]string, deps)
+	*q = Query{
+		ID: id, InputBytes: qe.TotalInputBytes(),
+		Jobs:   resized(q.Jobs, len(qe.Jobs)),
+		jobs:   resized(q.jobs, len(qe.Jobs)),
+		tasks:  resized(q.tasks, total),
+		ptrs:   resized(q.ptrs, total+reds),
+		depIDs: resized(q.depIDs, deps),
 	}
+	tasks, ptrs, depIDs := q.tasks, q.ptrs, q.depIDs
 	for ji, je := range qe.Jobs {
-		j := &jobs[ji]
+		j := &q.jobs[ji]
 		q.Jobs[ji] = j
 		n := len(id) + 1 + len(je.Job.ID)
-		j.ID, j.JobID, j.Query, j.Type = idBuf[:n], je.Job.ID, q, je.Job.Type
+		*j = Job{ID: idBuf[:n], JobID: je.Job.ID, Query: q, Type: je.Job.Type}
 		idBuf = idBuf[n:]
 		if k := len(je.Job.Deps); k > 0 {
 			j.DepIDs, depIDs = depIDs[:k:k], depIDs[k:]
@@ -346,10 +362,9 @@ func BuildQuery(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, p
 		j.hoarding, ptrs = ptrs[:0:len(j.Reds)], ptrs[len(j.Reds):]
 		j.ResetPending()
 	}
-	return q
 }
 
-// phaseGroups returns the task groups BuildQuery lays one phase of a
+// phaseGroups returns the task groups Query.Rebuild lays one phase of a
 // job out by, in task-index order: the estimate's own, or — when it
 // carries none — a single group splitting the phase's volume evenly
 // across its task count (at least one map; no group for zero reduces).
@@ -370,8 +385,8 @@ func phaseGroups(je *selectivity.JobEstimate, reduce bool, one *[1]selectivity.T
 
 // EachSample calls fn for the first perGroup tasks of every task group
 // of j — maps, then reduces — with the group whose per-task volumes the
-// task was built from. je must be the estimate BuildQuery built j from;
-// the group→task index layout is BuildQuery's and is known only here.
+// task was built from. je must be the estimate Query.Rebuild built j from;
+// the group→task index layout is Rebuild's and is known only here.
 func (j *Job) EachSample(je *selectivity.JobEstimate, perGroup int, fn func(g selectivity.TaskGroup, t *Task)) {
 	var one [1]selectivity.TaskGroup
 	for p, tasks := range [2][]*Task{j.Maps, j.Reds} {

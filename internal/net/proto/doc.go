@@ -15,7 +15,9 @@
 //
 // ReadValue copies the payloads of one top-level frame into one slab,
 // sized from the reader's buffered bytes as a hint, never by reading
-// ahead; each payload is cut with capacity equal to its length.
+// ahead; each payload is cut with capacity equal to its length. MaxBulk
+// bounds the payloads together as well as each bulk, so one frame holds
+// about MaxBulk bytes however many elements it has.
 //
 // Encoding goes through an Encoder with a sticky error and fixed
 // scratch buffers, so the per-command reply path performs no heap

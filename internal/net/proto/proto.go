@@ -85,7 +85,9 @@ type Limits struct {
 	// MaxLine bounds one CRLF-terminated line (type marker, digits or
 	// inline payload), excluding the CRLF itself.
 	MaxLine int
-	// MaxBulk bounds one bulk payload in bytes.
+	// MaxBulk bounds one bulk payload in bytes, and also the payload
+	// bytes of one whole frame — the bulks, simple strings and errors of
+	// an array together — though never below MaxLine, so one line fits.
 	MaxBulk int
 	// MaxArray bounds one array's element count.
 	MaxArray int
@@ -94,7 +96,8 @@ type Limits struct {
 }
 
 // DefaultLimits are the production decoder bounds: 4 KiB lines, 1 MiB
-// bulk payloads, 1024-element arrays, 8 levels of nesting.
+// bulk payloads and 1 MiB of payload per frame, 1024-element arrays, 8
+// levels of nesting.
 func DefaultLimits() Limits {
 	return Limits{MaxLine: 4096, MaxBulk: 1 << 20, MaxArray: 1024, MaxDepth: 8}
 }
@@ -150,32 +153,46 @@ func ReadInline(br *bufio.Reader, lim Limits) ([][]byte, error) {
 // aliases the reader's buffer), and no byte past the decoded frame is
 // consumed. The payloads of one frame share one slab, each cut to its
 // own length and capacity, so appending to one never writes into
-// another.
+// another. Together they hold at most lim.MaxBulk bytes (see Limits): a
+// frame past that is refused before its next payload is read.
 func ReadValue(br *bufio.Reader, lim Limits) (Value, error) {
-	var slab []byte
-	return readValue(br, lim, 1, &slab)
+	f := frame{left: max(lim.MaxBulk, lim.MaxLine)}
+	return readValue(br, lim, 1, &f)
 }
 
-// cut returns the next n bytes of the frame's slab. The slab is made at
-// the frame's first payload with room for n plus what br holds buffered,
-// which covers the rest of the frame when it arrived whole; that size is
-// a hint, never a read, and a payload that does not fit what is left
-// gets its own allocation.
-func cut(slab *[]byte, n int, br *bufio.Reader) []byte {
-	if *slab == nil {
-		*slab = make([]byte, 0, n+br.Buffered())
+// frame is the decoding state one top-level frame's payloads share: the
+// slab they are cut from and the payload bytes the frame may still hold.
+type frame struct {
+	slab []byte
+	left int
+}
+
+// cut charges a payload of n bytes against the frame's budget and
+// returns room for it plus extra terminator bytes from the frame's slab.
+// The slab is made at the frame's first payload with room for the payload
+// plus what br holds buffered, which covers the rest of the frame when it
+// arrived whole; that size is a hint, never a read, and a payload that
+// does not fit what is left gets its own allocation.
+func cut(f *frame, n, extra int, br *bufio.Reader) ([]byte, error) {
+	if n > f.left {
+		return nil, wireErrf("frame payload exceeds limit: %d more bytes with %d left", n, f.left)
 	}
-	s, off := *slab, len(*slab)
+	f.left -= n
+	n += extra
+	if f.slab == nil {
+		f.slab = make([]byte, 0, n+br.Buffered())
+	}
+	s, off := f.slab, len(f.slab)
 	if cap(s)-off < n {
-		return make([]byte, n)
+		return make([]byte, n), nil
 	}
-	*slab = s[:off+n]
-	return s[off : off+n : off+n]
+	f.slab = s[:off+n]
+	return s[off : off+n : off+n], nil
 }
 
 // readValue decodes one frame at the given nesting depth, cutting its
 // payloads from the top-level frame's slab.
-func readValue(br *bufio.Reader, lim Limits, depth int, slab *[]byte) (Value, error) {
+func readValue(br *bufio.Reader, lim Limits, depth int, f *frame) (Value, error) {
 	marker, err := br.ReadByte()
 	if err != nil {
 		if err == io.EOF {
@@ -189,7 +206,10 @@ func readValue(br *bufio.Reader, lim Limits, depth int, slab *[]byte) (Value, er
 		if err != nil {
 			return Value{}, err
 		}
-		str := cut(slab, len(line), br)
+		str, err := cut(f, len(line), 0, br)
+		if err != nil {
+			return Value{}, err
+		}
 		copy(str, line)
 		return Value{Kind: Kind(marker), Str: str}, nil
 	case KindInt:
@@ -210,7 +230,10 @@ func readValue(br *bufio.Reader, lim Limits, depth int, slab *[]byte) (Value, er
 		if n > int64(lim.MaxBulk) {
 			return Value{}, wireErrf("bulk length %d exceeds limit %d", n, lim.MaxBulk)
 		}
-		buf := cut(slab, int(n)+2, br)
+		buf, err := cut(f, int(n), 2, br)
+		if err != nil {
+			return Value{}, err
+		}
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return Value{}, eofErr(err)
 		}
@@ -231,7 +254,7 @@ func readValue(br *bufio.Reader, lim Limits, depth int, slab *[]byte) (Value, er
 		}
 		elems := make([]Value, 0, n)
 		for i := int64(0); i < n; i++ {
-			el, err := readValue(br, lim, depth+1, slab)
+			el, err := readValue(br, lim, depth+1, f)
 			if err != nil {
 				return Value{}, eofErr(err)
 			}

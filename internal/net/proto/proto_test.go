@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -141,6 +142,45 @@ func TestDecodeLimits(t *testing.T) {
 		if _, _, err := decode(t, ok, lim); err != nil {
 			t.Errorf("ReadValue(%q) at limit: %v", ok, err)
 		}
+	}
+}
+
+// TestDecodeFrameBudget: MaxBulk bounds the payload bytes of a whole
+// frame, not only of each bulk. Two 600 KiB bulks each fit the default
+// 1 MiB bulk limit, but their array is refused with a *WireError at the
+// second one's header — before that payload is read or allocated — while
+// two bulks of 512 KiB, exactly the budget, still decode.
+func TestDecodeFrameBudget(t *testing.T) {
+	lim := DefaultLimits()
+	twoBulks := func(n int) []byte {
+		return AppendValue(nil, Array(Bulk(bytes.Repeat([]byte{'x'}, n)), Bulk(bytes.Repeat([]byte{'y'}, n))))
+	}
+
+	raw := twoBulks(600 << 10)
+	rd := bytes.NewReader(raw)
+	br := bufio.NewReaderSize(rd, lim.MaxLine+2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadValue(br, lim)
+	runtime.ReadMemStats(&after)
+	var we *WireError
+	if !errors.As(err, &we) {
+		t.Fatalf("two 600 KiB bulks: ReadValue = %v, want *WireError", err)
+	}
+	if unread := rd.Len() + br.Buffered(); unread != 600<<10+2 {
+		t.Errorf("%d bytes left unread, want the second payload and its CRLF (%d)", unread, 600<<10+2)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing the frame allocated %d bytes, want less than one payload past the first", got)
+	}
+
+	raw = twoBulks(512 << 10)
+	v, err := ReadValue(bufio.NewReaderSize(bytes.NewReader(raw), lim.MaxLine+2), lim)
+	if err != nil {
+		t.Fatalf("two 512 KiB bulks, exactly the frame budget: %v", err)
+	}
+	if len(v.Elems) != 2 || len(v.Elems[1].Str) != 512<<10 {
+		t.Fatalf("decoded %d elements", len(v.Elems))
 	}
 }
 

@@ -2,6 +2,7 @@ package net
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -331,6 +332,41 @@ func TestServerParseErrorCloses(t *testing.T) {
 	}
 	if n := ob.Metrics.Counter(obs.MNetParseErrors).Value(); n != 1 {
 		t.Fatalf("parse errors metric = %v, want 1", n)
+	}
+}
+
+// TestServerFrameBudgetCloses: a request frame whose payloads together
+// pass the per-frame budget (MaxBulk) is a malformed frame like any
+// other — answered with -ERR and hung up on — at the header of the
+// payload that would pass it, so the server never holds that payload. The
+// client sends a 600 KiB bulk and only the header of a second one.
+func TestServerFrameBudgetCloses(t *testing.T) {
+	s, _ := startServer(t, Config{})
+	conn, err := stdnet.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	const n = 600 << 10
+	req := proto.AppendValue([]byte("*3\r\n"), proto.BulkString("SUBMIT"))
+	req = proto.AppendValue(req, proto.Bulk(bytes.Repeat([]byte{'x'}, n)))
+	req = fmt.Appendf(req, "$%d\r\n", n)
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	v, err := proto.ReadValue(br, proto.DefaultLimits())
+	if err != nil {
+		t.Fatalf("error frame: %v", err)
+	}
+	if v.Kind != proto.KindError || !strings.HasPrefix(string(v.Str), "ERR proto: frame payload exceeds limit") {
+		t.Fatalf("over-budget reply = %q, want -ERR proto: frame payload exceeds limit", v.Str)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("connection survived an over-budget frame: %v", err)
 	}
 }
 

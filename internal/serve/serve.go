@@ -447,17 +447,26 @@ func (e *Engine) inflightNow() int {
 	return e.inflight
 }
 
+// lane is what one pool worker owns for its lifetime and rebuilds in
+// place per ticket: the simulator, the query laid out on it, and the
+// feature buffer feedback writes every sample into.
+type lane struct {
+	sim  cluster.Sim
+	q    cluster.Query
+	feat [4]float64
+}
+
 // worker serves admitted tickets until the engine closes and drains, on
-// one simulator it owns for its lifetime and resets per ticket.
+// one lane it owns for its lifetime.
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	sim := new(cluster.Sim)
+	w := new(lane)
 	for {
 		t := e.next()
 		if t == nil {
 			return
 		}
-		e.run(sim, t)
+		e.run(w, t)
 	}
 }
 
@@ -480,9 +489,9 @@ func (e *Engine) next() *Ticket {
 	return t
 }
 
-// run executes one ticket on the worker's simulator, reset for it, and
-// delivers its completion.
-func (e *Engine) run(sim *cluster.Sim, t *Ticket) {
+// run executes one ticket on the worker's lane — its simulator reset and
+// its query rebuilt for the ticket — and delivers its completion.
+func (e *Engine) run(w *lane, t *Ticket) {
 	// Submit normalized the context, so t.ctx is never nil here.
 	select {
 	case <-t.ctx.Done():
@@ -505,7 +514,8 @@ func (e *Engine) run(sim *cluster.Sim, t *Ticket) {
 			jm = j
 		}
 	}
-	cq := cluster.BuildQuery(t.id, t.est, trace.NewDefaultCostModel(t.seed), pred)
+	cq := &w.q
+	cq.Rebuild(t.id, t.est, trace.NewDefaultCostModel(t.seed), pred)
 	// With tracing on, the run goes under a spans-only observer: its
 	// single-goroutine collector captures the run's jobs, tasks and
 	// scheduler decisions without touching the shared metrics registry —
@@ -517,6 +527,7 @@ func (e *Engine) run(sim *cluster.Sim, t *Ticket) {
 		coll = obs.NewSpanCollector()
 		runObs = &obs.Observer{Spans: coll}
 	}
+	sim := &w.sim
 	sim.Reset(e.cfg.Cluster, e.cfg.Scheduler)
 	sim.SetObserver(runObs)
 	sim.Submit(cq, 0)
@@ -529,7 +540,7 @@ func (e *Engine) run(sim *cluster.Sim, t *Ticket) {
 	}
 	RecordJobDrift(e.cfg.Observer, jm, t.est, cq)
 	if L := e.cfg.Learner; L != nil {
-		feedback(L, t.est, cq)
+		feedback(L, t.est, cq, &w.feat)
 		if t.span != nil {
 			t.span.Event(obs.SpanKindFeedback, "learn-feedback",
 				obs.AttrInt("jobs", len(cq.Jobs)),
@@ -575,10 +586,9 @@ func RecordJobDrift(o *obs.Observer, jm *predict.JobModel, est *selectivity.Quer
 const learnTasksPerGroup = 8
 
 // feedback feeds one completed query's observed job and task times into
-// the online-learning source, writing every sample's features into one
-// buffer (Source's features are valid only for the call).
-func feedback(l learn.Source, est *selectivity.QueryEstimate, cq *cluster.Query) {
-	var buf [4]float64
+// the online-learning source, writing every sample's features into buf
+// (Source's features are valid only for the call).
+func feedback(l learn.Source, est *selectivity.QueryEstimate, cq *cluster.Query, buf *[4]float64) {
 	for ji, je := range est.Jobs {
 		sj := cq.Jobs[ji]
 		if sec := sj.DoneTime - sj.SubmitTime; sec > 0 {

@@ -83,7 +83,13 @@ type Corpus struct {
 // SFForTargetBytes converts a target total-input size in bytes to the
 // scale factor at which the query's scanned tables reach it.
 func SFForTargetBytes(q *query.Query, targetBytes float64) float64 {
-	base := InputBytesAtSF1(q, dataset.AllSchemas())
+	return sfForTargetBytes(q, targetBytes, dataset.AllSchemas())
+}
+
+// sfForTargetBytes is SFForTargetBytes over schemas resolved once by the
+// caller, for one that converts many queries.
+func sfForTargetBytes(q *query.Query, targetBytes float64, schemas map[string]*dataset.Schema) float64 {
+	base := InputBytesAtSF1(q, schemas)
 	if base <= 0 {
 		return 1
 	}
@@ -184,8 +190,10 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 	gen := NewGenerator(cfg.Seed)
 	rng := gen.rng.Fork()
 
-	// Phase 1 (sequential, deterministic): draw queries, scales and
-	// per-run cost-model seeds.
+	stats := NewStats(cfg)
+
+	// Phase 1 (sequential, deterministic): draw queries, scales (over the
+	// schemas stats resolved) and per-run cost-model seeds.
 	type drawn struct {
 		q      *query.Query
 		shape  Shape
@@ -199,10 +207,8 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 			return nil, err
 		}
 		targetGB := rng.Range(cfg.MinGB, cfg.MaxGB)
-		draws[i] = drawn{q: q, shape: shape, sf: SFForTargetBytes(q, targetGB*1e9), cmSeed: rng.Uint64()}
+		draws[i] = drawn{q: q, shape: shape, sf: sfForTargetBytes(q, targetGB*1e9, stats.schemas), cmSeed: rng.Uint64()}
 	}
-
-	stats := NewStats(cfg)
 
 	// Phase 2 (parallel): compile, estimate and simulate each run, each
 	// worker on one simulator it resets from run to run.
