@@ -16,20 +16,22 @@ func (idlePick) PickJob(float64, []*Job, []*Job, bool) *Job { return nil }
 
 // TestDecisionSpansOnlyBuildsNoRanking: the candidate ranking exists for
 // the timeline alone. Under a spans-only observer (what the serving engine
-// attaches per traced attempt) the collector keeps only the first few
+// attaches per traced run) the request tree keeps only the first few
 // decisions and the queue depth, so once past its cap a dispatch over 64
 // candidates must not allocate at all — in particular not an O(queued
 // jobs) ranking.
 func TestDecisionSpansOnlyBuildsNoRanking(t *testing.T) {
 	s := New(Config{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1}, idlePick{})
-	s.SetObserver(&obs.Observer{Spans: obs.NewSpanCollector()})
+	tree := obs.BeginQuerySpan("t", "q")
+	tree.BeginRun()
+	s.SetObserver(&obs.Observer{Spans: tree})
 	for i := 0; i < 64; i++ {
 		s.arrive(mkQuery(fmt.Sprintf("q%02d", i), 1, 1))
 	}
 	if n := len(s.candidates(false)); n != 64 {
 		t.Fatalf("%d candidates, want 64", n)
 	}
-	for i := 0; i < 16; i++ { // exhaust the collector's decision cap
+	for i := 0; i < 16; i++ { // exhaust the tree's decision cap
 		s.dispatch()
 	}
 	if n := testing.AllocsPerRun(100, s.dispatch); n != 0 {

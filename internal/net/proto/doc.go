@@ -17,7 +17,10 @@
 // sized from the reader's buffered bytes as a hint, never by reading
 // ahead; each payload is cut with capacity equal to its length. MaxBulk
 // bounds the payloads together as well as each bulk, so one frame holds
-// about MaxBulk bytes however many elements it has.
+// about MaxBulk bytes however many elements it has; MaxArray × MaxDepth
+// bounds the array elements of one frame together, charged at each array
+// header before its element slice is made, so a frame of nested empty
+// arrays cannot allocate more than that many 64-byte Values.
 //
 // Encoding goes through an Encoder with a sticky error and fixed
 // scratch buffers, so the per-command reply path performs no heap

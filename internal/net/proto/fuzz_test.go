@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -16,6 +18,8 @@ import (
 //     consumed, nothing past it;
 //   - errors are classified: io.EOF only on empty input, otherwise
 //     io.ErrUnexpectedEOF (truncated) or *WireError (malformed);
+//   - an accepted frame holds at most MaxArray × MaxDepth array elements
+//     and at most MaxBulk payload bytes, all its arrays together;
 //   - valid inputs round-trip byte-for-byte through Encode(Decode(x)).
 func FuzzProtocolDecode(f *testing.F) {
 	seeds := []string{
@@ -37,6 +41,11 @@ func FuzzProtocolDecode(f *testing.F) {
 		"*3\r\n:1\r\n",
 		"$99999999999999999999\r\n",
 		"+no terminator",
+		// Around the 64 × 6 = 384 element budget of lim below: 385 and
+		// 455 elements (refused), exactly 384 (accepted).
+		nestedSeed(6, 63, 63, 63, 63, 63, 64),
+		nestedSeed(7, 64, 64, 64, 64, 64, 64, 64),
+		nestedSeed(6, 63, 63, 63, 63, 63, 63),
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -68,6 +77,10 @@ func FuzzProtocolDecode(f *testing.F) {
 			return
 		}
 
+		if elems, payload := frameSize(v); elems > lim.MaxArray*lim.MaxDepth || payload > lim.MaxBulk {
+			t.Fatalf("accepted a frame of %d array elements and %d payload bytes", elems, payload)
+		}
+
 		// Valid frame: re-encoding must reproduce exactly the consumed
 		// prefix — byte-identical, no over- or under-read.
 		enc := AppendValue(nil, v)
@@ -95,4 +108,24 @@ func FuzzProtocolDecode(f *testing.F) {
 			t.Fatalf("re-decoded value %+v != original %+v", v2, v)
 		}
 	})
+}
+
+// nestedSeed is an array of len(inner) arrays of inner[i] empty arrays;
+// outer is its header, written as given.
+func nestedSeed(outer int, inner ...int) string {
+	s := "*" + strconv.Itoa(outer) + "\r\n"
+	for _, n := range inner {
+		s += "*" + strconv.Itoa(n) + "\r\n" + strings.Repeat("*0\r\n", n)
+	}
+	return s
+}
+
+// frameSize counts the array elements and the payload bytes of v.
+func frameSize(v Value) (elems, payload int) {
+	payload = len(v.Str)
+	for _, el := range v.Elems {
+		e, p := frameSize(el)
+		elems, payload = elems+1+e, payload+p
+	}
+	return elems, payload
 }

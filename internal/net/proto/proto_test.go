@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -180,6 +181,51 @@ func TestDecodeFrameBudget(t *testing.T) {
 		t.Fatalf("two 512 KiB bulks, exactly the frame budget: %v", err)
 	}
 	if len(v.Elems) != 2 || len(v.Elems[1].Str) != 512<<10 {
+		t.Fatalf("decoded %d elements", len(v.Elems))
+	}
+}
+
+// TestDecodeFrameElements: MaxArray × MaxDepth bounds the array elements
+// of a whole frame. 1,024 arrays of 1,024 empty arrays fit every per-array
+// limit and hold no payload at all, yet would make 64 MiB of Values out of
+// a 4 MiB frame; the decoder refuses it at the first array header past the
+// budget, having read and allocated a small fraction of that. Eight arrays
+// of 1,023 under one header, exactly the 8,192-element budget, still
+// decode.
+func TestDecodeFrameElements(t *testing.T) {
+	lim := DefaultLimits()
+	nested := func(outer, inner int) []byte {
+		raw := fmt.Appendf(nil, "*%d\r\n", outer)
+		for i := 0; i < outer; i++ {
+			raw = fmt.Appendf(raw, "*%d\r\n", inner)
+			raw = append(raw, strings.Repeat("*0\r\n", inner)...)
+		}
+		return raw
+	}
+
+	raw := nested(1024, 1024)
+	rd := bytes.NewReader(raw)
+	br := bufio.NewReaderSize(rd, lim.MaxLine+2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadValue(br, lim)
+	runtime.ReadMemStats(&after)
+	var we *WireError
+	if !errors.As(err, &we) {
+		t.Fatalf("1,024 × 1,024 empty arrays: ReadValue = %v, want *WireError", err)
+	}
+	if read := len(raw) - rd.Len() - br.Buffered(); read > 64<<10 {
+		t.Errorf("refusing the frame read %d of its %d bytes, want at most 64 KiB", read, len(raw))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing the frame allocated %d bytes, want less than 1 MiB", got)
+	}
+
+	v, err := ReadValue(bufio.NewReaderSize(bytes.NewReader(nested(8, 1023)), lim.MaxLine+2), lim)
+	if err != nil {
+		t.Fatalf("8 × 1,023 empty arrays, exactly the element budget: %v", err)
+	}
+	if len(v.Elems) != 8 || len(v.Elems[7].Elems) != 1023 {
 		t.Fatalf("decoded %d elements", len(v.Elems))
 	}
 }

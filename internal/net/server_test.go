@@ -370,6 +370,44 @@ func TestServerFrameBudgetCloses(t *testing.T) {
 	}
 }
 
+// TestServerFrameElementsClose: a request array claiming 1,024 arrays of
+// 1,024 empty arrays is refused at the first inner header past the
+// frame's MaxArray × MaxDepth element budget — before its element slice
+// is made — with -ERR proto, and the connection closes. Only the bytes the
+// server reads up to that header are sent, so nothing is left unread.
+func TestServerFrameElementsClose(t *testing.T) {
+	s, _ := startServer(t, Config{})
+	conn, err := stdnet.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	lim := proto.DefaultLimits()
+	req := []byte("*1024\r\n")
+	for i := 1; i < lim.MaxDepth; i++ {
+		req = append(req, "*1024\r\n"...)
+		req = append(req, strings.Repeat("*0\r\n", 1024)...)
+	}
+	req = append(req, "*1024\r\n"...)
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	v, err := proto.ReadValue(br, lim)
+	if err != nil {
+		t.Fatalf("error frame: %v", err)
+	}
+	if v.Kind != proto.KindError || !strings.HasPrefix(string(v.Str), "ERR proto: frame array elements exceed limit") {
+		t.Fatalf("over-budget reply = %q, want -ERR proto: frame array elements exceed limit", v.Str)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("connection survived an over-budget frame: %v", err)
+	}
+}
+
 // TestServerGracefulDrain is the no-lost-completions contract: a WAIT
 // in flight when Shutdown begins still delivers its result before the
 // connection closes.

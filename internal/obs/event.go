@@ -274,8 +274,8 @@ func (e *Event) carried(s *kindSpec, out []Attr) []Attr {
 
 // Emit records one event on every attached sink: the registry moves the
 // kind's counter and histogram, the drift recorder takes a finished
-// task's predicted-vs-observed pair, and the timeline and the run's
-// span collector render it with the carried fields followed by attrs.
+// task's predicted-vs-observed pair, and the timeline and the request
+// tree render it with the carried fields followed by attrs.
 // attrs is not retained.
 func (o *Observer) Emit(e Event, attrs ...Attr) {
 	if o == nil {

@@ -205,8 +205,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns (creating on first use) the named histogram; buckets
-// apply only at creation. Nil buckets default to the metric table's for
-// a declared name, else to DefTimeBuckets.
+// apply only at creation. Nil buckets default to DefTimeBuckets.
 func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -214,9 +213,6 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 		return h
 	}
 	validateName(name)
-	if spec := metricByName[name]; buckets == nil && spec != nil {
-		buckets = spec.Buckets
-	}
 	if buckets == nil {
 		buckets = DefTimeBuckets()
 	}

@@ -1,14 +1,14 @@
 package obs
 
 // MetricSpec declares one metric. The table below is the only place a
-// metric's name, type, buckets and help text are written down: call
-// sites name a metric by its M* variable, the registry reads buckets and
-// # HELP text from here, and docs/OBSERVABILITY.md is checked against it.
+// metric's name, type and help text are written down: call sites name a
+// metric by its M* variable, the registry reads # HELP text from here,
+// and docs/OBSERVABILITY.md is checked against it. Histograms use
+// DefTimeBuckets.
 type MetricSpec struct {
-	Name    string
-	Kind    string    // "counter", "gauge" or "histogram"
-	Buckets []float64 // histogram upper bounds; nil means DefTimeBuckets
-	Help    string
+	Name string
+	Kind string // "counter", "gauge" or "histogram"
+	Help string
 }
 
 var (

@@ -12,10 +12,10 @@ type Observer struct {
 	Metrics *Registry
 	Trace   *TraceSink
 	Drift   *DriftRecorder
-	// Spans collects one simulator run's request-scoped spans; the
-	// serving engine attaches a spans-only Observer to each pool
-	// simulator when tracing is enabled (see span.go).
-	Spans *SpanCollector
+	// Spans is the request tree a simulator run's spans are appended
+	// to; the serving engine attaches a spans-only Observer to each
+	// traced run (see span.go).
+	Spans *QuerySpan
 
 	// run namespaces per-query trace processes so repeated query ids
 	// (the same workload replayed under several schedulers) get distinct

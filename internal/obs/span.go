@@ -12,9 +12,9 @@ package obs
 //
 // The pieces compose as
 //
-//	SpanCollector  per simulator run, fed by Observer.Emit
-//	QuerySpan      per submission, merges the run's collector under one root
-//	SpanStore      bounded ring of finished trees, JSON + Chrome export
+//	QuerySpan  per submission: one tree, its run's spans appended in place
+//	           by Observer.Emit
+//	SpanStore  bounded ring of finished trees, JSON export
 
 import (
 	"encoding/json"
@@ -91,62 +91,17 @@ func FNV64a(s string) uint64 {
 // as the sched_decisions attribute.
 const maxSpanDecisions = 8
 
-// SpanCollector accumulates one simulator run's spans from the events
-// Observer.Emit hands it. It is single-goroutine by construction (one
-// collector per pool simulator, which is single-threaded) and therefore
-// unlocked. Parent -1 marks spans that parent onto the run span when
-// QuerySpan.AddRun merges them.
-type SpanCollector struct {
-	spans     []Span
-	jobs      map[string]int // job id → open job span index
-	decisions int            // uncapped PickJob count
-}
-
-// NewSpanCollector returns an empty per-run collector.
-func NewSpanCollector() *SpanCollector {
-	return &SpanCollector{jobs: map[string]int{}}
-}
-
-// add records one event as the span its kind's spec describes: a point
-// or a range under the run or under the event's job, or the opening or
-// closing edge of that job's own span. Scheduler decisions past
-// maxSpanDecisions are counted, not stored.
-func (c *SpanCollector) add(s *kindSpec, e *Event, attrs []Attr) {
-	if e.Kind == SchedDecision {
-		c.decisions++
-		if c.decisions > maxSpanDecisions {
-			return
-		}
-	}
-	job, open := c.jobs[e.Job]
-	if s.form == fClose {
-		if open {
-			c.spans[job].End = e.At
-		}
-		return
-	}
-	sp := Span{ID: len(c.spans), Parent: -1, Kind: s.span, Name: e.name(s),
-		Start: e.At, End: e.At, Attrs: rendered(attrs)}
-	if s.underJob && open {
-		sp.Parent = job
-	}
-	switch s.form {
-	case fRange:
-		sp.Start = e.Start
-	case fOpen:
-		sp.End = -1
-		c.jobs[e.Job] = sp.ID
-	}
-	c.spans = append(c.spans, sp)
-}
-
-// QuerySpan builds one submission's tree: a root span, zero-width
-// pipeline events (cache, admission, feedback), and one run span with
-// the simulator run's collected spans under it. It is confined to the
-// goroutine serving the submission.
+// QuerySpan builds one submission's tree in place: a root span,
+// zero-width pipeline events (cache, admission, feedback), and one run
+// span whose jobs, tasks and scheduler decisions Observer.Emit appends
+// with their final ids and parents. It is confined to the goroutine
+// serving the submission (the pool simulator is single-threaded).
 type QuerySpan struct {
-	tree SpanTree
-	end  float64 // the run's duration once merged; 0 before
+	tree      SpanTree
+	run       int            // the run span's id; 0 before BeginRun
+	jobs      map[string]int // job id → open job span id
+	decisions int            // uncapped PickJob count
+	end       float64        // the run's duration once ended; 0 before
 }
 
 // BeginQuerySpan opens a request tree rooted at a SpanKindQuery span.
@@ -158,8 +113,8 @@ func BeginQuerySpan(traceID, name string, attrs ...Attr) *QuerySpan {
 	return q
 }
 
-// Event appends a zero-width child of the root: at 0 before the run is
-// merged (cache lookup, admission), at the run's end after (feedback).
+// Event appends a zero-width child of the root: at 0 before the run has
+// ended (cache lookup, admission), at the run's end after (feedback).
 func (q *QuerySpan) Event(kind, name string, attrs ...Attr) {
 	q.tree.Spans = append(q.tree.Spans, Span{
 		ID: len(q.tree.Spans), Parent: 0, Kind: kind, Name: name,
@@ -167,26 +122,52 @@ func (q *QuerySpan) Event(kind, name string, attrs ...Attr) {
 	})
 }
 
-// AddRun merges the run's collector under a run span [0, durSec]:
-// collector span ids shift past the run's and its top-level spans parent
-// onto it. Call it once per tree; the collector must not be reused
-// afterwards.
-func (q *QuerySpan) AddRun(c *SpanCollector, durSec float64) {
-	runID := len(q.tree.Spans)
-	q.tree.Spans = append(q.tree.Spans, Span{
-		ID: runID, Parent: 0, Kind: SpanKindRun, Name: "run", End: durSec,
-		Attrs: rendered([]Attr{AttrInt("sched_decisions", c.decisions)}),
-	})
-	base := runID + 1
-	for _, s := range c.spans {
-		s.ID += base
-		if s.Parent < 0 {
-			s.Parent = runID
-		} else {
-			s.Parent += base
+// BeginRun appends the run span under the root; the spans Observer.Emit
+// appends next parent onto it or onto their job. Call it once per tree.
+func (q *QuerySpan) BeginRun() {
+	q.run = len(q.tree.Spans)
+	q.jobs = map[string]int{}
+	q.tree.Spans = append(q.tree.Spans, Span{ID: q.run, Parent: 0, Kind: SpanKindRun, Name: "run"})
+}
+
+// add records one event as the span its kind's spec describes: a point
+// or a range under the run or under the event's job, or the opening or
+// closing edge of that job's own span. Scheduler decisions past
+// maxSpanDecisions are counted, not stored.
+func (q *QuerySpan) add(s *kindSpec, e *Event, attrs []Attr) {
+	if e.Kind == SchedDecision {
+		q.decisions++
+		if q.decisions > maxSpanDecisions {
+			return
 		}
-		q.tree.Spans = append(q.tree.Spans, s)
 	}
+	job, open := q.jobs[e.Job]
+	if s.form == fClose {
+		if open {
+			q.tree.Spans[job].End = e.At
+		}
+		return
+	}
+	sp := Span{ID: len(q.tree.Spans), Parent: q.run, Kind: s.span, Name: e.name(s),
+		Start: e.At, End: e.At, Attrs: rendered(attrs)}
+	if s.underJob && open {
+		sp.Parent = job
+	}
+	switch s.form {
+	case fRange:
+		sp.Start = e.Start
+	case fOpen:
+		sp.End = -1
+		q.jobs[e.Job] = sp.ID
+	}
+	q.tree.Spans = append(q.tree.Spans, sp)
+}
+
+// EndRun closes the run span at durSec with its uncapped decision count.
+func (q *QuerySpan) EndRun(durSec float64) {
+	r := &q.tree.Spans[q.run]
+	r.End = durSec
+	r.Attrs = rendered([]Attr{AttrInt("sched_decisions", q.decisions)})
 	q.end = durSec
 }
 
@@ -201,14 +182,6 @@ func (q *QuerySpan) Finish(attrs ...Attr) SpanTree {
 // DefaultSpanCapacity bounds SpanStore retention when the configured
 // capacity is zero or negative.
 const DefaultSpanCapacity = 512
-
-// SpanCounts is a SpanStore's lifecycle counters.
-type SpanCounts struct {
-	Started  uint64 `json:"started"`
-	Finished uint64 `json:"finished"`
-	Evicted  uint64 `json:"evicted"`
-	Retained int    `json:"retained"`
-}
 
 // SpanStore retains finished span trees in a bounded ring (oldest
 // evicted first) behind a mutex; the serving engine's pool workers add
@@ -258,29 +231,6 @@ func (s *SpanStore) Add(t SpanTree) {
 	s.n++
 }
 
-// Counts snapshots the lifecycle counters.
-func (s *SpanStore) Counts() SpanCounts {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return SpanCounts{Started: s.started, Finished: s.finished, Evicted: s.evicted, Retained: s.n}
-}
-
-// Trees returns the retained trees, oldest first.
-func (s *SpanStore) Trees() []SpanTree {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.treesLocked()
-}
-
-// treesLocked copies the ring in insertion order.
-func (s *SpanStore) treesLocked() []SpanTree {
-	out := make([]SpanTree, 0, s.n)
-	for i := 0; i < s.n; i++ {
-		out = append(out, s.trees[(s.head+i)%s.capacity])
-	}
-	return out
-}
-
 // Tree returns the newest retained tree with the given trace id.
 func (s *SpanStore) Tree(traceID string) (SpanTree, bool) {
 	s.mu.Lock()
@@ -303,14 +253,16 @@ type SpanStoreSnapshot struct {
 	Trees    []SpanTree `json:"trees"`
 }
 
-// Snapshot copies the store state.
+// Snapshot copies the store state, retained trees oldest first.
 func (s *SpanStore) Snapshot() SpanStoreSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return SpanStoreSnapshot{
-		Started: s.started, Finished: s.finished, Evicted: s.evicted,
-		Trees: s.treesLocked(),
+	snap := SpanStoreSnapshot{Started: s.started, Finished: s.finished, Evicted: s.evicted,
+		Trees: make([]SpanTree, 0, s.n)}
+	for i := 0; i < s.n; i++ {
+		snap.Trees = append(snap.Trees, s.trees[(s.head+i)%s.capacity])
 	}
+	return snap
 }
 
 // WriteJSON serialises the snapshot as deterministic indented JSON.
@@ -322,22 +274,4 @@ func (s *SpanStore) WriteJSON(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// WriteChromeTrace exports every retained tree through the timeline
-// renderer as async spans ("b"/"e" pairs keyed by span id), one trace
-// process per tree, so overlapping sibling spans render side by side in
-// Perfetto. The caller owns the sink lifecycle (Close).
-func (s *SpanStore) WriteChromeTrace(ts *TraceSink) {
-	for i, tree := range s.Trees() {
-		pid := pidSpanBase + i
-		ts.meta("process_name", pid, 0, "trace "+tree.TraceID)
-		for _, sp := range tree.Spans {
-			r := rec{name: sp.Name, cat: sp.Kind, ph: "b", pid: pid, at: sp.Start,
-				id: tree.TraceID + ":" + itoa(sp.ID)}
-			ts.write(r, append([]Attr{AttrInt("span_id", sp.ID), AttrInt("parent", sp.Parent)}, sp.Attrs...))
-			r.ph, r.at = "e", sp.End
-			ts.write(r, nil)
-		}
-	}
 }

@@ -59,14 +59,14 @@ func buildRunTree() obs.SpanTree {
 	q.Event(obs.SpanKindCache, "plan-cache", obs.AttrBool("hit", false))
 	q.Event(obs.SpanKindAdmission, "swrd-admission", obs.AttrFloat("wrd", 42.5))
 
-	c := obs.NewSpanCollector()
-	o := &obs.Observer{Spans: c}
+	q.BeginRun()
+	o := &obs.Observer{Spans: q}
 	o.Emit(obs.Event{Kind: obs.JobSubmitted, Query: "q1", Job: "j1", JobType: "join"},
 		obs.AttrInt("maps", 4), obs.AttrInt("reduces", 2), obs.AttrFloat("init_until_sec", 1.5))
 	o.SchedulerDecision(0.5, "SWRD", false, "q1", 0, nil)
 	o.Emit(obs.Event{Kind: obs.TaskFinished, At: 3, Start: 1, Query: "q1", Job: "j1", JobType: "join", Node: 2, Slot: 1, Pred: 2})
 	o.Emit(obs.Event{Kind: obs.JobFinished, At: 4, Query: "q1", Job: "j1", JobType: "join"})
-	q.AddRun(c, 4)
+	q.EndRun(4)
 
 	q.Event(obs.SpanKindFeedback, "learn-feedback", obs.AttrInt("jobs", 1))
 	return q.Finish(obs.AttrFloat("sim_sec", 4))
@@ -159,11 +159,11 @@ func TestSpanStoreRingEviction(t *testing.T) {
 		st.Begin()
 		st.Add(oneSpanTree(id))
 	}
-	c := st.Counts()
-	if c.Started != 3 || c.Finished != 3 || c.Evicted != 1 || c.Retained != 2 {
-		t.Fatalf("counts = %+v, want started 3 finished 3 evicted 1 retained 2", c)
+	snap := st.Snapshot()
+	if snap.Started != 3 || snap.Finished != 3 || snap.Evicted != 1 {
+		t.Fatalf("counts = %d/%d/%d, want started 3 finished 3 evicted 1", snap.Started, snap.Finished, snap.Evicted)
 	}
-	trees := st.Trees()
+	trees := snap.Trees
 	if len(trees) != 2 || trees[0].TraceID != "t2" || trees[1].TraceID != "t3" {
 		ids := make([]string, len(trees))
 		for i, tr := range trees {
@@ -204,42 +204,5 @@ func TestSpanStoreWriteJSON(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two snapshots of an unchanged store serialised differently")
-	}
-}
-
-// TestSpanStoreChromeExport checks the async-flow export is valid JSON
-// with paired begin/end events carrying the same flow id.
-func TestSpanStoreChromeExport(t *testing.T) {
-	st := obs.NewSpanStore(4)
-	st.Begin()
-	st.Add(buildRunTree())
-
-	var buf bytes.Buffer
-	ts := obs.NewTraceSink(&buf)
-	st.WriteChromeTrace(ts)
-	if err := ts.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("chrome export is invalid JSON: %v", err)
-	}
-	begins, ends := map[string]int{}, map[string]int{}
-	for _, ev := range events {
-		id, _ := ev["id"].(string)
-		switch ev["ph"] {
-		case "b":
-			begins[id]++
-		case "e":
-			ends[id]++
-		}
-	}
-	if len(begins) == 0 {
-		t.Fatal("export contains no async begin events")
-	}
-	for id, n := range begins {
-		if ends[id] != n {
-			t.Errorf("flow %q has %d begins but %d ends", id, n, ends[id])
-		}
 	}
 }

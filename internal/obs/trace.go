@@ -25,8 +25,6 @@ import (
 //	                                query span on thread 0 and one thread
 //	                                per job, so query→job→task lifecycles
 //	                                nest visually.
-//	pid ≥ 10000                     one process per exported span tree
-//	                                (SpanStore.WriteChromeTrace)
 type TraceSink struct {
 	w       io.Writer
 	started bool
@@ -42,10 +40,6 @@ const (
 	PidLearn       = 5
 	// pidQueryBase is the first per-query process id.
 	pidQueryBase = 100
-	// pidSpanBase is the first process id of an exported span tree — far
-	// above the per-query pids, so a span export can share a sink with a
-	// timeline trace without colliding.
-	pidSpanBase = 10000
 )
 
 // NewTraceSink writes trace events to w. Call Close when the run ends to
@@ -79,15 +73,11 @@ func jsonNum(v float64) string {
 }
 
 // rec is one trace event ahead of its args. ph is the Chrome phase: "M"
-// metadata, "i" thread-scoped instant at at, "X" complete span at..end,
-// "b"/"e" async begin/end paired by (cat, id, name) — async spans may
-// overlap within a process, which is how span trees with concurrent
-// siblings render.
+// metadata, "i" thread-scoped instant at at, "X" complete span at..end.
 type rec struct {
 	name, cat, ph string
 	pid, tid      int
 	at, end       float64
-	id            string
 }
 
 // write serialises one event; every exporter goes through it.
@@ -109,8 +99,6 @@ func (t *TraceSink) write(r rec, args []Attr) {
 	switch r.ph {
 	case "X":
 		fmt.Fprintf(&b, `,"dur":%d`, max(0, micros(r.end)-micros(r.at)))
-	case "b", "e":
-		fmt.Fprintf(&b, `,"id":%q`, r.id)
 	case "i":
 		b.WriteString(`,"s":"t"`)
 	}

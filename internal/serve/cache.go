@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"saqp/internal/plan"
 	"saqp/internal/selectivity"
 )
 
@@ -23,7 +22,7 @@ const (
 )
 
 // cacheEntry is one compile+estimate result. The entry is published into
-// the cache before its computation runs; ready closes once dag/est/err
+// the cache before its computation runs; ready closes once est/err
 // are final and no field changes afterwards, so waiters (and holders of
 // evicted entries) read immutable state.
 type cacheEntry struct {
@@ -34,7 +33,6 @@ type cacheEntry struct {
 	spellings [maxSpellings]string
 	nSpell    int
 
-	dag     *plan.DAG
 	est     *selectivity.QueryEstimate
 	wrd     float64
 	predSec float64

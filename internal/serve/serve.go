@@ -152,10 +152,6 @@ type Ticket struct {
 // ID returns the engine-assigned submission id.
 func (t *Ticket) ID() string { return t.id }
 
-// WRD returns the Weighted Resource Demand the admission queue ranked
-// this submission by.
-func (t *Ticket) WRD() float64 { return t.wrd }
-
 // Done returns a channel closed when the query completes (successfully
 // or not).
 func (t *Ticket) Done() <-chan struct{} { return t.done }
@@ -403,7 +399,7 @@ func (e *Engine) compute(ent *cacheEntry, q *query.Query) {
 		ent.err = err
 		return
 	}
-	ent.dag, ent.est = d, est
+	ent.est = est
 	if e.cfg.Learner == nil {
 		// No champion can replace the static model: score once per plan.
 		ent.wrd, ent.predSec, _, _ = e.Score(est)
@@ -516,16 +512,14 @@ func (e *Engine) run(w *lane, t *Ticket) {
 	}
 	cq := &w.q
 	cq.Rebuild(t.id, t.est, trace.NewDefaultCostModel(t.seed), pred)
-	// With tracing on, the run goes under a spans-only observer: its
-	// single-goroutine collector captures the run's jobs, tasks and
-	// scheduler decisions without touching the shared metrics registry —
-	// the simulated schedule is identical either way, only observation is
-	// added.
-	var coll *obs.SpanCollector
+	// With tracing on, the run goes under a spans-only observer that
+	// appends its jobs, tasks and scheduler decisions to the ticket's own
+	// tree without touching the shared metrics registry — the simulated
+	// schedule is identical either way, only observation is added.
 	var runObs *obs.Observer
 	if t.span != nil {
-		coll = obs.NewSpanCollector()
-		runObs = &obs.Observer{Spans: coll}
+		t.span.BeginRun()
+		runObs = &obs.Observer{Spans: t.span}
 	}
 	sim := &w.sim
 	sim.Reset(e.cfg.Cluster, e.cfg.Scheduler)
@@ -536,7 +530,7 @@ func (e *Engine) run(w *lane, t *Ticket) {
 		return
 	}
 	if t.span != nil {
-		t.span.AddRun(coll, cq.ResponseTime())
+		t.span.EndRun(cq.ResponseTime())
 	}
 	RecordJobDrift(e.cfg.Observer, jm, t.est, cq)
 	if L := e.cfg.Learner; L != nil {

@@ -371,12 +371,12 @@ func TestWRDRankingWithModels(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if tk.WRD() <= 0 {
-		t.Errorf("trained engine should rank by positive WRD, got %g", tk.WRD())
-	}
 	res, err := tk.Wait(context.Background())
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
+	}
+	if res.WRD <= 0 {
+		t.Errorf("trained engine should rank by positive WRD, got %g", res.WRD)
 	}
 	if res.PredictedSec <= 0 {
 		t.Errorf("trained engine should predict standalone seconds, got %g", res.PredictedSec)

@@ -3,10 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
+	"saqp/internal/cluster"
 	"saqp/internal/learn"
 	"saqp/internal/obs"
+	"saqp/internal/sched"
 )
 
 // traceReplay is one fully instrumented serialized replay: a
@@ -101,14 +104,15 @@ func TestServeSpansDoNotPerturbSchedule(t *testing.T) {
 func TestServeSpanTreesComplete(t *testing.T) {
 	r := runTraceReplay(t, true)
 
-	if c := r.spans.Counts(); c.Started != 6 || c.Finished != 6 {
-		t.Errorf("span store counts %d/%d started/finished, want 6/6", c.Started, c.Finished)
+	snap := r.spans.Snapshot()
+	if snap.Started != 6 || snap.Finished != 6 {
+		t.Errorf("span store counts %d/%d started/finished, want 6/6", snap.Started, snap.Finished)
 	}
 	if hist := r.obs.Metrics.Snapshot().Histograms[obs.MServeSimResponseSec]; hist.Count != 6 {
 		t.Errorf("sim-response histogram count = %d, want 6", hist.Count)
 	}
 
-	trees := r.spans.Trees()
+	trees := snap.Trees
 	if len(trees) != 6 {
 		t.Fatalf("span store retains %d trees, want 6", len(trees))
 	}
@@ -135,5 +139,72 @@ func TestServeSpanTreesComplete(t *testing.T) {
 		if tree.Spans[0].Kind != obs.SpanKindQuery || tree.Spans[0].End <= 0 {
 			t.Errorf("tree %q root malformed: %+v", traceID, tree.Spans[0])
 		}
+	}
+}
+
+// cancelAtPick is SWRD that cancels a context at its nth PickJob call.
+// The engine's one worker is the only caller.
+type cancelAtPick struct {
+	sched.SWRD
+	n      int
+	calls  int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAtPick) PickJob(now float64, cands, active []*cluster.Job, reduce bool) *cluster.Job {
+	if c.calls++; c.calls == c.n {
+		c.cancel()
+	}
+	return c.SWRD.PickJob(now, cands, active, reduce)
+}
+
+// TestServerSpanCanceledRunIsAbandoned: a traced ticket whose context is
+// canceled mid-run (at its run's 5th scheduler decision; RunContext checks
+// the context between events) is abandoned — its tree, holding a partial
+// run, never reaches the store — while the next ticket's tree is retained
+// whole, with one run span and ids that index its slice.
+func TestServerSpanCanceledRunIsAbandoned(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := config(t)
+	cfg.Workers = 1
+	cfg.Scheduler = &cancelAtPick{n: 5, cancel: cancel}
+	cfg.Spans = obs.NewSpanStore(0)
+	e := newEngine(t, cfg)
+
+	tk, err := e.Submit(ctx, q1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ticket canceled mid-run: Wait = %v, want context.Canceled", err)
+	}
+	tk, err = e.Submit(context.Background(), q6, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := cfg.Spans.Snapshot()
+	if snap.Started != 2 || snap.Finished != 1 || len(snap.Trees) != 1 {
+		t.Fatalf("span store started %d finished %d retained %d, want 2 1 1",
+			snap.Started, snap.Finished, len(snap.Trees))
+	}
+	runs := 0
+	for i, sp := range snap.Trees[0].Spans {
+		if sp.ID != i {
+			t.Fatalf("span %d carries id %d; ids must index the slice", i, sp.ID)
+		}
+		if sp.Kind == obs.SpanKindRun {
+			runs++
+		}
+	}
+	if runs != 1 {
+		t.Errorf("retained tree has %d run spans, want 1", runs)
+	}
+	if st := e.Stats(); st.Canceled != 1 || st.Completed != 1 {
+		t.Errorf("stats canceled %d completed %d, want 1 1", st.Canceled, st.Completed)
 	}
 }

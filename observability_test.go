@@ -80,9 +80,9 @@ func TestSimulateQueryDeterministicTrace(t *testing.T) {
 // Chrome timeline sink) sees a clean seeded SimulateQuery, a faulty and a
 // doomed one under fault plans, and then three single-worker TraceSpans
 // servers (online learning; preemptive reduce; a cold learner) fed fixed
-// serialized submission sequences, each query served once, fault-free. Metrics sample lines and the drift
-// snapshot must match the checked-in files byte for byte; the timeline,
-// the span trees and the span store's Chrome export are compared as
+// serialized submission sequences, each query served once, fault-free.
+// Metrics sample lines and the drift snapshot must match the checked-in
+// files byte for byte; the timeline and the span trees are compared as
 // skeletons (identity, kind and times exact; attribute keys may only
 // grow). Any other file in the directory is an orphan and fails the test.
 // Regenerate deliberately with:
@@ -99,7 +99,6 @@ type timelineSkel struct {
 	Pid   int      `json:"pid"`
 	Tid   int      `json:"tid"`
 	Cat   string   `json:"cat,omitempty"`
-	ID    string   `json:"id,omitempty"`
 	Label string   `json:"label,omitempty"` // a metadata event's track name
 	Keys  []string `json:"keys,omitempty"`  // sorted argument keys
 }
@@ -117,9 +116,8 @@ type spanSkel struct {
 }
 
 type obsSkeleton struct {
-	Timeline     []timelineSkel `json:"timeline"`
-	Spans        []spanSkel     `json:"spans"`
-	SpanTimeline []timelineSkel `json:"span_timeline"`
+	Timeline []timelineSkel `json:"timeline"`
+	Spans    []spanSkel     `json:"spans"`
 }
 
 // encode serialises the skeleton one event per line, so a drift shows as
@@ -146,8 +144,6 @@ func (s obsSkeleton) encode(t *testing.T) []byte {
 	section("timeline", len(s.Timeline), func(i int) any { return s.Timeline[i] })
 	b.WriteString(",\n")
 	section("spans", len(s.Spans), func(i int) any { return s.Spans[i] })
-	b.WriteString(",\n")
-	section("span_timeline", len(s.SpanTimeline), func(i int) any { return s.SpanTimeline[i] })
 	b.WriteString("\n}\n")
 	return b.Bytes()
 }
@@ -288,11 +284,8 @@ func TestGoldenObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := obsSkeleton{Timeline: timelineSkeleton(t, timeline.Bytes())}
-	var spanTimeline bytes.Buffer
-	sink := saqp.NewTraceSink(&spanTimeline)
-	stores[1].WriteChromeTrace(sink) // the preemptive-reduce server's trees
 	for _, store := range stores {
-		for _, tree := range store.Trees() {
+		for _, tree := range store.Snapshot().Trees {
 			for _, sp := range tree.Spans {
 				s := spanSkel{Trace: tree.TraceID, ID: sp.ID, Parent: sp.Parent, Kind: sp.Kind,
 					Name: sp.Name, Start: sp.Start, End: sp.End}
@@ -304,10 +297,6 @@ func TestGoldenObservability(t *testing.T) {
 			}
 		}
 	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got.SpanTimeline = timelineSkeleton(t, spanTimeline.Bytes())
 	skeleton := got.encode(t)
 
 	exact := map[string][]byte{"metrics.txt": samples.Bytes(), "drift.json": drift}
@@ -349,22 +338,18 @@ func TestGoldenObservability(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	sameTimeline := func(what string, got, want []timelineSkel) {
-		if len(got) != len(want) {
-			t.Errorf("%s has %d events, golden %d", what, len(got), len(want))
-			return
-		}
-		for i := range want {
-			g, w := got[i], want[i]
+	if len(got.Timeline) != len(want.Timeline) {
+		t.Errorf("timeline has %d events, golden %d", len(got.Timeline), len(want.Timeline))
+	} else {
+		for i := range want.Timeline {
+			g, w := got.Timeline[i], want.Timeline[i]
 			grew := keysGrewOnly(w.Keys, g.Keys)
 			g.Keys, w.Keys = nil, nil
 			if !reflect.DeepEqual(g, w) || !grew {
-				t.Errorf("%s event %d = %+v keys %v, golden %+v keys %v", what, i, g, got[i].Keys, w, want[i].Keys)
+				t.Errorf("timeline event %d = %+v keys %v, golden %+v keys %v", i, g, got.Timeline[i].Keys, w, want.Timeline[i].Keys)
 			}
 		}
 	}
-	sameTimeline("timeline", got.Timeline, want.Timeline)
-	sameTimeline("span timeline", got.SpanTimeline, want.SpanTimeline)
 	if len(got.Spans) != len(want.Spans) {
 		t.Fatalf("span trees have %d spans, golden %d", len(got.Spans), len(want.Spans))
 	}
