@@ -43,11 +43,12 @@ fuzz-smoke:
 # beside it, the batch engine, whose tasks run on internal/par's pool and
 # whose digest must read the same at GOMAXPROCS 1 and 8, and the
 # column-parallel dataset.Generate and catalog.Collect, whose values and
-# encoded catalog must read the same at GOMAXPROCS 1 and 8).
+# encoded catalog must read the same at GOMAXPROCS 1 and 8, and the
+# metrics registry, whose counts must stay exact while its exports read).
 stress:
-	$(GO) test -race -count=2 -run 'TestServer|TestNetShutdown|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestSimReuse|TestSimCounters|TestEngine|ScheduleIndependent' \
+	$(GO) test -race -count=2 -run 'TestServer|TestNetShutdown|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestSimReuse|TestSimCounters|TestEngine|ScheduleIndependent|TestRegistryConcurrent' \
 		. ./internal/serve ./internal/selectivity ./internal/net ./internal/cluster ./internal/mapreduce \
-		./internal/dataset ./internal/catalog
+		./internal/dataset ./internal/catalog ./internal/obs
 
 # Coverage gate for the serving engine: fail if internal/serve drops
 # below 85% statement coverage.

@@ -79,14 +79,6 @@ func (s *Sim) releaseSlot(slot int, reduce bool) {
 	}
 }
 
-// refund returns the unspent portion of a cancelled attempt's pre-charged
-// busy time.
-func (s *Sim) refund(scheduledEnd float64) {
-	if scheduledEnd > s.now {
-		s.busySec -= scheduledEnd - s.now
-	}
-}
-
 // requeueTask puts a lost (crash-killed or retry-eligible) task back in
 // its job's pending queue, restoring its WRD contribution.
 func (s *Sim) requeueTask(t *Task) {
@@ -205,7 +197,6 @@ func (s *Sim) crashNode(node int) {
 				keep = append(keep, r)
 				continue
 			}
-			s.busySec += s.now - r.StartTime
 			s.hoarded--
 			killed++
 			r.faulted = true
@@ -221,7 +212,6 @@ func (s *Sim) crashNode(node int) {
 					continue
 				}
 				t.epoch++
-				s.refund(t.end)
 				killed++
 				t.faulted = true
 				j.Query.Faulted = true
@@ -271,7 +261,6 @@ func (s *Sim) failQuery(q *Query, t *Task) {
 		obs.AttrStr("reason", q.Err.Error()))
 	for _, j := range q.Jobs {
 		for _, r := range j.hoarding {
-			s.busySec += s.now - r.StartTime
 			s.hoarded--
 			s.releaseSlot(int(r.slot), true)
 			r.setState(TaskPending)
@@ -282,7 +271,6 @@ func (s *Sim) failQuery(q *Query, t *Task) {
 				switch tt.State {
 				case TaskRunning:
 					tt.epoch++
-					s.refund(tt.end)
 					s.releaseSlot(int(tt.slot), tt.Reduce)
 					tt.setState(TaskPending)
 				case TaskWaiting:

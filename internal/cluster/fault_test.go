@@ -17,8 +17,8 @@ import (
 // fingerprint flattens every per-task time of a run into one comparable
 // string, so two runs can be checked for schedule identity.
 func fingerprint(res *cluster.Results, qs ...*cluster.Query) string {
-	s := fmt.Sprintf("makespan=%v util=%v completed=%d failed=%d faults=%+v\n",
-		res.Makespan, res.Utilization, res.Completed, res.Failed, res.Faults)
+	s := fmt.Sprintf("makespan=%v completed=%d failed=%d faults=%+v\n",
+		res.Makespan, res.Completed, res.Failed, res.Faults)
 	for _, q := range qs {
 		s += fmt.Sprintf("q=%s in=%v arrival=%v done=%v wrd=%v faulted=%v err=%v\n",
 			q.ID, q.InputBytes, q.ArrivalTime, q.DoneTime, q.RemainingWRD(), q.Faulted, q.Err)

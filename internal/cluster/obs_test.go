@@ -100,13 +100,14 @@ func TestObservedRunContent(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Metrics.Counter(obs.MMapTasksDone).Value(); got != 3 {
+	counters := o.Metrics.Snapshot().Counters
+	if got := counters["saqp_cluster_map_tasks_completed_total"]; got != 3 {
 		t.Errorf("map tasks completed = %v, want 3", got)
 	}
-	if got := o.Metrics.Counter(obs.MReduceTasksDone).Value(); got != 2 {
+	if got := counters["saqp_cluster_reduce_tasks_completed_total"]; got != 2 {
 		t.Errorf("reduce tasks completed = %v, want 2", got)
 	}
-	if got := o.Metrics.Counter(obs.MQueriesCompleted).Value(); got != 1 {
+	if got := counters["saqp_cluster_queries_completed_total"]; got != 1 {
 		t.Errorf("queries completed = %v, want 1", got)
 	}
 	// Predicted == actual in synthetic queries, but observed slot

@@ -271,9 +271,10 @@ func TestSimCountersEqualScans(t *testing.T) {
 			}
 		}
 	}
-	for _, m := range []string{obs.MReducePreemptions, obs.MTaskFailures,
-		obs.MTaskRetries, obs.MNodeCrashes, obs.MQueryFailures} {
-		n := o.Metrics.Counter(m).Value()
+	counters := o.Metrics.Snapshot().Counters
+	for _, m := range []string{"saqp_cluster_reduce_preemptions_total", "saqp_cluster_task_failures_total",
+		"saqp_cluster_task_retries_total", "saqp_cluster_node_crashes_total", "saqp_cluster_query_failures_total"} {
+		n := counters[m]
 		if n == 0 {
 			t.Errorf("the 200 runs never drove %s", m)
 		}

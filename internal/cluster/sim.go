@@ -238,17 +238,15 @@ type Sim struct {
 	// mapFree and redFree hold free slot ids. A map slot id s lives on
 	// node s / MapSlotsPerNode (reduce slots analogously), giving every
 	// task a stable (node, slot) identity for observability.
-	mapFree  []int
-	redFree  []int
-	events   eventQueue
-	seq      int
-	now      float64
-	queries  []*Query
-	active   []*Job // submitted, unfinished jobs in submission order
-	cands    []*Job // candidates' result, valid until its next call
-	busySec  float64
-	slotsTot int
-	hoarded  int // reduce slots held by not-yet-runnable reduces
+	mapFree []int
+	redFree []int
+	events  eventQueue
+	seq     int
+	now     float64
+	queries []*Query
+	active  []*Job // submitted, unfinished jobs in submission order
+	cands   []*Job // candidates' result, valid until its next call
+	hoarded int    // reduce slots held by not-yet-runnable reduces
 
 	// Fault-injection state (dormant while fplan is nil).
 	fplan       *fault.Plan
@@ -310,7 +308,6 @@ func (s *Sim) Reset(cfg Config, sched Scheduler) {
 			s.redFree = append(s.redFree, n*cfg.ReduceSlotsPerNode+k)
 		}
 	}
-	s.slotsTot = len(s.mapFree) + len(s.redFree)
 	if s.fplan != nil {
 		// The plan's node windows were expanded at construction; book them
 		// as events now so the run replays them deterministically. Windows
@@ -383,8 +380,8 @@ func (s *Sim) nodeOf(slot int, reduce bool) int {
 	return slot / s.cfg.MapSlotsPerNode
 }
 
-// ReduceSlots returns the total reduce slot count.
-func (s *Sim) ReduceSlots() int { return s.cfg.Nodes * s.cfg.ReduceSlotsPerNode }
+// reduceSlots returns the total reduce slot count.
+func (s *Sim) reduceSlots() int { return s.cfg.Nodes * s.cfg.ReduceSlotsPerNode }
 
 // Submit schedules a query's arrival.
 func (s *Sim) Submit(q *Query, at float64) {
@@ -401,9 +398,6 @@ type Results struct {
 	Makespan      float64
 	// Queries in submission order, with completion times filled in.
 	Queries []*Query
-	// Utilization is busy slot-seconds / (slots × makespan). Hoarded
-	// reduce slots count as busy — they are unavailable to other tasks.
-	Utilization float64
 	// Completed and Failed partition the queries by terminal state; Failed
 	// is nonzero only under a fault plan, and each failed query carries a
 	// *TaskFailedError on Query.Err.
@@ -514,9 +508,6 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 			res.Completed++
 		}
 	}
-	if s.now > 0 {
-		res.Utilization = s.busySec / (float64(s.slotsTot) * s.now)
-	}
 	return res, nil
 }
 
@@ -575,7 +566,7 @@ func (s *Sim) reduceLaunchAllowed(j *Job) bool {
 	// per-pool reduce caps operators configured. Global floor: a quarter of
 	// the reduce slots always stay available for runnable reduces, keeping
 	// the cluster live under any scheduling policy.
-	slots := s.ReduceSlots()
+	slots := s.reduceSlots()
 	perJob := slots / 2
 	if perJob < 1 {
 		perJob = 1
@@ -621,8 +612,6 @@ func (s *Sim) finish(e *event) {
 				s.obs.Emit(s.jobEvent(obs.ShuffleReady, j), obs.AttrInt("released_reduces", len(j.hoarding)))
 			}
 			for _, r := range j.hoarding {
-				// The slot was occupied (but idle) during the hoard window.
-				s.busySec += s.now - r.StartTime
 				s.hoarded--
 				s.scheduleFinish(r)
 			}
@@ -693,12 +682,10 @@ func (s *Sim) scheduleFinish(t *Task) {
 	dur := t.ActualSec/factor + s.cfg.SchedulingOverheadSec
 	if fail, frac := s.fplan.TaskFailure(t.Job.ID, t.Reduce, t.Index, t.Attempts); fail {
 		burn := frac * dur
-		s.busySec += burn
 		t.end = s.now + burn
 		s.push(event{time: t.end, kind: evTaskFail, task: t, slot: t.slot, epoch: t.epoch})
 		return
 	}
-	s.busySec += dur
 	t.end = s.now + dur
 	s.push(event{time: t.end, kind: evFinish, task: t, slot: t.slot, epoch: t.epoch})
 }
@@ -815,9 +802,7 @@ func (s *Sim) preemptForRunnableReduce() bool {
 			break
 		}
 	}
-	// The hoard window occupied the slot; account for it, then requeue.
 	s.obs.Emit(s.taskEvent(obs.ReducePreempted, victim, int(victim.slot)), obs.AttrFloat("hoarded_sec", s.now-victim.StartTime))
-	s.busySec += s.now - victim.StartTime
 	victim.setState(TaskPending)
 	victim.StartTime = 0
 	owner.pendingReds++

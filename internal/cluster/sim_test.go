@@ -201,11 +201,6 @@ func TestWorkConservation(t *testing.T) {
 	if res.Makespan != 80 {
 		t.Fatalf("makespan = %v, want 8 waves x 10s", res.Makespan)
 	}
-	// Map slots were fully busy: 640 task-seconds over 10 slots x 80s,
-	// where 2 of the 10 slots are idle reduce slots.
-	if res.Utilization < 0.79 {
-		t.Fatalf("utilisation = %v, want ~0.8 (idle reduce slots only)", res.Utilization)
-	}
 }
 
 func TestHCSIsFIFO(t *testing.T) {

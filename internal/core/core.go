@@ -11,22 +11,8 @@ import (
 // planJobType shortens the operator type in predictor signatures.
 type planJobType = plan.JobType
 
-// Percolated is a query ready for submission: a simulator query whose
-// tasks carry ground-truth durations (drawn by the hidden cost model from
-// the oracle estimate) and semantics-aware predicted times (derived from
-// the estimator-visible estimate).
-type Percolated struct {
-	// Query is the scheduler-facing object.
-	Query *cluster.Query
-	// Estimate is the estimator-visible (not ground-truth) estimate whose
-	// semantics were percolated.
-	Estimate *selectivity.QueryEstimate
-	// PredictedWRD is the query's Eq. 10 demand as the scheduler sees it.
-	PredictedWRD float64
-}
-
-// Percolate attaches estimator-derived semantics to a query destined for
-// the cluster:
+// Percolate builds a query ready for submission, attaching
+// estimator-derived semantics to it:
 //
 //   - truth sizes the tasks and draws their hidden ground-truth durations;
 //   - est drives the per-task time predictions the scheduler may consult.
@@ -34,13 +20,13 @@ type Percolated struct {
 // Task counts can differ slightly between the two estimates (they come
 // from different statistics resolutions), so per-task predictions are
 // rescaled to preserve the estimator's total WRD: the scheduler's view
-// sums to exactly what the semantics-aware model predicts.
+// sums to exactly what the semantics-aware model predicts. Without a
+// task model every task is predicted at one second.
 func Percolate(id string, truth, est *selectivity.QueryEstimate,
-	cm *trace.CostModel, tm *predict.TaskModel) *Percolated {
+	cm *trace.CostModel, tm *predict.TaskModel) *cluster.Query {
 	var pred cluster.TaskTimePredictor = cluster.ConstantPredictor(1)
-	wrdEst := 0.0
 	if tm != nil {
-		wrdEst = tm.WRD(est)
+		wrdEst := tm.WRD(est)
 		wrdTruth := tm.WRD(truth)
 		f := 1.0
 		if wrdTruth > 0 && wrdEst > 0 {
@@ -48,8 +34,7 @@ func Percolate(id string, truth, est *selectivity.QueryEstimate,
 		}
 		pred = scaledPredictor{tm: tm, factor: f}
 	}
-	q := cluster.BuildQuery(id, truth, cm, pred)
-	return &Percolated{Query: q, Estimate: est, PredictedWRD: wrdEst}
+	return cluster.BuildQuery(id, truth, cm, pred)
 }
 
 // scaledPredictor scales a task model's predictions by a fixed factor,

@@ -70,16 +70,14 @@ func TestPercolateCarriesEstimatorWRD(t *testing.T) {
 	truth, est := estimates(t, sql, 5)
 	tm := trainedTaskModel(t)
 	cm := trace.NewDefaultCostModel(3)
-	p := core.Percolate("q1", truth, est, cm, tm)
+	q := core.Percolate("q1", truth, est, cm, tm)
 
 	// The scheduler-visible WRD must equal the estimator-side prediction,
-	// not the oracle's.
-	if math.Abs(p.PredictedWRD-tm.WRD(est))/tm.WRD(est) > 1e-9 {
-		t.Fatalf("percolated WRD %v != estimator WRD %v", p.PredictedWRD, tm.WRD(est))
-	}
-	// And the query's task-level PredSec totals agree with it.
+	// not the oracle's, in the task-level PredSec totals and in the
+	// query's remaining WRD.
+	want := tm.WRD(est)
 	var sum float64
-	for _, j := range p.Query.Jobs {
+	for _, j := range q.Jobs {
 		for _, task := range j.Maps {
 			sum += task.PredSec
 		}
@@ -87,11 +85,11 @@ func TestPercolateCarriesEstimatorWRD(t *testing.T) {
 			sum += task.PredSec
 		}
 	}
-	if math.Abs(sum-p.PredictedWRD)/p.PredictedWRD > 0.01 {
-		t.Fatalf("task predictions sum to %v, want %v", sum, p.PredictedWRD)
+	if math.Abs(sum-want)/want > 0.01 {
+		t.Fatalf("task predictions sum to %v, want %v", sum, want)
 	}
-	if math.Abs(p.Query.RemainingWRD()-p.PredictedWRD)/p.PredictedWRD > 0.01 {
-		t.Fatalf("query remaining WRD %v, want %v", p.Query.RemainingWRD(), p.PredictedWRD)
+	if math.Abs(q.RemainingWRD()-want)/want > 0.01 {
+		t.Fatalf("query remaining WRD %v, want %v", q.RemainingWRD(), want)
 	}
 }
 
@@ -99,9 +97,9 @@ func TestPercolateTasksSizedByTruth(t *testing.T) {
 	truth, est := estimates(t, sql, 5)
 	tm := trainedTaskModel(t)
 	cm := trace.NewDefaultCostModel(3)
-	p := core.Percolate("q1", truth, est, cm, tm)
+	q := core.Percolate("q1", truth, est, cm, tm)
 	for i, je := range truth.Jobs {
-		j := p.Query.Jobs[i]
+		j := q.Jobs[i]
 		if len(j.Maps) != je.NumMaps || len(j.Reds) != je.NumReduces {
 			t.Fatalf("job %s tasks %d/%d, truth says %d/%d",
 				j.JobID, len(j.Maps), len(j.Reds), je.NumMaps, je.NumReduces)
@@ -112,17 +110,21 @@ func TestPercolateTasksSizedByTruth(t *testing.T) {
 func TestPercolateWithoutModel(t *testing.T) {
 	truth, est := estimates(t, sql, 2)
 	cm := trace.NewDefaultCostModel(3)
-	p := core.Percolate("q1", truth, est, cm, nil)
-	if p.PredictedWRD != 0 {
-		t.Fatalf("WRD without model = %v", p.PredictedWRD)
+	q := core.Percolate("q1", truth, est, cm, nil)
+	for _, j := range q.Jobs {
+		for _, task := range append(append([]*cluster.Task{}, j.Maps...), j.Reds...) {
+			if task.PredSec != 1 {
+				t.Fatalf("task predicted %v s without a model, want 1", task.PredSec)
+			}
+		}
 	}
 	// The query must still be schedulable end to end.
 	sim := cluster.New(cluster.DefaultConfig(), sched.SWRD{})
-	sim.Submit(p.Query, 0)
+	sim.Submit(q, 0)
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Query.Done() {
+	if !q.Done() {
 		t.Fatal("query did not finish")
 	}
 }
@@ -132,9 +134,9 @@ func TestPercolatedQueryRunsUnderEveryPolicy(t *testing.T) {
 	tm := trainedTaskModel(t)
 	for _, pol := range []cluster.Scheduler{sched.HCS{}, sched.HFS{}, sched.SWRD{}} {
 		cm := trace.NewDefaultCostModel(3)
-		p := core.Percolate("q1", truth, est, cm, tm)
+		q := core.Percolate("q1", truth, est, cm, tm)
 		sim := cluster.New(cluster.DefaultConfig(), pol)
-		sim.Submit(p.Query, 0)
+		sim.Submit(q, 0)
 		res, err := sim.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)

@@ -154,7 +154,14 @@ func (r *Registry) ObserveJob(op plan.JobType, features []float64, observedSec f
 		r.challWin.push(math.Abs(challPred-observedSec) / observedSec)
 	}
 	r.jobSamples++
-	r.cfg.Observer.LearnJobSample(r.champWin.meanOrNeg(), r.challWin.meanOrNeg())
+	o := r.cfg.Observer
+	o.Count(obs.MLearnJobSamples)
+	if e := r.champWin.meanOrNeg(); e >= 0 { // an empty window leaves its gauge unset
+		o.Set(obs.MLearnChampionErr, e)
+	}
+	if e := r.challWin.meanOrNeg(); e >= 0 {
+		o.Set(obs.MLearnChallengerErr, e)
+	}
 	r.maybePromoteLocked()
 }
 

@@ -5,9 +5,11 @@
 //
 // The package is deliberately pure — no sockets, no clocks, no
 // goroutines — so the codec is unit-testable and fuzzable in isolation
-// from the connection loop in saqp/internal/net. Decoding enforces
-// explicit limits (line length, bulk payload size, array length and
-// nesting depth) and fails with a typed *WireError that the server
+// from the connection loop in saqp/internal/net. Frames are flat: an
+// array holds simple strings, errors, integers and bulks, never another
+// array, because no message of the protocol nests. Decoding enforces
+// explicit limits (line length, bulk payload size, array length) and
+// refuses a nested array, failing with a typed *WireError that the server
 // maps to a `-ERR proto:` reply; a decoder error never panics and
 // never reads past the end of the offending frame. Valid frames
 // round-trip exactly: re-encoding a decoded Value reproduces the
@@ -17,10 +19,9 @@
 // sized from the reader's buffered bytes as a hint, never by reading
 // ahead; each payload is cut with capacity equal to its length. MaxBulk
 // bounds the payloads together as well as each bulk, so one frame holds
-// about MaxBulk bytes however many elements it has; MaxArray × MaxDepth
-// bounds the array elements of one frame together, charged at each array
-// header before its element slice is made, so a frame of nested empty
-// arrays cannot allocate more than that many 64-byte Values.
+// about MaxBulk bytes however many elements it has. An array header
+// inside an array is refused at its marker, so one frame's elements are
+// at most MaxArray 64-byte Values, allocated once.
 //
 // Encoding goes through an Encoder with a sticky error and fixed
 // scratch buffers, so the per-command reply path performs no heap

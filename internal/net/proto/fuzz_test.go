@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,8 +17,8 @@ import (
 //     consumed, nothing past it;
 //   - errors are classified: io.EOF only on empty input, otherwise
 //     io.ErrUnexpectedEOF (truncated) or *WireError (malformed);
-//   - an accepted frame holds at most MaxArray × MaxDepth array elements
-//     and at most MaxBulk payload bytes, all its arrays together;
+//   - an accepted frame holds no array inside an array, at most MaxArray
+//     elements and at most MaxBulk payload bytes;
 //   - valid inputs round-trip byte-for-byte through Encode(Decode(x)).
 func FuzzProtocolDecode(f *testing.F) {
 	seeds := []string{
@@ -31,7 +30,7 @@ func FuzzProtocolDecode(f *testing.F) {
 		"$0\r\n\r\n",
 		"*0\r\n",
 		"*2\r\n$6\r\nSUBMIT\r\n$21\r\nSELECT COUNT(*) FROM l\r\n",
-		"*2\r\n*1\r\n+ok\r\n$1\r\nx\r\n",
+		"*2\r\n*1\r\n+ok\r\n$1\r\nx\r\n", // refused: an array inside an array
 		"*1\r\n*1\r\n*1\r\n*1\r\n:1\r\n",
 		"?junk\r\n",
 		":12a\r\n",
@@ -41,16 +40,16 @@ func FuzzProtocolDecode(f *testing.F) {
 		"*3\r\n:1\r\n",
 		"$99999999999999999999\r\n",
 		"+no terminator",
-		// Around the 64 × 6 = 384 element budget of lim below: 385 and
-		// 455 elements (refused), exactly 384 (accepted).
-		nestedSeed(6, 63, 63, 63, 63, 63, 64),
-		nestedSeed(7, 64, 64, 64, 64, 64, 64, 64),
-		nestedSeed(6, 63, 63, 63, 63, 63, 63),
+		// Around lim's 64-element MaxArray: exactly 64 (accepted), 65
+		// (refused), and an array as the last element (refused).
+		"*64\r\n" + strings.Repeat(":1\r\n", 64),
+		"*65\r\n" + strings.Repeat(":1\r\n", 65),
+		"*2\r\n:1\r\n*0\r\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	lim := Limits{MaxLine: 256, MaxBulk: 4096, MaxArray: 64, MaxDepth: 6}
+	lim := Limits{MaxLine: 256, MaxBulk: 4096, MaxArray: 64}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReaderSize(bytes.NewReader(data), lim.MaxLine+2)
 		v, err := ReadValue(br, lim)
@@ -77,8 +76,15 @@ func FuzzProtocolDecode(f *testing.F) {
 			return
 		}
 
-		if elems, payload := frameSize(v); elems > lim.MaxArray*lim.MaxDepth || payload > lim.MaxBulk {
-			t.Fatalf("accepted a frame of %d array elements and %d payload bytes", elems, payload)
+		payload := len(v.Str)
+		for _, el := range v.Elems {
+			if el.Kind == KindArray {
+				t.Fatalf("accepted an array inside an array: %q", data[:consumed])
+			}
+			payload += len(el.Str)
+		}
+		if len(v.Elems) > lim.MaxArray || payload > lim.MaxBulk {
+			t.Fatalf("accepted a frame of %d elements and %d payload bytes", len(v.Elems), payload)
 		}
 
 		// Valid frame: re-encoding must reproduce exactly the consumed
@@ -108,24 +114,4 @@ func FuzzProtocolDecode(f *testing.F) {
 			t.Fatalf("re-decoded value %+v != original %+v", v2, v)
 		}
 	})
-}
-
-// nestedSeed is an array of len(inner) arrays of inner[i] empty arrays;
-// outer is its header, written as given.
-func nestedSeed(outer int, inner ...int) string {
-	s := "*" + strconv.Itoa(outer) + "\r\n"
-	for _, n := range inner {
-		s += "*" + strconv.Itoa(n) + "\r\n" + strings.Repeat("*0\r\n", n)
-	}
-	return s
-}
-
-// frameSize counts the array elements and the payload bytes of v.
-func frameSize(v Value) (elems, payload int) {
-	payload = len(v.Str)
-	for _, el := range v.Elems {
-		e, p := frameSize(el)
-		elems, payload = elems+1+e, payload+p
-	}
-	return elems, payload
 }

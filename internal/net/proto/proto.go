@@ -89,20 +89,15 @@ type Limits struct {
 	// bytes of one whole frame — the bulks, simple strings and errors of
 	// an array together — though never below MaxLine, so one line fits.
 	MaxBulk int
-	// MaxArray bounds one array's element count. The arrays of one
-	// frame together hold at most MaxArray × MaxDepth elements — one full
-	// array per level — charged at each header before its elements are
-	// allocated (64 bytes each).
+	// MaxArray bounds an array's element count. Arrays do not nest, so
+	// it bounds the elements of one frame too.
 	MaxArray int
-	// MaxDepth bounds array nesting (a flat array of bulks is depth 1).
-	MaxDepth int
 }
 
 // DefaultLimits are the production decoder bounds: 4 KiB lines, 1 MiB
-// bulk payloads and 1 MiB of payload per frame, 1024-element arrays and
-// 8,192 array elements per frame, 8 levels of nesting.
+// bulk payloads and 1 MiB of payload per frame, 1024-element arrays.
 func DefaultLimits() Limits {
-	return Limits{MaxLine: 4096, MaxBulk: 1 << 20, MaxArray: 1024, MaxDepth: 8}
+	return Limits{MaxLine: 4096, MaxBulk: 1 << 20, MaxArray: 1024}
 }
 
 // WireError reports a malformed or over-limit frame. The connection
@@ -156,21 +151,20 @@ func ReadInline(br *bufio.Reader, lim Limits) ([][]byte, error) {
 // aliases the reader's buffer), and no byte past the decoded frame is
 // consumed. The payloads of one frame share one slab, each cut to its
 // own length and capacity, so appending to one never writes into
-// another. Together they hold at most lim.MaxBulk bytes, and its arrays
-// at most lim.MaxArray × lim.MaxDepth elements (see Limits): a frame past
-// either is refused before its next payload or array is allocated.
+// another. Together they hold at most lim.MaxBulk bytes: a frame past
+// that is refused before its next payload is allocated. Arrays are flat:
+// an array inside an array is refused at its marker, before any of its
+// elements is allocated.
 func ReadValue(br *bufio.Reader, lim Limits) (Value, error) {
-	f := frame{left: max(lim.MaxBulk, lim.MaxLine), elems: lim.MaxArray * lim.MaxDepth}
-	return readValue(br, lim, 1, &f)
+	f := frame{left: max(lim.MaxBulk, lim.MaxLine)}
+	return readValue(br, lim, true, &f)
 }
 
 // frame is the decoding state one top-level frame's payloads share: the
-// slab they are cut from, the payload bytes the frame may still hold and
-// the array elements it may still hold.
+// slab they are cut from and the payload bytes the frame may still hold.
 type frame struct {
-	slab  []byte
-	left  int
-	elems int
+	slab []byte
+	left int
 }
 
 // cut charges a payload of n bytes against the frame's budget and
@@ -196,9 +190,9 @@ func cut(f *frame, n, extra int, br *bufio.Reader) ([]byte, error) {
 	return s[off : off+n : off+n], nil
 }
 
-// readValue decodes one frame at the given nesting depth, cutting its
-// payloads from the top-level frame's slab.
-func readValue(br *bufio.Reader, lim Limits, depth int, f *frame) (Value, error) {
+// readValue decodes one frame, the top-level one or an array element,
+// cutting its payloads from the top-level frame's slab.
+func readValue(br *bufio.Reader, lim Limits, top bool, f *frame) (Value, error) {
 	marker, err := br.ReadByte()
 	if err != nil {
 		if err == io.EOF {
@@ -248,6 +242,9 @@ func readValue(br *bufio.Reader, lim Limits, depth int, f *frame) (Value, error)
 		}
 		return Value{Kind: KindBulk, Str: buf[:n:n]}, nil
 	case KindArray:
+		if !top {
+			return Value{}, wireErrf("array inside an array")
+		}
 		n, err := readLength(br, lim, "array")
 		if err != nil {
 			return Value{}, err
@@ -255,16 +252,9 @@ func readValue(br *bufio.Reader, lim Limits, depth int, f *frame) (Value, error)
 		if n > int64(lim.MaxArray) {
 			return Value{}, wireErrf("array length %d exceeds limit %d", n, lim.MaxArray)
 		}
-		if depth > lim.MaxDepth {
-			return Value{}, wireErrf("array nesting exceeds depth limit %d", lim.MaxDepth)
-		}
-		if n > int64(f.elems) {
-			return Value{}, wireErrf("frame array elements exceed limit: %d more with %d left", n, f.elems)
-		}
-		f.elems -= int(n)
 		elems := make([]Value, 0, n)
 		for i := int64(0); i < n; i++ {
-			el, err := readValue(br, lim, depth+1, f)
+			el, err := readValue(br, lim, false, f)
 			if err != nil {
 				return Value{}, eofErr(err)
 			}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -42,8 +41,6 @@ func TestDecodeValid(t *testing.T) {
 		{"bulk binary", "$4\r\na\x00b\r\r\n", Bulk([]byte{'a', 0, 'b', '\r'})},
 		{"array empty", "*0\r\n", Array()},
 		{"array flat", "*2\r\n$4\r\nPING\r\n:1\r\n", Array(BulkString("PING"), Int(1))},
-		{"array nested", "*2\r\n*1\r\n+ok\r\n$1\r\nx\r\n",
-			Array(Array(Simple("ok")), BulkString("x"))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,7 +111,7 @@ func TestDecodeTruncated(t *testing.T) {
 }
 
 func TestDecodeLimits(t *testing.T) {
-	lim := Limits{MaxLine: 8, MaxBulk: 4, MaxArray: 2, MaxDepth: 2}
+	lim := Limits{MaxLine: 8, MaxBulk: 4, MaxArray: 2}
 	cases := []struct {
 		name string
 		raw  string
@@ -122,7 +119,7 @@ func TestDecodeLimits(t *testing.T) {
 		{"line over limit", "+" + strings.Repeat("a", 9) + "\r\n"},
 		{"bulk over limit", "$5\r\nhello\r\n"},
 		{"array over limit", "*3\r\n:1\r\n:2\r\n:3\r\n"},
-		{"nesting over limit", "*1\r\n*1\r\n*1\r\n:1\r\n"},
+		{"nesting over limit", "*1\r\n*0\r\n"}, // an array inside an array
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,7 +135,6 @@ func TestDecodeLimits(t *testing.T) {
 		"+" + strings.Repeat("a", 8) + "\r\n",
 		"$4\r\nhell\r\n",
 		"*2\r\n:1\r\n:2\r\n",
-		"*1\r\n*2\r\n:1\r\n:2\r\n",
 	} {
 		if _, _, err := decode(t, ok, lim); err != nil {
 			t.Errorf("ReadValue(%q) at limit: %v", ok, err)
@@ -185,25 +181,19 @@ func TestDecodeFrameBudget(t *testing.T) {
 	}
 }
 
-// TestDecodeFrameElements: MaxArray × MaxDepth bounds the array elements
-// of a whole frame. 1,024 arrays of 1,024 empty arrays fit every per-array
-// limit and hold no payload at all, yet would make 64 MiB of Values out of
-// a 4 MiB frame; the decoder refuses it at the first array header past the
-// budget, having read and allocated a small fraction of that. Eight arrays
-// of 1,023 under one header, exactly the 8,192-element budget, still
-// decode.
+// TestDecodeFrameElements: arrays are flat, so MaxArray bounds the
+// elements of a whole frame. 1,024 arrays of 1,024 empty arrays fit every
+// per-array limit and hold no payload at all, yet would make 64 MiB of
+// Values out of a 4 MiB frame; the decoder refuses it at its second
+// header, having read eight bytes and allocated one 1,024-element slice.
+// A flat array of 1,024 bulks, exactly MaxArray, still decodes.
 func TestDecodeFrameElements(t *testing.T) {
 	lim := DefaultLimits()
-	nested := func(outer, inner int) []byte {
-		raw := fmt.Appendf(nil, "*%d\r\n", outer)
-		for i := 0; i < outer; i++ {
-			raw = fmt.Appendf(raw, "*%d\r\n", inner)
-			raw = append(raw, strings.Repeat("*0\r\n", inner)...)
-		}
-		return raw
+	raw := []byte("*1024\r\n")
+	for i := 0; i < 1024; i++ {
+		raw = append(raw, "*1024\r\n"...)
+		raw = append(raw, strings.Repeat("*0\r\n", 1024)...)
 	}
-
-	raw := nested(1024, 1024)
 	rd := bytes.NewReader(raw)
 	br := bufio.NewReaderSize(rd, lim.MaxLine+2)
 	var before, after runtime.MemStats
@@ -211,21 +201,25 @@ func TestDecodeFrameElements(t *testing.T) {
 	_, err := ReadValue(br, lim)
 	runtime.ReadMemStats(&after)
 	var we *WireError
-	if !errors.As(err, &we) {
-		t.Fatalf("1,024 × 1,024 empty arrays: ReadValue = %v, want *WireError", err)
+	if !errors.As(err, &we) || !strings.Contains(err.Error(), "array inside an array") {
+		t.Fatalf("1,024 × 1,024 empty arrays: ReadValue = %v, want *WireError for a nested array", err)
 	}
-	if read := len(raw) - rd.Len() - br.Buffered(); read > 64<<10 {
-		t.Errorf("refusing the frame read %d of its %d bytes, want at most 64 KiB", read, len(raw))
+	if read := len(raw) - rd.Len() - br.Buffered(); read != len("*1024\r\n*") {
+		t.Errorf("refusing the frame read %d of its %d bytes, want its first header and the second's marker", read, len(raw))
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Errorf("refusing the frame allocated %d bytes, want less than 1 MiB", got)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 128<<10 {
+		t.Errorf("refusing the frame allocated %d bytes, want one 64 KiB element slice at most", got)
 	}
 
-	v, err := ReadValue(bufio.NewReaderSize(bytes.NewReader(nested(8, 1023)), lim.MaxLine+2), lim)
-	if err != nil {
-		t.Fatalf("8 × 1,023 empty arrays, exactly the element budget: %v", err)
+	flat := make([]Value, lim.MaxArray)
+	for i := range flat {
+		flat[i] = BulkString("x")
 	}
-	if len(v.Elems) != 8 || len(v.Elems[7].Elems) != 1023 {
+	v, err := ReadValue(bufio.NewReaderSize(bytes.NewReader(AppendValue(nil, Array(flat...))), lim.MaxLine+2), lim)
+	if err != nil {
+		t.Fatalf("1,024 bulks, exactly MaxArray: %v", err)
+	}
+	if len(v.Elems) != lim.MaxArray {
 		t.Fatalf("decoded %d elements", len(v.Elems))
 	}
 }
@@ -298,7 +292,7 @@ func TestParseIntBounds(t *testing.T) {
 // later payloads get their own allocations).
 func TestDecodedPayloadsDoNotAlias(t *testing.T) {
 	want := Array(BulkString("SUBMIT"), Simple("ok"), BulkString(""),
-		Array(BulkString("nested"), Int(5)), BulkString("SELECT 1"))
+		BulkString("flat"), Int(5), BulkString("SELECT 1"))
 	raw := AppendValue(nil, want)
 	raw = AppendValue(raw, Array(Simple("zzzzzzzzzzzz"), BulkString("zzzzzzzzzzzz")))
 	for _, src := range []struct {
@@ -318,17 +312,11 @@ func TestDecodedPayloadsDoNotAlias(t *testing.T) {
 				t.Fatalf("decoded %+v, want %+v", v, want)
 			}
 			var strs [][]byte
-			var walk func(Value)
-			walk = func(v Value) {
-				if v.Kind == KindArray {
-					for _, el := range v.Elems {
-						walk(el)
-					}
-				} else if v.Kind != KindInt {
-					strs = append(strs, v.Str)
+			for _, el := range v.Elems {
+				if el.Kind != KindInt {
+					strs = append(strs, el.Str)
 				}
 			}
-			walk(v)
 			for i, s := range strs {
 				if cap(s) != len(s) {
 					t.Fatalf("payload %d %q has cap %d, want its length", i, s, cap(s))

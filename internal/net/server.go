@@ -201,7 +201,8 @@ func (s *Server) acceptLoop() {
 		s.mu.Lock()
 		n := len(s.conns)
 		s.mu.Unlock()
-		s.ob.NetConnAccepted(n)
+		s.ob.Count(obs.MNetConnsAccepted)
+		s.ob.Set(obs.MNetConnsActive, float64(n))
 		s.wg.Add(1)
 		go s.serveConn(c)
 	}
@@ -225,7 +226,8 @@ func (s *Server) unregister(c stdnet.Conn) {
 	n := len(s.conns)
 	s.mu.Unlock()
 	_ = c.Close() //lint:allow saqpvet/errdrop the handler owns the close; a drain/force-close racing it is benign
-	s.ob.NetConnClosed(n)
+	s.ob.Count(obs.MNetConnsClosed)
+	s.ob.Set(obs.MNetConnsActive, float64(n))
 }
 
 // refuse replies -BUSY to an over-limit connection and closes it.

@@ -288,7 +288,7 @@ func TestServerBusyBackpressure(t *testing.T) {
 	if _, err := c.Submit("SELECT 1", 0); err != nil {
 		t.Fatalf("Submit after pressure cleared: %v", err)
 	}
-	if n := ob.Metrics.Counter(obs.MNetBusyRejections).Value(); n != 1 {
+	if n := ob.Metrics.Snapshot().Counters["saqp_net_busy_rejections_total"]; n != 1 {
 		t.Fatalf("busy rejections metric = %v, want 1", n)
 	}
 }
@@ -330,7 +330,7 @@ func TestServerParseErrorCloses(t *testing.T) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		t.Fatalf("connection survived a parse error: %v", err)
 	}
-	if n := ob.Metrics.Counter(obs.MNetParseErrors).Value(); n != 1 {
+	if n := ob.Metrics.Snapshot().Counters["saqp_net_parse_errors_total"]; n != 1 {
 		t.Fatalf("parse errors metric = %v, want 1", n)
 	}
 }
@@ -371,10 +371,10 @@ func TestServerFrameBudgetCloses(t *testing.T) {
 }
 
 // TestServerFrameElementsClose: a request array claiming 1,024 arrays of
-// 1,024 empty arrays is refused at the first inner header past the
-// frame's MaxArray × MaxDepth element budget — before its element slice
-// is made — with -ERR proto, and the connection closes. Only the bytes the
-// server reads up to that header are sent, so nothing is left unread.
+// 1,024 empty arrays is refused at its second header — an array inside
+// an array, before that array's element slice is made — with -ERR proto,
+// and the connection closes. Only the bytes the server reads up to that
+// header's marker are sent, so nothing is left unread.
 func TestServerFrameElementsClose(t *testing.T) {
 	s, _ := startServer(t, Config{})
 	conn, err := stdnet.Dial("tcp", s.Addr())
@@ -383,12 +383,7 @@ func TestServerFrameElementsClose(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = conn.Close() })
 	lim := proto.DefaultLimits()
-	req := []byte("*1024\r\n")
-	for i := 1; i < lim.MaxDepth; i++ {
-		req = append(req, "*1024\r\n"...)
-		req = append(req, strings.Repeat("*0\r\n", 1024)...)
-	}
-	req = append(req, "*1024\r\n"...)
+	req := []byte("*1024\r\n*")
 	if _, err := conn.Write(req); err != nil {
 		t.Fatal(err)
 	}
@@ -400,11 +395,11 @@ func TestServerFrameElementsClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("error frame: %v", err)
 	}
-	if v.Kind != proto.KindError || !strings.HasPrefix(string(v.Str), "ERR proto: frame array elements exceed limit") {
-		t.Fatalf("over-budget reply = %q, want -ERR proto: frame array elements exceed limit", v.Str)
+	if v.Kind != proto.KindError || string(v.Str) != "ERR proto: array inside an array" {
+		t.Fatalf("nested-array reply = %q, want -ERR proto: array inside an array", v.Str)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
-		t.Fatalf("connection survived an over-budget frame: %v", err)
+		t.Fatalf("connection survived a nested array: %v", err)
 	}
 }
 
@@ -426,15 +421,14 @@ func TestServerGracefulDrain(t *testing.T) {
 		err error
 	}
 	waited := make(chan waitOut, 1)
-	commands := ob.Metrics.Counter(obs.MNetCommands)
-	sent := commands.Value()
+	sent := commands(ob)
 	go func() {
 		res, err := c.Wait(id)
 		waited <- waitOut{res, err}
 	}()
 	// The server counts a command before dispatching it, so one more
 	// means the WAIT is on the server, blocking on its ticket.
-	for deadline := time.Now().Add(5 * time.Second); commands.Value() <= sent; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); commands(ob) <= sent; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the WAIT never reached the server")
 		}
@@ -502,10 +496,9 @@ func TestServerDrainWithQuietClients(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		commands := ob.Metrics.Counter(obs.MNetCommands)
-		for deadline := time.Now().Add(5 * time.Second); commands.Value() < conns/2; runtime.Gosched() {
+		for deadline := time.Now().Add(5 * time.Second); commands(ob) < conns/2; runtime.Gosched() {
 			if time.Now().After(deadline) {
-				t.Fatalf("round %d: only %v of %d PINGs reached the server", round, commands.Value(), conns)
+				t.Fatalf("round %d: only %v of %d PINGs reached the server", round, commands(ob), conns)
 			}
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -534,8 +527,7 @@ func TestClientCloseUnblocksWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	commands := ob.Metrics.Counter(obs.MNetCommands)
-	sent := commands.Value()
+	sent := commands(ob)
 	waited := make(chan error, 1)
 	go func() {
 		_, err := c.Wait(id)
@@ -543,7 +535,7 @@ func TestClientCloseUnblocksWait(t *testing.T) {
 	}()
 	// One more command counted means the WAIT is on the server and the
 	// client is blocked reading its reply.
-	for deadline := time.Now().Add(5 * time.Second); commands.Value() <= sent; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); commands(ob) <= sent; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the WAIT never reached the server")
 		}
@@ -624,4 +616,9 @@ func TestServerGoroutineLeak(t *testing.T) {
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// commands reads the count of wire commands dispatched so far.
+func commands(ob *obs.Observer) float64 {
+	return ob.Metrics.Snapshot().Counters["saqp_net_commands_total"]
 }

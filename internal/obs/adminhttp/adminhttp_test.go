@@ -18,7 +18,9 @@ import (
 // deterministic state in each.
 func fullConfig() adminhttp.Config {
 	o := obs.New(nil)
-	o.Metrics.Counter("saqp_test_requests_total").Add(3)
+	for i := 0; i < 3; i++ {
+		o.Count(obs.MNetCommands)
+	}
 
 	spans := obs.NewSpanStore(8)
 	spans.Begin()
@@ -54,7 +56,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 
 	code, ct, body = get(t, h, "/metrics")
-	if code != http.StatusOK || !strings.Contains(body, "saqp_test_requests_total 3") {
+	if code != http.StatusOK || !strings.Contains(body, "saqp_net_commands_total 3") {
 		t.Errorf("/metrics: code %d body %q", code, body)
 	}
 	if !strings.Contains(ct, "version=0.0.4") {
@@ -133,7 +135,7 @@ func TestStartShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "saqp_test_requests_total") {
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "saqp_net_commands_total") {
 		t.Errorf("live /metrics: code %d body %q", resp.StatusCode, body)
 	}
 

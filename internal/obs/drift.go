@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"sort"
 	"sync"
 )
 
@@ -33,7 +34,7 @@ type driftAgg struct {
 	ssRes      float64 // Σ (actual-pred)²
 	relSum     float64 // Σ |actual-pred|/actual over actual > 0
 	relN       int
-	hist       *Histogram
+	hist       hist
 }
 
 // NewDriftRecorder returns an empty recorder.
@@ -49,7 +50,7 @@ func getAgg(m map[string]*driftAgg, key string) *driftAgg {
 	if a, ok := m[key]; ok {
 		return a
 	}
-	a := &driftAgg{hist: newHistogram(DefErrorBuckets())}
+	a := &driftAgg{hist: newHist(errorBuckets)}
 	m[key] = a
 	return a
 }
@@ -68,7 +69,7 @@ func (a *driftAgg) record(pred, actual float64) {
 		}
 		a.relSum += rel
 		a.relN++
-		a.hist.Observe(rel)
+		a.hist.observe(rel)
 	}
 }
 
@@ -142,7 +143,7 @@ type DriftSnapshot struct {
 }
 
 func (a *driftAgg) summary(category string) DriftSummary {
-	s := DriftSummary{Category: category, N: a.n, Errors: a.hist.Snapshot()}
+	s := DriftSummary{Category: category, N: a.n, Errors: a.hist.snapshot()}
 	if a.n == 0 {
 		return s
 	}
@@ -158,6 +159,16 @@ func (a *driftAgg) summary(category string) DriftSummary {
 		s.RSquared = 1
 	}
 	return s
+}
+
+// sortedKeys returns the map's keys in ascending order.
+func sortedKeys[M ~map[string]V, V any](m M) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func summarizeAggs(m map[string]*driftAgg) []DriftSummary {

@@ -175,10 +175,10 @@ const (
 // kindSpec is one row of the kinds table: which metrics the kind moves,
 // what it carries, and how the timeline and the span tree render it.
 type kindSpec struct {
-	counter    string // bumped once per event
-	redCounter string // bumped instead of counter when Event.Reduce
-	hist       string // observes At−Start
-	durKey     string // attribute key carrying At−Start
+	counter    CounterID   // bumped once per event
+	redCounter CounterID   // bumped instead of counter when Event.Reduce
+	hist       HistogramID // observes At−Start
+	durKey     string      // attribute key carrying At−Start
 	carries    carry
 
 	track  track
@@ -282,17 +282,15 @@ func (o *Observer) Emit(e Event, attrs ...Attr) {
 		return
 	}
 	s := &kinds[e.Kind]
-	if o.Metrics != nil {
-		name := s.counter
-		if e.Reduce && s.redCounter != "" {
-			name = s.redCounter
-		}
-		if name != "" {
-			o.Metrics.Counter(name).Inc()
-		}
-		if s.hist != "" {
-			o.Metrics.Histogram(s.hist, nil).Observe(e.At - e.Start)
-		}
+	c := s.counter
+	if e.Reduce && s.redCounter != 0 {
+		c = s.redCounter
+	}
+	if c != 0 {
+		o.Count(c)
+	}
+	if s.hist != 0 {
+		o.Observe(s.hist, e.At-e.Start)
 	}
 	if o.Drift != nil && e.Kind == TaskFinished {
 		o.Drift.RecordTask(e.JobType, e.Reduce, e.Pred, e.At-e.Start, e.Faulted)

@@ -6,20 +6,14 @@ import (
 	"saqp/internal/obs"
 )
 
-var (
-	hotSinkAccepted bool
-	hotSinkU64      uint64
-)
+var hotSinkU64 uint64
 
 // TestHotPathAllocs is the runtime half of the //saqp:hotpath contract.
-// Recording a histogram sample must not allocate, since it runs once per
-// served completion. Emitting any event kind on a nil observer must not
-// either (pool simulators run unobserved), nor may any report on a
-// metrics-only observer: Count, the typed metric methods and Emit's
-// registry half are everything a serving stack with metrics on pays per
-// request.
+// Emitting any event kind on a nil observer must not allocate (pool
+// simulators run unobserved), nor may any report on a metrics-only
+// observer: the three verbs and Emit's registry half are everything a
+// serving stack with metrics on pays per request.
 func TestHotPathAllocs(t *testing.T) {
-	h := obs.NewRegistry().Histogram("saqp_test_hotpath_seconds", nil)
 	id := obs.TraceID("select 1\x00cat", 1)
 	everyKind := func(o *obs.Observer) {
 		for k := obs.Kind(0); k <= obs.LearnPromotion; k++ {
@@ -30,33 +24,28 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 		}
 	}
+	verbs := func(o *obs.Observer) {
+		o.Count(obs.MNetCommands)
+		o.Set(obs.MServeInflight, 1000)
+		o.Observe(obs.MServeSimResponseSec, 12.5)
+	}
 	metricsOnly := &obs.Observer{Metrics: obs.NewRegistry()}
 	cases := []struct {
 		name string
 		fn   func()
 	}{
 		{"FNV64a", func() { hotSinkU64 = obs.FNV64a(id) }},
-		{"Histogram.Observe", func() { hotSinkAccepted = h.Observe(3) }},
 		{"nil Observer.Emit", func() { everyKind(nil) }},
-		{"nil Observer typed methods", func() {
+		{"nil Observer verbs and typed methods", func() {
 			var o *obs.Observer
-			o.Count(obs.MNetCommands)
+			verbs(o)
 			o.SchedulerDecision(1, "SWRD", false, "q/J1", 1000, nil)
 			o.LearnPromotion(1000, 1000, 0.5, 0.25)
-			o.ServeCompleted(12.5, 1000)
 		}},
 		{"metrics-only Observer.Emit", func() { everyKind(metricsOnly) }},
-		{"metrics-only Observer.Count", func() { metricsOnly.Count(obs.MNetCommands) }},
-		{"metrics-only Observer typed methods", func() {
-			o := metricsOnly
-			o.ServeAdmitted(87.5, 1000)
-			o.ServeDequeued(1000, 1000)
-			o.ServeCompleted(12.5, 1000)
-			o.ServeCanceled(1000)
-			o.NetConnAccepted(1000)
-			o.NetConnClosed(1000)
-			o.LearnJobSample(0.5, 0.25)
-			o.SchedulerDecision(1, "SWRD", false, "", 1000, nil)
+		{"metrics-only Observer verbs", func() { verbs(metricsOnly) }},
+		{"metrics-only Observer.SchedulerDecision", func() {
+			metricsOnly.SchedulerDecision(1, "SWRD", false, "", 1000, nil)
 		}},
 	}
 	for _, c := range cases {

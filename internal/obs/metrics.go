@@ -9,149 +9,111 @@ import (
 	"sync"
 )
 
-// Registry holds the process's counters, gauges and histograms. All
-// operations are safe for concurrent use; exposition orders metrics by
-// name so two identical runs serialise byte-identically.
+// Registry is the storage of the metric table: one cell per row, written
+// by Observer.Count, Set and Observe under one mutex. Exports list only
+// the rows written so far, in name order, so two identical runs
+// serialise byte-identically.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	mu    sync.Mutex
+	cells []cell // cells[id-1] is metric id's
 }
 
-// NewRegistry returns an empty metrics registry.
+// cell is one row's state.
+type cell struct {
+	written bool
+	v       float64 // a counter's count or a gauge's value
+	h       hist    // a histogram's buckets
+}
+
+// NewRegistry returns a registry with no row written.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-	}
-}
-
-// validateName panics on names outside the Prometheus grammar — metric
-// names are fixed at build time, so a bad one is a programming error.
-// The grammar is all it checks: the saqp_<subsystem>_..., counters-end-
-// in-_total convention of the metric table is TestMetricTable's to
-// enforce, so ad-hoc registries (tests, tools) may name freely.
-func validateName(name string) {
-	if name == "" {
-		panic(badMetricName(name))
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		ok := c == '_' || c == ':' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			panic(badMetricName(name))
+	r := &Registry{cells: make([]cell, len(metricTable))}
+	for i, m := range metricTable {
+		if m.Kind == "histogram" {
+			r.cells[i].h = newHist(timeBuckets)
 		}
 	}
+	return r
 }
 
-// badMetricName is validateName's panic value.
-type badMetricName string
-
-func (n badMetricName) Error() string { return "obs: invalid metric name " + strconv.Quote(string(n)) }
-
-// Counter is a monotonically non-decreasing value.
-type Counter struct {
-	mu sync.Mutex
-	v  float64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add increases the counter; negative deltas are ignored (counters are
-// monotone by definition).
-func (c *Counter) Add(d float64) {
-	if d < 0 || d != d {
+// Count adds one to counter c — the whole report of an occurrence that
+// moves one counter and carries no value.
+//
+//saqp:hotpath
+func (o *Observer) Count(c CounterID) {
+	if o == nil || o.Metrics == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.v += d
+	r := o.Metrics
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cells[c-1].written = true
+	r.cells[c-1].v++
 }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
+// Set replaces gauge g's value.
+//
+//saqp:hotpath
+func (o *Observer) Set(g GaugeID, v float64) {
+	if o == nil || o.Metrics == nil {
+		return
+	}
+	r := o.Metrics
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cells[g-1].written = true
+	r.cells[g-1].v = v
 }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	mu sync.Mutex
-	v  float64
+// Observe records v on histogram h; negative and NaN values are counted
+// as rejected.
+//
+//saqp:hotpath
+func (o *Observer) Observe(h HistogramID, v float64) {
+	if o == nil || o.Metrics == nil {
+		return
+	}
+	r := o.Metrics
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cells[h-1].written = true
+	r.cells[h-1].h.observe(v)
 }
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.v = v
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
-
-// Histogram counts observations into fixed cumulative-style buckets with
-// upper bounds; observations above the last bound land in the implicit
-// +Inf overflow bucket. Negative and NaN observations are rejected (the
+// hist counts observations into fixed buckets with ascending upper
+// bounds; observations above the last bound land in the implicit +Inf
+// overflow bucket. Negative and NaN observations are rejected (the
 // histograms here measure durations and error magnitudes, for which a
-// negative value signals an instrumentation bug, not data).
-type Histogram struct {
-	mu       sync.Mutex
-	upper    []float64 // ascending finite upper bounds
+// negative value signals an instrumentation bug, not data). Its owner's
+// mutex guards it.
+type hist struct {
+	upper    []float64 // ascending finite upper bounds, shared and never written
 	counts   []uint64  // len(upper)+1; last is the +Inf bucket
 	sum      float64
 	count    uint64
 	rejected uint64
 }
 
-// DefTimeBuckets spans simulated durations from sub-second dispatch
+// timeBuckets spans simulated durations from sub-second dispatch
 // overheads to hour-long makespans.
-func DefTimeBuckets() []float64 {
-	return []float64{0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
-}
+var timeBuckets = []float64{0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
 
-// DefErrorBuckets spans relative prediction errors from 1% to 5x.
-func DefErrorBuckets() []float64 {
-	return []float64{0.01, 0.025, 0.05, 0.1, 0.2, 0.5, 1, 2, 5}
-}
+// errorBuckets spans relative prediction errors from 1% to 5x.
+var errorBuckets = []float64{0.01, 0.025, 0.05, 0.1, 0.2, 0.5, 1, 2, 5}
 
-func newHistogram(buckets []float64) *Histogram {
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("obs: histogram buckets not ascending: %v", buckets))
-		}
-	}
-	up := make([]float64, len(buckets))
-	copy(up, buckets)
-	return &Histogram{upper: up, counts: make([]uint64, len(up)+1)}
-}
+func newHist(upper []float64) hist { return hist{upper: upper, counts: make([]uint64, len(upper)+1)} }
 
-// Observe records v and reports whether it was accepted; negative and
-// NaN observations are rejected and counted separately.
+// observe records v, or counts it as rejected.
 //
 //saqp:hotpath
-func (h *Histogram) Observe(v float64) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+func (h *hist) observe(v float64) {
 	if v < 0 || v != v {
 		h.rejected++
-		return false
+		return
 	}
-	i := sort.SearchFloat64s(h.upper, v) // first bound >= v
-	h.counts[i]++
+	h.counts[sort.SearchFloat64s(h.upper, v)]++ // first bound >= v
 	h.count++
 	h.sum += v
-	return true
 }
 
 // HistogramSnapshot is an immutable copy of a histogram's state. Bucket
@@ -165,10 +127,7 @@ type HistogramSnapshot struct {
 	Rejected uint64    `json:"rejected"`
 }
 
-// Snapshot copies the histogram state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+func (h *hist) snapshot() HistogramSnapshot {
 	return HistogramSnapshot{
 		Upper:    append([]float64(nil), h.upper...),
 		Counts:   append([]uint64(nil), h.counts...),
@@ -178,65 +137,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 }
 
-// Counter returns (creating on first use) the named counter.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	validateName(name)
-	c := &Counter{}
-	r.counters[name] = c
-	return c
-}
-
-// Gauge returns (creating on first use) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	validateName(name)
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
-}
-
-// Histogram returns (creating on first use) the named histogram; buckets
-// apply only at creation. Nil buckets default to DefTimeBuckets.
-func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	validateName(name)
-	if buckets == nil {
-		buckets = DefTimeBuckets()
-	}
-	h := newHistogram(buckets)
-	r.hists[name] = h
-	return h
-}
-
-// sortedKeys returns the map's keys in ascending order.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // fnum formats a float the shortest way that round-trips.
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// WritePrometheus serialises the registry in the Prometheus text
-// exposition format (version 0.0.4), metrics sorted by name; # HELP lines
-// come from the metric table.
+// WritePrometheus serialises the written rows in the Prometheus text
+// exposition format (version 0.0.4): counters, then gauges, then
+// histograms, each in name order, with # HELP from the metric table.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -246,31 +152,24 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
-	head := func(name, kind string) {
-		if spec := metricByName[name]; spec != nil {
-			write("# HELP %s %s\n", name, spec.Help)
+	for _, i := range exportOrder {
+		m, c := &metricTable[i], &r.cells[i]
+		if !c.written {
+			continue
 		}
-		write("# TYPE %s %s\n", name, kind)
-	}
-	for _, name := range sortedKeys(r.counters) {
-		head(name, "counter")
-		write("%s %s\n", name, fnum(r.counters[name].Value()))
-	}
-	for _, name := range sortedKeys(r.gauges) {
-		head(name, "gauge")
-		write("%s %s\n", name, fnum(r.gauges[name].Value()))
-	}
-	for _, name := range sortedKeys(r.hists) {
-		head(name, "histogram")
-		s := r.hists[name].Snapshot()
+		write("# HELP %s %s\n# TYPE %s %s\n", m.Name, m.Help, m.Name, m.Kind)
+		if m.Kind != "histogram" {
+			write("%s %s\n", m.Name, fnum(c.v))
+			continue
+		}
 		var cum uint64
-		for i, ub := range s.Upper {
-			cum += s.Counts[i]
-			write("%s_bucket{le=%q} %d\n", name, fnum(ub), cum)
+		for b, ub := range c.h.upper {
+			cum += c.h.counts[b]
+			write("%s_bucket{le=%q} %d\n", m.Name, fnum(ub), cum)
 		}
-		cum += s.Counts[len(s.Counts)-1]
-		write("%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-		write("%s_sum %s\n%s_count %d\n", name, fnum(s.Sum), name, s.Count)
+		cum += c.h.counts[len(c.h.upper)]
+		write("%s_bucket{le=\"+Inf\"} %d\n", m.Name, cum)
+		write("%s_sum %s\n%s_count %d\n", m.Name, fnum(c.h.sum), m.Name, c.h.count)
 	}
 	return err
 }
@@ -282,23 +181,28 @@ type RegistrySnapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Snapshot copies every metric's current state.
+// Snapshot copies every written row's current state.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := RegistrySnapshot{
-		Counters:   make(map[string]float64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
+		Counters:   map[string]float64{},
+		Gauges:     map[string]float64{},
+		Histograms: map[string]HistogramSnapshot{},
 	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = h.Snapshot()
+	for i, m := range metricTable {
+		c := &r.cells[i]
+		if !c.written {
+			continue
+		}
+		switch m.Kind {
+		case "counter":
+			s.Counters[m.Name] = c.v
+		case "gauge":
+			s.Gauges[m.Name] = c.v
+		default:
+			s.Histograms[m.Name] = c.h.snapshot()
+		}
 	}
 	return s
 }

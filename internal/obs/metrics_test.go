@@ -2,45 +2,51 @@ package obs_test
 
 import (
 	"bytes"
+	"io"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"saqp/internal/obs"
 )
 
+// TestHistogramBucketing: every histogram row buckets on the time
+// bounds 0.1 … 3600, each bound inclusive, with a +Inf overflow bucket;
+// negative and NaN observations are rejected but still mark the row
+// written.
 func TestHistogramBucketing(t *testing.T) {
-	r := obs.NewRegistry()
-	h := r.Histogram("saqp_test_values_seconds", []float64{1, 2, 5})
-
-	cases := []struct {
-		v      float64
-		accept bool
-	}{
-		{0, true},             // below the first bound → first bucket
-		{1, true},             // exactly on a bound → that bucket (le is inclusive)
-		{1.5, true},           // interior
-		{5, true},             // on the last finite bound
-		{100, true},           // above every bound → +Inf overflow bucket
-		{math.Inf(1), true},   // +Inf itself lands in the overflow bucket
-		{-0.5, false},         // negative rejected
-		{math.NaN(), false},   // NaN rejected
-		{math.Inf(-1), false}, // -Inf rejected
+	o := &obs.Observer{Metrics: obs.NewRegistry()}
+	for _, v := range []float64{
+		0,            // below the first bound → first bucket
+		0.1,          // exactly on a bound → that bucket (le is inclusive)
+		0.3,          // interior → le=0.5
+		3600,         // on the last finite bound
+		5000,         // above every bound → +Inf overflow bucket
+		math.Inf(1),  // +Inf itself lands in the overflow bucket
+		-0.5,         // negative rejected
+		math.NaN(),   // NaN rejected
+		math.Inf(-1), // -Inf rejected
+	} {
+		o.Observe(obs.MServeAdmittedWRD, v)
 	}
-	for _, c := range cases {
-		if got := h.Observe(c.v); got != c.accept {
-			t.Errorf("Observe(%v) accepted=%v, want %v", c.v, got, c.accept)
+	s, ok := o.Metrics.Snapshot().Histograms["saqp_serve_admitted_wrd_seconds"]
+	if !ok {
+		t.Fatal("observed histogram missing from the snapshot")
+	}
+	wantUpper := []float64{0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
+	wantCounts := []uint64{2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2}
+	if len(s.Upper) != len(wantUpper) || len(s.Counts) != len(wantCounts) {
+		t.Fatalf("%d bounds and %d counts, want %d and %d", len(s.Upper), len(s.Counts), len(wantUpper), len(wantCounts))
+	}
+	for i, w := range wantUpper {
+		if s.Upper[i] != w {
+			t.Errorf("bound %d = %v, want %v", i, s.Upper[i], w)
 		}
-	}
-
-	s := h.Snapshot()
-	wantCounts := []uint64{2, 1, 1, 2} // le=1, le=2, le=5, +Inf
-	if len(s.Counts) != len(wantCounts) {
-		t.Fatalf("counts len = %d, want %d", len(s.Counts), len(wantCounts))
 	}
 	for i, w := range wantCounts {
 		if s.Counts[i] != w {
@@ -53,97 +59,100 @@ func TestHistogramBucketing(t *testing.T) {
 	if s.Rejected != 3 {
 		t.Errorf("rejected = %d, want 3", s.Rejected)
 	}
-}
 
-func TestHistogramRejectsBadBuckets(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-ascending buckets should panic")
-		}
-	}()
-	obs.NewRegistry().Histogram("saqp_test_bad_seconds", []float64{2, 1})
-}
-
-func TestValidateName(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid metric name should panic")
-		}
-	}()
-	obs.NewRegistry().Counter("saqp-bad-name")
+	rejectedOnly := &obs.Observer{Metrics: obs.NewRegistry()}
+	rejectedOnly.Observe(obs.MServeAdmittedWRD, -1)
+	if h, ok := rejectedOnly.Metrics.Snapshot().Histograms["saqp_serve_admitted_wrd_seconds"]; !ok || h.Rejected != 1 {
+		t.Errorf("a histogram that only rejected = %+v (listed %v), want listed with 1 rejected", h, ok)
+	}
 }
 
 // TestPrometheusFormat checks the exposition against the text-format
-// grammar: TYPE lines, cumulative non-decreasing buckets ending in +Inf,
-// and _count consistency.
+// grammar — # HELP from the metric table, TYPE lines, cumulative
+// non-decreasing buckets ending in +Inf, _count consistency — and that
+// it lists exactly the written rows, counters then gauges then
+// histograms.
 func TestPrometheusFormat(t *testing.T) {
-	r := obs.NewRegistry()
-	r.Counter("saqp_test_events_total").Add(3)
-	r.Counter(obs.MNetCommands).Inc() // a declared metric: its # HELP comes from the metric table
-	r.Gauge("saqp_test_depth").Set(-2.5)
-	h := r.Histogram("saqp_test_latency_seconds", []float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(50)
+	o := &obs.Observer{Metrics: obs.NewRegistry()}
+	for i := 0; i < 3; i++ {
+		o.Count(obs.MNetCommands)
+	}
+	o.Set(obs.MServeQueueDepth, -2.5)
+	o.Observe(obs.MServeSimResponseSec, 0.5)
+	o.Observe(obs.MServeSimResponseSec, 50)
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := o.Metrics.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# HELP saqp_net_commands_total Wire commands dispatched.\n# TYPE saqp_net_commands_total counter\nsaqp_net_commands_total 1\n",
-		"# TYPE saqp_test_events_total counter\nsaqp_test_events_total 3\n",
-		"# TYPE saqp_test_depth gauge\nsaqp_test_depth -2.5\n",
-		"# TYPE saqp_test_latency_seconds histogram\n",
-		`saqp_test_latency_seconds_bucket{le="1"} 1`,
-		`saqp_test_latency_seconds_bucket{le="10"} 1`,
-		`saqp_test_latency_seconds_bucket{le="+Inf"} 2`,
-		"saqp_test_latency_seconds_sum 50.5\n",
-		"saqp_test_latency_seconds_count 2\n",
+		"# HELP saqp_net_commands_total Wire commands dispatched.\n# TYPE saqp_net_commands_total counter\nsaqp_net_commands_total 3\n",
+		"# HELP saqp_serve_queue_depth SWRD admission queue depth.\n# TYPE saqp_serve_queue_depth gauge\nsaqp_serve_queue_depth -2.5\n",
+		"# TYPE saqp_serve_sim_response_seconds histogram\n",
+		`saqp_serve_sim_response_seconds_bucket{le="0.1"} 0`,
+		`saqp_serve_sim_response_seconds_bucket{le="0.5"} 1`,
+		`saqp_serve_sim_response_seconds_bucket{le="30"} 1`,
+		`saqp_serve_sim_response_seconds_bucket{le="60"} 2`,
+		`saqp_serve_sim_response_seconds_bucket{le="+Inf"} 2`,
+		"saqp_serve_sim_response_seconds_sum 50.5\n",
+		"saqp_serve_sim_response_seconds_count 2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
 	}
-	// Every sample line must be "name{labels} value" or "name value".
+	c, g, h := strings.Index(out, "saqp_net_commands_total"), strings.Index(out, "saqp_serve_queue_depth"),
+		strings.Index(out, "saqp_serve_sim_response_seconds")
+	if !(c < g && g < h) {
+		t.Errorf("kinds out of order (counter at %d, gauge at %d, histogram at %d):\n%s", c, g, h, out)
+	}
+	types := 0
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types++
+		}
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
+		// Every sample line must be "name{labels} value" or "name value".
 		if len(strings.Fields(line)) != 2 {
 			t.Errorf("malformed sample line %q", line)
 		}
 	}
+	if types != 3 {
+		t.Errorf("%d metrics exported, want the 3 written", types)
+	}
 }
 
 // TestExpositionDeterministic: two registries fed identically serialise
-// byte-identically (metric creation order must not matter).
+// byte-identically, whatever order the rows were first written in.
 func TestExpositionDeterministic(t *testing.T) {
-	fill := func(order []string) string {
-		r := obs.NewRegistry()
-		for _, name := range order {
-			r.Counter(name).Inc()
+	fill := func(order []obs.CounterID) string {
+		o := &obs.Observer{Metrics: obs.NewRegistry()}
+		for _, c := range order {
+			o.Count(c)
 		}
-		r.Histogram("saqp_test_h_seconds", nil).Observe(2)
+		o.Observe(obs.MJobRuntimeSec, 2)
 		var buf bytes.Buffer
-		if err := r.WritePrometheus(&buf); err != nil {
+		if err := o.Metrics.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
 	}
-	a := fill([]string{"saqp_test_b_total", "saqp_test_a_total", "saqp_test_c_total"})
-	b := fill([]string{"saqp_test_c_total", "saqp_test_b_total", "saqp_test_a_total"})
+	a := fill([]obs.CounterID{obs.MServeErrors, obs.MCompiles, obs.MNetCommands})
+	b := fill([]obs.CounterID{obs.MNetCommands, obs.MServeErrors, obs.MCompiles})
 	if a != b {
-		t.Fatalf("exposition depends on creation order:\n%s\nvs\n%s", a, b)
+		t.Fatalf("exposition depends on write order:\n%s\nvs\n%s", a, b)
 	}
 
-	r := obs.NewRegistry()
-	r.Counter("saqp_test_a_total").Inc()
-	j1, err := r.SnapshotJSON()
+	o := &obs.Observer{Metrics: obs.NewRegistry()}
+	o.Count(obs.MCompiles)
+	j1, err := o.Metrics.SnapshotJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := r.SnapshotJSON()
+	j2, err := o.Metrics.SnapshotJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +183,65 @@ func TestEmptyRegistryOutputs(t *testing.T) {
 	}
 }
 
+// TestCounterMonotone: a counter moves only by Count, one at a time.
 func TestCounterMonotone(t *testing.T) {
-	c := obs.NewRegistry().Counter("saqp_test_mono_total")
-	c.Add(2)
-	c.Add(-5)         // ignored
-	c.Add(math.NaN()) // ignored
-	if v := c.Value(); v != 2 {
-		t.Fatalf("counter = %v, want 2", v)
+	o := &obs.Observer{Metrics: obs.NewRegistry()}
+	for want := 1.0; want <= 3; want++ {
+		o.Count(obs.MNetCommands)
+		o.Set(obs.MNetConnsActive, -want) // another row's write leaves it alone
+		if got := o.Metrics.Snapshot().Counters["saqp_net_commands_total"]; got != want {
+			t.Fatalf("counter = %v after %v counts", got, want)
+		}
+	}
+}
+
+// TestRegistryConcurrent: reports from many goroutines while both
+// exports read the registry lose nothing (run it under -race).
+func TestRegistryConcurrent(t *testing.T) {
+	const writers, reports = 8, 500
+	o := &obs.Observer{Metrics: obs.NewRegistry()}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := o.Metrics.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+			_ = o.Metrics.Snapshot()
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < reports; i++ {
+				o.Count(obs.MNetCommands)
+				o.Set(obs.MServeInflight, float64(i))
+				o.Observe(obs.MServeSimResponseSec, 1)
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	s := o.Metrics.Snapshot()
+	if got := s.Counters["saqp_net_commands_total"]; got != writers*reports {
+		t.Errorf("counter = %v, want %d", got, writers*reports)
+	}
+	if got := s.Gauges["saqp_serve_inflight_queries"]; got != reports-1 {
+		t.Errorf("gauge = %v, want every writer's last value %d", got, reports-1)
+	}
+	if h := s.Histograms["saqp_serve_sim_response_seconds"]; h.Count != writers*reports || h.Sum != writers*reports {
+		t.Errorf("histogram count %d sum %v, want %d each", h.Count, h.Sum, writers*reports)
 	}
 }
 
@@ -188,8 +249,8 @@ func TestCounterMonotone(t *testing.T) {
 // unique names in saqp_<subsystem>_<name> form with a known subsystem,
 // counters (and only counters) ending in _total, help text on every
 // row, and no dead rows — each metric's M* variable is named by some
-// non-test code outside the table itself: the event-kind table, a typed
-// Observer method, or a Count call site.
+// non-test code outside the table itself: the event-kind table or a
+// Count, Set or Observe call site.
 func TestMetricTable(t *testing.T) {
 	subsystem := regexp.MustCompile(`^saqp_(cluster|sched|framework|serve|net|learn)_[a-z0-9_]+$`)
 	decl := regexp.MustCompile(`(?m)^\t(M\w+)\s*= (?:counter|gauge|histogram)\("([^"]+)"`)

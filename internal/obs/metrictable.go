@@ -1,38 +1,62 @@
 package obs
 
+import "sort"
+
 // MetricSpec declares one metric. The table below is the only place a
 // metric's name, type and help text are written down: call sites name a
-// metric by its M* variable, the registry reads # HELP text from here,
-// and docs/OBSERVABILITY.md is checked against it. Histograms use
-// DefTimeBuckets.
+// metric by its M* variable, the registry stores one cell per row and
+// reads # HELP text from here, and docs/OBSERVABILITY.md is checked
+// against it. Histograms use timeBuckets.
 type MetricSpec struct {
 	Name string
 	Kind string // "counter", "gauge" or "histogram"
 	Help string
 }
 
+// CounterID, GaugeID and HistogramID each name one row of the metric
+// table: its index plus one, so the zero ID names no metric. The kind is
+// in the type, so Observer.Count, Set and Observe each take only their
+// own kind's rows.
+type (
+	CounterID   int
+	GaugeID     int
+	HistogramID int
+)
+
 var (
-	metricTable  []MetricSpec
-	metricByName = map[string]*MetricSpec{}
+	metricTable []MetricSpec
+	// exportOrder lists the table's rows grouped by kind (counters,
+	// gauges, histograms), each group in name order: the order of the
+	// Prometheus exposition.
+	exportOrder []int
 )
 
 func init() {
-	for i := range metricTable {
-		metricByName[metricTable[i].Name] = &metricTable[i]
+	exportOrder = make([]int, len(metricTable))
+	for i := range exportOrder {
+		exportOrder[i] = i
 	}
+	sort.Slice(exportOrder, func(a, b int) bool {
+		x, y := &metricTable[exportOrder[a]], &metricTable[exportOrder[b]]
+		if x.Kind != y.Kind {
+			return x.Kind < y.Kind // "counter" < "gauge" < "histogram"
+		}
+		return x.Name < y.Name
+	})
 }
 
 // MetricTable returns every declared metric in declaration order.
 func MetricTable() []MetricSpec { return append([]MetricSpec(nil), metricTable...) }
 
-func declare(kind, name, help string) string {
+// declare appends one row and returns its ID.
+func declare(kind, name, help string) int {
 	metricTable = append(metricTable, MetricSpec{Name: name, Kind: kind, Help: help})
-	return name
+	return len(metricTable)
 }
 
-func counter(name, help string) string   { return declare("counter", name, help) }
-func gauge(name, help string) string     { return declare("gauge", name, help) }
-func histogram(name, help string) string { return declare("histogram", name, help) }
+func counter(name, help string) CounterID     { return CounterID(declare("counter", name, help)) }
+func gauge(name, help string) GaugeID         { return GaugeID(declare("gauge", name, help)) }
+func histogram(name, help string) HistogramID { return HistogramID(declare("histogram", name, help)) }
 
 // The metric table. Names follow saqp_<subsystem>_<name>[_<unit>] with a
 // subsystem of cluster, sched, framework, serve, net or learn;

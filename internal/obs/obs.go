@@ -161,93 +161,6 @@ func (o *Observer) ClusterInfo(nodes, mapSlotsPerNode, redSlotsPerNode int, faul
 	}
 }
 
-// Count bumps the named counter — the whole report of an occurrence
-// that moves one counter and carries no value. Count and set are the
-// per-increment path every typed method below funnels through.
-//
-//saqp:hotpath
-func (o *Observer) Count(name string) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	o.Metrics.Counter(name).Inc()
-}
-
-// set replaces the named gauge's value.
-//
-//saqp:hotpath
-func (o *Observer) set(name string, v int) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	o.Metrics.Gauge(name).Set(float64(v))
-}
-
-// ServeAdmitted records a query entering the SWRD admission queue with
-// its Weighted Resource Demand and the resulting queue depth.
-func (o *Observer) ServeAdmitted(wrd float64, queueDepth int) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	o.Metrics.Histogram(MServeAdmittedWRD, nil).Observe(wrd)
-	o.set(MServeQueueDepth, queueDepth)
-}
-
-// ServeDequeued records a pool worker taking a query off the admission
-// queue.
-func (o *Observer) ServeDequeued(queueDepth, inflight int) {
-	o.set(MServeQueueDepth, queueDepth)
-	o.set(MServeInflight, inflight)
-}
-
-// ServeCompleted records a successfully served query: its simulated
-// response time and the remaining in-flight count.
-func (o *Observer) ServeCompleted(simResponseSec float64, inflight int) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	o.Count(MServeCompletions)
-	o.Metrics.Histogram(MServeSimResponseSec, nil).Observe(simResponseSec)
-	o.set(MServeInflight, inflight)
-}
-
-// ServeCanceled counts a query abandoned by context cancellation —
-// either while queued or mid-run on a pool simulator.
-func (o *Observer) ServeCanceled(inflight int) {
-	o.Count(MServeCancellations)
-	o.set(MServeInflight, inflight)
-}
-
-// NetConnAccepted records one accepted connection and the resulting
-// active-connection count.
-func (o *Observer) NetConnAccepted(active int) {
-	o.Count(MNetConnsAccepted)
-	o.set(MNetConnsActive, active)
-}
-
-// NetConnClosed records one connection ending and the resulting
-// active-connection count.
-func (o *Observer) NetConnClosed(active int) {
-	o.Count(MNetConnsClosed)
-	o.set(MNetConnsActive, active)
-}
-
-// LearnJobSample counts one absorbed job observation and updates the
-// windowed relative-error gauges. A negative error means that window is
-// still empty and leaves its gauge untouched.
-func (o *Observer) LearnJobSample(championErr, challengerErr float64) {
-	if o == nil || o.Metrics == nil {
-		return
-	}
-	o.Count(MLearnJobSamples)
-	if championErr >= 0 {
-		o.Metrics.Gauge(MLearnChampionErr).Set(championErr)
-	}
-	if challengerErr >= 0 {
-		o.Metrics.Gauge(MLearnChallengerErr).Set(challengerErr)
-	}
-}
-
 // LearnPromotion records a champion promotion: the model-version gauge
 // and a LearnPromotion event positioned at the promotion's job-sample
 // count — the registry has no clock, so seeded replays emit identical
@@ -256,7 +169,7 @@ func (o *Observer) LearnPromotion(version, atJobSamples int, championErr, challe
 	if o == nil {
 		return
 	}
-	o.set(MLearnModelVersion, version)
+	o.Set(MLearnModelVersion, float64(version))
 	o.Emit(Event{Kind: LearnPromotion, At: float64(atJobSamples), Label: "promote v" + itoa(version)},
 		AttrInt("version", version), AttrInt("at_job_samples", atJobSamples),
 		AttrFloat("champion_err", championErr), AttrFloat("challenger_err", challengerErr))

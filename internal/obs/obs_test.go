@@ -158,20 +158,24 @@ func TestObserverMetrics(t *testing.T) {
 	o := obs.New(nil)
 	replay(o)
 	want := map[string]float64{
-		obs.MQueriesSubmitted:   1,
-		obs.MQueriesCompleted:   1,
-		obs.MJobsSubmitted:      1,
-		obs.MJobsCompleted:      1,
-		obs.MMapTasksDone:       1,
-		obs.MReduceTasksDone:    1,
-		obs.MReduceHoards:       1,
-		obs.MReducePreemptions:  1,
-		obs.MSchedDecisions:     2,
-		obs.MSchedIdleDecisions: 1,
+		"saqp_cluster_queries_submitted_total":       1,
+		"saqp_cluster_queries_completed_total":       1,
+		"saqp_cluster_jobs_submitted_total":          1,
+		"saqp_cluster_jobs_completed_total":          1,
+		"saqp_cluster_map_tasks_completed_total":     1,
+		"saqp_cluster_reduce_tasks_completed_total":  1,
+		"saqp_cluster_reduce_slowstart_hoards_total": 1,
+		"saqp_cluster_reduce_preemptions_total":      1,
+		"saqp_sched_decisions_total":                 2,
+		"saqp_sched_idle_decisions_total":            1,
+	}
+	got := o.Metrics.Snapshot().Counters
+	if len(got) != len(want) {
+		t.Errorf("%d counters written, want %d: %v", len(got), len(want), got)
 	}
 	for name, v := range want {
-		if got := o.Metrics.Counter(name).Value(); got != v {
-			t.Errorf("%s = %v, want %v", name, got, v)
+		if got[name] != v {
+			t.Errorf("%s = %v, want %v", name, got[name], v)
 		}
 	}
 }

@@ -323,7 +323,7 @@ func (r *replay) run(cc cluster.Config, pol cluster.Scheduler, o *obs.Observer, 
 		if r.perItemCost {
 			cm = trace.NewDefaultCostModel(it.seed)
 		}
-		qs[i] = core.Percolate(it.name, it.oracle, it.est, cm, r.tasks).Query
+		qs[i] = core.Percolate(it.name, it.oracle, it.est, cm, r.tasks)
 		switch alone {
 		case everyItem:
 			sim.Submit(qs[i], it.arrival)

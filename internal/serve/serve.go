@@ -297,7 +297,8 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 		select {
 		case <-ent.ready:
 		case <-ctx.Done():
-			o.ServeCanceled(e.inflightNow())
+			o.Count(obs.MServeCancellations)
+			o.Set(obs.MServeInflight, float64(e.inflightNow()))
 			e.count(func(s *Stats) { s.Canceled++ })
 			return nil, ctx.Err()
 		}
@@ -359,7 +360,8 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 	e.st.Submitted++
 	depth := len(e.queue)
 	e.mu.Unlock()
-	o.ServeAdmitted(t.wrd, depth)
+	o.Observe(obs.MServeAdmittedWRD, t.wrd)
+	o.Set(obs.MServeQueueDepth, float64(depth))
 	e.cond.Signal()
 	return t, nil
 }
@@ -481,7 +483,9 @@ func (e *Engine) next() *Ticket {
 	e.inflight++
 	depth, inflight := len(e.queue), e.inflight
 	e.mu.Unlock()
-	e.cfg.Observer.ServeDequeued(depth, inflight)
+	o := e.cfg.Observer
+	o.Set(obs.MServeQueueDepth, float64(depth))
+	o.Set(obs.MServeInflight, float64(inflight))
 	return t
 }
 
@@ -625,13 +629,17 @@ func (e *Engine) finish(t *Ticket, res Result, err error) {
 		e.st.Errors++
 	}
 	e.mu.Unlock()
+	o := e.cfg.Observer
 	switch {
 	case err == nil:
-		e.cfg.Observer.ServeCompleted(res.SimSec, inflight)
+		o.Count(obs.MServeCompletions)
+		o.Observe(obs.MServeSimResponseSec, res.SimSec)
+		o.Set(obs.MServeInflight, float64(inflight))
 	case canceled:
-		e.cfg.Observer.ServeCanceled(inflight)
+		o.Count(obs.MServeCancellations)
+		o.Set(obs.MServeInflight, float64(inflight))
 	default:
-		e.cfg.Observer.Count(obs.MServeErrors)
+		o.Count(obs.MServeErrors)
 	}
 	close(t.done)
 }

@@ -447,7 +447,7 @@ func TestDeterministicSnapshots(t *testing.T) {
 	if !bytes.Equal(d1, d2) {
 		t.Errorf("drift snapshots differ:\n%s\n---\n%s", d1, d2)
 	}
-	if !strings.Contains(string(m1), obs.MServeCompletions) {
+	if !strings.Contains(string(m1), "saqp_serve_completions_total") {
 		t.Errorf("snapshot should include serve metrics:\n%s", m1)
 	}
 }

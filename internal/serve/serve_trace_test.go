@@ -108,7 +108,7 @@ func TestServeSpanTreesComplete(t *testing.T) {
 	if snap.Started != 6 || snap.Finished != 6 {
 		t.Errorf("span store counts %d/%d started/finished, want 6/6", snap.Started, snap.Finished)
 	}
-	if hist := r.obs.Metrics.Snapshot().Histograms[obs.MServeSimResponseSec]; hist.Count != 6 {
+	if hist := r.obs.Metrics.Snapshot().Histograms["saqp_serve_sim_response_seconds"]; hist.Count != 6 {
 		t.Errorf("sim-response histogram count = %d, want 6", hist.Count)
 	}
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"saqp"
-	"saqp/internal/obs"
 	"saqp/internal/predict"
 )
 
@@ -190,7 +189,7 @@ func TestNetShutdownCompletesInflightWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	commands := fw.Obs.Metrics.Counter(obs.MNetCommands)
+	commands := func() float64 { return fw.Obs.Metrics.Snapshot().Counters["saqp_net_commands_total"] }
 	eventually := func(what string, ok func() bool) {
 		t.Helper()
 		for deadline := time.Now().Add(30 * time.Second); !ok(); time.Sleep(time.Millisecond) {
@@ -218,14 +217,14 @@ func TestNetShutdownCompletesInflightWait(t *testing.T) {
 		err error
 	}
 	waited := make(chan waitOut, 1)
-	sent := commands.Value()
+	sent := commands()
 	go func() {
 		res, err := c.Wait(id)
 		waited <- waitOut{res, err}
 	}()
 	// The frontend counts a command before dispatching it, so one more
 	// means the WAIT is on the server, blocking on its ticket.
-	eventually("the WAIT to reach the frontend", func() bool { return commands.Value() > sent })
+	eventually("the WAIT to reach the frontend", func() bool { return commands() > sent })
 
 	shutdown := make(chan error, 1)
 	go func() {
