@@ -9,10 +9,10 @@
 //	saqp -query "SELECT c_name, count(*) FROM customer JOIN orders ON o_custkey = c_custkey GROUP BY c_name"
 //	saqp -sf 10 -train -query "..."
 //
-// With -trace and/or -metrics the query is additionally executed on the
-// simulated cluster under -scheduler, producing a Chrome trace-event
-// JSON (open in Perfetto: ui.perfetto.dev) and a Prometheus text-format
-// metrics dump. Both outputs are deterministic for a fixed -seed.
+// With -trace and/or -metrics the query is additionally executed alone
+// on the simulated cluster, producing a Chrome trace-event JSON (open in
+// Perfetto: ui.perfetto.dev) and a Prometheus text-format metrics dump.
+// Both outputs are deterministic for a fixed -seed.
 //
 //	saqp -query "..." -trace run.trace.json -metrics run.prom
 //
@@ -59,7 +59,6 @@ func main() {
 		models    = flag.String("models", "", "path to a trained-models JSON bundle: loaded if it exists, written after -train otherwise")
 		traceOut  = flag.String("trace", "", "simulate the query and write a Chrome trace-event JSON (Perfetto-loadable) to this file")
 		promOut   = flag.String("metrics", "", "simulate the query and write Prometheus text-format metrics to this file")
-		schedler  = flag.String("scheduler", saqp.SchedulerSWRD, "scheduler for the simulated run (HCS|HFS|SWRD)")
 		seed      = flag.Uint64("seed", 2018, "cost-model seed for the simulated run")
 		faults    = flag.Bool("faults", false, "inject the default deterministic fault plan into the simulated run (crashes, slowdowns, transient task failures)")
 		faultSeed = flag.Uint64("fault-seed", 1, "seed of the fault plan used with -faults")
@@ -84,14 +83,14 @@ func main() {
 	if *faults {
 		fp = saqp.NewFaultPlan(saqp.DefaultFaultSpec(*faultSeed))
 	}
-	if err := run(*sql, *sf, *train, *queries, *models, *traceOut, *promOut, *schedler, *seed, fp, *admin, *listen); err != nil {
+	if err := run(*sql, *sf, *train, *queries, *models, *traceOut, *promOut, *seed, fp, *admin, *listen); err != nil {
 		fmt.Fprintln(os.Stderr, "saqp:", err)
 		os.Exit(1)
 	}
 }
 
 func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
-	traceOut, promOut, scheduler string, seed uint64, fp *saqp.FaultPlan, admin, listen string) error {
+	traceOut, promOut string, seed uint64, fp *saqp.FaultPlan, admin, listen string) error {
 	var o *saqp.Observer
 	finish := func() error { return nil }
 	if traceOut != "" || promOut != "" {
@@ -102,7 +101,7 @@ func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
 	}
 	fw, err := saqp.NewFramework(saqp.Options{ScaleFactor: sf, Observer: o})
 	if err == nil {
-		err = oneShot(fw, sql, train, trainQueries, modelsPath, scheduler, seed, fp)
+		err = oneShot(fw, sql, train, trainQueries, modelsPath, seed, fp)
 	}
 	// The observer's files are finished before any hosting starts, and
 	// also when the one-shot part failed: the trace stays loadable.
@@ -121,13 +120,13 @@ func run(sql string, sf float64, train bool, trainQueries int, modelsPath,
 	if admin == "" && listen == "" {
 		return nil
 	}
-	return host(fw, sql, scheduler, seed, admin, listen)
+	return host(fw, sql, seed, admin, listen)
 }
 
 // oneShot is everything before hosting: load or train the models and,
 // given a query, print its report.
-func oneShot(fw *saqp.Framework, sql string, train bool, trainQueries int, modelsPath,
-	scheduler string, seed uint64, fp *saqp.FaultPlan) error {
+func oneShot(fw *saqp.Framework, sql string, train bool, trainQueries int, modelsPath string,
+	seed uint64, fp *saqp.FaultPlan) error {
 	if modelsPath != "" {
 		// Only an absent file means "train and write"; any other read
 		// error would otherwise run untrained without a word.
@@ -144,7 +143,7 @@ func oneShot(fw *saqp.Framework, sql string, train bool, trainQueries int, model
 		}
 	}
 	if sql != "" {
-		return report(fw, sql, train, trainQueries, modelsPath, scheduler, seed, fp)
+		return report(fw, sql, train, trainQueries, modelsPath, seed, fp)
 	}
 	if train {
 		// Hosting without a one-shot report: straight to serving.
@@ -156,8 +155,8 @@ func oneShot(fw *saqp.Framework, sql string, train bool, trainQueries int, model
 // report prints the one-shot answer for sql: plan, selectivity table,
 // and — with models loaded or trained — predicted time and WRD, then
 // the simulated run when an observer or fault plan asks for one.
-func report(fw *saqp.Framework, sql string, train bool, trainQueries int, modelsPath,
-	scheduler string, seed uint64, fp *saqp.FaultPlan) error {
+func report(fw *saqp.Framework, sql string, train bool, trainQueries int, modelsPath string,
+	seed uint64, fp *saqp.FaultPlan) error {
 	dag, err := fw.Compile(sql)
 	if err != nil {
 		return err
@@ -188,7 +187,7 @@ func report(fw *saqp.Framework, sql string, train bool, trainQueries int, models
 	}
 	if fw.TaskTime == nil {
 		fmt.Println("\n(run with -train to predict execution time and WRD)")
-		return simulate(fw, est, scheduler, seed, fp)
+		return simulate(fw, est, seed, fp)
 	}
 	secs, err := fw.PredictQuerySeconds(est)
 	if err != nil {
@@ -207,7 +206,7 @@ func report(fw *saqp.Framework, sql string, train bool, trainQueries int, models
 		}
 		fmt.Printf("  %s predicted job time (Eq. 8): %.1f s\n", je.Job.ID, js)
 	}
-	return simulate(fw, est, scheduler, seed, fp)
+	return simulate(fw, est, seed, fp)
 }
 
 // trainModels fits the time models on a synthetic corpus and saves
@@ -242,14 +241,14 @@ const drainTimeout = 30 * time.Second
 // server, print its banner, wait for SIGINT/SIGTERM, drain the socket
 // within drainTimeout, close. -admin and -listen together host one
 // server with both endpoints.
-func host(fw *saqp.Framework, sql, scheduler string, seed uint64, admin, listen string) error {
+func host(fw *saqp.Framework, sql string, seed uint64, admin, listen string) error {
 	// Registered before any banner, so a supervisor that signals as soon
 	// as it reads one always gets the drain.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
 
-	srv, err := fw.NewServer(saqp.ServerOptions{Scheduler: scheduler, AdminAddr: admin})
+	srv, err := fw.NewServer(saqp.ServerOptions{AdminAddr: admin})
 	if err != nil {
 		return err
 	}
@@ -306,13 +305,13 @@ func serveOnce(srv *saqp.Server, sql string, seed uint64) error {
 
 // simulate runs the estimated query on the simulated cluster when an
 // observer was requested or a fault plan is set.
-func simulate(fw *saqp.Framework, est *saqp.QueryEstimate, scheduler string, seed uint64, fp *saqp.FaultPlan) error {
+func simulate(fw *saqp.Framework, est *saqp.QueryEstimate, seed uint64, fp *saqp.FaultPlan) error {
 	if fw.Obs == nil && fp == nil {
 		return nil
 	}
 	cc := saqp.DefaultClusterConfig()
 	cc.Faults = fp
-	secs, err := fw.SimulateQueryConfig("q1", est, scheduler, seed, cc)
+	secs, err := fw.SimulateQueryConfig("q1", est, saqp.SchedulerSWRD, seed, cc)
 	if err != nil {
 		return err
 	}
@@ -320,7 +319,7 @@ func simulate(fw *saqp.Framework, est *saqp.QueryEstimate, scheduler string, see
 	if fp != nil {
 		mode = ", faults injected"
 	}
-	fmt.Printf("\nSimulated response time (alone, %s%s): %.1f s\n", scheduler, mode, secs)
+	fmt.Printf("\nSimulated response time (alone%s): %.1f s\n", mode, secs)
 	return nil
 }
 

@@ -142,6 +142,22 @@ func TestModelsPathUnreadable(t *testing.T) {
 	}
 }
 
+// TestTaskBoundRefused: simulating a query over the task bound (a 16-way
+// lineitem self-join, about 4·10⁹ tasks) ends in a message naming the
+// bound and a non-zero exit, not in an out-of-memory crash.
+func TestTaskBoundRefused(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("SELECT COUNT(*) FROM lineitem l0")
+	for i := 1; i < 16; i++ {
+		fmt.Fprintf(&b, " JOIN lineitem l%d ON l%d.l_orderkey = l%d.l_orderkey", i, i-1, i)
+	}
+	out, err := exec.Command(saqpBin, "-sf", "1", "-faults", "-query", b.String()).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "saqp: cluster: the query needs 4.011e+09 tasks, over the 100000-task bound") {
+		t.Fatalf("16-way self-join: exit %v, want 1 and the task-bound message\n%s", err, out)
+	}
+}
+
 // probeAdmin requires 200 from the five introspection endpoints and
 // well-formed JSON from the three that serve it.
 func probeAdmin(t *testing.T, base string) {

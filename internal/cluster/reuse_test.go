@@ -18,11 +18,17 @@ import (
 	"saqp/internal/workload"
 )
 
+// analyticEstimator estimates over the analytic catalog at scale factor
+// sf.
+func analyticEstimator(sf float64) *selectivity.Estimator {
+	return selectivity.NewEstimator(catalog.FromSchemas(append(dataset.TPCH(), dataset.TPCDS()...), sf, catalog.DefaultBuckets), selectivity.Config{})
+}
+
 // generatedEstimates returns a source of estimated queries: each call
 // draws the next query of workload.NewGenerator(seed) and estimates it over
 // the analytic catalog at scale factor sf.
 func generatedEstimates(t *testing.T, seed uint64, sf float64) func() *selectivity.QueryEstimate {
-	est := selectivity.NewEstimator(catalog.FromSchemas(append(dataset.TPCH(), dataset.TPCDS()...), sf, catalog.DefaultBuckets), selectivity.Config{})
+	est := analyticEstimator(sf)
 	g := workload.NewGenerator(seed)
 	return func() *selectivity.QueryEstimate {
 		t.Helper()

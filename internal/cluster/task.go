@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"strings"
 
 	"saqp/internal/plan"
@@ -273,6 +275,53 @@ type ConstantPredictor float64
 // PredictTask returns the constant.
 func (c ConstantPredictor) PredictTask(plan.JobType, bool, float64, float64, float64) float64 {
 	return float64(c)
+}
+
+// MaxQueryTasks bounds the tasks one query may lay out on a simulator, as
+// Hadoop 1.x's mapred.jobtracker.maxtasks.per.job bounds a job. A task
+// count is estimated bytes over the block, so it grows with the
+// estimated join output — about 20× per level of a lineitem self-join —
+// and without the bound one short text sizes a slab past memory. The
+// largest layout measured is 2,691 tasks (a generated query at SF 300;
+// the Section 5 replays reach 1,519, the serving benchmark's pool at
+// SF 1 reaches 20), so the bound leaves a margin of 37×.
+const MaxQueryTasks = 100_000
+
+// TaskBoundError refuses an estimate Query.Rebuild must not lay out.
+type TaskBoundError struct {
+	// Tasks is the estimate's task count, summed in float64 so that no
+	// count wraps; NaN when a byte volume is not finite.
+	Tasks float64
+}
+
+// Error names the count and the bound.
+func (e *TaskBoundError) Error() string {
+	if math.IsNaN(e.Tasks) {
+		return "cluster: the estimate has a non-finite byte volume"
+	}
+	return fmt.Sprintf("cluster: the query needs %.4g tasks, over the %d-task bound", e.Tasks, MaxQueryTasks)
+}
+
+// CheckTaskBound returns a *TaskBoundError when qe has more than
+// MaxQueryTasks tasks or a non-finite byte volume, and nil when
+// Query.Rebuild may lay it out.
+func CheckTaskBound(qe *selectivity.QueryEstimate) error {
+	var one [1]selectivity.TaskGroup
+	n := 0.0
+	for _, je := range qe.Jobs {
+		if v := je.InBytes + je.MedBytes + je.OutBytes; math.IsNaN(v) || math.IsInf(v, 0) {
+			return &TaskBoundError{Tasks: math.NaN()}
+		}
+		for _, reduce := range [2]bool{false, true} {
+			for _, g := range phaseGroups(je, reduce, &one) {
+				n += float64(g.Count)
+			}
+		}
+	}
+	if n > MaxQueryTasks {
+		return &TaskBoundError{Tasks: n}
+	}
+	return nil
 }
 
 // BuildQuery turns a selectivity-annotated DAG into a new simulator

@@ -431,16 +431,15 @@ func (w *walk) computeMapCounts(job *plan.Job, je *JobEstimate, ins []input, sid
 		in, count, bytes := &ins[k], 0, 0.0
 		switch {
 		case in.dep != nil:
-			count, bytes = max(int(math.Ceil(in.dep.OutBytes/block)), in.dep.NumReduces), in.dep.OutBytes
+			count, bytes = max(taskCount(in.dep.OutBytes/block), in.dep.NumReduces), in.dep.OutBytes
 		case job.Broadcast == in.table.name:
 			// Broadcast tables are loaded as side data by every map task,
 			// not scanned by their own maps.
 			sideBytes += in.table.bytes
 			continue
 		default:
-			count, bytes = int(math.Ceil(in.table.bytes/(block*in.table.frag))), in.table.bytes
+			count, bytes = taskCount(in.table.bytes/(block*in.table.frag)), in.table.bytes
 		}
-		count = max(count, 1)
 		groups = append(groups, TaskGroup{Count: count, InBytes: bytes / float64(count)})
 	}
 	if len(groups) == 0 {
@@ -451,6 +450,20 @@ func (w *walk) computeMapCounts(job *plan.Job, je *JobEstimate, ins []input, sid
 		je.NumMaps += groups[k].Count
 	}
 	je.MapGroups = groups
+}
+
+// maxTaskCount saturates every task count derived from a volume: a
+// volume past int range, or NaN, reads as this many tasks instead of
+// wrapping to a small or negative count. It is far above the bound a
+// simulator puts on a whole query (cluster.MaxQueryTasks).
+const maxTaskCount = 1 << 40
+
+// taskCount is ⌈x⌉ tasks, at least 1 and at most maxTaskCount.
+func taskCount(x float64) int {
+	if !(x < maxTaskCount) {
+		return maxTaskCount
+	}
+	return max(int(math.Ceil(x)), 1)
 }
 
 // finishTaskCounts apportions map output across groups, sets the reduce
@@ -473,8 +486,7 @@ func (w *walk) finishTaskCounts(job *plan.Job, je *JobEstimate, shuffleKey *ColS
 	if job.MapOnly {
 		return
 	}
-	n := int(math.Ceil(je.MedBytes / float64(w.e.cfg.BytesPerReducer)))
-	n = min(max(n, 1), w.e.cfg.MaxReduces)
+	n := min(taskCount(je.MedBytes/float64(w.e.cfg.BytesPerReducer)), w.e.cfg.MaxReduces)
 	je.NumReduces = n
 	hot := 0.0
 	if !w.e.cfg.DisableReduceSkew && n >= 2 && shuffleKey != nil {

@@ -1,7 +1,9 @@
 package selectivity
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"saqp/internal/catalog"
@@ -230,6 +232,37 @@ func TestTaskCounts(t *testing.T) {
 	}
 	if j.NumReduces < 1 {
 		t.Fatalf("reduces = %d", j.NumReduces)
+	}
+}
+
+// TestTaskCountsSaturate: a 40-way lineitem self-join multiplies its
+// estimated volume about twentyfold per level, far past int range in
+// blocks. Each job's maps read the job before it, at least one map per
+// block of its output, so a count past int range must saturate at
+// maxTaskCount instead of wrapping to a small or negative one.
+func TestTaskCountsSaturate(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("SELECT COUNT(*) FROM lineitem l0")
+	for i := 1; i < 40; i++ {
+		fmt.Fprintf(&b, " JOIN lineitem l%d ON l%d.l_orderkey = l%d.l_orderkey", i, i-1, i)
+	}
+	qe := estimateSQL(t, b.String(), 1)
+	block := float64(DefaultConfig().BlockSize)
+	for f, je := range qe.Jobs {
+		for _, g := range append(je.MapGroups, je.ReduceGroups...) {
+			if g.Count < 1 || g.Count > maxTaskCount {
+				t.Fatalf("%s: a task group of %d tasks, want 1..%d", je.Job.ID, g.Count, maxTaskCount)
+			}
+		}
+		if f == 0 {
+			continue
+		}
+		if want := math.Min(math.Floor(qe.Jobs[f-1].OutBytes/block), maxTaskCount); float64(je.NumMaps) < want {
+			t.Fatalf("%s: %d maps read %.4g blocks: a count wrapped", je.Job.ID, je.NumMaps, want)
+		}
+	}
+	if last := qe.Jobs[len(qe.Jobs)-1]; last.NumMaps != maxTaskCount {
+		t.Errorf("%s: %d maps, want the saturated %d", last.Job.ID, last.NumMaps, maxTaskCount)
 	}
 }
 

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 
+	"saqp/internal/cluster"
 	"saqp/internal/selectivity"
 )
 
@@ -44,7 +46,9 @@ type cacheEntry struct {
 // concurrent lookups of one key share a single computation, so N
 // identical submissions cost one compile. Entries are inserted at lookup
 // time (so duplicates can join the flight immediately); a computation
-// that fails is removed when published, letting later submissions retry.
+// that fails is removed when published, letting later submissions retry,
+// unless it failed on the task bound: that refusal stays, so a repeat is
+// a hit.
 //
 // In front of the key sits an exact-text tier: byText maps raw submitted
 // bytes to the element their key names, so a repeated text is served
@@ -149,10 +153,16 @@ func (c *planCache) drop(el *list.Element) {
 }
 
 // publish closes the entry's ready channel, releasing waiters. Failed
-// computations are dropped from the cache so the error is not sticky.
+// computations are dropped from the cache so the error is not sticky,
+// except a *cluster.TaskBoundError: a retry would only refuse again.
 func (c *planCache) publish(e *cacheEntry) {
 	close(e.ready)
 	if e.err == nil {
+		return
+	}
+	// Declared past the nil check: errors.As moves bound to the heap.
+	var bound *cluster.TaskBoundError
+	if errors.As(e.err, &bound) {
 		return
 	}
 	c.mu.Lock()

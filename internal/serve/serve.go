@@ -15,6 +15,7 @@ import (
 	"saqp/internal/plan"
 	"saqp/internal/predict"
 	"saqp/internal/query"
+	"saqp/internal/sched"
 	"saqp/internal/selectivity"
 	"saqp/internal/trace"
 )
@@ -26,8 +27,8 @@ var ErrClosed = errors.New("serve: engine closed")
 // configured capacity.
 var ErrQueueFull = errors.New("serve: admission queue full")
 
-// Config assembles a serving engine. Estimator and Scheduler are
-// required; everything else defaults sensibly.
+// Config assembles a serving engine. Estimator is required; everything
+// else defaults sensibly.
 type Config struct {
 	// Schemas resolve submitted queries; nil defaults to
 	// dataset.AllSchemas().
@@ -61,10 +62,6 @@ type Config struct {
 	// *learn.Registry. Callers must leave this nil (not a typed-nil
 	// pointer) to disable learning.
 	Learner learn.Source
-	// Scheduler is the slot policy each pool simulator runs (required).
-	// The policies in internal/sched are stateless values, safe to
-	// share across the pool.
-	Scheduler cluster.Scheduler
 	// Workers is the simulator pool size. Default 4.
 	Workers int
 	// CacheSize bounds the plan/estimate LRU entry count. Default 256.
@@ -213,9 +210,6 @@ type Engine struct {
 func New(cfg Config) (*Engine, error) {
 	if cfg.Estimator == nil {
 		return nil, errors.New("serve: Config.Estimator is required")
-	}
-	if cfg.Scheduler == nil {
-		return nil, errors.New("serve: Config.Scheduler is required")
 	}
 	if cfg.Cluster.Faults != nil {
 		return nil, &cluster.ConfigError{Reason: "Faults is set; the serving engine runs every query fault-free"}
@@ -384,7 +378,8 @@ func CacheKey(normSQL, catalogFP string) string {
 }
 
 // compute fills a cache entry the caller owns: resolve, compile,
-// estimate, and score (WRD + predicted standalone seconds).
+// estimate, refuse a plan over cluster.MaxQueryTasks (before any lane
+// sizes a slab for it), and score (WRD + predicted standalone seconds).
 func (e *Engine) compute(ent *cacheEntry, q *query.Query) {
 	defer e.cache.publish(ent)
 	if err := query.Resolve(q, e.cfg.Schemas); err != nil {
@@ -398,6 +393,10 @@ func (e *Engine) compute(ent *cacheEntry, q *query.Query) {
 	}
 	est, err := e.cfg.Estimator.EstimateQuery(d)
 	if err != nil {
+		ent.err = err
+		return
+	}
+	if err := cluster.CheckTaskBound(est); err != nil {
 		ent.err = err
 		return
 	}
@@ -525,8 +524,10 @@ func (e *Engine) run(w *lane, t *Ticket) {
 		t.span.BeginRun()
 		runObs = &obs.Observer{Spans: t.span}
 	}
+	// Alone, a compiled plan (a chain) offers each pick one candidate, so
+	// every policy schedules it alike; SWRD labels the run's decisions.
 	sim := &w.sim
-	sim.Reset(e.cfg.Cluster, e.cfg.Scheduler)
+	sim.Reset(e.cfg.Cluster, sched.SWRD{})
 	sim.SetObserver(runObs)
 	sim.Submit(cq, 0)
 	if _, err := sim.RunContext(t.ctx); err != nil {

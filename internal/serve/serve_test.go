@@ -5,6 +5,7 @@ import (
 	"container/heap"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +15,6 @@ import (
 	"saqp/internal/dataset"
 	"saqp/internal/obs"
 	"saqp/internal/predict"
-	"saqp/internal/sched"
 	"saqp/internal/selectivity"
 	"saqp/internal/workload"
 )
@@ -82,7 +82,6 @@ func config(t *testing.T) Config {
 	return Config{
 		Estimator:          est,
 		CatalogFingerprint: fp,
-		Scheduler:          sched.SWRD{},
 		Workers:            2,
 	}
 }
@@ -98,12 +97,8 @@ func newEngine(t *testing.T, cfg Config) *Engine {
 }
 
 func TestNewValidation(t *testing.T) {
-	est, fp := estimator(t)
-	if _, err := New(Config{Scheduler: sched.SWRD{}}); err == nil {
+	if _, err := New(Config{}); err == nil {
 		t.Error("New without Estimator should fail")
-	}
-	if _, err := New(Config{Estimator: est, CatalogFingerprint: fp}); err == nil {
-		t.Error("New without Scheduler should fail")
 	}
 }
 
@@ -166,6 +161,29 @@ func TestResolveErrorNotSticky(t *testing.T) {
 	}
 	if st.CacheEntries != 0 {
 		t.Errorf("failed entries should be dropped, have %d", st.CacheEntries)
+	}
+}
+
+// TestTaskBoundRefusalIsSticky: a plan over cluster.MaxQueryTasks (a
+// 16-way lineitem self-join) is refused on the miss with a
+// *cluster.TaskBoundError, before any lane lays it out. Unlike other
+// failures the refusal stays cached: the repeat is a hit and refuses
+// again.
+func TestTaskBoundRefusalIsSticky(t *testing.T) {
+	e := newEngine(t, config(t))
+	var b strings.Builder
+	b.WriteString("SELECT COUNT(*) FROM lineitem l0")
+	for i := 1; i < 16; i++ {
+		fmt.Fprintf(&b, " JOIN lineitem l%d ON l%d.l_orderkey = l%d.l_orderkey", i, i-1, i)
+	}
+	for i := 0; i < 2; i++ {
+		var bound *cluster.TaskBoundError
+		if _, err := e.Submit(context.Background(), b.String(), 1); !errors.As(err, &bound) || !(bound.Tasks > cluster.MaxQueryTasks) {
+			t.Fatalf("submission %d: err = %v, want a *cluster.TaskBoundError", i, err)
+		}
+	}
+	if st := e.Stats(); st.CacheMisses != 1 || st.CacheHits != 1 || st.CacheEntries != 1 || st.Errors != 2 || st.Submitted != 0 {
+		t.Errorf("the refusal should be cached and counted as two errors: %+v", st)
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"errors"
 	"testing"
 
-	"saqp/internal/cluster"
 	"saqp/internal/learn"
 	"saqp/internal/obs"
-	"saqp/internal/sched"
+	"saqp/internal/plan"
+	"saqp/internal/predict"
 )
 
 // traceReplay is one fully instrumented serialized replay: a
@@ -142,33 +142,38 @@ func TestServeSpanTreesComplete(t *testing.T) {
 	}
 }
 
-// cancelAtPick is SWRD that cancels a context at its nth PickJob call.
-// The engine's one worker is the only caller.
-type cancelAtPick struct {
-	sched.SWRD
+// cancelOnRun is a learn.Source with no champion that cancels a context
+// at its nth Champion call. Submit's Score makes one call per
+// submission and the ticket's run the next, after the worker has taken
+// the ticket and before its simulator starts. The engine's one worker
+// is the only runner.
+type cancelOnRun struct {
 	n      int
 	calls  int
 	cancel context.CancelFunc
 }
 
-func (c *cancelAtPick) PickJob(now float64, cands, active []*cluster.Job, reduce bool) *cluster.Job {
+func (c *cancelOnRun) Champion() (int, *predict.JobModel, *predict.TaskModel) {
 	if c.calls++; c.calls == c.n {
 		c.cancel()
 	}
-	return c.SWRD.PickJob(now, cands, active, reduce)
+	return 0, nil, nil
 }
 
+func (*cancelOnRun) ObserveJob(plan.JobType, []float64, float64)        {}
+func (*cancelOnRun) ObserveTask(plan.JobType, bool, []float64, float64) {}
+
 // TestServerSpanCanceledRunIsAbandoned: a traced ticket whose context is
-// canceled mid-run (at its run's 5th scheduler decision; RunContext checks
-// the context between events) is abandoned — its tree, holding a partial
-// run, never reaches the store — while the next ticket's tree is retained
-// whole, with one run span and ids that index its slice.
+// canceled once its run has begun (at the run's Champion call; RunContext
+// checks the context between events) is abandoned — its tree, holding a
+// partial run, never reaches the store — while the next ticket's tree is
+// retained whole, with one run span and ids that index its slice.
 func TestServerSpanCanceledRunIsAbandoned(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := config(t)
 	cfg.Workers = 1
-	cfg.Scheduler = &cancelAtPick{n: 5, cancel: cancel}
+	cfg.Learner = &cancelOnRun{n: 2, cancel: cancel}
 	cfg.Spans = obs.NewSpanStore(0)
 	e := newEngine(t, cfg)
 

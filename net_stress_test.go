@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -384,6 +385,80 @@ func TestServerExplainScoresLikeSubmit(t *testing.T) {
 				t.Fatalf("the case does not discriminate: static default-cluster score %.3f equals the server's", static)
 			}
 		})
+	}
+}
+
+// lineitemSelfJoin is a COUNT over lineitem joined to itself on
+// l_orderkey n−1 times: each level multiplies the estimated rows about
+// twentyfold, so its task count passes any bound at a small n.
+func lineitemSelfJoin(n int) string {
+	var b strings.Builder
+	b.WriteString("SELECT COUNT(*) FROM lineitem l0")
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, " JOIN lineitem l%d ON l%d.l_orderkey = l%d.l_orderkey", i, i-1, i)
+	}
+	return b.String()
+}
+
+// TestServerTaskBoundOverWire: a SUBMIT whose plan needs more simulated
+// tasks than cluster.MaxQueryTasks (a 16- or 32-way lineitem self-join,
+// about 4·10⁹ and 8·10¹⁸ tasks) gets -ERR naming the bound instead of
+// sizing a task slab past memory, and the connection serves the next
+// SUBMIT. The refusal is cached, so a repeat is a hit; EXPLAIN still
+// explains the text, and SimulateQuery refuses it with the typed error.
+func TestServerTaskBoundOverWire(t *testing.T) {
+	fw, err := saqp.NewFramework(saqp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := fw.NewServer(saqp.ServerOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	cl, err := saqp.DialNet(ns.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	q6, err := saqp.TPCHSQL("q6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{16, 32} {
+		sql := lineitemSelfJoin(n)
+		for try := 0; try < 2; try++ {
+			_, err := cl.Submit(sql, 1)
+			var se *saqp.NetServerError
+			if !errors.As(err, &se) || se.Code != "ERR" || !strings.Contains(se.Msg, "task bound") {
+				t.Fatalf("%d-way self-join, SUBMIT %d: err = %v, want -ERR naming the task bound", n, try+1, err)
+			}
+			id, err := cl.Submit(q6, uint64(n+try))
+			if err != nil {
+				t.Fatalf("SUBMIT after the refusal: %v", err)
+			}
+			if _, err := cl.Wait(id); err != nil {
+				t.Fatalf("WAIT after the refusal: %v", err)
+			}
+		}
+		if _, err := cl.Explain(sql); err != nil {
+			t.Errorf("EXPLAIN of the %d-way self-join: %v", n, err)
+		}
+		var tb *saqp.TaskBoundError
+		if _, err := fw.SimulateQuery("deep", mustEstimate(t, fw, sql), saqp.SchedulerSWRD, 1); !errors.As(err, &tb) {
+			t.Errorf("SimulateQuery of the %d-way self-join: err = %v, want a *TaskBoundError", n, err)
+		}
+	}
+	// Per text: the first SUBMIT misses and is refused, the second hits
+	// the cached refusal; q6 misses once, then hits three times.
+	if st := srv.Stats(); st.Errors != 4 || st.Completed != 4 || st.CacheMisses != 3 || st.CacheHits != 5 {
+		t.Errorf("stats: %d errors, %d completed, %d misses, %d hits; want 4 4 3 5",
+			st.Errors, st.Completed, st.CacheMisses, st.CacheHits)
 	}
 }
 

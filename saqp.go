@@ -51,6 +51,11 @@ type (
 	// NewServer; NewServer and SimulateQueryConfig return it rather than
 	// running the config.
 	ClusterConfigError = cluster.ConfigError
+	// TaskBoundError refuses a query whose estimate needs more than
+	// cluster.MaxQueryTasks simulated tasks, or has a non-finite byte
+	// volume: Server.Submit, the wire's SUBMIT and SimulateQueryConfig
+	// return it rather than laying the query out.
+	TaskBoundError = cluster.TaskBoundError
 	// Schema describes one synthetic table.
 	Schema = dataset.Schema
 	// Observer is the deterministic observability hub: metrics registry,
@@ -111,7 +116,7 @@ func OpenObserver(tracePath, promPath string) (o *Observer, finish func() error,
 	}, nil
 }
 
-// Scheduler names SimulateQuery and ServerOptions.Scheduler accept.
+// Scheduler names SimulateQuery accepts.
 const (
 	SchedulerHCS  = "HCS"
 	SchedulerHFS  = "HFS"
@@ -278,11 +283,13 @@ func (f *Framework) WRD(qe *QueryEstimate) (float64, error) {
 }
 
 // SimulateQuery runs an estimated query alone on the default simulated
-// cluster under the named scheduler and returns its response time in
-// seconds. When an observer is attached (Options.Observer), the run is
-// fully instrumented: query→job→task lifecycle trace spans, cluster
-// metrics, scheduler decisions, and — if the models are trained — Eq. 8
-// per-job prediction drift. Task durations are drawn from the hidden
+// cluster and returns its response time in seconds. scheduler only names
+// the policy the run's decisions are labelled with: a compiled plan is a
+// chain, so a query run alone schedules identically under every policy.
+// When an observer is attached (Options.Observer), the run is fully
+// instrumented: query→job→task lifecycle trace spans, cluster metrics,
+// scheduler decisions, and — if the models are trained — Eq. 8 per-job
+// prediction drift. Task durations are drawn from the hidden
 // ground-truth cost model seeded by seed; per-task predictions come from
 // the trained Eq. 9 task model, or a constant baseline before training.
 func (f *Framework) SimulateQuery(id string, qe *QueryEstimate, scheduler string, seed uint64) (float64, error) {
@@ -293,10 +300,13 @@ func (f *Framework) SimulateQuery(id string, qe *QueryEstimate, scheduler string
 // config — the hook behind cmd/saqp's fault-injection flags: set
 // cc.Faults to replay the query under a deterministic fault plan. A
 // failed query (task attempt cap exhausted under the plan) returns its
-// *TaskFailedError.
+// *TaskFailedError, and a query over the task bound its *TaskBoundError.
 func (f *Framework) SimulateQueryConfig(id string, qe *QueryEstimate, scheduler string, seed uint64, cc ClusterConfig) (float64, error) {
-	pol, err := schedulerByName(scheduler)
+	pol, err := sched.ByName(scheduler)
 	if err != nil {
+		return 0, fmt.Errorf("saqp: %w", err)
+	}
+	if err := cluster.CheckTaskBound(qe); err != nil {
 		return 0, err
 	}
 	f.Obs.Count(obs.MSimulations)
@@ -328,19 +338,4 @@ func NewEngine(sf float64, seed uint64) *Engine {
 		e.Register(dataset.Generate(s, sf, seed))
 	}
 	return e
-}
-
-// SchedulerNames returns every scheduler name SimulateQuery and
-// ServerOptions.Scheduler accept, in the paper's evaluation order.
-func SchedulerNames() []string { return sched.Names() }
-
-// schedulerByName maps scheduler names to policies via the sched
-// package registry; unknown names produce an error enumerating the
-// valid schedulers.
-func schedulerByName(name string) (cluster.Scheduler, error) {
-	pol, err := sched.ByName(name)
-	if err != nil {
-		return nil, fmt.Errorf("saqp: %w", err)
-	}
-	return pol, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,37 +127,6 @@ func TestServerStress(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestSchedulerNamesFacade covers the facade's scheduler registry end to
-// end: every advertised name builds a working server, and an unknown
-// name fails with an error that enumerates the valid ones.
-func TestSchedulerNamesFacade(t *testing.T) {
-	fw, err := saqp.NewFramework(saqp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := saqp.SchedulerNames()
-	if len(names) != 3 {
-		t.Fatalf("SchedulerNames() = %v, want the paper's three policies", names)
-	}
-	for _, name := range names {
-		srv, err := fw.NewServer(saqp.ServerOptions{Scheduler: name, Workers: 1})
-		if err != nil {
-			t.Errorf("NewServer(%q): %v", name, err)
-			continue
-		}
-		srv.Close()
-	}
-	_, err = fw.NewServer(saqp.ServerOptions{Scheduler: "bogus"})
-	if err == nil {
-		t.Fatal("NewServer should reject an unknown scheduler")
-	}
-	for _, name := range names {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q should list valid scheduler %q", err, name)
-		}
 	}
 }
 

@@ -40,9 +40,6 @@ type ServerOptions struct {
 	// refuses a Cluster with Faults set (*ClusterConfigError), and
 	// SimulateQueryConfig is where a fault plan is replayed.
 	Cluster ClusterConfig
-	// Scheduler names the slot policy each pool simulator runs — one of
-	// SchedulerNames(). Empty means SchedulerSWRD.
-	Scheduler string
 	// OnlineLearning enables the model-lifecycle subsystem: the server
 	// builds a Learner seeded from the framework's trained models (or
 	// cold, if untrained), serves predictions from its champion, and
@@ -95,14 +92,6 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 	if opts.Learner != nil {
 		src = opts.Learner
 	}
-	name := opts.Scheduler
-	if name == "" {
-		name = SchedulerSWRD
-	}
-	pol, err := schedulerByName(name)
-	if err != nil {
-		return nil, err
-	}
 	// The admin server implies tracing so its /spans endpoint has
 	// substance, and needs a metrics registry even when the framework
 	// runs unobserved.
@@ -121,7 +110,6 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 		TaskModel:          f.TaskTime,
 		JobModel:           f.JobTime,
 		Cluster:            opts.Cluster,
-		Scheduler:          pol,
 		Workers:            opts.Workers,
 		CacheSize:          opts.CacheSize,
 		Learner:            src,
