@@ -25,13 +25,16 @@ race:
 # A short native-fuzzing burst over the full compile→estimate→execute
 # stack, the randomized estimator-vs-engine agreement test, the
 # wire-protocol decoder (no panics, no over-reads, byte-exact
-# re-encoding of every accepted frame), and the query normalizer (every
-# accepted text renders to a text that parses and renders to itself).
+# re-encoding of every accepted frame), the query normalizer (every
+# accepted text renders to a text that parses and renders to itself), and
+# the serving miss path (typed refusals, the task bound, allocation
+# linear in the text, estimates independent of the pooled scratch).
 fuzz-smoke:
 	$(GO) test -run TestRandomQueriesEstimatorVsEngine -count=1 ./internal/mapreduce
 	$(GO) test -fuzz FuzzEngineQuery -fuzztime 10s -run '^$$' ./internal/mapreduce
 	$(GO) test -fuzz FuzzProtocolDecode -fuzztime 10s -run '^$$' ./internal/net/proto
 	$(GO) test -fuzz FuzzNormalize -fuzztime 10s -run '^$$' ./internal/query
+	$(GO) test -fuzz FuzzSubmit -fuzztime 10s -run '^$$' ./internal/serve
 
 # Concurrency stress: the serving-layer and network-frontend stress/
 # property suites under the race detector, run twice to vary goroutine

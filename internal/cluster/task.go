@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unsafe"
 
 	"saqp/internal/plan"
 	"saqp/internal/selectivity"
@@ -411,6 +412,15 @@ func (q *Query) Rebuild(id string, qe *selectivity.QueryEstimate, cm *trace.Cost
 		j.hoarding, ptrs = ptrs[:0:len(j.Reds)], ptrs[len(j.Reds):]
 		j.ResetPending()
 	}
+}
+
+// SlabBytes returns the storage q keeps for its next Rebuild, in bytes:
+// the capacity of its job, job-pointer, task, task-pointer and dependency
+// slabs. An owner that reuses q bounds what it keeps between layouts by it.
+func (q *Query) SlabBytes() int {
+	return cap(q.Jobs)*int(unsafe.Sizeof((*Job)(nil))) + cap(q.jobs)*int(unsafe.Sizeof(Job{})) +
+		cap(q.tasks)*int(unsafe.Sizeof(Task{})) + cap(q.ptrs)*int(unsafe.Sizeof((*Task)(nil))) +
+		cap(q.depIDs)*int(unsafe.Sizeof(""))
 }
 
 // phaseGroups returns the task groups Query.Rebuild lays one phase of a

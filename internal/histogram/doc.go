@@ -9,4 +9,11 @@
 // Counts are float64: histograms double as *estimated* distributions that
 // get scaled and filtered as statistics propagate along a query DAG, where
 // fractional row masses are meaningful.
+//
+// Scale, Filter, Join and Rebucket never write their receiver: each cuts
+// its result from the Arena it is given, or allocates it when that arena
+// is nil. A histogram cut from an arena is valid until the arena's next
+// Reset, so whoever owns the arena owns its histograms' lifetime: the
+// estimator resets its arena when an estimate returns, and nothing it
+// returns points into it.
 package histogram

@@ -24,7 +24,7 @@ func TestFilterRangeOps(t *testing.T) {
 		{CmpNE, 50, 1.0},
 	}
 	for _, tc := range cases {
-		f := h.Filter(tc.op, tc.x)
+		f := h.Filter(nil, tc.op, tc.x)
 		got := f.Rows() / total
 		if math.Abs(got-tc.want) > 0.02 {
 			t.Errorf("Filter(%v, %v) kept %.3f, want ~%.3f", tc.op, tc.x, got, tc.want)
@@ -45,7 +45,7 @@ func TestFilterEQKeepsOneValue(t *testing.T) {
 		vals = append(vals, float64(i%100))
 	}
 	h := Build(vals, 0, 100, 10)
-	f := h.Filter(CmpEQ, 42)
+	f := h.Filter(nil, CmpEQ, 42)
 	if math.Abs(f.Rows()-100) > 1 {
 		t.Fatalf("EQ filter kept %v rows, want ~100", f.Rows())
 	}
@@ -65,13 +65,13 @@ func TestFilterEQKeepsOneValue(t *testing.T) {
 
 func TestFilterOutOfDomain(t *testing.T) {
 	h := uniformHist(1000, 0, 10, 5, 22)
-	if f := h.Filter(CmpLT, -5); f.Rows() != 0 {
+	if f := h.Filter(nil, CmpLT, -5); f.Rows() != 0 {
 		t.Fatalf("LT below domain kept %v rows", f.Rows())
 	}
-	if f := h.Filter(CmpGE, 100); f.Rows() != 0 {
+	if f := h.Filter(nil, CmpGE, 100); f.Rows() != 0 {
 		t.Fatalf("GE above domain kept %v rows", f.Rows())
 	}
-	if f := h.Filter(CmpLT, 100); f.Rows() != h.Rows() {
+	if f := h.Filter(nil, CmpLT, 100); f.Rows() != h.Rows() {
 		t.Fatalf("LT above domain dropped rows")
 	}
 }
@@ -79,7 +79,7 @@ func TestFilterOutOfDomain(t *testing.T) {
 func TestFilterChainEquivalence(t *testing.T) {
 	// Filter(GE a) then Filter(LT b) == the mass below b less the mass below a.
 	h := uniformHist(50000, 0, 100, 40, 23)
-	f := h.Filter(CmpGE, 20).Filter(CmpLT, 60)
+	f := h.Filter(nil, CmpGE, 20).Filter(nil, CmpLT, 60)
 	got := f.Rows() / h.Rows()
 	want := passing(h, Cond{CmpLT, 60}) - passing(h, Cond{CmpLT, 20})
 	if math.Abs(got-want) > 0.01 {
@@ -91,7 +91,7 @@ func TestRebucketNarrowerClampsEdges(t *testing.T) {
 	// Rebucketing onto a narrower domain must clamp outside mass into the
 	// edge buckets rather than lose it.
 	h := uniformHist(10000, 0, 100, 20, 24)
-	r := h.Rebucket(25, 75, 10)
+	r := h.Rebucket(nil, 25, 75, 10)
 	if math.Abs(r.Rows()-h.Rows()) > 1e-6*h.Rows() {
 		t.Fatalf("narrow Rebucket lost rows: %v -> %v", h.Rows(), r.Rows())
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"unsafe"
 
 	"saqp/internal/core/floats"
 )
@@ -28,13 +29,73 @@ type Histogram struct {
 // New returns an empty histogram with n buckets over [lo, hi).
 // It panics if n <= 0 or hi <= lo.
 func New(lo, hi float64, n int) *Histogram {
+	var a *Arena
+	return a.New(lo, hi, n)
+}
+
+// Arena is reusable storage for working histograms: a slab of headers and
+// a slab of buckets that Scale, Filter, Join and Rebucket cut their results
+// from, so a caller deriving many short-lived histograms per request (the
+// estimator, once per plan-cache miss) allocates nothing once the slabs
+// have grown to fit one request. A histogram cut from an arena is valid
+// until the arena's next Reset. The zero Arena is ready to use; a nil
+// *Arena allocates every histogram on its own.
+type Arena struct {
+	hists   []Histogram
+	buckets []Bucket
+	used    int // buckets cut since the last Reset, across slabs
+}
+
+// New returns an empty histogram with n buckets over [lo, hi), cut from a.
+// A bucket slab that runs out is followed by another of its size (or of
+// n, if larger), not copied, so every histogram cut before stays where it
+// is; Reset sizes the slab to the whole request. It panics if n <= 0 or
+// hi <= lo.
+//
+//saqp:hotpath
+func (a *Arena) New(lo, hi float64, n int) *Histogram {
 	if n <= 0 {
 		panic("histogram: bucket count must be positive")
 	}
 	if hi <= lo {
 		panic("histogram: hi must exceed lo")
 	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]Bucket, n)}
+	if a == nil {
+		return &Histogram{Lo: lo, Hi: hi, Buckets: make([]Bucket, n)} //lint:allow saqpvet/allocfree a nil arena allocates by contract; the estimator always passes one
+	}
+	if len(a.hists) == cap(a.hists) {
+		a.hists = make([]Histogram, 0, max(8, 2*cap(a.hists))) //lint:allow saqpvet/allocfree grows only while an arena warms up; TestHotPathAllocs proves a warm New allocates nothing
+	}
+	start := len(a.buckets)
+	if cap(a.buckets)-start < n {
+		a.buckets, start = make([]Bucket, 0, max(n, cap(a.buckets))), 0 //lint:allow saqpvet/allocfree grows only while an arena warms up
+	}
+	a.used += n
+	a.buckets = a.buckets[:start+n]
+	b := a.buckets[start : start+n : start+n]
+	clear(b)
+	a.hists = a.hists[:len(a.hists)+1]
+	h := &a.hists[len(a.hists)-1]
+	*h = Histogram{Lo: lo, Hi: hi, Buckets: b}
+	return h
+}
+
+// Reset makes a's storage reusable, invalidating every histogram cut from
+// it. The histograms cut since the last Reset decide what is kept: if
+// their buckets and the header slab come to more than keep bytes, a drops
+// its storage, so one outsized request does not pin it for the owner's
+// life; if they spilled past one bucket slab, the slab is replaced by one
+// that holds them all, so a request of that size cuts from it alone.
+func (a *Arena) Reset(keep int) {
+	clear(a.hists)
+	switch size := a.used*int(unsafe.Sizeof(Bucket{})) + cap(a.hists)*int(unsafe.Sizeof(Histogram{})); {
+	case size > keep:
+		*a = Arena{}
+		return
+	case a.used > cap(a.buckets):
+		a.buckets = make([]Bucket, 0, a.used)
+	}
+	a.hists, a.buckets, a.used = a.hists[:0], a.buckets[:0], 0
 }
 
 // Build constructs an n-bucket equi-width histogram from a value sample.
@@ -220,24 +281,24 @@ func (h *Histogram) JoinSize(o *Histogram) (float64, error) {
 // Join returns the estimated histogram of the join result on the join key:
 // per bucket, count_i = |T1i|·|T2i|/max(d) and, per the paper's identity
 // (T1i ⋈ T2i).d = min(T1i.d, T2i.d), distinct_i = min(d1, d2). The result
-// feeds shared-key joins over three or more tables.
-func (h *Histogram) Join(o *Histogram) (*Histogram, error) {
+// feeds shared-key joins over three or more tables; it is cut from a.
+func (h *Histogram) Join(a *Arena, o *Histogram) (*Histogram, error) {
 	if !h.Aligned(o) {
 		return nil, ErrMisaligned
 	}
-	out := New(h.Lo, h.Hi, len(h.Buckets))
+	out := a.New(h.Lo, h.Hi, len(h.Buckets))
 	for i := range h.Buckets {
-		a, b := h.Buckets[i], o.Buckets[i]
-		d := math.Max(a.Distinct, b.Distinct)
+		l, r := h.Buckets[i], o.Buckets[i]
+		d := math.Max(l.Distinct, r.Distinct)
 		if d < 1 {
-			if a.Count == 0 || b.Count == 0 { //lint:allow saqpvet/floatcmp exact empty-bucket state, never a rounding artifact
+			if l.Count == 0 || r.Count == 0 { //lint:allow saqpvet/floatcmp exact empty-bucket state, never a rounding artifact
 				continue
 			}
 			d = 1
 		}
 		out.Buckets[i] = Bucket{
-			Count:    a.Count * b.Count / d,
-			Distinct: math.Min(a.Distinct, b.Distinct),
+			Count:    l.Count * r.Count / d,
+			Distinct: math.Min(l.Distinct, r.Distinct),
 		}
 	}
 	return out, nil
@@ -247,12 +308,12 @@ func (h *Histogram) Join(o *Histogram) (*Histogram, error) {
 // counts follow the Cardenas/Yao estimate when f < 1 — keeping a fraction
 // f of the rows retains d·(1−(1−f)^(count/d)) of the d values, which stays
 // near d while every value still has surviving rows — and are unchanged
-// when f >= 1 (repeating rows adds no new values).
-func (h *Histogram) Scale(f float64) *Histogram {
+// when f >= 1 (repeating rows adds no new values). The copy is cut from a.
+func (h *Histogram) Scale(a *Arena, f float64) *Histogram {
 	if f < 0 {
 		f = 0
 	}
-	out := New(h.Lo, h.Hi, len(h.Buckets))
+	out := a.New(h.Lo, h.Hi, len(h.Buckets))
 	for i, b := range h.Buckets {
 		out.Buckets[i] = scaleBucket(b, f)
 	}
@@ -313,9 +374,9 @@ type Cond struct {
 // (value op x), assuming uniform spread within buckets. Unlike Scale, this
 // reshapes the distribution: a filter on the column itself zeroes buckets
 // outside the range — essential when the filtered column is later used as
-// a join key.
-func (h *Histogram) Filter(op CmpOp, x float64) *Histogram {
-	out := New(h.Lo, h.Hi, len(h.Buckets))
+// a join key. The result is cut from a.
+func (h *Histogram) Filter(a *Arena, op CmpOp, x float64) *Histogram {
+	out := a.New(h.Lo, h.Hi, len(h.Buckets))
 	w := h.width()
 	for i, b := range h.Buckets {
 		bLo := h.Lo + float64(i)*w
@@ -397,9 +458,9 @@ func overlapFraction(op CmpOp, x, bLo, bHi float64, b Bucket) float64 {
 // Rebucket redistributes the histogram onto a new aligned grid with n
 // buckets over [lo, hi), assuming uniform spread within each old bucket.
 // It allows joining attributes whose offline histograms were built with
-// different granularities.
-func (h *Histogram) Rebucket(lo, hi float64, n int) *Histogram {
-	out := New(lo, hi, n)
+// different granularities. The result is cut from a.
+func (h *Histogram) Rebucket(a *Arena, lo, hi float64, n int) *Histogram {
+	out := a.New(lo, hi, n)
 	ow := h.width()
 	w := out.width()
 	for i, b := range h.Buckets {

@@ -2,6 +2,7 @@ package histogram
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -233,7 +234,7 @@ func TestJoinMisaligned(t *testing.T) {
 	if _, err := a.JoinSize(b); err != ErrMisaligned {
 		t.Fatalf("want ErrMisaligned, got %v", err)
 	}
-	if _, err := a.Join(b); err != ErrMisaligned {
+	if _, err := a.Join(nil, b); err != ErrMisaligned {
 		t.Fatalf("want ErrMisaligned, got %v", err)
 	}
 }
@@ -243,7 +244,7 @@ func TestJoinResultDistinct(t *testing.T) {
 	b := New(0, 10, 2)
 	a.Buckets[0] = Bucket{Count: 100, Distinct: 10}
 	b.Buckets[0] = Bucket{Count: 50, Distinct: 5}
-	out, err := a.Join(b)
+	out, err := a.Join(nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestScale(t *testing.T) {
 	h := New(0, 10, 2)
 	h.Buckets[0] = Bucket{Count: 100, Distinct: 20}
 	h.Buckets[1] = Bucket{Count: 60, Distinct: 60}
-	s := h.Scale(0.5)
+	s := h.Scale(nil, 0.5)
 	if s.Buckets[0].Count != 50 {
 		t.Fatalf("scaled count = %v, want 50", s.Buckets[0].Count)
 	}
@@ -269,10 +270,10 @@ func TestScale(t *testing.T) {
 	if s.Buckets[1].Distinct > 30 {
 		t.Fatalf("distinct should shrink with rows: %v", s.Buckets[1].Distinct)
 	}
-	if z := h.Scale(0); z.Rows() != 0 {
+	if z := h.Scale(nil, 0); z.Rows() != 0 {
 		t.Fatal("Scale(0) should empty the histogram")
 	}
-	if n := h.Scale(-3); n.Rows() != 0 {
+	if n := h.Scale(nil, -3); n.Rows() != 0 {
 		t.Fatal("negative scale should clamp to 0")
 	}
 }
@@ -280,11 +281,11 @@ func TestScale(t *testing.T) {
 func TestRebucketConservesRows(t *testing.T) {
 	vals := uniformSample(12345, 0, 100, 10)
 	h := Build(vals, 0, 100, 16)
-	r := h.Rebucket(0, 100, 64)
+	r := h.Rebucket(nil, 0, 100, 64)
 	if math.Abs(r.Rows()-h.Rows()) > 1e-6 {
 		t.Fatalf("Rebucket lost rows: %v -> %v", h.Rows(), r.Rows())
 	}
-	r2 := h.Rebucket(0, 100, 7)
+	r2 := h.Rebucket(nil, 0, 100, 7)
 	if math.Abs(r2.Rows()-h.Rows()) > 1e-6 {
 		t.Fatalf("coarser Rebucket lost rows: %v -> %v", h.Rows(), r2.Rows())
 	}
@@ -293,7 +294,7 @@ func TestRebucketConservesRows(t *testing.T) {
 func TestRebucketPreservesShape(t *testing.T) {
 	vals := uniformSample(50000, 0, 100, 11)
 	h := Build(vals, 0, 100, 20)
-	r := h.Rebucket(0, 100, 10)
+	r := h.Rebucket(nil, 0, 100, 10)
 	if lt := (Cond{CmpLT, 30}); math.Abs(passing(r, lt)-passing(h, lt)) > 0.03 {
 		t.Fatalf("Rebucket distorted distribution: %v vs %v", passing(r, lt), passing(h, lt))
 	}
@@ -355,5 +356,40 @@ func TestSelectivityEmptyHistogram(t *testing.T) {
 	h := New(0, 10, 4)
 	if rows, _ := h.NarrowedTotals([]Cond{{CmpLT, 5}}, 1); rows != 0 || h.SelectivityEQ(5) != 0 {
 		t.Fatal("empty histogram should have zero selectivity")
+	}
+}
+
+// TestArenaEqualsFresh: Scale, Filter, Join and Rebucket cut from a reused
+// arena give the histograms a nil arena allocates, bucket for bucket; a
+// histogram cut before a slab ran out stays intact after it; Reset sizes
+// the bucket slab to the whole request, and drops the storage once a
+// request takes more than its bound.
+func TestArenaEqualsFresh(t *testing.T) {
+	a := Build([]float64{1, 2, 3, 42, 42, 99, 7, 7, 7}, 0, 100, 8)
+	b := Build([]float64{3, 5, 42, 60, 61, 62}, 0, 100, 8)
+	derive := func(ar *Arena) []*Histogram {
+		j, err := a.Join(ar, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*Histogram{a.Scale(ar, 0.3), a.Filter(ar, CmpGE, 40), j, b.Rebucket(ar, -10, 130, 5), j.Scale(ar, 2)}
+	}
+	want := derive(nil)
+	var ar Arena
+	for round := 0; round < 3; round++ {
+		got := derive(&ar)
+		for i := range want {
+			if got[i].Lo != want[i].Lo || got[i].Hi != want[i].Hi || !slices.Equal(got[i].Buckets, want[i].Buckets) {
+				t.Errorf("round %d, histogram %d: arena %+v, fresh %+v", round, i, *got[i], *want[i])
+			}
+		}
+		ar.Reset(4 << 10)
+		if cap(ar.buckets) != 37 {
+			t.Errorf("round %d: Reset left a %d-bucket slab, want the request's 37", round, cap(ar.buckets))
+		}
+	}
+	ar.New(0, 1, 300)
+	if ar.Reset(4 << 10); cap(ar.buckets) != 0 || cap(ar.hists) != 0 {
+		t.Errorf("Reset(4 KiB) after 300 buckets kept %d buckets and %d headers", cap(ar.buckets), cap(ar.hists))
 	}
 }

@@ -5,6 +5,7 @@ import "testing"
 var (
 	hotSinkFloat float64
 	hotSinkInt   int
+	hotSinkHist  *Histogram
 )
 
 // TestHotPathAllocs is the runtime half of the //saqp:hotpath contract
@@ -12,6 +13,8 @@ var (
 func TestHotPathAllocs(t *testing.T) {
 	h := Build([]float64{1, 2, 3, 42, 42, 99}, 0, 100, 8)
 	conds := []Cond{{CmpGE, 2}, {CmpLT, 60}, {CmpNE, 42}}
+	var arena Arena
+	arena.New(0, 100, 8) // a warm arena: its slabs have grown once
 	cases := []struct {
 		name string
 		fn   func()
@@ -23,6 +26,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{"SelectivityEQ", func() { hotSinkFloat = h.SelectivityEQ(42) }},
 		{"clamp01", func() { hotSinkFloat = clamp01(-0.5) }},
 		{"YaoDistinct", func() { hotSinkFloat = YaoDistinct(40, 1000, 0.3) }},
+		{"Arena.New", func() { arena.Reset(1 << 10); hotSinkHist = arena.New(0, 100, 8) }},
 		{"NarrowedTotals", func() { hotSinkFloat, hotSinkFloat = h.NarrowedTotals(conds, 0.4) }},
 		{"NarrowedTotals/stack-conds", func() {
 			var buf [4]Cond

@@ -69,9 +69,9 @@ func TestNarrowedTotalsEqualsMaterialised(t *testing.T) {
 		}
 		m := h
 		for _, c := range conds {
-			m = m.Filter(c.Op, c.X)
+			m = m.Filter(nil, c.Op, c.X)
 		}
-		wantRows, wantDistinct := m.Rows(), m.Scale(f).DistinctTotal()
+		wantRows, wantDistinct := m.Rows(), m.Scale(nil, f).DistinctTotal()
 		gotRows, gotDistinct := h.NarrowedTotals(conds, f)
 		if math.Float64bits(gotRows) != math.Float64bits(wantRows) {
 			t.Fatalf("trial %d: rows %v (%#x) != materialised %v (%#x); conds %+v", trial,

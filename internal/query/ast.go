@@ -374,7 +374,7 @@ func (q *Query) Tables() []TableRef {
 
 // String renders the query as SQL, in a buffer all but the longest queries
 // fit (the generated pool's mean is 200 bytes).
-func (q *Query) String() string { return string(q.appendTo(make([]byte, 0, 512))) }
+func (q *Query) String() string { return string(q.Append(make([]byte, 0, 512))) }
 
 // sep returns what precedes element i of a rendered list.
 func sep(i int, first, next string) string {
@@ -384,7 +384,9 @@ func sep(i int, first, next string) string {
 	return next
 }
 
-func (q *Query) appendTo(b []byte) []byte {
+// Append appends String's rendering of the query to b, for a caller that
+// builds a longer key around it in one buffer.
+func (q *Query) Append(b []byte) []byte {
 	b = append(b, "SELECT "...)
 	for i, t := range q.MapJoinTables {
 		b = append(append(b, sep(i, "/*+ MAPJOIN(", ", ")...), t...)

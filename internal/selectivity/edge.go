@@ -30,12 +30,12 @@ type ColStat struct {
 // distinct counts follow the Cardenas/Yao estimate — dropping rows
 // uniformly keeps most values of a low-cardinality column alive — and can
 // never exceed the new row count. The histogram is rescaled, into a new
-// one, only when hist says a consumer reads it.
-func (c *ColStat) scaled(f, newRows float64, hist bool) ColStat {
+// one cut from a, only when hist says a consumer reads it.
+func (c *ColStat) scaled(a *histogram.Arena, f, newRows float64, hist bool) ColStat {
 	out := *c
 	out.Hist = nil
 	if hist && c.Hist != nil {
-		out.Hist = c.Hist.Scale(f)
+		out.Hist = c.Hist.Scale(a, f)
 	}
 	if f < 1 {
 		oldRows := 0.0
@@ -119,7 +119,7 @@ func (w *walk) mergeEdges(left, right *edge, outRows float64, needs []need) edge
 		if from.rows > 0 {
 			f = outRows / from.rows
 		}
-		nc := c.scaled(f, outRows, n.hist)
+		nc := c.scaled(&w.arena, f, outRows, n.hist)
 		// The shuffle reorders rows by the join key, destroying any
 		// physical clustering the input columns had.
 		nc.Clustered = false

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
+	"unsafe"
 
 	"saqp/internal/catalog"
 	"saqp/internal/histogram"
@@ -135,8 +137,9 @@ type TaskGroup struct {
 func (j *JobEstimate) PFactor() float64 { return j.P * (1 - j.P) }
 
 // QueryEstimate aggregates per-job estimates for a DAG. It holds numbers
-// only: edge statistics and histograms die with the walk that made it, not
-// with the plan-cache entry that keeps it.
+// only: edge statistics and histograms live in the walk that made it,
+// whose storage the next estimate reuses, not in the plan-cache entry that
+// keeps it.
 type QueryEstimate struct {
 	DAG  *plan.DAG
 	Jobs []*JobEstimate
@@ -163,10 +166,11 @@ type stage struct {
 	readBuf, feedBuf [6]need
 }
 
-// walk is the scratch of one EstimateQuery call, in one allocation: the
-// arrays back the slices for the usual query, and append moves a slice that
-// outgrows its array to the heap. The returned estimate keeps only groups,
-// the unused rest of its task-group slab.
+// walk is the scratch of one EstimateQuery call. EstimateQuery takes one
+// from walks and puts it back on return, so its slabs — stages, the edge
+// columns and the arena every derived histogram is cut from — grow to fit
+// the queries estimated and then stop allocating. The returned estimate
+// keeps none of it: jobs and task groups are the call's own allocations.
 type walk struct {
 	e      *Estimator
 	jobs   []*plan.Job
@@ -175,23 +179,45 @@ type walk struct {
 	// cols is the slab edges' columns are cut from; an edge is never
 	// written once built, so growing the slab leaves earlier edges valid.
 	cols []edgeCol
-
-	stageBuf [3]stage
-	colBuf   [12]edgeCol
-	condBuf  [8]histogram.Cond
+	// arena holds the histograms the walk filters, scales, joins and
+	// rebuckets; the catalog's own are only read.
+	arena   histogram.Arena
+	condBuf [8]histogram.Cond
 }
+
+// walks holds released walks for any goroutine's next estimate: the
+// serving engine estimates on whichever client goroutine submits, and the
+// corpus builder through a fresh Estimator per estimate, so the scratch is
+// the package's, not an Estimator's.
+var walks = sync.Pool{New: func() any { return new(walk) }}
+
+// RetainBytes bounds the scratch a long-lived owner keeps between uses: a
+// slab that grew past it for one outsized request is dropped when that
+// request finishes, and the next grows its own. A released walk keeps at
+// most this much of each slab — 16 histograms of 1,024 buckets, which
+// the corpus's oracle estimates fit — and a serving lane at most this much
+// simulator layout, about 2,700 tasks (internal/serve).
+const RetainBytes = 256 << 10
 
 // EstimateQuery estimates every job of the DAG in topological order, after
 // one reverse pass has marked, per job, the columns a transitive consumer
 // reads: the forward pass carries exactly those along each edge.
 func (e *Estimator) EstimateQuery(d *plan.DAG) (*QueryEstimate, error) {
+	w := walks.Get().(*walk)
+	defer walks.Put(w)
+	defer w.reset()
+	return w.estimate(e, d)
+}
+
+// estimate is EstimateQuery on w, which must be empty.
+func (w *walk) estimate(e *Estimator, d *plan.DAG) (*QueryEstimate, error) {
 	n, ngroups := len(d.Jobs), 0
 	for _, job := range d.Jobs {
 		ngroups += max(1, len(job.Scans)+len(job.Deps)) + 2 // map groups + at most two reduce groups
 	}
 	qe := &QueryEstimate{DAG: d, Jobs: make([]*JobEstimate, n), ByID: make(map[string]*JobEstimate, n)}
 	jes := make([]JobEstimate, n)
-	w := &walk{e: e, jobs: d.Jobs, groups: make([]TaskGroup, ngroups)}
+	w.e, w.jobs, w.groups = e, d.Jobs, make([]TaskGroup, ngroups)
 	w.markNeeds(jes)
 	for i, job := range d.Jobs {
 		if err := w.estimateJob(i); err != nil {
@@ -201,6 +227,27 @@ func (e *Estimator) EstimateQuery(d *plan.DAG) (*QueryEstimate, error) {
 		qe.ByID[job.ID] = &jes[i]
 	}
 	return qe, nil
+}
+
+// reset empties w for the next estimate: it zeroes everything that points
+// into the finished one — the estimator, the plan, the job estimates and
+// task groups, the statistics its edges carried — and keeps the slabs,
+// each dropped instead if it holds more than RetainBytes.
+func (w *walk) reset() {
+	clear(w.stages)
+	clear(w.cols)
+	w.arena.Reset(RetainBytes)
+	*w = walk{stages: retained(w.stages), cols: retained(w.cols), arena: w.arena}
+}
+
+// retained returns buf emptied for reuse, or nil if it holds more than
+// RetainBytes.
+func retained[T any](buf []T) []T {
+	var elem T
+	if uintptr(cap(buf))*unsafe.Sizeof(elem) > RetainBytes {
+		return nil
+	}
+	return buf[:0]
 }
 
 // upstream returns the stage of the job before i with the given ID, or nil.
@@ -219,10 +266,10 @@ func (w *walk) upstream(id string, i int) *stage {
 // scalars — and, through a join, what its consumers read; and what a job
 // reads, its dependencies feed.
 func (w *walk) markNeeds(jes []JobEstimate) {
-	w.stages, w.cols = w.stageBuf[:], w.colBuf[:0]
-	if len(jes) > len(w.stages) {
+	if cap(w.stages) < len(jes) {
 		w.stages = make([]stage, len(jes))
 	}
+	w.stages = w.stages[:len(jes)]
 	for i := len(jes) - 1; i >= 0; i-- {
 		job, st := w.jobs[i], &w.stages[i]
 		jes[i].Job, st.je = job, &jes[i]
@@ -289,7 +336,7 @@ func (w *walk) scanInput(ts *plan.TableScan, needs []need) (input, error) {
 	start := len(w.cols)
 	for _, n := range needs {
 		if base := t.col(n.ref); base != nil {
-			w.cols = append(w.cols, edgeCol{n.ref, narrowColumn(base, n, pcs, in.edge.rows)})
+			w.cols = append(w.cols, edgeCol{n.ref, narrowColumn(&w.arena, base, n, pcs, in.edge.rows)})
 		}
 	}
 	in.edge.cols = w.cut(start)
@@ -385,7 +432,7 @@ func (w *walk) applyMapJoins(job *plan.Job, je *JobEstimate, ins []input, needs 
 		if probe == nil {
 			return 0, fmt.Errorf("map-join probe key %s not found in inputs", pKey)
 		}
-		outRows := joinCardinality(probe.edge.col(pKey), bc, probe.edge.rows, b.edge.rows)
+		outRows := joinCardinality(&w.arena, probe.edge.col(pKey), bc, probe.edge.rows, b.edge.rows)
 		probe.edge = w.mergeEdges(&probe.edge, &b.edge, outRows, needs)
 		probe.rawBytes += b.rawBytes
 		// The probe side's tuple count, unchanged, still drives Eq. 2.
@@ -669,7 +716,7 @@ func (w *walk) estimateJoin(job *plan.Job, st *stage, ins []input) (shuffleKey *
 
 	// Output cardinality: Eq. 5 on aligned histograms, else the classic
 	// uniform formula |T1|·|T2|/max(d1,d2).
-	outRows := joinCardinality(lc, rc, fl, fr)
+	outRows := joinCardinality(&w.arena, lc, rc, fl, fr)
 	je.emits(outRows, a.edge.width+b.edge.width)
 	// Map-side (broadcast) joins have no shuffle: the map output *is* the
 	// job output, so D_med = D_out (and for PK–FK broadcast joins, FS stays
@@ -691,8 +738,8 @@ func (w *walk) estimateJoin(job *plan.Job, st *stage, ins []input) (shuffleKey *
 		c := st.out.col(n.ref)
 		*c = ColStat{Width: lc.Width, Distinct: math.Min(lc.Distinct, rc.Distinct), Clustered: true}
 		if n.hist {
-			l, r := alignHistograms(lc.Hist, rc.Hist)
-			if joined, err := l.Join(r); err == nil {
+			l, r := alignHistograms(&w.arena, lc.Hist, rc.Hist)
+			if joined, err := l.Join(&w.arena, r); err == nil {
 				c.Hist = joined
 			}
 		}
@@ -701,10 +748,10 @@ func (w *walk) estimateJoin(job *plan.Job, st *stage, ins []input) (shuffleKey *
 }
 
 // joinCardinality applies Eq. 5 when both sides have histograms, otherwise
-// the classic uniform estimate.
-func joinCardinality(lc, rc *ColStat, rowsL, rowsR float64) float64 {
+// the classic uniform estimate. Misaligned histograms are rebucketed into a.
+func joinCardinality(a *histogram.Arena, lc, rc *ColStat, rowsL, rowsR float64) float64 {
 	if lc.Hist != nil && rc.Hist != nil {
-		l, r := alignHistograms(lc.Hist, rc.Hist)
+		l, r := alignHistograms(a, lc.Hist, rc.Hist)
 		if n, err := l.JoinSize(r); err == nil {
 			return n
 		}
@@ -714,12 +761,12 @@ func joinCardinality(lc, rc *ColStat, rowsL, rowsR float64) float64 {
 
 // alignHistograms rebuckets both histograms onto a shared grid covering the
 // union of their domains, so offline statistics built with different
-// resolutions can still be combined bucket-wise.
-func alignHistograms(l, r *histogram.Histogram) (*histogram.Histogram, *histogram.Histogram) {
+// resolutions can still be combined bucket-wise. The copies are cut from a.
+func alignHistograms(a *histogram.Arena, l, r *histogram.Histogram) (*histogram.Histogram, *histogram.Histogram) {
 	if l.Aligned(r) {
 		return l, r
 	}
 	lo, hi := math.Min(l.Lo, r.Lo), math.Max(l.Hi, r.Hi)
 	n := max(len(l.Buckets), len(r.Buckets))
-	return l.Rebucket(lo, hi, n), r.Rebucket(lo, hi, n)
+	return l.Rebucket(a, lo, hi, n), r.Rebucket(a, lo, hi, n)
 }

@@ -39,8 +39,8 @@ func TestHotPathAllocs(t *testing.T) {
 		{"stringPredSelectivity", func() { hotSinkFloat = stringPredSelectivity(strCol, seq) }},
 		{"clamp01", func() { hotSinkFloat = clamp01(1.5) }},
 		{"scanConjunction", func() { _, hotSinkFloat = scanConjunction(tbl, preds, pcBuf, condBuf) }},
-		{"narrowColumn/scalars", func() { hotSinkFloat = narrowColumn(numCol, need{ref: onN}, pcs, 3).Distinct }},
-		{"narrowColumn/string", func() { hotSinkFloat = narrowColumn(strCol, need{ref: onS, hist: true}, pcs, 3).Distinct }},
+		{"narrowColumn/scalars", func() { hotSinkFloat = narrowColumn(nil, numCol, need{ref: onN}, pcs, 3).Distinct }},
+		{"narrowColumn/string", func() { hotSinkFloat = narrowColumn(nil, strCol, need{ref: onS, hist: true}, pcs, 3).Distinct }},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(100, c.fn); n != 0 {

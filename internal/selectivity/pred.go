@@ -153,9 +153,9 @@ func cmpToHist(op query.CmpOp) histogram.CmpOp {
 // Filter (zeroing excluded buckets — crucial when the column later joins);
 // predicates on *other* columns scale it uniformly, per the independence
 // assumption. newRows is the filtered row count |T|·S_pred. The histogram
-// is materialised only when n.hist says a join reads it; a group key's
-// surviving distinct count comes from the same bucket walk without one.
-func narrowColumn(base *ColStat, n need, pcs []predCol, newRows float64) ColStat {
+// is materialised, in a, only when n.hist says a join reads it; a group
+// key's surviving distinct count comes from the same bucket walk without one.
+func narrowColumn(a *histogram.Arena, base *ColStat, n need, pcs []predCol, newRows float64) ColStat {
 	nc := *base
 	nc.Hist = nil
 	// own is the own-column selectivity no histogram mask expresses (all of
@@ -175,12 +175,12 @@ func narrowColumn(base *ColStat, n need, pcs []predCol, newRows float64) ColStat
 	if base.Hist != nil && n.hist {
 		h := base.Hist
 		for _, c := range masks {
-			h = h.Filter(c.Op, c.X)
+			h = h.Filter(a, c.Op, c.X)
 		}
 		// With no local predicate the scale is by exactly 1, the identity:
 		// share the catalog's histogram rather than copy it.
 		if len(pcs) > 0 {
-			h = h.Scale(others * own)
+			h = h.Scale(a, others*own)
 		}
 		nc.Hist, d = h, h.DistinctTotal()
 	} else if base.Hist != nil {

@@ -96,15 +96,17 @@ func TestServerHitAllocBudget(t *testing.T) {
 // evicts the other text's entry. Where the measured counts go, per
 // shape (scan-only / join → group-by / three-job chain, both texts
 // alike): query.Parse 3 / 5 / 5 (the Query and one slab per element
-// kind, TestParseAllocBudget), Query.String 1 / 1 / 1, query.Resolve 0,
-// plan.Compile 6 / 7 / 7 (the DAG and one slab per element kind,
-// TestCompileAllocBudget), EstimateQuery 7 / 9 / 11 (the estimate, its
-// Jobs slice and ByID map, one slab each of job estimates and task
-// groups, the walk's scratch, and two per join key whose histogram a scan
-// predicate rescales), and 8 / 8 / 8 for scoring, the cache entry with its
-// spelling and eviction, and the ticket with its job-id string
-// (TestServerHitAllocBudget itemises those four; the simulated run
-// allocates nothing). Budgets are the measured counts + 10.
+// kind, TestParseAllocBudget), the cache key 1 / 1 / 1 (the normalized
+// text, NUL and fingerprint rendered into one stack buffer and converted
+// once), query.Resolve 0, plan.Compile 6 / 7 / 7 (the DAG and one slab per
+// element kind, TestCompileAllocBudget), EstimateQuery 6 / 6 / 6 (the
+// estimate, its Jobs slice, its ByID map's header and group, one slab each
+// of job estimates and task groups; the walk and every histogram it
+// derives are pooled, TestEstimateAllocBudget), and 7 / 7 / 7 for
+// scoring, the cache entry with its spelling and eviction, and the ticket
+// with its job-id string (TestServerHitAllocBudget itemises those four;
+// the simulated run allocates nothing). Budgets are the measured counts +
+// 10.
 func TestServerMissAllocBudget(t *testing.T) {
 	cfg := config(t)
 	cfg.Workers, cfg.CacheSize = 1, 1
@@ -117,13 +119,13 @@ func TestServerMissAllocBudget(t *testing.T) {
 	}{
 		{"scan-only",
 			`SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_shipdate < 9000 AND l_quantity >= 10`,
-			`SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderdate > 8500 AND o_totalprice < 50000`, 25},
+			`SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderdate > 8500 AND o_totalprice < 50000`, 23},
 		{"join → group-by",
 			`SELECT c_nationkey, sum(o_totalprice) FROM customer JOIN orders ON o_custkey = c_custkey WHERE o_orderdate < 9000 GROUP BY c_nationkey`,
-			`SELECT p_brand, sum(l_extendedprice) FROM part JOIN lineitem ON l_partkey = p_partkey WHERE l_quantity < 12 GROUP BY p_brand`, 30},
+			`SELECT p_brand, sum(l_extendedprice) FROM part JOIN lineitem ON l_partkey = p_partkey WHERE l_quantity < 12 GROUP BY p_brand`, 26},
 		{"three-job chain",
 			`SELECT ps_partkey, sum(ps_supplycost) FROM nation JOIN supplier ON s_nationkey = n_nationkey JOIN partsupp ON ps_suppkey = s_suppkey WHERE n_name <> 'CHINA' GROUP BY ps_partkey`,
-			`SELECT o_orderpriority, count(*) FROM customer JOIN orders ON o_custkey = c_custkey JOIN lineitem ON l_orderkey = o_orderkey WHERE l_quantity < 20 GROUP BY o_orderpriority`, 32},
+			`SELECT o_orderpriority, count(*) FROM customer JOIN orders ON o_custkey = c_custkey JOIN lineitem ON l_orderkey = o_orderkey WHERE l_quantity < 20 GROUP BY o_orderpriority`, 26},
 	} {
 		miss := func(sql string) {
 			tk, err := e.Submit(context.Background(), sql, 7)

@@ -270,13 +270,16 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 			e.count(func(s *Stats) { s.Errors++ })
 			return nil, err
 		}
-		norm := q.String()
+		// The key is CacheKey(q.String(), fingerprint), rendered into one
+		// buffer and converted once.
+		key := q.Append(make([]byte, 0, 512))
 		text := sql
-		if len(text) > maxSpellingBloat*len(norm) {
+		if len(text) > maxSpellingBloat*len(key) {
 			text = ""
 		}
+		key = append(append(key, 0), e.cfg.CatalogFingerprint...)
 		var evicted int
-		ent, owner, evicted = e.cache.lookup(CacheKey(norm, e.cfg.CatalogFingerprint), text)
+		ent, owner, evicted = e.cache.lookup(string(key), text)
 		for i := 0; i < evicted; i++ {
 			o.Count(obs.MServeCacheEvictions)
 		}
@@ -377,26 +380,13 @@ func CacheKey(normSQL, catalogFP string) string {
 	return normSQL + "\x00" + catalogFP
 }
 
-// compute fills a cache entry the caller owns: resolve, compile,
-// estimate, refuse a plan over cluster.MaxQueryTasks (before any lane
-// sizes a slab for it), and score (WRD + predicted standalone seconds).
+// compute fills a cache entry the caller owns: the estimate, and the
+// scores (WRD + predicted standalone seconds) when no learner can change
+// them.
 func (e *Engine) compute(ent *cacheEntry, q *query.Query) {
 	defer e.cache.publish(ent)
-	if err := query.Resolve(q, e.cfg.Schemas); err != nil {
-		ent.err = err
-		return
-	}
-	d, err := plan.Compile(q)
+	est, err := e.estimate(q)
 	if err != nil {
-		ent.err = err
-		return
-	}
-	est, err := e.cfg.Estimator.EstimateQuery(d)
-	if err != nil {
-		ent.err = err
-		return
-	}
-	if err := cluster.CheckTaskBound(est); err != nil {
 		ent.err = err
 		return
 	}
@@ -405,6 +395,26 @@ func (e *Engine) compute(ent *cacheEntry, q *query.Query) {
 		// No champion can replace the static model: score once per plan.
 		ent.wrd, ent.predSec, _, _ = e.Score(est)
 	}
+}
+
+// estimate resolves, compiles and estimates q, and refuses a plan over
+// cluster.MaxQueryTasks before any lane sizes a slab for it.
+func (e *Engine) estimate(q *query.Query) (*selectivity.QueryEstimate, error) {
+	if err := query.Resolve(q, e.cfg.Schemas); err != nil {
+		return nil, err
+	}
+	d, err := plan.Compile(q)
+	if err != nil {
+		return nil, err
+	}
+	est, err := e.cfg.Estimator.EstimateQuery(d)
+	if err != nil {
+		return nil, err
+	}
+	if err := cluster.CheckTaskBound(est); err != nil {
+		return nil, err
+	}
+	return est, nil
 }
 
 // Score is the one place an estimate becomes admission scores — Weighted
@@ -451,6 +461,31 @@ type lane struct {
 	sim  cluster.Sim
 	q    cluster.Query
 	feat [4]float64
+}
+
+// simulate lays est out on the lane as query id, with task times drawn
+// from seed's cost model and predicted by pred, and runs it alone on cc,
+// observed by o (nil for none) and stopped early if ctx is done. Alone, a
+// compiled plan (a chain) offers each pick one candidate, so every policy
+// schedules it alike; SWRD labels the run's decisions.
+func (w *lane) simulate(ctx context.Context, cc cluster.Config, id string, est *selectivity.QueryEstimate,
+	seed uint64, pred cluster.TaskTimePredictor, o *obs.Observer) error {
+	w.q.Rebuild(id, est, trace.NewDefaultCostModel(seed), pred)
+	w.sim.Reset(cc, sched.SWRD{})
+	w.sim.SetObserver(o)
+	w.sim.Submit(&w.q, 0)
+	_, err := w.sim.RunContext(ctx)
+	return err
+}
+
+// release drops the lane, simulator and all, once its query's slabs hold
+// more than selectivity.RetainBytes (the rule the estimator's scratch
+// follows), so a worker that served one outsized query does not keep its
+// layout until shutdown; the next ticket grows slabs of its own size.
+func (w *lane) release() {
+	if w.q.SlabBytes() > selectivity.RetainBytes {
+		*w = lane{}
+	}
 }
 
 // worker serves admitted tickets until the engine closes and drains, on
@@ -513,8 +548,6 @@ func (e *Engine) run(w *lane, t *Ticket) {
 			jm = j
 		}
 	}
-	cq := &w.q
-	cq.Rebuild(t.id, t.est, trace.NewDefaultCostModel(t.seed), pred)
 	// With tracing on, the run goes under a spans-only observer that
 	// appends its jobs, tasks and scheduler decisions to the ticket's own
 	// tree without touching the shared metrics registry — the simulated
@@ -524,16 +557,12 @@ func (e *Engine) run(w *lane, t *Ticket) {
 		t.span.BeginRun()
 		runObs = &obs.Observer{Spans: t.span}
 	}
-	// Alone, a compiled plan (a chain) offers each pick one candidate, so
-	// every policy schedules it alike; SWRD labels the run's decisions.
-	sim := &w.sim
-	sim.Reset(e.cfg.Cluster, sched.SWRD{})
-	sim.SetObserver(runObs)
-	sim.Submit(cq, 0)
-	if _, err := sim.RunContext(t.ctx); err != nil {
+	defer w.release()
+	if err := w.simulate(t.ctx, e.cfg.Cluster, t.id, t.est, t.seed, pred, runObs); err != nil {
 		e.finish(t, Result{}, err)
 		return
 	}
+	cq := &w.q
 	if t.span != nil {
 		t.span.EndRun(cq.ResponseTime())
 	}

@@ -5,7 +5,6 @@ import (
 	"container/heap"
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -38,7 +37,7 @@ var (
 
 // estimator builds (once) a read-only estimator over the full synthetic
 // catalog at SF 1, mirroring what the facade does.
-func estimator(t *testing.T) (*selectivity.Estimator, string) {
+func estimator(t testing.TB) (*selectivity.Estimator, string) {
 	t.Helper()
 	estOnce.Do(func() {
 		var list []*dataset.Schema
@@ -54,7 +53,7 @@ func estimator(t *testing.T) (*selectivity.Estimator, string) {
 
 // models trains (once) small job/task models so WRD admission ranking
 // and drift recording have real coefficients.
-func models(t *testing.T) (*predict.JobModel, *predict.TaskModel) {
+func models(t testing.TB) (*predict.JobModel, *predict.TaskModel) {
 	t.Helper()
 	modelOnce.Do(func() {
 		cfg := workload.DefaultCorpusConfig()
@@ -77,7 +76,7 @@ func models(t *testing.T) (*predict.JobModel, *predict.TaskModel) {
 }
 
 // config assembles a minimal valid Config; callers override fields.
-func config(t *testing.T) Config {
+func config(t testing.TB) Config {
 	est, fp := estimator(t)
 	return Config{
 		Estimator:          est,
@@ -86,7 +85,7 @@ func config(t *testing.T) Config {
 	}
 }
 
-func newEngine(t *testing.T, cfg Config) *Engine {
+func newEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	e, err := New(cfg)
 	if err != nil {
@@ -171,14 +170,9 @@ func TestResolveErrorNotSticky(t *testing.T) {
 // again.
 func TestTaskBoundRefusalIsSticky(t *testing.T) {
 	e := newEngine(t, config(t))
-	var b strings.Builder
-	b.WriteString("SELECT COUNT(*) FROM lineitem l0")
-	for i := 1; i < 16; i++ {
-		fmt.Fprintf(&b, " JOIN lineitem l%d ON l%d.l_orderkey = l%d.l_orderkey", i, i-1, i)
-	}
 	for i := 0; i < 2; i++ {
 		var bound *cluster.TaskBoundError
-		if _, err := e.Submit(context.Background(), b.String(), 1); !errors.As(err, &bound) || !(bound.Tasks > cluster.MaxQueryTasks) {
+		if _, err := e.Submit(context.Background(), lineitemSelfJoin(16), 1); !errors.As(err, &bound) || !(bound.Tasks > cluster.MaxQueryTasks) {
 			t.Fatalf("submission %d: err = %v, want a *cluster.TaskBoundError", i, err)
 		}
 	}
