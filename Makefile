@@ -1,7 +1,7 @@
 GO  ?= go
 BIN := bin
 
-.PHONY: all build test race lint fuzz-smoke stress cover-serve bench bench-pairs ci clean
+.PHONY: all build test race lint fuzz-smoke stress cover-serve bench bench-pairs lines ci clean
 
 all: build
 
@@ -89,6 +89,12 @@ bench:
 # about a minute.
 bench-pairs:
 	BASE='$(BASE)' N='$(N)' WORKLOAD='$(WORKLOAD)' SEED='$(SEED)' scripts/bench-pairs.sh
+
+# Line counts for a CHANGES.md entry (scripts/lines.sh): non-test Go outside
+# bench/ without and with the analyzers' testdata fixtures, and bench/, in
+# the working tree or at REV. Not part of ci: it checks nothing.
+lines:
+	scripts/lines.sh $(REV)
 
 # Everything CI runs, in the same order: .github/workflows/ci.yml is one
 # `make <target>` step per name here.

@@ -15,12 +15,15 @@ import (
 	"saqp/internal/serve"
 )
 
-// Default connection-lifecycle bounds; see Config.
+// Connection-lifecycle bounds: two Config defaults, then two fixed ones.
 const (
-	DefaultMaxConns     = 64
-	DefaultMaxPending   = 64
-	DefaultIdleTimeout  = 2 * time.Minute
-	DefaultWriteTimeout = 30 * time.Second
+	DefaultMaxConns    = 64
+	DefaultIdleTimeout = 2 * time.Minute
+	// MaxPending bounds one connection's submitted-but-unwaited tickets;
+	// beyond it SUBMIT earns -BUSY.
+	MaxPending = 64
+	// writeTimeout bounds flushing one reply.
+	writeTimeout = 30 * time.Second
 )
 
 // Config configures a Server. Backend is required; every other zero
@@ -38,16 +41,10 @@ type Config struct {
 	// accept earns `-BUSY connection limit reached` and an immediate
 	// close. Default DefaultMaxConns.
 	MaxConns int
-	// MaxPending bounds one connection's submitted-but-unwaited
-	// tickets; beyond it SUBMIT earns -BUSY. Default DefaultMaxPending.
-	MaxPending int
 	// IdleTimeout is the per-connection read deadline between requests;
 	// a client silent for longer is disconnected. Default
 	// DefaultIdleTimeout.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds flushing one reply. Default
-	// DefaultWriteTimeout.
-	WriteTimeout time.Duration
 	// Explain, when set, serves the EXPLAIN command: it returns the
 	// compiled plan description of one query, one line per list entry.
 	Explain func(sql string) ([]string, error)
@@ -84,14 +81,8 @@ func Start(cfg Config) (*Server, error) {
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = DefaultMaxConns
 	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = DefaultMaxPending
-	}
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
 	}
 	ln, err := stdnet.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -232,7 +223,7 @@ func (s *Server) unregister(c stdnet.Conn) {
 
 // refuse replies -BUSY to an over-limit connection and closes it.
 func (s *Server) refuse(c stdnet.Conn) {
-	if err := c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err == nil {
+	if err := c.SetWriteDeadline(time.Now().Add(writeTimeout)); err == nil {
 		_, _ = c.Write([]byte("-BUSY connection limit reached\r\n")) //lint:allow saqpvet/errdrop the refusal reply is best-effort; the close below is the real outcome
 	}
 	_ = c.Close() //lint:allow saqpvet/errdrop nothing to do about a close error on a refused connection
@@ -277,7 +268,7 @@ func (s *Server) serveConn(c stdnet.Conn) {
 // flush drains the reply buffer under the write deadline; false means
 // the connection is beyond saving.
 func (s *Server) flush(c stdnet.Conn, enc *proto.Encoder) bool {
-	if err := c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
+	if err := c.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return false
 	}
 	return enc.Flush() == nil
@@ -357,7 +348,7 @@ func (s *Server) cmdSubmit(ctx context.Context, enc *proto.Encoder, pending map[
 			return
 		}
 	}
-	if len(pending) >= s.cfg.MaxPending {
+	if len(pending) >= MaxPending {
 		s.ob.Count(obs.MNetBusyRejections)
 		enc.Error("BUSY", "pending ticket limit reached; WAIT on earlier submissions first")
 		return

@@ -293,18 +293,32 @@ func TestServerBusyBackpressure(t *testing.T) {
 	}
 }
 
+// TestServerPendingLimit: one connection holds MaxPending unwaited
+// tickets; the next SUBMIT earns -BUSY, and a WAIT makes room again.
 func TestServerPendingLimit(t *testing.T) {
 	b := &fakeBackend{hold: true}
-	s, _ := startServer(t, Config{Backend: b, MaxPending: 2})
+	s, _ := startServer(t, Config{Backend: b})
 	defer b.release()
 	c := dialT(t, s.Addr())
-	for i := 0; i < 2; i++ {
-		if _, err := c.Submit("SELECT 1", uint64(i)); err != nil {
-			t.Fatal(err)
+	var first string
+	for i := 0; i < MaxPending; i++ {
+		id, err := c.Submit("SELECT 1", uint64(i))
+		if err != nil {
+			t.Fatalf("pending ticket %d of %d: %v", i+1, MaxPending, err)
+		}
+		if i == 0 {
+			first = id
 		}
 	}
-	if _, err := c.Submit("SELECT 1", 9); !IsBusy(err) {
-		t.Fatalf("Submit past MaxPending = %v, want -BUSY", err)
+	if _, err := c.Submit("SELECT 1", MaxPending); !IsBusy(err) {
+		t.Fatalf("SUBMIT %d past MaxPending = %v, want -BUSY", MaxPending+1, err)
+	}
+	b.release()
+	if _, err := c.Wait(first); err != nil {
+		t.Fatalf("WAIT %s: %v", first, err)
+	}
+	if _, err := c.Submit("SELECT 1", MaxPending+1); err != nil {
+		t.Fatalf("SUBMIT after a WAIT freed a slot: %v", err)
 	}
 }
 

@@ -13,29 +13,30 @@ import (
 	"saqp/internal/query"
 )
 
-// Config carries the MapReduce sizing parameters that turn estimated data
+// The paper testbed's MapReduce sizing rules, which turn estimated data
 // volumes into task counts — the resource-usage half of the prediction.
+const (
+	// defaultBlockSize is the HDFS block size, one map task per block
+	// (paper testbed: 256 MB), unless Config.BlockSize says otherwise.
+	defaultBlockSize = 256 << 20
+	// bytesPerReducer is the target shuffle volume per reduce task
+	// (Hive's hive.exec.reducers.bytes.per.reducer), set at half a block
+	// so reduce-side parallelism grows smoothly with intermediate volume.
+	bytesPerReducer = 128 << 20
+	// maxReduces caps the reduce count of a single job.
+	maxReduces = 108
+)
+
+// Config carries the MapReduce sizing settings a caller may change.
 type Config struct {
-	// BlockSize is the HDFS block size; one map task per block (paper
-	// testbed: 256 MB).
+	// BlockSize is the map input split in bytes; zero means the paper
+	// testbed's 256 MB block.
 	BlockSize int64
-	// BytesPerReducer is the target shuffle volume per reduce task
-	// (Hadoop's hive.exec.reducers.bytes.per.reducer, default 1 GB).
-	BytesPerReducer int64
-	// MaxReduces caps the reduce count of a single job.
-	MaxReduces int
 	// DisableReduceSkew turns off hot-partition modelling: reduce tasks
 	// are sized uniformly even under skewed join keys. Used by ablations
 	// to isolate how much of the join-time prediction error comes from
 	// partition skew.
 	DisableReduceSkew bool
-}
-
-// DefaultConfig mirrors the paper's testbed configuration. BytesPerReducer
-// follows the Hive-era practice of sizing reducers at one block of shuffle
-// data so reduce-side parallelism grows smoothly with intermediate volume.
-func DefaultConfig() Config {
-	return Config{BlockSize: 256 << 20, BytesPerReducer: 128 << 20, MaxReduces: 108}
 }
 
 // table is one catalog table as NewEstimator prepared it: its scalars as
@@ -65,18 +66,11 @@ type Estimator struct {
 }
 
 // NewEstimator returns an estimator over the given catalog with cfg
-// (zero-value fields fall back to DefaultConfig values). It prepares every
+// (a non-positive BlockSize means the 256 MB default). It prepares every
 // table's statistics once; the catalog must not change afterwards.
 func NewEstimator(cat *catalog.Catalog, cfg Config) *Estimator {
-	def := DefaultConfig()
 	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = def.BlockSize
-	}
-	if cfg.BytesPerReducer <= 0 {
-		cfg.BytesPerReducer = def.BytesPerReducer
-	}
-	if cfg.MaxReduces <= 0 {
-		cfg.MaxReduces = def.MaxReduces
+		cfg.BlockSize = defaultBlockSize
 	}
 	e := &Estimator{cat: cat, cfg: cfg, tables: make(map[string]*table, len(cat.Tables))}
 	for name, ts := range cat.Tables {
@@ -533,7 +527,7 @@ func (w *walk) finishTaskCounts(job *plan.Job, je *JobEstimate, shuffleKey *ColS
 	if job.MapOnly {
 		return
 	}
-	n := min(taskCount(je.MedBytes/float64(w.e.cfg.BytesPerReducer)), w.e.cfg.MaxReduces)
+	n := min(taskCount(je.MedBytes/bytesPerReducer), maxReduces)
 	je.NumReduces = n
 	hot := 0.0
 	if !w.e.cfg.DisableReduceSkew && n >= 2 && shuffleKey != nil {

@@ -247,7 +247,7 @@ func TestTaskCountsSaturate(t *testing.T) {
 		fmt.Fprintf(&b, " JOIN lineitem l%d ON l%d.l_orderkey = l%d.l_orderkey", i, i-1, i)
 	}
 	qe := estimateSQL(t, b.String(), 1)
-	block := float64(DefaultConfig().BlockSize)
+	block := float64(defaultBlockSize)
 	for f, je := range qe.Jobs {
 		for _, g := range append(je.MapGroups, je.ReduceGroups...) {
 			if g.Count < 1 || g.Count > maxTaskCount {
@@ -266,23 +266,21 @@ func TestTaskCountsSaturate(t *testing.T) {
 	}
 }
 
+// TestMaxReducesCap: a group-by whose estimated shuffle needs more than
+// maxReduces reducers of bytesPerReducer each gets exactly maxReduces, and
+// one whose shuffle fits under the cap keeps ⌈shuffle / bytesPerReducer⌉.
 func TestMaxReducesCap(t *testing.T) {
-	var list []*dataset.Schema
-	for _, s := range dataset.AllSchemas() {
-		list = append(list, s)
+	const src = `SELECT l_comment, sum(l_extendedprice) FROM lineitem GROUP BY l_comment`
+	over := estimateSQL(t, src, 100).Jobs[0]
+	if over.MedBytes <= maxReduces*bytesPerReducer {
+		t.Fatalf("shuffle %.4g B does not exceed %d reducers × %d B: the cap is not reached", over.MedBytes, maxReduces, bytesPerReducer)
 	}
-	cat := catalog.FromSchemas(list, 10, catalog.DefaultBuckets)
-	q, _ := query.Parse(`SELECT l_orderkey FROM lineitem ORDER BY l_orderkey`)
-	if err := query.Resolve(q, dataset.AllSchemas()); err != nil {
-		t.Fatal(err)
+	if over.NumReduces != maxReduces {
+		t.Fatalf("%.4g B of shuffle got %d reducers, want the cap %d", over.MedBytes, over.NumReduces, maxReduces)
 	}
-	d, _ := plan.Compile(q)
-	qe, err := NewEstimator(cat, Config{MaxReduces: 4}).EstimateQuery(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qe.Jobs[0].NumReduces > 4 {
-		t.Fatalf("reduce cap violated: %d", qe.Jobs[0].NumReduces)
+	under := estimateSQL(t, src, 10).Jobs[0]
+	if want := int(math.Ceil(under.MedBytes / bytesPerReducer)); want >= maxReduces || under.NumReduces != want {
+		t.Fatalf("%.4g B of shuffle got %d reducers, want %d under the cap", under.MedBytes, under.NumReduces, want)
 	}
 }
 

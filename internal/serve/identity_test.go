@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -296,5 +297,41 @@ func TestIdentitySpellingVariantsShareKeyAndEstimate(t *testing.T) {
 				t.Fatalf("%s variant estimates differently:\n%s\n  %s\n  %s", name, variant, sig, got)
 			}
 		}
+	}
+}
+
+// TestIdentitySubmitStoresCacheKey holds Submit's inline key to CacheKey:
+// every text it admits is cached under CacheKey(q.String(), fingerprint),
+// and the ticket reads the normalized text back out of that key.
+func TestIdentitySubmitStoresCacheKey(t *testing.T) {
+	texts := identityTexts(t, 300)
+	cfg := config(t)
+	cfg.CacheSize = len(texts)
+	e := newEngine(t, cfg)
+	want := map[string]bool{}
+	for i, sql := range texts {
+		norm := mustParse(t, sql).String()
+		key := CacheKey(norm, cfg.CatalogFingerprint)
+		want[key] = true
+		tk, err := e.Submit(context.Background(), sql, uint64(i))
+		if err != nil {
+			t.Fatalf("Submit: %v\n%s", err, sql)
+		}
+		res, err := tk.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("Wait: %v\n%s", err, sql)
+		}
+		if res.SQL != norm {
+			t.Fatalf("the ticket read %q out of its key, want the normalized text %q", res.SQL, norm)
+		}
+		e.cache.mu.Lock()
+		_, ok := e.cache.entries[key]
+		e.cache.mu.Unlock()
+		if !ok {
+			t.Fatalf("Submit did not cache the text under CacheKey(q.String(), fingerprint):\n%s", sql)
+		}
+	}
+	if st := e.Stats(); st.CacheEntries != len(want) {
+		t.Fatalf("%d cache entries for %d distinct CacheKeys", st.CacheEntries, len(want))
 	}
 }

@@ -23,9 +23,13 @@ import (
 // ErrClosed is returned by Submit after Close has begun.
 var ErrClosed = errors.New("serve: engine closed")
 
-// ErrQueueFull is returned by Submit when the admission queue is at its
-// configured capacity.
+// ErrQueueFull is returned by Submit when the admission queue holds
+// QueueCap tickets.
 var ErrQueueFull = errors.New("serve: admission queue full")
+
+// QueueCap bounds an engine's admission queue: a submission beyond it
+// fails with ErrQueueFull (the wire's -BUSY).
+const QueueCap = 256
 
 // Config assembles a serving engine. Estimator is required; everything
 // else defaults sensibly.
@@ -66,9 +70,6 @@ type Config struct {
 	Workers int
 	// CacheSize bounds the plan/estimate LRU entry count. Default 256.
 	CacheSize int
-	// QueueCap bounds the admission queue; submissions beyond it fail
-	// with ErrQueueFull (the wire's -BUSY). Default 256.
-	QueueCap int
 	// Observer receives serve metrics and prediction drift; nil
 	// disables instrumentation at zero cost.
 	Observer *obs.Observer
@@ -226,9 +227,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 256
 	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 256
-	}
 	e := &Engine{cfg: cfg, cache: newPlanCache(cfg.CacheSize)}
 	e.cond = sync.NewCond(&e.mu)
 	e.pred = cluster.ConstantPredictor(1)
@@ -277,7 +275,7 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 		if len(text) > maxSpellingBloat*len(key) {
 			text = ""
 		}
-		key = append(append(key, 0), e.cfg.CatalogFingerprint...)
+		key = appendCacheKey(key, e.cfg.CatalogFingerprint)
 		var evicted int
 		ent, owner, evicted = e.cache.lookup(string(key), text)
 		for i := 0; i < evicted; i++ {
@@ -317,21 +315,20 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if len(e.queue) >= e.cfg.QueueCap {
+	if len(e.queue) >= QueueCap {
 		e.st.Rejected++
 		e.mu.Unlock()
 		o.Count(obs.MServeRejections)
 		return nil, ErrQueueFull
 	}
 	e.seq++
-	// The normalized text is the entry's key up to CacheKey's NUL.
 	t := &Ticket{
 		id:       ticketID(e.seq),
 		seq:      e.seq,
 		seed:     seed,
 		ctx:      ctx,
 		est:      ent.est,
-		sql:      ent.key[:len(ent.key)-1-len(e.cfg.CatalogFingerprint)],
+		sql:      cacheKeySQL(ent.key, e.cfg.CatalogFingerprint),
 		wrd:      wrd,
 		predSec:  predSec,
 		version:  version,
@@ -377,7 +374,20 @@ func ticketID(seq uint64) string {
 // entries up by it and obs.TraceID hashes it into a trace id's prefix,
 // so texts that share a cache entry share that prefix.
 func CacheKey(normSQL, catalogFP string) string {
-	return normSQL + "\x00" + catalogFP
+	return string(appendCacheKey([]byte(normSQL), catalogFP))
+}
+
+// appendCacheKey completes a cache key in place: norm holds the normalized
+// text (query.Query.Append), and a NUL and the catalog fingerprint follow
+// it. It is the key's one layout; cacheKeySQL reads it back.
+func appendCacheKey(norm []byte, catalogFP string) []byte {
+	return append(append(norm, 0), catalogFP...)
+}
+
+// cacheKeySQL is appendCacheKey's inverse: the normalized text of a key
+// built over catalogFP, without a copy.
+func cacheKeySQL(key, catalogFP string) string {
+	return key[:len(key)-1-len(catalogFP)]
 }
 
 // compute fills a cache entry the caller owns: the estimate, and the

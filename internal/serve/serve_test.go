@@ -284,21 +284,23 @@ func TestWaitContextAbandons(t *testing.T) {
 
 func TestQueueFullAndClosed(t *testing.T) {
 	// Build an engine with no running workers so the queue fills
-	// deterministically.
+	// deterministically: QueueCap submissions are admitted, the next is
+	// refused.
 	cfg := config(t)
-	cfg.QueueCap = 1
 	cfg.Schemas = dataset.AllSchemas()
 	e := &Engine{cfg: cfg, cache: newPlanCache(4)}
 	e.cond = sync.NewCond(&e.mu)
 	e.pred = cluster.ConstantPredictor(1)
 
-	if _, err := e.Submit(context.Background(), q6, 1); err != nil {
-		t.Fatalf("first submission should be admitted: %v", err)
+	for i := 0; i < QueueCap; i++ {
+		if _, err := e.Submit(context.Background(), q6, uint64(i)); err != nil {
+			t.Fatalf("submission %d of %d should be admitted: %v", i+1, QueueCap, err)
+		}
 	}
 	if _, err := e.Submit(context.Background(), q1, 1); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("want ErrQueueFull, got %v", err)
+		t.Fatalf("submission %d: want ErrQueueFull, got %v", QueueCap+1, err)
 	}
-	if st := e.Stats(); st.Rejected != 1 || st.QueueDepth != 1 {
+	if st := e.Stats(); st.Rejected != 1 || st.QueueDepth != QueueCap {
 		t.Errorf("rejection accounting: %+v", st)
 	}
 

@@ -158,7 +158,6 @@ func TestServerTextTierForgetsFailures(t *testing.T) {
 func TestServerTextTierJoinsInflight(t *testing.T) {
 	cfg := config(t)
 	cfg.Schemas = dataset.AllSchemas()
-	cfg.QueueCap = 4                               // New's default does not reach a hand-built engine
 	e := &Engine{cfg: cfg, cache: newPlanCache(4)} // no workers: tickets just queue
 	e.cond = sync.NewCond(&e.mu)
 	e.pred = cluster.ConstantPredictor(1)

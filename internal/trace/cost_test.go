@@ -59,7 +59,7 @@ func TestReduceCostsMoreThanMap(t *testing.T) {
 func TestSortTermSuperlinear(t *testing.T) {
 	// Doubling reduce input more than doubles the duration beyond startup.
 	m := NewDefaultCostModel(1)
-	base := m.p.StartupSec
+	base := startupSec
 	d1 := m.Expected(TaskSpec{Op: plan.Extract, Reduce: true, InBytes: 512 << 20}) - base
 	d2 := m.Expected(TaskSpec{Op: plan.Extract, Reduce: true, InBytes: 1024 << 20}) - base
 	if d2 <= 2*d1 {
@@ -105,7 +105,7 @@ func TestExpectedPositiveProperty(t *testing.T) {
 			InBytes:  float64(in),
 			OutBytes: float64(out),
 		}
-		return m.Expected(spec) >= m.p.StartupSec/1.0-1e-9
+		return m.Expected(spec) >= startupSec-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -26,12 +26,6 @@ type CorpusConfig struct {
 	Seed uint64
 	// Cluster sizes the testbed used to collect ground-truth times.
 	Cluster cluster.Config
-	// EstimatorBuckets is the histogram resolution available to the
-	// predictor (offline statistics).
-	EstimatorBuckets int
-	// OracleBuckets is the fine-grained resolution used to derive the
-	// ground truth data volumes that the hidden cost model charges for.
-	OracleBuckets int
 	// Sizing overrides the MapReduce task sizing rules for both statistic
 	// resolutions (block size, bytes/reducer, skew modelling).
 	Sizing selectivity.Config
@@ -40,13 +34,11 @@ type CorpusConfig struct {
 // DefaultCorpusConfig mirrors the paper's training setup.
 func DefaultCorpusConfig() CorpusConfig {
 	return CorpusConfig{
-		NumQueries:       1000,
-		MinGB:            1,
-		MaxGB:            100,
-		Seed:             2018,
-		Cluster:          cluster.DefaultConfig(),
-		EstimatorBuckets: 64,
-		OracleBuckets:    1024,
+		NumQueries: 1000,
+		MinGB:      1,
+		MaxGB:      100,
+		Seed:       2018,
+		Cluster:    cluster.DefaultConfig(),
 	}
 }
 
@@ -100,21 +92,23 @@ func sfForTargetBytes(q *query.Query, targetBytes float64, schemas map[string]*d
 	return sf
 }
 
+// oracleBuckets is the fine histogram resolution that derives the ground
+// truth data volumes the hidden cost model charges for.
+const oracleBuckets = 1024
+
 // Stats is the pair of statistics resolutions every experiment estimates
-// a query at: the coarse histograms the predictor is allowed to see and
-// the fine ones standing in for the data volumes the cluster observes.
+// a query at: the coarse histograms the predictor is allowed to see
+// (catalog.DefaultBuckets) and the fine ones standing in for the data
+// volumes the cluster observes (oracleBuckets).
 type Stats struct {
-	estBuckets, oracleBuckets int
-	sizing                    selectivity.Config
-	schemas                   map[string]*dataset.Schema
+	sizing  selectivity.Config
+	schemas map[string]*dataset.Schema
 }
 
-// NewStats returns statistics at cfg's two histogram resolutions, both
-// estimating under cfg.Sizing; DefaultCorpusConfig's (64 and 1024 buckets)
-// are the ones every table and figure is reported at.
+// NewStats returns statistics at the two histogram resolutions, both
+// estimating under cfg.Sizing.
 func NewStats(cfg CorpusConfig) *Stats {
-	return &Stats{estBuckets: cfg.EstimatorBuckets, oracleBuckets: cfg.OracleBuckets,
-		sizing: cfg.Sizing, schemas: dataset.AllSchemas()}
+	return &Stats{sizing: cfg.Sizing, schemas: dataset.AllSchemas()}
 }
 
 // tableRead is one base table a plan scans and the columns it reads of it.
@@ -169,10 +163,10 @@ func (s *Stats) Estimate(d *plan.DAG, sf float64) (est, oracle *selectivity.Quer
 		}
 		return selectivity.NewEstimator(cat, s.sizing).EstimateQuery(d)
 	}
-	if est, err = at(s.estBuckets); err != nil {
+	if est, err = at(catalog.DefaultBuckets); err != nil {
 		return nil, nil, err
 	}
-	if oracle, err = at(s.oracleBuckets); err != nil {
+	if oracle, err = at(oracleBuckets); err != nil {
 		return nil, nil, err
 	}
 	return est, oracle, nil

@@ -263,7 +263,7 @@ func TestNetShutdownCompletesInflightWait(t *testing.T) {
 }
 
 // TestServerQueueFullIsBusy: the engine's admission queue holds 256
-// queries unless configured otherwise. With the one pool worker held, 256
+// queries (serve.QueueCap). With the one pool worker held, 256
 // submissions queue, the 257th is refused with ErrQueueFull, and a SUBMIT
 // over the wire is refused with -BUSY admission queue full; once the
 // worker is let go every admitted query completes.

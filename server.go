@@ -25,7 +25,7 @@ type (
 var ErrServerClosed = serve.ErrClosed
 
 // ErrQueueFull is returned by Submit when the admission queue already
-// holds 256 queries waiting for a pool worker.
+// holds serve.QueueCap (256) queries waiting for a pool worker.
 var ErrQueueFull = serve.ErrQueueFull
 
 // ServerOptions configures a Server. The zero value serves with SWRD
