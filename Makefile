@@ -84,11 +84,12 @@ bench:
 
 # Paired timings of the benchmark of record: builds ./bench at BASE (default:
 # the merge base with main) and from the working tree into bin/, then runs
-# N alternating pairs of WORKLOAD at SEED and prints one TSV line per run
-# with the four bounded end-to-end metrics. Not part of ci: a pair takes
-# about a minute.
+# N alternating pairs of WORKLOAD at each of SEEDS (default: SEED) and
+# prints one TSV line per run with the four bounded end-to-end metrics,
+# then each metric's medians, quartiles and pair wins per seed. Not part of
+# ci: a pair takes about a minute.
 bench-pairs:
-	BASE='$(BASE)' N='$(N)' WORKLOAD='$(WORKLOAD)' SEED='$(SEED)' scripts/bench-pairs.sh
+	BASE='$(BASE)' N='$(N)' WORKLOAD='$(WORKLOAD)' SEED='$(SEED)' SEEDS='$(SEEDS)' scripts/bench-pairs.sh
 
 # Line counts for a CHANGES.md entry (scripts/lines.sh): non-test Go outside
 # bench/ without and with the analyzers' testdata fixtures, and bench/, in

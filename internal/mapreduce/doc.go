@@ -9,6 +9,15 @@
 // is gathered only where a later job reads it or an Extract writes it. A
 // job allocates per column, task and reducer, never per row.
 //
+// Buffers that die with the query — selections, shuffle buckets, match
+// pairs, composed view indexes, gathered input columns, combine vectors
+// and reduce states — are cut from a scratch the engine keeps between
+// queries, so a warm query allocates only what outlives a task or the
+// query: job outputs and stats, and the combine and join tasks' key maps
+// and partial states. The sink's view is copied off the scratch before
+// RunQuery returns (the Frame comment). The engine keeps a scratch no
+// larger than its registered relations; a bigger one is dropped.
+//
 // In the paper this role is played by the Hadoop cluster itself. The engine
 // exists so that selectivity estimates can be validated against *measured*
 // intermediate and output sizes (|Med|, |Out|) rather than against the

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync/atomic"
 
 	"saqp/internal/dataset"
 	"saqp/internal/par"
@@ -41,6 +42,9 @@ func (c Config) withDefaults() Config {
 type Engine struct {
 	cfg    Config
 	tables map[string]*dataset.Relation
+	bytes  int64 // Σ Bytes() of the registered relations: the most scratch kept
+
+	idle atomic.Pointer[scratch] // a finished query's scratch, for the next
 }
 
 // New returns an engine with the given configuration.
@@ -49,7 +53,13 @@ func New(cfg Config) *Engine {
 }
 
 // Register makes a materialised relation available to queries.
-func (e *Engine) Register(rel *dataset.Relation) { e.tables[rel.Schema.Name] = rel }
+func (e *Engine) Register(rel *dataset.Relation) {
+	if old, ok := e.tables[rel.Schema.Name]; ok {
+		e.bytes -= old.Bytes()
+	}
+	e.tables[rel.Schema.Name] = rel
+	e.bytes += rel.Bytes()
+}
 
 // JobStats records the measured data flow of one executed job — the ground
 // truth the selectivity estimator is validated against.
@@ -83,15 +93,22 @@ type QueryResult struct {
 	Final *Frame
 }
 
-// RunQuery executes all jobs of the DAG in topological order.
+// RunQuery executes all jobs of the DAG in topological order. The query's
+// working buffers come from the engine's idle scratch, or a new one if
+// another query holds it; concurrent calls are safe.
 func (e *Engine) RunQuery(d *plan.DAG) (*QueryResult, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
+	s := e.idle.Swap(nil)
+	if s == nil {
+		s = new(scratch)
+	}
+	defer e.release(s)
 	res := &QueryResult{Stats: make(map[string]*JobStats, len(d.Jobs))}
 	frames := make(map[string]*Frame, len(d.Jobs))
 	for _, job := range d.Jobs {
-		out, stats, err := e.runJob(job, frames)
+		out, stats, err := e.runJob(s, job, frames)
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
 		}
@@ -99,7 +116,19 @@ func (e *Engine) RunQuery(d *plan.DAG) (*QueryResult, error) {
 		res.Stats[job.ID] = stats
 		res.Final = out
 	}
+	res.Final = res.Final.detached()
 	return res, nil
+}
+
+// release keeps a finished query's scratch for the next query, unless it
+// outgrew the engine's own data (a many-to-many join's pairs can), so one
+// outsized query does not pin its buffers for the engine's life.
+func (e *Engine) release(s *scratch) {
+	if s.size() > e.bytes {
+		return
+	}
+	s.reset()
+	e.idle.Store(s)
 }
 
 // jobInput is one resolved input: the source frame (a scan's pruned columns
@@ -164,7 +193,7 @@ func (e *Engine) resolveInputs(job *plan.Job, frames map[string]*Frame) ([]jobIn
 	return ins, nil
 }
 
-func (e *Engine) runJob(job *plan.Job, frames map[string]*Frame) (*Frame, *JobStats, error) {
+func (e *Engine) runJob(s *scratch, job *plan.Job, frames map[string]*Frame) (*Frame, *JobStats, error) {
 	ins, err := e.resolveInputs(job, frames)
 	if err != nil {
 		return nil, nil, err
@@ -174,18 +203,18 @@ func (e *Engine) runJob(job *plan.Job, frames map[string]*Frame) (*Frame, *JobSt
 		stats.InBytes += in.rawBytes
 		stats.InRows += in.rawRows
 	}
-	ins, err = e.applyMapJoins(job, ins, stats)
+	ins, err = e.applyMapJoins(s, job, ins, stats)
 	if err != nil {
 		return nil, nil, err
 	}
 	var out *Frame
 	switch job.Type {
 	case plan.Extract:
-		out, err = e.runExtract(job, ins[0], stats)
+		out, err = e.runExtract(s, job, ins[0], stats)
 	case plan.Groupby:
-		out, err = e.runGroupby(job, ins[0], stats)
+		out, err = e.runGroupby(s, job, ins[0], stats)
 	case plan.Join:
-		out, err = e.runJoin(job, ins, stats)
+		out, err = e.runJoin(s, job, ins, stats)
 	default:
 		err = fmt.Errorf("unknown job type %v", job.Type)
 	}
@@ -232,10 +261,10 @@ type scanPred struct {
 // resolvePreds binds the input's predicates to its columns, once per job. A
 // predicate on a column the input does not carry is a plan defect, not a
 // filter that rejects every row.
-func resolvePreds(in jobInput) ([]scanPred, error) {
+func resolvePreds(s *scratch, in jobInput) ([]scanPred, error) {
 	out := make([]scanPred, len(in.preds))
 	for i := range in.preds {
-		v, err := in.frame.column("predicate column", in.preds[i].Left)
+		v, err := in.frame.column(s, "predicate column", in.preds[i].Left)
 		if err != nil {
 			return nil, err
 		}
@@ -265,14 +294,14 @@ func filterSplit(preds []scanPred, sel []int32, lo int) []int32 {
 
 // mapFilter runs the map phase for one input: one parallel task per split
 // filters its rows by the scan predicates. It returns each task's surviving
-// rows, in order, as segments of one buffer.
-func (e *Engine) mapFilter(in jobInput) ([][]int32, error) {
-	preds, err := resolvePreds(in)
+// rows, in order, as segments of one buffer cut from s.
+func (e *Engine) mapFilter(s *scratch, in jobInput) ([][]int32, error) {
+	preds, err := resolvePreds(s, in)
 	if err != nil {
 		return nil, err
 	}
 	sp := e.splits(in)
-	sel := make([]int32, in.frame.n)
+	sel := s.i32.cut(in.frame.n)
 	parts := make([][]int32, len(sp))
 	par.For(len(sp), func(_ *struct{}, si int) {
 		lo, hi := sp[si][0], sp[si][1]
@@ -291,7 +320,8 @@ func flatten(parts [][]int32) []int32 {
 	return sel
 }
 
-// gather copies the selected rows of one column, in selection order.
+// gather copies the selected rows of one column, in selection order, onto
+// the heap: a job's output column, which outlives the query's scratch.
 func gather(v dataset.Vector, sel []int32) dataset.Vector {
 	switch v.Kind() {
 	case dataset.KindString:
@@ -324,9 +354,9 @@ func orderBy[T cmp.Ordered](vals []T, desc bool) func(a, b int32) int {
 // runExtract filters, optionally sorts, and optionally limits one input: a
 // stable sort of the surviving row indices, truncated, then one gather per
 // column, read through the input's view.
-func (e *Engine) runExtract(job *plan.Job, in jobInput, stats *JobStats) (*Frame, error) {
+func (e *Engine) runExtract(s *scratch, job *plan.Job, in jobInput, stats *JobStats) (*Frame, error) {
 	f := in.frame
-	parts, err := e.mapFilter(in)
+	parts, err := e.mapFilter(s, in)
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +365,7 @@ func (e *Engine) runExtract(job *plan.Job, in jobInput, stats *JobStats) (*Frame
 	if len(job.OrderKeys) > 0 {
 		keys := make([]func(a, b int32) int, len(job.OrderKeys))
 		for i, k := range job.OrderKeys {
-			v, err := f.column("order key", k.Col)
+			v, err := f.column(s, "order key", k.Col)
 			if err != nil {
 				return nil, err
 			}
@@ -360,7 +390,7 @@ func (e *Engine) runExtract(job *plan.Job, in jobInput, stats *JobStats) (*Frame
 	if job.Limit >= 0 && int64(len(sel)) > job.Limit {
 		sel = sel[:job.Limit]
 	}
-	return f.view(sel).gathered(), nil
+	return f.view(s, sel).gathered(), nil
 }
 
 // aggSpec is one aggregate (a SELECT item or a HAVING conjunct) resolved
@@ -373,17 +403,17 @@ type aggSpec struct {
 	binop bool
 }
 
-func resolveAgg(f *Frame, fn query.AggFunc, star bool, x query.Expr) (a aggSpec, err error) {
+func resolveAgg(s *scratch, f *Frame, fn query.AggFunc, star bool, x query.Expr) (a aggSpec, err error) {
 	a = aggSpec{fn: fn, star: star, binop: x.Binop != nil}
 	switch {
 	case star:
 	case a.binop:
 		a.op = x.Binop.Op
-		if a.l, err = f.column("aggregate column", x.Binop.Left); err == nil {
-			a.r, err = f.column("aggregate column", x.Binop.Right)
+		if a.l, err = f.column(s, "aggregate column", x.Binop.Left); err == nil {
+			a.r, err = f.column(s, "aggregate column", x.Binop.Right)
 		}
 	default:
-		a.l, err = f.column("aggregate column", x.Col)
+		a.l, err = f.column(s, "aggregate column", x.Col)
 	}
 	return a, err
 }
@@ -408,14 +438,23 @@ type partial struct {
 	states []aggState
 }
 
+// combineBuf is one combine task's working storage, cut before the phase,
+// each buffer as long as the task's rows: group ids, the rows that
+// introduce groups, and an aggregate's operands as floats (nil when no
+// aggregate needs them).
+type combineBuf struct {
+	gid, first []int32
+	l, r       []float64
+}
+
 // combine is one Groupby map task after its filter: rows get dense local
 // group ids from the typed group keys, and every aggregate is evaluated
 // over the split as a vector and folded into its group's state.
-func combine(keys []dataset.Vector, specs []aggSpec, sel []int32) partial {
-	gid, first := groupRows(keys, sel)
+func combine(keys []dataset.Vector, specs []aggSpec, sel []int32, buf combineBuf) partial {
+	gid, l, r := buf.gid, buf.l, buf.r
+	first := groupRows(keys, sel, gid, buf.first)
 	w := len(specs)
 	states := make([]aggState, len(first)*w)
-	var l, r []float64
 	for a, spec := range specs {
 		if spec.star {
 			for _, g := range gid {
@@ -423,14 +462,8 @@ func combine(keys []dataset.Vector, specs []aggSpec, sel []int32) partial {
 			}
 			continue
 		}
-		if l == nil {
-			l = make([]float64, len(sel))
-		}
 		nums(l, spec.l, sel)
 		if spec.binop {
-			if r == nil {
-				r = make([]float64, len(sel))
-			}
 			nums(r, spec.r, sel)
 			arith(l, r, spec.op)
 		}
@@ -456,55 +489,70 @@ func appendKey(b []byte, v dataset.Vector, i int32) []byte {
 // runGroupby aggregates with per-map combines: each map task filters its
 // split and pre-aggregates locally (the combine that Eq. 2 models), then
 // the reduce merges the partial states by key, in split order.
-func (e *Engine) runGroupby(job *plan.Job, in jobInput, stats *JobStats) (*Frame, error) {
+func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobStats) (*Frame, error) {
 	f := in.frame
 	keys := make([]dataset.Vector, len(job.GroupKeys))
 	var err error
 	for i, k := range job.GroupKeys {
-		if keys[i], err = f.column("group key", k); err != nil {
+		if keys[i], err = f.column(s, "group key", k); err != nil {
 			return nil, err
 		}
 	}
 	w, nAggs := len(job.Aggs)+len(job.Having), len(job.Aggs)
 	specs := make([]aggSpec, w) // the SELECT list's aggregates, then HAVING's
 	for i, a := range job.Aggs {
-		if specs[i], err = resolveAgg(f, a.Agg, a.Star, a.Expr); err != nil {
+		if specs[i], err = resolveAgg(s, f, a.Agg, a.Star, a.Expr); err != nil {
 			return nil, err
 		}
 	}
 	for i, h := range job.Having {
-		if specs[nAggs+i], err = resolveAgg(f, h.Agg, h.Star, h.Expr); err != nil {
+		if specs[nAggs+i], err = resolveAgg(s, f, h.Agg, h.Star, h.Expr); err != nil {
 			return nil, err
 		}
 	}
-	parts, err := e.mapFilter(in)
+	parts, err := e.mapFilter(s, in)
 	if err != nil {
 		return nil, err
 	}
 	stats.NumMaps = len(parts)
+	var operands, binops bool
+	for _, spec := range specs {
+		operands, binops = operands || !spec.star, binops || spec.binop
+	}
+	bufs := make([]combineBuf, len(parts))
+	for si, p := range parts {
+		bufs[si] = combineBuf{gid: s.i32.cut(len(p)), first: s.i32.cut(len(p))}
+		if operands {
+			bufs[si].l = s.f64.cut(len(p))
+		}
+		if binops {
+			bufs[si].r = s.f64.cut(len(p))
+		}
+	}
 	partials := make([]partial, len(parts))
-	par.For(len(parts), func(_ *struct{}, si int) { partials[si] = combine(keys, specs, parts[si]) })
+	par.For(len(parts), func(_ *struct{}, si int) { partials[si] = combine(keys, specs, parts[si], bufs[si]) })
 
 	// Reduce: merge the partials across maps, in split order — float sums
 	// depend on it. A combined map-output record is its key columns plus
 	// one 8-byte partial per aggregate.
-	var locals []int32                 // every task's local groups, by their first rows
+	nLocals := 0
+	for _, p := range partials {
+		nLocals += len(p.first)
+	}
+	locals := s.i32.cut(nLocals)[:0]   // every task's local groups, by their first rows
 	keyed := Frame{vecs: keys, n: f.n} // sizes a record's key columns
 	for _, p := range partials {
 		locals = append(locals, p.first...)
 		stats.MedRows += int64(len(p.first))
 		stats.MedBytes += keyed.rowBytes(p.first) + 8*int64(nAggs*len(p.first))
 	}
-	gid, first := groupRows(keys, locals)
-	states := make([]aggState, 0, len(first)*w)
+	gid := s.i32.cut(len(locals))
+	first := groupRows(keys, locals, gid, s.i32.cut(len(locals)))
+	states := s.states.cut(len(first) * w) // a group's first partial merges into zeroed states as a copy
 	for _, p := range partials {
 		for g := range p.first {
-			if id := int(gid[0]); id*w == len(states) {
-				states = append(states, p.states[g*w:(g+1)*w]...)
-			} else {
-				for a := 0; a < w; a++ {
-					states[id*w+a].merge(&p.states[g*w+a])
-				}
+			for a := 0; a < w; a++ {
+				states[int(gid[0])*w+a].merge(&p.states[g*w+a])
 			}
 			gid = gid[1:]
 		}
@@ -521,7 +569,7 @@ func (e *Engine) runGroupby(job *plan.Job, in jobInput, stats *JobStats) (*Frame
 		ends = append(ends, len(rendered))
 	}
 	key := func(g int32) []byte { return rendered[ends[g]:ends[g+1]] }
-	order := make([]int32, 0, len(first))
+	order := s.i32.cut(len(first))[:0]
 	for g := range first {
 		// HAVING: drop groups whose aggregate fails any conjunct.
 		keep := true
@@ -537,7 +585,7 @@ func (e *Engine) runGroupby(job *plan.Job, in jobInput, stats *JobStats) (*Frame
 	}
 	slices.SortStableFunc(order, func(a, b int32) int { return bytes.Compare(key(a), key(b)) })
 
-	rows := make([]int32, len(order))
+	rows := s.i32.cut(len(order))
 	take(rows, first, order)
 	cols := make([]string, 0, len(keys)+nAggs)
 	vecs := make([]dataset.Vector, 0, len(keys)+nAggs)
@@ -565,7 +613,7 @@ func (e *Engine) runGroupby(job *plan.Job, in jobInput, stats *JobStats) (*Frame
 
 // joinSides orders a join's two inputs as (holder of left, holder of right)
 // and returns their key columns in a common storage class.
-func joinSides(left, right query.ColumnRef, a, b jobInput) (jobInput, jobInput, joinKey, joinKey, error) {
+func joinSides(s *scratch, left, right query.ColumnRef, a, b jobInput) (jobInput, jobInput, joinKey, joinKey, error) {
 	lk, rk := left.String(), right.String()
 	if a.frame.Col(lk) < 0 && b.frame.Col(lk) >= 0 {
 		a, b = b, a
@@ -574,7 +622,7 @@ func joinSides(left, right query.ColumnRef, a, b jobInput) (jobInput, jobInput, 
 	if li < 0 || ri < 0 {
 		return a, b, joinKey{}, joinKey{}, fmt.Errorf("join keys %s/%s not found", lk, rk)
 	}
-	ak, bk, err := joinKeys(a.frame.vector(li), b.frame.vector(ri), lk, rk)
+	ak, bk, err := joinKeys(s, a.frame.vector(s, li), b.frame.vector(s, ri), lk, rk)
 	return a, b, ak, bk, err
 }
 
@@ -583,22 +631,22 @@ func joinSides(left, right query.ColumnRef, a, b jobInput) (jobInput, jobInput, 
 // left and probe with the right per partition in parallel. Broadcast joins
 // (plan.Job.Broadcast) skip the shuffle: every map task probes an
 // in-memory index of the small side.
-func (e *Engine) runJoin(job *plan.Job, ins []jobInput, stats *JobStats) (*Frame, error) {
+func (e *Engine) runJoin(s *scratch, job *plan.Job, ins []jobInput, stats *JobStats) (*Frame, error) {
 	if len(ins) != 2 {
 		return nil, fmt.Errorf("join expects 2 inputs, got %d", len(ins))
 	}
-	a, b, ak, bk, err := joinSides(job.JoinLeft, job.JoinRight, ins[0], ins[1])
+	a, b, ak, bk, err := joinSides(s, job.JoinLeft, job.JoinRight, ins[0], ins[1])
 	if err != nil {
 		return nil, err
 	}
 	if job.MapOnly && job.Broadcast != "" {
-		return e.runBroadcastJoin(job, a, b, ak, bk, stats)
+		return e.runBroadcastJoin(s, job, a, b, ak, bk, stats)
 	}
-	lparts, err := e.mapFilter(a)
+	lparts, err := e.mapFilter(s, a)
 	if err != nil {
 		return nil, err
 	}
-	rparts, err := e.mapFilter(b)
+	rparts, err := e.mapFilter(s, b)
 	if err != nil {
 		return nil, err
 	}
@@ -608,34 +656,34 @@ func (e *Engine) runJoin(job *plan.Job, ins []jobInput, stats *JobStats) (*Frame
 	stats.NumMaps = len(lparts) + len(rparts)
 
 	R := e.cfg.NumReducers
-	m := match(ak, bk, partition(ak, lsel, R), partition(bk, rsel, R))
-	return joined(a.frame, m.build, b.frame, m.probe), nil
+	m := match(s, ak, bk, partition(s, ak, lsel, R), partition(s, bk, rsel, R))
+	return joined(s, a.frame, m.build, b.frame, m.probe), nil
 }
 
 // broadcastPairs is the map-side join itself: the build side is filtered
 // and indexed once, and every map split of the probe side filters its rows
 // and probes the index in parallel. It returns the matches in probe order
 // and the number of probe-side map tasks.
-func (e *Engine) broadcastPairs(build jobInput, bk joinKey, probe jobInput, pk joinKey) (pairs, int, error) {
-	bparts, err := e.mapFilter(build)
+func (e *Engine) broadcastPairs(s *scratch, build jobInput, bk joinKey, probe jobInput, pk joinKey) (pairs, int, error) {
+	bparts, err := e.mapFilter(s, build)
 	if err != nil {
 		return pairs{}, 0, err
 	}
-	pparts, err := e.mapFilter(probe)
+	pparts, err := e.mapFilter(s, probe)
 	if err != nil {
 		return pairs{}, 0, err
 	}
-	return match(bk, pk, [][]int32{flatten(bparts)}, pparts), len(pparts), nil
+	return match(s, bk, pk, [][]int32{flatten(bparts)}, pparts), len(pparts), nil
 }
 
 // runBroadcastJoin executes a map-side join as a job of its own: no
 // shuffle, no reduce phase, so the map output is the job output.
-func (e *Engine) runBroadcastJoin(job *plan.Job, a, b jobInput, ak, bk joinKey, stats *JobStats) (*Frame, error) {
+func (e *Engine) runBroadcastJoin(s *scratch, job *plan.Job, a, b jobInput, ak, bk joinKey, stats *JobStats) (*Frame, error) {
 	build, buildKey, probe, probeKey := a, ak, b, bk
 	if a.table != job.Broadcast {
 		build, buildKey, probe, probeKey = b, bk, a, ak
 	}
-	m, maps, err := e.broadcastPairs(build, buildKey, probe, probeKey)
+	m, maps, err := e.broadcastPairs(s, build, buildKey, probe, probeKey)
 	if err != nil {
 		return nil, err
 	}
@@ -645,7 +693,7 @@ func (e *Engine) runBroadcastJoin(job *plan.Job, a, b jobInput, ak, bk joinKey, 
 	if a.table != job.Broadcast {
 		arows, brows = m.probe, m.build
 	}
-	res := joined(a.frame, arows, b.frame, brows)
+	res := joined(s, a.frame, arows, b.frame, brows)
 	stats.NumMaps, stats.MedBytes, stats.MedRows = maps, res.Bytes(), res.NumRows()
 	return res, nil
 }
@@ -655,7 +703,7 @@ func (e *Engine) runBroadcastJoin(job *plan.Job, a, b jobInput, ak, bk joinKey, 
 // input's frame is replaced with the joined rows, exactly as the merged map
 // phase would see them. Probe-side predicates stay attached for that phase
 // (row-level filters commute with the join).
-func (e *Engine) applyMapJoins(job *plan.Job, ins []jobInput, stats *JobStats) ([]jobInput, error) {
+func (e *Engine) applyMapJoins(s *scratch, job *plan.Job, ins []jobInput, stats *JobStats) ([]jobInput, error) {
 	for _, spec := range job.MapJoins {
 		b, err := e.loadScan(spec.BroadcastScan)
 		if err != nil {
@@ -682,16 +730,16 @@ func (e *Engine) applyMapJoins(job *plan.Job, ins []jobInput, stats *JobStats) (
 			return nil, fmt.Errorf("map-join probe key %s not found in inputs", pKey)
 		}
 		probe := ins[pi]
-		bk, pk, err := joinKeys(b.frame.vector(bi), probe.frame.vector(probe.frame.Col(pKey)), bKey, pKey)
+		bk, pk, err := joinKeys(s, b.frame.vector(s, bi), probe.frame.vector(s, probe.frame.Col(pKey)), bKey, pKey)
 		if err != nil {
 			return nil, err
 		}
 		// Probe-side predicates wait for the job's own map phase.
-		m, _, err := e.broadcastPairs(b, bk, jobInput{frame: probe.frame, rawBytes: probe.rawBytes}, pk)
+		m, _, err := e.broadcastPairs(s, b, bk, jobInput{frame: probe.frame, rawBytes: probe.rawBytes}, pk)
 		if err != nil {
 			return nil, err
 		}
-		res := joined(probe.frame, m.probe, b.frame, m.build)
+		res := joined(s, probe.frame, m.probe, b.frame, m.build)
 		ins[pi] = jobInput{frame: res, rawBytes: res.Bytes(), rawRows: res.NumRows(), preds: probe.preds}
 	}
 	return ins, nil

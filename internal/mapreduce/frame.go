@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 
 	"saqp/internal/dataset"
 	"saqp/internal/query"
@@ -15,6 +16,14 @@ import (
 // side's columns read through. Nothing is copied until a later job resolves
 // a column (Frame.column) or an Extract gathers its output, and nothing
 // gathered is stored back: a frame never changes once built.
+//
+// A frame's vectors are always on the heap: relations' columns and job
+// outputs (a Groupby's columns, an Extract's gathered ones). Its side
+// indexes — match pairs and the indexes composed from them — and the
+// columns a job gathers to read are cut from the query's scratch, so a
+// view lives no longer than its query. The one frame that does is the
+// sink, QueryResult.Final: RunQuery detaches it, copying its indexes onto
+// the heap, before the scratch goes back to the engine.
 type Frame struct {
 	// Cols are qualified column names ("table.column", or synthetic names
 	// like "J3.agg0" for aggregate outputs).
@@ -60,19 +69,19 @@ func (f *Frame) index(j int) []int32 {
 }
 
 // vector returns column j as a vector of the frame's rows: its own vector
-// when read directly, a gathered copy when read through an index.
-func (f *Frame) vector(j int) dataset.Vector {
+// when read directly, a copy gathered into s when read through an index.
+func (f *Frame) vector(s *scratch, j int) dataset.Vector {
 	if rows := f.index(j); rows != nil {
-		return gather(f.vecs[j], rows)
+		return s.gather(f.vecs[j], rows)
 	}
 	return f.vecs[j]
 }
 
 // column resolves a reference against the frame, once per job; what names
 // the role of a missing column in the error.
-func (f *Frame) column(what string, c query.ColumnRef) (dataset.Vector, error) {
+func (f *Frame) column(s *scratch, what string, c query.ColumnRef) (dataset.Vector, error) {
 	if j := f.Col(c.String()); j >= 0 {
-		return f.vector(j), nil
+		return f.vector(s, j), nil
 	}
 	return dataset.Vector{}, fmt.Errorf("%s %s not in input", what, c)
 }
@@ -94,54 +103,72 @@ func identity(sel []int32, n int) bool {
 
 // through appends f's sides to dst as a view of the rows sel picks out of
 // f, their column ends shifted by off: one index per side, composed with
-// sel where the side already has one. A frame that is not a view is one
-// side, and an identity sel leaves every side's index as it was.
-func (f *Frame) through(dst []side, sel []int32, off int) []side {
+// sel where the side already has one, into an index cut from s. A frame
+// that is not a view is one side, and an identity sel leaves every side's
+// index as it was.
+func (f *Frame) through(s *scratch, dst []side, sel []int32, off int) []side {
 	if identity(sel, f.n) {
 		sel = nil
 	}
 	if f.sides == nil {
 		return append(dst, side{off + len(f.vecs), sel})
 	}
-	for _, s := range f.sides {
-		rows := s.rows
+	for _, sd := range f.sides {
+		rows := sd.rows
 		switch {
 		case sel == nil:
 		case rows == nil:
 			rows = sel
 		default:
-			rows = make([]int32, len(sel))
-			take(rows, s.rows, sel)
+			rows = s.i32.cut(len(sel))
+			take(rows, sd.rows, sel)
 		}
-		dst = append(dst, side{off + s.end, rows})
+		dst = append(dst, side{off + sd.end, rows})
 	}
 	return dst
 }
 
 // view returns the rows sel picks out of f, in selection order, as a view.
-func (f *Frame) view(sel []int32) *Frame {
-	return &Frame{Cols: f.Cols, vecs: f.vecs, sides: f.through(nil, sel, 0), n: len(sel)}
+func (f *Frame) view(s *scratch, sel []int32) *Frame {
+	return &Frame{Cols: f.Cols, vecs: f.vecs, sides: f.through(s, nil, sel, 0), n: len(sel)}
 }
 
 // gathered returns f as a plain frame, each column a vector of its own:
-// shared where it is read directly, gathered where through an index.
+// shared where it is read directly, gathered onto the heap where through
+// an index.
 func (f *Frame) gathered() *Frame {
 	vecs := make([]dataset.Vector, len(f.vecs))
 	for j := range vecs {
-		vecs[j] = f.vector(j)
+		vecs[j] = f.vecs[j]
+		if rows := f.index(j); rows != nil {
+			vecs[j] = gather(f.vecs[j], rows)
+		}
 	}
 	return NewFrame(f.n, f.Cols, vecs)
 }
 
+// detached returns f with its side indexes copied onto the heap: the
+// query's sink, which outlives the scratch its indexes were cut from.
+func (f *Frame) detached() *Frame {
+	if f.sides == nil {
+		return f
+	}
+	sides := make([]side, len(f.sides))
+	for i, sd := range f.sides {
+		sides[i] = side{sd.end, slices.Clone(sd.rows)}
+	}
+	return &Frame{Cols: f.Cols, vecs: f.vecs, sides: sides, n: f.n}
+}
+
 // joined is the view of matched row pairs: first's columns read through
 // frows, then second's through srows.
-func joined(first *Frame, frows []int32, second *Frame, srows []int32) *Frame {
+func joined(s *scratch, first *Frame, frows []int32, second *Frame, srows []int32) *Frame {
 	w := len(first.Cols) + len(second.Cols)
 	sides := make([]side, 0, max(1, len(first.sides))+max(1, len(second.sides)))
 	return &Frame{
 		Cols:  append(append(make([]string, 0, w), first.Cols...), second.Cols...),
 		vecs:  append(append(make([]dataset.Vector, 0, w), first.vecs...), second.vecs...),
-		sides: second.through(first.through(sides, frows, 0), srows, len(first.Cols)),
+		sides: second.through(s, first.through(s, sides, frows, 0), srows, len(first.Cols)),
 		n:     len(frows),
 	}
 }

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"sync"
 	"testing"
 
 	"saqp/internal/plan"
@@ -12,22 +13,38 @@ import (
 // drives for a few seconds per run: each fuzzed seed derives a fresh
 // random query which must compile, estimate, and execute without
 // crashing and with structurally sane (non-negative, stats-complete)
-// results. The heavier quantitative agreement checks stay in
+// results. Every call shares one engine, so queries run on scratch that
+// earlier ones left: the fuzzed query runs, then the seed's next
+// generated query, then the fuzzed query again, and both of its results
+// must digest alike. The heavier quantitative agreement checks stay in
 // TestRandomQueriesEstimatorVsEngine below.
 func FuzzEngineQuery(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 99, 1 << 32, ^uint64(0)} {
 		f.Add(seed)
 	}
+	var (
+		once sync.Once
+		e    *Engine
+	)
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		e := newTestEngine(t)
+		once.Do(func() { e = newTestEngine(t) })
 		est := selectivity.NewEstimator(fixtureCatalog(), selectivity.Config{BlockSize: 64 << 10})
-		q, _, err := workload.NewGenerator(seed).RandomQuery()
+		gen := workload.NewGenerator(seed)
+		q, _, err := gen.RandomQuery()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		d, err := plan.Compile(q)
 		if err != nil {
 			t.Fatalf("seed %d does not compile: %v\n%s", seed, err, q)
+		}
+		next, _, err := gen.RandomQuery()
+		if err != nil {
+			t.Fatalf("seed %d, second query: %v", seed, err)
+		}
+		nd, err := plan.Compile(next)
+		if err != nil {
+			t.Fatalf("seed %d's second query does not compile: %v\n%s", seed, err, next)
 		}
 		qe, err := est.EstimateQuery(d)
 		if err != nil {
@@ -36,6 +53,17 @@ func FuzzEngineQuery(f *testing.F) {
 		res, err := e.RunQuery(d)
 		if err != nil {
 			t.Fatalf("seed %d does not execute: %v\n%s", seed, err, q)
+		}
+		want := digestResult(d, res)
+		if _, err := e.RunQuery(nd); err != nil {
+			t.Fatalf("seed %d's second query does not execute: %v\n%s", seed, err, next)
+		}
+		again, err := e.RunQuery(d)
+		if err != nil {
+			t.Fatalf("seed %d does not execute again: %v\n%s", seed, err, q)
+		}
+		if got := digestResult(d, again); got != want {
+			t.Fatalf("seed %d digests %#x after another query, %#x before\n%s", seed, got, want, q)
 		}
 		for _, je := range qe.Jobs {
 			if je.IS < 0 || je.FS < 0 || je.OutRows < 0 {

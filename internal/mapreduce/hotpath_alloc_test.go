@@ -24,7 +24,8 @@ var (
 // actually performs zero heap allocations per call — one case per
 // per-element kernel: predicate → selection, float key identity, shuffle
 // hash, gather, expression evaluation, aggregate fold and merge, a join's
-// match count and fill, and a view's identity test and byte size.
+// match count and fill, a view's identity test and byte size, and a cut
+// from each of a warm query scratch's slabs.
 func TestHotPathAllocs(t *testing.T) {
 	numPred := query.Predicate{Op: query.OpLT, Lit: query.NumLit(10)}
 	strPred := query.Predicate{Op: query.OpEQ, Lit: query.StrLit("x")}
@@ -35,8 +36,9 @@ func TestHotPathAllocs(t *testing.T) {
 	f64, f64b, i64, str2 := make([]float64, 2), []float64{2, 0}, make([]int64, 2), make([]string, 2)
 	var a, b aggState
 	b.add(2)
-	ix, sx := newIndex(ints, []int32{0, 1, 2}), newIndex(strs, []int32{0, 1, 2})
+	ix, sx := newIndex(ints, []int32{0, 1, 2}, make([]int32, 3)), newIndex(strs, []int32{0, 1, 2}, make([]int32, 3))
 	build, probe := make([]int32, 4), make([]int32, 4)
+	var s scratch // each cut case resets first: a warm scratch, as RunQuery reuses it
 	cases := []struct {
 		name string
 		fn   func()
@@ -68,6 +70,11 @@ func TestHotPathAllocs(t *testing.T) {
 		{"identity", func() { hotSinkBool = identity(fill(), 3) }},
 		{"strBytes", func() { hotSinkInt = int(strBytes(strs, nil, idx)) }},
 		{"strBytes/via", func() { hotSinkInt = int(strBytes(strs, idx, idx[1:])) }},
+		{"slab.cut/int32", func() { s.i32.reset(); hotSinkInt = len(s.i32.cut(64)) + len(s.i32.cut(8)) }},
+		{"slab.cut/int64", func() { s.i64.reset(); hotSinkInt = len(s.i64.cut(64)) }},
+		{"slab.cut/float64", func() { s.f64.reset(); hotSinkInt = len(s.f64.cut(64)) }},
+		{"slab.cut/string", func() { s.strs.reset(); hotSinkInt = len(s.strs.cut(64)) }},
+		{"slab.cut/aggState", func() { s.states.reset(); hotSinkInt = len(s.states.cut(64)) }},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(100, c.fn); n != 0 {
@@ -83,29 +90,31 @@ func TestHotPathAllocs(t *testing.T) {
 // batch_tpch allocs_per_op and alloc_kb_per_op (these ÷ 7). The row engine
 // allocated 988 164 times per pass; the column engine 2 450 and 11 913 KB
 // while every join output was gathered; 1 690 and 7 115 KB once join
-// outputs were index views; since tasks run on internal/par's pool, 1 600
-// and 7 117 KB, nothing per row and nothing per group (job counts, each
-// query's total adds RunQuery's own few):
+// outputs were index views; 1 600 and 7 117 KB once tasks ran on
+// internal/par's pool; since a query's working buffers are cut from the
+// engine's reused scratch, 1 215 and 966 KB, nothing per row and nothing
+// per group (job counts, each query's total adds RunQuery's own few):
 //
-//	q1   145   942 KB  J1 Groupby 145 (10 maps, 60 local groups)
-//	q3   340  1568 KB  J1 Join 108, J2 Join 121 (11 maps), J3 Groupby 96, J4 Extract 15
-//	q6    77   258 KB  J1 Groupby 77 (10 maps)
-//	q11  261  1023 KB  J1 Join 66, J2 Join 89, J3 Groupby 106
-//	q14  225  2200 KB  J1 Groupby 212 (a 60 000-row folded MAPJOIN: the build
-//	                   map, one exact-size pair, the gathered group key
-//	                   p_type — 940 KB of it), J2 Extract 13
-//	q17  346   671 KB  J1 Join 90, J2 Join 103, J3 Join 99, J4 Groupby 54
-//	q19  158   440 KB  J1 Join 103, J2 Groupby 55
+//	q1    67    14 KB  J1 Groupby 61 (10 maps, 60 local groups)
+//	q3   282   288 KB  J1 Join 96, J2 Join 106 (11 maps), J3 Groupby 63, J4 Extract 14
+//	q6    52     6 KB  J1 Groupby 49 (10 maps)
+//	q11  204   318 KB  J1 Join 54, J2 Join 74, J3 Groupby 73
+//	q14  180   255 KB  J1 Groupby 168 (a 60 000-row folded MAPJOIN: the
+//	                   build map and each task's group-key map), J2 Extract 12
+//	q17  290    58 KB  J1 Join 78, J2 Join 89, J3 Join 86, J4 Groupby 35
+//	q19  130    21 KB  J1 Join 91, J2 Groupby 36
 //
-// A job costs its resolved columns (a view's gathered), one selection
-// buffer, one goroutine and closure per pool worker of each parallel phase
-// (up to GOMAXPROCS, so the count is taken at a fixed 4: 1 395 at 1, 1 657
-// at 8, at most one per task), and per reducer or map a key map's growth
-// steps; a Join adds two partitions, a count and a fill phase over one
-// exact-size pair, and one composed index per side of a view input. Both
-// budgets are the measured value + 10 %. The race detector's
-// instrumentation moves the count by under 1 % (≈ 1 581), so the test does
-// not skip under -race.
+// What is left is what outlives a task or the query: a job's output
+// columns and stats, each combine task's key map and partial states, each
+// join index's key map, one goroutine and closure per pool worker of each
+// parallel phase (up to GOMAXPROCS, so the count is taken at a fixed 4:
+// 1 020 at 1, 1 269 at 8, at most one per task), and the frames, column
+// lists and per-task slice headers a job builds. Selections, shuffle
+// buckets, match pairs, composed indexes, gathered input columns, combine
+// vectors and reduce states come from the scratch, which the first pass
+// grows. Both budgets are the measured value + 10 %. The race detector's
+// instrumentation moves the count by under 1 % (≈ 1 214), so the test
+// does not skip under -race.
 func TestEngineAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	e := New(Config{})
@@ -137,7 +146,7 @@ func TestEngineAllocBudget(t *testing.T) {
 	pass()
 	runtime.ReadMemStats(&after)
 	got, kb := after.Mallocs-before.Mallocs, (after.TotalAlloc-before.TotalAlloc)>>10
-	const measured, measuredKB = 1_600, 7_117
+	const measured, measuredKB = 1_215, 966
 	t.Logf("one pass: %d mallocs, %d KB", got, kb)
 	if got > measured+measured/10 {
 		t.Errorf("one pass of the 7 TPC-H DAGs allocates %d times, budget %d + 10%%", got, measured)

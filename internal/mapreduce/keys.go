@@ -14,28 +14,31 @@ import (
 func same[T any](v T) T { return v }
 
 // groupRows assigns each of rows a dense group id over the composite key
-// held in keys, ids in first-seen order, and returns them with the row that
-// introduced each group. One typed pass per key column refines the ids of
-// the columns before it; no key is rendered and nothing is allocated per
+// held in keys, ids in first-seen order, into gid (zeroed, one per row),
+// and returns the row that introduced each group, written to the front of
+// buf (one per row). One typed pass per key column refines the ids of the
+// columns before it; no key is rendered and nothing is allocated per
 // group.
-func groupRows(keys []dataset.Vector, rows []int32) (gid, first []int32) {
-	gid = make([]int32, len(rows))
+func groupRows(keys []dataset.Vector, rows, gid, buf []int32) (first []int32) {
 	first = rows[:min(1, len(rows))] // no key columns: one group, if any row
 	for _, v := range keys {
 		switch v.Kind() {
 		case dataset.KindString:
-			first = refine(gid, v.Strings(), rows, same[string])
+			first = refine(gid, v.Strings(), rows, same[string], buf)
 		case dataset.KindFloat:
-			first = refine(gid, v.Floats(), rows, floatKey)
+			first = refine(gid, v.Floats(), rows, floatKey, buf)
 		default:
-			first = refine(gid, v.Ints(), rows, same[int64])
+			first = refine(gid, v.Ints(), rows, same[int64], buf)
 		}
 	}
-	return gid, first
+	return first
 }
 
-// refine splits the groups gid already assigns to rows by one more column.
-func refine[T any, K comparable](gid []int32, vals []T, rows []int32, key func(T) K) (first []int32) {
+// refine splits the groups gid already assigns to rows by one more column,
+// writing each new group's first row to the front of buf: the previous
+// column's groups are read only through gid, so their first rows may go.
+func refine[T any, K comparable](gid []int32, vals []T, rows []int32, key func(T) K, buf []int32) (first []int32) {
+	first = buf[:0]
 	type prefixed struct {
 		g int32
 		k K
@@ -66,19 +69,19 @@ type joinKey struct {
 // class. Integer and date keys compare as integers, floats by floatKey and
 // strings as strings; an integer column against a float one is widened so
 // the pair compares numerically; a string against a number is an error.
-func joinKeys(a, b dataset.Vector, an, bn string) (joinKey, joinKey, error) {
+func joinKeys(s *scratch, a, b dataset.Vector, an, bn string) (joinKey, joinKey, error) {
 	if (a.Kind() == dataset.KindString) != (b.Kind() == dataset.KindString) {
 		return joinKey{}, joinKey{}, fmt.Errorf("join keys %s (%s) and %s (%s) are not comparable", an, a.Kind(), bn, b.Kind())
 	}
 	if a.Kind() == dataset.KindFloat || b.Kind() == dataset.KindFloat {
-		return floatBits(a), floatBits(b), nil
+		return floatBits(s, a), floatBits(s, b), nil
 	}
 	return joinKey{a.Kind(), a.Ints(), a.Strings()}, joinKey{b.Kind(), b.Ints(), b.Strings()}, nil
 }
 
 // floatBits keys a numeric column by floatKey of its values as floats.
-func floatBits(v dataset.Vector) joinKey {
-	bits := make([]int64, v.Len())
+func floatBits(s *scratch, v dataset.Vector) joinKey {
+	bits := s.i64.cut(v.Len())
 	if v.Kind() == dataset.KindFloat {
 		for i, x := range v.Floats() {
 			bits[i] = int64(floatKey(x))
@@ -94,9 +97,9 @@ func floatBits(v dataset.Vector) joinKey {
 // partition splits rows into r shuffle buckets by fnv32a of the key's
 // rendering (appendKey's, a float's rendered from its bits; a string is
 // hashed where it lies), each bucket keeping rows in order. It returns the
-// buckets as segments of one buffer.
-func partition(key joinKey, rows []int32, r int) [][]int32 {
-	pid := make([]int32, len(rows))
+// buckets as segments of one buffer cut from s.
+func partition(s *scratch, key joinKey, rows []int32, r int) [][]int32 {
+	pid := s.i32.cut(len(rows))
 	bounds := make([]int, r+1)
 	var buf [32]byte
 	for j, i := range rows {
@@ -115,7 +118,7 @@ func partition(key joinKey, rows []int32, r int) [][]int32 {
 	for p := 0; p < r; p++ {
 		bounds[p+1] += bounds[p]
 	}
-	out := make([]int32, len(rows))
+	out := s.i32.cut(len(rows))
 	buckets := make([][]int32, r)
 	for p := range buckets {
 		buckets[p] = out[bounds[p]:bounds[p]:bounds[p+1]]
@@ -142,8 +145,9 @@ type hashIndex[K comparable] struct {
 	brows []int32
 }
 
-func newIndex[K comparable](keys []K, brows []int32) hashIndex[K] {
-	h := hashIndex[K]{head: make(map[K]chain), next: make([]int32, len(brows)), brows: brows}
+// newIndex indexes brows by key, chaining them through next (one per row).
+func newIndex[K comparable](keys []K, brows, next []int32) hashIndex[K] {
+	h := hashIndex[K]{head: make(map[K]chain), next: next, brows: brows}
 	for j := len(brows) - 1; j >= 0; j-- {
 		k := keys[brows[j]]
 		c := h.head[k]
@@ -186,31 +190,34 @@ func (h *hashIndex[K]) fill(keys []K, prows, build, probe []int32) {
 // counts its matches, a prefix sum places its segment, and each task fills
 // its own. With one build set for many tasks (a broadcast) the index is
 // built once and shared; with one per task (a shuffle's reducers) each task
-// indexes its own.
-func match(bk, pk joinKey, builds, probes [][]int32) pairs {
+// indexes its own. The pairs and every index's chains are cut from s.
+func match(s *scratch, bk, pk joinKey, builds, probes [][]int32) pairs {
 	if bk.kind == dataset.KindString {
-		return matchOn(bk.strs, pk.strs, builds, probes)
+		return matchOn(s, bk.strs, pk.strs, builds, probes)
 	}
-	return matchOn(bk.ints, pk.ints, builds, probes)
+	return matchOn(s, bk.ints, pk.ints, builds, probes)
 }
 
-func matchOn[K comparable](bkeys, pkeys []K, builds, probes [][]int32) pairs {
+func matchOn[K comparable](s *scratch, bkeys, pkeys []K, builds, probes [][]int32) pairs {
 	idx := make([]hashIndex[K], len(builds))
+	for i, b := range builds {
+		idx[i].next = s.i32.cut(len(b))
+	}
 	own := len(builds) == len(probes)
 	if !own {
-		idx[0] = newIndex(bkeys, builds[0])
+		idx[0] = newIndex(bkeys, builds[0], idx[0].next)
 	}
 	off := make([]int, len(probes)+1)
 	par.For(len(probes), func(_ *struct{}, i int) {
 		if own {
-			idx[i] = newIndex(bkeys, builds[i])
+			idx[i] = newIndex(bkeys, builds[i], idx[i].next)
 		}
 		off[i+1] = idx[min(i, len(idx)-1)].count(pkeys, probes[i])
 	})
 	for i := range probes {
 		off[i+1] += off[i]
 	}
-	m := pairs{make([]int32, off[len(probes)]), make([]int32, off[len(probes)])}
+	m := pairs{s.i32.cut(off[len(probes)]), s.i32.cut(off[len(probes)])}
 	par.For(len(probes), func(_ *struct{}, i int) {
 		lo, hi := off[i], off[i+1]
 		idx[min(i, len(idx)-1)].fill(pkeys, probes[i], m.build[lo:hi], m.probe[lo:hi])

@@ -63,12 +63,13 @@ func TestEngineViewsEqualGathered(t *testing.T) {
 	names, dags := digestPlans(t)
 	for i, d := range dags {
 		frames := make(map[string]*Frame, len(d.Jobs))
+		s := new(scratch)
 		for _, job := range d.Jobs {
 			what := names[i] + "/" + job.ID
 			if len(job.MapJoins) > 0 {
 				ins, err := e.resolveInputs(job, frames)
 				if err == nil {
-					ins, err = e.applyMapJoins(job, ins, &JobStats{})
+					ins, err = e.applyMapJoins(s, job, ins, &JobStats{})
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
@@ -82,7 +83,7 @@ func TestEngineViewsEqualGathered(t *testing.T) {
 					}
 				}
 			}
-			out, _, err := e.runJob(job, frames)
+			out, _, err := e.runJob(s, job, frames)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
