@@ -343,19 +343,21 @@ func intValues(freq map[int64]int64) []float64 {
 func FromSchema(s *dataset.Schema, sf float64, n int) *TableStats {
 	ts := analyticTable(s, sf, len(s.Columns))
 	for ci := range s.Columns {
-		ts.synthesize(&s.Columns[ci], sf, n)
+		ts.synthesize(nil, &s.Columns[ci], sf, n)
 	}
 	return ts
 }
 
 // FromSchemaColumns is FromSchema for a reader that knows what it will ask:
 // the table-level figures are the whole table's, but only the columns named
-// in cols (those of them s has) get statistics.
-func FromSchemaColumns(s *dataset.Schema, sf float64, n int, cols []string) *TableStats {
+// in cols (those of them s has) get statistics. Their histograms are cut
+// from a (allocated if a is nil), so the statistics are valid until a's
+// next Reset.
+func FromSchemaColumns(a *histogram.Arena, s *dataset.Schema, sf float64, n int, cols []string) *TableStats {
 	ts := analyticTable(s, sf, len(cols))
 	for _, name := range cols {
 		if col := s.Column(name); col != nil {
-			ts.synthesize(col, sf, n)
+			ts.synthesize(a, col, sf, n)
 		}
 	}
 	return ts
@@ -374,8 +376,8 @@ func analyticTable(s *dataset.Schema, sf float64, ncols int) *TableStats {
 }
 
 // synthesize adds col's analytic statistics at sf, with a histogram of at
-// most n buckets (DefaultBuckets if n <= 0).
-func (ts *TableStats) synthesize(col *dataset.Column, sf float64, n int) {
+// most n buckets (DefaultBuckets if n <= 0) cut from a.
+func (ts *TableStats) synthesize(a *histogram.Arena, col *dataset.Column, sf float64, n int) {
 	if n <= 0 {
 		n = DefaultBuckets
 	}
@@ -414,7 +416,7 @@ func (ts *TableStats) synthesize(col *dataset.Column, sf float64, n int) {
 		if col.Dist == dataset.DistZipf {
 			weights = zipfBucketWeights(col.Skew, domainCard, nb)
 		}
-		cs.Hist = histogram.Synthesize(rows, domainCard, lo, nb, weights)
+		cs.Hist = histogram.Synthesize(a, rows, domainCard, lo, nb, weights)
 		// Synthesize labels the domain as [lo, lo+card) in key steps.
 		// For float columns one key step is 0.01 units, and the key→
 		// value map is affine, so relabelling the axis is exact.

@@ -29,11 +29,20 @@ func TestTaskSizePinned(t *testing.T) {
 	}
 }
 
-// TestEventSizePinned: the event queue holds events by value, so every
-// push and every sift step copies one.
+// TestEventSizePinned: the event queue's store holds events by value, so
+// every push and pop copies one.
 func TestEventSizePinned(t *testing.T) {
 	if size := unsafe.Sizeof(event{}); size > 48 {
 		t.Fatalf("event is %d bytes, pinned at 48", size)
+	}
+}
+
+// TestEventKeySizePinned: every sift step of the event heap moves one key,
+// (time, seq) and a store slot; a key that grew or gained a pointer would
+// bring back the copying and write barriers the split removed.
+func TestEventKeySizePinned(t *testing.T) {
+	if size := unsafe.Sizeof(eventKey{}); size != 24 {
+		t.Fatalf("eventKey is %d bytes, pinned at 24", size)
 	}
 }
 

@@ -10,4 +10,10 @@
 // (from the paper's multivariate model) ride along so semantics-aware
 // schedulers can compute Weighted Resource Demand without seeing the
 // ground truth.
+//
+// Events pop in (time, seq) order from a binary heap of 24-byte,
+// pointer-free keys over a store of the events themselves: a sift moves
+// only keys, so it passes no write barrier and the collector has no heap to
+// scan, and an event stays in its store slot until it pops, when the slot
+// is zeroed and reused.
 package cluster

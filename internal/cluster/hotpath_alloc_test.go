@@ -49,7 +49,8 @@ func TestDecisionSpansOnlyBuildsNoRanking(t *testing.T) {
 // reduce, as Query.Rebuild lays it out. The faulty config drives the
 // recovery paths too: Reset books a node crash, every node slows down for
 // a window, and transient failures back tasks off, retry them and
-// blacklist nodes, with an attempt cap no task reaches.
+// blacklist nodes, with an attempt cap no task reaches. A warmed event
+// queue's push and pop allocate nothing on their own either.
 func TestHotPathAllocs(t *testing.T) {
 	faulty := DefaultConfig()
 	faulty.Faults = fault.NewPlan(fault.Spec{
@@ -85,6 +86,25 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 		}
 		q.RecomputeWRD()
+	}
+	var q eventQueue
+	for i := 0; i < 64; i++ { // warm: grow the keys, the store and the free list once
+		q.push(event{time: float64(i % 7), seq: i})
+	}
+	for q.len() > 0 {
+		q.pop()
+	}
+	seq, task := 64, &Task{}
+	pushPop := func() {
+		seq++
+		q.push(event{time: float64(seq % 5), seq: seq, task: task})
+		q.push(event{time: float64(seq % 3), seq: seq + 1})
+		seq++
+		q.pop()
+		q.pop()
+	}
+	if n := testing.AllocsPerRun(100, pushPop); n != 0 {
+		t.Errorf("a warmed event queue allocates %.0f times per push/pop, want 0", n)
 	}
 	for _, cfg := range []Config{DefaultConfig(), faulty} {
 		s := New(cfg, fifoPick{})

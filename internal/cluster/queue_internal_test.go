@@ -10,10 +10,15 @@ import (
 // used before eventQueue: the reference order.
 type refQueue []*event
 
-func (h refQueue) Len() int           { return len(h) }
-func (h refQueue) Less(i, j int) bool { return h[i].before(h[j]) }
-func (h refQueue) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refQueue) Push(x any)        { *h = append(*h, x.(*event)) }
+func (h refQueue) Len() int { return len(h) }
+func (h refQueue) Less(i, j int) bool {
+	if h[i].time != h[j].time {
+		return h[i].time < h[j].time
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refQueue) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refQueue) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *refQueue) Pop() any {
 	old := *h
 	e := old[len(old)-1]
@@ -29,11 +34,11 @@ func TestResetReleasesQueuedEvents(t *testing.T) {
 	s.Submit(mkQuery("stopped", 4, 2), 0)
 	s.Submit(mkQuery("queued", 4, 2), 5)
 	s.events.pop()
-	if len(s.events) == 0 {
+	if s.events.len() == 0 {
 		t.Fatal("no event left queued")
 	}
 	s.Reset(DefaultConfig(), fifoPick{})
-	for _, e := range s.events[:cap(s.events)] {
+	for _, e := range s.events.store[:cap(s.events.store)] {
 		if e.query != nil || e.task != nil {
 			t.Fatalf("after Reset the queue's storage still holds %+v", e)
 		}
@@ -42,27 +47,35 @@ func TestResetReleasesQueuedEvents(t *testing.T) {
 
 // TestEventQueueOrderEqualsContainerHeap: random interleavings of pushes
 // and pops, with times drawn from a handful of values so most pushes tie,
-// pop the same (time, seq) sequence from eventQueue as from container/heap.
-// seq is unique, so the order is total and any correct heap agrees.
+// pop the same sequence from eventQueue as from container/heap — every
+// field of every event, so a popped payload is the one its key was pushed
+// with. seq is unique, so the order is total and any correct heap agrees.
+// A drained queue's store holds nothing, in its spare capacity too.
 func TestEventQueueOrderEqualsContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	queries := []*Query{{ID: "a"}, {ID: "b"}}
+	tasks := []*Task{{Index: 1}, {Index: 2}, {Index: 3}}
 	for round := 0; round < 200; round++ {
 		var got eventQueue
 		var want refQueue
 		seq := 0
 		for op := 0; op < 400; op++ {
-			if len(got) != len(want) {
-				t.Fatalf("round %d: queue holds %d events, reference %d", round, len(got), len(want))
+			if got.len() != len(want) {
+				t.Fatalf("round %d: queue holds %d events, reference %d", round, got.len(), len(want))
 			}
-			if len(got) > 0 && rng.Intn(5) < 2 {
+			if got.len() > 0 && rng.Intn(5) < 2 {
 				g, w := got.pop(), heap.Pop(&want).(*event)
 				if g != *w {
-					t.Fatalf("round %d op %d: popped (%v, %d), reference (%v, %d)", round, op, g.time, g.seq, w.time, w.seq)
+					t.Fatalf("round %d op %d: popped %+v, reference %+v", round, op, g, *w)
 				}
 				continue
 			}
 			seq++
-			ev := event{time: float64(rng.Intn(4)) * 0.5, seq: seq, slot: int32(op)}
+			ev := event{
+				time: float64(rng.Intn(4)) * 0.5, seq: seq,
+				query: queries[rng.Intn(len(queries))], task: tasks[rng.Intn(len(tasks))],
+				slot: int32(op), epoch: int32(rng.Intn(3)), node: int32(rng.Intn(9)), kind: eventKind(rng.Intn(7)),
+			}
 			got.push(ev)
 			heap.Push(&want, &ev)
 		}
@@ -72,12 +85,12 @@ func TestEventQueueOrderEqualsContainerHeap(t *testing.T) {
 				t.Fatalf("round %d drain: popped %+v, reference %+v", round, g, *w)
 			}
 		}
-		if len(got) != 0 {
-			t.Fatalf("round %d: %d events left after the reference drained", round, len(got))
+		if got.len() != 0 {
+			t.Fatalf("round %d: %d events left after the reference drained", round, got.len())
 		}
-		for _, e := range got[:cap(got)] {
+		for _, e := range got.store[:cap(got.store)] {
 			if e != (event{}) {
-				t.Fatalf("round %d: a drained queue's spare capacity still holds %+v", round, e)
+				t.Fatalf("round %d: a drained queue's store still holds %+v", round, e)
 			}
 		}
 	}

@@ -136,8 +136,9 @@ type Scheduler interface {
 	PickJob(now float64, candidates, active []*Job, reduce bool) *Job
 }
 
-// event is a simulator occurrence ordered by (time, seq). The queue holds
-// events by value, so event must not grow (see TestEventSizePinned).
+// event is a simulator occurrence ordered by (time, seq). The queue
+// stores each event once, in a slot it keeps until the event pops, so
+// event must not grow (see TestEventSizePinned).
 type event struct {
 	time float64
 	// seq breaks ties deterministically in arrival order. It is unique, so
@@ -157,14 +158,6 @@ type event struct {
 	kind eventKind
 }
 
-// before reports whether a pops ahead of b.
-func (a *event) before(b *event) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.seq < b.seq
-}
-
 type eventKind uint8
 
 const (
@@ -177,34 +170,69 @@ const (
 	evRecover  // a crashed node rejoins with all slots free
 )
 
-// eventQueue is a binary min-heap of events by value, earliest first.
-type eventQueue []event
-
-// push adds ev, moving the hole it opens up past every later parent.
-func (h *eventQueue) push(ev event) {
-	q := append(*h, ev) //lint:allow saqpvet/allocfree grows only while a Sim warms up; TestHotPathAllocs proves a warmed run allocates nothing here
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !ev.before(&q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = ev
-	*h = q
+// eventKey is a queued event's place in the heap: its (time, seq) and the
+// store slot holding it. It has no pointers, so sifting keys moves no
+// pointer past a write barrier and the heap is nothing for the collector
+// to scan (see TestEventKeySizePinned).
+type eventKey struct {
+	time float64
+	seq  int
+	at   int32
 }
 
-// pop removes and returns the earliest event. The vacated tail slot is
-// zeroed, so the queue's spare capacity pins no task or query.
-func (h *eventQueue) pop() event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = event{}
-	q = q[:n]
+// before reports whether a pops ahead of b.
+func (a *eventKey) before(b *eventKey) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	return a.seq < b.seq
+}
+
+// eventQueue is a binary min-heap of event keys, earliest first, over a
+// store of the events themselves, which never move while queued.
+type eventQueue struct {
+	keys  []eventKey
+	store []event
+	free  []int32 // store slots vacated by pop, reused by push
+}
+
+// len returns how many events are queued.
+func (q *eventQueue) len() int { return len(q.keys) }
+
+// push stores ev in a free slot and adds its key, moving the hole it opens
+// up past every later parent.
+func (q *eventQueue) push(ev event) {
+	var at int32
+	if n := len(q.free); n > 0 {
+		at, q.free = q.free[n-1], q.free[:n-1]
+		q.store[at] = ev
+	} else {
+		at = int32(len(q.store))
+		q.store = append(q.store, ev) //lint:allow saqpvet/allocfree grows only while a Sim warms up; TestHotPathAllocs proves a warmed run allocates nothing here
+	}
+	k := eventKey{time: ev.time, seq: ev.seq, at: at}
+	h := append(q.keys, k) //lint:allow saqpvet/allocfree grows only while a Sim warms up
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !k.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = k
+	q.keys = h
+}
+
+// pop removes and returns the earliest event. Its store slot is zeroed and
+// freed, so the store pins no task or query it no longer queues.
+func (q *eventQueue) pop() event {
+	h := q.keys
+	top := h[0].at
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
 	if n > 0 {
 		i := 0
 		for {
@@ -212,19 +240,29 @@ func (h *eventQueue) pop() event {
 			if c >= n {
 				break
 			}
-			if r := c + 1; r < n && q[r].before(&q[c]) {
+			if r := c + 1; r < n && h[r].before(&h[c]) {
 				c = r
 			}
-			if !q[c].before(&last) {
+			if !h[c].before(&last) {
 				break
 			}
-			q[i] = q[c]
+			h[i] = h[c]
 			i = c
 		}
-		q[i] = last
+		h[i] = last
 	}
-	*h = q
-	return top
+	q.keys = h
+	ev := q.store[top]
+	q.store[top] = event{}
+	q.free = append(q.free, top) //lint:allow saqpvet/allocfree grows only while a Sim warms up
+	return ev
+}
+
+// reset empties q, keeping its storage; the store is zeroed, so events a
+// stopped run left queued pin none of its tasks or queries.
+func (q *eventQueue) reset() eventQueue {
+	clear(q.store)
+	return eventQueue{keys: q.keys[:0], store: q.store[:0], free: q.free[:0]}
 }
 
 // Sim is one simulation run: a cluster, a scheduler and a set of queries.
@@ -278,7 +316,7 @@ func (s *Sim) Reset(cfg Config, sched Scheduler) {
 	// Events a stopped run left queued are cleared, and so are the
 	// submitted queries, so they pin none of its tasks or queries (pop
 	// zeroes what it vacates).
-	clear(s.events)
+	events := s.events.reset()
 	clear(s.queries)
 	// Everything not named here starts from zero; what is named is
 	// storage, emptied.
@@ -287,7 +325,7 @@ func (s *Sim) Reset(cfg Config, sched Scheduler) {
 		factors:     s.factors[:0],
 		mapFree:     s.mapFree[:0],
 		redFree:     s.redFree[:0],
-		events:      s.events[:0],
+		events:      events,
 		queries:     s.queries[:0],
 		active:      s.active[:0],
 		cands:       s.cands[:0],
@@ -459,7 +497,7 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 		return nil, err
 	}
 	done := ctx.Done()
-	for len(s.events) > 0 {
+	for s.events.len() > 0 {
 		if done != nil {
 			select {
 			case <-done:

@@ -133,15 +133,15 @@ func distinct(values []float64) []float64 {
 // Synthesize constructs a histogram analytically — without scanning rows —
 // for a column with `rows` rows spread over `card` distinct values in
 // [lo, lo+card). This is how statistics are produced for experiment scales
-// too large to materialise.
+// too large to materialise. The histogram is cut from a.
 //
 // weights, if non-nil, gives the relative row mass of each bucket and must
 // have length n; distinct values are still spread evenly across buckets.
-func Synthesize(rows, card int64, lo float64, n int, weights []float64) *Histogram {
+func Synthesize(a *Arena, rows, card int64, lo float64, n int, weights []float64) *Histogram {
 	if card < 1 {
 		card = 1
 	}
-	h := New(lo, lo+float64(card), n)
+	h := a.New(lo, lo+float64(card), n)
 	if weights != nil && len(weights) != n {
 		panic("histogram: weights length must equal bucket count")
 	}
@@ -315,9 +315,23 @@ func (h *Histogram) Scale(a *Arena, f float64) *Histogram {
 	}
 	out := a.New(h.Lo, h.Hi, len(h.Buckets))
 	for i, b := range h.Buckets {
+		if i > 0 && sameBits(b, h.Buckets[i-1]) {
+			out.Buckets[i] = out.Buckets[i-1]
+			continue
+		}
 		out.Buckets[i] = scaleBucket(b, f)
 	}
 	return out
+}
+
+// sameBits reports whether a and b hold the same bits, so that a pure
+// per-bucket step maps them to the same result: a synthesized uniform
+// histogram is one bucket repeated, and its scaled copy is computed from
+// the first. Unlike ==, it tells +0 from −0, which scale to zeros of
+// different signs.
+func sameBits(a, b Bucket) bool {
+	return math.Float64bits(a.Count) == math.Float64bits(b.Count) &&
+		math.Float64bits(a.Distinct) == math.Float64bits(b.Distinct)
 }
 
 // scaleBucket is Scale's per-bucket step, for f >= 0.
@@ -402,8 +416,10 @@ func filterBucket(c Cond, bLo, bHi float64, b Bucket) Bucket {
 // NarrowedTotals returns Rows() of the histogram after Filter by each of
 // conds in order, and DistinctTotal() of that histogram after Scale(f),
 // materialising neither: every bucket's (count, distinct) pair is threaded
-// through the same steps in the same order, so both sums equal the
-// materialised ones to the bit — for a caller that reads only the scalars.
+// through the same steps in the same order, and a filtered bucket equal to
+// the one before reuses its scaled distinct count as Scale does, so both
+// sums equal the materialised ones to the bit — for a caller that reads
+// only the scalars.
 //
 //saqp:hotpath
 func (h *Histogram) NarrowedTotals(conds []Cond, f float64) (rows, distinct float64) {
@@ -411,13 +427,18 @@ func (h *Histogram) NarrowedTotals(conds []Cond, f float64) (rows, distinct floa
 		f = 0
 	}
 	w := h.width()
+	var last Bucket        // the previous bucket, filtered
+	var lastScaled float64 // its distinct count after Scale(f)
 	for i, b := range h.Buckets {
 		bLo := h.Lo + float64(i)*w
 		for _, c := range conds {
 			b = filterBucket(c, bLo, bLo+w, b)
 		}
 		rows += b.Count
-		distinct += scaleBucket(b, f).Distinct
+		if i == 0 || !sameBits(b, last) {
+			last, lastScaled = b, scaleBucket(b, f).Distinct
+		}
+		distinct += lastScaled
 	}
 	return rows, distinct
 }

@@ -301,7 +301,7 @@ func TestRebucketPreservesShape(t *testing.T) {
 }
 
 func TestSynthesizeUniform(t *testing.T) {
-	h := Synthesize(10000, 500, 0, 20, nil)
+	h := Synthesize(nil, 10000, 500, 0, 20, nil)
 	if h.Rows() != 10000 {
 		t.Fatalf("Synthesize rows = %v", h.Rows())
 	}
@@ -315,7 +315,7 @@ func TestSynthesizeUniform(t *testing.T) {
 
 func TestSynthesizeWeighted(t *testing.T) {
 	w := []float64{9, 1}
-	h := Synthesize(1000, 100, 0, 2, w)
+	h := Synthesize(nil, 1000, 100, 0, 2, w)
 	if h.Rows() != 1000 {
 		t.Fatalf("rows = %v", h.Rows())
 	}
@@ -327,7 +327,7 @@ func TestSynthesizeWeighted(t *testing.T) {
 func TestSynthesizeSmallCardinality(t *testing.T) {
 	// Cardinality smaller than bucket count must not create phantom
 	// distinct values.
-	h := Synthesize(1000, 3, 0, 10, nil)
+	h := Synthesize(nil, 1000, 3, 0, 10, nil)
 	if h.Rows() != 1000 {
 		t.Fatalf("rows = %v", h.Rows())
 	}

@@ -547,7 +547,9 @@ func (w *walk) finishTaskCounts(job *plan.Job, je *JobEstimate, shuffleKey *ColS
 
 // hottestKeyShare estimates the row share of the most frequent key: the
 // catalog's most-common-value statistic when available (equi-width buckets
-// smear single keys), else the densest bucket's per-value mass.
+// smear single keys), else the densest bucket's per-value mass. A bucket
+// equal to the one before it has that one's share, which already lost or
+// won, so it is skipped.
 func hottestKeyShare(cs *ColStat) float64 {
 	best := cs.TopShare
 	if cs.Hist == nil {
@@ -557,8 +559,8 @@ func hottestKeyShare(cs *ColStat) float64 {
 	if total <= 0 {
 		return best
 	}
-	for _, b := range cs.Hist.Buckets {
-		if b.Count <= 0 {
+	for i, b := range cs.Hist.Buckets {
+		if b.Count <= 0 || i > 0 && b == cs.Hist.Buckets[i-1] {
 			continue
 		}
 		if share := b.Count / math.Max(b.Distinct, 1) / total; share > best {

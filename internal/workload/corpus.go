@@ -3,10 +3,12 @@ package workload
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"saqp/internal/catalog"
 	"saqp/internal/cluster"
 	"saqp/internal/dataset"
+	"saqp/internal/histogram"
 	"saqp/internal/par"
 	"saqp/internal/plan"
 	"saqp/internal/predict"
@@ -70,6 +72,23 @@ type Corpus struct {
 	JobSamples []predict.JobSample
 	// TaskSamples pair observed task times with ground-truth features.
 	TaskSamples []predict.TaskSample
+	// feats is the slab the samples' features are cut from.
+	feats featureSlab
+}
+
+// featureSlab is storage feature vectors are cut from, each with a capacity
+// of its own length. A full slab is followed by one twice its size, never
+// copied, so every vector cut before stays valid.
+type featureSlab []float64
+
+// cut returns an empty vector with room for exactly n features.
+func (s *featureSlab) cut(n int) []float64 {
+	if cap(*s)-len(*s) < n {
+		*s = make([]float64, 0, max(n, 2*cap(*s), 256))
+	}
+	k := len(*s)
+	*s = (*s)[:k+n]
+	return (*s)[k : k : k+n]
 }
 
 // SFForTargetBytes converts a target total-input size in bytes to the
@@ -149,17 +168,27 @@ func (s *Stats) reads(d *plan.DAG) []tableRead {
 	return out
 }
 
+// arenas holds the histogram arenas Stats.Estimate synthesizes its
+// statistics into, for any goroutine's next estimate: a corpus worker's
+// estimates then cut their histograms from storage the one before grew.
+var arenas = sync.Pool{New: func() any { return new(histogram.Arena) }}
+
 // Estimate estimates a compiled plan over the database at scale factor sf
 // (quantised to 1e-3) twice: est from the predictor-visible statistics,
-// oracle from the fine ones. Each call synthesises only what d reads and
-// shares nothing, so any number of goroutines may estimate at once.
+// oracle from the fine ones. Each call synthesises only what d reads, into
+// a pooled arena it resets on return — no estimate keeps a catalog
+// histogram — and shares nothing else, so any number of goroutines may
+// estimate at once.
 func (s *Stats) Estimate(d *plan.DAG, sf float64) (est, oracle *selectivity.QueryEstimate, err error) {
 	sf = float64(int64(sf*1000)) / 1000
 	reads := s.reads(d)
+	arena := arenas.Get().(*histogram.Arena)
+	defer arenas.Put(arena)
+	defer arena.Reset(selectivity.RetainBytes)
 	at := func(buckets int) (*selectivity.QueryEstimate, error) {
 		cat := catalog.New()
 		for _, r := range reads {
-			cat.Put(catalog.FromSchemaColumns(r.schema, sf, buckets, r.cols))
+			cat.Put(catalog.FromSchemaColumns(arena, r.schema, sf, buckets, r.cols))
 		}
 		return selectivity.NewEstimator(cat, s.sizing).EstimateQuery(d)
 	}
@@ -270,19 +299,31 @@ func (r *QueryRun) EachSample(
 	job func(op plan.JobType, features []float64, sec float64),
 	task func(op plan.JobType, reduce bool, features []float64, sec float64),
 ) {
+	r.eachSample(func(n int) []float64 { return make([]float64, 0, n) }, job, task)
+}
+
+// eachSample is EachSample with every feature vector appended to an empty
+// one from cut(n), n its length: Eq. 8's four job features, Eq. 9's three
+// task features.
+func (r *QueryRun) eachSample(
+	cut func(n int) []float64,
+	job func(op plan.JobType, features []float64, sec float64),
+	task func(op plan.JobType, reduce bool, features []float64, sec float64),
+) {
 	for ji, je := range r.Oracle.Jobs {
 		sj := r.Sim.Jobs[ji]
 		op, pf := je.Job.Type, je.PFactor()
-		job(op, predict.JobFeatures(je), sj.DoneTime-sj.SubmitTime)
+		job(op, predict.AppendJobFeatures(cut(4), je), sj.DoneTime-sj.SubmitTime)
 		sj.EachSample(je, samplesPerGroup, func(g selectivity.TaskGroup, t *cluster.Task) {
-			task(op, t.Reduce, predict.TaskFeatures(op, g.InBytes, g.OutBytes, pf), t.ActualSec)
+			task(op, t.Reduce, predict.AppendTaskFeatures(cut(3), op, g.InBytes, g.OutBytes, pf), t.ActualSec)
 		})
 	}
 }
 
-// collectSamples appends a run's job and task training samples.
+// collectSamples appends a run's job and task training samples, their
+// features cut from c's slab.
 func (c *Corpus) collectSamples(run *QueryRun) {
-	run.EachSample(
+	run.eachSample(c.feats.cut,
 		func(op plan.JobType, features []float64, sec float64) {
 			c.JobSamples = append(c.JobSamples, predict.JobSample{Op: op, Features: features, Seconds: sec})
 		},

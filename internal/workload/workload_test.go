@@ -2,12 +2,14 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"saqp/internal/cluster"
 	"saqp/internal/dataset"
 	"saqp/internal/plan"
 	"saqp/internal/query"
+	"saqp/internal/selectivity"
 )
 
 func TestGeneratorProducesValidQueries(t *testing.T) {
@@ -249,5 +251,137 @@ func TestWorkloadToClusterPipeline(t *testing.T) {
 	_ = cluster.DefaultConfig()
 	if w.TotalQueries() != 10 {
 		t.Fatal("bad workload")
+	}
+}
+
+// TestCorpusSamplesEqualEachSample: the corpus cuts its samples' features
+// from slabs, the learning replay takes fresh vectors from EachSample; both
+// see the same stream, to the bit, and every cut vector has a capacity of
+// its own length, so appending to one cannot write into the next.
+func TestCorpusSamplesEqualEachSample(t *testing.T) {
+	cfg := DefaultCorpusConfig()
+	cfg.NumQueries = 60
+	c, err := BuildCorpus(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(kind string, i int, got, want []float64) {
+		t.Helper()
+		if len(got) != cap(got) {
+			t.Fatalf("%s sample %d: features have len %d, cap %d", kind, i, len(got), cap(got))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s sample %d: %d features, EachSample %d", kind, i, len(got), len(want))
+		}
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("%s sample %d feature %d: %v, EachSample %v", kind, i, k, got[k], want[k])
+			}
+		}
+	}
+	var jobs, tasks int
+	for _, r := range c.Runs {
+		r.EachSample(
+			func(op plan.JobType, features []float64, sec float64) {
+				s := c.JobSamples[jobs]
+				if s.Op != op || s.Seconds != sec {
+					t.Fatalf("job sample %d: (%v, %v), EachSample (%v, %v)", jobs, s.Op, s.Seconds, op, sec)
+				}
+				same("job", jobs, s.Features, features)
+				jobs++
+			},
+			func(op plan.JobType, reduce bool, features []float64, sec float64) {
+				s := c.TaskSamples[tasks]
+				if s.Op != op || s.Reduce != reduce || s.Seconds != sec {
+					t.Fatalf("task sample %d: (%v, %v, %v), EachSample (%v, %v, %v)", tasks, s.Op, s.Reduce, s.Seconds, op, reduce, sec)
+				}
+				same("task", tasks, s.Features, features)
+				tasks++
+			})
+	}
+	if jobs != len(c.JobSamples) || tasks != len(c.TaskSamples) {
+		t.Fatalf("EachSample walked %d job and %d task samples, the corpus holds %d and %d",
+			jobs, tasks, len(c.JobSamples), len(c.TaskSamples))
+	}
+}
+
+// estimateBits appends every number qe exposes, floats by their bits.
+func estimateBits(dst []uint64, qe *selectivity.QueryEstimate) []uint64 {
+	f := func(vs ...float64) {
+		for _, v := range vs {
+			dst = append(dst, math.Float64bits(v))
+		}
+	}
+	for _, je := range qe.Jobs {
+		f(je.InBytes, je.MedBytes, je.OutBytes, je.InRows, je.MedRows, je.OutRows, je.IS, je.FS, je.P)
+		dst = append(dst, uint64(je.NumMaps), uint64(je.NumReduces))
+		for _, gs := range [][]selectivity.TaskGroup{je.MapGroups, je.ReduceGroups} {
+			dst = append(dst, uint64(len(gs)))
+			for _, g := range gs {
+				dst = append(dst, uint64(g.Count))
+				f(g.InBytes, g.OutBytes)
+			}
+		}
+	}
+	return dst
+}
+
+// TestStatsEstimateLeaksNothingAcrossQueries: Stats.Estimate synthesizes
+// its statistics into a pooled arena that the estimates before it grew and
+// wrote. The 7 TPC-H plans at 10 GB and 100 GB estimate to the same bits
+// before and after 200 generated queries are estimated on the same
+// goroutine, which takes the same arena back from the pool.
+func TestStatsEstimateLeaksNothingAcrossQueries(t *testing.T) {
+	stats := NewStats(DefaultCorpusConfig())
+	type planAt struct {
+		d  *plan.DAG
+		sf float64
+	}
+	var tpch []planAt
+	for _, name := range TPCHNames() {
+		q, err := TPCHQuery(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := plan.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, target := range []float64{10e9, 100e9} {
+			tpch = append(tpch, planAt{d, SFForTargetBytes(q, target)})
+		}
+	}
+	estimateAll := func() []uint64 {
+		var bits []uint64
+		for _, p := range tpch {
+			est, oracle, err := stats.Estimate(p.d, p.sf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits = estimateBits(estimateBits(bits, est), oracle)
+		}
+		return bits
+	}
+	before := estimateAll()
+	g := NewGenerator(45)
+	for i := 0; i < 200; i++ {
+		q, _, err := g.RandomQuery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := plan.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := stats.Estimate(d, SFForTargetBytes(q, float64(1+i%100)*1e9)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := estimateAll(); !slices.Equal(before, after) {
+		k := 0
+		for k < min(len(before), len(after)) && before[k] == after[k] {
+			k++
+		}
+		t.Fatalf("the TPC-H estimates moved after 200 other estimates, first at number %d of %d", k, len(before))
 	}
 }
