@@ -93,8 +93,9 @@ bench-pairs:
 	BASE='$(BASE)' N='$(N)' WORKLOADS='$(WORKLOADS)' WORKLOAD='$(WORKLOAD)' SEED='$(SEED)' SEEDS='$(SEEDS)' scripts/bench-pairs.sh
 
 # Line counts for a CHANGES.md entry (scripts/lines.sh): non-test Go outside
-# bench/ without and with the analyzers' testdata fixtures, and bench/, in
-# the working tree or at REV. Not part of ci: it checks nothing.
+# bench/ without and with the analyzers' testdata fixtures, bench/, and test
+# Go outside bench/, in the working tree or at REV. Not part of ci: it
+# checks nothing.
 lines:
 	scripts/lines.sh $(REV)
 

@@ -13,28 +13,37 @@ import (
 	"saqp/internal/workload"
 )
 
-// oneCandidate is a policy that fails the test when a pick offers it
-// more than one job.
-type oneCandidate struct {
+// oneJobPerQuery is a policy that fails the test when a pick offers it
+// two candidate jobs of one query, and counts the picks it checked. A
+// query is a chain whose next job is submitted when the one before it
+// completes, so no run reaches that state; SWRD ranks jobs by their
+// query's alone on that premise.
+type oneJobPerQuery struct {
 	cluster.Scheduler
-	t *testing.T
+	t     *testing.T
+	picks *int
 }
 
-func (c oneCandidate) PickJob(now float64, cands, active []*cluster.Job, reduce bool) *cluster.Job {
-	if len(cands) > 1 {
-		c.t.Fatalf("%s: a pick at %v offered %d candidate jobs to a query run alone", c.Name(), now, len(cands))
+func (c oneJobPerQuery) PickJob(now float64, cands, active []*cluster.Job, reduce bool) *cluster.Job {
+	for i, a := range cands {
+		for _, b := range cands[:i] {
+			if a.Query == b.Query {
+				c.t.Fatalf("%s: a pick at %v offered jobs %s and %s of one query", c.Name(), now, b.ID, a.ID)
+			}
+		}
 	}
+	*c.picks++
 	return c.Scheduler.PickJob(now, cands, active, reduce)
 }
 
 // TestAloneRunIsPolicyInvariant holds the reason the serving engine has
-// no scheduler to choose: every compiled plan is a chain (job f's only
-// dependency is job f−1), so each pick of a query run alone offers at
-// most one candidate job, and every policy schedules it identically.
+// no scheduler to choose: every compiled plan is a chain (job f reads
+// job f−1), so each pick of a query run alone offers at most one
+// candidate job, and every policy schedules it identically.
 // Over the TPC-H texts and 300 generated queries, at SF 1 and SF 100,
 // fault-free and under a fault.DefaultSpec plan, HCS, HCS with four
 // queues, HFS and SWRD give bit-identical response times. A plan shape
-// that is not a chain fails here first.
+// that is not a chain fails DAG.Validate, in plan.Compile and here.
 func TestAloneRunIsPolicyInvariant(t *testing.T) {
 	policies := []cluster.Scheduler{sched.HCS{}, sched.HCS{Queues: 4}, sched.HFS{}, sched.SWRD{}}
 	faulty := cluster.DefaultConfig()
@@ -42,21 +51,16 @@ func TestAloneRunIsPolicyInvariant(t *testing.T) {
 	configs := []cluster.Config{cluster.DefaultConfig(), faulty}
 	s := new(cluster.Sim)
 	var q cluster.Query
-	runs, faulted := 0, 0
+	runs, faulted, picks := 0, 0, 0
 	for _, sf := range []float64{1, 100} {
 		for i, qe := range aloneEstimates(t, sf) {
-			for f, je := range qe.Jobs {
-				deps := je.Job.Deps
-				if f == 0 && len(deps) == 0 || f > 0 && len(deps) == 1 && deps[0] == qe.Jobs[f-1].Job {
-					continue
-				}
-				t.Fatalf("SF %v query %d: job %d has %d dependencies; in a chain, job f depends on job f−1 alone",
-					sf, i, f, len(deps))
+			if err := qe.DAG.Validate(); err != nil {
+				t.Fatalf("SF %v query %d: %v", sf, i, err)
 			}
 			for ci, cfg := range configs {
 				var want float64
 				for pi, pol := range policies {
-					s.Reset(cfg, oneCandidate{pol, t})
+					s.Reset(cfg, oneJobPerQuery{pol, t, &picks})
 					q.Rebuild("alone", qe, trace.NewDefaultCostModel(uint64(i)), cluster.ConstantPredictor(1))
 					s.Submit(&q, 0)
 					if _, err := s.Run(); err != nil {
@@ -77,7 +81,7 @@ func TestAloneRunIsPolicyInvariant(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d runs, %d of them perturbed by injected faults", runs, faulted)
+	t.Logf("%d runs, %d of them perturbed by injected faults, %d picks", runs, faulted, picks)
 	if faulted == 0 {
 		t.Fatal("the fault plan perturbed no run")
 	}

@@ -10,10 +10,13 @@ import (
 // (BuildQuery), and three more int fields moved that slab a size class up:
 // serve_hot's alloc_kb_per_op went 2.932 → 3.004, +2.4 % against a 2 % bound.
 // Packed as int32s beside Type and Submitted — each followed by 7 bytes of
-// padding before — the struct stays at 208 bytes and the metric at 2.932.
+// padding before — the struct stayed at 208 bytes and the metric at 2.932.
+// A query is a chain whose next job is submitted when the one before it
+// completes, so a job carries no list of upstream ids: without that
+// slice header Job is 184 bytes.
 func TestJobSizePinned(t *testing.T) {
-	if size := unsafe.Sizeof(Job{}); size > 208 {
-		t.Fatalf("Job is %d bytes, pinned at 208: a new field must fit the struct's padding", size)
+	if size := unsafe.Sizeof(Job{}); size > 184 {
+		t.Fatalf("Job is %d bytes, pinned at 184: a new field must fit the struct's padding", size)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package cluster is a discrete-event simulator of a Hadoop 1.x cluster:
 // nodes with fixed container slots execute the map and reduce tasks of
-// MapReduce jobs, jobs belong to query DAGs and are submitted when their
-// dependencies complete (Hive's JobListener behaviour, paper Section 2.2),
-// and a pluggable Scheduler decides which pending task each freed container
-// runs next.
+// MapReduce jobs, jobs belong to queries compiled as chains and are
+// submitted when the job before them completes (Hive's JobListener
+// behaviour, paper Section 2.2), and a pluggable Scheduler decides which
+// pending task each freed container runs next.
 //
 // The simulator replaces the paper's physical 9-node testbed. Task
 // durations come from the hidden trace.CostModel; per-task predicted times

@@ -23,8 +23,8 @@ func fingerprint(res *cluster.Results, qs ...*cluster.Query) string {
 		s += fmt.Sprintf("q=%s in=%v arrival=%v done=%v wrd=%v faulted=%v err=%v\n",
 			q.ID, q.InputBytes, q.ArrivalTime, q.DoneTime, q.RemainingWRD(), q.Faulted, q.Err)
 		for _, j := range q.Jobs {
-			s += fmt.Sprintf(" j=%s (%s %v deps=%v) submitted=%v submit=%v ready=%v done=%v running=%d\n",
-				j.ID, j.JobID, j.Type, j.DepIDs, j.Submitted, j.SubmitTime, j.ReadyTime, j.DoneTime, j.RunningTasks())
+			s += fmt.Sprintf(" j=%s (%s %v) submitted=%v submit=%v ready=%v done=%v running=%d\n",
+				j.ID, j.JobID, j.Type, j.Submitted, j.SubmitTime, j.ReadyTime, j.DoneTime, j.RunningTasks())
 			for _, t := range append(append([]*cluster.Task{}, j.Maps...), j.Reds...) {
 				s += fmt.Sprintf("  r=%v i=%d actual=%v pred=%v state=%d start=%v end=%v attempts=%d fail=%d faulted=%v\n",
 					t.Reduce, t.Index, t.ActualSec, t.PredSec, t.State, t.StartTime, t.EndTime, t.Attempts, t.Failures(), t.Faulted())
@@ -34,12 +34,12 @@ func fingerprint(res *cluster.Results, qs ...*cluster.Query) string {
 	return s
 }
 
-// faultWorkload is a nontrivial mix (DAG deps, reduces, two queries) used
+// faultWorkload is a nontrivial mix (a two-job chain, reduces, two queries) used
 // by the schedule-identity tests.
 func faultWorkload() []*cluster.Query {
 	qa := synthQuery("a", []jobSpec{
 		{id: "J1", maps: 6, reds: 2, mapSec: 8, redSec: 4},
-		{id: "J2", maps: 3, reds: 1, mapSec: 5, redSec: 3, deps: []string{"J1"}},
+		{id: "J2", maps: 3, reds: 1, mapSec: 5, redSec: 3},
 	})
 	qb := synthQuery("b", []jobSpec{{id: "J1", maps: 4, reds: 2, mapSec: 6, redSec: 5}})
 	return []*cluster.Query{qa, qb}

@@ -71,13 +71,12 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 			q.Jobs = append(q.Jobs, j)
 		}
-		q.Jobs[1].DepIDs = []string{"J1"}
 		return q
 	}
 	rewind := func(q *Query) {
 		q.DoneTime, q.Faulted = 0, false
 		for _, j := range q.Jobs {
-			*j = Job{ID: j.ID, JobID: j.JobID, Query: q, Maps: j.Maps, Reds: j.Reds, DepIDs: j.DepIDs, hoarding: j.hoarding[:0]}
+			*j = Job{ID: j.ID, JobID: j.JobID, Query: q, Maps: j.Maps, Reds: j.Reds, hoarding: j.hoarding[:0]}
 			j.ResetPending()
 			for _, tasks := range [2][]*Task{j.Maps, j.Reds} {
 				for _, tk := range tasks {

@@ -26,7 +26,7 @@ func observedRun(t *testing.T) (traceJSON, prom, drift []byte) {
 
 	big := synthQuery("big", []jobSpec{
 		{id: "J1", maps: 6, reds: 2, mapSec: 10, redSec: 8, jobType: plan.Join},
-		{id: "J2", maps: 2, reds: 1, mapSec: 6, redSec: 4, deps: []string{"J1"}, jobType: plan.Groupby},
+		{id: "J2", maps: 2, reds: 1, mapSec: 6, redSec: 4, jobType: plan.Groupby},
 	})
 	small1 := synthQuery("small1", []jobSpec{
 		{id: "J1", maps: 2, reds: 1, mapSec: 3, redSec: 2, jobType: plan.Groupby},

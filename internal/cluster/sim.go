@@ -549,14 +549,13 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 	return res, nil
 }
 
-// arrive submits a query's root jobs.
+// arrive submits a query's first job; each later one is submitted when the
+// job before it completes (finish).
 func (s *Sim) arrive(q *Query) {
 	s.obs.Emit(obs.Event{Kind: obs.QueryArrived, At: s.now, Query: q.ID},
 		obs.AttrInt("jobs", len(q.Jobs)), obs.AttrFloat("input_bytes", q.InputBytes))
-	for _, j := range q.Jobs {
-		if len(j.DepIDs) == 0 {
-			s.submitJob(j)
-		}
+	if len(q.Jobs) > 0 {
+		s.submitJob(q.Jobs[0])
 	}
 }
 
@@ -618,7 +617,7 @@ func (s *Sim) reduceLaunchAllowed(j *Job) bool {
 }
 
 // finish completes a task attempt, frees its slot, and cascades job/query
-// completion (submitting dependents).
+// completion (submitting the query's next job).
 func (s *Sim) finish(e *event) {
 	t, slot := e.task, int(e.slot)
 	if e.epoch != t.epoch {
@@ -672,11 +671,12 @@ func (s *Sim) finish(e *event) {
 			break
 		}
 	}
-	// Submit dependents whose deps are all done.
+	// A query is a chain: submit the job after the one that completed.
 	q := j.Query
-	for _, cand := range q.Jobs {
-		if !cand.Submitted && q.depsDone(cand) {
-			s.submitJob(cand)
+	for _, next := range q.Jobs {
+		if !next.Submitted {
+			s.submitJob(next)
+			break
 		}
 	}
 	if q.Done() {
@@ -684,22 +684,6 @@ func (s *Sim) finish(e *event) {
 		s.terminal++
 		s.obs.Emit(obs.Event{Kind: obs.QueryFinished, At: s.now, Start: q.ArrivalTime, Query: q.ID})
 	}
-}
-
-// depsDone reports whether every upstream job of j has completed. A
-// query has a handful of jobs, so each dependency is found by a scan.
-func (q *Query) depsDone(j *Job) bool {
-	for _, dep := range j.DepIDs {
-		for _, up := range q.Jobs {
-			if up.JobID == dep {
-				if !up.Done() {
-					return false
-				}
-				break
-			}
-		}
-	}
-	return true
 }
 
 // scheduleFinish books the completion event for a running task, charging

@@ -17,7 +17,7 @@ import (
 )
 
 // synthQuery builds a query directly, bypassing the planner: jobSpecs give
-// (maps, reduces, mapSec, redSec, deps). Predicted times equal actuals so
+// (maps, reduces, mapSec, redSec); each job reads the one before it. Predicted times equal actuals so
 // WRD-driven tests are exact.
 type jobSpec struct {
 	id      string
@@ -25,14 +25,13 @@ type jobSpec struct {
 	reds    int
 	mapSec  float64
 	redSec  float64
-	deps    []string
 	jobType plan.JobType
 }
 
 func synthQuery(id string, specs []jobSpec) *cluster.Query {
 	q := &cluster.Query{ID: id}
 	for _, sp := range specs {
-		j := &cluster.Job{ID: id + "/" + sp.id, JobID: sp.id, Query: q, Type: sp.jobType, DepIDs: sp.deps}
+		j := &cluster.Job{ID: id + "/" + sp.id, JobID: sp.id, Query: q, Type: sp.jobType}
 		for i := 0; i < sp.maps; i++ {
 			j.Maps = append(j.Maps, &cluster.Task{Job: j, Index: i, ActualSec: sp.mapSec, PredSec: sp.mapSec})
 		}
@@ -133,7 +132,7 @@ func TestReduceSlowstartHoardsSlots(t *testing.T) {
 func TestDAGDependency(t *testing.T) {
 	q := synthQuery("q", []jobSpec{
 		{id: "J1", maps: 2, mapSec: 5},
-		{id: "J2", maps: 2, mapSec: 5, deps: []string{"J1"}},
+		{id: "J2", maps: 2, mapSec: 5},
 	})
 	s := cluster.New(cluster.Config{Nodes: 1, MapSlotsPerNode: 4, ReduceSlotsPerNode: 2}, sched.HCS{})
 	s.Submit(q, 0)

@@ -91,8 +91,6 @@ type Job struct {
 	running int32
 	Maps    []*Task
 	Reds    []*Task
-	// DepIDs are plan-level IDs of upstream jobs.
-	DepIDs []string
 	// firstMap and firstRed bound the first pending task of each phase
 	// from below: no task at a lower index is pending. nextPending moves
 	// them up, a task returning to pending rewinds them.
@@ -198,12 +196,11 @@ type Query struct {
 	Faulted bool
 
 	remainingWRD float64
-	// jobs, tasks, ptrs and depIDs are the slabs Rebuild cuts the query's
-	// jobs, tasks, task-pointer lists and dependency lists from.
-	jobs   []Job
-	tasks  []Task
-	ptrs   []*Task
-	depIDs []string
+	// jobs, tasks and ptrs are the slabs Rebuild cuts the query's jobs,
+	// tasks and task-pointer lists from.
+	jobs  []Job
+	tasks []Task
+	ptrs  []*Task
 }
 
 // Failed reports whether the query was abandoned under fault injection.
@@ -337,14 +334,14 @@ func BuildQuery(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, p
 // run writes: per-task input/output volumes are divided evenly across the
 // estimated task counts, ground-truth durations are drawn from the cost
 // model, and predicted durations from the predictor. The estimate's group
-// counts size the query's slabs — jobs, job pointers, tasks, task
-// pointers (which also back each job's hoard list) and dependency ids —
-// each q's previous one when its capacity allows, so a long-lived owner (a
-// serving-pool worker) rebuilds query after query without allocating. The
-// jobs' ids are cut from one new string: spans and errors keep it.
+// counts size the query's slabs — jobs, job pointers, tasks and task
+// pointers (which also back each job's hoard list) — each q's previous one
+// when its capacity allows, so a long-lived owner (a serving-pool worker)
+// rebuilds query after query without allocating. The jobs' ids are cut
+// from one new string: spans and errors keep it.
 func (q *Query) Rebuild(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, pred TaskTimePredictor) {
 	var one [1]selectivity.TaskGroup
-	total, reds, deps, idLen := 0, 0, 0, 0
+	total, reds, idLen := 0, 0, 0
 	for _, je := range qe.Jobs {
 		for _, reduce := range [2]bool{false, true} {
 			for _, g := range phaseGroups(je, reduce, &one) {
@@ -354,7 +351,6 @@ func (q *Query) Rebuild(id string, qe *selectivity.QueryEstimate, cm *trace.Cost
 				}
 			}
 		}
-		deps += len(je.Job.Deps)
 		idLen += len(id) + 1 + len(je.Job.ID)
 	}
 	var ids strings.Builder
@@ -367,25 +363,18 @@ func (q *Query) Rebuild(id string, qe *selectivity.QueryEstimate, cm *trace.Cost
 	idBuf := ids.String()
 	*q = Query{
 		ID: id, InputBytes: qe.TotalInputBytes(),
-		Jobs:   resized(q.Jobs, len(qe.Jobs)),
-		jobs:   resized(q.jobs, len(qe.Jobs)),
-		tasks:  resized(q.tasks, total),
-		ptrs:   resized(q.ptrs, total+reds),
-		depIDs: resized(q.depIDs, deps),
+		Jobs:  resized(q.Jobs, len(qe.Jobs)),
+		jobs:  resized(q.jobs, len(qe.Jobs)),
+		tasks: resized(q.tasks, total),
+		ptrs:  resized(q.ptrs, total+reds),
 	}
-	tasks, ptrs, depIDs := q.tasks, q.ptrs, q.depIDs
+	tasks, ptrs := q.tasks, q.ptrs
 	for ji, je := range qe.Jobs {
 		j := &q.jobs[ji]
 		q.Jobs[ji] = j
 		n := len(id) + 1 + len(je.Job.ID)
 		*j = Job{ID: idBuf[:n], JobID: je.Job.ID, Query: q, Type: je.Job.Type}
 		idBuf = idBuf[n:]
-		if k := len(je.Job.Deps); k > 0 {
-			j.DepIDs, depIDs = depIDs[:k:k], depIDs[k:]
-			for i, dep := range je.Job.Deps {
-				j.DepIDs[i] = dep.ID
-			}
-		}
 		pf := je.PFactor()
 		for _, reduce := range [2]bool{false, true} {
 			n := 0
@@ -415,12 +404,11 @@ func (q *Query) Rebuild(id string, qe *selectivity.QueryEstimate, cm *trace.Cost
 }
 
 // SlabBytes returns the storage q keeps for its next Rebuild, in bytes:
-// the capacity of its job, job-pointer, task, task-pointer and dependency
-// slabs. An owner that reuses q bounds what it keeps between layouts by it.
+// the capacity of its job, job-pointer, task and task-pointer slabs. An
+// owner that reuses q bounds what it keeps between layouts by it.
 func (q *Query) SlabBytes() int {
 	return cap(q.Jobs)*int(unsafe.Sizeof((*Job)(nil))) + cap(q.jobs)*int(unsafe.Sizeof(Job{})) +
-		cap(q.tasks)*int(unsafe.Sizeof(Task{})) + cap(q.ptrs)*int(unsafe.Sizeof((*Task)(nil))) +
-		cap(q.depIDs)*int(unsafe.Sizeof(""))
+		cap(q.tasks)*int(unsafe.Sizeof(Task{})) + cap(q.ptrs)*int(unsafe.Sizeof((*Task)(nil)))
 }
 
 // phaseGroups returns the task groups Query.Rebuild lays one phase of a

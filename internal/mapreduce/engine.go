@@ -93,9 +93,10 @@ type QueryResult struct {
 	Final *Frame
 }
 
-// RunQuery executes all jobs of the DAG in topological order. The query's
-// working buffers come from the engine's idle scratch, or a new one if
-// another query holds it; concurrent calls are safe.
+// RunQuery executes the jobs of the DAG in chain order, each reading the
+// output of the job before it. The query's working buffers come from the
+// engine's idle scratch, or a new one if another query holds it;
+// concurrent calls are safe.
 func (e *Engine) RunQuery(d *plan.DAG) (*QueryResult, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -106,13 +107,11 @@ func (e *Engine) RunQuery(d *plan.DAG) (*QueryResult, error) {
 	}
 	defer e.release(s)
 	res := &QueryResult{Stats: make(map[string]*JobStats, len(d.Jobs))}
-	frames := make(map[string]*Frame, len(d.Jobs))
 	for _, job := range d.Jobs {
-		out, stats, err := e.runJob(s, job, frames)
+		out, stats, err := e.runJob(s, job, res.Final)
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: job %s: %w", job.ID, err)
 		}
-		frames[job.ID] = out
 		res.Stats[job.ID] = stats
 		res.Final = out
 	}
@@ -171,7 +170,9 @@ func (e *Engine) loadScan(ts plan.TableScan) (jobInput, error) {
 	}, nil
 }
 
-func (e *Engine) resolveInputs(job *plan.Job, frames map[string]*Frame) ([]jobInput, error) {
+// resolveInputs resolves job's base-table scans, then, if it reads the job
+// before it, that job's output frame up.
+func (e *Engine) resolveInputs(job *plan.Job, up *Frame) ([]jobInput, error) {
 	var ins []jobInput
 	for _, ts := range job.Scans {
 		in, err := e.loadScan(ts)
@@ -180,12 +181,8 @@ func (e *Engine) resolveInputs(job *plan.Job, frames map[string]*Frame) ([]jobIn
 		}
 		ins = append(ins, in)
 	}
-	for _, dep := range job.Deps {
-		f, ok := frames[dep.ID]
-		if !ok {
-			return nil, fmt.Errorf("dependency %s not yet executed", dep.ID)
-		}
-		ins = append(ins, jobInput{frame: f, rawBytes: f.Bytes(), rawRows: f.NumRows()})
+	if job.Up != nil {
+		ins = append(ins, jobInput{frame: up, rawBytes: up.Bytes(), rawRows: up.NumRows()})
 	}
 	if len(ins) == 0 {
 		return nil, fmt.Errorf("job has no inputs")
@@ -193,8 +190,8 @@ func (e *Engine) resolveInputs(job *plan.Job, frames map[string]*Frame) ([]jobIn
 	return ins, nil
 }
 
-func (e *Engine) runJob(s *scratch, job *plan.Job, frames map[string]*Frame) (*Frame, *JobStats, error) {
-	ins, err := e.resolveInputs(job, frames)
+func (e *Engine) runJob(s *scratch, job *plan.Job, up *Frame) (*Frame, *JobStats, error) {
+	ins, err := e.resolveInputs(job, up)
 	if err != nil {
 		return nil, nil, err
 	}

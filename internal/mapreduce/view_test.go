@@ -62,12 +62,12 @@ func TestEngineViewsEqualGathered(t *testing.T) {
 	var sharedQ14, chainedQ17, finalViews bool
 	names, dags := digestPlans(t)
 	for i, d := range dags {
-		frames := make(map[string]*Frame, len(d.Jobs))
+		var out *Frame
 		s := new(scratch)
 		for _, job := range d.Jobs {
 			what := names[i] + "/" + job.ID
 			if len(job.MapJoins) > 0 {
-				ins, err := e.resolveInputs(job, frames)
+				ins, err := e.resolveInputs(job, out)
 				if err == nil {
 					ins, err = e.applyMapJoins(s, job, ins, &JobStats{})
 				}
@@ -83,12 +83,12 @@ func TestEngineViewsEqualGathered(t *testing.T) {
 					}
 				}
 			}
-			out, _, err := e.runJob(s, job, frames)
+			next, _, err := e.runJob(s, job, out)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
+			out = next
 			checkView(t, what, out)
-			frames[job.ID] = out
 			if names[i] == "q17" && job.ID == "J3" {
 				chainedQ17 = len(out.sides) == 4 && len(out.Cols) > len(out.sides)
 				for _, s := range out.sides {
@@ -96,7 +96,7 @@ func TestEngineViewsEqualGathered(t *testing.T) {
 				}
 			}
 		}
-		if sink := d.Jobs[len(d.Jobs)-1]; sink.Type == plan.Join && frames[sink.ID].sides != nil {
+		if sink := d.Jobs[len(d.Jobs)-1]; sink.Type == plan.Join && out.sides != nil {
 			finalViews = true
 		}
 	}

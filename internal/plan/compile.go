@@ -308,7 +308,7 @@ func (c *compiler) regions(q *query.Query) {
 func (c *compiler) build(q *query.Query, built int, groupby, extract bool) (*DAG, error) {
 	m := built - len(c.folds)
 	jobs := make([]Job, m)
-	ptrs := make([]*Job, 2*m-1) // the DAG's Jobs, then each job's one dependency
+	ptrs := make([]*Job, m)
 	cols := make([]string, len(c.refs))
 	for i, r := range c.refs {
 		cols[i] = r.name
@@ -349,8 +349,7 @@ func (c *compiler) build(q *query.Query, built int, groupby, extract bool) (*DAG
 		ptrs[f] = j
 		j.ID, j.Limit = jobID(f+1), -1
 		if f > 0 {
-			ptrs[m+f-1] = &jobs[f-1]
-			j.Deps = ptrs[m+f-1 : m+f : m+f]
+			j.Up = &jobs[f-1]
 		}
 		from := s
 		for t := range c.tabs {
@@ -398,7 +397,7 @@ func (c *compiler) build(q *query.Query, built int, groupby, extract bool) (*DAG
 		}
 		f++
 	}
-	d := &DAG{Jobs: ptrs[:m:m], Query: q}
+	d := &DAG{Jobs: ptrs, Query: q}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

@@ -145,9 +145,11 @@ func (d *digester) dag(g *plan.DAG) {
 		for _, ts := range j.Scans {
 			d.scan(ts)
 		}
-		d.n(int64(len(j.Deps)))
-		for _, dep := range j.Deps {
-			d.s(dep.ID)
+		if j.Up == nil { // a list of zero or one upstream ids, as the constants were recorded
+			d.n(0)
+		} else {
+			d.n(1)
+			d.s(j.Up.ID)
 		}
 		d.col(j.JoinLeft)
 		d.col(j.JoinRight)
@@ -197,7 +199,7 @@ func dagDigest(g *plan.DAG) uint64 {
 }
 
 // TestPlanDigestPinned holds every field of every compiled DAG — ids,
-// types, scans with their predicates and column order, deps by id, join
+// types, scans with their predicates and column order, Up by id, join
 // keys, group keys, aggregates, HAVING, order keys (with the J<n>.agg<i>
 // rebinding a MAPJOIN fold renumbers), limit, MapOnly, Broadcast and the
 // folded map-joins — and every error string, over the generator's pool,

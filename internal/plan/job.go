@@ -53,8 +53,9 @@ type Job struct {
 	Type JobType
 	// Scans lists base tables read by this job's map phase (0, 1 or 2).
 	Scans []TableScan
-	// Deps are upstream jobs whose output this job reads.
-	Deps []*Job
+	// Up is the job whose output this job reads: nil for the first job of
+	// the DAG, the job just before it otherwise.
+	Up *Job
 	// JoinLeft and JoinRight are the equi-join key columns for Join jobs.
 	JoinLeft, JoinRight query.ColumnRef
 	// GroupKeys are the grouping columns for Groupby jobs.
@@ -97,15 +98,16 @@ func (j *Job) Label() string {
 	for _, s := range j.Scans {
 		parts = append(parts, s.Table)
 	}
-	for _, d := range j.Deps {
-		parts = append(parts, d.ID)
+	if j.Up != nil {
+		parts = append(parts, j.Up.ID)
 	}
 	return fmt.Sprintf("%s:%s(%s)", j.ID, j.Type, strings.Join(parts, ","))
 }
 
 // DAG is the compiled execution plan of one query.
 type DAG struct {
-	// Jobs are in a valid topological (submission) order.
+	// Jobs are in submission order and form a left-deep chain: each job
+	// after the first reads the output of the job just before it.
 	Jobs []*Job
 	// Query is the resolved source query.
 	Query *query.Query
@@ -119,36 +121,24 @@ func (d *DAG) Sink() *Job {
 	return d.Jobs[len(d.Jobs)-1]
 }
 
-// Validate checks structural invariants: unique IDs, dependencies that are
-// members of the DAG, and topological ordering of Jobs. A plan has a few
-// jobs, so ids are looked up by a scan rather than through a map.
+// Validate checks structural invariants: non-empty unique IDs, and a chain
+// in which every job after the first reads the job before it. A plan has a
+// few jobs, so ids are compared by a scan rather than through a map.
 func (d *DAG) Validate() error {
-	index := func(id string, n int) int {
-		for k, j := range d.Jobs[:n] {
-			if j.ID == id {
-				return k
-			}
-		}
-		return -1
-	}
+	var prev *Job
 	for i, j := range d.Jobs {
 		if j.ID == "" {
 			return fmt.Errorf("plan: job %d has empty ID", i)
 		}
-		if index(j.ID, i) >= 0 {
-			return fmt.Errorf("plan: duplicate job ID %q", j.ID)
-		}
-	}
-	for i, j := range d.Jobs {
-		for _, dep := range j.Deps {
-			k := index(dep.ID, len(d.Jobs))
-			if k < 0 {
-				return fmt.Errorf("plan: job %s depends on %s which is not in the DAG", j.ID, dep.ID)
-			}
-			if k >= i {
-				return fmt.Errorf("plan: job %s appears before its dependency %s", j.ID, dep.ID)
+		for _, k := range d.Jobs[:i] {
+			if k.ID == j.ID {
+				return fmt.Errorf("plan: duplicate job ID %q", j.ID)
 			}
 		}
+		if j.Up != prev {
+			return fmt.Errorf("plan: job %s does not read the job before it", j.ID)
+		}
+		prev = j
 	}
 	return nil
 }
@@ -156,27 +146,16 @@ func (d *DAG) Validate() error {
 // CriticalPath returns the cost of the maximum-cost root-to-sink path
 // under the given per-job cost function; negative costs count as zero.
 // The paper approximates a query's execution time by the jobs along this
-// path (Section 5.4).
+// path (Section 5.4). A plan is a chain, so its one root-to-sink path runs
+// through every job and the critical path is the sum of the clamped costs.
 func (d *DAG) CriticalPath(cost func(*Job) float64) float64 {
-	best := make(map[string]float64, len(d.Jobs))
-	var maxCost float64
-	for i, j := range d.Jobs { // Jobs are topologically ordered
-		c := cost(j)
-		if c < 0 {
-			c = 0
-		}
-		b := c
-		for _, dep := range j.Deps {
-			if v := best[dep.ID] + c; v > b {
-				b = v
-			}
-		}
-		best[j.ID] = b
-		if i == 0 || b > maxCost {
-			maxCost = b
+	var sum float64
+	for _, j := range d.Jobs {
+		if c := cost(j); c > 0 {
+			sum += c
 		}
 	}
-	return maxCost
+	return sum
 }
 
 // String renders the DAG one job per line.

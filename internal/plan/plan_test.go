@@ -38,16 +38,16 @@ func TestCompileQ11Shape(t *testing.T) {
 	if d.Jobs[0].Type != Join || d.Jobs[1].Type != Join || d.Jobs[2].Type != Groupby {
 		t.Fatalf("job types wrong:\n%s", d)
 	}
-	// J1 scans nation+supplier; J2 depends on J1 and scans partsupp.
-	if len(d.Jobs[0].Scans) != 2 || len(d.Jobs[0].Deps) != 0 {
+	// J1 scans nation+supplier; J2 reads J1 and scans partsupp.
+	if len(d.Jobs[0].Scans) != 2 || d.Jobs[0].Up != nil {
 		t.Fatalf("J1 structure wrong: %+v", d.Jobs[0])
 	}
 	if len(d.Jobs[1].Scans) != 1 || d.Jobs[1].Scans[0].Table != "partsupp" ||
-		len(d.Jobs[1].Deps) != 1 || d.Jobs[1].Deps[0] != d.Jobs[0] {
+		d.Jobs[1].Up != d.Jobs[0] {
 		t.Fatalf("J2 structure wrong: %+v", d.Jobs[1])
 	}
-	if len(d.Jobs[2].Deps) != 1 || d.Jobs[2].Deps[0] != d.Jobs[1] {
-		t.Fatalf("J3 deps wrong")
+	if d.Jobs[2].Up != d.Jobs[1] {
+		t.Fatalf("J3 does not read J2")
 	}
 	if len(d.Jobs[2].GroupKeys) != 1 || d.Jobs[2].GroupKeys[0].Column != "ps_partkey" {
 		t.Fatalf("group keys = %+v", d.Jobs[2].GroupKeys)
@@ -157,7 +157,7 @@ func TestCompileFourJobChain(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	d := mustCompile(t, q11)
-	// Break topological order.
+	// Swapped jobs break the chain.
 	d.Jobs[0], d.Jobs[2] = d.Jobs[2], d.Jobs[0]
 	if err := d.Validate(); err == nil {
 		t.Fatal("Validate accepted out-of-order DAG")
@@ -169,9 +169,9 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 	d = mustCompile(t, q11)
 	ghost := &Job{ID: "ghost"}
-	d.Jobs[2].Deps = append(d.Jobs[2].Deps, ghost)
+	d.Jobs[2].Up = ghost
 	if err := d.Validate(); err == nil {
-		t.Fatal("Validate accepted dangling dependency")
+		t.Fatal("Validate accepted a job reading one outside the DAG")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // TestCompileAllocBudget bounds plan.Compile per plan shape, so that a
 // regression fails here rather than only in the whole miss. A DAG is the
-// DAG, its jobs, one []*Job for the job list and every Deps, the scans,
+// DAG, its jobs, the []*Job job list, the scans,
 // the pruned column names, the pushed predicates, and per kind present
 // the Groupby job's aggregates, the sort keys and the folded map-joins.
 // Budgets are the measured counts + 2.
@@ -108,8 +108,6 @@ func TestParsedAndPlannedSlicesDoNotAlias(t *testing.T) {
 		for _, ts := range j.Scans {
 			pokeScan(ts)
 		}
-		aliasSink = append(j.Deps, &plan.Job{ID: "probe"})
-		check("Deps")
 		aliasSink = append(j.Aggs, query.SelectItem{Star: true})
 		check("Aggs")
 		aliasSink = append(j.OrderKeys, query.OrderItem{Col: col})

@@ -11,8 +11,8 @@
 //     concurrent queries.
 //   - SWRD, the paper's case-study scheduler: all slots go to the query
 //     with the Smallest Weighted Resource Demand (Eq. 10), computed from
-//     the semantics-aware predicted task times; within a query, jobs run
-//     in submission order.
+//     the semantics-aware predicted task times; a query's jobs form a
+//     chain, so each query offers at most one job at a time.
 //
 // Schedulers only rank jobs; the cluster simulator owns slot pools,
 // reduce slowstart and phase eligibility.

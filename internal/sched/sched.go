@@ -110,34 +110,24 @@ func (HFS) PickJob(_ float64, cands, _ []*cluster.Job, _ bool) *cluster.Job {
 }
 
 // SWRD is the paper's Smallest-WRD-first query scheduler: all slots go to
-// the query with the smallest remaining Weighted Resource Demand; within
-// it, jobs run in submission order. Ties break by arrival time so equal
-// queries retain FIFO fairness.
+// the query with the smallest remaining Weighted Resource Demand. Ties
+// break by arrival time so equal queries retain FIFO fairness. A query is a
+// chain whose next job is submitted when the one before it completes, so a
+// query has at most one candidate and ranking jobs ranks their queries.
 type SWRD struct{}
 
 // Name implements cluster.Scheduler.
 func (SWRD) Name() string { return "SWRD" }
 
-// PickJob selects the smallest-WRD query's oldest candidate job.
+// PickJob selects the candidate whose query has the smallest (remaining
+// WRD, arrival time), the first on ties.
 func (SWRD) PickJob(_ float64, cands, _ []*cluster.Job, _ bool) *cluster.Job {
-	var bestQ *cluster.Query
-	for _, j := range cands {
-		q := j.Query
-		if bestQ == nil ||
-			q.RemainingWRD() < bestQ.RemainingWRD() ||
-			(q.RemainingWRD() == bestQ.RemainingWRD() && q.ArrivalTime < bestQ.ArrivalTime) {
-			bestQ = q
-		}
-	}
-	if bestQ == nil {
-		return nil
-	}
 	var best *cluster.Job
 	for _, j := range cands {
-		if j.Query != bestQ {
-			continue
-		}
-		if best == nil || j.SubmitTime < best.SubmitTime {
+		q := j.Query
+		if best == nil ||
+			q.RemainingWRD() < best.Query.RemainingWRD() ||
+			(q.RemainingWRD() == best.Query.RemainingWRD() && q.ArrivalTime < best.Query.ArrivalTime) {
 			best = j
 		}
 	}

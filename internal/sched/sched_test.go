@@ -179,22 +179,6 @@ func TestSWRDTieBreaksByArrival(t *testing.T) {
 	}
 }
 
-func TestSWRDServesOldestJobWithinQuery(t *testing.T) {
-	q := &cluster.Query{ID: "q"}
-	j1 := &cluster.Job{ID: "q/J1", JobID: "J1", Query: q, SubmitTime: 1}
-	j2 := &cluster.Job{ID: "q/J2", JobID: "J2", Query: q, SubmitTime: 9}
-	for _, j := range []*cluster.Job{j1, j2} {
-		j.Maps = []*cluster.Task{{Job: j, ActualSec: 1, PredSec: 1}}
-		j.ResetPending()
-	}
-	q.Jobs = []*cluster.Job{j1, j2}
-	q.RecomputeWRD()
-	cands := []*cluster.Job{j2, j1}
-	if got := (sched.SWRD{}).PickJob(0, cands, cands, false); got != j1 {
-		t.Fatalf("SWRD picked %s within query, want oldest job", got.ID)
-	}
-}
-
 func TestSchedulerNames(t *testing.T) {
 	if (sched.HCS{}).Name() != "HCS" || (sched.HFS{}).Name() != "HFS" || (sched.SWRD{}).Name() != "SWRD" {
 		t.Fatal("scheduler names wrong")

@@ -193,8 +193,8 @@ var walks = sync.Pool{New: func() any { return new(walk) }}
 // simulator layout, about 2,700 tasks (internal/serve).
 const RetainBytes = 256 << 10
 
-// EstimateQuery estimates every job of the DAG in topological order, after
-// one reverse pass has marked, per job, the columns a transitive consumer
+// EstimateQuery estimates every job of the DAG in chain order, after one
+// reverse pass has marked, per job, the columns a transitive consumer
 // reads: the forward pass carries exactly those along each edge.
 func (e *Estimator) EstimateQuery(d *plan.DAG) (*QueryEstimate, error) {
 	w := walks.Get().(*walk)
@@ -207,7 +207,11 @@ func (e *Estimator) EstimateQuery(d *plan.DAG) (*QueryEstimate, error) {
 func (w *walk) estimate(e *Estimator, d *plan.DAG) (*QueryEstimate, error) {
 	n, ngroups := len(d.Jobs), 0
 	for _, job := range d.Jobs {
-		ngroups += max(1, len(job.Scans)+len(job.Deps)) + 2 // map groups + at most two reduce groups
+		in := len(job.Scans)
+		if job.Up != nil {
+			in++
+		}
+		ngroups += max(1, in) + 2 // map groups + at most two reduce groups
 	}
 	qe := &QueryEstimate{DAG: d, Jobs: make([]*JobEstimate, n), ByID: make(map[string]*JobEstimate, n)}
 	jes := make([]JobEstimate, n)
@@ -244,21 +248,11 @@ func retained[T any](buf []T) []T {
 	return buf[:0]
 }
 
-// upstream returns the stage of the job before i with the given ID, or nil.
-func (w *walk) upstream(id string, i int) *stage {
-	for k := i - 1; k >= 0; k-- {
-		if w.jobs[k].ID == id {
-			return &w.stages[k]
-		}
-	}
-	return nil
-}
-
 // markNeeds sets up the stages and fills their need sets in one reverse
 // pass over the jobs. A job's inputs must carry what its operator reads —
 // join and map-join keys with their histograms, group keys for their
 // scalars — and, through a join, what its consumers read; and what a job
-// reads, its dependencies feed.
+// reads, the job before it feeds.
 func (w *walk) markNeeds(jes []JobEstimate) {
 	if cap(w.stages) < len(jes) {
 		w.stages = make([]stage, len(jes))
@@ -280,14 +274,13 @@ func (w *walk) markNeeds(jes []JobEstimate) {
 			r = addNeed(addNeed(r, job.MapJoins[k].JoinLeft, true), job.MapJoins[k].JoinRight, true)
 		}
 		st.reads = r
-		for _, dep := range job.Deps {
-			if up := w.upstream(dep.ID, i); up != nil {
-				if up.feeds == nil {
-					up.feeds = up.feedBuf[:0]
-				}
-				for _, n := range r {
-					up.feeds = addNeed(up.feeds, n.ref, n.hist)
-				}
+		if job.Up != nil {
+			up := &w.stages[i-1]
+			if up.feeds == nil {
+				up.feeds = up.feedBuf[:0]
+			}
+			for _, n := range r {
+				up.feeds = addNeed(up.feeds, n.ref, n.hist)
 			}
 		}
 	}
@@ -341,7 +334,7 @@ func (w *walk) scanInput(ts *plan.TableScan, needs []need) (input, error) {
 func (w *walk) cut(start int) []edgeCol { return w.cols[start:len(w.cols):len(w.cols)] }
 
 // estimateJob resolves job i's inputs — base-table scans first, then
-// upstream job outputs — and dispatches on the job category.
+// the output of the job before it — and dispatches on the job category.
 func (w *walk) estimateJob(i int) error {
 	job, st := w.jobs[i], &w.stages[i]
 	je, needs := st.je, st.reads
@@ -355,11 +348,8 @@ func (w *walk) estimateJob(i int) error {
 		je.scanBytes += in.rawBytes
 		ins = append(ins, in)
 	}
-	for _, dep := range job.Deps {
-		up := w.upstream(dep.ID, i)
-		if up == nil {
-			return fmt.Errorf("dependency %s not yet estimated", dep.ID)
-		}
+	if job.Up != nil {
+		up := &w.stages[i-1]
 		ins = append(ins, input{edge: up.out, dep: up.je, rawBytes: up.je.OutBytes, rawRows: up.je.OutRows,
 			rawWidth: up.out.width, sPred: 1, sProj: 1})
 	}

@@ -1,12 +1,13 @@
 #!/bin/sh
 # lines.sh — the line counts a change reports in CHANGES.md.
 #
-# Prints three counts of Go source lines, at REV or, without one, in the
+# Prints four counts of Go source lines, at REV or, without one, in the
 # working tree (untracked files included, ignored ones not):
 #
 #   go        non-test Go outside bench/, without testdata fixtures
 #   go+fix    the same with the fixtures (internal/analysis/*/testdata)
 #   bench     non-test Go under bench/
+#   test      _test.go files outside bench/
 #
 # Usage: make lines [REV=<rev>]
 #    or: scripts/lines.sh [<rev>]
@@ -28,4 +29,5 @@ count() {
 go=$(count '*.go' ':!*_test.go' ':!bench/' ':!*/testdata/*')
 fix=$(count '*.go' ':!*_test.go' ':!bench/')
 bench=$(count 'bench/*.go' ':!*_test.go')
-printf 'go\t%s\ngo+fix\t%s\nbench\t%s\n' "$go" "$fix" "$bench"
+test=$(count '*_test.go' ':!bench/')
+printf 'go\t%s\ngo+fix\t%s\nbench\t%s\ntest\t%s\n' "$go" "$fix" "$bench" "$test"
