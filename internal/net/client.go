@@ -35,13 +35,16 @@ func IsBusy(err error) bool {
 // Client is a blocking, connection-per-client wire client. Methods are
 // safe for one goroutine at a time; a Client serializes one
 // request/reply exchange per call. Close is the exception: any goroutine
-// may call it, and it unblocks a pending call.
+// may call it, and it unblocks a pending call. After a transport error or
+// a reply that does not decode, the stream's framing is lost, so every
+// later call returns that same error.
 type Client struct {
-	mu  sync.Mutex
-	c   stdnet.Conn
-	br  *bufio.Reader
-	enc *proto.Encoder
-	lim proto.Limits
+	mu   sync.Mutex
+	c    stdnet.Conn
+	dec  *proto.Decoder
+	enc  *proto.Encoder
+	err  error    // sticky: the first transport or decode error
+	seed [20]byte // SUBMIT's seed digits
 }
 
 // Dial connects to a frontend server at addr.
@@ -53,9 +56,8 @@ func Dial(addr string) (*Client, error) {
 	lim := proto.DefaultLimits()
 	return &Client{
 		c:   c,
-		br:  bufio.NewReaderSize(c, lim.MaxLine+2),
+		dec: proto.NewDecoder(bufio.NewReaderSize(c, lim.MaxLine+2), lim),
 		enc: proto.NewEncoder(bufio.NewWriter(c)),
-		lim: lim,
 	}, nil
 }
 
@@ -64,20 +66,29 @@ func Dial(addr string) (*Client, error) {
 // returns with the connection's error instead of holding Close.
 func (c *Client) Close() error { return c.c.Close() }
 
-// roundTrip sends one request array and decodes one reply frame,
-// mapping error frames to *ServerError.
+// roundTrip sends one request array of args and decodes its reply; the
+// caller holds c.mu.
 func (c *Client) roundTrip(args ...string) (proto.Value, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.enc.Array(len(args))
 	for _, a := range args {
 		c.enc.BulkString(a)
 	}
-	if err := c.enc.Flush(); err != nil {
-		return proto.Value{}, err
+	return c.reply()
+}
+
+// reply flushes the request the encoder holds and decodes one reply
+// frame, mapping an error frame to *ServerError. The Value is valid until
+// the next exchange; the caller holds c.mu.
+func (c *Client) reply() (proto.Value, error) {
+	if c.err != nil {
+		return proto.Value{}, c.err
 	}
-	v, err := proto.ReadValue(c.br, c.lim)
+	if c.err = c.enc.Flush(); c.err != nil {
+		return proto.Value{}, c.err
+	}
+	v, err := c.dec.Read()
 	if err != nil {
+		c.err = err
 		return proto.Value{}, err
 	}
 	if v.Kind == proto.KindError {
@@ -89,6 +100,8 @@ func (c *Client) roundTrip(args ...string) (proto.Value, error) {
 
 // Ping round-trips a PING.
 func (c *Client) Ping() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	v, err := c.roundTrip("PING")
 	if err != nil {
 		return err
@@ -102,7 +115,13 @@ func (c *Client) Ping() error {
 // Submit admits one query with the given ground-truth seed and returns
 // its ticket id for a later Wait.
 func (c *Client) Submit(sql string, seed uint64) (string, error) {
-	v, err := c.roundTrip("SUBMIT", sql, strconv.FormatUint(seed, 10))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.enc.Array(3)
+	c.enc.BulkString("SUBMIT")
+	c.enc.BulkString(sql)
+	c.enc.Bulk(strconv.AppendUint(c.seed[:0], seed, 10))
+	v, err := c.reply()
 	if err != nil {
 		return "", err
 	}
@@ -114,17 +133,22 @@ func (c *Client) Submit(sql string, seed uint64) (string, error) {
 
 // Wait blocks until the identified submission completes and returns
 // its result decoded from the wire (Result.SQL stays empty — the
-// server does not echo query text).
+// server does not echo query text). Result.ID is id itself when the
+// reply echoes it.
 func (c *Client) Wait(id string) (serve.Result, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	v, err := c.roundTrip("WAIT", id)
 	if err != nil {
 		return serve.Result{}, err
 	}
-	return parseResult(v)
+	return parseResult(v, id)
 }
 
 // Stats snapshots the server's engine counters as a name → value map.
 func (c *Client) Stats() (map[string]int64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	v, err := c.roundTrip("STATS")
 	if err != nil {
 		return nil, err
@@ -145,6 +169,8 @@ func (c *Client) Stats() (map[string]int64, error) {
 
 // Explain returns the server's compiled plan description of one query.
 func (c *Client) Explain(sql string) ([]string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	v, err := c.roundTrip("EXPLAIN", sql)
 	if err != nil {
 		return nil, err
@@ -154,6 +180,8 @@ func (c *Client) Explain(sql string) ([]string, error) {
 
 // Metrics returns the server's metrics dump, one line per entry.
 func (c *Client) Metrics() ([]string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	v, err := c.roundTrip("METRICS")
 	if err != nil {
 		return nil, err
@@ -163,6 +191,8 @@ func (c *Client) Metrics() ([]string, error) {
 
 // Quit asks the server to close the connection after acknowledging.
 func (c *Client) Quit() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	_, err := c.roundTrip("QUIT")
 	return err
 }
@@ -190,8 +220,9 @@ func bulkLines(v proto.Value) ([]string, error) {
 	return lines, nil
 }
 
-// parseResult decodes a WAIT reply into the engine's Result struct.
-func parseResult(v proto.Value) (serve.Result, error) {
+// parseResult decodes a WAIT reply for ticket id into the engine's
+// Result struct.
+func parseResult(v proto.Value, id string) (serve.Result, error) {
 	pairs, err := pairFields(v)
 	if err != nil {
 		return serve.Result{}, err
@@ -201,7 +232,10 @@ func parseResult(v proto.Value) (serve.Result, error) {
 		name, val := string(pairs[i].Str), pairs[i+1]
 		switch name {
 		case "id":
-			r.ID = string(val.Str)
+			r.ID = id
+			if string(val.Str) != id {
+				r.ID = string(val.Str)
+			}
 		case "cache_hit":
 			var hit int
 			hit, err = intField(name, val)

@@ -8,7 +8,8 @@
 // counters; EXPLAIN <sql> replies with the compiled plan description;
 // METRICS dumps the metrics registry; PING and QUIT do what they say.
 // Requests arrive either as arrays of bulk strings or as inline
-// CRLF-terminated lines (telnet-friendly).
+// CRLF-terminated lines (telnet-friendly). A client may pipeline: the
+// server answers the requests one at a time, in request order.
 //
 // The server enforces a connection limit, per-connection read and
 // write deadlines, and admission backpressure: past a connection's

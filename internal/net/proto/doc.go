@@ -15,16 +15,20 @@
 // round-trip exactly: re-encoding a decoded Value reproduces the
 // canonical bytes, a property the fuzz suite enforces.
 //
-// ReadValue copies the payloads of one top-level frame into one slab,
-// sized from the reader's buffered bytes as a hint, never by reading
-// ahead; each payload is cut with capacity equal to its length. MaxBulk
-// bounds the payloads together as well as each bulk, so one frame holds
-// about MaxBulk bytes however many elements it has. An array header
+// A Decoder decodes frame after frame into one element slice and one
+// payload slab that it keeps, so a warm connection decodes without
+// allocating and a returned Value is valid until the next Read; storage
+// past a 16 KiB retention bound is dropped after its frame. ReadValue is
+// a Decoder run once with fresh storage, so its Value owns its bytes. A
+// slab is sized from the reader's buffered bytes as a hint, never by
+// reading ahead; each payload is cut with capacity equal to its length.
+// MaxBulk bounds the payloads together as well as each bulk, so one frame
+// holds about MaxBulk bytes however many elements it has. An array header
 // inside an array is refused at its marker, so one frame's elements are
-// at most MaxArray 64-byte Values, allocated once.
+// at most MaxArray 64-byte Values.
 //
 // Encoding goes through an Encoder with a sticky error and fixed
 // scratch buffers, so the per-command reply path performs no heap
-// allocations (the //saqp:hotpath contract, guarded by
-// TestHotPathAllocs).
+// allocations; neither does a warm Decoder.Read (the //saqp:hotpath
+// contract, guarded by TestHotPathAllocs).
 package proto

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,11 @@ import (
 //     io.ErrUnexpectedEOF (truncated) or *WireError (malformed);
 //   - an accepted frame holds no array inside an array, at most MaxArray
 //     elements and at most MaxBulk payload bytes;
-//   - valid inputs round-trip byte-for-byte through Encode(Decode(x)).
+//   - valid inputs round-trip byte-for-byte through Encode(Decode(x));
+//   - one Decoder shared by every input, reading each between two
+//     copies of another frame, returns what ReadValue returns (the same
+//     value, or the same error) and then that other frame intact, so no
+//     byte of one frame shows through in the next.
 func FuzzProtocolDecode(f *testing.F) {
 	seeds := []string{
 		"+PONG\r\n",
@@ -50,6 +55,11 @@ func FuzzProtocolDecode(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	lim := Limits{MaxLine: 256, MaxBulk: 4096, MaxArray: 64}
+	other := Array(BulkString("id"), BulkString("q000042"), Simple("ok"), Int(-3), BulkString("wrd"))
+	otherRaw := AppendValue(nil, other)
+	var shared bytes.Reader
+	sharedBR := bufio.NewReaderSize(&shared, lim.MaxLine+2)
+	dec := NewDecoder(sharedBR, lim)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReaderSize(bytes.NewReader(data), lim.MaxLine+2)
 		v, err := ReadValue(br, lim)
@@ -58,6 +68,30 @@ func FuzzProtocolDecode(f *testing.F) {
 			t.Fatalf("draining reader: %v", rerr)
 		}
 		consumed := len(data) - len(rest)
+
+		// The shared decoder reads the other frame, this input, and (when
+		// the input holds a frame) the other frame again.
+		stream := append(slices.Clone(otherRaw), data...)
+		if err == nil {
+			stream = append(append(slices.Clone(otherRaw), data[:consumed]...), otherRaw...)
+		}
+		shared.Reset(stream)
+		sharedBR.Reset(&shared)
+		if o, oerr := dec.Read(); oerr != nil || !o.Equal(other) {
+			t.Fatalf("shared decoder, frame before %q: %+v, %v", data, o, oerr)
+		}
+		sv, serr := dec.Read()
+		if (serr == nil) != (err == nil) || err != nil && serr.Error() != err.Error() {
+			t.Fatalf("shared decoder on %q: error %v, ReadValue's %v", data, serr, err)
+		}
+		if err == nil {
+			if !sv.Equal(v) {
+				t.Fatalf("shared decoder on %q: %+v, ReadValue's %+v", data, sv, v)
+			}
+			if o, oerr := dec.Read(); oerr != nil || !o.Equal(other) {
+				t.Fatalf("shared decoder, frame after %q: %+v, %v", data, o, oerr)
+			}
+		}
 
 		if err != nil {
 			var we *WireError

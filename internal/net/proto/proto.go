@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"unsafe"
 )
 
 // Kind identifies one wire frame type by its leading marker byte.
@@ -109,11 +110,6 @@ type WireError struct{ msg string }
 // Error implements the error interface.
 func (e *WireError) Error() string { return "proto: " + e.msg }
 
-// wireErrf builds a *WireError with a formatted message.
-func wireErrf(format string, args ...any) error {
-	return &WireError{msg: fmt.Sprintf(format, args...)}
-}
-
 // NewWireError builds a typed malformed-frame error, letting the
 // connection loop classify its own request-shape violations (for
 // example an inline line where an array was required) the same way as
@@ -147,57 +143,95 @@ func ReadInline(br *bufio.Reader, lim Limits) ([][]byte, error) {
 // ReadValue decodes exactly one frame from br under lim. A clean EOF
 // before the first byte returns io.EOF; EOF inside a frame returns
 // io.ErrUnexpectedEOF; a malformed or over-limit frame returns a
-// *WireError. The returned Value owns its payload bytes (nothing
-// aliases the reader's buffer), and no byte past the decoded frame is
-// consumed. The payloads of one frame share one slab, each cut to its
-// own length and capacity, so appending to one never writes into
-// another. Together they hold at most lim.MaxBulk bytes: a frame past
-// that is refused before its next payload is allocated. Arrays are flat:
-// an array inside an array is refused at its marker, before any of its
-// elements is allocated.
+// *WireError. No byte past the decoded frame is consumed. Together the
+// frame's payloads hold at most lim.MaxBulk bytes: a frame past that is
+// refused before its next payload is allocated. Arrays are flat: an array
+// inside an array is refused at its marker, before any of its elements is
+// allocated.
+//
+// ReadValue is a Decoder run once with fresh storage, so the returned
+// Value owns its payload bytes and elements: nothing aliases the reader's
+// buffer or any other frame. The payloads share one slab when the frame
+// arrived whole, each cut to its own length and capacity, so appending
+// to one never writes into another.
 func ReadValue(br *bufio.Reader, lim Limits) (Value, error) {
-	f := frame{left: max(lim.MaxBulk, lim.MaxLine)}
-	return readValue(br, lim, true, &f)
+	d := Decoder{br: br, lim: lim}
+	return d.Read()
 }
 
-// frame is the decoding state one top-level frame's payloads share: the
-// slab they are cut from and the payload bytes the frame may still hold.
-type frame struct {
-	slab []byte
-	left int
+// retainBytes bounds the storage a Decoder keeps from one frame to the
+// next: after a frame whose payload slab and element slice together hold
+// more, both are dropped and the next frame starts fresh. A frame of the
+// protocol's own commands needs a few hundred bytes; 16 KiB keeps every
+// one of them warm and lets a 1 MiB bulk go once its frame is read.
+const retainBytes = 16 << 10
+
+// valueBytes is the size of one Value, for the retention bound.
+const valueBytes = int(unsafe.Sizeof(Value{}))
+
+// Decoder decodes frame after frame from one reader into storage it
+// keeps: one element slice and one payload slab, so a warm decoder
+// allocates nothing per frame. A Value that Read returns — its payloads
+// and its elements — is valid until the next Read; a caller that keeps
+// any of it longer copies it. Limits, error classification and the
+// no-read-past-the-frame rule are ReadValue's. A Decoder is not safe for
+// concurrent use.
+type Decoder struct {
+	br    *bufio.Reader
+	lim   Limits
+	elems []Value // array elements, reused by every frame
+	slab  []byte  // payload bytes; each frame cuts from its start
+	left  int     // payload bytes the current frame may still hold
+}
+
+// NewDecoder returns a Decoder reading frames from br under lim.
+func NewDecoder(br *bufio.Reader, lim Limits) *Decoder {
+	return &Decoder{br: br, lim: lim}
+}
+
+// Read decodes the next frame. A payload that does not fit the slab's
+// room starts a new, larger slab, which the decoder keeps for later
+// frames; storage past the retention bound is dropped after the frame.
+//
+//saqp:hotpath
+func (d *Decoder) Read() (Value, error) {
+	d.slab, d.left = d.slab[:0], max(d.lim.MaxBulk, d.lim.MaxLine)
+	v, err := d.value(true)
+	if cap(d.slab)+cap(d.elems)*valueBytes > retainBytes {
+		d.slab, d.elems = nil, nil
+	}
+	return v, err
 }
 
 // cut charges a payload of n bytes against the frame's budget and
-// returns room for it plus extra terminator bytes from the frame's slab.
-// The slab is made at the frame's first payload with room for the payload
-// plus what br holds buffered, which covers the rest of the frame when it
-// arrived whole; that size is a hint, never a read, and a payload that
-// does not fit what is left gets its own allocation.
-func cut(f *frame, n, extra int, br *bufio.Reader) ([]byte, error) {
-	if n > f.left {
-		return nil, wireErrf("frame payload exceeds limit: %d more bytes with %d left", n, f.left)
+// returns room for it plus extra terminator bytes, cut from the slab with
+// capacity equal to its length. A payload that does not fit the slab's
+// room starts a new slab of the payload plus what br holds buffered, or
+// of twice the old capacity up to the retention bound, whichever is
+// larger: a slab past the bound is dropped after its frame, so doubling
+// past it would only add to what the frame costs. What br holds covers
+// the rest of the frame when it arrived whole; that size is a hint, never
+// a read.
+func (d *Decoder) cut(n, extra int) ([]byte, error) {
+	if n > d.left {
+		return nil, &WireError{msg: fmt.Sprintf("frame payload exceeds limit: %d more bytes with %d left", n, d.left)} //lint:allow saqpvet/allocfree a malformed frame ends its connection; its error is built once
 	}
-	f.left -= n
+	d.left -= n
 	n += extra
-	if f.slab == nil {
-		f.slab = make([]byte, 0, n+br.Buffered())
+	off := len(d.slab)
+	if cap(d.slab)-off < n {
+		d.slab, off = make([]byte, 0, max(n+d.br.Buffered(), min(2*cap(d.slab), retainBytes))), 0 //lint:allow saqpvet/allocfree grows only while a decoder warms up, or for a frame past the retention bound; TestHotPathAllocs proves a warm Read allocates nothing
 	}
-	s, off := f.slab, len(f.slab)
-	if cap(s)-off < n {
-		return make([]byte, n), nil
-	}
-	f.slab = s[:off+n]
-	return s[off : off+n : off+n], nil
+	d.slab = d.slab[:off+n]
+	return d.slab[off : off+n : off+n], nil
 }
 
-// readValue decodes one frame, the top-level one or an array element,
-// cutting its payloads from the top-level frame's slab.
-func readValue(br *bufio.Reader, lim Limits, top bool, f *frame) (Value, error) {
+// value decodes one frame, the top-level one or an array element,
+// cutting its payloads from the decoder's slab.
+func (d *Decoder) value(top bool) (Value, error) {
+	br, lim := d.br, d.lim
 	marker, err := br.ReadByte()
 	if err != nil {
-		if err == io.EOF {
-			return Value{}, io.EOF
-		}
 		return Value{}, err
 	}
 	switch Kind(marker) {
@@ -206,7 +240,7 @@ func readValue(br *bufio.Reader, lim Limits, top bool, f *frame) (Value, error) 
 		if err != nil {
 			return Value{}, err
 		}
-		str, err := cut(f, len(line), 0, br)
+		str, err := d.cut(len(line), 0)
 		if err != nil {
 			return Value{}, err
 		}
@@ -219,18 +253,15 @@ func readValue(br *bufio.Reader, lim Limits, top bool, f *frame) (Value, error) 
 		}
 		n, ok := parseInt(line)
 		if !ok {
-			return Value{}, wireErrf("bad integer %q", clip(line))
+			return Value{}, &WireError{msg: fmt.Sprintf("bad integer %.32q", line)} //lint:allow saqpvet/allocfree a malformed frame ends its connection; its error is built once
 		}
 		return Value{Kind: KindInt, Int: n}, nil
 	case KindBulk:
-		n, err := readLength(br, lim, "bulk")
+		n, err := readLength(br, lim.MaxLine, lim.MaxBulk, "bulk")
 		if err != nil {
 			return Value{}, err
 		}
-		if n > int64(lim.MaxBulk) {
-			return Value{}, wireErrf("bulk length %d exceeds limit %d", n, lim.MaxBulk)
-		}
-		buf, err := cut(f, int(n), 2, br)
+		buf, err := d.cut(n, 2)
 		if err != nil {
 			return Value{}, err
 		}
@@ -238,45 +269,54 @@ func readValue(br *bufio.Reader, lim Limits, top bool, f *frame) (Value, error) 
 			return Value{}, eofErr(err)
 		}
 		if buf[n] != '\r' || buf[n+1] != '\n' {
-			return Value{}, wireErrf("bulk payload missing CRLF terminator")
+			return Value{}, errBulkCRLF
 		}
 		return Value{Kind: KindBulk, Str: buf[:n:n]}, nil
 	case KindArray:
 		if !top {
-			return Value{}, wireErrf("array inside an array")
+			return Value{}, errNestedArray
 		}
-		n, err := readLength(br, lim, "array")
+		n, err := readLength(br, lim.MaxLine, lim.MaxArray, "array")
 		if err != nil {
 			return Value{}, err
 		}
-		if n > int64(lim.MaxArray) {
-			return Value{}, wireErrf("array length %d exceeds limit %d", n, lim.MaxArray)
+		if cap(d.elems) < n {
+			d.elems = make([]Value, max(n, min(2*cap(d.elems), retainBytes/valueBytes))) //lint:allow saqpvet/allocfree grows only while a decoder warms up; TestHotPathAllocs proves a warm Read allocates nothing
 		}
-		elems := make([]Value, 0, n)
-		for i := int64(0); i < n; i++ {
-			el, err := readValue(br, lim, false, f)
-			if err != nil {
+		elems := d.elems[:n:n]
+		for i := range elems {
+			if elems[i], err = d.value(false); err != nil {
 				return Value{}, eofErr(err)
 			}
-			elems = append(elems, el)
 		}
 		return Value{Kind: KindArray, Elems: elems}, nil
 	default:
-		return Value{}, wireErrf("unknown frame marker %q", marker)
+		return Value{}, &WireError{msg: fmt.Sprintf("unknown frame marker %q", marker)} //lint:allow saqpvet/allocfree a malformed frame ends its connection; its error is built once
 	}
 }
 
-// readLength reads and validates a non-negative length header line.
-func readLength(br *bufio.Reader, lim Limits, what string) (int64, error) {
-	line, err := readLine(br, lim.MaxLine)
+// The fixed decode errors, built once.
+var (
+	errBulkCRLF    = NewWireError("bulk payload missing CRLF terminator")
+	errNestedArray = NewWireError("array inside an array")
+	errLineCRLF    = NewWireError("line missing CRLF terminator")
+)
+
+// readLength reads a length header line of at most maxLine bytes and
+// returns the length, refusing one that is negative or past limit.
+func readLength(br *bufio.Reader, maxLine, limit int, what string) (int, error) {
+	line, err := readLine(br, maxLine)
 	if err != nil {
 		return 0, err
 	}
 	n, ok := parseInt(line)
-	if !ok || n < 0 {
-		return 0, wireErrf("bad %s length %q", what, clip(line))
+	switch {
+	case !ok || n < 0:
+		return 0, &WireError{msg: fmt.Sprintf("bad %s length %.32q", what, line)} //lint:allow saqpvet/allocfree a malformed frame ends its connection; its error is built once
+	case n > int64(limit):
+		return 0, &WireError{msg: fmt.Sprintf("%s length %d exceeds limit %d", what, n, limit)} //lint:allow saqpvet/allocfree a malformed frame ends its connection; its error is built once
 	}
-	return n, nil
+	return int(n), nil
 }
 
 // readLine reads one CRLF-terminated line of at most max bytes
@@ -285,20 +325,16 @@ func readLength(br *bufio.Reader, lim Limits, what string) (int64, error) {
 // the next read.
 func readLine(br *bufio.Reader, max int) ([]byte, error) {
 	line, err := br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		return nil, wireErrf("line exceeds %d bytes", max)
+	if err == bufio.ErrBufferFull || err == nil && len(line) > max+2 {
+		return nil, &WireError{msg: fmt.Sprintf("line exceeds %d bytes", max)} //lint:allow saqpvet/allocfree a malformed frame ends its connection; its error is built once
 	}
 	if err != nil {
 		return nil, eofErr(err)
 	}
 	if len(line) < 2 || line[len(line)-2] != '\r' {
-		return nil, wireErrf("line missing CRLF terminator")
+		return nil, errLineCRLF
 	}
-	line = line[:len(line)-2]
-	if len(line) > max {
-		return nil, wireErrf("line exceeds %d bytes", max)
-	}
-	return line, nil
+	return line[:len(line)-2], nil
 }
 
 // eofErr maps a mid-frame EOF to io.ErrUnexpectedEOF so callers can
@@ -308,16 +344,6 @@ func eofErr(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// clip bounds an untrusted byte string for inclusion in an error
-// message.
-func clip(b []byte) string {
-	const max = 32
-	if len(b) > max {
-		return string(b[:max]) + "..."
-	}
-	return string(b)
 }
 
 // parseInt parses a signed decimal integer without allocating. It

@@ -146,7 +146,8 @@ func TestDecodeLimits(t *testing.T) {
 // frame, not only of each bulk. Two 600 KiB bulks each fit the default
 // 1 MiB bulk limit, but their array is refused with a *WireError at the
 // second one's header — before that payload is read or allocated — while
-// two bulks of 512 KiB, exactly the budget, still decode.
+// two bulks of 512 KiB, exactly the budget, still decode, allocating about
+// their own size.
 func TestDecodeFrameBudget(t *testing.T) {
 	lim := DefaultLimits()
 	twoBulks := func(n int) []byte {
@@ -171,13 +172,40 @@ func TestDecodeFrameBudget(t *testing.T) {
 		t.Errorf("refusing the frame allocated %d bytes, want less than one payload past the first", got)
 	}
 
+	// An accepted frame's slabs stay near its payload budget: a payload
+	// that outgrows the slab starts one of its own size (plus what is
+	// buffered), not twice the old one. 64 KiB of slack covers the
+	// buffered-bytes hint and a slab up to the 16 KiB retention bound.
+	const slack = 64 << 10
 	raw = twoBulks(512 << 10)
-	v, err := ReadValue(bufio.NewReaderSize(bytes.NewReader(raw), lim.MaxLine+2), lim)
+	var v Value
+	runtime.ReadMemStats(&before)
+	v, err = ReadValue(bufio.NewReaderSize(bytes.NewReader(raw), lim.MaxLine+2), lim)
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatalf("two 512 KiB bulks, exactly the frame budget: %v", err)
 	}
 	if len(v.Elems) != 2 || len(v.Elems[1].Str) != 512<<10 {
 		t.Fatalf("decoded %d elements", len(v.Elems))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20+slack {
+		t.Errorf("two 512 KiB bulks allocated %d bytes, want less than %d", got, 1<<20+slack)
+	}
+
+	// A big bulk whose header arrives alone gets a slab of exactly its
+	// size; the small bulk after it must not double that slab.
+	const bigN = 1<<20 - 1024
+	raw = AppendValue(nil, Array(Bulk(bytes.Repeat([]byte{'x'}, bigN)), Bulk(bytes.Repeat([]byte{'y'}, 500))))
+	head := bytes.IndexByte(raw, 'x') // the array and first bulk headers
+	rd2 := io.MultiReader(bytes.NewReader(raw[:head]), bytes.NewReader(raw[head:]))
+	runtime.ReadMemStats(&before)
+	v, err = ReadValue(bufio.NewReaderSize(rd2, lim.MaxLine+2), lim)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(v.Elems) != 2 || len(v.Elems[0].Str) != bigN || len(v.Elems[1].Str) != 500 {
+		t.Fatalf("big bulk then small: %d elements, %v", len(v.Elems), err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= bigN+slack {
+		t.Errorf("a %d-byte bulk then a 500-byte one allocated %d bytes, want less than %d", bigN, got, bigN+slack)
 	}
 }
 

@@ -229,7 +229,10 @@ func (s *Server) refuse(c stdnet.Conn) {
 	_ = c.Close() //lint:allow saqpvet/errdrop nothing to do about a close error on a refused connection
 }
 
-// serveConn runs one connection's read → dispatch → reply loop.
+// serveConn runs one connection's read → dispatch → reply loop: it arms
+// the idle deadline before every request and flushes after every reply,
+// so a pipelined batch is answered in order, one write per command. One
+// decoder and one args slice serve every request of the connection.
 func (s *Server) serveConn(c stdnet.Conn) {
 	defer s.wg.Done()
 	defer s.unregister(c)
@@ -237,13 +240,15 @@ func (s *Server) serveConn(c stdnet.Conn) {
 	br := bufio.NewReaderSize(c, lim.MaxLine+2)
 	bw := bufio.NewWriter(c)
 	enc := proto.NewEncoder(bw)
+	dec := proto.NewDecoder(br, lim)
+	var args [][]byte
 	pending := make(map[string]serve.Pending)
 	for {
 		if !s.armRead(c) {
 			return
 		}
-		args, err := readRequest(br, lim)
-		if err != nil {
+		var err error
+		if args, err = readRequest(br, dec, lim, args[:0]); err != nil {
 			var we *proto.WireError
 			if errors.As(err, &we) {
 				// Malformed frame: answer, then hang up — resync on a
@@ -274,20 +279,20 @@ func (s *Server) flush(c stdnet.Conn, enc *proto.Encoder) bool {
 	return enc.Flush() == nil
 }
 
-// readRequest reads one request in either wire form: an array of bulk
-// strings, or an inline CRLF-terminated line.
-func readRequest(br *bufio.Reader, lim proto.Limits) ([][]byte, error) {
+// readRequest reads one request in either wire form, an array of bulk
+// strings or an inline CRLF-terminated line, into args. An array's
+// arguments alias dec's storage: valid until its next Read.
+func readRequest(br *bufio.Reader, dec *proto.Decoder, lim proto.Limits, args [][]byte) ([][]byte, error) {
 	first, err := br.Peek(1)
 	if err != nil {
 		return nil, err
 	}
 	switch proto.Kind(first[0]) {
 	case proto.KindArray:
-		v, err := proto.ReadValue(br, lim)
+		v, err := dec.Read()
 		if err != nil {
 			return nil, err
 		}
-		args := make([][]byte, 0, len(v.Elems))
 		for _, el := range v.Elems {
 			switch el.Kind {
 			case proto.KindBulk, proto.KindSimple:
@@ -374,14 +379,13 @@ func (s *Server) cmdWait(ctx context.Context, enc *proto.Encoder, pending map[st
 		enc.Error("ERR", "WAIT requires a ticket id")
 		return
 	}
-	id := string(args[1])
-	p, ok := pending[id]
+	p, ok := pending[string(args[1])]
 	if !ok {
-		enc.Error("ERR", "unknown ticket '"+proto.Sanitize(id)+"'")
+		enc.Error("ERR", "unknown ticket '"+proto.Sanitize(string(args[1]))+"'")
 		return
 	}
 	res, err := p.Wait(ctx)
-	delete(pending, id)
+	delete(pending, p.ID())
 	if err != nil {
 		enc.Error("ERR", proto.Sanitize(err.Error()))
 		return

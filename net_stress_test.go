@@ -1,9 +1,11 @@
 package saqp_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"saqp"
+	"saqp/internal/net/proto"
 	"saqp/internal/predict"
 )
 
@@ -474,4 +477,79 @@ func mustEstimate(t *testing.T, fw *saqp.Framework, sql string) *saqp.QueryEstim
 		t.Fatal(err)
 	}
 	return qe
+}
+
+// TestNetHalfReadBatch: a client pipelines SUBMIT/WAIT pairs over a real
+// engine in one write, reads a few replies and hangs up. Every admitted
+// query still runs to completion — the engine's Inflight and queue depth
+// return to 0 — the connection's handler goes, and Shutdown finds
+// nothing left to wait for.
+func TestNetHalfReadBatch(t *testing.T) {
+	fw, err := saqp.NewFramework(saqp.Options{Observer: saqp.NewObserver(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, err := saqp.TPCHSQL("q6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	srv, err := fw.NewServer(saqp.ServerOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pairs, read = 32, 5
+	var reqs []byte
+	for i := 1; i <= pairs; i++ {
+		reqs = proto.AppendValue(reqs, proto.Array(proto.BulkString("SUBMIT"), proto.BulkString(sql)))
+		reqs = proto.AppendValue(reqs, proto.Array(proto.BulkString("WAIT"), proto.BulkString(fmt.Sprintf("q%06d", i))))
+	}
+	conn, err := net.Dial("tcp", ns.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(reqs); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	for i := 0; i < read; i++ {
+		if _, err := proto.ReadValue(br, proto.DefaultLimits()); err != nil {
+			t.Fatalf("reply %d: %v", i+1, err)
+		}
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	settled := func() bool {
+		st := srv.Stats()
+		active := fw.Obs.Metrics.Snapshot().Gauges["saqp_net_connections_active"]
+		return st.Inflight == 0 && st.QueueDepth == 0 && st.Completed == st.Submitted && active == 0
+	}
+	for deadline := time.Now().Add(30 * time.Second); !settled(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after the client hung up: stats %+v", srv.Stats())
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := ns.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before+2; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutine leak: %d before, %d after\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+	}
 }

@@ -9,11 +9,13 @@
 # run's summary line, then cpu_us_per_op and throughput_ops_s (unbounded,
 # calibrated) read off the run's text lines.
 #
-# After the runs it prints, per workload, seed and bounded metric, what the
-# claim rule (docs/MEASURING.md) is worked out from: each side's median and
+# After the runs it prints, per workload, seed and metric — the four
+# bounded ones, then cpu_us_per_op and throughput_ops_s — what the claim
+# rule (docs/MEASURING.md) is worked out from: each side's median and
 # quartiles, the parent's interquartile spread, the gap between the
 # medians, and how many pairs the change wins, ties and loses (lower is
-# better for all four; a tie counts for neither side). It judges nothing.
+# better for all but throughput_ops_s; a tie counts for neither side). It
+# judges nothing.
 #
 #   BASE      commit to compare against (default: git merge-base main HEAD)
 #   N         pairs to run per seed (default 10)
@@ -116,7 +118,10 @@ function quartiles(side, s, m,   a, n, k) {
 	q[side, 2] = quantile(a, n, 0.5)
 	q[side, 3] = quantile(a, n, 0.75)
 }
-BEGIN { split("setup_s allocs_per_op alloc_kb_per_op est_err", names, " ") }
+BEGIN {
+	nm = split("setup_s allocs_per_op alloc_kb_per_op est_err cpu_us_per_op throughput_ops_s", names, " ")
+	higher[6] = 1
+}
 {
 	key = $10 "\t" $11
 	if (!(key in seen)) {
@@ -125,14 +130,14 @@ BEGIN { split("setup_s allocs_per_op alloc_kb_per_op est_err", names, " ") }
 	}
 	if ($1 > pairs[key])
 		pairs[key] = $1
-	for (m = 1; m <= 4; m++)
+	for (m = 1; m <= nm; m++)
 		if ($(m + 3) != "")
 			val[key, m, $1, $2] = $(m + 3) + 0
 }
 END {
 	for (i = 0; i < nkeys; i++) {
 		s = order[i]
-		for (m = 1; m <= 4; m++) {
+		for (m = 1; m <= nm; m++) {
 			quartiles("base", s, m)
 			quartiles("head", s, m)
 			w = t = l = 0
@@ -141,7 +146,7 @@ END {
 					continue
 				b = val[s, m, k, "base"]
 				h = val[s, m, k, "head"]
-				if (h < b) w++
+				if (higher[m] ? h > b : h < b) w++
 				else if (h == b) t++
 				else l++
 			}
