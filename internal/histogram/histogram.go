@@ -4,9 +4,9 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"unsafe"
 
 	"saqp/internal/core/floats"
+	"saqp/internal/slab"
 )
 
 // Bucket is one equi-width cell: the row mass falling in it and the number
@@ -41,16 +41,12 @@ func New(lo, hi float64, n int) *Histogram {
 // until the arena's next Reset. The zero Arena is ready to use; a nil
 // *Arena allocates every histogram on its own.
 type Arena struct {
-	hists   []Histogram
-	buckets []Bucket
-	used    int // buckets cut since the last Reset, across slabs
+	hists   slab.Slab[Histogram]
+	buckets slab.Slab[Bucket]
 }
 
-// New returns an empty histogram with n buckets over [lo, hi), cut from a.
-// A bucket slab that runs out is followed by another of its size (or of
-// n, if larger), not copied, so every histogram cut before stays where it
-// is; Reset sizes the slab to the whole request. It panics if n <= 0 or
-// hi <= lo.
+// New returns an empty histogram with n buckets over [lo, hi), cut from a;
+// no histogram cut before it moves. It panics if n <= 0 or hi <= lo.
 //
 //saqp:hotpath
 func (a *Arena) New(lo, hi float64, n int) *Histogram {
@@ -63,39 +59,21 @@ func (a *Arena) New(lo, hi float64, n int) *Histogram {
 	if a == nil {
 		return &Histogram{Lo: lo, Hi: hi, Buckets: make([]Bucket, n)} //lint:allow saqpvet/allocfree a nil arena allocates by contract; the estimator always passes one
 	}
-	if len(a.hists) == cap(a.hists) {
-		a.hists = make([]Histogram, 0, max(8, 2*cap(a.hists))) //lint:allow saqpvet/allocfree grows only while an arena warms up; TestHotPathAllocs proves a warm New allocates nothing
-	}
-	start := len(a.buckets)
-	if cap(a.buckets)-start < n {
-		a.buckets, start = make([]Bucket, 0, max(n, cap(a.buckets))), 0 //lint:allow saqpvet/allocfree grows only while an arena warms up
-	}
-	a.used += n
-	a.buckets = a.buckets[:start+n]
-	b := a.buckets[start : start+n : start+n]
-	clear(b)
-	a.hists = a.hists[:len(a.hists)+1]
-	h := &a.hists[len(a.hists)-1]
-	*h = Histogram{Lo: lo, Hi: hi, Buckets: b}
+	h := &a.hists.Cut(1)[0]
+	*h = Histogram{Lo: lo, Hi: hi, Buckets: a.buckets.Cut(n)}
 	return h
 }
 
 // Reset makes a's storage reusable, invalidating every histogram cut from
-// it. The histograms cut since the last Reset decide what is kept: if
-// their buckets and the header slab come to more than keep bytes, a drops
-// its storage, so one outsized request does not pin it for the owner's
-// life; if they spilled past one bucket slab, the slab is replaced by one
-// that holds them all, so a request of that size cuts from it alone.
+// it. If its slabs would keep more than keep bytes, a drops them instead,
+// so one outsized request does not pin them for the owner's life.
 func (a *Arena) Reset(keep int) {
-	clear(a.hists)
-	switch size := a.used*int(unsafe.Sizeof(Bucket{})) + cap(a.hists)*int(unsafe.Sizeof(Histogram{})); {
-	case size > keep:
+	if a.hists.Bytes()+a.buckets.Bytes() > int64(keep) {
 		*a = Arena{}
 		return
-	case a.used > cap(a.buckets):
-		a.buckets = make([]Bucket, 0, a.used)
 	}
-	a.hists, a.buckets, a.used = a.hists[:0], a.buckets[:0], 0
+	a.hists.Reset()
+	a.buckets.Reset()
 }
 
 // Build constructs an n-bucket equi-width histogram from a value sample.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"saqp/internal/sim"
 )
@@ -384,12 +385,12 @@ func TestArenaEqualsFresh(t *testing.T) {
 			}
 		}
 		ar.Reset(4 << 10)
-		if cap(ar.buckets) != 37 {
-			t.Errorf("round %d: Reset left a %d-bucket slab, want the request's 37", round, cap(ar.buckets))
+		if n := ar.buckets.Bytes() / int64(unsafe.Sizeof(Bucket{})); n != 37 {
+			t.Errorf("round %d: Reset left a %d-bucket slab, want the request's 37", round, n)
 		}
 	}
 	ar.New(0, 1, 300)
-	if ar.Reset(4 << 10); cap(ar.buckets) != 0 || cap(ar.hists) != 0 {
-		t.Errorf("Reset(4 KiB) after 300 buckets kept %d buckets and %d headers", cap(ar.buckets), cap(ar.hists))
+	if ar.Reset(4 << 10); ar.buckets.Bytes() != 0 || ar.hists.Bytes() != 0 {
+		t.Errorf("Reset(4 KiB) after 300 buckets kept %d bytes of buckets and %d of headers", ar.buckets.Bytes(), ar.hists.Bytes())
 	}
 }

@@ -298,7 +298,7 @@ func (e *Engine) mapFilter(s *scratch, in jobInput) ([][]int32, error) {
 		return nil, err
 	}
 	sp := e.splits(in)
-	sel := s.i32.cut(in.frame.n)
+	sel := s.i32.Cut(in.frame.n)
 	parts := make([][]int32, len(sp))
 	par.For(len(sp), func(_ *struct{}, si int) {
 		lo, hi := sp[si][0], sp[si][1]
@@ -518,12 +518,12 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 	}
 	bufs := make([]combineBuf, len(parts))
 	for si, p := range parts {
-		bufs[si] = combineBuf{gid: s.i32.cut(len(p)), first: s.i32.cut(len(p))}
+		bufs[si] = combineBuf{gid: s.i32.Cut(len(p)), first: s.i32.Cut(len(p))}
 		if operands {
-			bufs[si].l = s.f64.cut(len(p))
+			bufs[si].l = s.f64.Cut(len(p))
 		}
 		if binops {
-			bufs[si].r = s.f64.cut(len(p))
+			bufs[si].r = s.f64.Cut(len(p))
 		}
 	}
 	partials := make([]partial, len(parts))
@@ -536,16 +536,16 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 	for _, p := range partials {
 		nLocals += len(p.first)
 	}
-	locals := s.i32.cut(nLocals)[:0]   // every task's local groups, by their first rows
+	locals := s.i32.Cut(nLocals)[:0]   // every task's local groups, by their first rows
 	keyed := Frame{vecs: keys, n: f.n} // sizes a record's key columns
 	for _, p := range partials {
 		locals = append(locals, p.first...)
 		stats.MedRows += int64(len(p.first))
 		stats.MedBytes += keyed.rowBytes(p.first) + 8*int64(nAggs*len(p.first))
 	}
-	gid := s.i32.cut(len(locals))
-	first := groupRows(keys, locals, gid, s.i32.cut(len(locals)))
-	states := s.states.cut(len(first) * w) // a group's first partial merges into zeroed states as a copy
+	gid := s.i32.Cut(len(locals))
+	first := groupRows(keys, locals, gid, s.i32.Cut(len(locals)))
+	states := s.states.Cut(len(first) * w) // a group's first partial merges into zeroed states as a copy
 	for _, p := range partials {
 		for g := range p.first {
 			for a := 0; a < w; a++ {
@@ -566,7 +566,7 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 		ends = append(ends, len(rendered))
 	}
 	key := func(g int32) []byte { return rendered[ends[g]:ends[g+1]] }
-	order := s.i32.cut(len(first))[:0]
+	order := s.i32.Cut(len(first))[:0]
 	for g := range first {
 		// HAVING: drop groups whose aggregate fails any conjunct.
 		keep := true
@@ -582,7 +582,7 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 	}
 	slices.SortStableFunc(order, func(a, b int32) int { return bytes.Compare(key(a), key(b)) })
 
-	rows := s.i32.cut(len(order))
+	rows := s.i32.Cut(len(order))
 	take(rows, first, order)
 	cols := make([]string, 0, len(keys)+nAggs)
 	vecs := make([]dataset.Vector, 0, len(keys)+nAggs)

@@ -120,7 +120,7 @@ func (f *Frame) through(s *scratch, dst []side, sel []int32, off int) []side {
 		case rows == nil:
 			rows = sel
 		default:
-			rows = s.i32.cut(len(sel))
+			rows = s.i32.Cut(len(sel))
 			take(rows, sd.rows, sel)
 		}
 		dst = append(dst, side{off + sd.end, rows})

@@ -70,11 +70,11 @@ func TestHotPathAllocs(t *testing.T) {
 		{"identity", func() { hotSinkBool = identity(fill(), 3) }},
 		{"strBytes", func() { hotSinkInt = int(strBytes(strs, nil, idx)) }},
 		{"strBytes/via", func() { hotSinkInt = int(strBytes(strs, idx, idx[1:])) }},
-		{"slab.cut/int32", func() { s.i32.reset(); hotSinkInt = len(s.i32.cut(64)) + len(s.i32.cut(8)) }},
-		{"slab.cut/int64", func() { s.i64.reset(); hotSinkInt = len(s.i64.cut(64)) }},
-		{"slab.cut/float64", func() { s.f64.reset(); hotSinkInt = len(s.f64.cut(64)) }},
-		{"slab.cut/string", func() { s.strs.reset(); hotSinkInt = len(s.strs.cut(64)) }},
-		{"slab.cut/aggState", func() { s.states.reset(); hotSinkInt = len(s.states.cut(64)) }},
+		{"Slab.Cut/int32", func() { s.i32.Reset(); hotSinkInt = len(s.i32.Cut(64)) + len(s.i32.Cut(8)) }},
+		{"Slab.Cut/int64", func() { s.i64.Reset(); hotSinkInt = len(s.i64.Cut(64)) }},
+		{"Slab.Cut/float64", func() { s.f64.Reset(); hotSinkInt = len(s.f64.Cut(64)) }},
+		{"Slab.Cut/string", func() { s.strs.Reset(); hotSinkInt = len(s.strs.Cut(64)) }},
+		{"Slab.Cut/aggState", func() { s.states.Reset(); hotSinkInt = len(s.states.Cut(64)) }},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(100, c.fn); n != 0 {

@@ -81,7 +81,7 @@ func joinKeys(s *scratch, a, b dataset.Vector, an, bn string) (joinKey, joinKey,
 
 // floatBits keys a numeric column by floatKey of its values as floats.
 func floatBits(s *scratch, v dataset.Vector) joinKey {
-	bits := s.i64.cut(v.Len())
+	bits := s.i64.Cut(v.Len())
 	if v.Kind() == dataset.KindFloat {
 		for i, x := range v.Floats() {
 			bits[i] = int64(floatKey(x))
@@ -99,7 +99,7 @@ func floatBits(s *scratch, v dataset.Vector) joinKey {
 // hashed where it lies), each bucket keeping rows in order. It returns the
 // buckets as segments of one buffer cut from s.
 func partition(s *scratch, key joinKey, rows []int32, r int) [][]int32 {
-	pid := s.i32.cut(len(rows))
+	pid := s.i32.Cut(len(rows))
 	bounds := make([]int, r+1)
 	var buf [32]byte
 	for j, i := range rows {
@@ -118,7 +118,7 @@ func partition(s *scratch, key joinKey, rows []int32, r int) [][]int32 {
 	for p := 0; p < r; p++ {
 		bounds[p+1] += bounds[p]
 	}
-	out := s.i32.cut(len(rows))
+	out := s.i32.Cut(len(rows))
 	buckets := make([][]int32, r)
 	for p := range buckets {
 		buckets[p] = out[bounds[p]:bounds[p]:bounds[p+1]]
@@ -201,7 +201,7 @@ func match(s *scratch, bk, pk joinKey, builds, probes [][]int32) pairs {
 func matchOn[K comparable](s *scratch, bkeys, pkeys []K, builds, probes [][]int32) pairs {
 	idx := make([]hashIndex[K], len(builds))
 	for i, b := range builds {
-		idx[i].next = s.i32.cut(len(b))
+		idx[i].next = s.i32.Cut(len(b))
 	}
 	own := len(builds) == len(probes)
 	if !own {
@@ -217,7 +217,7 @@ func matchOn[K comparable](s *scratch, bkeys, pkeys []K, builds, probes [][]int3
 	for i := range probes {
 		off[i+1] += off[i]
 	}
-	m := pairs{s.i32.cut(off[len(probes)]), s.i32.cut(off[len(probes)])}
+	m := pairs{s.i32.Cut(off[len(probes)]), s.i32.Cut(off[len(probes)])}
 	par.For(len(probes), func(_ *struct{}, i int) {
 		lo, hi := off[i], off[i+1]
 		idx[min(i, len(idx)-1)].fill(pkeys, probes[i], m.build[lo:hi], m.probe[lo:hi])

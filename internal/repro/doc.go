@@ -1,8 +1,6 @@
 // Package repro regenerates the paper's evaluation (Section 5): one driver
 // per table, figure, ablation and replay, each returning structured results
 // that cmd/benchrunner prints as one -exp row. Every simulated experiment is
-// one replay of prepared queries per (cluster config, scheduler) pair;
-// SimulateAlone is that replay for one query alone, the act behind the
-// facade's Framework.SimulateQuery. The package never imports package saqp,
-// which calls into it.
+// one replay of prepared queries per (cluster config, scheduler) pair. The
+// package never imports package saqp.
 package repro

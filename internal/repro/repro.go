@@ -241,11 +241,11 @@ type replayItem struct {
 	seed uint64
 }
 
-// replay is the one act behind Fig. 2, Fig. 8, the fault replay and
-// SimulateAlone: percolate prepared queries onto a simulated cluster,
-// submit them at their arrival times under a scheduler, and read response
-// times and Eq. 8 drift back. An experiment is a list of items and the
-// (cluster config, scheduler) pairs it hands to run.
+// replay is the one act behind Fig. 2, Fig. 8 and the fault replay:
+// percolate prepared queries onto a simulated cluster, submit them at
+// their arrival times under a scheduler, and read response times and
+// Eq. 8 drift back. An experiment is a list of items and the (cluster
+// config, scheduler) pairs it hands to run.
 type replay struct {
 	items []replayItem
 	// tasks is the Eq. 9 model whose predictions are percolated onto the
@@ -341,31 +341,6 @@ func (r *replay) run(cc cluster.Config, pol cluster.Scheduler, o *obs.Observer, 
 		}
 	}
 	return res, qs, nil
-}
-
-// SimulateAlone runs one estimated query alone on a cluster of config cc
-// under pol and returns its response time in seconds: the replay behind
-// the facade's Framework.SimulateQuery. The query is its own oracle; its
-// task durations are drawn from the hidden cost model seeded by seed, its
-// per-task predictions come from tasks (nil: the constant baseline), and
-// with an observer attached jobs scores its Eq. 8 drift. A query abandoned
-// under a fault plan returns its *cluster.TaskFailedError.
-func SimulateAlone(id string, qe *selectivity.QueryEstimate, seed uint64, jobs *predict.JobModel, tasks *predict.TaskModel,
-	cc cluster.Config, pol cluster.Scheduler, o *obs.Observer) (float64, error) {
-	rp := &replay{
-		items:       []replayItem{{name: id, est: qe, oracle: qe, seed: seed}},
-		jobs:        jobs,
-		tasks:       tasks,
-		perItemCost: true,
-	}
-	_, qs, err := rp.run(cc, pol, o, everyItem)
-	if err != nil {
-		return 0, err
-	}
-	if q := qs[0]; q.Failed() {
-		return 0, q.Err
-	}
-	return qs[0].ResponseTime(), nil
 }
 
 // ---------------------------------------------------------------------------

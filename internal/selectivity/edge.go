@@ -106,7 +106,7 @@ func (e *edge) col(ref query.ColumnRef) *ColStat {
 // earlier join on a different key. A column both sides have (a self-join)
 // is the right side's.
 func (w *walk) mergeEdges(left, right *edge, outRows float64, needs []need) edge {
-	start := len(w.cols)
+	cols := w.colSlab.Cut(len(needs))[:0]
 	for _, n := range needs {
 		from, c := right, right.col(n.ref)
 		if c == nil {
@@ -123,7 +123,7 @@ func (w *walk) mergeEdges(left, right *edge, outRows float64, needs []need) edge
 		// The shuffle reorders rows by the join key, destroying any
 		// physical clustering the input columns had.
 		nc.Clustered = false
-		w.cols = append(w.cols, edgeCol{n.ref, nc})
+		cols = append(cols, edgeCol{n.ref, nc})
 	}
-	return edge{rows: outRows, width: left.width + right.width, cols: w.cut(start)}
+	return edge{rows: outRows, width: left.width + right.width, cols: cols}
 }

@@ -5,12 +5,12 @@ import (
 	"hash/fnv"
 	"math"
 	"sync"
-	"unsafe"
 
 	"saqp/internal/catalog"
 	"saqp/internal/histogram"
 	"saqp/internal/plan"
 	"saqp/internal/query"
+	"saqp/internal/slab"
 )
 
 // The paper testbed's MapReduce sizing rules, which turn estimated data
@@ -168,15 +168,15 @@ type stage struct {
 type walk struct {
 	e      *Estimator
 	jobs   []*plan.Job
-	stages []stage
+	stages []stage // one per job, cut from stageSlab
 	groups []TaskGroup
-	// cols is the slab edges' columns are cut from; an edge is never
-	// written once built, so growing the slab leaves earlier edges valid.
-	cols []edgeCol
-	// arena holds the histograms the walk filters, scales, joins and
-	// rebuckets; the catalog's own are only read.
-	arena   histogram.Arena
-	condBuf [8]histogram.Cond
+	// stageSlab and colSlab are what stages and edges' columns are cut
+	// from; arena holds the histograms the walk filters, scales, joins and
+	// rebuckets (the catalog's own are only read).
+	stageSlab slab.Slab[stage]
+	colSlab   slab.Slab[edgeCol]
+	arena     histogram.Arena
+	condBuf   [8]histogram.Cond
 }
 
 // walks holds released walks for any goroutine's next estimate: the
@@ -184,14 +184,6 @@ type walk struct {
 // corpus builder through a fresh Estimator per estimate, so the scratch is
 // the package's, not an Estimator's.
 var walks = sync.Pool{New: func() any { return new(walk) }}
-
-// RetainBytes bounds the scratch a long-lived owner keeps between uses: a
-// slab that grew past it for one outsized request is dropped when that
-// request finishes, and the next grows its own. A released walk keeps at
-// most this much of each slab — 16 histograms of 1,024 buckets, which
-// the corpus's oracle estimates fit — and a serving lane at most this much
-// simulator layout, about 2,700 tasks (internal/serve).
-const RetainBytes = 256 << 10
 
 // EstimateQuery estimates every job of the DAG in chain order, after one
 // reverse pass has marked, per job, the columns a transitive consumer
@@ -230,22 +222,19 @@ func (w *walk) estimate(e *Estimator, d *plan.DAG) (*QueryEstimate, error) {
 // reset empties w for the next estimate: it zeroes everything that points
 // into the finished one — the estimator, the plan, the job estimates and
 // task groups, the statistics its edges carried — and keeps the slabs,
-// each dropped instead if it holds more than RetainBytes.
+// each dropped instead if it holds more than slab.RetainBytes.
 func (w *walk) reset() {
-	clear(w.stages)
-	clear(w.cols)
-	w.arena.Reset(RetainBytes)
-	*w = walk{stages: retained(w.stages), cols: retained(w.cols), arena: w.arena}
-}
-
-// retained returns buf emptied for reuse, or nil if it holds more than
-// RetainBytes.
-func retained[T any](buf []T) []T {
-	var elem T
-	if uintptr(cap(buf))*unsafe.Sizeof(elem) > RetainBytes {
-		return nil
+	w.arena.Reset(slab.RetainBytes)
+	stages, cols := w.stageSlab, w.colSlab
+	*w = walk{arena: w.arena}
+	if stages.Bytes() <= slab.RetainBytes {
+		stages.Reset()
+		w.stageSlab = stages
 	}
-	return buf[:0]
+	if cols.Bytes() <= slab.RetainBytes {
+		cols.Reset()
+		w.colSlab = cols
+	}
 }
 
 // markNeeds sets up the stages and fills their need sets in one reverse
@@ -254,10 +243,7 @@ func retained[T any](buf []T) []T {
 // scalars — and, through a join, what its consumers read; and what a job
 // reads, the job before it feeds.
 func (w *walk) markNeeds(jes []JobEstimate) {
-	if cap(w.stages) < len(jes) {
-		w.stages = make([]stage, len(jes))
-	}
-	w.stages = w.stages[:len(jes)]
+	w.stages = w.stageSlab.Cut(len(jes))
 	for i := len(jes) - 1; i >= 0; i-- {
 		job, st := w.jobs[i], &w.stages[i]
 		jes[i].Job, st.je = job, &jes[i]
@@ -320,18 +306,14 @@ func (w *walk) scanInput(ts *plan.TableScan, needs []need) (input, error) {
 	pcs, sPred := scanConjunction(t, ts.Preds, pcBuf[:0], w.condBuf[:0])
 	in := input{edge: edge{rows: t.rows * sPred, width: projWidth}, table: t,
 		rawBytes: t.bytes, rawRows: t.rows, rawWidth: t.width, sPred: sPred, sProj: clamp01(projWidth / t.width)}
-	start := len(w.cols)
+	in.edge.cols = w.colSlab.Cut(len(needs))[:0]
 	for _, n := range needs {
 		if base := t.col(n.ref); base != nil {
-			w.cols = append(w.cols, edgeCol{n.ref, narrowColumn(&w.arena, base, n, pcs, in.edge.rows)})
+			in.edge.cols = append(in.edge.cols, edgeCol{n.ref, narrowColumn(&w.arena, base, n, pcs, in.edge.rows)})
 		}
 	}
-	in.edge.cols = w.cut(start)
 	return in, nil
 }
-
-// cut returns the columns appended to the slab since start as one edge's.
-func (w *walk) cut(start int) []edgeCol { return w.cols[start:len(w.cols):len(w.cols)] }
 
 // estimateJob resolves job i's inputs — base-table scans first, then
 // the output of the job before it — and dispatches on the job category.

@@ -78,7 +78,7 @@ func filteredSelfJoin(n int) string {
 // interleave estimates of the digest DAGs and a filtered 12-way self-join
 // over a 64-bucket and a 1,024-bucket catalog, so a walk's arena grows on
 // one, is reused by the other and — the self-join's, at 1,024 buckets —
-// is dropped past selectivity.RetainBytes; every digest must equal the one
+// is dropped past slab.RetainBytes; every digest must equal the one
 // a single goroutine computed first.
 func TestPropertyEstimatePoolConcurrent(t *testing.T) {
 	const workers, perWorker = 8, 1000

@@ -10,6 +10,7 @@ import (
 	"saqp/internal/plan"
 	"saqp/internal/query"
 	"saqp/internal/selectivity"
+	"saqp/internal/slab"
 	"saqp/internal/workload"
 )
 
@@ -50,7 +51,7 @@ func schedule(q *cluster.Query) []float64 {
 }
 
 // TestLaneReleasesOutsizedLayout: a lane that served a layout past
-// selectivity.RetainBytes drops its slabs after the run, one within it
+// slab.RetainBytes drops its slabs after the run, one within it
 // keeps them, and a small query served after the large one schedules
 // exactly as on a fresh lane. The large layout is TPC-H Q1 at SF 1,000,
 // about 3,700 tasks.
@@ -73,13 +74,13 @@ func TestLaneReleasesOutsizedLayout(t *testing.T) {
 	serve(w, small)
 	w.release()
 	kept := w.q.SlabBytes()
-	if kept == 0 || kept > selectivity.RetainBytes {
-		t.Fatalf("a small layout keeps %d bytes, want 1…%d", kept, selectivity.RetainBytes)
+	if kept == 0 || kept > slab.RetainBytes {
+		t.Fatalf("a small layout keeps %d bytes, want 1…%d", kept, slab.RetainBytes)
 	}
 	serve(w, large)
 	t.Logf("small layout %d bytes, large %d bytes", kept, w.q.SlabBytes())
-	if n := w.q.SlabBytes(); n <= selectivity.RetainBytes {
-		t.Fatalf("the large layout holds %d bytes, not over the %d-byte bound", n, selectivity.RetainBytes)
+	if n := w.q.SlabBytes(); n <= slab.RetainBytes {
+		t.Fatalf("the large layout holds %d bytes, not over the %d-byte bound", n, slab.RetainBytes)
 	}
 	w.release()
 	if n := w.q.SlabBytes(); n != 0 {

@@ -17,6 +17,7 @@ import (
 	"saqp/internal/query"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
+	"saqp/internal/slab"
 	"saqp/internal/trace"
 )
 
@@ -489,11 +490,11 @@ func (w *lane) simulate(ctx context.Context, cc cluster.Config, id string, est *
 }
 
 // release drops the lane, simulator and all, once its query's slabs hold
-// more than selectivity.RetainBytes (the rule the estimator's scratch
+// more than slab.RetainBytes (the rule the estimator's scratch
 // follows), so a worker that served one outsized query does not keep its
 // layout until shutdown; the next ticket grows slabs of its own size.
 func (w *lane) release() {
-	if w.q.SlabBytes() > selectivity.RetainBytes {
+	if w.q.SlabBytes() > slab.RetainBytes {
 		*w = lane{}
 	}
 }

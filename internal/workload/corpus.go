@@ -15,6 +15,7 @@ import (
 	"saqp/internal/query"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
+	"saqp/internal/slab"
 	"saqp/internal/trace"
 )
 
@@ -73,22 +74,7 @@ type Corpus struct {
 	// TaskSamples pair observed task times with ground-truth features.
 	TaskSamples []predict.TaskSample
 	// feats is the slab the samples' features are cut from.
-	feats featureSlab
-}
-
-// featureSlab is storage feature vectors are cut from, each with a capacity
-// of its own length. A full slab is followed by one twice its size, never
-// copied, so every vector cut before stays valid.
-type featureSlab []float64
-
-// cut returns an empty vector with room for exactly n features.
-func (s *featureSlab) cut(n int) []float64 {
-	if cap(*s)-len(*s) < n {
-		*s = make([]float64, 0, max(n, 2*cap(*s), 256))
-	}
-	k := len(*s)
-	*s = (*s)[:k+n]
-	return (*s)[k : k : k+n]
+	feats slab.Slab[float64]
 }
 
 // SFForTargetBytes converts a target total-input size in bytes to the
@@ -184,7 +170,7 @@ func (s *Stats) Estimate(d *plan.DAG, sf float64) (est, oracle *selectivity.Quer
 	reads := s.reads(d)
 	arena := arenas.Get().(*histogram.Arena)
 	defer arenas.Put(arena)
-	defer arena.Reset(selectivity.RetainBytes)
+	defer arena.Reset(slab.RetainBytes)
 	at := func(buckets int) (*selectivity.QueryEstimate, error) {
 		cat := catalog.New()
 		for _, r := range reads {
@@ -323,7 +309,7 @@ func (r *QueryRun) eachSample(
 // collectSamples appends a run's job and task training samples, their
 // features cut from c's slab.
 func (c *Corpus) collectSamples(run *QueryRun) {
-	run.eachSample(c.feats.cut,
+	run.eachSample(func(n int) []float64 { return c.feats.Cut(n)[:0] },
 		func(op plan.JobType, features []float64, sec float64) {
 			c.JobSamples = append(c.JobSamples, predict.JobSample{Op: op, Features: features, Seconds: sec})
 		},

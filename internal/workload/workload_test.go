@@ -2,11 +2,13 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
 	"saqp/internal/cluster"
 	"saqp/internal/dataset"
+	"saqp/internal/histogram"
 	"saqp/internal/plan"
 	"saqp/internal/query"
 	"saqp/internal/selectivity"
@@ -383,5 +385,39 @@ func TestStatsEstimateLeaksNothingAcrossQueries(t *testing.T) {
 			k++
 		}
 		t.Fatalf("the TPC-H estimates moved after 200 other estimates, first at number %d of %d", k, len(before))
+	}
+}
+
+// TestStatsEstimateDropsOutsizedArena: Stats.Estimate puts its arena
+// back empty once it held more than slab.RetainBytes. A six-table join
+// with fifteen predicates synthesizes ≈ 300 KB of statistics at both
+// resolutions; the arena the next estimate on this goroutine would take
+// from the pool must hold nothing. (If the pool hands out a new arena
+// instead, as it may after a collection, that is empty too.)
+func TestStatsEstimateDropsOutsizedArena(t *testing.T) {
+	q, err := query.Parse(`SELECT count(*) FROM lineitem JOIN orders ON l_orderkey = o_orderkey
+		JOIN customer ON o_custkey = c_custkey JOIN part ON l_partkey = p_partkey
+		JOIN supplier ON l_suppkey = s_suppkey JOIN nation ON c_nationkey = n_nationkey
+		WHERE l_quantity < 30 AND l_discount < 0.05 AND l_tax < 0.04 AND l_shipdate > 100
+		AND l_commitdate > 100 AND l_receiptdate > 100 AND l_extendedprice > 5 AND o_totalprice > 10
+		AND o_orderdate > 1000 AND c_acctbal > 0 AND p_size < 20 AND p_retailprice > 1000
+		AND s_acctbal > 0 AND s_nationkey < 20 AND n_regionkey < 4`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := query.Resolve(q, dataset.AllSchemas()); err != nil {
+		t.Fatal(err)
+	}
+	d, err := plan.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := NewStats(DefaultCorpusConfig()).Estimate(d, 10); err != nil {
+		t.Fatal(err)
+	}
+	a := arenas.Get().(*histogram.Arena)
+	defer arenas.Put(a)
+	if !reflect.ValueOf(*a).IsZero() {
+		t.Error("an arena past slab.RetainBytes went back to the pool with its storage")
 	}
 }

@@ -15,9 +15,10 @@ import (
 	"saqp/internal/plan"
 	"saqp/internal/predict"
 	"saqp/internal/query"
-	"saqp/internal/repro"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
+	"saqp/internal/serve"
+	"saqp/internal/trace"
 	"saqp/internal/workload"
 )
 
@@ -310,7 +311,23 @@ func (f *Framework) SimulateQueryConfig(id string, qe *QueryEstimate, scheduler 
 		return 0, err
 	}
 	f.Obs.Count(obs.MSimulations)
-	return repro.SimulateAlone(id, qe, seed, f.JobTime, f.TaskTime, cc, pol, f.Obs)
+	// The query is its own oracle, so the trained task model predicts its
+	// tasks unscaled.
+	var pred cluster.TaskTimePredictor = cluster.ConstantPredictor(1)
+	if f.TaskTime != nil {
+		pred = f.TaskTime
+	}
+	q := cluster.BuildQuery(id, qe, trace.NewDefaultCostModel(seed), pred)
+	sim := cluster.New(cc, pol).SetObserver(f.Obs)
+	sim.Submit(q, 0)
+	if _, err := sim.Run(); err != nil {
+		return 0, err
+	}
+	if q.Failed() {
+		return 0, q.Err
+	}
+	serve.RecordJobDrift(f.Obs, f.JobTime, qe, q)
+	return q.ResponseTime(), nil
 }
 
 // TPCHQuery returns one of the canonical TPC-H-derived queries ("q1",
