@@ -41,7 +41,7 @@ var rows = []row{
 	{"fig2", true, fig2},
 	{"fig8", true, fig8},
 	{"fault", false, faultReplay},
-	{"learn", false, learnReplay},
+	{"learn", true, learnReplay},
 	// Last, so the cumulative metrics of every earlier report stay put.
 	{"ablations", true, ablations},
 }
@@ -250,11 +250,11 @@ type learnReport struct {
 	wall
 }
 
-// learnReplay feeds the seeded corpus through a cold model-lifecycle
+// learnReplay feeds the models' corpus through a cold model-lifecycle
 // registry at its default shape. That the fully-fed challenger must equal
 // the batch fit is TestLearningReplayConverges's to say.
 func learnReplay(e *env) (*table, report, error) {
-	r, err := repro.ReproduceLearningReplay(e.cfg)
+	r, err := repro.ReproduceLearningReplay(e.art.Corpus, e.cfg.Observer)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -143,21 +143,6 @@ func (d *DAG) Validate() error {
 	return nil
 }
 
-// CriticalPath returns the cost of the maximum-cost root-to-sink path
-// under the given per-job cost function; negative costs count as zero.
-// The paper approximates a query's execution time by the jobs along this
-// path (Section 5.4). A plan is a chain, so its one root-to-sink path runs
-// through every job and the critical path is the sum of the clamped costs.
-func (d *DAG) CriticalPath(cost func(*Job) float64) float64 {
-	var sum float64
-	for _, j := range d.Jobs {
-		if c := cost(j); c > 0 {
-			sum += c
-		}
-	}
-	return sum
-}
-
 // String renders the DAG one job per line.
 func (d *DAG) String() string {
 	var b strings.Builder

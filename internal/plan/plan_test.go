@@ -182,31 +182,6 @@ func TestSink(t *testing.T) {
 	}
 }
 
-func TestCriticalPathChain(t *testing.T) {
-	d := mustCompile(t, q11)
-	if cost := d.CriticalPath(func(*Job) float64 { return 10 }); cost != 30 {
-		t.Fatalf("critical path cost = %v, want 30", cost)
-	}
-}
-
-func TestCriticalPathWeighted(t *testing.T) {
-	d := mustCompile(t, q11)
-	cost := d.CriticalPath(func(j *Job) float64 {
-		if j.ID == "J2" {
-			return 100
-		}
-		return 1
-	})
-	if cost != 102 {
-		t.Fatalf("cost = %v, want 102", cost)
-	}
-	// Negative costs are clamped.
-	cost = d.CriticalPath(func(j *Job) float64 { return -5 })
-	if cost != 0 {
-		t.Fatalf("negative-cost path = %v", cost)
-	}
-}
-
 func TestCompileErrors(t *testing.T) {
 	q := &query.Query{Limit: -1}
 	if _, err := Compile(q); err == nil {

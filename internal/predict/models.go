@@ -328,16 +328,16 @@ func (tm *TaskModel) meanMapTime(je *selectivity.JobEstimate, pf float64) float6
 }
 
 // PredictQuery approximates a whole query's execution time as the sum of
-// task-model job times along the DAG's critical path (Section 5.4).
+// task-model job times along the DAG's critical path (Section 5.4): a plan
+// is a chain, so every job's time, a negative one counted as zero.
 func (tm *TaskModel) PredictQuery(qe *selectivity.QueryEstimate, slots Slots, ov Overheads) float64 {
-	cost := func(j *plan.Job) float64 {
-		je := qe.ByID[j.ID]
-		if je == nil {
-			return 0
+	var sum float64
+	for _, je := range qe.Jobs {
+		if c := tm.PredictJobFromTasks(je, slots, ov); c > 0 {
+			sum += c
 		}
-		return tm.PredictJobFromTasks(je, slots, ov)
 	}
-	return qe.DAG.CriticalPath(cost)
+	return sum
 }
 
 // WRD computes a query's Weighted Resource Demand (Eq. 10) from the task

@@ -75,8 +75,7 @@ func TestJobModelAccuracyTable3(t *testing.T) {
 	var n int
 	for _, run := range test.Runs {
 		for ji, je := range run.Est.Jobs {
-			sj := run.Sim.Jobs[ji]
-			actual := sj.DoneTime - sj.SubmitTime
+			actual := run.JobSamples[ji].Seconds
 			if actual <= 0 {
 				continue
 			}

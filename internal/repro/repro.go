@@ -152,10 +152,8 @@ func ReproduceFig6(a *TrainedArtifacts) []ScatterPoint {
 	var pts []ScatterPoint
 	for _, run := range a.Test.Runs {
 		for ji, je := range run.Est.Jobs {
-			sj := run.Sim.Jobs[ji]
-			actual := sj.DoneTime - sj.SubmitTime
 			pts = append(pts, ScatterPoint{
-				Actual:    actual,
+				Actual:    run.JobSamples[ji].Seconds,
 				Predicted: a.Jobs.PredictJob(je),
 				Operator:  je.Job.Type.String(),
 			})
@@ -200,16 +198,16 @@ func ReproduceFig7(a *TrainedArtifacts, cfg ExperimentConfig, numQueries int) (F
 	stats := workload.NewStats(workload.DefaultCorpusConfig())
 	cm := trace.NewDefaultCostModel(cfg.Seed ^ 0x7fe)
 	slots, ov := core.Capacity(cfg.Cluster)
-	sim := new(cluster.Sim)
+	w := new(workload.Runner)
 	var res Fig7Result
 	var sum float64
 	for i := 0; i < numQueries; i++ {
-		q, shape, err := gen.RandomQuery()
+		q, _, err := gen.RandomQuery()
 		if err != nil {
 			return res, err
 		}
 		sf := workload.SFForTargetBytes(q, 100e9)
-		run, err := workload.RunStandalone(sim, q, shape, sf, stats, cm, cfg.Cluster)
+		run, err := workload.RunStandalone(w, q, sf, stats, cm, cfg.Cluster)
 		if err != nil {
 			return res, err
 		}
@@ -865,32 +863,27 @@ func avgRelJobError(jm *predict.JobModel, samples []predict.JobSample) float64 {
 	return 0
 }
 
-// ReproduceLearningReplay replays the corpus cfg describes through a cold
-// model-lifecycle registry at its default window, warm-up and promotion
-// margin (learn.Config), one completed run at a time — each run's
-// samples in the order the offline corpus collects them — and reports
-// error-vs-samples convergence every 25 job samples, the promotion
-// sequence, and the final challenger accuracy against a batch-trained
-// baseline over the same stream. Everything is derived from the seeded
-// corpus — no wall clock — so repeated runs produce byte-identical
-// results. cfg.Observer receives the saqp_learn_* metrics.
-func ReproduceLearningReplay(cfg ExperimentConfig) (*LearnReplayResult, error) {
-	corpus, err := workload.BuildCorpus(cfg.corpusConfig())
-	if err != nil {
-		return nil, err
-	}
-	reg := learn.NewRegistry(learn.Config{Observer: cfg.Observer})
+// ReproduceLearningReplay replays corpus through a cold model-lifecycle
+// registry at its default window, warm-up and promotion margin
+// (learn.Config), one completed run at a time — each run's job samples,
+// then its task samples — and reports error-vs-samples convergence every
+// 25 job samples, the promotion sequence, and the final challenger
+// accuracy against a batch-trained baseline over the same stream.
+// Everything is derived from the seeded corpus — no wall clock — so
+// repeated runs produce byte-identical results. o receives the
+// saqp_learn_* metrics.
+func ReproduceLearningReplay(corpus *workload.Corpus, o *obs.Observer) (*LearnReplayResult, error) {
+	reg := learn.NewRegistry(learn.Config{Observer: o})
 
 	res := &LearnReplayResult{Queries: len(corpus.Runs)}
 	nextPoint := learnPointEvery
 	for _, run := range corpus.Runs {
-		run.EachSample(
-			func(op plan.JobType, features []float64, sec float64) {
-				if sec > 0 {
-					reg.ObserveJob(op, features, sec)
-				}
-			},
-			reg.ObserveTask)
+		for _, s := range run.JobSamples {
+			reg.ObserveJob(s.Op, s.Features, s.Seconds)
+		}
+		for _, s := range run.TaskSamples {
+			reg.ObserveTask(s.Op, s.Reduce, s.Features, s.Seconds)
+		}
 		for reg.JobSamples() >= nextPoint {
 			p := LearnPoint{JobSamples: nextPoint, Version: reg.Version()}
 			if jm := reg.ChallengerJobModel(); jm != nil {

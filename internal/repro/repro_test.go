@@ -13,6 +13,7 @@ import (
 	"saqp/internal/obs"
 	"saqp/internal/predict"
 	"saqp/internal/repro"
+	"saqp/internal/workload"
 )
 
 // The scheduler names the drivers accept (sched.Names()).
@@ -408,8 +409,14 @@ func TestFig8PerBinFairness(t *testing.T) {
 // samples — the two are one accumulator fed one stream — reproducibly,
 // field for field.
 func TestLearningReplayConverges(t *testing.T) {
+	cfg := workload.DefaultCorpusConfig()
+	cfg.NumQueries = 120
+	corpus, err := workload.BuildCorpus(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func() *repro.LearnReplayResult {
-		r, err := repro.ReproduceLearningReplay(repro.ExperimentConfig{CorpusQueries: 120, Seed: 2018})
+		r, err := repro.ReproduceLearningReplay(corpus, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

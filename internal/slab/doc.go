@@ -1,7 +1,8 @@
 // Package slab is the one storage algorithm behind request-scoped
 // scratch: the batch engine's shuffle and combine buffers, the estimator
-// walk's stages and edge columns, a histogram arena's headers and buckets
-// and the training corpus's feature vectors are each a Slab.
+// walk's stages and edge columns, and a histogram arena's headers and
+// buckets are each a Slab. The training corpus's feature vectors are not
+// scratch: each workload.QueryRun cuts its own from one allocation.
 //
 // A request cuts what it needs, and no cut ever moves. When the request
 // is over, its owner asks what the slab would keep (Bytes) and either

@@ -45,27 +45,27 @@ func DefaultCorpusConfig() CorpusConfig {
 	}
 }
 
-// QueryRun is one corpus query with everything the experiments need: the
-// plan, the predictor-visible estimate, the oracle (ground truth) estimate,
-// and the observed job times from a standalone run on the simulated
-// cluster.
+// QueryRun is one corpus query as the experiments read it: the scale,
+// the predictor-visible and oracle (ground truth) estimates, the observed
+// standalone time, and the training samples the run was recorded into
+// while its layout on the simulated cluster was live.
 type QueryRun struct {
-	Query *query.Query
-	Shape Shape
-	SF    float64
-	DAG   *plan.DAG
+	SF float64
 	// Est is the estimate from predictor-resolution statistics.
 	Est *selectivity.QueryEstimate
 	// Oracle is the estimate from fine statistics — the stand-in for the
 	// true data volumes the cluster observed.
 	Oracle *selectivity.QueryEstimate
-	// Sim is the executed cluster query (tasks carry observed durations).
-	Sim *cluster.Query
 	// Seconds is the observed standalone execution time.
 	Seconds float64
+	// JobSamples holds one sample per job, in Est.Jobs order;
+	// TaskSamples up to samplesPerGroup per task group, job by job.
+	JobSamples  []predict.JobSample
+	TaskSamples []predict.TaskSample
 }
 
-// Corpus is a generated training/evaluation set.
+// Corpus is a generated training/evaluation set: its runs, and their
+// samples concatenated in run order.
 type Corpus struct {
 	Runs []*QueryRun
 	// JobSamples pair observed job times with ground-truth features
@@ -73,8 +73,6 @@ type Corpus struct {
 	JobSamples []predict.JobSample
 	// TaskSamples pair observed task times with ground-truth features.
 	TaskSamples []predict.TaskSample
-	// feats is the slab the samples' features are cut from.
-	feats slab.Slab[float64]
 }
 
 // SFForTargetBytes converts a target total-input size in bytes to the
@@ -205,48 +203,50 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 	// schemas stats resolved) and per-run cost-model seeds.
 	type drawn struct {
 		q      *query.Query
-		shape  Shape
 		sf     float64
 		cmSeed uint64
 	}
 	draws := make([]drawn, cfg.NumQueries)
 	for i := range draws {
-		q, shape, err := gen.RandomQuery()
+		q, _, err := gen.RandomQuery()
 		if err != nil {
 			return nil, err
 		}
 		targetGB := rng.Range(cfg.MinGB, cfg.MaxGB)
-		draws[i] = drawn{q: q, shape: shape, sf: sfForTargetBytes(q, targetGB*1e9, stats.schemas), cmSeed: rng.Uint64()}
+		draws[i] = drawn{q: q, sf: sfForTargetBytes(q, targetGB*1e9, stats.schemas), cmSeed: rng.Uint64()}
 	}
 
-	// Phase 2 (parallel): compile, estimate and simulate each run, each
-	// worker on one simulator it resets from run to run.
+	// Phase 2 (parallel, a Runner per worker): compile, estimate, simulate
+	// and record each run.
 	runs := make([]*QueryRun, len(draws))
 	errs := make([]error, len(draws))
-	par.For(len(draws), func(sim *cluster.Sim, i int) {
+	par.For(len(draws), func(w *Runner, i int) {
 		d := draws[i]
 		cm := trace.NewDefaultCostModel(d.cmSeed)
-		runs[i], errs[i] = RunStandalone(sim, d.q, d.shape, d.sf, stats, cm, cfg.Cluster)
+		runs[i], errs[i] = RunStandalone(w, d.q, d.sf, stats, cm, cfg.Cluster)
 	})
-	corpus := &Corpus{}
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("workload: query %d: %w", i, err)
 		}
-		corpus.Runs = append(corpus.Runs, runs[i])
-		corpus.collectSamples(runs[i])
 	}
-	return corpus, nil
+	return corpusOf(runs), nil
+}
+
+// Runner is the simulator and query layout one worker lays each run out on
+// in place; a run keeps only the samples it recorded.
+type Runner struct {
+	sim cluster.Sim
+	q   cluster.Query
 }
 
 // RunStandalone compiles, estimates (at both statistics resolutions, under
 // the task-sizing rules stats was built with) and executes a single query
-// alone on a simulated cluster — sim, reset to clusterCfg, so a caller with
-// many queries builds the cluster once — returning the full run record. It
-// is the building block of corpus construction and of Fig. 7, and
-// deliberately not a replay of one: bench/'s setup_s times this
-// un-instrumented path.
-func RunStandalone(sim *cluster.Sim, q *query.Query, shape Shape, sf float64, stats *Stats, cm *trace.CostModel, clusterCfg cluster.Config) (*QueryRun, error) {
+// alone on w's simulated cluster, reset to clusterCfg, and returns the
+// run's record. It is the building block of corpus construction and of
+// Fig. 7, and deliberately not a replay of one: bench/'s setup_s times
+// this un-instrumented path.
+func RunStandalone(w *Runner, q *query.Query, sf float64, stats *Stats, cm *trace.CostModel, clusterCfg cluster.Config) (*QueryRun, error) {
 	d, err := plan.Compile(q)
 	if err != nil {
 		return nil, err
@@ -255,18 +255,16 @@ func RunStandalone(sim *cluster.Sim, q *query.Query, shape Shape, sf float64, st
 	if err != nil {
 		return nil, err
 	}
-	cq := cluster.BuildQuery("q", oracle, cm, cluster.ConstantPredictor(1))
-	sim.Reset(clusterCfg, sched.HCS{})
-	sim.Submit(cq, 0)
-	res, err := sim.Run()
+	w.q.Rebuild("q", oracle, cm, cluster.ConstantPredictor(1))
+	w.sim.Reset(clusterCfg, sched.HCS{})
+	w.sim.Submit(&w.q, 0)
+	res, err := w.sim.Run()
 	if err != nil {
 		return nil, err
 	}
-	return &QueryRun{
-		Query: q, Shape: shape, SF: sf, DAG: d,
-		Est: est, Oracle: oracle, Sim: cq,
-		Seconds: res.Makespan,
-	}, nil
+	run := &QueryRun{SF: sf, Est: est, Oracle: oracle, Seconds: res.Makespan}
+	run.record(&w.q)
+	return run, nil
 }
 
 // samplesPerGroup bounds the task samples one task group contributes. A
@@ -275,71 +273,54 @@ func RunStandalone(sim *cluster.Sim, q *query.Query, shape Shape, sf float64, st
 // coefficients' expectation.
 const samplesPerGroup = 16
 
-// EachSample walks the run's training samples in stream order: each job's
-// observed time, then up to samplesPerGroup of that job's task times per
-// task group. Features use the oracle's (observed) data sizes, matching
-// how the paper trains from execution logs; prediction-time features come
-// from Est. The offline corpus and the learning replay's registry both
-// consume this one walk, so they see the same interleaved stream.
-func (r *QueryRun) EachSample(
-	job func(op plan.JobType, features []float64, sec float64),
-	task func(op plan.JobType, reduce bool, features []float64, sec float64),
-) {
-	r.eachSample(func(n int) []float64 { return make([]float64, 0, n) }, job, task)
-}
-
-// eachSample is EachSample with every feature vector appended to an empty
-// one from cut(n), n its length: Eq. 8's four job features, Eq. 9's three
-// task features.
-func (r *QueryRun) eachSample(
-	cut func(n int) []float64,
-	job func(op plan.JobType, features []float64, sec float64),
-	task func(op plan.JobType, reduce bool, features []float64, sec float64),
-) {
+// record fills the run's samples from cq, the run's executed layout: each
+// job's observed time, then up to samplesPerGroup of that job's task
+// times per task group. Features use the oracle's (observed) data sizes,
+// matching how the paper trains from execution logs; prediction-time
+// features come from Est. Every feature vector is cut, at its own
+// capacity, from one allocation sized for the run: Eq. 8's four job
+// features, Eq. 9's three task features.
+func (r *QueryRun) record(cq *cluster.Query) {
+	tasks := 0
 	for ji, je := range r.Oracle.Jobs {
-		sj := r.Sim.Jobs[ji]
-		op, pf := je.Job.Type, je.PFactor()
-		job(op, predict.AppendJobFeatures(cut(4), je), sj.DoneTime-sj.SubmitTime)
+		cq.Jobs[ji].EachSample(je, samplesPerGroup, func(selectivity.TaskGroup, *cluster.Task) { tasks++ })
+	}
+	feats := make([]float64, 4*len(r.Oracle.Jobs)+3*tasks)
+	cut := func(n int) []float64 {
+		f := feats[:0:n]
+		feats = feats[n:]
+		return f
+	}
+	r.JobSamples = make([]predict.JobSample, len(r.Oracle.Jobs))
+	r.TaskSamples = make([]predict.TaskSample, 0, tasks)
+	for ji, je := range r.Oracle.Jobs {
+		sj, op, pf := cq.Jobs[ji], je.Job.Type, je.PFactor()
+		r.JobSamples[ji] = predict.JobSample{Op: op, Features: predict.AppendJobFeatures(cut(4), je), Seconds: sj.DoneTime - sj.SubmitTime}
 		sj.EachSample(je, samplesPerGroup, func(g selectivity.TaskGroup, t *cluster.Task) {
-			task(op, t.Reduce, predict.AppendTaskFeatures(cut(3), op, g.InBytes, g.OutBytes, pf), t.ActualSec)
+			f := predict.AppendTaskFeatures(cut(3), op, g.InBytes, g.OutBytes, pf)
+			r.TaskSamples = append(r.TaskSamples, predict.TaskSample{Op: op, Reduce: t.Reduce, Features: f, Seconds: t.ActualSec})
 		})
 	}
 }
 
-// collectSamples appends a run's job and task training samples, their
-// features cut from c's slab.
-func (c *Corpus) collectSamples(run *QueryRun) {
-	run.eachSample(func(n int) []float64 { return c.feats.Cut(n)[:0] },
-		func(op plan.JobType, features []float64, sec float64) {
-			c.JobSamples = append(c.JobSamples, predict.JobSample{Op: op, Features: features, Seconds: sec})
-		},
-		func(op plan.JobType, reduce bool, features []float64, sec float64) {
-			c.TaskSamples = append(c.TaskSamples, predict.TaskSample{Op: op, Reduce: reduce, Features: features, Seconds: sec})
-		})
+// corpusOf returns the corpus of runs, their samples concatenated in order.
+func corpusOf(runs []*QueryRun) *Corpus {
+	jobs, tasks := 0, 0
+	for _, r := range runs {
+		jobs += len(r.JobSamples)
+		tasks += len(r.TaskSamples)
+	}
+	c := &Corpus{Runs: runs, JobSamples: make([]predict.JobSample, 0, jobs), TaskSamples: make([]predict.TaskSample, 0, tasks)}
+	for _, r := range runs {
+		c.JobSamples = append(c.JobSamples, r.JobSamples...)
+		c.TaskSamples = append(c.TaskSamples, r.TaskSamples...)
+	}
+	return c
 }
 
 // Split partitions the corpus runs into training and test sets with the
 // given training fraction (paper: 3/4 train, 1/4 test).
 func (c *Corpus) Split(trainFrac float64) (train, test *Corpus) {
-	n := int(float64(len(c.Runs)) * trainFrac)
-	train, test = &Corpus{}, &Corpus{}
-	for i, run := range c.Runs {
-		dst := train
-		if i >= n {
-			dst = test
-		}
-		dst.Runs = append(dst.Runs, run)
-		dst.collectSamples(run)
-	}
-	return train, test
-}
-
-// NumJobs returns the total number of jobs across runs (the paper's
-// "5,647 MapReduce jobs" statistic).
-func (c *Corpus) NumJobs() int {
-	n := 0
-	for _, r := range c.Runs {
-		n += len(r.DAG.Jobs)
-	}
-	return n
+	n := min(int(float64(len(c.Runs))*trainFrac), len(c.Runs))
+	return corpusOf(c.Runs[:n:n]), corpusOf(c.Runs[n:])
 }

@@ -10,6 +10,7 @@ import (
 	"saqp/internal/dataset"
 	"saqp/internal/histogram"
 	"saqp/internal/plan"
+	"saqp/internal/predict"
 	"saqp/internal/query"
 	"saqp/internal/selectivity"
 )
@@ -194,11 +195,8 @@ func TestBuildCorpusSmall(t *testing.T) {
 	if len(c.Runs) != 40 {
 		t.Fatalf("runs = %d", len(c.Runs))
 	}
-	if c.NumJobs() < 40 {
-		t.Fatalf("jobs = %d, want >= 40", c.NumJobs())
-	}
-	if len(c.JobSamples) != c.NumJobs() {
-		t.Fatalf("job samples %d != jobs %d", len(c.JobSamples), c.NumJobs())
+	if len(c.JobSamples) < 40 {
+		t.Fatalf("jobs = %d, want >= 40", len(c.JobSamples))
 	}
 	if len(c.TaskSamples) == 0 {
 		t.Fatal("no task samples")
@@ -209,6 +207,10 @@ func TestBuildCorpusSmall(t *testing.T) {
 		}
 		if r.Est == nil || r.Oracle == nil {
 			t.Fatal("missing estimates")
+		}
+		if len(r.JobSamples) != len(r.Est.Jobs) || len(r.JobSamples) != len(r.Oracle.Jobs) {
+			t.Fatalf("run has %d job samples for %d estimated and %d oracle jobs",
+				len(r.JobSamples), len(r.Est.Jobs), len(r.Oracle.Jobs))
 		}
 	}
 	// Samples carry positive features and targets.
@@ -256,54 +258,70 @@ func TestWorkloadToClusterPipeline(t *testing.T) {
 	}
 }
 
-// TestCorpusSamplesEqualEachSample: the corpus cuts its samples' features
-// from slabs, the learning replay takes fresh vectors from EachSample; both
-// see the same stream, to the bit, and every cut vector has a capacity of
-// its own length, so appending to one cannot write into the next.
-func TestCorpusSamplesEqualEachSample(t *testing.T) {
+// TestCorpusSamplesAreTheRuns: each run records one job sample per job
+// while its layout is live, and the corpus and both halves of a split are
+// nothing but those samples concatenated, to the bit. Every feature vector
+// has a capacity of its own length, so appending to one cannot write into
+// the next.
+func TestCorpusSamplesAreTheRuns(t *testing.T) {
 	cfg := DefaultCorpusConfig()
 	cfg.NumQueries = 60
 	c, err := BuildCorpus(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var jobs []predict.JobSample
+	var tasks []predict.TaskSample
+	for i, r := range c.Runs {
+		if len(r.JobSamples) != len(r.Est.Jobs) {
+			t.Fatalf("run %d: %d job samples for %d jobs", i, len(r.JobSamples), len(r.Est.Jobs))
+		}
+		jobs = append(jobs, r.JobSamples...)
+		tasks = append(tasks, r.TaskSamples...)
+	}
+	sameSamples(t, "corpus", c.JobSamples, c.TaskSamples, jobs, tasks)
+	train, test := c.Split(0.75)
+	sameSamples(t, "split", append(slices.Clip(train.JobSamples), test.JobSamples...),
+		append(slices.Clip(train.TaskSamples), test.TaskSamples...), c.JobSamples, c.TaskSamples)
+}
+
+// sameSamples fails unless got and want hold the same samples in the
+// same order, features compared by their bits, and every got feature
+// vector has len == cap.
+func sameSamples(t *testing.T, what string, gotJobs []predict.JobSample, gotTasks []predict.TaskSample,
+	wantJobs []predict.JobSample, wantTasks []predict.TaskSample) {
+	t.Helper()
+	if len(gotJobs) != len(wantJobs) || len(gotTasks) != len(wantTasks) {
+		t.Fatalf("%s: %d job and %d task samples, want %d and %d",
+			what, len(gotJobs), len(gotTasks), len(wantJobs), len(wantTasks))
+	}
 	same := func(kind string, i int, got, want []float64) {
 		t.Helper()
 		if len(got) != cap(got) {
-			t.Fatalf("%s sample %d: features have len %d, cap %d", kind, i, len(got), cap(got))
+			t.Fatalf("%s: %s sample %d: features have len %d, cap %d", what, kind, i, len(got), cap(got))
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%s sample %d: %d features, EachSample %d", kind, i, len(got), len(want))
+			t.Fatalf("%s: %s sample %d: %d features, want %d", what, kind, i, len(got), len(want))
 		}
 		for k := range got {
 			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("%s sample %d feature %d: %v, EachSample %v", kind, i, k, got[k], want[k])
+				t.Fatalf("%s: %s sample %d feature %d: %v, want %v", what, kind, i, k, got[k], want[k])
 			}
 		}
 	}
-	var jobs, tasks int
-	for _, r := range c.Runs {
-		r.EachSample(
-			func(op plan.JobType, features []float64, sec float64) {
-				s := c.JobSamples[jobs]
-				if s.Op != op || s.Seconds != sec {
-					t.Fatalf("job sample %d: (%v, %v), EachSample (%v, %v)", jobs, s.Op, s.Seconds, op, sec)
-				}
-				same("job", jobs, s.Features, features)
-				jobs++
-			},
-			func(op plan.JobType, reduce bool, features []float64, sec float64) {
-				s := c.TaskSamples[tasks]
-				if s.Op != op || s.Reduce != reduce || s.Seconds != sec {
-					t.Fatalf("task sample %d: (%v, %v, %v), EachSample (%v, %v, %v)", tasks, s.Op, s.Reduce, s.Seconds, op, reduce, sec)
-				}
-				same("task", tasks, s.Features, features)
-				tasks++
-			})
+	for i, g := range gotJobs {
+		w := wantJobs[i]
+		if g.Op != w.Op || math.Float64bits(g.Seconds) != math.Float64bits(w.Seconds) {
+			t.Fatalf("%s: job sample %d: (%v, %v), want (%v, %v)", what, i, g.Op, g.Seconds, w.Op, w.Seconds)
+		}
+		same("job", i, g.Features, w.Features)
 	}
-	if jobs != len(c.JobSamples) || tasks != len(c.TaskSamples) {
-		t.Fatalf("EachSample walked %d job and %d task samples, the corpus holds %d and %d",
-			jobs, tasks, len(c.JobSamples), len(c.TaskSamples))
+	for i, g := range gotTasks {
+		w := wantTasks[i]
+		if g.Op != w.Op || g.Reduce != w.Reduce || math.Float64bits(g.Seconds) != math.Float64bits(w.Seconds) {
+			t.Fatalf("%s: task sample %d: (%v, %v, %v), want (%v, %v, %v)", what, i, g.Op, g.Reduce, g.Seconds, w.Op, w.Reduce, w.Seconds)
+		}
+		same("task", i, g.Features, w.Features)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 type (
 	// Query is a parsed, resolvable analytic query AST.
 	Query = query.Query
-	// DAG is a compiled execution plan: MapReduce jobs plus dependencies.
+	// DAG is a compiled execution plan: a left-deep chain of MapReduce jobs.
 	DAG = plan.DAG
 	// Job is one MapReduce job in a plan.
 	Job = plan.Job

@@ -7,10 +7,14 @@
 # which side runs first, and prints one TSV line per run with the four
 # bounded end-to-end metrics (BENCHMARK.json's end_to_end list) read off the
 # run's summary line, then cpu_us_per_op and throughput_ops_s (unbounded,
-# calibrated) read off the run's text lines.
+# calibrated) read off the run's text lines, then predict.fit_s (the
+# TrainDefault phase of setup_s, a per-layer figure) read off the
+# bench-out/bench/timed_<workload>.json the run writes; it is empty for a
+# workload that trains nothing (batch_tpch, which reports it as 0).
 #
 # After the runs it prints, per workload, seed and metric — the four
-# bounded ones, then cpu_us_per_op and throughput_ops_s — what the claim
+# bounded ones, then cpu_us_per_op, throughput_ops_s and predict.fit_s
+# where the runs report it — what the claim
 # rule (docs/MEASURING.md) is worked out from: each side's median and
 # quartiles, the parent's interquartile spread, the gap between the
 # medians, and how many pairs the change wins, ties and loses (lower is
@@ -58,21 +62,31 @@ text() {
 	printf '%s\n' "$2" | awk -v name="$1" '$1 == name { print $2; exit }'
 }
 
+# fit WORKLOAD prints predict.fit_s's value from the workload's timed
+# result file ("predict.fit_s": {⏎ "value": …,), nothing when the file is
+# missing or the workload does not train (bench reports it as 0).
+fit() {
+	awk '/"predict.fit_s": \{/ { f = 1; next }
+		f && /"value":/ { sub(/.*"value": */, ""); sub(/,.*/, ""); if ($0 + 0 != 0) print; exit }' \
+		"bench-out/bench/timed_$1.json" 2>/dev/null || true
+}
+
 # run PAIR SIDE WORKLOAD SEED runs one side once and prints its TSV line,
 # keeping a copy for the summary. A run that fails its own checks still
 # prints its figures, with correct=false.
 run() {
+	rm -f "bench-out/bench/timed_$3.json"
 	out=$("bin/bench-$2" -workload "$3" -seed "$4" || true)
 	line=$(printf '%s\n' "$out" | grep '^{"correct"' || true)
 	correct=$(printf '%s\n' "$line" | sed -n 's/^{"correct":\([a-z]*\).*/\1/p')
-	printf '%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n' "$1" "$2" "${correct:-false}" \
+	printf '%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n' "$1" "$2" "${correct:-false}" \
 		"$(metric setup_s "$line")" "$(metric allocs_per_op "$line")" \
 		"$(metric alloc_kb_per_op "$line")" "$(metric est_err "$line")" \
-		"$(text cpu_us_per_op "$out")" "$(text throughput_ops_s "$out")" "$3" "$4" |
+		"$(text cpu_us_per_op "$out")" "$(text throughput_ops_s "$out")" "$(fit "$3")" "$3" "$4" |
 		tee -a "$tmp/rows.tsv"
 }
 
-printf 'pair\tside\tcorrect\tsetup_s\tallocs_per_op\talloc_kb_per_op\test_err\tcpu_us_per_op\tthroughput_ops_s\tworkload\tseed\n'
+printf 'pair\tside\tcorrect\tsetup_s\tallocs_per_op\talloc_kb_per_op\test_err\tcpu_us_per_op\tthroughput_ops_s\tpredict.fit_s\tworkload\tseed\n'
 for workload in $WORKLOADS; do
 	for seed in $SEEDS; do
 		i=1
@@ -92,7 +106,7 @@ done
 # The summary, one block per (workload, seed): quartiles interpolate
 # linearly between the sorted runs (position (n-1)p, counted from 0). A run
 # with no value for a metric (a failed run) is left out of that metric's
-# figures and pairs.
+# figures and pairs; a metric no run of the block reports is not printed.
 printf '\nworkload\tseed\tmetric\tbase_median\tbase_q1\tbase_q3\thead_median\thead_q1\thead_q3\tbase_iqr\tmedian_gap\twins\tties\tlosses\n'
 awk -F'\t' '
 function sort(a, n,   i, j, v) {
@@ -117,13 +131,14 @@ function quartiles(side, s, m,   a, n, k) {
 	q[side, 1] = quantile(a, n, 0.25)
 	q[side, 2] = quantile(a, n, 0.5)
 	q[side, 3] = quantile(a, n, 0.75)
+	return n
 }
 BEGIN {
-	nm = split("setup_s allocs_per_op alloc_kb_per_op est_err cpu_us_per_op throughput_ops_s", names, " ")
+	nm = split("setup_s allocs_per_op alloc_kb_per_op est_err cpu_us_per_op throughput_ops_s predict.fit_s", names, " ")
 	higher[6] = 1
 }
 {
-	key = $10 "\t" $11
+	key = $11 "\t" $12
 	if (!(key in seen)) {
 		seen[key] = 1
 		order[nkeys++] = key
@@ -138,8 +153,8 @@ END {
 	for (i = 0; i < nkeys; i++) {
 		s = order[i]
 		for (m = 1; m <= nm; m++) {
-			quartiles("base", s, m)
-			quartiles("head", s, m)
+			if (quartiles("base", s, m) + quartiles("head", s, m) == 0)
+				continue
 			w = t = l = 0
 			for (k = 1; k <= pairs[s]; k++) {
 				if (!((s, m, k, "base") in val) || !((s, m, k, "head") in val))
