@@ -12,11 +12,13 @@
 // Buffers that die with the query — selections, shuffle buckets, match
 // pairs, composed view indexes, gathered input columns, combine vectors
 // and reduce states — are cut from a scratch the engine keeps between
-// queries, so a warm query allocates only what outlives a task or the
-// query: job outputs and stats, and the combine and join tasks' key maps
-// and partial states. The sink's view is copied off the scratch before
-// RunQuery returns (the Frame comment). The engine keeps a scratch no
-// larger than its registered relations; a bigger one is dropped.
+// queries, and the combine and join tasks' key maps and partial states
+// are kept in its per-task slots, so a warm query allocates only what
+// outlives the query or belongs to one job: job outputs and stats, frames
+// and column lists, and the pool's goroutines. The sink's view is copied
+// off the scratch before RunQuery returns (the Frame comment). The engine
+// keeps a scratch, maps and states included, no larger than its
+// registered relations; a bigger one is dropped.
 //
 // In the paper this role is played by the Hadoop cluster itself. The engine
 // exists so that selectivity estimates can be validated against *measured*

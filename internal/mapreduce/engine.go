@@ -42,14 +42,15 @@ func (c Config) withDefaults() Config {
 type Engine struct {
 	cfg    Config
 	tables map[string]*dataset.Relation
-	bytes  int64 // Σ Bytes() of the registered relations: the most scratch kept
+	cols   map[string][]string // a relation's qualified column names, "table.column"
+	bytes  int64               // Σ Bytes() of the registered relations: the most scratch kept
 
 	idle atomic.Pointer[scratch] // a finished query's scratch, for the next
 }
 
 // New returns an engine with the given configuration.
 func New(cfg Config) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), tables: make(map[string]*dataset.Relation)}
+	return &Engine{cfg: cfg.withDefaults(), tables: make(map[string]*dataset.Relation), cols: make(map[string][]string)}
 }
 
 // Register makes a materialised relation available to queries.
@@ -59,6 +60,11 @@ func (e *Engine) Register(rel *dataset.Relation) {
 	}
 	e.tables[rel.Schema.Name] = rel
 	e.bytes += rel.Bytes()
+	cols := make([]string, len(rel.Schema.Columns))
+	for i, c := range rel.Schema.Columns {
+		cols[i] = rel.Schema.Name + "." + c.Name
+	}
+	e.cols[rel.Schema.Name] = cols
 }
 
 // JobStats records the measured data flow of one executed job — the ground
@@ -159,7 +165,7 @@ func (e *Engine) loadScan(ts plan.TableScan) (jobInput, error) {
 		if j < 0 {
 			return jobInput{}, fmt.Errorf("table %q has no column %q", ts.Table, c)
 		}
-		cols[i], vecs[i] = ts.Table+"."+c, rel.Cols[j]
+		cols[i], vecs[i] = e.cols[ts.Table][j], rel.Cols[j]
 	}
 	return jobInput{
 		frame:    NewFrame(int(rel.NumRows()), cols, vecs),
@@ -436,12 +442,14 @@ type partial struct {
 }
 
 // combineBuf is one combine task's working storage, cut before the phase,
-// each buffer as long as the task's rows: group ids, the rows that
+// each buffer as long as the task's rows — group ids, the rows that
 // introduce groups, and an aggregate's operands as floats (nil when no
-// aggregate needs them).
+// aggregate needs them) — and the slot its key maps and partial states
+// come from.
 type combineBuf struct {
 	gid, first []int32
 	l, r       []float64
+	slot       *slot
 }
 
 // combine is one Groupby map task after its filter: rows get dense local
@@ -449,9 +457,9 @@ type combineBuf struct {
 // over the split as a vector and folded into its group's state.
 func combine(keys []dataset.Vector, specs []aggSpec, sel []int32, buf combineBuf) partial {
 	gid, l, r := buf.gid, buf.l, buf.r
-	first := groupRows(keys, sel, gid, buf.first)
+	first := groupRows(buf.slot, keys, sel, gid, buf.first)
 	w := len(specs)
-	states := make([]aggState, len(first)*w)
+	states := buf.slot.partials(len(first) * w)
 	for a, spec := range specs {
 		if spec.star {
 			for _, g := range gid {
@@ -517,8 +525,9 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 		operands, binops = operands || !spec.star, binops || spec.binop
 	}
 	bufs := make([]combineBuf, len(parts))
+	slots := s.slots(len(parts))
 	for si, p := range parts {
-		bufs[si] = combineBuf{gid: s.i32.Cut(len(p)), first: s.i32.Cut(len(p))}
+		bufs[si] = combineBuf{gid: s.i32.Cut(len(p)), first: s.i32.Cut(len(p)), slot: &slots[si]}
 		if operands {
 			bufs[si].l = s.f64.Cut(len(p))
 		}
@@ -544,7 +553,9 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 		stats.MedBytes += keyed.rowBytes(p.first) + 8*int64(nAggs*len(p.first))
 	}
 	gid := s.i32.Cut(len(locals))
-	first := groupRows(keys, locals, gid, s.i32.Cut(len(locals)))
+	// The combines are done with their key maps, so slot 0's group the
+	// locals; its partial states stay until they are merged.
+	first := groupRows(&slots[0], keys, locals, gid, s.i32.Cut(len(locals)))
 	states := s.states.Cut(len(first) * w) // a group's first partial merges into zeroed states as a copy
 	for _, p := range partials {
 		for g := range p.first {

@@ -17,35 +17,38 @@ func same[T any](v T) T { return v }
 // held in keys, ids in first-seen order, into gid (zeroed, one per row),
 // and returns the row that introduced each group, written to the front of
 // buf (one per row). One typed pass per key column refines the ids of the
-// columns before it; no key is rendered and nothing is allocated per
-// group.
-func groupRows(keys []dataset.Vector, rows, gid, buf []int32) (first []int32) {
+// columns before it, in sl's map for the column's key class; no key is
+// rendered and nothing is allocated per group.
+func groupRows(sl *slot, keys []dataset.Vector, rows, gid, buf []int32) (first []int32) {
 	first = rows[:min(1, len(rows))] // no key columns: one group, if any row
 	for _, v := range keys {
 		switch v.Kind() {
 		case dataset.KindString:
-			first = refine(gid, v.Strings(), rows, same[string], buf)
+			first = refine(sl.groupStrs.reuse(), gid, v.Strings(), rows, same[string], buf)
 		case dataset.KindFloat:
-			first = refine(gid, v.Floats(), rows, floatKey, buf)
+			first = refine(sl.groupFlts.reuse(), gid, v.Floats(), rows, floatKey, buf)
 		default:
-			first = refine(gid, v.Ints(), rows, same[int64], buf)
+			first = refine(sl.groupInts.reuse(), gid, v.Ints(), rows, same[int64], buf)
 		}
 	}
 	return first
 }
 
+// prefixed is a row's key under refine: the group the columns before gave
+// it, and its value in the next.
+type prefixed[K comparable] struct {
+	g int32
+	k K
+}
+
 // refine splits the groups gid already assigns to rows by one more column,
-// writing each new group's first row to the front of buf: the previous
-// column's groups are read only through gid, so their first rows may go.
-func refine[T any, K comparable](gid []int32, vals []T, rows []int32, key func(T) K, buf []int32) (first []int32) {
+// numbering them in ids (empty), and writes each new group's first row to
+// the front of buf: the previous column's groups are read only through
+// gid, so their first rows may go.
+func refine[T any, K comparable](ids map[prefixed[K]]int32, gid []int32, vals []T, rows []int32, key func(T) K, buf []int32) (first []int32) {
 	first = buf[:0]
-	type prefixed struct {
-		g int32
-		k K
-	}
-	ids := make(map[prefixed]int32)
 	for j, i := range rows {
-		p := prefixed{gid[j], key(vals[i])}
+		p := prefixed[K]{gid[j], key(vals[i])}
 		id, ok := ids[p]
 		if !ok {
 			id = int32(len(first))
@@ -145,9 +148,10 @@ type hashIndex[K comparable] struct {
 	brows []int32
 }
 
-// newIndex indexes brows by key, chaining them through next (one per row).
-func newIndex[K comparable](keys []K, brows, next []int32) hashIndex[K] {
-	h := hashIndex[K]{head: make(map[K]chain), next: next, brows: brows}
+// newIndex indexes brows by key in head (empty), chaining them through
+// next (one per row).
+func newIndex[K comparable](head map[K]chain, keys []K, brows, next []int32) hashIndex[K] {
+	h := hashIndex[K]{head: head, next: next, brows: brows}
 	for j := len(brows) - 1; j >= 0; j-- {
 		k := keys[brows[j]]
 		c := h.head[k]
@@ -190,27 +194,29 @@ func (h *hashIndex[K]) fill(keys []K, prows, build, probe []int32) {
 // counts its matches, a prefix sum places its segment, and each task fills
 // its own. With one build set for many tasks (a broadcast) the index is
 // built once and shared; with one per task (a shuffle's reducers) each task
-// indexes its own. The pairs and every index's chains are cut from s.
+// indexes its own. The pairs and every index's chains are cut from s, and
+// build i hashes into slot i's heads for the key class.
 func match(s *scratch, bk, pk joinKey, builds, probes [][]int32) pairs {
 	if bk.kind == dataset.KindString {
-		return matchOn(s, bk.strs, pk.strs, builds, probes)
+		return matchOn(s, bk.strs, pk.strs, builds, probes, func(sl *slot) *table[string, chain] { return &sl.joinStrs })
 	}
-	return matchOn(s, bk.ints, pk.ints, builds, probes)
+	return matchOn(s, bk.ints, pk.ints, builds, probes, func(sl *slot) *table[int64, chain] { return &sl.joinInts })
 }
 
-func matchOn[K comparable](s *scratch, bkeys, pkeys []K, builds, probes [][]int32) pairs {
+func matchOn[K comparable](s *scratch, bkeys, pkeys []K, builds, probes [][]int32, heads func(*slot) *table[K, chain]) pairs {
 	idx := make([]hashIndex[K], len(builds))
 	for i, b := range builds {
 		idx[i].next = s.i32.Cut(len(b))
 	}
+	slots := s.slots(len(builds))
 	own := len(builds) == len(probes)
 	if !own {
-		idx[0] = newIndex(bkeys, builds[0], idx[0].next)
+		idx[0] = newIndex(heads(&slots[0]).reuse(), bkeys, builds[0], idx[0].next)
 	}
 	off := make([]int, len(probes)+1)
 	par.For(len(probes), func(_ *struct{}, i int) {
 		if own {
-			idx[i] = newIndex(bkeys, builds[i], idx[i].next)
+			idx[i] = newIndex(heads(&slots[i]).reuse(), bkeys, builds[i], idx[i].next)
 		}
 		off[i+1] = idx[min(i, len(idx)-1)].count(pkeys, probes[i])
 	})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"saqp/internal/plan"
+	"saqp/internal/workload"
 )
 
 // TestEngineResultsOutliveLaterQueries holds every result the digest
@@ -57,6 +58,84 @@ func TestEngineResultsOutliveLaterQueries(t *testing.T) {
 	}
 	if got, want := total.Sum64(), uint64(0xc47889e59a829381); got != want {
 		t.Errorf("digest %#x, pinned %#x", got, want)
+	}
+}
+
+// TestEngineReusedSlotsLeakNothing runs the 7 TPC-H DAGs and three
+// fixtures on one engine at GOMAXPROCS 4, forward and then in reverse, so
+// every query's combine and join tasks hash into slots an earlier query
+// filled: a float group key, a string join key and a map-side join add
+// the key classes TPC-H leaves out. Every result must digest as the same
+// DAG does on a fresh engine; each of a slot's five maps must have been
+// emptied for reuse while holding an earlier query's entries, and its
+// partial states cut again. A kept map that is not emptied, or states
+// that are not zeroed, fail it.
+func TestEngineReusedSlotsLeakNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var names []string
+	var dags []*plan.DAG
+	for _, name := range workload.TPCHNames() {
+		q, err := workload.TPCHQuery(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := plan.Compile(q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		names, dags = append(names, name), append(dags, d)
+	}
+	for _, src := range []string{
+		`SELECT l_discount, sum(l_quantity), count(*) FROM lineitem GROUP BY l_discount`,
+		`SELECT o_orderkey, l_orderkey FROM orders JOIN lineitem ON o_orderstatus = l_returnflag WHERE o_totalprice < 900 AND l_quantity > 49`,
+		`SELECT /*+ MAPJOIN(nation) */ s_name FROM nation JOIN supplier ON s_nationkey = n_nationkey`,
+	} {
+		names, dags = append(names, src), append(dags, compile(t, src))
+	}
+	engine := func() *Engine {
+		e := New(Config{})
+		for _, rel := range digestRelations() {
+			e.Register(rel)
+		}
+		return e
+	}
+	want := make([]uint64, len(dags))
+	for i, d := range dags {
+		res, err := engine().RunQuery(d)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		want[i] = digestResult(d, res)
+	}
+	e := engine()
+	for k := range 2 * len(dags) {
+		i := k
+		if k >= len(dags) {
+			i = 2*len(dags) - 1 - k
+		}
+		res, err := e.RunQuery(dags[i])
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		if got := digestResult(dags[i], res); got != want[i] {
+			t.Errorf("%s: digest %#x after other queries, %#x on a fresh engine", names[i], got, want[i])
+		}
+	}
+	s := e.idle.Load()
+	if s == nil {
+		t.Fatal("the engine kept no scratch")
+	}
+	var reused [6]bool
+	for i := range s.slot {
+		sl := &s.slot[i]
+		for j, peak := range []int{sl.joinInts.peak, sl.joinStrs.peak, sl.groupInts.peak, sl.groupStrs.peak, sl.groupFlts.peak, int(sl.states.Bytes())} {
+			reused[j] = reused[j] || peak > 0
+		}
+	}
+	for j, name := range []string{"int join heads", "string join heads", "int group keys", "string group keys", "float group keys", "partial states"} {
+		if !reused[j] {
+			t.Errorf("no slot's %s were reused", name)
+		}
 	}
 }
 
@@ -116,10 +195,12 @@ func TestEngineConcurrentRunQuery(t *testing.T) {
 	}
 }
 
-// TestEngineDropsOutsizedScratch registers one small relation and runs a
-// many-to-many self-join whose pairs alone outweigh it: the engine must
-// not keep that query's scratch, must keep a small query's, and must give
-// the same answers after either.
+// TestEngineDropsOutsizedScratch registers one small relation and runs
+// two queries whose scratch outweighs it: a many-to-many self-join whose
+// pairs alone do, and a group-by on its unique key whose slabs do not but
+// whose kept group-key maps and partial states tip it over. The engine
+// must keep neither query's scratch, must keep a small query's, and must
+// give the same answers after any of them.
 func TestEngineDropsOutsizedScratch(t *testing.T) {
 	e := New(Config{})
 	for _, rel := range fixtureRelations() {
@@ -128,7 +209,26 @@ func TestEngineDropsOutsizedScratch(t *testing.T) {
 		}
 	}
 	self := compile(t, `SELECT c1.c_name FROM customer c1 JOIN customer c2 ON c1.c_nationkey = c2.c_nationkey`)
+	unique := compile(t, `SELECT c_custkey, count(*) FROM customer GROUP BY c_custkey`)
 	small := compile(t, `SELECT c_name FROM customer WHERE c_nationkey < 2`)
+	// One aggregate: the reduce's states, cut from a slab, are as many
+	// as the combine's partials, so more would tip the slabs over too.
+	s := new(scratch)
+	var up *Frame
+	for _, job := range unique.Jobs {
+		out, _, err := e.runJob(s, job, up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		up = out
+	}
+	var slots int64
+	for i := range s.slot {
+		slots += s.slot[i].bytes()
+	}
+	if slabs := s.size() - slots; slabs > e.bytes || s.size() <= e.bytes {
+		t.Fatalf("the group-by's %d bytes of slabs and %d of slots do not straddle customer's %d", slabs, slots, e.bytes)
+	}
 	run := func(d *plan.DAG) uint64 {
 		t.Helper()
 		res, err := e.RunQuery(d)
@@ -151,7 +251,18 @@ func TestEngineDropsOutsizedScratch(t *testing.T) {
 	if got := run(small); got != wantSmall {
 		t.Errorf("the small query digests %#x after the self-join, %#x before", got, wantSmall)
 	}
+	wantUnique := run(unique)
+	if s := e.idle.Load(); s != nil {
+		t.Fatalf("the engine kept a %d-byte scratch of kept maps and states over %d bytes of data", s.size(), e.bytes)
+	}
+	if got := run(small); got != wantSmall {
+		t.Errorf("the small query digests %#x after the group-by, %#x before", got, wantSmall)
+	}
 	if got := run(self); got != wantSelf {
 		t.Errorf("the self-join digests %#x on a kept scratch, %#x on a new one", got, wantSelf)
+	}
+	run(small)
+	if got := run(unique); got != wantUnique {
+		t.Errorf("the group-by digests %#x on a kept scratch, %#x on a new one", got, wantUnique)
 	}
 }

@@ -7,14 +7,18 @@
 # which side runs first, and prints one TSV line per run with the four
 # bounded end-to-end metrics (BENCHMARK.json's end_to_end list) read off the
 # run's summary line, then cpu_us_per_op and throughput_ops_s (unbounded,
-# calibrated) read off the run's text lines, then predict.fit_s (the
-# TrainDefault phase of setup_s, a per-layer figure) read off the
-# bench-out/bench/timed_<workload>.json the run writes; it is empty for a
-# workload that trains nothing (batch_tpch, which reports it as 0).
+# calibrated) read off the run's text lines, then three per-layer figures
+# read off the bench-out/bench/timed_<workload>.json the run writes:
+# predict.fit_s (the TrainDefault phase of setup_s), and
+# mapreduce.alloc_mb_per_query and mapreduce.allocs_per_query (the batch
+# engine's share of the allocation metrics). A per-layer figure is empty
+# on a workload whose path does not cross that layer (bench reports it as
+# 0): predict.fit_s on batch_tpch, which trains nothing, and the
+# mapreduce ones on the serving workloads, which execute nothing.
 #
 # After the runs it prints, per workload, seed and metric — the four
-# bounded ones, then cpu_us_per_op, throughput_ops_s and predict.fit_s
-# where the runs report it — what the claim
+# bounded ones, then cpu_us_per_op, throughput_ops_s and the per-layer
+# figures where the runs report them — what the claim
 # rule (docs/MEASURING.md) is worked out from: each side's median and
 # quartiles, the parent's interquartile spread, the gap between the
 # medians, and how many pairs the change wins, ties and loses (lower is
@@ -62,13 +66,14 @@ text() {
 	printf '%s\n' "$2" | awk -v name="$1" '$1 == name { print $2; exit }'
 }
 
-# fit WORKLOAD prints predict.fit_s's value from the workload's timed
-# result file ("predict.fit_s": {⏎ "value": …,), nothing when the file is
-# missing or the workload does not train (bench reports it as 0).
-fit() {
-	awk '/"predict.fit_s": \{/ { f = 1; next }
+# layer NAME WORKLOAD prints the per-layer metric NAME's value from the
+# workload's timed result file ("NAME": {⏎ "value": …,), nothing when the
+# file is missing or the workload does not cross the layer (bench reports
+# it as 0).
+layer() {
+	awk -v name="\"$1\": {" 'index($0, name) { f = 1; next }
 		f && /"value":/ { sub(/.*"value": */, ""); sub(/,.*/, ""); if ($0 + 0 != 0) print; exit }' \
-		"bench-out/bench/timed_$1.json" 2>/dev/null || true
+		"bench-out/bench/timed_$2.json" 2>/dev/null || true
 }
 
 # run PAIR SIDE WORKLOAD SEED runs one side once and prints its TSV line,
@@ -79,14 +84,15 @@ run() {
 	out=$("bin/bench-$2" -workload "$3" -seed "$4" || true)
 	line=$(printf '%s\n' "$out" | grep '^{"correct"' || true)
 	correct=$(printf '%s\n' "$line" | sed -n 's/^{"correct":\([a-z]*\).*/\1/p')
-	printf '%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n' "$1" "$2" "${correct:-false}" \
+	printf '%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n' "$1" "$2" "${correct:-false}" \
 		"$(metric setup_s "$line")" "$(metric allocs_per_op "$line")" \
 		"$(metric alloc_kb_per_op "$line")" "$(metric est_err "$line")" \
-		"$(text cpu_us_per_op "$out")" "$(text throughput_ops_s "$out")" "$(fit "$3")" "$3" "$4" |
+		"$(text cpu_us_per_op "$out")" "$(text throughput_ops_s "$out")" "$(layer predict.fit_s "$3")" \
+		"$(layer mapreduce.alloc_mb_per_query "$3")" "$(layer mapreduce.allocs_per_query "$3")" "$3" "$4" |
 		tee -a "$tmp/rows.tsv"
 }
 
-printf 'pair\tside\tcorrect\tsetup_s\tallocs_per_op\talloc_kb_per_op\test_err\tcpu_us_per_op\tthroughput_ops_s\tpredict.fit_s\tworkload\tseed\n'
+printf 'pair\tside\tcorrect\tsetup_s\tallocs_per_op\talloc_kb_per_op\test_err\tcpu_us_per_op\tthroughput_ops_s\tpredict.fit_s\tmapreduce.alloc_mb_per_query\tmapreduce.allocs_per_query\tworkload\tseed\n'
 for workload in $WORKLOADS; do
 	for seed in $SEEDS; do
 		i=1
@@ -134,11 +140,11 @@ function quartiles(side, s, m,   a, n, k) {
 	return n
 }
 BEGIN {
-	nm = split("setup_s allocs_per_op alloc_kb_per_op est_err cpu_us_per_op throughput_ops_s predict.fit_s", names, " ")
+	nm = split("setup_s allocs_per_op alloc_kb_per_op est_err cpu_us_per_op throughput_ops_s predict.fit_s mapreduce.alloc_mb_per_query mapreduce.allocs_per_query", names, " ")
 	higher[6] = 1
 }
 {
-	key = $11 "\t" $12
+	key = $13 "\t" $14
 	if (!(key in seen)) {
 		seen[key] = 1
 		order[nkeys++] = key
