@@ -353,10 +353,9 @@ func (volumePredictor) PredictTask(_ plan.JobType, _ bool, in, out, _ float64) f
 }
 
 // TestEachSampleFollowsBuildQueryLayout pins the sample walk to the
-// layout BuildQuery builds — for an estimate with its own task groups
-// (a join: two map groups) and for one that carries none (the
-// synthesized single group) — and to zero allocations, since the
-// serving engine runs it per completed query.
+// layout BuildQuery builds from an estimate's task groups (a join: two
+// map groups), and to zero allocations, since the serving engine runs it
+// per completed query.
 func TestEachSampleFollowsBuildQueryLayout(t *testing.T) {
 	qq, err := query.Parse(`SELECT o_orderpriority, count(*) FROM orders JOIN lineitem ON l_orderkey = o_orderkey GROUP BY o_orderpriority`)
 	if err != nil {
@@ -374,42 +373,32 @@ func TestEachSampleFollowsBuildQueryLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, stripped := range []bool{false, true} {
-		if stripped {
-			for _, je := range qe.Jobs {
-				je.MapGroups, je.ReduceGroups = nil, nil
+	cq := cluster.BuildQuery("q", qe, trace.NewDefaultCostModel(1), volumePredictor{})
+	const perGroup = 3
+	for ji, je := range qe.Jobs {
+		sj := cq.Jobs[ji]
+		seen := 0
+		sj.EachSample(je, perGroup, func(g selectivity.TaskGroup, tk *cluster.Task) {
+			seen++
+			if want := (volumePredictor{}).PredictTask(sj.Type, tk.Reduce, g.InBytes, g.OutBytes, 0); tk.PredSec != want {
+				t.Errorf("%s task %d (reduce=%v): built from other volumes than its group's", sj.ID, tk.Index, tk.Reduce)
+			}
+		})
+		want := 0
+		for _, gs := range [][]selectivity.TaskGroup{je.MapGroups, je.ReduceGroups} {
+			for _, g := range gs {
+				want += min(g.Count, perGroup)
 			}
 		}
-		cq := cluster.BuildQuery("q", qe, trace.NewDefaultCostModel(1), volumePredictor{})
-		const perGroup = 3
-		for ji, je := range qe.Jobs {
-			sj := cq.Jobs[ji]
-			seen := 0
-			sj.EachSample(je, perGroup, func(g selectivity.TaskGroup, tk *cluster.Task) {
-				seen++
-				if want := (volumePredictor{}).PredictTask(sj.Type, tk.Reduce, g.InBytes, g.OutBytes, 0); tk.PredSec != want {
-					t.Errorf("stripped=%v %s task %d (reduce=%v): built from other volumes than its group's", stripped, sj.ID, tk.Index, tk.Reduce)
-				}
-			})
-			want := 0
-			for _, gs := range [][]selectivity.TaskGroup{je.MapGroups, je.ReduceGroups} {
-				for _, g := range gs {
-					want += min(g.Count, perGroup)
-				}
-			}
-			if stripped {
-				want = min(len(sj.Maps), perGroup) + min(len(sj.Reds), perGroup)
-			}
-			if seen != want || seen == 0 {
-				t.Errorf("stripped=%v %s: %d samples, want %d", stripped, sj.ID, seen, want)
-			}
+		if seen != want || seen == 0 {
+			t.Errorf("%s: %d samples, want %d", sj.ID, seen, want)
 		}
-		je, sj, n := qe.Jobs[0], cq.Jobs[0], 0
-		if a := testing.AllocsPerRun(100, func() {
-			sj.EachSample(je, perGroup, func(selectivity.TaskGroup, *cluster.Task) { n++ })
-		}); a != 0 {
-			t.Errorf("stripped=%v: EachSample allocates %.0f times per walk", stripped, a)
-		}
+	}
+	je, sj, n := qe.Jobs[0], cq.Jobs[0], 0
+	if a := testing.AllocsPerRun(100, func() {
+		sj.EachSample(je, perGroup, func(selectivity.TaskGroup, *cluster.Task) { n++ })
+	}); a != 0 {
+		t.Errorf("EachSample allocates %.0f times per walk", a)
 	}
 }
 

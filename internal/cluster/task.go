@@ -288,30 +288,38 @@ const MaxQueryTasks = 100_000
 // TaskBoundError refuses an estimate Query.Rebuild must not lay out.
 type TaskBoundError struct {
 	// Tasks is the estimate's task count, summed in float64 so that no
-	// count wraps; NaN when a byte volume is not finite.
+	// count wraps; NaN when a byte volume is not finite, and 0 when a job
+	// has no map task group.
 	Tasks float64
 }
 
 // Error names the count and the bound.
 func (e *TaskBoundError) Error() string {
-	if math.IsNaN(e.Tasks) {
+	switch {
+	case math.IsNaN(e.Tasks):
 		return "cluster: the estimate has a non-finite byte volume"
+	case e.Tasks == 0:
+		return "cluster: a job of the estimate has no map task group"
 	}
 	return fmt.Sprintf("cluster: the query needs %.4g tasks, over the %d-task bound", e.Tasks, MaxQueryTasks)
 }
 
 // CheckTaskBound returns a *TaskBoundError when qe has more than
-// MaxQueryTasks tasks or a non-finite byte volume, and nil when
-// Query.Rebuild may lay it out.
+// MaxQueryTasks tasks, a non-finite byte volume or a job without a map
+// task group, and nil when Query.Rebuild may lay it out. It is where an
+// estimate built outside the estimator enters: nothing downstream
+// repairs a missing layout.
 func CheckTaskBound(qe *selectivity.QueryEstimate) error {
-	var one [1]selectivity.TaskGroup
 	n := 0.0
 	for _, je := range qe.Jobs {
 		if v := je.InBytes + je.MedBytes + je.OutBytes; math.IsNaN(v) || math.IsInf(v, 0) {
 			return &TaskBoundError{Tasks: math.NaN()}
 		}
+		if len(je.MapGroups) == 0 {
+			return &TaskBoundError{}
+		}
 		for _, reduce := range [2]bool{false, true} {
-			for _, g := range phaseGroups(je, reduce, &one) {
+			for _, g := range je.Groups(reduce) {
 				n += float64(g.Count)
 			}
 		}
@@ -331,20 +339,20 @@ func BuildQuery(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, p
 }
 
 // Rebuild lays qe out as query id in q, in place, resetting everything a
-// run writes: per-task input/output volumes are divided evenly across the
-// estimated task counts, ground-truth durations are drawn from the cost
-// model, and predicted durations from the predictor. The estimate's group
-// counts size the query's slabs — jobs, job pointers, tasks and task
-// pointers (which also back each job's hoard list) — each q's previous one
-// when its capacity allows, so a long-lived owner (a serving-pool worker)
-// rebuilds query after query without allocating. The jobs' ids are cut
-// from one new string: spans and errors keep it.
+// run writes: each job's tasks are its estimate's task groups, maps then
+// reduces, each task taking its group's input/output volumes; ground-truth
+// durations are drawn from the cost model, and predicted durations from
+// the predictor. The group counts size the query's slabs — jobs, job
+// pointers, tasks and task pointers (which also back each job's hoard
+// list) — each q's previous one when its capacity allows, so a long-lived
+// owner (a serving-pool worker) rebuilds query after query without
+// allocating. The jobs' ids are cut from one new string: spans and errors
+// keep it.
 func (q *Query) Rebuild(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, pred TaskTimePredictor) {
-	var one [1]selectivity.TaskGroup
 	total, reds, idLen := 0, 0, 0
 	for _, je := range qe.Jobs {
 		for _, reduce := range [2]bool{false, true} {
-			for _, g := range phaseGroups(je, reduce, &one) {
+			for _, g := range je.Groups(reduce) {
 				total += g.Count
 				if reduce {
 					reds += g.Count
@@ -378,7 +386,7 @@ func (q *Query) Rebuild(id string, qe *selectivity.QueryEstimate, cm *trace.Cost
 		pf := je.PFactor()
 		for _, reduce := range [2]bool{false, true} {
 			n := 0
-			for _, g := range phaseGroups(je, reduce, &one) {
+			for _, g := range je.Groups(reduce) {
 				spec := trace.TaskSpec{Op: j.Type, Reduce: reduce, InBytes: g.InBytes, OutBytes: g.OutBytes}
 				for i := 0; i < g.Count; i++ {
 					tasks[n] = Task{
@@ -411,34 +419,15 @@ func (q *Query) SlabBytes() int {
 		cap(q.tasks)*int(unsafe.Sizeof(Task{})) + cap(q.ptrs)*int(unsafe.Sizeof((*Task)(nil)))
 }
 
-// phaseGroups returns the task groups Query.Rebuild lays one phase of a
-// job out by, in task-index order: the estimate's own, or — when it
-// carries none — a single group splitting the phase's volume evenly
-// across its task count (at least one map; no group for zero reduces).
-// one backs that synthesized group so the fallback stays off the heap.
-func phaseGroups(je *selectivity.JobEstimate, reduce bool, one *[1]selectivity.TaskGroup) []selectivity.TaskGroup {
-	groups, n, in, out := je.MapGroups, je.NumMaps, je.InBytes, je.MedBytes
-	if reduce {
-		groups, n, in, out = je.ReduceGroups, je.NumReduces, je.MedBytes, je.OutBytes
-	} else if n < 1 {
-		n = 1
-	}
-	if len(groups) > 0 || n < 1 {
-		return groups
-	}
-	one[0] = selectivity.TaskGroup{Count: n, InBytes: in / float64(n), OutBytes: out / float64(n)}
-	return one[:]
-}
-
 // EachSample calls fn for the first perGroup tasks of every task group
 // of j — maps, then reduces — with the group whose per-task volumes the
 // task was built from. je must be the estimate Query.Rebuild built j from;
 // the group→task index layout is Rebuild's and is known only here.
 func (j *Job) EachSample(je *selectivity.JobEstimate, perGroup int, fn func(g selectivity.TaskGroup, t *Task)) {
-	var one [1]selectivity.TaskGroup
-	for p, tasks := range [2][]*Task{j.Maps, j.Reds} {
+	for _, reduce := range [2]bool{false, true} {
+		tasks, _ := j.phase(reduce)
 		idx := 0
-		for _, g := range phaseGroups(je, p == 1, &one) {
+		for _, g := range je.Groups(reduce) {
 			for i := 0; i < g.Count && i < perGroup; i++ {
 				fn(g, tasks[idx+i])
 			}

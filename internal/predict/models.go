@@ -263,14 +263,10 @@ func (tm *TaskModel) PredictJobFromTasks(je *selectivity.JobEstimate, slots Slot
 		slots.Reduce = 1
 	}
 	pf := je.PFactor()
-	nm := je.NumMaps
-	if nm < 1 {
-		nm = 1
-	}
 	// Per-map time: task-count-weighted mean over the job's map groups
 	// (the two sides of a join have different per-task volumes).
 	mt := tm.meanMapTime(je, pf)
-	waves := math.Ceil(float64(nm) / float64(slots.Map))
+	waves := math.Ceil(float64(je.NumMaps) / float64(slots.Map))
 	total := ov.JobInitSec + waves*(mt+ov.SchedPerTaskSec)
 	if nr := je.NumReduces; nr > 0 {
 		// The reduce phase finishes when its slowest (hottest-partition)
@@ -282,49 +278,27 @@ func (tm *TaskModel) PredictJobFromTasks(je *selectivity.JobEstimate, slots Slot
 	return total
 }
 
-// reduceTimes returns the typical and hottest predicted reduce task times.
+// reduceTimes returns the typical (task-count-weighted mean) and hottest
+// predicted reduce task times of a job with a reduce phase.
 func (tm *TaskModel) reduceTimes(je *selectivity.JobEstimate, pf float64) (typ, hot float64) {
-	nr := je.NumReduces
-	if nr < 1 {
-		return 0, 0
-	}
-	if len(je.ReduceGroups) == 0 {
-		t := tm.PredictTask(je.Job.Type, true, je.MedBytes/float64(nr), je.OutBytes/float64(nr), pf)
-		return t, t
-	}
-	var maxT float64
 	var sum float64
-	var n int
 	for _, g := range je.ReduceGroups {
 		t := tm.PredictTask(je.Job.Type, true, g.InBytes, g.OutBytes, pf)
-		if t > maxT {
-			maxT = t
+		if t > hot {
+			hot = t
 		}
 		sum += t * float64(g.Count)
-		n += g.Count
 	}
-	return sum / float64(n), maxT
+	return sum / float64(je.NumReduces), hot
 }
 
 // meanMapTime returns the task-count-weighted mean predicted map time.
 func (tm *TaskModel) meanMapTime(je *selectivity.JobEstimate, pf float64) float64 {
-	if len(je.MapGroups) == 0 {
-		nm := je.NumMaps
-		if nm < 1 {
-			nm = 1
-		}
-		return tm.PredictTask(je.Job.Type, false, je.InBytes/float64(nm), je.MedBytes/float64(nm), pf)
-	}
 	var sum float64
-	var n int
 	for _, g := range je.MapGroups {
 		sum += float64(g.Count) * tm.PredictTask(je.Job.Type, false, g.InBytes, g.OutBytes, pf)
-		n += g.Count
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return sum / float64(je.NumMaps)
 }
 
 // PredictQuery approximates a whole query's execution time as the sum of
@@ -346,11 +320,7 @@ func (tm *TaskModel) WRD(qe *selectivity.QueryEstimate) float64 {
 	var total float64
 	for _, je := range qe.Jobs {
 		pf := je.PFactor()
-		nm := je.NumMaps
-		if nm < 1 {
-			nm = 1
-		}
-		total += float64(nm) * tm.meanMapTime(je, pf)
+		total += float64(je.NumMaps) * tm.meanMapTime(je, pf)
 		if nr := je.NumReduces; nr > 0 {
 			typ, hot := tm.reduceTimes(je, pf)
 			total += float64(nr-1)*typ + hot

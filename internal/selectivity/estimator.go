@@ -106,13 +106,17 @@ type JobEstimate struct {
 	// MapGroups breaks the map tasks down by input source (one group per
 	// base-table scan or upstream edge): the two sides of a join have
 	// different per-task sizes, and per-group sizing keeps task-time
-	// features faithful. Group counts sum to NumMaps.
+	// features faithful. It always holds at least one group, each of at
+	// least one task, and its counts sum to NumMaps. The groups are the
+	// job's task layout: the simulator and the predictors read them and
+	// synthesize none.
 	MapGroups []TaskGroup
 	// ReduceGroups breaks the reduce tasks down by shuffle-partition mass.
 	// When the shuffle key is skewed enough that one hash partition holds
 	// more than its fair share (a Zipf hot key), the hot reducer gets its
 	// own group — the straggler the paper's join-error discussion is
-	// about. Group counts sum to NumReduces.
+	// about. It is empty exactly when the job has no reduce phase
+	// (Job.MapOnly), and otherwise its counts sum to NumReduces.
 	ReduceGroups []TaskGroup
 
 	// scanBytes is the portion of InBytes read from base tables (not from
@@ -125,6 +129,15 @@ type JobEstimate struct {
 type TaskGroup struct {
 	Count             int
 	InBytes, OutBytes float64
+}
+
+// Groups returns the job's reduce task groups when reduce is set, else
+// its map task groups.
+func (je *JobEstimate) Groups(reduce bool) []TaskGroup {
+	if reduce {
+		return je.ReduceGroups
+	}
+	return je.MapGroups
 }
 
 // PFactor returns P(1-P), the model's join growth feature.

@@ -53,9 +53,10 @@ type (
 	// running the config.
 	ClusterConfigError = cluster.ConfigError
 	// TaskBoundError refuses a query whose estimate needs more than
-	// cluster.MaxQueryTasks simulated tasks, or has a non-finite byte
-	// volume: Server.Submit, the wire's SUBMIT and SimulateQueryConfig
-	// return it rather than laying the query out.
+	// cluster.MaxQueryTasks simulated tasks, has a non-finite byte
+	// volume or (built by a caller) has a job with no map task group:
+	// Server.Submit, the wire's SUBMIT and SimulateQueryConfig return it
+	// rather than laying the query out.
 	TaskBoundError = cluster.TaskBoundError
 	// Schema describes one synthetic table.
 	Schema = dataset.Schema
@@ -301,7 +302,9 @@ func (f *Framework) SimulateQuery(id string, qe *QueryEstimate, scheduler string
 // config — the hook behind cmd/saqp's fault-injection flags: set
 // cc.Faults to replay the query under a deterministic fault plan. A
 // failed query (task attempt cap exhausted under the plan) returns its
-// *TaskFailedError, and a query over the task bound its *TaskBoundError.
+// *TaskFailedError, and a query over the task bound its *TaskBoundError,
+// as does a caller-built estimate with a job that has no map task group:
+// an estimate's task groups are the only layout the simulator reads.
 func (f *Framework) SimulateQueryConfig(id string, qe *QueryEstimate, scheduler string, seed uint64, cc ClusterConfig) (float64, error) {
 	pol, err := sched.ByName(scheduler)
 	if err != nil {

@@ -148,6 +148,30 @@ func TestClusterConfigRefused(t *testing.T) {
 	}
 }
 
+// TestSimulateQueryRefusesGrouplessEstimate: an estimate's task groups
+// are its only task layout, so SimulateQuery refuses a caller-built
+// estimate whose job carries no map group with a *TaskBoundError rather
+// than laying it out from NumMaps.
+func TestSimulateQueryRefusesGrouplessEstimate(t *testing.T) {
+	fw, err := saqp.NewFramework(saqp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, err := saqp.TPCHSQL("q6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qe := mustEstimate(t, fw, sql)
+	if sec, err := fw.SimulateQuery("q6", qe, saqp.SchedulerSWRD, 1); err != nil || !(sec > 0) {
+		t.Fatalf("the estimate as made: %v, %v", sec, err)
+	}
+	qe.Jobs[0].MapGroups = nil
+	var tb *saqp.TaskBoundError
+	if sec, err := fw.SimulateQuery("q6", qe, saqp.SchedulerSWRD, 1); !errors.As(err, &tb) || tb.Tasks != 0 {
+		t.Errorf("no map group: %v, %v, want a *TaskBoundError for the missing group", sec, err)
+	}
+}
+
 // TestServerKeepsClusterShapeWithNodesUnset: a ClusterConfig whose Nodes
 // is unset is the paper's testbed with the fields the caller did set —
 // here nine nodes at half speed, which must serve q3 slower than the zero
