@@ -1,7 +1,7 @@
 GO  ?= go
 BIN := bin
 
-.PHONY: all build test race lint fuzz-smoke stress cover-serve bench bench-pairs lines ci clean
+.PHONY: all build test race lint fuzz-smoke stress cover-serve bench bench-pairs exp-diff lines ci clean
 
 all: build
 
@@ -93,6 +93,14 @@ bench:
 # workload and seed. Not part of ci: a pair takes about a minute.
 bench-pairs:
 	BASE='$(BASE)' N='$(N)' WORKLOADS='$(WORKLOADS)' WORKLOAD='$(WORKLOAD)' SEED='$(SEED)' SEEDS='$(SEEDS)' scripts/bench-pairs.sh
+
+# Did any experiment move? (scripts/exp-diff.sh): builds ./cmd/benchrunner
+# at BASE (bench-pairs' convention) and from the working tree into bin/,
+# runs `-exp all -queries QUERIES` (default 240) on both at each of SEEDS
+# (default: 2018 1 2 3 4 5), and prints `identical` or the first differing
+# lines per seed; any difference fails it. Not part of ci: it needs a BASE.
+exp-diff:
+	BASE='$(BASE)' QUERIES='$(QUERIES)' SEEDS='$(SEEDS)' scripts/exp-diff.sh
 
 # Line counts for a CHANGES.md entry (scripts/lines.sh): non-test Go outside
 # bench/ without and with the analyzers' testdata fixtures, bench/, and test

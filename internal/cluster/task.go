@@ -342,12 +342,12 @@ func BuildQuery(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, p
 // run writes: each job's tasks are its estimate's task groups, maps then
 // reduces, each task taking its group's input/output volumes; ground-truth
 // durations are drawn from the cost model, and predicted durations from
-// the predictor. The group counts size the query's slabs — jobs, job
-// pointers, tasks and task pointers (which also back each job's hoard
-// list) — each q's previous one when its capacity allows, so a long-lived
-// owner (a serving-pool worker) rebuilds query after query without
-// allocating. The jobs' ids are cut from one new string: spans and errors
-// keep it.
+// the predictor, called once per group. The group counts size the
+// query's slabs — jobs, job pointers, tasks and task pointers (which also
+// back each job's hoard list) — each q's previous one when its capacity
+// allows, so a long-lived owner (a serving-pool worker) rebuilds query
+// after query without allocating. The jobs' ids are cut from one new
+// string: spans and errors keep it.
 func (q *Query) Rebuild(id string, qe *selectivity.QueryEstimate, cm *trace.CostModel, pred TaskTimePredictor) {
 	total, reds, idLen := 0, 0, 0
 	for _, je := range qe.Jobs {
@@ -388,13 +388,10 @@ func (q *Query) Rebuild(id string, qe *selectivity.QueryEstimate, cm *trace.Cost
 			n := 0
 			for _, g := range je.Groups(reduce) {
 				spec := trace.TaskSpec{Op: j.Type, Reduce: reduce, InBytes: g.InBytes, OutBytes: g.OutBytes}
+				p := pred.PredictTask(j.Type, reduce, g.InBytes, g.OutBytes, pf)
 				for i := 0; i < g.Count; i++ {
-					tasks[n] = Task{
-						Job: j, Reduce: reduce, Index: n,
-						ActualSec: cm.Duration(spec),
-						PredSec:   pred.PredictTask(j.Type, reduce, g.InBytes, g.OutBytes, pf),
-					}
-					q.remainingWRD += tasks[n].PredSec
+					tasks[n] = Task{Job: j, Reduce: reduce, Index: n, ActualSec: cm.Duration(spec), PredSec: p}
+					q.remainingWRD += p
 					ptrs[n] = &tasks[n]
 					n++
 				}

@@ -19,13 +19,10 @@ type planJobType = plan.JobType
 //
 // Task counts can differ slightly between the two estimates (they come
 // from different statistics resolutions), so per-task predictions are
-// rescaled by the ratio of the two estimates' TaskModel.WRD. The
-// scheduler's view, the sum of those predictions, equals est's WRD only
-// when no job of truth has a hot reduce group: TaskModel.WRD prices a
-// job's reduces as N_R−1 tasks at their count-weighted mean, the hot one
-// included, plus the hot task, while the tasks sum count × time per
-// group as Eq. 10 does, so the two differ by hot − mean per such job.
-// Without a task model every task is predicted at one second.
+// rescaled by the ratio of the two estimates' TaskModel.WRD. WRD is the
+// sum of the per-task predictions, so the scheduler's view equals est's
+// WRD up to rounding. Without a task model every task is predicted at
+// one second.
 func Percolate(id string, truth, est *selectivity.QueryEstimate,
 	cm *trace.CostModel, tm *predict.TaskModel) *cluster.Query {
 	var pred cluster.TaskTimePredictor = cluster.ConstantPredictor(1)

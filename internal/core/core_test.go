@@ -66,30 +66,50 @@ const sql = `SELECT c_mktsegment, sum(o_totalprice) FROM customer
 	JOIN orders ON o_custkey = c_custkey WHERE o_orderdate < 9200
 	GROUP BY c_mktsegment`
 
-func TestPercolateCarriesEstimatorWRD(t *testing.T) {
-	truth, est := estimates(t, sql, 5)
-	tm := trainedTaskModel(t)
-	cm := trace.NewDefaultCostModel(3)
-	q := core.Percolate("q1", truth, est, cm, tm)
+// hotSQL joins on a Zipf key whose shuffle at SF 100 gives the join's
+// hottest reducer its own task group.
+const hotSQL = `SELECT ws_quantity, max(ws_sales_price) FROM item
+	JOIN web_sales ON i_item_sk = ws_item_sk
+	WHERE i_current_price >= 6.9 AND ws_sales_price >= 60.14 GROUP BY ws_quantity`
 
-	// The scheduler-visible WRD must equal the estimator-side prediction,
-	// not the oracle's, in the task-level PredSec totals and in the
-	// query's remaining WRD.
-	want := tm.WRD(est)
-	var sum float64
-	for _, j := range q.Jobs {
-		for _, task := range j.Maps {
-			sum += task.PredSec
+func TestPercolateCarriesEstimatorWRD(t *testing.T) {
+	tm := trainedTaskModel(t)
+	hot := 0
+	for _, c := range []struct {
+		sql string
+		sf  float64
+	}{{sql, 5}, {hotSQL, 100}} {
+		truth, est := estimates(t, c.sql, c.sf)
+		for _, je := range truth.Jobs {
+			if len(je.ReduceGroups) > 1 {
+				hot++
+			}
 		}
-		for _, task := range j.Reds {
-			sum += task.PredSec
+		cm := trace.NewDefaultCostModel(3)
+		q := core.Percolate("q1", truth, est, cm, tm)
+
+		// The scheduler-visible WRD must equal the estimator-side
+		// prediction, not the oracle's, in the task-level PredSec totals
+		// and in the query's remaining WRD: WRD is what the tasks sum to.
+		want := tm.WRD(est)
+		var sum float64
+		for _, j := range q.Jobs {
+			for _, task := range j.Maps {
+				sum += task.PredSec
+			}
+			for _, task := range j.Reds {
+				sum += task.PredSec
+			}
+		}
+		if !(math.Abs(sum-want) <= 1e-12*want) {
+			t.Errorf("SF %g: task predictions sum to %v, want %v", c.sf, sum, want)
+		}
+		if !(math.Abs(q.RemainingWRD()-want) <= 1e-12*want) {
+			t.Errorf("SF %g: query remaining WRD %v, want %v", c.sf, q.RemainingWRD(), want)
 		}
 	}
-	if math.Abs(sum-want)/want > 0.01 {
-		t.Fatalf("task predictions sum to %v, want %v", sum, want)
-	}
-	if math.Abs(q.RemainingWRD()-want)/want > 0.01 {
-		t.Fatalf("query remaining WRD %v, want %v", q.RemainingWRD(), want)
+	if hot == 0 {
+		t.Error("coverage: no truth job has a hot reduce group")
 	}
 }
 

@@ -252,62 +252,51 @@ type Slots struct {
 	Map, Reduce int
 }
 
-// PredictJobFromTasks approximates a job's execution time from the task
-// models, the way Section 4.2/4.3 scales to jobs beyond the training range:
-// wave count × per-task time per phase, plus scheduling overheads.
-func (tm *TaskModel) PredictJobFromTasks(je *selectivity.JobEstimate, slots Slots, ov Overheads) float64 {
+// groupTimes prices each task group of je once with Eq. 9 and returns
+// Σ count·t over the map groups, Σ count·t over the reduce groups, and
+// the hottest reduce time: every Eq. 9 figure a job's predictions read.
+func (tm *TaskModel) groupTimes(je *selectivity.JobEstimate) (maps, reds, hot float64) {
+	pf := je.PFactor()
+	for _, g := range je.MapGroups {
+		maps += float64(g.Count) * tm.PredictTask(je.Job.Type, false, g.InBytes, g.OutBytes, pf)
+	}
+	for _, g := range je.ReduceGroups {
+		t := tm.PredictTask(je.Job.Type, true, g.InBytes, g.OutBytes, pf)
+		if t > hot {
+			hot = t
+		}
+		reds += t * float64(g.Count)
+	}
+	return maps, reds, hot
+}
+
+// PredictQuery approximates a whole query's execution time as the sum of
+// task-model job times along the DAG's critical path (Section 5.4): a plan
+// is a chain, so every job's time, a negative one counted as zero. A job's
+// time is the way Section 4.2/4.3 scales to jobs beyond the training
+// range: wave count × per-task time per phase, plus scheduling overheads.
+func (tm *TaskModel) PredictQuery(qe *selectivity.QueryEstimate, slots Slots, ov Overheads) float64 {
 	if slots.Map < 1 {
 		slots.Map = 1
 	}
 	if slots.Reduce < 1 {
 		slots.Reduce = 1
 	}
-	pf := je.PFactor()
-	// Per-map time: task-count-weighted mean over the job's map groups
-	// (the two sides of a join have different per-task volumes).
-	mt := tm.meanMapTime(je, pf)
-	waves := math.Ceil(float64(je.NumMaps) / float64(slots.Map))
-	total := ov.JobInitSec + waves*(mt+ov.SchedPerTaskSec)
-	if nr := je.NumReduces; nr > 0 {
-		// The reduce phase finishes when its slowest (hottest-partition)
-		// task does: waves of the typical task plus the hot remainder.
-		typ, hot := tm.reduceTimes(je, pf)
-		rWaves := math.Ceil(float64(nr) / float64(slots.Reduce))
-		total += rWaves*(typ+ov.SchedPerTaskSec) + math.Max(0, hot-typ)
-	}
-	return total
-}
-
-// reduceTimes returns the typical (task-count-weighted mean) and hottest
-// predicted reduce task times of a job with a reduce phase.
-func (tm *TaskModel) reduceTimes(je *selectivity.JobEstimate, pf float64) (typ, hot float64) {
-	var sum float64
-	for _, g := range je.ReduceGroups {
-		t := tm.PredictTask(je.Job.Type, true, g.InBytes, g.OutBytes, pf)
-		if t > hot {
-			hot = t
-		}
-		sum += t * float64(g.Count)
-	}
-	return sum / float64(je.NumReduces), hot
-}
-
-// meanMapTime returns the task-count-weighted mean predicted map time.
-func (tm *TaskModel) meanMapTime(je *selectivity.JobEstimate, pf float64) float64 {
-	var sum float64
-	for _, g := range je.MapGroups {
-		sum += float64(g.Count) * tm.PredictTask(je.Job.Type, false, g.InBytes, g.OutBytes, pf)
-	}
-	return sum / float64(je.NumMaps)
-}
-
-// PredictQuery approximates a whole query's execution time as the sum of
-// task-model job times along the DAG's critical path (Section 5.4): a plan
-// is a chain, so every job's time, a negative one counted as zero.
-func (tm *TaskModel) PredictQuery(qe *selectivity.QueryEstimate, slots Slots, ov Overheads) float64 {
 	var sum float64
 	for _, je := range qe.Jobs {
-		if c := tm.PredictJobFromTasks(je, slots, ov); c > 0 {
+		maps, reds, hot := tm.groupTimes(je)
+		// Per-map time: the task-count-weighted mean over the job's map
+		// groups (the two sides of a join have different per-task volumes).
+		waves := math.Ceil(float64(je.NumMaps) / float64(slots.Map))
+		c := ov.JobInitSec + waves*(maps/float64(je.NumMaps)+ov.SchedPerTaskSec)
+		if nr := je.NumReduces; nr > 0 {
+			// The reduce phase finishes when its slowest (hottest-partition)
+			// task does: waves of the typical task plus the hot remainder.
+			typ := reds / float64(nr)
+			rWaves := math.Ceil(float64(nr) / float64(slots.Reduce))
+			c += rWaves*(typ+ov.SchedPerTaskSec) + math.Max(0, hot-typ)
+		}
+		if c > 0 {
 			sum += c
 		}
 	}
@@ -315,16 +304,15 @@ func (tm *TaskModel) PredictQuery(qe *selectivity.QueryEstimate, slots Slots, ov
 }
 
 // WRD computes a query's Weighted Resource Demand (Eq. 10) from the task
-// models: Σ_jobs MT_i·N_Mi + RT_i·N_Ri.
+// models: Σ_jobs MT_i·N_Mi + RT_i·N_Ri, each phase's product summed as
+// count × Eq. 9's time over its task groups. That is, up to rounding, the
+// sum of the per-task predictions cluster.Query.Rebuild lays out (the
+// RemainingWRD SWRD ranks by), hot reduce groups included.
 func (tm *TaskModel) WRD(qe *selectivity.QueryEstimate) float64 {
 	var total float64
 	for _, je := range qe.Jobs {
-		pf := je.PFactor()
-		total += float64(je.NumMaps) * tm.meanMapTime(je, pf)
-		if nr := je.NumReduces; nr > 0 {
-			typ, hot := tm.reduceTimes(je, pf)
-			total += float64(nr-1)*typ + hot
-		}
+		maps, reds, _ := tm.groupTimes(je)
+		total += maps + reds
 	}
 	return total
 }

@@ -56,7 +56,8 @@ type (
 	// cluster.MaxQueryTasks simulated tasks, has a non-finite byte
 	// volume or (built by a caller) has a job with no map task group:
 	// Server.Submit, the wire's SUBMIT and SimulateQueryConfig return it
-	// rather than laying the query out.
+	// rather than laying the query out, and WRD and PredictQuerySeconds
+	// rather than pricing it.
 	TaskBoundError = cluster.TaskBoundError
 	// Schema describes one synthetic table.
 	Schema = dataset.Schema
@@ -266,20 +267,29 @@ func (f *Framework) PredictJobSeconds(je *JobEstimate) (float64, error) {
 
 // PredictQuerySeconds predicts a whole query's response time (run alone on
 // the default cluster) via the task model composed along the DAG's critical
-// path (Section 5.4).
+// path (Section 5.4). It refuses what SimulateQuery refuses, with the same
+// *TaskBoundError: the estimate's task groups are what it prices.
 func (f *Framework) PredictQuerySeconds(qe *QueryEstimate) (float64, error) {
 	if f.TaskTime == nil {
 		return 0, errNotTrained
+	}
+	if err := cluster.CheckTaskBound(qe); err != nil {
+		return 0, err
 	}
 	slots, ov := core.Capacity(cluster.DefaultConfig())
 	return f.TaskTime.PredictQuery(qe, slots, ov), nil
 }
 
 // WRD computes the query's Weighted Resource Demand (Eq. 10) — the metric
-// the SWRD scheduler minimises.
+// the SWRD scheduler minimises, and the sum of the per-task predictions
+// SimulateQuery lays out. It refuses what SimulateQuery refuses, with the
+// same *TaskBoundError.
 func (f *Framework) WRD(qe *QueryEstimate) (float64, error) {
 	if f.TaskTime == nil {
 		return 0, errNotTrained
+	}
+	if err := cluster.CheckTaskBound(qe); err != nil {
+		return 0, err
 	}
 	return f.TaskTime.WRD(qe), nil
 }

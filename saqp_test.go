@@ -151,10 +151,14 @@ func TestClusterConfigRefused(t *testing.T) {
 // TestSimulateQueryRefusesGrouplessEstimate: an estimate's task groups
 // are its only task layout, so SimulateQuery refuses a caller-built
 // estimate whose job carries no map group with a *TaskBoundError rather
-// than laying it out from NumMaps.
+// than laying it out from NumMaps, and WRD and PredictQuerySeconds refuse
+// it the same way rather than pricing the missing phase as no work.
 func TestSimulateQueryRefusesGrouplessEstimate(t *testing.T) {
 	fw, err := saqp.NewFramework(saqp.Options{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Train(artifacts(t).Corpus); err != nil {
 		t.Fatal(err)
 	}
 	sql, err := saqp.TPCHSQL("q6")
@@ -162,13 +166,25 @@ func TestSimulateQueryRefusesGrouplessEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	qe := mustEstimate(t, fw, sql)
-	if sec, err := fw.SimulateQuery("q6", qe, saqp.SchedulerSWRD, 1); err != nil || !(sec > 0) {
-		t.Fatalf("the estimate as made: %v, %v", sec, err)
+	calls := []struct {
+		name string
+		call func() (float64, error)
+	}{
+		{"SimulateQuery", func() (float64, error) { return fw.SimulateQuery("q6", qe, saqp.SchedulerSWRD, 1) }},
+		{"WRD", func() (float64, error) { return fw.WRD(qe) }},
+		{"PredictQuerySeconds", func() (float64, error) { return fw.PredictQuerySeconds(qe) }},
+	}
+	for _, c := range calls {
+		if v, err := c.call(); err != nil || !(v > 0) {
+			t.Fatalf("%s of the estimate as made: %v, %v", c.name, v, err)
+		}
 	}
 	qe.Jobs[0].MapGroups = nil
-	var tb *saqp.TaskBoundError
-	if sec, err := fw.SimulateQuery("q6", qe, saqp.SchedulerSWRD, 1); !errors.As(err, &tb) || tb.Tasks != 0 {
-		t.Errorf("no map group: %v, %v, want a *TaskBoundError for the missing group", sec, err)
+	for _, c := range calls {
+		var tb *saqp.TaskBoundError
+		if v, err := c.call(); !errors.As(err, &tb) || tb.Tasks != 0 {
+			t.Errorf("%s with no map group: %v, %v, want a *TaskBoundError for the missing group", c.name, v, err)
+		}
 	}
 }
 
