@@ -1,0 +1,39 @@
+package catalog
+
+import (
+	"math"
+	"runtime"
+	"testing"
+)
+
+// TestCollectAllocBudget bounds what Collect of the 8 TPC-H tables at SF
+// 0.01 (bench's batch_tpch set-up) allocates at GOMAXPROCS 4, since a
+// column-parallel pass costs one goroutine per pool worker: the least of
+// three passes, each measured + 10 %. Counting each column through the
+// generator's keys or its own integer values (countCodes) measured 362 to
+// 367 mallocs and 6 292 KB, 3 994 KB of it the float64 copies of the int
+// and date columns that summarize buckets. Counting every float and string
+// column in a map of its values that grew from empty measured 1 571 to
+// 1 585 mallocs and 16 169 to 16 381 KB, which this budget fails.
+func TestCollectAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rels := tpchRelations()
+	got, kb := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, rel := range rels {
+			sinkStats = Collect(rel, 0)
+		}
+		runtime.ReadMemStats(&after)
+		got, kb = min(got, after.Mallocs-before.Mallocs), min(kb, (after.TotalAlloc-before.TotalAlloc)>>10)
+	}
+	const measured, measuredKB = 362, 6292
+	t.Logf("Collect of the 8 TPC-H tables: %d mallocs, %d KB", got, kb)
+	if got > measured+measured/10 {
+		t.Errorf("Collect of the 8 TPC-H tables allocates %d times, budget %d + 10%%", got, measured)
+	}
+	if kb > measuredKB+measuredKB/10 {
+		t.Errorf("Collect of the 8 TPC-H tables allocates %d KB, budget %d KB + 10%%", kb, measuredKB)
+	}
+}

@@ -44,7 +44,7 @@ func TestCollectHistogramEqualsBuild(t *testing.T) {
 		dataset.FloatVector([]float64{0, negZero, 0, negZero, 1.5, 1.5, -2, 3}),
 		dataset.FloatVector([]float64{negZero, negZero, 4}),
 	} {
-		cs := collectColumn(vec, &dataset.Column{Name: "c", Kind: vec.Kind()}, 4)
+		cs := collectColumn(vec, nil, &dataset.Column{Name: "c", Kind: vec.Kind()}, 4)
 		vals := vec.Floats()
 		if vals == nil {
 			for _, v := range vec.Ints() {

@@ -13,11 +13,15 @@
 //
 // Collect runs column-parallel on the internal/par pool: each column is
 // summarised into its own slot and the slots enter the table's map in
-// schema order afterwards. An integer or date column whose value range is
-// at most 4 × rows is counted in a dense slice, any other column in a map.
-// The output does not depend on the schedule, nor on map order: a column's
-// statistics are a function of its vector alone, and the distinct values
-// that reach a histogram in map order are only counted per bucket
-// (histogram.BuildDistinct), which no order changes. The package is on
-// the determinism analyzer's list for that reason.
+// schema order afterwards. A column is counted through integer codes: an
+// int or date column's values, a generated float or string column's domain
+// keys (dataset.Relation.Keys), in a slot per code, a bit per code or a map
+// sized to the rows, by the codes' range. Only a column without codes (a
+// float or string vector built by hand, integers beyond ±2^53) is counted
+// in a map of its values. The output does not depend on the schedule, nor
+// on map order: a column's statistics are a function of its vector and
+// keys alone, and the distinct values that reach a histogram in map or row
+// order are only counted per bucket (histogram.BuildDistinct), which no
+// order changes. The package is on the determinism analyzer's list for
+// that reason.
 package catalog

@@ -16,5 +16,9 @@
 // row. The output stays byte-identical to a serial run because every
 // column draws from its own seed (master seed ^ hash of table.column)
 // and writes only its own slot of the relation; no state crosses columns,
-// so which worker runs a column, and when, cannot reach a value.
+// so which worker runs a column, and when, cannot reach a value. Every
+// value is drawn as an integer domain key first; for float and string
+// columns the relation keeps those keys (Relation.Keys), and
+// catalog.Collect counts the column through them instead of hashing its
+// values.
 package dataset

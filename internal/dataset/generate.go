@@ -14,7 +14,8 @@ import (
 // identical relations. Column streams are seeded independently (by table
 // and column name), so adding a column never perturbs the others — and
 // the columns are generated in parallel, each worker writing only its own
-// column's slot.
+// column's slot. The relation keeps the domain keys its float and string
+// columns were drawn from (Relation.Keys).
 //
 // Materialisation is intended for laptop-scale factors (sf <= ~0.1); large
 // experiment scales are handled analytically via Schema.RowsAt/BytesAt and
@@ -22,10 +23,10 @@ import (
 // full tables at run time.
 func Generate(s *Schema, sf float64, seed uint64) *Relation {
 	n := int(s.RowsAt(sf))
-	rel := &Relation{Schema: s, Cols: make([]Vector, len(s.Columns))}
+	rel := &Relation{Schema: s, Cols: make([]Vector, len(s.Columns)), keys: make([][]int64, len(s.Columns))}
 	par.For(len(s.Columns), func(_ *struct{}, ci int) {
 		c := &s.Columns[ci]
-		rel.Cols[ci] = generateColumn(c, n, sf, columnSeed(seed, s.Name, c.Name))
+		rel.Cols[ci], rel.keys[ci] = generateColumn(c, n, sf, columnSeed(seed, s.Name, c.Name))
 	})
 	return rel
 }
@@ -39,8 +40,11 @@ func columnSeed(seed uint64, table, column string) uint64 {
 	return seed ^ h.Sum64()
 }
 
-// generateColumn produces the n-value vector of one column.
-func generateColumn(c *Column, n int, sf float64, seed uint64) Vector {
+// generateColumn produces the n-value vector of one column and, for a
+// float or string column, the domain key each row was drawn from. An int or
+// date column returns nil keys: its values are its keys shifted by Lo, and
+// their slice is the vector's.
+func generateColumn(c *Column, n int, sf float64, seed uint64) (Vector, []int64) {
 	rng := sim.New(seed)
 	card := c.Card(sf)
 	if card < 1 {
@@ -76,7 +80,7 @@ func generateColumn(c *Column, n int, sf float64, seed uint64) Vector {
 		for i, k := range keys {
 			vals[i] = floatValue(c.Lo, k)
 		}
-		return FloatVector(vals)
+		return FloatVector(vals), keys
 	case KindString:
 		vals := make([]string, n)
 		width := c.AvgWidth()
@@ -84,7 +88,7 @@ func generateColumn(c *Column, n int, sf float64, seed uint64) Vector {
 			for i, k := range keys {
 				vals[i] = makeString(c.Name, k, width)
 			}
-			return StringVector(vals)
+			return StringVector(vals), keys
 		}
 		// No more keys than rows: each key's string is built once, on its
 		// first row, and shared by the rows after it (width >= 1, so ""
@@ -96,12 +100,12 @@ func generateColumn(c *Column, n int, sf float64, seed uint64) Vector {
 			}
 			vals[i] = byKey[k]
 		}
-		return StringVector(vals)
+		return StringVector(vals), keys
 	}
 	for i := range keys {
 		keys[i] += c.Lo
 	}
-	return IntVector(c.Kind, keys)
+	return IntVector(c.Kind, keys), nil
 }
 
 // materialize turns an integer domain key into a concrete column value.

@@ -72,10 +72,27 @@ func (v Vector) At(i int) Value {
 }
 
 // Relation is a materialised table: a schema plus one generated vector per
-// schema column, all of the same length.
+// schema column, all of the same length. A relation Generate returns also
+// keeps, per float and string column, the domain key each row was drawn
+// from (Keys); one built as a literal keeps none.
 type Relation struct {
 	Schema *Schema
 	Cols   []Vector
+	keys   [][]int64
+}
+
+// Keys returns the domain keys column j's rows were drawn from, or nil: for
+// an int or date column (its values are its keys), and for a relation not
+// made by Generate. Equal keys are equal values, because the float and
+// string mappings are injective on every schema's domain (makeString while
+// the column's cardinality stays within 36^width), so a key counts its
+// column's distinct values without hashing them. The slice is shared, not
+// copied: it must not be written.
+func (r *Relation) Keys(j int) []int64 {
+	if r.keys == nil {
+		return nil
+	}
+	return r.keys[j]
 }
 
 // NumRows returns the number of materialised rows.

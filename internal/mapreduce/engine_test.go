@@ -290,6 +290,30 @@ func TestUnregisteredTable(t *testing.T) {
 	}
 }
 
+// TestRegisterKeepsNoKeys holds Register to a keyless view: Generate's
+// relation carries the domain keys of its float and string columns for
+// catalog.Collect, the relation the engine stores carries none, and it
+// shares the generated relation's columns, so none is copied.
+func TestRegisterKeepsNoKeys(t *testing.T) {
+	e := New(Config{})
+	for _, rel := range fixtureRelations() {
+		e.Register(rel)
+		kept := e.tables[rel.Schema.Name]
+		if len(kept.Cols) != len(rel.Cols) || &kept.Cols[0] != &rel.Cols[0] {
+			t.Errorf("%s: the engine's columns are not the generated relation's", rel.Schema.Name)
+		}
+		for j, c := range rel.Schema.Columns {
+			keyed := c.Kind == dataset.KindFloat || c.Kind == dataset.KindString
+			if keyed != (rel.Keys(j) != nil) {
+				t.Errorf("%s.%s (%v): Generate kept keys = %v", rel.Schema.Name, c.Name, c.Kind, !keyed)
+			}
+			if kept.Keys(j) != nil {
+				t.Errorf("%s.%s: the engine keeps the column's keys", rel.Schema.Name, c.Name)
+			}
+		}
+	}
+}
+
 func TestFrameBasics(t *testing.T) {
 	a, b := dataset.IntVector(dataset.KindInt, []int64{1}), dataset.StringVector([]string{"xy"})
 	f := NewFrame(1, []string{"a", "b"}, []dataset.Vector{a, b})
