@@ -88,10 +88,11 @@ bench:
 # SEEDS (default: SEED) and prints one TSV line per run with the four
 # bounded end-to-end metrics, cpu_us_per_op, throughput_ops_s and the
 # per-layer peak_rss_mb, predict.fit_s (on the serving workloads) and
-# dataset.generate_s, catalog.collect_s, mapreduce.alloc_mb_per_query and
-# mapreduce.allocs_per_query (on batch_tpch), then each metric's medians,
-# quartiles and pair wins per workload and seed. Not part of ci: a pair
-# takes about a minute.
+# dataset.generate_s, catalog.collect_s, mapreduce.alloc_mb_per_query,
+# mapreduce.allocs_per_query and mapreduce.in_rows_per_s (on batch_tpch),
+# then each metric's medians, quartiles and pair wins per workload and seed
+# (higher is better for throughput_ops_s and mapreduce.in_rows_per_s). Not
+# part of ci: a pair takes about a minute.
 bench-pairs:
 	BASE='$(BASE)' N='$(N)' WORKLOADS='$(WORKLOADS)' WORKLOAD='$(WORKLOAD)' SEED='$(SEED)' SEEDS='$(SEEDS)' scripts/bench-pairs.sh
 

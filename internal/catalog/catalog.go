@@ -166,26 +166,29 @@ func Collect(rel *dataset.Relation, n int) *TableStats {
 // Two cases count values instead: a float or string column without keys,
 // floats by their bits and strings by the string, and integers beyond
 // ±2^53, where distinct values can round to one float64. The histogram
-// takes its per-bucket distinct counts from the same count.
+// takes its per-bucket distinct counts from the same count, and buckets an
+// int or date column's []int64 as it is, without a float64 copy.
 func collectColumn(vec dataset.Vector, keys []int64, col *dataset.Column, n int) *ColumnStats {
-	vals := vec.Floats()
 	if ints := vec.Ints(); ints != nil {
-		keys, vals = ints, make([]float64, len(ints))
-		for i, v := range ints {
-			vals[i] = float64(v)
-		}
+		return collectCodes(vec, ints, ints, col, n)
 	}
+	return collectCodes(vec, keys, vec.Floats(), col, n)
+}
+
+// collectCodes is collectColumn for a column whose histogram buckets vals
+// (nil for strings).
+func collectCodes[T int64 | float64](vec dataset.Vector, keys []int64, vals []T, col *dataset.Column, n int) *ColumnStats {
 	const exact = 1 << 53
 	if lo, hi := bounds(keys); keys != nil && -exact < lo && hi < exact {
 		return summarize(vec, col, n, vals, countCodes(keys, lo, hi, vals))
 	}
 	switch vec.Kind() {
 	case dataset.KindString:
-		return summarize(vec, col, n, nil, countValues(vec.Strings(), func(s string) string { return s }, nil))
+		return summarize(vec, col, n, vals, countValues(vec.Strings(), func(s string) string { return s }, nil))
 	case dataset.KindFloat:
-		return summarize(vec, col, n, vals, countValues(vals, math.Float64bits, floatValues))
+		return summarize(vec, col, n, vals, countValues(vec.Floats(), math.Float64bits, floatValues))
 	}
-	return summarize(vec, col, n, vals, countValues(keys, func(v int64) int64 { return v }, intValues))
+	return summarize(vec, col, n, vals, countValues(vec.Ints(), func(v int64) int64 { return v }, intValues))
 }
 
 // counts is what one counting pass over a column learns.
@@ -198,8 +201,9 @@ type counts struct {
 
 // summarize completes the statistics of column col from its vector, its
 // values as the histogram buckets them (nil for strings) in row order and
-// their counts, with a histogram of at most n buckets.
-func summarize(vec dataset.Vector, col *dataset.Column, n int, vals []float64, c counts) *ColumnStats {
+// their counts, with a histogram of at most n buckets. Min and Max are the
+// float64 of the least and greatest value.
+func summarize[T int64 | float64](vec dataset.Vector, col *dataset.Column, n int, vals []T, c counts) *ColumnStats {
 	cs := &ColumnStats{Name: col.Name, Kind: col.Kind, Ref: col.Ref, Distinct: c.distinct}
 	rows := vec.Len()
 	if rows > 0 {
@@ -216,7 +220,8 @@ func summarize(vec dataset.Vector, col *dataset.Column, n int, vals []float64, c
 	}
 	if vals != nil && rows > 0 {
 		min, max := math.Inf(1), math.Inf(-1)
-		for _, f := range vals {
+		for _, v := range vals {
+			f := float64(v)
 			if f < min {
 				min = f
 			}
@@ -281,9 +286,10 @@ func denseRange(lo, hi int64, rows int) bool {
 
 // countCodes counts a column through integer codes, all in [lo, hi],
 // equal codes being equal values. A code's first row is one more distinct
-// value and, for a numeric column, adds that row's value (vals[i]; vals is
-// nil for strings) to uniq, which so comes out in first-row order. How a
-// code is counted depends on the range of the codes against the rows:
+// value and, for a numeric column, adds that row's value as a float64
+// (vals is nil for strings) to uniq, which so comes out in first-row
+// order. How a code is counted depends on the range of the codes against
+// the rows:
 //
 //   - up to 4 × rows (denseRange), in one slot per code;
 //   - up to 128 × rows, in one bit per code, set at the code's first row,
@@ -293,7 +299,7 @@ func denseRange(lo, hi int64, rows int) bool {
 //   - wider, in a map sized for one code per row,
 //
 // so that no table sized to the rows grows while counting.
-func countCodes(codes []int64, lo, hi int64, vals []float64) counts {
+func countCodes[T int64 | float64](codes []int64, lo, hi int64, vals []T) counts {
 	var c counts
 	for i := 1; i < len(codes); i++ {
 		if codes[i] == codes[i-1] {
@@ -310,7 +316,7 @@ func countCodes(codes []int64, lo, hi int64, vals []float64) counts {
 		for i, k := range codes {
 			m := slots[uint64(k)-uint64(lo)] + 1
 			slots[uint64(k)-uint64(lo)] = m
-			c.add(vals, i, int64(m))
+			add(&c, vals, i, int64(m))
 		}
 	case span < 128*uint64(len(codes)):
 		seen := make([]uint64, span/64+1)
@@ -324,25 +330,25 @@ func countCodes(codes []int64, lo, hi int64, vals []float64) counts {
 				m = max(again[k], 1) + 1
 				again[k] = m
 			}
-			c.add(vals, i, m)
+			add(&c, vals, i, m)
 		}
 	default:
 		freq := make(map[int64]int64, len(codes))
 		for i, k := range codes {
 			m := freq[k] + 1
 			freq[k] = m
-			c.add(vals, i, m)
+			add(&c, vals, i, m)
 		}
 	}
 	return c
 }
 
-// add records row i as the m-th row of its code.
-func (c *counts) add(vals []float64, i int, m int64) {
+// add records row i as the m-th row of its code in c.
+func add[T int64 | float64](c *counts, vals []T, i int, m int64) {
 	if m == 1 {
 		c.distinct++
 		if vals != nil {
-			c.uniq = append(c.uniq, vals[i])
+			c.uniq = append(c.uniq, float64(vals[i]))
 		}
 	}
 	c.top = max(c.top, m)

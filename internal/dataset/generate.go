@@ -43,7 +43,8 @@ func columnSeed(seed uint64, table, column string) uint64 {
 // generateColumn produces the n-value vector of one column and, for a
 // float or string column, the domain key each row was drawn from. An int or
 // date column returns nil keys: its values are its keys shifted by Lo, and
-// their slice is the vector's.
+// their slice is the vector's. A string column's values are cut from one
+// buffer (stringColumn).
 func generateColumn(c *Column, n int, sf float64, seed uint64) (Vector, []int64) {
 	rng := sim.New(seed)
 	card := c.Card(sf)
@@ -57,9 +58,7 @@ func generateColumn(c *Column, n int, sf float64, seed uint64) (Vector, []int64)
 			keys[i] = int64(i) % card
 		}
 	case DistUniform:
-		for i := range keys {
-			keys[i] = rng.Int63n(card)
-		}
+		rng.FillInt63n(keys, card)
 	case DistZipf:
 		skew := c.Skew
 		if skew <= 1 {
@@ -70,7 +69,7 @@ func generateColumn(c *Column, n int, sf float64, seed uint64) (Vector, []int64)
 			keys[i] = int64(z.Uint64())
 		}
 	case DistClustered:
-		copy(keys, sim.ClusteredKeys(rng, n, card))
+		sim.ClusteredKeys(rng, keys, card)
 	}
 	// Each kind's kernel is materialize's mapping, applied to the whole
 	// vector without building a Value per row.
@@ -82,30 +81,67 @@ func generateColumn(c *Column, n int, sf float64, seed uint64) (Vector, []int64)
 		}
 		return FloatVector(vals), keys
 	case KindString:
-		vals := make([]string, n)
-		width := c.AvgWidth()
-		if card > int64(n) {
-			for i, k := range keys {
-				vals[i] = makeString(c.Name, k, width)
-			}
-			return StringVector(vals), keys
-		}
-		// No more keys than rows: each key's string is built once, on its
-		// first row, and shared by the rows after it (width >= 1, so ""
-		// marks a key not yet built).
-		byKey := make([]string, card)
-		for i, k := range keys {
-			if byKey[k] == "" {
-				byKey[k] = makeString(c.Name, k, width)
-			}
-			vals[i] = byKey[k]
-		}
-		return StringVector(vals), keys
+		return StringVector(stringColumn(c, keys, card)), keys
 	}
 	for i := range keys {
 		keys[i] += c.Lo
 	}
 	return IntVector(c.Kind, keys), nil
+}
+
+// stringColumn returns the values of string column c for keys, drawn from
+// [0, card): each value is a substring of one strings.Builder's string, so
+// the column costs the same few allocations however many rows it has. The
+// buffer holds one slot per row when the domain has more keys than the
+// column has rows, and otherwise one per distinct key drawn, in the order
+// of each key's first row. A slot is the value's width rounded up to 16
+// bytes and zero-padded, so every value starts 16-byte aligned, like most
+// strings allocated on their own. A value kept past the relation keeps its
+// whole column's buffer alive.
+func stringColumn(c *Column, keys []int64, card int64) []string {
+	width := c.AvgWidth()
+	stride := (width + 15) &^ 15
+	slot := make([]byte, stride) // one value, then zeros to the stride
+	vals := make([]string, len(keys))
+	var b strings.Builder
+	if card > int64(len(keys)) {
+		b.Grow(len(keys) * stride)
+		for _, k := range keys {
+			appendString(slot[:0], c.Name, k, width)
+			b.Write(slot)
+		}
+		buf := b.String()
+		for i := range vals {
+			vals[i] = buf[i*stride : i*stride+width]
+		}
+		return vals
+	}
+	// first holds 1 + the slot of each key drawn (0: not drawn), counted
+	// before the buffer is sized; slots are numbered in first-row order,
+	// so a key's first row is the one whose slot is the next to write.
+	first := make([]int32, card)
+	var slots int32
+	for _, k := range keys {
+		if first[k] == 0 {
+			slots++
+			first[k] = slots
+		}
+	}
+	b.Grow(int(slots) * stride)
+	var written int32
+	for _, k := range keys {
+		if first[k] > written {
+			appendString(slot[:0], c.Name, k, width)
+			b.Write(slot)
+			written++
+		}
+	}
+	buf := b.String()
+	for i, k := range keys {
+		off := int(first[k]-1) * stride
+		vals[i] = buf[off : off+width]
+	}
+	return vals
 }
 
 // materialize turns an integer domain key into a concrete column value.
@@ -129,35 +165,39 @@ func materialize(c *Column, k int64) Value {
 func floatValue(lo, k int64) float64 { return float64(lo) + float64(k)*0.01 }
 
 // makeString builds a deterministic string of exactly width bytes encoding
-// domain key k. The mapping is injective for any width w as long as the
-// column's cardinality stays within 36^w, so distinct counts hold by
-// construction:
+// domain key k (appendString). stringColumn applies the same mapping to a
+// whole column without allocating a string per value.
+func makeString(prefix string, k int64, width int) string {
+	return string(appendString(nil, prefix, k, width))
+}
+
+// appendString appends the width bytes that encode domain key k. The
+// mapping is injective for any width w as long as the column's cardinality
+// stays within 36^w, so distinct counts hold by construction:
 //
 //   - narrow columns get the base-36 key alone (right-truncated to the
 //     low-order digits, which are unique within the domain);
 //   - wider columns get "<prefix>#<digits>" padded with '~' — a character
 //     outside both the prefix alphabet and base-36 — so the key decodes
 //     unambiguously regardless of prefix truncation.
-func makeString(prefix string, k int64, width int) string {
+func appendString(dst []byte, prefix string, k int64, width int) []byte {
 	var buf [16]byte // an int64 in base 36 is at most 13 digits and a sign
 	digits := strconv.AppendInt(buf[:0], k, 36)
 	if len(digits) >= width {
-		return string(digits[len(digits)-width:])
+		return append(dst, digits[len(digits)-width:]...)
 	}
 	maxPrefix := width - len(digits) - 1
 	p := prefix
 	if len(p) > maxPrefix {
 		p = p[:maxPrefix]
 	}
-	var b strings.Builder
-	b.Grow(width)
-	b.WriteString(p)
-	b.WriteByte('#')
-	b.Write(digits)
-	for b.Len() < width {
-		b.WriteByte('~')
+	dst = append(dst, p...)
+	dst = append(dst, '#')
+	dst = append(dst, digits...)
+	for range width - len(p) - 1 - len(digits) {
+		dst = append(dst, '~')
 	}
-	return b.String()
+	return dst
 }
 
 // DomainValue returns the concrete value for domain key k of column c —

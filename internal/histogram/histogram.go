@@ -87,11 +87,12 @@ func Build(values []float64, lo, hi float64, n int) *Histogram {
 // sample: uniq holds each distinct value of values once, under float64
 // equality (+0 and −0 are one value, every NaN is its own). Equal values
 // share a bucket, so each bucket's distinct count is how many of uniq
-// fall in it.
-func BuildDistinct(values, uniq []float64, lo, hi float64, n int) *Histogram {
+// fall in it. values may be an integer column's own []int64: each value
+// is bucketed as its float64, so the caller makes no float64 copy.
+func BuildDistinct[T int64 | float64](values []T, uniq []float64, lo, hi float64, n int) *Histogram {
 	h := New(lo, hi, n)
 	for _, v := range values {
-		h.Buckets[h.bucketOf(v)].Count++
+		h.Buckets[h.bucketOf(float64(v))].Count++
 	}
 	for _, v := range uniq {
 		h.Buckets[h.bucketOf(v)].Distinct++

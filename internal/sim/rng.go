@@ -52,12 +52,40 @@ func (r *RNG) Int63n(n int64) int64 {
 	if n&(n-1) == 0 { // power of two
 		return r.Int63() & (n - 1)
 	}
-	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	limit := int63nMax(n)
 	v := r.Int63()
-	for v > max {
+	for v > limit {
 		v = r.Int63()
 	}
 	return v % n
+}
+
+// int63nMax is the largest Int63 draw that Int63n(n) keeps for an n that is
+// not a power of two: a draw above it is rejected, since its residue mod n
+// would make the low residues likelier.
+func int63nMax(n int64) int64 { return int64((1 << 63) - 1 - (1<<63)%uint64(n)) }
+
+// FillInt63n sets keys[i] to Int63n(n) for i = 0, 1, …: the same draws in
+// the same order, with the rejection bound computed once for the slice
+// instead of once per draw. It panics if n <= 0.
+func (r *RNG) FillInt63n(keys []int64, n int64) {
+	if n <= 0 {
+		panic("sim: FillInt63n called with n <= 0")
+	}
+	if n&(n-1) == 0 {
+		for i := range keys {
+			keys[i] = r.Int63() & (n - 1)
+		}
+		return
+	}
+	limit := int63nMax(n)
+	for i := range keys {
+		v := r.Int63()
+		for v > limit {
+			v = r.Int63()
+		}
+		keys[i] = v % n
+	}
 }
 
 // Float64 returns a uniform pseudo-random float64 in [0, 1).

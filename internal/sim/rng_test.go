@@ -100,6 +100,39 @@ func TestInt63nUnbiased(t *testing.T) {
 	}
 }
 
+// TestFillInt63nEqualsInt63n holds the bounded fill to a loop of Int63n
+// calls, value for value, with the generator left in the same state. The
+// bounds cover 1, powers of two, small odd bounds, and 2^62+1, where almost
+// half the draws are rejected.
+func TestFillInt63nEqualsInt63n(t *testing.T) {
+	for _, n := range []int64{1, 2, 3, 7, 1 << 40, 1<<62 + 1, math.MaxInt64} {
+		for _, length := range []int{0, 1, 1000} {
+			for _, seed := range []uint64{1, 99} {
+				got, ref := New(seed), New(seed)
+				keys := make([]int64, length)
+				got.FillInt63n(keys, n)
+				for i, k := range keys {
+					if want := ref.Int63n(n); k != want {
+						t.Fatalf("n %d seed %d: key %d = %d, Int63n gives %d", n, seed, i, k, want)
+					}
+				}
+				if got.Uint64() != ref.Uint64() {
+					t.Fatalf("n %d length %d seed %d: generator state differs after the fill", n, length, seed)
+				}
+			}
+		}
+	}
+}
+
+func TestFillInt63nPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FillInt63n(keys, 0) did not panic")
+		}
+	}()
+	New(1).FillInt63n(make([]int64, 1), 0)
+}
+
 func TestNormalMoments(t *testing.T) {
 	r := New(8)
 	const n = 200000

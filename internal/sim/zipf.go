@@ -66,36 +66,21 @@ func (z *Zipf) Uint64() uint64 {
 	}
 }
 
-// ClusteredKeys generates n keys drawn from [0, cardinality) that arrive in
-// runs: identical keys are adjacent in the output, modelling tables whose
+// ClusteredKeys fills keys with keys drawn from [0, cardinality) that
+// arrive in runs: identical keys are adjacent, modelling tables whose
 // group-by keys are physically clustered on disk — the "clustered" case of
-// Eq. 2 in the paper. Run lengths average around n/cardinality.
-func ClusteredKeys(rng *RNG, n int, cardinality int64) []int64 {
+// Eq. 2 in the paper. Run lengths average around len(keys)/cardinality.
+func ClusteredKeys(rng *RNG, keys []int64, cardinality int64) {
 	if cardinality <= 0 {
 		panic("sim: ClusteredKeys requires cardinality > 0")
 	}
-	keys := make([]int64, 0, n)
-	avgRun := maxInt(1, 2*n/int(minInt64(cardinality, int64(maxInt(n, 1)))))
-	for len(keys) < n {
+	n := len(keys)
+	avgRun := max(1, 2*n/int(min(cardinality, int64(max(n, 1)))))
+	for i := 0; i < n; {
 		k := rng.Int63n(cardinality)
 		run := 1 + rng.Intn(avgRun)
-		for j := 0; j < run && len(keys) < n; j++ {
-			keys = append(keys, k)
+		for end := min(i+run, n); i < end; i++ {
+			keys[i] = k
 		}
 	}
-	return keys
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -64,16 +65,46 @@ func TestClusteredKeysProperties(t *testing.T) {
 	f := func(seed uint64, nRaw uint16, cardRaw uint16) bool {
 		n := int(nRaw)%2000 + 1
 		card := int64(cardRaw)%500 + 1
-		keys := ClusteredKeys(New(seed), n, card)
-		if len(keys) != n {
-			return false
-		}
+		keys := make([]int64, n)
+		ClusteredKeys(New(seed), keys, card)
 		for _, k := range keys {
 			if k < 0 || k >= card {
 				return false
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendedClusteredKeys is ClusteredKeys as it was when it returned a
+// slice it grew by append: the reference the caller-slice fill is held to.
+func appendedClusteredKeys(rng *RNG, n int, cardinality int64) []int64 {
+	keys := make([]int64, 0, n)
+	avgRun := max(1, 2*n/int(min(cardinality, int64(max(n, 1)))))
+	for len(keys) < n {
+		k := rng.Int63n(cardinality)
+		run := 1 + rng.Intn(avgRun)
+		for j := 0; j < run && len(keys) < n; j++ {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestClusteredKeysEqualsAppended holds the fill of a caller's slice to the
+// appending version, value for value, over TestClusteredKeysProperties'
+// cases, and checks that the rng is left in the same state.
+func TestClusteredKeysEqualsAppended(t *testing.T) {
+	f := func(seed uint64, nRaw uint16, cardRaw uint16) bool {
+		n := int(nRaw)%2000 + 1
+		card := int64(cardRaw)%500 + 1
+		got, ref := New(seed), New(seed)
+		keys := make([]int64, n)
+		ClusteredKeys(got, keys, card)
+		return slices.Equal(keys, appendedClusteredKeys(ref, n, card)) && got.Uint64() == ref.Uint64()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -97,7 +128,9 @@ func TestClusteredKeysAreClustered(t *testing.T) {
 	for i := range uniform {
 		uniform[i] = rng.Int63n(card)
 	}
-	clustered, random := adj(ClusteredKeys(New(4), n, card)), adj(uniform)
+	keys := make([]int64, n)
+	ClusteredKeys(New(4), keys, card)
+	clustered, random := adj(keys), adj(uniform)
 	if clustered <= 3*random {
 		t.Fatalf("clustered keys not clustered: clustered-adj=%d random-adj=%d", clustered, random)
 	}

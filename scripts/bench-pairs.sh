@@ -7,13 +7,15 @@
 # which side runs first, and prints one TSV line per run with the four
 # bounded end-to-end metrics (BENCHMARK.json's end_to_end list) read off the
 # run's summary line, then cpu_us_per_op and throughput_ops_s (unbounded,
-# calibrated) read off the run's text lines, then six per-layer figures
+# calibrated) read off the run's text lines, then seven per-layer figures
 # read off the bench-out/bench/timed_<workload>.json the run writes:
 # peak_rss_mb (the memory check), predict.fit_s (the TrainDefault phase of
 # the serving workloads' setup_s), dataset.generate_s and catalog.collect_s
-# (the two phases of batch_tpch's setup_s), and
+# (the two phases of batch_tpch's setup_s),
 # mapreduce.alloc_mb_per_query and mapreduce.allocs_per_query (the batch
-# engine's share of the allocation metrics). A per-layer figure is empty
+# engine's share of the allocation metrics), and mapreduce.in_rows_per_s
+# (the rows the batch engine's timed passes read per second: whether a
+# change to the set-up moved the engine). A per-layer figure is empty
 # on a workload whose path does not cross that layer (bench reports it as
 # 0): predict.fit_s on batch_tpch, which trains nothing, and the dataset,
 # catalog and mapreduce ones on the serving workloads, which generate,
@@ -25,7 +27,8 @@
 # rule (docs/MEASURING.md) is worked out from: each side's median and
 # quartiles, the parent's interquartile spread, the gap between the
 # medians, and how many pairs the change wins, ties and loses (lower is
-# better for all but throughput_ops_s; a tie counts for neither side). It
+# better for all but throughput_ops_s and mapreduce.in_rows_per_s; a tie
+# counts for neither side). It
 # judges nothing.
 #
 #   BASE      commit to compare against (default: git merge-base main HEAD)
@@ -87,16 +90,17 @@ run() {
 	out=$("bin/bench-$2" -workload "$3" -seed "$4" || true)
 	line=$(printf '%s\n' "$out" | grep '^{"correct"' || true)
 	correct=$(printf '%s\n' "$line" | sed -n 's/^{"correct":\([a-z]*\).*/\1/p')
-	printf '%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n' "$1" "$2" "${correct:-false}" \
+	printf '%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n' "$1" "$2" "${correct:-false}" \
 		"$(metric setup_s "$line")" "$(metric allocs_per_op "$line")" \
 		"$(metric alloc_kb_per_op "$line")" "$(metric est_err "$line")" \
 		"$(text cpu_us_per_op "$out")" "$(text throughput_ops_s "$out")" "$(layer peak_rss_mb "$3")" \
 		"$(layer predict.fit_s "$3")" "$(layer dataset.generate_s "$3")" "$(layer catalog.collect_s "$3")" \
-		"$(layer mapreduce.alloc_mb_per_query "$3")" "$(layer mapreduce.allocs_per_query "$3")" "$3" "$4" |
+		"$(layer mapreduce.alloc_mb_per_query "$3")" "$(layer mapreduce.allocs_per_query "$3")" \
+		"$(layer mapreduce.in_rows_per_s "$3")" "$3" "$4" |
 		tee -a "$tmp/rows.tsv"
 }
 
-printf 'pair\tside\tcorrect\tsetup_s\tallocs_per_op\talloc_kb_per_op\test_err\tcpu_us_per_op\tthroughput_ops_s\tpeak_rss_mb\tpredict.fit_s\tdataset.generate_s\tcatalog.collect_s\tmapreduce.alloc_mb_per_query\tmapreduce.allocs_per_query\tworkload\tseed\n'
+printf 'pair\tside\tcorrect\tsetup_s\tallocs_per_op\talloc_kb_per_op\test_err\tcpu_us_per_op\tthroughput_ops_s\tpeak_rss_mb\tpredict.fit_s\tdataset.generate_s\tcatalog.collect_s\tmapreduce.alloc_mb_per_query\tmapreduce.allocs_per_query\tmapreduce.in_rows_per_s\tworkload\tseed\n'
 for workload in $WORKLOADS; do
 	for seed in $SEEDS; do
 		i=1
@@ -144,11 +148,11 @@ function quartiles(side, s, m,   a, n, k) {
 	return n
 }
 BEGIN {
-	nm = split("setup_s allocs_per_op alloc_kb_per_op est_err cpu_us_per_op throughput_ops_s peak_rss_mb predict.fit_s dataset.generate_s catalog.collect_s mapreduce.alloc_mb_per_query mapreduce.allocs_per_query", names, " ")
-	higher[6] = 1
+	nm = split("setup_s allocs_per_op alloc_kb_per_op est_err cpu_us_per_op throughput_ops_s peak_rss_mb predict.fit_s dataset.generate_s catalog.collect_s mapreduce.alloc_mb_per_query mapreduce.allocs_per_query mapreduce.in_rows_per_s", names, " ")
+	higher[6] = higher[13] = 1
 }
 {
-	key = $16 "\t" $17
+	key = $17 "\t" $18
 	if (!(key in seen)) {
 		seen[key] = 1
 		order[nkeys++] = key
