@@ -99,8 +99,11 @@ bench-pairs:
 # Did any experiment move? (scripts/exp-diff.sh): builds ./cmd/benchrunner
 # at BASE (bench-pairs' convention) and from the working tree into bin/,
 # runs `-exp all -queries QUERIES` (default 240) on both at each of SEEDS
-# (default: 2018 1 2 3 4 5), and prints `identical` or the first differing
-# lines per seed; any difference fails it. Not part of ci: it needs a BASE.
+# (default: 2018 1 2 3 4 5) with -csv, -metrics and -bench-out set, and
+# compares stdout, every CSV, the metrics dump and every BENCH_<exp>.json
+# (wall_seconds aside; the trace is left out); prints `identical` or the
+# first differing lines per seed, and any difference fails it. Not part of
+# ci: it needs a BASE.
 exp-diff:
 	BASE='$(BASE)' QUERIES='$(QUERIES)' SEEDS='$(SEEDS)' scripts/exp-diff.sh
 

@@ -447,67 +447,45 @@ func (ts *TableStats) synthesize(a *histogram.Arena, col *dataset.Column, sf flo
 		n = DefaultBuckets
 	}
 	rows := ts.Rows
-	// domainCard is the declared key-domain size (values are drawn from
-	// the full domain even when few rows exist); distinct is capped at
-	// the row count.
-	domainCard := col.Card(sf)
-	if domainCard < 1 {
-		domainCard = 1
-	}
-	distinct := domainCard
-	if distinct > rows {
-		distinct = rows
-	}
+	// Values are drawn from the column's whole domain even when few rows
+	// exist; distinct is capped at the row count.
+	dom := col.Domain(sf)
 	cs := &ColumnStats{
 		Name:      col.Name,
 		Kind:      col.Kind,
-		Distinct:  distinct,
+		Distinct:  min(dom.Card, rows),
 		AvgWidth:  float64(col.AvgWidth()),
 		Clustered: col.Dist == dataset.DistClustered || col.Dist == dataset.DistSequential,
 		Ref:       col.Ref,
-		TopShare:  analyticTopShare(col, domainCard, rows),
+		TopShare:  analyticTopShare(col, dom.Card, rows),
 	}
 	if col.Kind != dataset.KindString {
-		lo := domainLo(col)
-		width := domainWidth(col, domainCard)
-		cs.Min, cs.Max = lo, lo+width
+		cs.Min = dom.Value(0)
+		cs.Max = cs.Min + dom.Width()
 		// Never use more buckets than distinct domain values: integer
 		// rounding would otherwise pile all rows into one bucket.
 		nb := n
-		if int64(nb) > domainCard {
-			nb = int(domainCard)
+		if int64(nb) > dom.Card {
+			nb = int(dom.Card)
 		}
 		var weights []float64
 		if col.Dist == dataset.DistZipf {
-			weights = zipfBucketWeights(col.Skew, domainCard, nb)
+			weights = zipfBucketWeights(col.Skew, dom.Card, nb)
 		}
-		cs.Hist = histogram.Synthesize(a, rows, domainCard, lo, nb, weights)
-		// Synthesize labels the domain as [lo, lo+card) in key steps.
-		// For float columns one key step is 0.01 units, and the key→
-		// value map is affine, so relabelling the axis is exact.
-		if col.Kind == dataset.KindFloat {
-			cs.Hist.Lo, cs.Hist.Hi = lo, lo+width
-		}
+		cs.Hist = histogram.Synthesize(a, rows, dom.Card, cs.Min, nb, weights)
+		// Synthesize labels the axis [Min, Min+Card) in key steps. The
+		// key→value map is affine, so relabelling the axis to the domain's
+		// span is exact, and a step of 1 leaves it as it was.
+		cs.Hist.Lo, cs.Hist.Hi = cs.Min, cs.Max
 	}
 	ts.Columns[cs.Name] = cs
 }
 
-// domainLo returns the smallest numeric value the column generates.
-func domainLo(col *dataset.Column) float64 { return float64(col.Lo) }
-
-// domainWidth returns the numeric width of the generated domain.
-func domainWidth(col *dataset.Column, card int64) float64 {
-	if col.Kind == dataset.KindFloat {
-		return float64(card) * 0.01
-	}
-	return float64(card)
-}
-
 // analyticTopShare derives the most-common-value share from the declared
-// distribution: the head of the Zipf law for skewed columns, 1/card for
-// the rest.
+// distribution over card keys: the head of the Zipf law for skewed
+// columns, 1/card for the rest.
 func analyticTopShare(col *dataset.Column, card, rows int64) float64 {
-	if rows <= 0 || card <= 0 {
+	if rows <= 0 {
 		return 0
 	}
 	uniform := 1 / float64(card)
@@ -515,9 +493,6 @@ func analyticTopShare(col *dataset.Column, card, rows int64) float64 {
 		return math.Min(1, uniform)
 	}
 	s := col.Skew
-	if s <= 1 {
-		s = 1.2
-	}
 	// Normalising constant of P(k) ∝ (1+k)^-s over k ∈ [0, card): partial
 	// sum of the head plus an integral tail.
 	head := min(zipfHead, card)
@@ -560,9 +535,6 @@ func zipfHeadSums(s float64) *[zipfHead + 1]float64 {
 // zipfBucketWeights integrates the Zipf(s, v=1) density 1/(1+x)^s over n
 // equal-width slices of [0, card).
 func zipfBucketWeights(s float64, card int64, n int) []float64 {
-	if s <= 1 {
-		s = 1.2
-	}
 	antideriv := func(x float64) float64 {
 		// ∫ (1+x)^(-s) dx = (1+x)^(1-s) / (1-s)
 		return math.Pow(1+x, 1-s) / (1 - s)

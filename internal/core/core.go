@@ -2,6 +2,7 @@ package core
 
 import (
 	"saqp/internal/cluster"
+	"saqp/internal/obs"
 	"saqp/internal/plan"
 	"saqp/internal/predict"
 	"saqp/internal/selectivity"
@@ -59,4 +60,24 @@ func Capacity(cc cluster.Config) (predict.Slots, predict.Overheads) {
 	cc = cc.Normalized()
 	return predict.Slots{Map: cc.Nodes * cc.MapSlotsPerNode, Reduce: cc.Nodes * cc.ReduceSlotsPerNode},
 		predict.Overheads{SchedPerTaskSec: cc.SchedulingOverheadSec, JobInitSec: cc.JobInitSec}
+}
+
+// RecordJobDrift logs each finished job's Eq. 8 predicted time (from
+// the estimate's features) against its simulated execution time — the
+// live Tables 3–5. Percolate carries the predictions down to the
+// scheduler; RecordJobDrift scores them when the jobs come back. Jobs
+// that never ran (a failed query's tail) are skipped; a nil observer,
+// drift recorder or model records nothing.
+func RecordJobDrift(o *obs.Observer, jm *predict.JobModel, est *selectivity.QueryEstimate, cq *cluster.Query) {
+	if o == nil || o.Drift == nil || jm == nil {
+		return
+	}
+	for ji, je := range est.Jobs {
+		sj := cq.Jobs[ji]
+		if sj.DoneTime <= sj.SubmitTime {
+			continue
+		}
+		o.Drift.RecordJob(je.Job.Type.String(), jm.PredictJob(je),
+			sj.DoneTime-sj.SubmitTime, cq.Faulted)
+	}
 }

@@ -15,4 +15,8 @@
 // *estimator's* statistics — never from ground truth — so scheduling
 // quality inherits both selectivity-estimation error and time-model error,
 // as it would in a real deployment.
+//
+// The way back up is RecordJobDrift: each finished job's predicted time
+// against the time it took, for the serving engine, the facade's
+// SimulateQueryConfig and the replays alike.
 package core

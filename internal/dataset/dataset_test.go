@@ -102,7 +102,7 @@ func TestCardinalityRespected(t *testing.T) {
 	idx := rel.Schema.ColumnIndex("l_quantity")
 	distinct := map[string]bool{}
 	for i := 0; i < int(rel.NumRows()); i++ {
-		distinct[rel.At(i, idx).Key()] = true
+		distinct[rel.At(i, idx).String()] = true
 	}
 	if len(distinct) > 50 {
 		t.Fatalf("l_quantity has %d distinct values, cap is 50", len(distinct))
@@ -247,18 +247,46 @@ func TestValueOps(t *testing.T) {
 
 func TestValueKeyUniqueProperty(t *testing.T) {
 	f := func(a, b int64) bool {
-		return (a == b) == (Int(a).Key() == Int(b).Key())
+		return (a == b) == (Int(a).String() == Int(b).String())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestDomainValueRoundTrip(t *testing.T) {
-	c := LineItem().Column("l_quantity")
-	v := DomainValue(c, 10)
-	if v.I != 11 { // Lo=1 + k=10
-		t.Fatalf("DomainValue = %v, want 11", v.I)
+// TestColumnDomain pins how keys become values: Lo + k for int and date
+// columns, Lo + k·0.01 for float columns, and each domain's width.
+func TestColumnDomain(t *testing.T) {
+	q := LineItem().Column("l_quantity").Domain(1)
+	if q.Card != 50 || q.Value(10) != 11 || q.Width() != 50 {
+		t.Fatalf("l_quantity domain %+v: key 10 = %v, width %v; want card 50, 11, 50", q, q.Value(10), q.Width())
+	}
+	p := Part().Column("p_retailprice").Domain(1)
+	if p.Value(1234) != 900+float64(1234)*0.01 || p.Width() != float64(110_000)*0.01 {
+		t.Fatalf("p_retailprice domain %+v: key 1234 = %v, width %v", p, p.Value(1234), p.Width())
+	}
+	if d := Orders().Column("o_comment").Domain(0.01); d.Card != 15_000 {
+		t.Fatalf("o_comment keys at SF 0.01 = %d, want 15000", d.Card)
+	}
+}
+
+// TestSchemaDomainsNeedNoRepair holds every shipped schema to what the
+// generator and the analytic catalog take on trust: each column has at
+// least one key at every scale factor, and each Zipf column an exponent
+// above 1 (sim.NewZipf panics otherwise).
+func TestSchemaDomainsNeedNoRepair(t *testing.T) {
+	for _, s := range append(TPCH(), TPCDS()...) {
+		for i := range s.Columns {
+			c := &s.Columns[i]
+			for _, sf := range []float64{1e-4, 0.01, 1, 1000} {
+				if card := c.Card(sf); card < 1 {
+					t.Errorf("%s.%s: Card(%g) = %d, want >= 1", s.Name, c.Name, sf, card)
+				}
+			}
+			if c.Dist == DistZipf && !(c.Skew > 1) {
+				t.Errorf("%s.%s: Zipf exponent %g, want > 1", s.Name, c.Name, c.Skew)
+			}
+		}
 	}
 }
 

@@ -21,4 +21,10 @@
 // columns the relation keeps those keys (Relation.Keys), and
 // catalog.Collect counts the column through them instead of hashing its
 // values.
+//
+// The package is the one definition of the data's layout. Column.Domain
+// says where a column's values lie (its keys, key 0's value and the step
+// per key), and the generator, the analytic catalog and the query
+// generator read it; FragFactor says how a table's files split into
+// blocks, and the estimator and the execution engine read it.
 package dataset

@@ -47,10 +47,8 @@ func columnSeed(seed uint64, table, column string) uint64 {
 // buffer (stringColumn).
 func generateColumn(c *Column, n int, sf float64, seed uint64) (Vector, []int64) {
 	rng := sim.New(seed)
-	card := c.Card(sf)
-	if card < 1 {
-		card = 1
-	}
+	dom := c.Domain(sf)
+	card := dom.Card
 	keys := make([]int64, n)
 	switch c.Dist {
 	case DistSequential:
@@ -60,31 +58,25 @@ func generateColumn(c *Column, n int, sf float64, seed uint64) (Vector, []int64)
 	case DistUniform:
 		rng.FillInt63n(keys, card)
 	case DistZipf:
-		skew := c.Skew
-		if skew <= 1 {
-			skew = 1.2
-		}
-		z := sim.NewZipf(rng, skew, 1, uint64(card))
+		z := sim.NewZipf(rng, c.Skew, 1, uint64(card))
 		for i := range keys {
 			keys[i] = int64(z.Uint64())
 		}
 	case DistClustered:
 		sim.ClusteredKeys(rng, keys, card)
 	}
-	// Each kind's kernel is materialize's mapping, applied to the whole
-	// vector without building a Value per row.
 	switch c.Kind {
 	case KindFloat:
 		vals := make([]float64, n)
 		for i, k := range keys {
-			vals[i] = floatValue(c.Lo, k)
+			vals[i] = dom.Value(k)
 		}
 		return FloatVector(vals), keys
 	case KindString:
 		return StringVector(stringColumn(c, keys, card)), keys
 	}
 	for i := range keys {
-		keys[i] += c.Lo
+		keys[i] += dom.Lo
 	}
 	return IntVector(c.Kind, keys), nil
 }
@@ -144,26 +136,6 @@ func stringColumn(c *Column, keys []int64, card int64) []string {
 	return vals
 }
 
-// materialize turns an integer domain key into a concrete column value.
-func materialize(c *Column, k int64) Value {
-	switch c.Kind {
-	case KindInt:
-		return Int(c.Lo + k)
-	case KindDate:
-		return Date(c.Lo + k)
-	case KindFloat:
-		return Float(floatValue(c.Lo, k))
-	case KindString:
-		return Str(makeString(c.Name, k, c.AvgWidth()))
-	}
-	return Value{}
-}
-
-// floatValue is the value of domain key k of a float column whose domain
-// starts at lo: one expression, shared by materialize and the column
-// kernel so that both round alike.
-func floatValue(lo, k int64) float64 { return float64(lo) + float64(k)*0.01 }
-
 // makeString builds a deterministic string of exactly width bytes encoding
 // domain key k (appendString). stringColumn applies the same mapping to a
 // whole column without allocating a string per value.
@@ -199,9 +171,3 @@ func appendString(dst []byte, prefix string, k int64, width int) []byte {
 	}
 	return dst
 }
-
-// DomainValue returns the concrete value for domain key k of column c —
-// the inverse mapping used by query generators to build predicates with a
-// known target selectivity (e.g. "l_quantity < v" covering 30% of the
-// domain).
-func DomainValue(c *Column, k int64) Value { return materialize(c, k) }

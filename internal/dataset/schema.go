@@ -1,6 +1,9 @@
 package dataset
 
-import "fmt"
+import (
+	"fmt"
+	"hash/fnv"
+)
 
 // Dist enumerates the value distributions a generated column can follow.
 type Dist uint8
@@ -41,19 +44,52 @@ type Column struct {
 	// Width is the average encoded width in bytes (strings are generated to
 	// average this width; fixed types ignore it and use 8).
 	Width int
-	// Card returns the number of distinct values at scale factor sf.
-	// For FK columns it must equal the referenced table's key cardinality.
+	// Card returns the number of distinct values at scale factor sf, at
+	// least 1. For FK columns it must equal the referenced table's key
+	// cardinality.
 	Card func(sf float64) int64
 	// Dist is the value distribution.
 	Dist Dist
 	// Skew is the Zipf exponent when Dist == DistZipf (must be > 1).
 	Skew float64
-	// Lo is the smallest domain value (ints/dates); domain is [Lo, Lo+Card).
+	// Lo is key 0's value (Column.Domain).
 	Lo int64
 	// Ref names "table.column" when this column is a foreign key; used by
 	// referential-integrity checks and natural-join selectivity (Eq. 6).
 	Ref string
 }
+
+// Domain is where a column's values lie at one scale factor: each value is
+// drawn as a key k in [0, Card), and a numeric column's key k is the value
+// Lo + k·Step. A string column's key is rendered by makeString instead, so
+// only its Card means anything.
+type Domain struct {
+	// Card is the number of keys.
+	Card int64
+	// Lo is key 0's value.
+	Lo int64
+	// Step is the value step per key: 1 for int and date columns, 0.01 for
+	// float columns.
+	Step float64
+}
+
+// Domain returns the column's domain at scale factor sf.
+func (c *Column) Domain(sf float64) Domain {
+	step := 1.0
+	if c.Kind == KindFloat {
+		step = 0.01
+	}
+	return Domain{Card: c.Card(sf), Lo: c.Lo, Step: step}
+}
+
+// Value returns key k's value as a float64. The generator computes an int
+// or date column's values in integer arithmetic, Lo + k, which this equals
+// while both stay within ±2^53.
+func (d Domain) Value(k int64) float64 { return float64(d.Lo) + float64(k)*d.Step }
+
+// Width returns the span of the domain's values, Card steps: its values lie
+// in [Value(0), Value(0)+Width()).
+func (d Domain) Width() float64 { return float64(d.Card) * d.Step }
 
 // AvgWidth returns the column's average encoded width in bytes.
 func (c *Column) AvgWidth() int {
@@ -111,4 +147,15 @@ func (s *Schema) AvgTupleWidth() int {
 // BytesAt returns the table's total size in bytes at scale factor sf.
 func (s *Schema) BytesAt(sf float64) int64 {
 	return s.RowsAt(sf) * int64(s.AvgTupleWidth())
+}
+
+// FragFactor models HDFS file fragmentation: tables are written as many
+// files whose tails leave splits below one full block, so the effective
+// bytes-per-map varies by table. The factor is a deterministic hash of the
+// table name into [0.45, 1.0]. The estimator and the execution engine both
+// read it here, so measured and estimated task granularities agree.
+func FragFactor(table string) float64 {
+	h := fnv.New32a()
+	h.Write([]byte(table))
+	return 0.45 + 0.55*float64(h.Sum32()%1000)/999
 }

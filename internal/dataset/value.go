@@ -56,11 +56,12 @@ func Str(v string) Value { return Value{K: KindString, S: v} }
 // Date wraps days-since-epoch as a Value.
 func Date(days int64) Value { return Value{K: KindDate, I: days} }
 
-// Key renders the value: decimal integers, shortest %g floats, the string
-// itself — the rendering the engine orders group output and hashes the
-// shuffle by. Two Values of one kind are equal under Key iff they are the
-// same logical value.
-func (v Value) Key() string {
+// String renders the value: decimal integers, shortest %g floats, the
+// string itself. Two Values of one kind render alike iff they are the same
+// logical value. The batch engine renders its group and shuffle keys
+// straight from a column (mapreduce's appendKey), without a Value; that
+// rendering must agree with this one.
+func (v Value) String() string {
 	switch v.K {
 	case KindInt, KindDate:
 		return strconv.FormatInt(v.I, 10)
@@ -87,9 +88,6 @@ func (v Value) Equal(o Value) bool {
 	}
 	return false
 }
-
-// String renders the value for display.
-func (v Value) String() string { return v.Key() }
 
 // Row is a tuple of column values: how a frame shows one of its rows, not
 // how anything is stored.

@@ -111,15 +111,12 @@ func distinct(values []float64) []float64 {
 
 // Synthesize constructs a histogram analytically — without scanning rows —
 // for a column with `rows` rows spread over `card` distinct values in
-// [lo, lo+card). This is how statistics are produced for experiment scales
-// too large to materialise. The histogram is cut from a.
+// [lo, lo+card), card >= 1. This is how statistics are produced for
+// experiment scales too large to materialise. The histogram is cut from a.
 //
 // weights, if non-nil, gives the relative row mass of each bucket and must
 // have length n; distinct values are still spread evenly across buckets.
 func Synthesize(a *Arena, rows, card int64, lo float64, n int, weights []float64) *Histogram {
-	if card < 1 {
-		card = 1
-	}
 	h := a.New(lo, lo+float64(card), n)
 	if weights != nil && len(weights) != n {
 		panic("histogram: weights length must equal bucket count")

@@ -13,7 +13,6 @@ import (
 	"saqp/internal/par"
 	"saqp/internal/plan"
 	"saqp/internal/query"
-	"saqp/internal/selectivity"
 )
 
 // Config sizes the engine's task structure. At laptop scale the block size
@@ -247,7 +246,7 @@ func (e *Engine) splits(in jobInput) [][2]int {
 	}
 	eff := float64(e.cfg.BlockSize)
 	if in.table != "" {
-		eff *= selectivity.FragFactor(in.table)
+		eff *= dataset.FragFactor(in.table)
 	}
 	per := int(eff / float64(avg))
 	if per < 1 {
@@ -484,8 +483,8 @@ func combine(keys []dataset.Vector, specs []aggSpec, sel []int32, buf combineBuf
 	return partial{first, states}
 }
 
-// appendKey renders row i of a key column as Value.Key always has: decimal
-// integers, shortest %g floats, the string itself.
+// appendKey renders row i of a key column as dataset.Value.String renders
+// a value: decimal integers, shortest %g floats, the string itself.
 func appendKey(b []byte, v dataset.Vector, i int32) []byte {
 	switch v.Kind() {
 	case dataset.KindString:

@@ -16,7 +16,6 @@ import (
 	"saqp/internal/query"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
-	"saqp/internal/serve"
 	"saqp/internal/sim"
 	"saqp/internal/trace"
 	"saqp/internal/workload"
@@ -335,7 +334,7 @@ func (r *replay) run(cc cluster.Config, pol cluster.Scheduler, o *obs.Observer, 
 	}
 	for i, q := range qs {
 		if (alone == everyItem || alone == i) && !q.Failed() {
-			serve.RecordJobDrift(o, r.jobs, r.items[i].est, q)
+			core.RecordJobDrift(o, r.jobs, r.items[i].est, q)
 		}
 	}
 	return res, qs, nil

@@ -2,11 +2,11 @@ package selectivity
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 
 	"saqp/internal/catalog"
+	"saqp/internal/dataset"
 	"saqp/internal/histogram"
 	"saqp/internal/plan"
 	"saqp/internal/query"
@@ -40,9 +40,10 @@ type Config struct {
 }
 
 // table is one catalog table as NewEstimator prepared it: its scalars as
-// float64, its FragFactor, and each column's base statistics, the catalog's
-// histogram shared by pointer. Nothing in it is written after NewEstimator
-// returns, so one Estimator serves any number of goroutines without a lock.
+// float64, its dataset.FragFactor, and each column's base statistics, the
+// catalog's histogram shared by pointer. Nothing in it is written after
+// NewEstimator returns, so one Estimator serves any number of goroutines
+// without a lock.
 type table struct {
 	name                     string
 	rows, bytes, width, frag float64
@@ -75,7 +76,7 @@ func NewEstimator(cat *catalog.Catalog, cfg Config) *Estimator {
 	e := &Estimator{cat: cat, cfg: cfg, tables: make(map[string]*table, len(cat.Tables))}
 	for name, ts := range cat.Tables {
 		t := &table{name: name, rows: float64(ts.Rows), bytes: float64(ts.Bytes), width: ts.AvgTupleWidth,
-			frag: FragFactor(name), cols: make([]ColStat, 0, len(ts.Columns)), index: make(map[string]int, len(ts.Columns))}
+			frag: dataset.FragFactor(name), cols: make([]ColStat, 0, len(ts.Columns)), index: make(map[string]int, len(ts.Columns))}
 		for cn, cs := range ts.Columns {
 			t.index[cn] = len(t.cols)
 			t.cols = append(t.cols, ColStat{Hist: cs.Hist, Distinct: float64(cs.Distinct), BaseDistinct: float64(cs.Distinct),
@@ -423,18 +424,6 @@ func (w *walk) applyMapJoins(job *plan.Job, je *JobEstimate, ins []input, needs 
 		sideBytes += b.rawBytes
 	}
 	return sideBytes, nil
-}
-
-// FragFactor models HDFS file fragmentation: tables are written as many
-// files whose tails leave splits below one full block, so the effective
-// bytes-per-map varies by table. The factor is a deterministic hash of the
-// table name into [0.45, 1.0]; the execution engine applies it too, so
-// measured and estimated task granularities agree. NewEstimator prepares
-// it per table.
-func FragFactor(table string) float64 {
-	h := fnv.New32a()
-	h.Write([]byte(table))
-	return 0.45 + 0.55*float64(h.Sum32()%1000)/999
 }
 
 // takeGroups cuts n task groups from the query's slab.

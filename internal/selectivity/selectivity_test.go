@@ -220,7 +220,7 @@ func TestTaskCounts(t *testing.T) {
 	qe := estimateSQL(t, `SELECT l_orderkey FROM lineitem ORDER BY l_orderkey`, 1)
 	j := qe.Jobs[0]
 	liBytes := float64(dataset.LineItem().BytesAt(1))
-	wantMaps := int(math.Ceil(liBytes / (float64(256<<20) * FragFactor("lineitem"))))
+	wantMaps := int(math.Ceil(liBytes / (float64(256<<20) * dataset.FragFactor("lineitem"))))
 	if j.NumMaps != wantMaps {
 		t.Fatalf("maps = %d, want %d", j.NumMaps, wantMaps)
 	}

@@ -577,7 +577,7 @@ func (e *Engine) run(w *lane, t *Ticket) {
 	if t.span != nil {
 		t.span.EndRun(cq.ResponseTime())
 	}
-	RecordJobDrift(e.cfg.Observer, jm, t.est, cq)
+	core.RecordJobDrift(e.cfg.Observer, jm, t.est, cq)
 	if L := e.cfg.Learner; L != nil {
 		feedback(L, t.est, cq, &w.feat)
 		if t.span != nil {
@@ -597,24 +597,6 @@ func (e *Engine) run(w *lane, t *Ticket) {
 		res.Reduces += len(j.Reds)
 	}
 	e.finish(t, res, nil)
-}
-
-// RecordJobDrift logs each finished job's Eq. 8 predicted time (from
-// the estimate's features) against its simulated execution time — the
-// live Tables 3–5. Jobs that never ran (a failed query's tail) are
-// skipped; a nil observer, drift recorder or model records nothing.
-func RecordJobDrift(o *obs.Observer, jm *predict.JobModel, est *selectivity.QueryEstimate, cq *cluster.Query) {
-	if o == nil || o.Drift == nil || jm == nil {
-		return
-	}
-	for ji, je := range est.Jobs {
-		sj := cq.Jobs[ji]
-		if sj.DoneTime <= sj.SubmitTime {
-			continue
-		}
-		o.Drift.RecordJob(je.Job.Type.String(), jm.PredictJob(je),
-			sj.DoneTime-sj.SubmitTime, cq.Faulted)
-	}
 }
 
 // learnTasksPerGroup caps how many task observations one task group

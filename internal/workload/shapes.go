@@ -360,12 +360,8 @@ func (g *Generator) randPredicates(table string) []query.Predicate {
 		return nil
 	}
 	sel := g.rng.Range(0.05, 0.95)
-	card := col.Card(1) // domain cardinalities are sf-independent for filterables
-	lo := float64(col.Lo)
-	width := float64(card)
-	if col.Kind == dataset.KindFloat {
-		width = float64(card) * 0.01
-	}
+	dom := col.Domain(1) // a filterable's domain is sf-independent (TestFilterableDomains)
+	card, lo, width := dom.Card, dom.Value(0), dom.Width()
 	ref := query.ColumnRef{Table: table, Column: name}
 	round := func(v float64) float64 { return math.Round(v*100) / 100 }
 	r := g.rng.Float64()
@@ -389,7 +385,7 @@ func (g *Generator) randPredicates(table string) []query.Predicate {
 				continue
 			}
 			seen[k] = true
-			pr.Set = append(pr.Set, query.NumLit(float64(col.Lo+k)))
+			pr.Set = append(pr.Set, query.NumLit(dom.Value(k)))
 		}
 		return []query.Predicate{pr}
 	case g.rng.Bool(0.5):

@@ -439,3 +439,31 @@ func TestStatsEstimateDropsOutsizedArena(t *testing.T) {
 		t.Error("an arena past slab.RetainBytes went back to the pool with its storage")
 	}
 }
+
+// TestFilterableDomains holds the filterable columns to what randPredicates
+// assumes when it cuts predicates from a column's domain at SF 1: each
+// exists in its table's schema, is numeric, and has the same domain at
+// every scale factor.
+func TestFilterableDomains(t *testing.T) {
+	schemas := dataset.AllSchemas()
+	for table, cols := range filterable {
+		s := schemas[table]
+		if s == nil {
+			t.Errorf("filterable table %s has no schema", table)
+			continue
+		}
+		for _, name := range cols {
+			c := s.Column(name)
+			if c == nil {
+				t.Errorf("filterable column %s.%s is not in the schema", table, name)
+				continue
+			}
+			if c.Kind == dataset.KindString {
+				t.Errorf("filterable column %s.%s is a string column", table, name)
+			}
+			if a, b, z := c.Domain(0.01), c.Domain(1), c.Domain(1000); a != b || b != z {
+				t.Errorf("filterable column %s.%s: domain %+v at SF 0.01, %+v at 1, %+v at 1000", table, name, a, b, z)
+			}
+		}
+	}
+}

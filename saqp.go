@@ -17,7 +17,6 @@ import (
 	"saqp/internal/query"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
-	"saqp/internal/serve"
 	"saqp/internal/trace"
 	"saqp/internal/workload"
 )
@@ -339,7 +338,7 @@ func (f *Framework) SimulateQueryConfig(id string, qe *QueryEstimate, scheduler 
 	if q.Failed() {
 		return 0, q.Err
 	}
-	serve.RecordJobDrift(f.Obs, f.JobTime, qe, q)
+	core.RecordJobDrift(f.Obs, f.JobTime, qe, q)
 	return q.ResponseTime(), nil
 }
 
