@@ -1,7 +1,9 @@
 // Package mapreduce is an in-memory MapReduce engine that actually executes
-// compiled query DAGs over materialised relations: map tasks filter and
-// project in parallel on internal/par's pool, Groupby jobs run per-map
-// combines, the shuffle
+// compiled query DAGs over materialised relations. A job's map phase runs
+// in one place, runJob: a map task is one index of its parallel loop over
+// an input's splits, filtering that split's rows by the scan predicates
+// (a folded MAPJOIN's prelude runs its own before it). The operators start
+// from the surviving rows: Groupby jobs run per-map combines, the shuffle
 // hash-partitions by key, and reduce tasks join, aggregate or sort. Data
 // stays in typed column vectors from the scan (which shares the relation's)
 // to the result: operators pass row indices, and a join's output is an

@@ -141,16 +141,20 @@ func (e *Engine) release(s *scratch) {
 }
 
 // jobInput is one resolved input: the source frame (a scan's pruned columns
-// or an upstream frame), the raw bytes/rows read, and scan predicates to
-// apply in the map phase.
+// or an upstream frame), the raw bytes read, the scan predicates to apply
+// in the map phase, and that phase's output. A job's broadcast table is
+// filtered like any input but adds no maps to JobStats.NumMaps: it is side
+// data every probe map loads, as selectivity's computeMapCounts prices it.
 type jobInput struct {
 	frame    *Frame // unfiltered source data with qualified columns
 	rawBytes int64
-	rawRows  int64
 	preds    []query.Predicate
 	// table is the scanned base table name ("" for upstream frames); it
 	// selects the fragmentation factor for split sizing.
 	table string
+	// parts holds each map split's surviving rows, set by runJob's map
+	// phase (mapFilter's segments).
+	parts [][]int32
 }
 
 // loadScan resolves one base-table scan as a job input: the relation's
@@ -174,7 +178,6 @@ func (e *Engine) loadScan(ts plan.TableScan) (jobInput, error) {
 	return jobInput{
 		frame:    NewFrame(int(rel.NumRows()), cols, vecs),
 		rawBytes: rel.Bytes(),
-		rawRows:  rel.NumRows(),
 		preds:    ts.Preds,
 		table:    ts.Table,
 	}, nil
@@ -183,7 +186,11 @@ func (e *Engine) loadScan(ts plan.TableScan) (jobInput, error) {
 // resolveInputs resolves job's base-table scans, then, if it reads the job
 // before it, that job's output frame up.
 func (e *Engine) resolveInputs(job *plan.Job, up *Frame) ([]jobInput, error) {
-	var ins []jobInput
+	n := len(job.Scans)
+	if job.Up != nil {
+		n++
+	}
+	ins := make([]jobInput, 0, n)
 	for _, ts := range job.Scans {
 		in, err := e.loadScan(ts)
 		if err != nil {
@@ -192,7 +199,7 @@ func (e *Engine) resolveInputs(job *plan.Job, up *Frame) ([]jobInput, error) {
 		ins = append(ins, in)
 	}
 	if job.Up != nil {
-		ins = append(ins, jobInput{frame: up, rawBytes: up.Bytes(), rawRows: up.NumRows()})
+		ins = append(ins, jobInput{frame: up, rawBytes: up.Bytes()})
 	}
 	if len(ins) == 0 {
 		return nil, fmt.Errorf("job has no inputs")
@@ -208,11 +215,22 @@ func (e *Engine) runJob(s *scratch, job *plan.Job, up *Frame) (*Frame, *JobStats
 	stats := &JobStats{Job: job}
 	for _, in := range ins {
 		stats.InBytes += in.rawBytes
-		stats.InRows += in.rawRows
+		stats.InRows += in.frame.NumRows()
 	}
 	ins, err = e.applyMapJoins(s, job, ins, stats)
 	if err != nil {
 		return nil, nil, err
+	}
+	// The map phase: every input's splits are filtered once, and the
+	// operators below start from each input's parts.
+	for i := range ins {
+		in := &ins[i]
+		if in.parts, err = e.mapFilter(s, *in); err != nil {
+			return nil, nil, err
+		}
+		if job.Broadcast == "" || in.table != job.Broadcast {
+			stats.NumMaps += len(in.parts)
+		}
 	}
 	var out *Frame
 	switch job.Type {
@@ -358,17 +376,13 @@ func orderBy[T cmp.Ordered](vals []T, desc bool) func(a, b int32) int {
 	}
 }
 
-// runExtract filters, optionally sorts, and optionally limits one input: a
-// stable sort of the surviving row indices, truncated, then one gather per
-// column, read through the input's view.
+// runExtract optionally sorts and optionally limits one input's map
+// output: a stable sort of the surviving row indices, truncated, then one
+// gather per column, read through the input's view.
 func (e *Engine) runExtract(s *scratch, job *plan.Job, in jobInput, stats *JobStats) (*Frame, error) {
 	f := in.frame
-	parts, err := e.mapFilter(s, in)
-	if err != nil {
-		return nil, err
-	}
-	sel := flatten(parts)
-	stats.MedBytes, stats.MedRows, stats.NumMaps = f.rowBytes(sel), int64(len(sel)), len(parts)
+	sel := flatten(in.parts)
+	stats.MedBytes, stats.MedRows = f.rowBytes(sel), int64(len(sel))
 	if len(job.OrderKeys) > 0 {
 		keys := make([]func(a, b int32) int, len(job.OrderKeys))
 		for i, k := range job.OrderKeys {
@@ -495,9 +509,9 @@ func appendKey(b []byte, v dataset.Vector, i int32) []byte {
 	return strconv.AppendInt(b, v.Ints()[i], 10)
 }
 
-// runGroupby aggregates with per-map combines: each map task filters its
-// split and pre-aggregates locally (the combine that Eq. 2 models), then
-// the reduce merges the partial states by key, in split order.
+// runGroupby aggregates with per-map combines: each map split's survivors
+// are pre-aggregated locally (the combine that Eq. 2 models), then the
+// reduce merges the partial states by key, in split order.
 func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobStats) (*Frame, error) {
 	f := in.frame
 	keys := make([]dataset.Vector, len(job.GroupKeys))
@@ -519,11 +533,7 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 			return nil, err
 		}
 	}
-	parts, err := e.mapFilter(s, in)
-	if err != nil {
-		return nil, err
-	}
-	stats.NumMaps = len(parts)
+	parts := in.parts
 	var operands, binops bool
 	for _, spec := range specs {
 		operands, binops = operands || !spec.star, binops || spec.binop
@@ -638,11 +648,12 @@ func joinSides(s *scratch, left, right query.ColumnRef, a, b jobInput) (jobInput
 	return a, b, ak, bk, err
 }
 
-// runJoin hash-joins two inputs on the equi-join keys: maps filter each
-// side, the shuffle partitions both by key hash, and reducers build on the
-// left and probe with the right per partition in parallel. Broadcast joins
-// (plan.Job.Broadcast) skip the shuffle: every map task probes an
-// in-memory index of the small side.
+// runJoin hash-joins two inputs' map output on the equi-join keys: the
+// shuffle partitions both sides by key hash, and reducers build on the
+// left and probe with the right per partition in parallel. A broadcast
+// join (plan.Job.Broadcast) has no shuffle and no reduce phase: every
+// probe map split probes one index of the small side, and the map output
+// is the job output.
 func (e *Engine) runJoin(s *scratch, job *plan.Job, ins []jobInput, stats *JobStats) (*Frame, error) {
 	if len(ins) != 2 {
 		return nil, fmt.Errorf("join expects 2 inputs, got %d", len(ins))
@@ -651,63 +662,28 @@ func (e *Engine) runJoin(s *scratch, job *plan.Job, ins []jobInput, stats *JobSt
 	if err != nil {
 		return nil, err
 	}
-	if job.MapOnly && job.Broadcast != "" {
-		return e.runBroadcastJoin(s, job, a, b, ak, bk, stats)
+	if job.Broadcast != "" {
+		// a carries the join's left columns, so the output keeps a's
+		// first whichever side is broadcast.
+		var arows, brows []int32
+		if a.table == job.Broadcast {
+			m := match(s, ak, bk, [][]int32{flatten(a.parts)}, b.parts)
+			arows, brows = m.build, m.probe
+		} else {
+			m := match(s, bk, ak, [][]int32{flatten(b.parts)}, a.parts)
+			arows, brows = m.probe, m.build
+		}
+		res := joined(s, a.frame, arows, b.frame, brows)
+		stats.MedBytes, stats.MedRows = res.Bytes(), res.NumRows()
+		return res, nil
 	}
-	lparts, err := e.mapFilter(s, a)
-	if err != nil {
-		return nil, err
-	}
-	rparts, err := e.mapFilter(s, b)
-	if err != nil {
-		return nil, err
-	}
-	lsel, rsel := flatten(lparts), flatten(rparts)
+	lsel, rsel := flatten(a.parts), flatten(b.parts)
 	stats.MedBytes = a.frame.rowBytes(lsel) + b.frame.rowBytes(rsel)
 	stats.MedRows = int64(len(lsel) + len(rsel))
-	stats.NumMaps = len(lparts) + len(rparts)
 
 	R := e.cfg.NumReducers
 	m := match(s, ak, bk, partition(s, ak, lsel, R), partition(s, bk, rsel, R))
 	return joined(s, a.frame, m.build, b.frame, m.probe), nil
-}
-
-// broadcastPairs is the map-side join itself: the build side is filtered
-// and indexed once, and every map split of the probe side filters its rows
-// and probes the index in parallel. It returns the matches in probe order
-// and the number of probe-side map tasks.
-func (e *Engine) broadcastPairs(s *scratch, build jobInput, bk joinKey, probe jobInput, pk joinKey) (pairs, int, error) {
-	bparts, err := e.mapFilter(s, build)
-	if err != nil {
-		return pairs{}, 0, err
-	}
-	pparts, err := e.mapFilter(s, probe)
-	if err != nil {
-		return pairs{}, 0, err
-	}
-	return match(s, bk, pk, [][]int32{flatten(bparts)}, pparts), len(pparts), nil
-}
-
-// runBroadcastJoin executes a map-side join as a job of its own: no
-// shuffle, no reduce phase, so the map output is the job output.
-func (e *Engine) runBroadcastJoin(s *scratch, job *plan.Job, a, b jobInput, ak, bk joinKey, stats *JobStats) (*Frame, error) {
-	build, buildKey, probe, probeKey := a, ak, b, bk
-	if a.table != job.Broadcast {
-		build, buildKey, probe, probeKey = b, bk, a, ak
-	}
-	m, maps, err := e.broadcastPairs(s, build, buildKey, probe, probeKey)
-	if err != nil {
-		return nil, err
-	}
-	// a carries the join's left columns, so the output keeps a's first
-	// whichever side is broadcast.
-	arows, brows := m.build, m.probe
-	if a.table != job.Broadcast {
-		arows, brows = m.probe, m.build
-	}
-	res := joined(s, a.frame, arows, b.frame, brows)
-	stats.NumMaps, stats.MedBytes, stats.MedRows = maps, res.Bytes(), res.NumRows()
-	return res, nil
 }
 
 // applyMapJoins executes the job's folded broadcast-join preludes: for each
@@ -722,7 +698,7 @@ func (e *Engine) applyMapJoins(s *scratch, job *plan.Job, ins []jobInput, stats 
 			return nil, err
 		}
 		stats.InBytes += b.rawBytes
-		stats.InRows += b.rawRows
+		stats.InRows += b.frame.NumRows()
 		bKey, pKey := spec.JoinLeft.String(), spec.JoinRight.String()
 		if b.frame.Col(bKey) < 0 {
 			bKey, pKey = pKey, bKey
@@ -746,13 +722,18 @@ func (e *Engine) applyMapJoins(s *scratch, job *plan.Job, ins []jobInput, stats 
 		if err != nil {
 			return nil, err
 		}
-		// Probe-side predicates wait for the job's own map phase.
-		m, _, err := e.broadcastPairs(s, b, bk, jobInput{frame: probe.frame, rawBytes: probe.rawBytes}, pk)
+		bparts, err := e.mapFilter(s, b)
 		if err != nil {
 			return nil, err
 		}
+		// Probe-side predicates wait for the job's own map phase.
+		pparts, err := e.mapFilter(s, jobInput{frame: probe.frame, rawBytes: probe.rawBytes})
+		if err != nil {
+			return nil, err
+		}
+		m := match(s, bk, pk, [][]int32{flatten(bparts)}, pparts)
 		res := joined(s, probe.frame, m.probe, b.frame, m.build)
-		ins[pi] = jobInput{frame: res, rawBytes: res.Bytes(), rawRows: res.NumRows(), preds: probe.preds}
+		ins[pi] = jobInput{frame: res, rawBytes: res.Bytes(), preds: probe.preds}
 	}
 	return ins, nil
 }

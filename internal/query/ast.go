@@ -135,14 +135,6 @@ type BinaryExpr struct {
 	Op          ArithOp
 }
 
-// Columns returns every column the expression references.
-func (e Expr) Columns() []ColumnRef {
-	if e.Binop != nil {
-		return []ColumnRef{e.Binop.Left, e.Binop.Right}
-	}
-	return []ColumnRef{e.Col}
-}
-
 // String renders the expression in SQL form.
 func (e Expr) String() string { return string(e.appendTo(make([]byte, 0, 64))) }
 

@@ -438,6 +438,8 @@ func (w *walk) takeGroups(n int) []TaskGroup {
 // read from an upstream job arrive as that job's reduce-output files, and
 // Hadoop-era FileInputFormat schedules at least one map per file: maps =
 // max(upstream reduces, ceil(bytes/block)). Every map also loads sideBytes;
+// a job's broadcast table is such side data and gets no maps of its own,
+// the rule the engine's measured NumMaps follows (mapreduce's jobInput).
 // finishTaskCounts fills in the groups' output once D_med is known.
 func (w *walk) computeMapCounts(job *plan.Job, je *JobEstimate, ins []input, sideBytes float64) {
 	block := float64(w.e.cfg.BlockSize)
