@@ -65,7 +65,7 @@ func (j *Job) ScanMismatch() string {
 				first = t
 			}
 		}
-		if got := j.nextPending(p == 1); got != first {
+		if got := j.nextPending(p); got != first {
 			return fmt.Sprintf("%s: nextPending(reduce=%v) is %s, a scan finds %s", j.ID, p == 1, taskName(got), taskName(first))
 		}
 	}

@@ -63,19 +63,13 @@ func (s *Sim) effFactor(node int) float64 {
 	return f
 }
 
-// releaseSlot returns a slot to its free pool unless its node is down or
-// blacklisted, in which case the slot is withheld until recovery (crashed
-// nodes re-add their full slot set on recovery; blacklisted nodes never
-// return).
-func (s *Sim) releaseSlot(slot int, reduce bool) {
-	n := s.nodeOf(slot, reduce)
-	if s.down[n] || s.blacklisted[n] {
-		return
-	}
-	if reduce {
-		s.redFree = append(s.redFree, slot)
-	} else {
-		s.mapFree = append(s.mapFree, slot)
+// releaseSlot returns a slot of phase p to its free pool unless its node
+// is down or blacklisted, in which case the slot is withheld until recovery
+// (crashed nodes re-add their full slot set on recovery; blacklisted nodes
+// never return).
+func (s *Sim) releaseSlot(p, slot int) {
+	if n := s.nodeOf(p, slot); !s.down[n] && !s.blacklisted[n] {
+		s.free[p] = append(s.free[p], slot)
 	}
 }
 
@@ -85,11 +79,7 @@ func (s *Sim) requeueTask(t *Task) {
 	t.setState(TaskPending)
 	t.StartTime = 0
 	j := t.Job
-	if t.Reduce {
-		j.pendingReds++
-	} else {
-		j.pendingMaps++
-	}
+	j.pending[t.phase()]++
 	j.Query.remainingWRD += t.PredSec
 	s.fstats.TaskRetries++
 	s.obs.Count(obs.MTaskRetries)
@@ -120,7 +110,7 @@ func (s *Sim) taskFail(e *event) {
 		s.canBlacklist() {
 		s.blacklistNode(node)
 	}
-	s.releaseSlot(int(e.slot), t.Reduce)
+	s.releaseSlot(t.phase(), int(e.slot))
 	if int(t.failures) >= s.fplan.MaxAttempts() {
 		s.failQuery(j.Query, t)
 		return
@@ -164,17 +154,15 @@ func (s *Sim) blacklistNode(node int) {
 
 // dropNodeSlots removes a node's free slots from both pools.
 func (s *Sim) dropNodeSlots(node int) {
-	keep := func(pool []int, reduce bool) []int {
-		out := pool[:0]
+	for p, pool := range s.free {
+		keep := pool[:0]
 		for _, slot := range pool {
-			if s.nodeOf(slot, reduce) != node {
-				out = append(out, slot)
+			if s.nodeOf(p, slot) != node {
+				keep = append(keep, slot)
 			}
 		}
-		return out
+		s.free[p] = keep
 	}
-	s.mapFree = keep(s.mapFree, false)
-	s.redFree = keep(s.redFree, true)
 }
 
 // crashNode takes a node down: its free slots leave the pools and every
@@ -232,14 +220,8 @@ func (s *Sim) recoverNode(node int) {
 	s.down[node] = false
 	s.fstats.NodeRecoveries++
 	s.obs.Emit(obs.Event{Kind: obs.NodeRecovered, At: s.now, Node: node})
-	if s.blacklisted[node] {
-		return
-	}
-	for k := 0; k < s.cfg.MapSlotsPerNode; k++ {
-		s.mapFree = append(s.mapFree, node*s.cfg.MapSlotsPerNode+k)
-	}
-	for k := 0; k < s.cfg.ReduceSlotsPerNode; k++ {
-		s.redFree = append(s.redFree, node*s.cfg.ReduceSlotsPerNode+k)
+	if !s.blacklisted[node] {
+		s.addNodeSlots(node)
 	}
 }
 
@@ -262,7 +244,7 @@ func (s *Sim) failQuery(q *Query, t *Task) {
 	for _, j := range q.Jobs {
 		for _, r := range j.hoarding {
 			s.hoarded--
-			s.releaseSlot(int(r.slot), true)
+			s.releaseSlot(reducePhase, int(r.slot))
 			r.setState(TaskPending)
 		}
 		j.hoarding = j.hoarding[:0]
@@ -271,7 +253,7 @@ func (s *Sim) failQuery(q *Query, t *Task) {
 				switch tt.State {
 				case TaskRunning:
 					tt.epoch++
-					s.releaseSlot(int(tt.slot), tt.Reduce)
+					s.releaseSlot(tt.phase(), int(tt.slot))
 					tt.setState(TaskPending)
 				case TaskWaiting:
 					tt.epoch++
@@ -279,11 +261,6 @@ func (s *Sim) failQuery(q *Query, t *Task) {
 				}
 			}
 		}
-		for i, a := range s.active {
-			if a == j {
-				s.active = append(s.active[:i], s.active[i+1:]...)
-				break
-			}
-		}
+		s.deactivate(j)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"saqp/internal/fault"
@@ -109,4 +110,79 @@ func TestBlacklistTripsAfterRepeatedFailures(t *testing.T) {
 			t.Fatalf("map %d's final attempt ran on blacklisted node %d", task.Index, blacklisted)
 		}
 	}
+}
+
+// TestSlotPoolsRestoredPerPhase: at the end of a run every slot is free
+// again, so each phase's pool holds every slot id of every node that is
+// neither down nor blacklisted, exactly once, and no other id. The config
+// gives the phases different slot counts, so a slot id read against the
+// other phase's per-node count lands on the wrong node; the fault plan
+// crashes a node that recovers before the run ends (its killed attempts'
+// slots must come back once, through the recovery alone) and blacklists
+// another (its slots must never come back).
+func TestSlotPoolsRestoredPerPhase(t *testing.T) {
+	cfg := Config{Nodes: 4, MapSlotsPerNode: 3, ReduceSlotsPerNode: 2}
+	workload := func() []*Query {
+		var qs []*Query
+		for _, id := range []string{"a", "b", "c"} {
+			q := &Query{ID: id}
+			for _, jid := range []string{"J1", "J2"} {
+				j := &Job{ID: id + "/" + jid, JobID: jid, Query: q, hoarding: make([]*Task, 0, 4)}
+				for i := 0; i < 12; i++ {
+					j.Maps = append(j.Maps, &Task{Job: j, Index: i, ActualSec: 4 + float64(i%3), PredSec: 5})
+				}
+				for i := 0; i < 4; i++ {
+					j.Reds = append(j.Reds, &Task{Job: j, Reduce: true, Index: i, ActualSec: 6, PredSec: 6})
+				}
+				j.ResetPending()
+				q.Jobs = append(q.Jobs, j)
+			}
+			q.RecomputeWRD()
+			qs = append(qs, q)
+		}
+		return qs
+	}
+	for seed := uint64(0); seed < 2000; seed++ {
+		cfg.Faults = fault.NewPlan(fault.Spec{
+			Seed: seed, Nodes: cfg.Nodes, HorizonSec: 60,
+			CrashProb: 0.3, CrashDowntimeSec: 15,
+			TaskFailProb: 0.1, MaxAttempts: 20, BlacklistAfter: 2,
+		})
+		s := New(cfg, fifoPick{})
+		for i, q := range workload() {
+			s.Submit(q, float64(5*i))
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered := -1
+		for _, w := range cfg.Faults.Crashes() {
+			if w.End < res.Makespan && !s.blacklisted[w.Node] {
+				recovered = w.Node
+			}
+		}
+		blacklisted := slices.Index(s.blacklisted, true)
+		// Some attempt was crash-killed: it re-queued without failing.
+		killed := res.Faults.TaskRetries > res.Faults.TaskFailures
+		if recovered < 0 || blacklisted < 0 || !killed {
+			continue
+		}
+		for p, per := range s.perNode {
+			var want []int
+			for n := 0; n < cfg.Nodes; n++ {
+				for k := 0; k < per && !s.down[n] && !s.blacklisted[n]; k++ {
+					want = append(want, n*per+k)
+				}
+			}
+			got := slices.Clone(s.free[p])
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d: node %d recovered, node %d blacklisted, down %v: the %s pool holds %v, want %v",
+					seed, recovered, blacklisted, s.down, []string{"map", "reduce"}[p], got, want)
+			}
+		}
+		return
+	}
+	t.Fatal("no seed under 2000 crashes and recovers one node and blacklists another")
 }

@@ -273,11 +273,11 @@ type Sim struct {
 	obs   *obs.Observer // nil disables all instrumentation
 
 	factors []float64
-	// mapFree and redFree hold free slot ids. A map slot id s lives on
-	// node s / MapSlotsPerNode (reduce slots analogously), giving every
-	// task a stable (node, slot) identity for observability.
-	mapFree []int
-	redFree []int
+	// free holds each phase's free slot ids. Slot id s of phase p lives on
+	// node s / perNode[p], giving every task a stable (node, slot)
+	// identity for observability.
+	free    [2][]int
+	perNode [2]int
 	events  eventQueue
 	seq     int
 	now     float64
@@ -323,8 +323,8 @@ func (s *Sim) Reset(cfg Config, sched Scheduler) {
 	*s = Sim{
 		cfg: cfg, sched: sched, fplan: cfg.Faults,
 		factors:     s.factors[:0],
-		mapFree:     s.mapFree[:0],
-		redFree:     s.redFree[:0],
+		free:        [2][]int{s.free[mapPhase][:0], s.free[reducePhase][:0]},
+		perNode:     [2]int{cfg.MapSlotsPerNode, cfg.ReduceSlotsPerNode},
 		events:      events,
 		queries:     s.queries[:0],
 		active:      s.active[:0],
@@ -339,12 +339,7 @@ func (s *Sim) Reset(cfg Config, sched Scheduler) {
 			f = cfg.NodeFactors[n] // Run refuses the config unless Check passes
 		}
 		s.factors = append(s.factors, f)
-		for k := 0; k < cfg.MapSlotsPerNode; k++ {
-			s.mapFree = append(s.mapFree, n*cfg.MapSlotsPerNode+k)
-		}
-		for k := 0; k < cfg.ReduceSlotsPerNode; k++ {
-			s.redFree = append(s.redFree, n*cfg.ReduceSlotsPerNode+k)
-		}
+		s.addNodeSlots(n)
 	}
 	if s.fplan != nil {
 		// The plan's node windows were expanded at construction; book them
@@ -406,20 +401,24 @@ func (s *Sim) jobEvent(kind obs.Kind, j *Job) obs.Event {
 // taskEvent starts an event about an attempt of task t on slot.
 func (s *Sim) taskEvent(kind obs.Kind, t *Task, slot int) obs.Event {
 	e := s.jobEvent(kind, t.Job)
-	e.Reduce, e.Index, e.Node, e.Slot = t.Reduce, t.Index, s.nodeOf(slot, t.Reduce), slot
+	e.Reduce, e.Index, e.Node, e.Slot = t.Reduce, t.Index, s.nodeOf(t.phase(), slot), slot
 	return e
 }
 
-// nodeOf maps a slot id back to its node index.
-func (s *Sim) nodeOf(slot int, reduce bool) int {
-	if reduce {
-		return slot / s.cfg.ReduceSlotsPerNode
+// nodeOf maps a slot id of phase p back to its node index.
+func (s *Sim) nodeOf(p, slot int) int { return slot / s.perNode[p] }
+
+// addNodeSlots adds every slot of node to the free pools.
+func (s *Sim) addNodeSlots(node int) {
+	for p, per := range s.perNode {
+		for k := 0; k < per; k++ {
+			s.free[p] = append(s.free[p], node*per+k)
+		}
 	}
-	return slot / s.cfg.MapSlotsPerNode
 }
 
 // reduceSlots returns the total reduce slot count.
-func (s *Sim) reduceSlots() int { return s.cfg.Nodes * s.cfg.ReduceSlotsPerNode }
+func (s *Sim) reduceSlots() int { return s.cfg.Nodes * s.perNode[reducePhase] }
 
 // Submit schedules a query's arrival.
 func (s *Sim) Submit(q *Query, at float64) {
@@ -574,6 +573,16 @@ func (s *Sim) submitJob(j *Job) {
 		obs.AttrInt("reduces", len(j.Reds)), obs.AttrFloat("init_until_sec", j.ReadyTime))
 }
 
+// deactivate removes j from the active set, if it is there.
+func (s *Sim) deactivate(j *Job) {
+	for i, a := range s.active {
+		if a == j {
+			s.active = append(s.active[:i], s.active[i+1:]...)
+			return
+		}
+	}
+}
+
 // reduceLaunchAllowed reports whether job j may launch another reduce now.
 // Reduces unlock once the slowstart fraction of maps completes, exactly as
 // Hadoop 1.x did — launched reduces then sit on their slots until the map
@@ -582,7 +591,7 @@ func (s *Sim) submitJob(j *Job) {
 // at once, mirroring the reduce-slot caps operators configured to keep
 // clusters live.
 func (s *Sim) reduceLaunchAllowed(j *Job) bool {
-	if j.pendingReds <= 0 {
+	if j.pending[reducePhase] <= 0 {
 		return false
 	}
 	if j.MapsDone() {
@@ -596,7 +605,7 @@ func (s *Sim) reduceLaunchAllowed(j *Job) bool {
 	if need < 1 {
 		need = 1
 	}
-	if j.doneMaps < need {
+	if j.done[mapPhase] < need {
 		return false
 	}
 	// Per-job cap: one job may hoard at most half the reduce slots — the
@@ -612,7 +621,7 @@ func (s *Sim) reduceLaunchAllowed(j *Job) bool {
 	if globalCap < 1 {
 		globalCap = 1
 	}
-	launched := len(j.Reds) - j.pendingReds
+	launched := len(j.Reds) - j.pending[reducePhase]
 	return launched < perJob && s.hoarded < globalCap
 }
 
@@ -626,7 +635,7 @@ func (s *Sim) finish(e *event) {
 	j := t.Job
 	if t.State != TaskRunning {
 		// Unreachable with epoch versioning; release defensively.
-		s.releaseSlot(slot, t.Reduce)
+		s.releaseSlot(t.phase(), slot)
 		return
 	}
 	t.epoch++
@@ -637,23 +646,18 @@ func (s *Sim) finish(e *event) {
 		done.Start, done.Pred, done.Faulted = t.StartTime, t.PredSec, t.faulted
 		s.obs.Emit(done)
 	}
-	s.releaseSlot(slot, t.Reduce)
-	if t.Reduce {
-		j.doneReds++
-	} else {
-		j.doneMaps++
-		// The map phase just completed: hoarding reduces (launched early,
-		// waiting for shuffle input) can now run to completion.
-		if j.MapsDone() {
-			if len(j.hoarding) > 0 {
-				s.obs.Emit(s.jobEvent(obs.ShuffleReady, j), obs.AttrInt("released_reduces", len(j.hoarding)))
-			}
-			for _, r := range j.hoarding {
-				s.hoarded--
-				s.scheduleFinish(r)
-			}
-			j.hoarding = j.hoarding[:0]
+	s.releaseSlot(t.phase(), slot)
+	j.done[t.phase()]++
+	// The map phase just completed: hoarding reduces (launched early,
+	// waiting for shuffle input) can now run to completion. No reduce
+	// hoards once the maps are done, so a finishing reduce finds none.
+	if len(j.hoarding) > 0 && j.MapsDone() {
+		s.obs.Emit(s.jobEvent(obs.ShuffleReady, j), obs.AttrInt("released_reduces", len(j.hoarding)))
+		for _, r := range j.hoarding {
+			s.hoarded--
+			s.scheduleFinish(r)
 		}
+		j.hoarding = j.hoarding[:0]
 	}
 	if !j.Done() {
 		return
@@ -664,13 +668,7 @@ func (s *Sim) finish(e *event) {
 		jobDone.Start = j.SubmitTime
 		s.obs.Emit(jobDone)
 	}
-	// Remove from active set.
-	for i, a := range s.active {
-		if a == j {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			break
-		}
-	}
+	s.deactivate(j)
 	// A query is a chain: submit the job after the one that completed.
 	q := j.Query
 	for _, next := range q.Jobs {
@@ -718,45 +716,26 @@ func (s *Sim) scheduleFinish(t *Task) {
 // call through the Scheduler interface, which allocfree cannot follow, so
 // TestHotPathAllocs alone holds it to that.
 func (s *Sim) dispatch() {
-	// Map slots.
-	for len(s.mapFree) > 0 {
-		cands := s.candidates(false)
-		if len(cands) == 0 {
-			break
+	// Maps first, then reduces. An empty reduce pool may gain a slot by
+	// preemption, unless the evicted reduce sat on a blacklisted node,
+	// whose slots stay withheld: so the pool is checked again.
+	for p, reduce := range [2]bool{false, true} {
+		for len(s.free[p]) > 0 || reduce && s.preemptForRunnableReduce() && len(s.free[p]) > 0 {
+			cands := s.candidates(reduce)
+			if len(cands) == 0 {
+				break
+			}
+			j := s.sched.PickJob(s.now, cands, s.active, reduce)
+			s.decided(cands, j, reduce)
+			if j == nil {
+				break
+			}
+			t := j.nextPending(p)
+			if t == nil {
+				panic(fmt.Sprintf("cluster: scheduler picked job %s with no pending %s", j.ID, [2]string{"map", "reduce"}[p]))
+			}
+			s.start(t)
 		}
-		j := s.sched.PickJob(s.now, cands, s.active, false)
-		s.decided(cands, j, false)
-		if j == nil {
-			break
-		}
-		t := j.nextPending(false)
-		if t == nil {
-			panic(fmt.Sprintf("cluster: scheduler picked job %s with no pending map", j.ID))
-		}
-		s.start(t, &s.mapFree)
-	}
-	// Reduce slots.
-	for {
-		if len(s.redFree) == 0 && !s.preemptForRunnableReduce() {
-			break
-		}
-		if len(s.redFree) == 0 {
-			break
-		}
-		cands := s.candidates(true)
-		if len(cands) == 0 {
-			break
-		}
-		j := s.sched.PickJob(s.now, cands, s.active, true)
-		s.decided(cands, j, true)
-		if j == nil {
-			break
-		}
-		t := j.nextPending(true)
-		if t == nil {
-			panic(fmt.Sprintf("cluster: scheduler picked job %s with no pending reduce", j.ID))
-		}
-		s.start(t, &s.redFree)
 	}
 }
 
@@ -796,7 +775,7 @@ func (s *Sim) preemptForRunnableReduce() bool {
 	// Is any shuffle-ready reduce waiting?
 	ready := false
 	for _, j := range s.active {
-		if j.ReadyTime <= s.now && j.MapsDone() && j.pendingReds > 0 {
+		if j.ReadyTime <= s.now && j.MapsDone() && j.pending[reducePhase] > 0 {
 			ready = true
 			break
 		}
@@ -827,10 +806,10 @@ func (s *Sim) preemptForRunnableReduce() bool {
 	s.obs.Emit(s.taskEvent(obs.ReducePreempted, victim, int(victim.slot)), obs.AttrFloat("hoarded_sec", s.now-victim.StartTime))
 	victim.setState(TaskPending)
 	victim.StartTime = 0
-	owner.pendingReds++
+	owner.pending[reducePhase]++
 	owner.Query.remainingWRD += victim.PredSec
 	s.hoarded--
-	s.releaseSlot(int(victim.slot), true)
+	s.releaseSlot(reducePhase, int(victim.slot))
 	return true
 }
 
@@ -845,7 +824,7 @@ func (s *Sim) candidates(reduce bool) []*Job {
 		if j.ReadyTime > s.now {
 			continue
 		}
-		if reduce && s.reduceLaunchAllowed(j) || !reduce && j.pendingMaps > 0 {
+		if reduce && s.reduceLaunchAllowed(j) || !reduce && j.pending[mapPhase] > 0 {
 			out[n] = j
 			n++
 		}
@@ -867,13 +846,15 @@ func (s *Sim) candidates(reduce bool) []*Job {
 	return out[:n]
 }
 
-// start occupies a slot with a task. Early-launched reduces hoard the slot
-// until their job's map phase completes.
-func (s *Sim) start(t *Task, pool *[]int) {
-	slot := (*pool)[len(*pool)-1]
-	*pool = (*pool)[:len(*pool)-1]
+// start occupies a free slot of t's phase with t. Early-launched reduces
+// hoard the slot until their job's map phase completes.
+func (s *Sim) start(t *Task) {
+	p := t.phase()
+	pool := s.free[p]
+	slot := pool[len(pool)-1]
+	s.free[p] = pool[:len(pool)-1]
 	t.slot = int32(slot)
-	t.node = int32(s.nodeOf(slot, t.Reduce))
+	t.node = int32(s.nodeOf(p, slot))
 	t.Start()
 	t.StartTime = s.now
 	j := t.Job

@@ -71,6 +71,21 @@ type Task struct {
 	faulted bool
 }
 
+// Per-phase state — slot pools, task counters, first-pending cursors — is
+// indexed by phase, maps first.
+const (
+	mapPhase = iota
+	reducePhase
+)
+
+// phase returns t's index into per-phase state.
+func (t *Task) phase() int {
+	if t.Reduce {
+		return reducePhase
+	}
+	return mapPhase
+}
+
 // Faulted reports whether injected faults perturbed this task's runtime.
 func (t *Task) Faulted() bool { return t.faulted }
 
@@ -91,20 +106,19 @@ type Job struct {
 	running int32
 	Maps    []*Task
 	Reds    []*Task
-	// firstMap and firstRed bound the first pending task of each phase
-	// from below: no task at a lower index is pending. nextPending moves
-	// them up, a task returning to pending rewinds them.
-	firstMap, firstRed int32
+	// first bounds each phase's first pending task from below: no task at
+	// a lower index is pending. nextPending moves it up, a task returning
+	// to pending rewinds it.
+	first [2]int32
 
 	SubmitTime float64
 	// ReadyTime is when initialisation completes and tasks may start.
 	ReadyTime float64
 	DoneTime  float64
 
-	pendingMaps int
-	pendingReds int
-	doneMaps    int
-	doneReds    int
+	// pending and done count each phase's pending and finished tasks.
+	pending [2]int
+	done    [2]int
 	// hoarding holds reduces launched before the map phase finished; they
 	// occupy reduce slots without progressing until the last map ends.
 	// Query.Rebuild gives it capacity for every reduce, so it never grows: a
@@ -114,25 +128,25 @@ type Job struct {
 }
 
 // MapsDone reports whether every map task has finished (reduces runnable).
-func (j *Job) MapsDone() bool { return j.doneMaps == len(j.Maps) }
+func (j *Job) MapsDone() bool { return j.done[mapPhase] == len(j.Maps) }
 
 // Done reports whether the whole job has finished.
-func (j *Job) Done() bool { return j.doneMaps == len(j.Maps) && j.doneReds == len(j.Reds) }
+func (j *Job) Done() bool { return j.MapsDone() && j.done[reducePhase] == len(j.Reds) }
 
 // RunningTasks counts tasks currently occupying containers.
 func (j *Job) RunningTasks() int { return int(j.running) }
 
-// phase returns the tasks of one phase and that phase's first-pending cursor.
-func (j *Job) phase(reduce bool) ([]*Task, *int32) {
-	if reduce {
-		return j.Reds, &j.firstRed
+// tasks returns the tasks of phase p.
+func (j *Job) tasks(p int) []*Task {
+	if p == reducePhase {
+		return j.Reds
 	}
-	return j.Maps, &j.firstMap
+	return j.Maps
 }
 
-// nextPending returns the first pending task of the given phase.
-func (j *Job) nextPending(reduce bool) *Task {
-	tasks, first := j.phase(reduce)
+// nextPending returns the first pending task of phase p.
+func (j *Job) nextPending(p int) *Task {
+	tasks, first := j.tasks(p), &j.first[p]
 	for ; int(*first) < len(tasks); *first++ {
 		if t := tasks[*first]; t.State == TaskPending {
 			return t
@@ -152,7 +166,7 @@ func (t *Task) setState(s TaskState) {
 		j.running++
 	}
 	t.State = s
-	if _, first := j.phase(t.Reduce); s == TaskPending && int32(t.Index) < *first {
+	if first := &j.first[t.phase()]; s == TaskPending && int32(t.Index) < *first {
 		*first = int32(t.Index)
 	}
 }
@@ -165,11 +179,7 @@ func (t *Task) setState(s TaskState) {
 func (t *Task) Start() {
 	t.setState(TaskRunning)
 	j := t.Job
-	if t.Reduce {
-		j.pendingReds--
-	} else {
-		j.pendingMaps--
-	}
+	j.pending[t.phase()]--
 	j.Query.remainingWRD -= t.PredSec
 	if j.Query.remainingWRD < 0 {
 		j.Query.remainingWRD = 0
@@ -234,9 +244,8 @@ func (q *Query) Done() bool {
 // pending. Query.Rebuild calls it automatically; callers constructing jobs by
 // hand (tests, synthetic workloads) must call it before submission.
 func (j *Job) ResetPending() {
-	j.pendingMaps = len(j.Maps)
-	j.pendingReds = len(j.Reds)
-	j.running, j.firstMap, j.firstRed = 0, 0, 0
+	j.pending = [2]int{len(j.Maps), len(j.Reds)}
+	j.running, j.first = 0, [2]int32{}
 }
 
 // RecomputeWRD recomputes the query's remaining Weighted Resource Demand
@@ -244,14 +253,11 @@ func (j *Job) ResetPending() {
 func (q *Query) RecomputeWRD() {
 	q.remainingWRD = 0
 	for _, j := range q.Jobs {
-		for _, t := range j.Maps {
-			if t.State == TaskPending {
-				q.remainingWRD += t.PredSec
-			}
-		}
-		for _, t := range j.Reds {
-			if t.State == TaskPending {
-				q.remainingWRD += t.PredSec
+		for _, tasks := range [2][]*Task{j.Maps, j.Reds} {
+			for _, t := range tasks {
+				if t.State == TaskPending {
+					q.remainingWRD += t.PredSec
+				}
 			}
 		}
 	}
@@ -421,8 +427,8 @@ func (q *Query) SlabBytes() int {
 // task was built from. je must be the estimate Query.Rebuild built j from;
 // the group→task index layout is Rebuild's and is known only here.
 func (j *Job) EachSample(je *selectivity.JobEstimate, perGroup int, fn func(g selectivity.TaskGroup, t *Task)) {
-	for _, reduce := range [2]bool{false, true} {
-		tasks, _ := j.phase(reduce)
+	for p, reduce := range [2]bool{false, true} {
+		tasks := j.tasks(p)
 		idx := 0
 		for _, g := range je.Groups(reduce) {
 			for i := 0; i < g.Count && i < perGroup; i++ {

@@ -581,8 +581,9 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 	}
 
 	// Deterministic output order: groups sorted by their rendered key, each
-	// column's rendering NUL-terminated, all in one buffer.
-	var rendered []byte
+	// column's rendering NUL-terminated, all in one buffer: the scratch's,
+	// which keeps what it grew to for the next Groupby.
+	rendered := s.keys[:0]
 	ends := make([]int, 1, len(first)+1)
 	for _, row := range first {
 		for k := range keys {
@@ -590,6 +591,7 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 		}
 		ends = append(ends, len(rendered))
 	}
+	s.keys = rendered
 	key := func(g int32) []byte { return rendered[ends[g]:ends[g+1]] }
 	order := s.i32.Cut(len(first))[:0]
 	for g := range first {

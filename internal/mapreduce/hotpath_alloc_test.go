@@ -97,19 +97,20 @@ func TestHotPathAllocs(t *testing.T) {
 // were cut from the engine's reused scratch; since the combine and join
 // tasks hash into the scratch's kept slots and scans share their
 // relation's column names, 675 and 158 KB; since a job's map phase runs
-// once in runJob over inputs sliced at their exact count, 667 and 158 KB,
+// once in runJob over inputs sliced at their exact count, 667 and 158 KB;
+// since a Groupby renders its sort keys into the scratch, 617 and 111 KB,
 // nothing per row, per group or per key (job counts, each query's total
 // adds RunQuery's own few):
 //
-//	q1    49     5 KB  J1 Groupby 46 (10 maps)
-//	q3   138    51 KB  J1 Join 46, J2 Join 43 (11 maps), J3 Groupby 32, J4 Extract 14
+//	q1    46     5 KB  J1 Groupby 43 (10 maps)
+//	q3   125    33 KB  J1 Join 46, J2 Join 43 (11 maps), J3 Groupby 19, J4 Extract 14
 //	q6    38     4 KB  J1 Groupby 35 (10 maps)
-//	q11  117    53 KB  J1 Join 41, J2 Join 41, J3 Groupby 32
-//	q14   96    22 KB  J1 Groupby 81 (a folded MAPJOIN's prelude, its two
+//	q11  104    36 KB  J1 Join 41, J2 Join 41, J3 Groupby 19
+//	q14   86    11 KB  J1 Groupby 71 (a folded MAPJOIN's prelude, its two
 //	                   mapFilter calls and match, then the job's map phase
 //	                   and 3 combines), J2 Extract 12
-//	q17  153    13 KB  J1 Join 48, J2 Join 41, J3 Join 37, J4 Groupby 24
-//	q19   76     7 KB  J1 Join 48, J2 Groupby 25
+//	q17  148    13 KB  J1 Join 48, J2 Join 41, J3 Join 37, J4 Groupby 19
+//	q19   70     6 KB  J1 Join 48, J2 Groupby 19
 //
 // What is left is what outlives a task or the query: a job's output
 // columns and stats (most of q3's and q11's bytes are their Groupby's
@@ -117,17 +118,18 @@ func TestHotPathAllocs(t *testing.T) {
 // job builds, and one goroutine and closure per pool worker of each
 // parallel phase (up to GOMAXPROCS, so the count is taken at a fixed 4).
 // Selections, shuffle buckets, match pairs, composed indexes, gathered
-// input columns, combine vectors, reduce states, join index heads,
-// group-key maps and partial states come from the scratch, which the
-// first pass grows. A pass now and then allocates more: a goroutine
-// needs a new descriptor (runtime.malg) when the P that starts it has
-// no dead one to reuse, and the pool's workers exit on whichever P ran
-// them (docs/MEASURING.md, "Where batch_tpch's allocation spread comes
-// from"; a pass read up to 713). The test takes the least of three
-// passes after the first, which read 667 to 693 and 158 to 169 KB over
-// ten runs. Both budgets are 667 and 160 KB + 10 %. The race detector's
-// instrumentation moves the count by under 1 %, so the test does not skip
-// under -race.
+// input columns, combine vectors, reduce states, rendered group keys,
+// join index heads, group-key maps and partial states come from the
+// scratch, which the first pass grows. The first ten or so passes
+// allocate more: a goroutine needs a new descriptor (runtime.malg) when
+// the P that starts it has no dead one to reuse, and the pool's workers
+// exit on whichever P ran them (docs/MEASURING.md, "Where batch_tpch's
+// allocation spread comes from"). After one warm-up pass the least of
+// three read 667 to 693 mallocs (before the Groupby keys moved to the
+// scratch); after twelve it reads the quiet count, 617 and 111 KB, in
+// every run. Both budgets are that count + 10 %. The race detector's
+// instrumentation moves the count by about 1 % (624 and 113 KB), so the
+// test does not skip under -race.
 func TestEngineAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	e := New(Config{})
@@ -153,7 +155,9 @@ func TestEngineAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	pass()
+	for range 12 {
+		pass()
+	}
 	got, kb := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	for range 3 {
 		var before, after runtime.MemStats
@@ -162,7 +166,7 @@ func TestEngineAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		got, kb = min(got, after.Mallocs-before.Mallocs), min(kb, (after.TotalAlloc-before.TotalAlloc)>>10)
 	}
-	const measured, measuredKB = 667, 160
+	const measured, measuredKB = 617, 111
 	t.Logf("one pass: %d mallocs, %d KB", got, kb)
 	if got > measured+measured/10 {
 		t.Errorf("one pass of the 7 TPC-H DAGs allocates %d times, budget %d + 10%%", got, measured)

@@ -9,7 +9,8 @@ import (
 
 // scratch is one query's working storage: the buffers whose lifetime ends
 // with the query — selections, shuffle buckets, match pairs, composed view
-// indexes, gathered input columns, combine vectors and reduce states — are
+// indexes, gathered input columns, combine vectors, reduce states and
+// rendered group keys — are
 // cut from it instead of made, and each combine task and join build hashes
 // into a slot of it. The engine keeps one idle scratch between queries
 // (Engine.RunQuery), so a warm query allocates none of them. Only code
@@ -22,10 +23,12 @@ type scratch struct {
 	strs   slab.Slab[string]
 	states slab.Slab[aggState]
 	slot   []slot
+	// keys holds a Groupby's rendered output keys, one job at a time.
+	keys []byte
 }
 
 func (s *scratch) size() int64 {
-	n := s.i32.Bytes() + s.i64.Bytes() + s.f64.Bytes() + s.strs.Bytes() + s.states.Bytes()
+	n := s.i32.Bytes() + s.i64.Bytes() + s.f64.Bytes() + s.strs.Bytes() + s.states.Bytes() + int64(cap(s.keys))
 	for i := range s.slot {
 		n += s.slot[i].bytes()
 	}
