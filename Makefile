@@ -10,7 +10,10 @@ build:
 
 # gofmt (lists unformatted files and fails if there are any), stock go vet,
 # then the saqpvet gate: TestRepositoryIsClean in
-# internal/analysis/self_test.go (docs/ANALYSIS.md), beside the analyzers' fixtures.
+# internal/analysis/self_test.go (docs/ANALYSIS.md), beside the analyzers' fixtures
+# and the export census, TestInternalExportsHaveProductCallers in
+# internal/analysis/census_test.go (every exported internal function has a
+# non-test caller or a kept reason).
 lint:
 	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 	$(GO) vet ./...

@@ -47,7 +47,7 @@ import (
 	"time"
 
 	"saqp"
-	"saqp/internal/repro"
+	"saqp/internal/workload"
 )
 
 func main() {
@@ -209,27 +209,28 @@ func report(fw *saqp.Framework, sql string, train bool, trainQueries int, models
 	return simulate(fw, est, seed, fp)
 }
 
-// trainModels fits the time models on a synthetic corpus and saves
-// them when a models path is given.
+// trainModels trains fw (Framework.Train) on 3/4 of a synthetic corpus
+// and saves the models when a models path is given.
 func trainModels(fw *saqp.Framework, trainQueries int, modelsPath string) error {
 	fmt.Printf("\nTraining time models on %d synthetic queries...\n", trainQueries)
-	cfg := repro.DefaultExperimentConfig()
-	cfg.CorpusQueries = trainQueries
-	art, err := repro.BuildTrainedArtifacts(cfg)
+	cfg := workload.DefaultCorpusConfig()
+	cfg.NumQueries = trainQueries
+	corpus, err := workload.BuildCorpus(cfg)
 	if err != nil {
 		return err
 	}
-	fw.JobTime, fw.TaskTime = art.Jobs, art.Tasks
-	if modelsPath != "" {
-		data, err := fw.SaveModels("trained by cmd/saqp")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(modelsPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("Saved trained models to %s\n", modelsPath)
+	train, _ := corpus.Split(0.75)
+	if err := fw.Train(train); err != nil || modelsPath == "" {
+		return err
 	}
+	data, err := fw.SaveModels("trained by cmd/saqp")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(modelsPath, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("Saved trained models to %s\n", modelsPath)
 	return nil
 }
 

@@ -51,11 +51,6 @@ type TableStats struct {
 	Columns       map[string]*ColumnStats `json:"columns"`
 }
 
-// Column returns stats for the named column or nil.
-func (t *TableStats) Column(name string) *ColumnStats {
-	return t.Columns[name]
-}
-
 // Catalog maps table names to statistics.
 type Catalog struct {
 	Tables map[string]*TableStats `json:"tables"`

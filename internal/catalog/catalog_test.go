@@ -18,14 +18,14 @@ func TestCollectBasics(t *testing.T) {
 	if ts.AvgTupleWidth != 98 {
 		t.Fatalf("avg tuple width = %v, want 98", ts.AvgTupleWidth)
 	}
-	nk := ts.Column("n_nationkey")
+	nk := ts.Columns["n_nationkey"]
 	if nk == nil || nk.Distinct != 25 {
 		t.Fatalf("n_nationkey stats wrong: %+v", nk)
 	}
 	if nk.Hist == nil {
 		t.Fatal("numeric column missing histogram")
 	}
-	if name := ts.Column("n_name"); name == nil || name.Hist != nil {
+	if name := ts.Columns["n_name"]; name == nil || name.Hist != nil {
 		t.Fatal("string column should have no histogram")
 	}
 }
@@ -63,7 +63,7 @@ func TestCollectHistogramEqualsBuild(t *testing.T) {
 func TestCollectDistinctCounts(t *testing.T) {
 	rel := dataset.Generate(dataset.LineItem(), 0.002, 2)
 	ts := Collect(rel, 32)
-	q := ts.Column("l_quantity")
+	q := ts.Columns["l_quantity"]
 	if q.Distinct < 40 || q.Distinct > 50 {
 		t.Fatalf("l_quantity distinct = %d, expected near 50", q.Distinct)
 	}
@@ -75,10 +75,10 @@ func TestCollectDistinctCounts(t *testing.T) {
 func TestCollectClusteredDetection(t *testing.T) {
 	rel := dataset.Generate(dataset.LineItem(), 0.002, 3)
 	ts := Collect(rel, 32)
-	if !ts.Column("l_orderkey").Clustered {
+	if !ts.Columns["l_orderkey"].Clustered {
 		t.Fatal("l_orderkey should be detected as clustered")
 	}
-	if ts.Column("l_partkey").Clustered {
+	if ts.Columns["l_partkey"].Clustered {
 		t.Fatal("l_partkey should not be detected as clustered")
 	}
 }
@@ -86,7 +86,7 @@ func TestCollectClusteredDetection(t *testing.T) {
 func TestCollectRefPropagated(t *testing.T) {
 	rel := dataset.Generate(dataset.LineItem(), 0.001, 3)
 	ts := Collect(rel, 8)
-	if ref := ts.Column("l_orderkey").Ref; ref != "orders.o_orderkey" {
+	if ref := ts.Columns["l_orderkey"].Ref; ref != "orders.o_orderkey" {
 		t.Fatalf("ref = %q", ref)
 	}
 }
@@ -105,7 +105,7 @@ func TestFromSchemaMatchesCollect(t *testing.T) {
 		t.Fatalf("avg width: synth %v vs scanned %v", synth.AvgTupleWidth, scanned.AvgTupleWidth)
 	}
 	// Histogram shape agreement on a uniform date column.
-	sc, sy := scanned.Column("o_orderdate"), synth.Column("o_orderdate")
+	sc, sy := scanned.Columns["o_orderdate"], synth.Columns["o_orderdate"]
 	mid := (sc.Min + sc.Max) / 2
 	if d := math.Abs(fractionBelow(sc.Hist, mid) - fractionBelow(sy.Hist, mid)); d > 0.05 {
 		t.Fatalf("histogram shapes diverge at mid: %v", d)
@@ -126,8 +126,8 @@ func TestFromSchemaZipfSkewPreserved(t *testing.T) {
 	s := dataset.StoreSales()
 	scanned := Collect(dataset.Generate(s, sf, 5), 32)
 	synth := FromSchema(s, sf, 32)
-	scHot := float64(scanned.Column("ss_item_sk").Hist.Buckets[0].Count) / float64(scanned.Rows)
-	syHot := float64(synth.Column("ss_item_sk").Hist.Buckets[0].Count) / float64(synth.Rows)
+	scHot := float64(scanned.Columns["ss_item_sk"].Hist.Buckets[0].Count) / float64(scanned.Rows)
+	syHot := float64(synth.Columns["ss_item_sk"].Hist.Buckets[0].Count) / float64(synth.Rows)
 	if scHot < 0.1 || syHot < 0.1 {
 		t.Fatalf("zipf hot bucket too light: scanned %v synth %v", scHot, syHot)
 	}
@@ -147,10 +147,10 @@ func TestFromSchemaCardinalityCappedByRows(t *testing.T) {
 
 func TestFromSchemaClusteredFlag(t *testing.T) {
 	ts := FromSchema(dataset.LineItem(), 0.01, 8)
-	if !ts.Column("l_orderkey").Clustered {
+	if !ts.Columns["l_orderkey"].Clustered {
 		t.Fatal("l_orderkey should be clustered in synthetic stats")
 	}
-	if ts.Column("l_partkey").Clustered {
+	if ts.Columns["l_partkey"].Clustered {
 		t.Fatal("l_partkey should not be clustered")
 	}
 }
@@ -183,7 +183,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if n.Rows != 25 {
 		t.Fatalf("decoded rows = %d", n.Rows)
 	}
-	if n.Column("n_nationkey").Hist == nil {
+	if n.Columns["n_nationkey"].Hist == nil {
 		t.Fatal("decoded histogram missing")
 	}
 }
@@ -243,7 +243,7 @@ func TestFloatDomainHistogram(t *testing.T) {
 	rel := dataset.Generate(dataset.Supplier(), sf, 7)
 	scanned := Collect(rel, 16)
 	synth := FromSchema(dataset.Supplier(), sf, 16)
-	sc, sy := scanned.Column("s_acctbal"), synth.Column("s_acctbal")
+	sc, sy := scanned.Columns["s_acctbal"], synth.Columns["s_acctbal"]
 	if sy.Hist.Lo > sc.Min+1 || sy.Hist.Hi < sc.Max-1 {
 		t.Fatalf("synthetic float domain [%v,%v) does not cover scanned [%v,%v]",
 			sy.Hist.Lo, sy.Hist.Hi, sc.Min, sc.Max)

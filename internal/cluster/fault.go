@@ -103,9 +103,11 @@ func (s *Sim) taskFail(e *event) {
 	node := int(t.node)
 	s.nodeFails[node]++
 	backoff := s.fplan.Backoff(int(t.failures))
-	failed := s.taskEvent(obs.TaskFailed, t, int(e.slot))
-	failed.Start = t.StartTime
-	s.obs.Emit(failed, obs.AttrInt("attempt", t.Attempts), obs.AttrFloat("backoff_sec", backoff))
+	if s.obs != nil {
+		failed := s.taskEvent(obs.TaskFailed, t, int(e.slot))
+		failed.Start = t.StartTime
+		s.obs.Emit(failed, obs.AttrInt("attempt", t.Attempts), obs.AttrFloat("backoff_sec", backoff))
+	}
 	if !s.blacklisted[node] && s.nodeFails[node] >= s.fplan.BlacklistAfter() &&
 		s.canBlacklist() {
 		s.blacklistNode(node)
@@ -149,7 +151,9 @@ func (s *Sim) blacklistNode(node int) {
 	s.blacklisted[node] = true
 	s.fstats.NodesBlacklisted++
 	s.dropNodeSlots(node)
-	s.obs.Emit(obs.Event{Kind: obs.NodeBlacklisted, At: s.now, Node: node}, obs.AttrInt("task_failures", s.nodeFails[node]))
+	if s.obs != nil {
+		s.obs.Emit(obs.Event{Kind: obs.NodeBlacklisted, At: s.now, Node: node}, obs.AttrInt("task_failures", s.nodeFails[node]))
+	}
 }
 
 // dropNodeSlots removes a node's free slots from both pools.
@@ -207,7 +211,9 @@ func (s *Sim) crashNode(node int) {
 			}
 		}
 	}
-	s.obs.Emit(obs.Event{Kind: obs.NodeCrashed, At: s.now, Node: node}, obs.AttrInt("killed_attempts", killed))
+	if s.obs != nil {
+		s.obs.Emit(obs.Event{Kind: obs.NodeCrashed, At: s.now, Node: node}, obs.AttrInt("killed_attempts", killed))
+	}
 }
 
 // recoverNode brings a crashed node back. Every attempt it hosted was
@@ -219,7 +225,9 @@ func (s *Sim) recoverNode(node int) {
 	}
 	s.down[node] = false
 	s.fstats.NodeRecoveries++
-	s.obs.Emit(obs.Event{Kind: obs.NodeRecovered, At: s.now, Node: node})
+	if s.obs != nil {
+		s.obs.Emit(obs.Event{Kind: obs.NodeRecovered, At: s.now, Node: node})
+	}
 	if !s.blacklisted[node] {
 		s.addNodeSlots(node)
 	}
@@ -239,8 +247,10 @@ func (s *Sim) failQuery(q *Query, t *Task) {
 	q.remainingWRD = 0
 	s.fstats.QueryFailures++
 	s.terminal++
-	s.obs.Emit(obs.Event{Kind: obs.QueryFailed, At: s.now, Start: q.ArrivalTime, Query: q.ID},
-		obs.AttrStr("reason", q.Err.Error()))
+	if s.obs != nil {
+		s.obs.Emit(obs.Event{Kind: obs.QueryFailed, At: s.now, Start: q.ArrivalTime, Query: q.ID},
+			obs.AttrStr("reason", q.Err.Error()))
+	}
 	for _, j := range q.Jobs {
 		for _, r := range j.hoarding {
 			s.hoarded--

@@ -551,8 +551,10 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 // arrive submits a query's first job; each later one is submitted when the
 // job before it completes (finish).
 func (s *Sim) arrive(q *Query) {
-	s.obs.Emit(obs.Event{Kind: obs.QueryArrived, At: s.now, Query: q.ID},
-		obs.AttrInt("jobs", len(q.Jobs)), obs.AttrFloat("input_bytes", q.InputBytes))
+	if s.obs != nil {
+		s.obs.Emit(obs.Event{Kind: obs.QueryArrived, At: s.now, Query: q.ID},
+			obs.AttrInt("jobs", len(q.Jobs)), obs.AttrFloat("input_bytes", q.InputBytes))
+	}
 	if len(q.Jobs) > 0 {
 		s.submitJob(q.Jobs[0])
 	}
@@ -569,8 +571,10 @@ func (s *Sim) submitJob(j *Job) {
 	if s.cfg.JobInitSec > 0 {
 		s.push(event{time: j.ReadyTime, kind: evWake})
 	}
-	s.obs.Emit(s.jobEvent(obs.JobSubmitted, j), obs.AttrInt("maps", len(j.Maps)),
-		obs.AttrInt("reduces", len(j.Reds)), obs.AttrFloat("init_until_sec", j.ReadyTime))
+	if s.obs != nil {
+		s.obs.Emit(s.jobEvent(obs.JobSubmitted, j), obs.AttrInt("maps", len(j.Maps)),
+			obs.AttrInt("reduces", len(j.Reds)), obs.AttrFloat("init_until_sec", j.ReadyTime))
+	}
 }
 
 // deactivate removes j from the active set, if it is there.
@@ -652,7 +656,9 @@ func (s *Sim) finish(e *event) {
 	// waiting for shuffle input) can now run to completion. No reduce
 	// hoards once the maps are done, so a finishing reduce finds none.
 	if len(j.hoarding) > 0 && j.MapsDone() {
-		s.obs.Emit(s.jobEvent(obs.ShuffleReady, j), obs.AttrInt("released_reduces", len(j.hoarding)))
+		if s.obs != nil {
+			s.obs.Emit(s.jobEvent(obs.ShuffleReady, j), obs.AttrInt("released_reduces", len(j.hoarding)))
+		}
 		for _, r := range j.hoarding {
 			s.hoarded--
 			s.scheduleFinish(r)
@@ -680,7 +686,9 @@ func (s *Sim) finish(e *event) {
 	if q.Done() {
 		q.DoneTime = s.now
 		s.terminal++
-		s.obs.Emit(obs.Event{Kind: obs.QueryFinished, At: s.now, Start: q.ArrivalTime, Query: q.ID})
+		if s.obs != nil {
+			s.obs.Emit(obs.Event{Kind: obs.QueryFinished, At: s.now, Start: q.ArrivalTime, Query: q.ID})
+		}
 	}
 }
 
@@ -803,7 +811,9 @@ func (s *Sim) preemptForRunnableReduce() bool {
 			break
 		}
 	}
-	s.obs.Emit(s.taskEvent(obs.ReducePreempted, victim, int(victim.slot)), obs.AttrFloat("hoarded_sec", s.now-victim.StartTime))
+	if s.obs != nil {
+		s.obs.Emit(s.taskEvent(obs.ReducePreempted, victim, int(victim.slot)), obs.AttrFloat("hoarded_sec", s.now-victim.StartTime))
+	}
 	victim.setState(TaskPending)
 	victim.StartTime = 0
 	owner.pending[reducePhase]++
@@ -860,7 +870,9 @@ func (s *Sim) start(t *Task) {
 	j := t.Job
 	if t.Reduce && !j.MapsDone() {
 		// Shuffle cannot complete until the maps do: hold the slot.
-		s.obs.Emit(s.taskEvent(obs.ReduceHoarded, t, slot))
+		if s.obs != nil {
+			s.obs.Emit(s.taskEvent(obs.ReduceHoarded, t, slot))
+		}
 		j.hoarding = append(j.hoarding, t)
 		s.hoarded++
 		return

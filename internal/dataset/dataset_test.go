@@ -13,8 +13,8 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	for i := 0; i < int(a.NumRows()); i++ {
 		for j := range a.Cols {
-			if !a.At(i, j).Equal(b.At(i, j)) {
-				t.Fatalf("row %d col %d differ: %v vs %v", i, j, a.At(i, j), b.At(i, j))
+			if a.Cols[j].At(i) != b.Cols[j].At(i) {
+				t.Fatalf("row %d col %d differ: %v vs %v", i, j, a.Cols[j].At(i), b.Cols[j].At(i))
 			}
 		}
 	}
@@ -34,7 +34,7 @@ func TestRelationViewAgrees(t *testing.T) {
 			t.Fatalf("column %d has %d values for %d rows", j, rel.Cols[j].Len(), rel.NumRows())
 		}
 		for i := 0; i < int(rel.NumRows()); i++ {
-			v := rel.At(i, j)
+			v := rel.Cols[j].At(i)
 			if v.K != rel.Schema.Columns[j].Kind {
 				t.Fatalf("row %d col %d: kind %v, schema says %v", i, j, v.K, rel.Schema.Columns[j].Kind)
 			}
@@ -56,7 +56,7 @@ func TestGenerateSeedSensitive(t *testing.T) {
 	diff := false
 	for i := 0; i < int(a.NumRows()); i++ {
 		// s_nationkey (index 2) is random; sequential cols will match.
-		if !a.At(i, 2).Equal(b.At(i, 2)) {
+		if a.Cols[2].At(i) != b.Cols[2].At(i) {
 			diff = true
 			break
 		}
@@ -102,7 +102,7 @@ func TestCardinalityRespected(t *testing.T) {
 	idx := rel.Schema.ColumnIndex("l_quantity")
 	distinct := map[string]bool{}
 	for i := 0; i < int(rel.NumRows()); i++ {
-		distinct[rel.At(i, idx).String()] = true
+		distinct[rel.Cols[idx].At(i).String()] = true
 	}
 	if len(distinct) > 50 {
 		t.Fatalf("l_quantity has %d distinct values, cap is 50", len(distinct))
@@ -117,11 +117,11 @@ func TestDomainBounds(t *testing.T) {
 	qidx := rel.Schema.ColumnIndex("l_quantity")
 	didx := rel.Schema.ColumnIndex("l_shipdate")
 	for i := 0; i < int(rel.NumRows()); i++ {
-		q := rel.At(i, qidx).I
+		q := rel.Cols[qidx].At(i).I
 		if q < 1 || q > 50 {
 			t.Fatalf("l_quantity %d out of [1,50]", q)
 		}
-		d := rel.At(i, didx).I
+		d := rel.Cols[didx].At(i).I
 		if d < dateEpochDays || d >= dateEpochDays+2_526 {
 			t.Fatalf("l_shipdate %d out of domain", d)
 		}
@@ -137,11 +137,11 @@ func TestReferentialIntegrity(t *testing.T) {
 	pk := map[int64]bool{}
 	oidx := orders.Schema.ColumnIndex("o_orderkey")
 	for i := 0; i < int(orders.NumRows()); i++ {
-		pk[orders.At(i, oidx).I] = true
+		pk[orders.Cols[oidx].At(i).I] = true
 	}
 	lidx := li.Schema.ColumnIndex("l_orderkey")
 	for i := 0; i < int(li.NumRows()); i++ {
-		if k := li.At(i, lidx).I; !pk[k] {
+		if k := li.Cols[lidx].At(i).I; !pk[k] {
 			t.Fatalf("dangling FK l_orderkey=%d", k)
 		}
 	}
@@ -153,7 +153,7 @@ func TestClusteredColumnIsClustered(t *testing.T) {
 	adjacent := 0
 	n := int(rel.NumRows())
 	for i := 1; i < n; i++ {
-		if rel.At(i, idx).I == rel.At(i-1, idx).I {
+		if rel.Cols[idx].At(i).I == rel.Cols[idx].At(i-1).I {
 			adjacent++
 		}
 	}
@@ -166,7 +166,7 @@ func TestStringWidths(t *testing.T) {
 	rel := Generate(Customer(), 0.005, 21)
 	idx := rel.Schema.ColumnIndex("c_mktsegment")
 	for i := 0; i < int(rel.NumRows()); i++ {
-		if s := rel.At(i, idx).S; len(s) != 10 {
+		if s := rel.Cols[idx].At(i).S; len(s) != 10 {
 			t.Fatalf("c_mktsegment width %d, want 10", len(s))
 		}
 	}
@@ -223,20 +223,11 @@ func TestAllSchemasComplete(t *testing.T) {
 }
 
 func TestValueOps(t *testing.T) {
-	if !Float(1.5).Equal(Float(1.5)) || Float(1.5).Equal(Float(2)) {
-		t.Fatal("Float Equal broken")
-	}
-	if !Str("a").Equal(Str("a")) || Str("a").Equal(Str("b")) || !Date(3).Equal(Date(3)) {
-		t.Fatal("Str/Date Equal broken")
-	}
-	if Int(1).Equal(Float(1)) || Int(3).Equal(Date(3)) {
-		t.Fatal("cross-kind Equal should be false")
-	}
 	if IntVector(KindDate, []int64{1, 2}).Bytes() != 16 || FloatVector([]float64{1}).Bytes() != 8 ||
 		StringVector([]string{"abc", "", "de"}).Bytes() != 5 {
 		t.Fatal("Vector.Bytes broken")
 	}
-	if v := IntVector(KindDate, []int64{7}); !v.At(0).Equal(Date(7)) || v.Len() != 1 {
+	if v := IntVector(KindDate, []int64{7}); v.At(0) != Date(7) || v.Len() != 1 {
 		t.Fatalf("date vector view = %v", v.At(0))
 	}
 	got := Row{Int(1), Str("xy"), Float(2.5)}
@@ -328,7 +319,7 @@ func TestLowWidthStringColumnsDistinct(t *testing.T) {
 	idx := rel.Schema.ColumnIndex("l_returnflag")
 	seen := map[string]bool{}
 	for i := 0; i < int(rel.NumRows()); i++ {
-		seen[rel.At(i, idx).S] = true
+		seen[rel.Cols[idx].At(i).S] = true
 	}
 	if len(seen) != 3 {
 		t.Fatalf("l_returnflag distinct = %d, want 3", len(seen))
@@ -336,7 +327,7 @@ func TestLowWidthStringColumnsDistinct(t *testing.T) {
 	mi := rel.Schema.ColumnIndex("l_shipmode")
 	seenM := map[string]bool{}
 	for i := 0; i < int(rel.NumRows()); i++ {
-		seenM[rel.At(i, mi).S] = true
+		seenM[rel.Cols[mi].At(i).S] = true
 	}
 	if len(seenM) != 7 {
 		t.Fatalf("l_shipmode distinct = %d, want 7", len(seenM))

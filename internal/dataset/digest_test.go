@@ -77,7 +77,7 @@ func valueDigest(seed uint64) uint64 {
 		n := int(rel.NumRows())
 		for i := 0; i < n; i++ {
 			for j := range s.Columns {
-				hashValue(h, rel.At(i, j))
+				hashValue(h, rel.Cols[j].At(i))
 			}
 		}
 	}

@@ -73,22 +73,6 @@ func (v Value) String() string {
 	return ""
 }
 
-// Equal reports whether v and o are the same logical value.
-func (v Value) Equal(o Value) bool {
-	if v.K != o.K {
-		return false
-	}
-	switch v.K {
-	case KindInt, KindDate:
-		return v.I == o.I
-	case KindFloat:
-		return v.F == o.F
-	case KindString:
-		return v.S == o.S
-	}
-	return false
-}
-
 // Row is a tuple of column values: how a frame shows one of its rows, not
 // how anything is stored.
 type Row []Value

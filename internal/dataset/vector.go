@@ -111,6 +111,3 @@ func (r *Relation) Bytes() int64 {
 	}
 	return total
 }
-
-// At returns the value of column j in row i.
-func (r *Relation) At(i, j int) Value { return r.Cols[j].At(i) }

@@ -75,7 +75,7 @@ func TestFilterMatchesBruteForce(t *testing.T) {
 	qi := rel.Schema.ColumnIndex("l_quantity")
 	var want int64
 	for i := 0; i < int(rel.NumRows()); i++ {
-		if rel.At(i, qi).I < 11 {
+		if rel.Cols[qi].At(i).I < 11 {
 			want++
 		}
 	}
@@ -92,7 +92,7 @@ func TestConjunctiveFilter(t *testing.T) {
 	di := rel.Schema.ColumnIndex("l_discount")
 	var want int64
 	for i := 0; i < int(rel.NumRows()); i++ {
-		if rel.At(i, qi).I < 11 && rel.At(i, di).F < 0.05 {
+		if rel.Cols[qi].At(i).I < 11 && rel.Cols[di].At(i).F < 0.05 {
 			want++
 		}
 	}
@@ -114,13 +114,13 @@ func TestGroupbyAggregatesMatchBruteForce(t *testing.T) {
 	}
 	want := map[int64]*agg{}
 	for i := 0; i < int(rel.NumRows()); i++ {
-		q := rel.At(i, qi).I
+		q := rel.Cols[qi].At(i).I
 		a := want[q]
 		if a == nil {
 			a = &agg{min: math.Inf(1), max: math.Inf(-1)}
 			want[q] = a
 		}
-		v := rel.At(i, pi).F
+		v := rel.Cols[pi].At(i).F
 		a.sum += v
 		a.n++
 		a.min = math.Min(a.min, v)
@@ -185,7 +185,7 @@ func TestJoinWithLocalPredicate(t *testing.T) {
 	ni := sup.Schema.ColumnIndex("s_nationkey")
 	var want int64
 	for i := 0; i < int(sup.NumRows()); i++ {
-		if sup.At(i, ni).I < 5 {
+		if sup.Cols[ni].At(i).I < 5 {
 			want++
 		}
 	}
@@ -211,7 +211,7 @@ func TestOrderByAndLimit(t *testing.T) {
 	ci := rel.Schema.ColumnIndex("s_acctbal")
 	max := math.Inf(-1)
 	for i := 0; i < int(rel.NumRows()); i++ {
-		max = math.Max(max, rel.At(i, ci).F)
+		max = math.Max(max, rel.Cols[ci].At(i).F)
 	}
 	if res.Final.At(0, bi).F != max {
 		t.Fatalf("top-1 = %v, true max = %v", res.Final.At(0, bi).F, max)
@@ -326,7 +326,7 @@ func TestFrameBasics(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if row := f.Row(0); len(row) != 2 || !row[0].Equal(dataset.Int(1)) || !row[1].Equal(dataset.Str("xy")) || !row[1].Equal(f.At(0, 1)) {
+	if row := f.Row(0); len(row) != 2 || row[0] != dataset.Int(1) || row[1] != dataset.Str("xy") || row[1] != f.At(0, 1) {
 		t.Fatalf("row view = %v", row)
 	}
 	ragged := NewFrame(2, f.Cols, []dataset.Vector{dataset.IntVector(dataset.KindInt, []int64{1, 2}), b})
@@ -346,7 +346,7 @@ func TestEngineDeterministic(t *testing.T) {
 	}
 	for i := 0; i < int(r1.Final.NumRows()); i++ {
 		for j := range r1.Final.Cols {
-			if !r1.Final.At(i, j).Equal(r2.Final.At(i, j)) {
+			if r1.Final.At(i, j) != r2.Final.At(i, j) {
 				t.Fatalf("row %d differs across identical runs", i)
 			}
 		}

@@ -171,7 +171,7 @@ func TestMergedMapJoinMatchesShufflePlan(t *testing.T) {
 	// names differ (J1.agg0 vs J2.agg0), so compare positionally.
 	for i := 0; i < int(merged.Final.NumRows()); i++ {
 		mk, pk := merged.Final.At(i, 0), plain.Final.At(i, 0)
-		if !mk.Equal(pk) {
+		if mk != pk {
 			t.Fatalf("group %d key differs: %v vs %v", i, mk, pk)
 		}
 		mv, pv := merged.Final.At(i, 1).F, plain.Final.At(i, 1).F
@@ -202,7 +202,7 @@ func TestMergedMapJoinWithBroadcastFilter(t *testing.T) {
 		t.Fatalf("group counts differ: %d vs %d", merged.Final.NumRows(), plain.Final.NumRows())
 	}
 	for i := 0; i < int(merged.Final.NumRows()); i++ {
-		if !merged.Final.At(i, 0).Equal(plain.Final.At(i, 0)) ||
+		if merged.Final.At(i, 0) != plain.Final.At(i, 0) ||
 			merged.Final.At(i, 1).I != plain.Final.At(i, 1).I {
 			t.Fatalf("group %d differs", i)
 		}

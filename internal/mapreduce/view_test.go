@@ -33,7 +33,7 @@ func checkView(t *testing.T, what string, f *Frame) {
 	for i := 0; i < f.n; i++ {
 		row := f.Row(i)
 		for j := range f.Cols {
-			if want := g.At(i, j); !row[j].Equal(want) || !f.At(i, j).Equal(want) {
+			if want := g.At(i, j); row[j] != want || f.At(i, j) != want {
 				t.Fatalf("%s: row %d column %s reads %v (At %v), gathered %v", what, i, f.Cols[j], row[j], f.At(i, j), want)
 			}
 		}

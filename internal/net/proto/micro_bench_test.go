@@ -41,21 +41,17 @@ func BenchmarkMicroDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroEncode times encoding the same two frames through an
-// Encoder, as the client writes a SUBMIT and the server a WAIT reply,
-// flushing each frame to a discarding writer.
+// BenchmarkMicroEncode times encoding the same two frames with the
+// typed Encoder calls that write them on the wire, as Client.Submit
+// writes a SUBMIT and the server's writeResult a WAIT reply, flushing
+// each frame to a discarding writer.
 func BenchmarkMicroEncode(b *testing.B) {
-	lim := DefaultLimits()
 	for _, f := range wireFrames {
-		v, err := ReadValue(bufio.NewReader(bytes.NewReader(f.raw)), lim)
-		if err != nil {
-			b.Fatal(err)
-		}
 		e := NewEncoder(bufio.NewWriter(io.Discard))
 		b.Run(f.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e.Value(v)
+				f.write(e)
 				if err := e.Flush(); err != nil {
 					b.Fatal(err)
 				}

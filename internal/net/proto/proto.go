@@ -56,30 +56,6 @@ func BulkString(s string) Value { return Value{Kind: KindBulk, Str: []byte(s)} }
 // Array builds an array frame from its elements.
 func Array(elems ...Value) Value { return Value{Kind: KindArray, Elems: elems} }
 
-// Equal reports deep equality of two frames: same kind and same
-// payload, element-wise for arrays.
-func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind {
-		return false
-	}
-	switch v.Kind {
-	case KindInt:
-		return v.Int == o.Int
-	case KindArray:
-		if len(v.Elems) != len(o.Elems) {
-			return false
-		}
-		for i := range v.Elems {
-			if !v.Elems[i].Equal(o.Elems[i]) {
-				return false
-			}
-		}
-		return true
-	default:
-		return bytes.Equal(v.Str, o.Str)
-	}
-}
-
 // Limits bounds what the decoder accepts. Every field must be
 // positive; DefaultLimits supplies the server's production bounds.
 type Limits struct {
@@ -386,9 +362,9 @@ func parseInt(b []byte) (int64, bool) {
 }
 
 // Encoder writes frames through one bufio.Writer with a sticky error:
-// after any write fails, further calls are no-ops and Err (or Flush)
-// reports the first failure. The integer and float scratch buffers
-// live in the struct, so steady-state encoding allocates nothing.
+// after any write fails, further calls are no-ops and Flush reports the
+// first failure. The integer and float scratch buffers live in the
+// struct, so steady-state encoding allocates nothing.
 type Encoder struct {
 	w   *bufio.Writer
 	err error
@@ -397,9 +373,6 @@ type Encoder struct {
 
 // NewEncoder wraps w in a frame encoder.
 func NewEncoder(w *bufio.Writer) *Encoder { return &Encoder{w: w} }
-
-// Err returns the first write error, or nil.
-func (e *Encoder) Err() error { return e.err }
 
 // Flush drains the underlying writer and returns the encoder's first
 // error (write or flush).
@@ -432,24 +405,6 @@ func (e *Encoder) crlf() {
 		return
 	}
 	e.setErr(e.w.WriteByte('\n'))
-}
-
-// line writes one complete frame line: marker, payload, CRLF.
-//
-//saqp:hotpath
-func (e *Encoder) line(marker byte, payload []byte) {
-	if e.err != nil {
-		return
-	}
-	if err := e.w.WriteByte(marker); err != nil {
-		e.setErr(err)
-		return
-	}
-	if _, err := e.w.Write(payload); err != nil {
-		e.setErr(err)
-		return
-	}
-	e.crlf()
 }
 
 // head writes a marker-plus-integer line (integer frames and bulk or
@@ -582,36 +537,8 @@ func (e *Encoder) BulkFloat(v float64, prec int) {
 //saqp:hotpath
 func (e *Encoder) Array(n int) { e.head(byte(KindArray), int64(n)) }
 
-// Value writes one decoded frame back to the wire in canonical form.
-// Re-encoding a frame produced by ReadValue reproduces its exact
-// bytes (the fuzz round-trip property).
-//
-//saqp:hotpath
-func (e *Encoder) Value(v Value) {
-	switch v.Kind {
-	case KindSimple, KindError:
-		e.line(byte(v.Kind), v.Str)
-	case KindInt:
-		e.Int(v.Int)
-	case KindBulk:
-		e.Bulk(v.Str)
-	case KindArray:
-		e.Array(len(v.Elems))
-		for _, el := range v.Elems {
-			e.Value(el)
-		}
-	default:
-		e.setErr(errUnknownKind)
-	}
-}
-
-// errUnknownKind is a fixed sentinel so the hot encode path never
-// formats an error message.
-var errUnknownKind = &WireError{msg: "encode: unknown frame kind"}
-
-// AppendValue appends v's canonical encoding to dst. It is the
-// slice-based twin of Encoder.Value for callers (tests, the fuzzer)
-// that want bytes rather than a stream.
+// AppendValue appends v's canonical encoding to dst: the one Value to
+// bytes encoder, which tests and the fuzzer compare decoded frames by.
 func AppendValue(dst []byte, v Value) []byte {
 	switch v.Kind {
 	case KindSimple, KindError:

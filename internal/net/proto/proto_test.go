@@ -11,6 +11,9 @@ import (
 	"testing/iotest"
 )
 
+// same reports whether two frames are equal: the same canonical bytes.
+func same(a, b Value) bool { return bytes.Equal(AppendValue(nil, a), AppendValue(nil, b)) }
+
 // decode parses one frame from raw under lim and returns how many
 // bytes were consumed alongside the value.
 func decode(t *testing.T, raw string, lim Limits) (Value, int, error) {
@@ -51,7 +54,7 @@ func TestDecodeValid(t *testing.T) {
 			if n != len(tc.raw) {
 				t.Errorf("consumed %d bytes of %d — decoder must not under- or over-read", n, len(tc.raw))
 			}
-			if !v.Equal(tc.want) {
+			if !same(v, tc.want) {
 				t.Errorf("decoded %+v, want %+v", v, tc.want)
 			}
 			if got := AppendValue(nil, v); string(got) != tc.raw {
@@ -252,37 +255,64 @@ func TestDecodeFrameElements(t *testing.T) {
 	}
 }
 
+// TestEncoderStreamAndStickyError holds every typed Encoder method the
+// server and client call to its exact bytes, and the two wire frames'
+// typed calls to the frames' canonical bytes.
 func TestEncoderStreamAndStickyError(t *testing.T) {
 	var buf bytes.Buffer
 	e := NewEncoder(bufio.NewWriter(&buf))
 	e.Simple("OK")
 	e.Error("BUSY", "queue deep")
 	e.Int(-3)
+	e.Int(0)
 	e.Bulk([]byte("hi"))
+	e.Bulk(nil)
 	e.BulkString("yo")
 	e.BulkFloat(1.5, 3)
+	e.BulkFloat(-123.4567, 3)
 	e.Array(1)
 	e.Int(9)
-	e.Value(Array(Simple("a"), Int(1)))
+	e.Array(0)
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := "+OK\r\n-BUSY queue deep\r\n:-3\r\n$2\r\nhi\r\n$2\r\nyo\r\n$5\r\n1.500\r\n*1\r\n:9\r\n*2\r\n+a\r\n:1\r\n"
+	want := "+OK\r\n-BUSY queue deep\r\n:-3\r\n:0\r\n$2\r\nhi\r\n$0\r\n\r\n$2\r\nyo\r\n$5\r\n1.500\r\n$8\r\n-123.457\r\n*1\r\n:9\r\n*0\r\n"
 	if buf.String() != want {
 		t.Errorf("stream = %q, want %q", buf.String(), want)
 	}
+	for _, f := range wireFrames {
+		buf.Reset()
+		f.write(e)
+		if err := e.Flush(); err != nil || !bytes.Equal(buf.Bytes(), f.raw) {
+			t.Errorf("%s: typed calls wrote %q (%v), want %q", f.name, buf.Bytes(), err, f.raw)
+		}
+	}
 
-	// Unknown kinds latch the sticky error and later calls stay no-ops.
-	e2 := NewEncoder(bufio.NewWriter(&buf))
-	e2.Value(Value{Kind: Kind('?')})
-	if e2.Err() == nil {
-		t.Fatal("encoding an unknown kind must latch an error")
-	}
-	before := e2.Err()
+	// A failed write latches: later calls are no-ops and every Flush
+	// reports that first error.
+	w := &failWriter{err: errors.New("disk full")}
+	e2 := NewEncoder(bufio.NewWriterSize(w, 16))
+	e2.BulkString(strings.Repeat("x", 32)) // overflows the buffer: the write fails
 	e2.Simple("ignored")
-	if e2.Err() != before {
-		t.Error("sticky error was overwritten")
+	for i := 0; i < 2; i++ {
+		if err := e2.Flush(); err != w.err {
+			t.Fatalf("Flush %d = %v, want the first write error %v", i+1, err, w.err)
+		}
 	}
+	if w.calls != 1 {
+		t.Errorf("the writer was called %d times, want once", w.calls)
+	}
+}
+
+// failWriter fails every write with err and counts the calls.
+type failWriter struct {
+	err   error
+	calls int
+}
+
+func (w *failWriter) Write([]byte) (int, error) {
+	w.calls++
+	return 0, w.err
 }
 
 func TestSanitize(t *testing.T) {
@@ -336,7 +366,7 @@ func TestDecodedPayloadsDoNotAlias(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !v.Equal(want) {
+			if !same(v, want) {
 				t.Fatalf("decoded %+v, want %+v", v, want)
 			}
 			var strs [][]byte
@@ -354,7 +384,7 @@ func TestDecodedPayloadsDoNotAlias(t *testing.T) {
 			if _, err := ReadValue(br, DefaultLimits()); err != nil { // refills the reader's buffer
 				t.Fatal(err)
 			}
-			if !v.Equal(want) {
+			if !same(v, want) {
 				t.Fatalf("appending to a payload or reading on changed the frame: %+v", v)
 			}
 		})

@@ -191,10 +191,10 @@ func TestServerInlineRequests(t *testing.T) {
 		}
 		return v
 	}
-	if v := send("ping"); !v.Equal(proto.Simple("PONG")) {
+	if v := send("ping"); string(proto.AppendValue(nil, v)) != "+PONG\r\n" {
 		t.Fatalf("inline ping reply = %+v", v)
 	}
-	if v := send("SUBMIT SELECT COUNT(*) FROM orders"); !v.Equal(proto.Simple("q000001")) {
+	if v := send("SUBMIT SELECT COUNT(*) FROM orders"); string(proto.AppendValue(nil, v)) != "+q000001\r\n" {
 		t.Fatalf("inline SUBMIT reply = %+v", v)
 	}
 	if v := send("WAIT q000001"); v.Kind != proto.KindArray {

@@ -145,8 +145,8 @@ func TestNormalSolveUnderdetermined(t *testing.T) {
 	if err := a.Add([]float64{9, 9}, 1, 1); err == nil {
 		t.Fatal("width change should be rejected")
 	}
-	if a.N() != 3 {
-		t.Fatalf("N = %d after a rejected sample, want 3", a.N())
+	if a.n != 3 {
+		t.Fatalf("N = %d after a rejected sample, want 3", a.n)
 	}
 }
 
@@ -304,8 +304,8 @@ func TestNormalRejectsNonFinite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.N() != 20 || !slices.Equal(got.Theta, want.Theta) {
-				t.Fatalf("N %d, θ %v; want 20 and the clean stream's %v", a.N(), got.Theta, want.Theta)
+			if a.n != 20 || !slices.Equal(got.Theta, want.Theta) {
+				t.Fatalf("N %d, θ %v; want 20 and the clean stream's %v", a.n, got.Theta, want.Theta)
 			}
 		})
 	}

@@ -66,9 +66,6 @@ type Normal struct {
 	solved bool
 }
 
-// N returns how many samples have been added.
-func (a *Normal) N() int { return a.n }
-
 // Add applies one sample's rank-1 update. A sample whose width differs
 // from the first one's, or that holds a non-finite value (ErrNonFinite),
 // is rejected and leaves the accumulator unchanged.

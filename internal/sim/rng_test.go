@@ -173,18 +173,6 @@ func TestExponentialPanics(t *testing.T) {
 	New(1).Exponential(0)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(12)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm produced invalid/duplicate value %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestShufflePreservesElements(t *testing.T) {
 	r := New(13)
 	s := []int{1, 2, 3, 4, 5, 6, 7, 8}

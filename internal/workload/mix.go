@@ -100,6 +100,3 @@ func BuildWorkload(name string, comp []BinSpec, meanGapSec float64, seed uint64)
 	}
 	return w, nil
 }
-
-// TotalQueries returns the number of items.
-func (w *Workload) TotalQueries() int { return len(w.Items) }

@@ -152,8 +152,8 @@ func TestBuildWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.TotalQueries() != 100 {
-		t.Fatalf("items = %d", w.TotalQueries())
+	if len(w.Items) != 100 {
+		t.Fatalf("items = %d", len(w.Items))
 	}
 	// Arrivals must be non-decreasing and start at 0.
 	if w.Items[0].ArrivalSec != 0 {
@@ -253,7 +253,7 @@ func TestWorkloadToClusterPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = cluster.DefaultConfig()
-	if w.TotalQueries() != 10 {
+	if len(w.Items) != 10 {
 		t.Fatal("bad workload")
 	}
 }
