@@ -1,8 +1,9 @@
 package mapreduce
 
 import (
-	"math"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -98,38 +99,46 @@ func TestHotPathAllocs(t *testing.T) {
 // tasks hash into the scratch's kept slots and scans share their
 // relation's column names, 675 and 158 KB; since a job's map phase runs
 // once in runJob over inputs sliced at their exact count, 667 and 158 KB;
-// since a Groupby renders its sort keys into the scratch, 617 and 111 KB,
-// nothing per row, per group or per key (job counts, each query's total
-// adds RunQuery's own few):
+// since a Groupby renders its sort keys into the scratch, 617 and 111 KB;
+// since internal/par keeps its helpers alive and a parallel phase
+// allocates nothing of its own, 439 and 104 KB, nothing per row, per
+// group or per key (job counts, each query's total adds RunQuery's own
+// few):
 //
-//	q1    46     5 KB  J1 Groupby 43 (10 maps)
-//	q3   125    33 KB  J1 Join 46, J2 Join 43 (11 maps), J3 Groupby 19, J4 Extract 14
-//	q6    38     4 KB  J1 Groupby 35 (10 maps)
-//	q11  104    36 KB  J1 Join 41, J2 Join 41, J3 Groupby 19
-//	q14   86    11 KB  J1 Groupby 71 (a folded MAPJOIN's prelude, its two
+//	q1    34     5 KB  J1 Groupby 31 (10 maps)
+//	q3    91    32 KB  J1 Join 30, J2 Join 25 (11 maps), J3 Groupby 19, J4 Extract 14
+//	q6    26     4 KB  J1 Groupby 23 (10 maps)
+//	q11   76    35 KB  J1 Join 29, J2 Join 25, J3 Groupby 19
+//	q14   58    10 KB  J1 Groupby 43 (a folded MAPJOIN's prelude, its two
 //	                   mapFilter calls and match, then the job's map phase
 //	                   and 3 combines), J2 Extract 12
-//	q17  148    13 KB  J1 Join 48, J2 Join 41, J3 Join 37, J4 Groupby 19
-//	q19   70     6 KB  J1 Join 48, J2 Groupby 19
+//	q17  102    11 KB  J1 Join 30, J2 Join 25, J3 Join 25, J4 Groupby 19
+//	q19   52     5 KB  J1 Join 30, J2 Groupby 19
 //
 // What is left is what outlives a task or the query: a job's output
 // columns and stats (most of q3's and q11's bytes are their Groupby's
-// output columns), the frames, column lists and per-task slice headers a
-// job builds, and one goroutine and closure per pool worker of each
-// parallel phase (up to GOMAXPROCS, so the count is taken at a fixed 4).
-// Selections, shuffle buckets, match pairs, composed indexes, gathered
-// input columns, combine vectors, reduce states, rendered group keys,
-// join index heads, group-key maps and partial states come from the
-// scratch, which the first pass grows. The first ten or so passes
-// allocate more: a goroutine needs a new descriptor (runtime.malg) when
-// the P that starts it has no dead one to reuse, and the pool's workers
-// exit on whichever P ran them (docs/MEASURING.md, "Where batch_tpch's
-// allocation spread comes from"). After one warm-up pass the least of
-// three read 667 to 693 mallocs (before the Groupby keys moved to the
-// scratch); after twelve it reads the quiet count, 617 and 111 KB, in
-// every run. Both budgets are that count + 10 %. The race detector's
-// instrumentation moves the count by about 1 % (624 and 113 KB), so the
-// test does not skip under -race.
+// output columns) and the frames, column lists and per-task slice headers
+// a job builds. Selections, shuffle buckets, match pairs, composed
+// indexes, gathered input columns, combine vectors, reduce states,
+// rendered group keys, join index heads, group-key maps and partial
+// states come from the scratch, which the first pass grows; the first
+// pass also starts the pool's helpers. A parallel phase allocates nothing
+// of its own, so a pass reads 439 at GOMAXPROCS 1, 2, 4 and 8 alike; the
+// count is taken at 4, where the phases run on helpers.
+//
+// Ten passes after twelve warm-up passes must read within 1 % of each
+// other, and each within its budget, the quiet count + 10 %. When each
+// phase started its own goroutines, a start now and then allocated a new
+// descriptor (runtime.malg) and the same check failed 31 runs in 50
+// (617 to 654 mallocs; docs/MEASURING.md, "Where batch_tpch's allocation
+// spread comes from"); with kept helpers it passed 200 runs in 200, 196
+// of them at exactly 439 and 4 at 440. The rest is the runtime's own warm-up and collection: in
+// the first passes a new OS thread or a blocked goroutine's wait record
+// adds a few allocations now and then, and a collection empties sync.Pool
+// (fmt's printers among it), so the ten counted passes run with the
+// collector off. Under the race detector sync.Pool drops a random share
+// of what is put back, which moves a pass by a few allocations (439 to
+// 449): the budgets hold there, the 1 % check is skipped.
 func TestEngineAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	e := New(Config{})
@@ -158,16 +167,21 @@ func TestEngineAllocBudget(t *testing.T) {
 	for range 12 {
 		pass()
 	}
-	got, kb := uint64(math.MaxUint64), uint64(math.MaxUint64)
-	for range 3 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var mallocs, kbs [10]uint64
+	for r := range mallocs {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		pass()
 		runtime.ReadMemStats(&after)
-		got, kb = min(got, after.Mallocs-before.Mallocs), min(kb, (after.TotalAlloc-before.TotalAlloc)>>10)
+		mallocs[r], kbs[r] = after.Mallocs-before.Mallocs, (after.TotalAlloc-before.TotalAlloc)>>10
 	}
-	const measured, measuredKB = 617, 111
-	t.Logf("one pass: %d mallocs, %d KB", got, kb)
+	lo, got, kb := slices.Min(mallocs[:]), slices.Max(mallocs[:]), slices.Max(kbs[:])
+	const measured, measuredKB = 439, 104
+	t.Logf("ten passes: %d to %d mallocs, at most %d KB", lo, got, kb)
+	if !raceEnabled && got > lo+lo/100 {
+		t.Errorf("ten warm passes of the 7 TPC-H DAGs allocate %d to %d times, more than 1%% apart: %v", lo, got, mallocs)
+	}
 	if got > measured+measured/10 {
 		t.Errorf("one pass of the 7 TPC-H DAGs allocates %d times, budget %d + 10%%", got, measured)
 	}

@@ -368,7 +368,8 @@ func parseInt(b []byte) (int64, bool) {
 type Encoder struct {
 	w   *bufio.Writer
 	err error
-	num [32]byte // strconv scratch for integer and float payloads
+	num [32]byte // strconv scratch for integers and length prefixes
+	flt [32]byte // BulkFloat's payload, apart from num so it outlives head
 }
 
 // NewEncoder wraps w in a frame encoder.
@@ -517,13 +518,11 @@ func (e *Encoder) BulkFloat(v float64, prec int) {
 	if e.err != nil {
 		return
 	}
-	b := strconv.AppendFloat(e.num[:0], v, 'f', prec, 64)
+	b := strconv.AppendFloat(e.flt[:0], v, 'f', prec, 64)
 	e.head(byte(KindBulk), int64(len(b)))
 	if e.err != nil {
 		return
 	}
-	// Reformat: head reused the scratch buffer for the length digits.
-	b = strconv.AppendFloat(e.num[:0], v, 'f', prec, 64)
 	if _, err := e.w.Write(b); err != nil {
 		e.setErr(err)
 		return

@@ -5,4 +5,13 @@
 // writes only its own slot of a result the caller sized beforehand, so
 // what the loop computes does not depend on how many workers ran it or in
 // which order they took the indices.
+//
+// The workers are helpers that live as long as the process: the first
+// parallel For that needs one starts it, and there are never more than
+// the largest GOMAXPROCS a parallel For has run at. A call hands its
+// whole index range to the idle helpers and waits, so a warm call starts
+// no goroutine and allocates nothing of its own. A For called from inside
+// another's body, or beside other calls, takes only helpers that are
+// idle; when fewer than two are, the caller runs indices beside them, so
+// nested calls cannot deadlock and no call queues behind a busy helper.
 package par
