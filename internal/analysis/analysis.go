@@ -185,3 +185,29 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
 }
+
+// IsContext reports whether t is context.Context. Shared by ctxleak and
+// leakcheck.
+func IsContext(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
+}
+
+// IsStopChannel reports whether t is a channel of struct{} — the shape
+// of ctx.Done() and of the done-channel idiom. Shared by ctxleak and
+// leakcheck.
+func IsStopChannel(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	ch, ok := t.Underlying().(*types.Chan)
+	if !ok {
+		return false
+	}
+	st, ok := ch.Elem().Underlying().(*types.Struct)
+	return ok && st.NumFields() == 0
+}

@@ -84,21 +84,12 @@ func checkRootContexts(pass *analysis.Pass, f *ast.File) {
 func ctxParam(info *types.Info, fd *ast.FuncDecl) *types.Var {
 	for _, field := range fd.Type.Params.List {
 		for _, name := range field.Names {
-			if v, ok := info.Defs[name].(*types.Var); ok && isContext(v.Type()) {
+			if v, ok := info.Defs[name].(*types.Var); ok && analysis.IsContext(v.Type()) {
 				return v
 			}
 		}
 	}
 	return nil
-}
-
-func isContext(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
 // checkContextArgs enforces rule 2: context-typed arguments must
@@ -111,7 +102,7 @@ func checkContextArgs(pass *analysis.Pass, flow *dataflow.Flow, fd *ast.FuncDecl
 			return true
 		}
 		for _, arg := range call.Args {
-			if !isContext(pass.TypesInfo.TypeOf(arg)) {
+			if !analysis.IsContext(pass.TypesInfo.TypeOf(arg)) {
 				continue
 			}
 			if !mentionsVar(pass.TypesInfo, arg) {
@@ -155,7 +146,7 @@ func checkChannelOps(pass *analysis.Pass, flow *dataflow.Flow, fd *ast.FuncDecl,
 			if op.Op != token.ARROW {
 				return true
 			}
-			if isStopChannel(pass.TypesInfo.TypeOf(op.X)) {
+			if analysis.IsStopChannel(pass.TypesInfo.TypeOf(op.X)) {
 				return true // a done-channel receive is itself a stop wait
 			}
 			if !opCancellable(pass.TypesInfo, flow, op) {
@@ -181,7 +172,7 @@ func opCancellable(info *types.Info, flow *dataflow.Flow, op ast.Node) bool {
 			if !ok || comm.Comm == nil {
 				continue
 			}
-			if recv := commReceive(comm.Comm); recv != nil && isStopChannel(info.TypeOf(recv.X)) {
+			if recv := commReceive(comm.Comm); recv != nil && analysis.IsStopChannel(info.TypeOf(recv.X)) {
 				return true
 			}
 		}
@@ -206,18 +197,4 @@ func commReceive(stmt ast.Stmt) *ast.UnaryExpr {
 		return nil
 	}
 	return u
-}
-
-// isStopChannel reports whether t is a channel of struct{} — the shape
-// of ctx.Done() and of the done-channel idiom.
-func isStopChannel(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	ch, ok := t.Underlying().(*types.Chan)
-	if !ok {
-		return false
-	}
-	st, ok := ch.Elem().Underlying().(*types.Struct)
-	return ok && st.NumFields() == 0
 }

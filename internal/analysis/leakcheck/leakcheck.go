@@ -94,7 +94,7 @@ func hasStopPath(info *types.Info, body *ast.BlockStmt) bool {
 				found = true
 			}
 		case *ast.UnaryExpr:
-			if node.Op == token.ARROW && isStopChannel(info.TypeOf(node.X)) {
+			if node.Op == token.ARROW && analysis.IsStopChannel(info.TypeOf(node.X)) {
 				found = true
 			}
 		case *ast.RangeStmt:
@@ -106,7 +106,7 @@ func hasStopPath(info *types.Info, body *ast.BlockStmt) bool {
 		case *ast.Ident:
 			// A context value in scope is a stop signal even when only
 			// consulted via ctx.Err().
-			if v, ok := info.Uses[node].(*types.Var); ok && isContext(v.Type()) {
+			if v, ok := info.Uses[node].(*types.Var); ok && analysis.IsContext(v.Type()) {
 				found = true
 			}
 		}
@@ -138,27 +138,4 @@ func closesSharedChannel(info *types.Info, body *ast.BlockStmt, call *ast.CallEx
 		return false
 	}
 	return v.Pos() < body.Pos() || v.Pos() > body.End()
-}
-
-// isStopChannel reports whether t is a channel of struct{} — the shape
-// of ctx.Done() and of the done-channel idiom.
-func isStopChannel(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	ch, ok := t.Underlying().(*types.Chan)
-	if !ok {
-		return false
-	}
-	st, ok := ch.Elem().Underlying().(*types.Struct)
-	return ok && st.NumFields() == 0
-}
-
-func isContext(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

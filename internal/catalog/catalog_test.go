@@ -7,6 +7,7 @@ import (
 
 	"saqp/internal/dataset"
 	"saqp/internal/histogram"
+	"saqp/internal/query"
 )
 
 func TestCollectBasics(t *testing.T) {
@@ -115,7 +116,7 @@ func TestFromSchemaMatchesCollect(t *testing.T) {
 // fractionBelow is the share of h's rows with value < x, by the bucket
 // walk the estimator prices a comparison with.
 func fractionBelow(h *histogram.Histogram, x float64) float64 {
-	rows, _ := h.NarrowedTotals([]histogram.Cond{{Op: histogram.CmpLT, X: x}}, 1)
+	rows, _ := h.NarrowedTotals([]histogram.Cond{{Op: query.OpLT, X: x}}, 1)
 	return rows / h.Rows()
 }
 

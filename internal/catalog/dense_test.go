@@ -111,7 +111,7 @@ func byValue(vec dataset.Vector) ([]float64, counts) {
 func TestCollectKeysEqualValues(t *testing.T) {
 	for _, sf := range []float64{0.002, 0.01, 0.05} {
 		for _, seed := range []uint64{1, 42} {
-			for _, s := range append(dataset.TPCH(), dataset.TPCDS()...) {
+			for _, s := range dataset.Schemas() {
 				rel := dataset.Generate(s, sf, seed)
 				for j := range s.Columns {
 					col := &s.Columns[j]

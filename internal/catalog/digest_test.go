@@ -17,7 +17,7 @@ import (
 // collector (fe528cc); a collector that counts differently, or feeds
 // histogram.Build other values or another order, moves them.
 func TestCollectDigestPinned(t *testing.T) {
-	all := append(dataset.TPCH(), dataset.TPCDS()...)
+	all := dataset.Schemas()
 	for _, tc := range []struct {
 		name        string
 		schemas     []*dataset.Schema
@@ -51,7 +51,7 @@ func TestCollectDigestPinned(t *testing.T) {
 // the columns run inline (GOMAXPROCS 1) and spread over eight workers: the
 // encoded catalogs are the same bytes. make stress runs it under -race.
 func TestCollectScheduleIndependent(t *testing.T) {
-	all := append(dataset.TPCH(), dataset.TPCDS()...)
+	all := dataset.Schemas()
 	for _, seed := range []uint64{1, 42} {
 		var enc [2][]byte
 		for i, procs := range []int{1, 8} {
@@ -78,7 +78,7 @@ func TestCollectScheduleIndependent(t *testing.T) {
 // bucket edge; a sum taken in another order, or an edge evaluated from
 // another expression, moves a TopShare or a bucket count here.
 func TestFromSchemasDigestPinned(t *testing.T) {
-	all := append(dataset.TPCH(), dataset.TPCDS()...)
+	all := dataset.Schemas()
 	for _, tc := range []struct {
 		sf      float64
 		buckets int

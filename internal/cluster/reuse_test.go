@@ -21,7 +21,7 @@ import (
 // analyticEstimator estimates over the analytic catalog at scale factor
 // sf.
 func analyticEstimator(sf float64) *selectivity.Estimator {
-	return selectivity.NewEstimator(catalog.FromSchemas(append(dataset.TPCH(), dataset.TPCDS()...), sf, catalog.DefaultBuckets), selectivity.Config{})
+	return selectivity.NewEstimator(catalog.FromSchemas(dataset.Schemas(), sf, catalog.DefaultBuckets), selectivity.Config{})
 }
 
 // generatedEstimates returns a source of estimated queries: each call

@@ -29,3 +29,18 @@ func ApproxEqual(a, b, eps float64) bool {
 	}
 	return diff <= eps*math.Max(math.Abs(a), math.Abs(b))
 }
+
+// Clamp01 clips a probability or selectivity estimate into [0, 1]. Only
+// values outside the interval move: −0 and NaN pass through unchanged
+// (min(max(v, 0), 1) would turn −0 into +0).
+//
+//saqp:hotpath
+func Clamp01(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	if v > 1 {
+		return 1
+	}
+	return v
+}

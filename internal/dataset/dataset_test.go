@@ -266,7 +266,7 @@ func TestColumnDomain(t *testing.T) {
 // least one key at every scale factor, and each Zipf column an exponent
 // above 1 (sim.NewZipf panics otherwise).
 func TestSchemaDomainsNeedNoRepair(t *testing.T) {
-	for _, s := range append(TPCH(), TPCDS()...) {
+	for _, s := range Schemas() {
 		for i := range s.Columns {
 			c := &s.Columns[i]
 			for _, sf := range []float64{1e-4, 0.01, 1, 1000} {

@@ -34,7 +34,7 @@ func hashValue(h hash.Hash64, v Value) {
 // view accessor only, so a change of storage layout that moves one of them
 // changed the data, not just its shape.
 func TestGenerateDigestPinned(t *testing.T) {
-	if n := len(TPCH()) + len(TPCDS()); n != 13 {
+	if n := len(Schemas()); n != 13 {
 		t.Fatalf("%d schemas, want 13", n)
 	}
 	for _, tc := range []struct {
@@ -71,7 +71,7 @@ func TestGenerateScheduleIndependent(t *testing.T) {
 // every value, row-major, with the table names between tables.
 func valueDigest(seed uint64) uint64 {
 	h := fnv.New64a()
-	for _, s := range append(TPCH(), TPCDS()...) {
+	for _, s := range Schemas() {
 		rel := Generate(s, 0.01, seed)
 		h.Write([]byte(s.Name))
 		n := int(rel.NumRows())

@@ -15,7 +15,7 @@ func TestStringColumnValuesPinned(t *testing.T) {
 	perRow, perKey := 0, 0
 	for _, sf := range []float64{0.002, 0.01, 0.05} {
 		for _, seed := range []uint64{1, 42} {
-			for _, s := range append(TPCH(), TPCDS()...) {
+			for _, s := range Schemas() {
 				rel := Generate(s, sf, seed)
 				for j := range s.Columns {
 					c := &s.Columns[j]

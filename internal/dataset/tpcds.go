@@ -91,13 +91,14 @@ func TPCDS() []*Schema {
 	return []*Schema{Item(), DateDim(), Store(), StoreSales(), WebSales()}
 }
 
+// Schemas returns every schema this package defines: TPC-H's, then
+// TPC-DS's, each in its own list's order.
+func Schemas() []*Schema { return append(TPCH(), TPCDS()...) }
+
 // AllSchemas returns every schema this package defines, keyed by table name.
 func AllSchemas() map[string]*Schema {
 	m := make(map[string]*Schema)
-	for _, s := range TPCH() {
-		m[s.Name] = s
-	}
-	for _, s := range TPCDS() {
+	for _, s := range Schemas() {
 		m[s.Name] = s
 	}
 	return m

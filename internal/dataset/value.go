@@ -58,19 +58,25 @@ func Date(days int64) Value { return Value{K: KindDate, I: days} }
 
 // String renders the value: decimal integers, shortest %g floats, the
 // string itself. Two Values of one kind render alike iff they are the same
-// logical value. The batch engine renders its group and shuffle keys
-// straight from a column (mapreduce's appendKey), without a Value; that
-// rendering must agree with this one.
+// logical value. The batch engine renders its group keys straight from a
+// column with Vector.AppendText, which appends this same text.
 func (v Value) String() string {
+	var buf [32]byte
+	return string(v.appendText(buf[:0]))
+}
+
+// appendText appends the value's text to b: the one rendering String and
+// Vector.AppendText share.
+func (v Value) appendText(b []byte) []byte {
 	switch v.K {
 	case KindInt, KindDate:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(b, v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
 	case KindString:
-		return v.S
+		return append(b, v.S...)
 	}
-	return ""
+	return b
 }
 
 // Row is a tuple of column values: how a frame shows one of its rows, not

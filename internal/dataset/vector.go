@@ -71,6 +71,9 @@ func (v Vector) At(i int) Value {
 	return Value{K: v.kind, I: v.ints[i]}
 }
 
+// AppendText appends the text of value i to b, as Value.String renders it.
+func (v Vector) AppendText(b []byte, i int) []byte { return v.At(i).appendText(b) }
+
 // Relation is a materialised table: a schema plus one generated vector per
 // schema column, all of the same length. A relation Generate returns also
 // keeps, per float and string column, the domain key each row was drawn

@@ -3,6 +3,8 @@ package histogram
 import (
 	"math"
 	"testing"
+
+	"saqp/internal/query"
 )
 
 func uniformHist(n int, lo, hi float64, buckets int, seed uint64) *Histogram {
@@ -13,15 +15,15 @@ func TestFilterRangeOps(t *testing.T) {
 	h := uniformHist(100000, 0, 100, 50, 21)
 	total := h.Rows()
 	cases := []struct {
-		op   CmpOp
+		op   query.CmpOp
 		x    float64
 		want float64 // expected surviving fraction
 	}{
-		{CmpLT, 30, 0.30},
-		{CmpLE, 30, 0.30},
-		{CmpGE, 80, 0.20},
-		{CmpGT, 80, 0.20},
-		{CmpNE, 50, 1.0},
+		{query.OpLT, 30, 0.30},
+		{query.OpLE, 30, 0.30},
+		{query.OpGE, 80, 0.20},
+		{query.OpGT, 80, 0.20},
+		{query.OpNE, 50, 1.0},
 	}
 	for _, tc := range cases {
 		f := h.Filter(nil, tc.op, tc.x)
@@ -45,7 +47,7 @@ func TestFilterEQKeepsOneValue(t *testing.T) {
 		vals = append(vals, float64(i%100))
 	}
 	h := Build(vals, 0, 100, 10)
-	f := h.Filter(nil, CmpEQ, 42)
+	f := h.Filter(nil, query.OpEQ, 42)
 	if math.Abs(f.Rows()-100) > 1 {
 		t.Fatalf("EQ filter kept %v rows, want ~100", f.Rows())
 	}
@@ -65,13 +67,13 @@ func TestFilterEQKeepsOneValue(t *testing.T) {
 
 func TestFilterOutOfDomain(t *testing.T) {
 	h := uniformHist(1000, 0, 10, 5, 22)
-	if f := h.Filter(nil, CmpLT, -5); f.Rows() != 0 {
+	if f := h.Filter(nil, query.OpLT, -5); f.Rows() != 0 {
 		t.Fatalf("LT below domain kept %v rows", f.Rows())
 	}
-	if f := h.Filter(nil, CmpGE, 100); f.Rows() != 0 {
+	if f := h.Filter(nil, query.OpGE, 100); f.Rows() != 0 {
 		t.Fatalf("GE above domain kept %v rows", f.Rows())
 	}
-	if f := h.Filter(nil, CmpLT, 100); f.Rows() != h.Rows() {
+	if f := h.Filter(nil, query.OpLT, 100); f.Rows() != h.Rows() {
 		t.Fatalf("LT above domain dropped rows")
 	}
 }
@@ -79,9 +81,9 @@ func TestFilterOutOfDomain(t *testing.T) {
 func TestFilterChainEquivalence(t *testing.T) {
 	// Filter(GE a) then Filter(LT b) == the mass below b less the mass below a.
 	h := uniformHist(50000, 0, 100, 40, 23)
-	f := h.Filter(nil, CmpGE, 20).Filter(nil, CmpLT, 60)
+	f := h.Filter(nil, query.OpGE, 20).Filter(nil, query.OpLT, 60)
 	got := f.Rows() / h.Rows()
-	want := passing(h, Cond{CmpLT, 60}) - passing(h, Cond{CmpLT, 20})
+	want := passing(h, Cond{query.OpLT, 60}) - passing(h, Cond{query.OpLT, 20})
 	if math.Abs(got-want) > 0.01 {
 		t.Fatalf("chained filters keep %.3f, the one-sided masses say %.3f", got, want)
 	}

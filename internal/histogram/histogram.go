@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"saqp/internal/core/floats"
+	"saqp/internal/query"
 	"saqp/internal/slab"
 )
 
@@ -211,7 +212,7 @@ func (h *Histogram) SelectivityEQ(x float64) float64 {
 	if b.Count == 0 || b.Distinct == 0 { //lint:allow saqpvet/floatcmp exact empty-bucket state, never a rounding artifact
 		return 0
 	}
-	return clamp01(b.Count / b.Distinct / total)
+	return floats.Clamp01(b.Count / b.Distinct / total)
 }
 
 // ErrMisaligned is returned when two histograms cannot be combined
@@ -340,23 +341,10 @@ func YaoDistinct(d, rows, f float64) float64 {
 	return d * (1 - math.Pow(1-f, rows/d))
 }
 
-// CmpOp mirrors the comparison operators Filter supports.
-type CmpOp uint8
-
-// Comparison operators for Filter.
-const (
-	CmpEQ CmpOp = iota
-	CmpNE
-	CmpLT
-	CmpLE
-	CmpGT
-	CmpGE
-)
-
 // Cond is one comparison against a constant, (value Op X): the restriction
-// Filter applies.
+// Filter applies. Op is one of the six orderings; OpIN keeps every row.
 type Cond struct {
-	Op CmpOp
+	Op query.CmpOp
 	X  float64
 }
 
@@ -365,7 +353,7 @@ type Cond struct {
 // reshapes the distribution: a filter on the column itself zeroes buckets
 // outside the range — essential when the filtered column is later used as
 // a join key. The result is cut from a.
-func (h *Histogram) Filter(a *Arena, op CmpOp, x float64) *Histogram {
+func (h *Histogram) Filter(a *Arena, op query.CmpOp, x float64) *Histogram {
 	out := a.New(h.Lo, h.Hi, len(h.Buckets))
 	w := h.width()
 	for i, b := range h.Buckets {
@@ -380,7 +368,7 @@ func filterBucket(c Cond, bLo, bHi float64, b Bucket) Bucket {
 	frac := overlapFraction(c.Op, c.X, bLo, bHi, b)
 	n := b.Count * frac
 	d := b.Distinct * frac
-	if c.Op == CmpEQ && frac > 0 {
+	if c.Op == query.OpEQ && frac > 0 {
 		d = math.Min(b.Distinct, 1)
 	}
 	if d > n {
@@ -420,7 +408,7 @@ func (h *Histogram) NarrowedTotals(conds []Cond, f float64) (rows, distinct floa
 }
 
 // overlapFraction computes the fraction of bucket [bLo,bHi) passing op-x.
-func overlapFraction(op CmpOp, x, bLo, bHi float64, b Bucket) float64 {
+func overlapFraction(op query.CmpOp, x, bLo, bHi float64, b Bucket) float64 {
 	span := bHi - bLo
 	ltFrac := 0.0
 	switch {
@@ -436,18 +424,18 @@ func overlapFraction(op CmpOp, x, bLo, bHi float64, b Bucket) float64 {
 		eqFrac = 1 / b.Distinct
 	}
 	switch op {
-	case CmpLT:
+	case query.OpLT:
 		return ltFrac
-	case CmpLE:
-		return clamp01(ltFrac + eqFrac)
-	case CmpGE:
-		return clamp01(1 - ltFrac)
-	case CmpGT:
-		return clamp01(1 - ltFrac - eqFrac)
-	case CmpEQ:
+	case query.OpLE:
+		return floats.Clamp01(ltFrac + eqFrac)
+	case query.OpGE:
+		return floats.Clamp01(1 - ltFrac)
+	case query.OpGT:
+		return floats.Clamp01(1 - ltFrac - eqFrac)
+	case query.OpEQ:
 		return eqFrac
-	case CmpNE:
-		return clamp01(1 - eqFrac)
+	case query.OpNE:
+		return floats.Clamp01(1 - eqFrac)
 	}
 	return 1
 }
@@ -514,17 +502,4 @@ func clampInto(out, h *Histogram, lo, hi float64) {
 			out.Buckets[last].Distinct += b.Distinct * frac
 		}
 	}
-}
-
-// clamp01 clips a selectivity estimate into [0, 1].
-//
-//saqp:hotpath
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }

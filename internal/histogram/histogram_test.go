@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"saqp/internal/query"
 	"saqp/internal/sim"
 )
 
@@ -81,7 +82,7 @@ func TestSelectivityLTUniform(t *testing.T) {
 	vals := uniformSample(100000, 0, 100, 2)
 	h := Build(vals, 0, 100, 50)
 	for _, x := range []float64{10, 25, 50, 90} {
-		got := passing(h, Cond{CmpLT, x})
+		got := passing(h, Cond{query.OpLT, x})
 		want := x / 100
 		if math.Abs(got-want) > 0.02 {
 			t.Fatalf("fraction < %v = %v, want ~%v", x, got, want)
@@ -92,10 +93,10 @@ func TestSelectivityLTUniform(t *testing.T) {
 func TestSelectivityBounds(t *testing.T) {
 	vals := uniformSample(1000, 0, 10, 3)
 	h := Build(vals, 0, 10, 8)
-	if passing(h, Cond{CmpLT, -1}) != 0 || passing(h, Cond{CmpLT, 11}) != 1 {
+	if passing(h, Cond{query.OpLT, -1}) != 0 || passing(h, Cond{query.OpLT, 11}) != 1 {
 		t.Fatal("LT out-of-domain bounds wrong")
 	}
-	if passing(h, Cond{CmpGE, -1}) != 1 || passing(h, Cond{CmpGE, 11}) != 0 {
+	if passing(h, Cond{query.OpGE, -1}) != 1 || passing(h, Cond{query.OpGE, 11}) != 0 {
 		t.Fatal("GE out-of-domain bounds wrong")
 	}
 	if h.SelectivityEQ(-1) != 0 || h.SelectivityEQ(11) != 0 {
@@ -111,7 +112,7 @@ func TestSelectivityMonotoneProperty(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return passing(h, Cond{CmpLT, a}) <= passing(h, Cond{CmpLT, b})+1e-12
+		return passing(h, Cond{query.OpLT, a}) <= passing(h, Cond{query.OpLT, b})+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -121,7 +122,7 @@ func TestSelectivityMonotoneProperty(t *testing.T) {
 func TestSelectivityBetweenWiderIsLarger(t *testing.T) {
 	vals := uniformSample(5000, 0, 100, 5)
 	h := Build(vals, 0, 100, 20)
-	between := func(lo, hi float64) float64 { return passing(h, Cond{CmpGE, lo}, Cond{CmpLT, hi}) }
+	between := func(lo, hi float64) float64 { return passing(h, Cond{query.OpGE, lo}, Cond{query.OpLT, hi}) }
 	if between(20, 40) > between(20, 60) {
 		t.Fatal("wider range has smaller selectivity")
 	}
@@ -142,7 +143,7 @@ func TestSelectivityEQ(t *testing.T) {
 	if math.Abs(got-0.01) > 0.004 {
 		t.Fatalf("SelectivityEQ = %v, want ~0.01", got)
 	}
-	if ne := passing(h, Cond{CmpNE, 42}); math.Abs(ne-(1-got)) > 1e-12 {
+	if ne := passing(h, Cond{query.OpNE, 42}); math.Abs(ne-(1-got)) > 1e-12 {
 		t.Fatalf("NE != 1-EQ: %v vs %v", ne, 1-got)
 	}
 }
@@ -296,7 +297,7 @@ func TestRebucketPreservesShape(t *testing.T) {
 	vals := uniformSample(50000, 0, 100, 11)
 	h := Build(vals, 0, 100, 20)
 	r := h.Rebucket(nil, 0, 100, 10)
-	if lt := (Cond{CmpLT, 30}); math.Abs(passing(r, lt)-passing(h, lt)) > 0.03 {
+	if lt := (Cond{query.OpLT, 30}); math.Abs(passing(r, lt)-passing(h, lt)) > 0.03 {
 		t.Fatalf("Rebucket distorted distribution: %v vs %v", passing(r, lt), passing(h, lt))
 	}
 }
@@ -309,7 +310,7 @@ func TestSynthesizeUniform(t *testing.T) {
 	if d := h.DistinctTotal(); d != 500 {
 		t.Fatalf("Synthesize distinct = %v, want 500", d)
 	}
-	if s := passing(h, Cond{CmpLT, 250}); math.Abs(s-0.5) > 0.03 {
+	if s := passing(h, Cond{query.OpLT, 250}); math.Abs(s-0.5) > 0.03 {
 		t.Fatalf("synthesized LT(mid) = %v", s)
 	}
 }
@@ -355,7 +356,7 @@ func TestNewPanics(t *testing.T) {
 
 func TestSelectivityEmptyHistogram(t *testing.T) {
 	h := New(0, 10, 4)
-	if rows, _ := h.NarrowedTotals([]Cond{{CmpLT, 5}}, 1); rows != 0 || h.SelectivityEQ(5) != 0 {
+	if rows, _ := h.NarrowedTotals([]Cond{{query.OpLT, 5}}, 1); rows != 0 || h.SelectivityEQ(5) != 0 {
 		t.Fatal("empty histogram should have zero selectivity")
 	}
 }
@@ -373,7 +374,7 @@ func TestArenaEqualsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []*Histogram{a.Scale(ar, 0.3), a.Filter(ar, CmpGE, 40), j, b.Rebucket(ar, -10, 130, 5), j.Scale(ar, 2)}
+		return []*Histogram{a.Scale(ar, 0.3), a.Filter(ar, query.OpGE, 40), j, b.Rebucket(ar, -10, 130, 5), j.Scale(ar, 2)}
 	}
 	want := derive(nil)
 	var ar Arena

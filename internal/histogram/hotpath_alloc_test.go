@@ -1,6 +1,10 @@
 package histogram
 
-import "testing"
+import (
+	"testing"
+
+	"saqp/internal/query"
+)
 
 var (
 	hotSinkFloat float64
@@ -12,7 +16,7 @@ var (
 // for the selectivity kernel: zero heap allocations per call.
 func TestHotPathAllocs(t *testing.T) {
 	h := Build([]float64{1, 2, 3, 42, 42, 99}, 0, 100, 8)
-	conds := []Cond{{CmpGE, 2}, {CmpLT, 60}, {CmpNE, 42}}
+	conds := []Cond{{query.OpGE, 2}, {query.OpLT, 60}, {query.OpNE, 42}}
 	var arena Arena
 	arena.New(0, 100, 8) // a warm arena: its slabs have grown once
 	cases := []struct {
@@ -24,13 +28,12 @@ func TestHotPathAllocs(t *testing.T) {
 		{"Rows", func() { hotSinkFloat = h.Rows() }},
 		{"DistinctTotal", func() { hotSinkFloat = h.DistinctTotal() }},
 		{"SelectivityEQ", func() { hotSinkFloat = h.SelectivityEQ(42) }},
-		{"clamp01", func() { hotSinkFloat = clamp01(-0.5) }},
 		{"YaoDistinct", func() { hotSinkFloat = YaoDistinct(40, 1000, 0.3) }},
 		{"Arena.New", func() { arena.Reset(1 << 10); hotSinkHist = arena.New(0, 100, 8) }},
 		{"NarrowedTotals", func() { hotSinkFloat, hotSinkFloat = h.NarrowedTotals(conds, 0.4) }},
 		{"NarrowedTotals/stack-conds", func() {
 			var buf [4]Cond
-			cs := append(buf[:0], Cond{CmpGT, 1}, Cond{CmpLE, 99})
+			cs := append(buf[:0], Cond{query.OpGT, 1}, Cond{query.OpLE, 99})
 			hotSinkFloat, hotSinkFloat = h.NarrowedTotals(cs, 1)
 		}},
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"saqp/internal/query"
 )
 
 // randomHist draws a histogram with the irregularities real statistics
@@ -53,7 +55,7 @@ func randomConds(r *rand.Rand, h *Histogram) []Cond {
 		default:
 			x = math.Floor(h.Lo + r.Float64()*(h.Hi-h.Lo))
 		}
-		conds[i] = Cond{Op: CmpOp(r.Intn(6)), X: x}
+		conds[i] = Cond{Op: query.CmpOp(r.Intn(6)), X: x}
 	}
 	return conds
 }

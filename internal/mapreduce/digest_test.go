@@ -175,7 +175,7 @@ var (
 // digestRelations is the bench's data: every schema at SF 0.01, seed 1.
 func digestRelations() []*dataset.Relation {
 	digestRelOnce.Do(func() {
-		for _, s := range append(dataset.TPCH(), dataset.TPCDS()...) {
+		for _, s := range dataset.Schemas() {
 			digestRels = append(digestRels, dataset.Generate(s, 0.01, 1))
 		}
 	})

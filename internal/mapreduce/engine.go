@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"sync/atomic"
 
 	"saqp/internal/dataset"
@@ -289,7 +288,7 @@ type scanPred struct {
 func resolvePreds(s *scratch, in jobInput) ([]scanPred, error) {
 	out := make([]scanPred, len(in.preds))
 	for i := range in.preds {
-		v, err := in.frame.column(s, "predicate column", in.preds[i].Left)
+		v, _, err := in.frame.column(s, "predicate column", in.preds[i].Left)
 		if err != nil {
 			return nil, err
 		}
@@ -386,7 +385,7 @@ func (e *Engine) runExtract(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 	if len(job.OrderKeys) > 0 {
 		keys := make([]func(a, b int32) int, len(job.OrderKeys))
 		for i, k := range job.OrderKeys {
-			v, err := f.column(s, "order key", k.Col)
+			v, _, err := f.column(s, "order key", k.Col)
 			if err != nil {
 				return nil, err
 			}
@@ -430,11 +429,11 @@ func resolveAgg(s *scratch, f *Frame, fn query.AggFunc, star bool, x query.Expr)
 	case star:
 	case a.binop:
 		a.op = x.Binop.Op
-		if a.l, err = f.column(s, "aggregate column", x.Binop.Left); err == nil {
-			a.r, err = f.column(s, "aggregate column", x.Binop.Right)
+		if a.l, _, err = f.column(s, "aggregate column", x.Binop.Left); err == nil {
+			a.r, _, err = f.column(s, "aggregate column", x.Binop.Right)
 		}
 	default:
-		a.l, err = f.column(s, "aggregate column", x.Col)
+		a.l, _, err = f.column(s, "aggregate column", x.Col)
 	}
 	return a, err
 }
@@ -497,31 +496,20 @@ func combine(keys []dataset.Vector, specs []aggSpec, sel []int32, buf combineBuf
 	return partial{first, states}
 }
 
-// appendKey renders row i of a key column as dataset.Value.String renders
-// a value: decimal integers, shortest %g floats, the string itself.
-func appendKey(b []byte, v dataset.Vector, i int32) []byte {
-	switch v.Kind() {
-	case dataset.KindString:
-		return append(b, v.Strings()[i]...)
-	case dataset.KindFloat:
-		return strconv.AppendFloat(b, v.Floats()[i], 'g', -1, 64)
-	}
-	return strconv.AppendInt(b, v.Ints()[i], 10)
-}
-
 // runGroupby aggregates with per-map combines: each map split's survivors
 // are pre-aggregated locally (the combine that Eq. 2 models), then the
 // reduce merges the partial states by key, in split order.
 func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobStats) (*Frame, error) {
 	f := in.frame
+	w, nAggs := len(job.Aggs)+len(job.Having), len(job.Aggs)
 	keys := make([]dataset.Vector, len(job.GroupKeys))
+	cols := make([]string, len(keys), len(keys)+nAggs) // the keys keep their input's names
 	var err error
 	for i, k := range job.GroupKeys {
-		if keys[i], err = f.column(s, "group key", k); err != nil {
+		if keys[i], cols[i], err = f.column(s, "group key", k); err != nil {
 			return nil, err
 		}
 	}
-	w, nAggs := len(job.Aggs)+len(job.Having), len(job.Aggs)
 	specs := make([]aggSpec, w) // the SELECT list's aggregates, then HAVING's
 	for i, a := range job.Aggs {
 		if specs[i], err = resolveAgg(s, f, a.Agg, a.Star, a.Expr); err != nil {
@@ -587,7 +575,7 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 	ends := make([]int, 1, len(first)+1)
 	for _, row := range first {
 		for k := range keys {
-			rendered = append(appendKey(rendered, keys[k], row), 0)
+			rendered = append(keys[k].AppendText(rendered, int(row)), 0)
 		}
 		ends = append(ends, len(rendered))
 	}
@@ -611,13 +599,12 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 
 	rows := s.i32.Cut(len(order))
 	take(rows, first, order)
-	cols := make([]string, 0, len(keys)+nAggs)
 	vecs := make([]dataset.Vector, 0, len(keys)+nAggs)
-	for i, k := range job.GroupKeys {
-		cols, vecs = append(cols, k.String()), append(vecs, gather(keys[i], rows))
+	for _, k := range keys {
+		vecs = append(vecs, gather(k, rows))
 	}
 	for a, spec := range specs[:nAggs] {
-		cols = append(cols, fmt.Sprintf("%s.agg%d", job.ID, a))
+		cols = append(cols, job.AggColumn(a).String())
 		if spec.fn == query.AggCount {
 			counts := make([]int64, len(order))
 			for j, g := range order {

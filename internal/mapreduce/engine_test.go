@@ -21,10 +21,7 @@ var (
 
 func fixtureRelations() []*dataset.Relation {
 	testRelOnce.Do(func() {
-		for _, s := range dataset.TPCH() {
-			testRels = append(testRels, dataset.Generate(s, sf, 42))
-		}
-		for _, s := range dataset.TPCDS() {
+		for _, s := range dataset.Schemas() {
 			testRels = append(testRels, dataset.Generate(s, sf, 42))
 		}
 	})

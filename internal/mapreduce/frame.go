@@ -77,13 +77,14 @@ func (f *Frame) vector(s *scratch, j int) dataset.Vector {
 	return f.vecs[j]
 }
 
-// column resolves a reference against the frame, once per job; what names
-// the role of a missing column in the error.
-func (f *Frame) column(s *scratch, what string, c query.ColumnRef) (dataset.Vector, error) {
+// column resolves a reference against the frame, once per job, to its
+// vector and the name the frame holds it under; what names the role of a
+// missing column in the error.
+func (f *Frame) column(s *scratch, what string, c query.ColumnRef) (dataset.Vector, string, error) {
 	if j := f.Col(c.String()); j >= 0 {
-		return f.vector(s, j), nil
+		return f.vector(s, j), f.Cols[j], nil
 	}
-	return dataset.Vector{}, fmt.Errorf("%s %s not in input", what, c)
+	return dataset.Vector{}, "", fmt.Errorf("%s %s not in input", what, c)
 }
 
 // identity reports whether sel selects all n rows of a frame, in order.

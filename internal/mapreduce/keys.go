@@ -98,9 +98,9 @@ func floatBits(s *scratch, v dataset.Vector) joinKey {
 }
 
 // partition splits rows into r shuffle buckets by fnv32a of the key's
-// rendering (appendKey's, a float's rendered from its bits; a string is
-// hashed where it lies), each bucket keeping rows in order. It returns the
-// buckets as segments of one buffer cut from s.
+// text, the one dataset.Value.String gives (a float's rendered from its
+// bits; a string is hashed where it lies), each bucket keeping rows in
+// order. It returns the buckets as segments of one buffer cut from s.
 func partition(s *scratch, key joinKey, rows []int32, r int) [][]int32 {
 	pid := s.i32.Cut(len(rows))
 	bounds := make([]int, r+1)

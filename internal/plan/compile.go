@@ -387,7 +387,7 @@ func (c *compiler) build(q *query.Query, built int, groupby, extract bool) (*DAG
 				for i, o := range q.OrderBy {
 					if o.IsAggregate() {
 						// Bound to the Groupby job, the one just before.
-						o.Col = query.ColumnRef{Table: jobs[f-1].ID, Column: aggColumn(matchAgg(q.Select, o))}
+						o.Col = jobs[f-1].AggColumn(matchAgg(q.Select, o))
 					}
 					j.OrderKeys[i] = o
 				}
@@ -459,10 +459,11 @@ func jobID(n int) string {
 	return "J" + strconv.Itoa(n)
 }
 
-// aggColumn returns "agg<i>", the name of a Groupby job's i-th output.
-func aggColumn(i int) string {
+// AggColumn names a Groupby job's i-th aggregate output, "<ID>.agg<i>":
+// the column its output frame holds and a later job's ORDER BY reads.
+func (j *Job) AggColumn(i int) query.ColumnRef {
 	if i < len(aggColumns) {
-		return aggColumns[i]
+		return query.ColumnRef{Table: j.ID, Column: aggColumns[i]}
 	}
-	return "agg" + strconv.Itoa(i)
+	return query.ColumnRef{Table: j.ID, Column: "agg" + strconv.Itoa(i)}
 }

@@ -98,7 +98,7 @@ func TestWRDIsTheSimulatorsSum(t *testing.T) {
 	h := fnv.New64a()
 	hot := 0
 	for _, sf := range []float64{1, 100} {
-		cat := catalog.FromSchemas(append(dataset.TPCH(), dataset.TPCDS()...), sf, catalog.DefaultBuckets)
+		cat := catalog.FromSchemas(dataset.Schemas(), sf, catalog.DefaultBuckets)
 		est := selectivity.NewEstimator(cat, selectivity.Config{})
 		for i, d := range dags {
 			qe, err := est.EstimateQuery(d)

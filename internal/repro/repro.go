@@ -663,7 +663,7 @@ type Fig5Job struct {
 // nation predicate passes 96% (24 of 25 nations) and the final groupby
 // cardinality approaches the 200,000 ps_partkey domain.
 func ReproduceFig5() ([]Fig5Job, error) {
-	cat := catalog.FromSchemas(append(dataset.TPCH(), dataset.TPCDS()...), 1, catalog.DefaultBuckets)
+	cat := catalog.FromSchemas(dataset.Schemas(), 1, catalog.DefaultBuckets)
 	qe, err := estimateSQL(cat, `SELECT ps_partkey, sum(ps_supplycost*ps_availqty)
 		FROM nation n JOIN supplier s ON s.s_nationkey = n.n_nationkey AND n.n_name <> 'n_name#b~~~~'
 		JOIN partsupp ps ON ps.ps_suppkey = s.s_suppkey

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"saqp/internal/catalog"
+	"saqp/internal/core/floats"
 	"saqp/internal/dataset"
 	"saqp/internal/histogram"
 	"saqp/internal/plan"
@@ -319,7 +320,7 @@ func (w *walk) scanInput(ts *plan.TableScan, needs []need) (input, error) {
 	var pcBuf [6]predCol
 	pcs, sPred := scanConjunction(t, ts.Preds, pcBuf[:0], w.condBuf[:0])
 	in := input{edge: edge{rows: t.rows * sPred, width: projWidth}, table: t,
-		rawBytes: t.bytes, rawRows: t.rows, rawWidth: t.width, sPred: sPred, sProj: clamp01(projWidth / t.width)}
+		rawBytes: t.bytes, rawRows: t.rows, rawWidth: t.width, sPred: sPred, sProj: floats.Clamp01(projWidth / t.width)}
 	in.edge.cols = w.colSlab.Cut(len(needs))[:0]
 	for _, n := range needs {
 		if base := t.col(n.ref); base != nil {
@@ -417,7 +418,7 @@ func (w *walk) applyMapJoins(job *plan.Job, je *JobEstimate, ins []input, needs 
 		probe.rawBytes += b.rawBytes
 		// The probe side's tuple count, unchanged, still drives Eq. 2.
 		if probe.rawRows > 0 {
-			probe.sPred = clamp01(outRows / probe.rawRows)
+			probe.sPred = floats.Clamp01(outRows / probe.rawRows)
 		}
 		je.InBytes += b.rawBytes
 		je.scanBytes += b.rawBytes
@@ -563,7 +564,7 @@ func floorMedToOut(je *JobEstimate) {
 	if je.OutBytes > je.MedBytes {
 		je.MedBytes = je.OutBytes
 		if je.InBytes > 0 {
-			je.IS = clamp01(je.MedBytes / je.InBytes)
+			je.IS = floats.Clamp01(je.MedBytes / je.InBytes)
 		}
 	}
 }
@@ -572,7 +573,7 @@ func floorMedToOut(je *JobEstimate) {
 // (paper Section 3.1.1); |Out| = min(|In|, k) for LIMIT k, |In| for sorts.
 func estimateExtract(job *plan.Job, st *stage, in *input) {
 	je := st.je
-	je.IS = clamp01(in.sPred * in.sProj)
+	je.IS = floats.Clamp01(in.sPred * in.sProj)
 	je.MedBytes = je.InBytes * je.IS
 	je.MedRows = in.edge.rows
 	outRows := in.edge.rows
@@ -614,7 +615,7 @@ func estimateGroupby(job *plan.Job, st *stage, in *input) error {
 	if !clustered {
 		perCombine = rawRows / math.Max(1, float64(je.NumMaps))
 	}
-	sComb := clamp01(math.Min(in.sPred, dxy/perCombine))
+	sComb := floats.Clamp01(math.Min(in.sPred, dxy/perCombine))
 
 	// Map output carries group keys + aggregate source columns; the reduce
 	// output has the same shape.
@@ -622,7 +623,7 @@ func estimateGroupby(job *plan.Job, st *stage, in *input) error {
 	if wOut == 0 { //lint:allow saqpvet/floatcmp width sums are exact small-integer arithmetic
 		wOut = 8
 	}
-	je.IS = clamp01(sComb * clamp01(wOut/in.rawWidth))
+	je.IS = floats.Clamp01(sComb * floats.Clamp01(wOut/in.rawWidth))
 	je.MedBytes = je.InBytes * je.IS
 	je.MedRows = math.Max(1, rawRows*sComb)
 
@@ -667,7 +668,7 @@ func (w *walk) estimateJoin(job *plan.Job, st *stage, ins []input) (shuffleKey *
 	if total := a.rawBytes + b.rawBytes; total > 0 {
 		r1 = a.rawBytes / total
 	}
-	je.IS = clamp01(a.sPred*a.sProj*r1 + b.sPred*b.sProj*(1-r1))
+	je.IS = floats.Clamp01(a.sPred*a.sProj*r1 + b.sPred*b.sProj*(1-r1))
 	je.MedBytes = je.InBytes * je.IS
 	je.MedRows = a.edge.rows + b.edge.rows
 
@@ -694,7 +695,7 @@ func (w *walk) estimateJoin(job *plan.Job, st *stage, ins []input) (shuffleKey *
 	// job output, so D_med = D_out (and for PK–FK broadcast joins, FS stays
 	// near 1 — the paper's map-only case).
 	if job.MapOnly {
-		je.MedBytes, je.MedRows, je.IS = je.OutBytes, je.OutRows, clamp01(je.FS)
+		je.MedBytes, je.MedRows, je.IS = je.OutBytes, je.OutRows, floats.Clamp01(je.FS)
 	}
 
 	st.out = w.mergeEdges(&a.edge, &b.edge, outRows, st.feeds)

@@ -37,7 +37,6 @@ func TestHotPathAllocs(t *testing.T) {
 		{"PredSelectivity/string", func() { hotSinkFloat = PredSelectivity(numCol, slt) }},
 		{"inSelectivity", func() { hotSinkFloat = inSelectivity(numCol, in) }},
 		{"stringPredSelectivity", func() { hotSinkFloat = stringPredSelectivity(strCol, seq) }},
-		{"clamp01", func() { hotSinkFloat = clamp01(1.5) }},
 		{"scanConjunction", func() { _, hotSinkFloat = scanConjunction(tbl, preds, pcBuf, condBuf) }},
 		{"narrowColumn/scalars", func() { hotSinkFloat = narrowColumn(nil, numCol, need{ref: onN}, pcs, 3).Distinct }},
 		{"narrowColumn/string", func() { hotSinkFloat = narrowColumn(nil, strCol, need{ref: onS, hist: true}, pcs, 3).Distinct }},

@@ -3,6 +3,7 @@ package selectivity
 import (
 	"math"
 
+	"saqp/internal/core/floats"
 	"saqp/internal/histogram"
 	"saqp/internal/query"
 )
@@ -45,7 +46,7 @@ func inSelectivity(cs *ColStat, p query.Predicate) float64 {
 			s += 1 / d
 		}
 	}
-	return clamp01(s)
+	return floats.Clamp01(s)
 }
 
 // stringPredSelectivity handles comparisons no histogram answers: the
@@ -56,9 +57,9 @@ func stringPredSelectivity(cs *ColStat, p query.Predicate) float64 {
 	d := math.Max(cs.Distinct, 1)
 	switch p.Op {
 	case query.OpEQ:
-		return clamp01(1 / d)
+		return floats.Clamp01(1 / d)
 	case query.OpNE:
-		return clamp01(1 - 1/d)
+		return floats.Clamp01(1 - 1/d)
 	default:
 		return defaultIneqSel
 	}
@@ -113,7 +114,7 @@ func scanConjunction(t *table, preds []query.Predicate, pcs []predCol, conds []h
 				continue
 			}
 			if maskable && p.Op != query.OpIN && !p.Lit.IsString {
-				conds = append(conds, histogram.Cond{Op: cmpToHist(p.Op), X: p.Lit.F})
+				conds = append(conds, histogram.Cond{Op: p.Op, X: p.Lit.F})
 			} else {
 				pc.raw *= PredSelectivity(pc.cs, *p)
 			}
@@ -122,30 +123,13 @@ func scanConjunction(t *table, preds []query.Predicate, pcs []predCol, conds []h
 		if len(pc.masks) > 0 {
 			if orig := pc.cs.Hist.Rows(); orig > 0 {
 				rows, _ := pc.cs.Hist.NarrowedTotals(pc.masks, 1)
-				pc.factor *= clamp01(rows / orig)
+				pc.factor *= floats.Clamp01(rows / orig)
 			}
 		}
-		pc.factor = clamp01(pc.factor)
+		pc.factor = floats.Clamp01(pc.factor)
 		s *= pc.factor
 	}
-	return pcs, clamp01(s)
-}
-
-// cmpToHist maps query comparison operators to histogram filter operators.
-func cmpToHist(op query.CmpOp) histogram.CmpOp {
-	switch op {
-	case query.OpEQ:
-		return histogram.CmpEQ
-	case query.OpNE:
-		return histogram.CmpNE
-	case query.OpLT:
-		return histogram.CmpLT
-	case query.OpLE:
-		return histogram.CmpLE
-	case query.OpGT:
-		return histogram.CmpGT
-	}
-	return histogram.CmpGE
+	return pcs, floats.Clamp01(s)
 }
 
 // narrowColumn applies a scan's predicates to one needed column's base
@@ -170,7 +154,7 @@ func narrowColumn(a *histogram.Arena, base *ColStat, n need, pcs []predCol, newR
 			others *= pcs[k].factor
 		}
 	}
-	others = clamp01(others)
+	others = floats.Clamp01(others)
 	d := base.Distinct * own
 	if base.Hist != nil && n.hist {
 		h := base.Hist
@@ -191,17 +175,4 @@ func narrowColumn(a *histogram.Arena, base *ColStat, n need, pcs []predCol, newR
 		nc.Distinct = 1
 	}
 	return nc
-}
-
-// clamp01 clips a probability estimate into [0, 1].
-//
-//saqp:hotpath
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"saqp/internal/catalog"
+	"saqp/internal/core/floats"
 	"saqp/internal/dataset"
 	"saqp/internal/plan"
 	"saqp/internal/query"
@@ -348,7 +349,7 @@ func naturalJoinChainRows(tables []naturalJoinTable) float64 {
 	}
 	prod, maxRows := 1.0, 0.0
 	for _, t := range tables {
-		prod *= clamp01(t.sPred)
+		prod *= floats.Clamp01(t.sPred)
 		maxRows = math.Max(maxRows, t.rows)
 	}
 	return prod * maxRows

@@ -160,7 +160,7 @@ func NewFramework(opts Options) (*Framework, error) {
 	if opts.ScaleFactor <= 0 {
 		opts.ScaleFactor = 1
 	}
-	cat := catalog.FromSchemas(append(dataset.TPCH(), dataset.TPCDS()...), opts.ScaleFactor, catalog.DefaultBuckets)
+	cat := catalog.FromSchemas(dataset.Schemas(), opts.ScaleFactor, catalog.DefaultBuckets)
 	return NewFrameworkFromCatalog(cat, opts), nil
 }
 
@@ -360,10 +360,7 @@ func TPCHSQL(name string) (string, error) { return workload.TPCHSQL(name) }
 // queries, providing ground-truth sizes to compare against Estimate.
 func NewEngine(sf float64, seed uint64) *Engine {
 	e := mapreduce.New(mapreduce.Config{BlockSize: 1 << 20})
-	for _, s := range dataset.TPCH() {
-		e.Register(dataset.Generate(s, sf, seed))
-	}
-	for _, s := range dataset.TPCDS() {
+	for _, s := range dataset.Schemas() {
 		e.Register(dataset.Generate(s, sf, seed))
 	}
 	return e

@@ -45,9 +45,11 @@ type ServerOptions struct {
 	// cold, if untrained), serves predictions from its champion, and
 	// feeds every completed query's observed times back into it.
 	OnlineLearning bool
-	// Learner overrides the registry used when online learning is on;
-	// nil builds one via Framework.NewLearner with defaults. Sharing one
-	// Learner across servers pools their feedback.
+	// Learner, when set, turns online learning on by itself, whatever
+	// OnlineLearning says: the server serves from and feeds back into this
+	// registry. Nil leaves the choice to OnlineLearning, which builds one
+	// via Framework.NewLearner with defaults. Sharing one Learner across
+	// servers pools their feedback.
 	Learner *Learner
 	// TraceSpans records a request-scoped span tree per admitted query:
 	// cache lookup → SWRD admission → its simulator run (jobs, tasks,
@@ -137,7 +139,8 @@ func (f *Framework) NewServer(opts ServerOptions) (*Server, error) {
 }
 
 // Learner returns the online model-lifecycle registry this server
-// serves from and feeds back into, or nil when online learning is off.
+// serves from and feeds back into: ServerOptions.Learner, or the one built
+// for OnlineLearning. It is nil only when neither was set.
 func (s *Server) Learner() *Learner { return s.learner }
 
 // Submit admits one HiveQL query for serving and returns a ticket whose
