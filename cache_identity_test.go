@@ -10,10 +10,11 @@ import (
 	"saqp/internal/obs"
 	"saqp/internal/query"
 	"saqp/internal/serve"
+	"saqp/internal/sim"
 	"saqp/internal/workload"
 )
 
-// tpchFingerprints are obs.FNV64a(serve.CacheKey(…)) of the seven TPC-H
+// tpchFingerprints are sim.FNV64a(serve.CacheKey(…)) of the seven TPC-H
 // texts under NewFramework(Options{}) — the prefix of every trace id
 // obs.TraceID gives their submissions. A change here means a TPC-H
 // text's cache key moved: its normalized rendering or the catalog
@@ -76,7 +77,7 @@ func TestCacheIdentityIsEngineHit(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := keyOf(raw)
-		if got := obs.FNV64a(key); got != tpchFingerprints[name] {
+		if got := sim.FNV64a(key); got != tpchFingerprints[name] {
 			t.Errorf("%s: fingerprint %#016x, want %#016x as before", name, got, tpchFingerprints[name])
 		}
 		if id, want := obs.TraceID(key, 1), fmt.Sprintf("%016x-", tpchFingerprints[name]); !strings.HasPrefix(id, want) {

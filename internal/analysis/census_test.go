@@ -31,7 +31,6 @@ var keptExports = map[string]string{
 	"proto.ErrorValue":             "builds expected frames for AppendValue",
 	"proto.Int":                    "builds expected frames for AppendValue",
 	"proto.Simple":                 "builds expected frames for AppendValue",
-	"dataset.Int":                  "builds expected engine values; Vector.At builds int and date values itself",
 	"dataset.Date":                 "builds expected engine values; Vector.At builds int and date values itself",
 	// Accessors for hand-built or external tests.
 	"(*cluster.Query).RecomputeWRD": "re-derives WRD after a test edits a hand-built query's tasks",

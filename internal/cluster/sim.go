@@ -522,7 +522,11 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 		case evRecover:
 			s.recoverNode(int(e.node))
 		}
-		s.dispatch()
+		// Dispatch once per instant, after its last event, so queries that
+		// arrive or become ready together are ranked together.
+		if s.events.len() == 0 || s.events.keys[0].time > s.now {
+			s.dispatch()
+		}
 		// Stop once every query reached a terminal state: trailing fault
 		// events (a crash window after the last completion) must not
 		// stretch the makespan.

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"hash/fnv"
 	"strconv"
 	"strings"
 
@@ -33,11 +32,7 @@ func Generate(s *Schema, sf float64, seed uint64) *Relation {
 
 // columnSeed derives a per-column seed from the master seed and names.
 func columnSeed(seed uint64, table, column string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(table))
-	h.Write([]byte{'.'})
-	h.Write([]byte(column))
-	return seed ^ h.Sum64()
+	return seed ^ sim.FNV64a(table+"."+column)
 }
 
 // generateColumn produces the n-value vector of one column and, for a

@@ -2,7 +2,8 @@ package dataset
 
 import (
 	"fmt"
-	"hash/fnv"
+
+	"saqp/internal/sim"
 )
 
 // Dist enumerates the value distributions a generated column can follow.
@@ -155,7 +156,5 @@ func (s *Schema) BytesAt(sf float64) int64 {
 // table name into [0.45, 1.0]. The estimator and the execution engine both
 // read it here, so measured and estimated task granularities agree.
 func FragFactor(table string) float64 {
-	h := fnv.New32a()
-	h.Write([]byte(table))
-	return 0.45 + 0.55*float64(h.Sum32()%1000)/999
+	return 0.45 + 0.55*float64(sim.FNV32a(table)%1000)/999
 }

@@ -62,12 +62,12 @@ func Date(days int64) Value { return Value{K: KindDate, I: days} }
 // column with Vector.AppendText, which appends this same text.
 func (v Value) String() string {
 	var buf [32]byte
-	return string(v.appendText(buf[:0]))
+	return string(v.AppendText(buf[:0]))
 }
 
-// appendText appends the value's text to b: the one rendering String and
-// Vector.AppendText share.
-func (v Value) appendText(b []byte) []byte {
+// AppendText appends the value's text to b: the one rendering String,
+// Vector.AppendText and the batch engine's shuffle share.
+func (v Value) AppendText(b []byte) []byte {
 	switch v.K {
 	case KindInt, KindDate:
 		return strconv.AppendInt(b, v.I, 10)

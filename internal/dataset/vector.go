@@ -72,7 +72,7 @@ func (v Vector) At(i int) Value {
 }
 
 // AppendText appends the text of value i to b, as Value.String renders it.
-func (v Vector) AppendText(b []byte, i int) []byte { return v.At(i).appendText(b) }
+func (v Vector) AppendText(b []byte, i int) []byte { return v.At(i).AppendText(b) }
 
 // Relation is a materialised table: a schema plus one generated vector per
 // schema column, all of the same length. A relation Generate returns also

@@ -232,28 +232,16 @@ func (p *Plan) TaskFailure(job string, reduce bool, index, attempt int) (fail bo
 	if p == nil || p.spec.TaskFailProb <= 0 {
 		return false, 0
 	}
-	h := uint64(14695981039346656037) // FNV-64a offset basis
-	for i := 0; i < len(job); i++ {
-		h = (h ^ uint64(job[i])) * 1099511628211
-	}
-	h = mix64(h ^ p.spec.Seed)
-	h = mix64(h)
+	h := sim.Mix64(sim.FNV64a(job) ^ p.spec.Seed)
+	h = sim.Mix64(h)
 	phase := uint64(0)
 	if reduce {
 		phase = 1
 	}
-	h = mix64(h ^ phase<<32 ^ uint64(index))
-	h = mix64(h ^ uint64(attempt))
+	h = sim.Mix64(h ^ phase<<32 ^ uint64(index))
+	h = sim.Mix64(h ^ uint64(attempt))
 	if float64(h>>11)/(1<<53) >= p.spec.TaskFailProb {
 		return false, 0
 	}
-	return true, 0.1 + 0.8*float64(mix64(h)>>11)/(1<<53)
-}
-
-// mix64 is the SplitMix64 output finalizer used as a stateless bit mixer.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return true, 0.1 + 0.8*float64(sim.Mix64(h)>>11)/(1<<53)
 }

@@ -141,20 +141,6 @@ func floatKey(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-// fnv32a is hash/fnv's New32a over a rendered key, without the hash.Hash32
-// or the []byte(string) copy. The shuffle partitions by it, so it fixes the
-// row order of every join output.
-//
-//saqp:hotpath
-func fnv32a[B string | []byte](b B) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(b); i++ {
-		h ^= uint32(b[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // aggState accumulates one aggregate of one group.
 type aggState struct {
 	sum   float64

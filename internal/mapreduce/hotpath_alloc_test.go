@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"strconv"
 	"testing"
 
 	"saqp/internal/plan"
@@ -24,8 +23,7 @@ var (
 // the allocfree analyzer proves statically that these functions contain
 // no allocating constructs, and this guard proves the compiled code
 // actually performs zero heap allocations per call — one case per
-// per-element kernel: predicate → selection, float key identity, shuffle
-// hash, gather, expression evaluation, aggregate fold and merge, a join's
+// per-element kernel: predicate → selection, float key identity, gather, expression evaluation, aggregate fold and merge, a join's
 // match count and fill, a view's identity test and byte size, and a cut
 // from each of a warm query scratch's slabs.
 func TestHotPathAllocs(t *testing.T) {
@@ -60,8 +58,6 @@ func TestHotPathAllocs(t *testing.T) {
 		{"widen/float", func() { widen(f64, floats, idx) }},
 		{"arith", func() { arith(f64, f64b, query.ArithDiv) }},
 		{"floatKey", func() { hotSinkU64 = floatKey(floats[1]) }},
-		{"fnv32a/string", func() { hotSinkU64 = uint64(fnv32a(strs[1])) }},
-		{"fnv32a/bytes", func() { hotSinkU64 = uint64(fnv32a(strconv.AppendInt(make([]byte, 0, 32), ints[1], 10))) }},
 		{"aggState.add", func() { a.add(1.5) }},
 		{"aggState.addCount", func() { a.addCount(2) }},
 		{"aggState.merge", func() { a.merge(&b) }},

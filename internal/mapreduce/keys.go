@@ -3,10 +3,10 @@ package mapreduce
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"saqp/internal/dataset"
 	"saqp/internal/par"
+	"saqp/internal/sim"
 )
 
 // same is the grouping identity of integer and string keys; floats group
@@ -97,10 +97,11 @@ func floatBits(s *scratch, v dataset.Vector) joinKey {
 	return joinKey{kind: dataset.KindFloat, ints: bits}
 }
 
-// partition splits rows into r shuffle buckets by fnv32a of the key's
-// text, the one dataset.Value.String gives (a float's rendered from its
-// bits; a string is hashed where it lies), each bucket keeping rows in
-// order. It returns the buckets as segments of one buffer cut from s.
+// partition splits rows into r shuffle buckets by sim.FNV32a of the
+// Value.AppendText of the value the join compares (a float's from its bits,
+// so an integer joined to a float is the widened float; a string is hashed
+// where it lies), each bucket keeping rows in order. It returns the buckets
+// as segments of one buffer cut from s.
 func partition(s *scratch, key joinKey, rows []int32, r int) [][]int32 {
 	pid := s.i32.Cut(len(rows))
 	bounds := make([]int, r+1)
@@ -109,11 +110,11 @@ func partition(s *scratch, key joinKey, rows []int32, r int) [][]int32 {
 		var h uint32
 		switch key.kind {
 		case dataset.KindString:
-			h = fnv32a(key.strs[i])
+			h = sim.FNV32a(key.strs[i])
 		case dataset.KindFloat:
-			h = fnv32a(strconv.AppendFloat(buf[:0], math.Float64frombits(uint64(key.ints[i])), 'g', -1, 64))
+			h = sim.FNV32a(dataset.Float(math.Float64frombits(uint64(key.ints[i]))).AppendText(buf[:0]))
 		default:
-			h = fnv32a(strconv.AppendInt(buf[:0], key.ints[i], 10))
+			h = sim.FNV32a(dataset.Int(key.ints[i]).AppendText(buf[:0]))
 		}
 		pid[j] = int32(int(h) % r)
 		bounds[pid[j]+1]++

@@ -11,9 +11,9 @@
 // the cluster simulator's virtual clock (float64 seconds carried by each
 // event), never the wall clock, and every serialisation orders keys, so
 // a fixed workload and seed produce byte-identical traces, metrics and
-// drift snapshots across runs. The package is dependency-free (standard
-// library only) and sits at the bottom of the import graph, so cluster,
-// sched, serve and the facade all instrument through it without cycles.
+// drift snapshots across runs. The package imports only the standard
+// library and internal/sim (the trace id's FNV-1a; itself a leaf), so
+// cluster, sched, serve and the facade instrument through it without cycles.
 //
 // A nil *Observer is valid everywhere: every method on the pointer
 // receiver returns immediately and attribute constructors keep values

@@ -6,15 +6,12 @@ import (
 	"saqp/internal/obs"
 )
 
-var hotSinkU64 uint64
-
 // TestHotPathAllocs is the runtime half of the //saqp:hotpath contract.
 // Emitting any event kind on a nil observer must not allocate (pool
 // simulators run unobserved), nor may any report on a metrics-only
 // observer: the three verbs and Emit's registry half are everything a
 // serving stack with metrics on pays per request.
 func TestHotPathAllocs(t *testing.T) {
-	id := obs.TraceID("select 1\x00cat", 1)
 	everyKind := func(o *obs.Observer) {
 		for k := obs.Kind(0); k <= obs.LearnPromotion; k++ {
 			for _, reduce := range []bool{false, true} {
@@ -34,7 +31,6 @@ func TestHotPathAllocs(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"FNV64a", func() { hotSinkU64 = obs.FNV64a(id) }},
 		{"nil Observer.Emit", func() { everyKind(nil) }},
 		{"nil Observer verbs and typed methods", func() {
 			var o *obs.Observer

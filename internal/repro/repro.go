@@ -770,7 +770,7 @@ func ReproduceFaultReplay(cfg ExperimentConfig, fp *fault.Plan, rounds int) (*Fa
 				est:     byName[name],
 				oracle:  byName[name],
 				arrival: clock,
-				seed:    cfg.Seed ^ uint64(len(rp.items))*0x9e3779b97f4a7c15,
+				seed:    cfg.Seed ^ uint64(len(rp.items))*sim.Gamma,
 			})
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"saqp/internal/cluster"
+	"saqp/internal/sim"
 )
 
 // Names returns every registered policy name, in the order the paper's
@@ -42,12 +43,7 @@ func (h HCS) Name() string { return "HCS" }
 
 // queueOf hashes a job's query onto one of n > 1 queues (FNV-1a 32).
 func queueOf(j *cluster.Job, n int) int {
-	const offset, prime = 2166136261, 16777619
-	h := uint32(offset)
-	for i := 0; i < len(j.Query.ID); i++ {
-		h = (h ^ uint32(j.Query.ID[i])) * prime
-	}
-	return int(h) % n
+	return int(sim.FNV32a(j.Query.ID)) % n
 }
 
 // PickJob serves the most under-served queue that has a candidate, FIFO

@@ -8,4 +8,8 @@
 // passes BigCrush when used as a 64-bit stream, and — unlike math/rand's
 // global source — can be freely copied, forked and embedded in value types,
 // which the discrete-event simulator relies on.
+//
+// It is also the one home of the deterministic hashes: FNV32a and FNV64a
+// (FNV-1a) and Mix64 (one SplitMix64 step), which shuffle buckets, HCS
+// queues, trace ids, fault draws and column seeds are decided by.
 package sim

@@ -23,11 +23,9 @@ func (r *RNG) Fork() *RNG {
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	z := Mix64(r.state)
+	r.state += Gamma
+	return z
 }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.
