@@ -3,11 +3,29 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"saqp/internal/obs"
 )
+
+// TestFNV64aMatchesStdlib pins a trace id's prefix to hash/fnv's FNV-64a
+// of the cache key. Route slots, trace ids and the golden transcripts all
+// hash through sim.FNV64a, so the value for a fixed string is a contract.
+func TestFNV64aMatchesStdlib(t *testing.T) {
+	for _, s := range []string{"", "hello", "lineitem", "select 1\x00cat/exact", "l_orderkey:424242"} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := obs.TraceID(s, 0)[:16], fmt.Sprintf("%016x", h.Sum64()); got != want {
+			t.Errorf("TraceID(%q) prefix = %s, hash/fnv says %s", s, got, want)
+		}
+	}
+	if got, want := obs.TraceID("hello", 0)[:16], "a430d84680aabd0b"; got != want {
+		t.Fatalf("TraceID(hello) prefix = %s, want %s", got, want)
+	}
+}
 
 func TestTraceIDDeterministic(t *testing.T) {
 	a := obs.TraceID("select 1\x00cat-v1", 7)
