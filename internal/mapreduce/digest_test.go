@@ -83,6 +83,23 @@ var digestShapes = []string{
 		GROUP BY ps_partkey`,
 }
 
+// tpchPlans compiles the 7 TPC-H texts, in workload.TPCHNames' order.
+func tpchPlans(t *testing.T) (names []string, dags []*plan.DAG) {
+	t.Helper()
+	for _, name := range workload.TPCHNames() {
+		q, err := workload.TPCHQuery(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := plan.Compile(q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		names, dags = append(names, name), append(dags, d)
+	}
+	return names, dags
+}
+
 // digestPlans compiles everything the digest executes, in a fixed order:
 // the 7 TPC-H texts, the first 200 queries of workload.NewGenerator(99),
 // then digestShapes.
@@ -94,14 +111,7 @@ func digestPlans(t *testing.T) (names []string, dags []*plan.DAG) {
 		}
 		names, dags = append(names, name), append(dags, d)
 	}
-	for _, name := range workload.TPCHNames() {
-		q, err := workload.TPCHQuery(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := plan.Compile(q)
-		add(name, d, err)
-	}
+	names, dags = tpchPlans(t)
 	gen := workload.NewGenerator(99)
 	for i := 0; i < 200; i++ {
 		q, shape, err := gen.RandomQuery()

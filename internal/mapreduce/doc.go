@@ -11,16 +11,23 @@
 // is gathered only where a later job reads it or an Extract writes it. A
 // job allocates per column, task and reducer, never per row.
 //
-// Buffers that die with the query — selections, shuffle buckets, match
-// pairs, composed view indexes, gathered input columns, combine vectors
-// and reduce states — are cut from a scratch the engine keeps between
-// queries, and the combine and join tasks' key maps and partial states
-// are kept in its per-task slots, so a warm query allocates only what
-// outlives the query or belongs to one job: job outputs and stats, frames
-// and column lists, and the pool's goroutines. The sink's view is copied
-// off the scratch before RunQuery returns (the Frame comment). The engine
-// keeps a scratch, maps and states included, no larger than its
-// registered relations; a bigger one is dropped.
+// Everything a job builds but its output's data vectors dies with the
+// query and is cut from a scratch the engine keeps between queries:
+// selections, shuffle buckets, match pairs, composed view indexes,
+// gathered input columns, combine vectors and reduce states; offsets,
+// bounds and per-task slice headers; resolved inputs, predicates,
+// aggregates and join indexes; and the header of every frame (the Frame,
+// its column names, vectors and sides). The combine and join tasks' key
+// maps and partial states are kept in its per-task slots. Data vectors
+// live on the heap — relations' columns and job output data — and the
+// sink's header is the one copied off the scratch, by Frame.detached,
+// before RunQuery returns. So a warm query allocates only what it
+// returns: job stats, output data and the sink's header, plus one closure
+// per parallel phase, the same at any task count. The engine keeps a
+// scratch, maps and states included, no larger than its registered
+// relations; a bigger one is dropped. A join may cut at most 8 bytes of
+// pairs per registered byte: one that counts more matches is refused
+// before it cuts them (JoinTooLargeError).
 //
 // In the paper this role is played by the Hadoop cluster itself. The engine
 // exists so that selectivity estimates can be validated against *measured*

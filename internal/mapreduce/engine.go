@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"saqp/internal/dataset"
@@ -160,13 +159,13 @@ type jobInput struct {
 // vectors for the pruned columns, shared not copied, with the pushed-down
 // predicates attached for the map phase. Raw sizes count the full table,
 // as the job reads every block.
-func (e *Engine) loadScan(ts plan.TableScan) (jobInput, error) {
+func (e *Engine) loadScan(s *scratch, ts plan.TableScan) (jobInput, error) {
 	rel, ok := e.tables[ts.Table]
 	if !ok {
 		return jobInput{}, fmt.Errorf("table %q not registered", ts.Table)
 	}
-	cols := make([]string, len(ts.Columns))
-	vecs := make([]dataset.Vector, len(ts.Columns))
+	cols := s.strs.Cut(len(ts.Columns))
+	vecs := s.vecs.Cut(len(ts.Columns))
 	for i, c := range ts.Columns {
 		j := rel.Schema.ColumnIndex(c)
 		if j < 0 {
@@ -175,7 +174,7 @@ func (e *Engine) loadScan(ts plan.TableScan) (jobInput, error) {
 		cols[i], vecs[i] = e.cols[ts.Table][j], rel.Cols[j]
 	}
 	return jobInput{
-		frame:    NewFrame(int(rel.NumRows()), cols, vecs),
+		frame:    s.frame(int(rel.NumRows()), cols, vecs, nil),
 		rawBytes: rel.Bytes(),
 		preds:    ts.Preds,
 		table:    ts.Table,
@@ -184,14 +183,14 @@ func (e *Engine) loadScan(ts plan.TableScan) (jobInput, error) {
 
 // resolveInputs resolves job's base-table scans, then, if it reads the job
 // before it, that job's output frame up.
-func (e *Engine) resolveInputs(job *plan.Job, up *Frame) ([]jobInput, error) {
+func (e *Engine) resolveInputs(s *scratch, job *plan.Job, up *Frame) ([]jobInput, error) {
 	n := len(job.Scans)
 	if job.Up != nil {
 		n++
 	}
-	ins := make([]jobInput, 0, n)
+	ins := s.ins.Cut(n)[:0]
 	for _, ts := range job.Scans {
-		in, err := e.loadScan(ts)
+		in, err := e.loadScan(s, ts)
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +206,7 @@ func (e *Engine) resolveInputs(job *plan.Job, up *Frame) ([]jobInput, error) {
 }
 
 func (e *Engine) runJob(s *scratch, job *plan.Job, up *Frame) (*Frame, *JobStats, error) {
-	ins, err := e.resolveInputs(job, up)
+	ins, err := e.resolveInputs(s, job, up)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -249,13 +248,14 @@ func (e *Engine) runJob(s *scratch, job *plan.Job, up *Frame) (*Frame, *JobStats
 	return out, stats, nil
 }
 
-// splits partitions [0, n) rows into map-task ranges of ~BlockSize bytes,
+// splits sizes an input's map tasks: per rows each, ~BlockSize bytes,
 // shrunk by the table's fragmentation factor for base-table scans so the
-// engine's task granularity matches the estimator's.
-func (e *Engine) splits(in jobInput) [][2]int {
+// engine's task granularity matches the estimator's. Task i reads rows
+// [i·per, min((i+1)·per, n)); an input of no rows is one empty task.
+func (e *Engine) splits(in jobInput) (per, maps int) {
 	n := in.frame.n
 	if n == 0 {
-		return [][2]int{{0, 0}}
+		return 1, 1
 	}
 	avg := in.rawBytes / int64(n)
 	if avg <= 0 {
@@ -265,15 +265,8 @@ func (e *Engine) splits(in jobInput) [][2]int {
 	if in.table != "" {
 		eff *= dataset.FragFactor(in.table)
 	}
-	per := int(eff / float64(avg))
-	if per < 1 {
-		per = 1
-	}
-	out := make([][2]int, 0, (n+per-1)/per)
-	for lo := 0; lo < n; lo += per {
-		out = append(out, [2]int{lo, min(lo+per, n)})
-	}
-	return out
+	per = max(1, int(eff/float64(avg)))
+	return per, (n + per - 1) / per
 }
 
 // scanPred is one scan predicate resolved to the vector it reads.
@@ -286,7 +279,7 @@ type scanPred struct {
 // predicate on a column the input does not carry is a plan defect, not a
 // filter that rejects every row.
 func resolvePreds(s *scratch, in jobInput) ([]scanPred, error) {
-	out := make([]scanPred, len(in.preds))
+	out := s.preds.Cut(len(in.preds))
 	for i := range in.preds {
 		v, _, err := in.frame.column(s, "predicate column", in.preds[i].Left)
 		if err != nil {
@@ -318,18 +311,19 @@ func filterSplit(preds []scanPred, sel []int32, lo int) []int32 {
 
 // mapFilter runs the map phase for one input: one parallel task per split
 // filters its rows by the scan predicates. It returns each task's surviving
-// rows, in order, as segments of one buffer cut from s.
+// rows, in order, as segments of one buffer, all cut from s.
 func (e *Engine) mapFilter(s *scratch, in jobInput) ([][]int32, error) {
 	preds, err := resolvePreds(s, in)
 	if err != nil {
 		return nil, err
 	}
-	sp := e.splits(in)
-	sel := s.i32.Cut(in.frame.n)
-	parts := make([][]int32, len(sp))
-	par.For(len(sp), func(_ *struct{}, si int) {
-		lo, hi := sp[si][0], sp[si][1]
-		parts[si] = filterSplit(preds, sel[lo:hi], lo)
+	n := in.frame.n
+	per, maps := e.splits(in)
+	sel := s.i32.Cut(n)
+	parts := s.rows.Cut(maps)
+	par.For(maps, func(_ *struct{}, si int) {
+		lo := si * per
+		parts[si] = filterSplit(preds, sel[lo:min(lo+per, n)], lo)
 	})
 	return parts, nil
 }
@@ -362,17 +356,25 @@ func gather(v dataset.Vector, sel []int32) dataset.Vector {
 	return dataset.IntVector(v.Kind(), out)
 }
 
-// orderBy returns the three-way comparison of two rows under one sort key.
-func orderBy[T cmp.Ordered](vals []T, desc bool) func(a, b int32) int {
-	return func(a, b int32) int {
-		switch va, vb := vals[a], vals[b]; {
-		case va == vb:
-			return 0
-		case (va < vb) != desc:
-			return -1
-		}
-		return 1
+// order is the three-way comparison of rows a and b of v, ascending.
+func order(v dataset.Vector, a, b int32) int {
+	switch v.Kind() {
+	case dataset.KindString:
+		return order3(v.Strings(), a, b)
+	case dataset.KindFloat:
+		return order3(v.Floats(), a, b)
 	}
+	return order3(v.Ints(), a, b)
+}
+
+func order3[T cmp.Ordered](vals []T, a, b int32) int {
+	switch va, vb := vals[a], vals[b]; {
+	case va == vb:
+		return 0
+	case va < vb:
+		return -1
+	}
+	return 1
 }
 
 // runExtract optionally sorts and optionally limits one input's map
@@ -383,34 +385,29 @@ func (e *Engine) runExtract(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 	sel := flatten(in.parts)
 	stats.MedBytes, stats.MedRows = f.rowBytes(sel), int64(len(sel))
 	if len(job.OrderKeys) > 0 {
-		keys := make([]func(a, b int32) int, len(job.OrderKeys))
+		keys := s.vecs.Cut(len(job.OrderKeys))
 		for i, k := range job.OrderKeys {
-			v, _, err := f.column(s, "order key", k.Col)
-			if err != nil {
+			var err error
+			if keys[i], _, err = f.column(s, "order key", k.Col); err != nil {
 				return nil, err
 			}
-			switch v.Kind() {
-			case dataset.KindString:
-				keys[i] = orderBy(v.Strings(), k.Desc)
-			case dataset.KindFloat:
-				keys[i] = orderBy(v.Floats(), k.Desc)
-			default:
-				keys[i] = orderBy(v.Ints(), k.Desc)
-			}
 		}
-		sort.SliceStable(sel, func(a, b int) bool {
-			for _, key := range keys {
-				if c := key(sel[a], sel[b]); c != 0 {
-					return c < 0
+		slices.SortStableFunc(sel, func(a, b int32) int {
+			for i, v := range keys {
+				if c := order(v, a, b); c != 0 {
+					if job.OrderKeys[i].Desc {
+						return -c
+					}
+					return c
 				}
 			}
-			return false
+			return 0
 		})
 	}
 	if job.Limit >= 0 && int64(len(sel)) > job.Limit {
 		sel = sel[:job.Limit]
 	}
-	return f.view(s, sel).gathered(), nil
+	return f.view(s, sel).gathered(s), nil
 }
 
 // aggSpec is one aggregate (a SELECT item or a HAVING conjunct) resolved
@@ -450,33 +447,29 @@ func nums(dst []float64, v dataset.Vector, sel []int32) {
 	}
 }
 
-// partial is one map task's combine output: the rows that introduced its
-// local groups, in first-seen order, and the groups' aggregate states in
-// one flat slice, len(specs) per group.
-type partial struct {
-	first  []int32
-	states []aggState
-}
-
-// combineBuf is one combine task's working storage, cut before the phase,
-// each buffer as long as the task's rows — group ids, the rows that
+// combineTask is one combine task: its working storage, cut before the
+// phase, each buffer as long as the task's rows — group ids, the rows that
 // introduce groups, and an aggregate's operands as floats (nil when no
 // aggregate needs them) — and the slot its key maps and partial states
-// come from.
-type combineBuf struct {
+// come from; then its output, the rows that introduced its local groups,
+// in first-seen order, at the front of first, and the groups' aggregate
+// states in one flat slice, len(specs) per group.
+type combineTask struct {
 	gid, first []int32
 	l, r       []float64
 	slot       *slot
+	states     []aggState
 }
 
 // combine is one Groupby map task after its filter: rows get dense local
 // group ids from the typed group keys, and every aggregate is evaluated
 // over the split as a vector and folded into its group's state.
-func combine(keys []dataset.Vector, specs []aggSpec, sel []int32, buf combineBuf) partial {
-	gid, l, r := buf.gid, buf.l, buf.r
-	first := groupRows(buf.slot, keys, sel, gid, buf.first)
+func combine(keys []dataset.Vector, specs []aggSpec, sel []int32, t *combineTask) {
+	gid, l, r := t.gid, t.l, t.r
+	t.first = groupRows(t.slot, keys, sel, gid, t.first)
 	w := len(specs)
-	states := buf.slot.partials(len(first) * w)
+	states := t.slot.partials(len(t.first) * w)
+	t.states = states
 	for a, spec := range specs {
 		if spec.star {
 			for _, g := range gid {
@@ -493,7 +486,6 @@ func combine(keys []dataset.Vector, specs []aggSpec, sel []int32, buf combineBuf
 			states[int(g)*w+a].add(l[j])
 		}
 	}
-	return partial{first, states}
 }
 
 // runGroupby aggregates with per-map combines: each map split's survivors
@@ -502,15 +494,15 @@ func combine(keys []dataset.Vector, specs []aggSpec, sel []int32, buf combineBuf
 func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobStats) (*Frame, error) {
 	f := in.frame
 	w, nAggs := len(job.Aggs)+len(job.Having), len(job.Aggs)
-	keys := make([]dataset.Vector, len(job.GroupKeys))
-	cols := make([]string, len(keys), len(keys)+nAggs) // the keys keep their input's names
+	keys := s.vecs.Cut(len(job.GroupKeys))
+	cols := s.strs.Cut(len(keys) + nAggs) // the keys keep their input's names
 	var err error
 	for i, k := range job.GroupKeys {
 		if keys[i], cols[i], err = f.column(s, "group key", k); err != nil {
 			return nil, err
 		}
 	}
-	specs := make([]aggSpec, w) // the SELECT list's aggregates, then HAVING's
+	specs := s.specs.Cut(w) // the SELECT list's aggregates, then HAVING's
 	for i, a := range job.Aggs {
 		if specs[i], err = resolveAgg(s, f, a.Agg, a.Star, a.Expr); err != nil {
 			return nil, err
@@ -526,30 +518,29 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 	for _, spec := range specs {
 		operands, binops = operands || !spec.star, binops || spec.binop
 	}
-	bufs := make([]combineBuf, len(parts))
+	tasks := s.tasks.Cut(len(parts))
 	slots := s.slots(len(parts))
 	for si, p := range parts {
-		bufs[si] = combineBuf{gid: s.i32.Cut(len(p)), first: s.i32.Cut(len(p)), slot: &slots[si]}
+		tasks[si] = combineTask{gid: s.i32.Cut(len(p)), first: s.i32.Cut(len(p)), slot: &slots[si]}
 		if operands {
-			bufs[si].l = s.f64.Cut(len(p))
+			tasks[si].l = s.f64.Cut(len(p))
 		}
 		if binops {
-			bufs[si].r = s.f64.Cut(len(p))
+			tasks[si].r = s.f64.Cut(len(p))
 		}
 	}
-	partials := make([]partial, len(parts))
-	par.For(len(parts), func(_ *struct{}, si int) { partials[si] = combine(keys, specs, parts[si], bufs[si]) })
+	par.For(len(parts), func(_ *struct{}, si int) { combine(keys, specs, parts[si], &tasks[si]) })
 
 	// Reduce: merge the partials across maps, in split order — float sums
 	// depend on it. A combined map-output record is its key columns plus
 	// one 8-byte partial per aggregate.
 	nLocals := 0
-	for _, p := range partials {
+	for _, p := range tasks {
 		nLocals += len(p.first)
 	}
 	locals := s.i32.Cut(nLocals)[:0]   // every task's local groups, by their first rows
 	keyed := Frame{vecs: keys, n: f.n} // sizes a record's key columns
-	for _, p := range partials {
+	for _, p := range tasks {
 		locals = append(locals, p.first...)
 		stats.MedRows += int64(len(p.first))
 		stats.MedBytes += keyed.rowBytes(p.first) + 8*int64(nAggs*len(p.first))
@@ -559,7 +550,7 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 	// locals; its partial states stay until they are merged.
 	first := groupRows(&slots[0], keys, locals, gid, s.i32.Cut(len(locals)))
 	states := s.states.Cut(len(first) * w) // a group's first partial merges into zeroed states as a copy
-	for _, p := range partials {
+	for _, p := range tasks {
 		for g := range p.first {
 			for a := 0; a < w; a++ {
 				states[int(gid[0])*w+a].merge(&p.states[g*w+a])
@@ -572,12 +563,12 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 	// column's rendering NUL-terminated, all in one buffer: the scratch's,
 	// which keeps what it grew to for the next Groupby.
 	rendered := s.keys[:0]
-	ends := make([]int, 1, len(first)+1)
+	ends := s.i32.Cut(len(first) + 1)[:1]
 	for _, row := range first {
 		for k := range keys {
 			rendered = append(keys[k].AppendText(rendered, int(row)), 0)
 		}
-		ends = append(ends, len(rendered))
+		ends = append(ends, int32(len(rendered)))
 	}
 	s.keys = rendered
 	key := func(g int32) []byte { return rendered[ends[g]:ends[g+1]] }
@@ -599,41 +590,41 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 
 	rows := s.i32.Cut(len(order))
 	take(rows, first, order)
-	vecs := make([]dataset.Vector, 0, len(keys)+nAggs)
-	for _, k := range keys {
-		vecs = append(vecs, gather(k, rows))
+	vecs := s.vecs.Cut(len(cols))
+	for k, v := range keys {
+		vecs[k] = gather(v, rows)
 	}
 	for a, spec := range specs[:nAggs] {
-		cols = append(cols, job.AggColumn(a).String())
+		c := len(keys) + a
+		cols[c] = job.AggColumn(a).String()
 		if spec.fn == query.AggCount {
 			counts := make([]int64, len(order))
 			for j, g := range order {
 				counts[j] = states[int(g)*w+a].count
 			}
-			vecs = append(vecs, dataset.IntVector(dataset.KindInt, counts))
+			vecs[c] = dataset.IntVector(dataset.KindInt, counts)
 			continue
 		}
 		vals := make([]float64, len(order))
 		for j, g := range order {
 			vals[j] = states[int(g)*w+a].value(spec.fn)
 		}
-		vecs = append(vecs, dataset.FloatVector(vals))
+		vecs[c] = dataset.FloatVector(vals)
 	}
-	return NewFrame(len(order), cols, vecs), nil
+	return s.frame(len(order), cols, vecs, nil), nil
 }
 
 // joinSides orders a join's two inputs as (holder of left, holder of right)
 // and returns their key columns in a common storage class.
 func joinSides(s *scratch, left, right query.ColumnRef, a, b jobInput) (jobInput, jobInput, joinKey, joinKey, error) {
-	lk, rk := left.String(), right.String()
-	if a.frame.Col(lk) < 0 && b.frame.Col(lk) >= 0 {
+	if a.frame.Col(left) < 0 && b.frame.Col(left) >= 0 {
 		a, b = b, a
 	}
-	li, ri := a.frame.Col(lk), b.frame.Col(rk)
+	li, ri := a.frame.Col(left), b.frame.Col(right)
 	if li < 0 || ri < 0 {
-		return a, b, joinKey{}, joinKey{}, fmt.Errorf("join keys %s/%s not found", lk, rk)
+		return a, b, joinKey{}, joinKey{}, fmt.Errorf("join keys %s/%s not found", left, right)
 	}
-	ak, bk, err := joinKeys(s, a.frame.vector(s, li), b.frame.vector(s, ri), lk, rk)
+	ak, bk, err := joinKeys(s, a.frame.vector(s, li), b.frame.vector(s, ri), a.frame.Cols[li], b.frame.Cols[ri])
 	return a, b, ak, bk, err
 }
 
@@ -656,10 +647,16 @@ func (e *Engine) runJoin(s *scratch, job *plan.Job, ins []jobInput, stats *JobSt
 		// first whichever side is broadcast.
 		var arows, brows []int32
 		if a.table == job.Broadcast {
-			m := match(s, ak, bk, [][]int32{flatten(a.parts)}, b.parts)
+			m, err := e.match(s, job, ak, bk, s.one(flatten(a.parts)), b.parts)
+			if err != nil {
+				return nil, err
+			}
 			arows, brows = m.build, m.probe
 		} else {
-			m := match(s, bk, ak, [][]int32{flatten(b.parts)}, a.parts)
+			m, err := e.match(s, job, bk, ak, s.one(flatten(b.parts)), a.parts)
+			if err != nil {
+				return nil, err
+			}
 			arows, brows = m.probe, m.build
 		}
 		res := joined(s, a.frame, arows, b.frame, brows)
@@ -671,7 +668,10 @@ func (e *Engine) runJoin(s *scratch, job *plan.Job, ins []jobInput, stats *JobSt
 	stats.MedRows = int64(len(lsel) + len(rsel))
 
 	R := e.cfg.NumReducers
-	m := match(s, ak, bk, partition(s, ak, lsel, R), partition(s, bk, rsel, R))
+	m, err := e.match(s, job, ak, bk, partition(s, ak, lsel, R), partition(s, bk, rsel, R))
+	if err != nil {
+		return nil, err
+	}
 	return joined(s, a.frame, m.build, b.frame, m.probe), nil
 }
 
@@ -682,13 +682,13 @@ func (e *Engine) runJoin(s *scratch, job *plan.Job, ins []jobInput, stats *JobSt
 // (row-level filters commute with the join).
 func (e *Engine) applyMapJoins(s *scratch, job *plan.Job, ins []jobInput, stats *JobStats) ([]jobInput, error) {
 	for _, spec := range job.MapJoins {
-		b, err := e.loadScan(spec.BroadcastScan)
+		b, err := e.loadScan(s, spec.BroadcastScan)
 		if err != nil {
 			return nil, err
 		}
 		stats.InBytes += b.rawBytes
 		stats.InRows += b.frame.NumRows()
-		bKey, pKey := spec.JoinLeft.String(), spec.JoinRight.String()
+		bKey, pKey := spec.JoinLeft, spec.JoinRight
 		if b.frame.Col(bKey) < 0 {
 			bKey, pKey = pKey, bKey
 		}
@@ -707,7 +707,8 @@ func (e *Engine) applyMapJoins(s *scratch, job *plan.Job, ins []jobInput, stats 
 			return nil, fmt.Errorf("map-join probe key %s not found in inputs", pKey)
 		}
 		probe := ins[pi]
-		bk, pk, err := joinKeys(s, b.frame.vector(s, bi), probe.frame.vector(s, probe.frame.Col(pKey)), bKey, pKey)
+		pj := probe.frame.Col(pKey)
+		bk, pk, err := joinKeys(s, b.frame.vector(s, bi), probe.frame.vector(s, pj), b.frame.Cols[bi], probe.frame.Cols[pj])
 		if err != nil {
 			return nil, err
 		}
@@ -720,7 +721,10 @@ func (e *Engine) applyMapJoins(s *scratch, job *plan.Job, ins []jobInput, stats 
 		if err != nil {
 			return nil, err
 		}
-		m := match(s, bk, pk, [][]int32{flatten(bparts)}, pparts)
+		m, err := e.match(s, job, bk, pk, s.one(flatten(bparts)), pparts)
+		if err != nil {
+			return nil, err
+		}
 		res := joined(s, probe.frame, m.probe, b.frame, m.build)
 		ins[pi] = jobInput{frame: res, rawBytes: res.Bytes(), preds: probe.preds}
 	}

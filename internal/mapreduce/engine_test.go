@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -37,6 +38,14 @@ func newTestEngine(t *testing.T) *Engine {
 		e.Register(rel)
 	}
 	return e
+}
+
+// ref is the reference a column name spells: "table.column", qualified.
+func ref(name string) query.ColumnRef {
+	if t, c, ok := strings.Cut(name, "."); ok {
+		return query.ColumnRef{Table: t, Column: c}
+	}
+	return query.ColumnRef{Column: name}
 }
 
 func compile(t *testing.T, src string) *plan.DAG {
@@ -126,7 +135,7 @@ func TestGroupbyAggregatesMatchBruteForce(t *testing.T) {
 	if int(res.Final.NumRows()) != len(want) {
 		t.Fatalf("groups = %d, want %d", res.Final.NumRows(), len(want))
 	}
-	kc := res.Final.Col("lineitem.l_quantity")
+	kc := res.Final.Col(ref("lineitem.l_quantity"))
 	for i := 0; i < int(res.Final.NumRows()); i++ {
 		row := res.Final.Row(i)
 		a := want[row[kc].I]
@@ -197,7 +206,7 @@ func TestOrderByAndLimit(t *testing.T) {
 	if res.Final.NumRows() != 7 {
 		t.Fatalf("limit rows = %d", res.Final.NumRows())
 	}
-	bi := res.Final.Col("supplier.s_acctbal")
+	bi := res.Final.Col(ref("supplier.s_acctbal"))
 	for i := 1; i < int(res.Final.NumRows()); i++ {
 		if res.Final.At(i, bi).F > res.Final.At(i-1, bi).F {
 			t.Fatal("descending order violated")
@@ -218,7 +227,7 @@ func TestOrderByAndLimit(t *testing.T) {
 func TestOrderByAscendingStable(t *testing.T) {
 	e := newTestEngine(t)
 	res := run(t, e, `SELECT o_orderkey FROM orders ORDER BY o_orderkey`)
-	oi := res.Final.Col("orders.o_orderkey")
+	oi := res.Final.Col(ref("orders.o_orderkey"))
 	for i := 1; i < int(res.Final.NumRows()); i++ {
 		if res.Final.At(i, oi).I < res.Final.At(i-1, oi).I {
 			t.Fatal("ascending order violated")
@@ -241,7 +250,7 @@ func TestQ11Pipeline(t *testing.T) {
 		t.Fatalf("suspicious output rows %d", res.Final.NumRows())
 	}
 	// Aggregate column present and numeric.
-	ai := res.Final.Col("J3.agg0")
+	ai := res.Final.Col(ref("J3.agg0"))
 	if ai < 0 {
 		t.Fatalf("missing aggregate column: %v", res.Final.Cols)
 	}
@@ -313,9 +322,14 @@ func TestRegisterKeepsNoKeys(t *testing.T) {
 
 func TestFrameBasics(t *testing.T) {
 	a, b := dataset.IntVector(dataset.KindInt, []int64{1}), dataset.StringVector([]string{"xy"})
-	f := NewFrame(1, []string{"a", "b"}, []dataset.Vector{a, b})
-	if f.Col("a") != 0 || f.Col("b") != 1 || f.Col("zz") != -1 {
-		t.Fatal("Col lookup broken")
+	f := NewFrame(1, []string{"a", "t.b"}, []dataset.Vector{a, b})
+	for name, want := range map[string]int{"a": 0, "t.b": 1, "b": -1, "zz": -1, "t.a": -1, "tt.b": -1, "t.bb": -1, "u.b": -1} {
+		if got := f.Col(ref(name)); got != want {
+			t.Errorf("Col(%s) = %d, want %d", name, got, want)
+		}
+	}
+	if f.Col(query.ColumnRef{Column: "t.b"}) != 1 {
+		t.Error("an unqualified reference does not find the column its name spells")
 	}
 	if f.Bytes() != 10 {
 		t.Fatalf("frame bytes = %d", f.Bytes())

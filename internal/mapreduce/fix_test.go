@@ -101,7 +101,7 @@ func TestJoinCrossKindKeys(t *testing.T) {
 				if f.NumRows() != 20 {
 					t.Errorf("%s: %d rows, want all 20 integer keys matched (10 below 1e6, 10 at or above)", src, f.NumRows())
 				}
-				ic, fc := f.Col("ti.i_key"), f.Col("tf.f_key")
+				ic, fc := f.Col(ref("ti.i_key")), f.Col(ref("tf.f_key"))
 				for i := 0; i < int(f.NumRows()); i++ {
 					if iv, fv := f.At(i, ic), f.At(i, fc); float64(iv.I) != fv.F {
 						t.Errorf("%s: row %d joins %v with %v", src, i, iv, fv)

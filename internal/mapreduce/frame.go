@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"saqp/internal/dataset"
 	"saqp/internal/query"
@@ -17,13 +18,14 @@ import (
 // a column (Frame.column) or an Extract gathers its output, and nothing
 // gathered is stored back: a frame never changes once built.
 //
-// A frame's vectors are always on the heap: relations' columns and job
-// outputs (a Groupby's columns, an Extract's gathered ones). Its side
-// indexes — match pairs and the indexes composed from them — and the
-// columns a job gathers to read are cut from the query's scratch, so a
-// view lives no longer than its query. The one frame that does is the
-// sink, QueryResult.Final: RunQuery detaches it, copying its indexes onto
-// the heap, before the scratch goes back to the engine.
+// A frame's data vectors are always on the heap: relations' columns and
+// job outputs (a Groupby's columns, an Extract's gathered ones). Its
+// header — the Frame itself, Cols, vecs and sides — and its side indexes
+// (match pairs and the indexes composed from them) are cut from the
+// query's scratch, as are the columns a job gathers to read, so a frame
+// lives no longer than its query. The one frame that does is the sink,
+// QueryResult.Final: RunQuery detaches it, copying its header and indexes
+// onto the heap, before the scratch goes back to the engine.
 type Frame struct {
 	// Cols are qualified column names ("table.column", or synthetic names
 	// like "J3.agg0" for aggregate outputs).
@@ -42,16 +44,23 @@ type side struct {
 	rows []int32
 }
 
-// NewFrame builds an n-row frame from one vector per column. The row count
-// is explicit because a scan that reads no column (count(*)) still has rows.
+// NewFrame builds an n-row frame from one vector per column, on the heap.
+// The row count is explicit because a scan that reads no column (count(*))
+// still has rows.
 func NewFrame(n int, cols []string, vecs []dataset.Vector) *Frame {
 	return &Frame{Cols: cols, vecs: vecs, n: n}
 }
 
-// Col returns the index of a qualified column name, or -1.
-func (f *Frame) Col(name string) int {
-	for i, c := range f.Cols {
-		if c == name {
+// Col returns the index of the column c names, or -1: the column whose
+// name is c.String(), found without building that string.
+func (f *Frame) Col(c query.ColumnRef) int {
+	for i, name := range f.Cols {
+		if c.Table == "" {
+			if name == c.Column {
+				return i
+			}
+		} else if len(name) == len(c.Table)+1+len(c.Column) && name[len(c.Table)] == '.' &&
+			strings.HasPrefix(name, c.Table) && strings.HasSuffix(name, c.Column) {
 			return i
 		}
 	}
@@ -81,7 +90,7 @@ func (f *Frame) vector(s *scratch, j int) dataset.Vector {
 // vector and the name the frame holds it under; what names the role of a
 // missing column in the error.
 func (f *Frame) column(s *scratch, what string, c query.ColumnRef) (dataset.Vector, string, error) {
-	if j := f.Col(c.String()); j >= 0 {
+	if j := f.Col(c); j >= 0 {
 		return f.vector(s, j), f.Cols[j], nil
 	}
 	return dataset.Vector{}, "", fmt.Errorf("%s %s not in input", what, c)
@@ -131,47 +140,49 @@ func (f *Frame) through(s *scratch, dst []side, sel []int32, off int) []side {
 
 // view returns the rows sel picks out of f, in selection order, as a view.
 func (f *Frame) view(s *scratch, sel []int32) *Frame {
-	return &Frame{Cols: f.Cols, vecs: f.vecs, sides: f.through(s, nil, sel, 0), n: len(sel)}
+	sides := f.through(s, s.sides.Cut(max(1, len(f.sides)))[:0], sel, 0)
+	return s.frame(len(sel), f.Cols, f.vecs, sides)
 }
 
 // gathered returns f as a plain frame, each column a vector of its own:
 // shared where it is read directly, gathered onto the heap where through
-// an index.
-func (f *Frame) gathered() *Frame {
-	vecs := make([]dataset.Vector, len(f.vecs))
+// an index. Its header is cut from s.
+func (f *Frame) gathered(s *scratch) *Frame {
+	vecs := s.vecs.Cut(len(f.vecs))
 	for j := range vecs {
 		vecs[j] = f.vecs[j]
 		if rows := f.index(j); rows != nil {
 			vecs[j] = gather(f.vecs[j], rows)
 		}
 	}
-	return NewFrame(f.n, f.Cols, vecs)
+	return s.frame(f.n, f.Cols, vecs, nil)
 }
 
-// detached returns f with its side indexes copied onto the heap: the
-// query's sink, which outlives the scratch its indexes were cut from.
+// detached returns a copy of f with its header and side indexes on the
+// heap: the query's sink, which outlives the scratch they were cut from.
+// Its data vectors are on the heap already and are shared.
 func (f *Frame) detached() *Frame {
-	if f.sides == nil {
-		return f
+	d := NewFrame(f.n, slices.Clone(f.Cols), slices.Clone(f.vecs))
+	if f.sides != nil {
+		d.sides = make([]side, len(f.sides))
+		for i, sd := range f.sides {
+			d.sides[i] = side{sd.end, slices.Clone(sd.rows)}
+		}
 	}
-	sides := make([]side, len(f.sides))
-	for i, sd := range f.sides {
-		sides[i] = side{sd.end, slices.Clone(sd.rows)}
-	}
-	return &Frame{Cols: f.Cols, vecs: f.vecs, sides: sides, n: f.n}
+	return d
 }
 
 // joined is the view of matched row pairs: first's columns read through
 // frows, then second's through srows.
 func joined(s *scratch, first *Frame, frows []int32, second *Frame, srows []int32) *Frame {
-	w := len(first.Cols) + len(second.Cols)
-	sides := make([]side, 0, max(1, len(first.sides))+max(1, len(second.sides)))
-	return &Frame{
-		Cols:  append(append(make([]string, 0, w), first.Cols...), second.Cols...),
-		vecs:  append(append(make([]dataset.Vector, 0, w), first.vecs...), second.vecs...),
-		sides: second.through(s, first.through(s, sides, frows, 0), srows, len(first.Cols)),
-		n:     len(frows),
-	}
+	k := len(first.Cols)
+	cols, vecs := s.strs.Cut(k+len(second.Cols)), s.vecs.Cut(k+len(second.Cols))
+	copy(cols, first.Cols)
+	copy(cols[k:], second.Cols)
+	copy(vecs, first.vecs)
+	copy(vecs[k:], second.vecs)
+	sides := s.sides.Cut(max(1, len(first.sides)) + max(1, len(second.sides)))[:0]
+	return s.frame(len(frows), cols, vecs, second.through(s, first.through(s, sides, frows, 0), srows, k))
 }
 
 // NumRows returns the row count.

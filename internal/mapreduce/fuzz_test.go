@@ -15,9 +15,13 @@ import (
 // crashing and with structurally sane (non-negative, stats-complete)
 // results. Every call shares one engine, so queries run on scratch that
 // earlier ones left: the fuzzed query runs, then the seed's next
-// generated query, then the fuzzed query again, and both of its results
-// must digest alike. The heavier quantitative agreement checks stay in
-// TestRandomQueriesEstimatorVsEngine below.
+// generated query, then the fuzzed query again. The first result is kept
+// across the second query's run and must then still read the rows and
+// bytes its sink job measured while its frame was live, and digest as it
+// did right after its own run: a sink that still reads the scratch, which
+// RunQuery zeroes when it returns, fails on any generated shape with
+// rows. The third run must digest alike too. The heavier quantitative
+// agreement checks stay in TestRandomQueriesEstimatorVsEngine below.
 func FuzzEngineQuery(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 99, 1 << 32, ^uint64(0)} {
 		f.Add(seed)
@@ -57,6 +61,14 @@ func FuzzEngineQuery(f *testing.F) {
 		want := digestResult(d, res)
 		if _, err := e.RunQuery(nd); err != nil {
 			t.Fatalf("seed %d's second query does not execute: %v\n%s", seed, err, next)
+		}
+		sink := res.Stats[d.Sink().ID]
+		if err := res.Final.Validate(); err != nil || res.Final.NumRows() != sink.OutRows || res.Final.Bytes() != sink.OutBytes {
+			t.Fatalf("seed %d's kept result reads %d rows and %d bytes (%v) after another query; its job measured %d and %d\n%s",
+				seed, res.Final.NumRows(), res.Final.Bytes(), err, sink.OutRows, sink.OutBytes, q)
+		}
+		if got := digestResult(d, res); got != want {
+			t.Fatalf("seed %d's kept result digests %#x after another query, %#x before\n%s", seed, got, want, q)
 		}
 		again, err := e.RunQuery(d)
 		if err != nil {

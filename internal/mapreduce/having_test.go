@@ -22,7 +22,7 @@ func TestHavingFiltersGroups(t *testing.T) {
 		t.Fatalf("HAVING did not filter: %d vs %d groups", filtered.Final.NumRows(), all.Final.NumRows())
 	}
 	// Every surviving group satisfies the condition; brute-force check.
-	ci := filtered.Final.Col("J1.agg0")
+	ci := filtered.Final.Col(ref("J1.agg0"))
 	for i := 0; i < int(filtered.Final.NumRows()); i++ {
 		if n := filtered.Final.At(i, ci).I; n <= 1200 {
 			t.Fatalf("group with count %d survived HAVING count(*) > 1200", n)
@@ -30,7 +30,7 @@ func TestHavingFiltersGroups(t *testing.T) {
 	}
 	// And the set of surviving groups matches filtering the full result.
 	want := 0
-	ai := all.Final.Col("J1.agg0")
+	ai := all.Final.Col(ref("J1.agg0"))
 	for i := 0; i < int(all.Final.NumRows()); i++ {
 		if all.Final.At(i, ai).I > 1200 {
 			want++

@@ -6,6 +6,7 @@ import (
 
 	"saqp/internal/dataset"
 	"saqp/internal/par"
+	"saqp/internal/plan"
 	"saqp/internal/sim"
 )
 
@@ -101,10 +102,10 @@ func floatBits(s *scratch, v dataset.Vector) joinKey {
 // Value.AppendText of the value the join compares (a float's from its bits,
 // so an integer joined to a float is the widened float; a string is hashed
 // where it lies), each bucket keeping rows in order. It returns the buckets
-// as segments of one buffer cut from s.
+// as segments of one buffer, all cut from s.
 func partition(s *scratch, key joinKey, rows []int32, r int) [][]int32 {
 	pid := s.i32.Cut(len(rows))
-	bounds := make([]int, r+1)
+	bounds := s.i32.Cut(r + 1)
 	var buf [32]byte
 	for j, i := range rows {
 		var h uint32
@@ -123,7 +124,7 @@ func partition(s *scratch, key joinKey, rows []int32, r int) [][]int32 {
 		bounds[p+1] += bounds[p]
 	}
 	out := s.i32.Cut(len(rows))
-	buckets := make([][]int32, r)
+	buckets := s.rows.Cut(r)
 	for p := range buckets {
 		buckets[p] = out[bounds[p]:bounds[p]:bounds[p+1]]
 	}
@@ -141,26 +142,29 @@ type pairs struct{ build, probe []int32 }
 type chain struct{ first, n int32 }
 
 // hashIndex indexes the build rows of a hash join by key, each key's rows
-// chained in insertion order through next. Probing only reads it, so
-// probe tasks may share one.
+// chained in insertion order through next. A slot keeps one per key class:
+// its heads map across queries, its rows for one match. Probing only reads
+// it, so probe tasks may share one.
 type hashIndex[K comparable] struct {
-	head  map[K]chain
+	heads table[K, chain]
 	next  []int32 // position in brows → position of the key's next row
 	brows []int32
 }
 
-// newIndex indexes brows by key in head (empty), chaining them through
-// next (one per row).
-func newIndex[K comparable](head map[K]chain, keys []K, brows, next []int32) hashIndex[K] {
-	h := hashIndex[K]{head: head, next: next, brows: brows}
-	for j := len(brows) - 1; j >= 0; j-- {
-		k := keys[brows[j]]
-		c := h.head[k]
+// build indexes h.brows by their keys, chaining them through h.next (one
+// per row); the caller sets both.
+func (h *hashIndex[K]) build(keys []K) {
+	head := h.heads.reuse()
+	for j := len(h.brows) - 1; j >= 0; j-- {
+		k := keys[h.brows[j]]
+		c := head[k]
 		h.next[j] = c.first
-		h.head[k] = chain{int32(j), c.n + 1}
+		head[k] = chain{int32(j), c.n + 1}
 	}
-	return h
 }
+
+// drop forgets the rows of h's last build.
+func (h *hashIndex[K]) drop() { h.next, h.brows = nil, nil }
 
 // count returns how many build rows the probe rows prows match; keys are
 // the probe side's, by row.
@@ -169,7 +173,7 @@ func newIndex[K comparable](head map[K]chain, keys []K, brows, next []int32) has
 func (h *hashIndex[K]) count(keys []K, prows []int32) int {
 	n := 0
 	for _, r := range prows {
-		n += int(h.head[keys[r]].n)
+		n += int(h.heads.m[keys[r]].n)
 	}
 	return n
 }
@@ -181,7 +185,7 @@ func (h *hashIndex[K]) count(keys []K, prows []int32) int {
 func (h *hashIndex[K]) fill(keys []K, prows, build, probe []int32) {
 	k := 0
 	for _, r := range prows {
-		c := h.head[keys[r]]
+		c := h.heads.m[keys[r]]
 		for b := c.first; c.n > 0; c.n-- {
 			build[k], probe[k] = h.brows[b], r
 			b = h.next[b]
@@ -190,44 +194,81 @@ func (h *hashIndex[K]) fill(keys []K, prows, build, probe []int32) {
 	}
 }
 
+// JoinTooLargeError is a join refused before its match pairs were cut:
+// they would take more than Budget bytes, 8 per match. RunQuery's error
+// wraps it with the job's ID.
+type JoinTooLargeError struct {
+	Job     string // the refused job's ID
+	Matches int64  // the matches its tasks counted
+	Budget  int64  // bytes
+}
+
+// Error states the count and the budget; the job is named by the error
+// that wraps it.
+func (e *JoinTooLargeError) Error() string {
+	return fmt.Sprintf("join of %d matches needs %d bytes of pairs, over the %d-byte budget", e.Matches, 8*e.Matches, e.Budget)
+}
+
 // match pairs every probe task's rows with a hash index of build rows and
 // returns all the matches, in task order, in one exact-size pair: each task
 // counts its matches, a prefix sum places its segment, and each task fills
 // its own. With one build set for many tasks (a broadcast) the index is
 // built once and shared; with one per task (a shuffle's reducers) each task
 // indexes its own. The pairs and every index's chains are cut from s, and
-// build i hashes into slot i's heads for the key class.
-func match(s *scratch, bk, pk joinKey, builds, probes [][]int32) pairs {
+// build i hashes into slot i's index for the key class.
+//
+// A join may match at most one row pair per byte of the engine's
+// registered relations: its pairs, 8 bytes a match, get 8 × e.bytes. One
+// that counts more is refused before they are cut, with a
+// JoinTooLargeError. Every other frame is bounded by its inputs: a filter,
+// sort or limit keeps at most their rows, a Groupby at most one row per
+// input row, and a join's output is its pairs.
+func (e *Engine) match(s *scratch, job *plan.Job, bk, pk joinKey, builds, probes [][]int32) (pairs, error) {
+	limit := e.bytes // matches
+	var m pairs
+	var n int64
 	if bk.kind == dataset.KindString {
-		return matchOn(s, bk.strs, pk.strs, builds, probes, func(sl *slot) *table[string, chain] { return &sl.joinStrs })
+		m, n = matchOn(s, limit, bk.strs, pk.strs, builds, probes, func(sl *slot) *hashIndex[string] { return &sl.joinStrs })
+	} else {
+		m, n = matchOn(s, limit, bk.ints, pk.ints, builds, probes, func(sl *slot) *hashIndex[int64] { return &sl.joinInts })
 	}
-	return matchOn(s, bk.ints, pk.ints, builds, probes, func(sl *slot) *table[int64, chain] { return &sl.joinInts })
+	if n > limit {
+		return pairs{}, &JoinTooLargeError{Job: job.ID, Matches: n, Budget: 8 * limit}
+	}
+	return m, nil
 }
 
-func matchOn[K comparable](s *scratch, bkeys, pkeys []K, builds, probes [][]int32, heads func(*slot) *table[K, chain]) pairs {
-	idx := make([]hashIndex[K], len(builds))
-	for i, b := range builds {
-		idx[i].next = s.i32.Cut(len(b))
-	}
+// matchOn is match for one key class. It returns the matches its tasks
+// counted, and cuts and fills the pairs only if they are at most limit.
+func matchOn[K comparable](s *scratch, limit int64, bkeys, pkeys []K, builds, probes [][]int32, index func(*slot) *hashIndex[K]) (pairs, int64) {
 	slots := s.slots(len(builds))
+	for i, b := range builds {
+		ix := index(&slots[i])
+		ix.next, ix.brows = s.i32.Cut(len(b)), b
+	}
 	own := len(builds) == len(probes)
 	if !own {
-		idx[0] = newIndex(heads(&slots[0]).reuse(), bkeys, builds[0], idx[0].next)
+		index(&slots[0]).build(bkeys)
 	}
-	off := make([]int, len(probes)+1)
+	off := s.i64.Cut(len(probes) + 1)
 	par.For(len(probes), func(_ *struct{}, i int) {
+		ix := index(&slots[min(i, len(builds)-1)])
 		if own {
-			idx[i] = newIndex(heads(&slots[i]).reuse(), bkeys, builds[i], idx[i].next)
+			ix.build(bkeys)
 		}
-		off[i+1] = idx[min(i, len(idx)-1)].count(pkeys, probes[i])
+		off[i+1] = int64(ix.count(pkeys, probes[i]))
 	})
 	for i := range probes {
 		off[i+1] += off[i]
 	}
-	m := pairs{s.i32.Cut(off[len(probes)]), s.i32.Cut(off[len(probes)])}
+	n := off[len(probes)]
+	if n > limit {
+		return pairs{}, n
+	}
+	m := pairs{s.i32.Cut(int(n)), s.i32.Cut(int(n))}
 	par.For(len(probes), func(_ *struct{}, i int) {
 		lo, hi := off[i], off[i+1]
-		idx[min(i, len(idx)-1)].fill(pkeys, probes[i], m.build[lo:hi], m.probe[lo:hi])
+		index(&slots[min(i, len(builds)-1)]).fill(pkeys, probes[i], m.build[lo:hi], m.probe[lo:hi])
 	})
-	return m
+	return m, n
 }

@@ -24,7 +24,7 @@ func TestBroadcastJoinMatchesShuffleJoin(t *testing.T) {
 	}
 	// Same multiset of rows (order may differ between strategies).
 	key := func(f *Frame) []string {
-		si := f.Col("supplier.s_name")
+		si := f.Col(ref("supplier.s_name"))
 		out := make([]string, 0, f.NumRows())
 		for i := 0; i < int(f.NumRows()); i++ {
 			out = append(out, f.At(i, si).S)

@@ -75,7 +75,7 @@ func TestOrderByAggregatePastSpelledNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := res.Final
-	j := f.Col(col.String())
+	j := f.Col(col)
 	if j != 17 || f.NumRows() < 2 {
 		t.Fatalf("%s at column %d of %q, %d rows", col, j, f.Cols, f.NumRows())
 	}

@@ -7,40 +7,84 @@ import (
 	"saqp/internal/slab"
 )
 
-// scratch is one query's working storage: the buffers whose lifetime ends
-// with the query — selections, shuffle buckets, match pairs, composed view
-// indexes, gathered input columns, combine vectors, reduce states and
-// rendered group keys — are
-// cut from it instead of made, and each combine task and join build hashes
-// into a slot of it. The engine keeps one idle scratch between queries
-// (Engine.RunQuery), so a warm query allocates none of them. Only code
-// outside a par.For body cuts or hands out slots: a phase's per-task
-// buffers are cut before it starts, one segment and one slot per task.
+// scratch is one query's working storage: everything a job builds but its
+// output's data vectors is cut from it instead of made — selections,
+// shuffle buckets, match pairs, composed view indexes, gathered input
+// columns, combine vectors, reduce states and rendered group keys; the
+// offsets and bounds between them; resolved inputs, predicates and
+// aggregates; every per-task slice header; and the header of every frame
+// (the Frame, its Cols, vecs and sides), job outputs included — and each
+// combine task and join build hashes into a slot of it. Data vectors live
+// on the heap: relations' columns and job output data. Only the sink's
+// header outlives the query, and Frame.detached copies it out. The
+// engine keeps one idle scratch between queries (Engine.RunQuery), so a
+// warm query allocates only what it returns. Only code outside a par.For
+// body cuts or hands out slots: a phase's per-task buffers are cut before
+// it starts, one segment and one slot per task.
 type scratch struct {
 	i32    slab.Slab[int32]
 	i64    slab.Slab[int64]
 	f64    slab.Slab[float64]
 	strs   slab.Slab[string]
 	states slab.Slab[aggState]
+	rows   slab.Slab[[]int32] // per-task row lists: map splits' survivors, shuffle buckets
+	frames slab.Slab[Frame]
+	vecs   slab.Slab[dataset.Vector]
+	sides  slab.Slab[side]
+	ins    slab.Slab[jobInput]
+	preds  slab.Slab[scanPred]
+	specs  slab.Slab[aggSpec]
+	tasks  slab.Slab[combineTask]
 	slot   []slot
 	// keys holds a Groupby's rendered output keys, one job at a time.
 	keys []byte
 }
 
 func (s *scratch) size() int64 {
-	n := s.i32.Bytes() + s.i64.Bytes() + s.f64.Bytes() + s.strs.Bytes() + s.states.Bytes() + int64(cap(s.keys))
+	n := s.i32.Bytes() + s.i64.Bytes() + s.f64.Bytes() + s.strs.Bytes() + s.states.Bytes() +
+		s.rows.Bytes() + s.frames.Bytes() + s.vecs.Bytes() + s.sides.Bytes() + s.ins.Bytes() +
+		s.preds.Bytes() + s.specs.Bytes() + s.tasks.Bytes() + int64(cap(s.keys))
 	for i := range s.slot {
 		n += s.slot[i].bytes()
 	}
 	return n
 }
 
+// reset readies s for the next query. A slot's join indexes drop their
+// rows, which were cut from the slabs, so a slab's replaced buffer is not
+// kept alive through them.
 func (s *scratch) reset() {
 	s.i32.Reset()
 	s.i64.Reset()
 	s.f64.Reset()
 	s.strs.Reset()
 	s.states.Reset()
+	s.rows.Reset()
+	s.frames.Reset()
+	s.vecs.Reset()
+	s.sides.Reset()
+	s.ins.Reset()
+	s.preds.Reset()
+	s.specs.Reset()
+	s.tasks.Reset()
+	for i := range s.slot {
+		s.slot[i].joinInts.drop()
+		s.slot[i].joinStrs.drop()
+	}
+}
+
+// frame cuts an n-row frame's header from s.
+func (s *scratch) frame(n int, cols []string, vecs []dataset.Vector, sides []side) *Frame {
+	f := &s.frames.Cut(1)[0]
+	*f = Frame{Cols: cols, vecs: vecs, sides: sides, n: n}
+	return f
+}
+
+// one is rows as the only build of a match: a broadcast's.
+func (s *scratch) one(rows []int32) [][]int32 {
+	b := s.rows.Cut(1)
+	b[0] = rows
+	return b
 }
 
 // slots hands out one slot per task of a phase, valid until the next call.
@@ -52,13 +96,13 @@ func (s *scratch) slots(n int) []slot {
 }
 
 // slot is one task's hash tables and partial states, kept across queries
-// and emptied when reused: a join build's index heads, by key class, a
+// and emptied when reused: a join build's index, by key class, a
 // combine's or the reduce's group-key maps, one per key class, and the
 // buffer a combine's partial states are cut from. Nothing ranges over a
 // kept map, so reusing one changes no order.
 type slot struct {
-	joinInts  table[int64, chain]
-	joinStrs  table[string, chain]
+	joinInts  hashIndex[int64]
+	joinStrs  hashIndex[string]
 	groupInts table[prefixed[int64], int32]
 	groupStrs table[prefixed[string], int32]
 	groupFlts table[prefixed[uint64], int32]
@@ -72,7 +116,7 @@ func (sl *slot) partials(n int) []aggState {
 }
 
 func (sl *slot) bytes() int64 {
-	return sl.joinInts.bytes() + sl.joinStrs.bytes() + sl.groupInts.bytes() +
+	return sl.joinInts.heads.bytes() + sl.joinStrs.heads.bytes() + sl.groupInts.bytes() +
 		sl.groupStrs.bytes() + sl.groupFlts.bytes() + sl.states.Bytes()
 }
 

@@ -2,13 +2,13 @@ package mapreduce
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"runtime"
 	"sync"
 	"testing"
 
 	"saqp/internal/plan"
-	"saqp/internal/workload"
 )
 
 // TestEngineResultsOutliveLaterQueries holds every result the digest
@@ -72,19 +72,7 @@ func TestEngineResultsOutliveLaterQueries(t *testing.T) {
 // that are not zeroed, fail it.
 func TestEngineReusedSlotsLeakNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	var names []string
-	var dags []*plan.DAG
-	for _, name := range workload.TPCHNames() {
-		q, err := workload.TPCHQuery(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := plan.Compile(q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		names, dags = append(names, name), append(dags, d)
-	}
+	names, dags := tpchPlans(t)
 	for _, src := range []string{
 		`SELECT l_discount, sum(l_quantity), count(*) FROM lineitem GROUP BY l_discount`,
 		`SELECT o_orderkey, l_orderkey FROM orders JOIN lineitem ON o_orderstatus = l_returnflag WHERE o_totalprice < 900 AND l_quantity > 49`,
@@ -128,7 +116,7 @@ func TestEngineReusedSlotsLeakNothing(t *testing.T) {
 	var reused [6]bool
 	for i := range s.slot {
 		sl := &s.slot[i]
-		for j, peak := range []int{sl.joinInts.peak, sl.joinStrs.peak, sl.groupInts.peak, sl.groupStrs.peak, sl.groupFlts.peak, int(sl.states.Bytes())} {
+		for j, peak := range []int{sl.joinInts.heads.peak, sl.joinStrs.heads.peak, sl.groupInts.peak, sl.groupStrs.peak, sl.groupFlts.peak, int(sl.states.Bytes())} {
 			reused[j] = reused[j] || peak > 0
 		}
 	}
@@ -264,5 +252,68 @@ func TestEngineDropsOutsizedScratch(t *testing.T) {
 	run(small)
 	if got := run(unique); got != wantUnique {
 		t.Errorf("the group-by digests %#x on a kept scratch, %#x on a new one", got, wantUnique)
+	}
+}
+
+// TestEngineRefusesJoinOverBudget runs a self-join of lineitem on
+// l_returnflag on a warm engine over the bench's data: 3 flags over 60,000
+// rows, about 1.2 × 10⁹ matches, 9.6 GB of pairs. The join's tasks count
+// every match, and the join is refused before the pairs are cut: a
+// JoinTooLargeError that names the job, the exact count and the budget (8
+// bytes per byte of the registered relations, 118 MB), with under 1 MB
+// allocated. The TPC-H DAGs then run and digest as they did before it.
+func TestEngineRefusesJoinOverBudget(t *testing.T) {
+	e := New(Config{})
+	for _, rel := range digestRelations() {
+		e.Register(rel)
+	}
+	names, dags := tpchPlans(t)
+	want := make([]uint64, len(dags))
+	for i, d := range dags {
+		res, err := e.RunQuery(d)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		want[i] = digestResult(d, res)
+	}
+	self := compile(t, `SELECT l1.l_orderkey FROM lineitem l1 JOIN lineitem l2 ON l1.l_returnflag = l2.l_returnflag`)
+	flags := map[string]int64{}
+	lineitem := e.tables["lineitem"]
+	for _, f := range lineitem.Cols[lineitem.Schema.ColumnIndex("l_returnflag")].Strings() {
+		flags[f]++
+	}
+	var matches int64
+	for _, n := range flags {
+		matches += n * n
+	}
+	// The first refusal grows the scratch for the join's selections,
+	// buckets and chains, 2.8 MB for 120,000 input rows, and the engine
+	// keeps it; the second is counted.
+	if _, err := e.RunQuery(self); err == nil {
+		t.Fatal("the self-join runs")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := e.RunQuery(self)
+	runtime.ReadMemStats(&after)
+	var big *JoinTooLargeError
+	if !errors.As(err, &big) {
+		t.Fatalf("the self-join of %d matches is not refused as too large: %v", matches, err)
+	}
+	if big.Job != self.Sink().ID || big.Matches != matches || big.Budget != 8*e.bytes {
+		t.Errorf("refused %+v, want job %s, %d matches, budget %d", *big, self.Sink().ID, matches, 8*e.bytes)
+	}
+	t.Logf("%v; %d bytes allocated", err, after.TotalAlloc-before.TotalAlloc)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("the refused self-join allocates %d bytes, want under 1 MB", n)
+	}
+	for i, d := range dags {
+		res, err := e.RunQuery(d)
+		if err != nil {
+			t.Fatalf("%s after the refusal: %v", names[i], err)
+		}
+		if got := digestResult(d, res); got != want[i] {
+			t.Errorf("%s digests %#x after the refusal, %#x before", names[i], got, want[i])
+		}
 	}
 }

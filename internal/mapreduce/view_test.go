@@ -16,7 +16,7 @@ func checkView(t *testing.T, what string, f *Frame) {
 	if err := f.Validate(); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	g := f.gathered()
+	g := f.gathered(new(scratch))
 	if err := g.Validate(); err != nil {
 		t.Fatalf("%s gathered: %v", what, err)
 	}
@@ -67,7 +67,7 @@ func TestEngineViewsEqualGathered(t *testing.T) {
 		for _, job := range d.Jobs {
 			what := names[i] + "/" + job.ID
 			if len(job.MapJoins) > 0 {
-				ins, err := e.resolveInputs(job, out)
+				ins, err := e.resolveInputs(s, job, out)
 				if err == nil {
 					ins, err = e.applyMapJoins(s, job, ins, &JobStats{})
 				}
@@ -77,7 +77,7 @@ func TestEngineViewsEqualGathered(t *testing.T) {
 				for _, in := range ins {
 					checkView(t, what+" input", in.frame)
 					if names[i] == "q14" {
-						j, k := in.frame.Col("lineitem.l_extendedprice"), lineitem.Schema.ColumnIndex("l_extendedprice")
+						j, k := in.frame.Col(ref("lineitem.l_extendedprice")), lineitem.Schema.ColumnIndex("l_extendedprice")
 						sharedQ14 = in.frame.sides != nil && in.frame.index(j) == nil &&
 							&in.frame.vecs[j].Floats()[0] == &lineitem.Cols[k].Floats()[0]
 					}
