@@ -127,7 +127,7 @@ func TestSlotPoolsRestoredPerPhase(t *testing.T) {
 		for _, id := range []string{"a", "b", "c"} {
 			q := &Query{ID: id}
 			for _, jid := range []string{"J1", "J2"} {
-				j := &Job{ID: id + "/" + jid, JobID: jid, Query: q, hoarding: make([]*Task, 0, 4)}
+				j := &Job{ID: id + "/" + jid, JobID: jid, Query: q}
 				for i := 0; i < 12; i++ {
 					j.Maps = append(j.Maps, &Task{Job: j, Index: i, ActualSec: 4 + float64(i%3), PredSec: 5})
 				}

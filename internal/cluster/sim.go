@@ -641,11 +641,6 @@ func (s *Sim) finish(e *event) {
 		return // the attempt was cancelled, killed or failed
 	}
 	j := t.Job
-	if t.State != TaskRunning {
-		// Unreachable with epoch versioning; release defensively.
-		s.releaseSlot(t.phase(), slot)
-		return
-	}
 	t.epoch++
 	t.setState(TaskDone)
 	t.EndTime = s.now
@@ -656,18 +651,19 @@ func (s *Sim) finish(e *event) {
 	}
 	s.releaseSlot(t.phase(), slot)
 	j.done[t.phase()]++
-	// The map phase just completed: hoarding reduces (launched early,
-	// waiting for shuffle input) can now run to completion. No reduce
-	// hoards once the maps are done, so a finishing reduce finds none.
-	if len(j.hoarding) > 0 && j.MapsDone() {
+	// The last map just finished: every task of the job still running is a
+	// hoarding reduce (launched early, waiting for shuffle input), and each
+	// can now run to completion.
+	if !t.Reduce && j.MapsDone() && j.running > 0 {
 		if s.obs != nil {
-			s.obs.Emit(s.jobEvent(obs.ShuffleReady, j), obs.AttrInt("released_reduces", len(j.hoarding)))
+			s.obs.Emit(s.jobEvent(obs.ShuffleReady, j), obs.AttrInt("released_reduces", int(j.running)))
 		}
-		for _, r := range j.hoarding {
-			s.hoarded--
-			s.scheduleFinish(r)
+		s.hoarded -= int(j.running)
+		for _, r := range j.Reds {
+			if r.State == TaskRunning {
+				s.scheduleFinish(r)
+			}
 		}
-		j.hoarding = j.hoarding[:0]
 	}
 	if !j.Done() {
 		return
@@ -713,13 +709,10 @@ func (s *Sim) scheduleFinish(t *Task) {
 	}
 	dur := t.ActualSec/factor + s.cfg.SchedulingOverheadSec
 	if fail, frac := s.fplan.TaskFailure(t.Job.ID, t.Reduce, t.Index, t.Attempts); fail {
-		burn := frac * dur
-		t.end = s.now + burn
-		s.push(event{time: t.end, kind: evTaskFail, task: t, slot: t.slot, epoch: t.epoch})
+		s.push(event{time: s.now + frac*dur, kind: evTaskFail, task: t, slot: t.slot, epoch: t.epoch})
 		return
 	}
-	t.end = s.now + dur
-	s.push(event{time: t.end, kind: evFinish, task: t, slot: t.slot, epoch: t.epoch})
+	s.push(event{time: s.now + dur, kind: evFinish, task: t, slot: t.slot, epoch: t.epoch})
 }
 
 // dispatch assigns runnable tasks to free slots until the scheduler
@@ -779,7 +772,7 @@ func (s *Sim) decided(cands []*Job, j *Job, reduce bool) {
 // preemptForRunnableReduce implements [30]-style preemption: when no reduce
 // slot is free but some job has shuffle-ready reduces (maps done) pending,
 // evict one hoarding reduce (requeued at no lost work) to free a slot.
-// Returns whether a slot was freed.
+// Returns whether a reduce was evicted.
 func (s *Sim) preemptForRunnableReduce() bool {
 	if !s.cfg.PreemptiveReduce || s.hoarded == 0 {
 		return false
@@ -795,35 +788,24 @@ func (s *Sim) preemptForRunnableReduce() bool {
 	if !ready {
 		return false
 	}
-	// Evict the most recently launched hoarding reduce (least sunk wait).
+	// Evict the most recently launched hoarding reduce (least sunk wait);
+	// hoarded > 0, so there is one.
 	var victim *Task
-	var owner *Job
 	for _, j := range s.active {
-		for _, t := range j.hoarding {
-			if victim == nil || t.StartTime > victim.StartTime {
-				victim = t
-				owner = j
-			}
+		if j.MapsDone() {
+			continue
 		}
-	}
-	if victim == nil {
-		return false
-	}
-	for i, t := range owner.hoarding {
-		if t == victim {
-			owner.hoarding = append(owner.hoarding[:i], owner.hoarding[i+1:]...)
-			break
+		for _, t := range j.Reds {
+			if t.State == TaskRunning && (victim == nil || t.StartTime > victim.StartTime) {
+				victim = t
+			}
 		}
 	}
 	if s.obs != nil {
 		s.obs.Emit(s.taskEvent(obs.ReducePreempted, victim, int(victim.slot)), obs.AttrFloat("hoarded_sec", s.now-victim.StartTime))
 	}
-	victim.setState(TaskPending)
-	victim.StartTime = 0
-	owner.pending[reducePhase]++
-	owner.Query.remainingWRD += victim.PredSec
-	s.hoarded--
-	s.releaseSlot(reducePhase, int(victim.slot))
+	s.vacate(victim)
+	victim.requeue()
 	return true
 }
 
@@ -860,8 +842,8 @@ func (s *Sim) candidates(reduce bool) []*Job {
 	return out[:n]
 }
 
-// start occupies a free slot of t's phase with t. Early-launched reduces
-// hoard the slot until their job's map phase completes.
+// start occupies a free slot of t's phase with t. A reduce launched before
+// its job's maps are done hoards the slot until they are (finish).
 func (s *Sim) start(t *Task) {
 	p := t.phase()
 	pool := s.free[p]
@@ -871,17 +853,27 @@ func (s *Sim) start(t *Task) {
 	t.node = int32(s.nodeOf(p, slot))
 	t.Start()
 	t.StartTime = s.now
-	j := t.Job
-	if t.Reduce && !j.MapsDone() {
+	if t.hoards() {
 		// Shuffle cannot complete until the maps do: hold the slot.
 		if s.obs != nil {
 			s.obs.Emit(s.taskEvent(obs.ReduceHoarded, t, slot))
 		}
-		j.hoarding = append(j.hoarding, t)
 		s.hoarded++
 		return
 	}
 	s.scheduleFinish(t)
+}
+
+// vacate ends t's running attempt without finishing it: the attempt's
+// scheduled finish or failure goes stale, a hoarder stops counting against
+// the hoarding caps, and the slot goes back to its pool unless its node is
+// down or blacklisted. The caller moves t out of TaskRunning.
+func (s *Sim) vacate(t *Task) {
+	t.epoch++
+	if t.hoards() {
+		s.hoarded--
+	}
+	s.releaseSlot(t.phase(), int(t.slot))
 }
 
 // JobSpan reports a job's first task start and last task end — the data
