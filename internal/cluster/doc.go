@@ -11,6 +11,15 @@
 // schedulers can compute Weighted Resource Demand without seeing the
 // ground truth.
 //
+// A task leaves TaskRunning only through finish, which completes the
+// attempt, or vacate, which ends it unfinished (preemption, a transient
+// failure, a node crash, an abandoned query) and returns its slot, or
+// withholds it while the node is down or blacklisted. Both bump the
+// task's epoch, so any event still booked for the attempt is stale when it
+// pops. A hoarder is a running reduce of a job whose maps are not done: it
+// holds its slot with no finish booked until its job's last map finishes.
+// The simulator counts hoarders for the hoarding caps but lists none.
+//
 // Events pop in (time, seq) order from a binary heap of 24-byte,
 // pointer-free keys over a store of the events themselves: a sift moves
 // only keys, so it passes no write barrier and the collector has no heap to
