@@ -72,7 +72,7 @@ func run(pass *analysis.Pass) error {
 		}
 		checked[it.decl] = true
 		for _, callee := range checkFunc(pass, it.decl, it.root) {
-			if d, ok := decls[callee]; ok && !checked[d] {
+			if d, ok := decls[callee.Origin()]; ok && !checked[d] {
 				work = append(work, item{d, it.root})
 			}
 		}

@@ -68,3 +68,18 @@ func cold(n int) []float64 {
 	out := make([]float64, n)
 	return append(out, 1)
 }
+
+// stack is a generic type. A method called on an instantiated receiver
+// is a different object from the declared one, so the closure follows
+// the call through its origin.
+type stack[T any] struct{ items []T }
+
+// push is reached from pushOne through stack[int]'s method.
+func (s *stack[T]) push(v T) {
+	s.items = append(s.items, v) // want `append may grow`
+}
+
+// pushOne calls a method of an instantiated generic type.
+//
+//saqp:hotpath
+func pushOne(s *stack[int]) { s.push(1) }

@@ -144,14 +144,25 @@ func Collect(rel *dataset.Relation, n int) *TableStats {
 	}
 	// Columns are summarised in parallel, each into its own slot, and enter
 	// the map afterwards in schema order.
-	cols := make([]*ColumnStats, len(s.Columns))
-	par.For(len(cols), func(_ *struct{}, ci int) {
-		cols[ci] = collectColumn(rel.Cols[ci], rel.Keys(ci), &s.Columns[ci], n)
-	})
-	for _, cs := range cols {
+	c := &collection{rel: rel, buckets: n, cols: make([]*ColumnStats, len(s.Columns))}
+	par.For(len(c.cols), c, collectAt)
+	for _, cs := range c.cols {
 		ts.Columns[cs.Name] = cs
 	}
 	return ts
+}
+
+// collection is one Collect call's context: the relation, the histograms'
+// bucket count, and each column's statistics, in schema order.
+type collection struct {
+	rel     *dataset.Relation
+	buckets int
+	cols    []*ColumnStats
+}
+
+// collectAt summarises column ci of c's relation into its slot.
+func collectAt(c *collection, _ *struct{}, ci int) {
+	c.cols[ci] = collectColumn(c.rel.Cols[ci], c.rel.Keys(ci), &c.rel.Schema.Columns[ci], c.buckets)
 }
 
 // collectColumn summarises one column in one counting pass over integer

@@ -110,9 +110,9 @@ func (s *Sim) taskFail(e *event) {
 	}
 	s.vacate(t)
 	if int(t.failures) >= s.fplan.MaxAttempts() {
-		// t is still TaskRunning, so failQuery vacates it a second time
-		// and its slot enters the free pool twice: a known defect (see
-		// ROADMAP), kept while schedules are held bit-identical.
+		// t has left its slot: out of TaskRunning, failQuery does not
+		// vacate it again.
+		t.setState(TaskPending)
 		s.failQuery(j.Query, t)
 		return
 	}
@@ -218,9 +218,9 @@ func (s *Sim) recoverNode(node int) {
 	}
 }
 
-// failQuery abandons a query whose task exhausted the attempt cap: every
-// running attempt vacates its slot, hoarders first, every backed-off task
-// is cancelled, and the query's jobs leave the active set. The typed error
+// failQuery abandons a query whose task t exhausted the attempt cap: every
+// other running attempt vacates its slot (t has vacated its own), every
+// backed-off task is cancelled, and the query's jobs leave the active set. The typed error
 // lands on Query.Err and the run continues with the remaining queries.
 func (s *Sim) failQuery(q *Query, t *Task) {
 	q.Err = &TaskFailedError{
@@ -237,9 +237,11 @@ func (s *Sim) failQuery(q *Query, t *Task) {
 			obs.AttrStr("reason", q.Err.Error()))
 	}
 	for _, j := range q.Jobs {
-		// Reduces, hoarders among them, then maps: the free pools are
-		// stacks, so the order slots return in decides which slot, and
-		// node, the next task takes.
+		// The free pools are stacks, so the order in which a phase's
+		// slots return decides which slot, and node, the phase's next
+		// task takes: chain order, then index order. Each phase has its
+		// own pool, so which phase goes first changes nothing
+		// (TestFailQueryReturnsSlotsInTaskOrder).
 		for _, tasks := range [2][]*Task{j.Reds, j.Maps} {
 			for _, tt := range tasks {
 				switch tt.State {

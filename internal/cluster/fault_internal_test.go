@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -185,4 +187,159 @@ func TestSlotPoolsRestoredPerPhase(t *testing.T) {
 		return
 	}
 	t.Fatal("no seed under 2000 crashes and recovers one node and blacklists another")
+}
+
+// mkJob builds a one-job query in-package: maps map tasks of mapSec
+// seconds and reds reduces of redSec.
+func mkJob(id string, maps, reds int, mapSec, redSec float64) *Query {
+	q := mkQuery(id, maps, mapSec)
+	j := q.Jobs[0]
+	for i := 0; i < reds; i++ {
+		j.Reds = append(j.Reds, &Task{Job: j, Reduce: true, Index: i, ActualSec: redSec, PredSec: redSec})
+	}
+	j.ResetPending()
+	q.RecomputeWRD()
+	return q
+}
+
+// poolMismatch describes the first free pool of s that holds a slot twice
+// or more slots than the cluster has, or returns "".
+func poolMismatch(s *Sim) string {
+	for p, pool := range s.free {
+		if n := s.cfg.Nodes * s.perNode[p]; len(pool) > n {
+			return fmt.Sprintf("the %s pool holds %d slots, the cluster has %d: %v", []string{"map", "reduce"}[p], len(pool), n, pool)
+		}
+		seen := make(map[int]bool, len(pool))
+		for _, slot := range pool {
+			if seen[slot] {
+				return fmt.Sprintf("the %s pool holds slot %d twice: %v", []string{"map", "reduce"}[p], slot, pool)
+			}
+			seen[slot] = true
+		}
+	}
+	return ""
+}
+
+// TestLastFailureReturnsSlotOnce: a task whose last allowed attempt fails
+// returns its slot to its pool once — taskFail vacates it, and failQuery,
+// which vacates the query's other running tasks, does not vacate it
+// again. Over 200 seeded runs of three 6-map queries on 4 nodes × 3 map
+// slots, every attempt failing with probability 0.3 and one attempt
+// allowed, no pool ends a run holding a slot twice or more slots than the
+// cluster has, and the Sim's count of hoarding reduces equals a scan.
+// While failQuery vacated the task a second time, 178 of the 200 runs
+// ended with more free map slots than the cluster has. A failing attempt
+// never hoards — a reduce is scheduled to end, or fail, only once its
+// job's maps are done — so the hoarder count read the same either way.
+func TestLastFailureReturnsSlotOnce(t *testing.T) {
+	cfg := Config{Nodes: 4, MapSlotsPerNode: 3, ReduceSlotsPerNode: 2}
+	failed := 0
+	for seed := uint64(0); seed < 200; seed++ {
+		cfg.Faults = fault.NewPlan(fault.Spec{Seed: seed, Nodes: cfg.Nodes, TaskFailProb: 0.3, MaxAttempts: 1})
+		s := New(cfg, fifoPick{})
+		for i, id := range []string{"a", "b", "c"} {
+			s.Submit(mkJob(id, 6, 2, 4+float64(i), 3), float64(2*i))
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed += res.Failed
+		if msg := poolMismatch(s); msg != "" {
+			t.Fatalf("seed %d, %d queries failed: %s", seed, res.Failed, msg)
+		}
+		if msg := s.HoardMismatch(); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no run failed a query")
+	}
+	t.Logf("%d queries failed in 200 runs", failed)
+}
+
+// TestFailQueryReturnsSlotsInTaskOrder pins the order in which a failed
+// query's slots return to the free pools, which are stacks: the failed
+// attempt's slot first (taskFail), then each job's running reduces,
+// hoarders among them, and running maps, each in index order
+// (failQuery). Query a's map 3 fails on its one allowed attempt at 9 s,
+// while its maps 1, 2 and 4 run and, since map 0 finished at 2 s, both its
+// reduces hoard. Query b then takes the slots from the tops of the pools:
+// the map pool was empty and gets 0 (map 3), 2 (map 1), 1 (map 2) and
+// 3 (map 4), so b's first four maps take 3, 1, 2 and 0; the reduce pool
+// held 0 and 1 and gets 3 and 2 (reduces 0 and 1), so b's reduces take 2
+// and 3. Slots 0 and 1 are node 0's, 2 and 3 node 1's. Each phase
+// returns to its own pool, so whether reduces or maps are vacated first
+// changes nothing: only the order within a phase is observable.
+func TestFailQueryReturnsSlotsInTaskOrder(t *testing.T) {
+	// Probe a plan in which a's map 3 fails on its first attempt and no
+	// other first attempt of a's or b's tasks does.
+	var plan *fault.Plan
+	for seed := uint64(0); seed < 50000 && plan == nil; seed++ {
+		p := fault.NewPlan(fault.Spec{Seed: seed, TaskFailProb: 0.1, MaxAttempts: 1})
+		ok := true
+		for _, job := range []string{"a/J1", "b/J1"} {
+			for _, reduce := range []bool{false, true} {
+				for i := 0; i < 8; i++ {
+					fails, _ := p.TaskFailure(job, reduce, i, 1)
+					ok = ok && fails == (job == "a/J1" && !reduce && i == 3)
+				}
+			}
+		}
+		if ok {
+			plan = p
+		}
+	}
+	if plan == nil {
+		t.Fatal("no seed under 50000 fails exactly a's map 3")
+	}
+	a := mkJob("a", 6, 2, 0, 3)
+	for i, m := range a.Jobs[0].Maps {
+		m.ActualSec = float64(20 + i)
+		if i == 0 {
+			m.ActualSec = 2
+		}
+		m.PredSec = m.ActualSec
+	}
+	a.RecomputeWRD()
+	b := mkJob("b", 8, 2, 9, 3)
+	s := New(Config{Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2, Faults: plan}, fifoPick{})
+	s.Submit(a, 0)
+	s.Submit(b, 1)
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var failed *TaskFailedError
+	if !errors.As(a.Err, &failed) || failed.Reduce || failed.Index != 3 || b.Err != nil {
+		t.Fatalf("a ended with %v and b with %v; want a failed by map 3 and b done", a.Err, b.Err)
+	}
+	// The failure caught maps 1, 2 and 4 running (scheduled to end, so
+	// one attempt each) and both reduces hoarding (started, never
+	// scheduled to end); failQuery left every one pending.
+	if a.Jobs[0].MapsDone() {
+		t.Fatal("a's maps are done")
+	}
+	for _, tk := range append(slices.Clone(a.Jobs[0].Maps[1:5]), a.Jobs[0].Reds...) {
+		running := tk.Attempts == 1 && !tk.Reduce || tk.Attempts == 0 && tk.Reduce && tk.StartTime == 2
+		if tk.State != TaskPending || !running {
+			t.Fatalf("a's reduce=%v task %d: state %d, %d attempts, started at %v; want it caught running, or hoarding, by the failure",
+				tk.Reduce, tk.Index, tk.State, tk.Attempts, tk.StartTime)
+		}
+	}
+	slots := func(tasks []*Task) []int {
+		var out []int
+		for _, tk := range tasks {
+			out = append(out, int(tk.slot))
+		}
+		return out
+	}
+	if got, want := slots(b.Jobs[0].Maps[:4]), []int{3, 1, 2, 0}; !slices.Equal(got, want) {
+		t.Errorf("b's first maps took map slots %v, want %v", got, want)
+	}
+	if got, want := slots(b.Jobs[0].Reds), []int{2, 3}; !slices.Equal(got, want) {
+		t.Errorf("b's reduces took reduce slots %v, want %v", got, want)
+	}
+	if b.Jobs[0].Maps[0].StartTime != a.DoneTime {
+		t.Errorf("b's first map started at %v, a failed at %v", b.Jobs[0].Maps[0].StartTime, a.DoneTime)
+	}
 }

@@ -21,13 +21,30 @@ import (
 // the catalog statistics, mirroring how the paper's estimator never scans
 // full tables at run time.
 func Generate(s *Schema, sf float64, seed uint64) *Relation {
-	n := int(s.RowsAt(sf))
-	rel := &Relation{Schema: s, Cols: make([]Vector, len(s.Columns)), keys: make([][]int64, len(s.Columns))}
-	par.For(len(s.Columns), func(_ *struct{}, ci int) {
-		c := &s.Columns[ci]
-		rel.Cols[ci], rel.keys[ci] = generateColumn(c, n, sf, columnSeed(seed, s.Name, c.Name))
-	})
-	return rel
+	g := &generation{
+		rel:  &Relation{Schema: s, Cols: make([]Vector, len(s.Columns)), keys: make([][]int64, len(s.Columns))},
+		n:    int(s.RowsAt(sf)),
+		sf:   sf,
+		seed: seed,
+	}
+	par.For(len(s.Columns), g, generateAt)
+	return g.rel
+}
+
+// generation is one Generate call's context: the relation it fills, its
+// row count, scale factor and master seed.
+type generation struct {
+	rel  *Relation
+	n    int
+	sf   float64
+	seed uint64
+}
+
+// generateAt fills column ci of g's relation and its keys.
+func generateAt(g *generation, _ *struct{}, ci int) {
+	s := g.rel.Schema
+	c := &s.Columns[ci]
+	g.rel.Cols[ci], g.rel.keys[ci] = generateColumn(c, g.n, g.sf, columnSeed(g.seed, s.Name, c.Name))
 }
 
 // columnSeed derives a per-column seed from the master seed and names.

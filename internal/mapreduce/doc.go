@@ -22,8 +22,10 @@
 // live on the heap — relations' columns and job output data — and the
 // sink's header is the one copied off the scratch, by Frame.detached,
 // before RunQuery returns. So a warm query allocates only what it
-// returns: job stats, output data and the sink's header, plus one closure
-// per parallel phase, the same at any task count. The engine keeps a
+// returns: job stats, output data and the sink's header, the same at any
+// task count. Each parallel phase hands internal/par.For a static body
+// and a context kept in the scratch, so no phase allocates a closure. The
+// engine keeps a
 // scratch, maps and states included, no larger than its registered
 // relations; a bigger one is dropped. A join may cut at most 8 bytes of
 // pairs per registered byte: one that counts more matches is refused

@@ -309,6 +309,25 @@ func filterSplit(preds []scanPred, sel []int32, lo int) []int32 {
 	return sel
 }
 
+// filterPhase is a map phase's context: the input's resolved predicates,
+// its n rows' selection buffer, per rows to a split, and each split's
+// survivors.
+type filterPhase struct {
+	preds  []scanPred
+	sel    []int32
+	per, n int
+	parts  [][]int32
+}
+
+// filterMap is one map task: split si's rows, filtered by the scan
+// predicates.
+//
+//saqp:hotpath
+func filterMap(c *filterPhase, _ *struct{}, si int) {
+	lo := si * c.per
+	c.parts[si] = filterSplit(c.preds, c.sel[lo:min(lo+c.per, c.n)], lo)
+}
+
 // mapFilter runs the map phase for one input: one parallel task per split
 // filters its rows by the scan predicates. It returns each task's surviving
 // rows, in order, as segments of one buffer, all cut from s.
@@ -319,13 +338,10 @@ func (e *Engine) mapFilter(s *scratch, in jobInput) ([][]int32, error) {
 	}
 	n := in.frame.n
 	per, maps := e.splits(in)
-	sel := s.i32.Cut(n)
-	parts := s.rows.Cut(maps)
-	par.For(maps, func(_ *struct{}, si int) {
-		lo := si * per
-		parts[si] = filterSplit(preds, sel[lo:min(lo+per, n)], lo)
-	})
-	return parts, nil
+	c := &s.phase.filter
+	*c = filterPhase{preds: preds, sel: s.i32.Cut(n), per: per, n: n, parts: s.rows.Cut(maps)}
+	par.For(maps, c, filterMap)
+	return c.parts, nil
 }
 
 // flatten closes the gaps between mapFilter's segments, in place, leaving
@@ -461,10 +477,20 @@ type combineTask struct {
 	states     []aggState
 }
 
-// combine is one Groupby map task after its filter: rows get dense local
-// group ids from the typed group keys, and every aggregate is evaluated
-// over the split as a vector and folded into its group's state.
-func combine(keys []dataset.Vector, specs []aggSpec, sel []int32, t *combineTask) {
+// combinePhase is a Groupby's combine phase context: the group keys, the
+// aggregates, each map split's survivors and each split's task.
+type combinePhase struct {
+	keys  []dataset.Vector
+	specs []aggSpec
+	parts [][]int32
+	tasks []combineTask
+}
+
+// combine is one Groupby map task after its filter, split si's: rows get
+// dense local group ids from the typed group keys, and every aggregate is
+// evaluated over the split as a vector and folded into its group's state.
+func combine(c *combinePhase, _ *struct{}, si int) {
+	keys, specs, sel, t := c.keys, c.specs, c.parts[si], &c.tasks[si]
 	gid, l, r := t.gid, t.l, t.r
 	t.first = groupRows(t.slot, keys, sel, gid, t.first)
 	w := len(specs)
@@ -529,7 +555,8 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 			tasks[si].r = s.f64.Cut(len(p))
 		}
 	}
-	par.For(len(parts), func(_ *struct{}, si int) { combine(keys, specs, parts[si], &tasks[si]) })
+	s.phase.combine = combinePhase{keys: keys, specs: specs, parts: parts, tasks: tasks}
+	par.For(len(parts), &s.phase.combine, combine)
 
 	// Reduce: merge the partials across maps, in split order — float sums
 	// depend on it. A combined map-output record is its key columns plus

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"saqp/internal/dataset"
 	"saqp/internal/query"
 )
 
@@ -24,7 +25,7 @@ var (
 // the allocfree analyzer proves statically that these functions contain
 // no allocating constructs, and this guard proves the compiled code
 // actually performs zero heap allocations per call — one case per
-// per-element kernel: predicate → selection, float key identity, gather, expression evaluation, aggregate fold and merge, a join's
+// per-element kernel: predicate → selection, a map task's filter, float key identity, gather, expression evaluation, aggregate fold and merge, a join's
 // match count and fill, a view's identity test and byte size, and a cut
 // from each of a warm query scratch's slabs.
 func TestHotPathAllocs(t *testing.T) {
@@ -42,6 +43,7 @@ func TestHotPathAllocs(t *testing.T) {
 	ix.build(ints)
 	sx.build(strs)
 	build, probe := make([]int32, 4), make([]int32, 4)
+	fp := filterPhase{preds: []scanPred{{dataset.IntVector(dataset.KindInt, ints), &numPred}}, sel: make([]int32, 3), per: 2, n: 3, parts: make([][]int32, 2)}
 	var s scratch // each cut case resets first: a warm scratch, as RunQuery reuses it
 	cases := []struct {
 		name string
@@ -69,6 +71,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{"hashIndex.count/string", func() { hotSinkInt = sx.count(strs, idx) }},
 		{"hashIndex.fill/int", func() { ix.fill(ints, idx, build, probe) }},
 		{"hashIndex.fill/string", func() { sx.fill(strs, idx, build, probe) }},
+		{"filterMap", func() { filterMap(&fp, nil, 0); filterMap(&fp, nil, 1) }},
 		{"identity", func() { hotSinkBool = identity(fill(), 3) }},
 		{"strBytes", func() { hotSinkInt = int(strBytes(strs, nil, idx)) }},
 		{"strBytes/via", func() { hotSinkInt = int(strBytes(strs, idx, idx[1:])) }},
@@ -106,30 +109,31 @@ func TestHotPathAllocs(t *testing.T) {
 // pass), 422 and 104 KB; since everything a job builds but its output's data is cut
 // from the scratch — per-task slice headers, offsets and bounds, resolved
 // inputs, predicates, aggregates and join indexes, and every frame's
-// header — and map splits are arithmetic, 140 and 51 KB, nothing per row,
-// per group, per key or per task (job counts; each query's total adds
-// RunQuery's own 6: the result, its Stats map, and the sink's Frame, Cols
-// and vecs, detached):
+// header — and map splits are arithmetic, 140 and 51 KB; since each
+// parallel phase hands internal/par.For a static body and a context kept
+// in the scratch, where it built a closure over its variables (a map
+// phase's filter, a combine, a match's count and fill: 52 a pass), 88 and
+// 45 KB, nothing per row, per group, per key, per task or per phase (job
+// counts; each query's total adds RunQuery's own 6: the result, its Stats
+// map, and the sink's Frame, Cols and vecs, detached):
 //
-//	q1    17   1.5 KB  J1 Groupby 11
-//	q3    26  18.4 KB  J1 Join 5, J2 Join 5, J3 Groupby 6, J4 Extract 4
-//	q6    13   0.8 KB  J1 Groupby 7
-//	q11   22  20.5 KB  J1 Join 5, J2 Join 5, J3 Groupby 6
-//	q14   18   5.4 KB  J1 Groupby 10 (a folded MAPJOIN's prelude, its two
+//	q1    15   1.3 KB  J1 Groupby 9
+//	q3    15  17.0 KB  J1 Join 1, J2 Join 1, J3 Groupby 4, J4 Extract 3
+//	q6    11   0.6 KB  J1 Groupby 5
+//	q11   12  19.3 KB  J1 Join 1, J2 Join 1, J3 Groupby 4
+//	q14   11   4.6 KB  J1 Groupby 4 (a folded MAPJOIN's prelude, its two
 //	                   mapFilter calls and match, then the job's map
-//	                   phase and combines), J2 Extract 2
-//	q17   27   3.2 KB  J1 Join 5, J2 Join 5, J3 Join 5, J4 Groupby 6
-//	q19   17   2.0 KB  J1 Join 5, J2 Groupby 6
+//	                   phase and combines), J2 Extract 1
+//	q17   13   1.3 KB  J1 Join 1, J2 Join 1, J3 Join 1, J4 Groupby 4
+//	q19   11   1.3 KB  J1 Join 1, J2 Groupby 4
 //
-// What is left is what a query returns — each job's stats, the output
-// data of its Groupby and Extract jobs (most of q3's and q11's bytes are
-// their Groupby's output columns), the names of its aggregates and the
-// sink's header — and one closure per parallel phase: a join's 5 are its
-// two inputs' map phases, its match's count and fill, and its JobStats.
-// Everything else comes from the scratch, which the first pass grows; the
-// first pass also starts the pool's helpers. TestEngineAllocatesPerJobNotTask
-// holds each query's count and bytes to the same at 153 map tasks as at
-// 10.
+// What is left is what a query returns — each job's stats (a join's 1),
+// the output data of its Groupby and Extract jobs (most of q3's and q11's
+// bytes are their Groupby's output columns), the names of its aggregates
+// and the sink's header. Everything else comes from the scratch, which
+// the first pass grows; the first pass also starts the pool's helpers.
+// TestEngineAllocatesPerJobNotTask holds each query's count and bytes to
+// the same at 153 map tasks as at 10.
 //
 // A parallel phase allocates nothing of its own, so ten passes at
 // GOMAXPROCS 1, where every phase runs inline, and ten at 4, where they
@@ -147,10 +151,12 @@ func TestHotPathAllocs(t *testing.T) {
 // profile grew is run again; and at GOMAXPROCS 4 a blocked goroutine's
 // wait record (acquireSudog, under a helper's channel receive or
 // WaitGroup.Wait) added 1 now and then, so the runtime is stocked with
-// them first (stockWaitRecords). At 140, 1 % is one allocation: without
+// them first (stockWaitRecords). At 140, 1 % was one allocation: without
 // the stock, in 200 runs every pass at GOMAXPROCS 1 read 140, and of the
 // 2,000 at 4, 57 read 141 and one 142 (two wait records), which failed
-// that run; with it, every pass of 100 runs read 140 at both counts.
+// that run; with it, every pass of 100 runs read 140 at both counts. At
+// 88, 1 % rounds down to none, so all twenty passes must read the same:
+// every pass of 100 runs read 88 at both counts.
 // Under the race detector sync.Pool drops a random share of what is put
 // back, which moved a pass by a few allocations while fmt was on it (439
 // to 449; 422 to 423 since): the budgets hold there, the 1 % check is
@@ -201,7 +207,7 @@ func TestEngineAllocBudget(t *testing.T) {
 	m4, kb4 := count(4)
 	all := append(m1[:], m4[:]...)
 	lo, got, kb := slices.Min(all), slices.Max(all), max(slices.Max(kb1[:]), slices.Max(kb4[:]))
-	const measured, measuredKB = 140, 51
+	const measured, measuredKB = 88, 45
 	t.Logf("ten passes each at GOMAXPROCS 1 and 4: %d to %d mallocs (%v, %v), at most %d KB; %d passes run again", lo, got, m1, m4, kb, rerun)
 	if !raceEnabled && got > lo+lo/100 {
 		t.Errorf("ten warm passes of the 7 TPC-H DAGs at GOMAXPROCS 1 and ten at 4 allocate %d to %d times, more than 1%% apart: %v, %v", lo, got, m1, m4)

@@ -228,9 +228,9 @@ func (e *Engine) match(s *scratch, job *plan.Job, bk, pk joinKey, builds, probes
 	var m pairs
 	var n int64
 	if bk.kind == dataset.KindString {
-		m, n = matchOn(s, limit, bk.strs, pk.strs, builds, probes, func(sl *slot) *hashIndex[string] { return &sl.joinStrs })
+		m, n = matchOn(s, &s.phase.strMatch, &strKeys, limit, bk.strs, pk.strs, builds, probes)
 	} else {
-		m, n = matchOn(s, limit, bk.ints, pk.ints, builds, probes, func(sl *slot) *hashIndex[int64] { return &sl.joinInts })
+		m, n = matchOn(s, &s.phase.intMatch, &intKeys, limit, bk.ints, pk.ints, builds, probes)
 	}
 	if n > limit {
 		return pairs{}, &JoinTooLargeError{Job: job.ID, Matches: n, Budget: 8 * limit}
@@ -238,26 +238,74 @@ func (e *Engine) match(s *scratch, job *plan.Job, bk, pk joinKey, builds, probes
 	return m, nil
 }
 
-// matchOn is match for one key class. It returns the matches its tasks
-// counted, and cuts and fills the pairs only if they are at most limit.
-func matchOn[K comparable](s *scratch, limit int64, bkeys, pkeys []K, builds, probes [][]int32, index func(*slot) *hashIndex[K]) (pairs, int64) {
-	slots := s.slots(len(builds))
+// matchPhase is a match's context for one key class: the slots whose
+// indexes its tasks build or share, where a slot keeps the class's index,
+// whether each task builds its own, the build and probe sides' keys, by
+// row, each task's probe rows, its offset into the pairs, and the pairs.
+type matchPhase[K comparable] struct {
+	slots        []slot
+	index        func(*slot) *hashIndex[K]
+	own          bool
+	bkeys, pkeys []K
+	probes       [][]int32
+	off          []int64
+	pairs        pairs
+}
+
+// taskIndex is the index task i probes: its own slot's, or slot 0's,
+// which every task shares.
+func (c *matchPhase[K]) taskIndex(i int) *hashIndex[K] {
+	return c.index(&c.slots[min(i, len(c.slots)-1)])
+}
+
+// countMatches is match task i's first pass: it indexes its own build
+// rows, if it has them, and counts its probe rows' matches into off[i+1].
+func countMatches[K comparable](c *matchPhase[K], _ *struct{}, i int) {
+	ix := c.taskIndex(i)
+	if c.own {
+		ix.build(c.bkeys)
+	}
+	c.off[i+1] = int64(ix.count(c.pkeys, c.probes[i]))
+}
+
+// fillMatches is match task i's second pass: it writes its matches into
+// its segment of the pairs.
+func fillMatches[K comparable](c *matchPhase[K], _ *struct{}, i int) {
+	lo, hi := c.off[i], c.off[i+1]
+	c.taskIndex(i).fill(c.pkeys, c.probes[i], c.pairs.build[lo:hi], c.pairs.probe[lo:hi])
+}
+
+// keyClass is what a match needs of a key class besides its type: where a
+// slot keeps the class's index, and the match phases' bodies. The two
+// classes are package variables, instantiated outside generic code, so
+// their func values are static: a generic function's value taken inside
+// matchOn would close over matchOn's type dictionary, one allocation a
+// call.
+type keyClass[K comparable] struct {
+	index       func(*slot) *hashIndex[K]
+	count, fill func(c *matchPhase[K], _ *struct{}, i int)
+}
+
+var (
+	intKeys = keyClass[int64]{func(sl *slot) *hashIndex[int64] { return &sl.joinInts }, countMatches[int64], fillMatches[int64]}
+	strKeys = keyClass[string]{func(sl *slot) *hashIndex[string] { return &sl.joinStrs }, countMatches[string], fillMatches[string]}
+)
+
+// matchOn is match for one key class, in its context c. It returns the
+// matches its tasks counted, and cuts and fills the pairs only if they
+// are at most limit.
+func matchOn[K comparable](s *scratch, c *matchPhase[K], class *keyClass[K], limit int64, bkeys, pkeys []K, builds, probes [][]int32) (pairs, int64) {
+	*c = matchPhase[K]{slots: s.slots(len(builds)), index: class.index, own: len(builds) == len(probes),
+		bkeys: bkeys, pkeys: pkeys, probes: probes, off: s.i64.Cut(len(probes) + 1)}
 	for i, b := range builds {
-		ix := index(&slots[i])
+		ix := c.index(&c.slots[i])
 		ix.next, ix.brows = s.i32.Cut(len(b)), b
 	}
-	own := len(builds) == len(probes)
-	if !own {
-		index(&slots[0]).build(bkeys)
+	if !c.own {
+		c.index(&c.slots[0]).build(bkeys)
 	}
-	off := s.i64.Cut(len(probes) + 1)
-	par.For(len(probes), func(_ *struct{}, i int) {
-		ix := index(&slots[min(i, len(builds)-1)])
-		if own {
-			ix.build(bkeys)
-		}
-		off[i+1] = int64(ix.count(pkeys, probes[i]))
-	})
+	par.For(len(probes), c, class.count)
+	off := c.off
 	for i := range probes {
 		off[i+1] += off[i]
 	}
@@ -265,10 +313,7 @@ func matchOn[K comparable](s *scratch, limit int64, bkeys, pkeys []K, builds, pr
 	if n > limit {
 		return pairs{}, n
 	}
-	m := pairs{s.i32.Cut(int(n)), s.i32.Cut(int(n))}
-	par.For(len(probes), func(_ *struct{}, i int) {
-		lo, hi := off[i], off[i+1]
-		index(&slots[min(i, len(builds)-1)]).fill(pkeys, probes[i], m.build[lo:hi], m.probe[lo:hi])
-	})
-	return m, n
+	c.pairs = pairs{s.i32.Cut(int(n)), s.i32.Cut(int(n))}
+	par.For(len(probes), c, class.fill)
+	return c.pairs, n
 }

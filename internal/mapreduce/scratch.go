@@ -38,6 +38,19 @@ type scratch struct {
 	slot   []slot
 	// keys holds a Groupby's rendered output keys, one job at a time.
 	keys []byte
+	// phase holds the parallel phases' contexts.
+	phase phases
+}
+
+// phases is a context for each kind of parallel phase, the c that
+// internal/par.For hands its tasks: a query runs its phases one after
+// another, so one of each kind serves them all, and living in the
+// scratch, each is taken by address without allocating.
+type phases struct {
+	filter   filterPhase
+	combine  combinePhase
+	intMatch matchPhase[int64]
+	strMatch matchPhase[string]
 }
 
 func (s *scratch) size() int64 {
@@ -51,9 +64,11 @@ func (s *scratch) size() int64 {
 }
 
 // reset readies s for the next query. A slot's join indexes drop their
-// rows, which were cut from the slabs, so a slab's replaced buffer is not
-// kept alive through them.
+// rows, and the phase contexts what they read and filled, which were cut
+// from the slabs or are the query's data, so neither a slab's replaced
+// buffer nor a finished query's data is kept alive through them.
 func (s *scratch) reset() {
+	s.phase = phases{}
 	s.i32.Reset()
 	s.i64.Reset()
 	s.f64.Reset()

@@ -14,4 +14,11 @@
 // another's body, or beside other calls, takes only helpers that are
 // idle; when fewer than two are, the caller runs indices beside them, so
 // nested calls cannot deadlock and no call queues behind a busy helper.
+//
+// A loop is a context pointer and a body: For(n, c, body) calls
+// body(c, w, i). The body should be a static function, declared at top
+// level and capturing nothing, and the context long-lived, such as a
+// field of the scratch a query keeps: a task carries both as they are,
+// so neither allocates, where a closure over the caller's variables, or
+// a context on the caller's stack, escapes to the heap on every call.
 package par

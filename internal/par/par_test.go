@@ -9,39 +9,51 @@ import (
 	"time"
 )
 
+// visits is TestForCallsEachIndexOnce's context: each index's visit
+// count, and the worker states seen.
+type visits struct {
+	seen   []int32
+	mu     sync.Mutex
+	states []*state
+}
+
+// state is one worker's: how many indices it ran.
+type state struct{ visits int }
+
+// visit is TestForCallsEachIndexOnce's body: it counts index i and, the
+// first time w runs one, records w.
+func visit(c *visits, w *state, i int) {
+	c.seen[i]++
+	if w.visits == 0 {
+		c.mu.Lock()
+		c.states = append(c.states, w)
+		c.mu.Unlock()
+	}
+	w.visits++
+}
+
 // TestForCallsEachIndexOnce runs For inline and on several workers: every
 // index is visited exactly once, no more states exist than workers, and
 // the states' visit counts add up to n — each worker kept its own state
 // from call to call (under -race, a shared one is a reported race).
 func TestForCallsEachIndexOnce(t *testing.T) {
-	type state struct{ visits int }
 	for _, procs := range []int{1, 8} {
 		for _, n := range []int{0, 1, 2, 7, 1000} {
 			func() {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				seen := make([]int32, n)
-				var mu sync.Mutex
-				var states []*state
-				For(n, func(w *state, i int) {
-					seen[i]++
-					if w.visits == 0 {
-						mu.Lock()
-						states = append(states, w)
-						mu.Unlock()
-					}
-					w.visits++
-				})
-				for i, c := range seen {
-					if c != 1 {
-						t.Errorf("GOMAXPROCS %d, n %d: index %d ran %d times", procs, n, i, c)
+				c := &visits{seen: make([]int32, n)}
+				For(n, c, visit)
+				for i, v := range c.seen {
+					if v != 1 {
+						t.Errorf("GOMAXPROCS %d, n %d: index %d ran %d times", procs, n, i, v)
 					}
 				}
-				visits := 0
-				for _, s := range states {
-					visits += s.visits
+				total := 0
+				for _, s := range c.states {
+					total += s.visits
 				}
-				if visits != n || len(states) > procs {
-					t.Errorf("GOMAXPROCS %d, n %d: %d states with %d visits", procs, n, len(states), visits)
+				if total != n || len(c.states) > procs {
+					t.Errorf("GOMAXPROCS %d, n %d: %d states with %d visits", procs, n, len(c.states), total)
 				}
 			}()
 		}
@@ -52,32 +64,41 @@ func TestForCallsEachIndexOnce(t *testing.T) {
 // so the most helpers the package's tests can start.
 const maxProcs = 8
 
-// parSink is what the allocation test's non-capturing body writes.
-var parSink [64]int
+// sinkCtx is the allocation test's context, on the heap as a kept
+// scratch would be.
+var sinkCtx = new(struct{ out [64]int })
+
+// fillOut is the allocation test's body: a static function, capturing
+// nothing.
+func fillOut(c *struct{ out [64]int }, _ *struct{}, i int) { c.out[i] = i }
 
 // TestForAllocatesNothing: after one warm call, a parallel For with a
-// body that captures nothing allocates nothing — no goroutine, no
-// closure, no counter. testing.AllocsPerRun pins GOMAXPROCS to 1, where
-// For runs inline, so the count is taken as AllocsPerRun takes it — the
-// mallocs of 100 calls, divided by 100 — at the GOMAXPROCS under test.
-// The runtime itself allocates now and then (under -race, once in about
-// one batch of 100 calls in ten), which the division leaves out as
-// AllocsPerRun does.
+// static body and a heap-resident context allocates nothing — no
+// goroutine, no closure, no task, no box for the context or the body.
+// testing.AllocsPerRun pins GOMAXPROCS to 1, where For runs inline, so
+// the count is taken as AllocsPerRun takes it — the mallocs of 100 calls,
+// divided by 100 — at the GOMAXPROCS under test. The runtime itself
+// allocates now and then (under -race, once in about one batch of 100
+// calls in ten), which the division leaves out as AllocsPerRun does.
 func TestForAllocatesNothing(t *testing.T) {
 	const runs = 100
-	body := func(_ *struct{}, i int) { parSink[i] = i }
 	for _, procs := range []int{2, 4} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			For(len(parSink), body)
+			For(len(sinkCtx.out), sinkCtx, fillOut)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for range runs {
-				For(len(parSink), body)
+				For(len(sinkCtx.out), sinkCtx, fillOut)
 			}
 			runtime.ReadMemStats(&after)
 			if n := (after.Mallocs - before.Mallocs) / runs; n != 0 {
 				t.Errorf("GOMAXPROCS %d: a warm For allocates %d times per call, want 0", procs, n)
+			}
+			for i, v := range sinkCtx.out {
+				if v != i {
+					t.Fatalf("GOMAXPROCS %d: index %d holds %d", procs, i, v)
+				}
 			}
 		}()
 	}
@@ -90,10 +111,10 @@ func TestForAllocatesNothing(t *testing.T) {
 // goroutines are alive than before plus the helpers For may keep, one per
 // GOMAXPROCS of the largest it has seen.
 func TestForNestedAndConcurrent(t *testing.T) {
-	const callers, outer, inner = 8, 16, 32
+	const callers = 8
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	before, helpersBefore := runtime.NumGoroutine(), helperCount()
-	var seen [callers][outer][inner]atomic.Int32
+	var seen [callers]nested
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -102,9 +123,7 @@ func TestForNestedAndConcurrent(t *testing.T) {
 		for c := range callers {
 			go func() {
 				defer wg.Done()
-				For(outer, func(_ *struct{}, i int) {
-					For(inner, func(_ *struct{}, j int) { seen[c][i][j].Add(1) })
-				})
+				For(outer, &seen[c], runInner)
 			}()
 		}
 		wg.Wait()
@@ -116,9 +135,9 @@ func TestForNestedAndConcurrent(t *testing.T) {
 		t.Fatalf("nested and concurrent For calls did not finish in 30 s:\n%s", buf[:runtime.Stack(buf, true)])
 	}
 	for c := range seen {
-		for i := range seen[c] {
-			for j := range seen[c][i] {
-				if n := seen[c][i][j].Load(); n != 1 {
+		for i := range seen[c].rows {
+			for j := range seen[c].rows[i].hits {
+				if n := seen[c].rows[i].hits[j].Load(); n != 1 {
 					t.Errorf("caller %d, index %d.%d ran %d times", c, i, j, n)
 				}
 			}
@@ -137,6 +156,21 @@ func TestForNestedAndConcurrent(t *testing.T) {
 		t.Errorf("%d goroutines alive after the calls returned, want at most %d (%d before, %d of them helpers)", n, bound, before, helpersBefore)
 	}
 }
+
+// nested is one caller's context in TestForNestedAndConcurrent: an inner
+// context per outer index, each counting its inner indices' runs.
+type nested struct{ rows [outer]innerRow }
+
+type innerRow struct{ hits [inner]atomic.Int32 }
+
+// outer and inner are TestForNestedAndConcurrent's index counts.
+const outer, inner = 16, 32
+
+// runInner is the outer body: it runs an inner For over its own row.
+func runInner(c *nested, _ *struct{}, i int) { For(len(c.rows[i].hits), &c.rows[i], hit) }
+
+// hit is the inner body.
+func hit(c *innerRow, _ *struct{}, j int) { c.hits[j].Add(1) }
 
 // helperCount counts the goroutines parked in or running a helper's loop.
 func helperCount() int {

@@ -201,36 +201,52 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 
 	// Phase 1 (sequential, deterministic): draw queries, scales (over the
 	// schemas stats resolved) and per-run cost-model seeds.
-	type drawn struct {
-		q      *query.Query
-		sf     float64
-		cmSeed uint64
-	}
-	draws := make([]drawn, cfg.NumQueries)
-	for i := range draws {
+	c := &corpusRuns{stats: stats, cluster: cfg.Cluster, draws: make([]drawn, cfg.NumQueries)}
+	for i := range c.draws {
 		q, _, err := gen.RandomQuery()
 		if err != nil {
 			return nil, err
 		}
 		targetGB := rng.Range(cfg.MinGB, cfg.MaxGB)
-		draws[i] = drawn{q: q, sf: sfForTargetBytes(q, targetGB*1e9, stats.schemas), cmSeed: rng.Uint64()}
+		c.draws[i] = drawn{q: q, sf: sfForTargetBytes(q, targetGB*1e9, stats.schemas), cmSeed: rng.Uint64()}
 	}
 
 	// Phase 2 (parallel, a Runner per worker): compile, estimate, simulate
 	// and record each run.
-	runs := make([]*QueryRun, len(draws))
-	errs := make([]error, len(draws))
-	par.For(len(draws), func(w *Runner, i int) {
-		d := draws[i]
-		cm := trace.NewDefaultCostModel(d.cmSeed)
-		runs[i], errs[i] = RunStandalone(w, d.q, d.sf, stats, cm, cfg.Cluster)
-	})
-	for i, err := range errs {
+	c.runs = make([]*QueryRun, len(c.draws))
+	c.errs = make([]error, len(c.draws))
+	par.For(len(c.draws), c, runDrawn)
+	for i, err := range c.errs {
 		if err != nil {
 			return nil, fmt.Errorf("workload: query %d: %w", i, err)
 		}
 	}
-	return corpusOf(runs), nil
+	return corpusOf(c.runs), nil
+}
+
+// drawn is one corpus query as phase 1 drew it: the query, its scale
+// factor and its cost model's seed.
+type drawn struct {
+	q      *query.Query
+	sf     float64
+	cmSeed uint64
+}
+
+// corpusRuns is BuildCorpus's phase 2 context: what every run shares, the
+// drawn queries, and each run's record or error.
+type corpusRuns struct {
+	stats   *Stats
+	cluster cluster.Config
+	draws   []drawn
+	runs    []*QueryRun
+	errs    []error
+}
+
+// runDrawn runs drawn query i on w's simulator into its slots.
+func runDrawn(c *corpusRuns, w *Runner, i int) {
+	d := c.draws[i]
+	cm := trace.NewDefaultCostModel(d.cmSeed)
+	c.runs[i], c.errs[i] = RunStandalone(w, d.q, d.sf, c.stats, cm, c.cluster)
 }
 
 // Runner is the simulator and query layout one worker lays each run out on
