@@ -49,12 +49,15 @@ fuzz-smoke:
 # beside it, the batch engine, whose tasks run on internal/par's pool and
 # whose digest must read the same at GOMAXPROCS 1 and 8, and the
 # column-parallel dataset.Generate and catalog.Collect, whose values and
-# encoded catalog must read the same at GOMAXPROCS 1 and 8, and the
-# metrics registry, whose counts must stay exact while its exports read).
+# encoded catalog must read the same at GOMAXPROCS 1 and 8, the
+# metrics registry, whose counts must stay exact while its exports read,
+# internal/par's own pool tests, and workload.RunStandalone, whose pooled
+# runners pass from goroutine to goroutine and must leave a run's record
+# the same whatever ran on them before).
 stress:
-	$(GO) test -race -count=2 -run 'TestServer|TestNetShutdown|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestSimReuse|TestSimCounters|TestEngine|ScheduleIndependent|TestRegistryConcurrent' \
+	$(GO) test -race -count=2 -run 'TestServer|TestNetShutdown|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestSimReuse|TestSimCounters|TestEngine|ScheduleIndependent|TestRegistryConcurrent|TestFor|TestRunStandalone' \
 		. ./internal/serve ./internal/selectivity ./internal/net ./internal/cluster ./internal/mapreduce \
-		./internal/dataset ./internal/catalog ./internal/obs
+		./internal/dataset ./internal/catalog ./internal/obs ./internal/par ./internal/workload
 
 # Coverage gate for the serving engine: fail if internal/serve drops
 # below 85% statement coverage.

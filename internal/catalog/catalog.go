@@ -145,7 +145,7 @@ func Collect(rel *dataset.Relation, n int) *TableStats {
 	// Columns are summarised in parallel, each into its own slot, and enter
 	// the map afterwards in schema order.
 	c := &collection{rel: rel, buckets: n, cols: make([]*ColumnStats, len(s.Columns))}
-	par.For(len(c.cols), c, collectAt)
+	par.For(len(c.cols), c)
 	for _, cs := range c.cols {
 		ts.Columns[cs.Name] = cs
 	}
@@ -160,8 +160,8 @@ type collection struct {
 	cols    []*ColumnStats
 }
 
-// collectAt summarises column ci of c's relation into its slot.
-func collectAt(c *collection, _ *struct{}, ci int) {
+// Run summarises column ci of c's relation into its slot.
+func (c *collection) Run(ci int) {
 	c.cols[ci] = collectColumn(c.rel.Cols[ci], c.rel.Keys(ci), &c.rel.Schema.Columns[ci], c.buckets)
 }
 

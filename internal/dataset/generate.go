@@ -27,7 +27,7 @@ func Generate(s *Schema, sf float64, seed uint64) *Relation {
 		sf:   sf,
 		seed: seed,
 	}
-	par.For(len(s.Columns), g, generateAt)
+	par.For(len(s.Columns), g)
 	return g.rel
 }
 
@@ -40,8 +40,8 @@ type generation struct {
 	seed uint64
 }
 
-// generateAt fills column ci of g's relation and its keys.
-func generateAt(g *generation, _ *struct{}, ci int) {
+// Run fills column ci of g's relation and its keys.
+func (g *generation) Run(ci int) {
 	s := g.rel.Schema
 	c := &s.Columns[ci]
 	g.rel.Cols[ci], g.rel.keys[ci] = generateColumn(c, g.n, g.sf, columnSeed(g.seed, s.Name, c.Name))

@@ -23,13 +23,13 @@
 // sink's header is the one copied off the scratch, by Frame.detached,
 // before RunQuery returns. So a warm query allocates only what it
 // returns: job stats, output data and the sink's header, the same at any
-// task count. Each parallel phase hands internal/par.For a static body
-// and a context kept in the scratch, so no phase allocates a closure. The
-// engine keeps a
-// scratch, maps and states included, no larger than its registered
-// relations; a bigger one is dropped. A join may cut at most 8 bytes of
-// pairs per registered byte: one that counts more matches is refused
-// before it cuts them (JoinTooLargeError).
+// task count. Each parallel phase's context is kept in the scratch and
+// is the par.Body its tasks run, its Run method one task, so a phase
+// allocates nothing to start. The engine keeps a scratch, maps and
+// states included, no larger than its registered relations; a bigger
+// one is dropped. A join may cut at most 8 bytes of pairs per registered
+// byte: one that counts more matches is refused before it cuts them
+// (JoinTooLargeError).
 //
 // In the paper this role is played by the Hadoop cluster itself. The engine
 // exists so that selectivity estimates can be validated against *measured*

@@ -319,11 +319,10 @@ type filterPhase struct {
 	parts  [][]int32
 }
 
-// filterMap is one map task: split si's rows, filtered by the scan
-// predicates.
+// Run is one map task: split si's rows, filtered by the scan predicates.
 //
 //saqp:hotpath
-func filterMap(c *filterPhase, _ *struct{}, si int) {
+func (c *filterPhase) Run(si int) {
 	lo := si * c.per
 	c.parts[si] = filterSplit(c.preds, c.sel[lo:min(lo+c.per, c.n)], lo)
 }
@@ -340,7 +339,7 @@ func (e *Engine) mapFilter(s *scratch, in jobInput) ([][]int32, error) {
 	per, maps := e.splits(in)
 	c := &s.phase.filter
 	*c = filterPhase{preds: preds, sel: s.i32.Cut(n), per: per, n: n, parts: s.rows.Cut(maps)}
-	par.For(maps, c, filterMap)
+	par.For(maps, c)
 	return c.parts, nil
 }
 
@@ -486,10 +485,10 @@ type combinePhase struct {
 	tasks []combineTask
 }
 
-// combine is one Groupby map task after its filter, split si's: rows get
+// Run is one Groupby map task after its filter, split si's: rows get
 // dense local group ids from the typed group keys, and every aggregate is
 // evaluated over the split as a vector and folded into its group's state.
-func combine(c *combinePhase, _ *struct{}, si int) {
+func (c *combinePhase) Run(si int) {
 	keys, specs, sel, t := c.keys, c.specs, c.parts[si], &c.tasks[si]
 	gid, l, r := t.gid, t.l, t.r
 	t.first = groupRows(t.slot, keys, sel, gid, t.first)
@@ -556,7 +555,7 @@ func (e *Engine) runGroupby(s *scratch, job *plan.Job, in jobInput, stats *JobSt
 		}
 	}
 	s.phase.combine = combinePhase{keys: keys, specs: specs, parts: parts, tasks: tasks}
-	par.For(len(parts), &s.phase.combine, combine)
+	par.For(len(parts), &s.phase.combine)
 
 	// Reduce: merge the partials across maps, in split order — float sums
 	// depend on it. A combined map-output record is its key columns plus

@@ -130,15 +130,15 @@ func arith(l, r []float64, op query.ArithOp) {
 }
 
 // floatKey is the identity a float groups and joins by: its bit pattern,
-// so +0 and -0 are two keys (as their renderings "0" and "-0" always
-// were), with every NaN folded onto one.
+// as an int64, so +0 and -0 are two keys (as their renderings "0" and
+// "-0" always were), with every NaN folded onto one.
 //
 //saqp:hotpath
-func floatKey(f float64) uint64 {
+func floatKey(f float64) int64 {
 	if f != f {
-		return math.Float64bits(math.NaN())
+		return int64(math.Float64bits(math.NaN()))
 	}
-	return math.Float64bits(f)
+	return int64(math.Float64bits(f))
 }
 
 // aggState accumulates one aggregate of one group.

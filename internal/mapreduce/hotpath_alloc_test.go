@@ -17,7 +17,7 @@ import (
 var (
 	hotSinkBool bool
 	hotSinkInt  int
-	hotSinkU64  uint64
+	hotSinkI64  int64
 	hotSinkF64  float64
 )
 
@@ -62,7 +62,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{"widen/int", func() { widen(f64, ints, idx) }},
 		{"widen/float", func() { widen(f64, floats, idx) }},
 		{"arith", func() { arith(f64, f64b, query.ArithDiv) }},
-		{"floatKey", func() { hotSinkU64 = floatKey(floats[1]) }},
+		{"floatKey", func() { hotSinkI64 = floatKey(floats[1]) }},
 		{"aggState.add", func() { a.add(1.5) }},
 		{"aggState.addCount", func() { a.addCount(2) }},
 		{"aggState.merge", func() { a.merge(&b) }},
@@ -71,7 +71,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{"hashIndex.count/string", func() { hotSinkInt = sx.count(strs, idx) }},
 		{"hashIndex.fill/int", func() { ix.fill(ints, idx, build, probe) }},
 		{"hashIndex.fill/string", func() { sx.fill(strs, idx, build, probe) }},
-		{"filterMap", func() { filterMap(&fp, nil, 0); filterMap(&fp, nil, 1) }},
+		{"filterPhase.Run", func() { fp.Run(0); fp.Run(1) }},
 		{"identity", func() { hotSinkBool = identity(fill(), 3) }},
 		{"strBytes", func() { hotSinkInt = int(strBytes(strs, nil, idx)) }},
 		{"strBytes/via", func() { hotSinkInt = int(strBytes(strs, idx, idx[1:])) }},
@@ -110,8 +110,8 @@ func TestHotPathAllocs(t *testing.T) {
 // from the scratch — per-task slice headers, offsets and bounds, resolved
 // inputs, predicates, aggregates and join indexes, and every frame's
 // header — and map splits are arithmetic, 140 and 51 KB; since each
-// parallel phase hands internal/par.For a static body and a context kept
-// in the scratch, where it built a closure over its variables (a map
+// parallel phase hands internal/par.For a context kept in the scratch as
+// its loop body, where it built a closure over its variables (a map
 // phase's filter, a combine, a match's count and fill: 52 a pass), 88 and
 // 45 KB, nothing per row, per group, per key, per task or per phase (job
 // counts; each query's total adds RunQuery's own 6: the result, its Stats

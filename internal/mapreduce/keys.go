@@ -27,7 +27,7 @@ func groupRows(sl *slot, keys []dataset.Vector, rows, gid, buf []int32) (first [
 		case dataset.KindString:
 			first = refine(sl.groupStrs.reuse(), gid, v.Strings(), rows, same[string], buf)
 		case dataset.KindFloat:
-			first = refine(sl.groupFlts.reuse(), gid, v.Floats(), rows, floatKey, buf)
+			first = refine(sl.groupInts.reuse(), gid, v.Floats(), rows, floatKey, buf)
 		default:
 			first = refine(sl.groupInts.reuse(), gid, v.Ints(), rows, same[int64], buf)
 		}
@@ -88,11 +88,11 @@ func floatBits(s *scratch, v dataset.Vector) joinKey {
 	bits := s.i64.Cut(v.Len())
 	if v.Kind() == dataset.KindFloat {
 		for i, x := range v.Floats() {
-			bits[i] = int64(floatKey(x))
+			bits[i] = floatKey(x)
 		}
 	} else {
 		for i, x := range v.Ints() {
-			bits[i] = int64(floatKey(float64(x)))
+			bits[i] = floatKey(float64(x))
 		}
 	}
 	return joinKey{kind: dataset.KindFloat, ints: bits}
@@ -228,9 +228,9 @@ func (e *Engine) match(s *scratch, job *plan.Job, bk, pk joinKey, builds, probes
 	var m pairs
 	var n int64
 	if bk.kind == dataset.KindString {
-		m, n = matchOn(s, &s.phase.strMatch, &strKeys, limit, bk.strs, pk.strs, builds, probes)
+		m, n = matchOn(s, &s.phase.strMatch, strIndex, limit, bk.strs, pk.strs, builds, probes)
 	} else {
-		m, n = matchOn(s, &s.phase.intMatch, &intKeys, limit, bk.ints, pk.ints, builds, probes)
+		m, n = matchOn(s, &s.phase.intMatch, intIndex, limit, bk.ints, pk.ints, builds, probes)
 	}
 	if n > limit {
 		return pairs{}, &JoinTooLargeError{Job: job.ID, Matches: n, Budget: 8 * limit}
@@ -241,7 +241,8 @@ func (e *Engine) match(s *scratch, job *plan.Job, bk, pk joinKey, builds, probes
 // matchPhase is a match's context for one key class: the slots whose
 // indexes its tasks build or share, where a slot keeps the class's index,
 // whether each task builds its own, the build and probe sides' keys, by
-// row, each task's probe rows, its offset into the pairs, and the pairs.
+// row, each task's probe rows, its offset into the pairs, the pairs, and
+// which of its two passes Run takes.
 type matchPhase[K comparable] struct {
 	slots        []slot
 	index        func(*slot) *hashIndex[K]
@@ -250,61 +251,46 @@ type matchPhase[K comparable] struct {
 	probes       [][]int32
 	off          []int64
 	pairs        pairs
+	filling      bool
 }
 
-// taskIndex is the index task i probes: its own slot's, or slot 0's,
-// which every task shares.
-func (c *matchPhase[K]) taskIndex(i int) *hashIndex[K] {
-	return c.index(&c.slots[min(i, len(c.slots)-1)])
-}
-
-// countMatches is match task i's first pass: it indexes its own build
-// rows, if it has them, and counts its probe rows' matches into off[i+1].
-func countMatches[K comparable](c *matchPhase[K], _ *struct{}, i int) {
-	ix := c.taskIndex(i)
+// Run is match task i. Its first pass indexes its own build rows, if it
+// has them, and counts its probe rows' matches into off[i+1]; its second,
+// once filling, writes them into its segment of the pairs. It probes its
+// own slot's index, or slot 0's, which every task shares.
+func (c *matchPhase[K]) Run(i int) {
+	ix := c.index(&c.slots[min(i, len(c.slots)-1)])
+	if c.filling {
+		lo, hi := c.off[i], c.off[i+1]
+		ix.fill(c.pkeys, c.probes[i], c.pairs.build[lo:hi], c.pairs.probe[lo:hi])
+		return
+	}
 	if c.own {
 		ix.build(c.bkeys)
 	}
 	c.off[i+1] = int64(ix.count(c.pkeys, c.probes[i]))
 }
 
-// fillMatches is match task i's second pass: it writes its matches into
-// its segment of the pairs.
-func fillMatches[K comparable](c *matchPhase[K], _ *struct{}, i int) {
-	lo, hi := c.off[i], c.off[i+1]
-	c.taskIndex(i).fill(c.pkeys, c.probes[i], c.pairs.build[lo:hi], c.pairs.probe[lo:hi])
-}
+// intIndex is where a slot keeps the index of integer and float keys.
+func intIndex(sl *slot) *hashIndex[int64] { return &sl.joinInts }
 
-// keyClass is what a match needs of a key class besides its type: where a
-// slot keeps the class's index, and the match phases' bodies. The two
-// classes are package variables, instantiated outside generic code, so
-// their func values are static: a generic function's value taken inside
-// matchOn would close over matchOn's type dictionary, one allocation a
-// call.
-type keyClass[K comparable] struct {
-	index       func(*slot) *hashIndex[K]
-	count, fill func(c *matchPhase[K], _ *struct{}, i int)
-}
+// strIndex is where a slot keeps the index of string keys.
+func strIndex(sl *slot) *hashIndex[string] { return &sl.joinStrs }
 
-var (
-	intKeys = keyClass[int64]{func(sl *slot) *hashIndex[int64] { return &sl.joinInts }, countMatches[int64], fillMatches[int64]}
-	strKeys = keyClass[string]{func(sl *slot) *hashIndex[string] { return &sl.joinStrs }, countMatches[string], fillMatches[string]}
-)
-
-// matchOn is match for one key class, in its context c. It returns the
-// matches its tasks counted, and cuts and fills the pairs only if they
-// are at most limit.
-func matchOn[K comparable](s *scratch, c *matchPhase[K], class *keyClass[K], limit int64, bkeys, pkeys []K, builds, probes [][]int32) (pairs, int64) {
-	*c = matchPhase[K]{slots: s.slots(len(builds)), index: class.index, own: len(builds) == len(probes),
+// matchOn is match for one key class, in its context c, with the class's
+// index in each slot. It returns the matches its tasks counted, and cuts
+// and fills the pairs only if they are at most limit.
+func matchOn[K comparable](s *scratch, c *matchPhase[K], index func(*slot) *hashIndex[K], limit int64, bkeys, pkeys []K, builds, probes [][]int32) (pairs, int64) {
+	*c = matchPhase[K]{slots: s.slots(len(builds)), index: index, own: len(builds) == len(probes),
 		bkeys: bkeys, pkeys: pkeys, probes: probes, off: s.i64.Cut(len(probes) + 1)}
 	for i, b := range builds {
-		ix := c.index(&c.slots[i])
+		ix := index(&c.slots[i])
 		ix.next, ix.brows = s.i32.Cut(len(b)), b
 	}
 	if !c.own {
-		c.index(&c.slots[0]).build(bkeys)
+		index(&c.slots[0]).build(bkeys)
 	}
-	par.For(len(probes), c, class.count)
+	par.For(len(probes), c)
 	off := c.off
 	for i := range probes {
 		off[i+1] += off[i]
@@ -313,7 +299,7 @@ func matchOn[K comparable](s *scratch, c *matchPhase[K], class *keyClass[K], lim
 	if n > limit {
 		return pairs{}, n
 	}
-	c.pairs = pairs{s.i32.Cut(int(n)), s.i32.Cut(int(n))}
-	par.For(len(probes), c, class.fill)
+	c.pairs, c.filling = pairs{s.i32.Cut(int(n)), s.i32.Cut(int(n))}, true
+	par.For(len(probes), c)
 	return c.pairs, n
 }

@@ -42,10 +42,11 @@ type scratch struct {
 	phase phases
 }
 
-// phases is a context for each kind of parallel phase, the c that
-// internal/par.For hands its tasks: a query runs its phases one after
+// phases is a context for each kind of parallel phase, the par.Body
+// whose Run is one of its tasks: a query runs its phases one after
 // another, so one of each kind serves them all, and living in the
-// scratch, each is taken by address without allocating.
+// scratch, each is handed to internal/par.For by address without
+// allocating.
 type phases struct {
 	filter   filterPhase
 	combine  combinePhase
@@ -112,15 +113,15 @@ func (s *scratch) slots(n int) []slot {
 
 // slot is one task's hash tables and partial states, kept across queries
 // and emptied when reused: a join build's index, by key class, a
-// combine's or the reduce's group-key maps, one per key class, and the
-// buffer a combine's partial states are cut from. Nothing ranges over a
+// combine's or the reduce's group-key maps, one for strings and one for
+// integers and floats (a float by floatKey's bits), and the buffer a
+// combine's partial states are cut from. Nothing ranges over a
 // kept map, so reusing one changes no order.
 type slot struct {
 	joinInts  hashIndex[int64]
 	joinStrs  hashIndex[string]
 	groupInts table[prefixed[int64], int32]
 	groupStrs table[prefixed[string], int32]
-	groupFlts table[prefixed[uint64], int32]
 	states    slab.Slab[aggState]
 }
 
@@ -132,7 +133,7 @@ func (sl *slot) partials(n int) []aggState {
 
 func (sl *slot) bytes() int64 {
 	return sl.joinInts.heads.bytes() + sl.joinStrs.heads.bytes() + sl.groupInts.bytes() +
-		sl.groupStrs.bytes() + sl.groupFlts.bytes() + sl.states.Bytes()
+		sl.groupStrs.bytes() + sl.states.Bytes()
 }
 
 // table is one map a slot keeps. A Go map never shrinks, so it weighs what

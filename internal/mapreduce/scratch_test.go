@@ -113,14 +113,14 @@ func TestEngineReusedSlotsLeakNothing(t *testing.T) {
 	if s == nil {
 		t.Fatal("the engine kept no scratch")
 	}
-	var reused [6]bool
+	var reused [5]bool
 	for i := range s.slot {
 		sl := &s.slot[i]
-		for j, peak := range []int{sl.joinInts.heads.peak, sl.joinStrs.heads.peak, sl.groupInts.peak, sl.groupStrs.peak, sl.groupFlts.peak, int(sl.states.Bytes())} {
+		for j, peak := range []int{sl.joinInts.heads.peak, sl.joinStrs.heads.peak, sl.groupInts.peak, sl.groupStrs.peak, int(sl.states.Bytes())} {
 			reused[j] = reused[j] || peak > 0
 		}
 	}
-	for j, name := range []string{"int join heads", "string join heads", "int group keys", "string group keys", "float group keys", "partial states"} {
+	for j, name := range []string{"int join heads", "string join heads", "int group keys", "string group keys", "partial states"} {
 		if !reused[j] {
 			t.Errorf("no slot's %s were reused", name)
 		}

@@ -15,10 +15,10 @@
 // idle; when fewer than two are, the caller runs indices beside them, so
 // nested calls cannot deadlock and no call queues behind a busy helper.
 //
-// A loop is a context pointer and a body: For(n, c, body) calls
-// body(c, w, i). The body should be a static function, declared at top
-// level and capturing nothing, and the context long-lived, such as a
-// field of the scratch a query keeps: a task carries both as they are,
-// so neither allocates, where a closure over the caller's variables, or
-// a context on the caller's stack, escapes to the heap on every call.
+// A loop is a Body, a value with a Run(i int) method: For(n, b) calls
+// b.Run(i). A body is a pointer to the loop's context, the one every
+// index shares, and Run is a method on it. A task carries the pointer as
+// it is, so a long-lived context, such as a field of the scratch a query
+// keeps, makes a call allocate nothing, where a context on the caller's
+// stack escapes to the heap on every call.
 package par

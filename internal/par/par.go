@@ -6,23 +6,22 @@ import (
 	"sync/atomic"
 )
 
-// For calls body(c, w, i) once for every i in [0, n) on up to GOMAXPROCS
-// workers and returns when every call has. c is the loop's context, the
-// one pointer every call shares: what the body reads and the result it
-// fills. Each worker owns one zero S and passes it to every call it makes
-// — scratch such as a simulator that one worker resets from index to
-// index — and takes its next index from a shared counter, so uneven
-// iterations balance themselves. With one worker, or fewer than two
-// indices, the calls run inline, in index order.
+// Body is a parallel loop: Run(i) does index i's work. A body is usually
+// a pointer to the loop's context — what every index reads and the
+// result each fills — with Run as its method.
+type Body interface{ Run(i int) }
+
+// For calls b.Run(i) once for every i in [0, n) on up to GOMAXPROCS
+// workers and returns when every call has. Each worker takes its next
+// index from a shared counter, so uneven iterations balance themselves.
+// With one worker, or fewer than two indices, the calls run inline, in
+// index order.
 //
-// body should be a function declared at top level, which captures
-// nothing, so its func value is static, and c should be long-lived — a
-// field of a scratch its owner keeps — rather than a variable on the
-// caller's stack. For hands both to the pool, so a capturing closure or
-// a stack context escapes to the heap: one allocation a call. With a
-// static body and a long-lived context, a warm call allocates nothing of
-// its own; each worker's S is new to the call, so an S with fields is one
-// allocation per worker.
+// For hands b to the pool, so a b that is a pointer to a context kept
+// on the heap — a field of a scratch its owner keeps — costs nothing: a
+// pointer converts to an interface without allocating, and a warm call
+// allocates nothing of its own. A context on the caller's stack escapes
+// to the heap, one allocation a call.
 //
 // The workers are the package's helpers, which outlive the call: For
 // hands the whole range to the idle ones and waits. When fewer than two
@@ -30,49 +29,35 @@ import (
 // caller takes indices beside them, so a nested For never waits for a
 // busy helper.
 //
-// body must write only what belongs to index i (and to w); anything else
-// two calls share must be read-only.
-func For[C, S any](n int, c *C, body func(c *C, w *S, i int)) {
+// Run must write only what belongs to index i; anything else two calls
+// share must be read-only.
+func For(n int, b Body) {
 	procs := runtime.GOMAXPROCS(0)
 	workers := min(procs, n)
 	if workers <= 1 {
-		var w S
 		for i := range n {
-			body(c, &w, i)
+			b.Run(i)
 		}
 		return
 	}
-	helpers.run(c, forBody[C, S](body), n, workers, procs)
-}
-
-// forBody is For's body behind a method, so a task can carry it as a
-// runner: a func value and a pointer each convert to an interface
-// without allocating, where a struct of the two would be boxed. A
-// generic function's value taken inside For would not be static either:
-// it closes over For's type dictionary.
-type forBody[C, S any] func(c *C, w *S, i int)
-
-// runner is a task's typed body: run takes the task's indices until none
-// are left, with the task's context and one zero S of its own.
-type runner interface{ run(t *task) }
-
-func (b forBody[C, S]) run(t *task) {
-	c := t.c.(*C)
-	var w S
-	for i := t.next.Add(1) - 1; i < t.n; i = t.next.Add(1) - 1 {
-		b(c, &w, int(i))
-	}
+	helpers.run(b, n, workers, procs)
 }
 
 // task is one For call's shared state. Tasks are kept on the pool's free
 // list between calls, so a call allocates none.
 type task struct {
-	c    any // the call's *C
-	body runner
+	body Body
 	n    int64
 	next atomic.Int64 // the next index to take
 	wg   sync.WaitGroup
 	hs   []*helper // the helpers this call took, handed the task after the pool's lock is released
+}
+
+// run takes t's indices until none are left.
+func (t *task) run() {
+	for i := t.next.Add(1) - 1; i < t.n; i = t.next.Add(1) - 1 {
+		t.body.Run(int(i))
+	}
 }
 
 // helper is one long-lived worker. It waits on its own channel, which
@@ -95,7 +80,7 @@ var helpers pool
 
 // run hands [0, n) to up to workers idle helpers, starting new ones while
 // the pool holds fewer than procs, and returns when every index has run.
-func (p *pool) run(c any, body runner, n, workers, procs int) {
+func (p *pool) run(b Body, n, workers, procs int) {
 	p.mu.Lock()
 	var t *task
 	if k := len(p.free); k > 0 {
@@ -114,18 +99,18 @@ func (p *pool) run(c any, body runner, n, workers, procs int) {
 	}
 	p.mu.Unlock()
 
-	t.c, t.body, t.n = c, body, int64(n)
+	t.body, t.n = b, int64(n)
 	t.next.Store(0)
 	t.wg.Add(len(t.hs))
 	for _, h := range t.hs {
 		h.ch <- t
 	}
 	if len(t.hs) < 2 {
-		body.run(t)
+		t.run()
 	}
 	t.wg.Wait()
 
-	t.c, t.body = nil, nil
+	t.body = nil
 	p.mu.Lock()
 	p.idle = append(p.idle, t.hs...)
 	p.free = append(p.free, t)
@@ -136,7 +121,7 @@ func (p *pool) run(c any, body runner, n, workers, procs int) {
 // list once the task is done, so a helper takes no lock.
 func (h *helper) loop() {
 	for t := range h.ch {
-		t.body.run(t)
+		t.run()
 		t.wg.Done()
 	}
 }

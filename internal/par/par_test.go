@@ -9,51 +9,25 @@ import (
 	"time"
 )
 
-// visits is TestForCallsEachIndexOnce's context: each index's visit
-// count, and the worker states seen.
-type visits struct {
-	seen   []int32
-	mu     sync.Mutex
-	states []*state
-}
+// visits is TestForCallsEachIndexOnce's body: each index's visit count.
+type visits struct{ seen []int32 }
 
-// state is one worker's: how many indices it ran.
-type state struct{ visits int }
-
-// visit is TestForCallsEachIndexOnce's body: it counts index i and, the
-// first time w runs one, records w.
-func visit(c *visits, w *state, i int) {
-	c.seen[i]++
-	if w.visits == 0 {
-		c.mu.Lock()
-		c.states = append(c.states, w)
-		c.mu.Unlock()
-	}
-	w.visits++
-}
+func (c *visits) Run(i int) { c.seen[i]++ }
 
 // TestForCallsEachIndexOnce runs For inline and on several workers: every
-// index is visited exactly once, no more states exist than workers, and
-// the states' visit counts add up to n — each worker kept its own state
-// from call to call (under -race, a shared one is a reported race).
+// index is visited exactly once (under -race, two calls on one index are
+// a reported race).
 func TestForCallsEachIndexOnce(t *testing.T) {
 	for _, procs := range []int{1, 8} {
 		for _, n := range []int{0, 1, 2, 7, 1000} {
 			func() {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				c := &visits{seen: make([]int32, n)}
-				For(n, c, visit)
+				For(n, c)
 				for i, v := range c.seen {
 					if v != 1 {
 						t.Errorf("GOMAXPROCS %d, n %d: index %d ran %d times", procs, n, i, v)
 					}
-				}
-				total := 0
-				for _, s := range c.states {
-					total += s.visits
-				}
-				if total != n || len(c.states) > procs {
-					t.Errorf("GOMAXPROCS %d, n %d: %d states with %d visits", procs, n, len(c.states), total)
 				}
 			}()
 		}
@@ -64,17 +38,17 @@ func TestForCallsEachIndexOnce(t *testing.T) {
 // so the most helpers the package's tests can start.
 const maxProcs = 8
 
-// sinkCtx is the allocation test's context, on the heap as a kept
-// scratch would be.
-var sinkCtx = new(struct{ out [64]int })
+// fillOut is the allocation test's body, a pointer to a context on the
+// heap as a kept scratch would be.
+type fillOut struct{ out [64]int }
 
-// fillOut is the allocation test's body: a static function, capturing
-// nothing.
-func fillOut(c *struct{ out [64]int }, _ *struct{}, i int) { c.out[i] = i }
+func (c *fillOut) Run(i int) { c.out[i] = i }
 
-// TestForAllocatesNothing: after one warm call, a parallel For with a
-// static body and a heap-resident context allocates nothing — no
-// goroutine, no closure, no task, no box for the context or the body.
+var sinkCtx = new(fillOut)
+
+// TestForAllocatesNothing: after one warm call, a parallel For whose body
+// is a pointer to a heap-resident context allocates nothing — no
+// goroutine, no task, no box for the body.
 // testing.AllocsPerRun pins GOMAXPROCS to 1, where For runs inline, so
 // the count is taken as AllocsPerRun takes it — the mallocs of 100 calls,
 // divided by 100 — at the GOMAXPROCS under test. The runtime itself
@@ -85,11 +59,11 @@ func TestForAllocatesNothing(t *testing.T) {
 	for _, procs := range []int{2, 4} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			For(len(sinkCtx.out), sinkCtx, fillOut)
+			For(len(sinkCtx.out), sinkCtx)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for range runs {
-				For(len(sinkCtx.out), sinkCtx, fillOut)
+				For(len(sinkCtx.out), sinkCtx)
 			}
 			runtime.ReadMemStats(&after)
 			if n := (after.Mallocs - before.Mallocs) / runs; n != 0 {
@@ -123,7 +97,7 @@ func TestForNestedAndConcurrent(t *testing.T) {
 		for c := range callers {
 			go func() {
 				defer wg.Done()
-				For(outer, &seen[c], runInner)
+				For(outer, &seen[c])
 			}()
 		}
 		wg.Wait()
@@ -166,11 +140,11 @@ type innerRow struct{ hits [inner]atomic.Int32 }
 // outer and inner are TestForNestedAndConcurrent's index counts.
 const outer, inner = 16, 32
 
-// runInner is the outer body: it runs an inner For over its own row.
-func runInner(c *nested, _ *struct{}, i int) { For(len(c.rows[i].hits), &c.rows[i], hit) }
+// Run is the outer body: it runs an inner For over its own row.
+func (c *nested) Run(i int) { For(len(c.rows[i].hits), &c.rows[i]) }
 
-// hit is the inner body.
-func hit(c *innerRow, _ *struct{}, j int) { c.hits[j].Add(1) }
+// Run is the inner body.
+func (c *innerRow) Run(j int) { c.hits[j].Add(1) }
 
 // helperCount counts the goroutines parked in or running a helper's loop.
 func helperCount() int {

@@ -197,7 +197,6 @@ func ReproduceFig7(a *TrainedArtifacts, cfg ExperimentConfig, numQueries int) (F
 	stats := workload.NewStats(workload.DefaultCorpusConfig())
 	cm := trace.NewDefaultCostModel(cfg.Seed ^ 0x7fe)
 	slots, ov := core.Capacity(cfg.Cluster)
-	w := new(workload.Runner)
 	var res Fig7Result
 	var sum float64
 	for i := 0; i < numQueries; i++ {
@@ -206,7 +205,7 @@ func ReproduceFig7(a *TrainedArtifacts, cfg ExperimentConfig, numQueries int) (F
 			return res, err
 		}
 		sf := workload.SFForTargetBytes(q, 100e9)
-		run, err := workload.RunStandalone(w, q, sf, stats, cm, cfg.Cluster)
+		run, err := workload.RunStandalone(q, sf, stats, cm, cfg.Cluster)
 		if err != nil {
 			return res, err
 		}

@@ -211,11 +211,11 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 		c.draws[i] = drawn{q: q, sf: sfForTargetBytes(q, targetGB*1e9, stats.schemas), cmSeed: rng.Uint64()}
 	}
 
-	// Phase 2 (parallel, a Runner per worker): compile, estimate, simulate
+	// Phase 2 (parallel, on pooled runners): compile, estimate, simulate
 	// and record each run.
 	c.runs = make([]*QueryRun, len(c.draws))
 	c.errs = make([]error, len(c.draws))
-	par.For(len(c.draws), c, runDrawn)
+	par.For(len(c.draws), c)
 	for i, err := range c.errs {
 		if err != nil {
 			return nil, fmt.Errorf("workload: query %d: %w", i, err)
@@ -242,27 +242,39 @@ type corpusRuns struct {
 	errs    []error
 }
 
-// runDrawn runs drawn query i on w's simulator into its slots.
-func runDrawn(c *corpusRuns, w *Runner, i int) {
+// Run runs drawn query i into its slots.
+func (c *corpusRuns) Run(i int) {
 	d := c.draws[i]
 	cm := trace.NewDefaultCostModel(d.cmSeed)
-	c.runs[i], c.errs[i] = RunStandalone(w, d.q, d.sf, c.stats, cm, c.cluster)
+	c.runs[i], c.errs[i] = RunStandalone(d.q, d.sf, c.stats, cm, c.cluster)
 }
 
-// Runner is the simulator and query layout one worker lays each run out on
-// in place; a run keeps only the samples it recorded.
-type Runner struct {
+// runner is the simulator and query layout a run is laid out on in place;
+// a run keeps only the samples it recorded.
+type runner struct {
 	sim cluster.Sim
 	q   cluster.Query
 }
 
+// runners holds idle runners for any goroutine's next run, so a corpus
+// worker's runs reuse the simulator and layout the run before grew.
+var runners = sync.Pool{New: func() any { return new(runner) }}
+
+// release returns w to runners unless its layout's slabs hold more than
+// slab.RetainBytes, so one outsized run's layout is not kept.
+func (w *runner) release() {
+	if w.q.SlabBytes() <= slab.RetainBytes {
+		runners.Put(w)
+	}
+}
+
 // RunStandalone compiles, estimates (at both statistics resolutions, under
 // the task-sizing rules stats was built with) and executes a single query
-// alone on w's simulated cluster, reset to clusterCfg, and returns the
-// run's record. It is the building block of corpus construction and of
-// Fig. 7, and deliberately not a replay of one: bench/'s setup_s times
-// this un-instrumented path.
-func RunStandalone(w *Runner, q *query.Query, sf float64, stats *Stats, cm *trace.CostModel, clusterCfg cluster.Config) (*QueryRun, error) {
+// alone on a simulated cluster, reset to clusterCfg, and returns the run's
+// record. It is the building block of corpus construction and of Fig. 7,
+// and deliberately not a replay of one: bench/'s setup_s times this
+// un-instrumented path.
+func RunStandalone(q *query.Query, sf float64, stats *Stats, cm *trace.CostModel, clusterCfg cluster.Config) (*QueryRun, error) {
 	d, err := plan.Compile(q)
 	if err != nil {
 		return nil, err
@@ -271,6 +283,8 @@ func RunStandalone(w *Runner, q *query.Query, sf float64, stats *Stats, cm *trac
 	if err != nil {
 		return nil, err
 	}
+	w := runners.Get().(*runner)
+	defer w.release()
 	w.q.Rebuild("q", oracle, cm, cluster.ConstantPredictor(1))
 	w.sim.Reset(clusterCfg, sched.HCS{})
 	w.sim.Submit(&w.q, 0)

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"saqp/internal/predict"
 	"saqp/internal/query"
 	"saqp/internal/selectivity"
+	"saqp/internal/trace"
 )
 
 func TestGeneratorProducesValidQueries(t *testing.T) {
@@ -465,5 +467,44 @@ func TestFilterableDomains(t *testing.T) {
 				t.Errorf("filterable column %s.%s: domain %+v at SF 0.01, %+v at 1, %+v at 1000", table, name, a, b, z)
 			}
 		}
+	}
+}
+
+// TestRunStandaloneIndependentOfPriorRuns: RunStandalone lays each run out
+// on a runner from a pool, whose simulator and layout the run before grew
+// and wrote. q6 at 1 GB (7 tasks) records the same run, to the bit, when
+// it runs first on a new runner, after q11 at 100 GB (852 tasks) ran on
+// the runner it takes back, and again after itself: its scale, estimates,
+// time, and every job and task sample.
+func TestRunStandaloneIndependentOfPriorRuns(t *testing.T) {
+	stats := NewStats(DefaultCorpusConfig())
+	clusterCfg := DefaultCorpusConfig().Cluster
+	run := func(name string, gb float64) *QueryRun {
+		t.Helper()
+		q, err := TPCHQuery(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := RunStandalone(q, SFForTargetBytes(q, gb*1e9), stats, trace.NewDefaultCostModel(7), clusterCfg)
+		if err != nil {
+			t.Fatalf("%s at %v GB: %v", name, gb, err)
+		}
+		return r
+	}
+	// Two collections empty a sync.Pool, so the first run takes a new runner.
+	runtime.GC()
+	runtime.GC()
+	first := run("q6", 1)
+	run("q11", 100)
+	for _, when := range []string{"after a larger query", "after itself"} {
+		r := run("q6", 1)
+		if math.Float64bits(r.SF) != math.Float64bits(first.SF) || math.Float64bits(r.Seconds) != math.Float64bits(first.Seconds) {
+			t.Errorf("%s: SF %v and %v s, first %v and %v s", when, r.SF, r.Seconds, first.SF, first.Seconds)
+		}
+		if !slices.Equal(estimateBits(nil, r.Est), estimateBits(nil, first.Est)) ||
+			!slices.Equal(estimateBits(nil, r.Oracle), estimateBits(nil, first.Oracle)) {
+			t.Errorf("%s: the estimates differ from the first run's", when)
+		}
+		sameSamples(t, when, r.JobSamples, r.TaskSamples, first.JobSamples, first.TaskSamples)
 	}
 }
