@@ -51,11 +51,14 @@ fuzz-smoke:
 # column-parallel dataset.Generate and catalog.Collect, whose values and
 # encoded catalog must read the same at GOMAXPROCS 1 and 8, the
 # metrics registry, whose counts must stay exact while its exports read,
-# internal/par's own pool tests, and workload.RunStandalone, whose pooled
-# runners pass from goroutine to goroutine and must leave a run's record
-# the same whatever ran on them before).
+# internal/par's own pool tests, and the lone runs of internal/cluster's
+# pool, which pass from goroutine to goroutine and must leave a run the
+# same whatever ran on them before: the pool now lives in internal/cluster
+# and serves the facade's SimulateQuery as well as workload.RunStandalone,
+# so the root's eight-goroutine SimulateQuery test, cluster's Lone
+# retention test and RunStandalone's own test run here).
 stress:
-	$(GO) test -race -count=2 -run 'TestServer|TestNetShutdown|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestSimReuse|TestSimCounters|TestEngine|ScheduleIndependent|TestRegistryConcurrent|TestFor|TestRunStandalone' \
+	$(GO) test -race -count=2 -run 'TestServer|TestNetShutdown|TestProperty|TestSingleFlight|TestDeterministicSnapshots|TestSimReuse|TestSimCounters|TestEngine|ScheduleIndependent|TestRegistryConcurrent|TestFor|TestRunStandalone|TestSimulateQueryConcurrent|TestLoneTrims' \
 		. ./internal/serve ./internal/selectivity ./internal/net ./internal/cluster ./internal/mapreduce \
 		./internal/dataset ./internal/catalog ./internal/obs ./internal/par ./internal/workload
 

@@ -6,7 +6,6 @@ import (
 
 	"saqp/internal/cluster"
 	"saqp/internal/fault"
-	"saqp/internal/plan"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
 	"saqp/internal/trace"
@@ -91,22 +90,9 @@ func TestAloneRunIsPolicyInvariant(t *testing.T) {
 // workload.NewGenerator(11), estimated at scale factor sf.
 func aloneEstimates(t *testing.T, sf float64) []*selectivity.QueryEstimate {
 	t.Helper()
-	est := analyticEstimator(sf)
 	var out []*selectivity.QueryEstimate
 	for _, name := range workload.TPCHNames() {
-		q, err := workload.TPCHQuery(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := plan.Compile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qe, err := est.EstimateQuery(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, qe)
+		out = append(out, tpchEstimate(t, name, sf))
 	}
 	next := generatedEstimates(t, 11, sf)
 	for range 300 {

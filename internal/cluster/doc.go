@@ -11,6 +11,9 @@
 // schedulers can compute Weighted Resource Demand without seeing the
 // ground truth.
 //
+// A Lone runs one estimate alone. A serving lane embeds one; the corpus and
+// the facade's SimulateQuery take theirs from the package pool.
+//
 // A task leaves TaskRunning only through finish, which completes the
 // attempt, or vacate, which ends it unfinished (preemption, a transient
 // failure, a node crash, an abandoned query) and returns its slot, or

@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"saqp/internal/fault"
 	"saqp/internal/obs"
+	"saqp/internal/selectivity"
+	"saqp/internal/slab"
+	"saqp/internal/trace"
 )
 
 // Config sizes the simulated cluster. Defaults mirror the paper's testbed:
@@ -482,20 +486,23 @@ func (r *Results) PercentileResponse(p float64) float64 {
 
 // Run processes events until all submitted queries complete.
 func (s *Sim) Run() (*Results, error) {
-	return s.RunContext(context.Background()) //lint:allow saqpvet/ctxleak Run is the deliberate never-canceled entry point; RunContext is the cancellable form
+	return s.RunContext(nil)
 }
 
 // RunContext is Run with cooperative cancellation: the event loop checks
-// ctx between events and aborts with ctx.Err() once it is done. A run
-// that is never canceled is indistinguishable from Run — cancellation is
-// the only nondeterminism the context introduces, which keeps seeded
-// serving-pool runs reproducible. A config that fails Config.Check is
-// refused with its *ConfigError before any event runs.
+// ctx between events and aborts with ctx.Err() once it is done; a nil ctx
+// never is. A run that is never canceled is indistinguishable from Run —
+// cancellation is the only nondeterminism the context introduces, which
+// keeps seeded serving-pool runs reproducible. A config that fails
+// Config.Check is refused with its *ConfigError before any event runs.
 func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 	if err := s.cfg.Check(); err != nil {
 		return nil, err
 	}
-	done := ctx.Done()
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
 	for s.events.len() > 0 {
 		if done != nil {
 			select {
@@ -550,6 +557,53 @@ func (s *Sim) RunContext(ctx context.Context) (*Results, error) {
 		}
 	}
 	return res, nil
+}
+
+// Lone runs one estimate alone, the paper's standalone run, on a simulator
+// and a query layout that each run overwrites in place. The zero value is
+// ready to use.
+type Lone struct {
+	sim Sim
+	q   Query
+}
+
+// Run lays est out as query id, task times drawn from cm and predicted by
+// pred, and runs it alone on cc under pol, observed by o (nil for none),
+// until ctx is done (a nil ctx never is). It returns the query, valid
+// until l's next Run, Trim or PutLone, and the run's error: a failed
+// query's is its *TaskFailedError. A plan is a chain, so alone every
+// policy schedules it alike (TestAloneRunIsPolicyInvariant): pol only
+// labels its decisions.
+func (l *Lone) Run(ctx context.Context, cc Config, pol Scheduler, id string, est *selectivity.QueryEstimate,
+	cm *trace.CostModel, pred TaskTimePredictor, o *obs.Observer) (*Query, error) {
+	l.q.Rebuild(id, est, cm, pred)
+	l.sim.Reset(cc, pol)
+	l.sim.SetObserver(o)
+	l.sim.Submit(&l.q, 0)
+	if _, err := l.sim.RunContext(ctx); err != nil {
+		return nil, err
+	}
+	return &l.q, l.q.Err
+}
+
+// Trim is a lone run's one retention rule: once its query's slabs hold
+// more than slab.RetainBytes, it drops them, simulator and all.
+func (l *Lone) Trim() {
+	if l.q.SlabBytes() > slab.RetainBytes {
+		*l = Lone{}
+	}
+}
+
+// lones holds idle lone runs for any goroutine's next one.
+var lones = sync.Pool{New: func() any { return new(Lone) }}
+
+// GetLone takes a lone run from the package pool.
+func GetLone() *Lone { return lones.Get().(*Lone) }
+
+// PutLone trims l and returns it to the pool.
+func PutLone(l *Lone) {
+	l.Trim()
+	lones.Put(l)
 }
 
 // arrive submits a query's first job; each later one is submitted when the
@@ -709,7 +763,7 @@ func (s *Sim) scheduleFinish(t *Task) {
 	}
 	dur := t.ActualSec/factor + s.cfg.SchedulingOverheadSec
 	if fail, frac := s.fplan.TaskFailure(t.Job.ID, t.Reduce, t.Index, t.Attempts); fail {
-		s.push(event{time: s.now + frac*dur, kind: evTaskFail, task: t, slot: t.slot, epoch: t.epoch})
+		s.push(event{time: s.now + float64(frac*dur), kind: evTaskFail, task: t, slot: t.slot, epoch: t.epoch})
 		return
 	}
 	s.push(event{time: s.now + dur, kind: evFinish, task: t, slot: t.slot, epoch: t.epoch})

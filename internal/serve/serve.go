@@ -17,7 +17,6 @@ import (
 	"saqp/internal/query"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
-	"saqp/internal/slab"
 	"saqp/internal/trace"
 )
 
@@ -465,38 +464,11 @@ func (e *Engine) inflightNow() int {
 	return e.inflight
 }
 
-// lane is what one pool worker owns for its lifetime and rebuilds in
-// place per ticket: the simulator, the query laid out on it, and the
-// feature buffer feedback writes every sample into.
+// lane is what one pool worker owns for its lifetime: the lone run every
+// ticket runs on, and the feature buffer feedback writes each sample into.
 type lane struct {
-	sim  cluster.Sim
-	q    cluster.Query
+	cluster.Lone
 	feat [4]float64
-}
-
-// simulate lays est out on the lane as query id, with task times drawn
-// from seed's cost model and predicted by pred, and runs it alone on cc,
-// observed by o (nil for none) and stopped early if ctx is done. Alone, a
-// compiled plan (a chain) offers each pick one candidate, so every policy
-// schedules it alike; SWRD labels the run's decisions.
-func (w *lane) simulate(ctx context.Context, cc cluster.Config, id string, est *selectivity.QueryEstimate,
-	seed uint64, pred cluster.TaskTimePredictor, o *obs.Observer) error {
-	w.q.Rebuild(id, est, trace.NewDefaultCostModel(seed), pred)
-	w.sim.Reset(cc, sched.SWRD{})
-	w.sim.SetObserver(o)
-	w.sim.Submit(&w.q, 0)
-	_, err := w.sim.RunContext(ctx)
-	return err
-}
-
-// release drops the lane, simulator and all, once its query's slabs hold
-// more than slab.RetainBytes (the rule the estimator's scratch
-// follows), so a worker that served one outsized query does not keep its
-// layout until shutdown; the next ticket grows slabs of its own size.
-func (w *lane) release() {
-	if w.q.SlabBytes() > slab.RetainBytes {
-		*w = lane{}
-	}
 }
 
 // worker serves admitted tickets until the engine closes and drains, on
@@ -534,16 +506,9 @@ func (e *Engine) next() *Ticket {
 	return t
 }
 
-// run executes one ticket on the worker's lane — its simulator reset and
-// its query rebuilt for the ticket — and delivers its completion.
+// run executes one ticket on the worker's lane and delivers its completion;
+// a ticket canceled while queued ends before its run's first event.
 func (e *Engine) run(w *lane, t *Ticket) {
-	// Submit normalized the context, so t.ctx is never nil here.
-	select {
-	case <-t.ctx.Done():
-		e.finish(t, Result{}, t.ctx.Err())
-		return
-	default:
-	}
 	// Serve this query from the learner's champion models when online
 	// learning is on and a champion exists; static models otherwise.
 	// One snapshot per run: the tasks are predicted and the jobs' drift
@@ -568,12 +533,12 @@ func (e *Engine) run(w *lane, t *Ticket) {
 		t.span.BeginRun()
 		runObs = &obs.Observer{Spans: t.span}
 	}
-	defer w.release()
-	if err := w.simulate(t.ctx, e.cfg.Cluster, t.id, t.est, t.seed, pred, runObs); err != nil {
+	defer w.Trim()
+	cq, err := w.Run(t.ctx, e.cfg.Cluster, sched.SWRD{}, t.id, t.est, trace.NewDefaultCostModel(t.seed), pred, runObs)
+	if err != nil {
 		e.finish(t, Result{}, err)
 		return
 	}
-	cq := &w.q
 	if t.span != nil {
 		t.span.EndRun(cq.ResponseTime())
 	}

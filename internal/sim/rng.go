@@ -88,12 +88,13 @@ func (r *RNG) FillInt63n(keys []int64, n int64) {
 
 // Float64 returns a uniform pseudo-random float64 in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53)) // a product by 2⁻⁵³, rounded: no add fuses with it
 }
 
-// Range returns a uniform pseudo-random float64 in [lo, hi).
+// Range returns a uniform pseudo-random float64 in [lo, hi). Here and in
+// Normal, float64(…) rounds a product before its add: no platform fuses it.
 func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Bool returns true with probability p.
@@ -113,11 +114,11 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // standard deviation, via the Marsaglia polar method.
 func (r *RNG) Normal(mean, stddev float64) float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
-			return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
+			return mean + float64(stddev*u*math.Sqrt(-2*math.Log(s)/s))
 		}
 	}
 }

@@ -54,7 +54,7 @@ func (z *Zipf) hInv(x float64) float64 {
 func (z *Zipf) Uint64() uint64 {
 	for {
 		r := z.rng.Float64()
-		ur := z.hxm + r*z.hx0MinusHxm
+		ur := z.hxm + float64(r*z.hx0MinusHxm) // rounded: never a fused multiply-add
 		x := z.hInv(ur)
 		k := math.Floor(x + 0.5)
 		if k-x <= z.s {

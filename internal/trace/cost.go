@@ -75,9 +75,10 @@ func (m *CostModel) Expected(t TaskSpec) float64 {
 			t.OutBytes/diskBW
 	} else {
 		// Reduce: shuffle over network, merge-sort (n·log n in 64 MB
-		// segments), reduce-side processing, write output.
-		segments := 1 + t.InBytes/(64<<20)
-		sortSec := sortFactor * (t.InBytes / diskBW) * math.Log2(1+segments)
+		// segments), reduce-side processing, write output. float64(…)
+		// rounds a product (a quotient by 2²⁶ is one) before its add.
+		segments := 1 + float64(t.InBytes/(64<<20))
+		sortSec := float64(sortFactor * (t.InBytes / diskBW) * math.Log2(1+segments))
 		sec = startupSec +
 			t.InBytes/netBW +
 			sortSec +

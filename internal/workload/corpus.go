@@ -211,7 +211,7 @@ func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 		c.draws[i] = drawn{q: q, sf: sfForTargetBytes(q, targetGB*1e9, stats.schemas), cmSeed: rng.Uint64()}
 	}
 
-	// Phase 2 (parallel, on pooled runners): compile, estimate, simulate
+	// Phase 2 (parallel, on pooled lone runs): compile, estimate, simulate
 	// and record each run.
 	c.runs = make([]*QueryRun, len(c.draws))
 	c.errs = make([]error, len(c.draws))
@@ -249,31 +249,12 @@ func (c *corpusRuns) Run(i int) {
 	c.runs[i], c.errs[i] = RunStandalone(d.q, d.sf, c.stats, cm, c.cluster)
 }
 
-// runner is the simulator and query layout a run is laid out on in place;
-// a run keeps only the samples it recorded.
-type runner struct {
-	sim cluster.Sim
-	q   cluster.Query
-}
-
-// runners holds idle runners for any goroutine's next run, so a corpus
-// worker's runs reuse the simulator and layout the run before grew.
-var runners = sync.Pool{New: func() any { return new(runner) }}
-
-// release returns w to runners unless its layout's slabs hold more than
-// slab.RetainBytes, so one outsized run's layout is not kept.
-func (w *runner) release() {
-	if w.q.SlabBytes() <= slab.RetainBytes {
-		runners.Put(w)
-	}
-}
-
 // RunStandalone compiles, estimates (at both statistics resolutions, under
 // the task-sizing rules stats was built with) and executes a single query
-// alone on a simulated cluster, reset to clusterCfg, and returns the run's
-// record. It is the building block of corpus construction and of Fig. 7,
-// and deliberately not a replay of one: bench/'s setup_s times this
-// un-instrumented path.
+// alone on a pooled cluster.Lone reset to clusterCfg, and returns the run's
+// record, which keeps only the samples it recorded. It is the building block
+// of corpus construction and of Fig. 7, and deliberately not a replay of
+// one: bench/'s setup_s times this un-instrumented path.
 func RunStandalone(q *query.Query, sf float64, stats *Stats, cm *trace.CostModel, clusterCfg cluster.Config) (*QueryRun, error) {
 	d, err := plan.Compile(q)
 	if err != nil {
@@ -283,17 +264,14 @@ func RunStandalone(q *query.Query, sf float64, stats *Stats, cm *trace.CostModel
 	if err != nil {
 		return nil, err
 	}
-	w := runners.Get().(*runner)
-	defer w.release()
-	w.q.Rebuild("q", oracle, cm, cluster.ConstantPredictor(1))
-	w.sim.Reset(clusterCfg, sched.HCS{})
-	w.sim.Submit(&w.q, 0)
-	res, err := w.sim.Run()
+	l := cluster.GetLone()
+	defer cluster.PutLone(l)
+	cq, err := l.Run(nil, clusterCfg, sched.SWRD{}, "q", oracle, cm, cluster.ConstantPredictor(1), nil)
 	if err != nil {
 		return nil, err
 	}
-	run := &QueryRun{SF: sf, Est: est, Oracle: oracle, Seconds: res.Makespan}
-	run.record(&w.q)
+	run := &QueryRun{SF: sf, Est: est, Oracle: oracle, Seconds: cq.ResponseTime()}
+	run.record(cq)
 	return run, nil
 }
 

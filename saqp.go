@@ -329,14 +329,11 @@ func (f *Framework) SimulateQueryConfig(id string, qe *QueryEstimate, scheduler 
 	if f.TaskTime != nil {
 		pred = f.TaskTime
 	}
-	q := cluster.BuildQuery(id, qe, trace.NewDefaultCostModel(seed), pred)
-	sim := cluster.New(cc, pol).SetObserver(f.Obs)
-	sim.Submit(q, 0)
-	if _, err := sim.Run(); err != nil {
+	l := cluster.GetLone()
+	defer cluster.PutLone(l)
+	q, err := l.Run(nil, cc, pol, id, qe, trace.NewDefaultCostModel(seed), pred, f.Obs)
+	if err != nil {
 		return 0, err
-	}
-	if q.Failed() {
-		return 0, q.Err
 	}
 	core.RecordJobDrift(f.Obs, f.JobTime, qe, q)
 	return q.ResponseTime(), nil
